@@ -19,7 +19,7 @@ BENCH_RE = Update|Batch|Parallel|Sharded|WAL|Watch|Server
 # tolerance instead of exact equality.
 BENCH_ALLOC_NONDET = ^BenchmarkServer
 
-.PHONY: check test vet bench bench-fresh diff-allocs diff-time bench-check bench-check-allocs docs-check api-check api-update bench-all
+.PHONY: check test vet bench-module bench bench-fresh diff-allocs diff-time bench-check bench-check-allocs docs-check api-check api-update bench-all
 
 check: vet test
 
@@ -28,6 +28,12 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# bench/ is its own module, so `./...` never reaches it, yet it compiles
+# against ivmeps, internal/core, internal/federation and internal/server.
+# Vet and test it whenever those change.
+bench-module:
+	cd bench && $(GO) vet . && $(GO) test .
 
 # Update-path microbenchmarks with allocation reporting, recorded as JSON.
 # The raw output is kept in BENCH_update.txt for eyeballing.

@@ -1,10 +1,6 @@
 package ivmeps
 
-import (
-	"fmt"
-
-	"ivmeps/internal/core"
-)
+import "ivmeps/internal/core"
 
 // Batch collects single-tuple updates — inserts, deletes, weighted applies
 // — across any of the engine's relations, for Engine.Commit (or
@@ -29,16 +25,12 @@ import (
 // validates ids instead of repeating per-op name lookups, and committing a
 // batch to a different engine is rejected.
 type Batch struct {
-	owner   any              // the *Engine or *Sharded that created it
+	owner   any              // the front end (of an Engine or Sharded) that created it
 	resolve func(string) int // owner's relation-id table
 	lastRel string           // one-entry resolution cache for the
 	lastID  int              // common runs-of-one-relation pattern
 	ops     []core.BatchOp
 }
-
-// NewBatch returns an empty update batch for this engine. The batch may be
-// built before or after Build, but only committed after.
-func (e *Engine) NewBatch() *Batch { return &Batch{owner: e, resolve: e.e.RelID} }
 
 // Insert queues the single-tuple insert {row → +1} against rel.
 func (b *Batch) Insert(rel string, row []int64) *Batch { return b.Apply(rel, row, 1) }
@@ -69,33 +61,4 @@ func (b *Batch) Len() int { return len(b.ops) }
 func (b *Batch) Reset() {
 	clear(b.ops)
 	b.ops = b.ops[:0]
-}
-
-// Commit applies the batch as one atomic maintenance commit: every queued
-// update is validated up front — in order, counting the effect of earlier
-// ops of the batch — and on any error (ErrUnknownRelation, ArityError,
-// MultiplicityError) the engine is left completely unchanged; no partial
-// prefix is ever applied, across relations as within one. On success the
-// batch commits as a single maintenance pass: per touched relation the
-// updates aggregate into one delta per view-tree leaf, every view tree is
-// walked once per (batch, relation) on the engine's worker pool
-// (Options.Workers), and the whole commit publishes one snapshot epoch — a
-// concurrent Snapshot observes all of the batch or none of it.
-//
-// The observable result — the enumerated query output, N, and the
-// maintenance invariants — is identical to applying the same updates in
-// order with Apply; the amortized cost per row is what ApplyBatch provides,
-// now across relations. Commit does not consume the batch; Reset it before
-// building the next one.
-func (e *Engine) Commit(b *Batch) error {
-	if !e.built {
-		return fmt.Errorf("ivmeps: Commit: %w (call Build first)", ErrNotBuilt)
-	}
-	if b == nil {
-		return nil // like an empty batch: nothing to commit
-	}
-	if b.owner != e {
-		return fmt.Errorf("ivmeps: Commit: batch was created by a different engine")
-	}
-	return wrapErr(e.e.CommitBatch(b.ops))
 }

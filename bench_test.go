@@ -772,20 +772,20 @@ func BenchmarkShardedCommit(b *testing.B) {
 			// Warm up outside the timer: spawn the apply runners, size the
 			// pooled sub-batches and every shard's scratch to steady state.
 			for i := 0; i < 2; i++ {
-				if err := f.Commit(ops); err != nil {
+				if err := f.CommitBatch(ops); err != nil {
 					b.Fatal(err)
 				}
-				if err := f.Commit(inv); err != nil {
+				if err := f.CommitBatch(inv); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := f.Commit(ops); err != nil {
+				if err := f.CommitBatch(ops); err != nil {
 					b.Fatal(err)
 				}
-				if err := f.Commit(inv); err != nil {
+				if err := f.CommitBatch(inv); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -191,7 +191,6 @@ func Open(q *Query, opts Options) (*Engine, error) {
 		e.Close()
 		return nil, err
 	}
-	e.e.RestoreEpoch(rec.Checkpoint.Epoch)
 
 	// Replay the tail through the normal commit path. No hook is attached
 	// yet, so replayed commits are not re-logged; the log already has them.
@@ -215,6 +214,11 @@ func Open(q *Query, opts Options) (*Engine, error) {
 		e.Close()
 		return nil, wrapErr(err)
 	}
+	// Seat the epoch at the last intact record's (the checkpoint's, with an
+	// empty tail) rather than trusting one increment per replayed record: a
+	// log from before zero-mult-only commits stopped publishing epochs may
+	// hold records that replay as no-ops.
+	e.e.RestoreEpoch(rec.LastEpoch)
 
 	l, err := rec.Continue(opts.Durability.walOptions())
 	if err != nil {

@@ -13,6 +13,14 @@
 // shows that spelling. That is deliberate — the golden file tracks the
 // declared surface, and any change to it, including a swap from a concrete
 // type to an alias, is exactly what should show up in review.
+//
+// One piece of the surface is not written where it shows: the methods an
+// exported struct gets by embedding an unexported struct type of the same
+// package. The dump lists those under the exported type, as godoc does —
+// "func (*Engine) Load(…)" whether Load is declared on Engine or promoted
+// into it — and omits the embed line of the unexported type itself, so
+// moving a method body between an exported type and a struct it embeds
+// leaves the dump unchanged, and dropping the method does not.
 package apilock
 
 import (
@@ -35,7 +43,7 @@ func Dump(dir string) (string, error) {
 		return "", err
 	}
 	fset := token.NewFileSet()
-	var lines []string
+	var files []*ast.File
 	for _, ent := range entries {
 		name := ent.Name()
 		if ent.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
@@ -45,38 +53,166 @@ func Dump(dir string) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		lines = append(lines, fileLines(file)...)
+		files = append(files, file)
+	}
+	// First pass: the package's struct types and the methods declared on
+	// each type, which promotion needs across files.
+	p := pkgIndex{structs: map[string]*ast.StructType{}, methods: map[string][]*ast.FuncDecl{}}
+	for _, file := range files {
+		for _, decl := range file.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv != nil && len(d.Recv.List) == 1 {
+					recv, _ := baseTypeName(d.Recv.List[0].Type)
+					p.methods[recv] = append(p.methods[recv], d)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					if ts, ok := spec.(*ast.TypeSpec); ok {
+						if st, ok := ts.Type.(*ast.StructType); ok {
+							p.structs[ts.Name.Name] = st
+						}
+					}
+				}
+			}
+		}
+	}
+	var lines []string
+	for _, file := range files {
+		for _, decl := range file.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if l, ok := funcLine(d, ""); ok {
+					lines = append(lines, l)
+				}
+			case *ast.GenDecl:
+				lines = append(lines, p.genLines(d)...)
+			}
+		}
 	}
 	sort.Strings(lines)
 	return strings.Join(lines, "\n") + "\n", nil
 }
 
-func fileLines(file *ast.File) []string {
-	var lines []string
-	for _, decl := range file.Decls {
-		switch d := decl.(type) {
-		case *ast.FuncDecl:
-			if l, ok := funcLine(d); ok {
-				lines = append(lines, l)
-			}
-		case *ast.GenDecl:
-			lines = append(lines, genLines(d)...)
+// pkgIndex is what promotion needs to know about the package as a whole:
+// every struct type by name, and the methods declared on each type name.
+type pkgIndex struct {
+	structs map[string]*ast.StructType
+	methods map[string][]*ast.FuncDecl
+}
+
+// baseTypeName reduces a receiver or embedded-field type to the name it
+// declares or instantiates — "*frontend[S]" and "frontend[*core.Snapshot]"
+// both give "frontend" — and reports whether it was a pointer. Types of
+// other packages give "".
+func baseTypeName(e ast.Expr) (name string, ptr bool) {
+	for {
+		switch t := e.(type) {
+		case *ast.StarExpr:
+			e, ptr = t.X, true
+		case *ast.IndexExpr:
+			e = t.X
+		case *ast.IndexListExpr:
+			e = t.X
+		case *ast.Ident:
+			return t.Name, ptr
+		default:
+			return "", ptr
 		}
+	}
+}
+
+// unexportedStruct reports whether an embedded field's type is an
+// unexported struct type of this package, and its name.
+func (p *pkgIndex) unexportedStruct(f *ast.Field) (name string, ptr, ok bool) {
+	name, ptr = baseTypeName(f.Type)
+	_, ok = p.structs[name]
+	return name, ptr, ok && !ast.IsExported(name)
+}
+
+// promotedLines renders the exported methods that the exported struct
+// outer gets from the unexported struct types it embeds, directly or
+// through further unexported embedding. Go's selector rule applies: a name
+// declared at a shallower depth — a field or method of outer, or of an
+// embedded struct nearer to it — shadows deeper ones, and a name two
+// embedded structs of one depth both provide is promoted from neither.
+func (p *pkgIndex) promotedLines(outer string, st *ast.StructType) []string {
+	type embed struct {
+		name string
+		ptr  bool // reached through a pointer: value-receiver spelling
+	}
+	shadow := map[string]bool{}
+	for _, m := range p.methods[outer] {
+		shadow[m.Name.Name] = true
+	}
+	// scan records st's field names as taken at this depth and queues its
+	// unexported struct embeds for the next one.
+	scan := func(st *ast.StructType, viaPtr bool, taken map[string]bool) (next []embed) {
+		for _, f := range st.Fields.List {
+			for _, fn := range f.Names {
+				taken[fn.Name] = true
+			}
+			if len(f.Names) == 0 {
+				name, ptr, ok := p.unexportedStruct(f)
+				taken[name] = true
+				if ok {
+					next = append(next, embed{name, viaPtr || ptr})
+				}
+			}
+		}
+		return next
+	}
+	level := scan(st, false, shadow)
+	var lines []string
+	for len(level) > 0 {
+		found := map[string][]string{}
+		taken := map[string]bool{}
+		var next []embed
+		for _, em := range level {
+			for _, m := range p.methods[em.name] {
+				name := m.Name.Name
+				if !m.Name.IsExported() || shadow[name] {
+					taken[name] = true
+					continue
+				}
+				recv := outer
+				if _, ptr := baseTypeName(m.Recv.List[0].Type); ptr && !em.ptr {
+					recv = "*" + outer
+				}
+				l, _ := funcLine(m, recv)
+				found[name] = append(found[name], l)
+			}
+			next = append(next, scan(p.structs[em.name], em.ptr, taken)...)
+		}
+		for name, ls := range found {
+			if len(ls) == 1 && !taken[name] {
+				lines = append(lines, ls[0])
+			}
+			shadow[name] = true
+		}
+		for name := range taken {
+			shadow[name] = true
+		}
+		level = next
 	}
 	return lines
 }
 
 // funcLine renders one exported function or method, e.g.
-// "func (e *Engine) Commit(b *Batch) error". Methods on unexported
-// receivers are skipped with their type.
-func funcLine(d *ast.FuncDecl) (string, bool) {
+// "func (*Engine) Commit(b *Batch) error". Methods on unexported
+// receivers are skipped with their type — unless recvAs names the exported
+// type they are promoted into, which then stands as the receiver.
+func funcLine(d *ast.FuncDecl, recvAs string) (string, bool) {
 	if !d.Name.IsExported() {
 		return "", false
 	}
 	var b strings.Builder
 	b.WriteString("func ")
 	if d.Recv != nil && len(d.Recv.List) == 1 {
-		recv := types.ExprString(d.Recv.List[0].Type)
+		recv := recvAs
+		if recv == "" {
+			recv = types.ExprString(d.Recv.List[0].Type)
+		}
 		if !exportedTypeName(recv) {
 			return "", false
 		}
@@ -97,7 +233,7 @@ func exportedTypeName(s string) bool {
 	return s != "" && ast.IsExported(s)
 }
 
-func genLines(d *ast.GenDecl) []string {
+func (p *pkgIndex) genLines(d *ast.GenDecl) []string {
 	var lines []string
 	switch d.Tok {
 	case token.TYPE:
@@ -106,7 +242,7 @@ func genLines(d *ast.GenDecl) []string {
 			if !ok || !ts.Name.IsExported() {
 				continue
 			}
-			lines = append(lines, typeLines(ts)...)
+			lines = append(lines, p.typeLines(ts)...)
 		}
 	case token.VAR, token.CONST:
 		for _, spec := range d.Specs {
@@ -130,9 +266,11 @@ func genLines(d *ast.GenDecl) []string {
 }
 
 // typeLines renders one exported type: structs get one line per exported
-// field ("type Options struct; field Epsilon float64"), interfaces one per
-// method, and everything else a single line with the underlying spelling.
-func typeLines(ts *ast.TypeSpec) []string {
+// field ("type Options struct; field Epsilon float64") and per embedded
+// type — for an unexported struct of this package, the methods it promotes
+// instead — interfaces one per method, and everything else a single line
+// with the underlying spelling.
+func (p *pkgIndex) typeLines(ts *ast.TypeSpec) []string {
 	name := ts.Name.Name
 	assign := ""
 	if ts.Assign != token.NoPos {
@@ -144,7 +282,9 @@ func typeLines(ts *ast.TypeSpec) []string {
 		for _, f := range t.Fields.List {
 			ft := types.ExprString(f.Type)
 			if len(f.Names) == 0 { // embedded
-				lines = append(lines, fmt.Sprintf("type %s struct; embed %s", name, ft))
+				if _, _, ok := p.unexportedStruct(f); !ok {
+					lines = append(lines, fmt.Sprintf("type %s struct; embed %s", name, ft))
+				}
 				continue
 			}
 			for _, fn := range f.Names {
@@ -153,7 +293,7 @@ func typeLines(ts *ast.TypeSpec) []string {
 				}
 			}
 		}
-		return lines
+		return append(lines, p.promotedLines(name, t)...)
 	case *ast.InterfaceType:
 		lines := []string{fmt.Sprintf("type %s %sinterface", name, assign)}
 		for _, m := range t.Methods.List {

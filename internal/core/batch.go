@@ -8,24 +8,35 @@ import (
 	"ivmeps/internal/viewtree"
 )
 
-// Batch updates: CommitBatch applies a sequence of single-tuple updates —
-// possibly spanning several relations — as one atomic maintenance commit,
-// and ApplyBatch is its one-relation wrapper. Per relation, the batch is
-// aggregated into one delta per leaf, so each view tree is walked once per
-// (batch, relation) instead of once per update, and the minor/major
-// rebalance checks run once per distinct partition key instead of once per
-// update. The result is observably equivalent to applying the updates one
-// by one with Update: the enumerated query result, the database size N, and
-// the engine invariants (CheckInvariants) all match; internal state that
-// the paper leaves implementation-defined — the exact threshold base M
-// after growth and which keys sit in the light parts — may differ within
-// the allowed invariants, exactly as a different update order would.
+// The commit envelope. Every write to a preprocessed engine — the
+// single-tuple Update, the multi-relation CommitBatch, the one-relation
+// ApplyBatch, and the two-phase PrepareCommit/ApplyPrepared — is one commit
+// through commitLocked or its two halves (prepareLocked, applyStagedLocked),
+// the paper's OnUpdate trigger (Figure 22) at commit granularity:
 //
-// The commit is internally two-phase, and the phases are exported
-// (PrepareCommit / ApplyPrepared / AbortPrepared) so a federation of
-// engines can coordinate an atomic commit across shards: validate on every
-// shard first, apply everywhere only if every shard accepted. CommitBatch
-// is the single-engine composition of the two phases under one lock hold.
+//	validate → [hook] → invalidate snapshot generation → propagate →
+//	major-rebalance check → stats → epoch++ → publish commit delta
+//
+// Validation is all-or-nothing and a commit whose ops are all zero-mult (or
+// that has no ops) publishes nothing: no hook call, no epoch, no stats.
+// Per relation, the ops aggregate into one delta per leaf, so each view
+// tree is walked once per (commit, relation) instead of once per update,
+// and the minor/major rebalance checks run once per distinct partition key
+// instead of once per update. A relation whose aggregated delta has
+// exactly one row — every single-tuple Update — takes the one-row kernel
+// (updateOne) instead of the grouping passes of applyBatchOcc; the choice
+// is made from the delta's size alone. The result is observably equivalent
+// to applying the updates one by one: the enumerated query result, the
+// database size N, and the engine invariants (CheckInvariants) all match;
+// internal state that the paper leaves implementation-defined — the exact
+// threshold base M after growth and which keys sit in the light parts —
+// may differ within the allowed invariants, exactly as a different update
+// order would.
+//
+// The envelope's two halves are exported (PrepareCommit / ApplyPrepared /
+// AbortPrepared) so a federation of engines can coordinate an atomic commit
+// across shards: validate on every shard first, apply everywhere only if
+// every shard accepted.
 //
 // With Options.Workers > 1 the per-tree propagations of a batch run on a
 // worker pool (worker.go). The propagation work is phased so that parallel
@@ -100,20 +111,20 @@ func (e *Engine) CommitBatch(ops []BatchOp) error {
 	// post-batch state; one captured before observes the pre-batch state.
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	return e.commitLocked(ops)
+}
+
+// commitLocked is the commit envelope, under the writer lock: validate,
+// log, apply. The commit hook is the durability point — the validated op
+// stream reaches the commit log (if any) before the first relation write,
+// and a hook error aborts with the engine untouched; apply cannot fail
+// after validation, so a logged commit is a committed one. A commit with
+// no nonzero-mult op is never logged: applyStagedLocked drops it.
+func (e *Engine) commitLocked(ops []BatchOp) error {
 	if err := e.prepareLocked(ops); err != nil {
 		return err
 	}
-	if len(ops) == 0 {
-		// An empty batch validates trivially but commits nothing and
-		// publishes no epoch.
-		e.releaseStagedLocked()
-		return nil
-	}
-	// Durability point: the validated op stream reaches the commit log (if
-	// any) before the first relation write, and a hook error aborts with the
-	// engine untouched. Apply cannot fail after validation, so a logged
-	// batch is a committed batch.
-	if e.commitHook != nil {
+	if e.commitHook != nil && e.stagedApplied > 0 {
 		if err := e.runCommitHookLocked(e.epoch+1, ops); err != nil {
 			e.releaseStagedLocked()
 			return err
@@ -121,6 +132,19 @@ func (e *Engine) CommitBatch(ops []BatchOp) error {
 	}
 	e.applyStagedLocked()
 	return nil
+}
+
+// Update applies a single-tuple update δR = {t → m} to relation rel as a
+// one-op commit: m > 0 inserts, m < 0 deletes, m == 0 validates and does
+// nothing. Deletes that exceed the stored multiplicity are rejected. The
+// amortized cost is O(N^(δε)) (Proposition 27).
+func (e *Engine) Update(rel string, t tuple.Tuple, m int64) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.hookOp[0] = BatchOp{Rel: rel, Row: t, Mult: m}
+	err := e.commitLocked(e.hookOp[:])
+	e.hookOp[0] = BatchOp{} // drop the reference into the caller's row
+	return err
 }
 
 // PrepareCommit is the first half of a two-phase commit: it acquires the
@@ -146,8 +170,9 @@ func (e *Engine) PrepareCommit(ops []BatchOp) error {
 }
 
 // ApplyPrepared is the second half of a two-phase commit: it applies the
-// batch staged by a successful PrepareCommit, publishes one epoch, and
-// releases the writer lock. It panics if no prepared batch is staged.
+// batch staged by a successful PrepareCommit, publishes one epoch (none if
+// the batch had no nonzero-mult op), and releases the writer lock. It
+// panics if no prepared batch is staged.
 func (e *Engine) ApplyPrepared() {
 	if !e.staged {
 		panic("core: ApplyPrepared without a successful PrepareCommit")
@@ -183,8 +208,8 @@ func (e *Engine) ApplyBatch(rel string, rows []tuple.Tuple, mults []int64) error
 	defer e.mu.Unlock()
 	id := e.relIdx[rel]
 	if id == 0 {
-		// Resolved before the empty-batch fast path, so a mis-spelled
-		// relation is reported even with zero rows.
+		// Resolved before validation, so a mis-spelled relation is reported
+		// even with zero rows.
 		return fmt.Errorf("core: %w: %q (query %s)", ErrUnknownRelation, rel, e.orig)
 	}
 	ops := e.opsScratch[:0]
@@ -195,21 +220,7 @@ func (e *Engine) ApplyBatch(rel string, rows []tuple.Tuple, mults []int64) error
 		}
 		ops = append(ops, BatchOp{Rel: rel, RelID: id, Row: r, Mult: m})
 	}
-	var err error
-	if err = e.prepareLocked(ops); err == nil {
-		if len(ops) == 0 {
-			e.releaseStagedLocked()
-		} else if e.commitHook != nil {
-			// Same durability point as CommitBatch: log, then apply.
-			if err = e.runCommitHookLocked(e.epoch+1, ops); err != nil {
-				e.releaseStagedLocked()
-			} else {
-				e.applyStagedLocked()
-			}
-		} else {
-			e.applyStagedLocked()
-		}
-	}
+	err := e.commitLocked(ops)
 	clear(ops) // drop the references into the caller's rows
 	e.opsScratch = ops[:0]
 	return err
@@ -224,14 +235,16 @@ func (e *Engine) ApplyBatch(rel string, rows []tuple.Tuple, mults []int64) error
 // the staged batch is applied or released), so repeated batches validate
 // without allocating. Ops carrying a pre-resolved RelID skip the name
 // lookup entirely; unresolved ops keep a last-name fast path in front of
-// the map, since ingest streams are usually runs of one relation.
+// the map, since ingest streams are usually runs of one relation. A one-op
+// commit has nothing to aggregate and skips the tuple-keyed map, whose
+// Reset after any earlier large batch is O(capacity).
 //
 // On success the aggregated groups stay staged on the engine
 // (e.batchTouched / e.batchSlots) for applyStagedLocked; on an error every
 // slot is released and the engine is untouched.
 func (e *Engine) prepareLocked(ops []BatchOp) error {
 	if !e.preprocessed {
-		return fmt.Errorf("core: batch commit: %w (run Preprocess first)", ErrNotBuilt)
+		return fmt.Errorf("core: commit: %w (run Preprocess first)", ErrNotBuilt)
 	}
 	if e.opts.Mode != viewtree.Dynamic {
 		return fmt.Errorf("core: %w; rebuild with Mode: Dynamic for updates", ErrStatic)
@@ -239,6 +252,7 @@ func (e *Engine) prepareLocked(ops []BatchOp) error {
 	if e.degraded != nil {
 		return e.degraded
 	}
+	single := len(ops) == 1
 	applied := 0
 	lastID := 0
 	resolvedID, resolvedName := 0, ""
@@ -284,11 +298,16 @@ func (e *Engine) prepareLocked(ops []BatchOp) error {
 			// it contributes nothing to the deltas.
 			continue
 		}
-		gi, h, seen := br.val.GetHash(op.Row)
+		gi, h, seen := 0, uint64(0), false
+		if !single {
+			gi, h, seen = br.val.GetHash(op.Row)
+		}
 		if !seen {
 			gi = len(br.groups)
 			br.groups = append(br.groups, batchGroup{t: op.Row, stored: br.first.Mult(op.Row)})
-			br.val.PutHashed(h, op.Row, gi)
+			if !single {
+				br.val.PutHashed(h, op.Row, gi)
+			}
 		}
 		g := &br.groups[gi]
 		if g.stored+g.net+op.Mult < 0 {
@@ -309,15 +328,20 @@ func (e *Engine) prepareLocked(ops []BatchOp) error {
 	return nil
 }
 
-// applyStagedLocked applies a batch staged by prepareLocked: relation-
-// major, in first-touched order — one aggregated delta per relation
-// (zero-net tuples drop out), run through every occurrence's routes. Each
-// relation's validation state only reads its own pre-batch
-// multiplicities, so earlier relations' propagation cannot invalidate
-// later groups. The major-rebalance trigger is evaluated once, after
-// every relation's pass (rebalanceBatchLocked), and the whole commit
-// publishes one epoch.
+// applyStagedLocked is the envelope's second half: it applies a batch
+// staged by prepareLocked, relation-major, in first-touched order — one
+// aggregated delta per relation (zero-net tuples drop out), run through
+// every occurrence's routes. Each relation's validation state only reads
+// its own pre-batch multiplicities, so earlier relations' propagation
+// cannot invalidate later groups. The major-rebalance trigger is evaluated
+// once, after every relation's pass (rebalanceBatchLocked), and the whole
+// commit publishes one epoch. A staged batch without a nonzero-mult op
+// commits nothing and publishes no epoch.
 func (e *Engine) applyStagedLocked() {
+	if e.stagedApplied == 0 {
+		e.releaseStagedLocked()
+		return
+	}
 	// The commit will mutate relations: release the cached snapshot
 	// generation first so an idle cache does not force copy-on-write.
 	e.invalidateGenLocked()
@@ -333,11 +357,15 @@ func (e *Engine) applyStagedLocked() {
 		if len(d.rows) > 0 {
 			// Footnote 2: an update to a repeated relation symbol is a
 			// sequence of updates to each occurrence.
-			for _, o := range br.occ {
-				e.applyBatchOcc(e.routes[o], d)
+			for _, rt := range br.routes {
+				if len(d.rows) == 1 {
+					e.updateOne(rt, d)
+				} else {
+					e.applyBatchOcc(rt, d)
+				}
 			}
 			// Relations whose ops net to zero propagate nothing and do not
-			// count toward the batch's relation fan-out.
+			// count toward the commit's relation fan-out.
 			touched++
 		}
 		e.ws0.putDelta(d)
@@ -348,7 +376,7 @@ func (e *Engine) applyStagedLocked() {
 	e.stats.BatchRelations += int64(touched)
 	e.flushWorkerStats()
 	e.releaseStagedLocked()
-	e.epoch++ // commit point: publish the post-batch state to future snapshots
+	e.epoch++ // commit point: publish the new state to future snapshots
 	e.publishCommitLocked()
 }
 
@@ -397,6 +425,7 @@ type batchGroup struct {
 type batchRelState struct {
 	rel     string
 	occ     []string
+	routes  []*relRoutes // one per occurrence; set by buildRoutes
 	first   *relation.Relation
 	arity   int
 	touched bool // slot is on e.batchTouched for the staged batch
@@ -567,14 +596,7 @@ func (e *Engine) applyBatchOcc(rt *relRoutes, d *delta) {
 		}
 		e.ws0.putDelta(ld)
 		for ki := range keys {
-			key := keys[ki].key
-			lightDeg := float64(pr.p.LightDegree(key))
-			fullDeg := float64(pr.p.Degree(key))
-			if lightDeg == 0 && fullDeg > 0 && fullDeg < 0.5*theta {
-				e.minorRebalance(pr, key, true)
-			} else if lightDeg >= 1.5*theta {
-				e.minorRebalance(pr, key, false)
-			}
+			e.rebalanceKey(pr, keys[ki].key, theta)
 		}
 	}
 }

@@ -12,10 +12,11 @@ import (
 	"ivmeps/internal/viewtree"
 )
 
-// Tests for the multi-relation batch commit (CommitBatch): equivalence with
+// Tests for the commit envelope: the multi-relation CommitBatch against
 // the interleaved sequential Update stream, bit-identity across worker
 // counts and with the per-relation ApplyBatch decomposition, the
-// all-or-nothing error contract across relations, and the typed errors.
+// all-or-nothing error contract across relations, the typed errors, and
+// (TestCommitEnvelope) the one envelope behind all four entry points.
 
 // randomOps builds a mixed multi-relation op stream against the live
 // contents of e: per relation it builds a randomBatch (deletes covered by
@@ -372,5 +373,207 @@ func TestCommitBatchTypedSentinels(t *testing.T) {
 	}
 	if err := st.Update("R", tuple.Tuple{1, 2}, 1); !errors.Is(err, ErrStatic) {
 		t.Fatalf("Update on static engine: %v, want ErrStatic", err)
+	}
+}
+
+// sinkFunc adapts a func to CommitSink.
+type sinkFunc func(cd *CommitDelta)
+
+func (f sinkFunc) PublishCommit(cd *CommitDelta) { f(cd) }
+
+// TestCommitEnvelope drives every entry point into the commit envelope —
+// Update, CommitBatch, ApplyBatch, and PrepareCommit resolved either way —
+// through one table of commits, with a commit hook installed, a commit sink
+// subscribed, and a snapshot held. Each successful commit must run the hook
+// once, with the epoch it is about to publish and before any relation
+// write (the two-phase path, whose coordinator owns durability, never runs
+// it — durable.go), advance the epoch by one, count one commit in the
+// stats, publish one CommitDelta, leave the held snapshot alone, and agree
+// with the naive evaluation; each commit without effect — rejected,
+// aborted, zero-mult, empty, refused by a failing hook or a degraded
+// engine — must leave epoch, stats, N, and result untouched.
+func TestCommitEnvelope(t *testing.T) {
+	twoPhase := func(resolve func(*Engine)) func(*Engine, []BatchOp) error {
+		return func(e *Engine, ops []BatchOp) error {
+			if err := e.PrepareCommit(ops); err != nil {
+				return err
+			}
+			resolve(e)
+			return nil
+		}
+	}
+	type entry struct {
+		name   string
+		hooked bool // runs the commit hook
+		aborts bool // never takes effect
+		commit func(e *Engine, ops []BatchOp) error
+	}
+	entries := []entry{
+		{"Update", true, false, func(e *Engine, ops []BatchOp) error {
+			return e.Update(ops[0].Rel, ops[0].Row, ops[0].Mult)
+		}},
+		{"CommitBatch", true, false, (*Engine).CommitBatch},
+		{"ApplyBatch", true, false, func(e *Engine, ops []BatchOp) error {
+			rel := "R"
+			var rows []tuple.Tuple
+			var mults []int64
+			for _, op := range ops {
+				rel = op.Rel
+				rows = append(rows, op.Row)
+				mults = append(mults, op.Mult)
+			}
+			return e.ApplyBatch(rel, rows, mults)
+		}},
+		{"PrepareCommit+ApplyPrepared", false, false, twoPhase((*Engine).ApplyPrepared)},
+		{"PrepareCommit+AbortPrepared", false, true, twoPhase((*Engine).AbortPrepared)},
+	}
+	// Every step is a one-relation op list, so each entry point can express
+	// it (Update: the one-op steps only). The commits cover both kernels
+	// (one-row and multi-row deltas), a delete, ops that net to zero next to
+	// one that does not, and a relation the result does not depend on yet.
+	op := func(rel string, mult int64, row ...tuple.Value) BatchOp {
+		return BatchOp{Rel: rel, Row: tuple.Tuple(row), Mult: mult}
+	}
+	commits := [][]BatchOp{
+		{op("R", 1, 100, 7)},
+		{op("S", 2, 7, 200)},
+		{op("R", 1, 101, 7), op("R", 3, 102, 7), op("R", 1, 101, 7)},
+		{op("R", -1, 100, 7)},
+		{op("S", 1, 8, 201), op("S", -1, 8, 201), op("S", 1, 7, 202)},
+		{op("S", -2, 7, 200), op("S", 0, 1, 1)},
+	}
+	noEffect := []struct {
+		name string
+		ops  []BatchOp
+		want func(error) bool // nil: must succeed
+	}{
+		{"over-delete", []BatchOp{op("R", -1, 555, 555)}, func(err error) bool {
+			var me *relation.MultiplicityError
+			return errors.As(err, &me)
+		}},
+		{"arity", []BatchOp{op("S", 1, 1, 2, 3)}, func(err error) bool {
+			var ae *relation.ArityError
+			return errors.As(err, &ae)
+		}},
+		{"unknown relation", []BatchOp{op("Z", 1, 1)}, func(err error) bool {
+			return errors.Is(err, ErrUnknownRelation)
+		}},
+		{"zero-mult op", []BatchOp{op("R", 0, 9, 9)}, nil},
+		{"empty batch", nil, nil},
+	}
+
+	q := query.MustParse("Q(A, C) = R(A, B), S(B, C)")
+	for _, en := range entries {
+		t.Run(en.name, func(t *testing.T) {
+			e, err := New(q, Options{Mode: viewtree.Dynamic, Epsilon: 0.5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			db := randomDB(q, rand.New(rand.NewSource(41)), 40, 6)
+			if err := Preprocess(e, db.Clone()); err != nil {
+				t.Fatal(err)
+			}
+			var hookCalls, published int
+			var hookErr error
+			e.SetCommitHook(func(epoch uint64, ops []BatchOp) error {
+				hookCalls++
+				if epoch != e.epoch+1 {
+					t.Errorf("hook saw epoch %d, want %d", epoch, e.epoch+1)
+				}
+				for _, op := range ops {
+					if op.RelID != e.RelID(op.Rel) {
+						t.Errorf("hook saw op on %s with unresolved RelID %d", op.Rel, op.RelID)
+					}
+					// db is the reference state before this commit.
+					if have, want := e.BaseRelation(op.Rel).Mult(op.Row), db[op.Rel].Mult(op.Row); have != want {
+						t.Errorf("hook ran after a relation write: %s%v has mult %d, want %d", op.Rel, op.Row, have, want)
+					}
+				}
+				return hookErr
+			})
+			held, err := e.SubscribeCommits(sinkFunc(func(cd *CommitDelta) {
+				published++
+				if cd.Epoch != e.epoch {
+					t.Errorf("published delta for epoch %d at epoch %d", cd.Epoch, e.epoch)
+				}
+			}), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer held.Close()
+			heldRows := resultMap(held.Enumerate)
+
+			// run commits ops through the entry point and checks what moved:
+			// one epoch, one commit in the stats, one hook call (if hooked),
+			// one published delta — or, with effect false, nothing at all.
+			run := func(en entry, label string, ops []BatchOp, effect bool, wantErr func(error) bool) {
+				t.Helper()
+				if en.name == "Update" && len(ops) != 1 {
+					return
+				}
+				effect = effect && !en.aborts
+				epoch, n, stats, hooks, pubs := e.Epoch(), e.N(), e.Stats(), hookCalls, published
+				err := en.commit(e, ops)
+				switch {
+				case wantErr == nil && err != nil:
+					t.Fatalf("%s: %v", label, err)
+				case wantErr != nil && (err == nil || !wantErr(err)):
+					t.Fatalf("%s: returned %v", label, err)
+				}
+				want := stats
+				wantHooks := hooks
+				if effect {
+					epoch++
+					want.Batches++
+					want.BatchRelations++
+					for _, op := range ops {
+						if op.Mult != 0 {
+							want.Updates++
+						}
+						db[op.Rel].MustAdd(op.Row, op.Mult)
+					}
+					n = db.Size()
+					pubs++
+				}
+				if en.hooked && (effect || hookErr != nil) {
+					wantHooks++
+				}
+				got := e.Stats()
+				got.DeltasApplied, got.MinorRebalances, got.MajorRebalances = want.DeltasApplied, want.MinorRebalances, want.MajorRebalances
+				if e.Epoch() != epoch || e.N() != n || got != want || hookCalls != wantHooks || published != pubs {
+					t.Fatalf("%s: epoch %d N %d stats %+v hook calls %d published %d, want %d %d %+v %d %d",
+						label, e.Epoch(), e.N(), got, hookCalls, published, epoch, n, want, wantHooks, pubs)
+				}
+				sameResult(t, label, e, db)
+				sameResultMap(t, label+": held snapshot", resultMap(held.Enumerate), heldRows)
+				if err := e.CheckInvariants(); err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+			}
+			for i, ops := range commits {
+				run(en, fmt.Sprintf("commit %d", i), ops, true, nil)
+				if en.aborts {
+					// Move the state along anyway, so later commits validate.
+					run(entries[1], fmt.Sprintf("commit %d, after the abort", i), ops, true, nil)
+				}
+				for _, ne := range noEffect {
+					run(en, fmt.Sprintf("after commit %d: %s", i, ne.name), ne.ops, false, ne.want)
+				}
+			}
+			// A failing hook refuses the commit and latches the engine
+			// degraded; from then on every entry point — hooked or not —
+			// refuses with the same error before validation.
+			wedged := errors.New("log wedged")
+			isWedged := func(err error) bool { return err == wedged }
+			valid := []BatchOp{op("R", 1, 300, 7)}
+			hookErr = wedged
+			failing := en
+			if !en.hooked {
+				failing = entries[1] // latch the degraded state through a hooked path
+			}
+			run(failing, "failing hook", valid, false, isWedged)
+			hookErr = nil
+			run(en, "degraded engine", valid, false, isWedged)
+		})
 	}
 }

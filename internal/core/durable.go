@@ -7,7 +7,7 @@ import (
 )
 
 // Durability hooks. The engine itself stores nothing on disk; instead the
-// commit paths expose exactly the two primitives a write-ahead log needs:
+// commit envelope exposes exactly the two primitives a write-ahead log needs:
 //
 //   - a commit hook observing every validated op stream before it is
 //     applied (SetCommitHook) — because validation is complete and apply is
@@ -22,14 +22,15 @@ import (
 //     and the light parts; the enumerated result, N, and the epoch are
 //     exact).
 //
-// Recovery runs Preprocess over the checkpointed base relations, seats the
-// epoch with RestoreEpoch, and replays the log tail through the normal
-// CommitBatch path with no hook attached (replayed commits are already in
-// the log).
+// Recovery runs Preprocess over the checkpointed base relations, replays
+// the log tail through the normal CommitBatch path with no hook attached
+// (replayed commits are already in the log), and seats the epoch with
+// RestoreEpoch.
 
 // CommitHook observes one validated commit before it is applied: epoch is
 // the epoch the commit will publish and ops is its validated op stream,
-// with every op's RelID resolved. The hook runs under the writer lock; the
+// with every op's RelID resolved. Commits that publish nothing — no
+// nonzero-mult op — are not observed. The hook runs under the writer lock; the
 // ops and their rows are valid only for the duration of the call. A hook
 // error fails the commit with the engine completely unchanged — exactly
 // like a validation error.
@@ -103,9 +104,8 @@ func (e *Engine) BaseState() (uint64, []FrozenBase, error) {
 }
 
 // RestoreEpoch seats the epoch counter at a recovered value. It is meant
-// for the recovery path only, between Preprocess (which left the epoch at
-// 1) and the first replayed commit; the replayed commits then advance it
-// exactly as the original ones did.
+// for the recovery path only, after Preprocess (which left the epoch at 1)
+// and the replay of the log tail, before a hook or a sink is attached.
 func (e *Engine) RestoreEpoch(epoch uint64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -38,12 +38,12 @@ type Options struct {
 	// enumeration time.
 	PlainViewTree bool
 
-	// Workers bounds the worker goroutines ApplyBatch uses to propagate a
+	// Workers bounds the worker goroutines a commit uses to propagate a
 	// batch across independent view trees: 0 (the default) picks
 	// GOMAXPROCS-bounded auto, 1 forces the sequential path, and an
 	// explicit N > 1 is honored as given (capped by the number of view
-	// trees). Single-tuple Update is always sequential. See Engine.Close
-	// for the pool's lifetime.
+	// trees). A one-row delta — every single-tuple Update — is always
+	// sequential. See Engine.Close for the pool's lifetime.
 	Workers int
 
 	// NoAuxViews is an ablation switch: build the dynamic trees without
@@ -92,9 +92,9 @@ type Engine struct {
 	routes map[string]*relRoutes
 
 	// ws0 is the engine goroutine's own worker scratch (ubind bindings,
-	// delta pool, relation key scratch); the sequential update path and
-	// every sequential section of ApplyBatch run on it. Parallel batch
-	// phases add pool helpers, each with its own workerState (worker.go).
+	// delta pool, relation key scratch); the one-row kernel and every
+	// sequential section of a batch run on it. Parallel batch phases add
+	// pool helpers, each with its own workerState (worker.go).
 	ws0      workerState
 	nWorkers int // resolved Options.Workers; set by buildRoutes
 	pool     *workerPool
@@ -154,14 +154,14 @@ type Engine struct {
 	mu sync.Mutex
 
 	// epoch counts committed write operations. It is bumped under mu at
-	// every commit point — Preprocess, each applied Update, each applied
-	// ApplyBatch (major rebalances happen inside those operations and
-	// publish with them) — and stamped onto snapshots.
+	// the two commit points — Preprocess, and the commit envelope's
+	// applyStagedLocked (major rebalances happen inside a commit and
+	// publish with it) — and stamped onto snapshots.
 	epoch uint64
 
 	// commitHook, when set, observes every validated commit before it is
-	// applied (durable.go); hookOp is the pooled one-op slice the
-	// single-tuple Update path hands it. degraded latches the first hook
+	// applied (durable.go); hookOp is the pooled one-op slice Update
+	// commits through. degraded latches the first hook
 	// error: the durability layer has wedged, so every further mutation is
 	// refused with that error while reads keep serving the last committed
 	// state (durable.go).
@@ -207,8 +207,8 @@ type Stats struct {
 	MajorRebalances  int64
 	DeltasApplied    int64 // single-tuple deltas applied to views
 	EnumeratedTuples int64
-	Batches          int64 // batch commits (CommitBatch and ApplyBatch calls that ran)
-	BatchRelations   int64 // distinct relations with a net effect, summed over batch commits
+	Batches          int64 // commits: every Update, CommitBatch, ApplyBatch, or ApplyPrepared that published an epoch
+	BatchRelations   int64 // distinct relations with a net effect, summed over commits
 }
 
 // nodeInfo caches per-node metadata for materialization and enumeration.

@@ -15,7 +15,7 @@ import (
 // threshold θ = M^ε, the indicator trees and heavy indicators are built,
 // and all view trees are materialized bottom-up. db maps original relation
 // names to relations; missing relations start empty.
-func Preprocess(e *Engine, db naive.Database) error {
+func (e *Engine) Preprocess(db naive.Database) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.preprocessed {
@@ -57,6 +57,10 @@ func Preprocess(e *Engine, db naive.Database) error {
 	e.epoch = 1 // first committed state
 	return nil
 }
+
+// Preprocess is e.Preprocess(db), for the callers — bench/ among them —
+// that spell it as a function.
+func Preprocess(e *Engine, db naive.Database) error { return e.Preprocess(db) }
 
 // materializeAll (re)computes all derived state from the base relations:
 // strict light parts for the current θ, indicator views, heavy indicators,

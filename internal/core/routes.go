@@ -180,6 +180,14 @@ func (e *Engine) buildRoutes() {
 		}
 		e.routes[occName] = rt
 	}
+	// Resolve every relation's occurrence routes once, so a commit reaches
+	// them without a per-occurrence name lookup.
+	for i := range e.batchSlots {
+		br := &e.batchSlots[i]
+		for _, o := range br.occ {
+			br.routes = append(br.routes, e.routes[o])
+		}
+	}
 }
 
 // buildPath precomputes the propagation chain from leaf to its tree root,

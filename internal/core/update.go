@@ -8,16 +8,17 @@ import (
 	"ivmeps/internal/viewtree"
 )
 
-// The maintenance machinery of Section 6: delta propagation along
+// The maintenance kernels of Section 6: delta propagation along
 // leaf-to-root paths (Apply, Figure 17), indicator maintenance
-// (UpdateIndTree, Figure 18; UpdateTrees, Figure 19), and the rebalancing
-// trigger OnUpdate (Figures 20–22). The static structure of each step —
-// which leaves an update reaches and the plan of every propagation step —
-// is precomputed at Build time (routes.go); the code here only executes
-// those routes, and the single-tuple steady state runs without heap
-// allocation: deltas are pooled, their rows live in reused backing buffers,
-// and every relation probe hashes the unencoded tuple directly against the
-// relation's open-addressing table.
+// (UpdateIndTree, Figure 18; UpdateTrees, Figure 19), and minor and major
+// rebalancing (Figures 20–21). The trigger that sequences them — OnUpdate,
+// Figure 22 — is the commit envelope in batch.go. The static structure of
+// each step — which leaves an update reaches and the plan of every
+// propagation step — is precomputed at Build time (routes.go); the code here
+// only executes those routes, and the single-tuple steady state runs without
+// heap allocation: deltas are pooled, their rows live in reused backing
+// buffers, and every relation probe hashes the unencoded tuple directly
+// against the relation's open-addressing table.
 
 // delta is a small relation of weighted tuples. Rows aggregate by tuple:
 // add coalesces equal tuples, by linear scan while the delta is small and
@@ -85,66 +86,6 @@ func (d *delta) add(t tuple.Tuple, m int64) {
 	d.idx.PutHashed(h, d.rows[i].t, i)
 }
 
-// Update applies a single-tuple update δR = {t → m} to relation rel:
-// m > 0 inserts, m < 0 deletes. Deletes that exceed the stored multiplicity
-// are rejected. This is the paper's OnUpdate trigger (Figure 22), including
-// minor and major rebalancing; the amortized cost is O(N^(δε))
-// (Proposition 27).
-func (e *Engine) Update(rel string, t tuple.Tuple, m int64) error {
-	// The writer lock orders the update against snapshot capture: a
-	// Snapshot sees the state before or after this update, never during.
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if !e.preprocessed {
-		return fmt.Errorf("core: Update: %w (run Preprocess first)", ErrNotBuilt)
-	}
-	if e.opts.Mode != viewtree.Dynamic {
-		return fmt.Errorf("core: %w; rebuild with Mode: Dynamic for updates", ErrStatic)
-	}
-	if e.degraded != nil {
-		return e.degraded
-	}
-	occ, ok := e.occ[rel]
-	if !ok {
-		return fmt.Errorf("core: %w: %q (query %s)", ErrUnknownRelation, rel, e.orig)
-	}
-	if m == 0 {
-		return nil
-	}
-	first := e.base[occ[0]]
-	if len(t) != len(first.Schema()) {
-		return &relation.ArityError{Relation: rel, Tuple: t.Clone(), Schema: first.Schema()}
-	}
-	// Validate against the first occurrence (all occurrences are identical).
-	if cur := first.Mult(t); cur+m < 0 {
-		return &relation.MultiplicityError{Relation: rel, Tuple: t.Clone(), Have: cur, Delta: m}
-	}
-	// Durability point (see durable.go): a single-tuple update is a one-op
-	// commit — log it after validation, before the first relation write,
-	// through the pooled one-op slice.
-	if e.commitHook != nil {
-		e.hookOp[0] = BatchOp{Rel: rel, RelID: e.relIdx[rel], Row: t, Mult: m}
-		err := e.runCommitHookLocked(e.epoch+1, e.hookOp[:])
-		e.hookOp[0] = BatchOp{} // drop the reference into the caller's row
-		if err != nil {
-			return err
-		}
-	}
-	// The update will mutate relations: release the cached snapshot
-	// generation first so an idle cache does not force copy-on-write.
-	e.invalidateGenLocked()
-	// Footnote 2: an update to a repeated relation symbol is a sequence of
-	// updates to each occurrence.
-	for _, o := range occ {
-		e.onUpdate(e.routes[o], t, m)
-	}
-	e.stats.Updates++
-	e.flushWorkerStats()
-	e.epoch++ // commit point: publish the new state to future snapshots
-	e.publishCommitLocked()
-	return nil
-}
-
 // flushWorkerStats folds the engine goroutine's propagation counters into
 // the stats. Pool helpers are folded by runJobsParallel when they quiesce.
 func (e *Engine) flushWorkerStats() {
@@ -161,41 +102,41 @@ func (e *Engine) setM(m int) {
 	e.m = m
 }
 
-// onUpdate is Figure 22 for one occurrence relation.
-func (e *Engine) onUpdate(rt *relRoutes, t tuple.Tuple, m int64) {
-	e.updateTrees(rt, t, m)
-	switch {
-	case e.n >= e.m:
-		// Double M and recompute (Figure 22, lines 2–4).
-		e.setM(2 * e.m)
-		e.majorRebalance()
-	case e.n < e.m/4:
-		// Halve M and recompute (lines 5–7). ⌊M/2⌋ − 1 keeps N < M.
-		e.setM(e.m/2 - 1)
-		e.majorRebalance()
-	default:
-		// Minor rebalancing checks per partition of rel (lines 9–15).
-		theta := e.Theta()
-		for _, pr := range rt.parts {
-			pr.keyScratch = pr.p.AppendKeyOf(pr.keyScratch[:0], t)
-			key := pr.keyScratch
-			lightDeg := float64(pr.p.LightDegree(key))
-			fullDeg := float64(pr.p.Degree(key))
-			if lightDeg == 0 && fullDeg > 0 && fullDeg < 0.5*theta {
-				e.minorRebalance(pr, key, true)
-			} else if lightDeg >= 1.5*theta {
-				e.minorRebalance(pr, key, false)
-			}
-		}
+// updateOne is the one-row kernel of the commit envelope: UpdateTrees
+// (Figure 19) for d's single row, then the minor-rebalancing checks of that
+// row's partition keys (Figure 22, lines 9–15). It does what applyBatchOcc
+// does for a one-row delta without the per-distinct-key grouping pass.
+func (e *Engine) updateOne(rt *relRoutes, d *delta) {
+	e.updateTrees(rt, d)
+	if len(rt.parts) == 0 {
+		return
+	}
+	theta := e.Theta()
+	for _, pr := range rt.parts {
+		// pr.keyScratch still holds the row's partition key from the
+		// routing pass of updateTrees.
+		e.rebalanceKey(pr, pr.keyScratch, theta)
 	}
 }
 
-// updateTrees is UpdateTrees (Figure 19), driven by the precomputed routes.
-func (e *Engine) updateTrees(rt *relRoutes, t tuple.Tuple, m int64) {
+// rebalanceKey is the minor-rebalancing check for one partition key
+// (Figure 22, lines 9–15): a heavy key whose degree fell below θ/2 moves
+// into the light part, a light key that reached 3θ/2 moves out.
+func (e *Engine) rebalanceKey(pr *partRoute, key tuple.Tuple, theta float64) {
+	lightDeg := float64(pr.p.LightDegree(key))
+	fullDeg := float64(pr.p.Degree(key))
+	if lightDeg == 0 && fullDeg > 0 && fullDeg < 0.5*theta {
+		e.minorRebalance(pr, key, true)
+	} else if lightDeg >= 1.5*theta {
+		e.minorRebalance(pr, key, false)
+	}
+}
+
+// updateTrees is UpdateTrees (Figure 19) for the single row of d, driven by
+// the precomputed routes.
+func (e *Engine) updateTrees(rt *relRoutes, d *delta) {
 	base := rt.base
-	d := &e.ws0.d1
-	d.reset()
-	d.appendRow(t, m)
+	t, m := d.rows[0].t, d.rows[0].m
 
 	// Pre-update routing decision for the light parts (Figure 19 line 10:
 	// the update belongs to the light part if its key is new or light).

@@ -52,10 +52,6 @@ type workerState struct {
 	ubind     []tuple.Value // binding slots for update plans
 	deltaPool []*delta
 
-	// d1 is the reusable single-row delta of the single-tuple update path
-	// (used only via the engine's ws0).
-	d1 delta
-
 	// cap points at the engine's commit-delta capture slots while a sink
 	// is subscribed, nil otherwise (watch.go). Set under the writer lock;
 	// helpers observe changes through the pool's channel handoff.

@@ -108,7 +108,7 @@ type fedRel struct {
 }
 
 // Fed is a federation of K core engines over one hierarchical query.
-// Mutation (Preprocess, Update, Commit) and snapshot capture serialize on
+// Mutation (Preprocess, Update, CommitBatch) and snapshot capture serialize on
 // the federation lock; snapshots enumerate outside it, concurrently with
 // commits, exactly as core snapshots do.
 type Fed struct {
@@ -318,7 +318,7 @@ func (f *Fed) ShardVars() (vars tuple.Schema, concat bool) {
 
 // RelID returns the federation's stable positive identifier for an
 // original relation name, or 0 if unknown — the federation analogue of
-// core's Engine.RelID, for stamping into BatchOp.RelID so Commit skips
+// core's Engine.RelID, for stamping into BatchOp.RelID so CommitBatch skips
 // per-op name lookups. Federation ids and a single core engine's ids agree
 // (both follow first-occurrence order), but they resolve through different
 // tables; ids must come from the instance the batch is committed to.
@@ -403,25 +403,18 @@ func (f *Fed) Preprocess(db naive.Database) error {
 }
 
 // Update applies a single-tuple update {t → m} to relation rel as a
-// one-op commit: m > 0 inserts, m < 0 deletes, m == 0 validates the
-// relation name and does nothing (no epoch), matching core's Update.
+// one-op commit: m > 0 inserts, m < 0 deletes, m == 0 validates and does
+// nothing (no epoch), matching core's Update.
 func (f *Fed) Update(rel string, t tuple.Tuple, m int64) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	id := f.relIdx[rel]
-	if id == 0 {
-		return fmt.Errorf("federation: %w: %q (query %s)", core.ErrUnknownRelation, rel, f.orig)
-	}
-	if m == 0 {
-		return nil
-	}
-	f.op1[0] = core.BatchOp{Rel: rel, RelID: id, Row: t, Mult: m}
+	f.op1[0] = core.BatchOp{Rel: rel, Row: t, Mult: m}
 	err := f.commitLocked(f.op1[:])
 	f.op1[0] = core.BatchOp{} // drop the row reference
 	return err
 }
 
-// Commit applies a batch of updates — spanning any of the query's
+// CommitBatch applies a batch of updates — spanning any of the query's
 // relations — as one atomic federated commit. The ops are validated and
 // scattered once (an unknown relation or an arity mismatch is reported
 // before any shard is involved, engine-identical all-or-nothing), each
@@ -429,11 +422,12 @@ func (f *Fed) Update(rel string, t tuple.Tuple, m int64) error {
 // all of them applied, in parallel. On any error — including a
 // MultiplicityError detected by the shard owning the tuple, reported
 // wrapped in a ShardError — every shard's state and epoch are exactly as
-// before the call. On success the federation epoch advances by one.
+// before the call. On success the federation epoch advances by one; a
+// batch with no nonzero-mult op commits nothing, as in core.
 //
 // Ops may carry RelID values from Fed.RelID to skip the per-op name
-// lookup; the rows are referenced, not copied, until Commit returns.
-func (f *Fed) Commit(ops []core.BatchOp) error {
+// lookup; the rows are referenced, not copied, until CommitBatch returns.
+func (f *Fed) CommitBatch(ops []core.BatchOp) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.commitLocked(ops)
@@ -469,7 +463,7 @@ func (f *Fed) commitLocked(ops []core.BatchOp) error {
 	// parallel on the persistent per-shard runners.
 	switch len(f.prepared) {
 	case 0:
-		// An empty batch validates trivially but commits nothing.
+		// A batch with no nonzero-mult op validates but commits nothing.
 		f.clearSubsLocked()
 		return nil
 	case 1:
@@ -520,6 +514,9 @@ func (f *Fed) scatterLocked(ops []core.BatchOp) error {
 		}
 		if len(op.Row) != fr.arity {
 			return &relation.ArityError{Relation: fr.name, Tuple: op.Row.Clone(), Schema: fr.schema}
+		}
+		if op.Mult == 0 {
+			continue // validated above; contributes nothing to any shard
 		}
 		for oi := range fr.occs {
 			o := &fr.occs[oi]

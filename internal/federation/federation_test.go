@@ -173,7 +173,7 @@ func TestFederatedMatchesSingleEngine(t *testing.T) {
 						if err := ref.CommitBatch(ops); err != nil {
 							t.Fatalf("commit %d (single): %v", c, err)
 						}
-						if err := f.Commit(ops); err != nil {
+						if err := f.CommitBatch(ops); err != nil {
 							t.Fatalf("commit %d (federated): %v", c, err)
 						}
 						check(fmt.Sprintf("epoch %d", c+2))
@@ -227,7 +227,7 @@ func TestConcurrentReadersDuringCommits(t *testing.T) {
 	}
 	drv := newDriver(q, 13)
 	for c := 0; c < 20; c++ {
-		if err := f.Commit(drv.nextBatch(20, 10)); err != nil {
+		if err := f.CommitBatch(drv.nextBatch(20, 10)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -267,7 +267,7 @@ func TestCrossShardAllOrNothing(t *testing.T) {
 	before := resultMap(f.Enumerate)
 	n := f.N()
 
-	err = f.Commit(ops)
+	err = f.CommitBatch(ops)
 	if err == nil {
 		t.Fatal("over-deleting cross-shard batch accepted")
 	}
@@ -298,14 +298,14 @@ func TestCrossShardAllOrNothing(t *testing.T) {
 
 	// Scatter-time failures carry no shard attribution: the shards were
 	// never involved.
-	err = f.Commit([]core.BatchOp{{Rel: "nope", Row: tuple.Tuple{1, 2}, Mult: 1}})
+	err = f.CommitBatch([]core.BatchOp{{Rel: "nope", Row: tuple.Tuple{1, 2}, Mult: 1}})
 	if !errors.Is(err, core.ErrUnknownRelation) {
 		t.Errorf("unknown relation returned %v, want ErrUnknownRelation", err)
 	}
 	if errors.As(err, &se) {
 		t.Errorf("scatter-time unknown relation wrongly attributed to shard %d", se.Shard)
 	}
-	err = f.Commit([]core.BatchOp{{Rel: "R", Row: tuple.Tuple{1, 2, 3}, Mult: 1}})
+	err = f.CommitBatch([]core.BatchOp{{Rel: "R", Row: tuple.Tuple{1, 2, 3}, Mult: 1}})
 	var ae *relation.ArityError
 	if !errors.As(err, &ae) {
 		t.Errorf("arity mismatch returned %v, want *relation.ArityError", err)
@@ -423,13 +423,13 @@ func TestShardedCommitZeroAllocs(t *testing.T) {
 			ops = append(ops, core.BatchOp{Rel: "S", RelID: sid, Row: tu2, Mult: 1})
 			next += 3
 		}
-		if err := f.Commit(ops); err != nil {
+		if err := f.CommitBatch(ops); err != nil {
 			t.Fatal(err)
 		}
 		for i := range ops {
 			ops[i].Mult = -1
 		}
-		if err := f.Commit(ops); err != nil {
+		if err := f.CommitBatch(ops); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -2,12 +2,14 @@ package server_test
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -699,4 +701,88 @@ func TestLaggedOverClientSurface(t *testing.T) {
 	if !errors.As(sawErr, &wle) || wle.From != 5 || wle.To != 9 {
 		t.Fatalf("lagged error fields = %v", sawErr)
 	}
+}
+
+// readyProbeWriter is a ResponseWriter that runs probe from inside the
+// Write carrying the stream's ready frame — while the handler goroutine is
+// parked in that Write, so whatever the handler still holds at that point
+// it holds for the whole probe.
+type readyProbeWriter struct {
+	header http.Header
+	probe  func()
+}
+
+// Header implements http.ResponseWriter.
+func (w *readyProbeWriter) Header() http.Header { return w.header }
+
+// WriteHeader implements http.ResponseWriter.
+func (w *readyProbeWriter) WriteHeader(int) {}
+
+// Flush implements http.Flusher so the handler streams.
+func (w *readyProbeWriter) Flush() {}
+
+// Write runs the probe on the ready frame (json.Encoder writes one frame
+// per call).
+func (w *readyProbeWriter) Write(p []byte) (int, error) {
+	if f, err := server.ParseFrame(bytes.TrimSpace(p)); err == nil && f.Type == server.FrameReady {
+		w.probe()
+	}
+	return len(p), nil
+}
+
+// TestWatchReleasesAnchorBeforeReady pins the order of the stream opening:
+// the anchor snapshot is closed before the ready frame is written, not
+// after. A client that commits as soon as it reads "ready" would otherwise
+// race the handler's Close, and a commit that loses the race copies every
+// relation it writes (copy-on-write against the still-pinned anchor). The
+// probe commits from inside the ready frame's Write and measures what the
+// commit allocated: nothing next to the size of R once the anchor is
+// released, a copy of R and of the views over it while it is pinned.
+func TestWatchReleasesAnchorBeforeReady(t *testing.T) {
+	const rows = 20000
+	q := ivmeps.MustParseQuery(testQuery)
+	eng, err := ivmeps.New(q, ivmeps.Options{Epsilon: 0.5, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	for i := int64(0); i < rows; i++ {
+		if err := eng.Load("R", []int64{i, i % 64}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := eng.Load("S", []int64{1, 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Build(); err != nil {
+		t.Fatal(err)
+	}
+	// Warm the commit path, so the probe's commit allocates nothing of its
+	// own.
+	for i := 0; i < 4; i++ {
+		if err := errors.Join(eng.Insert("R", []int64{rows, 1}), eng.Delete("R", []int64{rows, 1})); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var allocated uint64
+	w := &readyProbeWriter{header: make(http.Header), probe: func() {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := eng.Insert("R", []int64{rows, 1}); err != nil {
+			t.Error(err)
+		}
+		runtime.ReadMemStats(&after)
+		allocated = after.TotalAlloc - before.TotalAlloc
+	}}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel() // the stream ends right after its opening
+	req := httptest.NewRequest(http.MethodGet, "/v1/watch", nil).WithContext(ctx)
+	server.New(eng, server.Options{}).ServeHTTP(w, req)
+
+	// R alone holds rows × 2 values × 8 bytes of tuple data.
+	if limit := uint64(rows * 2 * 8 / 4); allocated > limit {
+		t.Fatalf("a commit racing the ready frame allocated %d bytes (> %d): the anchor snapshot was still pinned", allocated, limit)
+	}
+	t.Logf("commit inside the ready frame allocated %d bytes", allocated)
 }

@@ -104,10 +104,8 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if !s.sendAnchor(send, wat, anchor, fromSet && fromEpoch == anchor.Epoch(), views) {
-		anchor.Close()
 		return
 	}
-	anchor.Close()
 
 	// The event loop writes from this goroutine only; the closer goroutine
 	// just makes a blocked Events iteration return — on client disconnect,
@@ -157,12 +155,17 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 
 // sendAnchor writes the stream opening: the anchor frame and, unless the
 // client resumed at exactly the anchor epoch, the chunked state dump of
-// every subscribed view, then the ready frame.
+// every subscribed view, then the ready frame. It closes the anchor on every
+// path, and before the ready frame goes out: a client may commit the moment
+// it reads "ready", and a commit that finds the anchor still pinned copies
+// every relation it writes.
 func (s *Server) sendAnchor(send func(*Frame) bool, wat *ivmeps.Watcher, anchor *ivmeps.Snapshot, resume bool, views []string) bool {
+	defer anchor.Close() // idempotent: the failure paths' release
+	epoch := anchor.Epoch()
 	if views == nil {
 		views = s.eng.Views()
 	}
-	if !send(&Frame{Type: FrameAnchor, Epoch: anchor.Epoch(), Views: views, Resume: resume}) {
+	if !send(&Frame{Type: FrameAnchor, Epoch: epoch, Views: views, Resume: resume}) {
 		return false
 	}
 	if !resume {
@@ -187,5 +190,6 @@ func (s *Server) sendAnchor(send func(*Frame) bool, wat *ivmeps.Watcher, anchor 
 			}
 		}
 	}
-	return send(&Frame{Type: FrameReady, Epoch: anchor.Epoch()})
+	anchor.Close()
+	return send(&Frame{Type: FrameReady, Epoch: epoch})
 }

@@ -36,11 +36,10 @@
 //
 // # Mutation
 //
-// After Build, the engine maintains the query under single-tuple updates
-// (Insert, Delete, Apply — one maintenance pass each) and under batches.
-// The batch entry point is the Batch builder: queue any mix of updates
-// across any of the query's relations, then Commit them as one atomic
-// maintenance commit —
+// After Build, every mutation is a commit: the single-tuple updates
+// (Insert, Delete, Apply) are one-op commits, and the Batch builder queues
+// any mix of updates across any of the query's relations for Commit to
+// apply as one atomic maintenance commit —
 //
 //	b := e.NewBatch()
 //	b.Insert("R", []int64{4, 11})
@@ -48,16 +47,22 @@
 //	b.Apply("R", []int64{1, 10}, -1)
 //	if err := e.Commit(b); err != nil { ...
 //
+// All of them run through one commit envelope inside the engine — validate,
+// log (if durable), propagate, rebalance, publish one epoch — so they share
+// one contract, and Stats counts each of them as one commit.
+//
 // Commit validates the whole batch up front and applies all of it or none
 // of it: on an error the engine state, including its snapshot epoch, is
 // exactly what it was. Per touched relation the updates aggregate into one
 // delta per view-tree leaf, so every view tree is walked once per (batch,
 // relation) instead of once per update; the observable result is identical
 // to applying the same updates in order with Apply. ApplyBatch remains as
-// the one-relation convenience wrapper over the same path. The update path
-// is engineered for sustained traffic: the propagation routes from every
-// relation to every affected view are precomputed at Build time, and
-// steady-state Apply and Commit run without heap allocation.
+// the one-relation convenience wrapper over the same path; a commit with
+// no effective update (no ops, or only zero-multiplicity ones) validates
+// and publishes nothing. The update path is engineered for sustained
+// traffic: the propagation routes from every relation to every affected
+// view are precomputed at Build time, and steady-state Apply and Commit run
+// without heap allocation.
 //
 // Mutation errors are programmable, not stringly: Is-match ErrNotBuilt,
 // ErrUnknownRelation, and ErrStatic, and As-match the structured
@@ -113,13 +118,15 @@
 // query's connected component always has variables occurring in every one
 // of its atoms; hashing those shard-key values partitions the component's
 // relations so that tuples on different shards never join, and the
-// per-shard results sum exactly to the unsharded result. Sharded mirrors
-// the Engine API — Load/Build, Insert/Delete/Apply, NewBatch/Commit,
-// Snapshot — with the same atomicity contract extended across shards: a
-// commit is validated on every shard and applied on all of them or none of
-// them, and a ShardedSnapshot observes every shard at one federation epoch. A
-// shard-detected validation failure arrives wrapped in a ShardError; see
-// Sharded and ShardKey for the routing and gather details.
+// per-shard results sum exactly to the unsharded result. Sharded has the
+// Engine API — Load/Build, Insert/Delete/Apply, NewBatch/Commit, Snapshot
+// — because both types embed the same front end over a different backend
+// (one engine, or the federation), with the same atomicity contract
+// extended across shards: a commit is validated on every shard and applied
+// on all of them or none of them, and a ShardedSnapshot observes every
+// shard at one federation epoch. A shard-detected validation failure
+// arrives wrapped in a ShardError; see Sharded and ShardKey for the routing
+// and gather details.
 //
 // # Durability
 //
@@ -190,13 +197,9 @@ package ivmeps
 
 import (
 	"fmt"
-	"iter"
 
 	"ivmeps/internal/core"
-	"ivmeps/internal/naive"
 	"ivmeps/internal/query"
-	"ivmeps/internal/relation"
-	"ivmeps/internal/tuple"
 	"ivmeps/internal/viewtree"
 	"ivmeps/internal/wal"
 	"ivmeps/internal/watch"
@@ -296,13 +299,22 @@ type Options struct {
 	Durability Durability
 }
 
+// core translates the options an Engine and every shard of a Sharded share.
+func (o Options) core() core.Options {
+	mode := viewtree.Dynamic
+	if o.Static {
+		mode = viewtree.Static
+	}
+	return core.Options{Mode: mode, Epsilon: o.Epsilon, Workers: o.Workers}
+}
+
 // Engine maintains a hierarchical query under single-tuple updates and
 // enumerates its distinct result tuples with multiplicities.
 type Engine struct {
-	q       *Query
-	e       *core.Engine
-	initial naive.Database
-	built   bool
+	// The lifecycle, mutation, and enumeration methods are the shared
+	// front end's (frontend.go), promoted.
+	frontend[*core.Snapshot]
+	e *core.Engine
 
 	// Durability state (durability.go): nil/zero unless Options.Durability
 	// was configured. walOps is the pooled op buffer of the commit hook;
@@ -321,21 +333,11 @@ type Engine struct {
 // check); non-hierarchical queries are rejected with an error, matching the
 // scope of the paper's algorithms.
 func New(q *Query, opts Options) (*Engine, error) {
-	mode := viewtree.Dynamic
-	if opts.Static {
-		mode = viewtree.Static
-	}
-	e, err := core.New(q.q, core.Options{Mode: mode, Epsilon: opts.Epsilon, Workers: opts.Workers})
+	e, err := core.New(q.q, opts.core())
 	if err != nil {
 		return nil, err
 	}
-	eng := &Engine{q: q, e: e, initial: naive.Database{}}
-	eng.hub = watch.New(e)
-	for _, a := range q.q.Atoms {
-		if _, ok := eng.initial[a.Rel]; !ok {
-			eng.initial[a.Rel] = relation.New(a.Rel, a.Vars)
-		}
-	}
+	eng := &Engine{frontend: newFrontend(q, e), e: e, hub: watch.New(e)}
 	if opts.Durability.enabled() {
 		// Fail on an already-populated log directory now, not at Build:
 		// recovering an existing log is Open's job, and silently appending
@@ -350,44 +352,13 @@ func New(q *Query, opts Options) (*Engine, error) {
 	return eng, nil
 }
 
-// Load bulk-inserts rows (with multiplicity 1) into a relation before
-// Build. Duplicate rows accumulate multiplicity.
-func (e *Engine) Load(rel string, rows ...[]int64) error {
-	for _, r := range rows {
-		if err := e.LoadWeighted(rel, r, 1); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// LoadWeighted bulk-inserts one row with a positive multiplicity before
-// Build.
-func (e *Engine) LoadWeighted(rel string, row []int64, mult int64) error {
-	if e.built {
-		return fmt.Errorf("ivmeps: Load after Build; use Insert/Delete/Apply or a Batch")
-	}
-	r, ok := e.initial[rel]
-	if !ok {
-		return fmt.Errorf("ivmeps: %w: %q (query %s)", ErrUnknownRelation, rel, e.q)
-	}
-	if mult <= 0 {
-		return fmt.Errorf("ivmeps: initial multiplicity must be positive, got %d", mult)
-	}
-	return wrapErr(r.Add(tuple.Tuple(row), mult))
-}
-
 // Build runs the preprocessing stage over the loaded data. It must be
-// called exactly once, before any Insert/Delete/Apply/Enumerate.
+// called exactly once, before any Insert/Delete/Apply/Enumerate. On a
+// durable engine it also writes the initial checkpoint.
 func (e *Engine) Build() error {
-	if e.built {
-		return fmt.Errorf("ivmeps: Build called twice")
+	if err := e.frontend.Build(); err != nil {
+		return err
 	}
-	if err := core.Preprocess(e.e, e.initial); err != nil {
-		return wrapErr(err)
-	}
-	e.built = true
-	e.initial = nil
 	if e.wal != nil {
 		// Durable engines seed the log directory with a checkpoint of the
 		// built state (epoch 1), so Open always finds a base to replay from;
@@ -398,52 +369,6 @@ func (e *Engine) Build() error {
 		e.e.SetCommitHook(e.walHook)
 	}
 	return nil
-}
-
-// Insert applies the single-tuple insert {row → 1}.
-func (e *Engine) Insert(rel string, row []int64) error { return e.Apply(rel, row, 1) }
-
-// Delete applies the single-tuple delete {row → −1}. Deleting more than the
-// stored multiplicity is rejected.
-func (e *Engine) Delete(rel string, row []int64) error { return e.Apply(rel, row, -1) }
-
-// Apply applies the single-tuple update {row → mult} (positive to insert,
-// negative to delete). The amortized cost is O(N^(δε)).
-func (e *Engine) Apply(rel string, row []int64, mult int64) error {
-	if !e.built {
-		return fmt.Errorf("ivmeps: Apply: %w (call Build first)", ErrNotBuilt)
-	}
-	return wrapErr(e.e.Update(rel, tuple.Tuple(row), mult))
-}
-
-// ApplyBatch applies the updates {rows[i] → mults[i]} to one relation as a
-// single batch. A nil mults applies every row with multiplicity +1; mixed
-// inserts and deletes are allowed. The observable result — the enumerated
-// query output, N, and the engine's maintenance invariants — is identical
-// to applying the same updates in order with Apply, but the amortized cost
-// per row is lower: the batch is aggregated into one delta per view-tree
-// leaf, every view tree is walked once for the whole batch, and the
-// rebalancing checks run once per distinct partition key instead of once
-// per row. Use it for high-throughput ingestion.
-//
-// Error handling differs from a sequential Apply loop in one way: the
-// batch is validated up front (in order, counting the effect of earlier
-// rows), and on any error — an ArityError, or a MultiplicityError for a
-// delete exceeding the available multiplicity — the engine is left
-// completely unchanged rather than with a prefix applied.
-//
-// ApplyBatch is the one-relation convenience over the Batch/Commit path
-// and shares its machinery; use a Batch to span several relations in one
-// atomic commit.
-func (e *Engine) ApplyBatch(rel string, rows [][]int64, mults []int64) error {
-	if !e.built {
-		return fmt.Errorf("ivmeps: ApplyBatch: %w (call Build first)", ErrNotBuilt)
-	}
-	ts := make([]tuple.Tuple, len(rows))
-	for i, r := range rows {
-		ts[i] = tuple.Tuple(r)
-	}
-	return wrapErr(e.e.ApplyBatch(rel, ts, mults))
 }
 
 // Close releases the engine's batch worker goroutines, if any were started
@@ -474,51 +399,6 @@ func (e *Engine) Close() error {
 	return wrapErr(err)
 }
 
-// Enumerate yields every distinct result tuple (over the query's free
-// variables, in head order) with its multiplicity, with O(N^(1−ε)) delay.
-// The row slice is reused between calls; copy it to retain. Return false to
-// stop early.
-//
-// Enumerate takes an implicit Snapshot for the duration of the call, so it
-// observes one committed state and is safe to call from any goroutine,
-// concurrently with Commit/Apply/ApplyBatch and with other readers. To make
-// several reads observe the same state, take an explicit Snapshot instead.
-//
-// Enumerate before Build panics with ErrNotBuilt (the package's one panic
-// on misuse; see the package documentation).
-func (e *Engine) Enumerate(yield func(row []int64, mult int64) bool) {
-	s := e.mustSnapshot()
-	defer s.Close()
-	s.Enumerate(yield)
-}
-
-// All returns an iterator over the current committed result, for use with
-// range: every distinct result tuple (over the query's free variables, in
-// head order) with its multiplicity. Like Enumerate, each ranging takes an
-// implicit Snapshot, so one loop observes one committed state and may run
-// concurrently with updates; the yielded row slice is reused between
-// iterations — copy it to retain.
-//
-// Ranging over All before Build panics with ErrNotBuilt (the package's one
-// panic on misuse; see the package documentation).
-func (e *Engine) All() iter.Seq2[[]int64, int64] {
-	return func(yield func([]int64, int64) bool) {
-		s := e.mustSnapshot()
-		defer s.Close()
-		s.Enumerate(yield)
-	}
-}
-
-// mustSnapshot backs the enumeration conveniences: it panics with
-// ErrNotBuilt where Snapshot would return it.
-func (e *Engine) mustSnapshot() *Snapshot {
-	s, err := e.Snapshot()
-	if err != nil {
-		panic(ErrNotBuilt)
-	}
-	return s
-}
-
 // Snapshot captures the current committed state for concurrent reading:
 // the returned Snapshot enumerates that exact state no matter how the
 // engine is updated afterwards, without blocking the writer (see the
@@ -527,88 +407,20 @@ func (e *Engine) mustSnapshot() *Snapshot {
 // itself is not safe for concurrent use — take one per reader goroutine
 // (they share storage). Close it when done.
 func (e *Engine) Snapshot() (*Snapshot, error) {
-	if !e.built {
-		return nil, fmt.Errorf("ivmeps: Snapshot: %w (call Build first)", ErrNotBuilt)
+	r, err := e.snapshot()
+	if err != nil {
+		return nil, err
 	}
-	return &Snapshot{s: e.e.Snapshot()}, nil
+	return &Snapshot{r}, nil
 }
 
 // Snapshot is an immutable view of one committed engine state, enumerable
 // concurrently with updates to the engine it came from. See
-// Engine.Snapshot.
+// Engine.Snapshot. Its Epoch, Enumerate, All, Rows, Count, and Close are
+// the shared snapshot reader's (frontend.go), promoted.
 type Snapshot struct {
-	s *core.Snapshot
+	snapshotReader[*core.Snapshot]
 }
-
-// Epoch identifies the committed state the snapshot observes: the number
-// of committed write operations (Build counts as the first) at capture
-// time. Two snapshots with equal epochs observe identical states.
-func (s *Snapshot) Epoch() uint64 { return s.s.Epoch() }
-
-// Enumerate yields every distinct result tuple of the snapshot's state
-// with its multiplicity, in head order, with the same delay guarantee as
-// Engine.Enumerate. The row slice is reused between calls; copy it to
-// retain. Return false to stop early.
-func (s *Snapshot) Enumerate(yield func(row []int64, mult int64) bool) {
-	s.s.Enumerate(func(t tuple.Tuple, m int64) bool { return yield(t, m) })
-}
-
-// All returns an iterator over the snapshot's state, for use with range:
-// every distinct result tuple with its multiplicity, in head order, with
-// the same delay guarantee as Enumerate. The yielded row slice is reused
-// between iterations; copy it to retain. The iterator may be ranged over
-// several times; every pass enumerates the same committed state.
-func (s *Snapshot) All() iter.Seq2[[]int64, int64] {
-	return func(yield func([]int64, int64) bool) {
-		s.Enumerate(yield)
-	}
-}
-
-// Rows materializes the snapshot's full result as (row, multiplicity)
-// pairs; intended for small results and tests.
-func (s *Snapshot) Rows() (rows [][]int64, mults []int64) {
-	s.Enumerate(func(row []int64, m int64) bool {
-		c := make([]int64, len(row))
-		copy(c, row)
-		rows = append(rows, c)
-		mults = append(mults, m)
-		return true
-	})
-	return rows, mults
-}
-
-// Count returns the number of distinct result tuples in the snapshot's
-// state (by enumeration).
-func (s *Snapshot) Count() int {
-	n := 0
-	s.Enumerate(func([]int64, int64) bool { n++; return true })
-	return n
-}
-
-// Close releases the snapshot, letting the writer stop preserving its
-// generation. It is idempotent; the snapshot must not be used afterwards.
-func (s *Snapshot) Close() { s.s.Close() }
-
-// Rows materializes the full result as (row, multiplicity) pairs; intended
-// for small results and tests. Like Enumerate, it reads one committed
-// state via an implicit snapshot, and panics with ErrNotBuilt before Build.
-func (e *Engine) Rows() (rows [][]int64, mults []int64) {
-	s := e.mustSnapshot()
-	defer s.Close()
-	return s.Rows()
-}
-
-// Count returns the number of distinct result tuples (by enumeration of an
-// implicit snapshot). It panics with ErrNotBuilt before Build.
-func (e *Engine) Count() int {
-	s := e.mustSnapshot()
-	defer s.Close()
-	return s.Count()
-}
-
-// N returns the current database size: the total number of distinct tuples
-// across the query's relations.
-func (e *Engine) N() int { return e.e.N() }
 
 // Epsilon returns the engine's trade-off parameter.
 func (e *Engine) Epsilon() float64 { return e.e.Epsilon() }
@@ -619,10 +431,11 @@ type Stats struct {
 	MinorRebalances int64
 	MajorRebalances int64
 	ViewDeltas      int64
-	// Batches counts committed batches (Commit and ApplyBatch calls that
-	// ran to commit), and BatchRelations the distinct relations with a net
-	// effect (ops that did not cancel out within the batch), summed over
-	// those batches — BatchRelations/Batches is the mean effective fan-out
+	// Batches counts commits — every Insert, Delete, Apply, ApplyBatch, or
+	// Commit call that published an epoch, a single-tuple update being a
+	// one-op commit — and BatchRelations the distinct relations with a net
+	// effect (ops that did not cancel out within the commit), summed over
+	// those commits: BatchRelations/Batches is the mean effective fan-out
 	// of the ingest stream across the query's relations.
 	Batches        int64
 	BatchRelations int64
@@ -632,16 +445,3 @@ type Stats struct {
 // the query's classification, the cost guarantees at this ε, and the view
 // trees, heavy/light indicators, and relation partitions it maintains.
 func (e *Engine) Explain() string { return e.e.Explain() }
-
-// Stats returns activity counters.
-func (e *Engine) Stats() Stats {
-	s := e.e.Stats()
-	return Stats{
-		Updates:         s.Updates,
-		MinorRebalances: s.MinorRebalances,
-		MajorRebalances: s.MajorRebalances,
-		ViewDeltas:      s.DeltasApplied,
-		Batches:         s.Batches,
-		BatchRelations:  s.BatchRelations,
-	}
-}

@@ -2,14 +2,8 @@ package ivmeps
 
 import (
 	"fmt"
-	"iter"
 
-	"ivmeps/internal/core"
 	"ivmeps/internal/federation"
-	"ivmeps/internal/naive"
-	"ivmeps/internal/relation"
-	"ivmeps/internal/tuple"
-	"ivmeps/internal/viewtree"
 )
 
 // ShardedOptions configures a Sharded engine: the per-shard engine options
@@ -23,9 +17,10 @@ type ShardedOptions struct {
 }
 
 // Sharded is a hash-sharded federation of K independent engines over one
-// hierarchical query, with the same lifecycle and mutation API as Engine:
+// hierarchical query, with the same lifecycle and mutation API as Engine —
 // Load, Build, then Insert/Delete/Apply and Batch/Commit, with snapshots
-// and enumeration gathering across the shards.
+// and enumeration gathering across the shards — because it is the same
+// front end (frontend.go) over a federation instead of one engine.
 //
 // Base relations of the query's shard component are partitioned by a hash
 // of their shard-key columns (a set of variables occurring in every atom of
@@ -37,10 +32,8 @@ type ShardedOptions struct {
 // and epoch are exactly as before. See the package documentation's
 // Sharding section and ShardKey for how the gather works.
 type Sharded struct {
-	q       *Query
-	f       *federation.Fed
-	initial naive.Database
-	built   bool
+	frontend[*federation.Snapshot]
+	f *federation.Fed
 }
 
 // NewSharded creates a sharded engine. The query constraints are those of
@@ -53,24 +46,11 @@ func NewSharded(q *Query, opts ShardedOptions) (*Sharded, error) {
 		// PrepareCommit path. Refuse rather than pretend.
 		return nil, fmt.Errorf("ivmeps: Durability is not supported on Sharded engines")
 	}
-	mode := viewtree.Dynamic
-	if opts.Static {
-		mode = viewtree.Static
-	}
-	f, err := federation.New(q.q, federation.Options{
-		Shards: opts.Shards,
-		Engine: core.Options{Mode: mode, Epsilon: opts.Epsilon, Workers: opts.Workers},
-	})
+	f, err := federation.New(q.q, federation.Options{Shards: opts.Shards, Engine: opts.core()})
 	if err != nil {
 		return nil, err
 	}
-	s := &Sharded{q: q, f: f, initial: naive.Database{}}
-	for _, a := range q.q.Atoms {
-		if _, ok := s.initial[a.Rel]; !ok {
-			s.initial[a.Rel] = relation.New(a.Rel, a.Vars)
-		}
-	}
-	return s, nil
+	return &Sharded{frontend: newFrontend(q, f), f: f}, nil
 }
 
 // Shards returns the shard count K.
@@ -92,157 +72,11 @@ func (s *Sharded) ShardKey() (vars []string, concat bool) {
 	return vars, c
 }
 
-// Load bulk-inserts rows (with multiplicity 1) into a relation before
-// Build. Duplicate rows accumulate multiplicity.
-func (s *Sharded) Load(rel string, rows ...[]int64) error {
-	for _, r := range rows {
-		if err := s.LoadWeighted(rel, r, 1); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// LoadWeighted bulk-inserts one row with a positive multiplicity before
-// Build.
-func (s *Sharded) LoadWeighted(rel string, row []int64, mult int64) error {
-	if s.built {
-		return fmt.Errorf("ivmeps: Load after Build; use Insert/Delete/Apply or a Batch")
-	}
-	r, ok := s.initial[rel]
-	if !ok {
-		return fmt.Errorf("ivmeps: %w: %q (query %s)", ErrUnknownRelation, rel, s.q)
-	}
-	if mult <= 0 {
-		return fmt.Errorf("ivmeps: initial multiplicity must be positive, got %d", mult)
-	}
-	return wrapErr(r.Add(tuple.Tuple(row), mult))
-}
-
-// Build partitions the loaded data across the shards and runs the
-// preprocessing stage on all of them in parallel. It must be called exactly
-// once, before any Insert/Delete/Apply/Enumerate.
-func (s *Sharded) Build() error {
-	if s.built {
-		return fmt.Errorf("ivmeps: Build called twice")
-	}
-	if err := s.f.Preprocess(s.initial); err != nil {
-		return wrapErr(err)
-	}
-	s.built = true
-	s.initial = nil
-	return nil
-}
-
-// Insert applies the single-tuple insert {row → 1}.
-func (s *Sharded) Insert(rel string, row []int64) error { return s.Apply(rel, row, 1) }
-
-// Delete applies the single-tuple delete {row → −1}. Deleting more than the
-// stored multiplicity is rejected.
-func (s *Sharded) Delete(rel string, row []int64) error { return s.Apply(rel, row, -1) }
-
-// Apply applies the single-tuple update {row → mult} (positive to insert,
-// negative to delete) as a one-op commit: the shards owning the affected
-// occurrences update, every other shard is untouched.
-func (s *Sharded) Apply(rel string, row []int64, mult int64) error {
-	if !s.built {
-		return fmt.Errorf("ivmeps: Apply: %w (call Build first)", ErrNotBuilt)
-	}
-	return wrapErr(s.f.Update(rel, tuple.Tuple(row), mult))
-}
-
-// ApplyBatch applies the updates {rows[i] → mults[i]} to one relation as a
-// single federated batch; a nil mults applies every row with multiplicity
-// +1. It is the one-relation convenience over the Batch/Commit path, with
-// the semantics of Engine.ApplyBatch across shards.
-func (s *Sharded) ApplyBatch(rel string, rows [][]int64, mults []int64) error {
-	if !s.built {
-		return fmt.Errorf("ivmeps: ApplyBatch: %w (call Build first)", ErrNotBuilt)
-	}
-	if mults != nil && len(mults) != len(rows) {
-		return fmt.Errorf("ivmeps: ApplyBatch: %d rows but %d multiplicities", len(rows), len(mults))
-	}
-	id := s.f.RelID(rel)
-	ops := make([]core.BatchOp, len(rows))
-	for i, r := range rows {
-		m := int64(1)
-		if mults != nil {
-			m = mults[i]
-		}
-		ops[i] = core.BatchOp{Rel: rel, RelID: id, Row: r, Mult: m}
-	}
-	return wrapErr(s.f.Commit(ops))
-}
-
-// NewBatch returns an empty update batch for this sharded engine, usable
-// exactly like an Engine's: queue updates across any of the query's
-// relations, then Commit them atomically. The batch may be built before or
-// after Build, but only committed after, and only to the engine that
-// created it.
-func (s *Sharded) NewBatch() *Batch { return &Batch{owner: s, resolve: s.f.RelID} }
-
-// Commit applies the batch as one atomic federated commit, with the
-// contract of Engine.Commit across shards: the batch is validated and
-// scattered up front, each shard validates its sub-batch, and only when
-// every shard accepted are all of them applied, in parallel. On any error —
-// a shard-detected failure arrives wrapped in a ShardError — every shard's
-// state and epoch are exactly as before the call; no shard ever applies a
-// batch another shard rejected. On success the whole commit publishes one
-// federation epoch: a concurrent Snapshot observes all of the batch on
-// every shard, or none of it.
-func (s *Sharded) Commit(b *Batch) error {
-	if !s.built {
-		return fmt.Errorf("ivmeps: Commit: %w (call Build first)", ErrNotBuilt)
-	}
-	if b == nil {
-		return nil // like an empty batch: nothing to commit
-	}
-	if b.owner != s {
-		return fmt.Errorf("ivmeps: Commit: batch was created by a different engine")
-	}
-	return wrapErr(s.f.Commit(b.ops))
-}
-
 // Close releases the federation's apply runners and every shard's worker
 // goroutines. It is optional — a garbage-collected engine releases them
 // automatically — but calling it promptly bounds goroutine count when
 // engines are created in a loop. The engine remains usable after Close.
 func (s *Sharded) Close() { s.f.Close() }
-
-// Enumerate yields every distinct result tuple (over the query's free
-// variables, in head order) with its multiplicity, gathered across the
-// shards through an implicit Snapshot — one committed federation state,
-// safe concurrently with commits and other readers. The row slice is
-// reused between calls; copy it to retain. Return false to stop early.
-//
-// Enumerate before Build panics with ErrNotBuilt (the package's one panic
-// on misuse; see the package documentation).
-func (s *Sharded) Enumerate(yield func(row []int64, mult int64) bool) {
-	sn := s.mustSnapshot()
-	defer sn.Close()
-	sn.Enumerate(yield)
-}
-
-// All returns an iterator over the current committed result, for use with
-// range; each ranging takes an implicit Snapshot, like Engine.All. Ranging
-// before Build panics with ErrNotBuilt.
-func (s *Sharded) All() iter.Seq2[[]int64, int64] {
-	return func(yield func([]int64, int64) bool) {
-		sn := s.mustSnapshot()
-		defer sn.Close()
-		sn.Enumerate(yield)
-	}
-}
-
-// mustSnapshot backs the enumeration conveniences: it panics with
-// ErrNotBuilt where Snapshot would return it.
-func (s *Sharded) mustSnapshot() *ShardedSnapshot {
-	sn, err := s.Snapshot()
-	if err != nil {
-		panic(ErrNotBuilt)
-	}
-	return sn
-}
 
 // Snapshot captures the current committed federation state for concurrent
 // reading: every shard is captured at the same federation epoch, and the
@@ -250,100 +84,19 @@ func (s *Sharded) mustSnapshot() *ShardedSnapshot {
 // is updated afterwards, without blocking the writers. Like an Engine
 // snapshot it is single-reader; Close it when done.
 func (s *Sharded) Snapshot() (*ShardedSnapshot, error) {
-	if !s.built {
-		return nil, fmt.Errorf("ivmeps: Snapshot: %w (call Build first)", ErrNotBuilt)
+	r, err := s.snapshot()
+	if err != nil {
+		return nil, err
 	}
-	return &ShardedSnapshot{s: s.f.Snapshot()}, nil
+	return &ShardedSnapshot{r}, nil
 }
 
 // ShardedSnapshot is an immutable view of one committed state of a Sharded
 // engine — all shards at one federation epoch — enumerable concurrently
-// with commits to the engine it came from. See Sharded.Snapshot.
+// with commits to the engine it came from, gathering across the shards
+// (see Sharded.ShardKey for the gather mode). Its methods are the shared
+// snapshot reader's (frontend.go), promoted; Close releases the snapshot
+// on every shard. See Sharded.Snapshot.
 type ShardedSnapshot struct {
-	s *federation.Snapshot
-}
-
-// Epoch identifies the committed federation state the snapshot observes:
-// the number of committed write operations (Build counts as the first) at
-// capture time. Two snapshots with equal epochs observe identical states.
-func (s *ShardedSnapshot) Epoch() uint64 { return s.s.Epoch() }
-
-// Enumerate yields every distinct result tuple of the snapshot's state
-// with its multiplicity, in head order, gathered across the shards (see
-// Sharded.ShardKey for the gather mode). The row slice is reused between
-// calls; copy it to retain. Return false to stop early.
-func (s *ShardedSnapshot) Enumerate(yield func(row []int64, mult int64) bool) {
-	s.s.Enumerate(func(t tuple.Tuple, m int64) bool { return yield(t, m) })
-}
-
-// All returns an iterator over the snapshot's state, for use with range.
-// The yielded row slice is reused between iterations; copy it to retain.
-func (s *ShardedSnapshot) All() iter.Seq2[[]int64, int64] {
-	return func(yield func([]int64, int64) bool) {
-		s.Enumerate(yield)
-	}
-}
-
-// Rows materializes the snapshot's full result as (row, multiplicity)
-// pairs; intended for small results and tests.
-func (s *ShardedSnapshot) Rows() (rows [][]int64, mults []int64) {
-	s.Enumerate(func(row []int64, m int64) bool {
-		c := make([]int64, len(row))
-		copy(c, row)
-		rows = append(rows, c)
-		mults = append(mults, m)
-		return true
-	})
-	return rows, mults
-}
-
-// Count returns the number of distinct result tuples in the snapshot's
-// state (by enumeration).
-func (s *ShardedSnapshot) Count() int {
-	n := 0
-	s.Enumerate(func([]int64, int64) bool { n++; return true })
-	return n
-}
-
-// Close releases the snapshot on every shard, letting the writers stop
-// preserving its generations. It is idempotent; the snapshot must not be
-// used afterwards.
-func (s *ShardedSnapshot) Close() { s.s.Close() }
-
-// Rows materializes the full result as (row, multiplicity) pairs via an
-// implicit snapshot; intended for small results and tests. It panics with
-// ErrNotBuilt before Build.
-func (s *Sharded) Rows() (rows [][]int64, mults []int64) {
-	sn := s.mustSnapshot()
-	defer sn.Close()
-	return sn.Rows()
-}
-
-// Count returns the number of distinct result tuples (by enumeration of an
-// implicit snapshot). It panics with ErrNotBuilt before Build.
-func (s *Sharded) Count() int {
-	sn := s.mustSnapshot()
-	defer sn.Close()
-	return sn.Count()
-}
-
-// N returns the current database size: the total number of distinct tuples
-// across the query's relations, counted once regardless of sharding or
-// broadcast.
-func (s *Sharded) N() int { return s.f.N() }
-
-// Stats returns the shard engines' activity counters, summed. Broadcast
-// relations contribute work on every shard, so counters can exceed a
-// single engine's for the same logical workload; the counters measure work
-// done, not logical operations.
-func (s *Sharded) Stats() Stats {
-	st := s.f.Stats()
-	return Stats{
-		Updates:         st.Updates,
-		MinorRebalances: st.MinorRebalances,
-		MajorRebalances: st.MajorRebalances,
-		ViewDeltas:      st.DeltasApplied,
-		Batches:         st.Batches,
-		BatchRelations:  st.BatchRelations,
-	}
+	snapshotReader[*federation.Snapshot]
 }

@@ -319,3 +319,51 @@ func TestShardedCommitSteadyStateZeroAllocs(t *testing.T) {
 		t.Errorf("steady sharded commit cycle allocates %v per run, want 0", n)
 	}
 }
+
+// TestShardedStatsCountCommitsLikeEngine pins that the commit counters mean
+// the same thing on both engines: every entry point is one commit through
+// one envelope, so for the same calls a one-shard Sharded and an Engine
+// report the same Updates, Batches, and BatchRelations — including the
+// single-tuple Apply, a zero-mult Apply, and an unknown-relation ApplyBatch
+// with no rows, which the two used to treat differently.
+func TestShardedStatsCountCommitsLikeEngine(t *testing.T) {
+	e, s := shardedPair(t, "Q(A, B, C) = R(A, B), S(A, C)", 1, rand.New(rand.NewSource(3)), 20, 5)
+	defer e.Close()
+	defer s.Close()
+	type engine interface {
+		Apply(rel string, row []int64, mult int64) error
+		ApplyBatch(rel string, rows [][]int64, mults []int64) error
+		NewBatch() *ivmeps.Batch
+		Commit(b *ivmeps.Batch) error
+		Stats() ivmeps.Stats
+	}
+	drive := func(x engine) (ivmeps.Stats, []error) {
+		b := x.NewBatch().Insert("R", []int64{70, 1}).Insert("S", []int64{70, 2})
+		errs := []error{
+			x.Apply("R", []int64{71, 1}, 2),
+			x.Apply("R", []int64{71, 1}, 0),
+			x.ApplyBatch("S", [][]int64{{71, 5}, {71, 6}}, nil),
+			x.ApplyBatch("Z", nil, nil),
+			x.Commit(b),
+		}
+		st := x.Stats()
+		st.ViewDeltas, st.MinorRebalances, st.MajorRebalances = 0, 0, 0
+		return st, errs
+	}
+	es, eerrs := drive(e)
+	ss, serrs := drive(s)
+	if es != ss {
+		t.Fatalf("stats diverge for the same calls:\nEngine  %+v\nSharded %+v", es, ss)
+	}
+	if want := (ivmeps.Stats{Updates: 5, Batches: 3, BatchRelations: 4}); es != want {
+		t.Fatalf("stats = %+v, want %+v", es, want)
+	}
+	for i := range eerrs {
+		if (eerrs[i] == nil) != (serrs[i] == nil) {
+			t.Fatalf("call %d: Engine returned %v, Sharded %v", i, eerrs[i], serrs[i])
+		}
+	}
+	if !errors.Is(eerrs[3], ivmeps.ErrUnknownRelation) {
+		t.Fatalf("ApplyBatch on an unknown relation with no rows returned %v", eerrs[3])
+	}
+}

@@ -113,7 +113,7 @@ func (e *Engine) Watch(opts WatchOptions) (*Watcher, error) {
 	if err != nil {
 		return nil, wrapErr(err)
 	}
-	return &Watcher{sub: sub, filter: filter, anchor: &Snapshot{s: snap}}, nil
+	return &Watcher{sub: sub, filter: filter, anchor: &Snapshot{snapshotReader[*core.Snapshot]{snap}}}, nil
 }
 
 // Views returns the engine-assigned names of the root views — the View
