@@ -19,7 +19,7 @@ BENCH_RE = Update|Batch|Parallel|Sharded|WAL|Watch|Server
 # tolerance instead of exact equality.
 BENCH_ALLOC_NONDET = ^BenchmarkServer
 
-.PHONY: check test vet bench-module bench bench-fresh diff-allocs diff-time bench-check bench-check-allocs docs-check api-check api-update bench-all
+.PHONY: check test vet bench-module bench bench-fresh diff-allocs diff-time bench-check bench-check-allocs docs-check api-check api-update loc bench-all
 
 check: vet test
 
@@ -93,6 +93,12 @@ api-check:
 api-update:
 	$(GO) test ./internal/apilock/ -run TestAPILock -update
 	@echo regenerated internal/apilock/ivmeps.golden
+
+# The line count simplification PRs quote (ROADMAP process notes): non-test
+# Go lines outside bench/, all of them and without comment-only lines.
+LOC_FILES = find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*'
+loc:
+	@echo "non-test .go lines outside bench/: $$($(LOC_FILES) | xargs cat | wc -l) with comments, $$($(LOC_FILES) | xargs cat | grep -vc '^[[:space:]]*//') without comment-only lines"
 
 # Full experiment sweep (slow); see cmd/hiqbench for options.
 bench-all:

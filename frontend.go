@@ -34,6 +34,7 @@ type backend[S snapSource] interface {
 	CommitBatch(ops []core.BatchOp) error
 	RelID(name string) int
 	Snapshot() S
+	Epoch() uint64
 	N() int
 	Stats() core.Stats
 }
@@ -279,6 +280,13 @@ func (f *frontend[S]) Count() int {
 	defer s.Close()
 	return s.Count()
 }
+
+// Epoch returns the committed epoch: the number of committed write
+// operations (Build counts as the first; 0 before it), which is the Epoch
+// of a Snapshot taken now. It reads the engine's counter, so unlike
+// Snapshot it pins no state; like Snapshot it may be called from any
+// goroutine and waits for a commit in flight.
+func (f *frontend[S]) Epoch() uint64 { return f.b.Epoch() }
 
 // N returns the current database size: the total number of distinct tuples
 // across the query's relations, counted once regardless of sharding or

@@ -143,35 +143,45 @@ func (c *Client) Commit(ctx context.Context, b *Batch) (uint64, error) {
 // to three attempts, so the returned state is always one consistent epoch.
 func (c *Client) Rows(ctx context.Context, view string) (rows [][]int64, mults []int64, epoch uint64, err error) {
 	for attempt := 0; ; attempt++ {
-		rows, mults, epoch, err = c.readAll(ctx, view)
+		rows, mults = nil, nil
+		epoch, err = c.walk(ctx, view, func(row []int64, mult int64) bool {
+			rows, mults = append(rows, row), append(mults, mult)
+			return true
+		})
 		var we *server.WireError
 		if err != nil && errors.As(err, &we) && we.Code == server.CodeGone && attempt < 2 {
 			continue
 		}
-		return rows, mults, epoch, err
+		if err != nil {
+			return nil, nil, 0, err
+		}
+		return rows, mults, epoch, nil
 	}
 }
 
-// readAll is one pagination pass of Rows.
-func (c *Client) readAll(ctx context.Context, view string) ([][]int64, []int64, uint64, error) {
-	var rows [][]int64
-	var mults []int64
+// walk is the one pagination pass behind Rows and All: it fetches page
+// after page, checks that every page reports the first one's epoch, and
+// hands each row to yield until the last page, an error, or yield's false.
+func (c *Client) walk(ctx context.Context, view string, yield func([]int64, int64) bool) (uint64, error) {
 	var epoch uint64
 	cursor := ""
 	for first := true; ; first = false {
 		page, err := c.fetchPage(ctx, view, cursor)
 		if err != nil {
-			return nil, nil, 0, err
+			return 0, err
 		}
 		if first {
 			epoch = page.Epoch
 		} else if page.Epoch != epoch {
-			return nil, nil, 0, fmt.Errorf("client: pagination epoch changed %d → %d (server bug?)", epoch, page.Epoch)
+			return 0, fmt.Errorf("client: pagination epoch changed %d → %d (server bug?)", epoch, page.Epoch)
 		}
-		rows = append(rows, page.Rows...)
-		mults = append(mults, page.Mults...)
+		for i := range page.Rows {
+			if !yield(page.Rows[i], page.Mults[i]) {
+				return epoch, nil
+			}
+		}
 		if page.Next == "" {
-			return rows, mults, epoch, nil
+			return epoch, nil
 		}
 		cursor = page.Next
 	}
@@ -190,31 +200,7 @@ func (c *Client) readAll(ctx context.Context, view string) ([][]int64, []int64, 
 func (c *Client) All(ctx context.Context, view string) (iter.Seq2[[]int64, int64], func() error) {
 	var ferr error
 	seq := func(yield func([]int64, int64) bool) {
-		ferr = nil
-		cursor := ""
-		var epoch uint64
-		for first := true; ; first = false {
-			page, err := c.fetchPage(ctx, view, cursor)
-			if err != nil {
-				ferr = err
-				return
-			}
-			if first {
-				epoch = page.Epoch
-			} else if page.Epoch != epoch {
-				ferr = fmt.Errorf("client: pagination epoch changed %d → %d (server bug?)", epoch, page.Epoch)
-				return
-			}
-			for i := range page.Rows {
-				if !yield(page.Rows[i], page.Mults[i]) {
-					return
-				}
-			}
-			if page.Next == "" {
-				return
-			}
-			cursor = page.Next
-		}
+		_, ferr = c.walk(ctx, view, yield)
 	}
 	return seq, func() error { return ferr }
 }
@@ -348,8 +334,9 @@ type WatchOptions struct {
 	// its folded state (Resumed reports false). Zero means a fresh stream.
 	FromEpoch uint64
 	// Buffer is the server-side per-stream event buffer in commits;
-	// 0 means the server default. A stream that falls further behind than
-	// its buffer is evicted with a WatcherLaggedError.
+	// 0 means the server default, and the server refuses more than 65536.
+	// A stream that falls further behind than its buffer is evicted with a
+	// WatcherLaggedError.
 	Buffer int
 }
 
@@ -513,14 +500,7 @@ func (w *Watcher) Events() iter.Seq2[ivmeps.Event, error] {
 			}
 			switch f.Type {
 			case server.FrameEvent:
-				ev := ivmeps.Event{Epoch: f.Epoch}
-				if len(f.Deltas) > 0 {
-					ev.Deltas = make([]ivmeps.ViewDelta, len(f.Deltas))
-					for i, d := range f.Deltas {
-						ev.Deltas[i] = ivmeps.ViewDelta{View: d.View, Rows: d.Rows, Mults: d.Mults}
-					}
-				}
-				if !yield(ev, nil) {
+				if !yield(ivmeps.Event{Epoch: f.Epoch, Deltas: f.Deltas}, nil) {
 					return
 				}
 			case server.FrameLagged:

@@ -496,7 +496,7 @@ func TestCommitEnvelope(t *testing.T) {
 				if cd.Epoch != e.epoch {
 					t.Errorf("published delta for epoch %d at epoch %d", cd.Epoch, e.epoch)
 				}
-			}), nil)
+			}))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -170,13 +170,13 @@ type Engine struct {
 	degraded   error
 
 	// Commit-delta capture (watch.go): roots names the main-tree root
-	// views (built at Preprocess, read-only after); sink, when set,
+	// views (built at Preprocess, read-only after); every sink in sinks
 	// receives one pooled CommitDelta per commit, capSet holds the
 	// per-tree capture slots the propagation workers fill, and cdFree is
 	// the record freelist. All sink state is guarded by mu.
 	roots   []rootView
 	rootIdx map[string]int
-	sink    CommitSink
+	sinks   []CommitSink
 	capSet  *captureSet
 	cdFree  chan *CommitDelta
 
@@ -202,13 +202,12 @@ type Engine struct {
 
 // Stats reports engine activity counters.
 type Stats struct {
-	Updates          int64
-	MinorRebalances  int64
-	MajorRebalances  int64
-	DeltasApplied    int64 // single-tuple deltas applied to views
-	EnumeratedTuples int64
-	Batches          int64 // commits: every Update, CommitBatch, ApplyBatch, or ApplyPrepared that published an epoch
-	BatchRelations   int64 // distinct relations with a net effect, summed over commits
+	Updates         int64
+	MinorRebalances int64
+	MajorRebalances int64
+	DeltasApplied   int64 // single-tuple deltas applied to views
+	Batches         int64 // commits: every Update, CommitBatch, ApplyBatch, or ApplyPrepared that published an epoch
+	BatchRelations  int64 // distinct relations with a net effect, summed over commits
 }
 
 // nodeInfo caches per-node metadata for materialization and enumeration.
@@ -320,7 +319,7 @@ func New(q *query.Query, opts Options) (*Engine, error) {
 	e.vars = e.q.Vars()
 	e.bind = make([]tuple.Value, len(e.vars))
 	e.bound = make([]bool, len(e.vars))
-	e.ectx = enumCtx{e: e, bind: e.bind, bound: e.bound, work: &e.work, enumerated: &e.stats.EnumeratedTuples}
+	e.ectx = enumCtx{e: e, bind: e.bind, bound: e.bound, work: &e.work}
 	e.ws0.ubind = make([]tuple.Value, len(e.vars))
 	for i, v := range e.vars {
 		e.slot[v] = i

@@ -36,10 +36,6 @@ type enumCtx struct {
 	bind  []tuple.Value
 	bound []bool
 	work  *int64
-	// enumerated, when non-nil, counts emitted result tuples (the engine
-	// context points it at Stats.EnumeratedTuples; snapshot contexts leave
-	// it nil — engine stats are not written from reader goroutines).
-	enumerated *int64
 	// rels, when non-nil, is a snapshot's frozen node→relation capture;
 	// nil resolves live through Engine.relOf.
 	rels map[*viewtree.Node]*relation.Relation
@@ -746,9 +742,6 @@ func (it *Iterator) Next() (tuple.Tuple, int64, bool) {
 	c := it.c
 	for i, s := range c.e.freeSlots {
 		it.out[i] = c.bind[s]
-	}
-	if c.enumerated != nil {
-		*c.enumerated++
 	}
 	return it.out, m, true
 }

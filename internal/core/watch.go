@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"ivmeps/internal/tuple"
@@ -11,15 +12,18 @@ import (
 // Commit-delta capture. During propagation the engine already materializes
 // the exact delta of every root view — the rows the final path edge applies
 // — and then discards it. This file captures those rows at the commit point
-// into a pooled, epoch-stamped CommitDelta record and hands it to an
-// optional CommitSink under the writer lock, so the record stream is
-// totally ordered by epoch with no gaps: every commit publishes exactly one
-// record (possibly with no view changes), and record N+1 is the state diff
-// from the state record N left behind.
+// into a pooled, epoch-stamped CommitDelta record and hands it to every
+// subscribed CommitSink under the writer lock, so each sink's record stream
+// is totally ordered by epoch with no gaps: every commit publishes exactly
+// one record (possibly with no view changes), and record N+1 is the state
+// diff from the state record N left behind. The sinks are the subscribers
+// themselves (internal/watch's Sub is one): the engine keeps them in a
+// slice guarded by the writer lock, so a sink's lock, if it has one, is
+// always taken after the engine's.
 //
-// Capture is pay-as-you-go: with no sink installed the only cost on the
+// Capture is pay-as-you-go: with no sink subscribed the only cost on the
 // commit path is one nil check, which keeps the steady-state zero-alloc
-// guarantee of the update and batch paths intact. With a sink installed,
+// guarantee of the update and batch paths intact. With a sink subscribed,
 // each main tree owns one capture slot (a pooled delta aggregating by
 // tuple), written only by the worker that drains that tree — the same
 // one-tree-one-worker discipline that makes parallel propagation safe makes
@@ -97,6 +101,8 @@ func (cd *CommitDelta) Release() {
 // in strictly increasing epoch order. The sink must not block, must not
 // call back into the engine, and must Retain the record before sharing it
 // beyond the call (the engine's own reference dies when the call returns).
+// UnsubscribeCommits finds a sink with ==, so a sink that is ever
+// unsubscribed must be of a comparable type — in practice a pointer.
 type CommitSink interface {
 	PublishCommit(cd *CommitDelta)
 }
@@ -208,14 +214,13 @@ func (cs *captureSet) captureRebalanceDiff(e *Engine, sign int64) {
 	}
 }
 
-// SubscribeCommits installs sink and captures its anchor under one
-// writer-lock hold: the returned Snapshot observes the committed state at
-// some epoch E, register (if non-nil) runs with E while the lock is still
-// held, and the sink then receives every commit with epoch > E, gap-free.
-// Only one sink can be installed at a time; subscribing the installed sink
-// again just adds an anchor (the broadcaster pattern: one sink, many
-// subscribers). The caller owns the Snapshot and must Close it.
-func (e *Engine) SubscribeCommits(sink CommitSink, register func(epoch uint64)) (*Snapshot, error) {
+// SubscribeCommits adds sink to the engine's commit sinks and captures its
+// anchor under one writer-lock hold: the returned Snapshot observes the
+// committed state at some epoch E, and the sink then receives every commit
+// with epoch > E, gap-free. Any number of sinks may be subscribed, each
+// with its own anchor; capture is armed while at least one is. The caller
+// owns the Snapshot and must Close it.
+func (e *Engine) SubscribeCommits(sink CommitSink) (*Snapshot, error) {
 	if sink == nil {
 		return nil, fmt.Errorf("core: SubscribeCommits: nil sink")
 	}
@@ -224,20 +229,14 @@ func (e *Engine) SubscribeCommits(sink CommitSink, register func(epoch uint64)) 
 	if !e.preprocessed {
 		return nil, fmt.Errorf("core: SubscribeCommits: %w (run Preprocess first)", ErrNotBuilt)
 	}
-	if e.sink != nil && e.sink != sink {
-		return nil, fmt.Errorf("core: SubscribeCommits: another commit sink is already installed")
-	}
 	s := e.snapshotLocked()
-	if e.sink == nil {
-		e.sink = sink
+	if len(e.sinks) == 0 {
 		if e.cdFree == nil {
 			e.cdFree = make(chan *CommitDelta, commitDeltaFreelist)
 		}
 		e.setCaptureLocked(true)
 	}
-	if register != nil {
-		register(e.epoch)
-	}
+	e.sinks = append(e.sinks, sink)
 	return s, nil
 }
 
@@ -246,26 +245,25 @@ func (e *Engine) SubscribeCommits(sink CommitSink, register func(epoch uint64)) 
 // beyond the bound fall to the GC.
 const commitDeltaFreelist = 256
 
-// UnsubscribeCommits removes sink, disabling capture, if it is the
-// installed sink and ifIdle (if non-nil) reports true. ifIdle runs under
-// the writer lock so a broadcaster can check "no subscribers remain"
-// atomically with the removal — a concurrent Subscribe on the same sink
-// serializes before or after the whole check-and-remove.
-func (e *Engine) UnsubscribeCommits(sink CommitSink, ifIdle func() bool) {
+// UnsubscribeCommits removes sink — after it returns the sink receives no
+// further commit — and disarms capture when it was the last one, returning
+// the commit path to its zero-overhead state. A sink that is not
+// subscribed is ignored, so the call is idempotent.
+func (e *Engine) UnsubscribeCommits(sink CommitSink) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.sink != sink || sink == nil {
+	i := slices.Index(e.sinks, sink)
+	if i < 0 {
 		return
 	}
-	if ifIdle != nil && !ifIdle() {
-		return
+	e.sinks = slices.Delete(e.sinks, i, i+1)
+	if len(e.sinks) == 0 {
+		e.setCaptureLocked(false)
 	}
-	e.sink = nil
-	e.setCaptureLocked(false)
 }
 
 // publishCommitLocked drains the capture slots into a pooled record for the
-// epoch just published (e.epoch) and hands it to the sink. Called at every
+// epoch just published (e.epoch) and hands it to every sink. Called at every
 // commit point, right after the epoch bump, under the writer lock.
 func (e *Engine) publishCommitLocked() {
 	cs := e.ws0.cap
@@ -322,6 +320,8 @@ func (e *Engine) publishCommitLocked() {
 		sl.reset()
 	}
 	cd.refs.Store(1)
-	e.sink.PublishCommit(cd)
+	for _, sink := range e.sinks {
+		sink.PublishCommit(cd)
+	}
 	cd.Release()
 }

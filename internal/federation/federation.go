@@ -623,7 +623,6 @@ func (f *Fed) Stats() core.Stats {
 		out.MinorRebalances += s.MinorRebalances
 		out.MajorRebalances += s.MajorRebalances
 		out.DeltasApplied += s.DeltasApplied
-		out.EnumeratedTuples += s.EnumeratedTuples
 		out.Batches += s.Batches
 		out.BatchRelations += s.BatchRelations
 	}

@@ -110,11 +110,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# HELP ivmd_page_readers Open pagination cursors.\n# TYPE ivmd_page_readers gauge\n")
 	fmt.Fprintf(w, "ivmd_page_readers %d\n", s.readers.open())
 
-	if snap, err := s.eng.Snapshot(); err == nil {
-		fmt.Fprintf(w, "# HELP ivmd_epoch Committed snapshot epoch.\n# TYPE ivmd_epoch gauge\n")
-		fmt.Fprintf(w, "ivmd_epoch %d\n", snap.Epoch())
-		snap.Close()
-	}
+	fmt.Fprintf(w, "# HELP ivmd_epoch Committed snapshot epoch.\n# TYPE ivmd_epoch gauge\n")
+	fmt.Fprintf(w, "ivmd_epoch %d\n", s.eng.Epoch())
 	fmt.Fprintf(w, "# HELP ivmd_db_size Distinct tuples across base relations (N).\n# TYPE ivmd_db_size gauge\n")
 	fmt.Fprintf(w, "ivmd_db_size %d\n", s.eng.N())
 }

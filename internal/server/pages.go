@@ -18,8 +18,8 @@ import (
 // the reader id and the rows served so far; presenting a stale offset (a
 // retried or replayed page) or a cursor whose reader has been released is
 // answered with CodeGone, and the client restarts the read. Readers are
-// released on the last page, on idle expiry (Options.ReaderTTL), or by LRU
-// eviction when Options.MaxReaders is exceeded — an open snapshot makes
+// released on the last page, on idle expiry (readerTTL), or by LRU
+// eviction when maxReaders is exceeded — an open snapshot makes
 // the writer copy touched relations once per generation, so abandoned
 // cursors must not pin generations forever.
 
@@ -34,7 +34,7 @@ type pageReader struct {
 	next   func() ([]int64, int64, bool) // nil after release
 	stop   func()
 	served int
-	last   time.Time
+	last   time.Time // stamped by handleRows under mu, so read under mu too
 }
 
 // release drops the reader's snapshot pin. Callers hold r.mu or have
@@ -52,8 +52,6 @@ type readerTable struct {
 	mu  sync.Mutex
 	m   map[uint64]*pageReader
 	seq uint64
-	max int
-	ttl time.Duration
 }
 
 // open reports the number of live cursors (for /v1/stats and /metrics).
@@ -63,26 +61,29 @@ func (t *readerTable) open() int {
 	return len(t.m)
 }
 
-// sweepLocked releases expired readers and, if the table is still over
-// capacity, the least-recently-used ones.
+// sweepLocked releases expired readers and, if the table is still at
+// capacity, the least-recently-used one. Each reader's stamp is read under
+// that reader's lock.
 func (t *readerTable) sweepLocked(now time.Time) {
-	for id, r := range t.m {
-		r.mu.Lock()
-		idle := now.Sub(r.last) > t.ttl
-		if idle {
-			r.release()
-		}
-		r.mu.Unlock()
-		if idle {
-			delete(t.m, id)
-		}
-	}
-	for len(t.m) >= t.max {
+	for {
 		var oldest *pageReader
-		for _, r := range t.m {
-			if oldest == nil || r.last.Before(oldest.last) {
-				oldest = r
+		var oldestLast time.Time
+		for id, r := range t.m {
+			r.mu.Lock()
+			last := r.last
+			idle := now.Sub(last) > readerTTL
+			if idle {
+				r.release()
 			}
+			r.mu.Unlock()
+			if idle {
+				delete(t.m, id)
+			} else if oldest == nil || last.Before(oldestLast) {
+				oldest, oldestLast = r, last
+			}
+		}
+		if len(t.m) < maxReaders {
+			return
 		}
 		oldest.mu.Lock()
 		oldest.release()
@@ -197,14 +198,14 @@ func (s *Server) newViewReader(view string) (*pageReader, error) {
 // handleRows serves one page of a paginated read; view "" is the query
 // result.
 func (s *Server) handleRows(w http.ResponseWriter, r *http.Request, view string) {
-	limit := s.opts.PageSize
+	limit := pageSize
 	if ls := r.URL.Query().Get("limit"); ls != "" {
 		n, err := strconv.Atoi(ls)
 		if err != nil || n <= 0 {
 			s.fail(w, epRows, &WireError{Code: CodeBadRequest, Message: fmt.Sprintf("bad limit %q", ls)})
 			return
 		}
-		limit = min(n, s.opts.MaxPageSize)
+		limit = min(n, maxPageSize)
 	}
 
 	var rd *pageReader

@@ -10,63 +10,36 @@ import (
 	"ivmeps"
 )
 
-// Options configures a Server. The zero value is usable: every field has a
-// serviceable default.
+// Options configures a Server. The zero value is usable.
 type Options struct {
 	// Query is the served query's text, echoed by /v1/stats. Informational.
 	Query string
-
-	// PageSize is the default rows-per-page of paginated reads (when the
-	// request has no ?limit). 0 means 512.
-	PageSize int
-	// MaxPageSize caps ?limit. 0 means 8192.
-	MaxPageSize int
-	// ReaderTTL is how long an idle pagination cursor stays valid before
-	// its snapshot pin is released. 0 means 30s.
-	ReaderTTL time.Duration
-	// MaxReaders caps concurrently open pagination cursors; beyond it the
-	// least-recently-used cursor is evicted. 0 means 128.
-	MaxReaders int
-
-	// MaxCommitOps bounds the ops accepted in one POST /v1/commit.
-	// 0 means DefaultMaxOps.
-	MaxCommitOps int
-	// MaxCommitBytes bounds a commit request body. 0 means 64 MiB.
-	MaxCommitBytes int64
-
-	// WatchBuffer is the per-stream event buffer (in commits) when the
-	// request has no ?buffer; 0 means the engine's DefaultWatchBuffer.
-	WatchBuffer int
-	// AnchorChunk is the rows-per-frame granularity of the watch anchor
-	// state dump. 0 means 512.
-	AnchorChunk int
 }
 
-// withDefaults fills zero fields.
-func (o Options) withDefaults() Options {
-	if o.PageSize == 0 {
-		o.PageSize = 512
-	}
-	if o.MaxPageSize == 0 {
-		o.MaxPageSize = 8192
-	}
-	if o.ReaderTTL == 0 {
-		o.ReaderTTL = 30 * time.Second
-	}
-	if o.MaxReaders == 0 {
-		o.MaxReaders = 128
-	}
-	if o.MaxCommitOps == 0 {
-		o.MaxCommitOps = DefaultMaxOps
-	}
-	if o.MaxCommitBytes == 0 {
-		o.MaxCommitBytes = 64 << 20
-	}
-	if o.AnchorChunk == 0 {
-		o.AnchorChunk = 512
-	}
-	return o
-}
+// The service's fixed limits. Every one bounds what a single request can
+// make the server hold or do.
+const (
+	// pageSize is the rows-per-page of a paginated read without ?limit, and
+	// maxPageSize caps ?limit.
+	pageSize    = 512
+	maxPageSize = 8192
+	// maxReaders caps concurrently open pagination cursors; beyond it the
+	// least-recently-used cursor is evicted.
+	maxReaders = 128
+	// maxCommitBytes bounds a commit request body (its op count is bounded
+	// by DefaultMaxOps).
+	maxCommitBytes = 64 << 20
+	// maxWatchBuffer caps ?buffer, the per-stream event ring in commits: the
+	// ring is allocated up front, eight bytes a slot, per request.
+	maxWatchBuffer = 1 << 16
+	// anchorChunk is the rows-per-frame granularity of the watch anchor
+	// state dump.
+	anchorChunk = 512
+)
+
+// readerTTL is how long an idle pagination cursor stays valid before its
+// snapshot pin is released. A variable only so a test can shorten it.
+var readerTTL = 30 * time.Second
 
 // Server is the HTTP query service over one built engine. It implements
 // http.Handler; mount it directly or under a prefix. The engine must have
@@ -93,14 +66,12 @@ type Server struct {
 func New(eng *ivmeps.Engine, opts Options) *Server {
 	s := &Server{
 		eng:     eng,
-		opts:    opts.withDefaults(),
+		opts:    opts,
 		mux:     http.NewServeMux(),
 		batch:   eng.NewBatch(),
 		drainCh: make(chan struct{}),
 	}
 	s.readers.m = make(map[uint64]*pageReader)
-	s.readers.max = s.opts.MaxReaders
-	s.readers.ttl = s.opts.ReaderTTL
 	s.mux.HandleFunc("POST /v1/commit", s.handleCommit)
 	s.mux.HandleFunc("GET /v1/result/rows", func(w http.ResponseWriter, r *http.Request) {
 		s.handleRows(w, r, "")
@@ -139,17 +110,6 @@ func (s *Server) Draining() bool {
 	}
 }
 
-// epoch samples the committed snapshot epoch (cheap: warm snapshot capture
-// is cached per epoch).
-func (s *Server) epoch() uint64 {
-	snap, err := s.eng.Snapshot()
-	if err != nil {
-		return 0
-	}
-	defer snap.Close()
-	return snap.Epoch()
-}
-
 // reply writes a JSON response body.
 func (s *Server) reply(w http.ResponseWriter, ep endpoint, status int, body any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -178,7 +138,7 @@ func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, epCommit, &WireError{Code: CodeDraining, Message: "server is draining"})
 		return
 	}
-	ops, err := DecodeOps(http.MaxBytesReader(w, r.Body, s.opts.MaxCommitBytes), s.opts.MaxCommitOps)
+	ops, err := DecodeOps(http.MaxBytesReader(w, r.Body, maxCommitBytes), DefaultMaxOps)
 	if err != nil {
 		s.fail(w, epCommit, err)
 		return
@@ -194,7 +154,7 @@ func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
 	s.batch.Reset() // drop row references before releasing the lock
 	var epoch uint64
 	if err == nil {
-		epoch = s.epoch()
+		epoch = s.eng.Epoch()
 	}
 	s.commitMu.Unlock()
 
@@ -211,23 +171,15 @@ func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
 
 // handleStats reports engine counters, epoch, and server gauges.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	st := s.eng.Stats()
 	s.reply(w, epStats, http.StatusOK, &StatsReply{
 		Query:    s.opts.Query,
-		Epoch:    s.epoch(),
+		Epoch:    s.eng.Epoch(),
 		N:        s.eng.N(),
 		Views:    s.eng.Views(),
 		Watchers: s.metrics.watchers.Load(),
 		Readers:  s.readers.open(),
 		Draining: s.Draining(),
-		Engine: EngineStats{
-			Updates:         st.Updates,
-			MinorRebalances: st.MinorRebalances,
-			MajorRebalances: st.MajorRebalances,
-			ViewDeltas:      st.ViewDeltas,
-			Batches:         st.Batches,
-			BatchRelations:  st.BatchRelations,
-		},
+		Engine:   s.eng.Stats(),
 	})
 }
 

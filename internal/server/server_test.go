@@ -127,7 +127,7 @@ func TestCommitAndRowsRoundtrip(t *testing.T) {
 }
 
 func TestPaginationHoldsEpochAcrossCommits(t *testing.T) {
-	_, _, c := newStack(t, server.Options{PageSize: 7}, client.Options{PageLimit: 7})
+	_, _, c := newStack(t, server.Options{}, client.Options{PageLimit: 7})
 	ctx := context.Background()
 
 	b := c.NewBatch()
@@ -177,7 +177,8 @@ func TestPaginationHoldsEpochAcrossCommits(t *testing.T) {
 }
 
 func TestCursorExpiryReturnsGone(t *testing.T) {
-	_, srv, c := newStack(t, server.Options{PageSize: 4, ReaderTTL: time.Millisecond}, client.Options{})
+	server.SetReaderTTL(t, time.Millisecond)
+	_, srv, c := newStack(t, server.Options{}, client.Options{})
 	ctx := context.Background()
 
 	b := c.NewBatch()
@@ -785,4 +786,75 @@ func TestWatchReleasesAnchorBeforeReady(t *testing.T) {
 		t.Fatalf("a commit racing the ready frame allocated %d bytes (> %d): the anchor snapshot was still pinned", allocated, limit)
 	}
 	t.Logf("commit inside the ready frame allocated %d bytes", allocated)
+}
+
+// TestReaderEvictionRacesPaging pages through one cursor while another
+// goroutine opens enough fresh cursors to keep the reader table at its cap,
+// so every open runs the LRU scan over readers whose last-use stamp the
+// pager is writing. Run under -race (CI's `go test -race ./internal/...`):
+// the scan must read the stamp under the reader's own lock.
+func TestReaderEvictionRacesPaging(t *testing.T) {
+	_, srv, c := newStack(t, server.Options{}, client.Options{})
+	b := c.NewBatch()
+	for i := int64(0); i < 4; i++ {
+		b.Insert("R", []int64{i, i}).Insert("S", []int64{i, i})
+	}
+	if _, err := c.Commit(context.Background(), b); err != nil {
+		t.Fatal(err)
+	}
+	// page fetches one row and returns the status and the next cursor.
+	page := func(cursor string) (int, string) {
+		url := "/v1/result/rows?limit=1"
+		if cursor != "" {
+			url += "&cursor=" + cursor
+		}
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, url, nil))
+		return rec.Code, rec.Header().Get(server.HeaderNext)
+	}
+	const rounds = 5000
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { // walk a cursor; reopen when it is evicted or runs out
+		defer wg.Done()
+		cursor := ""
+		for i := 0; i < rounds; i++ {
+			code, next := page(cursor)
+			if code != http.StatusOK && code != http.StatusGone {
+				t.Errorf("page status %d", code)
+				return
+			}
+			cursor = next
+		}
+	}()
+	go func() { // open first pages and abandon them
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			if code, _ := page(""); code != http.StatusOK {
+				t.Errorf("first page status %d", code)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+}
+
+// TestWatchBufferIsCapped checks ?buffer, which sizes a ring allocated
+// before the first frame, is refused above the cap instead of allocated.
+func TestWatchBufferIsCapped(t *testing.T) {
+	_, _, c := newStack(t, server.Options{}, client.Options{})
+	ctx := context.Background()
+	w, err := c.Watch(ctx, client.WatchOptions{Buffer: 1 << 16})
+	if err != nil {
+		t.Fatalf("buffer at the cap: %v", err)
+	}
+	w.Close()
+	w, err = c.Watch(ctx, client.WatchOptions{Buffer: 1<<16 + 1})
+	if err == nil {
+		w.Close()
+	}
+	var we *server.WireError
+	if !errors.As(err, &we) || we.Code != server.CodeBadRequest {
+		t.Fatalf("buffer above the cap: %v, want a %s wire error", err, server.CodeBadRequest)
+	}
 }

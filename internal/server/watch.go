@@ -46,11 +46,11 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	if vs := q.Get("views"); vs != "" {
 		views = strings.Split(vs, ",")
 	}
-	buffer := s.opts.WatchBuffer
+	buffer := 0 // the engine's DefaultWatchBuffer
 	if bs := q.Get("buffer"); bs != "" {
 		n, err := strconv.Atoi(bs)
-		if err != nil || n < 0 {
-			s.fail(w, epWatch, &WireError{Code: CodeBadRequest, Message: fmt.Sprintf("bad buffer %q", bs)})
+		if err != nil || n < 0 || n > maxWatchBuffer {
+			s.fail(w, epWatch, &WireError{Code: CodeBadRequest, Message: fmt.Sprintf("bad buffer %q (0 to %d)", bs, maxWatchBuffer)})
 			return
 		}
 		buffer = n
@@ -134,14 +134,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 			}
 			return
 		}
-		f := Frame{Type: FrameEvent, Epoch: ev.Epoch}
-		if len(ev.Deltas) > 0 {
-			f.Deltas = make([]Delta, len(ev.Deltas))
-			for i, d := range ev.Deltas {
-				f.Deltas[i] = Delta{View: d.View, Rows: d.Rows, Mults: d.Mults}
-			}
-		}
-		if !send(&f) {
+		if !send(&Frame{Type: FrameEvent, Epoch: ev.Epoch, Deltas: ev.Deltas}) {
 			return
 		}
 	}
@@ -149,7 +142,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	// path, tell the client the stream ended on purpose with nothing lost.
 	if drained.Load() {
 		s.metrics.watchDrained.Add(1)
-		send(&Frame{Type: FrameEnd, Epoch: s.epoch(), Reason: "draining"})
+		send(&Frame{Type: FrameEnd, Epoch: s.eng.Epoch(), Reason: "draining"})
 	}
 }
 
@@ -175,8 +168,8 @@ func (s *Server) sendAnchor(send func(*Frame) bool, wat *ivmeps.Watcher, anchor 
 				send(&Frame{Type: FrameError, Err: EncodeError(err)})
 				return false
 			}
-			for start := 0; start < len(rows); start += s.opts.AnchorChunk {
-				end := min(start+s.opts.AnchorChunk, len(rows))
+			for start := 0; start < len(rows); start += anchorChunk {
+				end := min(start+anchorChunk, len(rows))
 				if !send(&Frame{Type: FrameRows, View: v, Rows: rows[start:end], Mults: mults[start:end]}) {
 					return false
 				}

@@ -130,12 +130,9 @@ const (
 )
 
 // Delta is one root view's change within an event frame: Rows[i] changed
-// multiplicity by Mults[i]. It mirrors ivmeps.ViewDelta value for value.
-type Delta struct {
-	View  string    `json:"view"`
-	Rows  [][]int64 `json:"rows"`
-	Mults []int64   `json:"mults"`
-}
+// multiplicity by Mults[i]. It is the engine's own type, whose JSON tags
+// are the wire's keys ("view", "rows", "mults").
+type Delta = ivmeps.ViewDelta
 
 // ParseFrame decodes one watch frame from its NDJSON line. A frame without
 // a type, or one whose JSON is malformed, is an error; unknown frame types
@@ -192,15 +189,10 @@ type StatsReply struct {
 	Engine EngineStats `json:"engine"`
 }
 
-// EngineStats mirrors ivmeps.Stats with JSON tags.
-type EngineStats struct {
-	Updates         int64 `json:"updates"`
-	MinorRebalances int64 `json:"minor_rebalances"`
-	MajorRebalances int64 `json:"major_rebalances"`
-	ViewDeltas      int64 `json:"view_deltas"`
-	Batches         int64 `json:"batches"`
-	BatchRelations  int64 `json:"batch_relations"`
-}
+// EngineStats is the engine's own counters type, whose JSON tags are the
+// wire's keys ("updates", "minor_rebalances", "major_rebalances",
+// "view_deltas", "batches", "batch_relations").
+type EngineStats = ivmeps.Stats
 
 // The pagination response headers, duplicated from the body for curl-level
 // consumers: the pinned snapshot epoch, the total result count, and the

@@ -74,7 +74,7 @@ const (
 	SyncOff SyncMode = iota
 	// SyncBatched writes every record to the OS at append time (a process
 	// kill loses at most the record being written) and calls fsync once
-	// every BatchEvery appends, bounding what an OS crash or power loss can
+	// every batchEvery appends, bounding what an OS crash or power loss can
 	// take to the last sync window.
 	SyncBatched
 	// SyncAlways flushes and fsyncs every append: a committed batch
@@ -104,8 +104,6 @@ type Options struct {
 	// SegmentBytes rotates the active segment once it reaches this size;
 	// 0 means the 64 MiB default.
 	SegmentBytes int64
-	// BatchEvery is the SyncBatched fsync cadence in appends; 0 means 64.
-	BatchEvery int
 	// FS is the file-operation implementation; nil means OSFS (direct os
 	// calls). Tests inject fault-injecting implementations here
 	// (internal/wal/faultfs).
@@ -116,16 +114,12 @@ type Options struct {
 // Options.SegmentBytes is zero.
 const DefaultSegmentBytes = 64 << 20
 
-// defaultBatchEvery is the SyncBatched cadence when Options.BatchEvery is
-// zero.
-const defaultBatchEvery = 64
+// batchEvery is the SyncBatched fsync cadence in appends.
+const batchEvery = 64
 
 func (o Options) normalized() Options {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = DefaultSegmentBytes
-	}
-	if o.BatchEvery <= 0 {
-		o.BatchEvery = defaultBatchEvery
 	}
 	if o.FS == nil {
 		o.FS = OSFS
@@ -252,7 +246,7 @@ func (l *Log) Append(epoch uint64, ops []Op) error {
 			return l.wedgeLocked("flush", err)
 		}
 		l.unsynced++
-		if l.unsynced >= l.opts.BatchEvery {
+		if l.unsynced >= batchEvery {
 			l.unsynced = 0
 			if err := l.f.Sync(); err != nil {
 				return l.wedgeLocked("sync", err)

@@ -1,16 +1,17 @@
-// Package watch fans the engine's per-commit root-view delta stream out to
-// any number of subscribers. One Broadcaster per engine installs itself as
-// the engine's single CommitSink; each subscriber owns a bounded ring (a
-// buffered channel of shared, reference-counted CommitDelta records) that
-// the committer fills without ever blocking: a subscriber whose ring is
-// full is evicted with a LaggedError carrying the exact epoch range it
-// missed, and every other subscriber's stream is unaffected.
+// Package watch gives each subscriber of the engine's per-commit root-view
+// delta stream its own bounded ring. A Sub is itself one of the engine's
+// commit sinks (core.CommitSink): the committer hands every record to every
+// Sub, and each fills its ring (a buffered channel of shared,
+// reference-counted CommitDelta records) without ever blocking — a
+// subscriber whose ring is full is evicted with a LaggedError carrying the
+// exact epoch range it missed, and every other subscriber's stream is
+// unaffected.
 //
 // The package spawns no goroutines: publication runs on the committer's
 // goroutine (under the engine's writer lock), consumption on each
-// subscriber's. Lock order is engine.mu → Broadcaster.mu → Sub.mu; no path
-// acquires them in any other order, and no callback into the engine happens
-// under a broadcaster lock.
+// subscriber's. Lock order is engine.mu → Sub.mu; no path acquires them in
+// the other order — Close and Next release Sub.mu before they call the
+// engine.
 //
 // Gap-freedom: Subscribe captures the anchor snapshot and registers the
 // ring under one writer-lock hold (core.SubscribeCommits), so the ring
@@ -45,84 +46,22 @@ func (e *LaggedError) Error() string {
 	return fmt.Sprintf("watch: subscriber lagged: dropped epochs %d..%d (ring full)", e.From, e.To)
 }
 
-// Broadcaster multiplexes one engine's commit-delta stream to many
-// subscribers. It is the engine's CommitSink while at least one subscriber
-// exists; the last subscriber's departure uninstalls it, returning the
-// engine's commit path to its zero-overhead state. Safe for concurrent use.
-type Broadcaster struct {
-	e    *core.Engine
-	mu   sync.Mutex
-	subs map[*Sub]struct{}
-}
-
-// New returns a broadcaster for e. It installs nothing until the first
-// Subscribe.
-func New(e *core.Engine) *Broadcaster {
-	return &Broadcaster{e: e, subs: make(map[*Sub]struct{})}
-}
-
-// PublishCommit implements core.CommitSink: it runs on the committer's
-// goroutine under the engine's writer lock, once per commit in epoch
-// order. Delivery to each live subscriber is one non-blocking ring send;
-// a full ring evicts its subscriber (close the ring, start the gap), and
-// already-evicted subscribers just extend their gap until the consumer
-// notices.
-func (b *Broadcaster) PublishCommit(cd *core.CommitDelta) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for s := range b.subs {
-		s.mu.Lock()
-		if s.lag != nil {
-			s.lag.To = cd.Epoch
-			s.mu.Unlock()
-			continue
-		}
-		s.mu.Unlock()
-		cd.Retain()
-		select {
-		case s.ring <- cd:
-		default:
-			cd.Release()
-			s.mu.Lock()
-			s.lag = &LaggedError{From: cd.Epoch, To: cd.Epoch}
-			s.mu.Unlock()
-			// Closing the ring is safe: sends and close are both serialized
-			// under b.mu, and a closed ring is never sent to again (the lag
-			// marker above gates every later publish). The consumer drains
-			// the buffered prefix, then sees the close.
-			close(s.ring)
-		}
-	}
-}
-
-// idle reports whether no subscribers remain; the engine calls it under
-// its writer lock during UnsubscribeCommits, making "last one out turns
-// off capture" atomic with a racing Subscribe.
-func (b *Broadcaster) idle() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.subs) == 0
-}
-
-// Subscribe registers a new subscriber with the given ring capacity
-// (DefaultBuffer if non-positive) and returns it with its anchor snapshot:
-// the subscriber's stream starts at the snapshot's epoch + 1, gap-free.
-// The caller owns the snapshot and must Close it; the subscriber must be
-// Closed when done.
-func (b *Broadcaster) Subscribe(buffer int) (*Sub, *core.Snapshot, error) {
+// Subscribe registers a new subscriber of e's commit stream with the given
+// ring capacity (DefaultBuffer if non-positive) and returns it with its
+// anchor snapshot: the subscriber's stream starts at the snapshot's epoch
+// + 1, gap-free. The caller owns the snapshot and must Close it; the
+// subscriber must be Closed when done — the last one to leave returns the
+// engine's commit path to its zero-overhead state.
+func Subscribe(e *core.Engine, buffer int) (*Sub, *core.Snapshot, error) {
 	if buffer <= 0 {
 		buffer = DefaultBuffer
 	}
 	s := &Sub{
-		b:    b,
+		e:    e,
 		ring: make(chan *core.CommitDelta, buffer),
 		done: make(chan struct{}),
 	}
-	snap, err := b.e.SubscribeCommits(b, func(uint64) {
-		b.mu.Lock()
-		b.subs[s] = struct{}{}
-		b.mu.Unlock()
-	})
+	snap, err := e.SubscribeCommits(s)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -133,13 +72,39 @@ func (b *Broadcaster) Subscribe(buffer int) (*Sub, *core.Snapshot, error) {
 // single consumer goroutine; Close may be called from any goroutine, any
 // number of times, including concurrently with Next.
 type Sub struct {
-	b    *Broadcaster
+	e    *core.Engine
 	ring chan *core.CommitDelta
 	done chan struct{}
 
 	mu     sync.Mutex
-	lag    *LaggedError // set by the publisher at eviction; grows until detach
+	lag    *LaggedError // set by the publisher at eviction; grows until unsubscribed
 	closed bool
+}
+
+// PublishCommit implements core.CommitSink: it runs on the committer's
+// goroutine under the engine's writer lock, once per commit in epoch
+// order. Delivery is one non-blocking ring send; a full ring evicts the
+// subscriber (close the ring, start the gap), and an already-evicted one
+// just extends its gap until the consumer notices.
+func (s *Sub) PublishCommit(cd *core.CommitDelta) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.lag != nil {
+		s.lag.To = cd.Epoch
+		return
+	}
+	cd.Retain()
+	select {
+	case s.ring <- cd:
+	default:
+		cd.Release()
+		s.lag = &LaggedError{From: cd.Epoch, To: cd.Epoch}
+		// Closing the ring is safe: sends and the close both happen here,
+		// under the engine's writer lock, and a closed ring is never sent to
+		// again (the lag marker above gates every later publish). The
+		// consumer drains the buffered prefix, then sees the close.
+		close(s.ring)
+	}
 }
 
 // Next blocks until the next commit record, the subscription is closed, or
@@ -159,9 +124,9 @@ func (s *Sub) Next() (*core.CommitDelta, error) {
 		if ok {
 			return cd, nil
 		}
-		// Evicted, buffered prefix consumed. Detach first so the publisher
-		// stops extending the gap, then read its final extent.
-		s.detach()
+		// Evicted, buffered prefix consumed. Unsubscribe first so the
+		// publisher stops extending the gap, then read its final extent.
+		s.e.UnsubscribeCommits(s)
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		if s.lag == nil {
@@ -177,10 +142,9 @@ func (s *Sub) Next() (*core.CommitDelta, error) {
 // (or that already surfaced its eviction).
 var ErrClosed = fmt.Errorf("watch: subscription closed")
 
-// Close detaches the subscription: the publisher stops delivering to it,
-// any blocked Next returns ErrClosed, buffered records are released, and —
-// if it was the last subscription — the broadcaster uninstalls itself from
-// the engine. Idempotent and safe from any goroutine.
+// Close ends the subscription: the engine stops delivering to it, any
+// blocked Next returns ErrClosed, and buffered records are released.
+// Idempotent and safe from any goroutine.
 func (s *Sub) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -189,9 +153,10 @@ func (s *Sub) Close() {
 	}
 	s.closed = true
 	s.mu.Unlock()
-	s.detach()
+	// Sub.mu is released first: the engine's lock is always taken before it.
+	s.e.UnsubscribeCommits(s)
 	close(s.done)
-	// No publisher can reach the ring after detach: drain whatever was
+	// No publisher reaches the ring once unsubscribed: drain whatever was
 	// buffered and drop the references. A concurrent Next may win some of
 	// these records; its caller releases those.
 	for {
@@ -204,19 +169,5 @@ func (s *Sub) Close() {
 		default:
 			return
 		}
-	}
-}
-
-// detach removes the subscription from the broadcaster and, when it was
-// the last one, uninstalls the broadcaster from the engine. Holds no lock
-// across the engine call (lock order: engine.mu is always taken first).
-func (s *Sub) detach() {
-	b := s.b
-	b.mu.Lock()
-	_, present := b.subs[s]
-	delete(b.subs, s)
-	b.mu.Unlock()
-	if present {
-		b.e.UnsubscribeCommits(b, b.idle)
 	}
 }

@@ -13,7 +13,7 @@ import (
 	"ivmeps/internal/watch"
 )
 
-// Broadcaster-level tests against a real core engine: stream integrity
+// Subscription-level tests against a real core engine: stream integrity
 // (fold of the delta stream over the anchor reproduces the root views at
 // every epoch), eviction semantics (exact gap, buffered prefix intact),
 // and sink lifecycle (last Close uninstalls, resubscribe works).
@@ -96,8 +96,7 @@ func TestStreamFoldMatchesSnapshots(t *testing.T) {
 				t.Fatal("no root views")
 			}
 
-			b := watch.New(e)
-			sub, anchor, err := b.Subscribe(1024)
+			sub, anchor, err := watch.Subscribe(e, 1024)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -153,8 +152,7 @@ func TestStreamFoldMatchesSnapshots(t *testing.T) {
 // with consecutive epochs.
 func TestBatchStreamIncludesEmptyCommits(t *testing.T) {
 	e := mkEngine(t, "Q(A, C) = R(A, B), S(B, C)", 0.5)
-	b := watch.New(e)
-	sub, anchor, err := b.Subscribe(64)
+	sub, anchor, err := watch.Subscribe(e, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,13 +192,12 @@ func TestBatchStreamIncludesEmptyCommits(t *testing.T) {
 // six. After the gap surfaces, Next keeps reporting it.
 func TestEvictionExactGap(t *testing.T) {
 	e := mkEngine(t, "Q(A, B) = R(A, B)", 0)
-	b := watch.New(e)
-	slow, sAnchor, err := b.Subscribe(2)
+	slow, sAnchor, err := watch.Subscribe(e, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer slow.Close()
-	fast, fAnchor, err := b.Subscribe(64)
+	fast, fAnchor, err := watch.Subscribe(e, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,22 +243,53 @@ func TestEvictionExactGap(t *testing.T) {
 	}
 }
 
-// TestCloseUninstallsSink checks the last Close detaches the broadcaster
-// (a different sink can install afterwards) and that Close and Next are
-// idempotent/well-defined after each other.
+// countSink is a commit sink that is not a Sub: it counts the records the
+// engine hands it and remembers the last epoch.
+type countSink struct {
+	n    int
+	last uint64
+}
+
+func (c *countSink) PublishCommit(cd *core.CommitDelta) { c.n++; c.last = cd.Epoch }
+
+// TestCloseUninstallsSink checks that independent sinks share the engine
+// (each receives every commit while subscribed), that a Close takes only its
+// own subscription out, that the last one out disarms capture, and that
+// Close and Next are idempotent/well-defined after each other.
 func TestCloseUninstallsSink(t *testing.T) {
 	e := mkEngine(t, "Q(A, B) = R(A, B)", 0)
-	b1 := watch.New(e)
-	sub, anchor, err := b1.Subscribe(4)
+	sub, anchor, err := watch.Subscribe(e, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
+	base := anchor.Epoch()
 	anchor.Close()
 
-	// A second broadcaster is a different sink: rejected while b1 holds it.
-	b2 := watch.New(e)
-	if _, _, err := b2.Subscribe(4); err == nil {
-		t.Fatal("second sink installed while the first held the engine")
+	// A second, unrelated sink subscribes while the first holds the engine:
+	// both receive every commit.
+	other := &countSink{}
+	held, err := e.SubscribeCommits(other)
+	if err != nil {
+		t.Fatalf("second sink refused while the first is subscribed: %v", err)
+	}
+	held.Close()
+	for i := int64(1); i <= 3; i++ {
+		if err := e.Update("R", tuple.Tuple{i, i}, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := uint64(1); i <= 3; i++ {
+		cd, err := sub.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cd.Epoch != base+i {
+			t.Fatalf("first sink: epoch %d, want %d", cd.Epoch, base+i)
+		}
+		cd.Release()
+	}
+	if other.n != 3 || other.last != base+3 {
+		t.Fatalf("second sink: %d records up to epoch %d, want 3 up to %d", other.n, other.last, base+3)
 	}
 
 	sub.Close()
@@ -270,13 +298,30 @@ func TestCloseUninstallsSink(t *testing.T) {
 		t.Fatalf("Next after Close: %v, want ErrClosed", err)
 	}
 
-	// Uninstalled: b2 may now subscribe, and its stream works.
-	sub2, anchor2, err := b2.Subscribe(4)
+	// The first is gone, the second still receives; once it leaves too the
+	// engine publishes to nobody.
+	if err := e.Update("R", tuple.Tuple{4, 4}, 1); err != nil {
+		t.Fatal(err)
+	}
+	if other.n != 4 {
+		t.Fatalf("second sink stopped receiving when the first closed: %d records, want 4", other.n)
+	}
+	e.UnsubscribeCommits(other)
+	e.UnsubscribeCommits(other) // idempotent
+	if err := e.Update("R", tuple.Tuple{5, 5}, 1); err != nil {
+		t.Fatal(err)
+	}
+	if other.n != 4 {
+		t.Fatalf("unsubscribed sink still receives: %d records, want 4", other.n)
+	}
+
+	// A fresh subscription works after everyone left.
+	sub2, anchor2, err := watch.Subscribe(e, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sub2.Close()
-	base := anchor2.Epoch()
+	base = anchor2.Epoch()
 	anchor2.Close()
 	if err := e.Update("R", tuple.Tuple{1, 1}, 1); err != nil {
 		t.Fatal(err)
@@ -298,7 +343,7 @@ func TestSubscribeBeforePreprocess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := watch.New(e).Subscribe(4); !errors.Is(err, core.ErrNotBuilt) {
+	if _, _, err := watch.Subscribe(e, 4); !errors.Is(err, core.ErrNotBuilt) {
 		t.Fatalf("Subscribe before Preprocess: %v, want ErrNotBuilt", err)
 	}
 }

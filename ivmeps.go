@@ -188,11 +188,18 @@
 // after every buffered event, with a WatcherLaggedError naming exactly the
 // epochs it missed (match the class with errors.Is against
 // ErrWatcherLagged), and it re-anchors by calling Watch again. Other
-// watchers and the writer are unaffected, and while no watcher is open the
+// watchers and the writer are unaffected: every watcher is, underneath, one
+// of the engine's own commit sinks, handed each commit's delta under the
+// writer lock with nothing in between, and while no watcher is open the
 // commit path does no capture work — and no allocation — at all. The watch
 // layer spawns no goroutines; events are delivered on whichever goroutine
 // iterates Events, and Watcher.Close (safe from any goroutine, including
 // concurrently with a blocked iteration) releases everything.
+//
+// ViewDelta and Stats carry JSON tags because cmd/ivmd writes them to the
+// wire as they are (docs/SERVICE.md). Engine.Epoch reads the committed
+// epoch — the Epoch a Snapshot taken now would report — without taking
+// one.
 package ivmeps
 
 import (
@@ -202,7 +209,6 @@ import (
 	"ivmeps/internal/query"
 	"ivmeps/internal/viewtree"
 	"ivmeps/internal/wal"
-	"ivmeps/internal/watch"
 )
 
 // Query is a parsed conjunctive query.
@@ -323,10 +329,6 @@ type Engine struct {
 	wal    *wal.Log
 	walOps []wal.Op
 	closed bool
-
-	// hub fans the commit-delta stream out to watchers (watch.go). It is
-	// inert — and the commit path pays nothing — until the first Watch.
-	hub *watch.Broadcaster
 }
 
 // New creates an engine. The query must be hierarchical (use Classify to
@@ -337,7 +339,7 @@ func New(q *Query, opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng := &Engine{frontend: newFrontend(q, e), e: e, hub: watch.New(e)}
+	eng := &Engine{frontend: newFrontend(q, e), e: e}
 	if opts.Durability.enabled() {
 		// Fail on an already-populated log directory now, not at Build:
 		// recovering an existing log is Open's job, and silently appending
@@ -427,18 +429,18 @@ func (e *Engine) Epsilon() float64 { return e.e.Epsilon() }
 
 // Stats reports maintenance activity counters.
 type Stats struct {
-	Updates         int64
-	MinorRebalances int64
-	MajorRebalances int64
-	ViewDeltas      int64
+	Updates         int64 `json:"updates"`
+	MinorRebalances int64 `json:"minor_rebalances"`
+	MajorRebalances int64 `json:"major_rebalances"`
+	ViewDeltas      int64 `json:"view_deltas"`
 	// Batches counts commits — every Insert, Delete, Apply, ApplyBatch, or
 	// Commit call that published an epoch, a single-tuple update being a
 	// one-op commit — and BatchRelations the distinct relations with a net
 	// effect (ops that did not cancel out within the commit), summed over
 	// those commits: BatchRelations/Batches is the mean effective fan-out
 	// of the ingest stream across the query's relations.
-	Batches        int64
-	BatchRelations int64
+	Batches        int64 `json:"batches"`
+	BatchRelations int64 `json:"batch_relations"`
 }
 
 // Explain returns a human-readable description of the engine's strategy:

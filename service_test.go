@@ -105,7 +105,7 @@ func testServerLoopback(t *testing.T, workers int) {
 		t.Fatal(err)
 	}
 	views := eng.Views()
-	srv := server.New(eng, server.Options{PageSize: pageLimit})
+	srv := server.New(eng, server.Options{})
 	hs := httptest.NewServer(srv)
 	defer hs.Close()
 	c, err := client.New(hs.URL, client.Options{PageLimit: pageLimit})
@@ -117,15 +117,16 @@ func testServerLoopback(t *testing.T, workers int) {
 	var wg sync.WaitGroup
 
 	// Local ground truth #1: the in-process watcher fold, per epoch.
+	// It is opened here, before any remote watcher or commit can run, so its
+	// anchor is the oldest and it sees every epoch a remote fold can.
 	localRef := &svcFoldRecord{name: "local", views: views, byEp: make(map[uint64]map[string]string)}
+	wat, err := eng.Watch(ivmeps.WatchOptions{})
+	if err != nil {
+		t.Fatalf("local watch: %v", err)
+	}
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		wat, err := eng.Watch(ivmeps.WatchOptions{})
-		if err != nil {
-			t.Errorf("local watch: %v", err)
-			return
-		}
 		defer wat.Close()
 		anchor := wat.Snapshot()
 		st := make(svcState)

@@ -124,6 +124,10 @@ func TestShardedMatchesEngine(t *testing.T) {
 				if es.Epoch() != ss.Epoch() {
 					t.Fatalf("commit %d: sharded epoch %d, engine epoch %d", c, ss.Epoch(), es.Epoch())
 				}
+				if e.Epoch() != es.Epoch() || s.Epoch() != ss.Epoch() {
+					t.Fatalf("commit %d: Epoch() reads %d (engine) and %d (sharded), their snapshots %d and %d",
+						c, e.Epoch(), s.Epoch(), es.Epoch(), ss.Epoch())
+				}
 				requireSameResults(t, fmt.Sprintf("commit %d snapshot", c),
 					publicResultMap(ss.Enumerate), publicResultMap(es.Enumerate))
 				if ss.Count() != es.Count() {

@@ -45,9 +45,9 @@ type WatchOptions struct {
 // changed multiplicity by Mults[i] (never zero). Rows within one ViewDelta
 // are distinct.
 type ViewDelta struct {
-	View  string
-	Rows  [][]int64
-	Mults []int64
+	View  string    `json:"view"`
+	Rows  [][]int64 `json:"rows"`
+	Mults []int64   `json:"mults"`
 }
 
 // Event is the root-view diff published by one commit: applying every
@@ -109,7 +109,7 @@ func (e *Engine) Watch(opts WatchOptions) (*Watcher, error) {
 			filter[v] = true
 		}
 	}
-	sub, snap, err := e.hub.Subscribe(opts.Buffer)
+	sub, snap, err := watch.Subscribe(e.e, opts.Buffer)
 	if err != nil {
 		return nil, wrapErr(err)
 	}
