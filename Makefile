@@ -19,7 +19,7 @@ BENCH_RE = Update|Batch|Parallel|Sharded|WAL|Watch|Server
 # tolerance instead of exact equality.
 BENCH_ALLOC_NONDET = ^BenchmarkServer
 
-.PHONY: check test vet bench-module bench bench-fresh diff-allocs diff-time bench-check bench-check-allocs docs-check api-check api-update loc bench-all
+.PHONY: check test vet race bench-module bench bench-fresh diff-allocs diff-time bench-check bench-check-allocs docs-check api-check api-update loc bench-all
 
 check: vet test
 
@@ -28,6 +28,20 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# The race-detector suites, exactly as the CI test job runs them (it calls
+# this target, so the two cannot drift): the internal suite (parallel
+# ApplyBatch workers, snapshot readers, and internal/server's
+# stats-vs-commit and reader-eviction races), crash recovery, fault
+# injection over every I/O site, the watch property suite, and the service
+# loopback suite with the cmd/ivmd shutdown and connection-timeout tests.
+race:
+	$(GO) test -race ./internal/...
+	$(GO) test -race -run 'CrashRecoveryRandomCut|BitFlipRecovery|DurableRoundTrip|CheckpointBoundsReplay' .
+	$(GO) test -race -run 'FaultInjection|FaultInjectedOpen|LogWedge|EngineClose|OpenErrorPathsNoLeak|OpenRemovesStaleCheckpointTmp|CheckpointRenameFailure|CheckpointTempRemoveCannotMask' ./...
+	$(GO) test -race -run 'TestWatch|TestWatcher' .
+	$(GO) test -race -run 'TestServerLoopback' .
+	$(GO) test -race ./cmd/ivmd/
 
 # bench/ is its own module, so `./...` never reaches it, yet it compiles
 # against ivmeps, internal/core, internal/federation and internal/server.

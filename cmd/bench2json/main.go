@@ -11,12 +11,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
 
 	"ivmeps/internal/benchutil"
 )
 
 func main() {
-	rep, err := benchutil.ParseGoBench(os.Stdin)
+	// The pipeline `go test -bench | bench2json` runs both ends in one
+	// environment, so this process's GOMAXPROCS is the benchmarks'.
+	rep, err := benchutil.ParseGoBench(os.Stdin, runtime.GOMAXPROCS(0))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bench2json:", err)
 		os.Exit(1)

@@ -93,7 +93,7 @@ func main() {
 		opts.AllocNondet = re.MatchString
 	}
 	diffs := benchutil.CompareReports(base, fresh, opts)
-	bad := 0
+	bad, compared := 0, 0
 	fmt.Printf("%-55s %12s %12s %8s %9s  %s\n", "benchmark", "base ns/op", "new ns/op", "Δ%", "allocs", "verdict")
 	for _, d := range diffs {
 		verdict := "ok"
@@ -105,6 +105,9 @@ func main() {
 			verdict = "missing (tolerated)"
 		case d.New:
 			verdict = "new (no baseline)"
+		}
+		if !d.Missing && !d.New {
+			compared++
 		}
 		allocs := fmt.Sprintf("%.0f→%.0f", d.BaseAllocs, d.NewAllocs)
 		if d.Missing {
@@ -122,6 +125,10 @@ func main() {
 			bad, *basePath, 100**tol, 100**allocTol)
 		os.Exit(1)
 	}
+	if compared == 0 {
+		fmt.Printf("\nbenchdiff: no benchmark of %s has a baseline in %s: nothing was compared\n", *newPath, *basePath)
+		os.Exit(1)
+	}
 	fmt.Printf("\nbenchdiff: no regressions against %s (%d compared, ns/op tolerance %.0f%%, allocs/op tolerance %.1f%%)\n",
-		*basePath, len(diffs), 100**tol, 100**allocTol)
+		*basePath, compared, 100**tol, 100**allocTol)
 }

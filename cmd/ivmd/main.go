@@ -45,6 +45,21 @@ import (
 	"ivmeps/internal/wal"
 )
 
+// Connection limits: a peer that never finishes its request headers, or
+// parks an idle keep-alive connection, is dropped after these. ReadTimeout
+// and WriteTimeout stay unset on purpose — a watch stream is one response
+// written for as long as the client listens, and a commit body may be
+// 64 MiB of NDJSON; both are legitimately long. Variables only so the
+// tests can shorten them.
+var (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 func main() {
 	os.Exit(run())
 }
@@ -100,7 +115,7 @@ func run() int {
 	defer eng.Close()
 
 	srv := server.New(eng, server.Options{Query: q.String()})
-	hs := &http.Server{Handler: srv}
+	hs := newHTTPServer(srv)
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		log.Printf("listen %s: %v", *listen, err)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"os/exec"
@@ -17,6 +18,7 @@ import (
 
 	"ivmeps"
 	"ivmeps/internal/client"
+	"ivmeps/internal/server"
 )
 
 const daemonQuery = "Q(A, C) = R(A, B), S(B, C)"
@@ -207,5 +209,73 @@ func TestDaemonForcedExit(t *testing.T) {
 	}
 	if code := d.exitCode(t, 15*time.Second); code != 3 {
 		t.Fatalf("daemon exit code after second SIGTERM = %d, want 3", code)
+	}
+}
+
+// TestHeaderTimeoutSparesWatchStream: a peer that stalls inside its request
+// line is dropped once readHeaderTimeout passes, while a watch stream opened
+// before it — one response, written for as long as the client listens —
+// outlives the same timeout and still delivers the next commit.
+func TestHeaderTimeoutSparesWatchStream(t *testing.T) {
+	old := readHeaderTimeout
+	readHeaderTimeout = 300 * time.Millisecond
+	t.Cleanup(func() { readHeaderTimeout = old })
+
+	q := ivmeps.MustParseQuery(daemonQuery)
+	eng, err := openEngine(q, ivmeps.Options{Epsilon: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	hs := newHTTPServer(server.New(eng, server.Options{Query: q.String()}))
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- hs.Serve(ln) }()
+	defer func() {
+		hs.Close()
+		<-served
+	}()
+
+	ctx := context.Background()
+	c, err := client.New("http://"+ln.Addr().String(), client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := c.Watch(ctx, client.WatchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fmt.Fprint(conn, "GET /v1/sta") // half a request line, never completed
+	start := time.Now()
+	conn.SetReadDeadline(start.Add(10 * time.Second))
+	if _, err := io.Copy(io.Discard, conn); err != nil {
+		t.Fatalf("stalled connection still open after %v: %v", time.Since(start), err)
+	}
+	if d := time.Since(start); d < readHeaderTimeout {
+		t.Fatalf("stalled connection closed after %v, before the %v header timeout", d, readHeaderTimeout)
+	}
+
+	// The watch stream has now been open for longer than the timeout.
+	epoch, err := c.Commit(ctx, c.NewBatch().Insert("R", []int64{1, 2}).Insert("S", []int64{2, 3}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ev, err := range w.Events() {
+		if err != nil {
+			t.Fatalf("watch stream did not outlive the header timeout: %v", err)
+		}
+		if ev.Epoch == epoch {
+			break
+		}
 	}
 }

@@ -29,9 +29,14 @@ type GoBenchReport struct {
 
 // ParseGoBench parses the plain-text output of `go test -bench` (with or
 // without -benchmem) into a report. Unrecognized lines are skipped, so the
-// full test output can be piped in unfiltered.
-func ParseGoBench(r io.Reader) (*GoBenchReport, error) {
+// full test output can be piped in unfiltered. procs is the GOMAXPROCS the
+// benchmarks ran at: above one, `go test` appends "-<procs>" to every
+// name, and that suffix — only that one, so "subs=8" or a report from
+// another machine keep their digits — is dropped, so a report compares by
+// name with a baseline recorded at any core count.
+func ParseGoBench(r io.Reader, procs int) (*GoBenchReport, error) {
 	rep := &GoBenchReport{}
+	suffix := "-" + strconv.Itoa(procs)
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
@@ -62,6 +67,9 @@ func ParseGoBench(r io.Reader) (*GoBenchReport, error) {
 			continue
 		}
 		res := GoBenchResult{Name: fields[0], Iterations: iters}
+		if procs > 1 {
+			res.Name = strings.TrimSuffix(res.Name, suffix)
+		}
 		ok := false
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)

@@ -125,12 +125,25 @@ func TestCommitBatchMatchesInterleavedSequential(t *testing.T) {
 	}
 }
 
+// viewsByName lists every materialized view of the engine (main and
+// indicator trees) under its forest-unique name.
+func (e *Engine) viewsByName() map[string]*relation.Relation {
+	out := map[string]*relation.Relation{}
+	for id := range e.info {
+		if n := e.info[id].node; n.Kind == viewtree.View {
+			out[n.Name] = e.rels[id]
+		}
+	}
+	return out
+}
+
 // sameViews asserts full per-view bit-identity of two engines (every
 // materialized view, not only the enumerated result).
 func sameViews(t *testing.T, label string, a, b *Engine) {
 	t.Helper()
-	for name, v := range a.views {
-		ov := b.views[name]
+	bv := b.viewsByName()
+	for name, v := range a.viewsByName() {
+		ov := bv[name]
 		if ov == nil || ov.Size() != v.Size() {
 			t.Fatalf("%s: view %s differs (size %d vs %v)", label, name, v.Size(), ov)
 		}

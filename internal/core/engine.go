@@ -77,15 +77,17 @@ type Engine struct {
 
 	forest *viewtree.Forest
 	base   map[string]*relation.Relation // occurrence name -> base relation
-	views  map[string]*relation.Relation // view name -> materialized view
 	parts  map[viewtree.LightPartID]*relation.Partition
-	hrels  map[int]*relation.Relation // indicator ID -> materialized ∃H
 
-	// info caches per-node enumeration metadata.
-	info map[*viewtree.Node]*nodeInfo
-
-	// plans caches delta-propagation join plans per (view, child).
-	plans map[*viewtree.Node]map[*viewtree.Node]*updPlan
+	// Per-node state, indexed by viewtree.Node.ID. rels[id] is the node's
+	// materialized relation — the base relation, light part or ∃H behind a
+	// leaf (shared by every leaf that names it, set at New), the view's own
+	// relation otherwise (set at its first materialization, refilled in
+	// place from then on); info[id] is its enumeration metadata; plans[id]
+	// is the delta-propagation plan from the node into its parent view.
+	rels  []*relation.Relation
+	info  []nodeInfo
+	plans []*updPlan
 
 	// routes are the precomputed per-relation propagation routes built at
 	// preprocessing time (routes.go); they drive the update hot path.
@@ -126,22 +128,19 @@ type Engine struct {
 	batchKeyBuf   tuple.Tuple
 	perPart       [][]batchKey
 
-	// treeID densely numbers every view tree (main, All, L) of the forest;
 	// jobGroups queues the propagation jobs of one batch phase, one group
-	// per view tree (the unit of parallelism); activeGroups lists the
-	// non-empty groups. The groups are reset after every phase.
-	treeID       map[*viewtree.Node]int
+	// per view tree (the unit of parallelism, indexed by nodeInfo.tree);
+	// activeGroups lists the non-empty groups. The groups are reset after
+	// every phase.
 	jobGroups    [][]propJob
 	activeGroups []int
 
 	// Variable slots for enumeration bindings.
-	vars  tuple.Schema
-	slot  map[tuple.Variable]int
-	bind  []tuple.Value
-	bound []bool
+	vars tuple.Schema
+	slot map[tuple.Variable]int
 
-	// ectx is the engine's own enumeration context (live relations, the
-	// bind/bound arrays above); snapshots carry their own (snapshot.go).
+	// ectx is the engine's own enumeration context, over rels itself;
+	// snapshots carry their own over a frozen copy (snapshot.go).
 	ectx enumCtx
 
 	// freeSlots are the slots of free(Q) in head order.
@@ -182,7 +181,7 @@ type Engine struct {
 
 	// curGen caches the frozen relation generation of the current epoch so
 	// repeated Snapshot calls between commits are O(1): the first capture
-	// after a commit walks the forest and freezes every relation once,
+	// after a commit copies rels and freezes every relation once,
 	// later captures just take a reference. Every mutating operation
 	// invalidates it (invalidateGenLocked) before touching any relation.
 	curGen *snapGen
@@ -210,21 +209,27 @@ type Stats struct {
 	BatchRelations  int64 // distinct relations with a net effect, summed over commits
 }
 
-// nodeInfo caches per-node metadata for materialization and enumeration.
+// nodeInfo is one node's static metadata for enumeration and routing.
 type nodeInfo struct {
-	node      *viewtree.Node
-	schema    tuple.Schema
-	slots     []int            // binding slot per schema variable
-	freeBelow []int            // slots of free(Q) variables in the subtree
-	direct    bool             // freeBelow ⊆ schema: enumerate the node's relation directly
-	indChild  *viewtree.Node   // ∃H child, if any
-	kids      []*viewtree.Node // children excluding the ∃H child
+	node *viewtree.Node
+	// tree is the dense id of the node's view tree — the main trees in
+	// forest order, then each indicator's All and L tree: the job group its
+	// propagation runs in and, for a main tree, its root view's index.
+	tree int
+	// frozenAs tells a snapshot generation how to capture the node: the ID
+	// of the first main-tree node backed by the same relation (the node's
+	// own ID when it is that node), or -1 for the nodes of indicator trees,
+	// which enumeration never reaches.
+	frozenAs int
+	slots    []int       // binding slot per schema variable
+	direct   bool        // the subtree's free variables ⊆ schema: enumerate the node's relation directly
+	grounded bool        // the node has an ∃H child: enumerate per heavy key (Figure 13)
+	kids     []*nodeInfo // children excluding the ∃H child
 
 	// Structural context: the schema positions whose variables occur in the
 	// parent view's schema. These (and only these) are bound by ancestors
 	// when this node's cursor opens; using the runtime bound-set instead
 	// would wrongly absorb stale bindings left by sibling Union operands.
-	ctxPos    []int
 	ctxSlot   []int
 	ctxSchema tuple.Schema
 	freshPos  []int
@@ -249,11 +254,7 @@ func New(q *query.Query, opts Options) (*Engine, error) {
 		opts:  opts,
 		occ:   map[string][]string{},
 		base:  map[string]*relation.Relation{},
-		views: map[string]*relation.Relation{},
 		parts: map[viewtree.LightPartID]*relation.Partition{},
-		hrels: map[int]*relation.Relation{},
-		info:  map[*viewtree.Node]*nodeInfo{},
-		plans: map[*viewtree.Node]map[*viewtree.Node]*updPlan{},
 		slot:  map[tuple.Variable]int{},
 		m:     1,
 	}
@@ -296,9 +297,15 @@ func New(q *query.Query, opts Options) (*Engine, error) {
 	for id, lp := range forest.LightParts {
 		e.parts[id] = relation.NewPartition(e.base[lp.Rel], lp.Keys, lp.Name)
 	}
-	// ∃H relations.
+	e.rels = make([]*relation.Relation, forest.NumNodes)
+	e.info = make([]nodeInfo, forest.NumNodes)
+	e.plans = make([]*updPlan, forest.NumNodes)
+	// ∃H relations, one per indicator, behind each of its reference leaves.
 	for _, ind := range forest.Indicators {
-		e.hrels[ind.ID] = relation.New(ind.Name, ind.Keys)
+		h := relation.New(ind.Name, ind.Keys)
+		for _, ref := range ind.Refs {
+			e.rels[ref.ID] = h
+		}
 	}
 
 	// Relation table and the fixed per-relation batch slots, one per
@@ -317,9 +324,7 @@ func New(q *query.Query, opts Options) (*Engine, error) {
 
 	// Variable slots.
 	e.vars = e.q.Vars()
-	e.bind = make([]tuple.Value, len(e.vars))
-	e.bound = make([]bool, len(e.vars))
-	e.ectx = enumCtx{e: e, bind: e.bind, bound: e.bound, work: &e.work}
+	e.ectx = e.newEnumCtx(e.rels, &e.work)
 	e.ws0.ubind = make([]tuple.Value, len(e.vars))
 	for i, v := range e.vars {
 		e.slot[v] = i
@@ -328,35 +333,57 @@ func New(q *query.Query, opts Options) (*Engine, error) {
 		e.freeSlots = append(e.freeSlots, e.slot[v])
 	}
 
-	// Node metadata for all trees (main + indicator).
-	for _, t := range forest.Trees() {
-		e.buildInfo(t)
-	}
+	// Node metadata for all trees, numbering the trees as it goes.
+	trees := forest.Trees()
+	mainTrees := len(trees)
 	for _, ind := range forest.Indicators {
-		e.buildInfo(ind.All)
-		e.buildInfo(ind.L)
+		trees = append(trees, ind.All, ind.L)
 	}
+	firstNode := map[*relation.Relation]int{}
+	for tree, root := range trees {
+		walkNodes(root, func(n *viewtree.Node) {
+			inf := e.buildInfo(n)
+			inf.tree, inf.frozenAs = tree, -1
+			if tree >= mainTrees {
+				return
+			}
+			inf.frozenAs = n.ID
+			if r := e.rels[n.ID]; r != nil { // a leaf: other leaves may share its relation
+				if first, shared := firstNode[r]; shared {
+					inf.frozenAs = first
+				} else {
+					firstNode[r] = n.ID
+				}
+			}
+		})
+	}
+	e.jobGroups = make([][]propJob, len(trees))
 	return e, nil
 }
 
+// buildInfo fills info[n.ID] and, for a leaf, resolves rels[n.ID].
 func (e *Engine) buildInfo(n *viewtree.Node) *nodeInfo {
-	if inf, ok := e.info[n]; ok {
-		return inf
+	inf := &e.info[n.ID]
+	inf.node = n
+	switch n.Kind {
+	case viewtree.Atom:
+		e.rels[n.ID] = e.base[n.Rel]
+	case viewtree.LightAtom:
+		e.rels[n.ID] = e.parts[n.LightPart()].Light()
 	}
-	inf := &nodeInfo{node: n, schema: n.Schema}
-	e.info[n] = inf
 	for _, v := range n.Schema {
 		inf.slots = append(inf.slots, e.slot[v])
 	}
-	freeBelow := map[int]bool{}
+	// direct: every free variable of the subtree is in the node's schema.
+	inf.direct = true
 	var walk func(m *viewtree.Node)
 	walk = func(m *viewtree.Node) {
 		if m.Kind == viewtree.IndicatorRef {
 			return
 		}
 		for _, v := range m.Schema {
-			if e.q.Free.Contains(v) {
-				freeBelow[e.slot[v]] = true
+			if e.q.Free.Contains(v) && !n.Schema.Contains(v) {
+				inf.direct = false
 			}
 		}
 		for _, c := range m.Children {
@@ -364,35 +391,15 @@ func (e *Engine) buildInfo(n *viewtree.Node) *nodeInfo {
 		}
 	}
 	walk(n)
-	for _, s := range e.freeSlots {
-		if freeBelow[s] {
-			inf.freeBelow = append(inf.freeBelow, s)
-		}
-	}
-	inf.direct = true
-	schemaSlots := map[int]bool{}
-	for _, s := range inf.slots {
-		schemaSlots[s] = true
-	}
-	for _, s := range inf.freeBelow {
-		if !schemaSlots[s] {
-			inf.direct = false
-		}
-	}
 	for _, c := range n.Children {
 		if c.Kind == viewtree.IndicatorRef {
-			inf.indChild = c
+			inf.grounded = true
 		} else {
-			inf.kids = append(inf.kids, c)
+			inf.kids = append(inf.kids, &e.info[c.ID])
 		}
-		e.buildInfo(c)
-	}
-	if len(n.Children) == 0 {
-		inf.direct = true
 	}
 	for i, v := range n.Schema {
 		if n.Parent != nil && n.Parent.Schema.Contains(v) {
-			inf.ctxPos = append(inf.ctxPos, i)
 			inf.ctxSlot = append(inf.ctxSlot, inf.slots[i])
 			inf.ctxSchema = append(inf.ctxSchema, v)
 		} else {
@@ -403,29 +410,10 @@ func (e *Engine) buildInfo(n *viewtree.Node) *nodeInfo {
 	return inf
 }
 
-// relOf returns the materialized relation backing a node.
-func (e *Engine) relOf(n *viewtree.Node) *relation.Relation {
-	switch n.Kind {
-	case viewtree.Atom:
-		return e.base[n.Rel]
-	case viewtree.LightAtom:
-		return e.parts[viewtree.LightPartID{Rel: n.Rel, Key: schemaKey(n.Keys)}].Light()
-	case viewtree.IndicatorRef:
-		return e.hrels[n.Ind.ID]
-	default:
-		return e.views[n.Name]
-	}
-}
-
-func schemaKey(s tuple.Schema) string {
-	out := ""
-	for i, v := range s {
-		if i > 0 {
-			out += ","
-		}
-		out += string(v)
-	}
-	return out
+// indicatorRels returns an indicator's materialized All and L root views and
+// its ∃H relation (the relation behind every one of its reference leaves).
+func (e *Engine) indicatorRels(ind *viewtree.Indicator) (all, l, h *relation.Relation) {
+	return e.rels[ind.All.ID], e.rels[ind.L.ID], e.rels[ind.Refs[0].ID]
 }
 
 // Query returns the engine's (original) query.
@@ -438,8 +426,13 @@ func (e *Engine) Epsilon() float64 { return e.opts.Epsilon }
 func (e *Engine) Mode() viewtree.Mode { return e.opts.Mode }
 
 // N returns the current database size (sum of distinct tuple counts over
-// the original relations).
-func (e *Engine) N() int { return e.n }
+// the original relations). Like Stats and Epoch it takes the writer lock,
+// so it is safe from any goroutine and observes a committed state.
+func (e *Engine) N() int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.n
+}
 
 // ThresholdBase returns M, the rebalancing threshold base with
 // ⌊M/4⌋ ≤ N < M (Section 6.2).
@@ -449,7 +442,11 @@ func (e *Engine) ThresholdBase() int { return e.m }
 func (e *Engine) Theta() float64 { return relation.Threshold(e.m, e.opts.Epsilon) }
 
 // Stats returns activity counters.
-func (e *Engine) Stats() Stats { return e.stats }
+func (e *Engine) Stats() Stats {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.stats
+}
 
 // Epoch returns the number of committed write operations (Preprocess
 // counts as the first). A Snapshot's Epoch identifies the committed state

@@ -5,7 +5,6 @@ import (
 
 	"ivmeps/internal/relation"
 	"ivmeps/internal/tuple"
-	"ivmeps/internal/viewtree"
 )
 
 // The enumeration machinery of Section 5. Iterators share a binding array
@@ -20,51 +19,59 @@ import (
 // Product algorithm (Figure 16).
 //
 // All mutable enumeration state — the binding array, the bound flags, the
-// work counter, and the node→relation resolution — lives in an enumCtx, so
-// an enumeration belongs either to the engine itself (live relations,
+// work counter — and the node→relation slice live in an enumCtx, so an
+// enumeration belongs either to the engine itself (live relations,
 // writer-goroutine only) or to a Snapshot (frozen relations, own bindings,
 // concurrent with writers; snapshot.go).
 
 // enumCtx is one enumeration context: the binding slots shared by a tree of
-// iterators, the delay-work counter, and the relation resolver. The
-// engine's own context resolves nodes to the live relations and may only be
-// used from the writer goroutine; a snapshot's context resolves nodes to
-// the frozen relations captured at snapshot time and is independent of
-// concurrent updates.
+// iterators, the delay-work counter, and the relation of every node by
+// Node.ID. The engine's own context holds the live relations (Engine.rels)
+// and may only be used from the writer goroutine; a snapshot's holds its
+// generation's frozen copy and is independent of concurrent updates. The
+// iterators cannot tell the two apart.
 type enumCtx struct {
 	e     *Engine
+	rels  []*relation.Relation
 	bind  []tuple.Value
 	bound []bool
 	work  *int64
-	// rels, when non-nil, is a snapshot's frozen node→relation capture;
-	// nil resolves live through Engine.relOf.
-	rels map[*viewtree.Node]*relation.Relation
+}
+
+func (e *Engine) newEnumCtx(rels []*relation.Relation, work *int64) enumCtx {
+	return enumCtx{e: e, rels: rels, bind: make([]tuple.Value, len(e.vars)), bound: make([]bool, len(e.vars)), work: work}
 }
 
 func (c *enumCtx) tick() { *c.work++ }
 
-// relOf resolves the materialized relation backing a node, frozen or live.
-func (c *enumCtx) relOf(n *viewtree.Node) *relation.Relation {
-	if c.rels == nil {
-		return c.e.relOf(n)
+// bindFresh writes a view tuple's fresh positions into the binding array.
+func (c *enumCtx) bindFresh(inf *nodeInfo, t tuple.Tuple) {
+	for k, s := range inf.freshSlot {
+		c.bind[s] = t[inf.freshPos[k]]
+		c.bound[s] = true
 	}
-	r := c.rels[n]
-	if r == nil {
-		panic(fmt.Sprintf("core: snapshot did not capture a relation for node %s", n.Name))
-	}
-	return r
 }
 
-// infoOf returns the node's enumeration metadata. Every node of every tree
-// is covered at New time; a miss is a bug, and building lazily here would
-// write the e.info map that snapshot contexts read lock-free from other
-// goroutines, so it panics rather than repairs.
-func (c *enumCtx) infoOf(n *viewtree.Node) *nodeInfo {
-	inf, ok := c.e.info[n]
-	if !ok {
-		panic(fmt.Sprintf("core: enumeration of node %s with no metadata (not built at New)", n.Name))
+func (c *enumCtx) unbindFresh(inf *nodeInfo) {
+	for _, s := range inf.freshSlot {
+		c.bound[s] = false
 	}
-	return inf
+}
+
+// ctxKey is the node's structural context as a probe key: the values
+// ancestors have bound for the schema variables shared with the parent view.
+// (Consulting the runtime bound-set instead would absorb stale bindings from
+// sibling Union operands, or treat a stale binding of a summed heavy
+// variable as a restriction.)
+func (c *enumCtx) ctxKey(inf *nodeInfo) tuple.Tuple {
+	var key tuple.Tuple
+	for i, s := range inf.ctxSlot {
+		if !c.bound[s] {
+			panic(fmt.Sprintf("core: %s with unbound context variable %s", inf.node.Name, inf.ctxSchema[i]))
+		}
+		key = append(key, c.bind[s])
+	}
+	return key
 }
 
 type resultIter interface {
@@ -81,27 +88,90 @@ type resultIter interface {
 }
 
 // ---------------------------------------------------------------------------
+// Lookup: the multiplicity, in the relation a subtree represents, of the
+// tuple formed by the currently bound variables. It reads the context and
+// the node's metadata only — no iterator state — so every iterator's
+// lookup() is a call to it.
+
+func (c *enumCtx) lookup(inf *nodeInfo) int64 {
+	if inf.grounded {
+		// Sum over the matching heavy keys (the Union algorithm's bucket
+		// lookups; O(N^(1−ε)) buckets); the key variables outside the
+		// structural context are summed over.
+		rel := c.rels[inf.node.ID]
+		total := int64(0)
+		sum := func(t tuple.Tuple, _ int64) {
+			c.tick()
+			total += c.lookupUnder(inf, t)
+		}
+		key := c.ctxKey(inf)
+		if len(inf.ctxSchema) == 0 {
+			rel.ForEach(sum)
+		} else if len(inf.freshPos) == 0 {
+			if m := rel.Mult(key); m != 0 {
+				sum(key, m)
+			}
+		} else {
+			rel.EnsureIndex(inf.ctxSchema).ForEachMatch(key, sum)
+		}
+		return total
+	}
+	if inf.direct {
+		c.tick()
+		t := make(tuple.Tuple, len(inf.slots))
+		for i, s := range inf.slots {
+			if !c.bound[s] {
+				panic(fmt.Sprintf("core: lookup of %s with unbound variable %s", inf.node.Name, inf.node.Schema[i]))
+			}
+			t[i] = c.bind[s]
+		}
+		return c.rels[inf.node.ID].Mult(t)
+	}
+	return c.lookupKids(inf)
+}
+
+// lookupKids multiplies the lookups of the node's children.
+func (c *enumCtx) lookupKids(inf *nodeInfo) int64 {
+	m := int64(1)
+	for _, ch := range inf.kids {
+		cm := c.lookup(ch)
+		if cm == 0 {
+			return 0
+		}
+		m *= cm
+	}
+	return m
+}
+
+// lookupUnder is the lookup of a grounded node under one grounding — the
+// view tuple t of one heavy key: bind the grounding, multiply the
+// children's lookups, restore.
+func (c *enumCtx) lookupUnder(inf *nodeInfo, t tuple.Tuple) int64 {
+	saved := make([]tuple.Value, len(inf.freshSlot))
+	savedB := make([]bool, len(inf.freshSlot))
+	for k, s := range inf.freshSlot {
+		saved[k], savedB[k] = c.bind[s], c.bound[s]
+	}
+	c.bindFresh(inf, t)
+	m := c.lookupKids(inf)
+	for k, s := range inf.freshSlot {
+		c.bind[s], c.bound[s] = saved[k], savedB[k]
+	}
+	return m
+}
+
+// ---------------------------------------------------------------------------
 // Node iterators (Figures 13 and 14).
 
-type nodeMode int
-
-const (
-	mDirect nodeMode = iota
-	mProduct
-	mGrounded
-)
-
-// nodeIter enumerates the relation represented by one view (sub)tree.
+// nodeIter enumerates the relation represented by one view (sub)tree: its
+// relation directly (inf.direct), per heavy key (inf.grounded), or as the
+// product of its children under each view tuple.
 type nodeIter struct {
 	c   *enumCtx
 	inf *nodeInfo
-
-	mode nodeMode
-	rel  *relation.Relation
+	rel *relation.Relation
 
 	// Cursor state over σ_ctx(rel).
-	freshPos  []int               // schema positions bound by this iterator
-	freshSlot []int               // binding slots of those positions
 	scan      *relation.Entry     // whole-relation cursor
 	icur      *relation.IndexNode // index cursor
 	useIndex  bool
@@ -109,63 +179,51 @@ type nodeIter struct {
 	singleOK  bool
 	singleMul int64
 
-	// Product state (mProduct): child iterators, re-opened per view tuple.
-	kids  []*nodeIter
-	prod  *prodIter
-	onTup bool        // a view tuple is currently bound
-	curT  tuple.Tuple // current cursor tuple (for rebind)
+	curT tuple.Tuple // current cursor tuple (for rebind)
 
-	// Grounded state (mGrounded): union over per-heavy-key instances.
+	// Product state: the children's odometer, opened anew per view tuple.
+	prod  *prodIter
+	onTup bool // a view tuple is currently bound
+
+	// Grounded state: union over per-heavy-key instances.
 	buckets *unionIter
 }
 
-func (c *enumCtx) newNodeIter(n *viewtree.Node) *nodeIter {
-	inf := c.infoOf(n)
+func (c *enumCtx) newNodeIter(inf *nodeInfo) *nodeIter {
 	it := &nodeIter{c: c, inf: inf}
-	switch {
-	case inf.indChild != nil:
-		it.mode = mGrounded
-	case inf.direct:
-		it.mode = mDirect
-	default:
-		it.mode = mProduct
-		for _, ch := range inf.kids {
-			it.kids = append(it.kids, c.newNodeIter(ch))
-		}
+	if !inf.grounded && !inf.direct {
+		it.prod = c.newKidsProd(inf)
 	}
 	return it
 }
 
-// openCursor positions the iterator's relation cursor under the node's
-// structural context: the schema variables shared with the parent view,
-// whose values ancestors have bound. (Using the runtime bound-set instead
-// would absorb stale bindings from sibling Union operands.)
-func (it *nodeIter) openCursor() {
-	c := it.c
-	inf := it.inf
-	it.rel = c.relOf(inf.node)
-	it.freshPos = inf.freshPos
-	it.freshSlot = inf.freshSlot
-	var ctxKey tuple.Tuple
-	for i, s := range inf.ctxSlot {
-		if !c.bound[s] {
-			panic(fmt.Sprintf("core: opening %s with unbound context variable %s", inf.node.Name, inf.ctxSchema[i]))
-		}
-		ctxKey = append(ctxKey, c.bind[s])
+// newKidsProd builds the product over fresh iterators of the node's children.
+func (c *enumCtx) newKidsProd(inf *nodeInfo) *prodIter {
+	subs := make([]resultIter, len(inf.kids))
+	for i, ch := range inf.kids {
+		subs[i] = c.newNodeIter(ch)
 	}
+	return newProd(subs)
+}
+
+// openCursor positions the iterator's relation cursor under the node's
+// structural context.
+func (it *nodeIter) openCursor() {
+	inf := it.inf
+	it.rel = it.c.rels[inf.node.ID]
+	key := it.c.ctxKey(inf)
 	it.single, it.singleOK = false, false
 	it.useIndex = false
 	switch {
 	case len(inf.ctxSchema) == 0:
 		it.scan = it.rel.First()
-	case len(it.freshPos) == 0:
+	case len(inf.freshPos) == 0:
 		it.single = true
-		it.singleMul = it.rel.Mult(ctxKey)
+		it.singleMul = it.rel.Mult(key)
 		it.singleOK = it.singleMul != 0
 	default:
 		it.useIndex = true
-		ix := it.rel.EnsureIndex(inf.ctxSchema)
-		it.icur = ix.FirstMatch(ctxKey)
+		it.icur = it.rel.EnsureIndex(inf.ctxSchema).FirstMatch(key)
 	}
 }
 
@@ -195,29 +253,11 @@ func (it *nodeIter) cursorNext() (tuple.Tuple, int64, bool) {
 	return ent.Tuple, ent.Mult, true
 }
 
-// bindFresh writes a view tuple's fresh positions into the binding array.
-func (it *nodeIter) bindFresh(t tuple.Tuple) {
-	c := it.c
-	for k, pos := range it.freshPos {
-		s := it.freshSlot[k]
-		c.bind[s] = t[pos]
-		c.bound[s] = true
-	}
-}
-
-func (it *nodeIter) unbindFresh() {
-	for _, s := range it.freshSlot {
-		it.c.bound[s] = false
-	}
-}
-
 func (it *nodeIter) open() {
 	it.openCursor()
-	switch it.mode {
-	case mGrounded:
+	it.onTup = false
+	if it.inf.grounded {
 		it.openBuckets()
-	case mProduct:
-		it.onTup = false
 	}
 }
 
@@ -228,259 +268,98 @@ func (it *nodeIter) open() {
 func (it *nodeIter) openBuckets() {
 	var subs []resultIter
 	for t, _, ok := it.cursorNext(); ok; t, _, ok = it.cursorNext() {
-		g := &groundedInst{c: it.c, inf: it.inf}
-		g.h = make(tuple.Tuple, len(it.freshPos))
-		for k, pos := range it.freshPos {
-			g.h[k] = t[pos]
-		}
-		g.slots = append([]int(nil), it.freshSlot...)
-		for _, ch := range it.inf.kids {
-			g.kids = append(g.kids, it.c.newNodeIter(ch))
-		}
-		subs = append(subs, g)
+		subs = append(subs, &groundedInst{c: it.c, inf: it.inf, h: t, prod: it.c.newKidsProd(it.inf)})
 	}
 	it.buckets = newUnion(subs)
 	it.buckets.open()
 }
 
 func (it *nodeIter) next() (int64, bool) {
-	switch it.mode {
-	case mGrounded:
+	if it.inf.grounded {
 		return it.buckets.next()
-
-	case mDirect:
-		t, m, ok := it.cursorNext()
-		if !ok {
-			return 0, false
-		}
-		it.curT = t
-		it.bindFresh(t)
-		return m, true
-
-	default: // mProduct
-		for {
-			if !it.onTup {
-				t, _, ok := it.cursorNext()
-				if !ok {
-					return 0, false
-				}
-				it.curT = t
-				it.bindFresh(t)
-				it.onTup = true
-				it.prod = newProd(it.kidsAsIters())
-				it.prod.open()
+	}
+	for {
+		if !it.onTup {
+			t, m, ok := it.cursorNext()
+			if !ok {
+				return 0, false
 			}
-			if m, ok := it.prod.next(); ok {
+			it.curT = t
+			it.c.bindFresh(it.inf, t)
+			if it.inf.direct {
 				return m, true
 			}
-			it.prod.close()
-			it.onTup = false
+			it.onTup = true
+			it.prod.open()
 		}
+		if m, ok := it.prod.next(); ok {
+			return m, true
+		}
+		it.prod.close()
+		it.onTup = false
 	}
-}
-
-func (it *nodeIter) kidsAsIters() []resultIter {
-	out := make([]resultIter, len(it.kids))
-	for i, k := range it.kids {
-		out[i] = k
-	}
-	return out
 }
 
 func (it *nodeIter) rebind() {
-	switch it.mode {
-	case mGrounded:
+	switch {
+	case it.inf.grounded:
 		if it.buckets != nil {
 			it.buckets.rebind()
 		}
-	case mDirect:
+	case it.inf.direct:
 		if it.curT != nil {
-			it.bindFresh(it.curT)
+			it.c.bindFresh(it.inf, it.curT)
 		}
-	default: // mProduct
-		if it.onTup {
-			it.bindFresh(it.curT)
-			it.prod.rebind()
-		}
+	case it.onTup:
+		it.c.bindFresh(it.inf, it.curT)
+		it.prod.rebind()
 	}
 }
 
 func (it *nodeIter) close() {
-	switch it.mode {
-	case mGrounded:
-		if it.buckets != nil {
-			it.buckets.close()
-			it.buckets = nil
-		}
-	case mProduct:
-		if it.onTup {
-			it.prod.close()
-			it.onTup = false
-		}
+	if it.buckets != nil {
+		it.buckets.close()
+		it.buckets = nil
 	}
-	it.unbindFresh()
+	if it.onTup {
+		it.prod.close()
+		it.onTup = false
+	}
+	it.c.unbindFresh(it.inf)
 }
 
-// lookup returns the multiplicity, in the relation represented by this
-// subtree, of the tuple formed by the currently bound variables.
-func (it *nodeIter) lookup() int64 {
-	c := it.c
-	inf := it.inf
-	if inf.indChild != nil {
-		// Grounded lookup: sum over matching heavy keys (the Union
-		// algorithm's bucket lookups; O(N^(1−ε)) buckets).
-		return c.groundedLookup(inf)
-	}
-	if inf.direct || len(inf.node.Children) == 0 {
-		c.tick()
-		t := make(tuple.Tuple, len(inf.slots))
-		for i, s := range inf.slots {
-			if !c.bound[s] {
-				panic(fmt.Sprintf("core: lookup of %s with unbound variable %s", inf.node.Name, inf.schema[i]))
-			}
-			t[i] = c.bind[s]
-		}
-		return c.relOf(inf.node).Mult(t)
-	}
-	m := int64(1)
-	for _, ch := range inf.kids {
-		cm := c.lookupNode(ch)
-		if cm == 0 {
-			return 0
-		}
-		m *= cm
-	}
-	return m
-}
-
-func (c *enumCtx) lookupNode(n *viewtree.Node) int64 {
-	it := nodeIter{c: c, inf: c.infoOf(n)}
-	return it.lookup()
-}
-
-func (c *enumCtx) groundedLookup(inf *nodeInfo) int64 {
-	rel := c.relOf(inf.node)
-	// Context is structural (the variables shared with the parent view);
-	// the remaining key variables are summed over. Consulting the runtime
-	// bound-set here would wrongly treat a stale binding of a summed heavy
-	// variable as a restriction.
-	ctxSchema := inf.ctxSchema
-	freshPos := inf.freshPos
-	freshSlot := inf.freshSlot
-	var ctxKey tuple.Tuple
-	for i, s := range inf.ctxSlot {
-		if !c.bound[s] {
-			panic(fmt.Sprintf("core: grounded lookup of %s with unbound context variable %s", inf.node.Name, inf.ctxSchema[i]))
-		}
-		ctxKey = append(ctxKey, c.bind[s])
-	}
-	total := int64(0)
-	sum := func(t tuple.Tuple, _ int64) {
-		c.tick()
-		// Bind the grounding, product the children, restore.
-		saved := make([]tuple.Value, len(freshSlot))
-		savedB := make([]bool, len(freshSlot))
-		for k, s := range freshSlot {
-			saved[k], savedB[k] = c.bind[s], c.bound[s]
-			c.bind[s] = t[freshPos[k]]
-			c.bound[s] = true
-		}
-		m := int64(1)
-		for _, ch := range inf.kids {
-			cm := c.lookupNode(ch)
-			if cm == 0 {
-				m = 0
-				break
-			}
-			m *= cm
-		}
-		total += m
-		for k, s := range freshSlot {
-			c.bind[s], c.bound[s] = saved[k], savedB[k]
-		}
-	}
-	if len(ctxSchema) == 0 {
-		rel.ForEach(sum)
-	} else if len(freshPos) == 0 {
-		if m := rel.Mult(ctxKey); m != 0 {
-			sum(ctxKey, m)
-		}
-	} else {
-		rel.EnsureIndex(ctxSchema).ForEachMatch(ctxKey, sum)
-	}
-	return total
-}
+func (it *nodeIter) lookup() int64 { return it.c.lookup(it.inf) }
 
 // ---------------------------------------------------------------------------
 // Grounded instances: one per heavy key (Figure 13, lines 8–11).
 
 type groundedInst struct {
-	c     *enumCtx
-	inf   *nodeInfo
-	h     tuple.Tuple // grounding values for the fresh key slots
-	slots []int       // binding slots for h
-	kids  []*nodeIter
-	prod  *prodIter
-}
-
-func (g *groundedInst) bindH() {
-	for k, s := range g.slots {
-		g.c.bind[s] = g.h[k]
-		g.c.bound[s] = true
-	}
+	c    *enumCtx
+	inf  *nodeInfo
+	h    tuple.Tuple // the grounding: the view tuple of this heavy key
+	prod *prodIter
 }
 
 func (g *groundedInst) open() {
-	g.bindH()
-	subs := make([]resultIter, len(g.kids))
-	for i, k := range g.kids {
-		subs[i] = k
-	}
-	g.prod = newProd(subs)
+	g.c.bindFresh(g.inf, g.h)
 	g.prod.open()
 }
 
 func (g *groundedInst) next() (int64, bool) {
-	g.bindH()
+	g.c.bindFresh(g.inf, g.h)
 	return g.prod.next()
 }
 
 func (g *groundedInst) rebind() {
-	g.bindH()
+	g.c.bindFresh(g.inf, g.h)
 	g.prod.rebind()
 }
 
-func (g *groundedInst) lookup() int64 {
-	c := g.c
-	saved := make([]tuple.Value, len(g.slots))
-	savedB := make([]bool, len(g.slots))
-	for k, s := range g.slots {
-		saved[k], savedB[k] = c.bind[s], c.bound[s]
-		c.bind[s] = g.h[k]
-		c.bound[s] = true
-	}
-	m := int64(1)
-	for _, ch := range g.kids {
-		cm := ch.lookup()
-		if cm == 0 {
-			m = 0
-			break
-		}
-		m *= cm
-	}
-	for k, s := range g.slots {
-		c.bind[s], c.bound[s] = saved[k], savedB[k]
-	}
-	return m
-}
+func (g *groundedInst) lookup() int64 { return g.c.lookupUnder(g.inf, g.h) }
 
 func (g *groundedInst) close() {
-	if g.prod != nil {
-		g.prod.close()
-	}
-	for _, s := range g.slots {
-		g.c.bound[s] = false
-	}
+	g.prod.close()
+	g.c.unbindFresh(g.inf)
 }
 
 // ---------------------------------------------------------------------------
@@ -698,7 +577,7 @@ func (c *enumCtx) result() *Iterator {
 	for _, comp := range c.e.forest.Components {
 		var trees []resultIter
 		for _, t := range comp.Trees {
-			trees = append(trees, c.newNodeIter(t))
+			trees = append(trees, c.newNodeIter(&c.e.info[t.ID]))
 		}
 		if len(trees) == 1 {
 			comps = append(comps, trees[0])
@@ -754,22 +633,24 @@ func (it *Iterator) Close() {
 	}
 }
 
+// drain calls yield for every remaining tuple with its multiplicity,
+// stopping early if yield returns false, and closes the iterator.
+func (it *Iterator) drain(yield func(t tuple.Tuple, m int64) bool) {
+	defer it.Close()
+	for {
+		t, m, ok := it.Next()
+		if !ok || !yield(t, m) {
+			return
+		}
+	}
+}
+
 // Enumerate calls yield for every distinct result tuple with its
 // multiplicity, stopping early if yield returns false. It reads the live
 // relations and must not run concurrently with updates; use Snapshot for
 // that.
 func (e *Engine) Enumerate(yield func(t tuple.Tuple, m int64) bool) {
-	it := e.Result()
-	defer it.Close()
-	for {
-		t, m, ok := it.Next()
-		if !ok {
-			return
-		}
-		if !yield(t, m) {
-			return
-		}
-	}
+	e.Result().drain(yield)
 }
 
 // ResultRelation materializes the full result; intended for tests and small

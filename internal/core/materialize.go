@@ -95,9 +95,9 @@ func (e *Engine) materializeTree(n *viewtree.Node) {
 		return
 	}
 	res := e.joinChildren(n)
-	v, ok := e.views[n.Name]
-	if !ok {
-		e.views[n.Name] = res
+	v := e.rels[n.ID]
+	if v == nil {
+		e.rels[n.ID] = res
 		return
 	}
 	v.Clear()
@@ -121,7 +121,7 @@ func (e *Engine) joinChildren(n *viewtree.Node) *relation.Relation {
 			}
 		}
 		keep := c.Schema.Intersect(needed)
-		rel := e.relOf(c)
+		rel := e.rels[c.ID]
 		name := c.Name
 		if !e.opts.NoPushdown && len(keep) < len(c.Schema) {
 			name = fmt.Sprintf("%s#agg%d", c.Name, i)
@@ -155,10 +155,8 @@ func aggregateOnto(name string, rel *relation.Relation, keep tuple.Schema) *rela
 // present in the All view whose light-view support is empty, with set
 // semantics (Figure 10, line 7).
 func (e *Engine) materializeH(ind *viewtree.Indicator) {
-	h := e.hrels[ind.ID]
+	all, l, h := e.indicatorRels(ind)
 	h.Clear()
-	all := e.relOf(ind.All)
-	l := e.relOf(ind.L)
 	all.ForEach(func(t tuple.Tuple, m int64) {
 		if l.Mult(t) == 0 {
 			h.MustAdd(t, 1)
@@ -179,7 +177,7 @@ func (e *Engine) buildEnumIndexes() {
 			}
 			shared := c.Schema.Intersect(n.Schema)
 			if len(shared) > 0 && len(shared) < len(c.Schema) {
-				e.relOf(c).EnsureIndex(shared)
+				e.rels[c.ID].EnsureIndex(shared)
 			}
 			walk(c)
 		}

@@ -135,8 +135,9 @@ func TestApplyBatchWorkerCountsAgree(t *testing.T) {
 		}
 		base := engines[0]
 		for i, e := range engines[1:] {
-			for name, v := range base.views {
-				ov := e.views[name]
+			ev := e.viewsByName()
+			for name, v := range base.viewsByName() {
+				ov := ev[name]
 				if ov == nil || ov.Size() != v.Size() {
 					t.Fatalf("round %d: view %s differs between workers=%d and workers=%d",
 						round, name, counts[0], counts[i+1])

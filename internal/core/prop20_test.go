@@ -50,7 +50,7 @@ func TestProposition20TreeEquivalence(t *testing.T) {
 					walk = func(n *viewtree.Node) {
 						if len(n.Children) == 0 {
 							leafQ.Atoms = append(leafQ.Atoms, query.Atom{Rel: n.Name, Vars: n.Schema})
-							leafDB[n.Name] = e.relOf(n)
+							leafDB[n.Name] = e.rels[n.ID]
 						}
 						for _, c := range n.Children {
 							walk(c)

@@ -23,9 +23,9 @@ package core
 // the engine's own goroutine (parallel batch phases keep their mutable
 // scratch in per-worker state instead — see worker.go).
 //
-// Every leafPath also records the view tree it belongs to (a dense id over
-// all main, All, and L trees): trees are the unit of parallelism of the
-// batch path, and the id selects the leaf's job group.
+// Every leafPath also records the view tree it belongs to (nodeInfo.tree, a
+// dense id over all main, All, and L trees): trees are the unit of
+// parallelism of the batch path, and the id selects the leaf's job group.
 
 import (
 	"ivmeps/internal/relation"
@@ -97,38 +97,18 @@ func (e *Engine) buildRoutes() {
 		counting[occ[0]] = true
 	}
 
-	// Dense tree ids over every tree of the forest (main trees first, then
-	// each indicator's All and L trees); buildPath resolves a leaf's id
-	// through its root.
-	e.treeID = map[*viewtree.Node]int{}
-	for _, tr := range e.forest.Trees() {
-		e.treeID[tr] = len(e.treeID)
-	}
-	for _, ind := range e.forest.Indicators {
-		e.treeID[ind.All] = len(e.treeID)
-		e.treeID[ind.L] = len(e.treeID)
-	}
-	e.jobGroups = make([][]propJob, len(e.treeID))
-	e.nWorkers = e.resolveWorkers(len(e.treeID))
+	e.nWorkers = e.resolveWorkers(len(e.jobGroups))
 
 	shared := map[*viewtree.Indicator]*indShared{}
 	for _, ind := range e.forest.Indicators {
-		shared[ind] = &indShared{
-			ind: ind,
-			all: e.relOf(ind.All),
-			l:   e.relOf(ind.L),
-			h:   e.hrels[ind.ID],
+		s := &indShared{ind: ind}
+		s.all, s.l, s.h = e.indicatorRels(ind)
+		for _, ref := range ind.Refs {
+			s.refLeaves = append(s.refLeaves, e.buildPath(ref))
 		}
+		shared[ind] = s
 	}
 	mainTrees := e.forest.Trees()
-	for _, tr := range mainTrees {
-		walkNodes(tr, func(n *viewtree.Node) {
-			if n.Kind == viewtree.IndicatorRef {
-				s := shared[n.Ind]
-				s.refLeaves = append(s.refLeaves, e.buildPath(n))
-			}
-		})
-	}
 
 	e.routes = map[string]*relRoutes{}
 	for occName, base := range e.base {
@@ -196,10 +176,10 @@ func (e *Engine) buildPath(leaf *viewtree.Node) *leafPath {
 	lp := &leafPath{leaf: leaf}
 	child := leaf
 	for n := leaf.Parent; n != nil; n = n.Parent {
-		lp.edges = append(lp.edges, pathEdge{plan: e.updatePlan(n, child), view: e.views[n.Name]})
+		lp.edges = append(lp.edges, pathEdge{plan: e.updatePlan(n, child), view: e.rels[n.ID]})
 		child = n
 	}
-	lp.tree = e.treeID[child] // child is the tree's root after the walk
+	lp.tree = e.info[leaf.ID].tree
 	return lp
 }
 

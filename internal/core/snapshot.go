@@ -5,7 +5,6 @@ import (
 
 	"ivmeps/internal/relation"
 	"ivmeps/internal/tuple"
-	"ivmeps/internal/viewtree"
 )
 
 // Reader/writer epochs. Every committed write operation (Preprocess, each
@@ -17,10 +16,10 @@ import (
 // after any concurrent batch, never a half-applied one.
 //
 // The frozen handles are shared through a per-epoch generation (snapGen):
-// the first Snapshot call after a commit walks the forest and freezes
-// every reachable relation once — O(#relations), copying no data — and
-// caches the generation on the engine; every further Snapshot at the same
-// epoch just takes a reference, O(1). Each mutating operation invalidates
+// the first Snapshot call after a commit copies the node→relation slice,
+// freezing every reachable relation once — O(#nodes), copying no data —
+// and caches the generation on the engine; every further Snapshot at the
+// same epoch just takes a reference, O(1). Each mutating operation invalidates
 // the cached generation before its first relation write, releasing the
 // pins immediately when no snapshot holds the generation — so an idle
 // cache never forces copy-on-write on the writer. When the writer mutates
@@ -32,19 +31,20 @@ import (
 // relation (its generation's pins are dropped with it), after which the
 // fresh generations start unpinned again.
 
-// snapGen is one cached frozen-relation generation: the node→frozen map
-// every snapshot of one epoch enumerates through, plus the distinct frozen
-// handles to release when the generation dies. refs counts open snapshots;
-// stale is set when the engine moves past the generation's epoch. The pins
-// are released by whoever drops the last interest — the writer
-// (invalidateGenLocked) if no snapshot is open, else the closing of the
-// last snapshot.
+// snapGen is one cached frozen-relation generation: a frozen copy of the
+// engine's node→relation slice that every snapshot of one epoch enumerates
+// through (nil for the nodes enumeration never reaches), plus the distinct
+// frozen handles to release when the generation dies. refs counts open
+// snapshots; stale is set when the engine moves past the generation's
+// epoch. The pins are released by whoever drops the last interest — the
+// writer (invalidateGenLocked) if no snapshot is open, else the closing of
+// the last snapshot.
 type snapGen struct {
 	mu     sync.Mutex
 	refs   int
 	stale  bool
 	pinned []*relation.Relation
-	rels   map[*viewtree.Node]*relation.Relation
+	rels   []*relation.Relation
 }
 
 // release drops one snapshot's reference, releasing the generation's pins
@@ -123,19 +123,15 @@ func (e *Engine) Snapshot() *Snapshot {
 func (e *Engine) snapshotLocked() *Snapshot {
 	g := e.curGen
 	if g == nil {
-		g = &snapGen{rels: make(map[*viewtree.Node]*relation.Relation)}
-		frozen := make(map[*relation.Relation]*relation.Relation)
-		for _, tr := range e.forest.Trees() {
-			walkNodes(tr, func(n *viewtree.Node) {
-				live := e.relOf(n)
-				f, ok := frozen[live]
-				if !ok {
-					f = live.Freeze()
-					frozen[live] = f
-					g.pinned = append(g.pinned, f)
-				}
-				g.rels[n] = f
-			})
+		g = &snapGen{rels: make([]*relation.Relation, len(e.rels))}
+		for id := range e.info {
+			first := e.info[id].frozenAs
+			if first == id {
+				g.rels[id] = e.rels[id].Freeze()
+				g.pinned = append(g.pinned, g.rels[id])
+			} else if first >= 0 {
+				g.rels[id] = g.rels[first]
+			}
 		}
 		e.curGen = g
 	}
@@ -143,13 +139,7 @@ func (e *Engine) snapshotLocked() *Snapshot {
 	g.refs++
 	g.mu.Unlock()
 	s := &Snapshot{e: e, epoch: e.epoch, gen: g}
-	s.ctx = enumCtx{
-		e:     e,
-		bind:  make([]tuple.Value, len(e.vars)),
-		bound: make([]bool, len(e.vars)),
-		work:  &s.work,
-		rels:  g.rels,
-	}
+	s.ctx = e.newEnumCtx(g.rels, &s.work)
 	return s
 }
 
@@ -169,17 +159,7 @@ func (s *Snapshot) Result() *Iterator {
 // Enumerate calls yield for every distinct result tuple of the snapshot's
 // state with its multiplicity, stopping early if yield returns false.
 func (s *Snapshot) Enumerate(yield func(t tuple.Tuple, m int64) bool) {
-	it := s.Result()
-	defer it.Close()
-	for {
-		t, m, ok := it.Next()
-		if !ok {
-			return
-		}
-		if !yield(t, m) {
-			return
-		}
-	}
+	s.Result().drain(yield)
 }
 
 // Work returns the snapshot's cumulative enumeration-operation count (the

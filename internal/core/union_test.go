@@ -12,7 +12,7 @@ import (
 // tuples, binding one engine slot. It lets the Union and Product algorithms
 // (Figures 15 and 16) be tested in isolation from view trees.
 type fakeIter struct {
-	e    *Engine
+	e    *enumCtx
 	slot int
 	rows []weighted // distinct tuples of arity 1
 	pos  int
@@ -50,8 +50,8 @@ func (f *fakeIter) rebind() {
 
 func (f *fakeIter) close() { f.e.bound[f.slot] = false }
 
-func fakeEngine(slots int) *Engine {
-	return &Engine{bind: make([]tuple.Value, slots), bound: make([]bool, slots)}
+func fakeEngine(slots int) *enumCtx {
+	return &enumCtx{bind: make([]tuple.Value, slots), bound: make([]bool, slots)}
 }
 
 // TestUnionAlgorithmSynthetic checks the Figure 15 semantics directly:

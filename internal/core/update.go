@@ -294,7 +294,8 @@ func (ws *workerState) propagatePath(lp *leafPath, d *delta) {
 	}
 }
 
-// updPlan is a cached delta-propagation step for one (view, child) pair.
+// updPlan is a cached delta-propagation step for one (view, child) pair,
+// kept in Engine.plans under the child's node ID.
 // Relation and index pointers are resolved at build time; they stay valid
 // across major rebalancing because materializeAll refills relations in
 // place.
@@ -317,12 +318,7 @@ type updStep struct {
 }
 
 func (e *Engine) updatePlan(n *viewtree.Node, child *viewtree.Node) *updPlan {
-	byChild, ok := e.plans[n]
-	if !ok {
-		byChild = map[*viewtree.Node]*updPlan{}
-		e.plans[n] = byChild
-	}
-	if p, ok := byChild[child]; ok {
+	if p := e.plans[child.ID]; p != nil {
 		return p
 	}
 	p := &updPlan{}
@@ -356,7 +352,7 @@ func (e *Engine) updatePlan(n *viewtree.Node, child *viewtree.Node) *updPlan {
 		}
 		c := rest[best]
 		rest = append(rest[:best], rest[best+1:]...)
-		st := updStep{rel: e.relOf(c)}
+		st := updStep{rel: e.rels[c.ID]}
 		var ixSchema tuple.Schema
 		for pos, v := range c.Schema {
 			if bound[v] {
@@ -379,7 +375,7 @@ func (e *Engine) updatePlan(n *viewtree.Node, child *viewtree.Node) *updPlan {
 		p.outSlots = append(p.outSlots, e.slot[v])
 	}
 	p.outScratch = make(tuple.Tuple, len(p.outSlots))
-	byChild[child] = p
+	e.plans[child.ID] = p
 	return p
 }
 
@@ -513,9 +509,7 @@ func (e *Engine) CheckInvariants() error {
 		}
 	}
 	for _, ind := range e.forest.Indicators {
-		h := e.hrels[ind.ID]
-		all := e.relOf(ind.All)
-		l := e.relOf(ind.L)
+		all, l, h := e.indicatorRels(ind)
 		bad := false
 		all.ForEach(func(t tuple.Tuple, _ int64) {
 			want := l.Mult(t) == 0

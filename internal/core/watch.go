@@ -159,7 +159,7 @@ func (s *Snapshot) ViewForEach(view string, fn func(t tuple.Tuple, m int64)) boo
 	if !ok {
 		return false
 	}
-	s.ctx.rels[s.e.roots[i].node].ForEach(fn)
+	s.ctx.rels[s.e.roots[i].node.ID].ForEach(fn)
 	return true
 }
 
@@ -208,7 +208,7 @@ func (cs *captureSet) captureRebalanceDiff(e *Engine, sign int64) {
 			continue
 		}
 		sl := &cs.slots[i]
-		e.relOf(root).ForEach(func(t tuple.Tuple, m int64) {
+		e.rels[root.ID].ForEach(func(t tuple.Tuple, m int64) {
 			sl.add(t, sign*m)
 		})
 	}

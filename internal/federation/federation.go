@@ -595,8 +595,11 @@ func (f *Fed) Epoch() uint64 {
 // N returns the current database size: distinct tuples summed once per
 // original relation — over all shards for partitioned relations (their
 // shard parts are disjoint), over one shard for broadcast relations
-// (every shard holds the same copy).
+// (every shard holds the same copy). Like Epoch it takes the federation
+// lock, so it observes a committed state from any goroutine.
 func (f *Fed) N() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	n := 0
 	for i := range f.relList {
 		o := &f.relList[i].occs[0]
@@ -616,6 +619,8 @@ func (f *Fed) N() int {
 // a single engine's for the same workload; the counters measure work done,
 // not logical operations.
 func (f *Fed) Stats() core.Stats {
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	var out core.Stats
 	for _, e := range f.shards {
 		s := e.Stats()

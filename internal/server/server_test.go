@@ -858,3 +858,47 @@ func TestWatchBufferIsCapped(t *testing.T) {
 		t.Fatalf("buffer above the cap: %v, want a %s wire error", err, server.CodeBadRequest)
 	}
 }
+
+// TestStatsRacesCommit reads /v1/stats and /metrics while commits are in
+// flight: N, the counters and the epoch are the writer's, so the handlers
+// must read them under the engine's lock. It only means something under
+// -race.
+func TestStatsRacesCommit(t *testing.T) {
+	_, srv, c := newStack(t, server.Options{}, client.Options{})
+	ctx := context.Background()
+	const rounds = 300
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := int64(0); i < rounds; i++ {
+			if _, err := c.Commit(ctx, c.NewBatch().Insert("R", []int64{i, i}).Insert("S", []int64{i, i})); err != nil {
+				t.Errorf("commit %d: %v", i, err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			if _, err := c.Stats(ctx); err != nil {
+				t.Errorf("stats %d: %v", i, err)
+				return
+			}
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+			if rec.Code != http.StatusOK {
+				t.Errorf("metrics status %d", rec.Code)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	sr, err := c.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sr.N != 2*rounds || sr.Engine.Batches != rounds {
+		t.Fatalf("after %d commits: N = %d, batches = %d", rounds, sr.N, sr.Engine.Batches)
+	}
+}

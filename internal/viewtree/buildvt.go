@@ -26,10 +26,9 @@ func BuildVTOnly(q *query.Query, mode Mode) (*Forest, error) {
 	}
 	ord.SortChildren()
 	b := &builder{
-		q:          q,
-		mode:       mode,
-		forest:     &Forest{Q: q, Mode: mode, Order: ord, LightParts: map[LightPartID]*LightPart{}},
-		lightNames: map[LightPartID]string{},
+		q:      q,
+		mode:   mode,
+		forest: &Forest{Q: q, Mode: mode, Order: ord, LightParts: map[LightPartID]*LightPart{}},
 	}
 	for _, root := range ord.Roots {
 		comp := &Component{Root: root, Query: b.residualQuery(root, nil)}
@@ -42,6 +41,7 @@ func BuildVTOnly(q *query.Query, mode Mode) (*Forest, error) {
 		comp.Trees = []*Node{tree}
 		b.forest.Components = append(b.forest.Components, comp)
 	}
+	b.forest.number()
 	return b.forest, nil
 }
 

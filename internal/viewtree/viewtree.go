@@ -55,6 +55,7 @@ const (
 
 // Node is one node of a view tree.
 type Node struct {
+	ID       int // dense over every node of the forest (Forest.number)
 	Kind     Kind
 	Name     string       // unique view name, or relation/light-part name
 	Rel      string       // Atom, LightAtom: the base relation symbol
@@ -70,12 +71,12 @@ type Node struct {
 // of the join of light parts, and the materialized heavy indicator is
 // ∃H = ∃All ⋈ ∄L, maintained by the engine (Figures 18–19).
 type Indicator struct {
-	ID   int
 	Name string       // name of the materialized ∃H relation
 	Keys tuple.Schema // anc(X) ∪ {X}
 	All  *Node        // root of the All view tree
 	L    *Node        // root of the light view tree (over light parts on Keys)
 	Rels []string     // relations partitioned on Keys (the atoms below X)
+	Refs []*Node      // the IndicatorRef leaves of the main trees, in ID order; never empty
 }
 
 // LightPartID identifies one light part: a relation partitioned on a key
@@ -85,6 +86,11 @@ type Indicator struct {
 type LightPartID struct {
 	Rel string
 	Key string // canonical string of the key schema
+}
+
+// LightPart returns the ID of the light part a LightAtom leaf references.
+func (n *Node) LightPart() LightPartID {
+	return LightPartID{Rel: n.Rel, Key: joinVars(n.Keys)}
 }
 
 // LightPart describes one light part required by the forest.
@@ -112,6 +118,31 @@ type Forest struct {
 	Components []*Component
 	Indicators []*Indicator
 	LightParts map[LightPartID]*LightPart
+	NumNodes   int // node IDs are 0..NumNodes-1
+}
+
+// number gives every node of the finished forest its ID — the main trees in
+// Trees order, then each indicator's All and L tree, each in preorder — and
+// collects every indicator's reference leaves.
+func (f *Forest) number() {
+	var walk func(n *Node)
+	walk = func(n *Node) {
+		n.ID = f.NumNodes
+		f.NumNodes++
+		if n.Kind == IndicatorRef {
+			n.Ind.Refs = append(n.Ind.Refs, n)
+		}
+		for _, c := range n.Children {
+			walk(c)
+		}
+	}
+	for _, t := range f.Trees() {
+		walk(t)
+	}
+	for _, ind := range f.Indicators {
+		walk(ind.All)
+		walk(ind.L)
+	}
 }
 
 // Trees returns all view trees across components.
@@ -151,11 +182,10 @@ func BuildOpts(q *query.Query, mode Mode, opts BuildOptions) (*Forest, error) {
 	}
 	ord.SortChildren()
 	b := &builder{
-		q:          q,
-		mode:       mode,
-		opts:       opts,
-		forest:     &Forest{Q: q, Mode: mode, Order: ord, LightParts: map[LightPartID]*LightPart{}},
-		lightNames: map[LightPartID]string{},
+		q:      q,
+		mode:   mode,
+		opts:   opts,
+		forest: &Forest{Q: q, Mode: mode, Order: ord, LightParts: map[LightPartID]*LightPart{}},
 	}
 	for _, root := range ord.Roots {
 		comp := &Component{Root: root, Query: b.residualQuery(root, nil)}
@@ -165,17 +195,17 @@ func BuildOpts(q *query.Query, mode Mode, opts BuildOptions) (*Forest, error) {
 		}
 		b.forest.Components = append(b.forest.Components, comp)
 	}
+	b.forest.number()
 	return b.forest, nil
 }
 
 type builder struct {
-	q          *query.Query
-	mode       Mode
-	opts       BuildOptions
-	forest     *Forest
-	seq        int
-	indSeq     int
-	lightNames map[LightPartID]string
+	q      *query.Query
+	mode   Mode
+	opts   BuildOptions
+	forest *Forest
+	seq    int
+	indSeq int
 }
 
 func (b *builder) fresh(prefix string, v tuple.Variable) string {
@@ -214,7 +244,7 @@ func (b *builder) residualQuery(n *vorder.Node, free tuple.Schema) *query.Query 
 // lightPart registers (if needed) and returns the light part of rel
 // partitioned on keys.
 func (b *builder) lightPart(a *query.Atom, keys tuple.Schema) *LightPart {
-	id := LightPartID{Rel: a.Rel, Key: schemaKey(keys)}
+	id := LightPartID{Rel: a.Rel, Key: joinVars(keys)}
 	if lp, ok := b.forest.LightParts[id]; ok {
 		return lp
 	}
@@ -227,8 +257,6 @@ func (b *builder) lightPart(a *query.Atom, keys tuple.Schema) *LightPart {
 	b.forest.LightParts[id] = lp
 	return lp
 }
-
-func schemaKey(s tuple.Schema) string { return joinVars(s) }
 
 func joinVars(s tuple.Schema) string {
 	parts := make([]string, len(s))
@@ -319,7 +347,6 @@ func (b *builder) indicatorVTs(n *vorder.Node) *Indicator {
 	keys := keysOf(n)
 	b.indSeq++
 	ind := &Indicator{
-		ID:   b.indSeq,
 		Name: fmt.Sprintf("H%s_%d", n.Var, b.indSeq),
 		Keys: keys.Clone(),
 	}
