@@ -169,6 +169,54 @@ func TestDurableRoundTrip(t *testing.T) {
 	}
 }
 
+// TestOpenRestoresCheckpointedMultiplicities: a checkpoint row carries its
+// multiplicity, and Open loads it with that multiplicity — a weighted load,
+// repeated loads of one row, and a later insert of the same row all come
+// back summed, from the Build checkpoint and from an explicit one.
+func TestOpenRestoresCheckpointedMultiplicities(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "log")
+	q := durParse(t)
+	opts := ivmeps.Options{Epsilon: 0.5, Durability: ivmeps.Durability{Dir: dir, Sync: ivmeps.SyncAlways}}
+	e, err := ivmeps.New(q, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.LoadWeighted("R", []int64{1, 10}, 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Load("S", []int64{10, 7}, []int64{10, 7}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Build(); err != nil {
+		t.Fatal(err)
+	}
+	for i, checkpoint := range []bool{false, true} {
+		if err := e.Insert("R", []int64{1, 10}); err != nil {
+			t.Fatal(err)
+		}
+		if checkpoint {
+			if err := e.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, wantEpoch := durState(t, e)
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if e, err = ivmeps.Open(q, opts); err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		got, gotEpoch := durState(t, e)
+		if gotEpoch != wantEpoch || !sameState(got, want) {
+			t.Fatalf("checkpointed=%v: recovered epoch %d state %v, want epoch %d state %v", checkpoint, gotEpoch, got, wantEpoch, want)
+		}
+		if m, want := got["[1 7]"], int64(3+1+i)*2; m != want { // R(1,10) × S(10,7)
+			t.Fatalf("checkpointed=%v: Q(1,7) = %d, want %d", checkpoint, m, want)
+		}
+	}
+	e.Close()
+}
+
 // buildDurableHistory creates a durable engine, commits n randomized batches
 // (recording the committed state at every epoch), checkpoints once midway,
 // closes the engine, and returns the log directory plus the shadow record.

@@ -2,6 +2,10 @@ package ivmeps
 
 import "ivmeps/internal/wal"
 
+// CheckInvariants exposes the core engine's structural invariant check to
+// the external tests.
+func (e *Engine) CheckInvariants() error { return e.e.CheckInvariants() }
+
 // SetDurabilityFS injects a file-operation implementation into a
 // Durability configuration, for fault-injection tests
 // (internal/wal/faultfs). Test-only: the field is unexported so real

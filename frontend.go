@@ -6,7 +6,6 @@ import (
 
 	"ivmeps/internal/core"
 	"ivmeps/internal/naive"
-	"ivmeps/internal/relation"
 	"ivmeps/internal/tuple"
 )
 
@@ -29,6 +28,7 @@ type snapSource interface {
 // backend is what the front end needs of an engine. *core.Engine and
 // *federation.Fed both satisfy it, each with its own snapshot type S.
 type backend[S snapSource] interface {
+	Load(rel string, t tuple.Tuple, m int64) error
 	Preprocess(db naive.Database) error
 	Update(rel string, t tuple.Tuple, m int64) error
 	CommitBatch(ops []core.BatchOp) error
@@ -39,23 +39,12 @@ type backend[S snapSource] interface {
 	Stats() core.Stats
 }
 
-// frontend holds the pre-Build staging area and the built flag in front of
-// a backend. Its exported methods are promoted into Engine and Sharded.
+// frontend holds the built flag in front of a backend. Its exported methods
+// are promoted into Engine and Sharded.
 type frontend[S snapSource] struct {
-	q       *Query
-	b       backend[S]
-	initial naive.Database
-	built   bool
-}
-
-func newFrontend[S snapSource](q *Query, b backend[S]) frontend[S] {
-	f := frontend[S]{q: q, b: b, initial: naive.Database{}}
-	for _, a := range q.q.Atoms {
-		if _, ok := f.initial[a.Rel]; !ok {
-			f.initial[a.Rel] = relation.New(a.Rel, a.Vars)
-		}
-	}
-	return f
+	q     *Query
+	b     backend[S]
+	built bool
 }
 
 // Load bulk-inserts rows (with multiplicity 1) into a relation before
@@ -75,29 +64,24 @@ func (f *frontend[S]) LoadWeighted(rel string, row []int64, mult int64) error {
 	if f.built {
 		return fmt.Errorf("ivmeps: Load after Build; use Insert/Delete/Apply or a Batch")
 	}
-	r, ok := f.initial[rel]
-	if !ok {
-		return fmt.Errorf("ivmeps: %w: %q (query %s)", ErrUnknownRelation, rel, f.q)
-	}
 	if mult <= 0 {
 		return fmt.Errorf("ivmeps: initial multiplicity must be positive, got %d", mult)
 	}
-	return wrapErr(r.Add(tuple.Tuple(row), mult))
+	return wrapErr(f.b.Load(rel, tuple.Tuple(row), mult))
 }
 
 // Build runs the preprocessing stage over the loaded data — on a Sharded
-// engine, after partitioning it across the shards, on all of them in
-// parallel. It must be called exactly once, before any
+// engine, whose shards each hold the rows Load routed to them, on all of
+// them in parallel. It must be called exactly once, before any
 // Insert/Delete/Apply/Enumerate.
 func (f *frontend[S]) Build() error {
 	if f.built {
 		return fmt.Errorf("ivmeps: Build called twice")
 	}
-	if err := f.b.Preprocess(f.initial); err != nil {
+	if err := f.b.Preprocess(nil); err != nil {
 		return wrapErr(err)
 	}
 	f.built = true
-	f.initial = nil
 	return nil
 }
 

@@ -116,24 +116,36 @@ func (c *Client) Commit(ctx context.Context, b *Batch) (uint64, error) {
 			}
 		}
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/commit", &body)
-	if err != nil {
+	var cr server.CommitReply
+	if err := c.do(ctx, http.MethodPost, c.base+"/v1/commit", &body, &cr); err != nil {
 		return 0, err
 	}
-	req.Header.Set("Content-Type", "application/x-ndjson")
+	return cr.Epoch, nil
+}
+
+// do sends one request — a body is an NDJSON op stream — and decodes the
+// JSON reply into out; a non-200 response comes back as the typed error it
+// carries.
+func (c *Client) do(ctx context.Context, method, addr string, body io.Reader, out any) error {
+	req, err := http.NewRequestWithContext(ctx, method, addr, body)
+	if err != nil {
+		return err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/x-ndjson")
+	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return 0, fmt.Errorf("client: commit: %w", err)
+		return fmt.Errorf("client: %w", err)
 	}
 	defer drain(resp.Body)
 	if resp.StatusCode != http.StatusOK {
-		return 0, decodeErrorBody(resp)
+		return decodeErrorBody(resp)
 	}
-	var cr server.CommitReply
-	if err := json.NewDecoder(resp.Body).Decode(&cr); err != nil {
-		return 0, fmt.Errorf("client: commit reply: %w", err)
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		return fmt.Errorf("client: %s %s: decoding the reply: %w", method, addr, err)
 	}
-	return cr.Epoch, nil
+	return nil
 }
 
 // Rows reads the query result (view "", via /v1/result/rows) or one root
@@ -223,42 +235,18 @@ func (c *Client) fetchPage(ctx context.Context, view, cursor string) (*server.Ro
 	if len(q) > 0 {
 		path += "?" + q.Encode()
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, path, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("client: rows: %w", err)
-	}
-	defer drain(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeErrorBody(resp)
-	}
 	var page server.RowsPage
-	if err := json.NewDecoder(resp.Body).Decode(&page); err != nil {
-		return nil, fmt.Errorf("client: rows page: %w", err)
+	if err := c.do(ctx, http.MethodGet, path, nil, &page); err != nil {
+		return nil, err
 	}
 	return &page, nil
 }
 
 // Stats fetches the server's /v1/stats report.
 func (c *Client) Stats(ctx context.Context) (*server.StatsReply, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/stats", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("client: stats: %w", err)
-	}
-	defer drain(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeErrorBody(resp)
-	}
 	var sr server.StatsReply
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-		return nil, fmt.Errorf("client: stats reply: %w", err)
+	if err := c.do(ctx, http.MethodGet, c.base+"/v1/stats", nil, &sr); err != nil {
+		return nil, err
 	}
 	return &sr, nil
 }

@@ -229,19 +229,19 @@ func (e *Engine) ApplyBatch(rel string, rows []tuple.Tuple, mults []int64) error
 // prepareLocked validates the whole batch in op order under the writer
 // lock, tracking the running multiplicity of each distinct
 // (relation, tuple) and aggregating the net delta per tuple in first-seen
-// order. All grouping state — the per-relation slots (one fixed slot per
-// query relation, indexed by RelID), their tuple-keyed maps, and the group
-// lists — is pooled on the engine (keys reference the caller's rows until
-// the staged batch is applied or released), so repeated batches validate
-// without allocating. Ops carrying a pre-resolved RelID skip the name
-// lookup entirely; unresolved ops keep a last-name fast path in front of
-// the map, since ingest streams are usually runs of one relation. A one-op
-// commit has nothing to aggregate and skips the tuple-keyed map, whose
-// Reset after any earlier large batch is O(capacity).
+// order. All grouping state — the relation table's tuple-keyed maps and
+// group lists, one set per query relation, indexed by RelID — is pooled on
+// the engine (keys reference the caller's rows until the staged batch is
+// applied or released), so repeated batches validate without allocating.
+// Ops carrying a pre-resolved RelID skip the name lookup entirely;
+// unresolved ops keep a last-name fast path in front of the map, since
+// ingest streams are usually runs of one relation. A one-op commit has
+// nothing to aggregate and skips the tuple-keyed map, whose Reset after any
+// earlier large batch is O(capacity).
 //
 // On success the aggregated groups stay staged on the engine
-// (e.batchTouched / e.batchSlots) for applyStagedLocked; on an error every
-// slot is released and the engine is untouched.
+// (e.batchTouched / e.relTab) for applyStagedLocked; on an error every
+// entry is released and the engine is untouched.
 func (e *Engine) prepareLocked(ops []BatchOp) error {
 	if !e.preprocessed {
 		return fmt.Errorf("core: commit: %w (run Preprocess first)", ErrNotBuilt)
@@ -256,7 +256,7 @@ func (e *Engine) prepareLocked(ops []BatchOp) error {
 	applied := 0
 	lastID := 0
 	resolvedID, resolvedName := 0, ""
-	var br *batchRelState
+	var br *relEntry
 	var err error
 	for i := range ops {
 		op := &ops[i]
@@ -276,12 +276,12 @@ func (e *Engine) prepareLocked(ops []BatchOp) error {
 			// second lookup pass. Re-submitting the ops stays valid: the id
 			// is stable for the engine's lifetime.
 			op.RelID = id
-		} else if id < 1 || id > len(e.batchSlots) {
+		} else if id < 1 || id > len(e.relTab) {
 			err = fmt.Errorf("core: %w: %q (op %d carries invalid relation id %d)", ErrUnknownRelation, op.Rel, i, id)
 			break
 		}
 		if id != lastID {
-			br = &e.batchSlots[id-1]
+			br = &e.relTab[id-1]
 			if !br.touched {
 				br.touched = true
 				e.batchTouched = append(e.batchTouched, id)
@@ -289,7 +289,7 @@ func (e *Engine) prepareLocked(ops []BatchOp) error {
 			lastID = id
 		}
 		if len(op.Row) != br.arity {
-			err = &relation.ArityError{Relation: br.rel, Tuple: op.Row.Clone(), Schema: br.first.Schema()}
+			err = &relation.ArityError{Relation: br.name, Tuple: op.Row.Clone(), Schema: br.occs[0].base.Schema()}
 			break
 		}
 		if op.Mult == 0 {
@@ -304,14 +304,14 @@ func (e *Engine) prepareLocked(ops []BatchOp) error {
 		}
 		if !seen {
 			gi = len(br.groups)
-			br.groups = append(br.groups, batchGroup{t: op.Row, stored: br.first.Mult(op.Row)})
+			br.groups = append(br.groups, batchGroup{t: op.Row, stored: br.occs[0].base.Mult(op.Row)})
 			if !single {
 				br.val.PutHashed(h, op.Row, gi)
 			}
 		}
 		g := &br.groups[gi]
 		if g.stored+g.net+op.Mult < 0 {
-			err = &relation.MultiplicityError{Relation: br.rel, Tuple: op.Row.Clone(),
+			err = &relation.MultiplicityError{Relation: br.name, Tuple: op.Row.Clone(),
 				Have: g.stored + g.net, Delta: op.Mult}
 			break
 		}
@@ -347,7 +347,7 @@ func (e *Engine) applyStagedLocked() {
 	e.invalidateGenLocked()
 	touched := 0
 	for _, id := range e.batchTouched {
-		br := &e.batchSlots[id-1]
+		br := &e.relTab[id-1]
 		d := e.ws0.getDelta()
 		for gi := range br.groups {
 			if br.groups[gi].net != 0 {
@@ -357,7 +357,7 @@ func (e *Engine) applyStagedLocked() {
 		if len(d.rows) > 0 {
 			// Footnote 2: an update to a repeated relation symbol is a
 			// sequence of updates to each occurrence.
-			for _, rt := range br.routes {
+			for _, rt := range br.occs {
 				if len(d.rows) == 1 {
 					e.updateOne(rt, d)
 				} else {
@@ -416,31 +416,14 @@ type batchGroup struct {
 	stored int64
 }
 
-// batchRelState is the pooled per-relation grouping state of commits.
-// Every query relation owns one fixed slot (e.batchSlots[RelID-1], built
-// at construction): the relation's occurrence list and arity are resolved
-// once per engine, and the tuple-keyed validation map and distinct-tuple
-// group list are reset (capacity kept) rather than reallocated across
-// batches.
-type batchRelState struct {
-	rel     string
-	occ     []string
-	routes  []*relRoutes // one per occurrence; set by buildRoutes
-	first   *relation.Relation
-	arity   int
-	touched bool // slot is on e.batchTouched for the staged batch
-	val     tuple.IntMap
-	groups  []batchGroup
-}
-
-// releaseStagedLocked returns the touched per-relation grouping slots to
-// their pooled state with every reference into the caller's rows dropped
-// (after an apply, an abort, and on every validation error alike), so a
-// failed or aborted batch does not stay pinned by the pooled maps and
+// releaseStagedLocked returns the touched relation-table entries to their
+// pooled validation state with every reference into the caller's rows
+// dropped (after an apply, an abort, and on every validation error alike),
+// so a failed or aborted batch does not stay pinned by the pooled maps and
 // group lists.
 func (e *Engine) releaseStagedLocked() {
 	for _, id := range e.batchTouched {
-		br := &e.batchSlots[id-1]
+		br := &e.relTab[id-1]
 		clear(br.groups)
 		br.groups = br.groups[:0]
 		br.val.Reset()

@@ -153,8 +153,8 @@ func TestApplyBatchErrorReleasesScratch(t *testing.T) {
 	if err := e.ApplyBatch("R", []tuple.Tuple{{1, 2}, {3, 4, 5}}, nil); err == nil {
 		t.Fatal("arity-mismatched batch accepted")
 	}
-	for i := range e.batchSlots {
-		br := &e.batchSlots[i]
+	for i := range e.relTab {
+		br := &e.relTab[i]
 		if n := br.val.Len(); n != 0 {
 			t.Errorf("pooled relation slot %d: validation map holds %d entries after failed batches, want 0", i, n)
 		}

@@ -590,3 +590,50 @@ func TestCommitEnvelope(t *testing.T) {
 		})
 	}
 }
+
+// TestLoadStoresBeforePreprocess pins the load path: a loaded row is in the
+// base relation of every occurrence at once — there is no staging copy for
+// Preprocess to drain — a rejected row touches no occurrence, and Load is
+// refused once Preprocess has run.
+func TestLoadStoresBeforePreprocess(t *testing.T) {
+	e, err := New(query.MustParse("Q(A, B) = R(A, B), R(B, A)"), Options{Epsilon: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := tuple.Tuple{1, 1}
+	for i := 0; i < 2; i++ { // a repeated row accumulates multiplicity
+		if err := e.Load("R", row, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, rt := range e.relTab[e.RelID("R")-1].occs {
+		if got := rt.base.Mult(row); got != 4 {
+			t.Errorf("occurrence %s holds multiplicity %d before Preprocess, want 4", rt.base.Name(), got)
+		}
+	}
+	var ae *relation.ArityError
+	if err := e.Load("R", tuple.Tuple{1, 2, 3}, 1); !errors.As(err, &ae) || ae.Relation != "R" {
+		t.Errorf("Load of a 3-column row returned %v, want an ArityError naming R", err)
+	}
+	if err := e.Load("R", row, 0); err == nil {
+		t.Error("Load with multiplicity 0 accepted")
+	}
+	if err := e.Load("Z", row, 1); !errors.Is(err, ErrUnknownRelation) {
+		t.Errorf("Load of an unknown relation returned %v", err)
+	}
+	if n := e.BaseRelation("R").Size(); n != 1 {
+		t.Errorf("base relation holds %d rows after the rejected loads, want 1", n)
+	}
+	if err := e.Preprocess(nil); err != nil {
+		t.Fatal(err)
+	}
+	if e.N() != 1 || e.ResultRelation().Mult(row) != 16 {
+		t.Errorf("after Preprocess: N = %d, Q(1,1) = %d, want 1 and 16", e.N(), e.ResultRelation().Mult(row))
+	}
+	if err := e.Load("R", tuple.Tuple{3, 4}, 1); err == nil {
+		t.Error("Load after Preprocess accepted")
+	}
+	if err := e.CheckInvariants(); err != nil {
+		t.Error(err)
+	}
+}

@@ -96,9 +96,10 @@ func (e *Engine) BaseState() (uint64, []FrozenBase, error) {
 	if !e.preprocessed {
 		return 0, nil, fmt.Errorf("core: BaseState: %w (run Preprocess first)", ErrNotBuilt)
 	}
-	rels := make([]FrozenBase, 0, len(e.relNames))
-	for _, name := range e.relNames {
-		rels = append(rels, FrozenBase{Name: name, Rel: e.base[e.occ[name][0]].Freeze()})
+	rels := make([]FrozenBase, 0, len(e.relTab))
+	for i := range e.relTab {
+		re := &e.relTab[i]
+		rels = append(rels, FrozenBase{Name: re.name, Rel: re.occs[0].base.Freeze()})
 	}
 	return e.epoch, rels, nil
 }

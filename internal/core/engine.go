@@ -71,13 +71,16 @@ type Engine struct {
 	q    *query.Query // occurrence-rewritten query (unique relation symbols)
 	opts Options
 
-	// occ maps an original relation symbol to its occurrence relations
-	// (footnote 2: updates to a repeated symbol are applied per occurrence).
-	occ map[string][]string
-
 	forest *viewtree.Forest
-	base   map[string]*relation.Relation // occurrence name -> base relation
-	parts  map[viewtree.LightPartID]*relation.Partition
+
+	// relTab is the relation table: one entry per original relation symbol
+	// in first-occurrence order, indexed by RelID−1, and relIdx is the one
+	// name lookup into it (RelID by name; 0 means unknown). Everything the
+	// engine knows about the query's relations — base relations, light-part
+	// partitions, propagation routes, commit validation state — hangs off an
+	// entry, so every pass over "the relations" runs in table order.
+	relTab []relEntry
+	relIdx map[string]int
 
 	// Per-node state, indexed by viewtree.Node.ID. rels[id] is the node's
 	// materialized relation — the base relation, light part or ∃H behind a
@@ -89,10 +92,6 @@ type Engine struct {
 	info  []nodeInfo
 	plans []*updPlan
 
-	// routes are the precomputed per-relation propagation routes built at
-	// preprocessing time (routes.go); they drive the update hot path.
-	routes map[string]*relRoutes
-
 	// ws0 is the engine goroutine's own worker scratch (ubind bindings,
 	// delta pool, relation key scratch); the one-row kernel and every
 	// sequential section of a batch run on it. Parallel batch phases add
@@ -102,23 +101,14 @@ type Engine struct {
 	pool     *workerPool
 	cleanup  runtime.Cleanup
 
-	// Relation table: relNames lists the original relation names in
-	// first-occurrence order and relIdx maps a name to its RelID (index+1;
-	// 0 means unknown). Built once at construction; BatchOp.RelID indexes
-	// into it so batch validation skips per-op name lookups.
-	relNames []string
-	relIdx   map[string]int
-
-	// Pooled batch-commit scratch (batch.go): one fixed per-relation slot
-	// per query relation (indexed by RelID−1) holding the tuple-keyed maps
-	// and group lists of the all-or-nothing validation pass, the
-	// first-touched slot order of the staged batch, the ApplyBatch
-	// wrapper's op buffer, the per-partition key-grouping table and
-	// batchKey lists, the refreshBatchH distinct-key set, and the arena
-	// backing the distinct partition keys of one occurrence pass. All are
-	// reset (capacity kept) rather than reallocated, so repeated batches on
-	// one engine allocate only for genuinely new entries.
-	batchSlots    []batchRelState
+	// Pooled batch-commit scratch (batch.go), beside the validation state
+	// in the relation table: the first-touched entry order of the staged
+	// batch, the ApplyBatch wrapper's op buffer, the per-partition
+	// key-grouping table and batchKey lists, the refreshBatchH distinct-key
+	// set, and the arena backing the distinct partition keys of one
+	// occurrence pass. All are reset (capacity kept) rather than
+	// reallocated, so repeated batches on one engine allocate only for
+	// genuinely new entries.
 	batchTouched  []int
 	staged        bool // a validated batch is staged (PrepareCommit succeeded)
 	stagedApplied int  // nonzero-mult ops of the staged batch
@@ -209,6 +199,21 @@ type Stats struct {
 	BatchRelations  int64 // distinct relations with a net effect, summed over commits
 }
 
+// relEntry is one row of the relation table: an original relation symbol
+// with its occurrences in atom order (each a relRoutes — the occurrence's
+// base relation, partitions and propagation routes, routes.go) and the
+// pooled validation state of commits (batch.go): the tuple-keyed map and
+// distinct-tuple group list are reset, capacity kept, rather than
+// reallocated across batches.
+type relEntry struct {
+	name    string
+	arity   int
+	occs    []*relRoutes
+	touched bool // entry is on e.batchTouched for the staged batch
+	val     tuple.IntMap
+	groups  []batchGroup
+}
+
 // nodeInfo is one node's static metadata for enumeration and routing.
 type nodeInfo struct {
 	node *viewtree.Node
@@ -250,29 +255,35 @@ func New(q *query.Query, opts Options) (*Engine, error) {
 		return nil, fmt.Errorf("core: epsilon %v outside [0, 1]", opts.Epsilon)
 	}
 	e := &Engine{
-		orig:  q.Clone(),
-		opts:  opts,
-		occ:   map[string][]string{},
-		base:  map[string]*relation.Relation{},
-		parts: map[viewtree.LightPartID]*relation.Partition{},
-		slot:  map[tuple.Variable]int{},
-		m:     1,
+		orig:   q.Clone(),
+		q:      q.Clone(),
+		opts:   opts,
+		relIdx: map[string]int{},
+		slot:   map[tuple.Variable]int{},
+		m:      1,
 	}
-	// Occurrence rewriting for repeated relation symbols.
-	e.q = q.Clone()
-	if q.HasRepeatedSymbols() {
-		seen := map[string]int{}
-		for i := range e.q.Atoms {
-			name := e.q.Atoms[i].Rel
-			seen[name]++
-			occName := fmt.Sprintf("%s__occ%d", name, seen[name])
-			e.q.Atoms[i].Rel = occName
-			e.occ[name] = append(e.occ[name], occName)
+	// The relation table, one entry per original symbol in first-occurrence
+	// order and one occurrence per atom. A repeated symbol is rewritten to
+	// one relation per occurrence (footnote 2: an update to it is applied
+	// per occurrence). occOf resolves the forest's leaves below; after New
+	// the table is only reached by RelID.
+	repeated := q.HasRepeatedSymbols()
+	occOf := map[string]*relRoutes{}
+	for i := range e.q.Atoms {
+		a := &e.q.Atoms[i]
+		id := e.relIdx[a.Rel]
+		if id == 0 {
+			e.relTab = append(e.relTab, relEntry{name: a.Rel, arity: len(a.Vars)})
+			id = len(e.relTab)
+			e.relIdx[a.Rel] = id
 		}
-	} else {
-		for _, a := range e.q.Atoms {
-			e.occ[a.Rel] = append(e.occ[a.Rel], a.Rel)
+		re := &e.relTab[id-1]
+		if repeated {
+			a.Rel = fmt.Sprintf("%s__occ%d", re.name, len(re.occs)+1)
 		}
+		rt := &relRoutes{base: relation.New(a.Rel, a.Vars), countsN: len(re.occs) == 0}
+		occOf[a.Rel] = rt
+		re.occs = append(re.occs, rt)
 	}
 
 	var forest *viewtree.Forest
@@ -287,16 +298,6 @@ func New(q *query.Query, opts Options) (*Engine, error) {
 	}
 	e.forest = forest
 
-	// Base relations, one per occurrence.
-	for _, a := range e.q.Atoms {
-		if _, ok := e.base[a.Rel]; !ok {
-			e.base[a.Rel] = relation.New(a.Rel, a.Vars)
-		}
-	}
-	// Partitions for every light part.
-	for id, lp := range forest.LightParts {
-		e.parts[id] = relation.NewPartition(e.base[lp.Rel], lp.Keys, lp.Name)
-	}
 	e.rels = make([]*relation.Relation, forest.NumNodes)
 	e.info = make([]nodeInfo, forest.NumNodes)
 	e.plans = make([]*updPlan, forest.NumNodes)
@@ -306,20 +307,6 @@ func New(q *query.Query, opts Options) (*Engine, error) {
 		for _, ref := range ind.Refs {
 			e.rels[ref.ID] = h
 		}
-	}
-
-	// Relation table and the fixed per-relation batch slots, one per
-	// original relation in first-occurrence order. Resolving occurrence
-	// lists, schemas, and arities here means batch validation never
-	// touches them per commit.
-	e.relNames = e.orig.RelationNames()
-	e.relIdx = make(map[string]int, len(e.relNames))
-	e.batchSlots = make([]batchRelState, len(e.relNames))
-	for i, name := range e.relNames {
-		e.relIdx[name] = i + 1
-		occ := e.occ[name]
-		first := e.base[occ[0]]
-		e.batchSlots[i] = batchRelState{rel: name, occ: occ, first: first, arity: len(first.Schema())}
 	}
 
 	// Variable slots.
@@ -342,6 +329,12 @@ func New(q *query.Query, opts Options) (*Engine, error) {
 	firstNode := map[*relation.Relation]int{}
 	for tree, root := range trees {
 		walkNodes(root, func(n *viewtree.Node) {
+			switch n.Kind {
+			case viewtree.Atom:
+				e.rels[n.ID] = occOf[n.Rel].base
+			case viewtree.LightAtom:
+				e.rels[n.ID] = occOf[n.Rel].partition(n).p.Light()
+			}
 			inf := e.buildInfo(n)
 			inf.tree, inf.frozenAs = tree, -1
 			if tree >= mainTrees {
@@ -361,16 +354,10 @@ func New(q *query.Query, opts Options) (*Engine, error) {
 	return e, nil
 }
 
-// buildInfo fills info[n.ID] and, for a leaf, resolves rels[n.ID].
+// buildInfo fills info[n.ID].
 func (e *Engine) buildInfo(n *viewtree.Node) *nodeInfo {
 	inf := &e.info[n.ID]
 	inf.node = n
-	switch n.Kind {
-	case viewtree.Atom:
-		e.rels[n.ID] = e.base[n.Rel]
-	case viewtree.LightAtom:
-		e.rels[n.ID] = e.parts[n.LightPart()].Light()
-	}
 	for _, v := range n.Schema {
 		inf.slots = append(inf.slots, e.slot[v])
 	}
@@ -469,19 +456,19 @@ func (e *Engine) Forest() *viewtree.Forest { return e.forest }
 // BaseRelation returns the engine's materialized copy of an original
 // relation (its first occurrence), or nil. Callers must not modify it.
 func (e *Engine) BaseRelation(name string) *relation.Relation {
-	occ := e.occ[name]
-	if len(occ) == 0 {
+	id := e.relIdx[name]
+	if id == 0 {
 		return nil
 	}
-	return e.base[occ[0]]
+	return e.relTab[id-1].occs[0].base
 }
 
-// recomputeN refreshes the database size from the base relations, counting
-// each original relation once.
+// recomputeN refreshes the database size from the base relations, each
+// original relation counted once.
 func (e *Engine) recomputeN() {
 	n := 0
-	for _, occ := range e.occ {
-		n += e.base[occ[0]].Size()
+	for i := range e.relTab {
+		n += e.relTab[i].occs[0].base.Size()
 	}
 	e.n = n
 }

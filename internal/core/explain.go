@@ -43,11 +43,11 @@ func (e *Engine) Explain() string {
 			fmt.Fprintf(&b, "  ∃H on %s over %s\n", ind.Keys, strings.Join(ind.Rels, ", "))
 		}
 	}
-	if len(e.forest.LightParts) > 0 {
-		var parts []string
-		for _, lp := range e.forest.LightParts {
-			parts = append(parts, lp.Name)
-		}
+	var parts []string
+	for _, pr := range e.partitions {
+		parts = append(parts, pr.p.Light().Name())
+	}
+	if len(parts) > 0 {
 		sort.Strings(parts)
 		fmt.Fprintf(&b, "light parts: %s\n", strings.Join(parts, ", "))
 	}

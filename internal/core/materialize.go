@@ -10,11 +10,46 @@ import (
 	"ivmeps/internal/viewtree"
 )
 
-// Preprocess loads the initial database and materializes every view
-// (Proposition 21): the light parts are computed by a strict partition with
-// threshold θ = M^ε, the indicator trees and heavy indicators are built,
-// and all view trees are materialized bottom-up. db maps original relation
-// names to relations; missing relations start empty.
+// Load adds the row {t → m}, m > 0, to relation rel ahead of Preprocess: the
+// row goes into the base relation of every occurrence of rel, and repeated
+// loads of one row accumulate multiplicity. It is the one way initial data
+// enters an engine; Preprocess(db) loads db through it.
+func (e *Engine) Load(rel string, t tuple.Tuple, m int64) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.loadLocked(rel, t, m)
+}
+
+// loadLocked validates a loaded row — all of it before the first write, so
+// a rejected row leaves no occurrence changed — and stores it.
+func (e *Engine) loadLocked(rel string, t tuple.Tuple, m int64) error {
+	if e.preprocessed {
+		return fmt.Errorf("core: Load after Preprocess; use Update or CommitBatch")
+	}
+	id := e.relIdx[rel]
+	if id == 0 {
+		return fmt.Errorf("core: %w: %q (query %s)", ErrUnknownRelation, rel, e.orig)
+	}
+	if m <= 0 {
+		return fmt.Errorf("core: relation %s: tuple %v has non-positive multiplicity %d", rel, t, m)
+	}
+	occs := e.relTab[id-1].occs
+	for _, rt := range occs {
+		if len(t) != len(rt.base.Schema()) {
+			return &relation.ArityError{Relation: rel, Tuple: t.Clone(), Schema: rt.base.Schema()}
+		}
+	}
+	for _, rt := range occs {
+		rt.base.MustAdd(t, m)
+	}
+	return nil
+}
+
+// Preprocess loads db, if any, on top of what Load stored and materializes
+// every view (Proposition 21): the light parts are computed by a strict
+// partition with threshold θ = M^ε, the indicator trees and heavy
+// indicators are built, and all view trees are materialized bottom-up. db
+// maps original relation names to relations; missing relations start empty.
 func (e *Engine) Preprocess(db naive.Database) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -22,26 +57,10 @@ func (e *Engine) Preprocess(db naive.Database) error {
 		return fmt.Errorf("core: engine already preprocessed")
 	}
 	for name, src := range db {
-		occ, ok := e.occ[name]
-		if !ok {
-			return fmt.Errorf("core: %w: %q (query %s)", ErrUnknownRelation, name, e.orig)
-		}
-		var loadErr error
-		src.ForEach(func(t tuple.Tuple, m int64) {
-			if m <= 0 {
-				loadErr = fmt.Errorf("core: relation %s: tuple %v has non-positive multiplicity %d", name, t, m)
-				return
+		for en := src.First(); en != nil; en = src.Next(en) {
+			if err := e.loadLocked(name, en.Tuple, en.Mult); err != nil {
+				return err
 			}
-			for _, o := range occ {
-				if len(t) != len(e.base[o].Schema()) {
-					loadErr = &relation.ArityError{Relation: name, Tuple: t.Clone(), Schema: e.base[o].Schema()}
-					return
-				}
-				e.base[o].MustAdd(t, m)
-			}
-		})
-		if loadErr != nil {
-			return loadErr
 		}
 	}
 	e.recomputeN()
@@ -68,8 +87,8 @@ func Preprocess(e *Engine, db naive.Database) error { return e.Preprocess(db) }
 // rebalancing (Figure 20).
 func (e *Engine) materializeAll() {
 	theta := e.Theta()
-	for _, p := range e.parts {
-		p.Rebuild(theta)
+	for _, pr := range e.partitions {
+		pr.p.Rebuild(theta)
 	}
 	for _, ind := range e.forest.Indicators {
 		e.materializeTree(ind.All)
@@ -83,10 +102,10 @@ func (e *Engine) materializeAll() {
 }
 
 // materializeTree computes every view of a tree bottom-up. Leaves (base
-// relations, light parts, heavy indicators) are already materialized.
-// Existing view relations are refilled in place rather than replaced, so
-// the relation pointers cached by the propagation routes and update plans
-// (routes.go) stay valid across major rebalancing.
+// relations, light parts, heavy indicators) are already materialized. A
+// view's relation is created at its first materialization and refilled in
+// place from then on, so the relation pointers cached by the propagation
+// routes and update plans (routes.go) stay valid across major rebalancing.
 func (e *Engine) materializeTree(n *viewtree.Node) {
 	for _, c := range n.Children {
 		e.materializeTree(c)
@@ -94,23 +113,20 @@ func (e *Engine) materializeTree(n *viewtree.Node) {
 	if n.Kind != viewtree.View {
 		return
 	}
-	res := e.joinChildren(n)
-	v := e.rels[n.ID]
-	if v == nil {
-		e.rels[n.ID] = res
-		return
+	if e.rels[n.ID] == nil {
+		e.rels[n.ID] = relation.New(n.Name, n.Schema)
 	}
-	v.Clear()
-	res.ForEach(func(t tuple.Tuple, m int64) { v.MustAdd(t, m) })
+	e.joinChildren(n, e.rels[n.ID])
 }
 
-// joinChildren evaluates V(S) = C1(S1), ..., Ck(Sk) over the children's
-// materialized relations. Each child is first aggregated onto the variables
-// that the view's schema or some sibling actually needs — the InsideOut
-// push-down the paper uses to keep materialization within the Prop 21
-// bounds (e.g. the static heavy tree V(B) = ∃H(B), R(A,B), S(B,C) is
-// computed as ∃H ⋈ (Σ_A R) ⋈ (Σ_C S) in linear time, not as the flat join).
-func (e *Engine) joinChildren(n *viewtree.Node) *relation.Relation {
+// joinChildren clears v and fills it with V(S) = C1(S1), ..., Ck(Sk) over
+// the children's materialized relations. Each child is first aggregated
+// onto the variables that the view's schema or some sibling actually needs
+// — the InsideOut push-down the paper uses to keep materialization within
+// the Prop 21 bounds (e.g. the static heavy tree V(B) = ∃H(B), R(A,B),
+// S(B,C) is computed as ∃H ⋈ (Σ_A R) ⋈ (Σ_C S) in linear time, not as the
+// flat join).
+func (e *Engine) joinChildren(n *viewtree.Node, v *relation.Relation) {
 	sub := &query.Query{Name: n.Name, Free: n.Schema}
 	db := naive.Database{}
 	for i, c := range n.Children {
@@ -133,11 +149,10 @@ func (e *Engine) joinChildren(n *viewtree.Node) *relation.Relation {
 		sub.Atoms = append(sub.Atoms, query.Atom{Rel: name, Vars: keep})
 		db[name] = rel
 	}
-	res, err := naive.Eval(sub, db)
-	if err != nil {
+	v.Clear()
+	if err := naive.EvalInto(v, sub, db, -1); err != nil {
 		panic(fmt.Sprintf("core: materialize %s: %v", n.Name, err))
 	}
-	return res
 }
 
 // aggregateOnto projects rel onto keep, summing multiplicities; linear in

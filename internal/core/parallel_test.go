@@ -186,7 +186,7 @@ func TestParallelPropagationAllocFree(t *testing.T) {
 		plus.appendRow(tuple.Tuple{a0, 90_000 + i}, 1)
 		minus.appendRow(tuple.Tuple{a0, 90_000 + i}, -1)
 	}
-	rt := e.routes[e.occ["S"][0]]
+	rt := e.relTab[e.relIdx["S"]-1].occs[0]
 	phase := func(d *delta) {
 		for _, lp := range rt.atomLeaves {
 			e.enqueue(lp, d)

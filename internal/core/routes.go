@@ -28,20 +28,50 @@ package core
 // parallelism of the batch path, and the id selects the leaf's job group.
 
 import (
+	"slices"
+
 	"ivmeps/internal/relation"
 	"ivmeps/internal/tuple"
 	"ivmeps/internal/viewtree"
 )
 
-// relRoutes is the full routing table for one occurrence relation.
+// relRoutes is one occurrence of a relation symbol (relEntry.occs): its base
+// relation and partitions, known from New on, and — once buildRoutes ran —
+// the full routing table of an update to it.
 type relRoutes struct {
-	rel     string
 	base    *relation.Relation
-	countsN bool // rel is the counting occurrence of its original symbol
+	countsN bool // the first occurrence of its symbol: its size counts toward N
 
-	atomLeaves []*leafPath // Atom leaves for rel in the main trees
-	inds       []*indRoute // indicators whose All tree contains rel
-	parts      []*partRoute
+	atomLeaves []*leafPath  // Atom leaves for the occurrence in the main trees
+	inds       []*indRoute  // indicators whose All tree contains it
+	parts      []*partRoute // in order of their first LightAtom leaf
+}
+
+// partition returns the occurrence's partition behind a LightAtom leaf,
+// creating it at the leaf's first mention.
+func (rt *relRoutes) partition(leaf *viewtree.Node) *partRoute {
+	for _, pr := range rt.parts {
+		if pr.p.Key().Equal(leaf.Keys) {
+			return pr
+		}
+	}
+	pr := &partRoute{p: relation.NewPartition(rt.base, leaf.Keys, leaf.Name)}
+	rt.parts = append(rt.parts, pr)
+	return pr
+}
+
+// partitions yields every partition with its occurrence, in relation-table
+// order.
+func (e *Engine) partitions(yield func(*relRoutes, *partRoute) bool) {
+	for i := range e.relTab {
+		for _, rt := range e.relTab[i].occs {
+			for _, pr := range rt.parts {
+				if !yield(rt, pr) {
+					return
+				}
+			}
+		}
+	}
 }
 
 // leafPath is the fixed leaf→root propagation chain above one leaf.
@@ -89,14 +119,10 @@ type indLightRoute struct {
 	lLeaves []*leafPath // LightAtom(rel, key) leaves in s.ind.L
 }
 
-// buildRoutes constructs the routing tables. It requires all views to be
-// materialized (plans cache view relations and sibling indexes).
+// buildRoutes fills the routing tables of every occurrence, in relation-table
+// order. It requires all views to be materialized (plans cache view
+// relations and sibling indexes).
 func (e *Engine) buildRoutes() {
-	counting := map[string]bool{}
-	for _, occ := range e.occ {
-		counting[occ[0]] = true
-	}
-
 	e.nWorkers = e.resolveWorkers(len(e.jobGroups))
 
 	shared := map[*viewtree.Indicator]*indShared{}
@@ -110,62 +136,52 @@ func (e *Engine) buildRoutes() {
 	}
 	mainTrees := e.forest.Trees()
 
-	e.routes = map[string]*relRoutes{}
-	for occName, base := range e.base {
-		rt := &relRoutes{rel: occName, base: base, countsN: counting[occName]}
-		for _, tr := range mainTrees {
-			walkNodes(tr, func(n *viewtree.Node) {
-				if n.Kind == viewtree.Atom && n.Rel == occName {
-					rt.atomLeaves = append(rt.atomLeaves, e.buildPath(n))
-				}
-			})
-		}
-		for _, ind := range e.forest.Indicators {
-			if !containsRel(ind.Rels, occName) {
-				continue
-			}
-			ir := &indRoute{s: shared[ind], keyProj: tuple.MustProjection(base.Schema(), ind.Keys)}
-			walkNodes(ind.All, func(n *viewtree.Node) {
-				if n.Kind == viewtree.Atom && n.Rel == occName {
-					ir.allLeaves = append(ir.allLeaves, e.buildPath(n))
-				}
-			})
-			rt.inds = append(rt.inds, ir)
-		}
-		for id, p := range e.parts {
-			if id.Rel != occName {
-				continue
-			}
-			pr := &partRoute{p: p}
+	for i := range e.relTab {
+		for _, rt := range e.relTab[i].occs {
+			occName := rt.base.Name()
 			for _, tr := range mainTrees {
 				walkNodes(tr, func(n *viewtree.Node) {
-					if n.Kind == viewtree.LightAtom && n.Rel == occName && n.Keys.Equal(p.Key()) {
-						pr.lightLeaves = append(pr.lightLeaves, e.buildPath(n))
+					if n.Kind == viewtree.Atom && n.Rel == occName {
+						rt.atomLeaves = append(rt.atomLeaves, e.buildPath(n))
 					}
 				})
 			}
 			for _, ind := range e.forest.Indicators {
-				if !containsRel(ind.Rels, occName) || !ind.Keys.Equal(p.Key()) {
+				if !slices.Contains(ind.Rels, occName) {
 					continue
 				}
-				il := &indLightRoute{s: shared[ind]}
-				walkNodes(ind.L, func(n *viewtree.Node) {
-					if n.Kind == viewtree.LightAtom && n.Rel == occName && n.Keys.Equal(p.Key()) {
-						il.lLeaves = append(il.lLeaves, e.buildPath(n))
+				ir := &indRoute{s: shared[ind], keyProj: tuple.MustProjection(rt.base.Schema(), ind.Keys)}
+				walkNodes(ind.All, func(n *viewtree.Node) {
+					if n.Kind == viewtree.Atom && n.Rel == occName {
+						ir.allLeaves = append(ir.allLeaves, e.buildPath(n))
 					}
 				})
-				pr.inds = append(pr.inds, il)
+				rt.inds = append(rt.inds, ir)
 			}
-			rt.parts = append(rt.parts, pr)
-		}
-		e.routes[occName] = rt
-	}
-	// Resolve every relation's occurrence routes once, so a commit reaches
-	// them without a per-occurrence name lookup.
-	for i := range e.batchSlots {
-		br := &e.batchSlots[i]
-		for _, o := range br.occ {
-			br.routes = append(br.routes, e.routes[o])
+			for _, pr := range rt.parts {
+				isLeaf := func(n *viewtree.Node) bool {
+					return n.Kind == viewtree.LightAtom && n.Rel == occName && n.Keys.Equal(pr.p.Key())
+				}
+				for _, tr := range mainTrees {
+					walkNodes(tr, func(n *viewtree.Node) {
+						if isLeaf(n) {
+							pr.lightLeaves = append(pr.lightLeaves, e.buildPath(n))
+						}
+					})
+				}
+				for _, ind := range e.forest.Indicators {
+					if !slices.Contains(ind.Rels, occName) || !ind.Keys.Equal(pr.p.Key()) {
+						continue
+					}
+					il := &indLightRoute{s: shared[ind]}
+					walkNodes(ind.L, func(n *viewtree.Node) {
+						if isLeaf(n) {
+							il.lLeaves = append(il.lLeaves, e.buildPath(n))
+						}
+					})
+					pr.inds = append(pr.inds, il)
+				}
+			}
 		}
 	}
 }

@@ -190,15 +190,6 @@ func (e *Engine) updateTrees(rt *relRoutes, d *delta) {
 	}
 }
 
-func containsRel(rels []string, r string) bool {
-	for _, x := range rels {
-		if x == r {
-			return true
-		}
-	}
-	return false
-}
-
 // refreshH re-derives the heavy indicator bit ∃H(key) = ∃All(key) ∧ ∄L(key)
 // and returns the support change {−1, 0, +1} (UpdateIndTree, Figure 18,
 // specialized to H = All ⋈ ∄L).
@@ -503,9 +494,9 @@ func (e *Engine) CheckInvariants() error {
 		return fmt.Errorf("core: size invariant violated: N=%d M=%d", e.n, e.m)
 	}
 	theta := e.Theta()
-	for id, p := range e.parts {
-		if !p.CheckLoose(theta) {
-			return fmt.Errorf("core: loose partition conditions violated for %s on %s (θ=%v)", id.Rel, id.Key, theta)
+	for rt, pr := range e.partitions {
+		if !pr.p.CheckLoose(theta) {
+			return fmt.Errorf("core: loose partition conditions violated for %s on %s (θ=%v)", rt.base.Name(), pr.p.Key(), theta)
 		}
 	}
 	for _, ind := range e.forest.Indicators {

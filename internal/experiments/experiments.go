@@ -34,9 +34,6 @@ type Config struct {
 	Seed int64
 }
 
-// DefaultConfig returns the full-scale configuration.
-func DefaultConfig() Config { return Config{Seed: 2020} }
-
 // Check is one measured-vs-predicted comparison.
 type Check struct {
 	Name      string

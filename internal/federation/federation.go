@@ -294,13 +294,19 @@ func chooseShardKey(q *query.Query) (shardAtom []bool, keyVars tuple.Schema, con
 	return shardAtom, keyVars, concat
 }
 
-// shardOf routes a shard-key occurrence of a row: copy the key columns
-// into the pooled scratch and hash them. Only called with k > 1.
-func (f *Fed) shardOf(keyPos []int, row tuple.Tuple) int {
-	for j, p := range keyPos {
+// shardRange is the one routing decision, shared by Load and the commit
+// scatter: occurrence o of a row goes to the shards [lo, hi) — the one shard
+// its key columns hash to (copied into the pooled scratch first) for a
+// shard-component occurrence, every shard for a broadcast one.
+func (f *Fed) shardRange(o *fedOcc, row tuple.Tuple) (lo, hi int) {
+	if f.k == 1 || o.keyPos == nil {
+		return 0, f.k
+	}
+	for j, p := range o.keyPos {
 		f.keyScratch[j] = row[p]
 	}
-	return int(tuple.HashPrefix(f.seed, f.keyScratch, len(keyPos)) % uint64(f.k))
+	s := int(tuple.HashPrefix(f.seed, f.keyScratch, len(o.keyPos)) % uint64(f.k))
+	return s, s + 1
 }
 
 // Shards returns the shard count K.
@@ -324,61 +330,54 @@ func (f *Fed) ShardVars() (vars tuple.Schema, concat bool) {
 // tables; ids must come from the instance the batch is committed to.
 func (f *Fed) RelID(name string) int { return f.relIdx[name] }
 
-// Preprocess routes the initial database to the shards — shard-component
-// relations partitioned by key hash, everything else broadcast — and runs
-// the core preprocessing stage on all shards in parallel. db maps original
-// relation names to relations; missing relations start empty.
+// Load routes the row {t → m} of relation rel to the shards ahead of
+// Preprocess: per occurrence, to the shard range a committed op on the same
+// row would reach. The arity is checked before the first shard is written,
+// so a rejected row is on no shard; everything else about the row is
+// validated by the shard engines' own Load.
+func (f *Fed) Load(rel string, t tuple.Tuple, m int64) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.loadLocked(rel, t, m)
+}
+
+func (f *Fed) loadLocked(rel string, t tuple.Tuple, m int64) error {
+	if f.built {
+		return fmt.Errorf("federation: Load after Preprocess; use Update or CommitBatch")
+	}
+	id := f.relIdx[rel]
+	if id == 0 {
+		return fmt.Errorf("federation: %w: %q (query %s)", core.ErrUnknownRelation, rel, f.orig)
+	}
+	fr := &f.relList[id-1]
+	if len(t) != fr.arity {
+		return &relation.ArityError{Relation: fr.name, Tuple: t.Clone(), Schema: fr.schema}
+	}
+	for oi := range fr.occs {
+		o := &fr.occs[oi]
+		lo, hi := f.shardRange(o, t)
+		for _, e := range f.shards[lo:hi] {
+			if err := e.Load(o.name, t, m); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// Preprocess loads db, if any, on top of what Load routed to the shards and
+// runs the core preprocessing stage on all shards in parallel. db maps
+// original relation names to relations; missing relations start empty.
 func (f *Fed) Preprocess(db naive.Database) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.built {
 		return fmt.Errorf("federation: already preprocessed")
 	}
-	dbs := make([]naive.Database, f.k)
-	for s := range dbs {
-		dbs[s] = naive.Database{}
-	}
 	for name, src := range db {
-		id := f.relIdx[name]
-		if id == 0 {
-			return fmt.Errorf("federation: %w: %q (query %s)", core.ErrUnknownRelation, name, f.orig)
-		}
-		fr := &f.relList[id-1]
-		for oi := range fr.occs {
-			o := &fr.occs[oi]
-			if o.keyPos == nil || f.k == 1 {
-				// Broadcast: every shard loads the same source relation
-				// (core.Preprocess only reads it, copying tuples into the
-				// shard's own base relations).
-				for s := range dbs {
-					dbs[s][o.name] = src
-				}
-				continue
-			}
-			parts := make([]*relation.Relation, f.k)
-			for s := range parts {
-				parts[s] = relation.New(o.name, fr.schema)
-			}
-			var rerr error
-			src.ForEach(func(t tuple.Tuple, m int64) {
-				if rerr != nil {
-					return
-				}
-				if m <= 0 {
-					rerr = fmt.Errorf("federation: relation %s: tuple %v has non-positive multiplicity %d", name, t, m)
-					return
-				}
-				if len(t) != fr.arity {
-					rerr = &relation.ArityError{Relation: name, Tuple: t.Clone(), Schema: fr.schema}
-					return
-				}
-				parts[f.shardOf(o.keyPos, t)].MustAdd(t, m)
-			})
-			if rerr != nil {
-				return rerr
-			}
-			for s := range dbs {
-				dbs[s][o.name] = parts[s]
+		for en := src.First(); en != nil; en = src.Next(en) {
+			if err := f.loadLocked(name, en.Tuple, en.Mult); err != nil {
+				return err
 			}
 		}
 	}
@@ -388,7 +387,7 @@ func (f *Fed) Preprocess(db naive.Database) error {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			errs[s] = core.Preprocess(f.shards[s], dbs[s])
+			errs[s] = f.shards[s].Preprocess(nil)
 		}(s)
 	}
 	wg.Wait()
@@ -520,12 +519,8 @@ func (f *Fed) scatterLocked(ops []core.BatchOp) error {
 		}
 		for oi := range fr.occs {
 			o := &fr.occs[oi]
-			if f.k > 1 && o.keyPos != nil {
-				s := f.shardOf(o.keyPos, op.Row)
-				f.sub[s] = append(f.sub[s], core.BatchOp{Rel: o.name, RelID: o.relID, Row: op.Row, Mult: op.Mult})
-				continue
-			}
-			for s := range f.sub {
+			lo, hi := f.shardRange(o, op.Row)
+			for s := lo; s < hi; s++ {
 				f.sub[s] = append(f.sub[s], core.BatchOp{Rel: o.name, RelID: o.relID, Row: op.Row, Mult: op.Mult})
 			}
 		}

@@ -46,22 +46,33 @@ func Eval(q *query.Query, db Database) (*relation.Relation, error) {
 }
 
 // EvalSeeded is Eval with a forced first atom (by index into q.Atoms). The
-// delta propagation of internal/core uses it to start every join from the
-// (small) delta relation rather than from an arbitrary atom; pass -1 for
-// the default order.
+// delta propagation of internal/baseline uses it to start every join from
+// the (small) delta relation rather than from an arbitrary atom; pass -1
+// for the default order.
 func EvalSeeded(q *query.Query, db Database, first int) (*relation.Relation, error) {
+	res := relation.New(q.Name, q.Free)
+	if err := EvalInto(res, q, db, first); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// EvalInto is the join itself: it adds the result of q over db to dst, a
+// relation over q.Free that is none of db's, starting from atom first as
+// EvalSeeded does. internal/core materializes its views through it, each
+// straight into the view's own relation.
+func EvalInto(dst *relation.Relation, q *query.Query, db Database, first int) error {
 	for _, a := range q.Atoms {
 		r, ok := db[a.Rel]
 		if !ok {
-			return nil, fmt.Errorf("naive: relation %s not in database", a.Rel)
+			return fmt.Errorf("naive: relation %s not in database", a.Rel)
 		}
 		if len(r.Schema()) != len(a.Vars) {
-			return nil, fmt.Errorf("naive: atom %s has arity %d but relation has arity %d",
+			return fmt.Errorf("naive: atom %s has arity %d but relation has arity %d",
 				a, len(a.Vars), len(r.Schema()))
 		}
 	}
 	plan := orderAtoms(q, first)
-	res := relation.New(q.Name, q.Free)
 
 	// Variable slots.
 	vars := q.Vars()
@@ -124,7 +135,7 @@ func EvalSeeded(q *query.Query, db Database, first int) (*relation.Relation, err
 	var recurse func(i int, mult int64)
 	recurse = func(i int, mult int64) {
 		if i == len(steps) {
-			res.MustAdd(proj.Apply(assign), mult)
+			dst.MustAdd(proj.Apply(assign), mult)
 			return
 		}
 		st := &steps[i]
@@ -170,7 +181,7 @@ func EvalSeeded(q *query.Query, db Database, first int) (*relation.Relation, err
 		}
 	}
 	recurse(0, 1)
-	return res, nil
+	return nil
 }
 
 // MustEval is Eval that panics on error.

@@ -243,10 +243,6 @@ func (q *Query) DynamicWidth() int {
 	return d
 }
 
-// DeltaRank returns i such that the query is δi-hierarchical
-// (Definition 5). By Proposition 8 this equals DynamicWidth.
-func (q *Query) DeltaRank() int { return q.DynamicWidth() }
-
 func (q *Query) mustHierarchical() {
 	if !q.IsHierarchical() {
 		panic("query: width measures require a hierarchical query: " + q.String())

@@ -117,9 +117,6 @@ func (r *Relation) Index(keySchema tuple.Schema) *Index {
 	return nil
 }
 
-// KeySchema returns the index's key schema.
-func (ix *Index) KeySchema() tuple.Schema { return ix.s.keySchema }
-
 // insert links e into the index. rs is the owning relation store (for the
 // shared node back-pointer arena).
 func (ix *ixStore) insert(e *Entry, rs *relStore) {

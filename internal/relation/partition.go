@@ -48,9 +48,6 @@ func (p *Partition) Light() *Relation { return p.light }
 // Key returns the partition key schema S.
 func (p *Partition) Key() tuple.Schema { return p.key }
 
-// KeyOf projects a full tuple of R onto the partition key.
-func (p *Partition) KeyOf(t tuple.Tuple) tuple.Tuple { return p.proj.Apply(t) }
-
 // AppendKeyOf appends the partition key of t to dst and returns dst; with a
 // reused scratch buffer it does not allocate.
 func (p *Partition) AppendKeyOf(dst, t tuple.Tuple) tuple.Tuple { return p.proj.AppendTo(dst, t) }

@@ -387,9 +387,6 @@ func (r *Relation) Freeze() *Relation {
 	return f
 }
 
-// Frozen reports whether r is a read-only handle returned by Freeze.
-func (r *Relation) Frozen() bool { return r.frozen }
-
 // Release drops a frozen handle's pin on its store, allowing the writer to
 // mutate that generation in place again (if no other pins remain). The
 // handle must not be used after Release. Releasing twice or releasing a

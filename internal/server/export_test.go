@@ -13,3 +13,11 @@ func SetReaderTTL(t *testing.T, d time.Duration) {
 	readerTTL = d
 	t.Cleanup(func() { readerTTL = old })
 }
+
+// SetWatchWriteTimeout shortens the per-frame write deadline of watch
+// streams for one test and restores it when the test ends.
+func SetWatchWriteTimeout(t *testing.T, d time.Duration) {
+	old := watchWriteTimeout
+	watchWriteTimeout = d
+	t.Cleanup(func() { watchWriteTimeout = old })
+}

@@ -43,11 +43,12 @@ type metrics struct {
 	commitCount   atomic.Uint64
 	commitSumNs   atomic.Uint64
 
-	watchers      atomic.Int64 // live watch streams
-	watchEvicted  atomic.Uint64
-	watchDrained  atomic.Uint64
-	commitsOK     atomic.Uint64
-	commitsFailed atomic.Uint64
+	watchers           atomic.Int64 // live watch streams
+	watchEvicted       atomic.Uint64
+	watchDrained       atomic.Uint64
+	watchWriteTimeouts atomic.Uint64 // streams closed because the peer stopped reading
+	commitsOK          atomic.Uint64
+	commitsFailed      atomic.Uint64
 }
 
 // observeCommit records one successful commit's wall-clock latency.
@@ -106,6 +107,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "ivmd_watch_evictions_total %d\n", m.watchEvicted.Load())
 	fmt.Fprintf(w, "# HELP ivmd_watch_drained_total Watch streams ended by an orderly drain.\n# TYPE ivmd_watch_drained_total counter\n")
 	fmt.Fprintf(w, "ivmd_watch_drained_total %d\n", m.watchDrained.Load())
+	fmt.Fprintf(w, "# HELP ivmd_watch_write_timeouts_total Watch streams closed because the peer stopped reading.\n# TYPE ivmd_watch_write_timeouts_total counter\n")
+	fmt.Fprintf(w, "ivmd_watch_write_timeouts_total %d\n", m.watchWriteTimeouts.Load())
 
 	fmt.Fprintf(w, "# HELP ivmd_page_readers Open pagination cursors.\n# TYPE ivmd_page_readers gauge\n")
 	fmt.Fprintf(w, "ivmd_page_readers %d\n", s.readers.open())

@@ -41,6 +41,11 @@ const (
 // snapshot pin is released. A variable only so a test can shorten it.
 var readerTTL = 30 * time.Second
 
+// watchWriteTimeout bounds the write of one watch frame: a stream whose peer
+// takes no bytes for this long is closed. A variable only so a test can
+// shorten it.
+var watchWriteTimeout = 10 * time.Second
+
 // Server is the HTTP query service over one built engine. It implements
 // http.Handler; mount it directly or under a prefix. The engine must have
 // been Built; the server is its only writer (commits are serialized

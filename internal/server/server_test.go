@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -660,6 +661,139 @@ func TestWatchLaggedEviction(t *testing.T) {
 	}
 	if !sawLagged {
 		t.Fatal("stalled watcher was not evicted with a lagged frame")
+	}
+}
+
+// smallSendBufListener shrinks the kernel send buffer of every connection
+// it accepts.
+type smallSendBufListener struct{ net.Listener }
+
+func (l smallSendBufListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		c.(*net.TCPConn).SetWriteBuffer(4 << 10)
+	}
+	return c, err
+}
+
+// TestWatchStalledPeerIsClosed: a watch client that stops reading must not
+// hold its handler goroutine, connection and watchers count once its socket
+// buffers fill — the per-frame write deadline ends the stream — while a
+// watcher that does read sees every epoch and the engine keeps committing.
+func TestWatchStalledPeerIsClosed(t *testing.T) {
+	server.SetWatchWriteTimeout(t, 200*time.Millisecond) // before newStack: restored after its server closed
+	_, srv, c := newStack(t, server.Options{}, client.Options{})
+	ctx := context.Background()
+	// A second listener on the same server whose connections have small send
+	// buffers, so a stalled peer blocks the handler after a few frames.
+	hs := httptest.NewUnstartedServer(srv)
+	hs.Listener = smallSendBufListener{hs.Listener}
+	hs.Start()
+	defer hs.Close()
+
+	// 2000 join keys of degree one: every key stays light, so a commit that
+	// adds an S row under each of them changes 2000 rows of a root view.
+	const keys = 2000
+	seed := c.NewBatch()
+	for k := int64(0); k < keys; k++ {
+		seed.Insert("R", []int64{k, k})
+	}
+	if _, err := c.Commit(ctx, seed); err != nil {
+		t.Fatal(err)
+	}
+
+	// The stalled peer: a raw connection with a small receive buffer that
+	// reads the stream opening and then nothing.
+	conn, err := net.Dial("tcp", hs.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.(*net.TCPConn).SetReadBuffer(4 << 10)
+	if _, err := io.WriteString(conn, "GET /v1/watch HTTP/1.1\r\nHost: stalled\r\n\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	for br := bufio.NewReader(conn); ; {
+		line, err := br.ReadString('\n')
+		if err != nil {
+			t.Fatalf("stalled peer: reading the stream opening: %v", err)
+		}
+		if strings.Contains(line, `"type":"ready"`) {
+			break
+		}
+	}
+
+	w, err := c.Watch(ctx, client.WatchOptions{Buffer: 1 << 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	seen := make(chan uint64, 1<<12)
+	go func() {
+		defer close(seen)
+		for ev, err := range w.Events() {
+			if err != nil {
+				return
+			}
+			seen <- ev.Epoch
+		}
+	}()
+
+	// Each commit inserts (or, every other time, deletes again) one S row per
+	// key: a 2000-row delta per frame, with a database that stays small.
+	watchers := func() int64 {
+		st, err := c.Stats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Watchers
+	}
+	if n := watchers(); n != 2 {
+		t.Fatalf("watchers = %d before the stall, want 2", n)
+	}
+	var last uint64
+	b := c.NewBatch()
+	deadline := time.Now().Add(20 * time.Second)
+	for i := 0; watchers() != 1; i++ {
+		if time.Now().After(deadline) {
+			t.Fatalf("stalled stream still open after %d large commits: watchers = %d, want 1", i, watchers())
+		}
+		b.Reset()
+		for k := int64(0); k < keys; k++ {
+			b.Apply("S", []int64{k, 7}, int64(1-2*(i%2)))
+		}
+		if last, err = c.Commit(ctx, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The engine keeps committing, and the reading watcher missed nothing.
+	if last, err = c.Commit(ctx, c.NewBatch().Insert("R", []int64{9, 9})); err != nil {
+		t.Fatal(err)
+	}
+	for want := w.Epoch() + 1; want <= last; want++ {
+		select {
+		case got, ok := <-seen:
+			if !ok || got != want {
+				t.Fatalf("reading watcher: event epoch %d (open=%v), want %d", got, ok, want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("reading watcher: no event for epoch %d", want)
+		}
+	}
+	w.Close()
+	for deadline := time.Now().Add(5 * time.Second); watchers() != 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("watchers = %d after both streams ended, want 0", watchers())
+		}
+	}
+	resp, err := http.Get(hs.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if want := "ivmd_watch_write_timeouts_total 1\n"; !strings.Contains(string(body), want) {
+		t.Fatalf("metrics exposition missing %q", want)
 	}
 }
 

@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"os"
 	"strconv"
 	"strings"
 	"sync/atomic"
+	"time"
 
 	"ivmeps"
 )
@@ -33,7 +35,8 @@ import (
 // (this consumer fell further behind than its buffer; the exact missed
 // epochs are named, mirroring ivmeps.WatcherLaggedError), an "end" frame
 // (server drain — orderly, nothing lost), or an unadorned connection drop
-// (the client went away or the process died).
+// (the client went away, stopped reading for watchWriteTimeout, or the
+// process died).
 
 // handleWatch streams commit deltas as chunked NDJSON.
 func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
@@ -91,16 +94,22 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set(HeaderEpoch, strconv.FormatUint(anchor.Epoch(), 10))
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
+	// Every frame is written under its own deadline, and a failed write ends
+	// the stream: a peer that stopped reading would otherwise park this
+	// goroutine in Write, with its connection and its watchers count, until
+	// TCP gives up. A writer without deadlines (tests) just has none.
+	rc := http.NewResponseController(w)
 	enc := json.NewEncoder(w) // Encode appends '\n': one compact frame per line
 	send := func(f *Frame) bool {
-		if err := enc.Encode(f); err != nil {
-			return false
+		rc.SetWriteDeadline(time.Now().Add(watchWriteTimeout))
+		err := enc.Encode(f)
+		if err == nil {
+			err = rc.Flush()
 		}
-		if flusher != nil {
-			flusher.Flush()
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			s.metrics.watchWriteTimeouts.Add(1)
 		}
-		return true
+		return err == nil
 	}
 
 	if !s.sendAnchor(send, wat, anchor, fromSet && fromEpoch == anchor.Epoch(), views) {

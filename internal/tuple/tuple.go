@@ -155,8 +155,7 @@ func (s Schema) String() string {
 // source schema to a target schema, mirroring the paper's x[S] operation.
 // Build it once and reuse it in inner loops.
 type Projection struct {
-	target Schema
-	pos    []int
+	pos []int
 }
 
 // NewProjection builds the projection from src onto target. Every variable
@@ -170,7 +169,7 @@ func NewProjection(src, target Schema) (Projection, error) {
 		}
 		pos[i] = j
 	}
-	return Projection{target: target.Clone(), pos: pos}, nil
+	return Projection{pos: pos}, nil
 }
 
 // MustProjection is NewProjection that panics on error; for static schemas.
@@ -181,9 +180,6 @@ func MustProjection(src, target Schema) Projection {
 	}
 	return p
 }
-
-// Target returns the projection's target schema.
-func (p Projection) Target() Schema { return p.target }
 
 // Apply restricts t (over the source schema) to the target schema.
 func (p Projection) Apply(t Tuple) Tuple {

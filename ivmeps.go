@@ -339,7 +339,7 @@ func New(q *Query, opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng := &Engine{frontend: newFrontend(q, e), e: e}
+	eng := &Engine{frontend: frontend[*core.Snapshot]{q: q, b: e}, e: e}
 	if opts.Durability.enabled() {
 		// Fail on an already-populated log directory now, not at Build:
 		// recovering an existing log is Open's job, and silently appending

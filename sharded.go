@@ -50,7 +50,7 @@ func NewSharded(q *Query, opts ShardedOptions) (*Sharded, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Sharded{frontend: newFrontend(q, f), f: f}, nil
+	return &Sharded{frontend: frontend[*federation.Snapshot]{q: q, b: f}, f: f}, nil
 }
 
 // Shards returns the shard count K.

@@ -7,6 +7,11 @@ import (
 	"testing"
 
 	"ivmeps"
+	"ivmeps/internal/core"
+	"ivmeps/internal/naive"
+	"ivmeps/internal/query"
+	"ivmeps/internal/relation"
+	"ivmeps/internal/tuple"
 )
 
 // shardedPair builds an Engine and a Sharded over the same query and the
@@ -369,5 +374,137 @@ func TestShardedStatsCountCommitsLikeEngine(t *testing.T) {
 	}
 	if !errors.Is(eerrs[3], ivmeps.ErrUnknownRelation) {
 		t.Fatalf("ApplyBatch on an unknown relation with no rows returned %v", eerrs[3])
+	}
+}
+
+// loadable is the load-path surface Engine and Sharded share.
+type loadable interface {
+	Load(rel string, rows ...[]int64) error
+	LoadWeighted(rel string, row []int64, mult int64) error
+	Build() error
+	Insert(rel string, row []int64) error
+	N() int
+	Enumerate(yield func(row []int64, mult int64) bool)
+}
+
+// loadTargets returns a fresh Engine and Sharded engines at K ∈ {1, 2, 4}
+// over qs, closed with the test.
+func loadTargets(t *testing.T, qs string) map[string]loadable {
+	t.Helper()
+	q := ivmeps.MustParseQuery(qs)
+	e, err := ivmeps.New(q, ivmeps.Options{Epsilon: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { e.Close() })
+	out := map[string]loadable{"Engine": e}
+	for _, k := range []int{1, 2, 4} {
+		s, err := ivmeps.NewSharded(q, ivmeps.ShardedOptions{Options: ivmeps.Options{Epsilon: 0.5}, Shards: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Close)
+		out[fmt.Sprintf("Sharded/K=%d", k)] = s
+	}
+	return out
+}
+
+// TestLoadBuildMatchesPreprocess: rows loaded one by one and built are the
+// state core.Preprocess computes from a database of the same rows — on an
+// Engine and on Sharded engines, for a query whose one relation routes each
+// row to two shards and for one with a broadcast component.
+func TestLoadBuildMatchesPreprocess(t *testing.T) {
+	for _, qs := range []string{
+		"Q(A, C) = R(A, B), S(B, C)",
+		"Q(A, B) = R(A, B), R(B, A)",
+		"Q(A, C) = R(A, B), S(C, D)",
+	} {
+		q := query.MustParse(qs)
+		rng := rand.New(rand.NewSource(23))
+		db := naive.Database{}
+		rows := map[string][][]int64{}
+		for _, a := range q.Atoms {
+			if db[a.Rel] != nil {
+				continue
+			}
+			db[a.Rel] = relation.New(a.Rel, a.Vars)
+			for i := 0; i < 120; i++ { // domain 7: duplicates accumulate multiplicity
+				row := []int64{rng.Int63n(7), rng.Int63n(7)}
+				rows[a.Rel] = append(rows[a.Rel], row)
+				db[a.Rel].MustAdd(tuple.Tuple(row), 1)
+			}
+		}
+		ref, err := core.New(q, core.Options{Epsilon: 0.5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := core.Preprocess(ref, db); err != nil {
+			t.Fatal(err)
+		}
+		want := publicResultMap(func(y func([]int64, int64) bool) {
+			ref.Enumerate(func(tu tuple.Tuple, m int64) bool { return y(tu, m) })
+		})
+		for name, l := range loadTargets(t, qs) {
+			for rel, rs := range rows {
+				if err := l.Load(rel, rs...); err != nil {
+					t.Fatalf("%s on %s: Load: %v", name, qs, err)
+				}
+			}
+			if err := l.Build(); err != nil {
+				t.Fatalf("%s on %s: Build: %v", name, qs, err)
+			}
+			requireSameResults(t, name+" on "+qs, publicResultMap(l.Enumerate), want)
+			if l.N() != ref.N() {
+				t.Errorf("%s on %s: N = %d, want %d", name, qs, l.N(), ref.N())
+			}
+			if e, ok := l.(*ivmeps.Engine); ok {
+				if err := e.CheckInvariants(); err != nil {
+					t.Errorf("%s on %s: %v", name, qs, err)
+				}
+			}
+		}
+	}
+}
+
+// TestLoadErrorParity: Engine and Sharded reject the same loads with the
+// same programmable errors, a rejected row reaches no occurrence on any
+// shard, and accepted duplicates accumulate multiplicity.
+func TestLoadErrorParity(t *testing.T) {
+	const qs = "Q(A, B) = R(A, B), R(B, A)" // one R row goes to two shards
+	for name, l := range loadTargets(t, qs) {
+		if err := l.Load("nope", []int64{1, 2}); !errors.Is(err, ivmeps.ErrUnknownRelation) {
+			t.Errorf("%s: Load of an unknown relation returned %v", name, err)
+		}
+		var ae *ivmeps.ArityError
+		if err := l.Load("R", []int64{1, 2, 3}); !errors.As(err, &ae) {
+			t.Errorf("%s: Load of a 3-column row returned %v, want *ArityError", name, err)
+		} else if ae.Relation != "R" || len(ae.Schema) != 2 || len(ae.Row) != 3 {
+			t.Errorf("%s: ArityError = %+v", name, ae)
+		}
+		for _, m := range []int64{0, -2} {
+			if err := l.LoadWeighted("R", []int64{1, 2}, m); err == nil {
+				t.Errorf("%s: LoadWeighted with multiplicity %d accepted", name, m)
+			}
+		}
+		if err := l.Load("R", []int64{1, 2}, []int64{1, 2}); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.LoadWeighted("R", []int64{2, 1}, 3); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Build(); err != nil {
+			t.Fatal(err)
+		}
+		// Only the accepted rows are there: R(1,2) twice and R(2,1) three times.
+		requireSameResults(t, name, publicResultMap(l.Enumerate), map[string]int64{"[1 2]": 6, "[2 1]": 6})
+		if l.N() != 2 {
+			t.Errorf("%s: N = %d after two distinct rows, want 2", name, l.N())
+		}
+		if err := l.Load("R", []int64{5, 5}); err == nil {
+			t.Errorf("%s: Load after Build accepted", name)
+		}
+		if err := l.Insert("R", []int64{5, 5}); err != nil {
+			t.Errorf("%s: Insert after the refused Load: %v", name, err)
+		}
 	}
 }
