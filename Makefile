@@ -14,12 +14,22 @@ GO ?= go
 # BENCH_ALLOC_NONDET). Keep in sync with BENCH_update.json.
 BENCH_RE = Update|Batch|Parallel|Sharded|WAL|Watch|Server
 
+# The read-path benchmark set: one capped pass over Engine.All per ε on three
+# query classes. It has its own file (BENCH_enum.json) and its own regex —
+# BENCH_RE is not widened — and is gated on allocs/op only: a pass allocates
+# per open and per heavy key, never per row. The gate allows 1 %: the ε = 0
+# two-path pass runs three iterations a second, so one stray allocation of
+# the runtime's moves its rounded count by one in 5 257, while a single
+# allocation per row would add 20 000.
+BENCH_ENUM_RE = ^BenchmarkEnumerate$$
+BENCH_ENUM_ALLOC_TOL = 0.01
+
 # Benchmarks whose allocs/op are inherently nondeterministic (HTTP-path
 # connection reuse and buffer pooling); benchdiff gates these at 50%
 # tolerance instead of exact equality.
 BENCH_ALLOC_NONDET = ^BenchmarkServer
 
-.PHONY: check test vet race bench-module bench bench-fresh diff-allocs diff-time bench-check bench-check-allocs docs-check api-check api-update loc bench-all
+.PHONY: check test vet race bench-module bench bench-enum bench-fresh diff-allocs diff-time bench-check bench-check-allocs docs-check api-check api-update loc bench-all
 
 check: vet test
 
@@ -57,6 +67,11 @@ bench:
 	@rm -f BENCH_update.txt
 	@echo wrote BENCH_update.json
 
+# The read-path benchmarks, recorded as BENCH_enum.json.
+bench-enum:
+	$(GO) test -run '^$$' -bench '$(BENCH_ENUM_RE)' -benchmem | $(GO) run ./cmd/bench2json > BENCH_enum.json
+	@echo wrote BENCH_enum.json
+
 # Re-run the benchmark set and diff against the committed baseline without
 # touching it. Fails on any allocs/op increase (strict equality — the
 # update and batch paths are pinned allocation-free or to deterministic
@@ -67,29 +82,33 @@ bench:
 # to ±40%); tighten on quiet bare metal.
 BENCH_TOL = 0.50
 
-# One fresh benchmark run, recorded as BENCH_check.json. CI runs this once
-# and then applies both diff gates to the same report, so the benchmark
-# regex lives only here (BENCH_RE above).
+# One fresh benchmark run of each set, recorded as BENCH_check.json and
+# BENCH_enum_check.json. CI runs this once and then applies the diff gates
+# to the same reports, so the benchmark regexes live only here (BENCH_RE and
+# BENCH_ENUM_RE above).
 bench-fresh:
 	$(GO) test -run '^$$' -bench '$(BENCH_RE)' -benchmem | $(GO) run ./cmd/bench2json > BENCH_check.json
+	$(GO) test -run '^$$' -bench '$(BENCH_ENUM_RE)' -benchmem | $(GO) run ./cmd/bench2json > BENCH_enum_check.json
 
-# Diff-only steps over an existing BENCH_check.json (run bench-fresh first).
-# diff-allocs is the hard CI gate: allocs/op is machine-independent and,
-# with the deterministic worker-pool warmup, deterministic even on one-shot
-# runs. diff-time is advisory on shared runners.
+# Diff-only steps over the existing check reports (run bench-fresh first).
+# diff-allocs is the hard CI gate, on both sets: allocs/op is
+# machine-independent and, with the deterministic worker-pool warmup,
+# deterministic even on one-shot runs. diff-time is advisory on shared
+# runners, and the read-path set has no time gate.
 diff-allocs:
 	$(GO) run ./cmd/benchdiff -baseline BENCH_update.json -new BENCH_check.json -allocs-only -alloc-nondet '$(BENCH_ALLOC_NONDET)'
+	$(GO) run ./cmd/benchdiff -baseline BENCH_enum.json -new BENCH_enum_check.json -allocs-only -alloc-tol $(BENCH_ENUM_ALLOC_TOL)
 
 diff-time:
 	$(GO) run ./cmd/benchdiff -baseline BENCH_update.json -new BENCH_check.json -tol $(BENCH_TOL) -alloc-nondet '$(BENCH_ALLOC_NONDET)'
 
 bench-check: bench-fresh
 	@status=0; $(MAKE) --no-print-directory diff-time || status=$$?; \
-		rm -f BENCH_check.json; exit $$status
+		rm -f BENCH_check.json BENCH_enum_check.json; exit $$status
 
 bench-check-allocs: bench-fresh
 	@status=0; $(MAKE) --no-print-directory diff-allocs || status=$$?; \
-		rm -f BENCH_check.json; exit $$status
+		rm -f BENCH_check.json BENCH_enum_check.json; exit $$status
 
 # Documentation gate: markdown link/anchor integrity across every *.md in
 # the repository plus doc comments on all exported API (internal/doclint).

@@ -853,6 +853,87 @@ func BenchmarkShardedEnumerate(b *testing.B) {
 	}
 }
 
+// BenchmarkEnumerate measures the read side per ε the way
+// BenchmarkUpdateSteadyState measures the write side: one op = one pass over
+// Engine.All, capped at 20 000 rows, on a built engine that has been
+// enumerated once. allocs/op is the gate (BENCH_enum.json, `make
+// bench-enum`): a pass allocates its snapshot and its iterator tree — a few
+// objects per heavy key, so most at ε = 0, where every key is heavy — and
+// nothing per row.
+func BenchmarkEnumerate(b *testing.B) {
+	const rowCap = 20000
+	// domains bound each variable's values; unlisted variables range over
+	// benchN, so the listed ones are the join keys that set the fan-out.
+	cases := []struct {
+		name, q string
+		domains map[string]int64
+	}{
+		{"two-path", "Q(A, C) = R(A, B), S(B, C)", nil}, // Zipf-skewed B: twoPathDB
+		{"q-hierarchical", "Q(A, B, C) = R(A, B), S(A, C)", map[string]int64{"A": benchN / 8}},
+		{"free-connex", "Q(A, D, E) = R(A, B, C), S(A, B, D), T(A, E)", map[string]int64{"A": 50, "B": 10}},
+	}
+	for _, c := range cases {
+		q := ivmeps.MustParseQuery(c.q)
+		for _, eps := range []float64{0, 0.5, 1} {
+			b.Run(fmt.Sprintf("%s/eps=%.2f", c.name, eps), func(b *testing.B) {
+				e, err := ivmeps.New(q, ivmeps.Options{Epsilon: eps})
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer e.Close()
+				rng := rand.New(rand.NewSource(31))
+				if c.domains == nil {
+					for rel, r := range twoPathDB(benchN) {
+						r.ForEach(func(t tuple.Tuple, _ int64) {
+							if err := e.Load(rel, t); err != nil {
+								b.Fatal(err)
+							}
+						})
+					}
+				} else {
+					for _, rel := range q.Relations() {
+						schema := q.Schema(rel)
+						for i := 0; i < benchN; i++ {
+							row := make([]int64, len(schema))
+							for j, v := range schema {
+								dom := int64(benchN)
+								if d, ok := c.domains[v]; ok {
+									dom = d
+								}
+								row[j] = rng.Int63n(dom)
+							}
+							if err := e.Load(rel, row); err != nil {
+								b.Fatal(err)
+							}
+						}
+					}
+				}
+				if err := e.Build(); err != nil {
+					b.Fatal(err)
+				}
+				pass := func() (rows int) {
+					for range e.All() {
+						if rows++; rows >= rowCap {
+							break
+						}
+					}
+					return rows
+				}
+				rows := pass()
+				if rows == 0 {
+					b.Fatal("empty result")
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					pass()
+				}
+				b.ReportMetric(float64(rows), "rows/op")
+			})
+		}
+	}
+}
+
 // BenchmarkWatchFanout measures what watch fan-out adds to the steady-state
 // commit path, on the same warmed Reset/refill/Commit cycle as the other
 // commit benchmarks (an insert batch then its inverse, 16 rows per relation

@@ -182,3 +182,34 @@ func TestWalkRejectsEpochChange(t *testing.T) {
 		t.Fatalf("yielded %d rows, want only the first page's", seen)
 	}
 }
+
+// TestPageDecodeAllocatesPerPage bounds what decoding one 2 048-row page
+// costs the client: the rows are one backing array and one slice of headers
+// (server.RowBlock), and the rest is encoding/json's own — its decode state
+// and the mults slice it grows by doubling, 14 times at this size — so the
+// count is a few dozen, where a slice grown per row made it over 6 000.
+func TestPageDecodeAllocatesPerPage(t *testing.T) {
+	page := server.RowsPage{Epoch: 3, Count: 5000, Next: "r1.2048"}
+	for i := int64(0); i < 2048; i++ {
+		page.Rows = append(page.Rows, []int64{i, 7 * i, -i})
+		page.Mults = append(page.Mults, i%5+1)
+	}
+	body, err := json.Marshal(&page)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got server.RowsPage
+	allocs := testing.AllocsPerRun(10, func() {
+		got = server.RowsPage{}
+		if err := json.Unmarshal(body, &got); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !reflect.DeepEqual(got, page) {
+		t.Fatal("the page does not decode to what was encoded")
+	}
+	t.Logf("decoding a %d-row page: %.0f allocations", len(page.Rows), allocs)
+	if allocs > 32 {
+		t.Errorf("decoding a %d-row page allocates %.0f times, want at most 32", len(page.Rows), allocs)
+	}
+}

@@ -131,7 +131,10 @@ type Engine struct {
 
 	// ectx is the engine's own enumeration context, over rels itself;
 	// snapshots carry their own over a frozen copy (snapshot.go).
-	ectx enumCtx
+	// scratchVals and scratchFlags size the per-node scratch of a context:
+	// the sums of the regions buildInfo hands out.
+	ectx                      enumCtx
+	scratchVals, scratchFlags int
 
 	// freeSlots are the slots of free(Q) in head order.
 	freeSlots []int
@@ -239,6 +242,13 @@ type nodeInfo struct {
 	ctxSchema tuple.Schema
 	freshPos  []int
 	freshSlot []int
+
+	// The node's scratch in an enumeration context (enumCtx.vals, .flags):
+	// vals[keyOff:] holds the len(ctxSlot) values of its context key,
+	// vals[auxOff:] the len(slots) values of a direct lookup's probe tuple
+	// or, for a grounded node, the len(freshSlot) bindings lookupUnder saves,
+	// whose bound flags go to flags[flagOff:].
+	keyOff, auxOff, flagOff int
 }
 
 // New creates an engine for a hierarchical query. The query must be
@@ -311,7 +321,6 @@ func New(q *query.Query, opts Options) (*Engine, error) {
 
 	// Variable slots.
 	e.vars = e.q.Vars()
-	e.ectx = e.newEnumCtx(e.rels, &e.work)
 	e.ws0.ubind = make([]tuple.Value, len(e.vars))
 	for i, v := range e.vars {
 		e.slot[v] = i
@@ -351,6 +360,7 @@ func New(q *query.Query, opts Options) (*Engine, error) {
 		})
 	}
 	e.jobGroups = make([][]propJob, len(trees))
+	e.ectx = e.newEnumCtx(e.rels, &e.work) // after buildInfo has sized the scratch
 	return e, nil
 }
 
@@ -393,6 +403,17 @@ func (e *Engine) buildInfo(n *viewtree.Node) *nodeInfo {
 			inf.freshPos = append(inf.freshPos, i)
 			inf.freshSlot = append(inf.freshSlot, inf.slots[i])
 		}
+	}
+	inf.keyOff = e.scratchVals
+	inf.auxOff = inf.keyOff + len(inf.ctxSlot)
+	e.scratchVals = inf.auxOff
+	switch {
+	case inf.grounded:
+		inf.flagOff = e.scratchFlags
+		e.scratchVals += len(inf.freshSlot)
+		e.scratchFlags += len(inf.freshSlot)
+	case inf.direct:
+		e.scratchVals += len(inf.slots)
 	}
 	return inf
 }

@@ -19,10 +19,10 @@ import (
 // Product algorithm (Figure 16).
 //
 // All mutable enumeration state — the binding array, the bound flags, the
-// work counter — and the node→relation slice live in an enumCtx, so an
-// enumeration belongs either to the engine itself (live relations,
-// writer-goroutine only) or to a Snapshot (frozen relations, own bindings,
-// concurrent with writers; snapshot.go).
+// per-node scratch, the work counter — and the node→relation slice live in
+// an enumCtx, so an enumeration belongs either to the engine itself (live
+// relations, writer-goroutine only) or to a Snapshot (frozen relations, own
+// bindings, concurrent with writers; snapshot.go).
 
 // enumCtx is one enumeration context: the binding slots shared by a tree of
 // iterators, the delay-work counter, and the relation of every node by
@@ -30,16 +30,30 @@ import (
 // and may only be used from the writer goroutine; a snapshot's holds its
 // generation's frozen copy and is independent of concurrent updates. The
 // iterators cannot tell the two apart.
+//
+// vals and flags are the context's scratch: every node owns the region
+// nodeInfo.keyOff/auxOff/flagOff name (the key ctxKey fills, the probe tuple
+// of a direct lookup, the bindings lookupUnder saves), carved from the two
+// arrays that also hold bind and bound, so a row costs no allocation. One
+// region per node is enough because a lookup of node n only ever calls
+// lookups of n's descendants, openCursor is done with its key before it
+// returns, and no scratch is live across a next() return — two iterators
+// over one context, sequential or nested, cannot meet in a region.
 type enumCtx struct {
 	e     *Engine
 	rels  []*relation.Relation
-	bind  []tuple.Value
+	bind  tuple.Tuple
 	bound []bool
+	vals  tuple.Tuple
+	flags []bool
 	work  *int64
 }
 
 func (e *Engine) newEnumCtx(rels []*relation.Relation, work *int64) enumCtx {
-	return enumCtx{e: e, rels: rels, bind: make([]tuple.Value, len(e.vars)), bound: make([]bool, len(e.vars)), work: work}
+	nv := len(e.vars)
+	vals := make(tuple.Tuple, nv+e.scratchVals)
+	flags := make([]bool, nv+e.scratchFlags)
+	return enumCtx{e: e, rels: rels, bind: vals[:nv:nv], bound: flags[:nv:nv], vals: vals[nv:], flags: flags[nv:], work: work}
 }
 
 func (c *enumCtx) tick() { *c.work++ }
@@ -63,13 +77,15 @@ func (c *enumCtx) unbindFresh(inf *nodeInfo) {
 // (Consulting the runtime bound-set instead would absorb stale bindings from
 // sibling Union operands, or treat a stale binding of a summed heavy
 // variable as a restriction.)
+//
+// The key is the node's own scratch: valid until the node's next ctxKey.
 func (c *enumCtx) ctxKey(inf *nodeInfo) tuple.Tuple {
-	var key tuple.Tuple
+	key := c.vals[inf.keyOff : inf.keyOff+len(inf.ctxSlot)]
 	for i, s := range inf.ctxSlot {
 		if !c.bound[s] {
 			panic(fmt.Sprintf("core: %s with unbound context variable %s", inf.node.Name, inf.ctxSchema[i]))
 		}
-		key = append(key, c.bind[s])
+		key[i] = c.bind[s]
 	}
 	return key
 }
@@ -104,21 +120,22 @@ func (c *enumCtx) lookup(inf *nodeInfo) int64 {
 			c.tick()
 			total += c.lookupUnder(inf, t)
 		}
-		key := c.ctxKey(inf)
-		if len(inf.ctxSchema) == 0 {
+		switch {
+		case len(inf.ctxSchema) == 0:
 			rel.ForEach(sum)
-		} else if len(inf.freshPos) == 0 {
+		case len(inf.freshPos) == 0:
+			key := c.ctxKey(inf)
 			if m := rel.Mult(key); m != 0 {
 				sum(key, m)
 			}
-		} else {
-			rel.EnsureIndex(inf.ctxSchema).ForEachMatch(key, sum)
+		default:
+			rel.EnsureIndex(inf.ctxSchema).ForEachMatch(c.ctxKey(inf), sum)
 		}
 		return total
 	}
 	if inf.direct {
 		c.tick()
-		t := make(tuple.Tuple, len(inf.slots))
+		t := c.vals[inf.auxOff : inf.auxOff+len(inf.slots)]
 		for i, s := range inf.slots {
 			if !c.bound[s] {
 				panic(fmt.Sprintf("core: lookup of %s with unbound variable %s", inf.node.Name, inf.node.Schema[i]))
@@ -147,8 +164,8 @@ func (c *enumCtx) lookupKids(inf *nodeInfo) int64 {
 // view tuple t of one heavy key: bind the grounding, multiply the
 // children's lookups, restore.
 func (c *enumCtx) lookupUnder(inf *nodeInfo, t tuple.Tuple) int64 {
-	saved := make([]tuple.Value, len(inf.freshSlot))
-	savedB := make([]bool, len(inf.freshSlot))
+	saved := c.vals[inf.auxOff : inf.auxOff+len(inf.freshSlot)]
+	savedB := c.flags[inf.flagOff : inf.flagOff+len(inf.freshSlot)]
 	for k, s := range inf.freshSlot {
 		saved[k], savedB[k] = c.bind[s], c.bound[s]
 	}
@@ -185,8 +202,13 @@ type nodeIter struct {
 	prod  *prodIter
 	onTup bool // a view tuple is currently bound
 
-	// Grounded state: union over per-heavy-key instances.
-	buckets *unionIter
+	// Grounded state: union over per-heavy-key instances. insts keeps every
+	// instance (and its child product) the iterator has built; a re-open
+	// regrounds them in cursor order and builds more only for a context with
+	// more heavy keys than any before it.
+	buckets   unionIter
+	insts     []*groundedInst
+	grounding bool // buckets is open
 }
 
 func (c *enumCtx) newNodeIter(inf *nodeInfo) *nodeIter {
@@ -266,12 +288,18 @@ func (it *nodeIter) open() {
 // join support, so grounding over V visits exactly the productive heavy
 // keys (proof of Proposition 22).
 func (it *nodeIter) openBuckets() {
-	var subs []resultIter
+	subs := it.buckets.subs[:0]
 	for t, _, ok := it.cursorNext(); ok; t, _, ok = it.cursorNext() {
-		subs = append(subs, &groundedInst{c: it.c, inf: it.inf, h: t, prod: it.c.newKidsProd(it.inf)})
+		if len(subs) == len(it.insts) {
+			it.insts = append(it.insts, &groundedInst{c: it.c, inf: it.inf, prod: it.c.newKidsProd(it.inf)})
+		}
+		g := it.insts[len(subs)]
+		g.h = t
+		subs = append(subs, g)
 	}
-	it.buckets = newUnion(subs)
+	it.buckets.subs = subs
 	it.buckets.open()
+	it.grounding = true
 }
 
 func (it *nodeIter) next() (int64, bool) {
@@ -291,6 +319,10 @@ func (it *nodeIter) next() (int64, bool) {
 			}
 			it.onTup = true
 			it.prod.open()
+		} else {
+			// Resuming under a view tuple bound earlier: a sibling Union
+			// operand that binds the same variables may have run since.
+			it.c.bindFresh(it.inf, it.curT)
 		}
 		if m, ok := it.prod.next(); ok {
 			return m, true
@@ -303,7 +335,7 @@ func (it *nodeIter) next() (int64, bool) {
 func (it *nodeIter) rebind() {
 	switch {
 	case it.inf.grounded:
-		if it.buckets != nil {
+		if it.grounding {
 			it.buckets.rebind()
 		}
 	case it.inf.direct:
@@ -317,9 +349,9 @@ func (it *nodeIter) rebind() {
 }
 
 func (it *nodeIter) close() {
-	if it.buckets != nil {
+	if it.grounding {
 		it.buckets.close()
-		it.buckets = nil
+		it.grounding = false
 	}
 	if it.onTup {
 		it.prod.close()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -84,6 +85,54 @@ func FuzzServerDecode(f *testing.F) {
 				len(fr2.Deltas) != len(fr.Deltas) {
 				t.Fatalf("frame roundtrip changed: %+v → %+v", fr, fr2)
 			}
+		}
+	})
+}
+
+// FuzzRowBlock holds RowBlock's decoder to encoding/json's: for any input,
+// decoding into a RowBlock — directly and through json.Unmarshal — and
+// json.Unmarshal into a plain [][]int64 either all fail or yield the same
+// rows, down to nil against empty. The seeds are the rows of the pages and
+// frames TestWireBytes pins, then the edges of the grammar.
+func FuzzRowBlock(f *testing.F) {
+	for _, ex := range wireExamples {
+		var rows server.RowBlock
+		switch v := ex.val.(type) {
+		case *server.RowsPage:
+			rows = v.Rows
+		case *server.Frame:
+			rows = v.Rows
+		default:
+			continue
+		}
+		seed, err := json.Marshal(rows)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(seed)
+	}
+	for _, s := range []string{
+		`null`, `[]`, `[[]]`, " [ [ 1 ,\t-2 ] ,\r\nnull , [ ] ] ", `[[null,-0,0]]`,
+		`[[-9223372036854775808,9223372036854775807]]`, `[[9223372036854775808]]`, `[[-9223372036854775809]]`,
+		`[[1.0]]`, `[[1e2]]`, `[[01]]`, `[[-]]`, `[[+1]]`, `[[1],]`, `[[1,]]`, `[[1]]x`, `[[1]`, `[1]`,
+		`[["1"]]`, `[[true]]`, `[{}]`, `{}`, `nul`, ``, `[[1] [2]]`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var want [][]int64
+		wantErr := json.Unmarshal(data, &want)
+		var direct, via server.RowBlock
+		directErr := direct.UnmarshalJSON(data)
+		viaErr := json.Unmarshal(data, &via)
+		if (directErr == nil) != (wantErr == nil) || (viaErr == nil) != (wantErr == nil) {
+			t.Fatalf("%q: encoding/json says %v, UnmarshalJSON %v, json.Unmarshal into a RowBlock %v", data, wantErr, directErr, viaErr)
+		}
+		if wantErr != nil {
+			return
+		}
+		if !reflect.DeepEqual([][]int64(direct), want) || !reflect.DeepEqual([][]int64(via), want) {
+			t.Fatalf("%q: encoding/json decodes %#v, UnmarshalJSON %#v, json.Unmarshal into a RowBlock %#v", data, want, direct, via)
 		}
 	})
 }

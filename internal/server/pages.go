@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -30,11 +31,15 @@ type pageReader struct {
 	epoch uint64
 	count int
 
+	// last is the reader's last use in Unix nanoseconds, stamped by
+	// handleRows at both ends of a page and read by the table's sweep
+	// without mu: a page in progress must not make the sweep wait.
+	last atomic.Int64
+
 	mu     sync.Mutex
 	next   func() ([]int64, int64, bool) // nil after release
 	stop   func()
 	served int
-	last   time.Time // stamped by handleRows under mu, so read under mu too
 }
 
 // release drops the reader's snapshot pin. Callers hold r.mu or have
@@ -62,33 +67,29 @@ func (t *readerTable) open() int {
 }
 
 // sweepLocked releases expired readers and, if the table is still at
-// capacity, the least-recently-used one. Each reader's stamp is read under
-// that reader's lock.
+// capacity, the least-recently-used one. It locks a reader only to release
+// it; the stamps it compares are atomic.
 func (t *readerTable) sweepLocked(now time.Time) {
+	evict := func(r *pageReader) {
+		r.mu.Lock()
+		r.release()
+		r.mu.Unlock()
+		delete(t.m, r.id)
+	}
+	expired := now.Add(-readerTTL).UnixNano()
 	for {
 		var oldest *pageReader
-		var oldestLast time.Time
-		for id, r := range t.m {
-			r.mu.Lock()
-			last := r.last
-			idle := now.Sub(last) > readerTTL
-			if idle {
-				r.release()
-			}
-			r.mu.Unlock()
-			if idle {
-				delete(t.m, id)
-			} else if oldest == nil || last.Before(oldestLast) {
-				oldest, oldestLast = r, last
+		for _, r := range t.m {
+			if r.last.Load() < expired {
+				evict(r)
+			} else if oldest == nil || r.last.Load() < oldest.last.Load() {
+				oldest = r
 			}
 		}
 		if len(t.m) < maxReaders {
 			return
 		}
-		oldest.mu.Lock()
-		oldest.release()
-		oldest.mu.Unlock()
-		delete(t.m, oldest.id)
+		evict(oldest)
 	}
 }
 
@@ -99,7 +100,7 @@ func (t *readerTable) add(r *pageReader) {
 	t.sweepLocked(time.Now())
 	t.seq++
 	r.id = t.seq
-	r.last = time.Now()
+	r.last.Store(time.Now().UnixNano())
 	t.m[r.id] = r
 }
 
@@ -242,8 +243,13 @@ func (s *Server) handleRows(w http.ResponseWriter, r *http.Request, view string)
 	}
 
 	// rd.mu is held; pull one page. Yielded rows may alias engine-reused
-	// buffers, so each is copied before it outlives the pull.
-	page := RowsPage{View: view, Epoch: rd.epoch, Count: rd.count, Rows: make([][]int64, 0, limit), Mults: make([]int64, 0, limit)}
+	// buffers, so each is copied before it outlives the pull — into one
+	// backing array, sized at the first row for the n rows this page can
+	// still hold, whose sub-slices are the page's rows.
+	rd.last.Store(time.Now().UnixNano())
+	n := min(limit, rd.count-rd.served)
+	var vals []int64
+	page := RowsPage{View: view, Epoch: rd.epoch, Count: rd.count, Rows: make(RowBlock, 0, n), Mults: make([]int64, 0, n)}
 	done := false
 	for len(page.Rows) < limit {
 		row, mult, ok := rd.next()
@@ -251,9 +257,11 @@ func (s *Server) handleRows(w http.ResponseWriter, r *http.Request, view string)
 			done = true
 			break
 		}
-		c := make([]int64, len(row))
-		copy(c, row)
-		page.Rows = append(page.Rows, c)
+		if vals == nil {
+			vals = make([]int64, 0, n*len(row))
+		}
+		vals = append(vals, row...)
+		page.Rows = append(page.Rows, vals[len(vals)-len(row):len(vals):len(vals)])
 		page.Mults = append(page.Mults, mult)
 	}
 	rd.served += len(page.Rows)
@@ -262,7 +270,7 @@ func (s *Server) handleRows(w http.ResponseWriter, r *http.Request, view string)
 	} else {
 		page.Next = cursorToken(rd.id, rd.served)
 	}
-	rd.last = time.Now()
+	rd.last.Store(time.Now().UnixNano())
 	id := rd.id
 	rd.mu.Unlock()
 	if done {

@@ -926,7 +926,7 @@ func TestWatchReleasesAnchorBeforeReady(t *testing.T) {
 // goroutine opens enough fresh cursors to keep the reader table at its cap,
 // so every open runs the LRU scan over readers whose last-use stamp the
 // pager is writing. Run under -race (CI's `go test -race ./internal/...`):
-// the scan must read the stamp under the reader's own lock.
+// the stamp is atomic, the scan takes no reader's lock to read it.
 func TestReaderEvictionRacesPaging(t *testing.T) {
 	_, srv, c := newStack(t, server.Options{}, client.Options{})
 	b := c.NewBatch()
@@ -971,6 +971,92 @@ func TestReaderEvictionRacesPaging(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+}
+
+// TestSlowPageStallsNoOtherReader holds one reader's lock, as a long page
+// pull does, and checks that everything that goes through the reader table —
+// a page request's lookup of another cursor, the open-cursor gauge, and
+// /v1/stats — still answers at once: the table's sweep reads the readers'
+// stamps without their locks.
+func TestSlowPageStallsNoOtherReader(t *testing.T) {
+	_, srv, c := newStack(t, server.Options{}, client.Options{})
+	b := c.NewBatch()
+	for i := int64(0); i < 4; i++ {
+		b.Insert("R", []int64{i, i}).Insert("S", []int64{i, i})
+	}
+	if _, err := c.Commit(context.Background(), b); err != nil {
+		t.Fatal(err)
+	}
+	for range 2 { // readers 1 and 2, both with pages left
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/result/rows?limit=1", nil))
+		if rec.Code != http.StatusOK || rec.Header().Get(server.HeaderNext) == "" {
+			t.Fatalf("first page: status %d, next %q", rec.Code, rec.Header().Get(server.HeaderNext))
+		}
+	}
+	unlock := server.HoldReader(t, srv, 1)
+	done := make(chan string, 1)
+	go func() {
+		if !server.ReaderOpen(srv, 2) {
+			done <- "reader 2 is not open"
+			return
+		}
+		if n := server.OpenReaders(srv); n != 2 {
+			done <- fmt.Sprintf("%d open readers, want 2", n)
+			return
+		}
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
+		if rec.Code != http.StatusOK {
+			done <- fmt.Sprintf("/v1/stats status %d", rec.Code)
+			return
+		}
+		done <- ""
+	}()
+	select {
+	case msg := <-done:
+		unlock()
+		if msg != "" {
+			t.Fatal(msg)
+		}
+	case <-time.After(100 * time.Millisecond):
+		unlock()
+		t.Fatalf("a lookup, the cursor gauge and /v1/stats waited for another reader's page: %s", <-done)
+	}
+}
+
+// TestPageAllocatesPerPageNotPerRow serves the first page of one committed
+// state at limit=64 and at limit=2048 and bounds what the 1 984 extra rows
+// cost: a page is one backing array, so the difference is the response
+// buffer's growth, not a slice per row.
+func TestPageAllocatesPerPageNotPerRow(t *testing.T) {
+	_, srv, c := newStack(t, server.Options{}, client.Options{})
+	b := c.NewBatch()
+	for i := int64(0); i < 64; i++ {
+		b.Insert("R", []int64{i, i % 2}).Insert("S", []int64{i % 2, i})
+	}
+	if _, err := c.Commit(context.Background(), b); err != nil {
+		t.Fatal(err)
+	}
+	serve := func(limit int) float64 {
+		url := fmt.Sprintf("/v1/result/rows?limit=%d", limit)
+		return testing.AllocsPerRun(10, func() {
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, url, nil))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("limit=%d: status %d", limit, rec.Code)
+			}
+			if n := strings.Count(rec.Body.String(), "],["); n != limit-1 {
+				t.Fatalf("limit=%d: the page has %d rows", limit, n+1)
+			}
+		})
+	}
+	small, large := serve(64), serve(2048)
+	perRow := (large - small) / (2048 - 64)
+	t.Logf("limit=64: %.0f allocations, limit=2048: %.0f: %.4f per extra row", small, large, perRow)
+	if perRow >= 0.05 {
+		t.Errorf("%.4f allocations per extra row of a page, want < 0.05", perRow)
+	}
 }
 
 // TestWatchBufferIsCapped checks ?buffer, which sizes a ring allocated

@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 
 	"ivmeps"
@@ -109,7 +110,7 @@ type Frame struct {
 	Views  []string   `json:"views,omitempty"`
 	Resume bool       `json:"resume,omitempty"`
 	View   string     `json:"view,omitempty"`
-	Rows   [][]int64  `json:"rows,omitempty"`
+	Rows   RowBlock   `json:"rows,omitempty"`
 	Mults  []int64    `json:"mults,omitempty"`
 	Deltas []Delta    `json:"deltas,omitempty"`
 	From   uint64     `json:"from,omitempty"`
@@ -160,12 +161,172 @@ type CommitReply struct {
 // of one read), Count the total distinct rows of the full result, and Next
 // the cursor for the following page — empty on the last page.
 type RowsPage struct {
-	View  string    `json:"view,omitempty"`
-	Epoch uint64    `json:"epoch"`
-	Count int       `json:"count"`
-	Rows  [][]int64 `json:"rows"`
-	Mults []int64   `json:"mults"`
-	Next  string    `json:"next,omitempty"`
+	View  string   `json:"view,omitempty"`
+	Epoch uint64   `json:"epoch"`
+	Count int      `json:"count"`
+	Rows  RowBlock `json:"rows"`
+	Mults []int64  `json:"mults"`
+	Next  string   `json:"next,omitempty"`
+}
+
+// RowBlock is the rows of one page or one anchor frame. On the wire it is a
+// plain JSON array of integer arrays, encoded by encoding/json as the
+// [][]int64 it is; decoding fills one backing array and one slice of row
+// headers instead of growing every row on its own, so a page costs the
+// client a fixed number of allocations. The rows are sub-slices of that
+// array, which belongs to the decoded value and is never reused.
+type RowBlock [][]int64
+
+// UnmarshalJSON accepts exactly what encoding/json accepts for a [][]int64
+// — null, or an array whose elements are null or arrays of integer literals
+// in int64 range (null counting as 0), with JSON whitespace anywhere between
+// tokens — and yields the same value; anything else is an error.
+func (b *RowBlock) UnmarshalJSON(data []byte) error {
+	count := rowScan{data: data}
+	if err := count.block(); err != nil {
+		return err
+	}
+	if count.nRows < 0 {
+		*b = nil
+		return nil
+	}
+	fill := rowScan{data: data, rows: make(RowBlock, count.nRows), vals: make([]int64, count.nVals)}
+	_ = fill.block() // the same bytes: it succeeds again
+	*b = fill.rows
+	return nil
+}
+
+// rowScan is one pass over a row block's JSON: it checks the grammar and
+// counts the rows and values and, when rows is set, also stores them — every
+// row as the next values of vals. nRows is -1 for a null block.
+type rowScan struct {
+	data         []byte
+	i            int
+	rows         RowBlock
+	vals         []int64
+	nRows, nVals int
+}
+
+func (s *rowScan) block() error {
+	s.space()
+	if s.null() {
+		s.nRows = -1
+	} else if !s.list(true) {
+		return s.bad()
+	}
+	if s.space(); s.i != len(s.data) {
+		return s.bad()
+	}
+	return nil
+}
+
+func (s *rowScan) bad() error {
+	return fmt.Errorf("server: rows: not an array of integer arrays at offset %d", s.i)
+}
+
+func (s *rowScan) space() {
+	for s.i < len(s.data) && (s.data[s.i] == ' ' || s.data[s.i] == '\t' || s.data[s.i] == '\n' || s.data[s.i] == '\r') {
+		s.i++
+	}
+}
+
+// peek returns the next byte, or 0 at the end of the input.
+func (s *rowScan) peek() byte {
+	if s.i < len(s.data) {
+		return s.data[s.i]
+	}
+	return 0
+}
+
+func (s *rowScan) null() bool {
+	if len(s.data)-s.i < 4 || string(s.data[s.i:s.i+4]) != "null" {
+		return false
+	}
+	s.i += 4
+	return true
+}
+
+// list consumes "[]" or "[" elem ("," elem)* "]", the elements being rows in
+// the outer list and numbers in a row's, and reports whether the input had
+// that shape.
+func (s *rowScan) list(outer bool) bool {
+	if s.peek() != '[' {
+		return false
+	}
+	s.i++
+	if s.space(); s.peek() == ']' {
+		s.i++
+		return true
+	}
+	for {
+		elem := s.number
+		if outer {
+			elem = s.row
+		}
+		if !elem() {
+			return false
+		}
+		s.space()
+		switch s.peek() {
+		case ',':
+			s.i++
+			s.space()
+		case ']':
+			s.i++
+			return true
+		default:
+			return false
+		}
+	}
+}
+
+func (s *rowScan) row() bool {
+	from := s.nVals
+	if !s.null() {
+		if !s.list(false) {
+			return false
+		}
+		if s.rows != nil {
+			s.rows[s.nRows] = s.vals[from:s.nVals:s.nVals]
+		}
+	}
+	s.nRows++
+	return true
+}
+
+// number consumes null (the zero value, as in encoding/json) or
+// "-"? ("0" | [1-9][0-9]*) within int64; a fraction or exponent after it
+// fails list's check for "," or "]".
+func (s *rowScan) number() bool {
+	var u uint64
+	limit := uint64(math.MaxInt64)
+	neg := false
+	if !s.null() {
+		if neg = s.peek() == '-'; neg {
+			limit++
+			s.i++
+		}
+		start := s.i
+		for ; s.peek() >= '0' && s.peek() <= '9'; s.i++ {
+			if u > limit/10 {
+				return false
+			}
+			if u = u*10 + uint64(s.data[s.i]-'0'); u > limit {
+				return false
+			}
+		}
+		if s.i == start || (s.data[start] == '0' && s.i-start > 1) {
+			return false // no digits, or a leading zero
+		}
+	}
+	if s.rows != nil {
+		s.vals[s.nVals] = int64(u)
+		if neg {
+			s.vals[s.nVals] = -int64(u)
+		}
+	}
+	s.nVals++
+	return true
 }
 
 // StatsReply is the body of GET /v1/stats.

@@ -3,7 +3,9 @@ package ivmeps_test
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"ivmeps"
@@ -326,6 +328,51 @@ func TestShardedCommitSteadyStateZeroAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(50, cycle); n != 0 {
 		t.Errorf("steady sharded commit cycle allocates %v per run, want 0", n)
+	}
+}
+
+// TestAllZeroAllocsPerRow pins the public read path at no allocation per
+// row: ranging over Engine.All and over Sharded.All (two shards, the
+// concatenating gather) allocates to take its snapshot and open its
+// iterators, and a full pass costs less than 0.01 allocations per row more
+// than a pass stopped after its first row. internal/core's
+// TestEnumerateZeroAllocsPerRow pins the iterators themselves.
+func TestAllZeroAllocsPerRow(t *testing.T) {
+	e, s := shardedPair(t, "Q(A, B, C) = R(A, B), S(A, C)", 2, rand.New(rand.NewSource(3)), 3000, 300)
+	defer e.Close()
+	defer s.Close()
+	if _, concat := s.ShardKey(); !concat {
+		t.Fatal("the star query does not gather by concatenation")
+	}
+	for _, src := range []struct {
+		name string
+		all  iter.Seq2[[]int64, int64]
+	}{{"Engine", e.All()}, {"Sharded", s.All()}} {
+		pass := func(limit int) (rows int) {
+			for range src.all {
+				if rows++; rows >= limit {
+					break
+				}
+			}
+			return rows
+		}
+		mallocs := func(limit int) uint64 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			pass(limit)
+			runtime.ReadMemStats(&after)
+			return after.Mallocs - before.Mallocs
+		}
+		rows := pass(1 << 30) // warm
+		if rows < 5000 {
+			t.Fatalf("%s: only %d rows, too few to resolve 0.01 allocations per row", src.name, rows)
+		}
+		full, open := mallocs(1<<30), mallocs(1)
+		perRow := (float64(full) - float64(open)) / float64(rows)
+		t.Logf("%s.All: %d rows, %d allocations to open, %d for a full pass: %.5f per row", src.name, rows, open, full, perRow)
+		if perRow >= 0.01 {
+			t.Errorf("%s.All: %.4f allocations per row, want < 0.01", src.name, perRow)
+		}
 	}
 }
 

@@ -220,14 +220,13 @@ func (w *Watcher) Close() {
 // deltas over the anchor's ViewRows reproduces ViewRows at every later
 // epoch.
 func (s *Snapshot) ViewRows(view string) (rows [][]int64, mults []int64, err error) {
+	var vals []int64
 	ok := s.s.ViewForEach(view, func(t tuple.Tuple, m int64) {
-		row := make([]int64, len(t))
-		copy(row, t)
-		rows = append(rows, row)
+		vals = append(vals, t...)
 		mults = append(mults, m)
 	})
 	if !ok {
 		return nil, nil, fmt.Errorf("ivmeps: ViewRows: unknown view %q (Engine.Views lists the root views)", view)
 	}
-	return rows, mults, nil
+	return carveRows(vals, len(mults)), mults, nil
 }
