@@ -1,7 +1,13 @@
 # Developer entry points. `make check` is the tier-1 gate; `make bench`
-# refreshes the update/batch perf trajectory in BENCH_update.json, and
-# `make bench-check` gates a working tree against the committed baseline
-# (ns/op within tolerance, allocs/op strictly no worse).
+# refreshes the update/batch perf trajectory in BENCH_update.json, `make
+# bench-enum` the read path's in BENCH_enum.json and `make bench-build` the
+# preprocessing and major-rebalance one in BENCH_build.json; `make
+# bench-check` gates a working tree against the committed baselines (ns/op
+# within tolerance, allocs/op strictly no worse). Which to re-record: a
+# change to internal/core's materialize.go or update.go, or to
+# internal/relation, can move all three — run `make bench-check-allocs` and
+# re-record the file whose line moved; enum.go and the page codec move only
+# BENCH_enum.json.
 
 GO ?= go
 
@@ -24,12 +30,20 @@ BENCH_RE = Update|Batch|Parallel|Sharded|WAL|Watch|Server
 BENCH_ENUM_RE = ^BenchmarkEnumerate$$
 BENCH_ENUM_ALLOC_TOL = 0.01
 
+# The preprocessing benchmark set: Load + Build per ε, mode and query class,
+# and one steady-state major rebalance. Its own file (BENCH_build.json) and
+# regex, gated on allocs/op only at the read-path set's 1 %: a build allocates
+# per slab and per table growth — counts fixed by the seeded input, give or
+# take a stray allocation of the runtime's — and a steady-state rebalance not
+# at all.
+BENCH_BUILD_RE = ^Benchmark(Build|MajorRebalance)$$
+
 # Benchmarks whose allocs/op are inherently nondeterministic (HTTP-path
 # connection reuse and buffer pooling); benchdiff gates these at 50%
 # tolerance instead of exact equality.
 BENCH_ALLOC_NONDET = ^BenchmarkServer
 
-.PHONY: check test vet race bench-module bench bench-enum bench-fresh diff-allocs diff-time bench-check bench-check-allocs docs-check api-check api-update loc bench-all
+.PHONY: check test vet race bench-module bench bench-enum bench-build bench-fresh diff-allocs diff-time bench-check bench-check-allocs docs-check api-check api-update loc bench-all
 
 check: vet test
 
@@ -72,6 +86,11 @@ bench-enum:
 	$(GO) test -run '^$$' -bench '$(BENCH_ENUM_RE)' -benchmem | $(GO) run ./cmd/bench2json > BENCH_enum.json
 	@echo wrote BENCH_enum.json
 
+# The preprocessing benchmarks, recorded as BENCH_build.json.
+bench-build:
+	$(GO) test -run '^$$' -bench '$(BENCH_BUILD_RE)' -benchmem | $(GO) run ./cmd/bench2json > BENCH_build.json
+	@echo wrote BENCH_build.json
+
 # Re-run the benchmark set and diff against the committed baseline without
 # touching it. Fails on any allocs/op increase (strict equality — the
 # update and batch paths are pinned allocation-free or to deterministic
@@ -82,33 +101,35 @@ bench-enum:
 # to ±40%); tighten on quiet bare metal.
 BENCH_TOL = 0.50
 
-# One fresh benchmark run of each set, recorded as BENCH_check.json and
-# BENCH_enum_check.json. CI runs this once and then applies the diff gates
-# to the same reports, so the benchmark regexes live only here (BENCH_RE and
-# BENCH_ENUM_RE above).
+# One fresh benchmark run of each set, recorded as BENCH_check.json,
+# BENCH_enum_check.json and BENCH_build_check.json. CI runs this once and then
+# applies the diff gates to the same reports, so the benchmark regexes live
+# only here (BENCH_RE, BENCH_ENUM_RE and BENCH_BUILD_RE above).
 bench-fresh:
 	$(GO) test -run '^$$' -bench '$(BENCH_RE)' -benchmem | $(GO) run ./cmd/bench2json > BENCH_check.json
 	$(GO) test -run '^$$' -bench '$(BENCH_ENUM_RE)' -benchmem | $(GO) run ./cmd/bench2json > BENCH_enum_check.json
+	$(GO) test -run '^$$' -bench '$(BENCH_BUILD_RE)' -benchmem | $(GO) run ./cmd/bench2json > BENCH_build_check.json
 
 # Diff-only steps over the existing check reports (run bench-fresh first).
-# diff-allocs is the hard CI gate, on both sets: allocs/op is
+# diff-allocs is the hard CI gate, on all three sets: allocs/op is
 # machine-independent and, with the deterministic worker-pool warmup,
 # deterministic even on one-shot runs. diff-time is advisory on shared
-# runners, and the read-path set has no time gate.
+# runners, and the read-path and preprocessing sets have no time gate.
 diff-allocs:
 	$(GO) run ./cmd/benchdiff -baseline BENCH_update.json -new BENCH_check.json -allocs-only -alloc-nondet '$(BENCH_ALLOC_NONDET)'
 	$(GO) run ./cmd/benchdiff -baseline BENCH_enum.json -new BENCH_enum_check.json -allocs-only -alloc-tol $(BENCH_ENUM_ALLOC_TOL)
+	$(GO) run ./cmd/benchdiff -baseline BENCH_build.json -new BENCH_build_check.json -allocs-only -alloc-tol $(BENCH_ENUM_ALLOC_TOL)
 
 diff-time:
 	$(GO) run ./cmd/benchdiff -baseline BENCH_update.json -new BENCH_check.json -tol $(BENCH_TOL) -alloc-nondet '$(BENCH_ALLOC_NONDET)'
 
 bench-check: bench-fresh
 	@status=0; $(MAKE) --no-print-directory diff-time || status=$$?; \
-		rm -f BENCH_check.json BENCH_enum_check.json; exit $$status
+		rm -f BENCH_check.json BENCH_enum_check.json BENCH_build_check.json; exit $$status
 
 bench-check-allocs: bench-fresh
 	@status=0; $(MAKE) --no-print-directory diff-allocs || status=$$?; \
-		rm -f BENCH_check.json BENCH_enum_check.json; exit $$status
+		rm -f BENCH_check.json BENCH_enum_check.json BENCH_build_check.json; exit $$status
 
 # Documentation gate: markdown link/anchor integrity across every *.md in
 # the repository plus doc comments on all exported API (internal/doclint).

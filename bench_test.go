@@ -84,7 +84,7 @@ func BenchmarkFig1StaticPreprocess(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if err := sys.Preprocess(db.Clone()); err != nil {
+				if err := sys.Preprocess(db); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -327,7 +327,7 @@ func BenchmarkFig4StaticRows(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if err := sys.Preprocess(db.Clone()); err != nil {
+				if err := sys.Preprocess(db); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -418,7 +418,7 @@ func BenchmarkExample28MatMul(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := sys.Preprocess(db.Clone()); err != nil {
+		if err := sys.Preprocess(db); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -516,7 +516,7 @@ func BenchmarkAblationPushdown(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if err := core.Preprocess(e, db.Clone()); err != nil {
+				if err := core.Preprocess(e, db); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -931,6 +931,95 @@ func BenchmarkEnumerate(b *testing.B) {
 				b.ReportMetric(float64(rows), "rows/op")
 			})
 		}
+	}
+}
+
+// buildCases are the engines of BenchmarkBuild and BenchmarkMajorRebalance:
+// the two-path query, whose skew-aware forest joins light parts, and the
+// q-hierarchical star query over the same two relations, whose views are all
+// single-child aggregates.
+var buildCases = []struct {
+	name, q string
+	opts    ivmeps.Options
+}{
+	{"two-path/eps=0.00", "Q(A, C) = R(A, B), S(B, C)", ivmeps.Options{Epsilon: 0}},
+	{"two-path/eps=0.50", "Q(A, C) = R(A, B), S(B, C)", ivmeps.Options{Epsilon: 0.5}},
+	{"two-path/eps=1.00", "Q(A, C) = R(A, B), S(B, C)", ivmeps.Options{Epsilon: 1}},
+	{"two-path/static/eps=0.50", "Q(A, C) = R(A, B), S(B, C)", ivmeps.Options{Epsilon: 0.5, Static: true}},
+	{"star/eps=0.50", "Q(A, B, C) = R(A, B), S(A, C)", ivmeps.Options{Epsilon: 0.5}},
+}
+
+// loadAndBuild is one preprocessing through the public surface: New, Load of
+// every row, Build.
+func loadAndBuild(b *testing.B, q *ivmeps.Query, opts ivmeps.Options, rows map[string][][]int64) *ivmeps.Engine {
+	b.Helper()
+	e, err := ivmeps.New(q, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for rel, rs := range rows {
+		for _, r := range rs {
+			if err := e.Load(rel, r); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	if err := e.Build(); err != nil {
+		b.Fatal(err)
+	}
+	return e
+}
+
+// twoPathRows is twoPathDB(n) as the rows Load takes.
+func twoPathRows(n int) map[string][][]int64 {
+	rows := map[string][][]int64{}
+	for rel, r := range twoPathDB(n) {
+		r.ForEach(func(t tuple.Tuple, _ int64) { rows[rel] = append(rows[rel], t.Clone()) })
+	}
+	return rows
+}
+
+// BenchmarkBuild is the preprocessing side of the trade-off (Proposition 21),
+// recorded in BENCH_build.json (`make bench-build`): one op = Load + Build of
+// the |R| = |S| = 5·benchN Zipf database, a quarter of that at ε = 1 where the
+// light join is the full one. Its allocs/op are slab and table counts,
+// deterministic at the fixed seed.
+func BenchmarkBuild(b *testing.B) {
+	for _, c := range buildCases {
+		b.Run(c.name, func(b *testing.B) {
+			n := 5 * benchN
+			if c.opts.Epsilon == 1 {
+				n /= 4
+			}
+			q, rows := ivmeps.MustParseQuery(c.q), twoPathRows(n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				loadAndBuild(b, q, c.opts, rows).Close()
+			}
+		})
+	}
+}
+
+// BenchmarkMajorRebalance is what Proposition 25 amortizes: one op = one
+// forced major rebalance of a built engine over |R| = |S| = 5·benchN, in
+// steady state — every table already has its size, so a rebalance refills in
+// place and allocates nothing.
+func BenchmarkMajorRebalance(b *testing.B) {
+	for _, c := range buildCases {
+		if c.opts.Static || c.opts.Epsilon != 0.5 {
+			continue
+		}
+		b.Run(c.name, func(b *testing.B) {
+			e := loadAndBuild(b, ivmeps.MustParseQuery(c.q), c.opts, twoPathRows(5*benchN))
+			defer e.Close()
+			e.MajorRebalance()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.MajorRebalance()
+			}
+		})
 	}
 }
 

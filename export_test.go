@@ -6,6 +6,10 @@ import "ivmeps/internal/wal"
 // the external tests.
 func (e *Engine) CheckInvariants() error { return e.e.CheckInvariants() }
 
+// MajorRebalance forces one major rebalance at the current threshold base
+// (BenchmarkMajorRebalance).
+func (e *Engine) MajorRebalance() { e.e.Rebalance() }
+
 // SetDurabilityFS injects a file-operation implementation into a
 // Durability configuration, for fault-injection tests
 // (internal/wal/faultfs). Test-only: the field is unexported so real

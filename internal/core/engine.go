@@ -86,11 +86,12 @@ type Engine struct {
 	// materialized relation — the base relation, light part or ∃H behind a
 	// leaf (shared by every leaf that names it, set at New), the view's own
 	// relation otherwise (set at its first materialization, refilled in
-	// place from then on); info[id] is its enumeration metadata; plans[id]
-	// is the delta-propagation plan from the node into its parent view.
+	// place from then on); info[id] is its enumeration metadata; plans[id] the
+	// delta plan from the node into its parent view, fills[id] a view's fill.
 	rels  []*relation.Relation
 	info  []nodeInfo
 	plans []*updPlan
+	fills [][]viewFill
 
 	// ws0 is the engine goroutine's own worker scratch (ubind bindings,
 	// delta pool, relation key scratch); the one-row kernel and every
@@ -311,6 +312,7 @@ func New(q *query.Query, opts Options) (*Engine, error) {
 	e.rels = make([]*relation.Relation, forest.NumNodes)
 	e.info = make([]nodeInfo, forest.NumNodes)
 	e.plans = make([]*updPlan, forest.NumNodes)
+	e.fills = make([][]viewFill, forest.NumNodes)
 	// ∃H relations, one per indicator, behind each of its reference leaves.
 	for _, ind := range forest.Indicators {
 		h := relation.New(ind.Name, ind.Keys)

@@ -2,9 +2,9 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"ivmeps/internal/naive"
-	"ivmeps/internal/query"
 	"ivmeps/internal/relation"
 	"ivmeps/internal/tuple"
 	"ivmeps/internal/viewtree"
@@ -68,8 +68,11 @@ func (e *Engine) Preprocess(db naive.Database) error {
 	// (proof of Proposition 27). N is maintained incrementally from here on.
 	e.m = 2*e.n + 1
 	e.materializeAll()
+	e.buildEnumIndexes()
 	if e.opts.Mode == viewtree.Dynamic {
 		e.buildRoutes()
+	} else {
+		clear(e.fills) // a static engine never rebalances: drop the plans and aggregates
 	}
 	e.buildRootsLocked()
 	e.preprocessed = true
@@ -84,7 +87,8 @@ func Preprocess(e *Engine, db naive.Database) error { return e.Preprocess(db) }
 // materializeAll (re)computes all derived state from the base relations:
 // strict light parts for the current θ, indicator views, heavy indicators,
 // and all main view trees. It is used by preprocessing and by major
-// rebalancing (Figure 20).
+// rebalancing (Figure 20), which finds every plan compiled and every table
+// sized and allocates nothing.
 func (e *Engine) materializeAll() {
 	theta := e.Theta()
 	for _, pr := range e.partitions {
@@ -95,17 +99,17 @@ func (e *Engine) materializeAll() {
 		e.materializeTree(ind.L)
 		e.materializeH(ind)
 	}
-	for _, t := range e.forest.Trees() {
-		e.materializeTree(t)
+	for _, c := range e.forest.Components {
+		for _, t := range c.Trees {
+			e.materializeTree(t)
+		}
 	}
-	e.buildEnumIndexes()
 }
 
-// materializeTree computes every view of a tree bottom-up. Leaves (base
+// materializeTree computes every view of a tree bottom-up; its leaves (base
 // relations, light parts, heavy indicators) are already materialized. A
 // view's relation is created at its first materialization and refilled in
-// place from then on, so the relation pointers cached by the propagation
-// routes and update plans (routes.go) stay valid across major rebalancing.
+// place from then on: routes and plans cache the pointer (routes.go).
 func (e *Engine) materializeTree(n *viewtree.Node) {
 	for _, c := range n.Children {
 		e.materializeTree(c)
@@ -119,51 +123,63 @@ func (e *Engine) materializeTree(n *viewtree.Node) {
 	e.joinChildren(n, e.rels[n.ID])
 }
 
-// joinChildren clears v and fills it with V(S) = C1(S1), ..., Ck(Sk) over
-// the children's materialized relations. Each child is first aggregated
-// onto the variables that the view's schema or some sibling actually needs
-// — the InsideOut push-down the paper uses to keep materialization within
-// the Prop 21 bounds (e.g. the static heavy tree V(B) = ∃H(B), R(A,B),
-// S(B,C) is computed as ∃H ⋈ (Σ_A R) ⋈ (Σ_C S) in linear time, not as the
-// flat join).
-func (e *Engine) joinChildren(n *viewtree.Node, v *relation.Relation) {
-	sub := &query.Query{Name: n.Name, Free: n.Schema}
-	db := naive.Database{}
+// viewFill is one compiled step of a view's materialization: seed, run whole
+// through plan as if it were the delta, lands in dst. A view is the delta of
+// its definition under "insert all of one child": its last step seeds the
+// update plan over its other children with the narrowest child (for an only
+// child, a plan without steps: a sum onto the view's schema). The steps before
+// are the InsideOut push-down that keeps materialization within Prop 21 (the
+// static V(B) = ∃H(B), R(A,B), S(B,C) is ∃H ⋈ (Σ_A R) ⋈ (Σ_C S), not the flat
+// join): a child with variables neither the view nor a sibling needs is first
+// summed onto the others, into a relation kept as long as the plans over it.
+type viewFill struct {
+	plan      *updPlan
+	seed, dst *relation.Relation
+}
+
+func (e *Engine) compileFill(n *viewtree.Node, v *relation.Relation) []viewFill {
+	var fills []viewFill
+	rels := make([]*relation.Relation, len(n.Children))
+	seed := 0
 	for i, c := range n.Children {
-		needed := n.Schema.Clone()
+		rels[i] = e.rels[c.ID]
+		needed := n.Schema
 		for j, s := range n.Children {
 			if j != i {
 				needed = needed.Union(s.Schema)
 			}
 		}
 		keep := c.Schema.Intersect(needed)
-		rel := e.rels[c.ID]
-		name := c.Name
-		if !e.opts.NoPushdown && len(keep) < len(c.Schema) {
-			name = fmt.Sprintf("%s#agg%d", c.Name, i)
-			rel = aggregateOnto(name, rel, keep)
+		if len(keep) < len(c.Schema) && len(n.Children) > 1 && !e.opts.NoPushdown {
+			rels[i] = relation.New(c.Name+"#agg", keep)
+			fills = append(fills, viewFill{e.compilePlan(c.Schema, nil, keep), e.rels[c.ID], rels[i]})
 		}
-		if e.opts.NoPushdown {
-			keep = c.Schema
+		if len(rels[i].Schema()) < len(rels[seed].Schema()) {
+			seed = i
 		}
-		sub.Atoms = append(sub.Atoms, query.Atom{Rel: name, Vars: keep})
-		db[name] = rel
 	}
-	v.Clear()
-	if err := naive.EvalInto(v, sub, db, -1); err != nil {
-		panic(fmt.Sprintf("core: materialize %s: %v", n.Name, err))
-	}
+	s := rels[seed]
+	return append(fills, viewFill{e.compilePlan(s.Schema(), slices.Delete(rels, seed, seed+1), n.Schema), s, v})
 }
 
-// aggregateOnto projects rel onto keep, summing multiplicities; linear in
-// |rel|.
-func aggregateOnto(name string, rel *relation.Relation, keep tuple.Schema) *relation.Relation {
-	out := relation.New(name, keep)
-	proj := tuple.MustProjection(rel.Schema(), keep)
-	rel.ForEach(func(t tuple.Tuple, m int64) {
-		out.MustAdd(proj.Apply(t), m)
-	})
-	return out
+// joinChildren clears v and fills it with V(S) = C1(S1), ..., Ck(Sk) over
+// the children's materialized relations. Before a join, a counting pass runs
+// the plan one step short and sums the last step's bucket sizes: the rows the
+// join will add — |V|, unless the projection merges some — v's growth hint.
+func (e *Engine) joinChildren(n *viewtree.Node, v *relation.Relation) {
+	if e.fills[n.ID] == nil {
+		e.fills[n.ID] = e.compileFill(n, v)
+	}
+	for _, f := range e.fills[n.ID] {
+		f.dst.Clear()
+		if len(f.plan.steps) > 0 {
+			count := planSink{count: true}
+			f.plan.fill(e.ws0.ubind, f.seed, &count)
+			f.dst.GrowHint(count.rows)
+		}
+		f.plan.fill(e.ws0.ubind, f.seed, &planSink{view: f.dst})
+		f.dst.GrowHint(0)
+	}
 }
 
 // materializeH computes the heavy indicator ∃H = ∃All ⋈ ∄L: the keys
@@ -184,20 +200,14 @@ func (e *Engine) materializeH(ind *viewtree.Indicator) {
 // with its parent's schema, and every tree root on the variables shared
 // with its grounding keys.
 func (e *Engine) buildEnumIndexes() {
-	var walk func(n *viewtree.Node)
-	walk = func(n *viewtree.Node) {
-		for _, c := range n.Children {
-			if c.Kind == viewtree.IndicatorRef {
-				continue
-			}
-			shared := c.Schema.Intersect(n.Schema)
-			if len(shared) > 0 && len(shared) < len(c.Schema) {
-				e.rels[c.ID].EnsureIndex(shared)
-			}
-			walk(c)
-		}
-	}
 	for _, t := range e.forest.Trees() {
-		walk(t)
+		walkNodes(t, func(n *viewtree.Node) {
+			for _, c := range n.Children {
+				shared := c.Schema.Intersect(n.Schema)
+				if c.Kind != viewtree.IndicatorRef && len(shared) > 0 && len(shared) < len(c.Schema) {
+					e.rels[c.ID].EnsureIndex(shared)
+				}
+			}
+		})
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"ivmeps/internal/relation"
 	"ivmeps/internal/tuple"
@@ -285,19 +286,19 @@ func (ws *workerState) propagatePath(lp *leafPath, d *delta) {
 	}
 }
 
-// updPlan is a cached delta-propagation step for one (view, child) pair,
-// kept in Engine.plans under the child's node ID.
-// Relation and index pointers are resolved at build time; they stay valid
-// across major rebalancing because materializeAll refills relations in
-// place.
+// updPlan is a compiled left-deep index-nested-loops join: a seed's rows are
+// bound to scratch slots and the view's other children probed in turn. The
+// seed is a child's delta (one plan per (view, child) pair, in Engine.plans
+// under the child's node ID) or a whole child (viewFill). Relation and index
+// pointers stay valid: materializeAll refills relations in place.
 type updPlan struct {
-	deltaSlots []int // scratch slot per delta-schema position
+	deltaSlots []int // scratch slot per seed-schema position
 	steps      []updStep
-	outSlots   []int // scratch slot per parent-schema position
+	outSlots   []int // scratch slot per view-schema position
 	outScratch tuple.Tuple
 }
 
-// updStep probes one sibling of the delta's child.
+// updStep probes one sibling of the seed.
 type updStep struct {
 	rel        *relation.Relation
 	index      *relation.Index // index on the bound variables; nil for full-schema or full-scan probes
@@ -308,44 +309,57 @@ type updStep struct {
 	full       bool // all sibling vars already bound: plain multiplicity probe
 }
 
+// planSink is where the executor sends its rows: an update's δV, the relation
+// a fill fills, or — counting — nowhere, the last step's matches being summed,
+// not visited. It lives on the caller's stack: a branch per row, not a call.
+type planSink struct {
+	delta *delta
+	view  *relation.Relation
+	count bool
+	rows  int
+}
+
 func (e *Engine) updatePlan(n *viewtree.Node, child *viewtree.Node) *updPlan {
 	if p := e.plans[child.ID]; p != nil {
 		return p
 	}
-	p := &updPlan{}
-	for _, v := range child.Schema {
-		p.deltaSlots = append(p.deltaSlots, e.slot[v])
-	}
-	bound := map[tuple.Variable]bool{}
-	for _, v := range child.Schema {
-		bound[v] = true
-	}
-	// Greedy sibling order: most already-bound variables first.
-	var rest []*viewtree.Node
+	var sibs []*relation.Relation
 	for _, c := range n.Children {
 		if c != child {
-			rest = append(rest, c)
+			sibs = append(sibs, e.rels[c.ID])
 		}
+	}
+	e.plans[child.ID] = e.compilePlan(child.Schema, sibs, n.Schema)
+	return e.plans[child.ID]
+}
+
+// compilePlan compiles the join of a seed over schema seed with rest, onto
+// out, ordering rest greedily: most already-bound variables first.
+func (e *Engine) compilePlan(seed tuple.Schema, rest []*relation.Relation, out tuple.Schema) *updPlan {
+	p := &updPlan{}
+	bound := map[tuple.Variable]bool{}
+	for _, v := range seed {
+		p.deltaSlots = append(p.deltaSlots, e.slot[v])
+		bound[v] = true
 	}
 	for len(rest) > 0 {
 		best, bestScore := 0, -1<<30
-		for i, c := range rest {
+		for i, r := range rest {
 			score := 0
-			for _, v := range c.Schema {
+			for _, v := range r.Schema() {
 				if bound[v] {
 					score++
 				}
 			}
-			score = score*100 - len(c.Schema)
+			score = score*100 - len(r.Schema())
 			if score > bestScore {
 				best, bestScore = i, score
 			}
 		}
-		c := rest[best]
-		rest = append(rest[:best], rest[best+1:]...)
-		st := updStep{rel: e.rels[c.ID]}
+		st := updStep{rel: rest[best]}
+		rest = slices.Delete(rest, best, best+1)
 		var ixSchema tuple.Schema
-		for pos, v := range c.Schema {
+		for pos, v := range st.rel.Schema() {
 			if bound[v] {
 				ixSchema = append(ixSchema, v)
 				st.keySlots = append(st.keySlots, e.slot[v])
@@ -362,23 +376,21 @@ func (e *Engine) updatePlan(n *viewtree.Node, child *viewtree.Node) *updPlan {
 		st.keyScratch = make(tuple.Tuple, len(st.keySlots))
 		p.steps = append(p.steps, st)
 	}
-	for _, v := range n.Schema {
+	for _, v := range out {
 		p.outSlots = append(p.outSlots, e.slot[v])
 	}
 	p.outScratch = make(tuple.Tuple, len(p.outSlots))
-	e.plans[child.ID] = p
 	return p
 }
 
 // run evaluates δV = δchild ⋈ siblings over the plan, accumulating the
-// (possibly signed) output rows into out, aggregated by tuple. The bindings
-// live in the worker's ubind scratch, and sibling probes are read-only
-// hash-table lookups, so plans over shared sibling relations can run
-// concurrently from different workers. The plan's own keyScratch/outScratch
-// buffers need no per-worker copy: a plan belongs to one tree edge, and one
-// tree is always drained by a single worker.
+// (possibly signed) output rows into out. The bindings live in the worker's
+// ubind scratch and sibling probes are read-only, so plans over shared
+// siblings can run concurrently; the plan's own scratch needs no per-worker
+// copy, since one tree — and so its edges' plans — is drained by one worker.
 func (p *updPlan) run(ws *workerState, d *delta, out *delta) {
 	scratch := ws.ubind
+	to := planSink{delta: out}
 	for i := range d.rows {
 		w := &d.rows[i]
 		if w.m == 0 {
@@ -387,16 +399,32 @@ func (p *updPlan) run(ws *workerState, d *delta, out *delta) {
 		for k, s := range p.deltaSlots {
 			scratch[s] = w.t[k]
 		}
-		p.rec(ws, scratch, 0, w.m, out)
+		p.rec(scratch, 0, w.m, &to)
 	}
 }
 
-func (p *updPlan) rec(ws *workerState, scratch []tuple.Value, i int, mult int64, out *delta) {
+// fill runs the whole of seed through the plan as if it were the delta.
+func (p *updPlan) fill(scratch []tuple.Value, seed *relation.Relation, to *planSink) {
+	for en := seed.First(); en != nil; en = seed.Next(en) {
+		for k, s := range p.deltaSlots {
+			scratch[s] = en.Tuple[k]
+		}
+		p.rec(scratch, 0, en.Mult, to)
+	}
+}
+
+// rec is the step executor: it probes step i under the bindings so far and
+// recurses per match; past the last step the bound row goes to the sink.
+func (p *updPlan) rec(scratch []tuple.Value, i int, mult int64, to *planSink) {
 	if i == len(p.steps) {
 		for k, s := range p.outSlots {
 			p.outScratch[k] = scratch[s]
 		}
-		out.add(p.outScratch, mult)
+		if to.view != nil {
+			to.view.MustAdd(p.outScratch, mult)
+		} else {
+			to.delta.add(p.outScratch, mult)
+		}
 		return
 	}
 	st := &p.steps[i]
@@ -404,27 +432,34 @@ func (p *updPlan) rec(ws *workerState, scratch []tuple.Value, i int, mult int64,
 	for k, s := range st.keySlots {
 		key[k] = scratch[s]
 	}
-	if st.full {
-		if m := st.rel.Mult(key); m != 0 {
-			p.rec(ws, scratch, i+1, mult*m, out)
+	switch {
+	case to.count && i == len(p.steps)-1:
+		if st.index != nil {
+			to.rows += st.index.Count(key)
+		} else if !st.full {
+			to.rows += st.rel.Size()
+		} else if st.rel.Mult(key) != 0 {
+			to.rows++
 		}
-		return
-	}
-	if st.index == nil {
+	case st.full:
+		if m := st.rel.Mult(key); m != 0 {
+			p.rec(scratch, i+1, mult*m, to)
+		}
+	case st.index == nil:
 		for en := st.rel.First(); en != nil; en = st.rel.Next(en) {
 			for k, pos := range st.freshPos {
 				scratch[st.freshSlot[k]] = en.Tuple[pos]
 			}
-			p.rec(ws, scratch, i+1, mult*en.Mult, out)
+			p.rec(scratch, i+1, mult*en.Mult, to)
 		}
-		return
-	}
-	for n := st.index.FirstMatch(key); n != nil; n = n.Next() {
-		en := n.Entry()
-		for k, pos := range st.freshPos {
-			scratch[st.freshSlot[k]] = en.Tuple[pos]
+	default:
+		for n := st.index.FirstMatch(key); n != nil; n = n.Next() {
+			en := n.Entry()
+			for k, pos := range st.freshPos {
+				scratch[st.freshSlot[k]] = en.Tuple[pos]
+			}
+			p.rec(scratch, i+1, mult*en.Mult, to)
 		}
-		p.rec(ws, scratch, i+1, mult*en.Mult, out)
 	}
 }
 
@@ -445,6 +480,15 @@ func (e *Engine) majorRebalance() {
 		cs.captureRebalanceDiff(e, 1)
 	}
 	e.stats.MajorRebalances++
+}
+
+// Rebalance forces one major rebalance at the current M, for benchmarks
+// (BenchmarkMajorRebalance); not for an engine with commit sinks subscribed.
+func (e *Engine) Rebalance() {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.invalidateGenLocked()
+	e.majorRebalance()
 }
 
 // minorRebalance is MinorRebalancing (Figure 21): move the tuples of one

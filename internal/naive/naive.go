@@ -1,6 +1,7 @@
-// Package naive is a straightforward conjunctive-query evaluator used as
-// ground truth in tests and as the "recompute" baseline in benchmarks. It
-// computes the full bag-semantics result
+// Package naive is a straightforward conjunctive-query evaluator: the oracle
+// every property suite checks the engine against and the join behind
+// internal/baseline's recompute systems. The engine does not call it
+// (internal/core uses only the Database type). It computes the full result
 //
 //	Q(f) = Σ over valuations θ of bound(Q) consistent with f of
 //	       Π over atoms Ri(Xi) of Ri(θ(Xi))
@@ -50,28 +51,17 @@ func Eval(q *query.Query, db Database) (*relation.Relation, error) {
 // the (small) delta relation rather than from an arbitrary atom; pass -1
 // for the default order.
 func EvalSeeded(q *query.Query, db Database, first int) (*relation.Relation, error) {
-	res := relation.New(q.Name, q.Free)
-	if err := EvalInto(res, q, db, first); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// EvalInto is the join itself: it adds the result of q over db to dst, a
-// relation over q.Free that is none of db's, starting from atom first as
-// EvalSeeded does. internal/core materializes its views through it, each
-// straight into the view's own relation.
-func EvalInto(dst *relation.Relation, q *query.Query, db Database, first int) error {
 	for _, a := range q.Atoms {
 		r, ok := db[a.Rel]
 		if !ok {
-			return fmt.Errorf("naive: relation %s not in database", a.Rel)
+			return nil, fmt.Errorf("naive: relation %s not in database", a.Rel)
 		}
 		if len(r.Schema()) != len(a.Vars) {
-			return fmt.Errorf("naive: atom %s has arity %d but relation has arity %d",
+			return nil, fmt.Errorf("naive: atom %s has arity %d but relation has arity %d",
 				a, len(a.Vars), len(r.Schema()))
 		}
 	}
+	res := relation.New(q.Name, q.Free)
 	plan := orderAtoms(q, first)
 
 	// Variable slots.
@@ -135,7 +125,7 @@ func EvalInto(dst *relation.Relation, q *query.Query, db Database, first int) er
 	var recurse func(i int, mult int64)
 	recurse = func(i int, mult int64) {
 		if i == len(steps) {
-			dst.MustAdd(proj.Apply(assign), mult)
+			res.MustAdd(proj.Apply(assign), mult)
 			return
 		}
 		st := &steps[i]
@@ -181,7 +171,7 @@ func EvalInto(dst *relation.Relation, q *query.Query, db Database, first int) er
 		}
 	}
 	recurse(0, 1)
-	return nil
+	return res, nil
 }
 
 // MustEval is Eval that panics on error.

@@ -21,8 +21,9 @@ type Partition struct {
 	key   tuple.Schema
 	light *Relation // R^S, the materialized light part
 	proj  tuple.Projection
-	relIx *Index // index of R on S (degrees of all tuples)
-	ltIx  *Index // index of R^S on S
+	relIx *Index      // index of R on S (degrees of all tuples)
+	ltIx  *Index      // index of R^S on S
+	keyT  tuple.Tuple // Rebuild's projected-key buffer
 }
 
 // NewPartition creates a partition of rel on key with an empty light part.
@@ -66,11 +67,12 @@ func (p *Partition) IsLight(key tuple.Tuple) bool { return p.ltIx.Has(key) }
 // the per-relation step of MajorRebalancing (Figure 20, line 3).
 func (p *Partition) Rebuild(theta float64) {
 	p.light.Clear()
-	p.rel.ForEach(func(t tuple.Tuple, m int64) {
-		if float64(p.relIx.Count(p.proj.Apply(t))) < theta {
-			p.light.MustAdd(t, m)
+	for e := p.rel.First(); e != nil; e = p.rel.Next(e) {
+		p.keyT = p.proj.AppendTo(p.keyT[:0], e.Tuple)
+		if float64(p.relIx.Count(p.keyT)) < theta {
+			p.light.MustAdd(e.Tuple, e.Mult)
 		}
-	})
+	}
 }
 
 // CheckStrict verifies the strict partition conditions for threshold θ:

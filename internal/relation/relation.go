@@ -40,8 +40,13 @@
 // entrySlab items), so a cold insert costs amortized ~0 allocations;
 // removed entries, index nodes, and emptied buckets go to freelists and are
 // reused before the arenas grow. Clear recycles everything and keeps the
-// hash tables' slot arrays, so a refill after Clear (major rebalancing)
-// allocates nothing.
+// hash tables' slot arrays, so a refill after Clear allocates nothing, nor
+// does the steady-state major rebalance internal/core builds of such refills.
+// A first fill need not double its way up from eight slots: under GrowHint(n)
+// the entry table and the entry, tuple and back-pointer arenas grow to
+// min(n, 8 × the current size) when that is more than they would have — no
+// reservation: a fill whose rows collapse onto few tuples stops at most one
+// such step past what it stored. A hint never shrinks a table.
 //
 // # Snapshots
 //
@@ -51,7 +56,8 @@
 // fresh store, swaps the handle onto the copy, and mutates only the copy,
 // so every frozen reader keeps an immutable view of the exact contents it
 // pinned (copy-on-first-write per snapshot generation). Clear on a pinned
-// store swaps in an empty store instead of copying. The detach cost is
+// store swaps in an empty store, its tables sized like the retired one's for
+// the refill that follows, instead of copying. The detach cost is
 // O(|R|·(1+indexes)) once per pinned generation; with no live freezes the
 // only overhead on the mutation path is one atomic pin-count load. Retired
 // stores are unreachable once the last frozen handle is dropped and are
@@ -305,6 +311,15 @@ func (r *Relation) addHashed(t tuple.Tuple, h uint64, m int64) error {
 	return nil
 }
 
+// GrowHint announces a fill expected to bring the relation to n rows (see
+// Allocation in the package comment); GrowHint(0) after the fill withdraws it.
+func (r *Relation) GrowHint(n int) { r.s.tab.hint = n }
+
+// slabLen sizes the next arena block: entrySlab, or what the hint allows.
+func (s *relStore) slabLen() int {
+	return max(entrySlab, min(s.tab.hint, 8*s.tab.count)-s.tab.count)
+}
+
 // newEntry takes an entry from the freelist (reusing its tuple buffer and
 // index back-pointer slots) or carves a fresh one out of the slab arenas.
 func (s *relStore) newEntry(t tuple.Tuple, m int64) *Entry {
@@ -316,7 +331,7 @@ func (s *relStore) newEntry(t tuple.Tuple, m int64) *Entry {
 		return e
 	}
 	if len(s.slabE) == 0 {
-		s.slabE = make([]Entry, entrySlab)
+		s.slabE = make([]Entry, s.slabLen())
 	}
 	e := &s.slabE[0]
 	s.slabE = s.slabE[1:]
@@ -332,7 +347,7 @@ func (s *relStore) slabTuple(t tuple.Tuple) tuple.Tuple {
 		return nil
 	}
 	if len(s.slabV) < n {
-		s.slabV = make([]tuple.Value, n*entrySlab)
+		s.slabV = make([]tuple.Value, n*s.slabLen())
 	}
 	out := s.slabV[:n:n]
 	s.slabV = s.slabV[n:]
@@ -343,7 +358,7 @@ func (s *relStore) slabTuple(t tuple.Tuple) tuple.Tuple {
 // slabNodes returns an n-slot node back-pointer chunk from the node arena.
 func (s *relStore) slabNodes(n int) []*IndexNode {
 	if len(s.slabN) < n {
-		s.slabN = make([]*IndexNode, n*entrySlab)
+		s.slabN = make([]*IndexNode, n*s.slabLen())
 	}
 	out := s.slabN[:n:n]
 	s.slabN = s.slabN[n:]
@@ -406,9 +421,9 @@ func (r *Relation) Release() {
 // its frozen readers and installs a fresh store for the writer — a full
 // copy of the contents (entries in insertion order, every index rebuilt),
 // or an empty store with the same index definitions when the caller is
-// about to Clear. Index handles are swapped onto the rebuilt index stores,
-// so cached *Index pointers stay valid. The retired store is never written
-// again.
+// about to Clear and refill; either has its tables sized from the retired
+// store's counts. Index handles are swapped onto the rebuilt index stores, so
+// cached *Index pointers stay valid. The retired store is never written again.
 func (r *Relation) detach(empty bool) {
 	if r.frozen {
 		panic(fmt.Sprintf("relation %s: mutation of a frozen snapshot handle", r.name))
@@ -423,17 +438,15 @@ func (r *Relation) detach(empty bool) {
 			seed:      oix.seed,
 			slot:      oix.slot,
 		}
-		if !empty {
-			nix.tab.reserve(oix.tab.len())
-		}
+		nix.tab.reserve(oix.tab.len())
 		s.indexes[i] = nix
 		r.hand[i].s = nix
 	}
+	s.tab.reserve(old.tab.len())
 	r.s = s
 	if empty {
 		return
 	}
-	s.tab.reserve(old.tab.len())
 	for e := old.head; e != nil; e = e.next {
 		ne := s.newEntry(e.Tuple, e.Mult)
 		ne.hash = e.hash // same seed: cached hashes stay valid
@@ -449,10 +462,8 @@ func (r *Relation) detach(empty bool) {
 // Clear removes all tuples (and empties all indexes) while keeping the
 // index definitions. Entries, index nodes, and buckets are recycled onto
 // the freelists and the hash tables keep their slot arrays, so a refill
-// after Clear (e.g. re-materializing a view during major rebalancing)
-// allocates nothing. On a store pinned by a live Freeze, Clear instead
-// swaps in a fresh empty store (the pinned generation keeps its contents),
-// and the following refill re-grows the new store's tables.
+// allocates nothing. On a store pinned by a live Freeze, Clear instead swaps
+// in an empty store (detach) whose tables are sized for the refill.
 func (r *Relation) Clear() {
 	if r.frozen {
 		panic(fmt.Sprintf("relation %s: Clear of a frozen snapshot handle", r.name))

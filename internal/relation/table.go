@@ -32,6 +32,7 @@ type oaTable[V oaKeyed] struct {
 	slots []oaSlot[V]
 	mask  uint64
 	count int
+	hint  int // Relation.GrowHint: grow sizes for min(hint, 8·count) if past doubling
 }
 
 const oaMinSlots = 8
@@ -136,13 +137,13 @@ func (t *oaTable[V]) forEach(fn func(V)) {
 	}
 }
 
-// grow doubles the slot array (allocating the initial one on first use) and
-// reinserts every value by its cached hash.
+// grow doubles the slot array (or allocates the first, or follows the growth
+// hint) and reinserts every value by its cached hash.
 func (t *oaTable[V]) grow() {
 	old := t.slots
-	n := 2 * len(old)
-	if n < oaMinSlots {
-		n = oaMinSlots
+	n := max(2*len(old), oaMinSlots)
+	for n*3/4 <= min(t.hint, 8*t.count) {
+		n *= 2
 	}
 	t.slots = make([]oaSlot[V], n)
 	t.mask = uint64(n - 1)
