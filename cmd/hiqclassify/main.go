@@ -15,6 +15,7 @@ import (
 	"strings"
 
 	"ivmeps/internal/query"
+	"ivmeps/internal/viewtree"
 	"ivmeps/internal/vorder"
 )
 
@@ -60,6 +61,10 @@ func classify(s string) {
 		ft := ord.FreeTop()
 		ft.SortChildren()
 		fmt.Printf("free-top variable order:  %s\n", ft)
+	}
+	if f, err := viewtree.Build(q, viewtree.Dynamic); err == nil {
+		st := f.Summarize()
+		fmt.Printf("view trees: %d, views: %d (%d distinct)\n", st.Trees+2*st.Indicators, st.Views, st.DistinctViews)
 	}
 	w := float64(c.StaticWidth)
 	d := float64(c.DynamicWidth)

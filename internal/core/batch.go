@@ -38,10 +38,11 @@ import (
 // across shards: validate on every shard first, apply everywhere only if
 // every shard accepted.
 //
-// With Options.Workers > 1 the per-tree propagations of a batch run on a
-// worker pool (worker.go). The propagation work is phased so that parallel
-// sections only ever write views of distinct trees and only read the
-// relations shared across trees:
+// With Options.Workers > 1 the propagations of a batch run on a worker pool
+// (worker.go), one job group — a tree, with the later indicator trees that
+// probe views it writes — to a worker. The propagation work is phased so that parallel sections only
+// ever write views of distinct groups and only read the relations shared
+// across groups:
 //
 //	phase 1 (parallel)  δR through every Atom leaf of the main trees and
 //	                    every Atom leaf of the indicator All trees — the
@@ -56,7 +57,7 @@ import (
 //	                    (parallel), then refresh/propagate ∃H and run the
 //	                    minor-rebalance checks (sequential).
 //
-// Within one tree, jobs keep their sequential order on a single worker, so
+// Within one group, jobs keep their sequential order on a single worker, so
 // the final state is byte-for-byte the sequential batch result regardless
 // of worker count or interleaving.
 
@@ -498,8 +499,8 @@ func (e *Engine) applyBatchOcc(rt *relRoutes, d *delta) {
 
 	// Apply the batch to the base relation, maintaining N incrementally,
 	// then propagate the combined delta through every main tree and every
-	// affected All tree — phase 1, one job group per tree, run on the
-	// worker pool. The base relations are fully updated before the phase
+	// affected All tree — phase 1, each tree's jobs in its job group, run on
+	// the worker pool. The base relations are fully updated before the phase
 	// and the light parts and ∃H relations are untouched during it, so
 	// concurrent tree propagations read a consistent frozen sibling state.
 	before := base.Size()
@@ -531,7 +532,7 @@ func (e *Engine) applyBatchOcc(rt *relRoutes, d *delta) {
 	// batch; then run the minor-rebalancing checks once per distinct key.
 	// The light part is updated before its propagation phase, and the
 	// LightAtom paths of the main trees and the indicator L trees are
-	// disjoint tree sets, so the per-tree jobs parallelize; the ∃H
+	// disjoint tree sets, so their job groups parallelize; the ∃H
 	// refresh/propagate pairs after the phase stay sequential. If the
 	// batch drove N outside the size invariant, θ is stale for these
 	// checks — harmless, since the commit-boundary rebalance strictly

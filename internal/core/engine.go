@@ -83,15 +83,20 @@ type Engine struct {
 	relIdx map[string]int
 
 	// Per-node state, indexed by viewtree.Node.ID. rels[id] is the node's
-	// materialized relation — the base relation, light part or ∃H behind a
-	// leaf (shared by every leaf that names it, set at New), the view's own
-	// relation otherwise (set at its first materialization, refilled in
-	// place from then on); info[id] is its enumeration metadata; plans[id] the
-	// delta plan from the node into its parent view, fills[id] a view's fill.
-	rels  []*relation.Relation
-	info  []nodeInfo
-	plans []*updPlan
-	fills [][]viewFill
+	// materialized relation, set at New and refilled in place from then on:
+	// the base relation, light part or ∃H behind a leaf, one for all leaves
+	// that name it, and one relation per structural class of view nodes
+	// (viewtree.Node.Canon). info[id] is the node's enumeration metadata and
+	// plans[id] the delta plan from the node into its parent view; fills[id]
+	// is the fill of the view class whose canonical node is id, filled[id]
+	// says materializeAll's current round has run it, and writer[id] is the
+	// one node of the class whose edges write its relation.
+	rels   []*relation.Relation
+	info   []nodeInfo
+	plans  []*updPlan
+	fills  [][]viewFill
+	filled []bool
+	writer []*viewtree.Node
 
 	// ws0 is the engine goroutine's own worker scratch (ubind bindings,
 	// delta pool, relation key scratch); the one-row kernel and every
@@ -120,9 +125,11 @@ type Engine struct {
 	perPart       [][]batchKey
 
 	// jobGroups queues the propagation jobs of one batch phase, one group
-	// per view tree (the unit of parallelism, indexed by nodeInfo.tree);
-	// activeGroups lists the non-empty groups. The groups are reset after
-	// every phase.
+	// per set of view trees of which one probes a view another writes — the
+	// unit of parallelism; treeGroup maps nodeInfo.tree to its group, the
+	// set's lowest tree id. activeGroups lists the non-empty groups, which
+	// are reset after every phase.
+	treeGroup    []int
 	jobGroups    [][]propJob
 	activeGroups []int
 
@@ -222,8 +229,8 @@ type relEntry struct {
 type nodeInfo struct {
 	node *viewtree.Node
 	// tree is the dense id of the node's view tree — the main trees in
-	// forest order, then each indicator's All and L tree: the job group its
-	// propagation runs in and, for a main tree, its root view's index.
+	// forest order, then each indicator's All and L tree: the index of its
+	// job group in Engine.treeGroup and, for a main tree, of its root view.
 	tree int
 	// frozenAs tells a snapshot generation how to capture the node: the ID
 	// of the first main-tree node backed by the same relation (the node's
@@ -313,6 +320,8 @@ func New(q *query.Query, opts Options) (*Engine, error) {
 	e.info = make([]nodeInfo, forest.NumNodes)
 	e.plans = make([]*updPlan, forest.NumNodes)
 	e.fills = make([][]viewFill, forest.NumNodes)
+	e.filled = make([]bool, forest.NumNodes)
+	e.writer = make([]*viewtree.Node, forest.NumNodes)
 	// ∃H relations, one per indicator, behind each of its reference leaves.
 	for _, ind := range forest.Indicators {
 		h := relation.New(ind.Name, ind.Keys)
@@ -337,14 +346,37 @@ func New(q *query.Query, opts Options) (*Engine, error) {
 	for _, ind := range forest.Indicators {
 		trees = append(trees, ind.All, ind.L)
 	}
+	// A class's relation is written through the edges of one node, its writer.
+	// The only other edges to touch the relation are those into a ∃-child,
+	// which probe it to see the support change: the first ∃-child of the class
+	// is therefore the writer — failing one, the canonical node — and the
+	// tree of a later ∃-child joins the writer's job group, so that its probe
+	// follows the write. Nodes come in ID order, the canonical node first.
+	e.treeGroup = make([]int, len(trees))
 	firstNode := map[*relation.Relation]int{}
 	for tree, root := range trees {
+		e.treeGroup[tree] = tree
 		walkNodes(root, func(n *viewtree.Node) {
-			switch n.Kind {
-			case viewtree.Atom:
+			switch {
+			case n.Kind == viewtree.Atom:
 				e.rels[n.ID] = occOf[n.Rel].base
-			case viewtree.LightAtom:
+			case n.Kind == viewtree.LightAtom:
 				e.rels[n.ID] = occOf[n.Rel].partition(n).p.Light()
+			case n.Kind == viewtree.View && n.Canon == n:
+				e.rels[n.ID], e.writer[n.ID] = relation.New(n.Name, n.Schema), n
+			case n.Kind == viewtree.View:
+				e.rels[n.ID] = e.rels[n.Canon.ID]
+				if w := e.writer[n.Canon.ID]; !n.Exists {
+					break
+				} else if !w.Exists {
+					e.writer[n.Canon.ID] = n
+				} else if a, b := e.treeGroup[tree], e.treeGroup[e.info[w.ID].tree]; a != b {
+					for t, g := range e.treeGroup[:tree+1] {
+						if g == max(a, b) {
+							e.treeGroup[t] = min(a, b)
+						}
+					}
+				}
 			}
 			inf := e.buildInfo(n)
 			inf.tree, inf.frozenAs = tree, -1
@@ -352,12 +384,10 @@ func New(q *query.Query, opts Options) (*Engine, error) {
 				return
 			}
 			inf.frozenAs = n.ID
-			if r := e.rels[n.ID]; r != nil { // a leaf: other leaves may share its relation
-				if first, shared := firstNode[r]; shared {
-					inf.frozenAs = first
-				} else {
-					firstNode[r] = n.ID
-				}
+			if first, shared := firstNode[e.rels[n.ID]]; shared {
+				inf.frozenAs = first
+			} else {
+				firstNode[e.rels[n.ID]] = n.ID
 			}
 		})
 	}

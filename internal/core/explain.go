@@ -12,7 +12,8 @@ import (
 // Explain returns a human-readable description of the engine's evaluation
 // strategy: the query's classification and widths, the cost guarantees at
 // the engine's ε, and the constructed view trees, partitions, and
-// indicators.
+// indicators. A view that repeats an earlier one prints as "=Name" and is
+// spelled out under "shared"; "∃" marks a view read for its support only.
 func (e *Engine) Explain() string {
 	var b strings.Builder
 	c := query.Classify(e.orig)
@@ -41,6 +42,22 @@ func (e *Engine) Explain() string {
 		fmt.Fprintf(&b, "heavy/light indicators:\n")
 		for _, ind := range e.forest.Indicators {
 			fmt.Fprintf(&b, "  ∃H on %s over %s\n", ind.Keys, strings.Join(ind.Rels, ", "))
+			fmt.Fprintf(&b, "    All: %s\n    L:   %s\n", viewtree.Render(ind.All), viewtree.Render(ind.L))
+		}
+	}
+	// What the "=Name" above stand for: the views several nodes share.
+	members := make([]int, len(e.info))
+	for id := range e.info {
+		if n := e.info[id].node; n.Kind == viewtree.View {
+			members[n.Canon.ID]++
+		}
+	}
+	if st := e.forest.Summarize(); st.DistinctViews < st.Views {
+		fmt.Fprintf(&b, "views: %d nodes, %d relations; shared:\n", st.Views, st.DistinctViews)
+		for id, k := range members {
+			if k > 1 {
+				fmt.Fprintf(&b, "  %s = %s  (%d nodes)\n", e.info[id].node.Name, viewtree.Render(e.info[id].node), k)
+			}
 		}
 	}
 	var parts []string

@@ -61,7 +61,8 @@ func TestExplain(t *testing.T) {
 		t.Fatal(err)
 	}
 	pre := e.Explain()
-	for _, want := range []string{"w=2", "δ=1", "O(N^1.50)", "O(N^0.50)", "∃H", "R^{B}"} {
+	for _, want := range []string{"w=2", "δ=1", "O(N^1.50)", "O(N^0.50)", "∃H", "R^{B}",
+		"All: V(B)[∃=AuxA_7, ∃=AuxC_8]", "views: 10 nodes, 8 relations", "AuxA_7 = V(B)[R(A, B)]  (2 nodes)"} {
 		if !strings.Contains(pre, want) {
 			t.Errorf("Explain missing %q:\n%s", want, pre)
 		}

@@ -94,6 +94,7 @@ func (e *Engine) materializeAll() {
 	for _, pr := range e.partitions {
 		pr.p.Rebuild(theta)
 	}
+	clear(e.filled)
 	for _, ind := range e.forest.Indicators {
 		e.materializeTree(ind.All)
 		e.materializeTree(ind.L)
@@ -106,22 +107,30 @@ func (e *Engine) materializeAll() {
 	}
 }
 
-// materializeTree computes every view of a tree bottom-up; its leaves (base
-// relations, light parts, heavy indicators) are already materialized. A
-// view's relation is created at its first materialization and refilled in
-// place from then on: routes and plans cache the pointer (routes.go).
+// materializeTree computes every view of a tree bottom-up, refilling its
+// relation in place — routes and plans cache the pointer (routes.go); its
+// leaves (base relations, light parts, heavy indicators) are already
+// materialized. A view class is filled once a round, through whichever of its
+// nodes comes first; the equal subtree below a later one is done by then.
 func (e *Engine) materializeTree(n *viewtree.Node) {
+	if n.Kind != viewtree.View || e.filled[n.Canon.ID] {
+		return
+	}
+	e.filled[n.Canon.ID] = true
 	for _, c := range n.Children {
 		e.materializeTree(c)
 	}
-	if n.Kind != viewtree.View {
-		return
-	}
-	if e.rels[n.ID] == nil {
-		e.rels[n.ID] = relation.New(n.Name, n.Schema)
-	}
-	e.joinChildren(n, e.rels[n.ID])
+	e.joinChildren(n)
 }
+
+// joinInput is one input of a compiled join: a node's relation, every row of
+// which counts once when the node is a ∃-child of an indicator tree.
+type joinInput struct {
+	rel    *relation.Relation
+	exists bool
+}
+
+func (e *Engine) input(n *viewtree.Node) joinInput { return joinInput{e.rels[n.ID], n.Exists} }
 
 // viewFill is one compiled step of a view's materialization: seed, run whole
 // through plan as if it were the delta, lands in dst. A view is the delta of
@@ -133,16 +142,17 @@ func (e *Engine) materializeTree(n *viewtree.Node) {
 // join): a child with variables neither the view nor a sibling needs is first
 // summed onto the others, into a relation kept as long as the plans over it.
 type viewFill struct {
-	plan      *updPlan
-	seed, dst *relation.Relation
+	plan *updPlan
+	seed joinInput
+	dst  *relation.Relation
 }
 
-func (e *Engine) compileFill(n *viewtree.Node, v *relation.Relation) []viewFill {
+func (e *Engine) compileFill(n *viewtree.Node) []viewFill {
 	var fills []viewFill
-	rels := make([]*relation.Relation, len(n.Children))
+	ins := make([]joinInput, len(n.Children))
 	seed := 0
 	for i, c := range n.Children {
-		rels[i] = e.rels[c.ID]
+		ins[i] = e.input(c)
 		needed := n.Schema
 		for j, s := range n.Children {
 			if j != i {
@@ -151,26 +161,29 @@ func (e *Engine) compileFill(n *viewtree.Node, v *relation.Relation) []viewFill 
 		}
 		keep := c.Schema.Intersect(needed)
 		if len(keep) < len(c.Schema) && len(n.Children) > 1 && !e.opts.NoPushdown {
-			rels[i] = relation.New(c.Name+"#agg", keep)
-			fills = append(fills, viewFill{e.compilePlan(c.Schema, nil, keep), e.rels[c.ID], rels[i]})
+			agg := relation.New(c.Name+"#agg", keep)
+			fills = append(fills, viewFill{e.compilePlan(c.Schema, nil, keep), ins[i], agg})
+			ins[i] = joinInput{rel: agg}
 		}
-		if len(rels[i].Schema()) < len(rels[seed].Schema()) {
+		if len(ins[i].rel.Schema()) < len(ins[seed].rel.Schema()) {
 			seed = i
 		}
 	}
-	s := rels[seed]
-	return append(fills, viewFill{e.compilePlan(s.Schema(), slices.Delete(rels, seed, seed+1), n.Schema), s, v})
+	s := ins[seed]
+	return append(fills, viewFill{e.compilePlan(s.rel.Schema(), slices.Delete(ins, seed, seed+1), n.Schema), s, e.rels[n.ID]})
 }
 
-// joinChildren clears v and fills it with V(S) = C1(S1), ..., Ck(Sk) over
-// the children's materialized relations. Before a join, a counting pass runs
-// the plan one step short and sums the last step's bucket sizes: the rows the
-// join will add — |V|, unless the projection merges some — v's growth hint.
-func (e *Engine) joinChildren(n *viewtree.Node, v *relation.Relation) {
-	if e.fills[n.ID] == nil {
-		e.fills[n.ID] = e.compileFill(n, v)
+// joinChildren clears n's relation and fills it with V(S) = C1(S1), ...,
+// Ck(Sk) over the children's materialized relations, by the fill of n's class.
+// Before a join, a counting pass runs the plan one step short and sums the
+// last step's bucket sizes: the rows the join will add — |V|, unless the
+// projection merges some — the relation's growth hint.
+func (e *Engine) joinChildren(n *viewtree.Node) {
+	id := n.Canon.ID
+	if e.fills[id] == nil {
+		e.fills[id] = e.compileFill(n)
 	}
-	for _, f := range e.fills[n.ID] {
+	for _, f := range e.fills[id] {
 		f.dst.Clear()
 		if len(f.plan.steps) > 0 {
 			count := planSink{count: true}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ivmeps/internal/query"
@@ -15,6 +16,36 @@ import (
 // relation reachable from at least four trees — the shape that exercises
 // the parallel batch path (and the shape the parallel benchmarks use).
 const multiTreeQuery = "Q(C, E) = R(A), S(A, B), T(A, B, C), U(A, D), V(A, D, E)"
+
+// sharedViewsQuery builds four main trees and two indicator pairs whose 44
+// view nodes are 24 views: every tree but the first is mostly copies, so
+// nearly every path has edges that must not write.
+const sharedViewsQuery = "Q(A, C, F) = R(A, B, C), S(A, B, D), T(A, E, F), U(A, E, G)"
+
+// TestJobGroups pins which trees run on one worker: indicator trees with
+// the same view for a ∃-child — the first's edge writes it, the others' probe
+// it — are one group, while trees that merely share views, whose edges
+// neither read nor write them, stay apart. Trees are numbered main trees
+// first, then All and L per indicator.
+func TestJobGroups(t *testing.T) {
+	for _, tc := range []struct {
+		query string
+		want  []int
+	}{
+		{"Q(A, C) = R(A, B), S(B, C)", []int{0, 1, 2, 3}},
+		{multiTreeQuery, []int{0, 1, 2, 3, 4, 5, 6, 5, 8, 5, 10}}, // the three All trees
+		{sharedViewsQuery, []int{0, 1, 2, 3, 4, 5, 6, 7}},
+		{"Q(A, B) = R(A, B), S(B)", []int{0}},
+	} {
+		e, err := New(query.MustParse(tc.query), Options{Mode: viewtree.Dynamic, Epsilon: 0.5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(e.treeGroup, tc.want) {
+			t.Errorf("%s: job groups %v, want %v", tc.query, e.treeGroup, tc.want)
+		}
+	}
+}
 
 // TestApplyBatchWorkersMatchSequential is the parallel sequential-
 // equivalence property test: for every worker count, ApplyBatch must leave
@@ -37,10 +68,11 @@ func TestApplyBatchWorkersMatchSequential(t *testing.T) {
 		"Q(A, C) = R(A, B), S(B, C)",
 		"Q(C, D, E, F) = R(A, B, D), S(A, B, E), T(A, C, F), U(A, C, G)",
 		multiTreeQuery,
+		sharedViewsQuery,
 	}
 	for _, qs := range queries {
 		q := query.MustParse(qs)
-		for _, workers := range []int{1, 2, 8} {
+		for _, workers := range []int{1, 2, 4, 8} {
 			for _, eps := range []float64{0, 0.5} {
 				label := fmt.Sprintf("%s workers=%d eps=%v", qs, workers, eps)
 				rng := rand.New(rand.NewSource(int64(1000*workers) + int64(eps*10)))
@@ -96,16 +128,21 @@ func TestApplyBatchWorkersMatchSequential(t *testing.T) {
 }
 
 // TestApplyBatchWorkerCountsAgree cross-checks the full engine state across
-// worker counts on the multi-tree query: after identical batch streams, the
-// engines at Workers 1, 2, and 8 must agree on every materialized view, not
+// worker counts on the multi-tree queries: after identical batch streams, the
+// engines at Workers 1, 2, 4, and 8 must agree on every materialized view, not
 // only on the enumerated result. This pins the claim that parallel batch
 // propagation is deterministic, not merely observably equivalent.
 func TestApplyBatchWorkerCountsAgree(t *testing.T) {
 	forcePool(t)
-	q := query.MustParse(multiTreeQuery)
+	for _, qs := range []string{multiTreeQuery, sharedViewsQuery} {
+		workerCountsAgree(t, query.MustParse(qs))
+	}
+}
+
+func workerCountsAgree(t *testing.T, q *query.Query) {
 	rng := rand.New(rand.NewSource(77))
 	db := randomDB(q, rng, 40, 5)
-	counts := []int{1, 2, 8}
+	counts := []int{1, 2, 4, 8}
 	engines := make([]*Engine, len(counts))
 	for i, w := range counts {
 		e, err := New(q, Options{Mode: viewtree.Dynamic, Epsilon: 0.5, Workers: w})

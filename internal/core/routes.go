@@ -11,21 +11,23 @@ package core
 //     its Atom leaves in the main trees, the indicators whose All tree
 //     contains it, and the partitions of its light parts;
 //   - leafPath:      the leaf→root chain of (update plan, materialized
-//     view) pairs, so propagation performs zero map lookups;
+//     view) pairs, so propagation performs zero map lookups, each marked
+//     if its view is another node's to write or read through ∃ by its parent;
 //   - indShared:     per-indicator state shared across relations — the
 //     materialized All/L/∃H relations and the IndicatorRef leaves of the
 //     main trees.
 //
 // Route structures cache *relation.Relation pointers, which is sound
-// because materializeAll refills relations in place (identity is stable
-// across major rebalancing). All scratch buffers below make the
-// single-tuple update path allocation-free; they are only ever touched from
-// the engine's own goroutine (parallel batch phases keep their mutable
-// scratch in per-worker state instead — see worker.go).
+// because every node's relation is set at New and materializeAll refills
+// relations in place (identity is stable across major rebalancing). All
+// scratch buffers below make the single-tuple update path allocation-free;
+// they are only ever touched from the engine's own goroutine (parallel batch
+// phases keep their mutable scratch in per-worker state instead — see
+// worker.go).
 //
 // Every leafPath also records the view tree it belongs to (nodeInfo.tree, a
-// dense id over all main, All, and L trees): trees are the unit of
-// parallelism of the batch path, and the id selects the leaf's job group.
+// dense id over all main, All, and L trees), which Engine.treeGroup maps to
+// its job group, the batch path's unit of parallelism.
 
 import (
 	"slices"
@@ -77,15 +79,19 @@ func (e *Engine) partitions(yield func(*relRoutes, *partRoute) bool) {
 // leafPath is the fixed leaf→root propagation chain above one leaf.
 type leafPath struct {
 	leaf  *viewtree.Node
-	tree  int // dense id of the leaf's view tree (job-group index)
+	tree  int // dense id of the leaf's view tree (capture slot; Engine.treeGroup gives its job group)
 	edges []pathEdge
 }
 
 // pathEdge is one step of the chain: the delta-propagation plan into the
-// parent view and the parent's materialized relation.
+// parent view and the parent's materialized relation. skip marks an edge
+// into a view that is not its class's writer (Engine.writer), whose edge
+// maintains the relation they share; flips one into a ∃-child of an indicator
+// tree, whose parent is handed support changes (propagatePath).
 type pathEdge struct {
-	plan *updPlan
-	view *relation.Relation
+	plan        *updPlan
+	view        *relation.Relation
+	skip, flips bool
 }
 
 // indShared is per-indicator state shared by all relations routing into it.
@@ -121,7 +127,9 @@ type indLightRoute struct {
 
 // buildRoutes fills the routing tables of every occurrence, in relation-table
 // order. It requires all views to be materialized (plans cache view
-// relations and sibling indexes).
+// relations and sibling indexes). Every list of leaves is in node-ID order,
+// main trees first, so the edge into a class's writer is queued — and by its
+// job group run — before the edges of later indicator trees that probe it.
 func (e *Engine) buildRoutes() {
 	e.nWorkers = e.resolveWorkers(len(e.jobGroups))
 
@@ -192,7 +200,7 @@ func (e *Engine) buildPath(leaf *viewtree.Node) *leafPath {
 	lp := &leafPath{leaf: leaf}
 	child := leaf
 	for n := leaf.Parent; n != nil; n = n.Parent {
-		lp.edges = append(lp.edges, pathEdge{plan: e.updatePlan(n, child), view: e.rels[n.ID]})
+		lp.edges = append(lp.edges, pathEdge{plan: e.updatePlan(n, child), view: e.rels[n.ID], skip: e.writer[n.Canon.ID] != n, flips: n.Exists})
 		child = n
 	}
 	lp.tree = e.info[leaf.ID].tree

@@ -227,12 +227,19 @@ func (e *Engine) propagateIndicator(s *indShared, key tuple.Tuple, dh int64) {
 // relation must already be updated. The input delta is read-only; deltas
 // computed along the path come from (and return to) the worker's pool.
 //
+// A skip edge runs its plan — the parent above needs δV — but leaves the view
+// to its writer's edge; a flips edge hands its parent the change of the view's
+// support, not δV: +1 for a row the view did not have, −1 for one it has no
+// more, nothing otherwise — on a skip edge read off the view its writer's
+// edge, earlier in the job group, has already brought up to date (pathEdge).
+//
 // Concurrency: the only relations written are the views on the path, which
-// belong to the leaf's tree; sibling probes may touch relations shared
-// across trees (base relations, light parts, ∃H) but only read them —
-// probes are stateless hash-table lookups. Concurrent propagation is
-// therefore safe exactly when (a) no two concurrent paths share a tree and
-// (b) nothing mutates the shared leaf relations during the phase — the
+// belong to the leaf's job group, as does a view a flips edge probes; sibling
+// probes may touch relations shared across groups (base relations, light
+// parts, ∃H, views over other relations, which the phase leaves alone) but
+// only read them — probes are stateless hash-table lookups. Concurrent propagation is
+// therefore safe exactly when (a) no two concurrent paths share a job group
+// and (b) nothing mutates the shared leaf relations during the phase — the
 // invariants runJobs maintains.
 func (ws *workerState) propagatePath(lp *leafPath, d *delta) {
 	// Commit-delta capture (watch.go): while a sink is subscribed, the rows
@@ -264,20 +271,42 @@ func (ws *workerState) propagatePath(lp *leafPath, d *delta) {
 			ws.putDelta(cur)
 		}
 		cur = out
-		// Apply δV to the materialized parent view.
-		applied := false
+		// Apply δV to the materialized parent view; more says the edge above
+		// has rows to read.
+		more, wrote := false, ws.deltasApplied
 		for j := range cur.rows {
-			if cur.rows[j].m == 0 {
+			w := &cur.rows[j]
+			if w.m == 0 {
 				continue
 			}
-			edge.view.MustAdd(cur.rows[j].t, cur.rows[j].m)
-			if capd != nil && i == last {
-				capd.add(cur.rows[j].t, cur.rows[j].m)
+			m := w.m
+			if edge.flips {
+				after := edge.view.Mult(w.t)
+				if !edge.skip {
+					after += m
+				}
+				switch {
+				case after == m:
+					w.m = 1
+				case after == 0:
+					w.m = -1
+				default:
+					w.m = 0
+				}
 			}
-			ws.deltasApplied++
-			applied = true
+			if !edge.skip {
+				edge.view.MustAdd(w.t, m)
+				if capd != nil && i == last {
+					capd.add(w.t, m)
+				}
+				ws.deltasApplied++
+			}
+			more = more || w.m != 0
 		}
-		if !applied {
+		if traceEdge != nil {
+			traceEdge(edge, ws.deltasApplied-wrote)
+		}
+		if !more {
 			break
 		}
 	}
@@ -285,6 +314,10 @@ func (ws *workerState) propagatePath(lp *leafPath, d *delta) {
 		ws.putDelta(cur)
 	}
 }
+
+// traceEdge is nil outside tests: export_test.go sets it to be told, edge by
+// edge, how many rows propagatePath wrote.
+var traceEdge func(edge *pathEdge, rows int64)
 
 // updPlan is a compiled left-deep index-nested-loops join: a seed's rows are
 // bound to scratch slots and the view's other children probed in turn. The
@@ -300,7 +333,7 @@ type updPlan struct {
 
 // updStep probes one sibling of the seed.
 type updStep struct {
-	rel        *relation.Relation
+	joinInput                  // the sibling; matched at multiplicity 1 when it is read for its support
 	index      *relation.Index // index on the bound variables; nil for full-schema or full-scan probes
 	keySlots   []int           // scratch slots providing the probe key
 	keyScratch tuple.Tuple
@@ -323,10 +356,10 @@ func (e *Engine) updatePlan(n *viewtree.Node, child *viewtree.Node) *updPlan {
 	if p := e.plans[child.ID]; p != nil {
 		return p
 	}
-	var sibs []*relation.Relation
+	var sibs []joinInput
 	for _, c := range n.Children {
 		if c != child {
-			sibs = append(sibs, e.rels[c.ID])
+			sibs = append(sibs, e.input(c))
 		}
 	}
 	e.plans[child.ID] = e.compilePlan(child.Schema, sibs, n.Schema)
@@ -335,7 +368,7 @@ func (e *Engine) updatePlan(n *viewtree.Node, child *viewtree.Node) *updPlan {
 
 // compilePlan compiles the join of a seed over schema seed with rest, onto
 // out, ordering rest greedily: most already-bound variables first.
-func (e *Engine) compilePlan(seed tuple.Schema, rest []*relation.Relation, out tuple.Schema) *updPlan {
+func (e *Engine) compilePlan(seed tuple.Schema, rest []joinInput, out tuple.Schema) *updPlan {
 	p := &updPlan{}
 	bound := map[tuple.Variable]bool{}
 	for _, v := range seed {
@@ -346,17 +379,17 @@ func (e *Engine) compilePlan(seed tuple.Schema, rest []*relation.Relation, out t
 		best, bestScore := 0, -1<<30
 		for i, r := range rest {
 			score := 0
-			for _, v := range r.Schema() {
+			for _, v := range r.rel.Schema() {
 				if bound[v] {
 					score++
 				}
 			}
-			score = score*100 - len(r.Schema())
+			score = score*100 - len(r.rel.Schema())
 			if score > bestScore {
 				best, bestScore = i, score
 			}
 		}
-		st := updStep{rel: rest[best]}
+		st := updStep{joinInput: rest[best]}
 		rest = slices.Delete(rest, best, best+1)
 		var ixSchema tuple.Schema
 		for pos, v := range st.rel.Schema() {
@@ -404,13 +437,21 @@ func (p *updPlan) run(ws *workerState, d *delta, out *delta) {
 }
 
 // fill runs the whole of seed through the plan as if it were the delta.
-func (p *updPlan) fill(scratch []tuple.Value, seed *relation.Relation, to *planSink) {
-	for en := seed.First(); en != nil; en = seed.Next(en) {
+func (p *updPlan) fill(scratch []tuple.Value, seed joinInput, to *planSink) {
+	for en := seed.rel.First(); en != nil; en = seed.rel.Next(en) {
 		for k, s := range p.deltaSlots {
 			scratch[s] = en.Tuple[k]
 		}
-		p.rec(scratch, 0, en.Mult, to)
+		p.rec(scratch, 0, seed.mult(en.Mult), to)
 	}
+}
+
+// mult is what a stored multiplicity m ≠ 0 counts for in a join over the input.
+func (in *joinInput) mult(m int64) int64 {
+	if in.exists {
+		return 1
+	}
+	return m
 }
 
 // rec is the step executor: it probes step i under the bindings so far and
@@ -443,14 +484,14 @@ func (p *updPlan) rec(scratch []tuple.Value, i int, mult int64, to *planSink) {
 		}
 	case st.full:
 		if m := st.rel.Mult(key); m != 0 {
-			p.rec(scratch, i+1, mult*m, to)
+			p.rec(scratch, i+1, mult*st.mult(m), to)
 		}
 	case st.index == nil:
 		for en := st.rel.First(); en != nil; en = st.rel.Next(en) {
 			for k, pos := range st.freshPos {
 				scratch[st.freshSlot[k]] = en.Tuple[pos]
 			}
-			p.rec(scratch, i+1, mult*en.Mult, to)
+			p.rec(scratch, i+1, mult*st.mult(en.Mult), to)
 		}
 	default:
 		for n := st.index.FirstMatch(key); n != nil; n = n.Next() {
@@ -458,7 +499,7 @@ func (p *updPlan) rec(scratch []tuple.Value, i int, mult int64, to *planSink) {
 			for k, pos := range st.freshPos {
 				scratch[st.freshSlot[k]] = en.Tuple[pos]
 			}
-			p.rec(scratch, i+1, mult*en.Mult, to)
+			p.rec(scratch, i+1, mult*st.mult(en.Mult), to)
 		}
 	}
 }

@@ -8,10 +8,12 @@ import (
 )
 
 // Parallel batch propagation. ApplyBatch reduces a batch to one aggregated
-// delta per view-tree leaf; the per-tree propagations of one phase are
-// independent (they write only views of their own tree and read shared leaf
-// relations — base relations, light parts, ∃H — that no phase member
-// mutates), so they can run on a bounded worker pool.
+// delta per view-tree leaf. A view shared by several trees is written through
+// one of them only, and any other tree that probes it for a support change is
+// in that tree's job group (Engine.treeGroup); the per-group propagations of
+// one phase are independent (they write only views of their own trees and
+// read, besides, views and leaf relations — base relations, light parts, ∃H —
+// that no phase member mutates), so they can run on a bounded worker pool.
 //
 // All mutable scratch of the propagation hot path lives in a workerState:
 // the ubind binding slots of the update plans and the delta pool. Probes of
@@ -25,9 +27,9 @@ import (
 // scratch. Per-plan scratch (keyScratch, outScratch) needs no duplication:
 // a plan belongs to one tree edge, and a tree is drained by one worker.
 //
-// Work is distributed as per-tree job groups: enqueue collects
-// (leafPath, delta) jobs grouped by the leaf's tree, and runJobs drains
-// whole groups. Assignment is static and deterministic: worker w of a
+// Work is distributed as job groups: enqueue collects (leafPath, delta)
+// jobs under the group of the leaf's tree, and runJobs drains whole
+// groups. Assignment is static and deterministic: worker w of a
 // phase with W participants drains groups w, w+W, w+2W, … in enqueue
 // order. Determinism matters beyond reproducibility — per-worker scratch
 // (delta pools, aggregation maps) grows to fit the trees a worker drains,
@@ -36,8 +38,9 @@ import (
 // workers and occasionally grow a pool mid-measurement (the stray
 // pool-sizing allocs the bench gate used to tolerate). Jobs within a group
 // run in enqueue order on a single worker, which preserves the sequential
-// batch semantics tree by tree; groups may interleave freely because a
-// phase's trees are independent.
+// batch semantics tree by tree — and the order a shared view needs: written
+// through its writer's edge before another ∃-child's edge probes it;
+// groups may interleave freely because a phase's groups are independent.
 //
 // The pool's goroutines are persistent (spawning per batch would allocate
 // on the hot path): each helper blocks on its own task channel — the
@@ -92,7 +95,7 @@ type propJob struct {
 // id, id+width, id+2·width, …; wg counts the helper goroutines still
 // draining.
 type poolTask struct {
-	jobs   [][]propJob // per-tree job groups (the engine's jobGroups)
+	jobs   [][]propJob // the engine's jobGroups
 	groups []int       // indexes of the non-empty groups of this phase
 	width  int         // participating workers (helpers + the engine goroutine)
 	wg     sync.WaitGroup
@@ -141,9 +144,9 @@ func (p *workerPool) close() {
 	}
 }
 
-// enqueue queues one propagation job on the leaf's tree group.
+// enqueue queues one propagation job on the group of the leaf's tree.
 func (e *Engine) enqueue(lp *leafPath, d *delta) {
-	g := lp.tree
+	g := e.treeGroup[lp.tree]
 	if len(e.jobGroups[g]) == 0 {
 		e.activeGroups = append(e.activeGroups, g)
 	}
@@ -157,8 +160,8 @@ func (e *Engine) enqueue(lp *leafPath, d *delta) {
 var parallelMinRows = 64
 
 // runJobs drains all queued job groups, in parallel when the engine has
-// workers, the phase spans more than one tree, and the queued work is
-// large enough to amortize the pool handoff. Within a tree, jobs run in
+// workers, the phase spans more than one group, and the queued work is
+// large enough to amortize the pool handoff. Within a group, jobs run in
 // enqueue order; the deltas referenced by the jobs are read-only for the
 // duration of the phase.
 func (e *Engine) runJobs() {
@@ -246,7 +249,7 @@ func (e *Engine) Close() {
 // ApplyBatch: 0 means GOMAXPROCS-bounded auto, 1 (or negative) sequential,
 // and any explicit count is honored even beyond GOMAXPROCS (useful under
 // the race detector). The count is additionally capped by the number of
-// view trees, the unit of parallelism.
+// view trees, which bounds the job groups, the unit of parallelism.
 func (e *Engine) resolveWorkers(trees int) int {
 	w := e.opts.Workers
 	if w == 0 {

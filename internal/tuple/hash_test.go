@@ -1,6 +1,9 @@
 package tuple
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 func TestHashEqualTuplesHashEqual(t *testing.T) {
 	seed := NewSeed()
@@ -156,5 +159,70 @@ func TestIntMapSteadyStateZeroAllocs(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("warmed Reset+Put+Get cycle allocates %v per run, want 0", n)
+	}
+}
+
+// TestIntMapResetProportional: what a use of a pooled map costs depends on
+// that use, not on the largest before it. After a 100 000-key use, a 20-key
+// use probes — and its Reset clears — a table of at most 256 slots, Reset
+// leaves nothing behind anywhere in the arrays, and through rounds of mixed
+// sizes the map agrees with a built-in one.
+func TestIntMapResetProportional(t *testing.T) {
+	var m IntMap
+	fill := func(n int) {
+		for i := 0; i < n; i++ {
+			m.Put(Tuple{int64(i), int64(i % 3)}, i)
+		}
+	}
+	fill(100000)
+	if m.TableSlots() < 100000 {
+		t.Fatalf("100 000 keys in %d slots", m.TableSlots())
+	}
+	m.Reset()
+	fill(20)
+	if n := m.TableSlots(); n > 256 {
+		t.Fatalf("after a 100 000-key use, Reset after a 20-key use clears %d slots, want at most 256", n)
+	}
+	m.Reset()
+	if !m.ArraysClear() {
+		t.Fatal("Reset left an entry number or a key reference behind")
+	}
+
+	rng := rand.New(rand.NewSource(5))
+	scratch := make(Tuple, 2)
+	for round := 0; round < 1000; round++ {
+		size := rng.Intn(40)
+		switch rng.Intn(20) {
+		case 0:
+			size = 2000 + rng.Intn(3000)
+		case 1, 2:
+			size = 100 + rng.Intn(400)
+		}
+		model, keys := map[string]int{}, []Tuple(nil)
+		for i := 0; i < size; i++ {
+			scratch[0], scratch[1] = rng.Int63n(int64(2*size+1)), rng.Int63n(3)
+			want, present := model[scratch.String()]
+			got, h, ok := m.GetHash(scratch)
+			if ok != present || got != want {
+				t.Fatalf("round %d: Get(%v) = %d, %v; the model has %d, %v", round, scratch, got, ok, want, present)
+			}
+			if !ok {
+				m.PutCopyHashed(h, scratch, i)
+				model[scratch.String()] = i
+				keys = append(keys, scratch.Clone())
+			}
+		}
+		if m.Len() != len(model) {
+			t.Fatalf("round %d: Len = %d, the model has %d", round, m.Len(), len(model))
+		}
+		for _, k := range keys {
+			if got, ok := m.Get(k); !ok || got != model[k.String()] {
+				t.Fatalf("round %d: Get(%v) = %d, %v; want %d", round, k, got, ok, model[k.String()])
+			}
+		}
+		m.Reset()
+	}
+	if !m.ArraysClear() {
+		t.Fatal("Reset left an entry number or a key reference behind")
 	}
 }

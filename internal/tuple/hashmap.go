@@ -3,36 +3,43 @@ package tuple
 // IntMap is an insert-only open-addressing map from Tuple to int, keyed on
 // unencoded tuples (no key string is ever built). It is the pooled grouping
 // table of the batch-update hot paths: Reset clears the map while keeping
-// its slot array and key arena, so a map reused across batches stops
-// allocating once it has grown to the working-set size.
+// its arrays and key arena, so a map reused across batches stops allocating
+// once it has grown to the working-set size.
+//
+// The keys live in insertion order in a dense entry list; the probed table
+// holds their numbers, in a power-of-two prefix of its array that every use
+// grows again from intMapResetSlots and growth refills from the entry list.
+// Probing, regrowing and Reset thus cost in proportion to a use's own keys,
+// however large an earlier use of the map was.
 //
 // Keys passed to Put are stored by reference and must stay valid (and
 // unmodified) until the next Reset; PutCopy copies the key into an internal
 // arena for callers whose key lives in a reused scratch buffer. There is no
 // deletion. The zero value is ready to use. Not safe for concurrent use.
 type IntMap struct {
-	slots []intMapSlot
-	mask  uint64
-	count int
-	seed  uint64
-	arena Tuple // backing storage for PutCopy keys, truncated by Reset
+	index   []uint32      // the table: an entry's number + 1, or 0; its array is zero beyond len
+	entries []intMapEntry // the keys, in insertion order
+	mask    uint64        // len(index) − 1
+	seed    uint64
+	arena   Tuple // backing storage for PutCopy keys, truncated by Reset
 }
 
-// intMapSlot is one open-addressing slot; key == nil marks it empty (empty
-// tuples are stored as a non-nil zero-length slice).
-type intMapSlot struct {
+type intMapEntry struct {
 	hash uint64
 	key  Tuple
 	val  int
 }
 
-const intMapMinSlots = 8
-
-// emptyTuple is the non-nil representative of the zero-arity key.
-var emptyTuple = Tuple{}
+const (
+	// intMapMinSlots is the first table: 32 keys in two allocations.
+	intMapMinSlots = 64
+	// intMapResetSlots bounds the table a use starts from and a small use's
+	// Reset clears: 128 keys fit before the first growth.
+	intMapResetSlots = 256
+)
 
 // Len returns the number of stored keys.
-func (m *IntMap) Len() int { return m.count }
+func (m *IntMap) Len() int { return len(m.entries) }
 
 // ensureSeed draws the map's hash seed on first use. The seed never
 // changes once set (0 is the unset sentinel; NewSeed is redrawn in the
@@ -56,16 +63,16 @@ func (m *IntMap) Get(t Tuple) (int, bool) {
 func (m *IntMap) GetHash(t Tuple) (int, uint64, bool) {
 	m.ensureSeed()
 	h := Hash(m.seed, t)
-	if m.count == 0 {
+	if len(m.entries) == 0 {
 		return 0, h, false
 	}
 	for i := h & m.mask; ; i = (i + 1) & m.mask {
-		s := &m.slots[i]
-		if s.key == nil {
+		n := m.index[i]
+		if n == 0 {
 			return 0, h, false
 		}
-		if s.hash == h && s.key.Equal(t) {
-			return s.val, h, true
+		if e := &m.entries[n-1]; e.hash == h && e.key.Equal(t) {
+			return e.val, h, true
 		}
 	}
 }
@@ -80,20 +87,20 @@ func (m *IntMap) Put(t Tuple, v int) {
 
 // PutHashed is Put with the hash precomputed by GetHash.
 func (m *IntMap) PutHashed(h uint64, t Tuple, v int) {
-	if m.count >= len(m.slots)*3/4 {
+	if 2*len(m.entries) >= len(m.index) {
 		m.grow()
 	}
-	if t == nil {
-		t = emptyTuple
+	m.entries = append(m.entries, intMapEntry{h, t, v})
+	m.place(h, uint32(len(m.entries)))
+}
+
+// place puts entry number n in the first free slot of its hash's probe run.
+func (m *IntMap) place(h uint64, n uint32) {
+	i := h & m.mask
+	for m.index[i] != 0 {
+		i = (i + 1) & m.mask
 	}
-	for i := h & m.mask; ; i = (i + 1) & m.mask {
-		s := &m.slots[i]
-		if s.key == nil {
-			s.hash, s.key, s.val = h, t, v
-			m.count++
-			return
-		}
-	}
+	m.index[i] = n
 }
 
 // PutCopy is Put with the key copied into the map's internal arena, for
@@ -110,37 +117,38 @@ func (m *IntMap) PutCopyHashed(h uint64, t Tuple, v int) {
 	m.PutHashed(h, m.arena[start:len(m.arena):len(m.arena)], v)
 }
 
-// Reset empties the map, keeping the slot array and key arena for reuse.
-// Keys stored by reference are released; arena-copied keys are overwritten
-// by subsequent PutCopy calls.
+// Reset empties the map, keeping its arrays and key arena for reuse: it
+// clears the table the ending use grew to and that use's entries, no more,
+// and takes the table back to at most intMapResetSlots. Keys stored by
+// reference are released; arena-copied keys are overwritten by subsequent
+// PutCopy calls.
 func (m *IntMap) Reset() {
-	if m.count > 0 {
-		clear(m.slots)
-		m.count = 0
+	if len(m.entries) > 0 {
+		clear(m.index)
+		clear(m.entries)
+		m.entries = m.entries[:0]
+	}
+	if len(m.index) > intMapResetSlots {
+		m.index = m.index[:intMapResetSlots]
+		m.mask = intMapResetSlots - 1
 	}
 	m.arena = m.arena[:0]
 }
 
-// grow doubles the slot array (allocating the initial one on first use) and
-// reinserts the stored keys by their cached hashes.
+// grow doubles the table — inside its array once the map has seen a use as
+// large, else in a new one with an entry list to match — and places every
+// entry anew.
 func (m *IntMap) grow() {
-	old := m.slots
-	n := 2 * len(old)
-	if n < intMapMinSlots {
-		n = intMapMinSlots
+	n := max(2*len(m.index), intMapMinSlots)
+	if n <= cap(m.index) {
+		clear(m.index)
+		m.index = m.index[:n]
+	} else {
+		m.index = make([]uint32, n)
+		m.entries = append(make([]intMapEntry, 0, n/2), m.entries...)
 	}
-	m.slots = make([]intMapSlot, n)
 	m.mask = uint64(n - 1)
-	for i := range old {
-		s := &old[i]
-		if s.key == nil {
-			continue
-		}
-		for j := s.hash & m.mask; ; j = (j + 1) & m.mask {
-			if m.slots[j].key == nil {
-				m.slots[j] = *s
-				break
-			}
-		}
+	for i := range m.entries {
+		m.place(m.entries[i].hash, uint32(i+1))
 	}
 }

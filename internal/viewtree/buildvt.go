@@ -46,15 +46,27 @@ func BuildVTOnly(q *query.Query, mode Mode) (*Forest, error) {
 }
 
 // Render prints a view tree in a compact one-line form for tests and
-// debugging, e.g. "V(A)[∃H(B), Aux(A)[R(A, B)], S(B)]". View counters are
-// stripped so output is stable.
+// debugging, e.g. "V(A)[∃H{B}, V(A)[R(A, B)], S(B)]". A view that repeats
+// an earlier one of the forest prints as "=Name", the name of its class's
+// canonical node, and a child read through ∃ carries the mark; other views
+// print without their names and counters, so the output is stable.
 func Render(n *Node) string {
 	var b strings.Builder
-	render(n, &b)
+	var abbreviated func(c *Node)
+	abbreviated = func(c *Node) {
+		if c.Canon != c {
+			fmt.Fprintf(&b, "=%s", c.Canon.Name)
+			return
+		}
+		render(c, &b, abbreviated)
+	}
+	abbreviated(n)
 	return b.String()
 }
 
-func render(n *Node, b *strings.Builder) {
+// render writes n, leaving what stands for each child of a view to child:
+// Render abbreviates there, number puts in the child's own signature.
+func render(n *Node, b *strings.Builder, child func(c *Node)) {
 	switch n.Kind {
 	case Atom:
 		fmt.Fprintf(b, "%s%s", n.Rel, n.Schema)
@@ -68,7 +80,10 @@ func render(n *Node, b *strings.Builder) {
 			if i > 0 {
 				b.WriteString(", ")
 			}
-			render(c, b)
+			if c.Exists {
+				b.WriteString("∃")
+			}
+			child(c)
 		}
 		b.WriteString("]")
 	}
@@ -76,10 +91,11 @@ func render(n *Node, b *strings.Builder) {
 
 // Stats summarizes a forest for diagnostics.
 type Stats struct {
-	Trees      int
-	Views      int
-	Indicators int
-	LightParts int
+	Trees         int
+	Views         int // view nodes
+	DistinctViews int // structural classes of view nodes: materialized views
+	Indicators    int
+	LightParts    int
 }
 
 // Summarize counts the forest's materialized objects.
@@ -90,6 +106,9 @@ func (f *Forest) Summarize() Stats {
 		walk = func(m *Node) {
 			if m.Kind == View {
 				s.Views++
+				if m.Canon == m {
+					s.DistinctViews++
+				}
 			}
 			for _, c := range m.Children {
 				walk(c)

@@ -5,6 +5,14 @@
 // The package builds pure structure — which views exist, their schemas, and
 // how they nest. Materialization, enumeration, and maintenance live in
 // internal/core.
+//
+// Every tree has its own nodes — copyTree copies, a node having one Parent
+// and one leaf→root path — but τ's copies, the auxiliary views of Figure 8
+// and the first level of the indicator trees compute the same views over and
+// over. Build sorts the view nodes into structural classes (Node.Canon); a
+// class is one materialized view, filled, written and stored once by
+// internal/core. Inside an All or L tree a view below another view is read
+// through ∃ (Node.Exists): Figure 10 asks the indicator trees for support only.
 package viewtree
 
 import (
@@ -64,6 +72,15 @@ type Node struct {
 	Children []*Node
 	Parent   *Node
 	Ind      *Indicator // IndicatorRef: the triple referenced
+
+	// Canon is the lowest-ID node of the node's structural class: the node
+	// itself, unless it is a view whose subtree repeats an earlier one — same
+	// schema sequence, same children in order with the same ∃ marks, leaves
+	// alike in kind, relation, keys and indicator.
+	Canon *Node
+	// Exists marks a view below another view of an All or L tree: its parent
+	// joins its support, ∃V, not its multiplicities.
+	Exists bool
 }
 
 // Indicator is a triple of indicator view trees for a bound variable's keys
@@ -122,26 +139,41 @@ type Forest struct {
 }
 
 // number gives every node of the finished forest its ID — the main trees in
-// Trees order, then each indicator's All and L tree, each in preorder — and
-// collects every indicator's reference leaves.
+// Trees order, then each indicator's All and L tree, each in preorder —
+// collects every indicator's reference leaves, marks the ∃-children of the
+// indicator trees and classes the views, by the signature render spells out.
+// Equal subtrees never nest, so the first of a class to finish has its lowest ID.
 func (f *Forest) number() {
-	var walk func(n *Node)
-	walk = func(n *Node) {
+	classes := map[string]*Node{}
+	sigs := make(map[*Node]string)
+	var walk func(n *Node, indicator bool)
+	walk = func(n *Node, indicator bool) {
 		n.ID = f.NumNodes
 		f.NumNodes++
+		n.Exists = indicator && n.Kind == View && n.Parent != nil
 		if n.Kind == IndicatorRef {
 			n.Ind.Refs = append(n.Ind.Refs, n)
 		}
 		for _, c := range n.Children {
-			walk(c)
+			walk(c, indicator)
+		}
+		var sig strings.Builder
+		render(n, &sig, func(c *Node) { sig.WriteString(sigs[c]) })
+		sigs[n] = sig.String()
+		n.Canon = n
+		if n.Kind == View {
+			if classes[sigs[n]] == nil {
+				classes[sigs[n]] = n
+			}
+			n.Canon = classes[sigs[n]]
 		}
 	}
 	for _, t := range f.Trees() {
-		walk(t)
+		walk(t, false)
 	}
 	for _, ind := range f.Indicators {
-		walk(ind.All)
-		walk(ind.L)
+		walk(ind.All, true)
+		walk(ind.L, true)
 	}
 }
 
@@ -451,9 +483,10 @@ func (b *builder) combine(n *vorder.Node, keys tuple.Schema, extra func() *Node)
 	return out
 }
 
-// copyTree deep-copies a view tree, renaming its views so every
-// materialized view in the forest is unique. Indicator references and
-// leaf identities are preserved.
+// copyTree deep-copies a view tree, renaming its views: a node has one
+// Parent, so a subtree used by two trees is two subtrees, which number
+// finds to be one class. Indicator references and leaf identities are
+// preserved.
 func (b *builder) copyTree(n *Node) *Node {
 	c := &Node{
 		Kind:   n.Kind,

@@ -1,6 +1,7 @@
 package viewtree
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -55,12 +56,13 @@ func TestExample28Figure23Dynamic(t *testing.T) {
 	if !ind.Keys.Equal(tuple.NewSchema("B")) {
 		t.Fatalf("indicator keys = %v", ind.Keys)
 	}
-	// AllB(B) = AllA(B), AllC(B) over base relations (Figure 23 top-left).
-	if got := Render(ind.All); got != "V(B)[V(B)[R(A, B)], V(B)[S(B, C)]]" {
+	// AllB(B) = ∃AllA(B), ∃AllC(B) over base relations (Figure 23 top-left);
+	// AllA and AllC are the heavy tree's R'(B) and S'(B) over again.
+	if got := Render(ind.All); got != "V(B)[∃=AuxA_7, ∃=AuxC_8]" {
 		t.Fatalf("All tree = %s", got)
 	}
 	// LB(B) over light parts (Figure 23 top-middle).
-	if got := Render(ind.L); got != "V(B)[V(B)[R^{B}(A, B)], V(B)[S^{B}(B, C)]]" {
+	if got := Render(ind.L); got != "V(B)[∃V(B)[R^{B}(A, B)], ∃V(B)[S^{B}(B, C)]]" {
 		t.Fatalf("L tree = %s", got)
 	}
 	if len(f.LightParts) != 2 {
@@ -101,8 +103,8 @@ func TestExample29Figure24(t *testing.T) {
 		t.Fatalf("dynamic trees = %v", got)
 	}
 	ind := fd.Indicators[0]
-	// AllB(B) = AllA(B), S(B) (Figure 24 top-left).
-	if got := Render(ind.All); got != "V(B)[V(B)[R(A, B)], S(B)]" {
+	// AllB(B) = ∃AllA(B), S(B) (Figure 24 top-left).
+	if got := Render(ind.All); got != "V(B)[∃=AuxA_5, S(B)]" {
 		t.Fatalf("All tree = %s", got)
 	}
 }
@@ -140,8 +142,9 @@ func TestExample19Figure12(t *testing.T) {
 	}
 	// Light-A tree (Figure 12 bottom-left).
 	wantLightA := "V(C, D, E, F)[V(A, D, E)[R^{A}(A, B, D), S^{A}(A, B, E)], V(A, C, F)[T^{A}(A, C, F), V(A, C)[U^{A}(A, C, G)]]]"
-	// Heavy-A, light-(A,B) tree (Figure 12 bottom-middle).
-	wantHeavyALightB := "V(A)[∃H{A}, V(A)[V(A, D, E)[R^{A,B}(A, B, D), S^{A,B}(A, B, E)]], V(A)[V(A, C)[V(A, C)[T(A, C, F)], V(A, C)[U(A, C, G)]]]]"
+	// Heavy-A, light-(A,B) tree (Figure 12 bottom-middle); its C branch is
+	// the heavy-(A,B) tree's, which comes first.
+	wantHeavyALightB := "V(A)[∃H{A}, V(A)[V(A, D, E)[R^{A,B}(A, B, D), S^{A,B}(A, B, E)]], =AuxC_35]"
 	// Heavy-A, heavy-(A,B) tree (Figure 12 second row right).
 	wantHeavyAB := "V(A)[∃H{A}, V(A)[V(A, B)[∃H{A,B}, V(A, B)[R(A, B, D)], V(A, B)[S(A, B, E)]]], V(A)[V(A, C)[V(A, C)[T(A, C, F)], V(A, C)[U(A, C, G)]]]]"
 	for _, w := range []string{wantLightA, wantHeavyALightB, wantHeavyAB} {
@@ -231,6 +234,126 @@ func TestSummarize(t *testing.T) {
 	s := f.Summarize()
 	if s.Trees != 2 || s.Indicators != 1 || s.LightParts != 2 || s.Views == 0 {
 		t.Fatalf("stats = %+v", s)
+	}
+	for _, tc := range []struct {
+		q               string
+		views, distinct int
+	}{
+		{"Q(A, C) = R(A, B), S(B, C)", 10, 8},
+		{"Q(A, C, F) = R(A, B, C), S(A, B, D), T(A, E, F), U(A, E, G)", 44, 24},
+		{"Q(C, D, E, F) = R(A, B, D), S(A, B, E), T(A, C, F), U(A, C, G)", 40, 29},
+		{"Q(C, E) = R(A), S(A, B), T(A, B, C), U(A, D), V(A, D, E)", 45, 31},
+	} {
+		if s := build(t, tc.q, Dynamic).Summarize(); s.Views != tc.views || s.DistinctViews != tc.distinct {
+			t.Errorf("%s: %d views, %d distinct; want %d, %d", tc.q, s.Views, s.DistinctViews, tc.views, tc.distinct)
+		}
+	}
+}
+
+// plain renders a subtree with every view spelled out and no marks: what
+// Render printed before views were classed.
+func plain(n *Node) string {
+	if n.Kind != View {
+		return Render(n)
+	}
+	kids := make([]string, len(n.Children))
+	for i, c := range n.Children {
+		kids[i] = plain(c)
+	}
+	return "V" + n.Schema.String() + "[" + strings.Join(kids, ", ") + "]"
+}
+
+// existsDepth is the longest run of ∃-edges below a node: 0 in a main tree
+// and for an indicator tree's views over leaves alone.
+func existsDepth(n *Node) int {
+	d := 0
+	for _, c := range n.Children {
+		if c.Exists {
+			d = max(d, 1+existsDepth(c))
+		}
+	}
+	return d
+}
+
+// TestSharedClasses: two view nodes are one class exactly when their
+// subtrees read alike and sit at the same ∃-depth; the canonical node is the
+// first of its class, equal nodes have equal children, and what enumeration
+// starts from — a main tree's root — is never a copy.
+func TestSharedClasses(t *testing.T) {
+	var queries []*query.Query
+	for _, qs := range []string{
+		"Q(A, C) = R(A, B), S(B, C)",
+		"Q(A) = R(A, B), S(B)",
+		"Q(C, D, E, F) = R(A, B, D), S(A, B, E), T(A, C, F), U(A, C, G)",
+		"Q(B) = R(A, B), S(B, C)",
+		"Q(A, C, F) = R(A, B, C), S(A, B, D), T(A, E, F), U(A, E, G)",
+		"Q(C, E) = R(A), S(A, B), T(A, B, C), U(A, D), V(A, D, E)",
+	} {
+		queries = append(queries, query.MustParse(qs))
+	}
+	rng := rand.New(rand.NewSource(24))
+	gen := query.GenOptions{MaxDepth: 3, MaxBranch: 2, ExtraAtomP: 0.3, FreeP: 0.5, MaxChainLen: 2}
+	for i := 0; i < 25; i++ {
+		queries = append(queries, query.RandomHierarchical(rng, gen))
+	}
+	shared := 0
+	for _, q := range queries {
+		f, err := Build(q, Dynamic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		type key struct {
+			subtree string
+			depth   int
+		}
+		first := map[key]*Node{}
+		var walk func(n *Node, main bool)
+		walk = func(n *Node, main bool) {
+			if n.Kind != View {
+				if n.Canon != n || n.Exists {
+					t.Fatalf("%s: leaf %s is classed or marked", q, n.Name)
+				}
+				return
+			}
+			if main && n.Exists {
+				t.Fatalf("%s: %s is read through ∃ in a main tree", q, n.Name)
+			}
+			k := key{plain(n), existsDepth(n)}
+			if first[k] == nil {
+				first[k] = n // the walk follows the numbering
+			} else {
+				shared++
+			}
+			if n.Canon != first[k] {
+				t.Fatalf("%s: %s has canonical node %s, want %s (%s at ∃-depth %d)", q, n.Name, n.Canon.Name, first[k].Name, k.subtree, k.depth)
+			}
+			if n.Canon.ID > n.ID {
+				t.Fatalf("%s: canonical node %s comes after %s", q, n.Canon.Name, n.Name)
+			}
+			if n.Parent == nil && main && n.Canon != n {
+				t.Fatalf("%s: main root %s is a copy of %s", q, n.Name, n.Canon.Name)
+			}
+			for i, c := range n.Children {
+				counterpart := n.Canon.Children[i]
+				if c.Kind == View && c.Canon != counterpart.Canon || c.Kind != View && plain(c) != plain(counterpart) {
+					t.Fatalf("%s: %s and %s, child %d of %s and of its canonical node, differ", q, c.Name, counterpart.Name, i, n.Name)
+				}
+				if n.Canon != n && c.Kind == View && c.Canon == c {
+					t.Fatalf("%s: %s is canonical below the copy %s", q, c.Name, n.Name)
+				}
+				walk(c, main)
+			}
+		}
+		for _, tr := range f.Trees() {
+			walk(tr, true)
+		}
+		for _, ind := range f.Indicators {
+			walk(ind.All, false)
+			walk(ind.L, false)
+		}
+	}
+	if shared == 0 {
+		t.Fatalf("no query shared a view")
 	}
 }
 
