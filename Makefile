@@ -7,8 +7,8 @@
 # change to internal/core's materialize.go or update.go, or to
 # internal/relation, can move all three — run `make bench-check-allocs` and
 # re-record the file whose line moved (old → new in CHANGES.md), and only
-# then — ns/op drift is no reason; enum.go and the page codec move only
-# BENCH_enum.json. The paper's update cost has its own exact gate inside
+# then — ns/op drift is no reason; enum.go moves only BENCH_enum.json, and
+# the read stream's codec only BenchmarkServerRead in BENCH_update.json. The paper's update cost has its own exact gate inside
 # `make test`: the view-write count, `go test ./internal/core -run
 # TestViewDeltasExact -v`, which pins Stats.DeltasApplied of a fixed run and
 # prints it per view.

@@ -3,14 +3,16 @@
 // full wire path — NDJSON encode, HTTP round-trip, decode — on the same
 // warmed insert/inverse commit cycle as the engine-side benchmarks, so the
 // service overhead reads directly against BenchmarkUpdateSteadyState and
-// BenchmarkWatchFanout. allocs/op here includes the Go HTTP stack and is
-// inherently nondeterministic; the CI allocs gate treats BenchmarkServer*
-// with tolerance (cmd/benchdiff -alloc-nondet) while the engine-side
-// benchmarks stay pinned exact.
+// BenchmarkWatchFanout, and one full remote read against
+// BenchmarkEnumerate's in-process pass. allocs/op here includes the Go HTTP
+// stack and is inherently nondeterministic; the CI allocs gate treats
+// BenchmarkServer* with tolerance (cmd/benchdiff -alloc-nondet) while the
+// engine-side benchmarks stay pinned exact.
 package ivmeps_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
@@ -173,5 +175,51 @@ func BenchmarkServerWatchFanout(b *testing.B) {
 			}
 			wg.Wait()
 		})
+	}
+}
+
+// BenchmarkServerRead measures one full remote read: client.All over
+// loopback of the 65 536-row result of the q-hierarchical query the svc-*
+// workloads serve (1 024 join keys, each with eight R and eight S rows) at
+// PageLimit 2048 — one request, 32 rows frames and the closing frame.
+// allocs/op is the whole read, both ends of the wire.
+func BenchmarkServerRead(b *testing.B) {
+	const keys, degree = 1024, 8
+	e, err := ivmeps.New(ivmeps.MustParseQuery("Q(A, B, C) = R(A, B), S(A, C)"), ivmeps.Options{Epsilon: 0.5})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer e.Close()
+	for a := int64(0); a < keys; a++ {
+		for i := int64(0); i < degree; i++ {
+			if err := errors.Join(e.Load("R", []int64{a, i}), e.Load("S", []int64{a, i})); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	if err := e.Build(); err != nil {
+		b.Fatal(err)
+	}
+	hs := httptest.NewServer(server.New(e, server.Options{}))
+	defer hs.Close()
+	c, err := client.New(hs.URL, client.Options{PageLimit: 2048})
+	if err != nil {
+		b.Fatal(err)
+	}
+	read := func() {
+		seq, errf := c.All(context.Background(), "")
+		rows := 0
+		for range seq {
+			rows++
+		}
+		if err := errf(); err != nil || rows != keys*degree*degree {
+			b.Fatalf("read %d rows (%v), want %d", rows, err, keys*degree*degree)
+		}
+	}
+	read() // the connection and the pools
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		read()
 	}
 }

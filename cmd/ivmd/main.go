@@ -1,4 +1,4 @@
-// Command ivmd serves one ivmeps engine over HTTP: NDJSON commits, paginated
+// Command ivmd serves one ivmeps engine over HTTP: NDJSON commits, streamed
 // snapshot reads, and per-commit watch streaming (see docs/SERVICE.md for the
 // wire protocol). One process owns one query and, optionally, one durable log
 // directory.

@@ -1,17 +1,17 @@
 // Package client is the Go client for the ivmd query service
 // (internal/server): it mirrors the engine surface — a Batch builder with
-// Commit, Rows/All reads with transparent pagination, and Watch returning
-// the same iter.Seq2 event stream as ivmeps.Engine.Watch — so a caller can
-// swap an in-process *ivmeps.Engine for a remote ivmd with local changes
-// only at construction. Stdlib-only.
+// Commit, Rows/All reads, and Watch returning the same iter.Seq2 event
+// stream as ivmeps.Engine.Watch — so a caller can swap an in-process
+// *ivmeps.Engine for a remote ivmd with local changes only at construction.
+// Stdlib-only.
 //
-// Reads are epoch-consistent: every page of one Rows or All call observes
-// the same committed snapshot (the server pins it behind the pagination
-// cursor), and the observed epoch is returned so independent reads can be
-// correlated. Server-side typed errors arrive reconstructed: errors.Is and
-// errors.As match ivmeps.ErrUnknownRelation, ivmeps.ArityError,
-// ivmeps.MultiplicityError, ivmeps.ErrWatcherLagged, and friends exactly
-// as they do against a local engine.
+// Reads are epoch-consistent: one Rows or All call is one GET whose
+// response streams the rows of one committed snapshot in frames, decoded as
+// the caller's loop advances, and the observed epoch is returned so
+// independent reads can be correlated. Server-side typed errors arrive
+// reconstructed: errors.Is and errors.As match ivmeps.ErrUnknownRelation,
+// ivmeps.ArityError, ivmeps.MultiplicityError, ivmeps.ErrWatcherLagged, and
+// friends exactly as they do against a local engine.
 package client
 
 import (
@@ -39,8 +39,8 @@ type Options struct {
 	// it must not set an overall request Timeout (use context deadlines on
 	// the non-streaming calls instead).
 	HTTPClient *http.Client
-	// PageLimit is the rows-per-page Rows and All request; 0 lets the
-	// server choose its default.
+	// PageLimit is the rows per frame of the streams Rows and All read; 0
+	// lets the server choose its default.
 	PageLimit int
 }
 
@@ -149,10 +149,10 @@ func (c *Client) do(ctx context.Context, method, addr string, body io.Reader, ou
 }
 
 // Rows reads the query result (view "", via /v1/result/rows) or one root
-// view (via /v1/views/{view}/rows) in full, paginating transparently; all
-// pages observe the snapshot epoch returned. An expired pagination cursor
-// (the server evicted it) restarts the whole read on a fresh snapshot, up
-// to three attempts, so the returned state is always one consistent epoch.
+// view (via /v1/views/{view}/rows) in full; every row observes the snapshot
+// epoch returned. A read the server ended with "gone" (it evicted the
+// oldest of too many open reads) restarts on a fresh snapshot, up to three
+// attempts, so the returned state is always one consistent epoch.
 func (c *Client) Rows(ctx context.Context, view string) (rows [][]int64, mults []int64, epoch uint64, err error) {
 	for attempt := 0; ; attempt++ {
 		rows, mults = nil, nil
@@ -171,40 +171,86 @@ func (c *Client) Rows(ctx context.Context, view string) (rows [][]int64, mults [
 	}
 }
 
-// walk is the one pagination pass behind Rows and All: it fetches page
-// after page, checks that every page reports the first one's epoch, and
-// hands each row to yield until the last page, an error, or yield's false.
+// walk is the one read behind Rows and All: one GET, whose stream it hands
+// to yield row by row. Breaking out of the loop closes the body unread, so
+// the connection drops and the server's next frame write fails: the
+// server's handler returns and releases the snapshot at once.
 func (c *Client) walk(ctx context.Context, view string, yield func([]int64, int64) bool) (uint64, error) {
-	var epoch uint64
-	cursor := ""
-	for first := true; ; first = false {
-		page, err := c.fetchPage(ctx, view, cursor)
-		if err != nil {
-			return 0, err
+	path := c.base + "/v1/result/rows"
+	if view != "" {
+		path = c.base + "/v1/views/" + url.PathEscape(view) + "/rows"
+	}
+	if c.page > 0 {
+		path += "?limit=" + strconv.Itoa(c.page)
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, path, nil)
+	if err != nil {
+		return 0, err
+	}
+	resp, err := c.hc.Do(req)
+	if err != nil {
+		return 0, fmt.Errorf("client: %w", err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		defer drain(resp.Body)
+		return 0, decodeErrorBody(resp)
+	}
+	epoch, closed, err := readRows(resp.Body, yield)
+	if closed {
+		drain(resp.Body) // read to EOF, so the connection is reused
+	} else {
+		resp.Body.Close()
+	}
+	return epoch, err
+}
+
+// readRows decodes one read stream, handing each row to yield, up to the
+// closing frame, whose epoch it returns and whose row count it checks;
+// closed reports that frame was read. It decodes every frame into one Frame
+// whose Mults keeps its backing array; Rows is fresh per frame, since the
+// caller may keep the rows. A stream that ends without its closing frame is
+// an error, and so is an error frame; yield's false ends the read early,
+// without one.
+func readRows(body io.Reader, yield func([]int64, int64) bool) (epoch uint64, closed bool, err error) {
+	dec := json.NewDecoder(body)
+	var f server.Frame
+	n := 0
+	for {
+		f = server.Frame{Mults: f.Mults[:0]}
+		if err := dec.Decode(&f); err != nil {
+			return 0, false, fmt.Errorf("client: read stream ended after %d rows without its closing frame: %w", n, err)
 		}
-		if first {
-			epoch = page.Epoch
-		} else if page.Epoch != epoch {
-			return 0, fmt.Errorf("client: pagination epoch changed %d → %d (server bug?)", epoch, page.Epoch)
-		}
-		for i := range page.Rows {
-			if !yield(page.Rows[i], page.Mults[i]) {
-				return epoch, nil
+		switch f.Type {
+		case server.FrameRows:
+			if len(f.Mults) != len(f.Rows) {
+				return 0, false, fmt.Errorf("client: rows frame with %d rows and %d mults", len(f.Rows), len(f.Mults))
 			}
+			for i, row := range f.Rows {
+				if !yield(row, f.Mults[i]) {
+					return 0, false, nil
+				}
+			}
+			n += len(f.Rows)
+		case server.FrameReady:
+			if f.Count != n {
+				return 0, true, fmt.Errorf("client: read stream closed at %d rows, but carried %d", f.Count, n)
+			}
+			return f.Epoch, true, nil
+		case server.FrameError:
+			return 0, false, decodeWireError(f.Err)
+		default:
+			// Unknown frame types are skipped (forward compatibility).
 		}
-		if page.Next == "" {
-			return epoch, nil
-		}
-		cursor = page.Next
 	}
 }
 
 // All returns a lazy iterator over the query result (view "") or one root
-// view, fetching pages as the loop advances — every page of one ranging
-// observes the same epoch. Because rows may already have been yielded, an
-// error mid-iteration (including an expired cursor) ends the loop early
-// instead of restarting; the returned error function reports it after the
-// loop, nil on a complete pass:
+// view, decoding the read's frames as the loop advances — every row of one
+// ranging observes the same epoch. Because rows may already have been
+// yielded, an error mid-iteration (including a read the server ended with
+// "gone") ends the loop early instead of restarting; the returned error
+// function reports it after the loop, nil on a complete pass or one the
+// loop broke out of:
 //
 //	seq, errf := c.All(ctx, "")
 //	for row, mult := range seq { ... }
@@ -215,31 +261,6 @@ func (c *Client) All(ctx context.Context, view string) (iter.Seq2[[]int64, int64
 		_, ferr = c.walk(ctx, view, yield)
 	}
 	return seq, func() error { return ferr }
-}
-
-// fetchPage requests one page.
-func (c *Client) fetchPage(ctx context.Context, view, cursor string) (*server.RowsPage, error) {
-	var path string
-	if view == "" {
-		path = c.base + "/v1/result/rows"
-	} else {
-		path = c.base + "/v1/views/" + url.PathEscape(view) + "/rows"
-	}
-	q := url.Values{}
-	if c.page > 0 {
-		q.Set("limit", strconv.Itoa(c.page))
-	}
-	if cursor != "" {
-		q.Set("cursor", cursor)
-	}
-	if len(q) > 0 {
-		path += "?" + q.Encode()
-	}
-	var page server.RowsPage
-	if err := c.do(ctx, http.MethodGet, path, nil, &page); err != nil {
-		return nil, err
-	}
-	return &page, nil
 }
 
 // Stats fetches the server's /v1/stats report.
@@ -291,6 +312,9 @@ func decodeErrorBody(resp *http.Response) error {
 // mirrors, so errors.Is/errors.As behave as they do against a local
 // engine. Codes without a local counterpart surface as the *WireError.
 func decodeWireError(we *server.WireError) error {
+	if we == nil {
+		return errors.New("client: error frame without an error")
+	}
 	switch we.Code {
 	case server.CodeUnknownRelation:
 		return fmt.Errorf("client: %w: %s", ivmeps.ErrUnknownRelation, we.Message)

@@ -1,10 +1,12 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -121,29 +123,37 @@ func TestNewRejectsURLsWithoutSchemeOrHost(t *testing.T) {
 	}
 }
 
-// goneAfterFirstPage serves a two-page result whose second page is gone
-// for the first `gone` reads, counting the reads begun.
-func goneAfterFirstPage(gone int32, reads *atomic.Int32) http.HandlerFunc {
+// writeFrames writes NDJSON frames the way internal/server's read handler
+// does.
+func writeFrames(w http.ResponseWriter, frames ...server.Frame) {
+	enc := json.NewEncoder(w)
+	for i := range frames {
+		enc.Encode(&frames[i])
+	}
+}
+
+// goneAfterFirstFrame serves a two-row read whose stream the server ends
+// with a gone frame after the first row for the first `gone` reads,
+// counting the reads begun.
+func goneAfterFirstFrame(gone int32, reads *atomic.Int32) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Query().Get("cursor") == "" {
-			n := reads.Add(1)
-			json.NewEncoder(w).Encode(server.RowsPage{Epoch: uint64(n), Count: 2, Rows: [][]int64{{int64(n), 1}}, Mults: []int64{1}, Next: "r1.1"})
-			return
-		}
-		n := reads.Load()
+		n := reads.Add(1)
+		first := server.Frame{Type: server.FrameRows, Rows: [][]int64{{int64(n), 1}}, Mults: []int64{1}}
 		if n <= gone {
-			writeError(w, &server.WireError{Code: server.CodeGone, Message: "cursor expired"})
+			writeFrames(w, first, server.Frame{Type: server.FrameError, Err: &server.WireError{Code: server.CodeGone, Message: "evicted"}})
 			return
 		}
-		json.NewEncoder(w).Encode(server.RowsPage{Epoch: uint64(n), Count: 2, Rows: [][]int64{{int64(n), 2}}, Mults: []int64{5}})
+		writeFrames(w, first,
+			server.Frame{Type: server.FrameRows, Rows: [][]int64{{int64(n), 2}}, Mults: []int64{5}},
+			server.Frame{Type: server.FrameReady, Epoch: uint64(n), Count: 2})
 	}
 }
 
 func TestRowsRestartsOnGone(t *testing.T) {
-	// Two expired cursors: the third read completes, and only its rows are
+	// Two evicted reads: the third read completes, and only its rows are
 	// returned.
 	var reads atomic.Int32
-	c := serve(t, goneAfterFirstPage(2, &reads))
+	c := serve(t, goneAfterFirstFrame(2, &reads))
 	rows, mults, epoch, err := c.Rows(context.Background(), "")
 	if err != nil {
 		t.Fatal(err)
@@ -152,9 +162,10 @@ func TestRowsRestartsOnGone(t *testing.T) {
 		t.Fatalf("after %d reads: rows %v mults %v epoch %d", reads.Load(), rows, mults, epoch)
 	}
 
-	// A cursor that always expires: Rows gives up after the third read.
+	// A read that is always evicted: Rows gives up after the third read, and
+	// All reports the first through its error function.
 	reads.Store(0)
-	c = serve(t, goneAfterFirstPage(1<<30, &reads))
+	c = serve(t, goneAfterFirstFrame(1<<30, &reads))
 	rows, _, _, err = c.Rows(context.Background(), "")
 	var we *server.WireError
 	if !errors.As(err, &we) || we.Code != server.CodeGone || rows != nil {
@@ -163,53 +174,100 @@ func TestRowsRestartsOnGone(t *testing.T) {
 	if reads.Load() != 3 {
 		t.Fatalf("Rows began %d reads, want 3", reads.Load())
 	}
-}
-
-func TestWalkRejectsEpochChange(t *testing.T) {
-	c := serve(t, func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Query().Get("cursor") == "" {
-			json.NewEncoder(w).Encode(server.RowsPage{Epoch: 5, Rows: [][]int64{{1}}, Mults: []int64{1}, Next: "r1.1"})
-			return
-		}
-		json.NewEncoder(w).Encode(server.RowsPage{Epoch: 6, Rows: [][]int64{{2}}, Mults: []int64{1}})
-	})
+	seq, errf := c.All(context.Background(), "")
 	seen := 0
-	_, err := c.walk(context.Background(), "", func([]int64, int64) bool { seen++; return true })
-	if err == nil || !strings.Contains(err.Error(), "epoch changed 5 → 6") {
-		t.Fatalf("err = %v, want the epoch change reported", err)
+	for range seq {
+		seen++
 	}
-	if seen != 1 {
-		t.Fatalf("yielded %d rows, want only the first page's", seen)
+	if err := errf(); !errors.As(err, &we) || we.Code != server.CodeGone || seen != 1 {
+		t.Fatalf("All yielded %d rows and reported %v; want the first row and a gone error", seen, err)
 	}
 }
 
-// TestPageDecodeAllocatesPerPage bounds what decoding one 2 048-row page
-// costs the client: the rows are one backing array and one slice of headers
-// (server.RowBlock), and the rest is encoding/json's own — its decode state
-// and the mults slice it grows by doubling, 14 times at this size — so the
-// count is a few dozen, where a slice grown per row made it over 6 000.
-func TestPageDecodeAllocatesPerPage(t *testing.T) {
-	page := server.RowsPage{Epoch: 3, Count: 5000, Next: "r1.2048"}
-	for i := int64(0); i < 2048; i++ {
-		page.Rows = append(page.Rows, []int64{i, 7 * i, -i})
-		page.Mults = append(page.Mults, i%5+1)
+// TestTruncatedReadIsAnError: a stream that ends without its closing frame,
+// mid-frame or between frames, or whose closing frame counts other rows than
+// it carried, fails the read — through Rows, and through All's error
+// function after the rows that did arrive. So does a rows frame whose mults
+// do not match its rows.
+func TestTruncatedReadIsAnError(t *testing.T) {
+	const frame = `{"type":"rows","rows":[[1,2],[3,4]],"mults":[1,1]}` + "\n"
+	arrived := [][]int64{{1, 2}, {3, 4}}
+	for _, tc := range []struct {
+		name, body, want string
+		arrived          [][]int64
+	}{
+		{"no closing frame", frame, "without its closing frame", arrived},
+		{"cut inside a frame", frame + `{"type":"rows","rows":[[5,`, "without its closing frame", arrived},
+		{"count mismatch", frame + `{"type":"ready","epoch":2,"count":3}` + "\n", "closed at 3 rows, but carried 2", arrived},
+		{"rows without mults", `{"type":"rows","rows":[[1,2],[3,4]],"mults":[1]}` + "\n", "2 rows and 1 mults", nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := serve(t, func(w http.ResponseWriter, r *http.Request) { io.WriteString(w, tc.body) })
+			if got, _, _, err := c.Rows(context.Background(), ""); err == nil || !strings.Contains(err.Error(), tc.want) || got != nil {
+				t.Fatalf("Rows = %v, %v; want no rows and an error saying %q", got, err, tc.want)
+			}
+			seq, errf := c.All(context.Background(), "")
+			var got [][]int64
+			for row := range seq {
+				got = append(got, row)
+			}
+			if err := errf(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("All reported %v, want an error saying %q", err, tc.want)
+			}
+			if !reflect.DeepEqual(got, tc.arrived) {
+				t.Fatalf("All yielded %v before the error, want %v", got, tc.arrived)
+			}
+		})
 	}
-	body, err := json.Marshal(&page)
+}
+
+// TestReadDecodeAllocatesPerFrame bounds what decoding one more 2 048-row
+// rows frame costs the client: the rows are one backing array and one slice
+// of row headers (server.RowBlock), the mults are decoded into the previous
+// frame's array, and what remains is the frame's type string — where a
+// slice grown per row made a frame cost over 6 000 allocations, and a fresh
+// mults slice 14 more.
+func TestReadDecodeAllocatesPerFrame(t *testing.T) {
+	frame := server.Frame{Type: server.FrameRows}
+	for i := int64(0); i < 2048; i++ {
+		frame.Rows = append(frame.Rows, []int64{i, 7 * i, -i})
+		frame.Mults = append(frame.Mults, i%5+1)
+	}
+	line, err := json.Marshal(&frame)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got server.RowsPage
-	allocs := testing.AllocsPerRun(10, func() {
-		got = server.RowsPage{}
-		if err := json.Unmarshal(body, &got); err != nil {
-			t.Fatal(err)
+	stream := func(frames int) []byte {
+		var b bytes.Buffer
+		for range frames {
+			b.Write(line)
+			b.WriteByte('\n')
 		}
-	})
-	if !reflect.DeepEqual(got, page) {
-		t.Fatal("the page does not decode to what was encoded")
+		fmt.Fprintf(&b, `{"type":"ready","epoch":3,"count":%d}`+"\n", frames*len(frame.Rows))
+		return b.Bytes()
 	}
-	t.Logf("decoding a %d-row page: %.0f allocations", len(page.Rows), allocs)
-	if allocs > 32 {
-		t.Errorf("decoding a %d-row page allocates %.0f times, want at most 32", len(page.Rows), allocs)
+	var rows [][]int64
+	var mults []int64
+	read := func(body []byte) float64 {
+		return testing.AllocsPerRun(10, func() {
+			rows, mults = rows[:0], mults[:0]
+			epoch, closed, err := readRows(bytes.NewReader(body), func(row []int64, mult int64) bool {
+				rows, mults = append(rows, row), append(mults, mult)
+				return true
+			})
+			if err != nil || !closed || epoch != 3 {
+				t.Fatalf("readRows = %d, %v, %v", epoch, closed, err)
+			}
+		})
+	}
+	one := read(stream(1))
+	if !reflect.DeepEqual(rows, [][]int64(frame.Rows)) || !reflect.DeepEqual(mults, frame.Mults) {
+		t.Fatal("the frame does not decode to what was encoded")
+	}
+	const more = 32
+	perFrame := (read(stream(1+more)) - one) / more
+	t.Logf("reading a one-frame stream: %.0f allocations; each further %d-row frame: %.2f", one, len(frame.Rows), perFrame)
+	if perFrame > 4 {
+		t.Errorf("each further %d-row frame allocates %.2f times, want at most 4", len(frame.Rows), perFrame)
 	}
 }

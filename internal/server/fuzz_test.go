@@ -92,20 +92,15 @@ func FuzzServerDecode(f *testing.F) {
 // FuzzRowBlock holds RowBlock's decoder to encoding/json's: for any input,
 // decoding into a RowBlock — directly and through json.Unmarshal — and
 // json.Unmarshal into a plain [][]int64 either all fail or yield the same
-// rows, down to nil against empty. The seeds are the rows of the pages and
-// frames TestWireBytes pins, then the edges of the grammar.
+// rows, down to nil against empty. The seeds are the rows of the rows frames
+// TestWireBytes pins, then the edges of the grammar.
 func FuzzRowBlock(f *testing.F) {
 	for _, ex := range wireExamples {
-		var rows server.RowBlock
-		switch v := ex.val.(type) {
-		case *server.RowsPage:
-			rows = v.Rows
-		case *server.Frame:
-			rows = v.Rows
-		default:
+		fr, ok := ex.val.(*server.Frame)
+		if !ok || fr.Type != server.FrameRows {
 			continue
 		}
-		seed, err := json.Marshal(rows)
+		seed, err := json.Marshal(fr.Rows)
 		if err != nil {
 			f.Fatal(err)
 		}

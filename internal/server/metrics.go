@@ -47,6 +47,7 @@ type metrics struct {
 	watchEvicted       atomic.Uint64
 	watchDrained       atomic.Uint64
 	watchWriteTimeouts atomic.Uint64 // streams closed because the peer stopped reading
+	readWriteTimeouts  atomic.Uint64 // the same, for read streams
 	commitsOK          atomic.Uint64
 	commitsFailed      atomic.Uint64
 }
@@ -72,7 +73,7 @@ func (m *metrics) hit(ep endpoint, status int) {
 }
 
 // handleMetrics writes the Prometheus text exposition. Gauges (epoch,
-// database size, live watchers, open cursors) are sampled at scrape time.
+// database size, live watchers, open reads) are sampled at scrape time.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m := &s.metrics
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -110,8 +111,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# HELP ivmd_watch_write_timeouts_total Watch streams closed because the peer stopped reading.\n# TYPE ivmd_watch_write_timeouts_total counter\n")
 	fmt.Fprintf(w, "ivmd_watch_write_timeouts_total %d\n", m.watchWriteTimeouts.Load())
 
-	fmt.Fprintf(w, "# HELP ivmd_page_readers Open pagination cursors.\n# TYPE ivmd_page_readers gauge\n")
-	fmt.Fprintf(w, "ivmd_page_readers %d\n", s.readers.open())
+	fmt.Fprintf(w, "# HELP ivmd_read_write_timeouts_total Read streams closed because the peer stopped reading.\n# TYPE ivmd_read_write_timeouts_total counter\n")
+	fmt.Fprintf(w, "ivmd_read_write_timeouts_total %d\n", m.readWriteTimeouts.Load())
+	fmt.Fprintf(w, "# HELP ivmd_page_readers Open read streams (a query-result read pins its snapshot until it ends).\n# TYPE ivmd_page_readers gauge\n")
+	fmt.Fprintf(w, "ivmd_page_readers %d\n", s.readers.count())
 
 	fmt.Fprintf(w, "# HELP ivmd_epoch Committed snapshot epoch.\n# TYPE ivmd_epoch gauge\n")
 	fmt.Fprintf(w, "ivmd_epoch %d\n", s.eng.Epoch())

@@ -2,9 +2,12 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
+	"os"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ivmeps"
@@ -19,12 +22,12 @@ type Options struct {
 // The service's fixed limits. Every one bounds what a single request can
 // make the server hold or do.
 const (
-	// pageSize is the rows-per-page of a paginated read without ?limit, and
+	// pageSize is the rows per frame of a read without ?limit, and
 	// maxPageSize caps ?limit.
 	pageSize    = 512
 	maxPageSize = 8192
-	// maxReaders caps concurrently open pagination cursors; beyond it the
-	// least-recently-used cursor is evicted.
+	// maxReaders caps concurrently open read streams; opening one more ends
+	// the oldest with a "gone" frame.
 	maxReaders = 128
 	// maxCommitBytes bounds a commit request body (its op count is bounded
 	// by DefaultMaxOps).
@@ -37,13 +40,9 @@ const (
 	anchorChunk = 512
 )
 
-// readerTTL is how long an idle pagination cursor stays valid before its
-// snapshot pin is released. A variable only so a test can shorten it.
-var readerTTL = 30 * time.Second
-
-// watchWriteTimeout bounds the write of one watch frame: a stream whose peer
-// takes no bytes for this long is closed. A variable only so a test can
-// shorten it.
+// watchWriteTimeout bounds the write of one frame of a watch or read stream:
+// a stream whose peer takes no bytes for this long is closed. A variable
+// only so a test can shorten it.
 var watchWriteTimeout = 10 * time.Second
 
 // Server is the HTTP query service over one built engine. It implements
@@ -56,7 +55,7 @@ type Server struct {
 	opts    Options
 	mux     *http.ServeMux
 	metrics metrics
-	readers readerTable
+	readers readStreams
 
 	commitMu sync.Mutex    // serializes POST /v1/commit onto the single-writer engine
 	batch    *ivmeps.Batch // reused under commitMu
@@ -76,7 +75,6 @@ func New(eng *ivmeps.Engine, opts Options) *Server {
 		batch:   eng.NewBatch(),
 		drainCh: make(chan struct{}),
 	}
-	s.readers.m = make(map[uint64]*pageReader)
 	s.mux.HandleFunc("POST /v1/commit", s.handleCommit)
 	s.mux.HandleFunc("GET /v1/result/rows", func(w http.ResponseWriter, r *http.Request) {
 		s.handleRows(w, r, "")
@@ -132,6 +130,28 @@ func (s *Server) fail(w http.ResponseWriter, ep endpoint, err error) {
 	}{we})
 }
 
+// frameWriter returns the send function of one NDJSON stream, watch or read.
+// Every frame is written and flushed under its own deadline, and a failed
+// write ends the stream: a peer that stopped reading would otherwise park
+// the handler in Write, with its connection and whatever it holds, until TCP
+// gives up. A deadline that runs out is counted in timeouts. A writer
+// without deadlines (tests) just has none.
+func frameWriter(w http.ResponseWriter, timeouts *atomic.Uint64) func(*Frame) bool {
+	rc := http.NewResponseController(w)
+	enc := json.NewEncoder(w) // Encode appends '\n': one compact frame per line
+	return func(f *Frame) bool {
+		rc.SetWriteDeadline(time.Now().Add(watchWriteTimeout))
+		err := enc.Encode(f)
+		if err == nil {
+			err = rc.Flush()
+		}
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			timeouts.Add(1)
+		}
+		return err == nil
+	}
+}
+
 // handleCommit applies one NDJSON op stream as one atomic engine commit
 // and reports the epoch it published. The engine is single-writer, so
 // concurrent commit requests serialize on commitMu; everything before the
@@ -182,7 +202,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		N:        s.eng.N(),
 		Views:    s.eng.Views(),
 		Watchers: s.metrics.watchers.Load(),
-		Readers:  s.readers.open(),
+		Readers:  s.readers.count(),
 		Draining: s.Draining(),
 		Engine:   s.eng.Stats(),
 	})

@@ -1,15 +1,12 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"os"
 	"strconv"
 	"strings"
 	"sync/atomic"
-	"time"
 
 	"ivmeps"
 )
@@ -94,23 +91,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set(HeaderEpoch, strconv.FormatUint(anchor.Epoch(), 10))
 	w.WriteHeader(http.StatusOK)
-	// Every frame is written under its own deadline, and a failed write ends
-	// the stream: a peer that stopped reading would otherwise park this
-	// goroutine in Write, with its connection and its watchers count, until
-	// TCP gives up. A writer without deadlines (tests) just has none.
-	rc := http.NewResponseController(w)
-	enc := json.NewEncoder(w) // Encode appends '\n': one compact frame per line
-	send := func(f *Frame) bool {
-		rc.SetWriteDeadline(time.Now().Add(watchWriteTimeout))
-		err := enc.Encode(f)
-		if err == nil {
-			err = rc.Flush()
-		}
-		if errors.Is(err, os.ErrDeadlineExceeded) {
-			s.metrics.watchWriteTimeouts.Add(1)
-		}
-		return err == nil
-	}
+	send := frameWriter(w, &s.metrics.watchWriteTimeouts)
 
 	if !s.sendAnchor(send, wat, anchor, fromSet && fromEpoch == anchor.Epoch(), views) {
 		return

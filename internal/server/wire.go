@@ -1,5 +1,5 @@
 // Package server exposes one built *ivmeps.Engine over HTTP: batch
-// commits, snapshot-consistent paginated reads, and per-commit watch
+// commits, snapshot-consistent streamed reads, and per-commit watch
 // streaming, all framed as newline-delimited JSON (NDJSON). The package is
 // stdlib-only and spawns no goroutines of its own beyond the per-connection
 // goroutines net/http already runs; internal/client is the matching Go
@@ -8,19 +8,21 @@
 // Endpoints (full wire grammar and semantics: docs/SERVICE.md):
 //
 //	POST /v1/commit               NDJSON op stream → one atomic commit
-//	GET  /v1/result/rows          paginated query-result enumeration
-//	GET  /v1/views/{view}/rows    paginated root-view enumeration
+//	GET  /v1/result/rows          streamed query-result enumeration
+//	GET  /v1/views/{view}/rows    streamed root-view enumeration
 //	GET  /v1/watch                chunked NDJSON commit-delta stream
 //	GET  /v1/stats                engine counters + epoch as JSON
 //	GET  /healthz                 liveness (503 while draining)
 //	GET  /metrics                 Prometheus text exposition
 //
-// Reads are backed by Engine.Snapshot, so they never block the writer; a
-// pagination cursor pins one snapshot, making every page of one read
-// observe the same epoch. The watch stream anchors at a snapshot and then
-// relays the engine's gap-free per-commit deltas; a consumer that cannot
-// keep up is evicted with a typed "lagged" frame naming the missed epochs,
-// exactly as the in-process Watcher reports them.
+// Reads are backed by Engine.Snapshot, so they never block the writer: one
+// read is one response of rows frames, enumerated from one snapshot as they
+// are written, and a closing frame with the epoch and the row count. The
+// watch stream anchors at a snapshot and then relays the engine's gap-free
+// per-commit deltas; a consumer that cannot keep up is evicted with a typed
+// "lagged" frame naming the missed epochs, exactly as the in-process
+// Watcher reports them. Both kinds of stream write every frame under a
+// deadline, so a peer that stops reading is cut off.
 package server
 
 import (
@@ -91,13 +93,16 @@ func DecodeOps(r io.Reader, maxOps int) ([]Op, error) {
 // when the caller does not say otherwise.
 const DefaultMaxOps = 1 << 20
 
-// Frame is one NDJSON value of the /v1/watch stream. Type selects which of
-// the remaining fields are meaningful:
+// Frame is one NDJSON value of a /v1/watch stream or of a read stream
+// (/v1/result/rows, /v1/views/{view}/rows). Type selects which of the
+// remaining fields are meaningful:
 //
 //	"anchor"  Epoch, Views, Resume — stream start; Resume true means the
 //	          client's from_epoch matched and no state dump follows
-//	"rows"    View, Rows, Mults — one chunk of the anchor state dump
-//	"ready"   Epoch — anchor dump complete; event frames follow
+//	"rows"    View, Rows, Mults — one chunk of the anchor state dump, or of
+//	          a read (View absent for the query result)
+//	"ready"   Epoch — anchor dump complete; event frames follow. Closing a
+//	          read: Epoch, Count — the snapshot read and its rows
 //	"event"   Epoch, Deltas — one commit's root-view deltas (Deltas empty
 //	          for a commit that changed none of the subscribed views)
 //	"lagged"  From, To — the watcher was evicted; commits From..To were
@@ -107,6 +112,7 @@ const DefaultMaxOps = 1 << 20
 type Frame struct {
 	Type   string     `json:"type"`
 	Epoch  uint64     `json:"epoch,omitempty"`
+	Count  int        `json:"count,omitempty"`
 	Views  []string   `json:"views,omitempty"`
 	Resume bool       `json:"resume,omitempty"`
 	View   string     `json:"view,omitempty"`
@@ -135,7 +141,7 @@ const (
 // are the wire's keys ("view", "rows", "mults").
 type Delta = ivmeps.ViewDelta
 
-// ParseFrame decodes one watch frame from its NDJSON line. A frame without
+// ParseFrame decodes one stream frame from its NDJSON line. A frame without
 // a type, or one whose JSON is malformed, is an error; unknown frame types
 // decode successfully (forward compatibility — clients skip them).
 func ParseFrame(line []byte) (Frame, error) {
@@ -156,25 +162,12 @@ type CommitReply struct {
 	Ops   int    `json:"ops"`
 }
 
-// RowsPage is one page of a paginated read. Rows[i] has multiplicity
-// Mults[i]; Epoch is the pinned snapshot's epoch (identical on every page
-// of one read), Count the total distinct rows of the full result, and Next
-// the cursor for the following page — empty on the last page.
-type RowsPage struct {
-	View  string   `json:"view,omitempty"`
-	Epoch uint64   `json:"epoch"`
-	Count int      `json:"count"`
-	Rows  RowBlock `json:"rows"`
-	Mults []int64  `json:"mults"`
-	Next  string   `json:"next,omitempty"`
-}
-
-// RowBlock is the rows of one page or one anchor frame. On the wire it is a
-// plain JSON array of integer arrays, encoded by encoding/json as the
-// [][]int64 it is; decoding fills one backing array and one slice of row
-// headers instead of growing every row on its own, so a page costs the
-// client a fixed number of allocations. The rows are sub-slices of that
-// array, which belongs to the decoded value and is never reused.
+// RowBlock is the rows of one rows frame. On the wire it is a plain JSON
+// array of integer arrays, encoded by encoding/json as the [][]int64 it is;
+// decoding fills one backing array and one slice of row headers instead of
+// growing every row on its own, so a frame costs the client a fixed number
+// of allocations. The rows are sub-slices of that array, which belongs to
+// the decoded value and is never reused.
 type RowBlock [][]int64
 
 // UnmarshalJSON accepts exactly what encoding/json accepts for a [][]int64
@@ -342,7 +335,7 @@ type StatsReply struct {
 	Views []string `json:"views"`
 	// Watchers is the number of live watch streams.
 	Watchers int64 `json:"watchers"`
-	// Readers is the number of open pagination cursors.
+	// Readers is the number of open read streams.
 	Readers int `json:"readers"`
 	// Draining reports whether Drain has been called.
 	Draining bool `json:"draining"`
@@ -355,12 +348,12 @@ type StatsReply struct {
 // "view_deltas", "batches", "batch_relations").
 type EngineStats = ivmeps.Stats
 
-// The pagination response headers, duplicated from the body for curl-level
-// consumers: the pinned snapshot epoch, the total result count, and the
-// next-page cursor.
+// The response headers. HeaderEpoch, on every commit and read response, is
+// the epoch the commit published or the read observes. Reads no longer set
+// HeaderNext, the next-page cursor of the paginated reads a read stream
+// replaced; it stays declared for callers that still look for it.
 const (
 	HeaderEpoch = "X-Ivmd-Epoch"
-	HeaderCount = "X-Ivmd-Count"
 	HeaderNext  = "X-Ivmd-Next-Cursor"
 )
 
@@ -401,8 +394,9 @@ const (
 	// CodeWedged mirrors ivmeps.LogWedgedError: the WAL failed and the
 	// engine is read-only until restarted.
 	CodeWedged = "wedged"
-	// CodeGone: the pagination cursor expired or was evicted; restart the
-	// read from the first page.
+	// CodeGone: the read stream was ended, as the oldest of more than 128
+	// open ones; restart the read. It only ever arrives as an in-stream
+	// error frame.
 	CodeGone = "gone"
 	// CodeDraining: the server is shutting down and accepts no new commits
 	// or watch streams.
@@ -421,8 +415,6 @@ func HTTPStatus(code string) int {
 		return http.StatusBadRequest
 	case CodeUnknownRelation, CodeUnknownView:
 		return http.StatusNotFound
-	case CodeGone:
-		return http.StatusGone
 	case CodeStatic, CodeNotBuilt:
 		return http.StatusConflict
 	case CodeWedged, CodeDraining:

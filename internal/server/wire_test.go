@@ -53,12 +53,12 @@ var wireExamples = []struct {
 	{"error frame",
 		&server.Frame{Type: server.FrameError, Err: &server.WireError{Code: server.CodeInternal, Message: "boom"}},
 		`{"type":"error","error":{"code":"internal","message":"boom"}}`},
-	{"rows page",
-		&server.RowsPage{Epoch: 2, Count: 1, Rows: [][]int64{{1, 3}}, Mults: []int64{1}},
-		`{"epoch":2,"count":1,"rows":[[1,3]],"mults":[1]}`},
-	{"rows page of a view, more to come",
-		&server.RowsPage{View: "VB_10", Epoch: 5, Count: 1234, Rows: [][]int64{{1, 3}}, Mults: []int64{2}, Next: "r7.512"},
-		`{"view":"VB_10","epoch":5,"count":1234,"rows":[[1,3]],"mults":[2],"next":"r7.512"}`},
+	{"rows frame of a result read",
+		&server.Frame{Type: server.FrameRows, Rows: [][]int64{{1, 3}}, Mults: []int64{1}},
+		`{"type":"rows","rows":[[1,3]],"mults":[1]}`},
+	{"ready frame closing a read",
+		&server.Frame{Type: server.FrameReady, Epoch: 2, Count: 1},
+		`{"type":"ready","epoch":2,"count":1}`},
 	{"commit reply",
 		&server.CommitReply{Epoch: 2, Ops: 2},
 		`{"epoch":2,"ops":2}`},
