@@ -92,12 +92,13 @@ func FuzzServerDecode(f *testing.F) {
 // FuzzRowBlock holds RowBlock's decoder to encoding/json's: for any input,
 // decoding into a RowBlock — directly and through json.Unmarshal — and
 // json.Unmarshal into a plain [][]int64 either all fail or yield the same
-// rows, down to nil against empty. The seeds are the rows of the rows frames
-// TestWireBytes pins, then the edges of the grammar.
+// rows, down to nil against empty. The seeds are the rows of every frame
+// TestWireBytes pins — null for the frames that carry none — then the edges
+// of the grammar.
 func FuzzRowBlock(f *testing.F) {
 	for _, ex := range wireExamples {
 		fr, ok := ex.val.(*server.Frame)
-		if !ok || fr.Type != server.FrameRows {
+		if !ok {
 			continue
 		}
 		seed, err := json.Marshal(fr.Rows)
