@@ -15,14 +15,14 @@
 
 GO ?= go
 
-# The update-path benchmark set: single-tuple updates, sequential batches,
-# the parallel-batch worker sweep, the sharded-federation commit and gather
+# The update-path benchmark set: single-tuple updates, batches (one relation,
+# many trees, many relations), the sharded-federation commit and gather
 # paths, the durable commit path at each fsync policy, the watch fan-out
 # sweep (whose subs=0 case pins the zero-watcher commit path at
 # 0 allocs/op), and the HTTP service layer (BenchmarkServer*, whose
 # allocs/op ride the Go HTTP stack and are gated loosely — see
 # BENCH_ALLOC_NONDET). Keep in sync with BENCH_update.json.
-BENCH_RE = Update|Batch|Parallel|Sharded|WAL|Watch|Server
+BENCH_RE = Update|Batch|Sharded|WAL|Watch|Server
 
 # The read-path benchmark set: one capped pass over Engine.All per ε on three
 # query classes. It has its own file (BENCH_enum.json) and its own regex —
@@ -58,11 +58,12 @@ test:
 	$(GO) test ./...
 
 # The race-detector suites, exactly as the CI test job runs them (it calls
-# this target, so the two cannot drift): the internal suite (parallel
-# ApplyBatch workers, snapshot readers, and internal/server's
-# stats-vs-commit and reader-eviction races), crash recovery, fault
-# injection over every I/O site, the watch property suite, and the service
-# loopback suite with the cmd/ivmd shutdown and connection-timeout tests.
+# this target, so the two cannot drift): the internal suite (snapshot
+# readers against commits, the federation's parallel apply, and
+# internal/server's stats-vs-commit and reader-eviction races), crash
+# recovery, fault injection over every I/O site, the watch property suite,
+# and the service loopback suite with the cmd/ivmd shutdown and
+# connection-timeout tests.
 race:
 	$(GO) test -race ./internal/...
 	$(GO) test -race -run 'CrashRecoveryRandomCut|BitFlipRecovery|DurableRoundTrip|CheckpointBoundsReplay' .
@@ -116,7 +117,7 @@ bench-fresh:
 
 # Diff-only steps over the existing check reports (run bench-fresh first).
 # diff-allocs is the hard CI gate, on all three sets: allocs/op is
-# machine-independent and, with the deterministic worker-pool warmup,
+# machine-independent and, with every benchmark warmed to its steady state,
 # deterministic even on one-shot runs. diff-time is advisory on shared
 # runners, and the read-path and preprocessing sets have no time gate.
 diff-allocs:

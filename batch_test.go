@@ -10,10 +10,10 @@ import (
 // exported error), the documented ErrNotBuilt panics, the iter.Seq2
 // enumeration, and the steady-state allocation pin of the commit path.
 
-func mkTwoPath(t testing.TB, workers int) *Engine {
+func mkTwoPath(t testing.TB) *Engine {
 	t.Helper()
 	q := MustParseQuery("Q(A, C) = R(A, B), S(B, C)")
-	e, err := New(q, Options{Epsilon: 0.5, Workers: workers})
+	e, err := New(q, Options{Epsilon: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func mkTwoPath(t testing.TB, workers int) *Engine {
 }
 
 func TestPublicAPIBatchCommit(t *testing.T) {
-	seq, bat := mkTwoPath(t, 1), mkTwoPath(t, 1)
+	seq, bat := mkTwoPath(t), mkTwoPath(t)
 
 	// A mixed multi-relation stream: inserts and deletes on both R and S,
 	// including a delete covered by an earlier insert of the same batch.
@@ -152,7 +152,7 @@ func assertSameResult(t *testing.T, a, b *Engine) {
 // survive a failing op on S, and the engine — result, N, epoch, stats — is
 // untouched.
 func TestCommitErrorLeavesEngineUnchanged(t *testing.T) {
-	e := mkTwoPath(t, 1)
+	e := mkTwoPath(t)
 	rows, mults := e.Rows()
 	n, epoch, st := e.N(), mustEpoch(t, e), e.Stats()
 
@@ -307,7 +307,7 @@ func TestExportedErrors(t *testing.T) {
 // agrees with Enumerate, early break works, and a Snapshot's All can be
 // ranged repeatedly while the engine moves on.
 func TestAllIterator(t *testing.T) {
-	e := mkTwoPath(t, 1)
+	e := mkTwoPath(t)
 	want := map[[2]int64]int64{}
 	e.Enumerate(func(row []int64, m int64) bool {
 		want[[2]int64{row[0], row[1]}] = m
@@ -367,7 +367,7 @@ func TestAllIterator(t *testing.T) {
 // then inverse delete batch, so the measured loop is state-neutral — must
 // report exactly zero allocations per run.
 func TestCommitSteadyStateZeroAllocs(t *testing.T) {
-	e := mkTwoPath(t, 1)
+	e := mkTwoPath(t)
 	defer e.Close()
 
 	const rowsPerRel = 16

@@ -171,9 +171,7 @@ func BenchmarkBatchVsSequential(b *testing.B) {
 	}
 	newEngine := func(b *testing.B, rng *rand.Rand) *core.Engine {
 		db := workload.TwoPath(rng, benchN, 1.15)
-		// Workers pinned to 1: this benchmark isolates the batching win over
-		// row-by-row Update; worker scaling is BenchmarkParallelBatch's job.
-		e, err := core.New(q, core.Options{Mode: viewtree.Dynamic, Epsilon: 0.5, Workers: 1})
+		e, err := core.New(q, core.Options{Mode: viewtree.Dynamic, Epsilon: 0.5})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -524,219 +522,156 @@ func BenchmarkAblationPushdown(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelBatch measures the worker scaling of the parallel batch
-// path: one op = applying a 10k-row batch and then its inverse to a query
-// whose skew-aware forest spans five main view trees plus three indicator
-// tree pairs, so the per-tree propagations of each phase actually fan out.
-// Sub-benchmarks vary Options.Workers (auto = GOMAXPROCS-bounded); compare
-// ns/op of workers=auto against workers=1 for the speedup, and allocs/op to
-// confirm the pool adds no steady-state allocations. Single-core machines
-// will show auto ≈ 1; the scaling story needs real cores.
-func BenchmarkParallelBatch(b *testing.B) {
-	const batchRows = 10000
-	q := query.MustParse("Q(C, E) = R(A), S(A, B), T(A, B, C), U(A, D), V(A, D, E)")
-	multiTreeDB := func(rng *rand.Rand, n int) naive.Database {
-		db := naive.Database{}
-		for _, a := range q.Atoms {
-			r := relation.New(a.Rel, a.Vars)
-			for i := 0; i < n; i++ {
-				t := make(tuple.Tuple, len(a.Vars))
-				t[0] = rng.Int63n(int64(n) / 8) // shared A: skewed enough to split
-				for j := 1; j < len(t); j++ {
-					t[j] = rng.Int63n(int64(n))
-				}
-				r.Set(t, 1)
+// multiTreeQuery is the five-relation query whose skew-aware forest spans
+// five main view trees plus three indicator tree pairs, so a batch fans out
+// over many trees.
+var multiTreeQuery = query.MustParse("Q(C, E) = R(A), S(A, B), T(A, B, C), U(A, D), V(A, D, E)")
+
+// multiTreeDB draws n tuples per relation of multiTreeQuery, with the shared
+// A skewed enough to split.
+func multiTreeDB(rng *rand.Rand, n int) naive.Database {
+	db := naive.Database{}
+	for _, a := range multiTreeQuery.Atoms {
+		r := relation.New(a.Rel, a.Vars)
+		for i := 0; i < n; i++ {
+			t := make(tuple.Tuple, len(a.Vars))
+			t[0] = rng.Int63n(int64(n) / 8)
+			for j := 1; j < len(t); j++ {
+				t[j] = rng.Int63n(int64(n))
 			}
-			db[a.Rel] = r
+			r.Set(t, 1)
 		}
-		return db
+		db[a.Rel] = r
 	}
-	for _, workers := range []int{1, 0, 2, 4} {
-		name := fmt.Sprintf("workers=%d", workers)
-		if workers == 0 {
-			name = "workers=auto"
+	return db
+}
+
+// mixedStream builds a 9000-op ingest stream that round-robins across S, T
+// and V of multiTreeQuery — every op switches relations, the worst case for
+// a commit's relation resolution — and its inverse, the stream reversed
+// with negated multiplicities.
+func mixedStream(rng *rand.Rand) (ops, inv []core.BatchOp) {
+	const opsPerRel = 3000
+	sPool := make([]tuple.Tuple, 2000)
+	tPool := make([]tuple.Tuple, 2000)
+	vPool := make([]tuple.Tuple, 2000)
+	for i := range sPool {
+		a := rng.Int63n(benchN / 8)
+		sPool[i] = tuple.Tuple{a, 1_000_000 + int64(i)}
+		tPool[i] = tuple.Tuple{a, rng.Int63n(benchN), 2_000_000 + int64(i)}
+		vPool[i] = tuple.Tuple{a, rng.Int63n(benchN), 3_000_000 + int64(i)}
+	}
+	ops = make([]core.BatchOp, 0, 3*opsPerRel)
+	for i := 0; i < opsPerRel; i++ {
+		ops = append(ops,
+			core.BatchOp{Rel: "S", Row: sPool[rng.Intn(len(sPool))], Mult: 1},
+			core.BatchOp{Rel: "T", Row: tPool[rng.Intn(len(tPool))], Mult: 1},
+			core.BatchOp{Rel: "V", Row: vPool[rng.Intn(len(vPool))], Mult: 1},
+		)
+	}
+	inv = make([]core.BatchOp, len(ops))
+	for i, op := range ops {
+		inv[len(inv)-1-i] = core.BatchOp{Rel: op.Rel, Row: op.Row, Mult: -1}
+	}
+	return ops, inv
+}
+
+// BenchmarkMultiTreeBatch measures the batch path across many view trees:
+// one op = applying a 10k-row batch to T and then its inverse, on
+// multiTreeQuery, where every T row reaches several trees. Two warm-up
+// passes outside the timer grow the aggregation maps and delta pools, so
+// allocs/op is the steady state, pinned at 0 by the CI bench gate.
+func BenchmarkMultiTreeBatch(b *testing.B) {
+	const batchRows = 10000
+	rng := rand.New(rand.NewSource(61))
+	e, err := core.New(multiTreeQuery, core.Options{Mode: viewtree.Dynamic, Epsilon: 0.5})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := core.Preprocess(e, multiTreeDB(rng, benchN)); err != nil {
+		b.Fatal(err)
+	}
+	rows := make([]tuple.Tuple, batchRows)
+	mults := make([]int64, batchRows)
+	inv := make([]tuple.Tuple, batchRows)
+	invMults := make([]int64, batchRows)
+	pool := make([]tuple.Tuple, 4000)
+	for i := range pool {
+		pool[i] = tuple.Tuple{rng.Int63n(benchN / 8), rng.Int63n(400), 1_000_000 + int64(i)}
+	}
+	for i := range rows {
+		rows[i] = pool[rng.Intn(len(pool))]
+		mults[i] = 1
+		inv[len(inv)-1-i] = rows[i]
+		invMults[len(inv)-1-i] = -1
+	}
+	cycle := func() {
+		if err := e.ApplyBatch("T", rows, mults); err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			rng := rand.New(rand.NewSource(61))
-			e, err := core.New(q, core.Options{Mode: viewtree.Dynamic, Epsilon: 0.5, Workers: workers})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := core.Preprocess(e, multiTreeDB(rng, benchN)); err != nil {
-				b.Fatal(err)
-			}
-			defer e.Close()
-			rows := make([]tuple.Tuple, batchRows)
-			mults := make([]int64, batchRows)
-			inv := make([]tuple.Tuple, batchRows)
-			invMults := make([]int64, batchRows)
-			pool := make([]tuple.Tuple, 4000)
-			for i := range pool {
-				pool[i] = tuple.Tuple{rng.Int63n(benchN / 8), rng.Int63n(400), 1_000_000 + int64(i)}
-			}
-			for i := range rows {
-				rows[i] = pool[rng.Intn(len(pool))]
-				mults[i] = 1
-				inv[len(inv)-1-i] = rows[i]
-				invMults[len(inv)-1-i] = -1
-			}
-			// Warm up outside the timer: spawn the pool, size the per-worker
-			// scratch, and grow the aggregation maps to steady state, so
-			// allocs/op reflects the steady state rather than b.N-dependent
-			// amortization of the first batch. Group→worker assignment is
-			// static and deterministic, so the warm-up passes size exactly
-			// the scratch the measured passes use — allocs/op is exactly 0,
-			// not merely usually 0, which is what lets the CI bench job gate
-			// allocations instead of staying advisory.
-			for i := 0; i < 2; i++ {
-				if err := e.ApplyBatch("T", rows, mults); err != nil {
-					b.Fatal(err)
-				}
-				if err := e.ApplyBatch("T", inv, invMults); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := e.ApplyBatch("T", rows, mults); err != nil {
-					b.Fatal(err)
-				}
-				if err := e.ApplyBatch("T", inv, invMults); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		if err := e.ApplyBatch("T", inv, invMults); err != nil {
+			b.Fatal(err)
+		}
+	}
+	cycle()
+	cycle()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle()
 	}
 }
 
-// BenchmarkMultiRelationBatch measures the multi-relation commit path on a
-// mixed ingest stream that round-robins across three relations (S, T, V of
-// the five-relation multi-tree query) — the relation-switch-per-op worst
-// case for the commit's relation resolution. One op here is one queued
-// single-tuple update; each iteration commits a 9000-op batch and its
-// inverse (keeping the database bounded), as one CommitBatch each. Compare
-// against BenchmarkBatchVsSequential/sequential for the per-op win over
-// row-by-row Update, and across the workers= variants for the pool
-// scaling; allocs/op is pinned at 0 by the CI bench gate.
+// BenchmarkMultiRelationBatch measures the multi-relation commit path on
+// mixedStream. One op here is one queued single-tuple update; each
+// iteration commits the 9000-op batch and its inverse (keeping the database
+// bounded), as one CommitBatch each. Compare against
+// BenchmarkBatchVsSequential/sequential for the per-op win over row-by-row
+// Update; allocs/op is pinned at 0 by the CI bench gate.
 func BenchmarkMultiRelationBatch(b *testing.B) {
-	const opsPerRel = 3000
-	q := query.MustParse("Q(C, E) = R(A), S(A, B), T(A, B, C), U(A, D), V(A, D, E)")
-	multiTreeDB := func(rng *rand.Rand, n int) naive.Database {
-		db := naive.Database{}
-		for _, a := range q.Atoms {
-			r := relation.New(a.Rel, a.Vars)
-			for i := 0; i < n; i++ {
-				t := make(tuple.Tuple, len(a.Vars))
-				t[0] = rng.Int63n(int64(n) / 8) // shared A: skewed enough to split
-				for j := 1; j < len(t); j++ {
-					t[j] = rng.Int63n(int64(n))
-				}
-				r.Set(t, 1)
-			}
-			db[a.Rel] = r
-		}
-		return db
+	rng := rand.New(rand.NewSource(83))
+	e, err := core.New(multiTreeQuery, core.Options{Mode: viewtree.Dynamic, Epsilon: 0.5})
+	if err != nil {
+		b.Fatal(err)
 	}
-	for _, workers := range []int{1, 0, 2, 4} {
-		name := fmt.Sprintf("workers=%d", workers)
-		if workers == 0 {
-			name = "workers=auto"
+	if err := core.Preprocess(e, multiTreeDB(rng, benchN)); err != nil {
+		b.Fatal(err)
+	}
+	ops, inv := mixedStream(rng)
+	cycle := func() {
+		if err := e.CommitBatch(ops); err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			rng := rand.New(rand.NewSource(83))
-			e, err := core.New(q, core.Options{Mode: viewtree.Dynamic, Epsilon: 0.5, Workers: workers})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := core.Preprocess(e, multiTreeDB(rng, benchN)); err != nil {
-				b.Fatal(err)
-			}
-			defer e.Close()
-			// Fresh-tuple pools per relation, interleaved S,T,V per op so
-			// every op switches relations; the inverse batch reverses the
-			// stream with negated multiplicities.
-			sPool := make([]tuple.Tuple, 2000)
-			tPool := make([]tuple.Tuple, 2000)
-			vPool := make([]tuple.Tuple, 2000)
-			for i := range sPool {
-				a := rng.Int63n(benchN / 8)
-				sPool[i] = tuple.Tuple{a, 1_000_000 + int64(i)}
-				tPool[i] = tuple.Tuple{a, rng.Int63n(benchN), 2_000_000 + int64(i)}
-				vPool[i] = tuple.Tuple{a, rng.Int63n(benchN), 3_000_000 + int64(i)}
-			}
-			ops := make([]core.BatchOp, 0, 3*opsPerRel)
-			for i := 0; i < opsPerRel; i++ {
-				ops = append(ops,
-					core.BatchOp{Rel: "S", Row: sPool[rng.Intn(len(sPool))], Mult: 1},
-					core.BatchOp{Rel: "T", Row: tPool[rng.Intn(len(tPool))], Mult: 1},
-					core.BatchOp{Rel: "V", Row: vPool[rng.Intn(len(vPool))], Mult: 1},
-				)
-			}
-			inv := make([]core.BatchOp, len(ops))
-			for i, op := range ops {
-				inv[len(inv)-1-i] = core.BatchOp{Rel: op.Rel, Row: op.Row, Mult: -1}
-			}
-			// Warm up outside the timer (pool spawn, scratch sizing); the
-			// static group→worker assignment makes the measured steady state
-			// deterministically allocation-free.
-			for i := 0; i < 2; i++ {
-				if err := e.CommitBatch(ops); err != nil {
-					b.Fatal(err)
-				}
-				if err := e.CommitBatch(inv); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := e.CommitBatch(ops); err != nil {
-					b.Fatal(err)
-				}
-				if err := e.CommitBatch(inv); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		if err := e.CommitBatch(inv); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// Warm up outside the timer: size the scratch to steady state.
+	cycle()
+	cycle()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle()
 	}
 }
 
 // BenchmarkShardedCommit measures the federated multi-relation commit path
-// on the same mixed three-relation ingest stream as
-// BenchmarkMultiRelationBatch: each iteration commits a 9000-op batch and
-// its inverse through a K-shard federation (scatter, per-shard two-phase
-// prepare/apply, federation epoch). K=1 isolates the federation overhead
-// over a single engine's CommitBatch — the scatter pass and one extra
-// indirection — and is held within 10% of
-// BenchmarkMultiRelationBatch/workers=1 by the CI bench tolerance; K>1
-// shows the cross-shard path (on a multi-core host the prepared shards
-// apply in parallel). allocs/op is pinned at 0 by the CI bench gate.
+// on the same mixedStream as BenchmarkMultiRelationBatch: each iteration
+// commits the 9000-op batch and its inverse through a K-shard federation
+// (scatter, per-shard two-phase prepare/apply, federation epoch). K=1
+// isolates the federation overhead over a single engine's CommitBatch — the
+// scatter pass and one extra indirection — and is held within 10% of
+// BenchmarkMultiRelationBatch by the CI bench tolerance; K>1 shows the
+// cross-shard path (on a multi-core host the prepared shards apply in
+// parallel). allocs/op is pinned at 0 by the CI bench gate.
 func BenchmarkShardedCommit(b *testing.B) {
-	const opsPerRel = 3000
-	q := query.MustParse("Q(C, E) = R(A), S(A, B), T(A, B, C), U(A, D), V(A, D, E)")
-	multiTreeDB := func(rng *rand.Rand, n int) naive.Database {
-		db := naive.Database{}
-		for _, a := range q.Atoms {
-			r := relation.New(a.Rel, a.Vars)
-			for i := 0; i < n; i++ {
-				t := make(tuple.Tuple, len(a.Vars))
-				t[0] = rng.Int63n(int64(n) / 8) // shared A: skewed enough to split
-				for j := 1; j < len(t); j++ {
-					t[j] = rng.Int63n(int64(n))
-				}
-				r.Set(t, 1)
-			}
-			db[a.Rel] = r
-		}
-		return db
-	}
 	for _, k := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(83))
-			f, err := federation.New(q, federation.Options{
+			f, err := federation.New(multiTreeQuery, federation.Options{
 				Shards: k,
-				Engine: core.Options{Mode: viewtree.Dynamic, Epsilon: 0.5, Workers: 1},
+				Engine: core.Options{Mode: viewtree.Dynamic, Epsilon: 0.5},
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -745,49 +680,23 @@ func BenchmarkShardedCommit(b *testing.B) {
 			if err := f.Preprocess(multiTreeDB(rng, benchN)); err != nil {
 				b.Fatal(err)
 			}
-			// The same interleaved S,T,V stream as the unsharded benchmark:
-			// every op switches relations, the worst case for relation
-			// resolution in the scatter phase.
-			sPool := make([]tuple.Tuple, 2000)
-			tPool := make([]tuple.Tuple, 2000)
-			vPool := make([]tuple.Tuple, 2000)
-			for i := range sPool {
-				a := rng.Int63n(benchN / 8)
-				sPool[i] = tuple.Tuple{a, 1_000_000 + int64(i)}
-				tPool[i] = tuple.Tuple{a, rng.Int63n(benchN), 2_000_000 + int64(i)}
-				vPool[i] = tuple.Tuple{a, rng.Int63n(benchN), 3_000_000 + int64(i)}
-			}
-			ops := make([]core.BatchOp, 0, 3*opsPerRel)
-			for i := 0; i < opsPerRel; i++ {
-				ops = append(ops,
-					core.BatchOp{Rel: "S", Row: sPool[rng.Intn(len(sPool))], Mult: 1},
-					core.BatchOp{Rel: "T", Row: tPool[rng.Intn(len(tPool))], Mult: 1},
-					core.BatchOp{Rel: "V", Row: vPool[rng.Intn(len(vPool))], Mult: 1},
-				)
-			}
-			inv := make([]core.BatchOp, len(ops))
-			for i, op := range ops {
-				inv[len(inv)-1-i] = core.BatchOp{Rel: op.Rel, Row: op.Row, Mult: -1}
+			ops, inv := mixedStream(rng)
+			cycle := func() {
+				if err := f.CommitBatch(ops); err != nil {
+					b.Fatal(err)
+				}
+				if err := f.CommitBatch(inv); err != nil {
+					b.Fatal(err)
+				}
 			}
 			// Warm up outside the timer: spawn the apply runners, size the
 			// pooled sub-batches and every shard's scratch to steady state.
-			for i := 0; i < 2; i++ {
-				if err := f.CommitBatch(ops); err != nil {
-					b.Fatal(err)
-				}
-				if err := f.CommitBatch(inv); err != nil {
-					b.Fatal(err)
-				}
-			}
+			cycle()
+			cycle()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := f.CommitBatch(ops); err != nil {
-					b.Fatal(err)
-				}
-				if err := f.CommitBatch(inv); err != nil {
-					b.Fatal(err)
-				}
+				cycle()
 			}
 		})
 	}
@@ -813,7 +722,7 @@ func BenchmarkShardedEnumerate(b *testing.B) {
 				rng := rand.New(rand.NewSource(29))
 				f, err := federation.New(q, federation.Options{
 					Shards: k,
-					Engine: core.Options{Mode: viewtree.Dynamic, Epsilon: 0.5, Workers: 1},
+					Engine: core.Options{Mode: viewtree.Dynamic, Epsilon: 0.5},
 				})
 				if err != nil {
 					b.Fatal(err)

@@ -13,7 +13,6 @@
 //	-listen    listen address (default 127.0.0.1:8344; use :0 for an
 //	           ephemeral port — the chosen address is printed on stdout)
 //	-epsilon   ε trade-off parameter in [0, 1] (default 0.5)
-//	-workers   update-propagation worker bound (0 = GOMAXPROCS)
 //	-dir       durable log directory; empty serves in-memory only. An
 //	           initialized directory is recovered (the query must match);
 //	           an empty or missing one is created fresh.
@@ -70,7 +69,6 @@ func run() int {
 		query        = flag.String("query", "", "hierarchical query to serve (required)")
 		listen       = flag.String("listen", "127.0.0.1:8344", "listen address (use :0 for an ephemeral port)")
 		epsilon      = flag.Float64("epsilon", 0.5, "ε trade-off parameter in [0, 1]")
-		workers      = flag.Int("workers", 0, "update-propagation workers (0 = GOMAXPROCS)")
 		dir          = flag.String("dir", "", "durable log directory (empty = in-memory)")
 		syncMode     = flag.String("sync", "batched", "WAL fsync policy: off, batched, or always")
 		segmentBytes = flag.Int64("segment-bytes", 0, "log segment rotation threshold (0 = default)")
@@ -103,7 +101,7 @@ func run() int {
 		return 2
 	}
 
-	opts := ivmeps.Options{Epsilon: *epsilon, Workers: *workers}
+	opts := ivmeps.Options{Epsilon: *epsilon}
 	if *dir != "" {
 		opts.Durability = ivmeps.Durability{Dir: *dir, Sync: sm, SegmentBytes: *segmentBytes}
 	}
@@ -123,7 +121,7 @@ func run() int {
 	}
 	// Tests parse this line to find an ephemeral port; keep its shape.
 	fmt.Printf("ivmd: listening on %s\n", ln.Addr())
-	log.Printf("serving %s (epsilon=%g workers=%d dir=%q sync=%s)", q, eng.Epsilon(), *workers, *dir, *syncMode)
+	log.Printf("serving %s (epsilon=%g dir=%q sync=%s)", q, eng.Epsilon(), *dir, *syncMode)
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()

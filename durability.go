@@ -143,8 +143,8 @@ func (e *Engine) Checkpoint() error {
 // truncating a torn final record left by a crash — and returns the engine
 // ready for commits, logging again into the same directory. The recovered
 // state is exactly the committed state at the last intact log record: the
-// enumerated result, N, and the snapshot epoch all match, at any Workers or
-// Epsilon setting.
+// enumerated result, N, and the snapshot epoch all match, at any Epsilon
+// setting.
 //
 // q must be the same query the directory was created under (checkpoints
 // record it; a mismatch is an error). Damaged log data yields a
@@ -176,19 +176,14 @@ func Open(q *Query, opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Every failure below must Close the half-built engine: Build may have
-	// started worker-pool goroutines, and returning without releasing them
-	// leaks a goroutine set per failed Open.
 	for _, r := range rec.Checkpoint.Rels {
 		for i := range r.Rows {
 			if err := e.LoadWeighted(r.Name, r.Rows[i], r.Mults[i]); err != nil {
-				e.Close()
 				return nil, &CorruptLogError{Path: opts.Durability.Dir, Reason: fmt.Sprintf("checkpoint rejected by engine: %v", err)}
 			}
 		}
 	}
 	if err := e.Build(); err != nil {
-		e.Close()
 		return nil, err
 	}
 
@@ -211,7 +206,6 @@ func Open(q *Query, opts Options) (*Engine, error) {
 		return nil
 	}
 	if err := rec.Replay(true, replay); err != nil {
-		e.Close()
 		return nil, wrapErr(err)
 	}
 	// Seat the epoch at the last intact record's (the checkpoint's, with an
@@ -222,7 +216,6 @@ func Open(q *Query, opts Options) (*Engine, error) {
 
 	l, err := rec.Continue(opts.Durability.walOptions())
 	if err != nil {
-		e.Close()
 		return nil, wrapErr(err)
 	}
 	e.dur = opts.Durability

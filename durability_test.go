@@ -220,11 +220,11 @@ func TestOpenRestoresCheckpointedMultiplicities(t *testing.T) {
 // buildDurableHistory creates a durable engine, commits n randomized batches
 // (recording the committed state at every epoch), checkpoints once midway,
 // closes the engine, and returns the log directory plus the shadow record.
-func buildDurableHistory(t *testing.T, dir string, workers, n int, rng *rand.Rand) *shadowDB {
+func buildDurableHistory(t *testing.T, dir string, n int, rng *rand.Rand) *shadowDB {
 	t.Helper()
 	q := durParse(t)
 	opts := ivmeps.Options{
-		Epsilon: 0.5, Workers: workers,
+		Epsilon:    0.5,
 		Durability: ivmeps.Durability{Dir: dir, Sync: ivmeps.SyncAlways, SegmentBytes: 512},
 	}
 	e, err := ivmeps.New(q, opts)
@@ -347,94 +347,99 @@ func expectEpoch(t testing.TB, dir string) uint64 {
 // TestCrashRecoveryRandomCut is the durability headline: kill the process at
 // an arbitrary byte offset of the log — mid-record, mid-header, on a segment
 // boundary — and Open must recover exactly the committed prefix the surviving
-// bytes describe, epoch-exact, at every worker count.
+// bytes describe, epoch-exact. Each seed draws its own commit history and
+// its own cut points.
 func TestCrashRecoveryRandomCut(t *testing.T) {
-	for _, workers := range []int{1, 2, 8} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+	for _, seed := range []int64{1, 2, 8} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			dir := filepath.Join(t.TempDir(), "log")
-			rng := rand.New(rand.NewSource(int64(workers)))
-			sh := buildDurableHistory(t, dir, workers, 24, rng)
+			testCrashRecoveryRandomCut(t, seed)
+		})
+	}
+}
 
-			segs, _, err := wal.ScanDir(dir)
-			if err != nil {
+func testCrashRecoveryRandomCut(t *testing.T, seed int64) {
+	dir := filepath.Join(t.TempDir(), "log")
+	rng := rand.New(rand.NewSource(seed))
+	sh := buildDurableHistory(t, dir, 24, rng)
+
+	segs, _, err := wal.ScanDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cuts []cutPoint
+	sizes := make([]int64, len(segs))
+	var total int64
+	for i, s := range segs {
+		fi, err := os.Stat(s.Path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes[i] = fi.Size()
+		total += fi.Size()
+		// Boundary cuts: empty file, bare header, full file.
+		cuts = append(cuts, cutPoint{i, 0}, cutPoint{i, min(16, fi.Size())}, cutPoint{i, fi.Size()})
+	}
+	for len(cuts) < len(segs)*3+24 {
+		g := rng.Int63n(total + 1)
+		for i := range sizes {
+			if g <= sizes[i] {
+				cuts = append(cuts, cutPoint{i, g})
+				break
+			}
+			g -= sizes[i]
+		}
+	}
+
+	q := durParse(t)
+	for ci, cut := range cuts {
+		work := copyDir(t, dir)
+		applyCut(t, work, cut)
+		want := expectEpoch(t, work)
+		opts := ivmeps.Options{
+			Epsilon:    0.5,
+			Durability: ivmeps.Durability{Dir: work, Sync: ivmeps.SyncAlways, SegmentBytes: 512},
+		}
+		r, err := ivmeps.Open(q, opts)
+		if err != nil {
+			t.Fatalf("cut %d (%+v): Open: %v", ci, cut, err)
+		}
+		got, epoch := durState(t, r)
+		if epoch != want {
+			t.Fatalf("cut %d (%+v): recovered epoch %d, want %d", ci, cut, epoch, want)
+		}
+		wantState, ok := sh.state[epoch]
+		if !ok {
+			t.Fatalf("cut %d (%+v): recovered epoch %d was never committed", ci, cut, epoch)
+		}
+		if !sameState(got, wantState) {
+			t.Fatalf("cut %d (%+v): recovered state %v, want %v at epoch %d", ci, cut, got, wantState, epoch)
+		}
+		// Periodically prove the recovered log accepts and survives new
+		// commits: commit, close, and recover once more.
+		if ci%8 == 0 {
+			if err := r.Insert("R", []int64{7, 7}); err != nil {
 				t.Fatal(err)
 			}
-			var cuts []cutPoint
-			sizes := make([]int64, len(segs))
-			var total int64
-			for i, s := range segs {
-				fi, err := os.Stat(s.Path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sizes[i] = fi.Size()
-				total += fi.Size()
-				// Boundary cuts: empty file, bare header, full file.
-				cuts = append(cuts, cutPoint{i, 0}, cutPoint{i, min(16, fi.Size())}, cutPoint{i, fi.Size()})
+			want2, wantEpoch2 := durState(t, r)
+			if wantEpoch2 != epoch+1 {
+				t.Fatalf("cut %d: post-recovery epoch %d, want %d", ci, wantEpoch2, epoch+1)
 			}
-			for len(cuts) < len(segs)*3+24 {
-				g := rng.Int63n(total + 1)
-				for i := range sizes {
-					if g <= sizes[i] {
-						cuts = append(cuts, cutPoint{i, g})
-						break
-					}
-					g -= sizes[i]
-				}
+			if err := r.Close(); err != nil {
+				t.Fatal(err)
 			}
-
-			q := durParse(t)
-			for ci, cut := range cuts {
-				work := copyDir(t, dir)
-				applyCut(t, work, cut)
-				want := expectEpoch(t, work)
-				opts := ivmeps.Options{
-					Epsilon: 0.5, Workers: workers,
-					Durability: ivmeps.Durability{Dir: work, Sync: ivmeps.SyncAlways, SegmentBytes: 512},
-				}
-				r, err := ivmeps.Open(q, opts)
-				if err != nil {
-					t.Fatalf("cut %d (%+v): Open: %v", ci, cut, err)
-				}
-				got, epoch := durState(t, r)
-				if epoch != want {
-					t.Fatalf("cut %d (%+v): recovered epoch %d, want %d", ci, cut, epoch, want)
-				}
-				wantState, ok := sh.state[epoch]
-				if !ok {
-					t.Fatalf("cut %d (%+v): recovered epoch %d was never committed", ci, cut, epoch)
-				}
-				if !sameState(got, wantState) {
-					t.Fatalf("cut %d (%+v): recovered state %v, want %v at epoch %d", ci, cut, got, wantState, epoch)
-				}
-				// Periodically prove the recovered log accepts and survives new
-				// commits: commit, close, and recover once more.
-				if ci%8 == 0 {
-					if err := r.Insert("R", []int64{7, 7}); err != nil {
-						t.Fatal(err)
-					}
-					want2, wantEpoch2 := durState(t, r)
-					if wantEpoch2 != epoch+1 {
-						t.Fatalf("cut %d: post-recovery epoch %d, want %d", ci, wantEpoch2, epoch+1)
-					}
-					if err := r.Close(); err != nil {
-						t.Fatal(err)
-					}
-					r2, err := ivmeps.Open(q, opts)
-					if err != nil {
-						t.Fatalf("cut %d: re-Open: %v", ci, err)
-					}
-					got2, epoch2 := durState(t, r2)
-					if epoch2 != wantEpoch2 || !sameState(got2, want2) {
-						t.Fatalf("cut %d: second recovery diverged", ci)
-					}
-					r2.Close()
-				} else {
-					r.Close()
-				}
+			r2, err := ivmeps.Open(q, opts)
+			if err != nil {
+				t.Fatalf("cut %d: re-Open: %v", ci, err)
 			}
-		})
+			got2, epoch2 := durState(t, r2)
+			if epoch2 != wantEpoch2 || !sameState(got2, want2) {
+				t.Fatalf("cut %d: second recovery diverged", ci)
+			}
+			r2.Close()
+		} else {
+			r.Close()
+		}
 	}
 }
 
@@ -510,7 +515,7 @@ func TestCheckpointBoundsReplay(t *testing.T) {
 func TestBitFlipRecovery(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "log")
 	rng := rand.New(rand.NewSource(7))
-	sh := buildDurableHistory(t, dir, 1, 12, rng)
+	sh := buildDurableHistory(t, dir, 12, rng)
 	segs, _, err := wal.ScanDir(dir)
 	if err != nil {
 		t.Fatal(err)

@@ -80,29 +80,6 @@ func Example_snapshot() {
 	// live: 4 tuples
 }
 
-// ApplyBatch ingests many updates in one maintenance pass; with
-// Options.Workers the per-view-tree propagation work of each batch spreads
-// over a worker pool. The result is identical at every worker count.
-func Example_applyBatchWorkers() {
-	q := ivmeps.MustParseQuery("Q(A, C) = R(A, B), S(B, C)")
-	e, _ := ivmeps.New(q, ivmeps.Options{Epsilon: 0.5, Workers: 4})
-	defer e.Close() // release the worker pool promptly
-	_ = e.Load("S", []int64{10, 7}, []int64{20, 8})
-	_ = e.Build()
-
-	rows := make([][]int64, 1000)
-	for i := range rows {
-		rows[i] = []int64{int64(i), 10 + 10*int64(i%2)} // join B ∈ {10, 20}
-	}
-	if err := e.ApplyBatch("R", rows, nil); err != nil {
-		fmt.Println("batch rejected:", err)
-		return
-	}
-	fmt.Printf("result tuples after batch: %d\n", e.Count())
-	// Output:
-	// result tuples after batch: 1000
-}
-
 // A Batch queues updates across any of the query's relations and Commit
 // applies them as one atomic maintenance commit: validated up front, all
 // or nothing, one snapshot epoch. Ingest streams that interleave several

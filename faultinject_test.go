@@ -137,11 +137,11 @@ func applyFIStep(e *ivmeps.Engine, step fiStep) error {
 // which); the first commit failure must be the full wedge, which is
 // verified in place: typed error, state untouched, every further mutation
 // refused, reads alive, Close clean.
-func runFaultWorkload(t *testing.T, dir string, workers int, fs wal.VFS) *fiRun {
+func runFaultWorkload(t *testing.T, dir string, fs wal.VFS) *fiRun {
 	t.Helper()
 	q := durParse(t)
 	opts := ivmeps.Options{
-		Epsilon: 0.5, Workers: workers,
+		Epsilon:    0.5,
 		Durability: ivmeps.Durability{Dir: dir, Sync: ivmeps.SyncAlways, SegmentBytes: 128},
 	}
 	if fs != nil {
@@ -249,11 +249,11 @@ func runFaultWorkload(t *testing.T, dir string, workers int, fs wal.VFS) *fiRun 
 // checkFaultRecovery opens the post-fault directory on the real filesystem
 // and verifies it recovers exactly a committed (or predicted-uncertain)
 // state of the run.
-func checkFaultRecovery(t *testing.T, label, dir string, workers int, run *fiRun) {
+func checkFaultRecovery(t *testing.T, label, dir string, run *fiRun) {
 	t.Helper()
 	q := durParse(t)
 	opts := ivmeps.Options{
-		Epsilon: 0.5, Workers: workers,
+		Epsilon:    0.5,
 		Durability: ivmeps.Durability{Dir: dir, Sync: ivmeps.SyncAlways, SegmentBytes: 128},
 	}
 	r, err := ivmeps.Open(q, opts)
@@ -294,55 +294,49 @@ func checkFaultRecovery(t *testing.T, label, dir string, workers int, run *fiRun
 // TestFaultInjectionMatrix is the robustness headline: run the workload
 // once per (operation kind, ordinal) pair with that exact operation failing
 // — plus an ENOSPC short-write variant for every write — and verify the
-// typed-error / unchanged-state / sticky-wedge / exact-recovery invariants
-// at every worker count.
+// typed-error / unchanged-state / sticky-wedge / exact-recovery invariants.
 func TestFaultInjectionMatrix(t *testing.T) {
-	for _, workers := range []int{1, 2, 8} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			t.Parallel()
-			// Fault-free counting run: learn how many operations of each kind
-			// the workload performs, so the matrix addresses each one.
-			counter := faultfs.New(nil)
-			clean := runFaultWorkload(t, filepath.Join(t.TempDir(), "log"), workers, counter)
-			if clean.wedged || !clean.buildOK {
-				t.Fatal("fault-free run did not complete")
-			}
-			counts := counter.Counts()
-			if counts[faultfs.Write] == 0 || counts[faultfs.FileSync] == 0 || counts[faultfs.Rename] == 0 {
-				t.Fatalf("counting run saw no writes/syncs/renames: %v", counts)
-			}
-			total := 0
-			for _, kind := range faultfs.Kinds {
-				for nth := 1; nth <= counts[kind]; nth++ {
-					label := fmt.Sprintf("%s#%d", kind, nth)
-					dir := filepath.Join(t.TempDir(), "log")
-					ffs := faultfs.New(nil)
-					ffs.Inject(kind, nth)
-					run := runFaultWorkload(t, dir, workers, ffs)
-					if !ffs.Tripped() {
-						t.Fatalf("%s: armed fault never fired", label)
-					}
-					checkFaultRecovery(t, label, dir, workers, run)
-					total++
-				}
-			}
-			// ENOSPC: the nth write puts a prefix of the data on disk before
-			// failing, leaving a genuinely torn frame recovery must truncate.
-			for nth := 1; nth <= counts[faultfs.Write]; nth++ {
-				label := fmt.Sprintf("enospc#%d", nth)
-				dir := filepath.Join(t.TempDir(), "log")
-				ffs := faultfs.New(nil)
-				ffs.InjectShortWrite(nth)
-				run := runFaultWorkload(t, dir, workers, ffs)
-				if !ffs.Tripped() {
-					t.Fatalf("%s: armed fault never fired", label)
-				}
-				checkFaultRecovery(t, label, dir, workers, run)
-				total++
-			}
-			t.Logf("workers=%d: %d fault scenarios (counts %v)", workers, total, counts)
-		})
+	// Fault-free counting run: learn how many operations of each kind the
+	// workload performs, so the matrix addresses each one.
+	counter := faultfs.New(nil)
+	clean := runFaultWorkload(t, filepath.Join(t.TempDir(), "log"), counter)
+	if clean.wedged || !clean.buildOK {
+		t.Fatal("fault-free run did not complete")
 	}
+	counts := counter.Counts()
+	if counts[faultfs.Write] == 0 || counts[faultfs.FileSync] == 0 || counts[faultfs.Rename] == 0 {
+		t.Fatalf("counting run saw no writes/syncs/renames: %v", counts)
+	}
+	total := 0
+	for _, kind := range faultfs.Kinds {
+		for nth := 1; nth <= counts[kind]; nth++ {
+			label := fmt.Sprintf("%s#%d", kind, nth)
+			dir := filepath.Join(t.TempDir(), "log")
+			ffs := faultfs.New(nil)
+			ffs.Inject(kind, nth)
+			run := runFaultWorkload(t, dir, ffs)
+			if !ffs.Tripped() {
+				t.Fatalf("%s: armed fault never fired", label)
+			}
+			checkFaultRecovery(t, label, dir, run)
+			total++
+		}
+	}
+	// ENOSPC: the nth write puts a prefix of the data on disk before
+	// failing, leaving a genuinely torn frame recovery must truncate.
+	for nth := 1; nth <= counts[faultfs.Write]; nth++ {
+		label := fmt.Sprintf("enospc#%d", nth)
+		dir := filepath.Join(t.TempDir(), "log")
+		ffs := faultfs.New(nil)
+		ffs.InjectShortWrite(nth)
+		run := runFaultWorkload(t, dir, ffs)
+		if !ffs.Tripped() {
+			t.Fatalf("%s: armed fault never fired", label)
+		}
+		checkFaultRecovery(t, label, dir, run)
+		total++
+	}
+	t.Logf("%d fault scenarios (counts %v)", total, counts)
 }
 
 // TestFaultInjectedOpen injects faults into recovery itself: for every I/O
@@ -351,7 +345,7 @@ func TestFaultInjectionMatrix(t *testing.T) {
 // retry recovers exactly the committed state.
 func TestFaultInjectedOpen(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "log")
-	clean := runFaultWorkload(t, base, 1, nil)
+	clean := runFaultWorkload(t, base, nil)
 	if clean.wedged || !clean.buildOK {
 		t.Fatal("workload did not complete")
 	}

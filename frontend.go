@@ -168,9 +168,9 @@ func (f *frontend[S]) NewBatch() *Batch { return &Batch{owner: f, resolve: f.b.R
 // prefix is ever applied, across relations as within one. On success the
 // batch commits as a single maintenance pass: per touched relation the
 // updates aggregate into one delta per view-tree leaf, every view tree is
-// walked once per (batch, relation) on the engine's worker pool
-// (Options.Workers), and the whole commit publishes one snapshot epoch — a
-// concurrent Snapshot observes all of the batch or none of it.
+// walked once per (batch, relation) on the calling goroutine, and the
+// whole commit publishes one snapshot epoch — a concurrent Snapshot
+// observes all of the batch or none of it.
 //
 // On a Sharded engine the contract holds across shards: the batch is
 // scattered into per-shard sub-batches, each shard validates its own, and

@@ -37,29 +37,6 @@ import (
 // AbortPrepared) so a federation of engines can coordinate an atomic commit
 // across shards: validate on every shard first, apply everywhere only if
 // every shard accepted.
-//
-// With Options.Workers > 1 the propagations of a batch run on a worker pool
-// (worker.go), one job group — a tree, with the later indicator trees that
-// probe views it writes — to a worker. The propagation work is phased so that parallel sections only
-// ever write views of distinct groups and only read the relations shared
-// across groups:
-//
-//	phase 1 (parallel)  δR through every Atom leaf of the main trees and
-//	                    every Atom leaf of the indicator All trees — the
-//	                    base relations are updated before the phase, and
-//	                    the light parts and ∃H relations are untouched;
-//	phase 2 (sequential) per indicator: refresh ∃H per distinct key and
-//	                    propagate δ(∃H); interleaving matters here because
-//	                    one indicator's propagation may read another's ∃H;
-//	then per partition:  apply the light-routed delta to the light part
-//	                    (sequential), propagate it through the main trees'
-//	                    LightAtom leaves and the indicator L trees
-//	                    (parallel), then refresh/propagate ∃H and run the
-//	                    minor-rebalance checks (sequential).
-//
-// Within one group, jobs keep their sequential order on a single worker, so
-// the final state is byte-for-byte the sequential batch result regardless
-// of worker count or interleaving.
 
 // BatchOp is one single-tuple update of a (possibly multi-relation) batch:
 // {Row → Mult} applied to relation Rel. Mult > 0 inserts, Mult < 0 deletes,
@@ -97,13 +74,13 @@ func (e *Engine) RelID(name string) int { return e.relIdx[name] }
 //
 // Per touched relation (in first-touched order), the ops aggregate into
 // one net delta per view-tree leaf, propagated with the same phase
-// structure — and the same worker pool — as a one-relation batch; see
-// applyBatchOcc. Relations are propagated relation-major rather than in one
-// fused phase because a delta's sibling probes read the other base
-// relations: relation i's propagation must observe relations 1..i-1 post-
-// update and relations i+1..k pre-update (the standard delta-join
-// factorization), which a single fused phase over fully-updated bases
-// would break (it would overcount δR ⋈ δS terms). The observable result
+// structure as a one-relation batch; see applyBatchOcc. Relations are
+// propagated relation-major rather than in one fused phase because a
+// delta's sibling probes read the other base relations: relation i's
+// propagation must observe relations 1..i-1 post-update and relations
+// i+1..k pre-update (the standard delta-join factorization), which a
+// single fused phase over fully-updated bases would break (it would
+// overcount δR ⋈ δS terms). The observable result
 // equals the interleaved sequential Update sequence, with the usual
 // implementation-defined latitude in M and the light parts.
 func (e *Engine) CommitBatch(ops []BatchOp) error {
@@ -349,7 +326,7 @@ func (e *Engine) applyStagedLocked() {
 	touched := 0
 	for _, id := range e.batchTouched {
 		br := &e.relTab[id-1]
-		d := e.ws0.getDelta()
+		d := e.getDelta()
 		for gi := range br.groups {
 			if br.groups[gi].net != 0 {
 				d.appendRow(br.groups[gi].t, br.groups[gi].net)
@@ -369,13 +346,12 @@ func (e *Engine) applyStagedLocked() {
 			// count toward the commit's relation fan-out.
 			touched++
 		}
-		e.ws0.putDelta(d)
+		e.putDelta(d)
 	}
 	e.rebalanceBatchLocked()
 	e.stats.Updates += int64(e.stagedApplied)
 	e.stats.Batches++
 	e.stats.BatchRelations += int64(touched)
-	e.flushWorkerStats()
 	e.releaseStagedLocked()
 	e.epoch++ // commit point: publish the new state to future snapshots
 	e.publishCommitLocked()
@@ -499,10 +475,8 @@ func (e *Engine) applyBatchOcc(rt *relRoutes, d *delta) {
 
 	// Apply the batch to the base relation, maintaining N incrementally,
 	// then propagate the combined delta through every main tree and every
-	// affected All tree — phase 1, each tree's jobs in its job group, run on
-	// the worker pool. The base relations are fully updated before the phase
-	// and the light parts and ∃H relations are untouched during it, so
-	// concurrent tree propagations read a consistent frozen sibling state.
+	// affected All tree. The light parts and ∃H relations are untouched
+	// until every tree has seen the delta.
 	before := base.Size()
 	for i := range d.rows {
 		base.MustAdd(d.rows[i].t, d.rows[i].m)
@@ -511,18 +485,17 @@ func (e *Engine) applyBatchOcc(rt *relRoutes, d *delta) {
 		e.n += base.Size() - before
 	}
 	for _, lp := range rt.atomLeaves {
-		e.enqueue(lp, d)
+		e.propagatePath(lp, d)
 	}
 	for _, ir := range rt.inds {
 		for _, lp := range ir.allLeaves {
-			e.enqueue(lp, d)
+			e.propagatePath(lp, d)
 		}
 	}
-	e.runJobs()
-	// Phase 2: δ(∃H) once per distinct indicator key of the batch,
-	// sequential because indicator propagation in one main tree may read
-	// the ∃H relation of a later indicator (the refresh/propagate
-	// interleaving must match the sequential order).
+	// δ(∃H) once per distinct indicator key of the batch, indicator by
+	// indicator: propagation in one main tree may read the ∃H relation of
+	// a later indicator, so the refresh/propagate interleaving follows the
+	// one-by-one order.
 	for _, ir := range rt.inds {
 		e.refreshBatchH(ir, d)
 	}
@@ -530,17 +503,15 @@ func (e *Engine) applyBatchOcc(rt *relRoutes, d *delta) {
 	// Route to the light parts, one combined delta per partition: a key's
 	// rows go to the light part if the key was new or light before the
 	// batch; then run the minor-rebalancing checks once per distinct key.
-	// The light part is updated before its propagation phase, and the
-	// LightAtom paths of the main trees and the indicator L trees are
-	// disjoint tree sets, so their job groups parallelize; the ∃H
-	// refresh/propagate pairs after the phase stay sequential. If the
-	// batch drove N outside the size invariant, θ is stale for these
-	// checks — harmless, since the commit-boundary rebalance strictly
-	// repartitions everything afterwards.
+	// The light part is updated before the delta runs through the main
+	// trees' LightAtom leaves and the indicator L trees, and ∃H is
+	// refreshed after. If the batch drove N outside the size invariant, θ
+	// is stale for these checks — harmless, since the commit-boundary
+	// rebalance strictly repartitions everything afterwards.
 	theta := e.Theta()
 	for pi, pr := range rt.parts {
 		keys := perPart[pi]
-		ld := e.ws0.getDelta()
+		ld := e.getDelta()
 		for ki := range keys {
 			bk := &keys[ki]
 			if !bk.preLight && bk.preDeg != 0 {
@@ -556,14 +527,13 @@ func (e *Engine) applyBatchOcc(rt *relRoutes, d *delta) {
 				light.MustAdd(ld.rows[i].t, ld.rows[i].m)
 			}
 			for _, lp := range pr.lightLeaves {
-				e.enqueue(lp, ld)
+				e.propagatePath(lp, ld)
 			}
 			for _, il := range pr.inds {
 				for _, lp := range il.lLeaves {
-					e.enqueue(lp, ld)
+					e.propagatePath(lp, ld)
 				}
 			}
-			e.runJobs()
 			for _, il := range pr.inds {
 				// The indicator keys equal the partition keys; refresh ∃H
 				// once per light-routed key.
@@ -578,7 +548,7 @@ func (e *Engine) applyBatchOcc(rt *relRoutes, d *delta) {
 				}
 			}
 		}
-		e.ws0.putDelta(ld)
+		e.putDelta(ld)
 		for ki := range keys {
 			e.rebalanceKey(pr, keys[ki].key, theta)
 		}

@@ -86,6 +86,8 @@ func TestApplyBatchMatchesSequential(t *testing.T) {
 		"Q(A, B) = R(A, B), S(B)",
 		"Q(A) = R(A, B), S(B)",
 		"Q(C, D, E, F) = R(A, B, D), S(A, B, E), T(A, C, F), U(A, C, G)",
+		multiTreeQuery,
+		sharedViewsQuery,
 	}
 	rng := rand.New(rand.NewSource(404))
 	for _, qs := range queries {

@@ -26,7 +26,7 @@ import (
 // it.
 func TestApplyBatchColdInsertZeroAllocs(t *testing.T) {
 	q := query.MustParse("Q(A, C) = R(A, B), S(B, C)")
-	e, err := New(q, Options{Mode: viewtree.Dynamic, Epsilon: 0.5, Workers: 1})
+	e, err := New(q, Options{Mode: viewtree.Dynamic, Epsilon: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestApplyBatchColdInsertZeroAllocs(t *testing.T) {
 // no-op-free deltas) must not allocate once warm.
 func TestApplyBatchValidationPooledZeroAllocs(t *testing.T) {
 	q := query.MustParse("Q(A, C) = R(A, B), S(B, C)")
-	e, err := New(q, Options{Mode: viewtree.Dynamic, Epsilon: 0.5, Workers: 1})
+	e, err := New(q, Options{Mode: viewtree.Dynamic, Epsilon: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestApplyBatchValidationPooledZeroAllocs(t *testing.T) {
 // list (the same release the success path performs).
 func TestApplyBatchErrorReleasesScratch(t *testing.T) {
 	q := query.MustParse("Q(A, C) = R(A, B), S(B, C)")
-	e, err := New(q, Options{Mode: viewtree.Dynamic, Epsilon: 0.5, Workers: 1})
+	e, err := New(q, Options{Mode: viewtree.Dynamic, Epsilon: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}

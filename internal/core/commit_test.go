@@ -13,10 +13,10 @@ import (
 )
 
 // Tests for the commit envelope: the multi-relation CommitBatch against
-// the interleaved sequential Update stream, bit-identity across worker
-// counts and with the per-relation ApplyBatch decomposition, the
-// all-or-nothing error contract across relations, the typed errors, and
-// (TestCommitEnvelope) the one envelope behind all four entry points.
+// the interleaved sequential Update stream, bit-identity with the
+// per-relation ApplyBatch decomposition, the all-or-nothing error contract
+// across relations, the typed errors, and (TestCommitEnvelope) the one
+// envelope behind all four entry points.
 
 // randomOps builds a mixed multi-relation op stream against the live
 // contents of e: per relation it builds a randomBatch (deletes covered by
@@ -61,66 +61,69 @@ func randomOps(rng *rand.Rand, e *Engine, q *query.Query, perRel int, domain int
 // observational-equivalence property test: a CommitBatch over an op stream
 // interleaving all relations of the query must enumerate the same result,
 // agree on N, and keep the invariants of the same stream applied op by op
-// with Update — at every worker count, including under -race.
+// with Update. Each seed draws its own database and op stream.
 func TestCommitBatchMatchesInterleavedSequential(t *testing.T) {
-	forcePool(t)
 	queries := []string{
 		"Q(A, C) = R(A, B), S(B, C)",
 		"Q(C, D, E, F) = R(A, B, D), S(A, B, E), T(A, C, F), U(A, C, G)",
 		multiTreeQuery,
 	}
 	for _, qs := range queries {
-		q := query.MustParse(qs)
-		for _, workers := range []int{1, 2, 8} {
+		for _, seed := range []int64{1, 2, 8} {
 			for _, eps := range []float64{0, 0.5} {
-				label := fmt.Sprintf("%s workers=%d eps=%v", qs, workers, eps)
-				rng := rand.New(rand.NewSource(int64(7000*workers) + int64(eps*10)))
-				db := randomDB(q, rng, 30, 5)
-				seq, err := New(q, Options{Mode: viewtree.Dynamic, Epsilon: eps})
-				if err != nil {
-					t.Fatal(err)
-				}
-				com, err := New(q, Options{Mode: viewtree.Dynamic, Epsilon: eps, Workers: workers})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := Preprocess(seq, db.Clone()); err != nil {
-					t.Fatal(err)
-				}
-				if err := Preprocess(com, db.Clone()); err != nil {
-					t.Fatal(err)
-				}
-				for round := 0; round < 6; round++ {
-					perRel := 25
-					if round%3 == 2 {
-						perRel = 60 // cross a rebalance threshold mid-run
-					}
-					ops := randomOps(rng, seq, q, perRel, 6+int64(round))
-					for _, op := range ops {
-						if err := seq.Update(op.Rel, op.Row, op.Mult); err != nil {
-							t.Fatalf("%s: sequential update: %v", label, err)
-						}
-					}
-					before := com.Epoch()
-					if err := com.CommitBatch(ops); err != nil {
-						t.Fatalf("%s: commit: %v", label, err)
-					}
-					if got := com.Epoch(); got != before+1 {
-						t.Fatalf("%s: commit published %d epochs, want exactly 1", label, got-before)
-					}
-					sameEngines(t, fmt.Sprintf("%s round %d", label, round), seq, com)
-					if seq.N() != com.N() {
-						t.Fatalf("%s: N diverged: sequential %d, commit %d", label, seq.N(), com.N())
-					}
-					if err := seq.CheckInvariants(); err != nil {
-						t.Fatalf("%s: sequential invariants: %v", label, err)
-					}
-					if err := com.CheckInvariants(); err != nil {
-						t.Fatalf("%s: commit invariants: %v", label, err)
-					}
-				}
-				com.Close()
+				t.Run(fmt.Sprintf("%s/seed=%d/eps=%v", qs, seed, eps), func(t *testing.T) {
+					testCommitBatchMatchesInterleavedSequential(t, qs, seed, eps)
+				})
 			}
+		}
+	}
+}
+
+func testCommitBatchMatchesInterleavedSequential(t *testing.T, qs string, seed int64, eps float64) {
+	q := query.MustParse(qs)
+	rng := rand.New(rand.NewSource(7000*seed + int64(eps*10)))
+	db := randomDB(q, rng, 30, 5)
+	seq, err := New(q, Options{Mode: viewtree.Dynamic, Epsilon: eps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	com, err := New(q, Options{Mode: viewtree.Dynamic, Epsilon: eps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Preprocess(seq, db.Clone()); err != nil {
+		t.Fatal(err)
+	}
+	if err := Preprocess(com, db.Clone()); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 6; round++ {
+		perRel := 25
+		if round%3 == 2 {
+			perRel = 60 // cross a rebalance threshold mid-run
+		}
+		ops := randomOps(rng, seq, q, perRel, 6+int64(round))
+		for _, op := range ops {
+			if err := seq.Update(op.Rel, op.Row, op.Mult); err != nil {
+				t.Fatalf("round %d: sequential update: %v", round, err)
+			}
+		}
+		before := com.Epoch()
+		if err := com.CommitBatch(ops); err != nil {
+			t.Fatalf("round %d: commit: %v", round, err)
+		}
+		if got := com.Epoch(); got != before+1 {
+			t.Fatalf("round %d: commit published %d epochs, want exactly 1", round, got-before)
+		}
+		sameEngines(t, fmt.Sprintf("round %d", round), seq, com)
+		if seq.N() != com.N() {
+			t.Fatalf("round %d: N diverged: sequential %d, commit %d", round, seq.N(), com.N())
+		}
+		if err := seq.CheckInvariants(); err != nil {
+			t.Fatalf("round %d: sequential invariants: %v", round, err)
+		}
+		if err := com.CheckInvariants(); err != nil {
+			t.Fatalf("round %d: commit invariants: %v", round, err)
 		}
 	}
 }
@@ -159,41 +162,6 @@ func sameViews(t *testing.T, label string, a, b *Engine) {
 	}
 }
 
-// TestCommitBatchWorkerCountsAgree pins determinism of the multi-relation
-// commit: after identical multi-relation op streams, engines at Workers 1,
-// 2, and 8 agree on every materialized view bit for bit.
-func TestCommitBatchWorkerCountsAgree(t *testing.T) {
-	forcePool(t)
-	q := query.MustParse(multiTreeQuery)
-	rng := rand.New(rand.NewSource(177))
-	db := randomDB(q, rng, 40, 5)
-	counts := []int{1, 2, 8}
-	engines := make([]*Engine, len(counts))
-	for i, w := range counts {
-		e, err := New(q, Options{Mode: viewtree.Dynamic, Epsilon: 0.5, Workers: w})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := Preprocess(e, db.Clone()); err != nil {
-			t.Fatal(err)
-		}
-		engines[i] = e
-		defer e.Close()
-	}
-	for round := 0; round < 6; round++ {
-		ops := randomOps(rng, engines[0], q, 40, 6)
-		for _, e := range engines {
-			if err := e.CommitBatch(ops); err != nil {
-				t.Fatalf("round %d workers=%d: %v", round, e.opts.Workers, err)
-			}
-		}
-		for i, e := range engines[1:] {
-			sameViews(t, fmt.Sprintf("round %d workers %d vs %d", round, counts[0], counts[i+1]),
-				engines[0], e)
-		}
-	}
-}
-
 // TestCommitBatchEquivalentToPerRelationBatches pins the decomposition the
 // commit documentation promises: one multi-relation CommitBatch leaves the
 // engine bit-identical (every view) to the same ops split into one
@@ -204,11 +172,11 @@ func TestCommitBatchEquivalentToPerRelationBatches(t *testing.T) {
 	q := query.MustParse(multiTreeQuery)
 	rng := rand.New(rand.NewSource(271))
 	db := randomDB(q, rng, 40, 5)
-	com, err := New(q, Options{Mode: viewtree.Dynamic, Epsilon: 0.5, Workers: 1})
+	com, err := New(q, Options{Mode: viewtree.Dynamic, Epsilon: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	split, err := New(q, Options{Mode: viewtree.Dynamic, Epsilon: 0.5, Workers: 1})
+	split, err := New(q, Options{Mode: viewtree.Dynamic, Epsilon: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 
 	"ivmeps/internal/query"
@@ -38,12 +37,10 @@ type Options struct {
 	// enumeration time.
 	PlainViewTree bool
 
-	// Workers bounds the worker goroutines a commit uses to propagate a
-	// batch across independent view trees: 0 (the default) picks
-	// GOMAXPROCS-bounded auto, 1 forces the sequential path, and an
-	// explicit N > 1 is honored as given (capped by the number of view
-	// trees). A one-row delta — every single-tuple Update — is always
-	// sequential. See Engine.Close for the pool's lifetime.
+	// Workers is ignored: a commit propagates on the goroutine that makes
+	// it. Sharding (internal/federation) is the parallel path.
+	//
+	// Deprecated: no effect; kept so existing callers compile.
 	Workers int
 
 	// NoAuxViews is an ablation switch: build the dynamic trees without
@@ -62,9 +59,9 @@ type Options struct {
 // answers enumeration requests over them.
 //
 // An Engine is single-writer: Update, ApplyBatch, and the direct
-// Result/Enumerate path must all run on one goroutine (ApplyBatch
-// parallelizes internally). Snapshot may be called from any goroutine, and
-// the Snapshots it returns enumerate concurrently with the writer — see
+// Result/Enumerate path must all run on one goroutine, and a commit
+// propagates on that goroutine. Snapshot may be called from any goroutine,
+// and the Snapshots it returns enumerate concurrently with the writer — see
 // snapshot.go for the epoch scheme.
 type Engine struct {
 	orig *query.Query // user's query
@@ -98,14 +95,10 @@ type Engine struct {
 	filled []bool
 	writer []*viewtree.Node
 
-	// ws0 is the engine goroutine's own worker scratch (ubind bindings,
-	// delta pool, relation key scratch); the one-row kernel and every
-	// sequential section of a batch run on it. Parallel batch phases add
-	// pool helpers, each with its own workerState (worker.go).
-	ws0      workerState
-	nWorkers int // resolved Options.Workers; set by buildRoutes
-	pool     *workerPool
-	cleanup  runtime.Cleanup
+	// Propagation scratch: the binding slots of the update plans and the
+	// pool of deltas propagatePath draws its per-edge deltas from.
+	ubind     []tuple.Value
+	deltaPool []*delta
 
 	// Pooled batch-commit scratch (batch.go), beside the validation state
 	// in the relation table: the first-touched entry order of the staged
@@ -123,15 +116,6 @@ type Engine struct {
 	seenKeys      tuple.IntMap
 	batchKeyBuf   tuple.Tuple
 	perPart       [][]batchKey
-
-	// jobGroups queues the propagation jobs of one batch phase, one group
-	// per set of view trees of which one probes a view another writes — the
-	// unit of parallelism; treeGroup maps nodeInfo.tree to its group, the
-	// set's lowest tree id. activeGroups lists the non-empty groups, which
-	// are reset after every phase.
-	treeGroup    []int
-	jobGroups    [][]propJob
-	activeGroups []int
 
 	// Variable slots for enumeration bindings.
 	vars tuple.Schema
@@ -172,12 +156,14 @@ type Engine struct {
 	// Commit-delta capture (watch.go): roots names the main-tree root
 	// views (built at Preprocess, read-only after); every sink in sinks
 	// receives one pooled CommitDelta per commit, capSet holds the
-	// per-tree capture slots the propagation workers fill, and cdFree is
-	// the record freelist. All sink state is guarded by mu.
+	// per-tree capture slots propagation fills, capture is capSet while a
+	// sink is subscribed and nil otherwise, and cdFree is the record
+	// freelist. All sink state is guarded by mu.
 	roots   []rootView
 	rootIdx map[string]int
 	sinks   []CommitSink
 	capSet  *captureSet
+	capture *captureSet
 	cdFree  chan *CommitDelta
 
 	// curGen caches the frozen relation generation of the current epoch so
@@ -229,8 +215,8 @@ type relEntry struct {
 type nodeInfo struct {
 	node *viewtree.Node
 	// tree is the dense id of the node's view tree — the main trees in
-	// forest order, then each indicator's All and L tree: the index of its
-	// job group in Engine.treeGroup and, for a main tree, of its root view.
+	// forest order, then each indicator's All and L tree; for a main tree,
+	// the index of its root view and of its commit-delta capture slot.
 	tree int
 	// frozenAs tells a snapshot generation how to capture the node: the ID
 	// of the first main-tree node backed by the same relation (the node's
@@ -332,7 +318,7 @@ func New(q *query.Query, opts Options) (*Engine, error) {
 
 	// Variable slots.
 	e.vars = e.q.Vars()
-	e.ws0.ubind = make([]tuple.Value, len(e.vars))
+	e.ubind = make([]tuple.Value, len(e.vars))
 	for i, v := range e.vars {
 		e.slot[v] = i
 	}
@@ -349,13 +335,12 @@ func New(q *query.Query, opts Options) (*Engine, error) {
 	// A class's relation is written through the edges of one node, its writer.
 	// The only other edges to touch the relation are those into a ∃-child,
 	// which probe it to see the support change: the first ∃-child of the class
-	// is therefore the writer — failing one, the canonical node — and the
-	// tree of a later ∃-child joins the writer's job group, so that its probe
-	// follows the write. Nodes come in ID order, the canonical node first.
-	e.treeGroup = make([]int, len(trees))
+	// is therefore the writer — failing one, the canonical node — so that a
+	// later ∃-child's edge, propagated after the writer's (buildRoutes lists
+	// leaves in node-ID order), probes the written view. Nodes come in ID
+	// order, the canonical node first.
 	firstNode := map[*relation.Relation]int{}
 	for tree, root := range trees {
-		e.treeGroup[tree] = tree
 		walkNodes(root, func(n *viewtree.Node) {
 			switch {
 			case n.Kind == viewtree.Atom:
@@ -366,16 +351,8 @@ func New(q *query.Query, opts Options) (*Engine, error) {
 				e.rels[n.ID], e.writer[n.ID] = relation.New(n.Name, n.Schema), n
 			case n.Kind == viewtree.View:
 				e.rels[n.ID] = e.rels[n.Canon.ID]
-				if w := e.writer[n.Canon.ID]; !n.Exists {
-					break
-				} else if !w.Exists {
+				if n.Exists && !e.writer[n.Canon.ID].Exists {
 					e.writer[n.Canon.ID] = n
-				} else if a, b := e.treeGroup[tree], e.treeGroup[e.info[w.ID].tree]; a != b {
-					for t, g := range e.treeGroup[:tree+1] {
-						if g == max(a, b) {
-							e.treeGroup[t] = min(a, b)
-						}
-					}
 				}
 			}
 			inf := e.buildInfo(n)
@@ -391,7 +368,6 @@ func New(q *query.Query, opts Options) (*Engine, error) {
 			}
 		})
 	}
-	e.jobGroups = make([][]propJob, len(trees))
 	e.ectx = e.newEnumCtx(e.rels, &e.work) // after buildInfo has sized the scratch
 	return e, nil
 }
@@ -501,6 +477,12 @@ func (e *Engine) Epoch() uint64 {
 // advances and multiplicity lookups). Differences between successive reads
 // measure per-tuple delay in machine-independent units.
 func (e *Engine) Work() int64 { return e.work }
+
+// Close does nothing: an engine holds no goroutines or other resources
+// beyond its memory.
+//
+// Deprecated: no effect; kept so existing callers compile.
+func (e *Engine) Close() {}
 
 // Forest exposes the constructed view trees (read-only; for inspection and
 // tests).

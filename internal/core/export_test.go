@@ -9,8 +9,7 @@ import (
 
 // traceViewWrites counts, until the test ends, the rows every propagation
 // edge writes, by the name of the view relation written: the split of
-// Stats.DeltasApplied that viewWriteTable prints. Workers: 1 only — the map
-// is not locked.
+// Stats.DeltasApplied that viewWriteTable prints.
 func traceViewWrites(t *testing.T) map[string]int64 {
 	writes := map[string]int64{}
 	traceEdge = func(edge *pathEdge, rows int64) { writes[edge.view.Name()] += rows }

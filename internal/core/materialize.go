@@ -187,10 +187,10 @@ func (e *Engine) joinChildren(n *viewtree.Node) {
 		f.dst.Clear()
 		if len(f.plan.steps) > 0 {
 			count := planSink{count: true}
-			f.plan.fill(e.ws0.ubind, f.seed, &count)
+			f.plan.fill(e.ubind, f.seed, &count)
 			f.dst.GrowHint(count.rows)
 		}
-		f.plan.fill(e.ws0.ubind, f.seed, &planSink{view: f.dst})
+		f.plan.fill(e.ubind, f.seed, &planSink{view: f.dst})
 		f.dst.GrowHint(0)
 	}
 }

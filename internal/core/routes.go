@@ -20,14 +20,10 @@ package core
 // Route structures cache *relation.Relation pointers, which is sound
 // because every node's relation is set at New and materializeAll refills
 // relations in place (identity is stable across major rebalancing). All
-// scratch buffers below make the single-tuple update path allocation-free;
-// they are only ever touched from the engine's own goroutine (parallel batch
-// phases keep their mutable scratch in per-worker state instead — see
-// worker.go).
+// scratch buffers below make the single-tuple update path allocation-free.
 //
 // Every leafPath also records the view tree it belongs to (nodeInfo.tree, a
-// dense id over all main, All, and L trees), which Engine.treeGroup maps to
-// its job group, the batch path's unit of parallelism.
+// dense id over all main, All, and L trees), whose capture slot it fills.
 
 import (
 	"slices"
@@ -79,7 +75,7 @@ func (e *Engine) partitions(yield func(*relRoutes, *partRoute) bool) {
 // leafPath is the fixed leaf→root propagation chain above one leaf.
 type leafPath struct {
 	leaf  *viewtree.Node
-	tree  int // dense id of the leaf's view tree (capture slot; Engine.treeGroup gives its job group)
+	tree  int // dense id of the leaf's view tree (capture slot)
 	edges []pathEdge
 }
 
@@ -128,11 +124,9 @@ type indLightRoute struct {
 // buildRoutes fills the routing tables of every occurrence, in relation-table
 // order. It requires all views to be materialized (plans cache view
 // relations and sibling indexes). Every list of leaves is in node-ID order,
-// main trees first, so the edge into a class's writer is queued — and by its
-// job group run — before the edges of later indicator trees that probe it.
+// main trees first, so the edge into a class's writer propagates before the
+// edges of later indicator trees that probe it.
 func (e *Engine) buildRoutes() {
-	e.nWorkers = e.resolveWorkers(len(e.jobGroups))
-
 	shared := map[*viewtree.Indicator]*indShared{}
 	for _, ind := range e.forest.Indicators {
 		s := &indShared{ind: ind}

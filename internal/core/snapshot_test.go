@@ -113,114 +113,117 @@ func TestSnapshotAcrossMajorRebalance(t *testing.T) {
 }
 
 // The property behind the epoch scheme: a snapshot taken at any moment —
-// including while an ApplyBatch is in flight on a worker pool — observes
-// exactly the committed state of its epoch: some pre- or post-batch state,
-// never a mixture. Reader goroutines snapshot and materialize continuously
-// while the writer commits a stream of batches and single updates,
-// recording the materialization of every committed epoch; every reader
-// observation must match the writer's record for its epoch. Run with
-// -race, this is also the race suite for Enumerate/Snapshot vs ApplyBatch.
+// including while an ApplyBatch is in flight — observes exactly the
+// committed state of its epoch: some pre- or post-batch state, never a
+// mixture. Reader goroutines snapshot and materialize continuously while the
+// writer commits a stream of batches and single updates, recording the
+// materialization of every committed epoch; every reader observation must
+// match the writer's record for its epoch. Run with -race, this is also the
+// race suite for Enumerate/Snapshot vs ApplyBatch. Each seed draws its own
+// database and commit stream.
 func TestSnapshotConsistentUnderConcurrentBatches(t *testing.T) {
-	forcePool(t)
-	for _, workers := range []int{1, 2, 8} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			q := query.MustParse(multiTreeQuery)
-			rng := rand.New(rand.NewSource(int64(101 * workers)))
-			db := randomDB(q, rng, 40, 5)
-			e, err := New(q, Options{Mode: viewtree.Dynamic, Epsilon: 0.5, Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := Preprocess(e, db); err != nil {
-				t.Fatal(err)
-			}
-			defer e.Close()
+	for _, seed := range []int64{1, 2, 8} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			testSnapshotConsistentUnderConcurrentBatches(t, seed)
+		})
+	}
+}
 
-			// states[epoch] is the writer-side materialization after the
-			// commit that published epoch. Written only by the writer
-			// goroutine; read after the readers join.
-			states := map[uint64]map[string]int64{e.Epoch(): resultMap(e.Enumerate)}
+func testSnapshotConsistentUnderConcurrentBatches(t *testing.T, seed int64) {
+	q := query.MustParse(multiTreeQuery)
+	rng := rand.New(rand.NewSource(101 * seed))
+	db := randomDB(q, rng, 40, 5)
+	e, err := New(q, Options{Mode: viewtree.Dynamic, Epsilon: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Preprocess(e, db); err != nil {
+		t.Fatal(err)
+	}
 
-			type obs struct {
-				epoch uint64
-				res   map[string]int64
-			}
-			var (
-				obsMu        sync.Mutex
-				observations []obs
-			)
-			stop := make(chan struct{})
-			var wg sync.WaitGroup
-			for r := 0; r < 3; r++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					// Observe before checking stop: every reader contributes
-					// at least one observation even if it is only scheduled
-					// once the writer is done (single-CPU runs).
-					for {
-						s := e.Snapshot()
-						res := resultMap(s.Enumerate)
-						ep := s.Epoch()
-						s.Close()
-						obsMu.Lock()
-						observations = append(observations, obs{ep, res})
-						obsMu.Unlock()
-						select {
-						case <-stop:
-							return
-						default:
-						}
-					}
-				}()
-			}
+	// states[epoch] is the writer-side materialization after the
+	// commit that published epoch. Written only by the writer
+	// goroutine; read after the readers join.
+	states := map[uint64]map[string]int64{e.Epoch(): resultMap(e.Enumerate)}
 
-			rels := q.RelationNames()
-			for round := 0; round < 10; round++ {
-				rel := rels[rng.Intn(len(rels))]
-				vars := 0
-				for _, a := range q.Atoms {
-					if a.Rel == rel {
-						vars = len(a.Vars)
-					}
+	type obs struct {
+		epoch uint64
+		res   map[string]int64
+	}
+	var (
+		obsMu        sync.Mutex
+		observations []obs
+	)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Observe before checking stop: every reader contributes
+			// at least one observation even if it is only scheduled
+			// once the writer is done (single-CPU runs).
+			for {
+				s := e.Snapshot()
+				res := resultMap(s.Enumerate)
+				ep := s.Epoch()
+				s.Close()
+				obsMu.Lock()
+				observations = append(observations, obs{ep, res})
+				obsMu.Unlock()
+				select {
+				case <-stop:
+					return
+				default:
 				}
-				size := 60
-				if round%3 == 2 {
-					size = 160 // cross a rebalance threshold mid-run
-				}
-				rows, mults := randomBatch(rng, e, rel, vars, size, 6+int64(round))
-				if round%4 == 3 {
-					// Single-update commits interleave with batch commits.
-					for i := range rows[:min(len(rows), 5)] {
-						if err := e.Update(rel, rows[i], mults[i]); err != nil {
-							t.Fatal(err)
-						}
-						states[e.Epoch()] = resultMap(e.Enumerate)
-					}
-					continue
-				}
-				if err := e.ApplyBatch(rel, rows, mults); err != nil {
+			}
+		}()
+	}
+
+	rels := q.RelationNames()
+	for round := 0; round < 10; round++ {
+		rel := rels[rng.Intn(len(rels))]
+		vars := 0
+		for _, a := range q.Atoms {
+			if a.Rel == rel {
+				vars = len(a.Vars)
+			}
+		}
+		size := 60
+		if round%3 == 2 {
+			size = 160 // cross a rebalance threshold mid-run
+		}
+		rows, mults := randomBatch(rng, e, rel, vars, size, 6+int64(round))
+		if round%4 == 3 {
+			// Single-update commits interleave with batch commits.
+			for i := range rows[:min(len(rows), 5)] {
+				if err := e.Update(rel, rows[i], mults[i]); err != nil {
 					t.Fatal(err)
 				}
 				states[e.Epoch()] = resultMap(e.Enumerate)
 			}
-			close(stop)
-			wg.Wait()
+			continue
+		}
+		if err := e.ApplyBatch(rel, rows, mults); err != nil {
+			t.Fatal(err)
+		}
+		states[e.Epoch()] = resultMap(e.Enumerate)
+	}
+	close(stop)
+	wg.Wait()
 
-			if len(observations) == 0 {
-				t.Fatal("readers made no observations")
-			}
-			for i, o := range observations {
-				want, ok := states[o.epoch]
-				if !ok {
-					t.Fatalf("observation %d: snapshot at epoch %d, which no commit published", i, o.epoch)
-				}
-				sameResultMap(t, fmt.Sprintf("observation %d at epoch %d", i, o.epoch), o.res, want)
-			}
-			if err := e.CheckInvariants(); err != nil {
-				t.Fatal(err)
-			}
-		})
+	if len(observations) == 0 {
+		t.Fatal("readers made no observations")
+	}
+	for i, o := range observations {
+		want, ok := states[o.epoch]
+		if !ok {
+			t.Fatalf("observation %d: snapshot at epoch %d, which no commit published", i, o.epoch)
+		}
+		sameResultMap(t, fmt.Sprintf("observation %d at epoch %d", i, o.epoch), o.res, want)
+	}
+	if err := e.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

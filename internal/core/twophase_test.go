@@ -163,7 +163,7 @@ func TestBatchOpInvalidRelID(t *testing.T) {
 // a second on the way down. The invariants must still hold afterwards.
 func TestBatchRebalanceHysteresis(t *testing.T) {
 	q := query.MustParse("Q(A, C) = R(A, B), S(B, C)")
-	e, err := New(q, Options{Mode: viewtree.Dynamic, Epsilon: 0.5, Workers: 1})
+	e, err := New(q, Options{Mode: viewtree.Dynamic, Epsilon: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestSnapshotCaptureCachedGeneration(t *testing.T) {
 // stay allocation-free even when snapshots were taken between commits.
 func TestWriterUnpinnedAfterIdleGenerationInvalidation(t *testing.T) {
 	q := query.MustParse("Q(A, C) = R(A, B), S(B, C)")
-	e, err := New(q, Options{Mode: viewtree.Dynamic, Epsilon: 0.5, Workers: 1})
+	e, err := New(q, Options{Mode: viewtree.Dynamic, Epsilon: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -87,11 +87,20 @@ func (d *delta) add(t tuple.Tuple, m int64) {
 	d.idx.PutHashed(h, d.rows[i].t, i)
 }
 
-// flushWorkerStats folds the engine goroutine's propagation counters into
-// the stats. Pool helpers are folded by runJobsParallel when they quiesce.
-func (e *Engine) flushWorkerStats() {
-	e.stats.DeltasApplied += e.ws0.deltasApplied
-	e.ws0.deltasApplied = 0
+// getDelta and putDelta pool deltas (and their row/tuple buffers) across
+// propagations.
+func (e *Engine) getDelta() *delta {
+	if n := len(e.deltaPool); n > 0 {
+		d := e.deltaPool[n-1]
+		e.deltaPool = e.deltaPool[:n-1]
+		return d
+	}
+	return &delta{}
+}
+
+func (e *Engine) putDelta(d *delta) {
+	d.reset()
+	e.deltaPool = append(e.deltaPool, d)
 }
 
 // setM sets the rebalancing threshold base, clamped to ≥ 1 so the size
@@ -155,11 +164,11 @@ func (e *Engine) updateTrees(rt *relRoutes, d *delta) {
 		e.n += base.Size() - before
 	}
 	for _, lp := range rt.atomLeaves {
-		e.ws0.propagatePath(lp, d)
+		e.propagatePath(lp, d)
 	}
 	for _, ir := range rt.inds {
 		for _, lp := range ir.allLeaves {
-			e.ws0.propagatePath(lp, d)
+			e.propagatePath(lp, d)
 		}
 		// δ(∃H) from the All change (lines 7–9).
 		ir.keyScratch = ir.keyProj.AppendTo(ir.keyScratch[:0], t)
@@ -175,14 +184,14 @@ func (e *Engine) updateTrees(rt *relRoutes, d *delta) {
 		}
 		pr.p.Light().MustAdd(t, m)
 		for _, lp := range pr.lightLeaves {
-			e.ws0.propagatePath(lp, d)
+			e.propagatePath(lp, d)
 		}
 		// The light indicator trees and the resulting ∃H changes. The
 		// indicator keys equal the partition key (ind.Keys = p.Key()),
 		// still in pr.keyScratch from the routing pass.
 		for _, il := range pr.inds {
 			for _, lp := range il.lLeaves {
-				e.ws0.propagatePath(lp, d)
+				e.propagatePath(lp, d)
 			}
 			if dh := e.refreshH(il.s, pr.keyScratch); dh != 0 {
 				e.propagateIndicator(il.s, pr.keyScratch, dh)
@@ -210,45 +219,32 @@ func (e *Engine) refreshH(s *indShared, key tuple.Tuple) int64 {
 
 // propagateIndicator pushes a δ(∃H) = {key → dh} change through every main
 // tree containing a reference to the indicator (Figure 19 lines 9 and 14).
-// Indicator propagation is always sequential (on ws0): its trees' sibling
-// probes may read the ∃H relations of other indicators, so its order
-// relative to refreshH calls must match the sequential semantics.
 func (e *Engine) propagateIndicator(s *indShared, key tuple.Tuple, dh int64) {
 	d := &s.d1
 	d.reset()
 	d.appendRow(key, dh)
 	for _, lp := range s.refLeaves {
-		e.ws0.propagatePath(lp, d)
+		e.propagatePath(lp, d)
 	}
 }
 
 // propagatePath propagates a delta from one leaf to the root of its tree,
 // maintaining each view on the path (Apply, Figure 17). The leaf's own
 // relation must already be updated. The input delta is read-only; deltas
-// computed along the path come from (and return to) the worker's pool.
+// computed along the path come from (and return to) the engine's pool.
 //
 // A skip edge runs its plan — the parent above needs δV — but leaves the view
 // to its writer's edge; a flips edge hands its parent the change of the view's
 // support, not δV: +1 for a row the view did not have, −1 for one it has no
 // more, nothing otherwise — on a skip edge read off the view its writer's
-// edge, earlier in the job group, has already brought up to date (pathEdge).
-//
-// Concurrency: the only relations written are the views on the path, which
-// belong to the leaf's job group, as does a view a flips edge probes; sibling
-// probes may touch relations shared across groups (base relations, light
-// parts, ∃H, views over other relations, which the phase leaves alone) but
-// only read them — probes are stateless hash-table lookups. Concurrent propagation is
-// therefore safe exactly when (a) no two concurrent paths share a job group
-// and (b) nothing mutates the shared leaf relations during the phase — the
-// invariants runJobs maintains.
-func (ws *workerState) propagatePath(lp *leafPath, d *delta) {
+// edge, propagated earlier, has already brought up to date (pathEdge).
+func (e *Engine) propagatePath(lp *leafPath, d *delta) {
 	// Commit-delta capture (watch.go): while a sink is subscribed, the rows
 	// the final edge applies to a main tree's root view are that view's
-	// commit delta; slot lp.tree is owned by this worker for the phase. A
-	// tree whose root is itself a leaf has no edges, and the input delta is
-	// the root delta.
+	// commit delta. A tree whose root is itself a leaf has no edges, and the
+	// input delta is the root delta.
 	var capd *delta
-	if cs := ws.cap; cs != nil && lp.tree < len(cs.slots) {
+	if cs := e.capture; cs != nil && lp.tree < len(cs.slots) {
 		capd = &cs.slots[lp.tree]
 	}
 	if len(lp.edges) == 0 {
@@ -265,15 +261,15 @@ func (ws *workerState) propagatePath(lp *leafPath, d *delta) {
 	cur := d
 	for i := range lp.edges {
 		edge := &lp.edges[i]
-		out := ws.getDelta()
-		edge.plan.run(ws, cur, out)
+		out := e.getDelta()
+		edge.plan.run(e.ubind, cur, out)
 		if cur != d {
-			ws.putDelta(cur)
+			e.putDelta(cur)
 		}
 		cur = out
 		// Apply δV to the materialized parent view; more says the edge above
 		// has rows to read.
-		more, wrote := false, ws.deltasApplied
+		more, wrote := false, e.stats.DeltasApplied
 		for j := range cur.rows {
 			w := &cur.rows[j]
 			if w.m == 0 {
@@ -299,19 +295,19 @@ func (ws *workerState) propagatePath(lp *leafPath, d *delta) {
 				if capd != nil && i == last {
 					capd.add(w.t, m)
 				}
-				ws.deltasApplied++
+				e.stats.DeltasApplied++
 			}
 			more = more || w.m != 0
 		}
 		if traceEdge != nil {
-			traceEdge(edge, ws.deltasApplied-wrote)
+			traceEdge(edge, e.stats.DeltasApplied-wrote)
 		}
 		if !more {
 			break
 		}
 	}
 	if cur != d {
-		ws.putDelta(cur)
+		e.putDelta(cur)
 	}
 }
 
@@ -417,12 +413,8 @@ func (e *Engine) compilePlan(seed tuple.Schema, rest []joinInput, out tuple.Sche
 }
 
 // run evaluates δV = δchild ⋈ siblings over the plan, accumulating the
-// (possibly signed) output rows into out. The bindings live in the worker's
-// ubind scratch and sibling probes are read-only, so plans over shared
-// siblings can run concurrently; the plan's own scratch needs no per-worker
-// copy, since one tree — and so its edges' plans — is drained by one worker.
-func (p *updPlan) run(ws *workerState, d *delta, out *delta) {
-	scratch := ws.ubind
+// (possibly signed) output rows into out; the bindings live in scratch.
+func (p *updPlan) run(scratch []tuple.Value, d *delta, out *delta) {
 	to := planSink{delta: out}
 	for i := range d.rows {
 		w := &d.rows[i]
@@ -512,7 +504,7 @@ func (e *Engine) majorRebalance() {
 	// materializeAll refills root views in place, bypassing propagation:
 	// while a sink is subscribed, bracket it with a −m/+m pass over the
 	// roots so the capture slots net the rebalance's exact diff (watch.go).
-	cs := e.ws0.cap
+	cs := e.capture
 	if cs != nil {
 		cs.captureRebalanceDiff(e, -1)
 	}
@@ -540,7 +532,7 @@ func (e *Engine) minorRebalance(pr *partRoute, key tuple.Tuple, insert bool) {
 	p := pr.p
 	base := p.Relation()
 	ix := base.Index(p.Key())
-	d := e.ws0.getDelta()
+	d := e.getDelta()
 	ix.ForEachMatch(key, func(t tuple.Tuple, m int64) {
 		if insert {
 			d.appendRow(t, m)
@@ -557,17 +549,17 @@ func (e *Engine) minorRebalance(pr *partRoute, key tuple.Tuple, insert bool) {
 	// share the partition key, which equals the indicator key, so one ∃H
 	// refresh per indicator suffices.
 	for _, lp := range pr.lightLeaves {
-		e.ws0.propagatePath(lp, d)
+		e.propagatePath(lp, d)
 	}
 	for _, il := range pr.inds {
 		for _, lp := range il.lLeaves {
-			e.ws0.propagatePath(lp, d)
+			e.propagatePath(lp, d)
 		}
 		if dh := e.refreshH(il.s, key); dh != 0 {
 			e.propagateIndicator(il.s, key, dh)
 		}
 	}
-	e.ws0.putDelta(d)
+	e.putDelta(d)
 	e.stats.MinorRebalances++
 }
 

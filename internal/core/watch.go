@@ -25,10 +25,7 @@ import (
 // commit path is one nil check, which keeps the steady-state zero-alloc
 // guarantee of the update and batch paths intact. With a sink subscribed,
 // each main tree owns one capture slot (a pooled delta aggregating by
-// tuple), written only by the worker that drains that tree — the same
-// one-tree-one-worker discipline that makes parallel propagation safe makes
-// the capture slots race-free, and the runJobs barrier plus the pool's
-// channel handoff order the slot contents before the publish.
+// tuple).
 //
 // Three capture sites cover every way a root view changes:
 //
@@ -164,37 +161,29 @@ func (s *Snapshot) ViewForEach(view string, fn func(t tuple.Tuple, m int64)) boo
 }
 
 // captureSet is the per-commit capture state: one slot (an aggregating
-// delta) per main tree, indexed by the tree's dense id. Slot i is written
-// only by the worker draining tree i during a phase, and drained by
-// publishCommitLocked under the writer lock after the phase barrier.
+// delta) per main tree, indexed by the tree's dense id, filled by
+// propagation and drained by publishCommitLocked under the writer lock.
 type captureSet struct {
 	roots []rootView
 	slots []delta
 }
 
-// setCaptureLocked points every worker's capture reference at the engine's
-// capture set (or clears it). Helpers see the new value through the pool's
-// channel handoff; runJobsParallel re-syncs states it creates later.
+// setCaptureLocked arms capture (e.capture = e.capSet, allocated on first
+// use) or disarms it, clearing the slots.
 func (e *Engine) setCaptureLocked(on bool) {
-	if on {
-		if e.capSet == nil {
-			e.capSet = &captureSet{roots: e.roots, slots: make([]delta, len(e.roots))}
+	if !on {
+		if e.capSet != nil {
+			for i := range e.capSet.slots {
+				e.capSet.slots[i].reset()
+			}
 		}
-	} else if e.capSet != nil {
-		for i := range e.capSet.slots {
-			e.capSet.slots[i].reset()
-		}
+		e.capture = nil
+		return
 	}
-	var cs *captureSet
-	if on {
-		cs = e.capSet
+	if e.capSet == nil {
+		e.capSet = &captureSet{roots: e.roots, slots: make([]delta, len(e.roots))}
 	}
-	e.ws0.cap = cs
-	if e.pool != nil {
-		for _, ws := range e.pool.states {
-			ws.cap = cs
-		}
-	}
+	e.capture = e.capSet
 }
 
 // captureRebalanceDiff runs around majorRebalance's materializeAll: the
@@ -266,7 +255,7 @@ func (e *Engine) UnsubscribeCommits(sink CommitSink) {
 // epoch just published (e.epoch) and hands it to every sink. Called at every
 // commit point, right after the epoch bump, under the writer lock.
 func (e *Engine) publishCommitLocked() {
-	cs := e.ws0.cap
+	cs := e.capture
 	if cs == nil {
 		return
 	}

@@ -92,7 +92,6 @@ func All() []Experiment {
 		{"ex28", "Example 28: matrix multiplication Q(A,C)=R(A,B),S(B,C)", Ex28MatMul},
 		{"ex29", "Example 29: Q(A)=R(A,B),S(B) under updates", Ex29Unary},
 		{"rebalance", "Rebalancing: amortization under churn (Section 6.2, Props 25-27)", Rebalancing},
-		{"batchpar", "Parallel batch propagation: worker scaling across view trees", BatchParallel},
 		{"ablation", "Ablations: Figure 8 aux views and Prop 21 aggregation pushdown", Ablation},
 	}
 }

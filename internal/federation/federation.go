@@ -66,7 +66,7 @@ import (
 type Options struct {
 	// Shards is the shard count K; values below 1 mean a single shard.
 	Shards int
-	// Engine configures every shard's core engine (ε, mode, workers).
+	// Engine configures every shard's core engine (ε, mode).
 	Engine core.Options
 }
 
@@ -537,10 +537,9 @@ func (f *Fed) clearSubsLocked() {
 	}
 }
 
-// runnerSet holds the persistent per-shard apply goroutines. Like the core
-// worker pool, it must not reference the Fed, so an abandoned federation
-// stays collectible; a runtime cleanup closes the channels if Close was
-// never called.
+// runnerSet holds the persistent per-shard apply goroutines. It must not
+// reference the Fed, so an abandoned federation stays collectible; a
+// runtime cleanup closes the channels if Close was never called.
 type runnerSet struct {
 	chans []chan *sync.WaitGroup
 }
@@ -629,9 +628,9 @@ func (f *Fed) Stats() core.Stats {
 	return out
 }
 
-// Close releases the federation's apply runners and every shard engine's
-// worker pool. It is idempotent; the federation remains usable (runners
-// restart lazily on the next multi-shard commit).
+// Close releases the federation's apply runners. It is idempotent; the
+// federation remains usable (runners restart lazily on the next
+// multi-shard commit).
 func (f *Fed) Close() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -639,9 +638,6 @@ func (f *Fed) Close() {
 		f.cleanup.Stop()
 		f.runners.close()
 		f.runners = nil
-	}
-	for _, e := range f.shards {
-		e.Close()
 	}
 }
 

@@ -119,79 +119,83 @@ func (d *driver) nextBatch(size int, domain int64) []core.BatchOp {
 
 // TestFederatedMatchesSingleEngine is the correctness anchor: federated
 // enumeration — live and through snapshots — must equal a single-engine
-// reference at every epoch, for K ∈ {1, 2, 4, 8} and Workers ∈ {1, 2, 8},
-// across all routing shapes. Run with -race to cover the parallel
-// prepare/apply and the parallel shard preprocessing.
+// reference at every epoch, for K ∈ {1, 2, 4, 8} and ε ∈ {0, 0.5, 1}
+// (all-heavy, split, and all-light partitions), across all routing shapes.
+// Run with -race to cover the parallel prepare/apply and the parallel shard
+// preprocessing.
 func TestFederatedMatchesSingleEngine(t *testing.T) {
 	for _, qs := range propQueries {
 		for _, k := range []int{1, 2, 4, 8} {
-			for _, workers := range []int{1, 2, 8} {
-				t.Run(fmt.Sprintf("%s/K=%d/W=%d", qs, k, workers), func(t *testing.T) {
-					q := query.MustParse(qs)
-					eopts := core.Options{Mode: viewtree.Dynamic, Epsilon: 0.5, Workers: workers}
-					ref, err := core.New(q, eopts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					defer ref.Close()
-					f, err := New(q, Options{Shards: k, Engine: eopts})
-					if err != nil {
-						t.Fatal(err)
-					}
-					defer f.Close()
-					db := randomDB(q, rand.New(rand.NewSource(77)), 60, 12)
-					if err := core.Preprocess(ref, db.Clone()); err != nil {
-						t.Fatal(err)
-					}
-					if err := f.Preprocess(db); err != nil {
-						t.Fatal(err)
-					}
-
-					type held struct {
-						epoch uint64
-						fed   *Snapshot
-						ref   *core.Snapshot
-					}
-					var kept []held
-					check := func(label string) {
-						t.Helper()
-						if fe, re := f.Epoch(), ref.Epoch(); fe != re {
-							t.Fatalf("%s: federation epoch %d, single-engine epoch %d", label, fe, re)
-						}
-						sameResultMap(t, label+"/live", resultMap(f.Enumerate), resultMap(ref.Enumerate))
-						fs, rs := f.Snapshot(), ref.Snapshot()
-						sameResultMap(t, label+"/snapshot", resultMap(fs.Enumerate), resultMap(rs.Enumerate))
-						if fs.Epoch() != f.Epoch() {
-							t.Fatalf("%s: snapshot epoch %d != federation epoch %d", label, fs.Epoch(), f.Epoch())
-						}
-						kept = append(kept, held{epoch: fs.Epoch(), fed: fs, ref: rs})
-					}
-					check("epoch 1")
-					drv := newDriver(q, 99)
-					for c := 0; c < 6; c++ {
-						ops := drv.nextBatch(30, 12)
-						if err := ref.CommitBatch(ops); err != nil {
-							t.Fatalf("commit %d (single): %v", c, err)
-						}
-						if err := f.CommitBatch(ops); err != nil {
-							t.Fatalf("commit %d (federated): %v", c, err)
-						}
-						check(fmt.Sprintf("epoch %d", c+2))
-					}
-					if n, rn := f.N(), ref.N(); n != rn {
-						t.Errorf("N = %d, single-engine N = %d", n, rn)
-					}
-					// Held snapshots must still observe their own epochs
-					// after all later commits (copy-on-write across shards).
-					for _, h := range kept {
-						sameResultMap(t, fmt.Sprintf("held snapshot epoch %d", h.epoch),
-							resultMap(h.fed.Enumerate), resultMap(h.ref.Enumerate))
-						h.fed.Close()
-						h.ref.Close()
-					}
+			for _, eps := range []float64{0, 0.5, 1} {
+				t.Run(fmt.Sprintf("%s/K=%d/eps=%v", qs, k, eps), func(t *testing.T) {
+					testFederatedMatchesSingleEngine(t, qs, k, eps)
 				})
 			}
 		}
+	}
+}
+
+func testFederatedMatchesSingleEngine(t *testing.T, qs string, k int, eps float64) {
+	q := query.MustParse(qs)
+	eopts := core.Options{Mode: viewtree.Dynamic, Epsilon: eps}
+	ref, err := core.New(q, eopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := New(q, Options{Shards: k, Engine: eopts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	db := randomDB(q, rand.New(rand.NewSource(77)), 60, 12)
+	if err := core.Preprocess(ref, db.Clone()); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Preprocess(db); err != nil {
+		t.Fatal(err)
+	}
+
+	type held struct {
+		epoch uint64
+		fed   *Snapshot
+		ref   *core.Snapshot
+	}
+	var kept []held
+	check := func(label string) {
+		t.Helper()
+		if fe, re := f.Epoch(), ref.Epoch(); fe != re {
+			t.Fatalf("%s: federation epoch %d, single-engine epoch %d", label, fe, re)
+		}
+		sameResultMap(t, label+"/live", resultMap(f.Enumerate), resultMap(ref.Enumerate))
+		fs, rs := f.Snapshot(), ref.Snapshot()
+		sameResultMap(t, label+"/snapshot", resultMap(fs.Enumerate), resultMap(rs.Enumerate))
+		if fs.Epoch() != f.Epoch() {
+			t.Fatalf("%s: snapshot epoch %d != federation epoch %d", label, fs.Epoch(), f.Epoch())
+		}
+		kept = append(kept, held{epoch: fs.Epoch(), fed: fs, ref: rs})
+	}
+	check("epoch 1")
+	drv := newDriver(q, 99)
+	for c := 0; c < 6; c++ {
+		ops := drv.nextBatch(30, 12)
+		if err := ref.CommitBatch(ops); err != nil {
+			t.Fatalf("commit %d (single): %v", c, err)
+		}
+		if err := f.CommitBatch(ops); err != nil {
+			t.Fatalf("commit %d (federated): %v", c, err)
+		}
+		check(fmt.Sprintf("epoch %d", c+2))
+	}
+	if n, rn := f.N(), ref.N(); n != rn {
+		t.Errorf("N = %d, single-engine N = %d", n, rn)
+	}
+	// Held snapshots must still observe their own epochs
+	// after all later commits (copy-on-write across shards).
+	for _, h := range kept {
+		sameResultMap(t, fmt.Sprintf("held snapshot epoch %d", h.epoch),
+			resultMap(h.fed.Enumerate), resultMap(h.ref.Enumerate))
+		h.fed.Close()
+		h.ref.Close()
 	}
 }
 
@@ -199,7 +203,7 @@ func TestFederatedMatchesSingleEngine(t *testing.T) {
 // under -race: snapshot readers enumerate while commits run.
 func TestConcurrentReadersDuringCommits(t *testing.T) {
 	q := query.MustParse("Q(A, B, C) = R(A, B), S(A, C)")
-	f, err := New(q, Options{Shards: 2, Engine: core.Options{Mode: viewtree.Dynamic, Epsilon: 0.5, Workers: 2}})
+	f, err := New(q, Options{Shards: 2, Engine: core.Options{Mode: viewtree.Dynamic, Epsilon: 0.5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +403,7 @@ func TestFederationUpdateParity(t *testing.T) {
 // persistent runners and the reused barrier.
 func TestShardedCommitZeroAllocs(t *testing.T) {
 	q := query.MustParse("Q(A, B, C) = R(A, B), S(A, C)")
-	f, err := New(q, Options{Shards: 4, Engine: core.Options{Mode: viewtree.Dynamic, Epsilon: 0.5, Workers: 1}})
+	f, err := New(q, Options{Shards: 4, Engine: core.Options{Mode: viewtree.Dynamic, Epsilon: 0.5}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -943,7 +943,7 @@ func (w *readyProbeWriter) Write(p []byte) (int, error) {
 func TestWatchReleasesAnchorBeforeReady(t *testing.T) {
 	const rows = 20000
 	q := ivmeps.MustParseQuery(testQuery)
-	eng, err := ivmeps.New(q, ivmeps.Options{Epsilon: 0.5, Workers: 1})
+	eng, err := ivmeps.New(q, ivmeps.Options{Epsilon: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,22 +68,12 @@
 // ErrUnknownRelation, and ErrStatic, and As-match the structured
 // ArityError and MultiplicityError.
 //
-// # Parallel batches
+// # Parallelism
 //
-// A batch's per-tree propagations are independent, and Options.Workers lets
-// Commit and ApplyBatch spread them over a bounded pool of worker
-// goroutines: 0 (the default) sizes the pool from GOMAXPROCS, 1 forces the
-// sequential path, and larger values are honored as given. Each worker owns
-// its scratch state (binding slots, delta pools, key-encoding buffers), so
-// steady-state propagation stays allocation-free per worker, and parallel
-// sections only ever write views of distinct trees while reading a frozen
-// view of the relations shared across trees. The final engine state is
-// identical to the sequential batch result for every worker count; only the
-// wall-clock interleaving differs. Engines are still single-writer: Commit
-// parallelizes internally, but write methods (Apply, ApplyBatch, Commit,
-// Insert, Delete) must not be invoked concurrently with each other. Call
-// Close to release the pool when discarding an engine early; a
-// garbage-collected engine releases it automatically.
+// A commit propagates on the caller's goroutine, and write methods (Apply,
+// ApplyBatch, Commit, Insert, Delete) must not be invoked concurrently with
+// each other. Sharded is how to use several cores: its shards commit in
+// parallel.
 //
 // # Errors and the one panic
 //
@@ -114,11 +104,11 @@
 // # Sharding
 //
 // NewSharded federates K independent engines over the same query, for
-// multi-core scaling beyond one engine's worker pool. A hierarchical
-// query's connected component always has variables occurring in every one
-// of its atoms; hashing those shard-key values partitions the component's
-// relations so that tuples on different shards never join, and the
-// per-shard results sum exactly to the unsharded result. Sharded has the
+// multi-core scaling. A hierarchical query's connected component always has
+// variables occurring in every one of its atoms; hashing those shard-key
+// values partitions the component's relations so that tuples on different
+// shards never join, and the per-shard results sum exactly to the unsharded
+// result. Sharded has the
 // Engine API — Load/Build, Insert/Delete/Apply, NewBatch/Commit, Snapshot
 // — because both types embed the same front end over a different backend
 // (one engine, or the federation), with the same atomicity contract
@@ -289,12 +279,10 @@ type Options struct {
 	// Static builds a static-evaluation engine: fewer auxiliary views, but
 	// Insert/Delete/Apply after Build are rejected.
 	Static bool
-	// Workers bounds the worker goroutines ApplyBatch uses to propagate a
-	// batch across independent view trees: 0 picks a GOMAXPROCS-bounded
-	// automatic count, 1 forces sequential propagation, and N > 1 uses up
-	// to N workers (capped by the number of view trees). The result is
-	// identical at every setting; see the package documentation for the
-	// worker model.
+	// Workers is ignored: a commit propagates on the caller's goroutine,
+	// and Sharded is the parallel path.
+	//
+	// Deprecated: no effect; kept so existing callers compile.
 	Workers int
 	// Durability, when its Dir is set, gives the engine a write-ahead log
 	// and checkpoint files in that directory: every committed batch is
@@ -311,7 +299,7 @@ func (o Options) core() core.Options {
 	if o.Static {
 		mode = viewtree.Static
 	}
-	return core.Options{Mode: mode, Epsilon: o.Epsilon, Workers: o.Workers}
+	return core.Options{Mode: mode, Epsilon: o.Epsilon}
 }
 
 // Engine maintains a hierarchical query under single-tuple updates and
@@ -373,13 +361,11 @@ func (e *Engine) Build() error {
 	return nil
 }
 
-// Close releases the engine's batch worker goroutines, if any were started
-// (Options.Workers != 1 and a parallel ApplyBatch ran), and — on a durable
-// engine — flushes and closes the write-ahead log, pushing any commits
-// buffered under SyncOff to the OS. It returns the log's flush error, if
-// any; an engine without durability always returns nil. The engine's
-// in-memory state remains usable after Close, but a durable engine logs no
-// further commits — Close is for shutdown.
+// Close flushes and closes a durable engine's write-ahead log, pushing any
+// commits buffered under SyncOff to the OS, and returns the log's flush
+// error, if any; on an engine without durability it does nothing and
+// returns nil. The engine's in-memory state remains usable after Close, but
+// a durable engine logs no further commits — Close is for shutdown.
 //
 // Close is idempotent — a second Close returns nil — and wedge-safe: on an
 // engine whose log wedged (LogWedgedError), Close writes nothing to the log
@@ -391,7 +377,6 @@ func (e *Engine) Close() error {
 		return nil
 	}
 	e.closed = true
-	e.e.Close()
 	if e.wal == nil {
 		return nil
 	}

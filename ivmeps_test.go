@@ -261,63 +261,3 @@ func TestPublicAPIBooleanAndEarlyStop(t *testing.T) {
 		t.Fatalf("early stop yielded %d", n)
 	}
 }
-
-// TestPublicAPIWorkers checks the Workers option end to end: engines built
-// with different worker counts must produce identical results for the same
-// batch stream on a query whose forest spans several view trees, and Close
-// must be safe at any point.
-func TestPublicAPIWorkers(t *testing.T) {
-	q := MustParseQuery("Q(C, E) = R(A), S(A, B), T(A, B, C), U(A, D), V(A, D, E)")
-	mk := func(workers int) *Engine {
-		e, err := New(q, Options{Epsilon: 0.5, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := int64(0); i < 30; i++ {
-			e.Load("R", []int64{i % 5})
-			e.Load("S", []int64{i % 5, i % 7})
-			e.Load("T", []int64{i % 5, i % 7, i})
-			e.Load("U", []int64{i % 5, i % 3})
-			e.Load("V", []int64{i % 5, i % 3, i})
-		}
-		if err := e.Build(); err != nil {
-			t.Fatal(err)
-		}
-		return e
-	}
-	engines := []*Engine{mk(1), mk(0), mk(4)}
-	var rows [][]int64
-	var mults []int64
-	for i := int64(0); i < 300; i++ {
-		rows = append(rows, []int64{i % 6, i % 8, 1000 + i%40})
-		mults = append(mults, 1)
-	}
-	for i := int64(0); i < 60; i++ {
-		rows = append(rows, []int64{i % 6, i % 8, 1000 + i%40})
-		mults = append(mults, -1)
-	}
-	for _, e := range engines {
-		if err := e.ApplyBatch("T", rows, mults); err != nil {
-			t.Fatal(err)
-		}
-	}
-	base, bm := engines[0].Rows()
-	if len(base) == 0 {
-		t.Fatal("empty result; workload bug")
-	}
-	for _, e := range engines[1:] {
-		r, m := e.Rows()
-		if len(r) != len(base) {
-			t.Fatalf("result sizes differ across worker counts: %d vs %d", len(base), len(r))
-		}
-		for i := range r {
-			if r[i][0] != base[i][0] || r[i][1] != base[i][1] || m[i] != bm[i] {
-				t.Fatalf("row %d differs across worker counts: %v/%d vs %v/%d",
-					i, base[i], bm[i], r[i], m[i])
-			}
-		}
-		e.Close()
-		e.Close()
-	}
-	engines[0].Close()
-}

@@ -2,15 +2,14 @@ package ivmeps_test
 
 // Satellite robustness tests riding with the fault-injection work: Close
 // idempotency (including on wedged engines), Open error paths not leaking
-// worker-pool goroutines, stale checkpoint temporaries, and checkpoint
-// rename failures being survivable.
+// goroutines, stale checkpoint temporaries, and checkpoint rename failures
+// being survivable.
 
 import (
 	"errors"
 	"os"
 	"path/filepath"
 	"runtime"
-	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
@@ -25,7 +24,7 @@ import (
 func TestEngineCloseIdempotent(t *testing.T) {
 	q := durParse(t)
 
-	mem, err := ivmeps.New(q, ivmeps.Options{Epsilon: 0.5, Workers: 4})
+	mem, err := ivmeps.New(q, ivmeps.Options{Epsilon: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,14 +39,14 @@ func TestEngineCloseIdempotent(t *testing.T) {
 	}
 
 	dir := filepath.Join(t.TempDir(), "log")
-	run := runFaultWorkload(t, dir, 2, nil)
+	run := runFaultWorkload(t, dir, nil)
 	if run.wedged || !run.buildOK {
 		t.Fatal("workload did not complete")
 	}
 	// runFaultWorkload already closed the engine once; a recovered engine
 	// gets the double-close treatment.
 	r, err := ivmeps.Open(q, ivmeps.Options{
-		Epsilon: 0.5, Workers: 2,
+		Epsilon:    0.5,
 		Durability: ivmeps.Durability{Dir: dir, Sync: ivmeps.SyncAlways, SegmentBytes: 128},
 	})
 	if err != nil {
@@ -69,7 +68,7 @@ func TestEngineCloseWedged(t *testing.T) {
 	q := durParse(t)
 	ffs := faultfs.New(nil)
 	opts := ivmeps.Options{
-		Epsilon: 0.5, Workers: 2,
+		Epsilon:    0.5,
 		Durability: ivmeps.Durability{Dir: filepath.Join(t.TempDir(), "log"), Sync: ivmeps.SyncAlways},
 	}
 	ivmeps.SetDurabilityFS(&opts.Durability, ffs)
@@ -98,14 +97,14 @@ func TestEngineCloseWedged(t *testing.T) {
 }
 
 // TestOpenErrorPathsNoLeak fails Open late — after Build has run and the
-// replay has committed batches large enough to start the parallel worker
-// pool — and checks the half-built engine is torn down: goroutine counts
-// must not grow across repeated failed Opens.
+// replay has committed batches — and checks the failure is clean: every
+// attempt returns an error, and goroutine counts do not grow across
+// repeated failed Opens.
 func TestOpenErrorPathsNoLeak(t *testing.T) {
 	q := durParse(t)
 	dir := filepath.Join(t.TempDir(), "log")
 	opts := ivmeps.Options{
-		Epsilon: 0.5, Workers: 8,
+		Epsilon: 0.5,
 		// Small segments: each large batch lands in its own segment, so the
 		// replay commits work BEFORE it reads the final segment — the point
 		// where the fault will fire.
@@ -121,8 +120,8 @@ func TestOpenErrorPathsNoLeak(t *testing.T) {
 	if err := e.Build(); err != nil {
 		t.Fatal(err)
 	}
-	// Batches well above the parallel-propagation row threshold, spread
-	// over both relations so the replay has multiple delta groups.
+	// Multi-row batches over both relations, so the replay commits real
+	// work before the fault.
 	for c := 0; c < 4; c++ {
 		b := e.NewBatch()
 		for i := 0; i < 64; i++ {
@@ -145,28 +144,15 @@ func TestOpenErrorPathsNoLeak(t *testing.T) {
 		return o
 	}
 
-	// Counting run — and self-validation: while the recovered engine is
-	// alive its worker pool must be running, otherwise the replay was too
-	// small to exercise the leak at all.
-	runtime.GC()
-	// GC off for the measurement: a collection would run the engines'
-	// AddCleanup safety net, close leaked pools, and hide a missing Close.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	// Counting run: learn how many file reads a full recovery performs.
 	before := runtime.NumGoroutine()
 	counter := faultfs.New(nil)
 	r, err := ivmeps.Open(q, openOpts(counter))
 	if err != nil {
 		t.Fatal(err)
 	}
-	during := runtime.NumGoroutine()
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
-	}
-	// The pool size is capped by the query's tree count (nWorkers-1
-	// helpers), so even Workers=8 yields a few helpers here — two extra
-	// goroutines is proof the pool is live.
-	if during < before+2 {
-		t.Fatalf("replay did not start the worker pool (%d goroutines before, %d during); leak test would be vacuous", before, during)
 	}
 	reads := counter.Counts()[faultfs.ReadFile]
 	if reads < 3 {
@@ -181,8 +167,7 @@ func TestOpenErrorPathsNoLeak(t *testing.T) {
 			t.Fatal("Open with failing segment read succeeded")
 		}
 	}
-	// Give just-closed pools a moment to wind down, without forcing a GC
-	// (a GC would run the engine cleanups and hide a missing Close).
+	// Give anything a failed Open started a moment to wind down.
 	deadline := time.Now().Add(2 * time.Second)
 	after := runtime.NumGoroutine()
 	for after > before && time.Now().Before(deadline) {
@@ -199,7 +184,7 @@ func TestOpenErrorPathsNoLeak(t *testing.T) {
 // the exact committed state.
 func TestOpenRemovesStaleCheckpointTmp(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "log")
-	clean := runFaultWorkload(t, dir, 1, nil)
+	clean := runFaultWorkload(t, dir, nil)
 	if clean.wedged || !clean.buildOK {
 		t.Fatal("workload did not complete")
 	}
@@ -214,7 +199,7 @@ func TestOpenRemovesStaleCheckpointTmp(t *testing.T) {
 	}
 	q := durParse(t)
 	r, err := ivmeps.Open(q, ivmeps.Options{
-		Epsilon: 0.5, Workers: 1,
+		Epsilon:    0.5,
 		Durability: ivmeps.Durability{Dir: dir, Sync: ivmeps.SyncAlways, SegmentBytes: 128},
 	})
 	if err != nil {
@@ -241,7 +226,7 @@ func TestCheckpointRenameFailureSurvivable(t *testing.T) {
 	ffs := faultfs.New(nil)
 	dir := filepath.Join(t.TempDir(), "log")
 	opts := ivmeps.Options{
-		Epsilon: 0.5, Workers: 2,
+		Epsilon:    0.5,
 		Durability: ivmeps.Durability{Dir: dir, Sync: ivmeps.SyncAlways},
 	}
 	ivmeps.SetDurabilityFS(&opts.Durability, ffs)
@@ -285,7 +270,7 @@ func TestCheckpointRenameFailureSurvivable(t *testing.T) {
 		t.Fatal(err)
 	}
 	r, err := ivmeps.Open(q, ivmeps.Options{
-		Epsilon: 0.5, Workers: 2,
+		Epsilon:    0.5,
 		Durability: ivmeps.Durability{Dir: dir, Sync: ivmeps.SyncAlways},
 	})
 	if err != nil {

@@ -25,8 +25,7 @@ import (
 //     matches the local watcher's fold at every epoch, for full, filtered,
 //     and close/reopen-resumed subscriptions.
 //
-// Run at Workers 1, 2, and 8 so -race sees the server's commit/read/watch
-// interleavings over a parallel propagation engine.
+// Run under -race, it covers the server's commit/read/watch interleavings.
 
 // svcState is a folded per-view state: view → canonical row key → mult.
 type svcState map[string]map[string]int64
@@ -82,11 +81,15 @@ type svcFoldRecord struct {
 	lastEp uint64
 }
 
-func TestServerLoopbackPropertyWorkers1(t *testing.T) { testServerLoopback(t, 1) }
-func TestServerLoopbackPropertyWorkers2(t *testing.T) { testServerLoopback(t, 2) }
-func TestServerLoopbackPropertyWorkers8(t *testing.T) { testServerLoopback(t, 8) }
+// TestServerLoopbackProperty runs the loopback property over three random
+// commit histories, one per seed.
+func TestServerLoopbackProperty(t *testing.T) {
+	for _, seed := range []int64{1, 2, 8} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { testServerLoopback(t, seed) })
+	}
+}
 
-func testServerLoopback(t *testing.T, workers int) {
+func testServerLoopback(t *testing.T, seed int64) {
 	const (
 		commits   = 60
 		maxOps    = 16
@@ -96,7 +99,7 @@ func testServerLoopback(t *testing.T, workers int) {
 		pageLimit = 5                 // small pages force multi-page reads
 	)
 	q := ivmeps.MustParseQuery("Q(A, C) = R(A, B), S(B, C)")
-	eng, err := ivmeps.New(q, ivmeps.Options{Epsilon: 0.5, Workers: workers})
+	eng, err := ivmeps.New(q, ivmeps.Options{Epsilon: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +318,7 @@ func testServerLoopback(t *testing.T, workers int) {
 	// The committer: the single writer. Random valid traffic against the
 	// shadow base relations; after each commit the reference join for the
 	// published epoch is recorded.
-	rng := rand.New(rand.NewSource(int64(workers) * 7919))
+	rng := rand.New(rand.NewSource(seed * 7919))
 	shadow := map[string]map[[2]int64]int64{"R": {}, "S": {}}
 	join := func() string {
 		m := make(map[string]int64)

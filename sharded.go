@@ -11,8 +11,8 @@ import (
 type ShardedOptions struct {
 	Options
 	// Shards is the number of independent shard engines K; values below 1
-	// mean a single shard. Each shard owns its view trees, its worker pool
-	// (Options.Workers applies per shard), and its rebalancing state.
+	// mean a single shard. Each shard owns its view trees and its
+	// rebalancing state.
 	Shards int
 }
 
@@ -72,10 +72,10 @@ func (s *Sharded) ShardKey() (vars []string, concat bool) {
 	return vars, c
 }
 
-// Close releases the federation's apply runners and every shard's worker
-// goroutines. It is optional — a garbage-collected engine releases them
-// automatically — but calling it promptly bounds goroutine count when
-// engines are created in a loop. The engine remains usable after Close.
+// Close releases the federation's per-shard apply goroutines. It is
+// optional — a garbage-collected engine releases them automatically — but
+// calling it promptly bounds goroutine count when engines are created in a
+// loop. The engine remains usable after Close.
 func (s *Sharded) Close() { s.f.Close() }
 
 // Snapshot captures the current committed federation state for concurrent

@@ -261,8 +261,8 @@ func runFoldingWatcher(t *testing.T, e *Engine, refs *wrefTable, filter []string
 // TestWatchDeltaEqualsSnapshotDiff is the headline property: concurrent
 // folding watchers — full and filtered, joining and leaving mid-traffic —
 // all reproduce the engine's root views exactly, at every epoch, across
-// multi-relation batch commits that force major rebalances, at Workers
-// 1, 2, and 8.
+// multi-relation batch commits that force major rebalances, over three
+// random traffic histories per query.
 func TestWatchDeltaEqualsSnapshotDiff(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -274,23 +274,22 @@ func TestWatchDeltaEqualsSnapshotDiff(t *testing.T) {
 		{"multitree", "Q(C, E) = R(A), S(A, B), T(A, B, C), U(A, D), V(A, D, E)",
 			[]wrelSpec{{"R", 1}, {"S", 2}, {"T", 3}, {"U", 2}, {"V", 3}}},
 	}
-	for _, workers := range []int{1, 2, 8} {
+	for _, seed := range []int64{1, 2, 8} {
 		for _, tc := range cases {
-			t.Run(fmt.Sprintf("%s/Workers=%d", tc.name, workers), func(t *testing.T) {
-				runWatchProperty(t, tc.query, tc.specs, workers)
+			t.Run(fmt.Sprintf("%s/seed=%d", tc.name, seed), func(t *testing.T) {
+				runWatchProperty(t, tc.query, tc.specs, seed)
 			})
 		}
 	}
 }
 
-func runWatchProperty(t *testing.T, qs string, specs []wrelSpec, workers int) {
-	rng := rand.New(rand.NewSource(int64(workers)*1000 + int64(len(specs))))
+func runWatchProperty(t *testing.T, qs string, specs []wrelSpec, seed int64) {
+	rng := rand.New(rand.NewSource(seed*1000 + int64(len(specs))))
 	q := MustParseQuery(qs)
-	e, err := New(q, Options{Epsilon: 0.5, Workers: workers})
+	e, err := New(q, Options{Epsilon: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
 	tr := newWTraffic(rng, specs)
 	// A small initial load so anchors are non-trivial.
 	init := tr.genOps(8, 1.0, 8)
@@ -390,7 +389,7 @@ func runWatchProperty(t *testing.T, qs string, specs []wrelSpec, workers int) {
 // naming epochs anchor+4..anchor+9 — while a concurrent healthy watcher
 // receives all 9 commits and its fold still matches the engine exactly.
 func TestWatchSlowConsumerEviction(t *testing.T) {
-	e := mkTwoPath(t, 1)
+	e := mkTwoPath(t)
 	defer e.Close()
 	views := e.Views()
 
@@ -499,7 +498,7 @@ func waitGoroutines(t *testing.T, want int) {
 // the engine. No call may deadlock, consumers must terminate, surviving
 // streams stay gap-free, and every goroutine must be gone at the end.
 func TestWatcherCloseDuringCommits(t *testing.T) {
-	e := mkTwoPath(t, 2)
+	e := mkTwoPath(t)
 	defer e.Close()
 	baseline := runtime.NumGoroutine()
 
@@ -572,7 +571,7 @@ func TestWatcherCloseDuringCommits(t *testing.T) {
 // of its own: open/close cycles (with live traffic in between) leave the
 // process at its pre-watch goroutine count.
 func TestWatchNoGoroutineLeaks(t *testing.T) {
-	e := mkTwoPath(t, 1)
+	e := mkTwoPath(t)
 	defer e.Close()
 	baseline := runtime.NumGoroutine()
 	for i := 0; i < 50; i++ {
@@ -596,7 +595,7 @@ func TestWatchNoGoroutineLeaks(t *testing.T) {
 // steady-state commit with zero watchers allocates nothing — including
 // after watchers existed and left (capture fully disarms).
 func TestWatchClosedZeroAllocCommit(t *testing.T) {
-	e := mkTwoPath(t, 1)
+	e := mkTwoPath(t)
 	defer e.Close()
 
 	// A watcher lived and died: the commit path must return to its
@@ -657,7 +656,7 @@ func TestWatchAPIMisuse(t *testing.T) {
 		t.Fatal("Views before Build should be empty")
 	}
 
-	e := mkTwoPath(t, 1)
+	e := mkTwoPath(t)
 	defer e.Close()
 	views := e.Views()
 	if len(views) == 0 {
