@@ -47,7 +47,7 @@ BENCH_BUILD_RE = ^Benchmark(Build|MajorRebalance)$$
 # tolerance instead of exact equality.
 BENCH_ALLOC_NONDET = ^BenchmarkServer
 
-.PHONY: check test vet race bench-module bench bench-enum bench-build bench-fresh diff-allocs diff-time bench-check bench-check-allocs docs-check api-check api-update loc bench-all
+.PHONY: check test test-count vet race bench-module bench bench-enum bench-build bench-fresh diff-allocs diff-time bench-check bench-check-allocs docs-check api-check api-update loc bench-all
 
 check: vet test
 
@@ -56,6 +56,20 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# The full suite, verbose, failing when it fails or when fewer tests pass
+# than TEST_FLOOR (subtests count, as `go test -v` prints them). A change
+# that adds tests raises the floor to its new count; one that deletes a test
+# on purpose lowers it in the same diff and says why.
+TEST_FLOOR = 531
+
+test-count:
+	@log=$$(mktemp); $(GO) test -v ./... > $$log 2>&1; status=$$?; \
+	passed=$$(grep -c -- '--- PASS' $$log); \
+	grep -E -- '--- FAIL|^FAIL|^panic:' $$log; rm -f $$log; \
+	echo "go test -v ./...: $$passed passed, floor $(TEST_FLOOR)"; \
+	if [ $$status -ne 0 ]; then exit $$status; fi; \
+	if [ $$passed -lt $(TEST_FLOOR) ]; then echo "fewer tests pass than TEST_FLOOR" >&2; exit 1; fi
 
 # The race-detector suites, exactly as the CI test job runs them (it calls
 # this target, so the two cannot drift): the internal suite (snapshot

@@ -143,7 +143,7 @@ func BenchmarkUpdateSteadyState(b *testing.B) {
 // BenchmarkBatchVsSequential measures the batch-update amortization: one op
 // = applying a 10k-row mixed insert/delete batch and then its inverse
 // (keeping the database bounded), either row-by-row with Update or in one
-// ApplyBatch pass. The batch variant walks each view tree once per batch
+// CommitBatch pass. The batch variant walks each view tree once per batch
 // instead of once per row.
 func BenchmarkBatchVsSequential(b *testing.B) {
 	const batchRows = 10000
@@ -210,11 +210,12 @@ func BenchmarkBatchVsSequential(b *testing.B) {
 		rng := rand.New(rand.NewSource(41))
 		e := newEngine(b, rng)
 		rows, mults, inv, invMults := makeBatch(rng)
+		ops, invOps := relOps("R", rows, mults), relOps("R", inv, invMults)
 		pass := func() {
-			if err := e.ApplyBatch("R", rows, mults); err != nil {
+			if err := e.CommitBatch(ops); err != nil {
 				b.Fatal(err)
 			}
-			if err := e.ApplyBatch("R", inv, invMults); err != nil {
+			if err := e.CommitBatch(invOps); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -225,6 +226,16 @@ func BenchmarkBatchVsSequential(b *testing.B) {
 			pass()
 		}
 	})
+}
+
+// relOps is the op list applying {rows[i] → mults[i]} to the one relation
+// rel.
+func relOps(rel string, rows []tuple.Tuple, mults []int64) []core.BatchOp {
+	ops := make([]core.BatchOp, len(rows))
+	for i := range rows {
+		ops[i] = core.BatchOp{Rel: rel, Row: rows[i], Mult: mults[i]}
+	}
+	return ops
 }
 
 // BenchmarkFig1Delay measures the enumeration delay of Figure 1 (left):
@@ -605,11 +616,12 @@ func BenchmarkMultiTreeBatch(b *testing.B) {
 		inv[len(inv)-1-i] = rows[i]
 		invMults[len(inv)-1-i] = -1
 	}
+	ops, invOps := relOps("T", rows, mults), relOps("T", inv, invMults)
 	cycle := func() {
-		if err := e.ApplyBatch("T", rows, mults); err != nil {
+		if err := e.CommitBatch(ops); err != nil {
 			b.Fatal(err)
 		}
-		if err := e.ApplyBatch("T", inv, invMults); err != nil {
+		if err := e.CommitBatch(invOps); err != nil {
 			b.Fatal(err)
 		}
 	}

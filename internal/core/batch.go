@@ -9,10 +9,10 @@ import (
 )
 
 // The commit envelope. Every write to a preprocessed engine — the
-// single-tuple Update, the multi-relation CommitBatch, the one-relation
-// ApplyBatch, and the two-phase PrepareCommit/ApplyPrepared — is one commit
-// through commitLocked or its two halves (prepareLocked, applyStagedLocked),
-// the paper's OnUpdate trigger (Figure 22) at commit granularity:
+// single-tuple Update, the multi-relation CommitBatch, and the two-phase
+// PrepareCommit/ApplyPrepared — is one commit through commitLocked or its
+// two halves (prepareLocked, applyStagedLocked), the paper's OnUpdate
+// trigger (Figure 22) at commit granularity:
 //
 //	validate → [hook] → invalidate snapshot generation → propagate →
 //	major-rebalance check → stats → epoch++ → publish commit delta
@@ -22,16 +22,14 @@ import (
 // Per relation, the ops aggregate into one delta per leaf, so each view
 // tree is walked once per (commit, relation) instead of once per update,
 // and the minor/major rebalance checks run once per distinct partition key
-// instead of once per update. A relation whose aggregated delta has
-// exactly one row — every single-tuple Update — takes the one-row kernel
-// (updateOne) instead of the grouping passes of applyBatchOcc; the choice
-// is made from the delta's size alone. The result is observably equivalent
-// to applying the updates one by one: the enumerated query result, the
-// database size N, and the engine invariants (CheckInvariants) all match;
-// internal state that the paper leaves implementation-defined — the exact
-// threshold base M after growth and which keys sit in the light parts —
-// may differ within the allowed invariants, exactly as a different update
-// order would.
+// instead of once per update. Every aggregated delta goes through one
+// kernel, applyBatchOcc; a single-tuple Update is a batch of one. The
+// result is observably equivalent to applying the updates one by one: the
+// enumerated query result, the database size N, and the engine invariants
+// (CheckInvariants) all match; internal state that the paper leaves
+// implementation-defined — the exact threshold base M after growth and
+// which keys sit in the light parts — may differ within the allowed
+// invariants, exactly as a different update order would.
 //
 // The envelope's two halves are exported (PrepareCommit / ApplyPrepared /
 // AbortPrepared) so a federation of engines can coordinate an atomic commit
@@ -171,39 +169,6 @@ func (e *Engine) AbortPrepared() {
 	e.mu.Unlock()
 }
 
-// ApplyBatch applies the updates {rows[i] → mults[i]} to the single
-// relation rel as one batch: a thin wrapper assembling a one-relation op
-// list for the commit path (the op buffer is pooled, so the wrapper adds
-// no steady-state allocation; the relation resolves once, not per op).
-// A nil mults applies every row with multiplicity +1. Validation and
-// atomicity follow CommitBatch: on any error the engine is left
-// completely unchanged.
-func (e *Engine) ApplyBatch(rel string, rows []tuple.Tuple, mults []int64) error {
-	if mults != nil && len(mults) != len(rows) {
-		return fmt.Errorf("core: ApplyBatch: %d rows but %d multiplicities", len(rows), len(mults))
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	id := e.relIdx[rel]
-	if id == 0 {
-		// Resolved before validation, so a mis-spelled relation is reported
-		// even with zero rows.
-		return fmt.Errorf("core: %w: %q (query %s)", ErrUnknownRelation, rel, e.orig)
-	}
-	ops := e.opsScratch[:0]
-	for i, r := range rows {
-		m := int64(1)
-		if mults != nil {
-			m = mults[i]
-		}
-		ops = append(ops, BatchOp{Rel: rel, RelID: id, Row: r, Mult: m})
-	}
-	err := e.commitLocked(ops)
-	clear(ops) // drop the references into the caller's rows
-	e.opsScratch = ops[:0]
-	return err
-}
-
 // prepareLocked validates the whole batch in op order under the writer
 // lock, tracking the running multiplicity of each distinct
 // (relation, tuple) and aggregating the net delta per tuple in first-seen
@@ -336,11 +301,7 @@ func (e *Engine) applyStagedLocked() {
 			// Footnote 2: an update to a repeated relation symbol is a
 			// sequence of updates to each occurrence.
 			for _, rt := range br.occs {
-				if len(d.rows) == 1 {
-					e.updateOne(rt, d)
-				} else {
-					e.applyBatchOcc(rt, d)
-				}
+				e.applyBatchOcc(rt, d)
 			}
 			// Relations whose ops net to zero propagate nothing and do not
 			// count toward the commit's relation fan-out.
@@ -411,72 +372,84 @@ func (e *Engine) releaseStagedLocked() {
 	e.stagedApplied = 0
 }
 
-// batchKey is the per-distinct-partition-key state of one batch. The key
-// tuple points into the engine's pooled key arena (batchKeyBuf) and is
-// valid for the duration of one applyBatchOcc pass.
+// batchKey is the per-distinct-partition-key state of one applyBatchOcc
+// pass. The key tuple points into the engine's pooled key arena
+// (batchKeyBuf) — for a one-row delta, into the partition route's key
+// scratch — and is valid for the duration of the pass.
 type batchKey struct {
-	key      tuple.Tuple
-	preDeg   int  // full degree before the batch
-	preLight bool // key was in the light part's domain before the batch
-	rows     []int
+	key   tuple.Tuple
+	light bool // the key was new or light before the pass: its rows take the light step
+	rows  []int
 }
 
 // appendBatchKey appends a batchKey to keys, reusing the rows buffer of a
 // previously pooled slot when the slice grows within capacity.
-func appendBatchKey(keys []batchKey, key tuple.Tuple, preDeg int, preLight bool) []batchKey {
+func appendBatchKey(keys []batchKey, key tuple.Tuple, light bool) []batchKey {
 	if len(keys) < cap(keys) {
 		keys = keys[:len(keys)+1]
 		bk := &keys[len(keys)-1]
-		bk.key, bk.preDeg, bk.preLight = key, preDeg, preLight
+		bk.key, bk.light = key, light
 		bk.rows = bk.rows[:0]
 		return keys
 	}
-	return append(keys, batchKey{key: key, preDeg: preDeg, preLight: preLight})
+	return append(keys, batchKey{key: key, light: light})
 }
 
-// applyBatchOcc applies the aggregated batch delta d to one occurrence
-// relation: UpdateTrees (Figure 19) with the per-update work hoisted to
-// per-batch or per-distinct-key, followed by the minor-rebalancing checks
-// evaluated once per distinct key. The major-rebalance trigger is NOT
-// evaluated here — it is deferred to the commit boundary
-// (rebalanceBatchLocked), so a multi-relation commit whose interim sizes
-// oscillate across a threshold re-materializes at most once.
+// applyBatchOcc is the maintenance kernel: UpdateTrees (Figure 19) for the
+// aggregated delta d of one occurrence relation, with the per-update work
+// hoisted to per-delta or per-distinct-key, followed by the
+// minor-rebalancing checks once per distinct key (Figure 22 lines 9–15).
+// Every commit's delta takes it, a single-tuple Update's as a batch of one,
+// which size guards keep as cheap as a one-row kernel: a one-row delta skips
+// the grouping tables, a partition whose keys all route light takes d
+// itself as its light delta, and an occurrence without partitions returns
+// before computing θ. The major-rebalance trigger is NOT evaluated here — it
+// is deferred to the commit boundary (rebalanceBatchLocked), so a
+// multi-relation commit whose interim sizes oscillate across a threshold
+// re-materializes at most once.
 func (e *Engine) applyBatchOcc(rt *relRoutes, d *delta) {
 	base := rt.base
 
 	// Capture the pre-update partition state per distinct key (Figure 19
 	// line 10 needs the pre-update degrees to route to the light parts).
-	// The grouping table, the batchKey lists, and the arena holding the
-	// distinct keys are pooled on the engine — reset, not reallocated — so
-	// this pass allocates only when a batch grows past every previous one.
-	for len(e.perPart) < len(rt.parts) {
-		e.perPart = append(e.perPart, nil)
-	}
-	perPart := e.perPart[:len(rt.parts)]
+	// The grouping table, the arena holding the distinct keys (both on the
+	// engine) and each partition's batchKey list are reset, not
+	// reallocated, so this pass allocates only when a delta grows past every
+	// previous one. A one-row delta has one key per partition, left in the
+	// route's key scratch: it needs neither the table nor the arena.
+	single := len(d.rows) == 1
 	e.batchKeyBuf = e.batchKeyBuf[:0]
-	for pi, pr := range rt.parts {
-		keys := perPart[pi][:0]
-		e.groupMap.Reset()
+	for _, pr := range rt.parts {
+		keys := pr.keys[:0]
+		if !single {
+			e.groupMap.Reset()
+		}
 		for ri := range d.rows {
 			pr.keyScratch = pr.p.AppendKeyOf(pr.keyScratch[:0], d.rows[ri].t)
-			ki, h, ok := e.groupMap.GetHash(pr.keyScratch)
-			if !ok {
+			key := pr.keyScratch
+			ki, h, seen := 0, uint64(0), false
+			if !single {
+				ki, h, seen = e.groupMap.GetHash(key)
+			}
+			if !seen {
 				ki = len(keys)
-				start := len(e.batchKeyBuf)
-				e.batchKeyBuf = append(e.batchKeyBuf, pr.keyScratch...)
-				key := e.batchKeyBuf[start:len(e.batchKeyBuf):len(e.batchKeyBuf)]
-				keys = appendBatchKey(keys, key, pr.p.Degree(key), pr.p.IsLight(key))
-				e.groupMap.PutHashed(h, key, ki)
+				if !single {
+					start := len(e.batchKeyBuf)
+					e.batchKeyBuf = append(e.batchKeyBuf, key...)
+					key = e.batchKeyBuf[start:len(e.batchKeyBuf):len(e.batchKeyBuf)]
+					e.groupMap.PutHashed(h, key, ki)
+				}
+				keys = appendBatchKey(keys, key, pr.p.IsLight(key) || pr.p.Degree(key) == 0)
 			}
 			keys[ki].rows = append(keys[ki].rows, ri)
 		}
-		perPart[pi] = keys
+		pr.keys = keys
 	}
 
-	// Apply the batch to the base relation, maintaining N incrementally,
-	// then propagate the combined delta through every main tree and every
-	// affected All tree. The light parts and ∃H relations are untouched
-	// until every tree has seen the delta.
+	// Apply the delta to the base relation, maintaining N incrementally,
+	// then propagate it through every main tree and every affected All
+	// tree. The light parts and ∃H relations are untouched until every tree
+	// has seen the delta.
 	before := base.Size()
 	for i := range d.rows {
 		base.MustAdd(d.rows[i].t, d.rows[i].m)
@@ -492,82 +465,71 @@ func (e *Engine) applyBatchOcc(rt *relRoutes, d *delta) {
 			e.propagatePath(lp, d)
 		}
 	}
-	// δ(∃H) once per distinct indicator key of the batch, indicator by
+	// δ(∃H) once per distinct indicator key of the delta, indicator by
 	// indicator: propagation in one main tree may read the ∃H relation of
 	// a later indicator, so the refresh/propagate interleaving follows the
 	// one-by-one order.
 	for _, ir := range rt.inds {
 		e.refreshBatchH(ir, d)
 	}
+	if len(rt.parts) == 0 {
+		return
+	}
 
-	// Route to the light parts, one combined delta per partition: a key's
-	// rows go to the light part if the key was new or light before the
-	// batch; then run the minor-rebalancing checks once per distinct key.
-	// The light part is updated before the delta runs through the main
-	// trees' LightAtom leaves and the indicator L trees, and ∃H is
-	// refreshed after. If the batch drove N outside the size invariant, θ
-	// is stale for these checks — harmless, since the commit-boundary
-	// rebalance strictly repartitions everything afterwards.
+	// Route to the light parts, one delta per partition: a key's rows take
+	// the light step (lines 10–14) if the key was new or light before the
+	// delta; then run the minor-rebalancing checks once per distinct key. If
+	// the delta drove N outside the size invariant, θ is stale for these
+	// checks — harmless, since the commit-boundary rebalance strictly
+	// repartitions everything afterwards.
 	theta := e.Theta()
-	for pi, pr := range rt.parts {
-		keys := perPart[pi]
-		ld := e.getDelta()
+	for _, pr := range rt.parts {
+		keys := pr.keys
+		light := 0
 		for ki := range keys {
-			bk := &keys[ki]
-			if !bk.preLight && bk.preDeg != 0 {
-				continue
-			}
-			for _, ri := range bk.rows {
-				ld.appendRow(d.rows[ri].t, d.rows[ri].m)
+			if keys[ki].light {
+				light++
 			}
 		}
-		if len(ld.rows) > 0 {
-			light := pr.p.Light()
-			for i := range ld.rows {
-				light.MustAdd(ld.rows[i].t, ld.rows[i].m)
-			}
-			for _, lp := range pr.lightLeaves {
-				e.propagatePath(lp, ld)
-			}
-			for _, il := range pr.inds {
-				for _, lp := range il.lLeaves {
-					e.propagatePath(lp, ld)
-				}
-			}
-			for _, il := range pr.inds {
-				// The indicator keys equal the partition keys; refresh ∃H
-				// once per light-routed key.
-				for ki := range keys {
-					bk := &keys[ki]
-					if !bk.preLight && bk.preDeg != 0 {
-						continue
-					}
-					if dh := e.refreshH(il.s, bk.key); dh != 0 {
-						e.propagateIndicator(il.s, bk.key, dh)
+		switch {
+		case light == len(keys):
+			e.lightStep(pr, d, keys)
+		case light > 0:
+			ld := e.getDelta()
+			for ki := range keys {
+				if keys[ki].light {
+					for _, ri := range keys[ki].rows {
+						ld.appendRow(d.rows[ri].t, d.rows[ri].m)
 					}
 				}
 			}
+			e.lightStep(pr, ld, keys)
+			e.putDelta(ld)
 		}
-		e.putDelta(ld)
 		for ki := range keys {
-			e.rebalanceKey(pr, keys[ki].key, theta)
+			e.rebalanceKey(pr, keys[ki].key, keys[ki].light, theta)
 		}
 	}
 }
 
 // refreshBatchH refreshes ∃H once per distinct indicator key appearing in
-// the batch delta and propagates the resulting δ(∃H) changes. The
-// distinct-key set is a pooled map; keys are copied into its arena because
-// the projection scratch is overwritten per row.
+// the delta and propagates the resulting δ(∃H) changes. The distinct-key set
+// is a pooled map, which a one-row delta does not need; keys are copied into
+// its arena because the projection scratch is overwritten per row.
 func (e *Engine) refreshBatchH(ir *indRoute, d *delta) {
-	e.seenKeys.Reset()
+	single := len(d.rows) == 1
+	if !single {
+		e.seenKeys.Reset()
+	}
 	for i := range d.rows {
 		ir.keyScratch = ir.keyProj.AppendTo(ir.keyScratch[:0], d.rows[i].t)
-		_, h, ok := e.seenKeys.GetHash(ir.keyScratch)
-		if ok {
-			continue
+		if !single {
+			_, h, ok := e.seenKeys.GetHash(ir.keyScratch)
+			if ok {
+				continue
+			}
+			e.seenKeys.PutCopyHashed(h, ir.keyScratch, 0)
 		}
-		e.seenKeys.PutCopyHashed(h, ir.keyScratch, 0)
 		if dh := e.refreshH(ir.s, ir.keyScratch); dh != 0 {
 			e.propagateIndicator(ir.s, ir.keyScratch, dh)
 		}

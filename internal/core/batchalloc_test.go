@@ -15,7 +15,7 @@ import (
 // grouping tables, the delta pool (including the >16-row delta index kept
 // across reuse), and the relations' slab arenas together make repeated
 // batches allocation-free outside genuinely new entries — and prove no
-// tuple.Key string is ever built in ApplyBatch propagation.
+// tuple.Key string is ever built in batch propagation.
 
 // TestApplyBatchColdInsertZeroAllocs pins a cold-insert-heavy batch cycle
 // at zero allocations: every run inserts a batch of never-before-seen
@@ -51,10 +51,10 @@ func TestApplyBatchColdInsertZeroAllocs(t *testing.T) {
 			rows[i][0], rows[i][1] = next, next+1
 			next += 2
 		}
-		if err := e.ApplyBatch("R", rows, mults); err != nil {
+		if err := applyBatch(e, "R", rows, mults); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.ApplyBatch("R", rows, negs); err != nil {
+		if err := applyBatch(e, "R", rows, negs); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -97,7 +97,7 @@ func TestApplyBatchValidationPooledZeroAllocs(t *testing.T) {
 		t.Fatal("preprocessed relation unexpectedly small")
 	}
 	run := func() {
-		if err := e.ApplyBatch("R", rows, mults); err != nil {
+		if err := applyBatch(e, "R", rows, mults); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -127,7 +127,7 @@ func TestApplyBatchErrorReleasesScratch(t *testing.T) {
 	}
 	stored := e.BaseRelation("R").Mult(tu)
 	rows := []tuple.Tuple{tu, {900, 900}}
-	err = e.ApplyBatch("R", rows, []int64{1, -5})
+	err = applyBatch(e, "R", rows, []int64{1, -5})
 	if err == nil {
 		t.Fatal("over-deleting batch accepted")
 	}
@@ -142,7 +142,7 @@ func TestApplyBatchErrorReleasesScratch(t *testing.T) {
 	}
 	// And a delete exceeding a positive stored multiplicity reports it.
 	if stored > 0 {
-		err = e.ApplyBatch("R", []tuple.Tuple{tu}, []int64{-(stored + 3)})
+		err = applyBatch(e, "R", []tuple.Tuple{tu}, []int64{-(stored + 3)})
 		if !errors.As(err, &neg) {
 			t.Fatalf("over-delete of stored tuple returned %T", err)
 		}
@@ -150,7 +150,7 @@ func TestApplyBatchErrorReleasesScratch(t *testing.T) {
 			t.Errorf("MultiplicityError.Have = %d, want stored multiplicity %d", neg.Have, stored)
 		}
 	}
-	if err := e.ApplyBatch("R", []tuple.Tuple{{1, 2}, {3, 4, 5}}, nil); err == nil {
+	if err := applyBatch(e, "R", []tuple.Tuple{{1, 2}, {3, 4, 5}}, nil); err == nil {
 		t.Fatal("arity-mismatched batch accepted")
 	}
 	for i := range e.relTab {

@@ -14,7 +14,7 @@ import (
 
 // Tests for the commit envelope: the multi-relation CommitBatch against
 // the interleaved sequential Update stream, bit-identity with the
-// per-relation ApplyBatch decomposition, the all-or-nothing error contract
+// per-relation batch decomposition, the all-or-nothing error contract
 // across relations, the typed errors, and (TestCommitEnvelope) the one
 // envelope behind all four entry points.
 
@@ -67,6 +67,7 @@ func TestCommitBatchMatchesInterleavedSequential(t *testing.T) {
 		"Q(A, C) = R(A, B), S(B, C)",
 		"Q(C, D, E, F) = R(A, B, D), S(A, B, E), T(A, C, F), U(A, C, G)",
 		multiTreeQuery,
+		sharedViewsQuery,
 	}
 	for _, qs := range queries {
 		for _, seed := range []int64{1, 2, 8} {
@@ -164,10 +165,10 @@ func sameViews(t *testing.T, label string, a, b *Engine) {
 
 // TestCommitBatchEquivalentToPerRelationBatches pins the decomposition the
 // commit documentation promises: one multi-relation CommitBatch leaves the
-// engine bit-identical (every view) to the same ops split into one
-// ApplyBatch per relation, issued in the commit's first-touched order —
-// the relation-major schedule is not just observably equivalent but the
-// same maintenance computation.
+// engine bit-identical (every view) to the same ops split into one batch
+// per relation, issued in the commit's first-touched order — the
+// relation-major schedule is not just observably equivalent but the same
+// maintenance computation.
 func TestCommitBatchEquivalentToPerRelationBatches(t *testing.T) {
 	q := query.MustParse(multiTreeQuery)
 	rng := rand.New(rand.NewSource(271))
@@ -207,7 +208,7 @@ func TestCommitBatchEquivalentToPerRelationBatches(t *testing.T) {
 				rows = append(rows, op.Row)
 				mults = append(mults, op.Mult)
 			}
-			if err := split.ApplyBatch(rel, rows, mults); err != nil {
+			if err := applyBatch(split, rel, rows, mults); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -363,7 +364,7 @@ type sinkFunc func(cd *CommitDelta)
 func (f sinkFunc) PublishCommit(cd *CommitDelta) { f(cd) }
 
 // TestCommitEnvelope drives every entry point into the commit envelope —
-// Update, CommitBatch, ApplyBatch, and PrepareCommit resolved either way —
+// Update, CommitBatch, and PrepareCommit resolved either way —
 // through one table of commits, with a commit hook installed, a commit sink
 // subscribed, and a snapshot held. Each successful commit must run the hook
 // once, with the epoch it is about to publish and before any relation
@@ -394,24 +395,13 @@ func TestCommitEnvelope(t *testing.T) {
 			return e.Update(ops[0].Rel, ops[0].Row, ops[0].Mult)
 		}},
 		{"CommitBatch", true, false, (*Engine).CommitBatch},
-		{"ApplyBatch", true, false, func(e *Engine, ops []BatchOp) error {
-			rel := "R"
-			var rows []tuple.Tuple
-			var mults []int64
-			for _, op := range ops {
-				rel = op.Rel
-				rows = append(rows, op.Row)
-				mults = append(mults, op.Mult)
-			}
-			return e.ApplyBatch(rel, rows, mults)
-		}},
 		{"PrepareCommit+ApplyPrepared", false, false, twoPhase((*Engine).ApplyPrepared)},
 		{"PrepareCommit+AbortPrepared", false, true, twoPhase((*Engine).AbortPrepared)},
 	}
 	// Every step is a one-relation op list, so each entry point can express
-	// it (Update: the one-op steps only). The commits cover both kernels
-	// (one-row and multi-row deltas), a delete, ops that net to zero next to
-	// one that does not, and a relation the result does not depend on yet.
+	// it (Update: the one-op steps only). The commits cover one-row and
+	// multi-row deltas, a delete, ops that net to zero next to one that does
+	// not, and a relation the result does not depend on yet.
 	op := func(rel string, mult int64, row ...tuple.Value) BatchOp {
 		return BatchOp{Rel: rel, Row: tuple.Tuple(row), Mult: mult}
 	}

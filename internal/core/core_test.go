@@ -151,8 +151,11 @@ func applyBoth(t *testing.T, e *Engine, db naive.Database, rel string, tu tuple.
 	db[rel].MustAdd(tu, m)
 }
 
+// TestDynamicRandomUpdates checks single-tuple updates against naive
+// re-evaluation, on every paper query and on the multi-tree query, whose
+// relations each reach several indicators.
 func TestDynamicRandomUpdates(t *testing.T) {
-	for _, qs := range paperQueries {
+	for _, qs := range append([]string{multiTreeQuery}, paperQueries...) {
 		q := query.MustParse(qs)
 		for _, eps := range []float64{0, 0.5, 1} {
 			rng := rand.New(rand.NewSource(404))

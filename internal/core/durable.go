@@ -56,7 +56,7 @@ func (e *Engine) SetCommitHook(h CommitHook) {
 // durability layer's append, and every failure there wedges the log (wal:
 // nothing may be written after an uncertain flush), so the engine mirrors
 // the wedge: the first hook error is remembered and every later mutation —
-// CommitBatch, ApplyBatch, Update, PrepareCommit — is refused with it
+// CommitBatch, Update, PrepareCommit — is refused with it
 // before validation even runs, while snapshots and enumeration keep
 // serving the last committed state. The latch clears only via
 // SetCommitHook, i.e. by reopening through recovery.

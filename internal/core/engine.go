@@ -58,7 +58,7 @@ type Options struct {
 // Engine maintains the materialized view trees of a hierarchical query and
 // answers enumeration requests over them.
 //
-// An Engine is single-writer: Update, ApplyBatch, and the direct
+// An Engine is single-writer: Update, CommitBatch, and the direct
 // Result/Enumerate path must all run on one goroutine, and a commit
 // propagates on that goroutine. Snapshot may be called from any goroutine,
 // and the Snapshots it returns enumerate concurrently with the writer — see
@@ -101,21 +101,18 @@ type Engine struct {
 	deltaPool []*delta
 
 	// Pooled batch-commit scratch (batch.go), beside the validation state
-	// in the relation table: the first-touched entry order of the staged
-	// batch, the ApplyBatch wrapper's op buffer, the per-partition
-	// key-grouping table and batchKey lists, the refreshBatchH distinct-key
-	// set, and the arena backing the distinct partition keys of one
-	// occurrence pass. All are reset (capacity kept) rather than
-	// reallocated, so repeated batches on one engine allocate only for
-	// genuinely new entries.
+	// in the relation table and the batchKey lists on the partition routes:
+	// the first-touched entry order of the staged batch, the per-partition
+	// key-grouping table, the refreshBatchH distinct-key set, and the arena
+	// backing the distinct partition keys of one occurrence pass. All are
+	// reset (capacity kept) rather than reallocated, so repeated batches on
+	// one engine allocate only for genuinely new entries.
 	batchTouched  []int
 	staged        bool // a validated batch is staged (PrepareCommit succeeded)
 	stagedApplied int  // nonzero-mult ops of the staged batch
-	opsScratch    []BatchOp
 	groupMap      tuple.IntMap
 	seenKeys      tuple.IntMap
 	batchKeyBuf   tuple.Tuple
-	perPart       [][]batchKey
 
 	// Variable slots for enumeration bindings.
 	vars tuple.Schema
@@ -131,7 +128,7 @@ type Engine struct {
 	// freeSlots are the slots of free(Q) in head order.
 	freeSlots []int
 
-	// mu serializes the write operations (Update, ApplyBatch, the
+	// mu serializes the write operations (Update, CommitBatch, the
 	// preprocessing commit) with snapshot capture. Writers hold it for the
 	// whole operation, so a Snapshot observes a committed state — never a
 	// half-applied batch; snapshot *enumeration* runs outside the lock.
@@ -192,7 +189,7 @@ type Stats struct {
 	MinorRebalances int64
 	MajorRebalances int64
 	DeltasApplied   int64 // single-tuple deltas applied to views
-	Batches         int64 // commits: every Update, CommitBatch, ApplyBatch, or ApplyPrepared that published an epoch
+	Batches         int64 // commits: every Update, CommitBatch, or ApplyPrepared that published an epoch
 	BatchRelations  int64 // distinct relations with a net effect, summed over commits
 }
 

@@ -79,7 +79,7 @@ func TestSharedViewWriter(t *testing.T) {
 // TestMultiTreeBatchCycleAllocFree pins the batch analogue of the
 // single-tuple zero-alloc pin in regression_test.go: on a default-options
 // engine over the multi-tree query, one warm-up pass of an insert/delete
-// ApplyBatch cycle sizes every delta pool and grouping table the cycle
+// batch cycle sizes every delta pool and grouping table the cycle
 // uses, and every later identical cycle allocates nothing.
 func TestMultiTreeBatchCycleAllocFree(t *testing.T) {
 	q := query.MustParse(multiTreeQuery)
@@ -106,10 +106,10 @@ func TestMultiTreeBatchCycleAllocFree(t *testing.T) {
 		negs[i] = -1
 	}
 	cycle := func() {
-		if err := e.ApplyBatch("T", rows, mults); err != nil {
+		if err := applyBatch(e, "T", rows, mults); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.ApplyBatch("T", rows, negs); err != nil {
+		if err := applyBatch(e, "T", rows, negs); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -112,7 +112,7 @@ type partRoute struct {
 	keyScratch  tuple.Tuple
 	lightLeaves []*leafPath // LightAtom(rel, key) leaves in the main trees
 	inds        []*indLightRoute
-	toLight     bool // per-update routing decision (Figure 19 line 10)
+	keys        []batchKey // the distinct keys of applyBatchOcc's current delta
 }
 
 // indLightRoute routes one occurrence relation into one indicator's L tree.

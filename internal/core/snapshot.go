@@ -88,7 +88,7 @@ func (e *Engine) invalidateGenLocked() {
 
 // Snapshot is an immutable view of one committed engine state. It
 // enumerates with its own binding state, concurrently with Update and
-// ApplyBatch on the engine and with other snapshots; the Snapshot itself is
+// CommitBatch on the engine and with other snapshots; the Snapshot itself is
 // not safe for concurrent use — take one snapshot per reader goroutine
 // (snapshots of one epoch share their frozen storage, which is read-only).
 // Close it when done so the writer can stop preserving its generation.

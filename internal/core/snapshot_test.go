@@ -56,7 +56,7 @@ func TestSnapshotSeesPreBatchState(t *testing.T) {
 	}
 
 	rows, mults := randomBatch(rng, e, "R", 2, 60, 7)
-	if err := e.ApplyBatch("R", rows, mults); err != nil {
+	if err := applyBatch(e, "R", rows, mults); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Update("S", tuple.Tuple{3, 3}, 2); err != nil {
@@ -113,13 +113,13 @@ func TestSnapshotAcrossMajorRebalance(t *testing.T) {
 }
 
 // The property behind the epoch scheme: a snapshot taken at any moment —
-// including while an ApplyBatch is in flight — observes exactly the
+// including while a batch commit is in flight — observes exactly the
 // committed state of its epoch: some pre- or post-batch state, never a
 // mixture. Reader goroutines snapshot and materialize continuously while the
 // writer commits a stream of batches and single updates, recording the
 // materialization of every committed epoch; every reader observation must
 // match the writer's record for its epoch. Run with -race, this is also the
-// race suite for Enumerate/Snapshot vs ApplyBatch. Each seed draws its own
+// race suite for Enumerate/Snapshot vs batch commits. Each seed draws its own
 // database and commit stream.
 func TestSnapshotConsistentUnderConcurrentBatches(t *testing.T) {
 	for _, seed := range []int64{1, 2, 8} {
@@ -204,7 +204,7 @@ func testSnapshotConsistentUnderConcurrentBatches(t *testing.T, seed int64) {
 			}
 			continue
 		}
-		if err := e.ApplyBatch(rel, rows, mults); err != nil {
+		if err := applyBatch(e, rel, rows, mults); err != nil {
 			t.Fatal(err)
 		}
 		states[e.Epoch()] = resultMap(e.Enumerate)

@@ -9,17 +9,18 @@ import (
 	"ivmeps/internal/viewtree"
 )
 
-// The maintenance kernels of Section 6: delta propagation along
-// leaf-to-root paths (Apply, Figure 17), indicator maintenance
-// (UpdateIndTree, Figure 18; UpdateTrees, Figure 19), and minor and major
-// rebalancing (Figures 20–21). The trigger that sequences them — OnUpdate,
-// Figure 22 — is the commit envelope in batch.go. The static structure of
-// each step — which leaves an update reaches and the plan of every
-// propagation step — is precomputed at Build time (routes.go); the code here
-// only executes those routes, and the single-tuple steady state runs without
-// heap allocation: deltas are pooled, their rows live in reused backing
-// buffers, and every relation probe hashes the unencoded tuple directly
-// against the relation's open-addressing table.
+// The maintenance steps of Section 6: delta propagation along leaf-to-root
+// paths (Apply, Figure 17), indicator maintenance (UpdateIndTree, Figure 18),
+// the light step that UpdateTrees (Figure 19) and minor rebalancing share,
+// and minor and major rebalancing (Figures 20–21). UpdateTrees itself —
+// applyBatchOcc, the one kernel every commit's delta goes through — and the
+// trigger that sequences it, OnUpdate (Figure 22), live in batch.go. The
+// static structure of each step — which leaves an update reaches and the
+// plan of every propagation step — is precomputed at Build time (routes.go);
+// the code here only executes those routes, and the single-tuple steady
+// state runs without heap allocation: deltas are pooled, their rows live in
+// reused backing buffers, and every relation probe hashes the unencoded
+// tuple directly against the relation's open-addressing table.
 
 // delta is a small relation of weighted tuples. Rows aggregate by tuple:
 // add coalesces equal tuples, by linear scan while the delta is small and
@@ -112,91 +113,18 @@ func (e *Engine) setM(m int) {
 	e.m = m
 }
 
-// updateOne is the one-row kernel of the commit envelope: UpdateTrees
-// (Figure 19) for d's single row, then the minor-rebalancing checks of that
-// row's partition keys (Figure 22, lines 9–15). It does what applyBatchOcc
-// does for a one-row delta without the per-distinct-key grouping pass.
-func (e *Engine) updateOne(rt *relRoutes, d *delta) {
-	e.updateTrees(rt, d)
-	if len(rt.parts) == 0 {
-		return
-	}
-	theta := e.Theta()
-	for _, pr := range rt.parts {
-		// pr.keyScratch still holds the row's partition key from the
-		// routing pass of updateTrees.
-		e.rebalanceKey(pr, pr.keyScratch, theta)
-	}
-}
-
-// rebalanceKey is the minor-rebalancing check for one partition key
-// (Figure 22, lines 9–15): a heavy key whose degree fell below θ/2 moves
-// into the light part, a light key that reached 3θ/2 moves out.
-func (e *Engine) rebalanceKey(pr *partRoute, key tuple.Tuple, theta float64) {
-	lightDeg := float64(pr.p.LightDegree(key))
-	fullDeg := float64(pr.p.Degree(key))
-	if lightDeg == 0 && fullDeg > 0 && fullDeg < 0.5*theta {
+// rebalanceKey is the minor-rebalancing check for one partition key after
+// its rows took their route (Figure 22, lines 9–15): a light key that
+// reached 3θ/2 moves out of the light part, a heavy key whose degree fell
+// below θ/2 moves in. A key's tuples are all in the light part or none are,
+// so its route says which of the two degrees to probe.
+func (e *Engine) rebalanceKey(pr *partRoute, key tuple.Tuple, light bool, theta float64) {
+	if light {
+		if float64(pr.p.LightDegree(key)) >= 1.5*theta {
+			e.minorRebalance(pr, key, false)
+		}
+	} else if deg := float64(pr.p.Degree(key)); deg > 0 && deg < 0.5*theta {
 		e.minorRebalance(pr, key, true)
-	} else if lightDeg >= 1.5*theta {
-		e.minorRebalance(pr, key, false)
-	}
-}
-
-// updateTrees is UpdateTrees (Figure 19) for the single row of d, driven by
-// the precomputed routes.
-func (e *Engine) updateTrees(rt *relRoutes, d *delta) {
-	base := rt.base
-	t, m := d.rows[0].t, d.rows[0].m
-
-	// Pre-update routing decision for the light parts (Figure 19 line 10:
-	// the update belongs to the light part if its key is new or light).
-	for _, pr := range rt.parts {
-		pr.keyScratch = pr.p.AppendKeyOf(pr.keyScratch[:0], t)
-		pr.toLight = pr.p.Degree(pr.keyScratch) == 0 || pr.p.IsLight(pr.keyScratch)
-	}
-
-	// Apply δR to the base relation once, maintaining N incrementally, then
-	// propagate through every main tree and every affected All tree
-	// (Figure 19 lines 1 and 6).
-	before := base.Size()
-	base.MustAdd(t, m)
-	if rt.countsN {
-		e.n += base.Size() - before
-	}
-	for _, lp := range rt.atomLeaves {
-		e.propagatePath(lp, d)
-	}
-	for _, ir := range rt.inds {
-		for _, lp := range ir.allLeaves {
-			e.propagatePath(lp, d)
-		}
-		// δ(∃H) from the All change (lines 7–9).
-		ir.keyScratch = ir.keyProj.AppendTo(ir.keyScratch[:0], t)
-		if dh := e.refreshH(ir.s, ir.keyScratch); dh != 0 {
-			e.propagateIndicator(ir.s, ir.keyScratch, dh)
-		}
-	}
-
-	// Route to the light parts (lines 10–14).
-	for _, pr := range rt.parts {
-		if !pr.toLight {
-			continue
-		}
-		pr.p.Light().MustAdd(t, m)
-		for _, lp := range pr.lightLeaves {
-			e.propagatePath(lp, d)
-		}
-		// The light indicator trees and the resulting ∃H changes. The
-		// indicator keys equal the partition key (ind.Keys = p.Key()),
-		// still in pr.keyScratch from the routing pass.
-		for _, il := range pr.inds {
-			for _, lp := range il.lLeaves {
-				e.propagatePath(lp, d)
-			}
-			if dh := e.refreshH(il.s, pr.keyScratch); dh != 0 {
-				e.propagateIndicator(il.s, pr.keyScratch, dh)
-			}
-		}
 	}
 }
 
@@ -526,8 +454,7 @@ func (e *Engine) Rebalance() {
 
 // minorRebalance is MinorRebalancing (Figure 21): move the tuples of one
 // partition key into (insert=true) or out of (insert=false) the light part
-// of pr's relation, propagating the moved tuples as one delta through the
-// light leaves and refreshing the affected indicators.
+// of pr's relation, as one delta through the light step.
 func (e *Engine) minorRebalance(pr *partRoute, key tuple.Tuple, insert bool) {
 	p := pr.p
 	base := p.Relation()
@@ -540,14 +467,23 @@ func (e *Engine) minorRebalance(pr *partRoute, key tuple.Tuple, insert bool) {
 			d.appendRow(t, -m)
 		}
 	})
-	light := p.Light()
+	keys := [1]batchKey{{key: key, light: true}}
+	e.lightStep(pr, d, keys[:])
+	e.putDelta(d)
+	e.stats.MinorRebalances++
+}
+
+// lightStep is the light-part half of UpdateTrees (Figure 19 lines 10–14) and
+// the propagation of MinorRebalancing (Figure 21 lines 4–7): d, whose rows
+// all carry one of the light keys of keys, goes into pr's light part, then
+// through the main trees' LightAtom leaves and the indicator L trees; after
+// every L tree has seen it, ∃H is refreshed once per light key — the
+// indicator keys equal the partition key.
+func (e *Engine) lightStep(pr *partRoute, d *delta, keys []batchKey) {
+	light := pr.p.Light()
 	for i := range d.rows {
 		light.MustAdd(d.rows[i].t, d.rows[i].m)
 	}
-	// Propagate the moved tuples through the main trees' light leaves and
-	// the indicator light trees (Figure 21, lines 4–7). All moved tuples
-	// share the partition key, which equals the indicator key, so one ∃H
-	// refresh per indicator suffices.
 	for _, lp := range pr.lightLeaves {
 		e.propagatePath(lp, d)
 	}
@@ -555,12 +491,17 @@ func (e *Engine) minorRebalance(pr *partRoute, key tuple.Tuple, insert bool) {
 		for _, lp := range il.lLeaves {
 			e.propagatePath(lp, d)
 		}
-		if dh := e.refreshH(il.s, key); dh != 0 {
-			e.propagateIndicator(il.s, key, dh)
+	}
+	for _, il := range pr.inds {
+		for ki := range keys {
+			if !keys[ki].light {
+				continue
+			}
+			if dh := e.refreshH(il.s, keys[ki].key); dh != 0 {
+				e.propagateIndicator(il.s, keys[ki].key, dh)
+			}
 		}
 	}
-	e.putDelta(d)
-	e.stats.MinorRebalances++
 }
 
 // CheckInvariants verifies the engine's structural invariants: the size

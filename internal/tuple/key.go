@@ -7,7 +7,7 @@ package tuple
 // Key is a cold-path convenience only: enumeration dedup in tests, model
 // maps in property tests, and embedder code that wants an ordinary Go map.
 // The engine's hot paths — relation storage, index buckets, delta
-// aggregation, and ApplyBatch grouping — key directly on unencoded tuples
+// aggregation, and batch grouping — key directly on unencoded tuples
 // via tuple.Hash and the open-addressing tables of internal/relation, and
 // never construct a Key.
 type Key string
