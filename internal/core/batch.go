@@ -400,10 +400,9 @@ func appendBatchKey(keys []batchKey, key tuple.Tuple, light bool) []batchKey {
 // hoisted to per-delta or per-distinct-key, followed by the
 // minor-rebalancing checks once per distinct key (Figure 22 lines 9–15).
 // Every commit's delta takes it, a single-tuple Update's as a batch of one,
-// which size guards keep as cheap as a one-row kernel: a one-row delta skips
-// the grouping tables, a partition whose keys all route light takes d
-// itself as its light delta, and an occurrence without partitions returns
-// before computing θ. The major-rebalance trigger is NOT evaluated here — it
+// which size guards keep cheap: a one-row delta skips the grouping tables, a
+// partition whose keys all route light takes d itself as its light delta,
+// and an occurrence without partitions returns before computing θ. The major-rebalance trigger is NOT evaluated here — it
 // is deferred to the commit boundary (rebalanceBatchLocked), so a
 // multi-relation commit whose interim sizes oscillate across a threshold
 // re-materializes at most once.
