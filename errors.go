@@ -8,7 +8,6 @@ import (
 	"ivmeps/internal/federation"
 	"ivmeps/internal/relation"
 	"ivmeps/internal/wal"
-	"ivmeps/internal/watch"
 )
 
 // Every data-validation rejection of the mutation and snapshot paths is
@@ -212,10 +211,6 @@ func wrapErr(err error) error {
 	var me *relation.MultiplicityError
 	if errors.As(err, &me) {
 		return &MultiplicityError{Relation: me.Relation, Row: me.Tuple, Have: me.Have, Delta: me.Delta}
-	}
-	var le *watch.LaggedError
-	if errors.As(err, &le) {
-		return &WatcherLaggedError{From: le.From, To: le.To}
 	}
 	return err
 }

@@ -323,31 +323,28 @@ func (r *snapshotReader[S]) All() iter.Seq2[[]int64, int64] {
 
 // Rows materializes the snapshot's full result as (row, multiplicity)
 // pairs; intended for small results and tests.
-func (r *snapshotReader[S]) Rows() (rows [][]int64, mults []int64) {
+func (r *snapshotReader[S]) Rows() (rows [][]int64, mults []int64) { return collect(r.All()) }
+
+// collect copies every pair of seq into fresh rows — sub-slices of one
+// backing array, nil for no rows — and mults.
+func collect(seq iter.Seq2[[]int64, int64]) (rows [][]int64, mults []int64) {
 	var vals []int64
-	r.Enumerate(func(row []int64, m int64) bool {
+	for row, m := range seq {
 		vals = append(vals, row...)
 		mults = append(mults, m)
-		return true
-	})
-	return carveRows(vals, len(mults)), mults
-}
-
-// carveRows splits vals — n rows of one arity laid end to end — into its
-// rows: sub-slices of the one backing array, nil for no rows.
-func carveRows(vals []int64, n int) [][]int64 {
-	if n == 0 {
-		return nil
+	}
+	if len(mults) == 0 {
+		return nil, nil
 	}
 	if vals == nil {
 		vals = []int64{} // rows of no columns are empty, not nil
 	}
-	arity := len(vals) / n
-	rows := make([][]int64, n)
+	arity := len(vals) / len(mults)
+	rows = make([][]int64, len(mults))
 	for i := range rows {
 		rows[i] = vals[i*arity : (i+1)*arity : (i+1)*arity]
 	}
-	return rows
+	return rows, mults
 }
 
 // Count returns the number of distinct result tuples in the snapshot's

@@ -24,6 +24,7 @@ import (
 	"iter"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -427,7 +428,10 @@ func (c *Client) Watch(ctx context.Context, opts WatchOptions) (*Watcher, error)
 	return w, nil
 }
 
-// readAnchor consumes the stream opening up to the ready frame.
+// readAnchor consumes the stream opening up to the ready frame. A rows
+// frame must belong to a view the anchor frame listed and carry one mult per
+// row, as readRows asks of a read's, so that AnchorRows never returns
+// unequal slices.
 func (w *Watcher) readAnchor() error {
 	sawAnchor := false
 	for {
@@ -442,6 +446,12 @@ func (w *Watcher) readAnchor() error {
 		case server.FrameRows:
 			if !sawAnchor {
 				return errors.New("client: watch stream sent rows before anchor")
+			}
+			if !slices.Contains(w.views, f.View) {
+				return fmt.Errorf("client: watch stream sent rows of view %q, which its anchor frame did not list", f.View)
+			}
+			if len(f.Mults) != len(f.Rows) {
+				return fmt.Errorf("client: watch anchor rows frame with %d rows and %d mults", len(f.Rows), len(f.Mults))
 			}
 			vs := w.anchor[f.View]
 			if vs == nil {

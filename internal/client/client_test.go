@@ -221,6 +221,29 @@ func TestTruncatedReadIsAnError(t *testing.T) {
 	}
 }
 
+// TestWatchAnchorRejectsBadRows: a watch opening with a rows frame whose
+// mults do not match its rows, or with rows of a view its anchor frame did
+// not list, fails Watch instead of leaving AnchorRows with unequal slices.
+func TestWatchAnchorRejectsBadRows(t *testing.T) {
+	const anchor = `{"type":"anchor","epoch":2,"views":["V"]}` + "\n"
+	const ready = `{"type":"ready","epoch":2}` + "\n"
+	for _, tc := range []struct{ name, rows, want string }{
+		{"rows without mults", `{"type":"rows","view":"V","rows":[[1,2],[3,4]],"mults":[1]}`, "2 rows and 1 mults"},
+		{"unlisted view", `{"type":"rows","view":"W","rows":[[1,2]],"mults":[1]}`, `view "W"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := serve(t, func(w http.ResponseWriter, r *http.Request) { io.WriteString(w, anchor+tc.rows+"\n"+ready) })
+			w, err := c.Watch(context.Background(), WatchOptions{})
+			if err == nil {
+				w.Close()
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Watch = %v; want an error saying %q", err, tc.want)
+			}
+		})
+	}
+}
+
 // TestReadDecodeAllocatesPerFrame bounds what decoding one more 2 048-row
 // rows frame costs the client: the rows are one backing array and one slice
 // of row headers (server.RowBlock), the mults are decoded into the previous

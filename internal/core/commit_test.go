@@ -363,6 +363,72 @@ type sinkFunc func(cd *CommitDelta)
 
 func (f sinkFunc) PublishCommit(cd *CommitDelta) { f(cd) }
 
+// countSink counts the records the engine hands it and remembers the last
+// epoch.
+type countSink struct {
+	n    int
+	last uint64
+}
+
+func (c *countSink) PublishCommit(cd *CommitDelta) { c.n++; c.last = cd.Epoch }
+
+// TestCommitSinksAreIndependent subscribes two sinks: each receives every
+// commit while it is subscribed, unsubscribing one leaves the other
+// receiving, UnsubscribeCommits is idempotent, and once the last sink
+// leaves capture is disarmed and nobody is published to.
+func TestCommitSinksAreIndependent(t *testing.T) {
+	e, err := New(query.MustParse("Q(A, B) = R(A, B)"), Options{Mode: viewtree.Dynamic})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Preprocess(e, nil); err != nil {
+		t.Fatal(err)
+	}
+	a, b := &countSink{}, &countSink{}
+	for _, s := range []*countSink{a, b} {
+		held, err := e.SubscribeCommits(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held.Close()
+	}
+	base := e.Epoch()
+	update := func(i int64) {
+		t.Helper()
+		if err := e.Update("R", tuple.Tuple{i, i}, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := int64(1); i <= 3; i++ {
+		update(i)
+	}
+	if a.n != 3 || a.last != base+3 || b.n != 3 || b.last != base+3 {
+		t.Fatalf("sinks saw %+v and %+v, want 3 records up to epoch %d each", a, b, base+3)
+	}
+	e.UnsubscribeCommits(a)
+	e.UnsubscribeCommits(a) // idempotent
+	update(4)
+	if a.n != 3 || b.n != 4 {
+		t.Fatalf("after the first sink left: %d and %d records, want 3 and 4", a.n, b.n)
+	}
+	e.UnsubscribeCommits(b)
+	update(5)
+	if b.n != 4 || e.capture != nil {
+		t.Fatalf("after the last sink left: %d records (want 4), capture armed %v", b.n, e.capture != nil)
+	}
+}
+
+// TestSubscribeCommitsBeforePreprocess checks the error path.
+func TestSubscribeCommitsBeforePreprocess(t *testing.T) {
+	e, err := New(query.MustParse("Q(A, B) = R(A, B)"), Options{Mode: viewtree.Dynamic})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.SubscribeCommits(&countSink{}); !errors.Is(err, ErrNotBuilt) {
+		t.Fatalf("SubscribeCommits before Preprocess: %v, want ErrNotBuilt", err)
+	}
+}
+
 // TestCommitEnvelope drives every entry point into the commit envelope —
 // Update, CommitBatch, and PrepareCommit resolved either way —
 // through one table of commits, with a commit hook installed, a commit sink

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"iter"
 	"slices"
 	"sync/atomic"
 
@@ -17,9 +18,9 @@ import (
 // is totally ordered by epoch with no gaps: every commit publishes exactly
 // one record (possibly with no view changes), and record N+1 is the state
 // diff from the state record N left behind. The sinks are the subscribers
-// themselves (internal/watch's Sub is one): the engine keeps them in a
-// slice guarded by the writer lock, so a sink's lock, if it has one, is
-// always taken after the engine's.
+// themselves (the public Watcher is one): the engine keeps them in a slice
+// guarded by the writer lock, so a sink's lock, if it has one, is always
+// taken after the engine's.
 //
 // Capture is pay-as-you-go: with no sink subscribed the only cost on the
 // commit path is one nil check, which keeps the steady-state zero-alloc
@@ -43,7 +44,7 @@ import (
 // distinct.
 type ViewDelta struct {
 	View  string
-	Rows  []tuple.Tuple
+	Rows  [][]int64
 	Mults []int64
 }
 
@@ -55,8 +56,10 @@ type ViewDelta struct {
 // Records are pooled and reference-counted: the engine publishes each
 // record with one reference held for the duration of the sink call; a sink
 // that hands the record to consumers must Retain once per handoff, and
-// every holder must Release exactly once. The record's contents (including
-// the tuple storage behind Rows) are immutable until the last Release, and
+// every holder Releases at most once: the last Release recycles the record,
+// and one a holder drops unreleased is left to the GC. The record's
+// contents (including the row storage behind Rows) are shaped once per
+// commit, shared by every sink, immutable until the last Release, and
 // recycled after it.
 type CommitDelta struct {
 	Epoch uint64
@@ -66,10 +69,10 @@ type CommitDelta struct {
 	free chan *CommitDelta
 
 	// Record-owned backing storage: rows/mults arenas subsliced per view,
-	// and one flat value buffer behind every row tuple. Capacities survive
+	// and one flat value buffer behind every row. Capacities survive
 	// recycling, so a warmed publish path allocates nothing.
-	buf   tuple.Tuple
-	rows  []tuple.Tuple
+	buf   []int64
+	rows  [][]int64
 	mults []int64
 }
 
@@ -105,7 +108,7 @@ type CommitSink interface {
 }
 
 // rootView is one main-tree root: the engine-assigned view name exposed by
-// RootViews/ViewForEach/commit deltas, and the node whose relation holds
+// RootViews/Snapshot.View/commit deltas, and the node whose relation holds
 // the view's content.
 type rootView struct {
 	name string
@@ -133,7 +136,7 @@ func (e *Engine) buildRootsLocked() {
 
 // RootViews returns the engine-assigned names of the root views, one per
 // main view tree, in a fixed order. These are the View names appearing in
-// CommitDelta records and accepted by Snapshot.ViewForEach. Empty before
+// CommitDelta records and accepted by Snapshot.View. Empty before
 // Preprocess.
 func (e *Engine) RootViews() []string {
 	e.mu.Lock()
@@ -145,19 +148,21 @@ func (e *Engine) RootViews() []string {
 	return out
 }
 
-// ViewForEach calls fn for every row of one root view in the snapshot's
-// frozen state, with its multiplicity. It reports whether the view name is
-// known. The tuple passed to fn is only valid during the call.
-func (s *Snapshot) ViewForEach(view string, fn func(t tuple.Tuple, m int64)) bool {
+// View returns an iterator over the rows of one root view in the
+// snapshot's frozen state, with their multiplicities, and reports whether
+// the view name is known. A yielded tuple is the snapshot's own storage:
+// read-only, and valid only until the next step. The snapshot must stay
+// open while the iterator is ranged.
+func (s *Snapshot) View(view string) (iter.Seq2[tuple.Tuple, int64], bool) {
 	if s.closed {
-		panic("core: ViewForEach on a closed Snapshot")
+		panic("core: View on a closed Snapshot")
 	}
 	i, ok := s.e.rootIdx[view]
 	if !ok {
-		return false
+		return nil, false
 	}
-	s.ctx.rels[s.e.roots[i].node.ID].ForEach(fn)
-	return true
+	rel := s.ctx.rels[s.e.roots[i].node.ID]
+	return func(yield func(tuple.Tuple, int64) bool) { rel.ForEachUntil(yield) }, true
 }
 
 // captureSet is the per-commit capture state: one slot (an aggregating
@@ -277,10 +282,10 @@ func (e *Engine) publishCommitLocked() {
 		}
 	}
 	if cap(cd.buf) < nVals {
-		cd.buf = make(tuple.Tuple, 0, nVals)
+		cd.buf = make([]int64, 0, nVals)
 	}
 	if cap(cd.rows) < nRows {
-		cd.rows = make([]tuple.Tuple, 0, nRows)
+		cd.rows = make([][]int64, 0, nRows)
 	}
 	if cap(cd.mults) < nRows {
 		cd.mults = make([]int64, 0, nRows)

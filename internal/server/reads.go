@@ -20,13 +20,14 @@ import (
 // rows frame every ?limit= rows, so its first row is on the wire after one
 // frame's worth of enumeration, and every row of the read observes one
 // committed epoch however many commits land meanwhile — the writer is never
-// blocked, it copy-on-writes around the pin. A view read copies its view
-// (ViewRows) and releases the pin before its first frame. A stream ends with
-// its closing frame, with a frame write that misses watchWriteTimeout (a
-// peer that stopped reading), when the client goes away, or — when
-// maxReaders streams are open and another one starts — as the oldest, with a
-// terminal "gone" error frame at its next frame boundary. The handler then
-// returns and the snapshot is released.
+// blocked, it copy-on-writes around the pin. A view read ranges over its
+// view (ViewAll) the same way and holds its snapshot as long. One loop,
+// streamRows, writes the frames of both reads and of the watch anchor's
+// dump. A stream ends with its closing frame, with a frame write that
+// misses watchWriteTimeout (a peer that stopped reading), when the client
+// goes away, or — when maxReaders streams are open and another one starts —
+// as the oldest, with a terminal "gone" error frame at its next frame
+// boundary. The handler then returns and the snapshot is released.
 
 // errEvicted is the cancellation cause of a read stream ended to make room
 // for a newer one.
@@ -42,7 +43,7 @@ type readStream struct {
 // readStreams is the registry of open read streams, oldest first. A stream
 // stays registered until its handler returns — an ended one until its last
 // write returns or misses its deadline — so the count is the reads that
-// hold a connection and, for a result read, a snapshot.
+// hold a connection and a snapshot.
 type readStreams struct {
 	mu   sync.Mutex
 	open []*readStream
@@ -102,23 +103,11 @@ func (s *Server) handleRows(w http.ResponseWriter, r *http.Request, view string)
 		return
 	}
 	defer snap.Close()
-	epoch := snap.Epoch()
-	var rows iter.Seq2[[]int64, int64]
-	if view == "" {
-		rows = snap.All()
-	} else {
-		vrows, vmults, err := snap.ViewRows(view)
-		snap.Close()
-		if err != nil {
+	rows := snap.All()
+	if view != "" {
+		if rows, err = snap.ViewAll(view); err != nil {
 			s.fail(w, epRows, &WireError{Code: CodeUnknownView, Message: err.Error()})
 			return
-		}
-		rows = func(yield func([]int64, int64) bool) {
-			for i := range vrows {
-				if !yield(vrows[i], vmults[i]) {
-					return
-				}
-			}
 		}
 	}
 	rs := s.readers.add(r.Context())
@@ -126,28 +115,47 @@ func (s *Server) handleRows(w http.ResponseWriter, r *http.Request, view string)
 
 	s.metrics.hit(epRows, http.StatusOK)
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set(HeaderEpoch, strconv.FormatUint(epoch, 10))
+	w.Header().Set(HeaderEpoch, strconv.FormatUint(snap.Epoch(), 10))
 	w.WriteHeader(http.StatusOK)
 	send := frameWriter(w, &s.metrics.readWriteTimeouts)
+	if count := streamRows(send, rs, view, rows, limit); count >= 0 {
+		send(&Frame{Type: FrameReady, Epoch: snap.Epoch(), Count: count})
+	}
+}
 
-	// Yielded rows may alias engine-reused buffers, so each is copied before
-	// the next pull — into one backing array whose sub-slices are the frame's
-	// rows. A sent frame's arrays are refilled by the next one.
+// ended reports whether the read stream has ended; one ended by eviction
+// first gets its terminal gone frame.
+func (rs *readStream) ended(send func(*Frame) bool) bool {
+	if rs.ctx.Err() == nil {
+		return false
+	}
+	if errors.Is(context.Cause(rs.ctx), errEvicted) {
+		send(&Frame{Type: FrameError, Err: &WireError{Code: CodeGone,
+			Message: fmt.Sprintf("more than %d reads open: the oldest was ended; restart the read", maxReaders)}})
+	}
+	return true
+}
+
+// streamRows is the one frame loop of every stream: it writes rows as rows
+// frames of at most limit rows, labelled view, and returns how many rows it
+// sent, or -1 when a frame did not go out or rs — checked before every
+// frame, nil for the watch anchor's dump — ended. Yielded rows may alias
+// engine storage or reused buffers, so each is copied before the next pull,
+// into one backing array whose sub-slices are the frame's rows; a sent
+// frame's arrays are refilled by the next one. Failure rides in count, not
+// in a flag or a result of its own: the loop body is a closure handed to
+// rows, so each local it writes costs one heap allocation per stream.
+func streamRows(send func(*Frame) bool, rs *readStream, view string, rows iter.Seq2[[]int64, int64], limit int) int {
 	f := Frame{Type: FrameRows, View: view}
 	var vals []int64
 	count := 0
-	flush := func() bool {
-		if rs.ctx.Err() != nil {
-			if errors.Is(context.Cause(rs.ctx), errEvicted) {
-				send(&Frame{Type: FrameError, Err: &WireError{Code: CodeGone,
-					Message: fmt.Sprintf("more than %d reads open: the oldest was ended; restart the read", maxReaders)}})
-			}
-			return false
+	flush := func() {
+		if rs != nil && rs.ended(send) || !send(&f) {
+			count = -1
+			return
 		}
 		count += len(f.Rows)
-		ok := send(&f)
 		f.Rows, f.Mults, vals = f.Rows[:0], f.Mults[:0], vals[:0]
-		return ok
 	}
 	for row, mult := range rows {
 		if vals == nil {
@@ -157,12 +165,14 @@ func (s *Server) handleRows(w http.ResponseWriter, r *http.Request, view string)
 		vals = append(vals, row...)
 		f.Rows = append(f.Rows, vals[len(vals)-len(row):len(vals):len(vals)])
 		f.Mults = append(f.Mults, mult)
-		if len(f.Rows) == limit && !flush() {
-			return
+		if len(f.Rows) == limit {
+			if flush(); count < 0 {
+				break
+			}
 		}
 	}
-	if len(f.Rows) > 0 && !flush() {
-		return
+	if count >= 0 && len(f.Rows) > 0 {
+		flush()
 	}
-	send(&Frame{Type: FrameReady, Epoch: epoch, Count: count})
+	return count
 }

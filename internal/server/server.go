@@ -22,8 +22,8 @@ type Options struct {
 // The service's fixed limits. Every one bounds what a single request can
 // make the server hold or do.
 const (
-	// pageSize is the rows per frame of a read without ?limit, and
-	// maxPageSize caps ?limit.
+	// pageSize is the rows per frame of a read without ?limit and of the
+	// watch anchor's dump, and maxPageSize caps ?limit.
 	pageSize    = 512
 	maxPageSize = 8192
 	// maxReaders caps concurrently open read streams; opening one more ends
@@ -35,9 +35,6 @@ const (
 	// maxWatchBuffer caps ?buffer, the per-stream event ring in commits: the
 	// ring is allocated up front, eight bytes a slot, per request.
 	maxWatchBuffer = 1 << 16
-	// anchorChunk is the rows-per-frame granularity of the watch anchor
-	// state dump.
-	anchorChunk = 512
 )
 
 // watchWriteTimeout bounds the write of one frame of a watch or read stream:

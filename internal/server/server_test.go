@@ -10,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"runtime"
 	"sort"
 	"strings"
@@ -456,6 +457,41 @@ func TestWatchResumeAndReset(t *testing.T) {
 	var we *server.WireError
 	if _, err := c.Watch(ctx, client.WatchOptions{FromEpoch: epoch + 100}); !errors.As(err, &we) || we.Code != server.CodeEpochAhead {
 		t.Fatalf("future from_epoch err = %v, want WireError{epoch_ahead}", err)
+	}
+}
+
+// TestWatchRepeatedViewDumpedOnce: a view named twice in ?views= is listed
+// and dumped once, so the client's anchor state is the view's rows.
+func TestWatchRepeatedViewDumpedOnce(t *testing.T) {
+	eng, _, c := newStack(t, server.Options{}, client.Options{})
+	ctx := context.Background()
+	if _, err := c.Commit(ctx, c.NewBatch().Insert("R", []int64{1, 2}).Insert("S", []int64{2, 3})); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := eng.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	dumped := 0
+	for _, v := range eng.Views() {
+		w, err := c.Watch(ctx, client.WatchOptions{Views: []string{v, v}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		rows, mults, ok := w.AnchorRows(v)
+		wantRows, wantMults, err := snap.ViewRows(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok || len(w.Views()) != 1 || sortedRows(rows, mults) != sortedRows(wantRows, wantMults) {
+			t.Fatalf("watch of %s twice lists %v and anchors %v %v, want it once with %v %v", v, w.Views(), rows, mults, wantRows, wantMults)
+		}
+		dumped += len(wantRows)
+	}
+	if dumped == 0 {
+		t.Fatal("every view is empty: the test compared nothing")
 	}
 }
 
@@ -1154,6 +1190,125 @@ func TestReadAllocatesPerFrame(t *testing.T) {
 	// encode state is often allocated afresh for a frame.
 	if perFrameRow >= 0.01 && !raceEnabled {
 		t.Errorf("32 frames instead of one cost %.4f more allocations per row, want < 0.01", perFrameRow)
+	}
+}
+
+// discardWriter is a response writer that takes write deadlines and flushes
+// as a connection does and keeps only the last frame of the body, so what a
+// test measures is the handler's allocation and not the body's buffer.
+type discardWriter struct {
+	header http.Header
+	last   []byte
+}
+
+// Header implements http.ResponseWriter.
+func (w *discardWriter) Header() http.Header { return w.header }
+
+// WriteHeader implements http.ResponseWriter.
+func (w *discardWriter) WriteHeader(int) {}
+
+// Flush implements http.Flusher so the handler streams.
+func (w *discardWriter) Flush() {}
+
+// SetWriteDeadline lets http.ResponseController set deadlines.
+func (w *discardWriter) SetWriteDeadline(time.Time) error { return nil }
+
+// Write keeps the frame it is handed (json.Encoder writes one per call).
+func (w *discardWriter) Write(p []byte) (int, error) {
+	w.last = append(w.last[:0], p...)
+	return len(p), nil
+}
+
+// TestViewStreamsAllocatePerFrame bounds the bytes that a view read and a
+// watch opening allocate per row of the view they stream. Growing the
+// largest view from 1 024 to 65 536 rows may cost under a byte per extra
+// row: its rows go from the snapshot into frames whose arrays the next
+// frame refills, where copying the view first cost about 140 bytes a row.
+func TestViewStreamsAllocatePerFrame(t *testing.T) {
+	eng, srv, c := newStack(t, server.Options{}, client.Options{})
+	// Every row a join key of its own: the root views are keyed by it.
+	grow := func(from, to int64) {
+		b := c.NewBatch()
+		for i := from; i < to; i++ {
+			b.Insert("R", []int64{i, i}).Insert("S", []int64{i, i})
+		}
+		if _, err := c.Commit(context.Background(), b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// largest names the biggest root view and counts its rows.
+	largest := func() (view string, rows int) {
+		s, err := eng.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		for _, v := range eng.Views() {
+			r, _, err := s.ViewRows(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(r) > rows {
+				view, rows = v, len(r)
+			}
+		}
+		return view, rows
+	}
+	// measure serves a request five times and returns the bytes one took.
+	measure := func(target string, ctx context.Context) float64 {
+		const runs = 5
+		w := &discardWriter{header: make(http.Header)}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			srv.ServeHTTP(w, httptest.NewRequest(http.MethodGet, target, nil).WithContext(ctx))
+		}
+		runtime.ReadMemStats(&after)
+		if f, err := server.ParseFrame(bytes.TrimSpace(w.last)); err != nil || f.Type != server.FrameReady {
+			t.Fatalf("%s ended with %s", target, w.last)
+		}
+		return float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	// The watch stream ends right after its opening.
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	cases := []struct {
+		name string
+		run  func(view string) float64
+	}{
+		{"view read", func(view string) float64 {
+			return measure("/v1/views/"+url.PathEscape(view)+"/rows", context.Background())
+		}},
+		{"watch anchor", func(view string) float64 {
+			return measure("/v1/watch?views="+url.QueryEscape(view), cancelled)
+		}},
+	}
+
+	grow(0, 1024)
+	view, small := largest()
+	for _, tc := range cases {
+		tc.run(view) // warm the pools
+	}
+	smallBytes := make([]float64, len(cases))
+	for i, tc := range cases {
+		smallBytes[i] = tc.run(view)
+	}
+	grow(1024, 65536)
+	view, large := largest()
+	if small < 1000 || large < 65000 {
+		t.Fatalf("the largest view grew from %d to %d rows, want about 1 024 to 65 536", small, large)
+	}
+	for i, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			largeBytes := tc.run(view)
+			perRow := (largeBytes - smallBytes[i]) / float64(large-small)
+			t.Logf("%d rows: %.0f bytes, %d rows: %.0f bytes (%.2f per extra row)", small, smallBytes[i], large, largeBytes, perRow)
+			// Under -race sync.Pool drops entries at random, so encoding/json's
+			// pooled encode state is often allocated afresh for a frame.
+			if perRow >= 1 && !raceEnabled {
+				t.Errorf("%.2f bytes per extra row of the view, want < 1: the view is copied, not streamed", perRow)
+			}
+		})
 	}
 }
 

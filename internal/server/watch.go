@@ -17,7 +17,7 @@ import (
 // registration, so the stream is gap-free from its anchor. The stream
 // opens with the anchor:
 //
-//	anchor frame → rows frames (the anchor state, chunked) → ready frame
+//	anchor frame → rows frames (the anchor state, by view) → ready frame
 //
 // unless the client presented ?from_epoch equal to the anchor epoch — then
 // the dump is skipped (anchor frame carries resume:true) and the client
@@ -42,9 +42,16 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
+	// Each view is named and dumped once, in first-seen order.
 	var views []string
 	if vs := q.Get("views"); vs != "" {
-		views = strings.Split(vs, ",")
+		seen := make(map[string]bool)
+		for _, v := range strings.Split(vs, ",") {
+			if !seen[v] {
+				seen[v] = true
+				views = append(views, v)
+			}
+		}
 	}
 	buffer := 0 // the engine's DefaultWatchBuffer
 	if bs := q.Get("buffer"); bs != "" {
@@ -93,7 +100,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	send := frameWriter(w, &s.metrics.watchWriteTimeouts)
 
-	if !s.sendAnchor(send, wat, anchor, fromSet && fromEpoch == anchor.Epoch(), views) {
+	if !s.sendAnchor(send, anchor, fromSet && fromEpoch == anchor.Epoch(), views) {
 		return
 	}
 
@@ -137,12 +144,12 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // sendAnchor writes the stream opening: the anchor frame and, unless the
-// client resumed at exactly the anchor epoch, the chunked state dump of
-// every subscribed view, then the ready frame. It closes the anchor on every
-// path, and before the ready frame goes out: a client may commit the moment
-// it reads "ready", and a commit that finds the anchor still pinned copies
-// every relation it writes.
-func (s *Server) sendAnchor(send func(*Frame) bool, wat *ivmeps.Watcher, anchor *ivmeps.Snapshot, resume bool, views []string) bool {
+// client resumed at exactly the anchor epoch, the state dump of every
+// subscribed view in rows frames of at most pageSize rows, then the ready
+// frame. It closes the anchor on every path, and before the ready frame goes
+// out: a client may commit the moment it reads "ready", and a commit that
+// finds the anchor still pinned copies every relation it writes.
+func (s *Server) sendAnchor(send func(*Frame) bool, anchor *ivmeps.Snapshot, resume bool, views []string) bool {
 	defer anchor.Close() // idempotent: the failure paths' release
 	epoch := anchor.Epoch()
 	if views == nil {
@@ -153,23 +160,15 @@ func (s *Server) sendAnchor(send func(*Frame) bool, wat *ivmeps.Watcher, anchor 
 	}
 	if !resume {
 		for _, v := range views {
-			rows, mults, err := anchor.ViewRows(v)
+			rows, err := anchor.ViewAll(v)
 			if err != nil {
 				send(&Frame{Type: FrameError, Err: EncodeError(err)})
 				return false
 			}
-			for start := 0; start < len(rows); start += anchorChunk {
-				end := min(start+anchorChunk, len(rows))
-				if !send(&Frame{Type: FrameRows, View: v, Rows: rows[start:end], Mults: mults[start:end]}) {
-					return false
-				}
-			}
-			// An empty view still gets one rows frame, so the client's
-			// anchor map lists every subscribed view explicitly.
-			if len(rows) == 0 {
-				if !send(&Frame{Type: FrameRows, View: v, Rows: [][]int64{}, Mults: []int64{}}) {
-					return false
-				}
+			// An empty view still gets one rows frame, so the client's anchor
+			// map lists every subscribed view explicitly.
+			if n := streamRows(send, nil, v, rows, pageSize); n < 0 || n == 0 && !send(&Frame{Type: FrameRows, View: v}) {
+				return false
 			}
 		}
 	}

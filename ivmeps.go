@@ -164,11 +164,13 @@
 // subscription, available once via Watcher.Snapshot — and its Events
 // iteration then yields one Event per subsequent commit, in epoch order
 // with no gaps: each Event carries the commit's epoch and, per root view
-// (named by Engine.Views, readable from any snapshot via
-// Snapshot.ViewRows), a ViewDelta of the rows whose multiplicity changed.
-// Folding the deltas over the anchor reproduces the engine's state at
-// every delivered epoch, so a cache, an index, or a downstream replica can
-// stay exactly consistent without re-reading the engine
+// (named by Engine.Views, readable from any snapshot via Snapshot.ViewAll,
+// which streams it, or Snapshot.ViewRows, which copies it), a ViewDelta of
+// the rows whose multiplicity changed. An event's rows and mults are built
+// once per commit and shared with every watcher of that commit: they are
+// read-only. Folding the deltas over the anchor reproduces the engine's
+// state at every delivered epoch, so a cache, an index, or a downstream
+// replica can stay exactly consistent without re-reading the engine
 // (Example_watch shows the loop). WatchOptions filters the stream to
 // chosen views and sizes the event buffer.
 //
@@ -178,9 +180,9 @@
 // after every buffered event, with a WatcherLaggedError naming exactly the
 // epochs it missed (match the class with errors.Is against
 // ErrWatcherLagged), and it re-anchors by calling Watch again. Other
-// watchers and the writer are unaffected: every watcher is, underneath, one
-// of the engine's own commit sinks, handed each commit's delta under the
-// writer lock with nothing in between, and while no watcher is open the
+// watchers and the writer are unaffected: every watcher is itself one of
+// the engine's commit sinks, handed each commit's delta under the writer
+// lock with nothing in between, and while no watcher is open the
 // commit path does no capture work — and no allocation — at all. The watch
 // layer spawns no goroutines; events are delivered on whichever goroutine
 // iterates Events, and Watcher.Close (safe from any goroutine, including

@@ -1,14 +1,13 @@
 package ivmeps
 
 import (
-	"errors"
 	"fmt"
 	"iter"
+	"slices"
 	"sync"
 
 	"ivmeps/internal/core"
 	"ivmeps/internal/tuple"
-	"ivmeps/internal/watch"
 )
 
 // Watching: per-commit view-delta streaming. Engine.Watch returns a
@@ -63,19 +62,33 @@ type Event struct {
 // anchor Snapshot plus every later commit's delta, in order. Events and
 // Snapshot are for a single consumer goroutine; Close may be called from
 // any goroutine, concurrently with an in-flight iteration.
+//
+// The Watcher is itself one of the engine's commit sinks (watcherSink):
+// the committer hands it every record, under the engine's writer lock, and
+// it takes the record into its ring — a buffered channel of shared,
+// reference-counted records — without ever blocking. Lock order is
+// engine.mu → Watcher.mu; Close and Events let go of mu before they call
+// the engine.
 type Watcher struct {
-	sub    *watch.Sub
+	e      *core.Engine
 	filter map[string]bool
+	ring   chan *core.CommitDelta
+	done   chan struct{} // closed by Close
 
 	mu          sync.Mutex
+	lag         *WatcherLaggedError // set at eviction; grows until unsubscribed
+	closed      bool
 	anchor      *Snapshot
 	anchorTaken bool
 
-	// Per-yield conversion arenas, reused across events (Event contents
-	// are valid until the next iteration step; copy to retain).
+	// evDeltas is the per-yield Deltas arena, reused across events (Event
+	// contents are valid until the next iteration step; copy to retain).
 	evDeltas []ViewDelta
-	rowBuf   [][]int64
 }
+
+// watcherSink is the Watcher as a core.CommitSink, so that PublishCommit
+// stays out of the Watcher's public method set.
+type watcherSink Watcher
 
 // Watch subscribes to the engine's commit stream. The returned watcher is
 // anchored at the current committed state: its Snapshot observes epoch E,
@@ -96,30 +109,56 @@ func (e *Engine) Watch(opts WatchOptions) (*Watcher, error) {
 		filter = make(map[string]bool, len(opts.Views))
 		known := e.e.RootViews()
 		for _, v := range opts.Views {
-			ok := false
-			for _, k := range known {
-				if k == v {
-					ok = true
-					break
-				}
-			}
-			if !ok {
+			if !slices.Contains(known, v) {
 				return nil, fmt.Errorf("ivmeps: Watch: unknown view %q (Engine.Views lists the root views)", v)
 			}
 			filter[v] = true
 		}
 	}
-	sub, snap, err := watch.Subscribe(e.e, opts.Buffer)
+	buffer := opts.Buffer
+	if buffer <= 0 {
+		buffer = DefaultWatchBuffer
+	}
+	w := &Watcher{e: e.e, filter: filter, ring: make(chan *core.CommitDelta, buffer), done: make(chan struct{})}
+	snap, err := e.e.SubscribeCommits((*watcherSink)(w))
 	if err != nil {
 		return nil, wrapErr(err)
 	}
-	return &Watcher{sub: sub, filter: filter, anchor: &Snapshot{snapshotReader[*core.Snapshot]{snap}}}, nil
+	w.anchor = &Snapshot{snapshotReader[*core.Snapshot]{snap}}
+	return w, nil
+}
+
+// PublishCommit implements core.CommitSink: it runs on the committer's
+// goroutine under the engine's writer lock, once per commit in epoch order.
+// Delivery is one non-blocking ring send; a full ring evicts the watcher
+// (close the ring, start the gap), and an evicted one just extends its gap
+// until its consumer notices.
+func (s *watcherSink) PublishCommit(cd *core.CommitDelta) {
+	w := (*Watcher)(s)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.lag != nil {
+		w.lag.To = cd.Epoch
+		return
+	}
+	cd.Retain()
+	select {
+	case w.ring <- cd:
+	default:
+		cd.Release()
+		w.lag = &WatcherLaggedError{From: cd.Epoch, To: cd.Epoch}
+		// Sends and this close all happen here, under the engine's writer
+		// lock, and the lag above gates every later publish: the ring is
+		// never sent to again. The consumer drains the buffered prefix, then
+		// sees the close.
+		close(w.ring)
+	}
 }
 
 // Views returns the engine-assigned names of the root views — the View
-// names carried by watch events and accepted by WatchOptions.Views and
-// Snapshot.ViewRows, one per materialized view tree, in a fixed order.
-// Empty before Build.
+// names carried by watch events and accepted by WatchOptions.Views,
+// Snapshot.ViewAll and Snapshot.ViewRows, one per materialized view tree,
+// in a fixed order. Empty before Build.
 func (e *Engine) Views() []string { return e.e.RootViews() }
 
 // Snapshot returns the watcher's anchor: the committed state immediately
@@ -135,29 +174,43 @@ func (w *Watcher) Snapshot() *Snapshot {
 
 // Events iterates the watcher's commit stream in epoch order, blocking
 // between commits. The first event's epoch is the anchor's epoch + 1, and
-// epochs are consecutive from there. An event's Deltas, rows, and mults are
-// valid only until the next iteration step — copy them to retain.
+// epochs are consecutive from there. An event's Deltas are valid only until
+// the next iteration step, and its rows and mults are shared with every
+// watcher of the commit: read them only, and copy them to retain.
 //
 // The iteration ends when the watcher is closed (silently) or when the
 // watcher is evicted for lagging: then exactly one final pair with a
 // non-nil error — a WatcherLaggedError naming the missed epochs, after
 // every buffered event has been delivered — is yielded first. Breaking out
 // of the loop does not close the watcher; calling Events again resumes the
-// stream where it stopped.
+// stream where it stopped, or reports the same gap.
 func (w *Watcher) Events() iter.Seq2[Event, error] {
 	return func(yield func(Event, error) bool) {
 		for {
-			cd, err := w.sub.Next()
-			if err != nil {
-				if !errors.Is(err, watch.ErrClosed) {
-					yield(Event{}, wrapErr(err))
+			select {
+			case cd, ok := <-w.ring:
+				if !ok {
+					// Evicted, buffered prefix consumed. Unsubscribe first so
+					// the publisher stops extending the gap, then read it.
+					w.e.UnsubscribeCommits((*watcherSink)(w))
+					w.mu.Lock()
+					lag := *w.lag
+					w.mu.Unlock()
+					yield(Event{}, &lag)
+					return
 				}
-				return
-			}
-			ev := w.convert(cd)
-			ok := yield(ev, nil)
-			cd.Release()
-			if !ok {
+				select {
+				case <-w.done: // closed: nothing more is yielded
+					cd.Release()
+					return
+				default:
+				}
+				ok = yield(w.convert(cd), nil)
+				cd.Release()
+				if !ok {
+					return
+				}
+			case <-w.done:
 				return
 			}
 		}
@@ -165,68 +218,67 @@ func (w *Watcher) Events() iter.Seq2[Event, error] {
 }
 
 // convert reshapes a shared commit record into the public Event form,
-// applying the view filter. The Deltas and row slices live in the
-// watcher's reused arenas; the row storage itself aliases the record's
-// (released only after the yield returns).
+// applying the view filter. Only the Deltas headers are the watcher's (a
+// reused arena); the rows and mults are the record's (released only after
+// the yield returns).
 func (w *Watcher) convert(cd *core.CommitDelta) Event {
 	deltas := w.evDeltas[:0]
-	rows := w.rowBuf[:0]
-	total := 0
-	for i := range cd.Views {
-		if w.filter == nil || w.filter[cd.Views[i].View] {
-			total += len(cd.Views[i].Rows)
+	for _, vd := range cd.Views {
+		if w.filter == nil || w.filter[vd.View] {
+			deltas = append(deltas, ViewDelta(vd))
 		}
 	}
-	if cap(rows) < total {
-		rows = make([][]int64, 0, total)
-	}
-	for i := range cd.Views {
-		vd := &cd.Views[i]
-		if w.filter != nil && !w.filter[vd.View] {
-			continue
-		}
-		start := len(rows)
-		for _, t := range vd.Rows {
-			rows = append(rows, []int64(t))
-		}
-		deltas = append(deltas, ViewDelta{
-			View:  vd.View,
-			Rows:  rows[start:len(rows):len(rows)],
-			Mults: vd.Mults,
-		})
-	}
-	w.evDeltas, w.rowBuf = deltas, rows
+	w.evDeltas = deltas
 	return Event{Epoch: cd.Epoch, Deltas: deltas}
 }
 
 // Close ends the subscription: a blocked or future Events iteration
 // returns, the watcher stops occupying writer-side resources, and — unless
 // Snapshot transferred it — the anchor snapshot is released. Idempotent
-// and safe from any goroutine.
+// and safe from any goroutine. Events is the ring's only receiver: records
+// still buffered are left to the GC rather than recycled.
 func (w *Watcher) Close() {
-	w.sub.Close()
 	w.mu.Lock()
+	if w.closed {
+		w.mu.Unlock()
+		return
+	}
+	w.closed = true
 	taken := w.anchorTaken
 	w.anchorTaken = true
 	w.mu.Unlock()
+	w.e.UnsubscribeCommits((*watcherSink)(w))
+	close(w.done)
 	if !taken {
 		w.anchor.Close()
 	}
 }
 
-// ViewRows returns one root view's rows and multiplicities in the
-// snapshot's committed state (see Engine.Views for the names). The
-// returned slices are fresh copies owned by the caller. Folding watch
-// deltas over the anchor's ViewRows reproduces ViewRows at every later
-// epoch.
-func (s *Snapshot) ViewRows(view string) (rows [][]int64, mults []int64, err error) {
-	var vals []int64
-	ok := s.s.ViewForEach(view, func(t tuple.Tuple, m int64) {
-		vals = append(vals, t...)
-		mults = append(mults, m)
-	})
+// ViewAll returns an iterator over one root view's rows and
+// multiplicities in the snapshot's committed state (see Engine.Views for
+// the names), for use with range. A yielded row is the snapshot's own
+// storage: read it only, and copy it to retain past the iteration step.
+// The snapshot must stay open while the iterator is ranged.
+func (s *Snapshot) ViewAll(view string) (iter.Seq2[[]int64, int64], error) {
+	seq, ok := s.s.View(view)
 	if !ok {
-		return nil, nil, fmt.Errorf("ivmeps: ViewRows: unknown view %q (Engine.Views lists the root views)", view)
+		return nil, fmt.Errorf("ivmeps: unknown view %q (Engine.Views lists the root views)", view)
 	}
-	return carveRows(vals, len(mults)), mults, nil
+	return func(yield func([]int64, int64) bool) {
+		seq(func(t tuple.Tuple, m int64) bool { return yield(t, m) })
+	}, nil
+}
+
+// ViewRows returns one root view's rows and multiplicities in the
+// snapshot's committed state (see Engine.Views for the names): ViewAll,
+// collected. The returned slices are fresh copies owned by the caller.
+// Folding watch deltas over the anchor's ViewRows reproduces ViewRows at
+// every later epoch.
+func (s *Snapshot) ViewRows(view string) (rows [][]int64, mults []int64, err error) {
+	seq, err := s.ViewAll(view)
+	if err != nil {
+		return nil, nil, err
+	}
+	rows, mults = collect(seq)
+	return rows, mults, nil
 }

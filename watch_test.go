@@ -444,6 +444,14 @@ func TestWatchSlowConsumerEviction(t *testing.T) {
 	if wle.From != base+4 || wle.To != base+9 {
 		t.Fatalf("gap %d..%d, want %d..%d", wle.From, wle.To, base+4, base+9)
 	}
+	// Ranging again reports the same gap, and nothing else.
+	var again []error
+	for _, err := range slow.Events() {
+		again = append(again, err)
+	}
+	if len(again) != 1 || !errors.As(again[0], &wle) || wle.From != base+4 || wle.To != base+9 {
+		t.Fatalf("ranging Events after the eviction yielded %v, want the same gap once", again)
+	}
 
 	// The healthy watcher is untouched: all 9 events, in order, folding to
 	// the engine's exact state.
@@ -685,4 +693,152 @@ func TestWatchAPIMisuse(t *testing.T) {
 		t.Fatalf("anchor died with the watcher: %v", err)
 	}
 	anchor.Close()
+}
+
+// nextEvent pulls one event off a watcher's stream: ranging Events again
+// resumes where the last loop broke off.
+func nextEvent(t *testing.T, w *Watcher) Event {
+	t.Helper()
+	for ev, err := range w.Events() {
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ev
+	}
+	t.Fatal("the event stream ended")
+	return Event{}
+}
+
+// TestWatchFoldSingleUpdates drives single-tuple updates at ε = 0 and 0.5
+// through enough volume to cross major-rebalance thresholds, growing and
+// then shrinking, and checks at every epoch that folding the stream over
+// the anchor equals a fresh snapshot of the engine.
+func TestWatchFoldSingleUpdates(t *testing.T) {
+	for _, eps := range []float64{0, 0.5} {
+		t.Run(fmt.Sprintf("eps=%v", eps), func(t *testing.T) {
+			e, err := New(MustParseQuery("Q(A, C) = R(A, B), S(B, C)"), Options{Epsilon: eps})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			if err := e.Build(); err != nil {
+				t.Fatal(err)
+			}
+			views := e.Views()
+			w, err := e.Watch(WatchOptions{Buffer: 1024})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			anchor := w.Snapshot()
+			st := snapViewState(t, anchor, views)
+			epoch := anchor.Epoch()
+			anchor.Close()
+
+			apply := func(rel string, row []int64, mult int64) {
+				t.Helper()
+				if err := e.Apply(rel, row, mult); err != nil {
+					t.Fatal(err)
+				}
+				ev := nextEvent(t, w)
+				if epoch++; ev.Epoch != epoch {
+					t.Fatalf("epoch %d, want %d", ev.Epoch, epoch)
+				}
+				if err := st.applyEvent(ev); err != nil {
+					t.Fatal(err)
+				}
+				s, err := e.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer s.Close()
+				if err := st.diff(snapViewState(t, s, views)); err != nil {
+					t.Fatalf("epoch %d: fold diverged: %v", ev.Epoch, err)
+				}
+			}
+			for i := int64(0); i < 60; i++ {
+				apply("R", []int64{i % 7, i % 5}, 1+i%2)
+				apply("S", []int64{i % 5, i % 11}, 1)
+			}
+			for i := int64(59); i >= 0; i-- {
+				apply("S", []int64{i % 5, i % 11}, -1)
+			}
+			if e.Stats().MajorRebalances == 0 {
+				t.Fatal("the updates never crossed a major rebalance")
+			}
+		})
+	}
+}
+
+// TestWatchEmptyCommitEvents checks that every commit yields one event with
+// the next epoch, a commit whose ops net to zero included: its event has
+// no deltas.
+func TestWatchEmptyCommitEvents(t *testing.T) {
+	e := mkTwoPath(t)
+	defer e.Close()
+	w, err := e.Watch(WatchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	anchor := w.Snapshot()
+	epoch := anchor.Epoch()
+	anchor.Close()
+
+	b := e.NewBatch()
+	commits := [][]wop{
+		{{"R", []int64{100, 1}, 1}},
+		{{"R", []int64{101, 2}, 1}, {"R", []int64{101, 2}, -1}},
+		{{"S", []int64{1, 100}, 1}},
+	}
+	for i, ops := range commits {
+		b.Reset()
+		for _, op := range ops {
+			b.Apply(op.rel, op.row, op.mult)
+		}
+		if err := e.Commit(b); err != nil {
+			t.Fatal(err)
+		}
+		ev := nextEvent(t, w)
+		if epoch++; ev.Epoch != epoch {
+			t.Fatalf("commit %d: epoch %d, want %d", i, ev.Epoch, epoch)
+		}
+		if zeroNet := i == 1; zeroNet != (len(ev.Deltas) == 0) {
+			t.Fatalf("commit %d: %d deltas, want none only for the zero-net commit", i, len(ev.Deltas))
+		}
+	}
+}
+
+// TestWatcherCloseAndRewatch checks a second Close is harmless, Events
+// after Close ends at once, and once every watcher has left a new Watch
+// streams again.
+func TestWatcherCloseAndRewatch(t *testing.T) {
+	e := mkTwoPath(t)
+	defer e.Close()
+	w, err := e.Watch(WatchOptions{Buffer: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Insert("R", []int64{100, 1}); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	w.Close()
+	for ev, err := range w.Events() {
+		t.Fatalf("Events after Close yielded (%+v, %v)", ev, err)
+	}
+
+	w, err = e.Watch(WatchOptions{Buffer: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	anchor := w.Snapshot()
+	defer anchor.Close()
+	if err := e.Insert("R", []int64{101, 1}); err != nil {
+		t.Fatal(err)
+	}
+	if ev := nextEvent(t, w); ev.Epoch != anchor.Epoch()+1 || len(ev.Deltas) == 0 {
+		t.Fatalf("the new watcher's first event: epoch %d with %d deltas, want epoch %d with some", ev.Epoch, len(ev.Deltas), anchor.Epoch()+1)
+	}
 }
