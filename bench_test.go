@@ -944,6 +944,31 @@ func BenchmarkMajorRebalance(b *testing.B) {
 	}
 }
 
+// BenchmarkSnapshotFirstWrite is what a held snapshot costs the writer: one
+// op = Snapshot, one Apply — its first write to each relation it touches
+// detaches that relation's pinned store — and Close, on the built two-path
+// ε = 0.5 engine of BenchmarkMajorRebalance. A detach copies a fixed number
+// of flat columns per relation, so allocs/op do not grow with |R|.
+func BenchmarkSnapshotFirstWrite(b *testing.B) {
+	c := buildCases[1]
+	rows := twoPathRows(5 * benchN)
+	e := loadAndBuild(b, ivmeps.MustParseQuery(c.q), c.opts, rows)
+	defer e.Close()
+	row := rows["R"][0]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := e.Snapshot()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := e.Apply("R", row, 1-2*int64(i%2)); err != nil { // +1, −1, …: the state cycles
+			b.Fatal(err)
+		}
+		s.Close()
+	}
+}
+
 // BenchmarkWatchFanout measures what watch fan-out adds to the steady-state
 // commit path, on the same warmed Reset/refill/Commit cycle as the other
 // commit benchmarks (an insert batch then its inverse, 16 rows per relation

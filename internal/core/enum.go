@@ -188,10 +188,10 @@ type nodeIter struct {
 	inf *nodeInfo
 	rel *relation.Relation
 
-	// Cursor state over σ_ctx(rel).
-	scan      *relation.Entry     // whole-relation cursor
-	icur      *relation.IndexNode // index cursor
-	useIndex  bool
+	// Cursor state over σ_ctx(rel): the next entry, through ix when the
+	// context binds some of the schema.
+	cur       relation.ID
+	ix        *relation.Index
 	single    bool // all schema vars context-bound: at most one tuple
 	singleOK  bool
 	singleMul int64
@@ -235,21 +235,21 @@ func (it *nodeIter) openCursor() {
 	it.rel = it.c.rels[inf.node.ID]
 	key := it.c.ctxKey(inf)
 	it.single, it.singleOK = false, false
-	it.useIndex = false
+	it.ix = nil
 	switch {
 	case len(inf.ctxSchema) == 0:
-		it.scan = it.rel.First()
+		it.cur = it.rel.First()
 	case len(inf.freshPos) == 0:
 		it.single = true
 		it.singleMul = it.rel.Mult(key)
 		it.singleOK = it.singleMul != 0
 	default:
-		it.useIndex = true
-		it.icur = it.rel.EnsureIndex(inf.ctxSchema).FirstMatch(key)
+		it.ix = it.rel.EnsureIndex(inf.ctxSchema)
+		it.cur = it.ix.First(key)
 	}
 }
 
-// cursorNext returns the next matching entry, or nil.
+// cursorNext returns the next matching entry, or false.
 func (it *nodeIter) cursorNext() (tuple.Tuple, int64, bool) {
 	it.c.tick()
 	if it.single {
@@ -259,20 +259,17 @@ func (it *nodeIter) cursorNext() (tuple.Tuple, int64, bool) {
 		}
 		return nil, 0, false
 	}
-	if it.useIndex {
-		if it.icur == nil {
-			return nil, 0, false
-		}
-		ent := it.icur.Entry()
-		it.icur = it.icur.Next()
-		return ent.Tuple, ent.Mult, true
-	}
-	if it.scan == nil {
+	id := it.cur
+	if id == relation.End {
 		return nil, 0, false
 	}
-	ent := it.scan
-	it.scan = it.rel.Next(ent)
-	return ent.Tuple, ent.Mult, true
+	if it.ix != nil {
+		it.cur = it.ix.Next(id)
+	} else {
+		it.cur = it.rel.Next(id)
+	}
+	t, m := it.rel.At(id)
+	return t, m, true
 }
 
 func (it *nodeIter) open() {

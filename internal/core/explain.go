@@ -14,6 +14,8 @@ import (
 // the engine's ε, and the constructed view trees, partitions, and
 // indicators. A view that repeats an earlier one prints as "=Name" and is
 // spelled out under "shared"; "∃" marks a view read for its support only.
+// Once preprocessed, it lists each view class's rows and the bytes its
+// relation holds (relation.Relation.Footprint).
 func (e *Engine) Explain() string {
 	var b strings.Builder
 	c := query.Classify(e.orig)
@@ -57,6 +59,15 @@ func (e *Engine) Explain() string {
 		for id, k := range members {
 			if k > 1 {
 				fmt.Fprintf(&b, "  %s = %s  (%d nodes)\n", e.info[id].node.Name, viewtree.Render(e.info[id].node), k)
+			}
+		}
+	}
+	if e.preprocessed {
+		b.WriteString("view storage:\n")
+		for id, k := range members {
+			if k > 0 {
+				r := e.rels[id]
+				fmt.Fprintf(&b, "  %s: %d rows, %d bytes\n", e.info[id].node.Name, r.Size(), r.Footprint())
 			}
 		}
 	}

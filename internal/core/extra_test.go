@@ -74,7 +74,7 @@ func TestExplain(t *testing.T) {
 		t.Fatal(err)
 	}
 	post := e.Explain()
-	if !strings.Contains(post, "state: N = 0") {
+	if !strings.Contains(post, "state: N = 0") || !strings.Contains(post, "view storage:\n") || !strings.Contains(post, "  VB_10: 0 rows, 0 bytes\n") {
 		t.Errorf("Explain missing state after preprocessing:\n%s", post)
 	}
 

@@ -57,8 +57,9 @@ func (e *Engine) Preprocess(db naive.Database) error {
 		return fmt.Errorf("core: engine already preprocessed")
 	}
 	for name, src := range db {
-		for en := src.First(); en != nil; en = src.Next(en) {
-			if err := e.loadLocked(name, en.Tuple, en.Mult); err != nil {
+		for id := src.First(); id != relation.End; id = src.Next(id) {
+			t, m := src.At(id)
+			if err := e.loadLocked(name, t, m); err != nil {
 				return err
 			}
 		}

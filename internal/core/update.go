@@ -358,11 +358,13 @@ func (p *updPlan) run(scratch []tuple.Value, d *delta, out *delta) {
 
 // fill runs the whole of seed through the plan as if it were the delta.
 func (p *updPlan) fill(scratch []tuple.Value, seed joinInput, to *planSink) {
-	for en := seed.rel.First(); en != nil; en = seed.rel.Next(en) {
+	r := seed.rel
+	for id := r.First(); id != relation.End; id = r.Next(id) {
+		t, m := r.At(id)
 		for k, s := range p.deltaSlots {
-			scratch[s] = en.Tuple[k]
+			scratch[s] = t[k]
 		}
-		p.rec(scratch, 0, seed.mult(en.Mult), to)
+		p.rec(scratch, 0, seed.mult(m), to)
 	}
 }
 
@@ -407,19 +409,20 @@ func (p *updPlan) rec(scratch []tuple.Value, i int, mult int64, to *planSink) {
 			p.rec(scratch, i+1, mult*st.mult(m), to)
 		}
 	case st.index == nil:
-		for en := st.rel.First(); en != nil; en = st.rel.Next(en) {
+		for id := st.rel.First(); id != relation.End; id = st.rel.Next(id) {
+			t, m := st.rel.At(id)
 			for k, pos := range st.freshPos {
-				scratch[st.freshSlot[k]] = en.Tuple[pos]
+				scratch[st.freshSlot[k]] = t[pos]
 			}
-			p.rec(scratch, i+1, mult*st.mult(en.Mult), to)
+			p.rec(scratch, i+1, mult*st.mult(m), to)
 		}
 	default:
-		for n := st.index.FirstMatch(key); n != nil; n = n.Next() {
-			en := n.Entry()
+		for id := st.index.First(key); id != relation.End; id = st.index.Next(id) {
+			t, m := st.rel.At(id)
 			for k, pos := range st.freshPos {
-				scratch[st.freshSlot[k]] = en.Tuple[pos]
+				scratch[st.freshSlot[k]] = t[pos]
 			}
-			p.rec(scratch, i+1, mult*st.mult(en.Mult), to)
+			p.rec(scratch, i+1, mult*st.mult(m), to)
 		}
 	}
 }

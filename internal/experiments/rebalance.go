@@ -64,9 +64,9 @@ func Rebalancing(cfg Config) *Result {
 	var drain []workload.Update
 	for _, rel := range q.RelationNames() {
 		br := e.BaseRelation(rel)
-		for ent := br.First(); ent != nil; ent = br.Next(ent) {
-			drain = append(drain, workload.Update{Rel: rel, Tuple: ent.Tuple.Clone(), Mult: -ent.Mult})
-		}
+		br.ForEach(func(t tuple.Tuple, m int64) {
+			drain = append(drain, workload.Update{Rel: rel, Tuple: t.Clone(), Mult: -m})
+		})
 	}
 	phase("drain", drain)
 

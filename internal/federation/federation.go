@@ -375,8 +375,9 @@ func (f *Fed) Preprocess(db naive.Database) error {
 		return fmt.Errorf("federation: already preprocessed")
 	}
 	for name, src := range db {
-		for en := src.First(); en != nil; en = src.Next(en) {
-			if err := f.loadLocked(name, en.Tuple, en.Mult); err != nil {
+		for id := src.First(); id != relation.End; id = src.Next(id) {
+			t, m := src.At(id)
+			if err := f.loadLocked(name, t, m); err != nil {
 				return err
 			}
 		}

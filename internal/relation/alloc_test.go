@@ -8,9 +8,9 @@ import (
 
 // Allocation-regression tests for the update hot path: steady-state probes
 // and multiplicity changes must not allocate, insert/delete churn of the
-// same tuples must reuse pooled entries, index nodes, and buckets without
-// allocating at all (no key string is ever built), and cold inserts must
-// amortize to ~0 allocations through the slab arenas.
+// same tuples must reuse freed entry and bucket ids without allocating at
+// all (no key string is ever built), and cold inserts must amortize to ~0
+// allocations through column growth.
 
 func allocRelation(t *testing.T) *Relation {
 	t.Helper()
@@ -84,8 +84,9 @@ func TestIndexProbesZeroAllocs(t *testing.T) {
 		ix.Count(miss)
 		ix.Has(key)
 		ix.ForEachMatch(key, fn)
-		for c := ix.FirstMatch(key); c != nil; c = c.Next() {
-			sink += c.Entry().Mult
+		for id := ix.First(key); id != End; id = ix.Next(id) {
+			_, m := r.At(id)
+			sink += m
 		}
 	}); n != 0 {
 		t.Errorf("index probes allocate %v per run, want 0", n)
@@ -93,15 +94,15 @@ func TestIndexProbesZeroAllocs(t *testing.T) {
 }
 
 // TestChurnZeroAllocs pins the allocation cost of insert/delete churn at
-// zero: the entry, index nodes, and buckets of a removed tuple are pooled,
-// and the open-addressing tables need no per-insert key material, so
-// re-inserting a previously seen shape costs nothing.
+// zero: the entry and bucket ids of a removed tuple are reused, and the
+// open-addressing tables need no per-insert key material, so re-inserting a
+// previously seen shape costs nothing.
 func TestChurnZeroAllocs(t *testing.T) {
 	r := allocRelation(t)
 	r.EnsureIndex(tuple.NewSchema("A"))
 	r.EnsureIndex(tuple.NewSchema("B"))
 	tu := tuple.Tuple{500, 501} // unique A and B values: churn empties both buckets
-	// Warm the pools.
+	// Warm the columns.
 	r.MustAdd(tu, 1)
 	r.MustAdd(tu, -1)
 	if n := testing.AllocsPerRun(100, func() {
@@ -112,9 +113,9 @@ func TestChurnZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestColdInsertAmortized pins the slab-arena amortization: inserting many
+// TestColdInsertAmortized pins the column amortization: inserting many
 // previously unseen tuples into an indexed relation costs well under one
-// allocation per tuple (slab blocks plus table doublings only).
+// allocation per tuple (column and table doublings only).
 func TestColdInsertAmortized(t *testing.T) {
 	const inserts = 1000
 	n := testing.AllocsPerRun(10, func() {
@@ -131,8 +132,8 @@ func TestColdInsertAmortized(t *testing.T) {
 }
 
 // TestClearRefillZeroAllocs pins the major-rebalance pattern: after Clear,
-// refilling the same tuples reuses pooled entries, nodes, buckets, and the
-// tables' slot arrays, allocating nothing.
+// refilling the same tuples reuses the truncated columns and the tables'
+// slot arrays, allocating nothing.
 func TestClearRefillZeroAllocs(t *testing.T) {
 	r := New("R", tuple.NewSchema("A", "B"))
 	r.EnsureIndex(tuple.NewSchema("A"))
@@ -150,7 +151,7 @@ func TestClearRefillZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestPoolCorrectness exercises recycled entries and nodes for correctness:
+// TestPoolCorrectness exercises reused entry and bucket ids for correctness:
 // after churn, contents and index enumeration stay exact.
 func TestPoolCorrectness(t *testing.T) {
 	r := New("R", tuple.NewSchema("A", "B"))

@@ -64,7 +64,7 @@ func TestFreezeObservesPinnedGeneration(t *testing.T) {
 		t.Fatalf("frozen index Count(1) = %d, want %d", got, wantCount)
 	}
 	n := 0
-	for c := fix.FirstMatch(tuple.Tuple{1}); c != nil; c = c.Next() {
+	for id := fix.First(tuple.Tuple{1}); id != End; id = fix.Next(id) {
 		n++
 	}
 	if n != wantCount {
@@ -248,5 +248,26 @@ func TestFreezeQuick(t *testing.T) {
 	for _, g := range pinned {
 		check(g.f, g.want)
 		g.f.Release()
+	}
+}
+
+// A pinned store's first write copies a fixed number of flat columns, so
+// detaching a 64 k-row relation allocates exactly what detaching a 1 k-row
+// one does.
+func TestDetachAllocsIndependentOfSize(t *testing.T) {
+	detachAllocs := func(n int64) float64 {
+		r := New("R", tuple.Schema{"A", "B"})
+		r.EnsureIndex(tuple.Schema{"A"})
+		for i := int64(0); i < n; i++ {
+			r.MustAdd(tuple.Tuple{i % 100, i}, 1)
+		}
+		return testing.AllocsPerRun(20, func() {
+			f := r.Freeze()
+			r.MustAdd(tuple.Tuple{0, 0}, 1) // detaches
+			f.Release()
+		})
+	}
+	if small, large := detachAllocs(1<<10), detachAllocs(1<<16); small != large {
+		t.Errorf("Freeze + first write + Release allocates %v at 1 k rows and %v at 64 k rows, want equal", small, large)
 	}
 }

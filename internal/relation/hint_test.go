@@ -20,8 +20,9 @@ func fillCounting(r *Relation, adds, distinct int64) (grows int) {
 	return grows
 }
 
-// A hinted fill reaches the size doubling reaches, in a few steps; a hint
-// that overstates the fill costs at most one 8× step; a hint never shrinks a
+// A hinted fill reaches the size doubling reaches, in a few steps, with
+// columns of exactly the hinted rows; a hint that overstates the fill costs
+// at most one 8× step; a hint never shrinks a
 // table, and growth is back to doubling once it is withdrawn.
 func TestGrowHint(t *testing.T) {
 	const n = 1_000_000
@@ -37,6 +38,9 @@ func TestGrowHint(t *testing.T) {
 	}
 	if got, want := len(hinted.s.tab.slots), len(doubled.s.tab.slots); got != want {
 		t.Errorf("a hinted fill of %d rows ends at %d slots, doubling at %d", n, got, want)
+	}
+	if rows, vals := cap(hinted.s.mults), cap(hinted.s.tab.vals); rows != n || vals != 2*n {
+		t.Errorf("a hinted fill of %d rows ends with columns of %d rows and %d values, want exactly %d and %d", n, rows, vals, n, 2*n)
 	}
 
 	small, collapsed := New("R", schema), New("R", schema)

@@ -12,60 +12,43 @@ import (
 // σ_{S=t}R, constant-time membership in π_S R, constant-time |σ_{S=t}R|,
 // and constant-time maintenance.
 //
-// Buckets live in an open-addressing table keyed on the unencoded projected
-// key tuple (seeded independently of the entry table); probes hash the key
-// and never build an encoded form. The probe methods are read-only and safe
-// for concurrent use while the relation is not being mutated. Removed nodes
-// and emptied buckets are pooled, and fresh nodes, buckets, and bucket key
-// tuples come from slab arenas, so index maintenance costs amortized ~0
-// allocations even when previously unseen key values appear.
+// Buckets are the ids of a table keyed on the unencoded projected key tuple
+// (seeded independently of the entry table); probes hash the key and never
+// build an encoded form. The probe methods are read-only and safe for
+// concurrent use while the relation is not being mutated. Emptied bucket ids
+// are reused, and the per-entry columns grow with the relation's, so index
+// maintenance allocates only when a new key outgrows the bucket columns.
 //
 // Like Relation, Index is a stable handle over a swappable store: when a
 // pinned relation store is detached (copy-on-first-write, see the package
-// comment), every live Index handle is swapped onto the rebuilt index
-// store, so update plans and partitions may cache *Index pointers across
-// snapshot generations and major rebalances alike.
+// comment), every live Index handle is swapped onto the copied index store,
+// so update plans and partitions may cache *Index pointers across snapshot
+// generations and major rebalances alike.
 type Index struct {
 	rel *Relation
 	s   *ixStore
 }
 
 // ixStore is one generation of an index's storage; it lives and dies with
-// its owning relStore.
+// its owning relStore. links and of are columns indexed by entry id, beside
+// the relation's own.
 type ixStore struct {
 	keySchema tuple.Schema
 	proj      tuple.Projection
-	seed      uint64 // per-table hash seed
-	tab       oaTable[*bucket]
-	slot      int // position of this index in relStore.indexes and Entry.nodes
+	seed      uint64   // per-table hash seed
+	tab       table    // the bucket keys
+	buckets   []bucket // by bucket id
+	free      ID       // freelist of emptied bucket ids, linked via buckets[id].head
+	links     []link   // an entry's place in its bucket
+	of        []ID     // an entry's bucket
 
-	keyT     tuple.Tuple // reusable projected-key buffer (mutating ops only)
-	freeNode *IndexNode  // freelist of removed nodes, linked via next
-	freeBuck *bucket     // freelist of emptied buckets, linked via freeNext
-
-	slabN []IndexNode   // arena of unused nodes
-	slabB []bucket      // arena of unused buckets
-	slabV []tuple.Value // arena backing fresh bucket key tuples
+	keyT tuple.Tuple // reusable projected-key buffer (mutating ops only)
 }
 
-// bucket holds the doubly-linked list of index nodes for one key value.
+// bucket is the list of the entries with one key value.
 type bucket struct {
-	key      tuple.Tuple
-	hash     uint64 // cached tuple.Hash of key under the index's seed
-	head     *IndexNode
-	tail     *IndexNode
-	count    int
-	freeNext *bucket
-}
-
-// keyTuple keys the bucket table on the projected key tuple.
-func (b *bucket) keyTuple() tuple.Tuple { return b.key }
-
-// IndexNode links one entry into one bucket.
-type IndexNode struct {
-	entry      *Entry
-	b          *bucket
-	prev, next *IndexNode
+	list
+	count uint32
 }
 
 // EnsureIndex returns the relation's index on keySchema, creating it (and
@@ -75,10 +58,8 @@ type IndexNode struct {
 // index on a frozen snapshot handle panics — freeze after the enumeration
 // indexes exist (internal/core builds them at materialization time).
 func (r *Relation) EnsureIndex(keySchema tuple.Schema) *Index {
-	for _, h := range r.hand {
-		if h.s.keySchema.Equal(keySchema) {
-			return h
-		}
+	if h := r.Index(keySchema); h != nil {
+		return h
 	}
 	if r.frozen {
 		panic(fmt.Sprintf("relation %s: EnsureIndex(%v) would create an index on a frozen snapshot", r.name, keySchema))
@@ -87,8 +68,7 @@ func (r *Relation) EnsureIndex(keySchema tuple.Schema) *Index {
 		panic(fmt.Sprintf("relation %s: index schema %v not contained in %v", r.name, keySchema, r.schema))
 	}
 	if r.s.pins.Load() != 0 {
-		// Adding an index appends to every entry's back-pointer slots, which
-		// a pinned reader may be traversing; detach first.
+		// A pinned store is never written, not even to gain an index.
 		r.detach(false)
 	}
 	s := r.s
@@ -96,13 +76,16 @@ func (r *Relation) EnsureIndex(keySchema tuple.Schema) *Index {
 		keySchema: keySchema.Clone(),
 		proj:      tuple.MustProjection(r.schema, keySchema),
 		seed:      tuple.NewSeed(),
-		slot:      len(s.indexes),
+		tab:       table{arity: len(keySchema)},
+		free:      End,
+		links:     make([]link, len(s.mults), cap(s.mults)),
+		of:        make([]ID, len(s.mults), cap(s.mults)),
 	}
 	s.indexes = append(s.indexes, ix)
 	h := &Index{rel: r, s: ix}
 	r.hand = append(r.hand, h)
-	for e := s.head; e != nil; e = e.next {
-		ix.insert(e, s)
+	for id := s.order.head; id != End; id = s.links[id].next {
+		ix.insert(s, id)
 	}
 	return h
 }
@@ -117,122 +100,84 @@ func (r *Relation) Index(keySchema tuple.Schema) *Index {
 	return nil
 }
 
-// insert links e into the index. rs is the owning relation store (for the
-// shared node back-pointer arena).
-func (ix *ixStore) insert(e *Entry, rs *relStore) {
-	ix.keyT = ix.proj.AppendTo(ix.keyT[:0], e.Tuple)
+// insert links entry id of rs at the tail of its key's bucket, opening the
+// bucket if the key is new.
+func (ix *ixStore) insert(rs *relStore, id ID) {
+	ix.keyT = ix.proj.AppendTo(ix.keyT[:0], rs.tab.key(id))
 	h := tuple.Hash(ix.seed, ix.keyT)
-	b := ix.tab.get(h, ix.keyT)
-	if b == nil {
-		b = ix.newBucket(ix.keyT, h)
-		ix.tab.put(h, b)
-	}
-	n := ix.newNode(e, b)
-	n.prev = b.tail
-	if b.tail != nil {
-		b.tail.next = n
-	} else {
-		b.head = n
-	}
-	b.tail = n
-	b.count++
-	if cap(e.nodes) <= ix.slot {
-		// Move the back-pointer slots to an arena chunk sized for every
-		// current index of the relation.
-		fresh := rs.slabNodes(len(rs.indexes))
-		copy(fresh, e.nodes)
-		e.nodes = fresh[:len(e.nodes)]
-	}
-	for len(e.nodes) <= ix.slot {
-		e.nodes = append(e.nodes, nil)
-	}
-	e.nodes[ix.slot] = n
-}
-
-// newBucket takes a bucket from the freelist (reusing its key buffer) or
-// carves one out of the slab arenas; key is copied.
-func (ix *ixStore) newBucket(key tuple.Tuple, h uint64) *bucket {
-	b := ix.freeBuck
-	if b != nil {
-		ix.freeBuck = b.freeNext
-		b.freeNext = nil
-		b.key = append(b.key[:0], key...)
-	} else {
-		if len(ix.slabB) == 0 {
-			ix.slabB = make([]bucket, entrySlab)
+	i, b, ok := ix.tab.find(h, ix.keyT)
+	if !ok {
+		if b = ix.free; b != End {
+			ix.free = ix.buckets[b].head
+		} else {
+			b = ID(len(ix.buckets))
+			ix.buckets = append(ix.buckets, bucket{})
 		}
-		b = &ix.slabB[0]
-		ix.slabB = ix.slabB[1:]
-		b.key = ix.slabKey(key)
+		ix.buckets[b] = bucket{list: noList}
+		ix.tab.put(i, h, ix.keyT, b)
 	}
-	b.hash = h
-	return b
-}
-
-// slabKey copies key into a chunk of the index's value arena.
-func (ix *ixStore) slabKey(key tuple.Tuple) tuple.Tuple {
-	n := len(key)
-	if n == 0 {
-		return nil
-	}
-	if len(ix.slabV) < n {
-		ix.slabV = make([]tuple.Value, n*entrySlab)
-	}
-	out := ix.slabV[:n:n]
-	ix.slabV = ix.slabV[n:]
-	copy(out, key)
-	return out
-}
-
-// newNode takes a node from the freelist or carves one out of the arena.
-func (ix *ixStore) newNode(e *Entry, b *bucket) *IndexNode {
-	if n := ix.freeNode; n != nil {
-		ix.freeNode = n.next
-		n.entry, n.b, n.prev, n.next = e, b, nil, nil
-		return n
-	}
-	if len(ix.slabN) == 0 {
-		ix.slabN = make([]IndexNode, entrySlab)
-	}
-	n := &ix.slabN[0]
-	ix.slabN = ix.slabN[1:]
-	n.entry, n.b = e, b
-	return n
-}
-
-func (ix *ixStore) remove(e *Entry) {
-	n := e.nodes[ix.slot]
-	if n == nil {
-		return
-	}
-	b := n.b
-	if n.prev != nil {
-		n.prev.next = n.next
+	if int(id) == len(ix.of) {
+		ix.links = append(ix.links, link{})
+		ix.of = append(ix.of, b)
 	} else {
-		b.head = n.next
+		ix.of[id] = b
 	}
-	if n.next != nil {
-		n.next.prev = n.prev
-	} else {
-		b.tail = n.prev
+	bk := &ix.buckets[b]
+	bk.push(ix.links, id)
+	bk.count++
+}
+
+// remove unlinks entry id from its bucket, freeing the bucket once empty.
+func (ix *ixStore) remove(id ID) {
+	b := ix.of[id]
+	bk := &ix.buckets[b]
+	bk.remove(ix.links, id)
+	if bk.count--; bk.count == 0 {
+		key := ix.tab.key(b)
+		i, _, _ := ix.tab.find(tuple.Hash(ix.seed, key), key)
+		ix.tab.del(i)
+		bk.head = ix.free
+		ix.free = b
 	}
-	b.count--
-	if b.count == 0 {
-		ix.tab.del(b.hash, b)
-		b.freeNext = ix.freeBuck
-		ix.freeBuck = b
+}
+
+// copy is detach's copy of the index store (see relStore's).
+func (ix *ixStore) copy(empty bool) *ixStore {
+	c := &ixStore{
+		keySchema: ix.keySchema,
+		proj:      ix.proj,
+		seed:      ix.seed,
+		tab:       ix.tab.copy(empty),
+		buckets:   cloneCol(ix.buckets, empty),
+		free:      ix.free,
+		links:     cloneCol(ix.links, empty),
+		of:        cloneCol(ix.of, empty),
 	}
-	e.nodes[ix.slot] = nil
-	n.entry, n.b, n.prev = nil, nil, nil
-	n.next = ix.freeNode
-	ix.freeNode = n
+	if empty {
+		c.free = End
+	}
+	return c
+}
+
+// clear empties the index in place.
+func (ix *ixStore) clear() {
+	ix.tab.clear()
+	ix.buckets, ix.links, ix.of = ix.buckets[:0], ix.links[:0], ix.of[:0]
+	ix.free = End
+}
+
+// find returns key's bucket.
+func (ix *ixStore) find(key tuple.Tuple) (*bucket, bool) {
+	if _, b, ok := ix.tab.find(tuple.Hash(ix.seed, key), key); ok {
+		return &ix.buckets[b], true
+	}
+	return nil, false
 }
 
 // Count returns |σ_{S=key}R| in O(1), without allocating.
 func (ix *Index) Count(key tuple.Tuple) int {
-	s := ix.s
-	if b := s.tab.get(tuple.Hash(s.seed, key), key); b != nil {
-		return b.count
+	if b, ok := ix.s.find(key); ok {
+		return int(b.count)
 	}
 	return 0
 }
@@ -241,18 +186,37 @@ func (ix *Index) Count(key tuple.Tuple) int {
 func (ix *Index) Has(key tuple.Tuple) bool { return ix.Count(key) > 0 }
 
 // DistinctKeys returns |π_S R| in O(1).
-func (ix *Index) DistinctKeys() int { return ix.s.tab.len() }
+func (ix *Index) DistinctKeys() int { return ix.s.tab.count }
+
+// First returns the first entry of σ_{S=key}R in insertion order, or End;
+// Next advances within the bucket. Together they give the constant-delay
+// cursor the enumeration iterators use, read through the relation's At.
+// Neither allocates.
+func (ix *Index) First(key tuple.Tuple) ID {
+	if b, ok := ix.s.find(key); ok {
+		return b.head
+	}
+	return End
+}
+
+// Next returns the entry after id within its bucket, or End.
+func (ix *Index) Next(id ID) ID { return ix.s.links[id].next }
+
+// FirstMatch returns the tuple of the first entry of σ_{S=key}R, or nil if
+// there is none.
+func (ix *Index) FirstMatch(key tuple.Tuple) tuple.Tuple {
+	if id := ix.First(key); id != End {
+		t, _ := ix.rel.At(id)
+		return t
+	}
+	return nil
+}
 
 // ForEachMatch calls fn on every entry of σ_{S=key}R with constant delay.
 // fn must not mutate the relation.
 func (ix *Index) ForEachMatch(key tuple.Tuple, fn func(t tuple.Tuple, m int64)) {
-	s := ix.s
-	b := s.tab.get(tuple.Hash(s.seed, key), key)
-	if b == nil {
-		return
-	}
-	for n := b.head; n != nil; n = n.next {
-		fn(n.entry.Tuple, n.entry.Mult)
+	for id := ix.First(key); id != End; id = ix.Next(id) {
+		fn(ix.rel.At(id))
 	}
 }
 
@@ -265,28 +229,13 @@ func (ix *Index) Matches(key tuple.Tuple) []Entry {
 	return out
 }
 
-// FirstMatch returns the first entry of σ_{S=key}R in insertion order, or
-// nil if the bucket is empty; NextMatch advances within the bucket. Together
-// they give the constant-delay cursor used by the enumeration iterators.
-// It does not allocate.
-func (ix *Index) FirstMatch(key tuple.Tuple) *IndexNode {
-	s := ix.s
-	if b := s.tab.get(tuple.Hash(s.seed, key), key); b != nil {
-		return b.head
-	}
-	return nil
-}
-
-// Next returns the cursor after n within its bucket, or nil.
-func (n *IndexNode) Next() *IndexNode { return n.next }
-
-// Entry returns the relation entry the cursor points at.
-func (n *IndexNode) Entry() *Entry { return n.entry }
-
 // ForEachKey calls fn on one representative (key, bucket-count) per
 // distinct key value, in unspecified order.
 func (ix *Index) ForEachKey(fn func(key tuple.Tuple, count int)) {
-	ix.s.tab.forEach(func(b *bucket) {
-		fn(b.key, b.count)
-	})
+	s := ix.s
+	for b := range s.buckets {
+		if n := s.buckets[b].count; n > 0 {
+			fn(s.tab.key(ID(b)), int(n))
+		}
+	}
 }

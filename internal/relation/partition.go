@@ -67,10 +67,11 @@ func (p *Partition) IsLight(key tuple.Tuple) bool { return p.ltIx.Has(key) }
 // the per-relation step of MajorRebalancing (Figure 20, line 3).
 func (p *Partition) Rebuild(theta float64) {
 	p.light.Clear()
-	for e := p.rel.First(); e != nil; e = p.rel.Next(e) {
-		p.keyT = p.proj.AppendTo(p.keyT[:0], e.Tuple)
+	for id := p.rel.First(); id != End; id = p.rel.Next(id) {
+		t, m := p.rel.At(id)
+		p.keyT = p.proj.AppendTo(p.keyT[:0], t)
 		if float64(p.relIx.Count(p.keyT)) < theta {
-			p.light.MustAdd(e.Tuple, e.Mult)
+			p.light.MustAdd(t, m)
 		}
 	}
 }

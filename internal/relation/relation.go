@@ -16,15 +16,19 @@
 //
 // # Storage
 //
-// Entries are stored in an open-addressing hash table (table.go) keyed
-// directly on the unencoded tuple: a probe hashes the tuple's values
-// (tuple.Hash, seeded per table) and compares candidates value by value, so
-// no per-probe key encoding is ever built and no map-key string is ever
-// retained. Deletion backward-shifts the probe cluster instead of leaving
-// tombstones. Entries are doubly linked for constant-delay enumeration, and
-// each secondary index is a hash table — keyed the same way on the
-// projected key tuple — of doubly-linked pointer lists with back-pointers
-// stored on each entry, exactly the structure sketched in the paper.
+// A relation's storage is a set of pointer-free columns indexed by entry ID:
+// the tuples in one value arena at arity stride, their multiplicities beside
+// them, and prev/next ids that link the entries in insertion order for
+// constant-delay enumeration. A probe table (table.go) finds an entry from its
+// unencoded tuple: it hashes the tuple (tuple.Hash, seeded per table) and
+// compares the arena's values, so no per-probe key encoding is ever built,
+// and one probe serves an insert's find-or-insert. A removed entry's
+// id goes to a free list and the next insert takes it, linked at the tail, so
+// enumeration order is insertion order. Each secondary index is a table of
+// bucket keys — keyed the same way on the projected key tuple — with a head,
+// tail and count per bucket and prev/next/bucket columns per entry: the
+// doubly-linked lists with back-pointers of the paper's sketch, as ids. The
+// garbage collector has nothing to scan in any of it.
 //
 // A Relation is a stable handle over a swappable store (relStore): all of
 // the storage above lives in the store, and mutators reach it through the
@@ -34,37 +38,36 @@
 //
 // # Allocation
 //
-// Probes and multiplicity changes of existing entries are allocation-free.
-// Cold inserts draw Entry structs, their tuple backing arrays, and their
-// index back-pointer slots from slab arenas (batch-allocated blocks of
-// entrySlab items), so a cold insert costs amortized ~0 allocations;
-// removed entries, index nodes, and emptied buckets go to freelists and are
-// reused before the arenas grow. Clear recycles everything and keeps the
-// hash tables' slot arrays, so a refill after Clear allocates nothing, nor
-// does the steady-state major rebalance internal/core builds of such refills.
-// A first fill need not double its way up from eight slots: under GrowHint(n)
-// the entry table and the entry, tuple and back-pointer arenas grow to
-// min(n, 8 × the current size) when that is more than they would have — no
-// reservation: a fill whose rows collapse onto few tuples stops at most one
-// such step past what it stored. A hint never shrinks a table.
+// Probes, multiplicity changes of existing entries, and inserts that reuse a
+// freed id or fit the columns' capacity are allocation-free. Full columns grow
+// together, one allocation each, to twice their rows (64 at first) — or,
+// under GrowHint(n), to min(n, 8 × their rows) when that is more — and the
+// probe table grows by the same rule, so a first fill need not double its
+// way up, and a fill whose rows collapse onto few tuples stops at most one
+// such step past what it stored. A hint never shrinks a store. Clear truncates the
+// columns and empties the tables in place, so a refill after Clear allocates
+// nothing, nor does the steady-state major rebalance internal/core builds of
+// such refills.
 //
 // # Snapshots
 //
 // Freeze returns a read-only handle pinned to the relation's current store.
 // While any frozen handle is live (not yet Released), the first mutation of
-// the relation detaches the store: the writer copies the contents into a
-// fresh store, swaps the handle onto the copy, and mutates only the copy,
-// so every frozen reader keeps an immutable view of the exact contents it
-// pinned (copy-on-first-write per snapshot generation). Clear on a pinned
-// store swaps in an empty store, its tables sized like the retired one's for
-// the refill that follows, instead of copying. The detach cost is
-// O(|R|·(1+indexes)) once per pinned generation; with no live freezes the
-// only overhead on the mutation path is one atomic pin-count load. Retired
-// stores are unreachable once the last frozen handle is dropped and are
-// reclaimed by the garbage collector.
+// the relation detaches the store: the writer copies its columns and probe
+// arrays into a fresh store — a fixed number of flat copies, with no rehash
+// and no per-entry work — swaps the handle onto the copy, and mutates only
+// the copy, so every frozen reader keeps an immutable view of the exact
+// contents it pinned (copy-on-first-write per snapshot generation). Clear on
+// a pinned store swaps in an empty store with the retired one's capacities,
+// for the refill that follows, instead of copying. The detach costs a copy of
+// the store's bytes once per pinned generation; with no live freezes the only
+// overhead on the mutation path is one atomic pin-count load. Retired stores
+// are unreachable once the last frozen handle is dropped and are reclaimed by
+// the garbage collector.
 //
-// Relations are not safe for concurrent mutation, but the probe methods
-// (Mult, Contains, index Count/Has/FirstMatch/ForEachMatch) are read-only
+// Relations are not safe for concurrent mutation, but the probe and cursor
+// methods (Mult, Contains, First/Next/At, index Count/Has/First/Next/
+// FirstMatch/ForEachMatch) are read-only
 // and may run concurrently from any number of goroutines while the relation
 // is not being mutated — and a frozen handle may be read concurrently with
 // any mutation of the relation it was frozen from, provided the Freeze
@@ -75,48 +78,74 @@ package relation
 import (
 	"fmt"
 	"sync/atomic"
+	"unsafe"
 
 	"ivmeps/internal/tuple"
 )
 
-// Entry is one stored tuple with its multiplicity. Entries are owned by
-// their Relation; callers must not modify Tuple in place.
+// ID names an entry of a relation: its row in the store's columns. Ids are
+// dense and a removed entry's id is handed to a later insert, so an ID is
+// valid until its entry is removed.
+type ID uint32
+
+// End is the ID the cursors return past the last entry.
+const End = ^ID(0)
+
+// Entry is a stored tuple with its multiplicity, copied out of a relation.
 type Entry struct {
 	Tuple tuple.Tuple
 	Mult  int64
-
-	hash       uint64 // cached tuple.Hash under the store's seed
-	prev, next *Entry
-	// nodes[i] is this entry's node in the store's i-th index
-	// (the back-pointers of the paper's deletion scheme).
-	nodes []*IndexNode
 }
 
-// keyTuple keys the entry table on the stored tuple.
-func (e *Entry) keyTuple() tuple.Tuple { return e.Tuple }
+// link is an entry's place in a doubly-linked id list.
+type link struct{ prev, next ID }
 
-// entrySlab is the block size of the slab arenas: entries, tuple backing
-// values, and node back-pointer slots are allocated entrySlab items at a
-// time, amortizing cold-insert allocation to ~0 per entry.
-const entrySlab = 64
+// list is the head and tail of a doubly-linked id list.
+type list struct{ head, tail ID }
+
+var noList = list{End, End}
+
+// push links id at the tail.
+func (l *list) push(links []link, id ID) {
+	links[id] = link{l.tail, End}
+	if l.tail != End {
+		links[l.tail].next = id
+	} else {
+		l.head = id
+	}
+	l.tail = id
+}
+
+// remove unlinks id.
+func (l *list) remove(links []link, id ID) {
+	k := links[id]
+	if k.prev != End {
+		links[k.prev].next = k.next
+	} else {
+		l.head = k.next
+	}
+	if k.next != End {
+		links[k.next].prev = k.prev
+	} else {
+		l.tail = k.prev
+	}
+}
 
 // relStore is one immutable-once-retired version of a relation's storage:
-// the entry table, the insertion-ordered entry list, the secondary index
-// stores, the freelists, and the slab arenas. The live store is mutated in
-// place through the Relation handle; a store pinned by Freeze is detached
-// (copy-on-first-write) before the next mutation and never written again.
+// the entry table with its tuple arena, the multiplicity and insertion-order
+// columns, the free-id list, and the secondary index stores.
+// The live store is mutated in place through the Relation handle; a store
+// pinned by Freeze is detached (copy-on-first-write) before the next mutation
+// and never written again.
 type relStore struct {
 	seed    uint64 // per-table hash seed
-	tab     oaTable[*Entry]
-	head    *Entry // insertion-ordered doubly-linked list
-	tail    *Entry
+	tab     table  // the entries' tuples
+	mults   []int64
+	links   []link // insertion order
+	order   list
+	free    ID // freelist of removed ids, linked via links[id].next
+	total   int64
 	indexes []*ixStore
-	total   int64  // sum of multiplicities (for diagnostics)
-	free    *Entry // freelist of removed entries, linked via next
-
-	slabE []Entry       // arena of unused Entry structs
-	slabV []tuple.Value // arena backing fresh entry tuples
-	slabN []*IndexNode  // arena backing fresh entry node slots
 
 	// pins counts the live frozen handles reading this store. A writer
 	// checks it before mutating and detaches the store when it is non-zero;
@@ -134,7 +163,7 @@ type Relation struct {
 	schema tuple.Schema
 	s      *relStore
 	// hand[i] is the stable Index handle over s.indexes[i]; detach swaps
-	// every handle onto the rebuilt index store so cached *Index pointers
+	// every handle onto the copied index store so cached *Index pointers
 	// (update plans, partitions) stay valid.
 	hand []*Index
 	// frozen marks a read-only snapshot handle returned by Freeze: mutators
@@ -151,7 +180,7 @@ func New(name string, schema tuple.Schema) *Relation {
 	return &Relation{
 		name:   name,
 		schema: schema.Clone(),
-		s:      &relStore{seed: tuple.NewSeed()},
+		s:      &relStore{seed: tuple.NewSeed(), tab: table{arity: len(schema)}, order: noList, free: End},
 	}
 }
 
@@ -162,10 +191,29 @@ func (r *Relation) Name() string { return r.name }
 func (r *Relation) Schema() tuple.Schema { return r.schema }
 
 // Size returns |R|, the number of distinct stored tuples, in O(1).
-func (r *Relation) Size() int { return r.s.tab.len() }
+func (r *Relation) Size() int { return r.s.tab.count }
 
 // TotalMultiplicity returns the sum of all multiplicities.
 func (r *Relation) TotalMultiplicity() int64 { return r.s.total }
+
+// Footprint returns the bytes the relation's storage holds — every column,
+// key arena and probe array, its indexes' included — counted by capacity.
+// It is the space side of the paper's trade-off, exact for a given history
+// of updates.
+func (r *Relation) Footprint() int {
+	s := r.s
+	n := s.tab.footprint() + capBytes(s.mults) + capBytes(s.links)
+	for _, ix := range s.indexes {
+		n += ix.tab.footprint() + capBytes(ix.buckets) + capBytes(ix.links) + capBytes(ix.of)
+	}
+	return n
+}
+
+// capBytes is col's capacity in bytes.
+func capBytes[T any](col []T) int {
+	var z T
+	return cap(col) * int(unsafe.Sizeof(z))
+}
 
 // HashOf returns the hash of t under the relation's table seed, for use
 // with the *Hashed probe and update variants. The seed survives
@@ -175,19 +223,14 @@ func (r *Relation) HashOf(t tuple.Tuple) uint64 { return tuple.Hash(r.s.seed, t)
 // Mult returns R(t): the multiplicity of t, or 0 if absent. It does not
 // allocate and is safe to call concurrently while the relation is not being
 // mutated.
-func (r *Relation) Mult(t tuple.Tuple) int64 {
-	s := r.s
-	if e := s.tab.get(tuple.Hash(s.seed, t), t); e != nil {
-		return e.Mult
-	}
-	return 0
-}
+func (r *Relation) Mult(t tuple.Tuple) int64 { return r.MultHashed(tuple.Hash(r.s.seed, t), t) }
 
 // MultHashed is Mult with the hash precomputed via HashOf, for embedders
 // that batch probes of one tuple.
 func (r *Relation) MultHashed(h uint64, t tuple.Tuple) int64 {
-	if e := r.s.tab.get(h, t); e != nil {
-		return e.Mult
+	s := r.s
+	if _, id, ok := s.tab.find(h, t); ok {
+		return s.mults[id]
 	}
 	return 0
 }
@@ -230,23 +273,11 @@ func (e *ArityError) Error() string {
 // multiplicity of t, inserting the entry if it was absent and removing it
 // if the multiplicity reaches zero. It returns an error (and leaves the
 // relation unchanged) if the result would be negative. m = 0 is a no-op.
-// Multiplicity changes of existing entries do not allocate; removed entries
-// are pooled and reused by later inserts, and fresh entries come from the
-// slab arenas.
+// t is copied; multiplicity changes of existing entries do not allocate,
+// and neither do inserts the columns have room for (see Allocation in the
+// package comment).
 func (r *Relation) Add(t tuple.Tuple, m int64) error {
-	if m == 0 {
-		return nil
-	}
-	if r.frozen {
-		panic(fmt.Sprintf("relation %s: mutation of a frozen snapshot handle", r.name))
-	}
-	if len(t) != len(r.schema) {
-		return r.arityError(t)
-	}
-	if r.s.pins.Load() != 0 {
-		r.detach(false)
-	}
-	return r.addHashed(t, tuple.Hash(r.s.seed, t), m)
+	return r.AddHashed(t, tuple.Hash(r.s.seed, t), m)
 }
 
 // arityError builds the arity-mismatch error away from the Add hot path:
@@ -254,6 +285,12 @@ func (r *Relation) Add(t tuple.Tuple, m int64) error {
 // heap-allocate every caller-constructed tuple.
 func (r *Relation) arityError(t tuple.Tuple) error {
 	return &ArityError{Relation: r.name, Tuple: t.Clone(), Schema: r.schema}
+}
+
+// multError builds the rejected-delete error away from the Add hot path, for
+// the same reason as arityError.
+func (r *Relation) multError(t tuple.Tuple, have, m int64) error {
+	return &MultiplicityError{Relation: r.name, Tuple: t.Clone(), Have: have, Delta: m}
 }
 
 // AddHashed is Add with the hash precomputed via HashOf (a hash not equal
@@ -272,98 +309,73 @@ func (r *Relation) AddHashed(t tuple.Tuple, h uint64, m int64) error {
 	if r.s.pins.Load() != 0 {
 		r.detach(false)
 	}
-	return r.addHashed(t, h, m)
-}
-
-// addHashed is the shared body of Add and AddHashed. The caller has already
-// detached a pinned store.
-func (r *Relation) addHashed(t tuple.Tuple, h uint64, m int64) error {
 	s := r.s
-	e := s.tab.get(h, t)
-	if e == nil {
+	i, id, ok := s.tab.find(h, t)
+	if !ok {
 		if m < 0 {
-			return &MultiplicityError{Relation: r.name, Tuple: t.Clone(), Have: 0, Delta: m}
+			return r.multError(t, 0, m)
 		}
-		e = s.newEntry(t, m)
-		e.hash = h
-		s.tab.put(h, e)
-		s.linkEntry(e)
-		for _, ix := range s.indexes {
-			ix.insert(e, s)
-		}
-		s.total += m
+		s.insert(i, h, t, m)
 		return nil
 	}
-	if e.Mult+m < 0 {
-		return &MultiplicityError{Relation: r.name, Tuple: t.Clone(), Have: e.Mult, Delta: m}
+	have := s.mults[id]
+	if have+m < 0 {
+		return r.multError(t, have, m)
 	}
-	e.Mult += m
+	s.mults[id] = have + m
 	s.total += m
-	if e.Mult == 0 {
-		s.tab.del(e.hash, e)
-		s.unlinkEntry(e)
+	if have+m == 0 {
+		s.tab.del(i)
+		s.order.remove(s.links, id)
 		for _, ix := range s.indexes {
-			ix.remove(e)
+			ix.remove(id)
 		}
-		e.next = s.free
-		s.free = e
+		s.links[id].next = s.free
+		s.free = id
 	}
 	return nil
+}
+
+// insert stores the absent tuple t, whose hash is h and probe slot i, with
+// multiplicity m > 0: under a freed id, or the next fresh one, growing every
+// column first when they are full.
+func (s *relStore) insert(i, h uint64, t tuple.Tuple, m int64) {
+	id := s.free
+	if id != End {
+		s.free = s.links[id].next
+		s.mults[id] = m
+	} else {
+		n := len(s.mults)
+		if n == cap(s.mults) {
+			s.reserve(max(2*n, minRows, min(s.tab.hint, 8*n)))
+		}
+		id = ID(n)
+		s.mults = append(s.mults, m)
+		s.links = append(s.links, link{})
+	}
+	s.tab.put(i, h, t, id)
+	s.order.push(s.links, id)
+	for _, ix := range s.indexes {
+		ix.insert(s, id)
+	}
+	s.total += m
+}
+
+// reserve grows every per-entry column of the store, its indexes' included,
+// to room for n entries.
+func (s *relStore) reserve(n int) {
+	s.tab.vals = withCap(s.tab.vals, n*s.tab.arity)
+	s.mults = withCap(s.mults, n)
+	s.links = withCap(s.links, n)
+	for _, ix := range s.indexes {
+		ix.links = withCap(ix.links, n)
+		ix.of = withCap(ix.of, n)
+	}
 }
 
 // GrowHint announces a fill expected to bring the relation to n rows (see
 // Allocation in the package comment); GrowHint(0) after the fill withdraws it.
 func (r *Relation) GrowHint(n int) { r.s.tab.hint = n }
-
-// slabLen sizes the next arena block: entrySlab, or what the hint allows.
-func (s *relStore) slabLen() int {
-	return max(entrySlab, min(s.tab.hint, 8*s.tab.count)-s.tab.count)
-}
-
-// newEntry takes an entry from the freelist (reusing its tuple buffer and
-// index back-pointer slots) or carves a fresh one out of the slab arenas.
-func (s *relStore) newEntry(t tuple.Tuple, m int64) *Entry {
-	if e := s.free; e != nil {
-		s.free = e.next
-		e.next = nil
-		e.Tuple = append(e.Tuple[:0], t...)
-		e.Mult = m
-		return e
-	}
-	if len(s.slabE) == 0 {
-		s.slabE = make([]Entry, s.slabLen())
-	}
-	e := &s.slabE[0]
-	s.slabE = s.slabE[1:]
-	e.Tuple = s.slabTuple(t)
-	e.Mult = m
-	return e
-}
-
-// slabTuple copies t into a chunk of the store's value arena.
-func (s *relStore) slabTuple(t tuple.Tuple) tuple.Tuple {
-	n := len(t)
-	if n == 0 {
-		return nil
-	}
-	if len(s.slabV) < n {
-		s.slabV = make([]tuple.Value, n*s.slabLen())
-	}
-	out := s.slabV[:n:n]
-	s.slabV = s.slabV[n:]
-	copy(out, t)
-	return out
-}
-
-// slabNodes returns an n-slot node back-pointer chunk from the node arena.
-func (s *relStore) slabNodes(n int) []*IndexNode {
-	if len(s.slabN) < n {
-		s.slabN = make([]*IndexNode, n*s.slabLen())
-	}
-	out := s.slabN[:n:n]
-	s.slabN = s.slabN[n:]
-	return out
-}
 
 // MustAdd is Add that panics on error; for code paths where the engine
 // guarantees non-negative multiplicities.
@@ -418,52 +430,41 @@ func (r *Relation) Release() {
 }
 
 // detach performs the copy-on-first-write: it retires the pinned store to
-// its frozen readers and installs a fresh store for the writer — a full
-// copy of the contents (entries in insertion order, every index rebuilt),
-// or an empty store with the same index definitions when the caller is
-// about to Clear and refill; either has its tables sized from the retired
-// store's counts. Index handles are swapped onto the rebuilt index stores, so
-// cached *Index pointers stay valid. The retired store is never written again.
+// its frozen readers and installs a fresh store for the writer — a copy of
+// every column and probe array, or, when the caller is about to Clear and
+// refill, an empty store with the same index definitions and capacities.
+// Index handles are swapped onto the copied index stores, so cached *Index
+// pointers stay valid. The retired store is never written again.
 func (r *Relation) detach(empty bool) {
 	if r.frozen {
 		panic(fmt.Sprintf("relation %s: mutation of a frozen snapshot handle", r.name))
 	}
 	old := r.s
-	s := &relStore{seed: old.seed}
-	s.indexes = make([]*ixStore, len(old.indexes))
-	for i, oix := range old.indexes {
-		nix := &ixStore{
-			keySchema: oix.keySchema,
-			proj:      oix.proj,
-			seed:      oix.seed,
-			slot:      oix.slot,
-		}
-		nix.tab.reserve(oix.tab.len())
-		s.indexes[i] = nix
-		r.hand[i].s = nix
+	s := &relStore{
+		seed:    old.seed, // same seed: the copied slots stay valid
+		tab:     old.tab.copy(empty),
+		mults:   cloneCol(old.mults, empty),
+		links:   cloneCol(old.links, empty),
+		order:   old.order,
+		free:    old.free,
+		total:   old.total,
+		indexes: make([]*ixStore, len(old.indexes)),
 	}
-	s.tab.reserve(old.tab.len())
-	r.s = s
 	if empty {
-		return
+		s.order, s.free, s.total = noList, End, 0
 	}
-	for e := old.head; e != nil; e = e.next {
-		ne := s.newEntry(e.Tuple, e.Mult)
-		ne.hash = e.hash // same seed: cached hashes stay valid
-		s.tab.put(ne.hash, ne)
-		s.linkEntry(ne)
-		for _, ix := range s.indexes {
-			ix.insert(ne, s)
-		}
+	for i, ix := range old.indexes {
+		s.indexes[i] = ix.copy(empty)
+		r.hand[i].s = s.indexes[i]
 	}
-	s.total = old.total
+	r.s = s
 }
 
 // Clear removes all tuples (and empties all indexes) while keeping the
-// index definitions. Entries, index nodes, and buckets are recycled onto
-// the freelists and the hash tables keep their slot arrays, so a refill
-// allocates nothing. On a store pinned by a live Freeze, Clear instead swaps
-// in an empty store (detach) whose tables are sized for the refill.
+// index definitions. The columns are truncated and the probe arrays emptied
+// in place, so a refill allocates nothing. On a store pinned by a live
+// Freeze, Clear instead swaps in an empty store (detach) with the same
+// capacities.
 func (r *Relation) Clear() {
 	if r.frozen {
 		panic(fmt.Sprintf("relation %s: Clear of a frozen snapshot handle", r.name))
@@ -473,79 +474,39 @@ func (r *Relation) Clear() {
 		return
 	}
 	s := r.s
-	for _, ix := range s.indexes {
-		ix.tab.forEach(func(b *bucket) {
-			b.head, b.tail, b.count = nil, nil, 0
-			b.freeNext = ix.freeBuck
-			ix.freeBuck = b
-		})
-		ix.tab.clear()
-	}
-	var next *Entry
-	for e := s.head; e != nil; e = next {
-		next = e.next
-		for i, n := range e.nodes {
-			if n == nil {
-				continue
-			}
-			n.entry, n.b, n.prev = nil, nil, nil
-			n.next = s.indexes[i].freeNode
-			s.indexes[i].freeNode = n
-			e.nodes[i] = nil
-		}
-		e.prev = nil
-		e.next = s.free
-		s.free = e
-	}
 	s.tab.clear()
-	s.head, s.tail = nil, nil
-	s.total = 0
+	s.mults, s.links = s.mults[:0], s.links[:0]
+	s.order, s.free, s.total = noList, End, 0
+	for _, ix := range s.indexes {
+		ix.clear()
+	}
 }
 
-func (s *relStore) linkEntry(e *Entry) {
-	e.prev = s.tail
-	e.next = nil
-	if s.tail != nil {
-		s.tail.next = e
-	} else {
-		s.head = e
-	}
-	s.tail = e
-}
+// First returns the first entry in insertion order, or End if empty.
+func (r *Relation) First() ID { return r.s.order.head }
 
-func (s *relStore) unlinkEntry(e *Entry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		s.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		s.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
+// Next returns the entry after id in insertion order, or End.
+func (r *Relation) Next(id ID) ID { return r.s.links[id].next }
 
-// First returns the first entry in insertion order, or nil if empty.
-func (r *Relation) First() *Entry { return r.s.head }
-
-// Next returns the entry after e in insertion order, or nil.
-func (r *Relation) Next(e *Entry) *Entry { return e.next }
+// At returns the tuple and multiplicity of entry id. Callers must not modify
+// the tuple, which is valid until the entry is removed.
+func (r *Relation) At(id ID) (tuple.Tuple, int64) { return r.s.tab.key(id), r.s.mults[id] }
 
 // ForEach calls fn on every entry in insertion order. fn must not mutate
 // the relation.
 func (r *Relation) ForEach(fn func(t tuple.Tuple, m int64)) {
-	for e := r.s.head; e != nil; e = e.next {
-		fn(e.Tuple, e.Mult)
+	s := r.s
+	for id := s.order.head; id != End; id = s.links[id].next {
+		fn(s.tab.key(id), s.mults[id])
 	}
 }
 
 // ForEachUntil calls fn on every entry in insertion order until fn returns
 // false. fn must not mutate the relation.
 func (r *Relation) ForEachUntil(fn func(t tuple.Tuple, m int64) bool) {
-	for e := r.s.head; e != nil; e = e.next {
-		if !fn(e.Tuple, e.Mult) {
+	s := r.s
+	for id := s.order.head; id != End; id = s.links[id].next {
+		if !fn(s.tab.key(id), s.mults[id]) {
 			return
 		}
 	}
@@ -554,10 +515,8 @@ func (r *Relation) ForEachUntil(fn func(t tuple.Tuple, m int64) bool) {
 // Entries returns a snapshot slice of (tuple, multiplicity) pairs in
 // insertion order; intended for tests and small relations.
 func (r *Relation) Entries() []Entry {
-	out := make([]Entry, 0, r.s.tab.len())
-	for e := r.s.head; e != nil; e = e.next {
-		out = append(out, Entry{Tuple: e.Tuple.Clone(), Mult: e.Mult})
-	}
+	out := make([]Entry, 0, r.Size())
+	r.ForEach(func(t tuple.Tuple, m int64) { out = append(out, Entry{Tuple: t.Clone(), Mult: m}) })
 	return out
 }
 
@@ -565,22 +524,17 @@ func (r *Relation) Entries() []Entry {
 // copied; add them on the clone as needed).
 func (r *Relation) Clone() *Relation {
 	out := New(r.name, r.schema)
-	for e := r.s.head; e != nil; e = e.next {
-		out.MustAdd(e.Tuple, e.Mult)
-	}
+	r.ForEach(out.MustAdd)
 	return out
 }
 
 // String renders a small relation for debugging.
 func (r *Relation) String() string {
 	s := r.name + r.schema.String() + "{"
-	first := true
-	for e := r.s.head; e != nil; e = e.next {
-		if !first {
-			s += ", "
-		}
-		first = false
-		s += fmt.Sprintf("%v->%d", e.Tuple, e.Mult)
-	}
+	sep := ""
+	r.ForEach(func(t tuple.Tuple, m int64) {
+		s += fmt.Sprintf("%s%v->%d", sep, t, m)
+		sep = ", "
+	})
 	return s + "}"
 }

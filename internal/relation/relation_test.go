@@ -2,6 +2,7 @@ package relation
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -94,11 +95,22 @@ func TestEnumerationOrder(t *testing.T) {
 	// Delete middle, enumerate again.
 	r.MustAdd(tuple.Tuple{1, 1}, -1)
 	got = nil
-	for e := r.First(); e != nil; e = r.Next(e) {
-		got = append(got, e.Tuple)
+	for id := r.First(); id != End; id = r.Next(id) {
+		tu, _ := r.At(id)
+		got = append(got, tu)
 	}
 	if len(got) != 2 || !got[0].Equal(tuple.Tuple{3, 1}) || !got[1].Equal(tuple.Tuple{2, 2}) {
 		t.Fatalf("after delete: %v", got)
+	}
+	// The next insert takes the freed id, yet enumerates last; so does the
+	// deleted tuple inserted again.
+	r.MustAdd(tuple.Tuple{4, 4}, 1)
+	r.MustAdd(tuple.Tuple{3, 1}, -1)
+	r.MustAdd(tuple.Tuple{3, 1}, 1)
+	got = nil
+	r.ForEach(func(x tuple.Tuple, m int64) { got = append(got, x.Clone()) })
+	if len(got) != 3 || !got[0].Equal(tuple.Tuple{2, 2}) || !got[1].Equal(tuple.Tuple{4, 4}) || !got[2].Equal(tuple.Tuple{3, 1}) {
+		t.Fatalf("after re-inserts through freed ids: %v", got)
 	}
 }
 
@@ -159,14 +171,18 @@ func TestIndexCursor(t *testing.T) {
 	r.MustAdd(tuple.Tuple{5, 2}, 1)
 	r.MustAdd(tuple.Tuple{6, 9}, 1)
 	var seen []tuple.Value
-	for n := ix.FirstMatch(tuple.Tuple{5}); n != nil; n = n.Next() {
-		seen = append(seen, n.Entry().Tuple[1])
+	for id := ix.First(tuple.Tuple{5}); id != End; id = ix.Next(id) {
+		tu, _ := r.At(id)
+		seen = append(seen, tu[1])
 	}
 	if len(seen) != 2 || seen[0] != 1 || seen[1] != 2 {
 		t.Fatalf("cursor walk = %v", seen)
 	}
-	if ix.FirstMatch(tuple.Tuple{7}) != nil {
-		t.Fatalf("cursor on absent key non-nil")
+	if ix.First(tuple.Tuple{7}) != End || ix.FirstMatch(tuple.Tuple{7}) != nil {
+		t.Fatalf("cursor on absent key not at End")
+	}
+	if got := ix.FirstMatch(tuple.Tuple{5}); !got.Equal(tuple.Tuple{5, 1}) {
+		t.Fatalf("FirstMatch = %v, want [5 1]", got)
 	}
 }
 
@@ -325,4 +341,76 @@ func TestEntriesSnapshotSorted(t *testing.T) {
 	if !es[0].Tuple.Equal(tuple.Tuple{1, 1}) || es[0].Mult != 2 {
 		t.Fatalf("Entries snapshot wrong: %+v", es)
 	}
+}
+
+// TestStoreColumnsPointerFree guards the layout: every slice of a relation's
+// or an index's store that grows with |R| holds pointer-free elements, so
+// the garbage collector has nothing to scan per stored tuple.
+func TestStoreColumnsPointerFree(t *testing.T) {
+	r := New("R", ab())
+	ix := r.EnsureIndex(tuple.NewSchema("A"))
+	fill := func(from, to int64) {
+		for i := from; i < to; i++ {
+			r.MustAdd(tuple.Tuple{i, i}, 1)
+		}
+	}
+	fill(0, 100)
+	before := storeSlices(r.s, ix.s)
+	fill(100, 1000)
+	grown := 0
+	for name, col := range storeSlices(r.s, ix.s) {
+		if col.len > before[name].len {
+			grown++
+			if hasPointers(col.elem) {
+				t.Errorf("%s grows with |R| and holds %v, which contains pointers", name, col.elem)
+			}
+		}
+	}
+	if grown < 9 {
+		t.Errorf("%d slices grew with |R|, want the 9 columns of the entry and bucket stores", grown)
+	}
+}
+
+type storeSlice struct {
+	len  int
+	elem reflect.Type
+}
+
+// storeSlices returns every slice field of the given store pointers, nested
+// struct fields included, by field path.
+func storeSlices(stores ...any) map[string]storeSlice {
+	out := map[string]storeSlice{}
+	var walk func(path string, v reflect.Value)
+	walk = func(path string, v reflect.Value) {
+		for i := 0; i < v.NumField(); i++ {
+			f, name := v.Field(i), path+"."+v.Type().Field(i).Name
+			switch f.Kind() {
+			case reflect.Slice:
+				out[name] = storeSlice{f.Len(), f.Type().Elem()}
+			case reflect.Struct:
+				walk(name, f)
+			}
+		}
+	}
+	for _, s := range stores {
+		v := reflect.ValueOf(s).Elem()
+		walk(v.Type().Name(), v)
+	}
+	return out
+}
+
+func hasPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Pointer, reflect.Map, reflect.Slice, reflect.String, reflect.Interface, reflect.Chan, reflect.Func, reflect.UnsafePointer:
+		return true
+	case reflect.Array:
+		return hasPointers(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if hasPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+	}
+	return false
 }

@@ -1,162 +1,168 @@
 package relation
 
-import "ivmeps/internal/tuple"
+import (
+	"math/bits"
 
-// oaTable is the open-addressing hash table behind Relation.entries and
-// Index.buckets: linear probing over power-of-two slot arrays, keyed on
-// unencoded tuples via tuple.Hash, with tombstone-free backward-shift
-// deletion. Values are pointers (Entry or bucket) that expose the tuple
-// they are keyed on; every slot additionally caches the key's hash, so
-// probes compare tuples only on a 64-bit hash match, growth reinserts
-// without rehashing, and deletion computes probe distances without touching
-// the keys.
+	"ivmeps/internal/tuple"
+)
+
+// table is the keyed half of a store: a set of key tuples numbered by ID, the
+// keys in one value arena at arity stride, found through an open-addressing
+// probe array. A relation's entries are one table keyed on the stored tuple,
+// an index's buckets one keyed on the projected key.
 //
-// The table never stores tombstones: del backward-shifts the following
-// cluster members into the hole, so probe sequences stay as short as the
-// load factor allows regardless of churn. clear empties the table while
-// keeping the slot array, which makes refills after Relation.Clear (major
-// rebalancing) allocation-free.
-
-// oaKeyed constrains table values: a pointer type keyed by a tuple.
-type oaKeyed interface {
-	comparable
-	keyTuple() tuple.Tuple
-}
-
-type oaSlot[V oaKeyed] struct {
-	hash uint64
-	val  V // the zero value (nil pointer) marks an empty slot
-}
-
-type oaTable[V oaKeyed] struct {
-	slots []oaSlot[V]
-	mask  uint64
+// The probe array is linear probing over a power-of-two array of uint64
+// slots. A slot holds id+1 in its low 32 bits (0 marks an empty slot) and the
+// high 32 bits of the key's hash as a fingerprint, and a key's home slot is
+// the top bits of its hash: the slot alone names its own home. A probe
+// compares key values only on a fingerprint match; growth re-places every
+// slot and deletion computes probe distances without touching a key or
+// rehashing. Deletion backward-shifts the probe cluster into the hole instead
+// of leaving a tombstone, so probe sequences stay as short as the load factor
+// allows regardless of churn. The owner numbers the keys (ids it frees it
+// hands out again); a table stores, finds and drops them.
+type table struct {
+	slots []uint64
+	mask  uint64 // len(slots) − 1
+	shift uint   // 64 − log2(len(slots)): a hash's home is h >> shift
 	count int
 	hint  int // Relation.GrowHint: grow sizes for min(hint, 8·count) if past doubling
+
+	arity int
+	vals  []tuple.Value // key of id at vals[id·arity : (id+1)·arity]
 }
 
-const oaMinSlots = 8
+const (
+	minSlots = 8
+	idMask   = 1<<32 - 1 // the id+1 half of a slot
 
-// len returns the number of stored values.
-func (t *oaTable[V]) len() int { return t.count }
+	// minRows is the first capacity of a relation's columns: room for the
+	// entries of a small view without regrowing as its high-water mark creeps
+	// up under churn.
+	minRows = 64
+)
 
-// get returns the value keyed by key (with hash h), or the zero value.
-func (t *oaTable[V]) get(h uint64, key tuple.Tuple) V {
-	var zero V
+// key returns id's key. Callers must not modify it.
+func (t *table) key(id ID) tuple.Tuple {
+	o := int(id) * t.arity
+	return t.vals[o : o+t.arity : o+t.arity]
+}
+
+// find probes for key, whose hash is h: it returns key's slot and id, or the
+// empty slot where key goes and false.
+func (t *table) find(h uint64, key tuple.Tuple) (i uint64, id ID, ok bool) {
 	if t.count == 0 {
-		return zero
+		return h >> t.shift, 0, false
 	}
-	for i := h & t.mask; ; i = (i + 1) & t.mask {
-		s := &t.slots[i]
-		if s.val == zero {
-			return zero
+	fp := h &^ idMask
+	for i = h >> t.shift; ; i = (i + 1) & t.mask {
+		s := t.slots[i]
+		if s == 0 {
+			return i, 0, false
 		}
-		if s.hash == h && s.val.keyTuple().Equal(key) {
-			return s.val
+		if s&^idMask == fp && t.key(ID(s-1)).Equal(key) {
+			return i, ID(s - 1), true
 		}
 	}
 }
 
-// put stores v under hash h. v's key must not already be present (callers
-// probe with get first).
-func (t *oaTable[V]) put(h uint64, v V) {
+// put stores key, whose hash is h, as id, in slot i — the empty slot find
+// returned — or, when the table must grow first, in the slot that growth
+// opens. id is either a freed id or the next fresh one.
+func (t *table) put(i, h uint64, key tuple.Tuple, id ID) {
+	if o := int(id) * t.arity; o == len(t.vals) {
+		t.vals = append(t.vals, key...)
+	} else {
+		copy(t.vals[o:], key)
+	}
+	s := h&^idMask | (uint64(id) + 1)
 	if t.count >= len(t.slots)*3/4 {
 		t.grow()
+		i = t.place(s)
 	}
-	var zero V
-	for i := h & t.mask; ; i = (i + 1) & t.mask {
-		if t.slots[i].val == zero {
-			t.slots[i] = oaSlot[V]{hash: h, val: v}
-			t.count++
-			return
-		}
-	}
+	t.slots[i] = s
+	t.count++
 }
 
-// del removes v (stored under hash h), backward-shifting the probe cluster
-// into the hole so no tombstone is left behind. v must be present.
-func (t *oaTable[V]) del(h uint64, v V) {
-	var zero V
-	i := h & t.mask
-	for t.slots[i].val != v {
+// place returns the first empty slot of slot value s's probe run.
+func (t *table) place(s uint64) uint64 {
+	i := s >> t.shift
+	for t.slots[i] != 0 {
 		i = (i + 1) & t.mask
 	}
-	// Backward shift: walk the cluster after the hole; any member whose
-	// probe distance reaches back to (or past) the hole moves into it,
-	// opening a new hole at its old slot. The first empty slot ends the
-	// cluster.
-	j := i
-	for {
+	return i
+}
+
+// del empties slot i, backward-shifting the probe cluster into the hole: any
+// later member whose probe distance reaches back to (or past) the hole moves
+// into it, opening a new hole at its old slot, until the first empty slot
+// ends the cluster. The id stays the owner's to free.
+func (t *table) del(i uint64) {
+	for j := i; ; {
 		j = (j + 1) & t.mask
-		s := &t.slots[j]
-		if s.val == zero {
+		s := t.slots[j]
+		if s == 0 {
 			break
 		}
-		if (j-s.hash)&t.mask >= (j-i)&t.mask {
-			t.slots[i] = *s
+		if (j-s>>t.shift)&t.mask >= (j-i)&t.mask {
+			t.slots[i] = s
 			i = j
 		}
 	}
-	t.slots[i] = oaSlot[V]{}
+	t.slots[i] = 0
 	t.count--
 }
 
-// reserve sizes an empty table's slot array so that n values fit without
-// growing (used when rebuilding a detached store from a known-size source).
-func (t *oaTable[V]) reserve(n int) {
-	if n == 0 || t.count > 0 {
-		return
-	}
-	slots := oaMinSlots
-	for slots*3/4 <= n {
-		slots *= 2
-	}
-	if slots <= len(t.slots) {
-		return
-	}
-	t.slots = make([]oaSlot[V], slots)
-	t.mask = uint64(slots - 1)
-}
-
-// clear empties the table, keeping the slot array for reuse.
-func (t *oaTable[V]) clear() {
+// clear empties the table, keeping its arrays for the refill.
+func (t *table) clear() {
 	if t.count > 0 {
 		clear(t.slots)
 		t.count = 0
 	}
+	t.vals = t.vals[:0]
 }
 
-// forEach calls fn on every stored value, in unspecified order. fn must not
-// mutate the table.
-func (t *oaTable[V]) forEach(fn func(V)) {
-	var zero V
-	for i := range t.slots {
-		if t.slots[i].val != zero {
-			fn(t.slots[i].val)
-		}
-	}
-}
-
-// grow doubles the slot array (or allocates the first, or follows the growth
-// hint) and reinserts every value by its cached hash.
-func (t *oaTable[V]) grow() {
+// grow doubles the probe array (or allocates the first, or follows the growth
+// hint) and re-places every slot.
+func (t *table) grow() {
 	old := t.slots
-	n := max(2*len(old), oaMinSlots)
+	n := max(2*len(old), minSlots)
 	for n*3/4 <= min(t.hint, 8*t.count) {
 		n *= 2
 	}
-	t.slots = make([]oaSlot[V], n)
+	t.slots = make([]uint64, n)
 	t.mask = uint64(n - 1)
-	var zero V
-	for i := range old {
-		if old[i].val == zero {
-			continue
-		}
-		for j := old[i].hash & t.mask; ; j = (j + 1) & t.mask {
-			if t.slots[j].val == zero {
-				t.slots[j] = old[i]
-				break
-			}
+	t.shift = uint(64 - bits.TrailingZeros(uint(n)))
+	for _, s := range old {
+		if s != 0 {
+			t.slots[t.place(s)] = s
 		}
 	}
 }
+
+// footprint is the bytes the table holds, by capacity.
+func (t *table) footprint() int { return capBytes(t.slots) + capBytes(t.vals) }
+
+// copy returns a private copy of the table — or, when empty, an empty table
+// with the same probe array and column sizes — for a copy-on-write detach.
+func (t *table) copy(empty bool) table {
+	c := table{slots: make([]uint64, len(t.slots)), mask: t.mask, shift: t.shift, arity: t.arity,
+		vals: cloneCol(t.vals, empty)}
+	if !empty {
+		copy(c.slots, t.slots)
+		c.count = t.count
+	}
+	return c
+}
+
+// cloneCol returns a copy of col with col's capacity, or an empty column of
+// that capacity.
+func cloneCol[T any](col []T, empty bool) []T {
+	if empty {
+		col = col[:0]
+	}
+	return withCap(col, cap(col))
+}
+
+// withCap returns a copy of col with capacity n ≥ len(col), in one allocation.
+func withCap[T any](col []T, n int) []T { return append(make([]T, 0, n), col...) }

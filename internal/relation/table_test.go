@@ -10,7 +10,7 @@ import (
 )
 
 // Property tests for the open-addressing storage: the relation (entry table
-// + index bucket tables + slab arenas + freelists) must match a
+// + index bucket tables + free-id lists) must match a
 // map[tuple.Key]-backed model under random Add/Clear/index churn, and the
 // raw table's backward-shift deletion must stay correct around slot-array
 // wraparound.
@@ -47,7 +47,7 @@ func (tableScript) Generate(r *rand.Rand, size int) reflect.Value {
 // agrees with a map[tuple.Key]int64 model on size, multiplicities, total,
 // index counts, distinct-key counts, and enumeration contents. The
 // 8×8-value domain with deletes drives heavy insert/delete churn through
-// the tables' backward-shift deletion and the entry/node/bucket pools.
+// the tables' backward-shift deletion and the entry and bucket id reuse.
 func TestQuickTableMatchesKeyModel(t *testing.T) {
 	f := func(s tableScript) bool {
 		r := New("R", tuple.NewSchema("A", "B"))
@@ -135,61 +135,79 @@ func TestQuickTableMatchesKeyModel(t *testing.T) {
 
 // TestTableBackwardShiftWraparound exercises del's backward shift directly
 // with crafted hashes whose probe clusters wrap around the end of the slot
-// array: after every deletion order, the surviving values must stay
-// reachable under their original hashes.
+// array: after every deletion order, the surviving keys must stay reachable
+// under their original hashes and ids.
 func TestTableBackwardShiftWraparound(t *testing.T) {
-	// 8-slot table (below the grow threshold of 6 entries): home slots
-	// 6,6,7,0 form the cluster 6,7,0,1 across the wrap point.
-	homes := []uint64{6, 6, 7, 0}
-	for del1 := 0; del1 < len(homes); del1++ {
-		for del2 := 0; del2 < len(homes); del2++ {
-			if del2 == del1 {
-				continue
-			}
-			var tab oaTable[*Entry]
-			entries := make([]*Entry, len(homes))
-			for i, h := range homes {
-				entries[i] = &Entry{Tuple: tuple.Tuple{int64(i)}}
-				tab.put(h, entries[i])
-			}
-			if len(tab.slots) != oaMinSlots {
-				t.Fatalf("table grew to %d slots; test assumes %d", len(tab.slots), oaMinSlots)
-			}
-			tab.del(homes[del1], entries[del1])
-			tab.del(homes[del2], entries[del2])
-			if tab.len() != len(homes)-2 {
-				t.Fatalf("del order (%d,%d): len = %d, want %d", del1, del2, tab.len(), len(homes)-2)
-			}
-			for i, h := range homes {
-				got := tab.get(h, entries[i].Tuple)
-				if i == del1 || i == del2 {
-					if got != nil {
-						t.Fatalf("del order (%d,%d): deleted entry %d still reachable", del1, del2, i)
-					}
-				} else if got != entries[i] {
-					t.Fatalf("del order (%d,%d): entry %d lost after backward shift", del1, del2, i)
+	// 8-slot tables (below the grow threshold of 6 keys), a home slot being a
+	// hash's top three bits: homes 6,6,7,0 form the cluster 6,7,0,1 across
+	// the wrap point, and in 5,5,7,7 the last key sits past the wrap point
+	// and before a possible hole at 6 that it must not move into.
+	for _, homes := range [][]uint64{{6, 6, 7, 0}, {5, 5, 7, 7}} {
+		for del1 := range homes {
+			for del2 := range homes {
+				if del2 != del1 {
+					checkBackwardShift(t, homes, del1, del2)
 				}
-			}
-			// The hole left behind must not break later inserts.
-			extra := &Entry{Tuple: tuple.Tuple{99}}
-			tab.put(7, extra)
-			if tab.get(7, extra.Tuple) != extra {
-				t.Fatalf("del order (%d,%d): insert into shifted cluster lost", del1, del2)
 			}
 		}
 	}
 }
 
+// checkBackwardShift stores one key per home slot, deletes two of them, and
+// checks that the rest stay reachable and a later insert lands.
+func checkBackwardShift(t *testing.T, homes []uint64, del1, del2 int) {
+	t.Helper()
+	key := func(i int) tuple.Tuple { return tuple.Tuple{int64(i)} }
+	hash := func(i int) uint64 { return homes[i] << 61 }
+	tab := table{arity: 1}
+	for i := range homes {
+		slot, _, _ := tab.find(hash(i), key(i))
+		tab.put(slot, hash(i), key(i), ID(i))
+	}
+	if len(tab.slots) != minSlots {
+		t.Fatalf("table grew to %d slots; test assumes %d", len(tab.slots), minSlots)
+	}
+	for _, d := range []int{del1, del2} {
+		slot, id, ok := tab.find(hash(d), key(d))
+		if !ok || id != ID(d) {
+			t.Fatalf("homes %v, del order (%d,%d): key %d not found before its delete", homes, del1, del2, d)
+		}
+		tab.del(slot)
+	}
+	if tab.count != len(homes)-2 {
+		t.Fatalf("homes %v, del order (%d,%d): count = %d, want %d", homes, del1, del2, tab.count, len(homes)-2)
+	}
+	for i := range homes {
+		_, id, ok := tab.find(hash(i), key(i))
+		if i == del1 || i == del2 {
+			if ok {
+				t.Fatalf("homes %v, del order (%d,%d): deleted key %d still reachable", homes, del1, del2, i)
+			}
+		} else if !ok || id != ID(i) {
+			t.Fatalf("homes %v, del order (%d,%d): key %d lost after backward shift", homes, del1, del2, i)
+		}
+	}
+	// The hole left behind must not break later inserts.
+	slot, _, _ := tab.find(7<<61, key(99))
+	tab.put(slot, 7<<61, key(99), ID(len(homes)))
+	if _, id, ok := tab.find(7<<61, key(99)); !ok || id != ID(len(homes)) {
+		t.Fatalf("homes %v, del order (%d,%d): insert into shifted cluster lost", homes, del1, del2)
+	}
+}
+
 // TestTableQuickWraparound drives the raw table with random constrained
-// hashes (all homes in the low slots of an 8..64-slot table) so clusters
-// constantly collide and wrap, against a map model, including interleaved
-// clears.
+// hashes (eight homes in an 8..64-slot table, the last one's cluster
+// running past the end) so clusters constantly collide and wrap, against a
+// map model, including interleaved clears.
 func TestTableQuickWraparound(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
+	type stored struct {
+		id ID
+		h  uint64
+	}
 	for round := 0; round < 200; round++ {
-		var tab oaTable[*Entry]
-		byVal := map[int64]*Entry{}
-		hashOf := map[int64]uint64{}
+		tab := table{arity: 1}
+		byVal := map[int64]stored{}
 		next := int64(0)
 		for op := 0; op < 120; op++ {
 			switch {
@@ -199,25 +217,29 @@ func TestTableQuickWraparound(t *testing.T) {
 			case rng.Intn(2) == 0 || len(byVal) == 0:
 				v := next
 				next++
-				e := &Entry{Tuple: tuple.Tuple{v}}
-				h := uint64(rng.Intn(8)) // dense collisions, forced wraparound
-				tab.put(h, e)
-				byVal[v] = e
-				hashOf[v] = h
+				h := uint64(rng.Intn(8)) << 61 // dense collisions, forced wraparound
+				slot, _, ok := tab.find(h, tuple.Tuple{v})
+				if ok {
+					t.Fatalf("round %d op %d: fresh value %d found", round, op, v)
+				}
+				id := ID(len(tab.vals)) // deleted ids are not reused here
+				tab.put(slot, h, tuple.Tuple{v}, id)
+				byVal[v] = stored{id, h}
 			default:
 				// Delete a random present value.
 				var v int64
 				for v = range byVal {
 					break
 				}
-				tab.del(hashOf[v], byVal[v])
+				slot, _, _ := tab.find(byVal[v].h, tuple.Tuple{v})
+				tab.del(slot)
 				delete(byVal, v)
 			}
-			if tab.len() != len(byVal) {
-				t.Fatalf("round %d op %d: len %d != model %d", round, op, tab.len(), len(byVal))
+			if tab.count != len(byVal) {
+				t.Fatalf("round %d op %d: count %d != model %d", round, op, tab.count, len(byVal))
 			}
-			for v, e := range byVal {
-				if tab.get(hashOf[v], e.Tuple) != e {
+			for v, st := range byVal {
+				if _, id, ok := tab.find(st.h, tuple.Tuple{v}); !ok || id != st.id {
 					t.Fatalf("round %d op %d: value %d unreachable", round, op, v)
 				}
 			}

@@ -177,12 +177,13 @@ func UpdateStream(rng *rand.Rand, q *query.Query, db naive.Database, count int, 
 		r := db[rel]
 		if rng.Float64() < deleteFrac && r.Size() > 0 {
 			// Delete a random existing tuple: walk a few steps from the head.
-			e := r.First()
+			id := r.First()
 			steps := rng.Intn(32)
-			for i := 0; i < steps && r.Next(e) != nil; i++ {
-				e = r.Next(e)
+			for i := 0; i < steps && r.Next(id) != relation.End; i++ {
+				id = r.Next(id)
 			}
-			u := Update{Rel: rel, Tuple: e.Tuple.Clone(), Mult: -e.Mult}
+			t, m := r.At(id)
+			u := Update{Rel: rel, Tuple: t.Clone(), Mult: -m}
 			r.MustAdd(u.Tuple, u.Mult)
 			out = append(out, u)
 			continue
