@@ -903,7 +903,9 @@ func twoPathRows(n int) map[string][][]int64 {
 // BenchmarkBuild is the preprocessing side of the trade-off (Proposition 21),
 // recorded in BENCH_build.json (`make bench-build`): one op = Load + Build of
 // the |R| = |S| = 5·benchN Zipf database, a quarter of that at ε = 1 where the
-// light join is the full one. Its allocs/op are slab and table counts,
+// light join is the full one. Its allocs/op count the columns and probe
+// arrays the relations allocate as they grow, and footprint-B is the bytes
+// the built engine's relations hold (the paper's space side); both are
 // deterministic at the fixed seed.
 func BenchmarkBuild(b *testing.B) {
 	for _, c := range buildCases {
@@ -915,9 +917,13 @@ func BenchmarkBuild(b *testing.B) {
 			q, rows := ivmeps.MustParseQuery(c.q), twoPathRows(n)
 			b.ReportAllocs()
 			b.ResetTimer()
+			var e *ivmeps.Engine
 			for i := 0; i < b.N; i++ {
-				loadAndBuild(b, q, c.opts, rows).Close()
+				e = loadAndBuild(b, q, c.opts, rows)
+				e.Close()
 			}
+			b.StopTimer()
+			b.ReportMetric(float64(e.Footprint()), "footprint-B")
 		})
 	}
 }

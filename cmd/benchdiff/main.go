@@ -11,7 +11,8 @@
 // BenchmarkServer* HTTP-path benchmarks ride the Go net/http stack, whose
 // connection reuse and buffer pooling jitter the count — are matched by
 // -alloc-nondet and gated with a loose 50% tolerance instead; everything
-// else stays exact.
+// else stays exact. A baseline line that records footprint-B (the bytes
+// BenchmarkBuild's built engine holds) has it gated like its allocs/op.
 //
 // Typical use (what `make bench-check` runs):
 //
@@ -54,7 +55,7 @@ func main() {
 		basePath     = flag.String("baseline", "BENCH_update.json", "committed baseline report")
 		newPath      = flag.String("new", "", "fresh bench2json report to compare (required)")
 		tol          = flag.Float64("tol", 0.30, "allowed fractional ns/op regression")
-		allocTol     = flag.Float64("alloc-tol", 0, "allowed fractional allocs/op increase (default strict: any increase fails)")
+		allocTol     = flag.Float64("alloc-tol", 0, "allowed fractional allocs/op and footprint-B increase (default strict: any increase fails)")
 		allocsOnly   = flag.Bool("allocs-only", false, "gate allocs/op only; ignore ns/op entirely (for noisy shared runners)")
 		allowMissing = flag.Bool("allow-missing", false, "tolerate baseline benchmarks absent from the fresh run")
 		allocNondet  = flag.String("alloc-nondet", "", "regexp of benchmarks with nondeterministic allocs/op, gated at 50% tolerance instead of exact")
@@ -110,6 +111,9 @@ func main() {
 			compared++
 		}
 		allocs := fmt.Sprintf("%.0f→%.0f", d.BaseAllocs, d.NewAllocs)
+		if d.BaseFootprint > 0 || d.NewFootprint > 0 {
+			verdict += fmt.Sprintf(" (footprint-B %.0f→%.0f)", d.BaseFootprint, d.NewFootprint)
+		}
 		if d.Missing {
 			fmt.Printf("%-55s %12.0f %12s %8s %9s  %s\n", d.Name, d.BaseNs, "-", "-", "-", verdict)
 			continue

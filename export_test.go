@@ -10,6 +10,13 @@ func (e *Engine) CheckInvariants() error { return e.e.CheckInvariants() }
 // (BenchmarkMajorRebalance).
 func (e *Engine) MajorRebalance() { e.e.Rebalance() }
 
+// Footprint returns the bytes the engine's relations hold (BenchmarkBuild's
+// footprint-B).
+func (e *Engine) Footprint() int {
+	bytes, _ := e.e.Footprint()
+	return bytes
+}
+
 // SetDurabilityFS injects a file-operation implementation into a
 // Durability configuration, for fault-injection tests
 // (internal/wal/faultfs). Test-only: the field is unexported so real

@@ -8,7 +8,9 @@ import "fmt"
 // allocations are compared with strict equality by default — an allocation
 // creeping into a zero-alloc hot path is precisely the regression class the
 // gate exists to catch, and with the tuple-native storage the update and
-// batch benchmarks have small deterministic allocation counts.
+// batch benchmarks have small deterministic allocation counts. A baseline's
+// footprint-B is gated the same way: a deterministic byte count that may
+// only fall.
 
 // DiffOptions tunes CompareReports.
 type DiffOptions struct {
@@ -42,6 +44,8 @@ type BenchDiff struct {
 	Name                  string
 	BaseNs, NewNs         float64
 	BaseAllocs, NewAllocs float64
+	// BaseFootprint and NewFootprint are footprint-B, 0 when not reported.
+	BaseFootprint, NewFootprint float64
 	// Missing: in the baseline but not in the fresh run. New: in the fresh
 	// run but not in the baseline (informational, never a failure).
 	Missing, New bool
@@ -60,8 +64,10 @@ func (d *BenchDiff) NsDelta() float64 {
 
 // CompareReports diffs a fresh report against the baseline, in baseline
 // order (fresh-only benchmarks appended). A benchmark fails the gate when
-// its ns/op regresses beyond the tolerance, when its allocs/op regresses at
-// all, or when it disappeared from the fresh run (unless AllowMissing).
+// its ns/op regresses beyond the tolerance, when its allocs/op or its
+// baseline's footprint-B grows beyond the allocation tolerance (a footprint
+// the fresh run no longer reports counts as grown), or when it disappeared
+// from the fresh run (unless AllowMissing).
 func CompareReports(base, fresh *GoBenchReport, opts DiffOptions) []BenchDiff {
 	fresh2 := map[string]*GoBenchResult{}
 	for i := range fresh.Benchmarks {
@@ -72,7 +78,7 @@ func CompareReports(base, fresh *GoBenchReport, opts DiffOptions) []BenchDiff {
 	for i := range base.Benchmarks {
 		b := &base.Benchmarks[i]
 		seen[b.Name] = true
-		d := BenchDiff{Name: b.Name, BaseNs: b.NsPerOp, BaseAllocs: b.AllocsPerOp}
+		d := BenchDiff{Name: b.Name, BaseNs: b.NsPerOp, BaseAllocs: b.AllocsPerOp, BaseFootprint: b.FootprintBytes}
 		f, ok := fresh2[b.Name]
 		if !ok {
 			d.Missing = true
@@ -83,7 +89,7 @@ func CompareReports(base, fresh *GoBenchReport, opts DiffOptions) []BenchDiff {
 			out = append(out, d)
 			continue
 		}
-		d.NewNs, d.NewAllocs = f.NsPerOp, f.AllocsPerOp
+		d.NewNs, d.NewAllocs, d.NewFootprint = f.NsPerOp, f.AllocsPerOp, f.FootprintBytes
 		allocTol := opts.AllocTolerance
 		if opts.AllocNondet != nil && opts.AllocNondet(b.Name) {
 			allocTol = opts.AllocNondetTolerance
@@ -96,6 +102,10 @@ func CompareReports(base, fresh *GoBenchReport, opts DiffOptions) []BenchDiff {
 			d.Bad = true
 			d.Reason = fmt.Sprintf("allocs/op regressed: %.0f -> %.0f (tolerance %.1f%%)",
 				d.BaseAllocs, d.NewAllocs, 100*allocTol)
+		case d.BaseFootprint > 0 && (d.NewFootprint == 0 || d.NewFootprint > d.BaseFootprint*(1+allocTol)):
+			d.Bad = true
+			d.Reason = fmt.Sprintf("footprint-B regressed: %.0f -> %.0f (tolerance %.1f%%)",
+				d.BaseFootprint, d.NewFootprint, 100*allocTol)
 		case d.BaseNs > 0 && d.NewNs > d.BaseNs*(1+opts.NsTolerance):
 			d.Bad = true
 			d.Reason = fmt.Sprintf("ns/op regressed %+.1f%% (tolerance %.0f%%)",
@@ -107,7 +117,7 @@ func CompareReports(base, fresh *GoBenchReport, opts DiffOptions) []BenchDiff {
 		f := &fresh.Benchmarks[i]
 		if !seen[f.Name] {
 			out = append(out, BenchDiff{
-				Name: f.Name, New: true, NewNs: f.NsPerOp, NewAllocs: f.AllocsPerOp,
+				Name: f.Name, New: true, NewNs: f.NsPerOp, NewAllocs: f.AllocsPerOp, NewFootprint: f.FootprintBytes,
 			})
 		}
 	}

@@ -109,3 +109,39 @@ func TestCompareReports(t *testing.T) {
 		t.Fatalf("unchanged benchmark flagged: %+v", d)
 	}
 }
+
+// The footprint-B metric BenchmarkBuild reports survives parsing and is gated
+// like allocs/op: a baseline's bytes may fall or stay, not grow past the
+// allocation tolerance nor vanish from the fresh run; lines without one are
+// not gated on it.
+func TestFootprintGate(t *testing.T) {
+	parse := func(lines string) *GoBenchReport {
+		t.Helper()
+		rep, err := ParseGoBench(strings.NewReader(lines), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	base := parse(`BenchmarkBuild/a-2  10  100 ns/op  5 B/op  7 allocs/op  4515104 footprint-B
+BenchmarkBuild/b-2  10  100 ns/op  5 B/op  7 allocs/op  1000 footprint-B
+BenchmarkBuild/c-2  10  100 ns/op  5 B/op  7 allocs/op  1000 footprint-B
+BenchmarkBuild/d-2  10  100 ns/op  5 B/op  7 allocs/op  1000 footprint-B
+BenchmarkMajorRebalance-2  10  100 ns/op  0 B/op  0 allocs/op
+`)
+	if got := base.Benchmarks[0]; got.Name != "BenchmarkBuild/a" || got.FootprintBytes != 4515104 || got.AllocsPerOp != 7 {
+		t.Fatalf("parsed %+v, want footprint-B 4515104 beside 7 allocs/op", got)
+	}
+	fresh := parse(`BenchmarkBuild/a-2  10  100 ns/op  5 B/op  7 allocs/op  4400000 footprint-B
+BenchmarkBuild/b-2  10  100 ns/op  5 B/op  7 allocs/op  1005 footprint-B
+BenchmarkBuild/c-2  10  100 ns/op  5 B/op  7 allocs/op  1020 footprint-B
+BenchmarkBuild/d-2  10  100 ns/op  5 B/op  7 allocs/op
+BenchmarkMajorRebalance-2  10  100 ns/op  0 B/op  0 allocs/op  64 footprint-B
+`)
+	want := map[string]bool{"BenchmarkBuild/a": false, "BenchmarkBuild/b": false, "BenchmarkBuild/c": true, "BenchmarkBuild/d": true, "BenchmarkMajorRebalance": false}
+	for _, d := range CompareReports(base, fresh, DiffOptions{AllocTolerance: 0.01}) {
+		if d.Bad != want[d.Name] || d.Bad && !strings.Contains(d.Reason, "footprint-B") {
+			t.Errorf("%s: footprint-B %.0f -> %.0f gated bad=%v (%s), want bad=%v", d.Name, d.BaseFootprint, d.NewFootprint, d.Bad, d.Reason, want[d.Name])
+		}
+	}
+}

@@ -14,6 +14,10 @@ type GoBenchResult struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  float64 `json:"bytes_per_op,omitempty"`
 	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
+	// FootprintBytes is the custom footprint-B metric: the bytes the
+	// benchmark's built state holds (BenchmarkBuild), deterministic like
+	// allocs/op.
+	FootprintBytes float64 `json:"footprint_bytes,omitempty"`
 }
 
 // GoBenchReport is a parsed `go test -bench` run: the environment header
@@ -84,6 +88,8 @@ func ParseGoBench(r io.Reader, procs int) (*GoBenchReport, error) {
 				res.BytesPerOp = v
 			case "allocs/op":
 				res.AllocsPerOp = v
+			case "footprint-B":
+				res.FootprintBytes = v
 			}
 		}
 		if ok {

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"ivmeps/internal/query"
+	"ivmeps/internal/relation"
 	"ivmeps/internal/viewtree"
 )
 
@@ -15,8 +16,12 @@ import (
 // indicators. A view that repeats an earlier one prints as "=Name" and is
 // spelled out under "shared"; "∃" marks a view read for its support only.
 // Once preprocessed, it lists each view class's rows and the bytes its
-// relation holds (relation.Relation.Footprint).
+// relation holds (relation.Relation.Footprint). Like N and Stats it takes the
+// writer lock, so it is safe from any goroutine and describes a committed
+// state.
 func (e *Engine) Explain() string {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	var b strings.Builder
 	c := query.Classify(e.orig)
 	fmt.Fprintf(&b, "query: %s\n", e.orig)
@@ -80,4 +85,30 @@ func (e *Engine) Explain() string {
 		fmt.Fprintf(&b, "light parts: %s\n", strings.Join(parts, ", "))
 	}
 	return b.String()
+}
+
+// Footprint returns the bytes every relation the engine keeps holds — base
+// relations, light parts, views, indicators and push-down aggregates, a
+// shared one once (relation.Relation.Footprint) — and the tuples they store:
+// the space side of the trade-off, as exact counts for a given history.
+func (e *Engine) Footprint() (bytes, tuples int) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	seen := map[*relation.Relation]bool{}
+	count := func(r *relation.Relation) {
+		if !seen[r] {
+			seen[r] = true
+			bytes += r.Footprint()
+			tuples += r.Size()
+		}
+	}
+	for _, r := range e.rels {
+		count(r)
+	}
+	for _, fs := range e.fills {
+		for _, f := range fs {
+			count(f.dst)
+		}
+	}
+	return bytes, tuples
 }

@@ -176,9 +176,11 @@ func (e *Engine) compileFill(n *viewtree.Node) []viewFill {
 
 // joinChildren clears n's relation and fills it with V(S) = C1(S1), ...,
 // Ck(Sk) over the children's materialized relations, by the fill of n's class.
-// Before a join, a counting pass runs the plan one step short and sums the
-// last step's bucket sizes: the rows the join will add — |V|, unless the
-// projection merges some — the relation's growth hint.
+// A join is a bulk fill: a counting pass runs the plan one step short and sums
+// the last step's bucket sizes — the rows the join will append, |V| unless the
+// projection merges some — which size the relation's columns; the join then
+// appends its rows and Seal places them (relation.Relation.Append). A fill
+// without steps, a sum of one child, adds its rows one by one.
 func (e *Engine) joinChildren(n *viewtree.Node) {
 	id := n.Canon.ID
 	if e.fills[id] == nil {
@@ -186,13 +188,15 @@ func (e *Engine) joinChildren(n *viewtree.Node) {
 	}
 	for _, f := range e.fills[id] {
 		f.dst.Clear()
-		if len(f.plan.steps) > 0 {
-			count := planSink{count: true}
-			f.plan.fill(e.ubind, f.seed, &count)
-			f.dst.GrowHint(count.rows)
+		if len(f.plan.steps) == 0 {
+			f.plan.fill(e.ubind, f.seed, &planSink{view: f.dst})
+			continue
 		}
-		f.plan.fill(e.ubind, f.seed, &planSink{view: f.dst})
-		f.dst.GrowHint(0)
+		count := planSink{count: true}
+		f.plan.fill(e.ubind, f.seed, &count)
+		f.dst.Reserve(count.rows)
+		f.plan.fill(e.ubind, f.seed, &planSink{view: f.dst, bulk: true})
+		f.dst.Seal()
 	}
 }
 

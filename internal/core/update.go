@@ -267,11 +267,13 @@ type updStep struct {
 }
 
 // planSink is where the executor sends its rows: an update's δV, the relation
-// a fill fills, or — counting — nowhere, the last step's matches being summed,
-// not visited. It lives on the caller's stack: a branch per row, not a call.
+// a fill fills — row by row, or appended for the caller to seal — or, counting,
+// nowhere, the last step's matches being summed, not visited. It lives on the
+// caller's stack: a branch per row, not a call.
 type planSink struct {
 	delta *delta
 	view  *relation.Relation
+	bulk  bool
 	count bool
 	rows  int
 }
@@ -383,9 +385,12 @@ func (p *updPlan) rec(scratch []tuple.Value, i int, mult int64, to *planSink) {
 		for k, s := range p.outSlots {
 			p.outScratch[k] = scratch[s]
 		}
-		if to.view != nil {
+		switch {
+		case to.bulk:
+			to.view.Append(p.outScratch, mult)
+		case to.view != nil:
 			to.view.MustAdd(p.outScratch, mult)
-		} else {
+		default:
 			to.delta.add(p.outScratch, mult)
 		}
 		return

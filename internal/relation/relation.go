@@ -40,14 +40,31 @@
 //
 // Probes, multiplicity changes of existing entries, and inserts that reuse a
 // freed id or fit the columns' capacity are allocation-free. Full columns grow
-// together, one allocation each, to twice their rows (64 at first) — or,
-// under GrowHint(n), to min(n, 8 × their rows) when that is more — and the
-// probe table grows by the same rule, so a first fill need not double its
-// way up, and a fill whose rows collapse onto few tuples stops at most one
-// such step past what it stored. A hint never shrinks a store. Clear truncates the
-// columns and empties the tables in place, so a refill after Clear allocates
-// nothing, nor does the steady-state major rebalance internal/core builds of
-// such refills.
+// together, one allocation each, to twice their rows (64 at first), and the
+// probe table doubles once its load passes 3/4. Clear truncates the columns
+// and empties the tables in place, so a refill after Clear allocates nothing,
+// nor does the steady-state major rebalance internal/core builds of such
+// refills.
+//
+// # Bulk fills
+//
+// A fill whose row count is known ahead (internal/core counts a join's rows
+// before it runs it) takes its own path, in fill.go: Reserve(n) announces the
+// rows, Append stores each one at the next id without probing, and Seal
+// places them. Seal hashes the appended rows twice — a counting pass, then a
+// scatter pass into the insertion-order column, free until Seal rebuilds it —
+// to order their slot values by the top bits of their home slots, and inserts
+// them one partition of the probe array at a time (about 2^14 slots, at most
+// 256 partitions), so each probe lands in a cache-sized window rather than
+// anywhere in the array. A row equal to an earlier one merges into it; only
+// when one did does a pass close the gaps in the ids, moving as many rows as
+// merged. The relation is then exactly what Add of each row, in order, would
+// have left. The count sizes the columns: Reserve makes room for the first
+// 512 rows, and while no seal has merged a row they grow straight to the
+// count. Once rows merge, a fill seals whenever its columns are full and
+// grows them to at most 8× the rows it kept, and Seal leaves a fill that
+// outgrew its columns the room to repeat without growing, so a steady-state
+// major rebalance still allocates nothing.
 //
 // # Snapshots
 //
@@ -146,6 +163,7 @@ type relStore struct {
 	free    ID // freelist of removed ids, linked via links[id].next
 	total   int64
 	indexes []*ixStore
+	fill    fillState // an open bulk fill (fill.go)
 
 	// pins counts the live frozen handles reading this store. A writer
 	// checks it before mutating and detaches the store when it is non-zero;
@@ -310,6 +328,9 @@ func (r *Relation) AddHashed(t tuple.Tuple, h uint64, m int64) error {
 		r.detach(false)
 	}
 	s := r.s
+	if s.fill.pend != 0 {
+		panic(fmt.Sprintf("relation %s: Add during an open fill (Seal it first)", r.name))
+	}
 	i, id, ok := s.tab.find(h, t)
 	if !ok {
 		if m < 0 {
@@ -325,15 +346,22 @@ func (r *Relation) AddHashed(t tuple.Tuple, h uint64, m int64) error {
 	s.mults[id] = have + m
 	s.total += m
 	if have+m == 0 {
-		s.tab.del(i)
-		s.order.remove(s.links, id)
-		for _, ix := range s.indexes {
-			ix.remove(id)
-		}
-		s.links[id].next = s.free
-		s.free = id
+		s.remove(i, id)
 	}
 	return nil
+}
+
+// remove drops entry id, in probe slot i, whose multiplicity reached zero:
+// out of the table, the insertion order and every index, its id onto the
+// free list.
+func (s *relStore) remove(i uint64, id ID) {
+	s.tab.del(i)
+	s.order.remove(s.links, id)
+	for _, ix := range s.indexes {
+		ix.remove(id)
+	}
+	s.links[id].next = s.free
+	s.free = id
 }
 
 // insert stores the absent tuple t, whose hash is h and probe slot i, with
@@ -347,7 +375,7 @@ func (s *relStore) insert(i, h uint64, t tuple.Tuple, m int64) {
 	} else {
 		n := len(s.mults)
 		if n == cap(s.mults) {
-			s.reserve(max(2*n, minRows, min(s.tab.hint, 8*n)))
+			s.reserve(max(2*n, minRows))
 		}
 		id = ID(n)
 		s.mults = append(s.mults, m)
@@ -372,10 +400,6 @@ func (s *relStore) reserve(n int) {
 		ix.of = withCap(ix.of, n)
 	}
 }
-
-// GrowHint announces a fill expected to bring the relation to n rows (see
-// Allocation in the package comment); GrowHint(0) after the fill withdraws it.
-func (r *Relation) GrowHint(n int) { r.s.tab.hint = n }
 
 // MustAdd is Add that panics on error; for code paths where the engine
 // guarantees non-negative multiplicities.
@@ -449,9 +473,10 @@ func (r *Relation) detach(empty bool) {
 		free:    old.free,
 		total:   old.total,
 		indexes: make([]*ixStore, len(old.indexes)),
+		fill:    old.fill,
 	}
 	if empty {
-		s.order, s.free, s.total = noList, End, 0
+		s.order, s.free, s.total, s.fill = noList, End, 0, fillState{}
 	}
 	for i, ix := range old.indexes {
 		s.indexes[i] = ix.copy(empty)
@@ -476,7 +501,7 @@ func (r *Relation) Clear() {
 	s := r.s
 	s.tab.clear()
 	s.mults, s.links = s.mults[:0], s.links[:0]
-	s.order, s.free, s.total = noList, End, 0
+	s.order, s.free, s.total, s.fill = noList, End, 0, fillState{}
 	for _, ix := range s.indexes {
 		ix.clear()
 	}

@@ -26,7 +26,6 @@ type table struct {
 	mask  uint64 // len(slots) − 1
 	shift uint   // 64 − log2(len(slots)): a hash's home is h >> shift
 	count int
-	hint  int // Relation.GrowHint: grow sizes for min(hint, 8·count) if past doubling
 
 	arity int
 	vals  []tuple.Value // key of id at vals[id·arity : (id+1)·arity]
@@ -77,7 +76,7 @@ func (t *table) put(i, h uint64, key tuple.Tuple, id ID) {
 	}
 	s := h&^idMask | (uint64(id) + 1)
 	if t.count >= len(t.slots)*3/4 {
-		t.grow()
+		t.grow(t.count + 1)
 		i = t.place(s)
 	}
 	t.slots[i] = s
@@ -122,17 +121,20 @@ func (t *table) clear() {
 	t.vals = t.vals[:0]
 }
 
-// grow doubles the probe array (or allocates the first, or follows the growth
-// hint) and re-places every slot.
-func (t *table) grow() {
-	old := t.slots
-	n := max(2*len(old), minSlots)
-	for n*3/4 <= min(t.hint, 8*t.count) {
-		n *= 2
+// grow doubles the probe array (or allocates the first) until n keys fit
+// under the 3/4 load, and re-places every slot.
+func (t *table) grow(n int) {
+	size := max(len(t.slots), minSlots)
+	for size*3/4 < n {
+		size *= 2
 	}
-	t.slots = make([]uint64, n)
-	t.mask = uint64(n - 1)
-	t.shift = uint(64 - bits.TrailingZeros(uint(n)))
+	if size == len(t.slots) {
+		return
+	}
+	old := t.slots
+	t.slots = make([]uint64, size)
+	t.mask = uint64(size - 1)
+	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
 	for _, s := range old {
 		if s != 0 {
 			t.slots[t.place(s)] = s

@@ -2,6 +2,7 @@ package ivmeps
 
 import (
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -46,6 +47,53 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	}
 	if s := e.Stats(); s.Updates != 2 {
 		t.Fatalf("stats = %+v", s)
+	}
+}
+
+// TestExplainRacesCommit calls Explain while another goroutine inserts. Under
+// -race (`make race`) it fails if Explain reads the engine's sizes, N or M
+// without the writer lock.
+func TestExplainRacesCommit(t *testing.T) {
+	e, err := New(MustParseQuery("Q(A, C) = R(A, B), S(B, C)"), Options{Epsilon: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 200; i++ {
+		if err := e.Load("R", []int64{i % 20, i % 7}); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Load("S", []int64{i % 7, i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Build(); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1) // the inserter never blocks, even if the test has already failed
+	go func() {
+		for i := int64(0); i < 2000; i++ {
+			if err := e.Insert("R", []int64{1000 + i, i % 7}); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for explained := 0; ; explained++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			if explained == 0 {
+				t.Log("the inserts finished before the first Explain")
+			}
+			return
+		default:
+			if !strings.Contains(e.Explain(), "view storage:") {
+				t.Fatal("Explain of a built engine lists no view storage")
+			}
+		}
 	}
 }
 
