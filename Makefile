@@ -62,7 +62,7 @@ test:
 # than TEST_FLOOR (subtests count, as `go test -v` prints them). A change
 # that adds tests raises the floor to its new count; one that deletes a test
 # on purpose lowers it in the same diff and says why.
-TEST_FLOOR = 553
+TEST_FLOOR = 554
 
 test-count:
 	@log=$$(mktemp); $(GO) test -v ./... > $$log 2>&1; status=$$?; \
@@ -77,13 +77,15 @@ test-count:
 # readers against commits, the federation's parallel apply, and
 # internal/server's stats-vs-commit and reader-eviction races), crash
 # recovery, fault injection over every I/O site, the watch property suite,
-# Explain against commits, and the service loopback suite with the cmd/ivmd
-# shutdown and connection-timeout tests.
+# Explain against commits, the public sharded engine (whose multi-shard
+# commits apply on runner goroutines), and the service loopback suite with
+# the cmd/ivmd shutdown and connection-timeout tests.
 race:
 	$(GO) test -race ./internal/...
 	$(GO) test -race -run 'CrashRecoveryRandomCut|BitFlipRecovery|DurableRoundTrip|CheckpointBoundsReplay' .
 	$(GO) test -race -run 'FaultInjection|FaultInjectedOpen|LogWedge|EngineClose|OpenErrorPathsNoLeak|OpenRemovesStaleCheckpointTmp|CheckpointRenameFailure|CheckpointTempRemoveCannotMask' ./...
 	$(GO) test -race -run 'TestWatch|TestWatcher|TestExplainRacesCommit' .
+	$(GO) test -race -run 'TestShardedMatchesEngine|TestShardedErrors|TestShardedApplyBatchParity|TestLoadBuildMatchesPreprocess|TestLoadErrorParity|TestShardedEngineSurface' .
 	$(GO) test -race -run 'TestServerLoopback' .
 	$(GO) test -race ./cmd/ivmd/
 

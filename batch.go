@@ -3,9 +3,9 @@ package ivmeps
 import "ivmeps/internal/core"
 
 // Batch collects single-tuple updates — inserts, deletes, weighted applies
-// — across any of the engine's relations, for Engine.Commit (or
-// Sharded.Commit) to apply as one atomic maintenance commit. The zero Batch
-// obtained from NewBatch is empty; the builder methods never fail
+// — across any of the engine's relations, for Engine.Commit to apply as
+// one atomic maintenance commit. The Batch obtained from NewBatch is empty;
+// the builder methods never fail
 // (validation happens in Commit) and return the batch for chaining:
 //
 //	b := e.NewBatch()
@@ -25,10 +25,9 @@ import "ivmeps/internal/core"
 // validates ids instead of repeating per-op name lookups, and committing a
 // batch to a different engine is rejected.
 type Batch struct {
-	owner   any              // the front end (of an Engine or Sharded) that created it
-	resolve func(string) int // owner's relation-id table
-	lastRel string           // one-entry resolution cache for the
-	lastID  int              // common runs-of-one-relation pattern
+	owner   *Engine // the engine that created it
+	lastRel string  // one-entry resolution cache for the
+	lastID  int     // common runs-of-one-relation pattern
 	ops     []core.BatchOp
 }
 
@@ -47,7 +46,7 @@ func (b *Batch) Delete(rel string, row []int64) *Batch { return b.Apply(rel, row
 // is detected by Commit, which reports it with ErrUnknownRelation.
 func (b *Batch) Apply(rel string, row []int64, mult int64) *Batch {
 	if rel != b.lastRel || b.lastID == 0 {
-		b.lastRel, b.lastID = rel, b.resolve(rel)
+		b.lastRel, b.lastID = rel, b.owner.b.RelID(rel)
 	}
 	b.ops = append(b.ops, core.BatchOp{Rel: rel, RelID: b.lastID, Row: row, Mult: mult})
 	return b

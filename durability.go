@@ -68,13 +68,6 @@ func (d Durability) walOptions() wal.Options {
 	return wal.Options{Dir: d.Dir, Sync: wal.SyncMode(d.Sync), SegmentBytes: d.SegmentBytes, FS: d.fs}
 }
 
-// attachWAL installs the commit hook that appends every validated commit to
-// the engine's log before it is applied.
-func (e *Engine) attachWAL(l *wal.Log) {
-	e.wal = l
-	e.e.SetCommitHook(e.walHook)
-}
-
 // walHook is the engine's core.CommitHook: it re-frames the validated op
 // stream (RelIDs are already resolved by validation) into the log's op type
 // and appends it. The op buffer is pooled and the rows are referenced, not
@@ -99,9 +92,10 @@ func (e *Engine) walHook(epoch uint64, ops []core.BatchOp) error {
 // checkpoint writes; the checkpoint file becomes visible atomically.
 // Recovery cost after a checkpoint is proportional to the log tail, not to
 // history. Checkpoint returns an error on an engine without durability
-// configured, and refuses with the LogWedgedError on an engine whose log
-// has wedged — a checkpoint claims its epoch is durably reconstructible,
-// which a wedged log can no longer promise.
+// configured (a sharded engine never has it), and refuses with the
+// LogWedgedError on an engine whose log has wedged, or with Build's error
+// on one whose initial checkpoint failed — a checkpoint claims its epoch is
+// durably reconstructible, which neither log can promise.
 func (e *Engine) Checkpoint() error {
 	if !e.built {
 		return fmt.Errorf("ivmeps: Checkpoint: %w (call Build first)", ErrNotBuilt)
@@ -127,7 +121,8 @@ func (e *Engine) Checkpoint() error {
 			},
 		}
 	}
-	err = wal.WriteCheckpointFS(e.dur.vfs(), e.dur.Dir, epoch, e.q.String(), crels, e.dur.Sync == SyncAlways)
+	d := e.opts.Durability
+	err = wal.WriteCheckpointFS(d.vfs(), d.Dir, epoch, e.q.String(), crels, d.Sync == SyncAlways)
 	for i := range rels {
 		rels[i].Rel.Release()
 	}
@@ -218,7 +213,8 @@ func Open(q *Query, opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, wrapErr(err)
 	}
-	e.dur = opts.Durability
-	e.attachWAL(l)
+	e.opts.Durability = opts.Durability
+	e.wal = l
+	e.e.SetCommitHook(e.walHook)
 	return e, nil
 }

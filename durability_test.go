@@ -609,7 +609,7 @@ func TestDurabilityAPIMisuse(t *testing.T) {
 	if _, err := ivmeps.Open(q2, opts); err == nil || !strings.Contains(err.Error(), "belongs to query") {
 		t.Fatalf("Open under the wrong query = %v", err)
 	}
-	// Sharded engines refuse durability outright.
+	// NewSharded refuses durability outright.
 	if _, err := ivmeps.NewSharded(q, ivmeps.ShardedOptions{Shards: 2, Options: ivmeps.Options{Durability: ivmeps.Durability{Dir: filepath.Join(t.TempDir(), "s")}}}); err == nil {
 		t.Fatal("NewSharded accepted Durability")
 	}

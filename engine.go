@@ -5,17 +5,28 @@ import (
 	"iter"
 
 	"ivmeps/internal/core"
+	"ivmeps/internal/federation"
 	"ivmeps/internal/naive"
 	"ivmeps/internal/tuple"
+	"ivmeps/internal/wal"
 )
 
-// The front end shared by Engine and Sharded. Both are the same lifecycle
-// (Load → Build → mutate and read) over a different backend — one
-// core.Engine, or a federation of them — so the lifecycle, the mutation
-// entry points, and the snapshot readers live here once, in frontend and
-// snapshotReader, and the two public types embed them. What stays on the
-// public types is what only one of them has: durability and watching on
-// Engine, shard routing on Sharded.
+// backend is what an Engine needs of the engine behind it: one core.Engine
+// (New, Open) or a federation of K of them (NewSharded). The lifecycle,
+// mutation, and read methods below are written once against it; taking a
+// snapshot, which returns each backend's own snapshot type, is the one
+// place that branches on which backend it is.
+type backend interface {
+	Load(rel string, t tuple.Tuple, m int64) error
+	Preprocess(db naive.Database) error
+	Update(rel string, t tuple.Tuple, m int64) error
+	CommitBatch(ops []core.BatchOp) error
+	RelID(name string) int
+	Epoch() uint64
+	N() int
+	Stats() core.Stats
+	Explain() string
+}
 
 // snapSource is a backend's snapshot: one committed state, enumerable
 // concurrently with commits to the backend it came from.
@@ -25,33 +36,53 @@ type snapSource interface {
 	Close()
 }
 
-// backend is what the front end needs of an engine. *core.Engine and
-// *federation.Fed both satisfy it, each with its own snapshot type S.
-type backend[S snapSource] interface {
-	Load(rel string, t tuple.Tuple, m int64) error
-	Preprocess(db naive.Database) error
-	Update(rel string, t tuple.Tuple, m int64) error
-	CommitBatch(ops []core.BatchOp) error
-	RelID(name string) int
-	Snapshot() S
-	Epoch() uint64
-	N() int
-	Stats() core.Stats
+// Engine maintains a hierarchical query under single-tuple updates and
+// enumerates its distinct result tuples with multiplicities. New builds it
+// over one engine; NewSharded over a hash-sharded federation of K engines,
+// with the same lifecycle, mutation, and read API (see the package
+// documentation's Sharding section for what a sharded engine does not
+// support).
+type Engine struct {
+	q     *Query
+	opts  Options
+	b     backend
+	e     *core.Engine    // b of an engine from New or Open, else nil
+	fed   *federation.Fed // b of an engine from NewSharded, else nil
+	built bool
+
+	// Durability state (durability.go): nil unless Options.Durability was
+	// configured. walOps is the pooled op buffer of the commit hook.
+	wal    *wal.Log
+	walOps []wal.Op
 }
 
-// frontend holds the built flag in front of a backend. Its exported methods
-// are promoted into Engine and Sharded.
-type frontend[S snapSource] struct {
-	q     *Query
-	b     backend[S]
-	built bool
+// New creates an engine. The query must be hierarchical (use Classify to
+// check); non-hierarchical queries are rejected with an error, matching the
+// scope of the paper's algorithms.
+func New(q *Query, opts Options) (*Engine, error) {
+	c, err := core.New(q.q, opts.core())
+	if err != nil {
+		return nil, err
+	}
+	e := &Engine{q: q, opts: opts, b: c, e: c}
+	if opts.Durability.enabled() {
+		// Fail on an already-populated log directory now, not at Build:
+		// recovering an existing log is Open's job, and silently appending
+		// to one here could corrupt it.
+		l, err := wal.Create(opts.Durability.walOptions())
+		if err != nil {
+			return nil, err
+		}
+		e.wal = l
+	}
+	return e, nil
 }
 
 // Load bulk-inserts rows (with multiplicity 1) into a relation before
 // Build. Duplicate rows accumulate multiplicity.
-func (f *frontend[S]) Load(rel string, rows ...[]int64) error {
+func (e *Engine) Load(rel string, rows ...[]int64) error {
 	for _, r := range rows {
-		if err := f.LoadWeighted(rel, r, 1); err != nil {
+		if err := e.LoadWeighted(rel, r, 1); err != nil {
 			return err
 		}
 	}
@@ -60,56 +91,96 @@ func (f *frontend[S]) Load(rel string, rows ...[]int64) error {
 
 // LoadWeighted bulk-inserts one row with a positive multiplicity before
 // Build.
-func (f *frontend[S]) LoadWeighted(rel string, row []int64, mult int64) error {
-	if f.built {
+func (e *Engine) LoadWeighted(rel string, row []int64, mult int64) error {
+	if e.built {
 		return fmt.Errorf("ivmeps: Load after Build; use Insert/Delete/Apply or a Batch")
 	}
 	if mult <= 0 {
 		return fmt.Errorf("ivmeps: initial multiplicity must be positive, got %d", mult)
 	}
-	return wrapErr(f.b.Load(rel, tuple.Tuple(row), mult))
+	return wrapErr(e.b.Load(rel, tuple.Tuple(row), mult))
 }
 
-// Build runs the preprocessing stage over the loaded data — on a Sharded
+// Build runs the preprocessing stage over the loaded data — on a sharded
 // engine, whose shards each hold the rows Load routed to them, on all of
 // them in parallel. It must be called exactly once, before any
-// Insert/Delete/Apply/Enumerate.
-func (f *frontend[S]) Build() error {
-	if f.built {
+// Insert/Delete/Apply/Enumerate. On a durable engine it also writes the
+// initial checkpoint; if that fails, the engine serves reads of the built
+// state but refuses every mutation with Build's error, since nothing it
+// committed could be recovered.
+func (e *Engine) Build() error {
+	if e.built {
 		return fmt.Errorf("ivmeps: Build called twice")
 	}
-	if err := f.b.Preprocess(nil); err != nil {
+	if err := e.b.Preprocess(nil); err != nil {
 		return wrapErr(err)
 	}
-	f.built = true
+	e.built = true
+	if e.wal != nil {
+		// Durable engines seed the log directory with a checkpoint of the
+		// built state (epoch 1), so Open always finds a base to replay from;
+		// only then do commits start logging.
+		if err := e.Checkpoint(); err != nil {
+			err = fmt.Errorf("ivmeps: Build: writing the initial checkpoint: %w", err)
+			e.e.Degrade(err)
+			return err
+		}
+		e.e.SetCommitHook(e.walHook)
+	}
 	return nil
+}
+
+// Close releases what the engine holds beyond its memory: a sharded
+// engine's per-shard apply goroutines, and a durable engine's write-ahead
+// log, which it flushes and closes, pushing any commits buffered under
+// SyncOff to the OS, and whose flush error it returns. The engine's
+// in-memory state remains usable after Close — a sharded engine restarts
+// its apply goroutines on its next multi-shard commit — but a durable
+// engine logs no further commits: Close is for shutdown.
+//
+// Close is idempotent — a second Close returns nil — and wedge-safe: on an
+// engine whose log wedged (LogWedgedError), Close writes nothing to the log
+// files (no flush, no fsync; the wedge means their state is unknowable) and
+// returns nil, the wedge having already been reported to the mutation that
+// latched it.
+func (e *Engine) Close() error {
+	if e.fed != nil {
+		e.fed.Close()
+	}
+	if e.wal == nil {
+		return nil
+	}
+	e.e.SetCommitHook(nil)
+	err := e.wal.Close()
+	e.wal = nil
+	return wrapErr(err)
 }
 
 // notBuilt is the ErrNotBuilt error of the entry point op, or nil once
 // Build has run.
-func (f *frontend[S]) notBuilt(op string) error {
-	if f.built {
+func (e *Engine) notBuilt(op string) error {
+	if e.built {
 		return nil
 	}
 	return fmt.Errorf("ivmeps: %s: %w (call Build first)", op, ErrNotBuilt)
 }
 
 // Insert applies the single-tuple insert {row → 1}.
-func (f *frontend[S]) Insert(rel string, row []int64) error { return f.Apply(rel, row, 1) }
+func (e *Engine) Insert(rel string, row []int64) error { return e.Apply(rel, row, 1) }
 
 // Delete applies the single-tuple delete {row → −1}. Deleting more than the
 // stored multiplicity is rejected.
-func (f *frontend[S]) Delete(rel string, row []int64) error { return f.Apply(rel, row, -1) }
+func (e *Engine) Delete(rel string, row []int64) error { return e.Apply(rel, row, -1) }
 
 // Apply applies the single-tuple update {row → mult} (positive to insert,
 // negative to delete) as a one-op commit. The amortized cost is
-// O(N^(δε)); on a Sharded engine only the shards owning the affected
+// O(N^(δε)); on a sharded engine only the shards owning the affected
 // occurrences update.
-func (f *frontend[S]) Apply(rel string, row []int64, mult int64) error {
-	if err := f.notBuilt("Apply"); err != nil {
+func (e *Engine) Apply(rel string, row []int64, mult int64) error {
+	if err := e.notBuilt("Apply"); err != nil {
 		return err
 	}
-	return wrapErr(f.b.Update(rel, tuple.Tuple(row), mult))
+	return wrapErr(e.b.Update(rel, tuple.Tuple(row), mult))
 }
 
 // ApplyBatch applies the updates {rows[i] → mults[i]} to one relation as a
@@ -131,18 +202,18 @@ func (f *frontend[S]) Apply(rel string, row []int64, mult int64) error {
 // ApplyBatch is the one-relation convenience over the Batch/Commit path
 // and shares its machinery; use a Batch to span several relations in one
 // atomic commit.
-func (f *frontend[S]) ApplyBatch(rel string, rows [][]int64, mults []int64) error {
-	if err := f.notBuilt("ApplyBatch"); err != nil {
+func (e *Engine) ApplyBatch(rel string, rows [][]int64, mults []int64) error {
+	if err := e.notBuilt("ApplyBatch"); err != nil {
 		return err
 	}
 	if mults != nil && len(mults) != len(rows) {
 		return fmt.Errorf("ivmeps: ApplyBatch: %d rows but %d multiplicities", len(rows), len(mults))
 	}
-	id := f.b.RelID(rel)
+	id := e.b.RelID(rel)
 	if id == 0 {
 		// Resolved here, so a mis-spelled relation is reported even with
 		// zero rows.
-		return fmt.Errorf("ivmeps: %w: %q (query %s)", ErrUnknownRelation, rel, f.q)
+		return fmt.Errorf("ivmeps: %w: %q (query %s)", ErrUnknownRelation, rel, e.q)
 	}
 	ops := make([]core.BatchOp, len(rows))
 	for i, r := range rows {
@@ -152,14 +223,14 @@ func (f *frontend[S]) ApplyBatch(rel string, rows [][]int64, mults []int64) erro
 		}
 		ops[i] = core.BatchOp{Rel: rel, RelID: id, Row: r, Mult: m}
 	}
-	return wrapErr(f.b.CommitBatch(ops))
+	return wrapErr(e.b.CommitBatch(ops))
 }
 
 // NewBatch returns an empty update batch for this engine: queue updates
 // across any of the query's relations, then Commit them atomically. The
 // batch may be built before or after Build, but only committed after, and
 // only to the engine that created it.
-func (f *frontend[S]) NewBatch() *Batch { return &Batch{owner: f, resolve: f.b.RelID} }
+func (e *Engine) NewBatch() *Batch { return &Batch{owner: e} }
 
 // Commit applies the batch as one atomic maintenance commit: every queued
 // update is validated up front — in order, counting the effect of earlier
@@ -172,7 +243,7 @@ func (f *frontend[S]) NewBatch() *Batch { return &Batch{owner: f, resolve: f.b.R
 // whole commit publishes one snapshot epoch — a concurrent Snapshot
 // observes all of the batch or none of it.
 //
-// On a Sharded engine the contract holds across shards: the batch is
+// On a sharded engine the contract holds across shards: the batch is
 // scattered into per-shard sub-batches, each shard validates its own, and
 // only when every shard accepted are all of them applied, in parallel. A
 // shard-detected failure arrives wrapped in a ShardError, with every
@@ -184,43 +255,61 @@ func (f *frontend[S]) NewBatch() *Batch { return &Batch{owner: f, resolve: f.b.R
 // order with Apply; the amortized cost per row is what ApplyBatch provides,
 // now across relations. Commit does not consume the batch; Reset it before
 // building the next one.
-func (f *frontend[S]) Commit(b *Batch) error {
-	if err := f.notBuilt("Commit"); err != nil {
+func (e *Engine) Commit(b *Batch) error {
+	if err := e.notBuilt("Commit"); err != nil {
 		return err
 	}
 	if b == nil {
 		return nil // like an empty batch: nothing to commit
 	}
-	if b.owner != any(f) {
+	if b.owner != e {
 		return fmt.Errorf("ivmeps: Commit: batch was created by a different engine")
 	}
-	return wrapErr(f.b.CommitBatch(b.ops))
+	return wrapErr(e.b.CommitBatch(b.ops))
 }
 
 // snapshot captures the backend's current committed state, or reports
-// ErrNotBuilt; the public Snapshot methods wrap it in their own type.
-func (f *frontend[S]) snapshot() (snapshotReader[S], error) {
-	if err := f.notBuilt("Snapshot"); err != nil {
-		return snapshotReader[S]{}, err
+// ErrNotBuilt.
+func (e *Engine) snapshot() (Snapshot, error) {
+	if err := e.notBuilt("Snapshot"); err != nil {
+		return Snapshot{}, err
 	}
-	return snapshotReader[S]{f.b.Snapshot()}, nil
+	if e.fed != nil {
+		return Snapshot{e.fed.Snapshot()}, nil
+	}
+	return Snapshot{e.e.Snapshot()}, nil
 }
 
 // mustSnapshot backs the enumeration conveniences: it panics with
 // ErrNotBuilt where Snapshot would return it.
-func (f *frontend[S]) mustSnapshot() snapshotReader[S] {
-	s, err := f.snapshot()
+func (e *Engine) mustSnapshot() Snapshot {
+	s, err := e.snapshot()
 	if err != nil {
 		panic(ErrNotBuilt)
 	}
 	return s
 }
 
+// Snapshot captures the current committed state for concurrent reading:
+// the returned Snapshot enumerates that exact state no matter how the
+// engine is updated afterwards, without blocking the writer (see the
+// package documentation) — on a sharded engine, every shard at one
+// federation epoch. Snapshot may be called from any goroutine; if a batch
+// is in flight it blocks until the batch commits. The Snapshot itself is
+// not safe for concurrent use — take one per reader goroutine (they share
+// storage). Close it when done.
+func (e *Engine) Snapshot() (*Snapshot, error) {
+	s, err := e.snapshot()
+	if err != nil {
+		return nil, err
+	}
+	return &s, nil
+}
+
 // Enumerate yields every distinct result tuple (over the query's free
 // variables, in head order) with its multiplicity, with O(N^(1−ε)) delay;
-// a Sharded engine gathers across its shards (see Sharded.ShardKey). The
-// row slice is reused between calls; copy it to retain. Return false to
-// stop early.
+// a sharded engine gathers across its shards (see ShardKey). The row slice
+// is reused between calls; copy it to retain. Return false to stop early.
 //
 // Enumerate takes an implicit Snapshot for the duration of the call, so it
 // observes one committed state and is safe to call from any goroutine,
@@ -229,8 +318,8 @@ func (f *frontend[S]) mustSnapshot() snapshotReader[S] {
 //
 // Enumerate before Build panics with ErrNotBuilt (the package's one panic
 // on misuse; see the package documentation).
-func (f *frontend[S]) Enumerate(yield func(row []int64, mult int64) bool) {
-	s := f.mustSnapshot()
+func (e *Engine) Enumerate(yield func(row []int64, mult int64) bool) {
+	s := e.mustSnapshot()
 	defer s.Close()
 	s.Enumerate(yield)
 }
@@ -244,23 +333,23 @@ func (f *frontend[S]) Enumerate(yield func(row []int64, mult int64) bool) {
 //
 // Ranging over All before Build panics with ErrNotBuilt (the package's one
 // panic on misuse; see the package documentation).
-func (f *frontend[S]) All() iter.Seq2[[]int64, int64] {
-	return func(yield func([]int64, int64) bool) { f.Enumerate(yield) }
+func (e *Engine) All() iter.Seq2[[]int64, int64] {
+	return func(yield func([]int64, int64) bool) { e.Enumerate(yield) }
 }
 
 // Rows materializes the full result as (row, multiplicity) pairs; intended
 // for small results and tests. Like Enumerate, it reads one committed
 // state via an implicit snapshot, and panics with ErrNotBuilt before Build.
-func (f *frontend[S]) Rows() (rows [][]int64, mults []int64) {
-	s := f.mustSnapshot()
+func (e *Engine) Rows() (rows [][]int64, mults []int64) {
+	s := e.mustSnapshot()
 	defer s.Close()
 	return s.Rows()
 }
 
 // Count returns the number of distinct result tuples (by enumeration of an
 // implicit snapshot). It panics with ErrNotBuilt before Build.
-func (f *frontend[S]) Count() int {
-	s := f.mustSnapshot()
+func (e *Engine) Count() int {
+	s := e.mustSnapshot()
 	defer s.Close()
 	return s.Count()
 }
@@ -270,19 +359,19 @@ func (f *frontend[S]) Count() int {
 // of a Snapshot taken now. It reads the engine's counter, so unlike
 // Snapshot it pins no state; like Snapshot it may be called from any
 // goroutine and waits for a commit in flight.
-func (f *frontend[S]) Epoch() uint64 { return f.b.Epoch() }
+func (e *Engine) Epoch() uint64 { return e.b.Epoch() }
 
 // N returns the current database size: the total number of distinct tuples
 // across the query's relations, counted once regardless of sharding or
 // broadcast.
-func (f *frontend[S]) N() int { return f.b.N() }
+func (e *Engine) N() int { return e.b.N() }
 
-// Stats returns activity counters. A Sharded engine sums its shards':
+// Stats returns activity counters. A sharded engine sums its shards':
 // broadcast relations contribute work on every shard, so its counters can
 // exceed a single engine's for the same logical workload — they measure
 // work done, not logical operations.
-func (f *frontend[S]) Stats() Stats {
-	s := f.b.Stats()
+func (e *Engine) Stats() Stats {
+	s := e.b.Stats()
 	return Stats{
 		Updates:         s.Updates,
 		MinorRebalances: s.MinorRebalances,
@@ -293,23 +382,35 @@ func (f *frontend[S]) Stats() Stats {
 	}
 }
 
-// snapshotReader is the reading surface of Snapshot and ShardedSnapshot
-// over a backend snapshot; its exported methods are promoted into both.
-type snapshotReader[S snapSource] struct {
-	s S
+// Epsilon returns the engine's trade-off parameter.
+func (e *Engine) Epsilon() float64 { return e.opts.Epsilon }
+
+// Explain returns a human-readable description of the engine's strategy:
+// the query's classification, the cost guarantees at this ε, and the view
+// trees, heavy/light indicators, and relation partitions it maintains. A
+// sharded engine prefixes its shard count, shard key, and gather mode, and
+// describes shard 0, whose plan every shard shares.
+func (e *Engine) Explain() string { return e.b.Explain() }
+
+// Snapshot is an immutable view of one committed engine state — on a
+// sharded engine, every shard at one federation epoch, gathered on
+// enumeration — readable concurrently with updates to the engine it came
+// from. See Engine.Snapshot.
+type Snapshot struct {
+	s snapSource
 }
 
 // Epoch identifies the committed state the snapshot observes: the number
 // of committed write operations (Build counts as the first) at capture
 // time. Two snapshots with equal epochs observe identical states.
-func (r *snapshotReader[S]) Epoch() uint64 { return r.s.Epoch() }
+func (s *Snapshot) Epoch() uint64 { return s.s.Epoch() }
 
 // Enumerate yields every distinct result tuple of the snapshot's state
 // with its multiplicity, in head order, with the same delay guarantee as
 // the engine's Enumerate. The row slice is reused between calls; copy it to
 // retain. Return false to stop early.
-func (r *snapshotReader[S]) Enumerate(yield func(row []int64, mult int64) bool) {
-	r.s.Enumerate(func(t tuple.Tuple, m int64) bool { return yield(t, m) })
+func (s *Snapshot) Enumerate(yield func(row []int64, mult int64) bool) {
+	s.s.Enumerate(func(t tuple.Tuple, m int64) bool { return yield(t, m) })
 }
 
 // All returns an iterator over the snapshot's state, for use with range:
@@ -317,13 +418,13 @@ func (r *snapshotReader[S]) Enumerate(yield func(row []int64, mult int64) bool) 
 // the same delay guarantee as Enumerate. The yielded row slice is reused
 // between iterations; copy it to retain. The iterator may be ranged over
 // several times; every pass enumerates the same committed state.
-func (r *snapshotReader[S]) All() iter.Seq2[[]int64, int64] {
-	return func(yield func([]int64, int64) bool) { r.Enumerate(yield) }
+func (s *Snapshot) All() iter.Seq2[[]int64, int64] {
+	return func(yield func([]int64, int64) bool) { s.Enumerate(yield) }
 }
 
 // Rows materializes the snapshot's full result as (row, multiplicity)
 // pairs; intended for small results and tests.
-func (r *snapshotReader[S]) Rows() (rows [][]int64, mults []int64) { return collect(r.All()) }
+func (s *Snapshot) Rows() (rows [][]int64, mults []int64) { return collect(s.All()) }
 
 // collect copies every pair of seq into fresh rows — sub-slices of one
 // backing array, nil for no rows — and mults.
@@ -349,12 +450,13 @@ func collect(seq iter.Seq2[[]int64, int64]) (rows [][]int64, mults []int64) {
 
 // Count returns the number of distinct result tuples in the snapshot's
 // state (by enumeration).
-func (r *snapshotReader[S]) Count() int {
+func (s *Snapshot) Count() int {
 	n := 0
-	r.Enumerate(func([]int64, int64) bool { n++; return true })
+	s.Enumerate(func([]int64, int64) bool { n++; return true })
 	return n
 }
 
 // Close releases the snapshot, letting the writer stop preserving its
-// generation. It is idempotent; the snapshot must not be used afterwards.
-func (r *snapshotReader[S]) Close() { r.s.Close() }
+// generation — on a sharded engine, on every shard. It is idempotent; the
+// snapshot must not be used afterwards.
+func (s *Snapshot) Close() { s.s.Close() }

@@ -67,10 +67,10 @@ func (e *MultiplicityError) Error() string {
 }
 
 // ShardError reports a validation failure detected by one shard of a
-// Sharded engine's federated commit, identifying the shard. It wraps the
-// underlying error — typically a MultiplicityError for a delete the owning
-// shard rejected — so errors.Is and errors.As reach through it; match the
-// shard attribution itself with errors.As:
+// sharded engine's (NewSharded) federated commit, identifying the shard.
+// It wraps the underlying error — typically a MultiplicityError for a
+// delete the owning shard rejected — so errors.Is and errors.As reach
+// through it; match the shard attribution itself with errors.As:
 //
 //	var se *ivmeps.ShardError
 //	if errors.As(err, &se) { ... se.Shard ...
@@ -202,11 +202,7 @@ func wrapErr(err error) error {
 	}
 	var ae *relation.ArityError
 	if errors.As(err, &ae) {
-		schema := make([]string, len(ae.Schema))
-		for i, v := range ae.Schema {
-			schema[i] = string(v)
-		}
-		return &ArityError{Relation: ae.Relation, Row: ae.Tuple, Schema: schema}
+		return &ArityError{Relation: ae.Relation, Row: ae.Tuple, Schema: ae.Schema.Names()}
 	}
 	var me *relation.MultiplicityError
 	if errors.As(err, &me) {

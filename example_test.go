@@ -164,10 +164,10 @@ func ExampleEngine_Enumerate_aggregates() {
 	// region 100: total 47
 }
 
-// A Sharded engine federates K independent engines: base relations are
-// partitioned by a hash of the query's shard-key variables, commits are
+// NewSharded returns an Engine over K independent engines: base relations
+// are partitioned by a hash of the query's shard-key variables, commits are
 // validated on every shard and applied all-or-nothing across them, and
-// enumeration gathers the shards' results. The API mirrors Engine.
+// enumeration gathers the shards' results.
 func Example_sharded() {
 	q := ivmeps.MustParseQuery("Q(A, B, C) = R(A, B), S(A, C)")
 	s, _ := ivmeps.NewSharded(q, ivmeps.ShardedOptions{
@@ -184,7 +184,7 @@ func Example_sharded() {
 	vars, concat := s.ShardKey()
 	fmt.Printf("shard key %v, concatenating gather: %v\n", vars, concat)
 
-	// One atomic cross-shard batch, exactly like Engine.Commit.
+	// One atomic cross-shard batch, through the same Commit.
 	b := s.NewBatch()
 	b.Insert("R", []int64{3, 30})
 	b.Insert("S", []int64{3, 300})

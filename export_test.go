@@ -1,10 +1,24 @@
 package ivmeps
 
-import "ivmeps/internal/wal"
+import (
+	"fmt"
+
+	"ivmeps/internal/wal"
+)
 
 // CheckInvariants exposes the core engine's structural invariant check to
-// the external tests.
-func (e *Engine) CheckInvariants() error { return e.e.CheckInvariants() }
+// the external tests; a sharded engine checks every shard.
+func (e *Engine) CheckInvariants() error {
+	if e.fed == nil {
+		return e.e.CheckInvariants()
+	}
+	for s := 0; s < e.fed.Shards(); s++ {
+		if err := e.fed.Shard(s).CheckInvariants(); err != nil {
+			return fmt.Errorf("shard %d: %w", s, err)
+		}
+	}
+	return nil
+}
 
 // MajorRebalance forces one major rebalance at the current threshold base
 // (BenchmarkMajorRebalance).

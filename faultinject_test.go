@@ -165,6 +165,20 @@ func runFaultWorkload(t *testing.T, dir string, fs wal.VFS) *fiRun {
 	if err := e.Build(); err != nil {
 		// Build may have failed after its checkpoint reached disk (e.g. on
 		// segment retirement), in which case the seed state is recoverable.
+		// Either way no commit after it could be logged: every mutation is
+		// refused, and reads serve the built seed state.
+		if err2 := e.Insert("R", []int64{9, 9}); err2 == nil {
+			t.Fatalf("Insert after failed Build (%v) was acknowledged", err)
+		}
+		if err2 := e.ApplyBatch("R", [][]int64{{9, 9}}, nil); err2 == nil {
+			t.Fatalf("ApplyBatch after failed Build (%v) was acknowledged", err)
+		}
+		if err2 := e.Commit(e.NewBatch().Insert("S", []int64{9, 9})); err2 == nil {
+			t.Fatalf("Commit after failed Build (%v) was acknowledged", err)
+		}
+		if st, epoch := durState(t, e); epoch != 1 || !sameState(st, run.seedState) {
+			t.Fatalf("reads after failed Build: %v at epoch %d, want seed state %v at epoch 1", st, epoch, run.seedState)
+		}
 		e.Close()
 		return run
 	}

@@ -102,8 +102,8 @@ type pkgIndex struct {
 }
 
 // baseTypeName reduces a receiver or embedded-field type to the name it
-// declares or instantiates — "*frontend[S]" and "frontend[*core.Snapshot]"
-// both give "frontend" — and reports whether it was a pointer. Types of
+// declares or instantiates — "*front[S]" and "front[*core.Snapshot]" both
+// give "front" — and reports whether it was a pointer. Types of
 // other packages give "".
 func baseTypeName(e ast.Expr) (name string, ptr bool) {
 	for {

@@ -68,6 +68,17 @@ func (e *Engine) runCommitHookLocked(epoch uint64, ops []BatchOp) error {
 	return err
 }
 
+// Degrade latches the engine read-only with err, as a failing hook does,
+// unless it already is: the durability layer calls it when its log cannot
+// take commits it would otherwise have to acknowledge unlogged.
+func (e *Engine) Degrade(err error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.degraded == nil {
+		e.degraded = err
+	}
+}
+
 // Degraded returns the hook error that latched the engine read-only, or
 // nil while the engine still accepts mutations.
 func (e *Engine) Degraded() error {

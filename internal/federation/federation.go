@@ -312,14 +312,26 @@ func (f *Fed) shardRange(o *fedOcc, row tuple.Tuple) (lo, hi int) {
 // Shards returns the shard count K.
 func (f *Fed) Shards() int { return f.k }
 
-// Query returns the federation's (original) query.
-func (f *Fed) Query() *query.Query { return f.orig.Clone() }
+// Shard returns shard s's engine, for inspection and tests.
+func (f *Fed) Shard(s int) *core.Engine { return f.shards[s] }
 
 // ShardVars returns the shard-key variables (a copy) and whether the
 // gather concatenates per-shard enumerations (all key variables free) or
 // aggregates multiplicities per distinct tuple.
 func (f *Fed) ShardVars() (vars tuple.Schema, concat bool) {
 	return f.shardVars.Clone(), f.concat
+}
+
+// Explain describes the federation's routing — shard count, shard key, and
+// gather mode — followed by shard 0's plan (core's Engine.Explain), which
+// every shard shares: all run the same occurrence-rewritten query.
+func (f *Fed) Explain() string {
+	gather := "aggregating"
+	if f.concat {
+		gather = "concatenating"
+	}
+	return fmt.Sprintf("federation: %d shard(s), shard key %v, %s gather\nshard 0:\n%s",
+		f.k, f.shardVars, gather, f.shards[0].Explain())
 }
 
 // RelID returns the federation's stable positive identifier for an

@@ -142,14 +142,17 @@ func (s Schema) Sorted() Schema {
 	return out
 }
 
-// String renders the schema as "(A, B, C)".
-func (s Schema) String() string {
-	parts := make([]string, len(s))
+// Names returns the schema's variables as strings, in order.
+func (s Schema) Names() []string {
+	out := make([]string, len(s))
 	for i, v := range s {
-		parts[i] = string(v)
+		out[i] = string(v)
 	}
-	return "(" + strings.Join(parts, ", ") + ")"
+	return out
 }
+
+// String renders the schema as "(A, B, C)".
+func (s Schema) String() string { return "(" + strings.Join(s.Names(), ", ") + ")" }
 
 // Projection precomputes the positions needed to restrict tuples over a
 // source schema to a target schema, mirroring the paper's x[S] operation.

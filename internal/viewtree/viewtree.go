@@ -290,13 +290,7 @@ func (b *builder) lightPart(a *query.Atom, keys tuple.Schema) *LightPart {
 	return lp
 }
 
-func joinVars(s tuple.Schema) string {
-	parts := make([]string, len(s))
-	for i, v := range s {
-		parts[i] = string(v)
-	}
-	return strings.Join(parts, ",")
-}
+func joinVars(s tuple.Schema) string { return strings.Join(s.Names(), ",") }
 
 // atomLeaf builds a leaf node for an atom, as a base relation or as a light
 // part when lightOn is non-nil.

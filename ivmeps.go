@@ -72,8 +72,8 @@
 //
 // A commit propagates on the caller's goroutine, and write methods (Apply,
 // ApplyBatch, Commit, Insert, Delete) must not be invoked concurrently with
-// each other. Sharded is how to use several cores: its shards commit in
-// parallel.
+// each other. NewSharded is how to use several cores: its engine's shards
+// commit in parallel.
 //
 // # Errors and the one panic
 //
@@ -103,20 +103,24 @@
 //
 // # Sharding
 //
-// NewSharded federates K independent engines over the same query, for
-// multi-core scaling. A hierarchical query's connected component always has
-// variables occurring in every one of its atoms; hashing those shard-key
-// values partitions the component's relations so that tuples on different
-// shards never join, and the per-shard results sum exactly to the unsharded
-// result. Sharded has the
-// Engine API — Load/Build, Insert/Delete/Apply, NewBatch/Commit, Snapshot
-// — because both types embed the same front end over a different backend
-// (one engine, or the federation), with the same atomicity contract
-// extended across shards: a commit is validated on every shard and applied
-// on all of them or none of them, and a ShardedSnapshot observes every
-// shard at one federation epoch. A shard-detected validation failure
-// arrives wrapped in a ShardError; see Sharded and ShardKey for the routing
-// and gather details.
+// NewSharded returns an Engine that federates K independent engines over
+// the same query, for multi-core scaling. A hierarchical query's connected
+// component always has variables occurring in every one of its atoms;
+// hashing those shard-key values partitions the component's relations so
+// that tuples on different shards never join, and the per-shard results
+// sum exactly to the unsharded result. It is the same Engine — Load/Build,
+// Insert/Delete/Apply, NewBatch/Commit, Snapshot — over a federation
+// instead of one engine, with the same atomicity contract extended across
+// shards: a commit is validated on every shard and applied on all of them
+// or none of them, and a Snapshot observes every shard at one federation
+// epoch. A shard-detected validation failure arrives wrapped in a
+// ShardError; see ShardKey for the routing and gather details.
+//
+// A sharded engine has no durability (NewSharded refuses
+// Options.Durability, and Checkpoint returns an error), no watch stream
+// (Watch returns an error, and Views is empty), and its Explain describes
+// the routing and shard 0's plan. Shards and ShardKey report its layout;
+// on an engine from New they return 1 and no key.
 //
 // # Durability
 //
@@ -140,7 +144,7 @@
 // one shape a mid-write kill leaves) is truncated silently by Open; any
 // other damage — checksum mismatches, missing epochs — is refused with a
 // CorruptLogError rather than guessed around. Durable engines should be
-// Closed when discarded so buffered appends reach the OS; Sharded engines
+// Closed when discarded so buffered appends reach the OS; sharded engines
 // do not support Durability. The cmd/ivmwal tool inspects and verifies log
 // directories offline, and docs/DURABILITY.md specifies the file formats,
 // the recovery rules, and the full crash-guarantee table.
@@ -195,12 +199,9 @@
 package ivmeps
 
 import (
-	"fmt"
-
 	"ivmeps/internal/core"
 	"ivmeps/internal/query"
 	"ivmeps/internal/viewtree"
-	"ivmeps/internal/wal"
 )
 
 // Query is a parsed conjunctive query.
@@ -239,11 +240,7 @@ func (q *Query) Relations() []string { return q.q.RelationNames() }
 func (q *Query) Schema(rel string) []string {
 	for _, a := range q.q.Atoms {
 		if a.Rel == rel {
-			out := make([]string, len(a.Vars))
-			for i, v := range a.Vars {
-				out[i] = string(v)
-			}
-			return out
+			return a.Vars.Names()
 		}
 	}
 	return nil
@@ -282,7 +279,7 @@ type Options struct {
 	// Insert/Delete/Apply after Build are rejected.
 	Static bool
 	// Workers is ignored: a commit propagates on the caller's goroutine,
-	// and Sharded is the parallel path.
+	// and an engine from NewSharded is the parallel path.
 	//
 	// Deprecated: no effect; kept so existing callers compile.
 	Workers int
@@ -295,7 +292,8 @@ type Options struct {
 	Durability Durability
 }
 
-// core translates the options an Engine and every shard of a Sharded share.
+// core translates the options an engine from New and every shard of one
+// from NewSharded share.
 func (o Options) core() core.Options {
 	mode := viewtree.Dynamic
 	if o.Static {
@@ -303,116 +301,6 @@ func (o Options) core() core.Options {
 	}
 	return core.Options{Mode: mode, Epsilon: o.Epsilon}
 }
-
-// Engine maintains a hierarchical query under single-tuple updates and
-// enumerates its distinct result tuples with multiplicities.
-type Engine struct {
-	// The lifecycle, mutation, and enumeration methods are the shared
-	// front end's (frontend.go), promoted.
-	frontend[*core.Snapshot]
-	e *core.Engine
-
-	// Durability state (durability.go): nil/zero unless Options.Durability
-	// was configured. walOps is the pooled op buffer of the commit hook;
-	// closed makes Close idempotent.
-	dur    Durability
-	wal    *wal.Log
-	walOps []wal.Op
-	closed bool
-}
-
-// New creates an engine. The query must be hierarchical (use Classify to
-// check); non-hierarchical queries are rejected with an error, matching the
-// scope of the paper's algorithms.
-func New(q *Query, opts Options) (*Engine, error) {
-	e, err := core.New(q.q, opts.core())
-	if err != nil {
-		return nil, err
-	}
-	eng := &Engine{frontend: frontend[*core.Snapshot]{q: q, b: e}, e: e}
-	if opts.Durability.enabled() {
-		// Fail on an already-populated log directory now, not at Build:
-		// recovering an existing log is Open's job, and silently appending
-		// to one here could corrupt it.
-		l, err := wal.Create(opts.Durability.walOptions())
-		if err != nil {
-			return nil, err
-		}
-		eng.dur = opts.Durability
-		eng.wal = l
-	}
-	return eng, nil
-}
-
-// Build runs the preprocessing stage over the loaded data. It must be
-// called exactly once, before any Insert/Delete/Apply/Enumerate. On a
-// durable engine it also writes the initial checkpoint.
-func (e *Engine) Build() error {
-	if err := e.frontend.Build(); err != nil {
-		return err
-	}
-	if e.wal != nil {
-		// Durable engines seed the log directory with a checkpoint of the
-		// built state (epoch 1), so Open always finds a base to replay from;
-		// only then do commits start logging.
-		if err := e.Checkpoint(); err != nil {
-			return fmt.Errorf("ivmeps: Build: writing the initial checkpoint: %w", err)
-		}
-		e.e.SetCommitHook(e.walHook)
-	}
-	return nil
-}
-
-// Close flushes and closes a durable engine's write-ahead log, pushing any
-// commits buffered under SyncOff to the OS, and returns the log's flush
-// error, if any; on an engine without durability it does nothing and
-// returns nil. The engine's in-memory state remains usable after Close, but
-// a durable engine logs no further commits — Close is for shutdown.
-//
-// Close is idempotent — a second Close returns nil — and wedge-safe: on an
-// engine whose log wedged (LogWedgedError), Close writes nothing to the log
-// files (no flush, no fsync; the wedge means their state is unknowable) and
-// returns nil, the wedge having already been reported to the mutation that
-// latched it.
-func (e *Engine) Close() error {
-	if e.closed {
-		return nil
-	}
-	e.closed = true
-	if e.wal == nil {
-		return nil
-	}
-	e.e.SetCommitHook(nil)
-	err := e.wal.Close()
-	e.wal = nil
-	return wrapErr(err)
-}
-
-// Snapshot captures the current committed state for concurrent reading:
-// the returned Snapshot enumerates that exact state no matter how the
-// engine is updated afterwards, without blocking the writer (see the
-// package documentation). Snapshot may be called from any goroutine; if a
-// batch is in flight it blocks until the batch commits. The Snapshot
-// itself is not safe for concurrent use — take one per reader goroutine
-// (they share storage). Close it when done.
-func (e *Engine) Snapshot() (*Snapshot, error) {
-	r, err := e.snapshot()
-	if err != nil {
-		return nil, err
-	}
-	return &Snapshot{r}, nil
-}
-
-// Snapshot is an immutable view of one committed engine state, enumerable
-// concurrently with updates to the engine it came from. See
-// Engine.Snapshot. Its Epoch, Enumerate, All, Rows, Count, and Close are
-// the shared snapshot reader's (frontend.go), promoted.
-type Snapshot struct {
-	snapshotReader[*core.Snapshot]
-}
-
-// Epsilon returns the engine's trade-off parameter.
-func (e *Engine) Epsilon() float64 { return e.e.Epsilon() }
 
 // Stats reports maintenance activity counters.
 type Stats struct {
@@ -429,8 +317,3 @@ type Stats struct {
 	Batches        int64 `json:"batches"`
 	BatchRelations int64 `json:"batch_relations"`
 }
-
-// Explain returns a human-readable description of the engine's strategy:
-// the query's classification, the cost guarantees at this ε, and the view
-// trees, heavy/light indicators, and relation partitions it maintains.
-func (e *Engine) Explain() string { return e.e.Explain() }

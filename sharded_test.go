@@ -6,6 +6,7 @@ import (
 	"iter"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"ivmeps"
@@ -16,9 +17,9 @@ import (
 	"ivmeps/internal/tuple"
 )
 
-// shardedPair builds an Engine and a Sharded over the same query and the
-// same initial load, ready for parallel driving.
-func shardedPair(t *testing.T, qs string, k int, rng *rand.Rand, n int, domain int64) (*ivmeps.Engine, *ivmeps.Sharded) {
+// shardedPair builds an engine from New and one from NewSharded over the
+// same query and the same initial load, ready for parallel driving.
+func shardedPair(t *testing.T, qs string, k int, rng *rand.Rand, n int, domain int64) (*ivmeps.Engine, *ivmeps.Engine) {
 	t.Helper()
 	q := ivmeps.MustParseQuery(qs)
 	e, err := ivmeps.New(q, ivmeps.Options{Epsilon: 0.5})
@@ -75,8 +76,8 @@ func requireSameResults(t *testing.T, label string, got, want map[string]int64) 
 }
 
 // TestShardedMatchesEngine drives the same mixed update stream — single
-// applies and multi-relation batches — through an Engine and Sharded
-// engines at several K, comparing results, N, and snapshot epochs after
+// applies and multi-relation batches — through an engine from New and
+// sharded engines at several K, comparing results, N, and snapshot epochs after
 // every commit.
 func TestShardedMatchesEngine(t *testing.T) {
 	const qs = "Q(A, B, C) = R(A, B), S(A, C)"
@@ -285,6 +286,80 @@ func TestShardedShardKey(t *testing.T) {
 	}
 }
 
+// TestShardedEngineSurface pins what the methods beyond the shared
+// lifecycle do on a sharded engine (K = 2): no watch stream and no views, no
+// durability, an Explain that names the routing, ε from the options, and a
+// Close that is idempotent and leaves the engine committing. It also pins
+// Shards and ShardKey on an engine from New.
+func TestShardedEngineSurface(t *testing.T) {
+	e, s := shardedPair(t, "Q(A, B, C) = R(A, B), S(A, C)", 2, rand.New(rand.NewSource(5)), 40, 9)
+	defer e.Close()
+	defer s.Close()
+
+	if n := e.Shards(); n != 1 {
+		t.Errorf("New engine: Shards() = %d, want 1", n)
+	}
+	if vars, concat := e.ShardKey(); vars != nil || !concat {
+		t.Errorf("New engine: ShardKey() = %v, %v, want nil, true", vars, concat)
+	}
+	if n := s.Shards(); n != 2 {
+		t.Errorf("Shards() = %d, want 2", n)
+	}
+
+	if w, err := s.Watch(ivmeps.WatchOptions{}); err == nil {
+		w.Close()
+		t.Error("Watch on a sharded engine succeeded")
+	}
+	if v := s.Views(); len(v) != 0 {
+		t.Errorf("Views() = %v, want none", v)
+	}
+	snap, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, view := range append(e.Views(), "nope") {
+		if _, err := snap.ViewAll(view); err == nil || !strings.Contains(err.Error(), "unknown view") {
+			t.Errorf("ViewAll(%q) = %v, want an unknown-view error", view, err)
+		}
+		if _, _, err := snap.ViewRows(view); err == nil {
+			t.Errorf("ViewRows(%q) succeeded", view)
+		}
+	}
+	snap.Close()
+
+	if err := s.Checkpoint(); err == nil || !strings.Contains(err.Error(), "without durability") {
+		t.Errorf("Checkpoint() = %v, want the no-durability error", err)
+	}
+	x := s.Explain()
+	for _, want := range []string{"2 shard(s)", "shard key (A)", "concatenating gather", "shard 0:", "ε = 0.5"} {
+		if !strings.Contains(x, want) {
+			t.Errorf("Explain() lacks %q:\n%s", want, x)
+		}
+	}
+	if eps := s.Epsilon(); eps != 0.5 {
+		t.Errorf("Epsilon() = %v, want 0.5", eps)
+	}
+
+	for i := 0; i < 2; i++ {
+		if err := s.Close(); err != nil {
+			t.Fatalf("Close #%d = %v", i+1, err)
+		}
+	}
+	// A batch spanning both shards restarts the apply goroutines.
+	eb, sb := e.NewBatch(), s.NewBatch()
+	for v := int64(100); v < 116; v++ {
+		eb.Insert("R", []int64{v, 1}).Insert("S", []int64{v, 2})
+		sb.Insert("R", []int64{v, 1}).Insert("S", []int64{v, 2})
+	}
+	if err := e.Commit(eb); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Commit(sb); err != nil {
+		t.Fatalf("Commit after Close: %v", err)
+	}
+	requireSameResults(t, "commit after Close", publicResultMap(s.Enumerate), publicResultMap(e.Enumerate))
+}
+
 // TestShardedCommitSteadyStateZeroAllocs pins the public sharded commit
 // path — Batch build with id stamping, scatter, two-phase apply across 4
 // shards — at zero heap allocations per warm cycle.
@@ -332,8 +407,8 @@ func TestShardedCommitSteadyStateZeroAllocs(t *testing.T) {
 }
 
 // TestAllZeroAllocsPerRow pins the public read path at no allocation per
-// row: ranging over Engine.All and over Sharded.All (two shards, the
-// concatenating gather) allocates to take its snapshot and open its
+// row: ranging over All on an engine from New and on one from NewSharded
+// (two shards, the concatenating gather) allocates to take its snapshot and open its
 // iterators, and a full pass costs less than 0.01 allocations per row more
 // than a pass stopped after its first row. internal/core's
 // TestEnumerateZeroAllocsPerRow pins the iterators themselves.
@@ -378,22 +453,15 @@ func TestAllZeroAllocsPerRow(t *testing.T) {
 
 // TestShardedStatsCountCommitsLikeEngine pins that the commit counters mean
 // the same thing on both engines: every entry point is one commit through
-// one envelope, so for the same calls a one-shard Sharded and an Engine
-// report the same Updates, Batches, and BatchRelations — including the
+// one envelope, so for the same calls a one-shard sharded engine and an
+// engine from New report the same Updates, Batches, and BatchRelations — including the
 // single-tuple Apply, a zero-mult Apply, and an unknown-relation ApplyBatch
 // with no rows, which the two used to treat differently.
 func TestShardedStatsCountCommitsLikeEngine(t *testing.T) {
 	e, s := shardedPair(t, "Q(A, B, C) = R(A, B), S(A, C)", 1, rand.New(rand.NewSource(3)), 20, 5)
 	defer e.Close()
 	defer s.Close()
-	type engine interface {
-		Apply(rel string, row []int64, mult int64) error
-		ApplyBatch(rel string, rows [][]int64, mults []int64) error
-		NewBatch() *ivmeps.Batch
-		Commit(b *ivmeps.Batch) error
-		Stats() ivmeps.Stats
-	}
-	drive := func(x engine) (ivmeps.Stats, []error) {
+	drive := func(x *ivmeps.Engine) (ivmeps.Stats, []error) {
 		b := x.NewBatch().Insert("R", []int64{70, 1}).Insert("S", []int64{70, 2})
 		errs := []error{
 			x.Apply("R", []int64{71, 1}, 2),
@@ -424,19 +492,9 @@ func TestShardedStatsCountCommitsLikeEngine(t *testing.T) {
 	}
 }
 
-// loadable is the load-path surface Engine and Sharded share.
-type loadable interface {
-	Load(rel string, rows ...[]int64) error
-	LoadWeighted(rel string, row []int64, mult int64) error
-	Build() error
-	Insert(rel string, row []int64) error
-	N() int
-	Enumerate(yield func(row []int64, mult int64) bool)
-}
-
-// loadTargets returns a fresh Engine and Sharded engines at K ∈ {1, 2, 4}
-// over qs, closed with the test.
-func loadTargets(t *testing.T, qs string) map[string]loadable {
+// loadTargets returns a fresh engine from New and sharded engines at
+// K ∈ {1, 2, 4} over qs, closed with the test.
+func loadTargets(t *testing.T, qs string) map[string]*ivmeps.Engine {
 	t.Helper()
 	q := ivmeps.MustParseQuery(qs)
 	e, err := ivmeps.New(q, ivmeps.Options{Epsilon: 0.5})
@@ -444,21 +502,22 @@ func loadTargets(t *testing.T, qs string) map[string]loadable {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { e.Close() })
-	out := map[string]loadable{"Engine": e}
+	out := map[string]*ivmeps.Engine{"Engine": e}
 	for _, k := range []int{1, 2, 4} {
 		s, err := ivmeps.NewSharded(q, ivmeps.ShardedOptions{Options: ivmeps.Options{Epsilon: 0.5}, Shards: k})
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(s.Close)
+		t.Cleanup(func() { s.Close() })
 		out[fmt.Sprintf("Sharded/K=%d", k)] = s
 	}
 	return out
 }
 
 // TestLoadBuildMatchesPreprocess: rows loaded one by one and built are the
-// state core.Preprocess computes from a database of the same rows — on an
-// Engine and on Sharded engines, for a query whose one relation routes each
+// state core.Preprocess computes from a database of the same rows, with
+// every shard's invariants intact — on an engine from New and on sharded
+// engines, for a query whose one relation routes each
 // row to two shards and for one with a broadcast component.
 func TestLoadBuildMatchesPreprocess(t *testing.T) {
 	for _, qs := range []string{
@@ -504,16 +563,14 @@ func TestLoadBuildMatchesPreprocess(t *testing.T) {
 			if l.N() != ref.N() {
 				t.Errorf("%s on %s: N = %d, want %d", name, qs, l.N(), ref.N())
 			}
-			if e, ok := l.(*ivmeps.Engine); ok {
-				if err := e.CheckInvariants(); err != nil {
-					t.Errorf("%s on %s: %v", name, qs, err)
-				}
+			if err := l.CheckInvariants(); err != nil {
+				t.Errorf("%s on %s: %v", name, qs, err)
 			}
 		}
 	}
 }
 
-// TestLoadErrorParity: Engine and Sharded reject the same loads with the
+// TestLoadErrorParity: engines from New and NewSharded reject the same loads with the
 // same programmable errors, a rejected row reaches no occurrence on any
 // shard, and accepted duplicates accumulate multiplicity.
 func TestLoadErrorParity(t *testing.T) {

@@ -94,13 +94,18 @@ type watcherSink Watcher
 // anchored at the current committed state: its Snapshot observes epoch E,
 // and its Events deliver every commit with epoch > E — the anchor and the
 // subscription are captured atomically, so the stream has no gap and no
-// overlap with the snapshot. Watch before Build returns ErrNotBuilt.
+// overlap with the snapshot. Watch before Build returns ErrNotBuilt, and
+// Watch on a sharded engine (NewSharded) returns an error: its shards'
+// commit streams are not merged into one.
 //
 // Watchers are independent: any number may be open, each with its own
 // anchor, buffer, and view filter, and a slow watcher is evicted without
 // affecting the others. While no watcher is open the commit path does no
 // capture work at all.
 func (e *Engine) Watch(opts WatchOptions) (*Watcher, error) {
+	if e.fed != nil {
+		return nil, fmt.Errorf("ivmeps: Watch is not supported on sharded engines")
+	}
 	if !e.built {
 		return nil, fmt.Errorf("ivmeps: Watch: %w (call Build first)", ErrNotBuilt)
 	}
@@ -124,7 +129,7 @@ func (e *Engine) Watch(opts WatchOptions) (*Watcher, error) {
 	if err != nil {
 		return nil, wrapErr(err)
 	}
-	w.anchor = &Snapshot{snapshotReader[*core.Snapshot]{snap}}
+	w.anchor = &Snapshot{snap}
 	return w, nil
 }
 
@@ -158,8 +163,14 @@ func (s *watcherSink) PublishCommit(cd *core.CommitDelta) {
 // Views returns the engine-assigned names of the root views — the View
 // names carried by watch events and accepted by WatchOptions.Views,
 // Snapshot.ViewAll and Snapshot.ViewRows, one per materialized view tree,
-// in a fixed order. Empty before Build.
-func (e *Engine) Views() []string { return e.e.RootViews() }
+// in a fixed order. Empty before Build, and on a sharded engine, which
+// exposes no root views.
+func (e *Engine) Views() []string {
+	if e.e == nil {
+		return nil
+	}
+	return e.e.RootViews()
+}
 
 // Snapshot returns the watcher's anchor: the committed state immediately
 // before the first event of the stream. The first call transfers ownership
@@ -260,7 +271,11 @@ func (w *Watcher) Close() {
 // storage: read it only, and copy it to retain past the iteration step.
 // The snapshot must stay open while the iterator is ranged.
 func (s *Snapshot) ViewAll(view string) (iter.Seq2[[]int64, int64], error) {
-	seq, ok := s.s.View(view)
+	var seq iter.Seq2[tuple.Tuple, int64]
+	cs, ok := s.s.(*core.Snapshot) // a sharded engine's snapshot has no views
+	if ok {
+		seq, ok = cs.View(view)
+	}
 	if !ok {
 		return nil, fmt.Errorf("ivmeps: unknown view %q (Engine.Views lists the root views)", view)
 	}
