@@ -62,7 +62,7 @@ test:
 # than TEST_FLOOR (subtests count, as `go test -v` prints them). A change
 # that adds tests raises the floor to its new count; one that deletes a test
 # on purpose lowers it in the same diff and says why.
-TEST_FLOOR = 554
+TEST_FLOOR = 569
 
 test-count:
 	@log=$$(mktemp); $(GO) test -v ./... > $$log 2>&1; status=$$?; \
@@ -75,11 +75,14 @@ test-count:
 # The race-detector suites, exactly as the CI test job runs them (it calls
 # this target, so the two cannot drift): the internal suite (snapshot
 # readers against commits, the federation's parallel apply, and
-# internal/server's stats-vs-commit and reader-eviction races), crash
-# recovery, fault injection over every I/O site, the watch property suite,
-# Explain against commits, the public sharded engine (whose multi-shard
-# commits apply on runner goroutines), and the service loopback suite with
-# the cmd/ivmd shutdown and connection-timeout tests.
+# internal/server's stats-vs-commit and reader-eviction races), then the
+# root suites the scenario driver (scenario_test.go) runs against naive —
+# crash recovery, fault injection over every I/O site, the watch property
+# suite, the public sharded engine (whose multi-shard commits apply on
+# runner goroutines), the service loopback suite, and the driver's own
+# combinations (TestScenario*: held snapshots on two shards, watchers
+# through a wedge, snapshots across a cut, a remote drain) — with Explain
+# against commits and the cmd/ivmd shutdown and connection-timeout tests.
 race:
 	$(GO) test -race ./internal/...
 	$(GO) test -race -run 'CrashRecoveryRandomCut|BitFlipRecovery|DurableRoundTrip|CheckpointBoundsReplay' .
@@ -87,6 +90,7 @@ race:
 	$(GO) test -race -run 'TestWatch|TestWatcher|TestExplainRacesCommit' .
 	$(GO) test -race -run 'TestShardedMatchesEngine|TestShardedErrors|TestShardedApplyBatchParity|TestLoadBuildMatchesPreprocess|TestLoadErrorParity|TestShardedEngineSurface' .
 	$(GO) test -race -run 'TestServerLoopback' .
+	$(GO) test -race -run 'TestScenario' .
 	$(GO) test -race ./cmd/ivmd/
 
 # bench/ is its own module, so `./...` never reaches it, yet it compiles

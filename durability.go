@@ -92,13 +92,17 @@ func (e *Engine) walHook(epoch uint64, ops []core.BatchOp) error {
 // checkpoint writes; the checkpoint file becomes visible atomically.
 // Recovery cost after a checkpoint is proportional to the log tail, not to
 // history. Checkpoint returns an error on an engine without durability
-// configured (a sharded engine never has it), and refuses with the
-// LogWedgedError on an engine whose log has wedged, or with Build's error
-// on one whose initial checkpoint failed — a checkpoint claims its epoch is
-// durably reconstructible, which neither log can promise.
+// configured (a sharded engine never has it) or whose log Close has closed,
+// and refuses with the LogWedgedError on an engine whose log has wedged, or
+// with Build's error on one whose initial checkpoint failed — a checkpoint
+// claims its epoch is durably reconstructible, which neither log can
+// promise.
 func (e *Engine) Checkpoint() error {
 	if !e.built {
 		return fmt.Errorf("ivmeps: Checkpoint: %w (call Build first)", ErrNotBuilt)
+	}
+	if e.wal == nil && e.opts.Durability.enabled() {
+		return fmt.Errorf("ivmeps: Checkpoint: the write-ahead log is closed (Close was called)")
 	}
 	if e.wal == nil {
 		return fmt.Errorf("ivmeps: Checkpoint on an engine without durability (set Options.Durability.Dir)")

@@ -3,7 +3,6 @@ package ivmeps_test
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,48 +12,13 @@ import (
 	"ivmeps/internal/wal"
 )
 
-// The durability tests drive the public surface end to end: New with a log
-// directory, commits through every mutation entry point, Checkpoint, Close,
-// and Open-based recovery — including the crash-shaped failures (kills at
-// arbitrary byte offsets, torn tails, bit flips) the write-ahead log exists
-// to survive. They import internal/wal only to *inspect* log directories
-// (compute the epoch a cut should recover to, count replayable records),
-// never to drive recovery.
-
-const durQuery = "Q(A, C) = R(A, B), S(B, C)"
-
-func durParse(t testing.TB) *ivmeps.Query {
-	t.Helper()
-	q, err := ivmeps.ParseQuery(durQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return q
-}
-
-// durState captures the committed state of e as (canonical result map,
-// snapshot epoch).
-func durState(t testing.TB, e *ivmeps.Engine) (map[string]int64, uint64) {
-	t.Helper()
-	s, err := e.Snapshot()
-	if err != nil {
-		t.Fatalf("Snapshot: %v", err)
-	}
-	defer s.Close()
-	return publicResultMap(s.Enumerate), s.Epoch()
-}
-
-func sameState(a, b map[string]int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
-}
+// The durability tests drive the public surface end to end through the
+// scenario driver (scenario_test.go): New with a log directory, commits
+// through every mutation entry point, Checkpoint, Close, and Open-based
+// recovery — including the crash-shaped failures (kills at arbitrary byte
+// offsets, torn tails, bit flips) the write-ahead log exists to survive —
+// each recovered state held to internal/naive at its epoch. They import
+// internal/wal only to inspect log directories, never to drive recovery.
 
 // copyDir clones the log directory so a simulated crash can mutilate the
 // copy while the original stays reusable.
@@ -80,93 +44,25 @@ func copyDir(t testing.TB, src string) string {
 	return dst
 }
 
-// shadowDB mirrors the base relations so the test can generate valid
-// deletes, and remembers every committed state by epoch.
-type shadowDB struct {
-	rows  map[string][][]int64 // live rows per relation (mult folded in by repetition)
-	state map[uint64]map[string]int64
-}
-
+// TestDurableRoundTrip commits through every mutation entry point — a
+// batch whose ops cancel to a net no-op included, which still publishes an
+// epoch the log must reproduce — recovers, keeps committing into the same
+// directory, and recovers again.
 func TestDurableRoundTrip(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "log")
-	q := durParse(t)
-	opts := ivmeps.Options{Epsilon: 0.5, Durability: ivmeps.Durability{Dir: dir, Sync: ivmeps.SyncAlways}}
-	e, err := ivmeps.New(q, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Load("R", []int64{1, 10}, []int64{2, 10}); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Load("S", []int64{10, 7}); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Build(); err != nil {
-		t.Fatal(err)
-	}
-	// Exercise every mutation entry point: single-tuple, one-relation batch,
-	// multi-relation batch, and a batch whose ops cancel to a net no-op
-	// (which still publishes an epoch the log must reproduce).
-	if err := e.Insert("R", []int64{3, 10}); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Delete("R", []int64{1, 10}); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.ApplyBatch("S", [][]int64{{10, 8}, {11, 9}}, []int64{2, 1}); err != nil {
-		t.Fatal(err)
-	}
-	b := e.NewBatch()
-	b.Insert("R", []int64{4, 11})
-	b.Apply("S", []int64{10, 7}, 3)
-	if err := e.Commit(b); err != nil {
-		t.Fatal(err)
-	}
-	b = e.NewBatch()
-	b.Insert("R", []int64{5, 12})
-	b.Delete("R", []int64{5, 12})
-	if err := e.Commit(b); err != nil {
-		t.Fatal(err)
-	}
-	want, wantEpoch := durState(t, e)
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	r, err := ivmeps.Open(q, opts)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	got, gotEpoch := durState(t, r)
-	if gotEpoch != wantEpoch {
-		t.Fatalf("recovered epoch %d, want %d", gotEpoch, wantEpoch)
-	}
-	if !sameState(got, want) {
-		t.Fatalf("recovered state %v, want %v", got, want)
-	}
-	if r.Count() == 0 || r.N() == 0 {
-		t.Fatalf("recovered engine empty: count=%d N=%d", r.Count(), r.N())
-	}
-	// The recovered engine keeps committing durably into the same directory.
-	if err := r.Insert("S", []int64{12, 13}); err != nil {
-		t.Fatal(err)
-	}
-	want2, wantEpoch2 := durState(t, r)
-	if wantEpoch2 != wantEpoch+1 {
-		t.Fatalf("post-recovery commit bumped epoch to %d, want %d", wantEpoch2, wantEpoch+1)
-	}
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r2, err := ivmeps.Open(q, opts)
-	if err != nil {
-		t.Fatalf("second Open: %v", err)
-	}
-	defer r2.Close()
-	got2, gotEpoch2 := durState(t, r2)
-	if gotEpoch2 != wantEpoch2 || !sameState(got2, want2) {
-		t.Fatalf("second recovery: epoch %d state %v, want epoch %d state %v", gotEpoch2, got2, wantEpoch2, want2)
-	}
+	sc := newScenario(t, target{query: twoPath, eps: 0.5, seg: 1 << 20}, 0)
+	sc.run(
+		step{Do: "load", Ops: []op{{"R", []int64{1, 10}, 1}, {"R", []int64{2, 10}, 1}, {"S", []int64{10, 7}, 1}}},
+		step{Do: "build"},
+		step{Do: "apply", Ops: []op{{"R", []int64{3, 10}, 1}}},
+		step{Do: "apply", Ops: []op{{"R", []int64{1, 10}, -1}}},
+		step{Do: "applybatch", Ops: []op{{"S", []int64{10, 8}, 2}, {"S", []int64{11, 9}, 1}}},
+		step{Do: "batch", Ops: []op{{"R", []int64{4, 11}, 1}, {"S", []int64{10, 7}, 3}}},
+		step{Do: "batch", Ops: []op{{"R", []int64{5, 12}, 1}, {"R", []int64{5, 12}, -1}}},
+		step{Do: "reopen"},
+		step{Do: "apply", Ops: []op{{"S", []int64{12, 13}, 1}}},
+		step{Do: "reopen"},
+	)
+	sc.end()
 }
 
 // TestOpenRestoresCheckpointedMultiplicities: a checkpoint row carries its
@@ -174,272 +70,39 @@ func TestDurableRoundTrip(t *testing.T) {
 // repeated loads of one row, and a later insert of the same row all come
 // back summed, from the Build checkpoint and from an explicit one.
 func TestOpenRestoresCheckpointedMultiplicities(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "log")
-	q := durParse(t)
-	opts := ivmeps.Options{Epsilon: 0.5, Durability: ivmeps.Durability{Dir: dir, Sync: ivmeps.SyncAlways}}
-	e, err := ivmeps.New(q, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.LoadWeighted("R", []int64{1, 10}, 3); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Load("S", []int64{10, 7}, []int64{10, 7}); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Build(); err != nil {
-		t.Fatal(err)
-	}
-	for i, checkpoint := range []bool{false, true} {
-		if err := e.Insert("R", []int64{1, 10}); err != nil {
-			t.Fatal(err)
-		}
-		if checkpoint {
-			if err := e.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		want, wantEpoch := durState(t, e)
-		if err := e.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if e, err = ivmeps.Open(q, opts); err != nil {
-			t.Fatalf("Open: %v", err)
-		}
-		got, gotEpoch := durState(t, e)
-		if gotEpoch != wantEpoch || !sameState(got, want) {
-			t.Fatalf("checkpointed=%v: recovered epoch %d state %v, want epoch %d state %v", checkpoint, gotEpoch, got, wantEpoch, want)
-		}
-		if m, want := got["[1 7]"], int64(3+1+i)*2; m != want { // R(1,10) × S(10,7)
-			t.Fatalf("checkpointed=%v: Q(1,7) = %d, want %d", checkpoint, m, want)
-		}
-	}
-	e.Close()
-}
-
-// buildDurableHistory creates a durable engine, commits n randomized batches
-// (recording the committed state at every epoch), checkpoints once midway,
-// closes the engine, and returns the log directory plus the shadow record.
-func buildDurableHistory(t *testing.T, dir string, n int, rng *rand.Rand) *shadowDB {
-	t.Helper()
-	q := durParse(t)
-	opts := ivmeps.Options{
-		Epsilon:    0.5,
-		Durability: ivmeps.Durability{Dir: dir, Sync: ivmeps.SyncAlways, SegmentBytes: 512},
-	}
-	e, err := ivmeps.New(q, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh := &shadowDB{rows: map[string][][]int64{}, state: map[uint64]map[string]int64{}}
-	seed := func(rel string, rows ...[]int64) {
-		t.Helper()
-		for _, row := range rows {
-			if err := e.Load(rel, row); err != nil {
-				t.Fatal(err)
-			}
-			sh.rows[rel] = append(sh.rows[rel], row)
-		}
-	}
-	seed("R", []int64{1, 1}, []int64{2, 1})
-	seed("S", []int64{1, 3})
-	if err := e.Build(); err != nil {
-		t.Fatal(err)
-	}
-	record := func() {
-		t.Helper()
-		st, epoch := durState(t, e)
-		sh.state[epoch] = st
-	}
-	record()
-	for i := 0; i < n; i++ {
-		b := e.NewBatch()
-		nops := 1 + rng.Intn(4)
-		for j := 0; j < nops; j++ {
-			rel := "R"
-			if rng.Intn(2) == 1 {
-				rel = "S"
-			}
-			if live := sh.rows[rel]; len(live) > 0 && rng.Intn(3) == 0 {
-				k := rng.Intn(len(live))
-				b.Delete(rel, live[k])
-				sh.rows[rel] = append(live[:k], live[k+1:]...)
-			} else {
-				row := []int64{rng.Int63n(8), rng.Int63n(8)}
-				b.Insert(rel, row)
-				sh.rows[rel] = append(sh.rows[rel], row)
-			}
-		}
-		if err := e.Commit(b); err != nil {
-			t.Fatalf("commit %d: %v", i, err)
-		}
-		record()
-		if i == n/2 {
-			if err := e.Checkpoint(); err != nil {
-				t.Fatalf("Checkpoint: %v", err)
-			}
-		}
-	}
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return sh
-}
-
-// cutPoint describes one simulated kill: every byte of the log written at or
-// after the global offset never reached disk.
-type cutPoint struct {
-	segIdx int   // index into the seq-ordered segment list
-	offset int64 // byte length the segment is cut to
-}
-
-// applyCut truncates the chosen segment and deletes every later one,
-// producing exactly the directory a crash at that write position leaves.
-func applyCut(t testing.TB, dir string, cut cutPoint) {
-	t.Helper()
-	segs, _, err := wal.ScanDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(segs[cut.segIdx].Path, cut.offset); err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range segs[cut.segIdx+1:] {
-		if err := os.Remove(s.Path); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// expectEpoch computes the epoch recovery must land on for a cut directory:
-// the last record of the longest intact log prefix, or the newest checkpoint
-// epoch when that is higher (a checkpoint is only ever written after its
-// epoch is in the synced log, so it can outlive a cut tail).
-func expectEpoch(t testing.TB, dir string) uint64 {
-	t.Helper()
-	segs, ckpts, err := wal.ScanDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var epoch uint64
-	for _, c := range ckpts {
-		if ck, err := wal.LoadCheckpoint(c.Path); err == nil && ck.Epoch > epoch {
-			epoch = ck.Epoch
-		}
-	}
-	for _, s := range segs {
-		sd, err := wal.ReadSegment(s.Path)
-		if err != nil {
-			break // torn header: nothing in this segment counts
-		}
-		if n := len(sd.Records); n > 0 {
-			if last := sd.Records[n-1].Epoch; last > epoch {
-				epoch = last
-			}
-		}
-		if sd.Tail != nil {
-			break
-		}
-	}
-	return epoch
+	sc := newScenario(t, target{query: twoPath, eps: 0.5, seg: 1 << 20}, 0)
+	insert := step{Do: "apply", Ops: []op{{"R", []int64{1, 10}, 1}}}
+	sc.run(
+		step{Do: "load", Ops: []op{{"R", []int64{1, 10}, 3}, {"S", []int64{10, 7}, 1}, {"S", []int64{10, 7}, 1}}},
+		step{Do: "build"},
+		insert,
+		step{Do: "reopen"},
+		insert,
+		step{Do: "checkpoint"},
+		step{Do: "reopen"},
+	)
+	sc.end()
 }
 
 // TestCrashRecoveryRandomCut is the durability headline: kill the process at
 // an arbitrary byte offset of the log — mid-record, mid-header, on a segment
 // boundary — and Open must recover exactly the committed prefix the surviving
-// bytes describe, epoch-exact. Each seed draws its own commit history and
-// its own cut points.
+// bytes describe, epoch-exact and equal to naive's result there; the
+// recovered log then takes new commits and new cuts. Each seed draws its own
+// history and its own cut points.
 func TestCrashRecoveryRandomCut(t *testing.T) {
 	for _, seed := range []int64{1, 2, 8} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			testCrashRecoveryRandomCut(t, seed)
+			sc := newScenario(t, target{query: twoPath, eps: 0.5, seg: 512}, seed)
+			g := gen{mix: map[string]int{"batch": 5, "checkpoint": 1, "cut": 3}, load: 2, ops: 4, domain: 8}
+			sc.load(g)
+			sc.gen(g, 90)
+			sc.end()
+			if sc.count["cut"] < 20 {
+				t.Fatalf("only %d cuts", sc.count["cut"])
+			}
 		})
-	}
-}
-
-func testCrashRecoveryRandomCut(t *testing.T, seed int64) {
-	dir := filepath.Join(t.TempDir(), "log")
-	rng := rand.New(rand.NewSource(seed))
-	sh := buildDurableHistory(t, dir, 24, rng)
-
-	segs, _, err := wal.ScanDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cuts []cutPoint
-	sizes := make([]int64, len(segs))
-	var total int64
-	for i, s := range segs {
-		fi, err := os.Stat(s.Path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sizes[i] = fi.Size()
-		total += fi.Size()
-		// Boundary cuts: empty file, bare header, full file.
-		cuts = append(cuts, cutPoint{i, 0}, cutPoint{i, min(16, fi.Size())}, cutPoint{i, fi.Size()})
-	}
-	for len(cuts) < len(segs)*3+24 {
-		g := rng.Int63n(total + 1)
-		for i := range sizes {
-			if g <= sizes[i] {
-				cuts = append(cuts, cutPoint{i, g})
-				break
-			}
-			g -= sizes[i]
-		}
-	}
-
-	q := durParse(t)
-	for ci, cut := range cuts {
-		work := copyDir(t, dir)
-		applyCut(t, work, cut)
-		want := expectEpoch(t, work)
-		opts := ivmeps.Options{
-			Epsilon:    0.5,
-			Durability: ivmeps.Durability{Dir: work, Sync: ivmeps.SyncAlways, SegmentBytes: 512},
-		}
-		r, err := ivmeps.Open(q, opts)
-		if err != nil {
-			t.Fatalf("cut %d (%+v): Open: %v", ci, cut, err)
-		}
-		got, epoch := durState(t, r)
-		if epoch != want {
-			t.Fatalf("cut %d (%+v): recovered epoch %d, want %d", ci, cut, epoch, want)
-		}
-		wantState, ok := sh.state[epoch]
-		if !ok {
-			t.Fatalf("cut %d (%+v): recovered epoch %d was never committed", ci, cut, epoch)
-		}
-		if !sameState(got, wantState) {
-			t.Fatalf("cut %d (%+v): recovered state %v, want %v at epoch %d", ci, cut, got, wantState, epoch)
-		}
-		// Periodically prove the recovered log accepts and survives new
-		// commits: commit, close, and recover once more.
-		if ci%8 == 0 {
-			if err := r.Insert("R", []int64{7, 7}); err != nil {
-				t.Fatal(err)
-			}
-			want2, wantEpoch2 := durState(t, r)
-			if wantEpoch2 != epoch+1 {
-				t.Fatalf("cut %d: post-recovery epoch %d, want %d", ci, wantEpoch2, epoch+1)
-			}
-			if err := r.Close(); err != nil {
-				t.Fatal(err)
-			}
-			r2, err := ivmeps.Open(q, opts)
-			if err != nil {
-				t.Fatalf("cut %d: re-Open: %v", ci, err)
-			}
-			got2, epoch2 := durState(t, r2)
-			if epoch2 != wantEpoch2 || !sameState(got2, want2) {
-				t.Fatalf("cut %d: second recovery diverged", ci)
-			}
-			r2.Close()
-		} else {
-			r.Close()
-		}
 	}
 }
 
@@ -447,47 +110,25 @@ func testCrashRecoveryRandomCut(t *testing.T, seed int64) {
 // post-checkpoint tail: after Checkpoint, only the commits made since are
 // replayed.
 func TestCheckpointBoundsReplay(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "log")
-	q := durParse(t)
-	opts := ivmeps.Options{Durability: ivmeps.Durability{Dir: dir, Sync: ivmeps.SyncAlways}}
-	e, err := ivmeps.New(q, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Load("R", []int64{1, 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Load("S", []int64{1, 2}); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Build(); err != nil {
-		t.Fatal(err)
-	}
+	sc := newScenario(t, target{query: twoPath, seg: 1 << 20}, 0)
+	sc.run(step{Do: "load", Ops: []op{{"R", []int64{1, 1}, 1}, {"S", []int64{1, 2}, 1}}}, step{Do: "build"})
 	for i := int64(0); i < 10; i++ {
-		if err := e.Insert("R", []int64{i, 1}); err != nil {
-			t.Fatal(err)
-		}
+		sc.run(step{Do: "apply", Ops: []op{{"R", []int64{i, 1}, 1}}})
 	}
-	if err := e.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
+	sc.run(step{Do: "checkpoint"})
 	const tail = 5
 	for i := int64(0); i < tail; i++ {
-		if err := e.Insert("S", []int64{1, 10 + i}); err != nil {
-			t.Fatal(err)
-		}
+		sc.run(step{Do: "apply", Ops: []op{{"S", []int64{1, 10 + i}, 1}}})
 	}
-	want, wantEpoch := durState(t, e)
-	if err := e.Close(); err != nil {
+	if err := sc.eng.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	rec, err := wal.BeginRecovery(dir)
+	rec, err := wal.BeginRecovery(sc.dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Checkpoint.Epoch != wantEpoch-tail {
-		t.Fatalf("newest checkpoint at epoch %d, want %d", rec.Checkpoint.Epoch, wantEpoch-tail)
+	if rec.Checkpoint.Epoch != sc.epoch-tail {
+		t.Fatalf("newest checkpoint at epoch %d, want %d", rec.Checkpoint.Epoch, sc.epoch-tail)
 	}
 	replays := 0
 	if err := rec.Replay(false, func(wal.Record) error { replays++; return nil }); err != nil {
@@ -496,45 +137,37 @@ func TestCheckpointBoundsReplay(t *testing.T) {
 	if replays != tail {
 		t.Fatalf("recovery replays %d records, want only the %d-record tail", replays, tail)
 	}
-
-	r, err := ivmeps.Open(q, opts)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	defer r.Close()
-	got, epoch := durState(t, r)
-	if epoch != wantEpoch || !sameState(got, want) {
-		t.Fatalf("recovered epoch %d state %v, want epoch %d state %v", epoch, got, wantEpoch, want)
-	}
+	sc.run(step{Do: "reopen"})
+	sc.end()
 }
 
-// TestBitFlipRecovery flips single bytes across the log: a flip in the
+// TestBitFlipRecovery flips single bits across the log: a flip in the
 // physical tail may be truncated away (it is indistinguishable from a torn
 // write), anything else must surface as CorruptLogError — never as a
-// successfully opened engine with wrong state.
+// successfully opened engine whose state is not naive's at its epoch.
 func TestBitFlipRecovery(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "log")
-	rng := rand.New(rand.NewSource(7))
-	sh := buildDurableHistory(t, dir, 12, rng)
-	segs, _, err := wal.ScanDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := durParse(t)
-	for si, seg := range segs {
-		data, err := os.ReadFile(seg.Path)
+	sc := newScenario(t, target{query: twoPath, eps: 0.5, seg: 512}, 7)
+	g := gen{mix: map[string]int{"batch": 1}, load: 2, ops: 4, domain: 8}
+	sc.load(g)
+	sc.gen(g, 6)
+	sc.run(step{Do: "checkpoint"})
+	sc.gen(g, 6)
+	sc.end()
+	paths, _ := sc.segments()
+	for si, path := range paths {
+		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for trial := 0; trial < 24; trial++ {
-			pos := rng.Intn(len(data))
-			work := copyDir(t, dir)
+			pos := sc.rng.Intn(len(data))
+			work := copyDir(t, sc.dir)
 			mut := append([]byte(nil), data...)
-			mut[pos] ^= 1 << uint(rng.Intn(8))
-			if err := os.WriteFile(filepath.Join(work, filepath.Base(seg.Path)), mut, 0o666); err != nil {
+			mut[pos] ^= 1 << uint(sc.rng.Intn(8))
+			if err := os.WriteFile(filepath.Join(work, filepath.Base(path)), mut, 0o666); err != nil {
 				t.Fatal(err)
 			}
-			r, err := ivmeps.Open(q, ivmeps.Options{Epsilon: 0.5, Durability: ivmeps.Durability{Dir: work, Sync: ivmeps.SyncAlways, SegmentBytes: 512}})
+			r, err := ivmeps.Open(sc.q, ivmeps.Options{Epsilon: 0.5, Durability: ivmeps.Durability{Dir: work, Sync: ivmeps.SyncAlways, SegmentBytes: 512}})
 			if err != nil {
 				var cle *ivmeps.CorruptLogError
 				if !errors.As(err, &cle) {
@@ -542,20 +175,27 @@ func TestBitFlipRecovery(t *testing.T) {
 				}
 				continue
 			}
-			// Open succeeded: the flip must have been truncated away as a torn
-			// tail, leaving a genuinely committed prefix.
-			got, epoch := durState(t, r)
+			s, err := r.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := bag(s.All())
+			if rec, ok := sc.hist[s.Epoch()]; err == nil && ok {
+				err = diff(got, rec.result)
+			} else if err == nil {
+				err = fmt.Errorf("epoch %d was never committed", s.Epoch())
+			}
+			s.Close()
 			r.Close()
-			want, ok := sh.state[epoch]
-			if !ok || !sameState(got, want) {
-				t.Fatalf("seg %d pos %d: flip recovered to a state never committed (epoch %d)", si, pos, epoch)
+			if err != nil {
+				t.Fatalf("seg %d pos %d: the flip recovered a state never committed: %v", si, pos, err)
 			}
 		}
 	}
 }
 
 func TestDurabilityAPIMisuse(t *testing.T) {
-	q := durParse(t)
+	q := ivmeps.MustParseQuery(twoPath)
 	dir := filepath.Join(t.TempDir(), "log")
 
 	// Checkpoint without durability.
@@ -596,6 +236,10 @@ func TestDurabilityAPIMisuse(t *testing.T) {
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
+	}
+	// Checkpoint after Close blames the closed log, not the configuration.
+	if err := d.Checkpoint(); err == nil || !strings.Contains(err.Error(), "log is closed") {
+		t.Fatalf("Checkpoint after Close = %v, want the closed-log error", err)
 	}
 	// New refuses a populated directory.
 	if _, err := ivmeps.New(q, opts); err == nil {

@@ -1,8 +1,10 @@
 package doclint
 
 import (
+	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"runtime"
 	"strings"
 	"testing"
@@ -38,6 +40,47 @@ func TestMarkdownLinks(t *testing.T) {
 	}
 	for _, c := range complaints {
 		t.Error(c)
+	}
+}
+
+// Every test the living documents name must exist, so that a test renamed
+// or folded into another leaves no stale pointer behind. CHANGES.md is
+// history and may name tests that are gone.
+func TestDocsNameExistingTests(t *testing.T) {
+	root := repoRoot(t)
+	defined := map[string]bool{}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range regexp.MustCompile(`(?m)^func (Test\w+)\(`).FindAllStringSubmatch(string(src), -1) {
+			defined[m[1]] = true
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs, err := filepath.Glob(filepath.Join(root, "internal", "*", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	more, err := filepath.Glob(filepath.Join(root, "docs", "*.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs = append(append(docs, more...), filepath.Join(root, "ROADMAP.md"), filepath.Join(root, ".claude", "skills", "verify", "SKILL.md"))
+	for _, doc := range docs {
+		src, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range regexp.MustCompile(`\bTest[A-Z]\w*`).FindAllString(string(src), -1) {
+			if !defined[name] {
+				t.Errorf("%s names %s, which no _test.go defines", doc, name)
+			}
+		}
 	}
 }
 

@@ -22,7 +22,7 @@ import (
 // pure in-memory, durable, and recovered. Close must return nil every
 // time.
 func TestEngineCloseIdempotent(t *testing.T) {
-	q := durParse(t)
+	q := ivmeps.MustParseQuery(twoPath)
 
 	mem, err := ivmeps.New(q, ivmeps.Options{Epsilon: 0.5})
 	if err != nil {
@@ -38,20 +38,10 @@ func TestEngineCloseIdempotent(t *testing.T) {
 		t.Fatalf("second Close: %v", err)
 	}
 
-	dir := filepath.Join(t.TempDir(), "log")
-	run := runFaultWorkload(t, dir, nil)
-	if run.wedged || !run.buildOK {
-		t.Fatal("workload did not complete")
-	}
-	// runFaultWorkload already closed the engine once; a recovered engine
-	// gets the double-close treatment.
-	r, err := ivmeps.Open(q, ivmeps.Options{
-		Epsilon:    0.5,
-		Durability: ivmeps.Durability{Dir: dir, Sync: ivmeps.SyncAlways, SegmentBytes: 128},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The script's final reopen hands over a recovered engine.
+	sc := newScenario(t, fiTarget, 0)
+	sc.run(fiScript...)
+	r := sc.eng
 	if err := r.Close(); err != nil {
 		t.Fatalf("first Close of recovered engine: %v", err)
 	}
@@ -65,7 +55,7 @@ func TestEngineCloseIdempotent(t *testing.T) {
 // that latched the wedge, and Close must not write (let alone fsync) a
 // log whose on-disk state is unknowable.
 func TestEngineCloseWedged(t *testing.T) {
-	q := durParse(t)
+	q := ivmeps.MustParseQuery(twoPath)
 	ffs := faultfs.New(nil)
 	opts := ivmeps.Options{
 		Epsilon:    0.5,
@@ -101,7 +91,7 @@ func TestEngineCloseWedged(t *testing.T) {
 // attempt returns an error, and goroutine counts do not grow across
 // repeated failed Opens.
 func TestOpenErrorPathsNoLeak(t *testing.T) {
-	q := durParse(t)
+	q := ivmeps.MustParseQuery(twoPath)
 	dir := filepath.Join(t.TempDir(), "log")
 	opts := ivmeps.Options{
 		Epsilon: 0.5,
@@ -183,33 +173,19 @@ func TestOpenErrorPathsNoLeak(t *testing.T) {
 // in a valid log directory: Open must ignore and remove them, recovering
 // the exact committed state.
 func TestOpenRemovesStaleCheckpointTmp(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "log")
-	clean := runFaultWorkload(t, dir, nil)
-	if clean.wedged || !clean.buildOK {
-		t.Fatal("workload did not complete")
-	}
+	sc := newScenario(t, fiTarget, 0)
+	sc.run(fiScript...)
 	stale := []string{
-		filepath.Join(dir, "ckpt-00000000000000000099.ckpt.tmp"),
-		filepath.Join(dir, "stray.tmp"),
+		filepath.Join(sc.dir, "ckpt-00000000000000000099.ckpt.tmp"),
+		filepath.Join(sc.dir, "stray.tmp"),
 	}
 	for _, p := range stale {
 		if err := os.WriteFile(p, []byte("half-written checkpoint"), 0o666); err != nil {
 			t.Fatal(err)
 		}
 	}
-	q := durParse(t)
-	r, err := ivmeps.Open(q, ivmeps.Options{
-		Epsilon:    0.5,
-		Durability: ivmeps.Durability{Dir: dir, Sync: ivmeps.SyncAlways, SegmentBytes: 128},
-	})
-	if err != nil {
-		t.Fatalf("Open with stale temporaries: %v", err)
-	}
-	defer r.Close()
-	got, epoch := durState(t, r)
-	if epoch != clean.lastEpoch || !sameState(got, clean.states[clean.lastEpoch]) {
-		t.Fatalf("recovered epoch %d, want %d", epoch, clean.lastEpoch)
-	}
+	sc.run(step{Do: "reopen"}) // recovers the exact committed state
+	sc.end()
 	for _, p := range stale {
 		if _, err := os.Stat(p); !os.IsNotExist(err) {
 			t.Fatalf("stale temporary %s survived Open", p)
@@ -222,34 +198,14 @@ func TestOpenRemovesStaleCheckpointTmp(t *testing.T) {
 // (the log stream is untouched), leave no temporary and no half-visible
 // checkpoint behind, and a retry must succeed.
 func TestCheckpointRenameFailureSurvivable(t *testing.T) {
-	q := durParse(t)
-	ffs := faultfs.New(nil)
-	dir := filepath.Join(t.TempDir(), "log")
-	opts := ivmeps.Options{
-		Epsilon:    0.5,
-		Durability: ivmeps.Durability{Dir: dir, Sync: ivmeps.SyncAlways},
-	}
-	ivmeps.SetDurabilityFS(&opts.Durability, ffs)
-	e, err := ivmeps.New(q, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	if err := e.LoadWeighted("R", []int64{1, 1}, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Build(); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Insert("S", []int64{1, 2}); err != nil {
-		t.Fatal(err)
-	}
-
-	ffs.Inject(faultfs.Rename, 1)
-	if err := e.Checkpoint(); !errors.Is(err, faultfs.ErrInjected) {
+	sc := newScenario(t, target{query: twoPath, eps: 0.5, seg: 1 << 20}, 0)
+	sc.run(step{Do: "load", Ops: []op{{"R", []int64{1, 1}, 1}}}, step{Do: "build"},
+		step{Do: "apply", Ops: []op{{"S", []int64{1, 2}, 1}}})
+	sc.fs.Inject(faultfs.Rename, 1)
+	if err := sc.eng.Checkpoint(); !errors.Is(err, faultfs.ErrInjected) {
 		t.Fatalf("Checkpoint with failing rename = %v, want the injected error", err)
 	}
-	names, err := os.ReadDir(dir)
+	names, err := os.ReadDir(sc.dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,27 +214,8 @@ func TestCheckpointRenameFailureSurvivable(t *testing.T) {
 			t.Fatalf("failed checkpoint left temporary %s", ent.Name())
 		}
 	}
-	// Not wedged: commits and a checkpoint retry keep working.
-	if err := e.Insert("S", []int64{1, 3}); err != nil {
-		t.Fatalf("Insert after failed checkpoint = %v, want nil", err)
-	}
-	if err := e.Checkpoint(); err != nil {
-		t.Fatalf("Checkpoint retry = %v, want nil", err)
-	}
-	st, epoch := durState(t, e)
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := ivmeps.Open(q, ivmeps.Options{
-		Epsilon:    0.5,
-		Durability: ivmeps.Durability{Dir: dir, Sync: ivmeps.SyncAlways},
-	})
-	if err != nil {
-		t.Fatalf("Open after checkpoint retry: %v", err)
-	}
-	defer r.Close()
-	got, gotEpoch := durState(t, r)
-	if gotEpoch != epoch || !sameState(got, st) {
-		t.Fatalf("recovered epoch %d, want %d", gotEpoch, epoch)
-	}
+	// Not wedged: commits and a checkpoint retry keep working, and Open
+	// recovers the last of them.
+	sc.run(step{Do: "apply", Ops: []op{{"S", []int64{1, 3}, 1}}}, step{Do: "checkpoint"}, step{Do: "reopen"})
+	sc.end()
 }

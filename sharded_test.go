@@ -4,178 +4,49 @@ import (
 	"errors"
 	"fmt"
 	"iter"
-	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
 
 	"ivmeps"
-	"ivmeps/internal/core"
-	"ivmeps/internal/naive"
-	"ivmeps/internal/query"
-	"ivmeps/internal/relation"
-	"ivmeps/internal/tuple"
 )
 
-// shardedPair builds an engine from New and one from NewSharded over the
-// same query and the same initial load, ready for parallel driving.
-func shardedPair(t *testing.T, qs string, k int, rng *rand.Rand, n int, domain int64) (*ivmeps.Engine, *ivmeps.Engine) {
-	t.Helper()
-	q := ivmeps.MustParseQuery(qs)
-	e, err := ivmeps.New(q, ivmeps.Options{Epsilon: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := ivmeps.NewSharded(q, ivmeps.ShardedOptions{Options: ivmeps.Options{Epsilon: 0.5}, Shards: k})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rel := range q.Relations() {
-		arity := len(q.Schema(rel))
-		for i := 0; i < n; i++ {
-			row := make([]int64, arity)
-			for j := range row {
-				row[j] = rng.Int63n(domain)
-			}
-			if err := e.Load(rel, row); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.Load(rel, row); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := e.Build(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Build(); err != nil {
-		t.Fatal(err)
-	}
-	return e, s
-}
-
-func publicResultMap(enum func(func([]int64, int64) bool)) map[string]int64 {
-	out := map[string]int64{}
-	enum(func(row []int64, m int64) bool {
-		out[fmt.Sprint(row)] = m
-		return true
-	})
-	return out
-}
-
-func requireSameResults(t *testing.T, label string, got, want map[string]int64) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d result rows, want %d", label, len(got), len(want))
-	}
-	for k, m := range want {
-		if got[k] != m {
-			t.Fatalf("%s: row %s has mult %d, want %d", label, k, got[k], m)
-		}
-	}
-}
-
-// TestShardedMatchesEngine drives the same mixed update stream — single
-// applies and multi-relation batches — through an engine from New and
-// sharded engines at several K, comparing results, N, and snapshot epochs after
-// every commit.
+// TestShardedMatchesEngine drives a mixed update stream — single applies
+// and multi-relation batches — through sharded engines at several K; the
+// scenario driver holds the result, N and the epoch to naive after every
+// commit.
 func TestShardedMatchesEngine(t *testing.T) {
-	const qs = "Q(A, B, C) = R(A, B), S(A, C)"
 	for _, k := range []int{1, 3, 8} {
 		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(17))
-			e, s := shardedPair(t, qs, k, rng, 50, 9)
-			defer e.Close()
-			defer s.Close()
-			if s.Shards() != k {
-				t.Fatalf("Shards() = %d, want %d", s.Shards(), k)
+			sc := newScenario(t, target{query: star, eps: 0.5, shards: k}, 17)
+			g := gen{mix: map[string]int{"batch": 1, "apply": 1}, load: 50, ops: 25, domain: 9}
+			sc.load(g)
+			if n := sc.eng.Shards(); n != k {
+				t.Fatalf("Shards() = %d, want %d", n, k)
 			}
-
-			requireSameResults(t, "after build", publicResultMap(s.Enumerate), publicResultMap(e.Enumerate))
-			if s.N() != e.N() {
-				t.Fatalf("N = %d, engine N = %d", s.N(), e.N())
-			}
-
-			eb, sb := e.NewBatch(), s.NewBatch()
-			for c := 0; c < 5; c++ {
-				eb.Reset()
-				sb.Reset()
-				for i := 0; i < 25; i++ {
-					rel := []string{"R", "S"}[rng.Intn(2)]
-					row := []int64{rng.Int63n(9), rng.Int63n(9)}
-					eb.Insert(rel, row)
-					sb.Insert(rel, row)
-				}
-				if err := e.Commit(eb); err != nil {
-					t.Fatal(err)
-				}
-				if err := s.Commit(sb); err != nil {
-					t.Fatal(err)
-				}
-				row := []int64{rng.Int63n(9), rng.Int63n(9)}
-				if err := e.Insert("R", row); err != nil {
-					t.Fatal(err)
-				}
-				if err := s.Insert("R", row); err != nil {
-					t.Fatal(err)
-				}
-				requireSameResults(t, fmt.Sprintf("commit %d", c),
-					publicResultMap(s.Enumerate), publicResultMap(e.Enumerate))
-				es, err := e.Snapshot()
-				if err != nil {
-					t.Fatal(err)
-				}
-				ss, err := s.Snapshot()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if es.Epoch() != ss.Epoch() {
-					t.Fatalf("commit %d: sharded epoch %d, engine epoch %d", c, ss.Epoch(), es.Epoch())
-				}
-				if e.Epoch() != es.Epoch() || s.Epoch() != ss.Epoch() {
-					t.Fatalf("commit %d: Epoch() reads %d (engine) and %d (sharded), their snapshots %d and %d",
-						c, e.Epoch(), s.Epoch(), es.Epoch(), ss.Epoch())
-				}
-				requireSameResults(t, fmt.Sprintf("commit %d snapshot", c),
-					publicResultMap(ss.Enumerate), publicResultMap(es.Enumerate))
-				if ss.Count() != es.Count() {
-					t.Fatalf("commit %d: sharded Count %d, engine %d", c, ss.Count(), es.Count())
-				}
-				es.Close()
-				ss.Close()
-				if s.N() != e.N() {
-					t.Fatalf("commit %d: N = %d, engine N = %d", c, s.N(), e.N())
-				}
-			}
+			sc.gen(g, 20)
+			sc.end()
 		})
 	}
 }
 
 // TestShardedApplyBatchParity covers the one-relation convenience.
 func TestShardedApplyBatchParity(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	e, s := shardedPair(t, "Q(A, B, C) = R(A, B), S(A, C)", 4, rng, 30, 7)
-	defer e.Close()
-	defer s.Close()
-	rows := [][]int64{{1, 2}, {3, 4}, {1, 2}}
-	mults := []int64{2, 1, -1}
-	if err := e.ApplyBatch("R", rows, mults); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.ApplyBatch("R", rows, mults); err != nil {
-		t.Fatal(err)
-	}
-	requireSameResults(t, "ApplyBatch", publicResultMap(s.Enumerate), publicResultMap(e.Enumerate))
-	if err := s.ApplyBatch("R", rows, []int64{1}); err == nil {
+	sc := newScenario(t, target{query: star, eps: 0.5, shards: 4}, 31)
+	sc.load(gen{load: 30, domain: 7})
+	sc.run(step{Do: "applybatch", Ops: []op{{"R", []int64{1, 2}, 2}, {"R", []int64{3, 4}, 1}, {"R", []int64{1, 2}, -1}}})
+	if err := sc.eng.ApplyBatch("R", [][]int64{{1, 2}, {3, 4}}, []int64{1}); err == nil {
 		t.Error("mismatched rows/mults lengths accepted")
 	}
+	sc.check()
+	sc.end()
 }
 
 // TestShardedErrors covers the public error contract of the sharded paths:
 // sentinels, structured errors, shard attribution, and all-or-nothing on
 // failure.
 func TestShardedErrors(t *testing.T) {
-	q := ivmeps.MustParseQuery("Q(A, B, C) = R(A, B), S(A, C)")
+	q := ivmeps.MustParseQuery(star)
 	s, err := ivmeps.NewSharded(q, ivmeps.ShardedOptions{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -220,7 +91,7 @@ func TestShardedErrors(t *testing.T) {
 	}
 	// Shard-detected failure: over-delete. The error carries the shard and
 	// unwraps to the public MultiplicityError; the engine is unchanged.
-	before := publicResultMap(s.Enumerate)
+	before, _ := bag(s.All())
 	b := s.NewBatch()
 	for v := int64(0); v < 16; v++ {
 		b.Insert("R", []int64{v, v})
@@ -243,7 +114,10 @@ func TestShardedErrors(t *testing.T) {
 	} else if me.Relation != "S" || me.Have != 0 || me.Delta != -2 {
 		t.Errorf("MultiplicityError = %+v", me)
 	}
-	requireSameResults(t, "failed commit", publicResultMap(s.Enumerate), before)
+	after, _ := bag(s.All())
+	if err := diff(after, before); err != nil {
+		t.Errorf("the failed commit changed the result: %v", err)
+	}
 
 	// A foreign batch is rejected: engine batches do not commit to sharded
 	// engines and vice versa.
@@ -292,9 +166,7 @@ func TestShardedShardKey(t *testing.T) {
 // Close that is idempotent and leaves the engine committing. It also pins
 // Shards and ShardKey on an engine from New.
 func TestShardedEngineSurface(t *testing.T) {
-	e, s := shardedPair(t, "Q(A, B, C) = R(A, B), S(A, C)", 2, rand.New(rand.NewSource(5)), 40, 9)
-	defer e.Close()
-	defer s.Close()
+	e, s := built(t, target{query: star, eps: 0.5}, 5, 40, 9), built(t, target{query: star, eps: 0.5, shards: 2}, 5, 40, 9)
 
 	if n := e.Shards(); n != 1 {
 		t.Errorf("New engine: Shards() = %d, want 1", n)
@@ -357,16 +229,18 @@ func TestShardedEngineSurface(t *testing.T) {
 	if err := s.Commit(sb); err != nil {
 		t.Fatalf("Commit after Close: %v", err)
 	}
-	requireSameResults(t, "commit after Close", publicResultMap(s.Enumerate), publicResultMap(e.Enumerate))
+	sr, _ := bag(s.All())
+	er, _ := bag(e.All())
+	if err := diff(sr, er); err != nil {
+		t.Errorf("commit after Close: %v", err)
+	}
 }
 
 // TestShardedCommitSteadyStateZeroAllocs pins the public sharded commit
 // path — Batch build with id stamping, scatter, two-phase apply across 4
 // shards — at zero heap allocations per warm cycle.
 func TestShardedCommitSteadyStateZeroAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	_, s := shardedPair(t, "Q(A, B, C) = R(A, B), S(A, C)", 4, rng, 200, 40)
-	defer s.Close()
+	s := built(t, target{query: star, eps: 0.5, shards: 4}, 43, 200, 40)
 	const rows = 32
 	buf := make([][]int64, 2*rows)
 	flat := make([]int64, 4*rows)
@@ -413,9 +287,7 @@ func TestShardedCommitSteadyStateZeroAllocs(t *testing.T) {
 // than a pass stopped after its first row. internal/core's
 // TestEnumerateZeroAllocsPerRow pins the iterators themselves.
 func TestAllZeroAllocsPerRow(t *testing.T) {
-	e, s := shardedPair(t, "Q(A, B, C) = R(A, B), S(A, C)", 2, rand.New(rand.NewSource(3)), 3000, 300)
-	defer e.Close()
-	defer s.Close()
+	e, s := built(t, target{query: star, eps: 0.5}, 3, 3000, 300), built(t, target{query: star, eps: 0.5, shards: 2}, 3, 3000, 300)
 	if _, concat := s.ShardKey(); !concat {
 		t.Fatal("the star query does not gather by concatenation")
 	}
@@ -458,9 +330,7 @@ func TestAllZeroAllocsPerRow(t *testing.T) {
 // single-tuple Apply, a zero-mult Apply, and an unknown-relation ApplyBatch
 // with no rows, which the two used to treat differently.
 func TestShardedStatsCountCommitsLikeEngine(t *testing.T) {
-	e, s := shardedPair(t, "Q(A, B, C) = R(A, B), S(A, C)", 1, rand.New(rand.NewSource(3)), 20, 5)
-	defer e.Close()
-	defer s.Close()
+	e, s := built(t, target{query: star, eps: 0.5}, 3, 20, 5), built(t, target{query: star, eps: 0.5, shards: 1}, 3, 20, 5)
 	drive := func(x *ivmeps.Engine) (ivmeps.Stats, []error) {
 		b := x.NewBatch().Insert("R", []int64{70, 1}).Insert("S", []int64{70, 2})
 		errs := []error{
@@ -514,58 +384,16 @@ func loadTargets(t *testing.T, qs string) map[string]*ivmeps.Engine {
 	return out
 }
 
-// TestLoadBuildMatchesPreprocess: rows loaded one by one and built are the
-// state core.Preprocess computes from a database of the same rows, with
-// every shard's invariants intact — on an engine from New and on sharded
-// engines, for a query whose one relation routes each
-// row to two shards and for one with a broadcast component.
+// TestLoadBuildMatchesPreprocess: rows loaded one by one and built are
+// naive's result, with N and every shard's invariants intact — on an engine
+// from New and on sharded engines, for a query whose one relation routes
+// each row to two shards and for one with a broadcast component.
 func TestLoadBuildMatchesPreprocess(t *testing.T) {
-	for _, qs := range []string{
-		"Q(A, C) = R(A, B), S(B, C)",
-		"Q(A, B) = R(A, B), R(B, A)",
-		"Q(A, C) = R(A, B), S(C, D)",
-	} {
-		q := query.MustParse(qs)
-		rng := rand.New(rand.NewSource(23))
-		db := naive.Database{}
-		rows := map[string][][]int64{}
-		for _, a := range q.Atoms {
-			if db[a.Rel] != nil {
-				continue
-			}
-			db[a.Rel] = relation.New(a.Rel, a.Vars)
-			for i := 0; i < 120; i++ { // domain 7: duplicates accumulate multiplicity
-				row := []int64{rng.Int63n(7), rng.Int63n(7)}
-				rows[a.Rel] = append(rows[a.Rel], row)
-				db[a.Rel].MustAdd(tuple.Tuple(row), 1)
-			}
-		}
-		ref, err := core.New(q, core.Options{Epsilon: 0.5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := core.Preprocess(ref, db); err != nil {
-			t.Fatal(err)
-		}
-		want := publicResultMap(func(y func([]int64, int64) bool) {
-			ref.Enumerate(func(tu tuple.Tuple, m int64) bool { return y(tu, m) })
-		})
-		for name, l := range loadTargets(t, qs) {
-			for rel, rs := range rows {
-				if err := l.Load(rel, rs...); err != nil {
-					t.Fatalf("%s on %s: Load: %v", name, qs, err)
-				}
-			}
-			if err := l.Build(); err != nil {
-				t.Fatalf("%s on %s: Build: %v", name, qs, err)
-			}
-			requireSameResults(t, name+" on "+qs, publicResultMap(l.Enumerate), want)
-			if l.N() != ref.N() {
-				t.Errorf("%s on %s: N = %d, want %d", name, qs, l.N(), ref.N())
-			}
-			if err := l.CheckInvariants(); err != nil {
-				t.Errorf("%s on %s: %v", name, qs, err)
-			}
+	for _, qs := range []string{twoPath, "Q(A, B) = R(A, B), R(B, A)", "Q(A, C) = R(A, B), S(C, D)"} {
+		for _, k := range []int{0, 1, 2, 4} {
+			sc := newScenario(t, target{query: qs, eps: 0.5, shards: k}, 23)
+			sc.load(gen{load: 120, domain: 7}) // duplicates accumulate multiplicity
+			sc.end()
 		}
 	}
 }
@@ -600,7 +428,9 @@ func TestLoadErrorParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Only the accepted rows are there: R(1,2) twice and R(2,1) three times.
-		requireSameResults(t, name, publicResultMap(l.Enumerate), map[string]int64{"[1 2]": 6, "[2 1]": 6})
+		if got, _ := bag(l.All()); diff(got, state{"[1 2]": 6, "[2 1]": 6}) != nil {
+			t.Errorf("%s: result %v, want R(1,2) twice and R(2,1) three times, joined", name, got)
+		}
 		if l.N() != 2 {
 			t.Errorf("%s: N = %d after two distinct rows, want 2", name, l.N())
 		}
