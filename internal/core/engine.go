@@ -119,10 +119,11 @@ type Engine struct {
 	slot map[tuple.Variable]int
 
 	// ectx is the engine's own enumeration context, over rels itself;
-	// snapshots carry their own over a frozen copy (snapshot.go).
-	// scratchVals and scratchFlags size the per-node scratch of a context:
-	// the sums of the regions buildInfo hands out.
-	ectx                      enumCtx
+	// snapshots carry their own over a frozen copy (snapshot.go), recycled
+	// through freeCtxs. scratchVals and scratchFlags size the per-node
+	// scratch of a context: the sums of the regions buildInfo hands out.
+	ectx                      *enumCtx
+	freeCtxs                  ctxList
 	scratchVals, scratchFlags int
 
 	// freeSlots are the slots of free(Q) in head order.

@@ -39,6 +39,7 @@ import (
 // lookups of n's descendants, openCursor is done with its key before it
 // returns, and no scratch is live across a next() return — two iterators
 // over one context, sequential or nested, cannot meet in a region.
+// trees holds closed Iterators' trees for reuse; open counts unclosed ones.
 type enumCtx struct {
 	e     *Engine
 	rels  []*relation.Relation
@@ -47,13 +48,15 @@ type enumCtx struct {
 	vals  tuple.Tuple
 	flags []bool
 	work  *int64
+	trees []Iterator
+	open  int
 }
 
-func (e *Engine) newEnumCtx(rels []*relation.Relation, work *int64) enumCtx {
+func (e *Engine) newEnumCtx(rels []*relation.Relation, work *int64) *enumCtx {
 	nv := len(e.vars)
 	vals := make(tuple.Tuple, nv+e.scratchVals)
 	flags := make([]bool, nv+e.scratchFlags)
-	return enumCtx{e: e, rels: rels, bind: vals[:nv:nv], bound: flags[:nv:nv], vals: vals[nv:], flags: flags[nv:], work: work}
+	return &enumCtx{e: e, rels: rels, bind: vals[:nv:nv], bound: flags[:nv:nv], vals: vals[nv:], flags: flags[nv:], work: work}
 }
 
 func (c *enumCtx) tick() { *c.work++ }
@@ -591,17 +594,38 @@ func (u *unionIter) close() {
 // each component's view trees.
 type Iterator struct {
 	c    *enumCtx
-	top  resultIter
+	top  resultIter // nil once Close has handed the tree back to c
 	out  tuple.Tuple
 	done bool
 }
 
-// result opens an iterator over the context's view of the query result.
+// result opens an iterator over the context's view of the query result; it
+// inlines, so a caller that closes the Iterator keeps it on its stack.
 func (c *enumCtx) result() *Iterator {
+	it := new(Iterator)
+	c.openInto(it)
+	return it
+}
+
+// openInto opens it, reopening a tree a closed Iterator handed back before it
+// builds a new one: the open grounds its nodes anew, so a reused tree ticks
+// the same cursor advances as a new one.
+func (c *enumCtx) openInto(it *Iterator) {
 	// Reset bindings.
 	for i := range c.bound {
 		c.bound[i] = false
 	}
+	if len(c.trees) == 0 {
+		c.trees = append(c.trees, Iterator{c: c, top: c.newTop(), out: make(tuple.Tuple, len(c.e.freeSlots))})
+	}
+	*it = c.trees[len(c.trees)-1]
+	c.trees = c.trees[:len(c.trees)-1]
+	c.open++
+	it.top.open()
+}
+
+// newTop builds the iterator tree over the whole forest.
+func (c *enumCtx) newTop() resultIter {
 	var comps []resultIter
 	for _, comp := range c.e.forest.Components {
 		var trees []resultIter
@@ -614,14 +638,10 @@ func (c *enumCtx) result() *Iterator {
 			comps = append(comps, newUnion(trees))
 		}
 	}
-	var top resultIter
 	if len(comps) == 1 {
-		top = comps[0]
-	} else {
-		top = newProd(comps)
+		return comps[0]
 	}
-	top.open()
-	return &Iterator{c: c, top: top, out: make(tuple.Tuple, len(c.e.freeSlots))}
+	return newProd(comps)
 }
 
 // Result opens an iterator over the current query result, reading the live
@@ -654,11 +674,44 @@ func (it *Iterator) Next() (tuple.Tuple, int64, bool) {
 	return it.out, m, true
 }
 
-// Close releases the iterator's bindings.
+// Close releases the iterator's bindings and hands its tree back to the
+// context for reuse; Next then returns false, and a second Close does nothing.
 func (it *Iterator) Close() {
+	if it.top == nil {
+		return
+	}
 	if !it.done {
 		it.top.close()
-		it.done = true
+	}
+	forget(it.top)
+	it.c.trees = append(it.c.trees, Iterator{c: it.c, top: it.top, out: it.out})
+	it.c.open--
+	*it = Iterator{done: true}
+}
+
+// forget drops a closed tree's references into the relations it last read —
+// relation and index handles, and tuples that alias a store's key column — in
+// every node, opened this time or not, so a kept tree pins no retired store.
+// The next open sets them again.
+func forget(r resultIter) {
+	switch it := r.(type) {
+	case *nodeIter:
+		it.rel, it.ix, it.curT = nil, nil, nil
+		if it.prod != nil {
+			forget(it.prod)
+		}
+		for _, g := range it.insts {
+			g.h = nil
+			forget(g.prod)
+		}
+	case *prodIter:
+		for _, s := range it.subs {
+			forget(s)
+		}
+	case *unionIter:
+		for _, s := range it.subs {
+			forget(s)
+		}
 	}
 }
 

@@ -22,11 +22,13 @@ func mallocsOf(f func()) uint64 {
 }
 
 // TestEnumerateZeroAllocsPerRow pins the read side's allocation budget: an
-// enumeration allocates when it opens (the iterator tree, a few objects per
-// heavy key) and never per row. A full pass minus a pass stopped after its
-// first row, per row, is below 0.01, and Next on an open iterator is 0 —
-// with heavy keys present (two-path at ε = 0.5), on a q-hierarchical star
-// and on a free-connex query, on the live relations and on a snapshot.
+// enumeration allocates its iterator tree, a few objects per heavy key, on
+// its context's first open only; a later open reuses it and allocates at
+// most the Iterator handle, and no row allocates. A full pass minus a pass
+// stopped after its first row, per row, is below 0.001, and Next on an open
+// iterator is 0 — with heavy keys present (two-path at ε = 0.5), on a
+// q-hierarchical star and on a free-connex query, on the live relations and
+// on a snapshot.
 func TestEnumerateZeroAllocsPerRow(t *testing.T) {
 	cases := []struct {
 		query     string
@@ -72,14 +74,17 @@ func TestEnumerateZeroAllocsPerRow(t *testing.T) {
 			}
 			rows := pass(1 << 30) // warm: lazily built indexes, the runtime's own caches
 			if rows < 5000 {
-				t.Fatalf("%s %s: only %d rows, too few to resolve 0.01 allocations per row", tc.query, src.name, rows)
+				t.Fatalf("%s %s: only %d rows, too few to resolve 0.001 allocations per row", tc.query, src.name, rows)
 			}
 			full := mallocsOf(func() { pass(1 << 30) })
 			open := mallocsOf(func() { pass(1) })
 			perRow := (float64(full) - float64(open)) / float64(rows)
 			t.Logf("%s %s: %d rows, %d allocations to open, %d for a full pass: %.5f per row", tc.query, src.name, rows, open, full, perRow)
-			if perRow >= 0.01 {
-				t.Errorf("%s %s: %.4f allocations per row, want < 0.01", tc.query, src.name, perRow)
+			if perRow >= 0.001 {
+				t.Errorf("%s %s: %.5f allocations per row, want < 0.001", tc.query, src.name, perRow)
+			}
+			if open > 1 {
+				t.Errorf("%s %s: %d allocations to open, want at most 1 (the Iterator handle)", tc.query, src.name, open)
 			}
 			it := src.result()
 			if a := testing.AllocsPerRun(1000, func() { it.Next() }); a != 0 {

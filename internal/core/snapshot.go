@@ -96,9 +96,47 @@ type Snapshot struct {
 	e      *Engine
 	epoch  uint64
 	work   int64
-	ctx    enumCtx
+	ctx    *enumCtx
 	gen    *snapGen
 	closed bool
+}
+
+// ctxList is the engine's free list of closed snapshots' contexts, capped at
+// maxFreeCtxs. Its own mutex keeps Snapshot.Close, on any goroutine, off e.mu;
+// a plain slice, unlike a sync.Pool, survives garbage collections.
+type ctxList struct {
+	mu   sync.Mutex
+	list []*enumCtx
+}
+
+// maxFreeCtxs is the most snapshots bench/'s workloads hold open at once on
+// one engine: svc-mixed and svc-durable reach 2, lib-skew and lib-grow 1.
+const maxFreeCtxs = 2
+
+// takeCtx returns a freed context, or a new one, over rels counting into work.
+func (e *Engine) takeCtx(rels []*relation.Relation, work *int64) *enumCtx {
+	l := &e.freeCtxs
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if n := len(l.list); n > 0 {
+		c := l.list[n-1]
+		l.list = l.list[:n-1]
+		c.rels, c.work = rels, work
+		return c
+	}
+	return e.newEnumCtx(rels, work)
+}
+
+// putCtx hands a context no iterator is open on back to the free list. Its
+// trees point into no relation (Iterator.Close made them forget).
+func (e *Engine) putCtx(c *enumCtx) {
+	c.rels, c.work = nil, nil
+	l := &e.freeCtxs
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.list) < maxFreeCtxs {
+		l.list = append(l.list, c)
+	}
 }
 
 // Snapshot captures a read-only view of the current committed state. It
@@ -139,7 +177,7 @@ func (e *Engine) snapshotLocked() *Snapshot {
 	g.refs++
 	g.mu.Unlock()
 	s := &Snapshot{e: e, epoch: e.epoch, gen: g}
-	s.ctx = e.newEnumCtx(g.rels, &s.work)
+	s.ctx = e.takeCtx(g.rels, &s.work)
 	return s
 }
 
@@ -169,7 +207,8 @@ func (s *Snapshot) Work() int64 { return s.work }
 
 // Close drops the snapshot's reference on its generation; when the last
 // snapshot of a superseded generation closes, the generation's pins are
-// released and the writer can mutate those relations in place again. It is
+// released and the writer can mutate those relations in place again. With no
+// iterator open, its context goes to the engine's free list. It is
 // idempotent; the snapshot must not be used afterwards.
 func (s *Snapshot) Close() {
 	if s.closed {
@@ -177,4 +216,7 @@ func (s *Snapshot) Close() {
 	}
 	s.closed = true
 	s.gen.release()
+	if s.ctx.open == 0 {
+		s.e.putCtx(s.ctx)
+	}
 }

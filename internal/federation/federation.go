@@ -664,6 +664,15 @@ type Snapshot struct {
 	epoch  uint64
 	snaps  []*core.Snapshot
 	closed bool
+	gather *gather // kept for the next aggregate pass
+}
+
+// gather is an aggregate pass's state: distinct rows in buf, summed mults.
+type gather struct {
+	agg   tuple.IntMap
+	buf   tuple.Tuple
+	rows  []tuple.Tuple
+	mults []int64
 }
 
 // Snapshot captures a read-only view of the current committed federation
@@ -716,28 +725,32 @@ func (s *Snapshot) Enumerate(yield func(t tuple.Tuple, m int64) bool) {
 		}
 		return
 	}
-	var agg tuple.IntMap
-	var buf tuple.Tuple
-	var rows []tuple.Tuple
-	var mults []int64
+	g := s.gather
+	if g == nil {
+		g = new(gather)
+	}
+	s.gather = nil // taken: a nested pass builds its own
+	defer func() { s.gather = g }()
+	g.agg.Reset()
+	g.buf, g.rows, g.mults = g.buf[:0], g.rows[:0], g.mults[:0]
 	for _, sh := range s.snaps {
 		sh.Enumerate(func(t tuple.Tuple, m int64) bool {
-			gi, h, ok := agg.GetHash(t)
+			gi, h, ok := g.agg.GetHash(t)
 			if ok {
-				mults[gi] += m
+				g.mults[gi] += m
 				return true
 			}
-			start := len(buf)
-			buf = append(buf, t...)
-			key := buf[start:len(buf):len(buf)]
-			agg.PutHashed(h, key, len(rows))
-			rows = append(rows, key)
-			mults = append(mults, m)
+			start := len(g.buf)
+			g.buf = append(g.buf, t...)
+			key := g.buf[start:len(g.buf):len(g.buf)]
+			g.agg.PutHashed(h, key, len(g.rows))
+			g.rows = append(g.rows, key)
+			g.mults = append(g.mults, m)
 			return true
 		})
 	}
-	for i, r := range rows {
-		if !yield(r, mults[i]) {
+	for i, r := range g.rows {
+		if !yield(r, g.mults[i]) {
 			return
 		}
 	}
