@@ -65,7 +65,7 @@ test:
 # than TEST_FLOOR (subtests count, as `go test -v` prints them). A change
 # that adds tests raises the floor to its new count; one that deletes a test
 # on purpose lowers it in the same diff and says why.
-TEST_FLOOR = 575
+TEST_FLOOR = 579
 
 test-count:
 	@log=$$(mktemp); $(GO) test -v ./... > $$log 2>&1; status=$$?; \
@@ -182,12 +182,13 @@ api-update:
 
 # The line count simplification PRs quote (ROADMAP process notes): non-test
 # Go lines outside bench/, all of them and without comment-only lines, then
-# the same for the storage layer and the engine.
+# the same for the storage layer, the tuple layer and the engine.
 LOC_FILES = find $(1) -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*'
 LOC_COUNT = $$($(call LOC_FILES,$(1)) | xargs cat | wc -l) with comments, $$($(call LOC_FILES,$(1)) | xargs cat | grep -vc '^[[:space:]]*//') without comment-only lines
 loc:
 	@echo "non-test .go lines outside bench/: $(call LOC_COUNT,.)"
 	@echo "internal/relation: $(call LOC_COUNT,internal/relation)"
+	@echo "internal/tuple: $(call LOC_COUNT,internal/tuple)"
 	@echo "internal/core: $(call LOC_COUNT,internal/core)"
 
 # Full experiment sweep (slow); see cmd/hiqbench for options.

@@ -19,6 +19,7 @@ package main
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -27,6 +28,7 @@ import (
 )
 
 type shell struct {
+	out     io.Writer // where command output goes
 	q       *ivmeps.Query
 	eps     float64
 	engine  *ivmeps.Engine
@@ -35,10 +37,16 @@ type shell struct {
 }
 
 func main() {
-	sh := &shell{eps: 0.5}
-	fmt.Println("ivm-eps shell — 'help' for commands")
-	sc := bufio.NewScanner(os.Stdin)
-	fmt.Print("> ")
+	sh := &shell{out: os.Stdout, eps: 0.5}
+	sh.run(os.Stdin)
+}
+
+// run executes the commands read from in, one a line, prompting for each,
+// until in ends or a command quits.
+func (sh *shell) run(in io.Reader) {
+	fmt.Fprintln(sh.out, "ivm-eps shell — 'help' for commands")
+	sc := bufio.NewScanner(in)
+	fmt.Fprint(sh.out, "> ")
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line != "" {
@@ -46,7 +54,7 @@ func main() {
 				return
 			}
 		}
-		fmt.Print("> ")
+		fmt.Fprint(sh.out, "> ")
 	}
 }
 
@@ -55,7 +63,7 @@ func (sh *shell) exec(line string) bool {
 	cmd := fields[0]
 	switch cmd {
 	case "help":
-		fmt.Println(`commands:
+		fmt.Fprintln(sh.out, `commands:
   query <Q(F) = R(X), ...>   set the query (before build)
   eps <0..1>                 set the trade-off parameter (before build)
   build                      run preprocessing over the loaded tuples
@@ -72,42 +80,42 @@ func (sh *shell) exec(line string) bool {
 	case "query":
 		q, err := ivmeps.ParseQuery(strings.TrimSpace(strings.TrimPrefix(line, "query")))
 		if err != nil {
-			fmt.Println("error:", err)
+			fmt.Fprintln(sh.out, "error:", err)
 			return true
 		}
 		sh.q = q
 		sh.engine = nil
 		sh.built = false
-		fmt.Println("query set:", q)
+		fmt.Fprintln(sh.out, "query set:", q)
 	case "eps":
 		if len(fields) != 2 {
-			fmt.Println("usage: eps <0..1>")
+			fmt.Fprintln(sh.out, "usage: eps <0..1>")
 			return true
 		}
 		v, err := strconv.ParseFloat(fields[1], 64)
 		if err != nil || v < 0 || v > 1 {
-			fmt.Println("error: eps must be in [0, 1]")
+			fmt.Fprintln(sh.out, "error: eps must be in [0, 1]")
 			return true
 		}
 		sh.eps = v
-		fmt.Printf("eps = %v\n", v)
+		fmt.Fprintf(sh.out, "eps = %v\n", v)
 	case "classify":
 		if sh.q == nil {
-			fmt.Println("error: set a query first")
+			fmt.Fprintln(sh.out, "error: set a query first")
 			return true
 		}
 		c := sh.q.Classify()
-		fmt.Printf("%+v\n", c)
+		fmt.Fprintf(sh.out, "%+v\n", c)
 	case "build":
 		if err := sh.build(); err != nil {
-			fmt.Println("error:", err)
+			fmt.Fprintln(sh.out, "error:", err)
 		} else {
-			fmt.Printf("built (N=%d, eps=%v)\n", sh.engine.N(), sh.eps)
+			fmt.Fprintf(sh.out, "built (N=%d, eps=%v)\n", sh.engine.N(), sh.eps)
 		}
 	case "insert", "delete":
 		rel, row, err := parseRow(fields)
 		if err != nil {
-			fmt.Println("error:", err)
+			fmt.Fprintln(sh.out, "error:", err)
 			return true
 		}
 		mult := int64(1)
@@ -115,7 +123,7 @@ func (sh *shell) exec(line string) bool {
 			mult = -1
 		}
 		if err := sh.apply(rel, row, mult); err != nil {
-			fmt.Println("error:", err)
+			fmt.Fprintln(sh.out, "error:", err)
 		}
 	case "result":
 		if !sh.ensureBuilt() {
@@ -133,37 +141,37 @@ func (sh *shell) exec(line string) bool {
 			for i, v := range row {
 				parts[i] = strconv.FormatInt(v, 10)
 			}
-			fmt.Printf("(%s) x%d\n", strings.Join(parts, ", "), m)
+			fmt.Fprintf(sh.out, "(%s) x%d\n", strings.Join(parts, ", "), m)
 			n++
 			return n < limit
 		})
 		if n == 0 {
-			fmt.Println("(empty)")
+			fmt.Fprintln(sh.out, "(empty)")
 		}
 	case "count":
 		if !sh.ensureBuilt() {
 			return true
 		}
-		fmt.Println(sh.engine.Count())
+		fmt.Fprintln(sh.out, sh.engine.Count())
 	case "stats":
 		if !sh.ensureBuilt() {
 			return true
 		}
-		fmt.Printf("%+v\n", sh.engine.Stats())
+		fmt.Fprintf(sh.out, "%+v\n", sh.engine.Stats())
 	case "explain":
 		if !sh.ensureBuilt() {
 			return true
 		}
-		fmt.Print(sh.engine.Explain())
+		fmt.Fprint(sh.out, sh.engine.Explain())
 	default:
-		fmt.Printf("unknown command %q — try 'help'\n", cmd)
+		fmt.Fprintf(sh.out, "unknown command %q — try 'help'\n", cmd)
 	}
 	return true
 }
 
 func (sh *shell) ensureBuilt() bool {
 	if sh.engine == nil || !sh.built {
-		fmt.Println("error: build first")
+		fmt.Fprintln(sh.out, "error: build first")
 		return false
 	}
 	return true
@@ -202,7 +210,7 @@ func (sh *shell) apply(rel string, row []int64, mult int64) error {
 		return fmt.Errorf("deletes before build are not supported; build first")
 	}
 	sh.pending = append(sh.pending, [3]interface{}{rel, row, mult})
-	fmt.Println("queued (will load at build)")
+	fmt.Fprintln(sh.out, "queued (will load at build)")
 	return nil
 }
 

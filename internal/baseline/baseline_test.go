@@ -33,9 +33,9 @@ func randomDB(q *query.Query, rng *rand.Rand, n int, domain int64) naive.Databas
 func check(t *testing.T, label string, s System, q *query.Query, db naive.Database) {
 	t.Helper()
 	want := naive.MustEval(q, db)
-	got := map[tuple.Key]int64{}
+	got := map[string]int64{}
 	s.Enumerate(func(tu tuple.Tuple, m int64) bool {
-		k := tuple.EncodeKey(tu)
+		k := fmt.Sprint(tu)
 		if _, dup := got[k]; dup {
 			t.Fatalf("%s: duplicate tuple %v", label, tu)
 		}
@@ -46,8 +46,8 @@ func check(t *testing.T, label string, s System, q *query.Query, db naive.Databa
 		t.Fatalf("%s: size %d != %d", label, len(got), want.Size())
 	}
 	want.ForEach(func(tu tuple.Tuple, m int64) {
-		if got[tuple.EncodeKey(tu)] != m {
-			t.Fatalf("%s: tuple %v: got %d want %d", label, tu, got[tuple.EncodeKey(tu)], m)
+		if got[fmt.Sprint(tu)] != m {
+			t.Fatalf("%s: tuple %v: got %d want %d", label, tu, got[fmt.Sprint(tu)], m)
 		}
 	})
 }

@@ -241,16 +241,12 @@ func (e *Engine) prepareLocked(ops []BatchOp) error {
 			// it contributes nothing to the deltas.
 			continue
 		}
-		gi, h, seen := 0, uint64(0), false
+		gi, added := 0, true
 		if !single {
-			gi, h, seen = br.val.GetHash(op.Row)
+			gi, added = br.val.Add(op.Row)
 		}
-		if !seen {
-			gi = len(br.groups)
+		if added {
 			br.groups = append(br.groups, batchGroup{t: op.Row, stored: br.occs[0].base.Mult(op.Row)})
-			if !single {
-				br.val.PutHashed(h, op.Row, gi)
-			}
 		}
 		g := &br.groups[gi]
 		if g.stored+g.net+op.Mult < 0 {
@@ -364,7 +360,7 @@ func (e *Engine) releaseStagedLocked() {
 		br := &e.relTab[id-1]
 		clear(br.groups)
 		br.groups = br.groups[:0]
-		br.val.Reset()
+		br.val.Reset(br.arity)
 		br.touched = false
 	}
 	e.batchTouched = e.batchTouched[:0]
@@ -373,9 +369,9 @@ func (e *Engine) releaseStagedLocked() {
 }
 
 // batchKey is the per-distinct-partition-key state of one applyBatchOcc
-// pass. The key tuple points into the engine's pooled key arena
-// (batchKeyBuf) — for a one-row delta, into the partition route's key
-// scratch — and is valid for the duration of the pass.
+// pass. The key tuple is the partition route's grouping-table key — for a
+// one-row delta, its key scratch — and is valid for the duration of the
+// pass.
 type batchKey struct {
 	key   tuple.Tuple
 	light bool // the key was new or light before the pass: its rows take the light step
@@ -411,33 +407,26 @@ func (e *Engine) applyBatchOcc(rt *relRoutes, d *delta) {
 
 	// Capture the pre-update partition state per distinct key (Figure 19
 	// line 10 needs the pre-update degrees to route to the light parts).
-	// The grouping table, the arena holding the distinct keys (both on the
-	// engine) and each partition's batchKey list are reset, not
-	// reallocated, so this pass allocates only when a delta grows past every
-	// previous one. A one-row delta has one key per partition, left in the
-	// route's key scratch: it needs neither the table nor the arena.
+	// Each partition's grouping table, which numbers and holds its distinct
+	// keys, and its batchKey list are reset, not reallocated, so this pass
+	// allocates only when a delta grows past every previous one. A one-row
+	// delta has one key per partition, left in the route's key scratch: it
+	// needs no table.
 	single := len(d.rows) == 1
-	e.batchKeyBuf = e.batchKeyBuf[:0]
 	for _, pr := range rt.parts {
 		keys := pr.keys[:0]
 		if !single {
-			e.groupMap.Reset()
+			pr.group.Reset(len(pr.p.Key()))
 		}
 		for ri := range d.rows {
-			pr.keyScratch = pr.p.AppendKeyOf(pr.keyScratch[:0], d.rows[ri].t)
+			pr.keyScratch = pr.p.AppendPartKey(pr.keyScratch[:0], d.rows[ri].t)
 			key := pr.keyScratch
-			ki, h, seen := 0, uint64(0), false
+			ki, added := 0, true
 			if !single {
-				ki, h, seen = e.groupMap.GetHash(key)
+				ki, added = pr.group.Add(key)
+				key = pr.group.Key(ki)
 			}
-			if !seen {
-				ki = len(keys)
-				if !single {
-					start := len(e.batchKeyBuf)
-					e.batchKeyBuf = append(e.batchKeyBuf, key...)
-					key = e.batchKeyBuf[start:len(e.batchKeyBuf):len(e.batchKeyBuf)]
-					e.groupMap.PutHashed(h, key, ki)
-				}
+			if added {
 				keys = appendBatchKey(keys, key, pr.p.IsLight(key) || pr.p.Degree(key) == 0)
 			}
 			keys[ki].rows = append(keys[ki].rows, ri)
@@ -513,21 +502,18 @@ func (e *Engine) applyBatchOcc(rt *relRoutes, d *delta) {
 
 // refreshBatchH refreshes ∃H once per distinct indicator key appearing in
 // the delta and propagates the resulting δ(∃H) changes. The distinct-key set
-// is a pooled map, which a one-row delta does not need; keys are copied into
-// its arena because the projection scratch is overwritten per row.
+// is pooled, and a one-row delta does not need it.
 func (e *Engine) refreshBatchH(ir *indRoute, d *delta) {
 	single := len(d.rows) == 1
 	if !single {
-		e.seenKeys.Reset()
+		e.seenKeys.Reset(len(ir.s.ind.Keys))
 	}
 	for i := range d.rows {
 		ir.keyScratch = ir.keyProj.AppendTo(ir.keyScratch[:0], d.rows[i].t)
 		if !single {
-			_, h, ok := e.seenKeys.GetHash(ir.keyScratch)
-			if ok {
+			if _, added := e.seenKeys.Add(ir.keyScratch); !added {
 				continue
 			}
-			e.seenKeys.PutCopyHashed(h, ir.keyScratch, 0)
 		}
 		if dh := e.refreshH(ir.s, ir.keyScratch); dh != 0 {
 			e.propagateIndicator(ir.s, ir.keyScratch, dh)

@@ -15,7 +15,7 @@ import (
 // grouping tables, the delta pool (including the >16-row delta index kept
 // across reuse), and the relations' slab arenas together make repeated
 // batches allocation-free outside genuinely new entries — and prove no
-// tuple.Key string is ever built in batch propagation.
+// encoded key string is ever built in batch propagation.
 
 // TestApplyBatchColdInsertZeroAllocs pins a cold-insert-heavy batch cycle
 // at zero allocations: every run inserts a batch of never-before-seen

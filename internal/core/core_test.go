@@ -120,9 +120,9 @@ func TestDistinctEnumeration(t *testing.T) {
 		if err := Preprocess(e, db); err != nil {
 			t.Fatal(err)
 		}
-		seen := map[tuple.Key]bool{}
+		seen := map[string]bool{}
 		e.Enumerate(func(tu tuple.Tuple, m int64) bool {
-			k := tuple.EncodeKey(tu)
+			k := tu.String()
 			if seen[k] {
 				t.Fatalf("%s: duplicate tuple %v", qs, tu)
 			}

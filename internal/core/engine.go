@@ -101,18 +101,15 @@ type Engine struct {
 	deltaPool []*delta
 
 	// Pooled batch-commit scratch (batch.go), beside the validation state
-	// in the relation table and the batchKey lists on the partition routes:
-	// the first-touched entry order of the staged batch, the per-partition
-	// key-grouping table, the refreshBatchH distinct-key set, and the arena
-	// backing the distinct partition keys of one occurrence pass. All are
-	// reset (capacity kept) rather than reallocated, so repeated batches on
-	// one engine allocate only for genuinely new entries.
+	// in the relation table and the key-grouping tables on the partition
+	// routes: the first-touched entry order of the staged batch and the
+	// refreshBatchH distinct-key set. Both are reset (capacity kept) rather
+	// than reallocated, so repeated batches on one engine allocate only for
+	// genuinely new entries.
 	batchTouched  []int
 	staged        bool // a validated batch is staged (PrepareCommit succeeded)
 	stagedApplied int  // nonzero-mult ops of the staged batch
-	groupMap      tuple.IntMap
-	seenKeys      tuple.IntMap
-	batchKeyBuf   tuple.Tuple
+	seenKeys      relation.Keys
 
 	// Variable slots for enumeration bindings.
 	vars tuple.Schema
@@ -197,15 +194,15 @@ type Stats struct {
 // relEntry is one row of the relation table: an original relation symbol
 // with its occurrences in atom order (each a relRoutes — the occurrence's
 // base relation, partitions and propagation routes, routes.go) and the
-// pooled validation state of commits (batch.go): the tuple-keyed map and
-// distinct-tuple group list are reset, capacity kept, rather than
-// reallocated across batches.
+// pooled validation state of commits (batch.go): the distinct-tuple key set
+// and group list are reset, capacity kept, rather than reallocated across
+// batches.
 type relEntry struct {
 	name    string
 	arity   int
 	occs    []*relRoutes
-	touched bool // entry is on e.batchTouched for the staged batch
-	val     tuple.IntMap
+	touched bool          // entry is on e.batchTouched for the staged batch
+	val     relation.Keys // the staged batch's distinct tuples, numbered as groups
 	groups  []batchGroup
 }
 
@@ -277,6 +274,7 @@ func New(q *query.Query, opts Options) (*Engine, error) {
 		if id == 0 {
 			e.relTab = append(e.relTab, relEntry{name: a.Rel, arity: len(a.Vars)})
 			id = len(e.relTab)
+			e.relTab[id-1].val.Reset(len(a.Vars))
 			e.relIdx[a.Rel] = id
 		}
 		re := &e.relTab[id-1]

@@ -112,7 +112,8 @@ type partRoute struct {
 	keyScratch  tuple.Tuple
 	lightLeaves []*leafPath // LightAtom(rel, key) leaves in the main trees
 	inds        []*indLightRoute
-	keys        []batchKey // the distinct keys of applyBatchOcc's current delta
+	keys        []batchKey    // the distinct keys of applyBatchOcc's current delta
+	group       relation.Keys // numbers those keys, for a delta of more than one row
 }
 
 // indLightRoute routes one occurrence relation into one indicator's L tree.

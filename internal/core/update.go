@@ -24,15 +24,15 @@ import (
 
 // delta is a small relation of weighted tuples. Rows aggregate by tuple:
 // add coalesces equal tuples, by linear scan while the delta is small and
-// through a lazily built tuple-keyed index once it grows. The index is a
-// pooled open-addressing map that survives reset (cleared, not dropped), so
-// repeated >16-row propagation steps through one delta pool stop
+// through a lazily built key set once it grows, whose ids are the rows'
+// positions. The set is pooled: it survives reset and is cleared when next
+// built, so repeated >16-row propagation steps through one delta pool stop
 // reallocating it.
 type delta struct {
 	rows    []weighted
-	buf     tuple.Tuple  // backing storage for row tuples
-	idx     tuple.IntMap // row index by tuple, once rows are many
-	indexed bool         // idx currently holds the rows
+	buf     tuple.Tuple   // backing storage for row tuples, until indexed
+	idx     relation.Keys // the rows' tuples, id = row position, once rows are many
+	indexed bool          // idx currently holds the rows
 }
 
 type weighted struct {
@@ -46,19 +46,16 @@ const deltaLinearMax = 16
 func (d *delta) reset() {
 	d.rows = d.rows[:0]
 	d.buf = d.buf[:0]
-	if d.indexed {
-		d.idx.Reset()
-		d.indexed = false
-	}
+	d.indexed = false
 }
 
 // appendRow appends {t → m} without checking for an existing equal tuple.
-// The tuple is copied into the delta's backing buffer.
-func (d *delta) appendRow(t tuple.Tuple, m int64) int {
+// The tuple is copied into the delta's backing buffer. An indexed delta
+// appends only through add, whose new rows read their tuples from the index.
+func (d *delta) appendRow(t tuple.Tuple, m int64) {
 	start := len(d.buf)
 	d.buf = append(d.buf, t...)
 	d.rows = append(d.rows, weighted{t: d.buf[start:len(d.buf):len(d.buf)], m: m})
-	return len(d.rows) - 1
 }
 
 // add accumulates {t → m} into the delta, aggregating rows by tuple.
@@ -74,18 +71,18 @@ func (d *delta) add(t tuple.Tuple, m int64) {
 			d.appendRow(t, m)
 			return
 		}
+		d.idx.Reset(len(t))
 		for i := range d.rows {
-			d.idx.Put(d.rows[i].t, i)
+			d.idx.Add(d.rows[i].t)
 		}
 		d.indexed = true
 	}
-	i, h, ok := d.idx.GetHash(t)
-	if ok {
+	i, added := d.idx.Add(t)
+	if !added {
 		d.rows[i].m += m
 		return
 	}
-	i = d.appendRow(t, m)
-	d.idx.PutHashed(h, d.rows[i].t, i)
+	d.rows = append(d.rows, weighted{t: d.idx.Key(i), m: m})
 }
 
 // getDelta and putDelta pool deltas (and their row/tuple buffers) across

@@ -667,11 +667,10 @@ type Snapshot struct {
 	gather *gather // kept for the next aggregate pass
 }
 
-// gather is an aggregate pass's state: distinct rows in buf, summed mults.
+// gather is an aggregate pass's state: the distinct rows, numbered in
+// first-seen order, and their summed mults.
 type gather struct {
-	agg   tuple.IntMap
-	buf   tuple.Tuple
-	rows  []tuple.Tuple
+	rows  relation.Keys
 	mults []int64
 }
 
@@ -731,26 +730,20 @@ func (s *Snapshot) Enumerate(yield func(t tuple.Tuple, m int64) bool) {
 	}
 	s.gather = nil // taken: a nested pass builds its own
 	defer func() { s.gather = g }()
-	g.agg.Reset()
-	g.buf, g.rows, g.mults = g.buf[:0], g.rows[:0], g.mults[:0]
+	g.rows.Reset(len(s.f.orig.Free))
+	g.mults = g.mults[:0]
 	for _, sh := range s.snaps {
 		sh.Enumerate(func(t tuple.Tuple, m int64) bool {
-			gi, h, ok := g.agg.GetHash(t)
-			if ok {
+			if gi, added := g.rows.Add(t); !added {
 				g.mults[gi] += m
-				return true
+			} else {
+				g.mults = append(g.mults, m)
 			}
-			start := len(g.buf)
-			g.buf = append(g.buf, t...)
-			key := g.buf[start:len(g.buf):len(g.buf)]
-			g.agg.PutHashed(h, key, len(g.rows))
-			g.rows = append(g.rows, key)
-			g.mults = append(g.mults, m)
 			return true
 		})
 	}
-	for i, r := range g.rows {
-		if !yield(r, g.mults[i]) {
+	for i, m := range g.mults {
+		if !yield(g.rows.Key(i), m) {
 			return
 		}
 	}

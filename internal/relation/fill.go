@@ -137,7 +137,6 @@ func (r *Relation) seal() {
 	neg := false
 	for id := lo; id < hi; id++ {
 		off[tuple.Hash(s.seed, t.key(ID(id)))>>pshift+1]++
-		s.total += s.mults[id]
 		neg = neg || s.mults[id] < 0
 	}
 	for p := 1; p < len(off); p++ {

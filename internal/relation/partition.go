@@ -49,9 +49,9 @@ func (p *Partition) Light() *Relation { return p.light }
 // Key returns the partition key schema S.
 func (p *Partition) Key() tuple.Schema { return p.key }
 
-// AppendKeyOf appends the partition key of t to dst and returns dst; with a
+// AppendPartKey appends the partition key of t to dst and returns dst; with a
 // reused scratch buffer it does not allocate.
-func (p *Partition) AppendKeyOf(dst, t tuple.Tuple) tuple.Tuple { return p.proj.AppendTo(dst, t) }
+func (p *Partition) AppendPartKey(dst, t tuple.Tuple) tuple.Tuple { return p.proj.AppendTo(dst, t) }
 
 // Degree returns |σ_{S=key}R|, the degree of key in the full relation.
 func (p *Partition) Degree(key tuple.Tuple) int { return p.relIx.Count(key) }

@@ -36,7 +36,7 @@ func (opScript) Generate(r *rand.Rand, size int) reflect.Value {
 }
 
 // Property: after any op sequence, the relation agrees with a map model on
-// size, multiplicities, total multiplicity, index counts, and linked-list
+// size, multiplicities, index counts, and linked-list
 // enumeration contents.
 func TestQuickRelationModel(t *testing.T) {
 	f := func(s opScript) bool {
@@ -67,17 +67,12 @@ func TestQuickRelationModel(t *testing.T) {
 		}
 		countA := map[int64]int{}
 		countB := map[int64]int{}
-		var total int64
 		for k, m := range model {
 			if r.Mult(tuple.Tuple{k[0], k[1]}) != m {
 				return false
 			}
 			countA[k[0]]++
 			countB[k[1]]++
-			total += m
-		}
-		if r.TotalMultiplicity() != total {
-			return false
 		}
 		for a, c := range countA {
 			if ixA.Count(tuple.Tuple{a}) != c {

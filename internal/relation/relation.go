@@ -66,6 +66,13 @@
 // outgrew its columns the room to repeat without growing, so a steady-state
 // major rebalance still allocates nothing.
 //
+// # Keyed sets
+//
+// Keys (keys.go), the probe table without deletion, numbers distinct tuples
+// in first-add order for internal/core's batch grouping and
+// internal/federation's gather; a use costs what it adds, not what an
+// earlier use of the pooled set held.
+//
 // # Snapshots
 //
 // Freeze returns a read-only handle pinned to the relation's current store.
@@ -161,7 +168,6 @@ type relStore struct {
 	links   []link // insertion order
 	order   list
 	free    ID // freelist of removed ids, linked via links[id].next
-	total   int64
 	indexes []*ixStore
 	fill    fillState // an open bulk fill (fill.go)
 
@@ -210,9 +216,6 @@ func (r *Relation) Schema() tuple.Schema { return r.schema }
 
 // Size returns |R|, the number of distinct stored tuples, in O(1).
 func (r *Relation) Size() int { return r.s.tab.count }
-
-// TotalMultiplicity returns the sum of all multiplicities.
-func (r *Relation) TotalMultiplicity() int64 { return r.s.total }
 
 // Footprint returns the bytes the relation's storage holds — every column,
 // key arena and probe array, its indexes' included — counted by capacity.
@@ -344,7 +347,6 @@ func (r *Relation) AddHashed(t tuple.Tuple, h uint64, m int64) error {
 		return r.multError(t, have, m)
 	}
 	s.mults[id] = have + m
-	s.total += m
 	if have+m == 0 {
 		s.remove(i, id)
 	}
@@ -386,7 +388,6 @@ func (s *relStore) insert(i, h uint64, t tuple.Tuple, m int64) {
 	for _, ix := range s.indexes {
 		ix.insert(s, id)
 	}
-	s.total += m
 }
 
 // reserve grows every per-entry column of the store, its indexes' included,
@@ -471,12 +472,11 @@ func (r *Relation) detach(empty bool) {
 		links:   cloneCol(old.links, empty),
 		order:   old.order,
 		free:    old.free,
-		total:   old.total,
 		indexes: make([]*ixStore, len(old.indexes)),
 		fill:    old.fill,
 	}
 	if empty {
-		s.order, s.free, s.total, s.fill = noList, End, 0, fillState{}
+		s.order, s.free, s.fill = noList, End, fillState{}
 	}
 	for i, ix := range old.indexes {
 		s.indexes[i] = ix.copy(empty)
@@ -501,7 +501,7 @@ func (r *Relation) Clear() {
 	s := r.s
 	s.tab.clear()
 	s.mults, s.links = s.mults[:0], s.links[:0]
-	s.order, s.free, s.total, s.fill = noList, End, 0, fillState{}
+	s.order, s.free, s.fill = noList, End, fillState{}
 	for _, ix := range s.indexes {
 		ix.clear()
 	}

@@ -132,14 +132,19 @@ func (t *table) grow(n int) {
 		return
 	}
 	old := t.slots
-	t.slots = make([]uint64, size)
-	t.mask = uint64(size - 1)
-	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	t.setSlots(make([]uint64, size))
 	for _, s := range old {
 		if s != 0 {
 			t.slots[t.place(s)] = s
 		}
 	}
+}
+
+// setSlots installs s, whose length is a power of two, as the probe array.
+func (t *table) setSlots(s []uint64) {
+	t.slots = s
+	t.mask = uint64(len(s) - 1)
+	t.shift = uint(64 - bits.TrailingZeros(uint(len(s))))
 }
 
 // footprint is the bytes the table holds, by capacity.

@@ -6,7 +6,7 @@ import (
 )
 
 // Hashing for unencoded tuples. The open-addressing tables of
-// internal/relation (and the pooled grouping maps of internal/core) key
+// internal/relation (its relations, indexes and pooled keyed sets) key
 // directly on Tuple values: a probe hashes the tuple's uint64 values with a
 // wyhash-style multiply-fold mix and compares candidate tuples value by
 // value, so no per-probe key string is ever materialized. Each table carries

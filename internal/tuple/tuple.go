@@ -202,21 +202,6 @@ func (p Projection) AppendTo(dst, t Tuple) Tuple {
 	return dst
 }
 
-// Restrict is a convenience one-shot projection: the values of t (over src)
-// at the positions of the variables of target. It allocates the position
-// table on every call; use Projection in loops.
-func Restrict(t Tuple, src, target Schema) Tuple {
-	out := make(Tuple, 0, len(target))
-	for _, v := range target {
-		j := src.IndexOf(v)
-		if j < 0 {
-			panic(fmt.Sprintf("tuple: restrict: variable %q not in schema %v", v, src))
-		}
-		out = append(out, t[j])
-	}
-	return out
-}
-
 // Equal reports whether two tuples are identical.
 func (t Tuple) Equal(u Tuple) bool {
 	if len(t) != len(u) {
@@ -235,13 +220,6 @@ func (t Tuple) Clone() Tuple {
 	out := make(Tuple, len(t))
 	copy(out, t)
 	return out
-}
-
-// Concat returns t followed by u as a fresh tuple (the paper's ◦ operator).
-func (t Tuple) Concat(u Tuple) Tuple {
-	out := make(Tuple, 0, len(t)+len(u))
-	out = append(out, t...)
-	return append(out, u...)
 }
 
 // Less orders tuples lexicographically; used for deterministic output.
