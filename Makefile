@@ -51,7 +51,7 @@ BENCH_BUILD_RE = ^Benchmark(Build|MajorRebalance|SnapshotFirstWrite)$$
 # tolerance instead of exact equality.
 BENCH_ALLOC_NONDET = ^BenchmarkServer
 
-.PHONY: check test test-count vet race bench-module bench bench-enum bench-build bench-fresh diff-allocs diff-time bench-check bench-check-allocs docs-check api-check api-update loc bench-all
+.PHONY: check test test-count vet race examples bench-module bench bench-enum bench-build bench-fresh diff-allocs diff-time bench-check bench-check-allocs docs-check api-check api-update loc bench-all
 
 check: vet test
 
@@ -65,7 +65,7 @@ test:
 # than TEST_FLOOR (subtests count, as `go test -v` prints them). A change
 # that adds tests raises the floor to its new count; one that deletes a test
 # on purpose lowers it in the same diff and says why.
-TEST_FLOOR = 579
+TEST_FLOOR = 580
 
 test-count:
 	@log=$$(mktemp); $(GO) test -v ./... > $$log 2>&1; status=$$?; \
@@ -98,6 +98,14 @@ race:
 	$(GO) test -race -run 'TestServerLoopback' .
 	$(GO) test -race -run 'TestScenario' .
 	$(GO) test -race ./cmd/ivmd/
+
+# Run every example end to end. Each checks itself and exits non-zero on a
+# failure (log.Fatal): matmul verifies its product, socialfeed its remote
+# watch fold against the engine. `go build ./...` only compiles them.
+EXAMPLES = quickstart retail matmul socialfeed
+
+examples:
+	@for x in $(EXAMPLES); do echo "== examples/$$x"; $(GO) run ./examples/$$x || exit 1; done
 
 # bench/ is its own module, so `./...` never reaches it, yet it compiles
 # against ivmeps, internal/core, internal/federation and internal/server.

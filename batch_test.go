@@ -2,7 +2,12 @@ package ivmeps
 
 import (
 	"errors"
+	"runtime"
 	"testing"
+
+	"ivmeps/internal/naive"
+	"ivmeps/internal/relation"
+	"ivmeps/internal/tuple"
 )
 
 // Tests for the public Batch/Commit surface: builder semantics, atomic
@@ -130,8 +135,8 @@ func mustEpoch(t *testing.T, e *Engine) uint64 {
 
 func assertSameResult(t *testing.T, a, b *Engine) {
 	t.Helper()
-	ar, am := a.Rows()
-	br, bm := b.Rows()
+	ar, am := collect(a.All())
+	br, bm := collect(b.All())
 	if len(ar) != len(br) {
 		t.Fatalf("result sizes differ: %d vs %d", len(ar), len(br))
 	}
@@ -153,7 +158,7 @@ func assertSameResult(t *testing.T, a, b *Engine) {
 // untouched.
 func TestCommitErrorLeavesEngineUnchanged(t *testing.T) {
 	e := mkTwoPath(t)
-	rows, mults := e.Rows()
+	rows, mults := collect(e.All())
 	n, epoch, st := e.N(), mustEpoch(t, e), e.Stats()
 
 	b := e.NewBatch()
@@ -174,7 +179,7 @@ func TestCommitErrorLeavesEngineUnchanged(t *testing.T) {
 	if s := e.Stats(); s != st {
 		t.Fatalf("failed Commit moved stats: %+v vs %+v", s, st)
 	}
-	rows2, mults2 := e.Rows()
+	rows2, mults2 := collect(e.All())
 	if len(rows2) != len(rows) {
 		t.Fatalf("failed Commit changed result size: %d vs %d", len(rows2), len(rows))
 	}
@@ -208,12 +213,10 @@ func TestExportedErrors(t *testing.T) {
 		t.Fatalf("Snapshot before Build: %v, want ErrNotBuilt", err)
 	}
 
-	// ErrNotBuilt, panicked by the enumeration conveniences (the package's
+	// ErrNotBuilt, panicked by the implicit-snapshot reads (the package's
 	// one documented panic).
 	for name, call := range map[string]func(){
-		"Enumerate": func() { e.Enumerate(func([]int64, int64) bool { return true }) },
-		"Rows":      func() { e.Rows() },
-		"Count":     func() { e.Count() },
+		"Count": func() { e.Count() },
 		"All": func() {
 			for range e.All() {
 				break
@@ -304,25 +307,32 @@ func TestExportedErrors(t *testing.T) {
 }
 
 // TestAllIterator covers the range-over-func enumeration: full iteration
-// agrees with Enumerate, early break works, and a Snapshot's All can be
-// ranged repeatedly while the engine moves on.
+// agrees with internal/naive over mkTwoPath's data, early break works, and
+// a Snapshot's All can be ranged repeatedly while the engine moves on.
 func TestAllIterator(t *testing.T) {
 	e := mkTwoPath(t)
+	db := naive.Database{}
+	for _, a := range e.q.q.Atoms {
+		db[a.Rel] = relation.New(a.Rel, a.Vars)
+	}
+	for i := int64(0); i < 24; i++ {
+		db["R"].MustAdd(tuple.Tuple{i, i % 4}, 1)
+		db["S"].MustAdd(tuple.Tuple{i % 4, i}, 1)
+	}
 	want := map[[2]int64]int64{}
-	e.Enumerate(func(row []int64, m int64) bool {
+	naive.MustEval(e.q.q, db).ForEach(func(row tuple.Tuple, m int64) {
 		want[[2]int64{row[0], row[1]}] = m
-		return true
 	})
 	got := map[[2]int64]int64{}
 	for row, m := range e.All() {
 		got[[2]int64{row[0], row[1]}] = m
 	}
 	if len(got) != len(want) {
-		t.Fatalf("All yielded %d tuples, Enumerate %d", len(got), len(want))
+		t.Fatalf("All yielded %d tuples, naive %d", len(got), len(want))
 	}
 	for k, m := range want {
 		if got[k] != m {
-			t.Fatalf("tuple %v: All mult %d, Enumerate %d", k, got[k], m)
+			t.Fatalf("tuple %v: All mult %d, naive %d", k, got[k], m)
 		}
 	}
 	n := 0
@@ -358,6 +368,70 @@ func TestAllIterator(t *testing.T) {
 	}
 	if before != len(want) {
 		t.Fatalf("snapshot count %d, want %d", before, len(want))
+	}
+}
+
+// TestAllBreakUnpins checks that a loop leaving All early pins no
+// generation: the implicit snapshot of Engine.All is closed on break, and
+// so is an explicit snapshot closed after a break out of its All. A pinned
+// generation shows in the next commit, which copies the relations it writes
+// out from under the snapshot; a commit with nothing pinned writes in
+// place. Each measured commit is the minimum of a few repetitions, so a
+// stray runtime allocation does not decide it.
+func TestAllBreakUnpins(t *testing.T) {
+	e := mkTwoPath(t)
+	defer e.Close()
+	mult := int64(1)
+	commit := func() uint64 { // one commit, toggling a row in and out of R
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := e.Apply("R", []int64{1000, 0}, mult); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		mult = -mult
+		return after.Mallocs - before.Mallocs
+	}
+	least := func(read func()) uint64 { // a read, then the commit after it
+		m := ^uint64(0)
+		for i := 0; i < 5; i++ {
+			read()
+			m = min(m, commit())
+		}
+		return m
+	}
+	least(func() { // warm the scratch, the tables and the context free list
+		for range e.All() {
+		}
+	})
+	var held *Snapshot
+	pinned := least(func() {
+		if held != nil {
+			held.Close()
+		}
+		held, _ = e.Snapshot()
+	})
+	held.Close()
+	engineBreak := least(func() {
+		for range e.All() {
+			break
+		}
+	})
+	snapBreak := least(func() {
+		s, err := e.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range s.All() {
+			break
+		}
+		s.Close()
+	})
+	t.Logf("mallocs of the commit after: a held snapshot %d, a break out of Engine.All %d, a break out of Snapshot.All %d",
+		pinned, engineBreak, snapBreak)
+	if engineBreak >= pinned || snapBreak >= pinned {
+		t.Errorf("a break out of All left a generation pinned: the next commit allocates %d (Engine.All) and %d (Snapshot.All), as many as under a held snapshot (%d)",
+			engineBreak, snapBreak, pinned)
 	}
 }
 

@@ -136,15 +136,17 @@ func (sh *shell) exec(line string) bool {
 			}
 		}
 		n := 0
-		sh.engine.Enumerate(func(row []int64, m int64) bool {
+		for row, m := range sh.engine.All() {
 			parts := make([]string, len(row))
 			for i, v := range row {
 				parts[i] = strconv.FormatInt(v, 10)
 			}
 			fmt.Fprintf(sh.out, "(%s) x%d\n", strings.Join(parts, ", "), m)
 			n++
-			return n < limit
-		})
+			if n >= limit {
+				break
+			}
+		}
 		if n == 0 {
 			fmt.Fprintln(sh.out, "(empty)")
 		}

@@ -66,12 +66,12 @@ func main() {
 // inspect lists the directory's checkpoints and segments with whatever can
 // be read from each, flagging damage without judging it (verify does that).
 func inspect(dir string) error {
-	segs, ckpts, err := wal.ScanDir(dir)
+	segs, ckpts, err := wal.ScanDirFS(wal.OSFS, dir)
 	if err != nil {
 		return err
 	}
 	for _, c := range ckpts {
-		ck, err := wal.LoadCheckpoint(c.Path)
+		ck, err := wal.LoadCheckpointFS(wal.OSFS, c.Path)
 		if err != nil {
 			fmt.Printf("checkpoint %s: UNREADABLE: %v\n", c.Path, err)
 			continue
@@ -84,7 +84,7 @@ func inspect(dir string) error {
 			c.Path, ck.Epoch, ck.Query, len(ck.Rels), rows)
 	}
 	for _, s := range segs {
-		sd, err := wal.ReadSegment(s.Path)
+		sd, err := wal.ReadSegmentFS(wal.OSFS, s.Path)
 		if err != nil {
 			fmt.Printf("segment %s: UNREADABLE: %v\n", s.Path, err)
 			continue
@@ -108,7 +108,7 @@ func inspect(dir string) error {
 // real Open would do, and returns the process exit code: 0 clean, 1 torn
 // tail only (recoverable; Open will truncate), 2 corrupt or unreadable.
 func verify(dir string) int {
-	rec, err := wal.BeginRecovery(dir)
+	rec, err := wal.BeginRecoveryFS(wal.OSFS, dir)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ivmwal: %v\n", err)
 		return 2
@@ -123,9 +123,9 @@ func verify(dir string) int {
 	fmt.Printf("replayable tail: %d records, recoverable epoch %d\n", records, rec.LastEpoch)
 	// Replay tolerates a torn final record without reporting it; surface it
 	// here so the operator knows a real Open will truncate.
-	if segs, _, err := wal.ScanDir(dir); err == nil && len(segs) > 0 {
+	if segs, _, err := wal.ScanDirFS(wal.OSFS, dir); err == nil && len(segs) > 0 {
 		last := segs[len(segs)-1]
-		sd, err := wal.ReadSegment(last.Path)
+		sd, err := wal.ReadSegmentFS(wal.OSFS, last.Path)
 		switch {
 		case err != nil:
 			// Replay accepted the log, so an unreadable final segment can only
@@ -147,7 +147,7 @@ func verify(dir string) int {
 // and reports the recovered state. Like any Open, it truncates a torn
 // final record; it appends nothing.
 func replay(dir string) error {
-	rec, err := wal.BeginRecovery(dir)
+	rec, err := wal.BeginRecoveryFS(wal.OSFS, dir)
 	if err != nil {
 		return err
 	}

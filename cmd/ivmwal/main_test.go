@@ -30,7 +30,7 @@ func buildLogDir(t *testing.T) string {
 		Name: "R", Arity: 2,
 		Rows: func(yield func([]int64, int64)) { yield([]int64{1, 2}, 1) },
 	}}
-	if err := wal.WriteCheckpoint(dir, 1, "Q(A, C) = R(A, B), S(B, C)", rels); err != nil {
+	if err := wal.WriteCheckpointFS(wal.OSFS, dir, 1, "Q(A, C) = R(A, B), S(B, C)", rels, false); err != nil {
 		t.Fatal(err)
 	}
 	return dir
@@ -39,9 +39,9 @@ func buildLogDir(t *testing.T) string {
 // lastSegment returns the path of the directory's last segment.
 func lastSegment(t *testing.T, dir string) string {
 	t.Helper()
-	segs, _, err := wal.ScanDir(dir)
+	segs, _, err := wal.ScanDirFS(wal.OSFS, dir)
 	if err != nil || len(segs) == 0 {
-		t.Fatalf("ScanDir: %v (%d segments)", err, len(segs))
+		t.Fatalf("ScanDirFS: %v (%d segments)", err, len(segs))
 	}
 	return segs[len(segs)-1].Path
 }

@@ -123,7 +123,7 @@ func TestCheckpointBoundsReplay(t *testing.T) {
 	if err := sc.eng.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := wal.BeginRecovery(sc.dir)
+	rec, err := wal.BeginRecoveryFS(wal.OSFS, sc.dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -104,7 +104,7 @@ func (e *Engine) LoadWeighted(rel string, row []int64, mult int64) error {
 // Build runs the preprocessing stage over the loaded data — on a sharded
 // engine, whose shards each hold the rows Load routed to them, on all of
 // them in parallel. It must be called exactly once, before any
-// Insert/Delete/Apply/Enumerate. On a durable engine it also writes the
+// Insert/Delete/Apply/All. On a durable engine it also writes the
 // initial checkpoint; if that fails, the engine serves reads of the built
 // state but refuses every mutation with Build's error, since nothing it
 // committed could be recovered.
@@ -280,8 +280,8 @@ func (e *Engine) snapshot() (Snapshot, error) {
 	return Snapshot{e.e.Snapshot()}, nil
 }
 
-// mustSnapshot backs the enumeration conveniences: it panics with
-// ErrNotBuilt where Snapshot would return it.
+// mustSnapshot backs the implicit-snapshot reads, All and Count: it panics
+// with ErrNotBuilt where Snapshot would return it.
 func (e *Engine) mustSnapshot() Snapshot {
 	s, err := e.snapshot()
 	if err != nil {
@@ -306,44 +306,25 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 	return &s, nil
 }
 
-// Enumerate yields every distinct result tuple (over the query's free
-// variables, in head order) with its multiplicity, with O(N^(1−ε)) delay;
-// a sharded engine gathers across its shards (see ShardKey). The row slice
-// is reused between calls; copy it to retain. Return false to stop early.
-//
-// Enumerate takes an implicit Snapshot for the duration of the call, so it
-// observes one committed state and is safe to call from any goroutine,
-// concurrently with Commit/Apply/ApplyBatch and with other readers. To make
-// several reads observe the same state, take an explicit Snapshot instead.
-//
-// Enumerate before Build panics with ErrNotBuilt (the package's one panic
-// on misuse; see the package documentation).
-func (e *Engine) Enumerate(yield func(row []int64, mult int64) bool) {
-	s := e.mustSnapshot()
-	defer s.Close()
-	s.Enumerate(yield)
-}
-
 // All returns an iterator over the current committed result, for use with
 // range: every distinct result tuple (over the query's free variables, in
-// head order) with its multiplicity. Like Enumerate, each ranging takes an
-// implicit Snapshot, so one loop observes one committed state and may run
-// concurrently with updates; the yielded row slice is reused between
-// iterations — copy it to retain.
+// head order) with its multiplicity, with O(N^(1−ε)) delay; a sharded
+// engine gathers across its shards (see ShardKey). The yielded row slice is
+// reused between iterations — copy it to retain. Break to stop early.
+//
+// Each ranging takes an implicit Snapshot, closed when the loop ends, so one
+// loop observes one committed state and may run from any goroutine,
+// concurrently with Commit/Apply/ApplyBatch and with other readers. To make
+// several reads observe the same state, take an explicit Snapshot instead.
 //
 // Ranging over All before Build panics with ErrNotBuilt (the package's one
 // panic on misuse; see the package documentation).
 func (e *Engine) All() iter.Seq2[[]int64, int64] {
-	return func(yield func([]int64, int64) bool) { e.Enumerate(yield) }
-}
-
-// Rows materializes the full result as (row, multiplicity) pairs; intended
-// for small results and tests. Like Enumerate, it reads one committed
-// state via an implicit snapshot, and panics with ErrNotBuilt before Build.
-func (e *Engine) Rows() (rows [][]int64, mults []int64) {
-	s := e.mustSnapshot()
-	defer s.Close()
-	return s.Rows()
+	return func(yield func([]int64, int64) bool) {
+		s := e.mustSnapshot()
+		defer s.Close()
+		s.s.Enumerate(func(t tuple.Tuple, m int64) bool { return yield(t, m) })
+	}
 }
 
 // Count returns the number of distinct result tuples (by enumeration of an
@@ -405,26 +386,16 @@ type Snapshot struct {
 // time. Two snapshots with equal epochs observe identical states.
 func (s *Snapshot) Epoch() uint64 { return s.s.Epoch() }
 
-// Enumerate yields every distinct result tuple of the snapshot's state
-// with its multiplicity, in head order, with the same delay guarantee as
-// the engine's Enumerate. The row slice is reused between calls; copy it to
-// retain. Return false to stop early.
-func (s *Snapshot) Enumerate(yield func(row []int64, mult int64) bool) {
-	s.s.Enumerate(func(t tuple.Tuple, m int64) bool { return yield(t, m) })
-}
-
 // All returns an iterator over the snapshot's state, for use with range:
 // every distinct result tuple with its multiplicity, in head order, with
-// the same delay guarantee as Enumerate. The yielded row slice is reused
-// between iterations; copy it to retain. The iterator may be ranged over
-// several times; every pass enumerates the same committed state.
+// the same delay guarantee as the engine's All. The yielded row slice is
+// reused between iterations; copy it to retain. The iterator may be ranged
+// over several times; every pass enumerates the same committed state.
 func (s *Snapshot) All() iter.Seq2[[]int64, int64] {
-	return func(yield func([]int64, int64) bool) { s.Enumerate(yield) }
+	return func(yield func([]int64, int64) bool) {
+		s.s.Enumerate(func(t tuple.Tuple, m int64) bool { return yield(t, m) })
+	}
 }
-
-// Rows materializes the snapshot's full result as (row, multiplicity)
-// pairs; intended for small results and tests.
-func (s *Snapshot) Rows() (rows [][]int64, mults []int64) { return collect(s.All()) }
 
 // collect copies every pair of seq into fresh rows — sub-slices of one
 // backing array, nil for no rows — and mults.
@@ -452,7 +423,7 @@ func collect(seq iter.Seq2[[]int64, int64]) (rows [][]int64, mults []int64) {
 // state (by enumeration).
 func (s *Snapshot) Count() int {
 	n := 0
-	s.Enumerate(func([]int64, int64) bool { n++; return true })
+	s.s.Enumerate(func(tuple.Tuple, int64) bool { n++; return true })
 	return n
 }
 

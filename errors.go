@@ -21,9 +21,9 @@ import (
 // descriptive errors.
 var (
 	// ErrNotBuilt is returned by mutation and snapshot entry points invoked
-	// before Build, and is the value the enumeration conveniences
-	// (Enumerate, Rows, Count, All) panic with in the same situation — the
-	// package's one panicking misuse; see the package documentation.
+	// before Build, and is the value the implicit-snapshot reads (All,
+	// Count) panic with in the same situation — the package's one panicking
+	// misuse; see the package documentation.
 	ErrNotBuilt = core.ErrNotBuilt
 
 	// ErrUnknownRelation is returned when an update or load names a
@@ -128,8 +128,7 @@ func (e *CorruptLogError) Error() string {
 // retried). The engine degrades to read-only: every further mutation —
 // Insert, Delete, Apply, ApplyBatch, Commit — returns this same error with
 // the in-memory state exactly as it was before the failed commit, while
-// Snapshot, All, Rows, Count, and Enumerate keep serving the last committed
-// state. The failed commit itself was not applied; whether its record
+// Snapshot, All, and Count keep serving the last committed state. The failed commit itself was not applied; whether its record
 // reached stable storage is uncertain, and recovery resolves that honestly:
 // reopen the directory with Open, which replays exactly the records that
 // made it to disk. Match it with errors.As:

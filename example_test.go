@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 
 	"ivmeps"
 )
@@ -18,11 +19,12 @@ func Example() {
 	_ = e.Build()
 	_ = e.Insert("R", []int64{3, 10})
 
-	rows, mults := e.Rows()
-	sort.Slice(rows, func(i, j int) bool { return rows[i][0] < rows[j][0] })
-	for i, r := range rows {
-		fmt.Printf("Q(%d, %d) x%d\n", r[0], r[1], mults[i])
+	var out []string
+	for row, mult := range e.All() {
+		out = append(out, fmt.Sprintf("Q(%d, %d) x%d", row[0], row[1], mult))
 	}
+	sort.Strings(out)
+	fmt.Println(strings.Join(out, "\n"))
 	// Output:
 	// Q(1, 7) x1
 	// Q(2, 7) x1
@@ -51,8 +53,8 @@ func ExampleQuery_Classify() {
 
 // A Snapshot pins one committed state: it keeps enumerating that state —
 // concurrently with ingestion, from any goroutine — no matter how the
-// engine is updated after the capture, while bare Enumerate always sees
-// the latest committed state via an implicit snapshot.
+// engine is updated after the capture, while ranging over the engine's All
+// always sees the latest committed state via an implicit snapshot.
 func Example_snapshot() {
 	q := ivmeps.MustParseQuery("Q(A, C) = R(A, B), S(B, C)")
 	e, _ := ivmeps.New(q, ivmeps.Options{Epsilon: 0.5})
@@ -67,11 +69,12 @@ func Example_snapshot() {
 	_ = e.ApplyBatch("R", [][]int64{{3, 10}, {4, 10}}, nil)
 
 	fmt.Printf("snapshot (epoch %d): %d tuples\n", snap.Epoch(), snap.Count())
-	rows, _ := snap.Rows()
-	sort.Slice(rows, func(i, j int) bool { return rows[i][0] < rows[j][0] })
-	for _, r := range rows {
-		fmt.Printf("  Q(%d, %d)\n", r[0], r[1])
+	var out []string
+	for row := range snap.All() {
+		out = append(out, fmt.Sprintf("  Q(%d, %d)", row[0], row[1]))
 	}
+	sort.Strings(out)
+	fmt.Println(strings.Join(out, "\n"))
 	fmt.Printf("live: %d tuples\n", e.Count())
 	// Output:
 	// snapshot (epoch 1): 2 tuples
@@ -110,11 +113,12 @@ func Example_batch() {
 		fmt.Println("batch rejected:", err)
 	}
 
-	rows, _ := e.Rows()
-	sort.Slice(rows, func(i, j int) bool { return rows[i][0] < rows[j][0] })
-	for _, r := range rows {
-		fmt.Printf("Q(%d, %d)\n", r[0], r[1])
+	var out []string
+	for row := range e.All() {
+		out = append(out, fmt.Sprintf("Q(%d, %d)", row[0], row[1]))
 	}
+	sort.Strings(out)
+	fmt.Println(strings.Join(out, "\n"))
 	// Output:
 	// batch rejected: ivmeps: relation R: delete of [42 42] with multiplicity 1 exceeds available multiplicity 0
 	// Q(2, 7)
@@ -145,7 +149,7 @@ func ExampleEngine_All() {
 // paper's conclusion): loading a measure as the tuple's multiplicity makes
 // every enumerated multiplicity a SUM over the joined group, and loading 1
 // makes it a COUNT.
-func ExampleEngine_Enumerate_aggregates() {
+func ExampleEngine_All_aggregates() {
 	// SUM(spend) per region: Spend(Cust, Day) weighted by amount, joined
 	// with Location(Cust, Region), grouped by the free variable Region.
 	q := ivmeps.MustParseQuery("Total(Region) = Spend(Cust, Day), Location(Cust, Region)")
@@ -156,10 +160,9 @@ func ExampleEngine_Enumerate_aggregates() {
 	_ = e.Load("Location", []int64{1, 100}, []int64{2, 100}, []int64{3, 200})
 	_ = e.Build()
 
-	e.Enumerate(func(row []int64, sum int64) bool {
+	for row, sum := range e.All() {
 		fmt.Printf("region %d: total %d\n", row[0], sum)
-		return true
-	})
+	}
 	// Output:
 	// region 100: total 47
 }
@@ -190,11 +193,12 @@ func Example_sharded() {
 	b.Insert("S", []int64{3, 300})
 	_ = s.Commit(b)
 
-	rows, _ := s.Rows()
-	sort.Slice(rows, func(i, j int) bool { return rows[i][0] < rows[j][0] })
-	for _, r := range rows {
-		fmt.Printf("Q(%d, %d, %d)\n", r[0], r[1], r[2])
+	var out []string
+	for row := range s.All() {
+		out = append(out, fmt.Sprintf("Q(%d, %d, %d)", row[0], row[1], row[2]))
 	}
+	sort.Strings(out)
+	fmt.Println(strings.Join(out, "\n"))
 	// Output:
 	// shard key [A], concatenating gather: true
 	// Q(1, 10, 100)
@@ -225,11 +229,12 @@ func Example_checkpointRecover() {
 
 	r, _ := ivmeps.Open(q, opts)
 	defer r.Close()
-	rows, mults := r.Rows()
-	sort.Slice(rows, func(i, j int) bool { return rows[i][0] < rows[j][0] })
-	for i, row := range rows {
-		fmt.Printf("Q(%d, %d) x%d\n", row[0], row[1], mults[i])
+	var out []string
+	for row, mult := range r.All() {
+		out = append(out, fmt.Sprintf("Q(%d, %d) x%d", row[0], row[1], mult))
 	}
+	sort.Strings(out)
+	fmt.Println(strings.Join(out, "\n"))
 	s, _ := r.Snapshot()
 	defer s.Close()
 	fmt.Printf("epoch %d after %d commits\n", s.Epoch(), 2)

@@ -60,11 +60,10 @@ func main() {
 			got[i] = make([]int64, n)
 		}
 		entries := 0
-		e.Enumerate(func(row []int64, mult int64) bool {
+		for row, mult := range e.All() {
 			got[row[0]][row[1]] = mult
 			entries++
-			return true
-		})
+		}
 		enum := time.Since(start)
 
 		for i := 0; i < n; i++ {

@@ -60,8 +60,7 @@ func main() {
 }
 
 func printResult(e *ivmeps.Engine) {
-	e.Enumerate(func(row []int64, mult int64) bool {
+	for row, mult := range e.All() {
 		fmt.Printf("  Q(%d, %d) ×%d\n", row[0], row[1], mult)
-		return true
-	})
+	}
 }

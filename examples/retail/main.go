@@ -78,15 +78,14 @@ func main() {
 	var count int
 	var maxGap time.Duration
 	last := time.Now()
-	e.Enumerate(func(row []int64, mult int64) bool {
+	for range e.All() {
 		now := time.Now()
 		if gap := now.Sub(last); gap > maxGap && count > 0 {
 			maxGap = gap
 		}
 		last = now
 		count++
-		return true
-	})
+	}
 	fmt.Printf("report: %d distinct (customer, discount, region) rows in %v; worst per-row delay %v\n",
 		count, time.Since(start).Round(time.Millisecond), maxGap)
 

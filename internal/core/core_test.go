@@ -206,9 +206,9 @@ func TestDrainAndRefill(t *testing.T) {
 	}
 	// Delete everything.
 	for _, rel := range q.RelationNames() {
-		for _, ent := range db[rel].Entries() {
-			applyBoth(t, e, db, rel, ent.Tuple, -ent.Mult)
-		}
+		db[rel].Clone().ForEach(func(tp tuple.Tuple, m int64) {
+			applyBoth(t, e, db, rel, tp, -m)
+		})
 	}
 	if e.N() != 0 {
 		t.Fatalf("N = %d after drain", e.N())

@@ -149,7 +149,7 @@ func (e *Engine) Snapshot() *Snapshot {
 	defer e.mu.Unlock()
 	if !e.preprocessed {
 		// The one panicking entry point of the read path (documented on the
-		// public Enumerate/Rows/Count/All): recover sees ErrNotBuilt itself.
+		// public All/Count): recover sees ErrNotBuilt itself.
 		panic(ErrNotBuilt)
 	}
 	return e.snapshotLocked()

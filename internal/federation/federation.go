@@ -1,7 +1,10 @@
 // Package federation scatters a hierarchical query over K independent
 // core engines (shards) and gathers their results, multiplying the
-// engine-level wins — allocation-free commits, per-tree parallel
-// propagation, copy-on-write snapshots — by K mostly-independent workers.
+// engine-level wins — allocation-free commits, copy-on-write snapshots —
+// by K mostly-independent workers. A core engine propagates a commit on the
+// goroutine that makes it, one view tree after another (core starts no
+// goroutines; core.Options.Workers is a no-op): the shards are the only
+// parallelism.
 //
 // # Sharding a hierarchical query
 //
@@ -759,13 +762,4 @@ func (s *Snapshot) Close() {
 	for _, sh := range s.snaps {
 		sh.Close()
 	}
-}
-
-// Enumerate yields every distinct result tuple of the current committed
-// state with its multiplicity through an implicit snapshot, the federation
-// analogue of core's Engine.Enumerate.
-func (f *Fed) Enumerate(yield func(t tuple.Tuple, m int64) bool) {
-	s := f.Snapshot()
-	defer s.Close()
-	s.Enumerate(yield)
 }

@@ -49,6 +49,14 @@ func resultMap(enum func(func(tuple.Tuple, int64) bool)) map[string]int64 {
 	return out
 }
 
+// liveResult reads f's current committed result through a snapshot of its
+// own.
+func liveResult(f *Fed) map[string]int64 {
+	s := f.Snapshot()
+	defer s.Close()
+	return resultMap(s.Enumerate)
+}
+
 func sameResultMap(t *testing.T, label string, got, want map[string]int64) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -166,7 +174,7 @@ func testFederatedMatchesSingleEngine(t *testing.T, qs string, k int, eps float6
 		if fe, re := f.Epoch(), ref.Epoch(); fe != re {
 			t.Fatalf("%s: federation epoch %d, single-engine epoch %d", label, fe, re)
 		}
-		sameResultMap(t, label+"/live", resultMap(f.Enumerate), resultMap(ref.Enumerate))
+		sameResultMap(t, label+"/live", liveResult(f), resultMap(ref.Enumerate))
 		fs, rs := f.Snapshot(), ref.Snapshot()
 		sameResultMap(t, label+"/snapshot", resultMap(fs.Enumerate), resultMap(rs.Enumerate))
 		if fs.Epoch() != f.Epoch() {
@@ -268,7 +276,7 @@ func TestCrossShardAllOrNothing(t *testing.T) {
 	for i, e := range f.shards {
 		shardEpochs[i] = e.Epoch()
 	}
-	before := resultMap(f.Enumerate)
+	before := liveResult(f)
 	n := f.N()
 
 	err = f.CommitBatch(ops)
@@ -295,7 +303,7 @@ func TestCrossShardAllOrNothing(t *testing.T) {
 			t.Errorf("shard %d epoch moved %d → %d on a failed commit", i, shardEpochs[i], got)
 		}
 	}
-	sameResultMap(t, "failed cross-shard commit", resultMap(f.Enumerate), before)
+	sameResultMap(t, "failed cross-shard commit", liveResult(f), before)
 	if got := f.N(); got != n {
 		t.Errorf("N moved %d → %d on a failed commit", n, got)
 	}
@@ -317,7 +325,7 @@ func TestCrossShardAllOrNothing(t *testing.T) {
 	if errors.As(err, &se) {
 		t.Errorf("scatter-time arity error wrongly attributed to shard %d", se.Shard)
 	}
-	sameResultMap(t, "failed scatter", resultMap(f.Enumerate), before)
+	sameResultMap(t, "failed scatter", liveResult(f), before)
 }
 
 // TestShardErrorUnwrap pins the error chain: sentinel values and
@@ -384,7 +392,7 @@ func TestFederationUpdateParity(t *testing.T) {
 		if fe, re := f.Epoch(), ref.Epoch(); fe != re {
 			t.Fatalf("after %v: federation epoch %d, single %d", st, fe, re)
 		}
-		sameResultMap(t, fmt.Sprint(st), resultMap(f.Enumerate), resultMap(ref.Enumerate))
+		sameResultMap(t, fmt.Sprint(st), liveResult(f), resultMap(ref.Enumerate))
 	}
 	if err := f.Update("nope", tuple.Tuple{1}, 1); !errors.Is(err, core.ErrUnknownRelation) {
 		t.Errorf("Update on unknown relation returned %v", err)

@@ -220,15 +220,6 @@ func (ix *Index) ForEachMatch(key tuple.Tuple, fn func(t tuple.Tuple, m int64)) 
 	}
 }
 
-// Matches returns a snapshot of σ_{S=key}R; intended for tests.
-func (ix *Index) Matches(key tuple.Tuple) []Entry {
-	var out []Entry
-	ix.ForEachMatch(key, func(t tuple.Tuple, m int64) {
-		out = append(out, Entry{Tuple: t.Clone(), Mult: m})
-	})
-	return out
-}
-
 // ForEachKey calls fn on one representative (key, bucket-count) per
 // distinct key value, in unspecified order.
 func (ix *Index) ForEachKey(fn func(key tuple.Tuple, count int)) {

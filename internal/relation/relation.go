@@ -115,12 +115,6 @@ type ID uint32
 // End is the ID the cursors return past the last entry.
 const End = ^ID(0)
 
-// Entry is a stored tuple with its multiplicity, copied out of a relation.
-type Entry struct {
-	Tuple tuple.Tuple
-	Mult  int64
-}
-
 // link is an entry's place in a doubly-linked id list.
 type link struct{ prev, next ID }
 
@@ -535,14 +529,6 @@ func (r *Relation) ForEachUntil(fn func(t tuple.Tuple, m int64) bool) {
 			return
 		}
 	}
-}
-
-// Entries returns a snapshot slice of (tuple, multiplicity) pairs in
-// insertion order; intended for tests and small relations.
-func (r *Relation) Entries() []Entry {
-	out := make([]Entry, 0, r.Size())
-	r.ForEach(func(t tuple.Tuple, m int64) { out = append(out, Entry{Tuple: t.Clone(), Mult: m}) })
-	return out
 }
 
 // Clone returns a deep copy of the relation's contents (indexes are not

@@ -131,9 +131,10 @@ func TestIndexBasics(t *testing.T) {
 	if ix.DistinctKeys() != 2 {
 		t.Fatalf("DistinctKeys = %d", ix.DistinctKeys())
 	}
-	ms := ix.Matches(tuple.Tuple{1})
-	if len(ms) != 5 {
-		t.Fatalf("Matches = %d entries", len(ms))
+	ms := 0
+	ix.ForEachMatch(tuple.Tuple{1}, func(tuple.Tuple, int64) { ms++ })
+	if ms != 5 {
+		t.Fatalf("ForEachMatch = %d entries", ms)
 	}
 	// Delete two tuples of key 1 and re-check.
 	r.MustAdd(tuple.Tuple{1, 0}, -1)
@@ -331,10 +332,15 @@ func TestEntriesSnapshotSorted(t *testing.T) {
 	r := New("R", ab())
 	r.MustAdd(tuple.Tuple{2, 1}, 1)
 	r.MustAdd(tuple.Tuple{1, 1}, 2)
-	es := r.Entries()
-	sort.Slice(es, func(i, j int) bool { return es[i].Tuple.Less(es[j].Tuple) })
-	if !es[0].Tuple.Equal(tuple.Tuple{1, 1}) || es[0].Mult != 2 {
-		t.Fatalf("Entries snapshot wrong: %+v", es)
+	type entry struct {
+		tuple tuple.Tuple
+		mult  int64
+	}
+	var es []entry
+	r.ForEach(func(tp tuple.Tuple, m int64) { es = append(es, entry{tp.Clone(), m}) })
+	sort.Slice(es, func(i, j int) bool { return es[i].tuple.Less(es[j].tuple) })
+	if !es[0].tuple.Equal(tuple.Tuple{1, 1}) || es[0].mult != 2 {
+		t.Fatalf("entries snapshot wrong: %+v", es)
 	}
 }
 

@@ -24,7 +24,7 @@ import (
 //	         | per row: arity varint values | varint multiplicity
 //
 // A checkpoint is written to a .tmp file, fsynced, and renamed into place:
-// a crash mid-write leaves only a temporary file that ScanDir removes, so a
+// a crash mid-write leaves only a temporary file that ScanDirFS removes, so a
 // checkpoint is either completely visible or not at all.
 
 // checkpointMagic begins every checkpoint file.
@@ -64,22 +64,18 @@ type Checkpoint struct {
 	Rels []CheckpointData
 }
 
-// WriteCheckpoint serializes a checkpoint of epoch into dir, atomically
-// (temp file + fsync + rename). It does not touch the commit log; call
-// Log.Checkpointed afterwards to retire segments the checkpoint covers.
-func WriteCheckpoint(dir string, epoch uint64, query string, rels []CheckpointRel) error {
-	return WriteCheckpointFS(OSFS, dir, epoch, query, rels, false)
-}
-
-// WriteCheckpointFS is WriteCheckpoint through an explicit VFS. A failure
-// on any step never leaves a visible (renamed) checkpoint: the temp file is
-// removed best-effort, and that removal can never mask the original error —
-// the write/sync/close/rename error is always the one returned. When
-// strictDirSync is set (the engine passes it under SyncAlways), a failed
-// directory fsync after the rename is an error, because the checkpoint's
-// durability against power loss is part of the guarantee there; otherwise
-// it is best-effort (an undurable rename reappears as the pre-checkpoint
-// state, which recovery handles by replaying a longer tail).
+// WriteCheckpointFS serializes a checkpoint of epoch into dir through fs,
+// atomically (temp file + fsync + rename). It does not touch the commit
+// log; call Log.Checkpointed afterwards to retire segments the checkpoint
+// covers. A failure on any step never leaves a visible (renamed)
+// checkpoint: the temp file is removed best-effort, and that removal can
+// never mask the original error — the write/sync/close/rename error is
+// always the one returned. When strictDirSync is set (the engine passes it
+// under SyncAlways), a failed directory fsync after the rename is an error,
+// because the checkpoint's durability against power loss is part of the
+// guarantee there; otherwise it is best-effort (an undurable rename
+// reappears as the pre-checkpoint state, which recovery handles by
+// replaying a longer tail).
 func WriteCheckpointFS(fs VFS, dir string, epoch uint64, query string, rels []CheckpointRel, strictDirSync bool) error {
 	payload := binary.AppendUvarint(nil, epoch)
 	payload = binary.AppendUvarint(payload, uint64(len(query)))
@@ -137,12 +133,7 @@ func WriteCheckpointFS(fs VFS, dir string, epoch uint64, query string, rels []Ch
 	return nil
 }
 
-// LoadCheckpoint reads and verifies one checkpoint file.
-func LoadCheckpoint(path string) (*Checkpoint, error) {
-	return LoadCheckpointFS(OSFS, path)
-}
-
-// LoadCheckpointFS is LoadCheckpoint through an explicit VFS.
+// LoadCheckpointFS reads and verifies one checkpoint file through fs.
 func LoadCheckpointFS(fs VFS, path string) (*Checkpoint, error) {
 	data, err := fs.ReadFile(path)
 	if err != nil {

@@ -174,16 +174,16 @@ func TestCheckpointTempRemoveCannotMaskError(t *testing.T) {
 	if errors.Is(err, errRemove) {
 		t.Fatalf("cleanup error masked the write error: %v", err)
 	}
-	_, ckpts, scanErr := wal.ScanDir(dir)
+	_, ckpts, scanErr := wal.ScanDirFS(wal.OSFS, dir)
 	if scanErr != nil {
-		t.Fatalf("ScanDir: %v", scanErr)
+		t.Fatalf("ScanDirFS: %v", scanErr)
 	}
 	if len(ckpts) != 0 {
 		t.Fatalf("failed checkpoint became visible: %v", ckpts)
 	}
 }
 
-// TestScanDirRemovesStaleTemp checks that ScanDir deletes crash-leftover
+// TestScanDirRemovesStaleTemp checks that ScanDirFS deletes crash-leftover
 // .tmp files, ignores unrelated names, and stays silent when the cleanup
 // itself fails (a stale temporary is inert).
 func TestScanDirRemovesStaleTemp(t *testing.T) {
@@ -196,9 +196,9 @@ func TestScanDirRemovesStaleTemp(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	segs, ckpts, err := wal.ScanDir(dir)
+	segs, ckpts, err := wal.ScanDirFS(wal.OSFS, dir)
 	if err != nil {
-		t.Fatalf("ScanDir: %v", err)
+		t.Fatalf("ScanDirFS: %v", err)
 	}
 	if len(segs) != 0 || len(ckpts) != 0 {
 		t.Fatalf("ScanDir reported stale temporaries as log files: %v %v", segs, ckpts)

@@ -204,16 +204,11 @@ type SegmentData struct {
 	TailEndsFile bool
 }
 
-// ReadSegment reads and decodes one segment file. Decoding stops at the
-// first bad record; the error is reported in SegmentData.Tail rather than
-// returned, because whether it condemns the log depends on context the
-// caller has (is this the final segment? does intact data follow?). A
-// missing or malformed header is returned as a *CorruptError.
-func ReadSegment(path string) (*SegmentData, error) {
-	return ReadSegmentFS(OSFS, path)
-}
-
-// ReadSegmentFS is ReadSegment through an explicit VFS.
+// ReadSegmentFS reads and decodes one segment file through fs. Decoding
+// stops at the first bad record; the error is reported in SegmentData.Tail
+// rather than returned, because whether it condemns the log depends on
+// context the caller has (is this the final segment? does intact data
+// follow?). A missing or malformed header is returned as a *CorruptError.
 func ReadSegmentFS(fs VFS, path string) (*SegmentData, error) {
 	data, err := fs.ReadFile(path)
 	if err != nil {

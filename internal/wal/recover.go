@@ -12,7 +12,7 @@ var ErrNoCheckpoint = errors.New("wal: no loadable checkpoint in log directory")
 
 // Recovery is an in-progress recovery of a log directory: the checkpoint to
 // rebuild state from, plus the scanned segment list for the replay and
-// continuation steps. Use it in order: BeginRecovery, rebuild the engine
+// continuation steps. Use it in order: BeginRecoveryFS, rebuild the engine
 // from Checkpoint, Replay the tail into it, then Continue for the append
 // handle.
 type Recovery struct {
@@ -33,16 +33,11 @@ type Recovery struct {
 	replayed bool
 }
 
-// BeginRecovery scans dir and loads its newest loadable checkpoint. The log
-// tail is not read yet; rebuild the engine from the checkpoint first, then
-// call Replay.
-func BeginRecovery(dir string) (*Recovery, error) {
-	return BeginRecoveryFS(OSFS, dir)
-}
-
-// BeginRecoveryFS is BeginRecovery through an explicit VFS; Replay and
-// Continue inherit it, so a whole recovery (and the Log it produces) runs
-// on one file-operation implementation.
+// BeginRecoveryFS scans dir through fs and loads its newest loadable
+// checkpoint. The log tail is not read yet; rebuild the engine from the
+// checkpoint first, then call Replay. Replay and Continue inherit fs, so a
+// whole recovery (and the Log it produces) runs on one file-operation
+// implementation.
 func BeginRecoveryFS(fs VFS, dir string) (*Recovery, error) {
 	segInfos, ckpts, err := ScanDirFS(fs, dir)
 	if err != nil {

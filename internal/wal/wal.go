@@ -36,7 +36,7 @@
 //
 // # Checkpoints
 //
-// WriteCheckpoint serializes the base relations at one epoch to a
+// WriteCheckpointFS serializes the base relations at one epoch to a
 // temporary file and renames it into place, so a crash mid-checkpoint
 // never leaves a half-visible checkpoint. After a successful checkpoint,
 // segments whose records all fall at or below the checkpoint epoch are
@@ -140,7 +140,7 @@ type segMeta struct {
 // Log is an open commit log: an append handle on the active segment plus
 // the metadata needed to rotate and retire segments. Append may be called
 // from one goroutine at a time (the engine's writer lock provides that);
-// WriteCheckpoint and Retire may run concurrently with Append.
+// WriteCheckpointFS and Retire may run concurrently with Append.
 //
 // A Log is fail-stop: the first append/flush/fsync/rotate error latches a
 // sticky wedged state (WedgedError) and every subsequent Append and
@@ -166,7 +166,7 @@ type Log struct {
 
 // Create opens a fresh log in opts.Dir, creating the directory if needed.
 // It refuses a directory that already contains log segments or checkpoints
-// — recover those with BeginRecovery (ivmeps.Open) instead, or point at an
+// — recover those with BeginRecoveryFS (ivmeps.Open) instead, or point at an
 // empty directory.
 func Create(opts Options) (*Log, error) {
 	opts = opts.normalized()
@@ -411,20 +411,15 @@ type SegInfo struct {
 // CkptInfo names one on-disk checkpoint file.
 type CkptInfo struct {
 	// Epoch is the committed epoch the checkpoint claims to serialize
-	// (from its filename; LoadCheckpoint verifies it).
+	// (from its filename; LoadCheckpointFS verifies it).
 	Epoch uint64
 	// Path is the file path.
 	Path string
 }
 
-// ScanDir lists the segments (in sequence order) and checkpoints (in epoch
-// order) of a log directory. Unrelated files are ignored; temporary
-// checkpoint files left by a crash are removed.
-func ScanDir(dir string) ([]SegInfo, []CkptInfo, error) {
-	return ScanDirFS(OSFS, dir)
-}
-
-// ScanDirFS is ScanDir through an explicit VFS. The .tmp removal is
+// ScanDirFS lists the segments (in sequence order) and checkpoints (in
+// epoch order) of a log directory through fs. Unrelated files are ignored;
+// temporary checkpoint files left by a crash are removed. The removal is
 // best-effort cleanup of crash leftovers — a removal failure is ignored,
 // never surfaced, because a stale temporary is inert (recovery and
 // checkpointing never read .tmp files).

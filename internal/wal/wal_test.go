@@ -28,8 +28,8 @@ func writeTestCheckpoint(t *testing.T, dir string, epoch uint64) {
 			yield([]int64{2, 20}, 1)
 		},
 	}}
-	if err := WriteCheckpoint(dir, epoch, "Q(A, B) = R(A, B)", rels); err != nil {
-		t.Fatalf("WriteCheckpoint: %v", err)
+	if err := WriteCheckpointFS(OSFS, dir, epoch, "Q(A, B) = R(A, B)", rels, false); err != nil {
+		t.Fatalf("WriteCheckpointFS: %v", err)
 	}
 }
 
@@ -109,9 +109,9 @@ func TestSegmentRotationScanAndReplay(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	segs, ckpts, err := ScanDir(dir)
+	segs, ckpts, err := ScanDirFS(OSFS, dir)
 	if err != nil {
-		t.Fatalf("ScanDir: %v", err)
+		t.Fatalf("ScanDirFS: %v", err)
 	}
 	if len(segs) < 3 {
 		t.Fatalf("expected rotation to produce several segments, got %d", len(segs))
@@ -120,9 +120,9 @@ func TestSegmentRotationScanAndReplay(t *testing.T) {
 		t.Fatalf("checkpoints = %+v", ckpts)
 	}
 
-	rec, err := BeginRecovery(dir)
+	rec, err := BeginRecoveryFS(OSFS, dir)
 	if err != nil {
-		t.Fatalf("BeginRecovery: %v", err)
+		t.Fatalf("BeginRecoveryFS: %v", err)
 	}
 	next := uint64(2)
 	if err := rec.Replay(false, func(r Record) error {
@@ -145,9 +145,9 @@ func TestSegmentRotationScanAndReplay(t *testing.T) {
 // segPaths returns the segment paths of dir in sequence order.
 func segPaths(t *testing.T, dir string) []string {
 	t.Helper()
-	segs, _, err := ScanDir(dir)
+	segs, _, err := ScanDirFS(OSFS, dir)
 	if err != nil {
-		t.Fatalf("ScanDir: %v", err)
+		t.Fatalf("ScanDirFS: %v", err)
 	}
 	paths := make([]string, len(segs))
 	for i, s := range segs {
@@ -204,9 +204,9 @@ func TestTornTailTruncation(t *testing.T) {
 		if err := os.WriteFile(work, full[:cut], 0o666); err != nil {
 			t.Fatal(err)
 		}
-		sd, err := ReadSegment(work)
+		sd, err := ReadSegmentFS(OSFS, work)
 		if err != nil {
-			t.Fatalf("cut %d: ReadSegment: %v", cut, err)
+			t.Fatalf("cut %d: ReadSegmentFS: %v", cut, err)
 		}
 		wantRecs, torn := 0, false
 		for k := 1; k < len(ends); k++ {
@@ -253,7 +253,7 @@ func TestReplayTruncatesTornTail(t *testing.T) {
 	if err := os.Truncate(path, st.Size()-3); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := BeginRecovery(dir)
+	rec, err := BeginRecoveryFS(OSFS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestReplayTruncatesTornTail(t *testing.T) {
 		t.Fatalf("replayed %v, want [2 3 4]", replayed)
 	}
 	// fix=true physically truncated the tear: a fresh scan is clean.
-	sd, err := ReadSegment(path)
+	sd, err := ReadSegmentFS(OSFS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestReplayTruncatesTornTail(t *testing.T) {
 	if got := len(segPaths(t, dir)); got != 2 {
 		t.Fatalf("expected 2 segments after continue, got %d", got)
 	}
-	rec2, err := BeginRecovery(dir)
+	rec2, err := BeginRecoveryFS(OSFS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestReplayRejectsMidFileCorruption(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o666); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := BeginRecovery(dir)
+	rec, err := BeginRecoveryFS(OSFS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,9 +356,9 @@ func TestCheckpointRoundTripAndRetirement(t *testing.T) {
 		t.Fatal(err)
 	}
 	writeTestCheckpoint(t, dir, 1)
-	ck, err := LoadCheckpoint(filepath.Join(dir, checkpointName(1)))
+	ck, err := LoadCheckpointFS(OSFS, filepath.Join(dir, checkpointName(1)))
 	if err != nil {
-		t.Fatalf("LoadCheckpoint: %v", err)
+		t.Fatalf("LoadCheckpointFS: %v", err)
 	}
 	if ck.Epoch != 1 || ck.Query != "Q(A, B) = R(A, B)" || len(ck.Rels) != 1 {
 		t.Fatalf("checkpoint = %+v", ck)
@@ -394,7 +394,7 @@ func TestCheckpointRoundTripAndRetirement(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := BeginRecovery(dir)
+	rec, err := BeginRecoveryFS(OSFS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,9 +441,9 @@ func TestRecoveryFallsBackToOlderCheckpoint(t *testing.T) {
 	if err := os.WriteFile(ckPath, data, 0o666); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := BeginRecovery(dir)
+	rec, err := BeginRecoveryFS(OSFS, dir)
 	if err != nil {
-		t.Fatalf("BeginRecovery: %v", err)
+		t.Fatalf("BeginRecoveryFS: %v", err)
 	}
 	if rec.Checkpoint.Epoch != 1 {
 		t.Fatalf("fell back to checkpoint %d, want 1", rec.Checkpoint.Epoch)
@@ -488,9 +488,9 @@ func TestReplayDropsTornFinalSegmentHeader(t *testing.T) {
 		if err := os.WriteFile(stub, []byte(segmentMagic + "\x00\x00\x00\x00\x00\x00\x00\x00")[:cut], 0o666); err != nil {
 			t.Fatal(err)
 		}
-		rec, err := BeginRecovery(dir)
+		rec, err := BeginRecoveryFS(OSFS, dir)
 		if err != nil {
-			t.Fatalf("cut %d: BeginRecovery: %v", cut, err)
+			t.Fatalf("cut %d: BeginRecoveryFS: %v", cut, err)
 		}
 		count := 0
 		if err := rec.Replay(true, func(Record) error { count++; return nil }); err != nil {
@@ -508,9 +508,9 @@ func TestReplayDropsTornFinalSegmentHeader(t *testing.T) {
 	if err := os.WriteFile(stub, []byte(segmentMagic[:4]), 0o666); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := BeginRecovery(dir)
+	rec, err := BeginRecoveryFS(OSFS, dir)
 	if err != nil {
-		t.Fatalf("BeginRecovery: %v", err)
+		t.Fatalf("BeginRecoveryFS: %v", err)
 	}
 	err = rec.Replay(false, func(Record) error { return nil })
 	var ce *CorruptError

@@ -78,12 +78,11 @@
 // # Errors and the one panic
 //
 // Every entry point that can fail returns an error — with one deliberate
-// exception. The enumeration conveniences Enumerate, Rows, Count, and All
-// (on Engine; the Snapshot variants cannot be obtained before Build) have
-// no error results so they compose with range loops, and calling them
-// before Build is unambiguous API misuse: they panic with ErrNotBuilt
-// rather than silently yielding nothing. That is the package's only panic
-// on misuse; programmatic callers who prefer an error call Snapshot, which
+// exception. The implicit-snapshot reads All and Count (on Engine; the
+// Snapshot variants cannot be obtained before Build) have no error results
+// so they compose with range loops, and calling them before Build is
+// unambiguous API misuse: they panic with ErrNotBuilt rather than silently
+// yielding nothing. That is the package's only panic on misuse; programmatic callers who prefer an error call Snapshot, which
 // returns ErrNotBuilt instead.
 //
 // # Snapshots
@@ -95,11 +94,12 @@
 // detaches the storage copy-on-write, so the snapshot keeps its view while
 // ingestion proceeds. A snapshot taken while a batch is in flight blocks
 // until the batch commits and then observes the post-batch state; it never
-// observes a half-applied batch. Enumerate takes (and closes) an implicit
-// snapshot per call, so bare Enumerate is always safe concurrently with
-// updates and with other readers; hold an explicit Snapshot to make several
-// reads observe one state, and Close it promptly — an open snapshot makes
-// the writer copy each relation it touches once per snapshot generation.
+// observes a half-applied batch. Each range over the engine's All takes an
+// implicit snapshot and closes it when the loop ends, even on break, so it
+// is always safe concurrently with updates and with other readers; hold an
+// explicit Snapshot to make several reads observe one state, and Close it
+// promptly — an open snapshot makes the writer copy each relation it
+// touches once per snapshot generation.
 //
 // # Sharding
 //
@@ -156,8 +156,8 @@
 // never retried — its page-cache state is unknowable), and the engine
 // degrades to read-only: every further Insert/Delete/Apply/ApplyBatch/
 // Commit returns the same LogWedgedError with the in-memory state
-// untouched, while Snapshot, All, Rows, Count, and Enumerate keep serving
-// the last committed state. Recovery is by restart: reopen the directory
+// untouched, while Snapshot, All, and Count keep serving the last committed
+// state. Recovery is by restart: reopen the directory
 // with Open, which replays exactly the commits that reached disk. See the
 // failure model in docs/DURABILITY.md.
 //

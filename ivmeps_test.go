@@ -37,7 +37,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	if err := e.Delete("R", []int64{1, 10}); err != nil {
 		t.Fatal(err)
 	}
-	rows, mults := e.Rows()
+	rows, mults := collect(e.All())
 	sort.Slice(rows, func(i, j int) bool { return rows[i][0] < rows[j][0] })
 	if len(rows) != 2 || rows[0][0] != 2 || rows[0][1] != 7 || rows[1][0] != 3 {
 		t.Fatalf("rows = %v %v", rows, mults)
@@ -225,8 +225,8 @@ func TestPublicAPIApplyBatch(t *testing.T) {
 	if err := bat.ApplyBatch("R", rows, mults); err != nil {
 		t.Fatal(err)
 	}
-	sr, sm := seq.Rows()
-	br, bm := bat.Rows()
+	sr, sm := collect(seq.All())
+	br, bm := collect(bat.All())
 	if len(sr) != len(br) {
 		t.Fatalf("result sizes differ: sequential %d, batch %d", len(sr), len(br))
 	}
@@ -286,7 +286,7 @@ func TestPublicAPIBooleanAndEarlyStop(t *testing.T) {
 	if err := e.Build(); err != nil {
 		t.Fatal(err)
 	}
-	rows, mults := e.Rows()
+	rows, mults := collect(e.All())
 	if len(rows) != 1 || len(rows[0]) != 0 || mults[0] != 2 {
 		t.Fatalf("boolean result = %v %v", rows, mults)
 	}
@@ -301,10 +301,12 @@ func TestPublicAPIBooleanAndEarlyStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := 0
-	big.Enumerate(func(row []int64, m int64) bool {
+	for range big.All() {
 		n++
-		return n < 5
-	})
+		if n == 5 {
+			break
+		}
+	}
 	if n != 5 {
 		t.Fatalf("early stop yielded %d", n)
 	}

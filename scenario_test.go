@@ -870,7 +870,7 @@ func (sc *scenario) landed(ops []op) {
 
 // segments lists the log's segment files in order, with their sizes.
 func (sc *scenario) segments() (paths []string, sizes []int) {
-	list, _, err := wal.ScanDir(sc.dir)
+	list, _, err := wal.ScanDirFS(wal.OSFS, sc.dir)
 	if err != nil {
 		sc.fail("%v", err)
 	}
@@ -912,18 +912,18 @@ func (sc *scenario) cut(n int) {
 // checkpoint is written only after its epoch is in the synced log, so it
 // can outlive a cut tail).
 func (sc *scenario) expectEpoch() uint64 {
-	list, ckpts, err := wal.ScanDir(sc.dir)
+	list, ckpts, err := wal.ScanDirFS(wal.OSFS, sc.dir)
 	if err != nil {
 		sc.fail("%v", err)
 	}
 	var epoch uint64
 	for _, c := range ckpts {
-		if ck, err := wal.LoadCheckpoint(c.Path); err == nil && ck.Epoch > epoch {
+		if ck, err := wal.LoadCheckpointFS(wal.OSFS, c.Path); err == nil && ck.Epoch > epoch {
 			epoch = ck.Epoch
 		}
 	}
 	for _, s := range list {
-		sd, err := wal.ReadSegment(s.Path)
+		sd, err := wal.ReadSegmentFS(wal.OSFS, s.Path)
 		if err != nil {
 			break // a torn header: nothing in this segment counts
 		}

@@ -65,10 +65,11 @@ func TestShardedErrors(t *testing.T) {
 	func() {
 		defer func() {
 			if r := recover(); r != ivmeps.ErrNotBuilt {
-				t.Errorf("Enumerate before Build panicked with %v, want ErrNotBuilt", r)
+				t.Errorf("All before Build panicked with %v, want ErrNotBuilt", r)
 			}
 		}()
-		s.Enumerate(func([]int64, int64) bool { return true })
+		for range s.All() {
+		}
 	}()
 	if err := s.Load("nope", []int64{1}); !errors.Is(err, ivmeps.ErrUnknownRelation) {
 		t.Errorf("Load of unknown relation returned %v", err)
