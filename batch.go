@@ -3,8 +3,8 @@ package ivmeps
 import "ivmeps/internal/core"
 
 // Batch collects single-tuple updates — inserts, deletes, weighted applies
-// — across any of the engine's relations, for Engine.Commit to apply as
-// one atomic maintenance commit. The Batch obtained from NewBatch is empty;
+// — across any of a query's relations, for Engine.Commit to apply as one
+// atomic maintenance commit. The Batch obtained from NewBatch is empty;
 // the builder methods never fail
 // (validation happens in Commit) and return the batch for chaining:
 //
@@ -18,17 +18,14 @@ import "ivmeps/internal/core"
 // Commit returns. Commit leaves the batch intact — Reset it to start the
 // next batch reusing its storage (the steady-state Reset/refill/Commit
 // cycle performs no heap allocation), or Commit it again to re-apply the
-// same updates. A Batch is not safe for concurrent use.
+// same updates.
 //
-// A batch belongs to the engine that created it: the builder resolves each
-// relation name to the engine's stable relation id at queue time, so Commit
-// validates ids instead of repeating per-op name lookups, and committing a
-// batch to a different engine is rejected.
+// A batch holds only relation names and rows, so it may be committed to any
+// engine, and to several in turn: each Commit resolves the names against
+// its own engine's relations. It is not safe for concurrent use, Commit
+// included, since validation records the resolved ids in its ops.
 type Batch struct {
-	owner   *Engine // the engine that created it
-	lastRel string  // one-entry resolution cache for the
-	lastID  int     // common runs-of-one-relation pattern
-	ops     []core.BatchOp
+	ops []core.BatchOp
 }
 
 // Insert queues the single-tuple insert {row → +1} against rel.
@@ -45,10 +42,7 @@ func (b *Batch) Delete(rel string, row []int64) *Batch { return b.Apply(rel, row
 // still validated by Commit (relation and arity). An unknown relation name
 // is detected by Commit, which reports it with ErrUnknownRelation.
 func (b *Batch) Apply(rel string, row []int64, mult int64) *Batch {
-	if rel != b.lastRel || b.lastID == 0 {
-		b.lastRel, b.lastID = rel, b.owner.b.RelID(rel)
-	}
-	b.ops = append(b.ops, core.BatchOp{Rel: rel, RelID: b.lastID, Row: row, Mult: mult})
+	b.ops = append(b.ops, core.BatchOp{Rel: rel, Row: row, Mult: mult})
 	return b
 }
 

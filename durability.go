@@ -195,7 +195,7 @@ func Open(q *Query, opts Options) (*Engine, error) {
 			if op.RelID < 1 || op.RelID > len(names) {
 				return &CorruptLogError{Path: opts.Durability.Dir, Reason: fmt.Sprintf("record at epoch %d: relation id %d out of range", r.Epoch, op.RelID)}
 			}
-			ops[i] = core.BatchOp{Rel: names[op.RelID-1], RelID: op.RelID, Row: tuple.Tuple(op.Row), Mult: op.Mult}
+			ops[i] = core.BatchOp{Rel: names[op.RelID-1], Row: tuple.Tuple(op.Row), Mult: op.Mult}
 		}
 		if err := e.e.CommitBatch(ops); err != nil {
 			// The log only ever holds validated commits; a record the engine

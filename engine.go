@@ -21,7 +21,6 @@ type backend interface {
 	Preprocess(db naive.Database) error
 	Update(rel string, t tuple.Tuple, m int64) error
 	CommitBatch(ops []core.BatchOp) error
-	RelID(name string) int
 	Epoch() uint64
 	N() int
 	Stats() core.Stats
@@ -183,54 +182,11 @@ func (e *Engine) Apply(rel string, row []int64, mult int64) error {
 	return wrapErr(e.b.Update(rel, tuple.Tuple(row), mult))
 }
 
-// ApplyBatch applies the updates {rows[i] → mults[i]} to one relation as a
-// single batch. A nil mults applies every row with multiplicity +1; mixed
-// inserts and deletes are allowed. The observable result — the enumerated
-// query output, N, and the engine's maintenance invariants — is identical
-// to applying the same updates in order with Apply, but the amortized cost
-// per row is lower: the batch is aggregated into one delta per view-tree
-// leaf, every view tree is walked once for the whole batch, and the
-// rebalancing checks run once per distinct partition key instead of once
-// per row. Use it for high-throughput ingestion.
-//
-// Error handling differs from a sequential Apply loop in one way: the
-// batch is validated up front (in order, counting the effect of earlier
-// rows), and on any error — an ArityError, or a MultiplicityError for a
-// delete exceeding the available multiplicity — the engine is left
-// completely unchanged rather than with a prefix applied.
-//
-// ApplyBatch is the one-relation convenience over the Batch/Commit path
-// and shares its machinery; use a Batch to span several relations in one
-// atomic commit.
-func (e *Engine) ApplyBatch(rel string, rows [][]int64, mults []int64) error {
-	if err := e.notBuilt("ApplyBatch"); err != nil {
-		return err
-	}
-	if mults != nil && len(mults) != len(rows) {
-		return fmt.Errorf("ivmeps: ApplyBatch: %d rows but %d multiplicities", len(rows), len(mults))
-	}
-	id := e.b.RelID(rel)
-	if id == 0 {
-		// Resolved here, so a mis-spelled relation is reported even with
-		// zero rows.
-		return fmt.Errorf("ivmeps: %w: %q (query %s)", ErrUnknownRelation, rel, e.q)
-	}
-	ops := make([]core.BatchOp, len(rows))
-	for i, r := range rows {
-		m := int64(1)
-		if mults != nil {
-			m = mults[i]
-		}
-		ops[i] = core.BatchOp{Rel: rel, RelID: id, Row: r, Mult: m}
-	}
-	return wrapErr(e.b.CommitBatch(ops))
-}
-
-// NewBatch returns an empty update batch for this engine: queue updates
-// across any of the query's relations, then Commit them atomically. The
-// batch may be built before or after Build, but only committed after, and
-// only to the engine that created it.
-func (e *Engine) NewBatch() *Batch { return &Batch{owner: e} }
+// NewBatch returns an empty update batch: queue updates across any of the
+// query's relations, then Commit them atomically. The batch holds only
+// relation names and rows, so it may be built before or after Build (but
+// only committed after) and committed to any engine.
+func (e *Engine) NewBatch() *Batch { return &Batch{} }
 
 // Commit applies the batch as one atomic maintenance commit: every queued
 // update is validated up front — in order, counting the effect of earlier
@@ -252,18 +208,16 @@ func (e *Engine) NewBatch() *Batch { return &Batch{owner: e} }
 //
 // The observable result — the enumerated query output, N, and the
 // maintenance invariants — is identical to applying the same updates in
-// order with Apply; the amortized cost per row is what ApplyBatch provides,
-// now across relations. Commit does not consume the batch; Reset it before
-// building the next one.
+// order with Apply, but the amortized cost per row is lower: the rebalancing
+// checks run once per distinct partition key instead of once per row. Use
+// a batch for high-throughput ingestion. Commit does not consume the batch;
+// Reset it before building the next one.
 func (e *Engine) Commit(b *Batch) error {
 	if err := e.notBuilt("Commit"); err != nil {
 		return err
 	}
 	if b == nil {
 		return nil // like an empty batch: nothing to commit
-	}
-	if b.owner != e {
-		return fmt.Errorf("ivmeps: Commit: batch was created by a different engine")
 	}
 	return wrapErr(e.b.CommitBatch(b.ops))
 }
@@ -314,7 +268,7 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 //
 // Each ranging takes an implicit Snapshot, closed when the loop ends, so one
 // loop observes one committed state and may run from any goroutine,
-// concurrently with Commit/Apply/ApplyBatch and with other readers. To make
+// concurrently with Commit/Apply and with other readers. To make
 // several reads observe the same state, take an explicit Snapshot instead.
 //
 // Ranging over All before Build panics with ErrNotBuilt (the package's one

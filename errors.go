@@ -126,12 +126,13 @@ func (e *CorruptLogError) Error() string {
 // the log is unknowable (a failed fsync in particular may or may not have
 // persisted anything, and retrying cannot find out — so it is never
 // retried). The engine degrades to read-only: every further mutation —
-// Insert, Delete, Apply, ApplyBatch, Commit — returns this same error with
-// the in-memory state exactly as it was before the failed commit, while
-// Snapshot, All, and Count keep serving the last committed state. The failed commit itself was not applied; whether its record
-// reached stable storage is uncertain, and recovery resolves that honestly:
-// reopen the directory with Open, which replays exactly the records that
-// made it to disk. Match it with errors.As:
+// Insert, Delete, Apply, Commit — returns this same error with the
+// in-memory state exactly as it was before the failed commit, while
+// Snapshot, All, and Count keep serving the last committed state. The
+// failed commit itself was not applied; whether its record reached stable
+// storage is uncertain, and recovery resolves that honestly: reopen the
+// directory with Open, which replays exactly the records that made it to
+// disk. Match it with errors.As:
 //
 //	var lwe *ivmeps.LogWedgedError
 //	if errors.As(err, &lwe) { ... reopen via ivmeps.Open ...

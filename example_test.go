@@ -66,7 +66,7 @@ func Example_snapshot() {
 	defer snap.Close()
 
 	// Ingest a batch; the snapshot is unaffected, the engine moves on.
-	_ = e.ApplyBatch("R", [][]int64{{3, 10}, {4, 10}}, nil)
+	_ = e.Commit(e.NewBatch().Insert("R", []int64{3, 10}).Insert("R", []int64{4, 10}))
 
 	fmt.Printf("snapshot (epoch %d): %d tuples\n", snap.Epoch(), snap.Count())
 	var out []string

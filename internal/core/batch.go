@@ -41,11 +41,11 @@ import (
 // Mult == 0 is skipped. The Row slice is referenced, not copied, until the
 // commit returns.
 //
-// RelID optionally carries the relation pre-resolved via Engine.RelID so
-// commit validation skips the per-op name lookup; 0 (the zero value) means
-// "resolve Rel by name", and validation stamps the resolved id back into
-// the op. A nonzero RelID takes precedence over Rel — it must come from
-// RelID on the same engine; Rel is still used for error messages.
+// RelID is an output of validation, not an input: every commit resolves
+// each op by Rel and writes the engine's relation id (a positive index in
+// first-occurrence order over the query's atoms) into the op, so the
+// commit hook sees resolved ids. Whatever a caller left there is
+// overwritten, so one slice of ops may be committed to several engines.
 type BatchOp struct {
 	Rel   string
 	RelID int
@@ -53,20 +53,14 @@ type BatchOp struct {
 	Mult  int64
 }
 
-// RelID returns the engine's stable identifier for an original relation
-// name: a positive index assigned at construction time (first-occurrence
-// order over the query's atoms), or 0 if the relation does not occur in
-// the query. Stamping it into BatchOp.RelID lets batch builders resolve
-// each relation once instead of once per commit validation pass.
-func (e *Engine) RelID(name string) int { return e.relIdx[name] }
-
 // CommitBatch applies a sequence of updates spanning any of the query's
 // relations as one atomic maintenance commit. The ops are validated first,
-// in order — arity against each relation's schema, deletes against the
-// stored multiplicities plus the preceding ops of the batch — and on any
-// error (an unknown relation, an ArityError, a MultiplicityError) the
-// engine is left completely unchanged, unlike a sequential Update loop,
-// which would have applied the prefix. On success the whole batch commits
+// in order — each op's relation resolved by its Rel name (its RelID is
+// overwritten with the result), arity against the relation's schema,
+// deletes against the stored multiplicities plus the preceding ops of the
+// batch — and on any error (an unknown relation, an ArityError, a
+// MultiplicityError) the engine is left completely unchanged, unlike a
+// sequential Update loop, which would have applied the prefix. On success the whole batch commits
 // under one writer-lock hold and publishes one epoch: a concurrent
 // Snapshot observes either none or all of it, never a half-applied batch.
 //
@@ -176,11 +170,11 @@ func (e *Engine) AbortPrepared() {
 // group lists, one set per query relation, indexed by RelID — is pooled on
 // the engine (keys reference the caller's rows until the staged batch is
 // applied or released), so repeated batches validate without allocating.
-// Ops carrying a pre-resolved RelID skip the name lookup entirely;
-// unresolved ops keep a last-name fast path in front of the map, since
-// ingest streams are usually runs of one relation. A one-op commit has
-// nothing to aggregate and skips the tuple-keyed map, whose Reset after any
-// earlier large batch is O(capacity).
+// Every op is resolved by name, through a one-entry cache in front of the
+// map since ingest streams are usually runs of one relation, and the
+// resolved id is written into the op for the commit hook. A one-op commit
+// has nothing to aggregate and skips the tuple-keyed map, whose Reset after
+// any earlier large batch is O(capacity).
 //
 // On success the aggregated groups stay staged on the engine
 // (e.batchTouched / e.relTab) for applyStagedLocked; on an error every
@@ -197,40 +191,23 @@ func (e *Engine) prepareLocked(ops []BatchOp) error {
 	}
 	single := len(ops) == 1
 	applied := 0
-	lastID := 0
-	resolvedID, resolvedName := 0, ""
+	id := 0
 	var br *relEntry
 	var err error
 	for i := range ops {
 		op := &ops[i]
-		id := op.RelID
-		if id == 0 {
-			if resolvedID == 0 || op.Rel != resolvedName {
-				resolvedID = e.relIdx[op.Rel]
-				if resolvedID == 0 {
-					err = fmt.Errorf("core: %w: %q (query %s)", ErrUnknownRelation, op.Rel, e.orig)
-					break
-				}
-				resolvedName = op.Rel
+		if br == nil || op.Rel != br.name {
+			if id = e.relIdx[op.Rel]; id == 0 {
+				err = fmt.Errorf("core: %w: %q (query %s)", ErrUnknownRelation, op.Rel, e.orig)
+				break
 			}
-			id = resolvedID
-			// Stamp the resolution back so downstream consumers of the
-			// validated stream (the commit hook) see resolved ids without a
-			// second lookup pass. Re-submitting the ops stays valid: the id
-			// is stable for the engine's lifetime.
-			op.RelID = id
-		} else if id < 1 || id > len(e.relTab) {
-			err = fmt.Errorf("core: %w: %q (op %d carries invalid relation id %d)", ErrUnknownRelation, op.Rel, i, id)
-			break
-		}
-		if id != lastID {
 			br = &e.relTab[id-1]
 			if !br.touched {
 				br.touched = true
 				e.batchTouched = append(e.batchTouched, id)
 			}
-			lastID = id
 		}
+		op.RelID = id
 		if len(op.Row) != br.arity {
 			err = &relation.ArityError{Relation: br.name, Tuple: op.Row.Clone(), Schema: br.occs[0].base.Schema()}
 			break

@@ -518,7 +518,7 @@ func TestCommitEnvelope(t *testing.T) {
 					t.Errorf("hook saw epoch %d, want %d", epoch, e.epoch+1)
 				}
 				for _, op := range ops {
-					if op.RelID != e.RelID(op.Rel) {
+					if op.RelID < 1 || e.relTab[op.RelID-1].name != op.Rel {
 						t.Errorf("hook saw op on %s with unresolved RelID %d", op.Rel, op.RelID)
 					}
 					// db is the reference state before this commit.
@@ -630,7 +630,7 @@ func TestLoadStoresBeforePreprocess(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, rt := range e.relTab[e.RelID("R")-1].occs {
+	for _, rt := range e.relTab[e.relIdx["R"]-1].occs {
 		if got := rt.base.Mult(row); got != 4 {
 			t.Errorf("occurrence %s holds multiplicity %d before Preprocess, want 4", rt.base.Name(), got)
 		}

@@ -12,7 +12,7 @@ import (
 )
 
 // Tests for the exported two-phase commit (PrepareCommit / ApplyPrepared /
-// AbortPrepared), the pre-resolved relation ids of BatchOp.RelID, the
+// AbortPrepared), BatchOp.RelID as an output of validation, the
 // commit-boundary rebalancing hysteresis, and the cached O(1) snapshot
 // generation.
 
@@ -20,11 +20,11 @@ import (
 // same commit as CommitBatch: same result, same epoch advance, same stats.
 func TestPrepareApplyEqualsCommit(t *testing.T) {
 	q := query.MustParse("Q(A, C) = R(A, B), S(B, C)")
-	mkOps := func(e *Engine) []BatchOp {
+	mkOps := func() []BatchOp {
 		return []BatchOp{
-			{Rel: "R", RelID: e.RelID("R"), Row: tuple.Tuple{1, 2}, Mult: 2},
-			{Rel: "S", RelID: e.RelID("S"), Row: tuple.Tuple{2, 3}, Mult: 1},
-			{Rel: "R", RelID: e.RelID("R"), Row: tuple.Tuple{1, 2}, Mult: -1},
+			{Rel: "R", Row: tuple.Tuple{1, 2}, Mult: 2},
+			{Rel: "S", Row: tuple.Tuple{2, 3}, Mult: 1},
+			{Rel: "R", Row: tuple.Tuple{1, 2}, Mult: -1},
 		}
 	}
 	build := func() *Engine {
@@ -39,12 +39,12 @@ func TestPrepareApplyEqualsCommit(t *testing.T) {
 		return e
 	}
 	ref := build()
-	if err := ref.CommitBatch(mkOps(ref)); err != nil {
+	if err := ref.CommitBatch(mkOps()); err != nil {
 		t.Fatal(err)
 	}
 	e := build()
 	before := e.Epoch()
-	if err := e.PrepareCommit(mkOps(e)); err != nil {
+	if err := e.PrepareCommit(mkOps()); err != nil {
 		t.Fatal(err)
 	}
 	e.ApplyPrepared()
@@ -125,34 +125,41 @@ func TestPrepareCommitErrorReleasesLock(t *testing.T) {
 	}
 }
 
-// TestBatchOpInvalidRelID pins the defense against forged or cross-engine
-// relation ids: an out-of-range RelID fails validation as an unknown
-// relation, all-or-nothing.
-func TestBatchOpInvalidRelID(t *testing.T) {
+// TestBatchOpRelIDIsOutput pins that validation resolves every op by name:
+// ids a caller left in the ops — out of range, or another relation's — are
+// ignored and overwritten with the engine's own.
+func TestBatchOpRelIDIsOutput(t *testing.T) {
 	q := query.MustParse("Q(A, C) = R(A, B), S(B, C)")
-	e, err := New(q, Options{Mode: viewtree.Dynamic, Epsilon: 0.5})
-	if err != nil {
+	build := func() *Engine {
+		e, err := New(q, Options{Mode: viewtree.Dynamic, Epsilon: 0.5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := Preprocess(e, randomDB(q, rand.New(rand.NewSource(34)), 60, 10)); err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	ops := []BatchOp{
+		{Rel: "R", RelID: 99, Row: tuple.Tuple{1, 1}, Mult: 1},
+		{Rel: "S", RelID: 1, Row: tuple.Tuple{1, 2}, Mult: 1},
+		{Rel: "R", RelID: -1, Row: tuple.Tuple{2, 2}, Mult: 1},
+	}
+	e, ref := build(), build()
+	if err := e.CommitBatch(ops); err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(34))
-	if err := Preprocess(e, randomDB(q, rng, 60, 10)); err != nil {
-		t.Fatal(err)
+	for _, op := range ops {
+		if err := ref.Update(op.Rel, op.Row, op.Mult); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if id := e.RelID("R"); id == 0 {
-		t.Fatal("RelID(R) = 0, want a positive id")
+	sameResultMap(t, "stale ids vs Update", resultMap(e.Enumerate), resultMap(ref.Enumerate))
+	for i, want := range []int{1, 2, 1} {
+		if ops[i].RelID != want {
+			t.Errorf("op %d on %s: RelID %d after commit, want %d", i, ops[i].Rel, ops[i].RelID, want)
+		}
 	}
-	if id := e.RelID("nope"); id != 0 {
-		t.Fatalf("RelID(nope) = %d, want 0", id)
-	}
-	before := resultMap(e.Enumerate)
-	err = e.CommitBatch([]BatchOp{
-		{Rel: "R", RelID: e.RelID("R"), Row: tuple.Tuple{1, 1}, Mult: 1},
-		{Rel: "R", RelID: 99, Row: tuple.Tuple{2, 2}, Mult: 1},
-	})
-	if !errors.Is(err, ErrUnknownRelation) {
-		t.Fatalf("invalid RelID returned %v, want ErrUnknownRelation", err)
-	}
-	sameResultMap(t, "invalid RelID", resultMap(e.Enumerate), before)
 }
 
 // TestBatchRebalanceHysteresis is the adversarial-ingest regression for

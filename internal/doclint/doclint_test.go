@@ -1,11 +1,13 @@
 package doclint
 
 import (
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -54,7 +56,7 @@ func TestDocsNameExistingTests(t *testing.T) {
 			return err
 		}
 		src, err := os.ReadFile(path)
-		for _, m := range regexp.MustCompile(`(?m)^func (Test\w+)\(`).FindAllStringSubmatch(string(src), -1) {
+		for _, m := range testFunc.FindAllStringSubmatch(string(src), -1) {
 			defined[m[1]] = true
 		}
 		return err
@@ -180,6 +182,164 @@ A. Author,<sup>2</sup> B. Author<sup>3</sup>
 	if complaints, err := CheckPapersIndex(t.TempDir()); err != nil || complaints != nil {
 		t.Fatalf("missing PAPERS.md: complaints %v, err %v, want none", complaints, err)
 	}
+}
+
+// Every -run alternative of `make race` must select a test of the packages
+// its line runs; a renamed or deleted test would otherwise leave the race
+// suites without a failure.
+func TestMakeRaceRunsExistingTests(t *testing.T) {
+	complaints, err := checkRaceRuns(repoRoot(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range complaints {
+		t.Error(c)
+	}
+}
+
+// Unit coverage for the race-target check on a synthetic tree: alternatives
+// that match (grouped, anchored, with a subtest level, in a subdirectory
+// under "/...") pass; one matching nothing, one matching only a nested
+// module's test, and one that does not compile are flagged; other targets
+// are not read.
+func TestCheckRaceRunsUnit(t *testing.T) {
+	root := t.TempDir()
+	write := func(name, src string) {
+		t.Helper()
+		path := filepath.Join(root, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o777); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o666); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("Makefile", "race:\n"+
+		"\t$(GO) test -race ./internal/...\n"+
+		"\t$(GO) test -race -run 'TestAlpha/sub|Gone|^TestB(One|Two)$$' .\n"+
+		"\t$(GO) test -race -count=3 -run 'Deep|InModule|Bad(' ./...\n"+
+		"\nother:\n\t$(GO) test -run 'Elsewhere' .\n")
+	write("a_test.go", "package a\n\nfunc TestAlpha(t *testing.T) {}\nfunc TestBOne(t *testing.T) {}\n")
+	write("sub/b_test.go", "package sub\n\nfunc TestDeepSub(t *testing.T) {}\n")
+	write("mod/go.mod", "module mod\n")
+	write("mod/c_test.go", "package mod\n\nfunc TestInModule(t *testing.T) {}\n")
+	complaints, err := checkRaceRuns(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wants := []string{`"Gone" matches no test in .`, `"InModule" matches no test in ./...`, `"Bad("`}
+	if len(complaints) != len(wants) {
+		t.Fatalf("complaints = %q, want %d of them", complaints, len(wants))
+	}
+	for i, want := range wants {
+		if !strings.Contains(complaints[i], want) {
+			t.Errorf("complaint %d = %q, want it to contain %q", i, complaints[i], want)
+		}
+	}
+}
+
+// raceRun matches a recipe line that runs selected tests: its -run pattern
+// and the package pattern after it, the line's last field.
+var raceRun = regexp.MustCompile(`-run '([^']*)'.*\s(\S+)\s*$`)
+
+// testFunc matches a top-level Test function declaration.
+var testFunc = regexp.MustCompile(`(?m)^func (Test\w+)\(`)
+
+// checkRaceRuns checks root's Makefile `race` target: every alternative of
+// every -run pattern its recipe passes must match a Test function of the
+// packages that line runs, so renaming or deleting a test the race suites
+// name fails here instead of silently dropping its race coverage. A
+// pattern's subtest levels (after a '/') are not checked.
+func checkRaceRuns(root string) ([]string, error) {
+	data, err := os.ReadFile(filepath.Join(root, "Makefile"))
+	if err != nil {
+		return nil, err
+	}
+	var complaints []string
+	inRace, runs := false, 0
+	for _, line := range strings.Split(string(data), "\n") {
+		if !strings.HasPrefix(line, "\t") {
+			inRace = strings.HasPrefix(line, "race:")
+			continue
+		}
+		m := raceRun.FindStringSubmatch(line)
+		if !inRace || m == nil {
+			continue
+		}
+		runs++
+		tests, err := testsIn(root, m[2])
+		if err != nil {
+			return nil, err
+		}
+		for _, alt := range alternatives(strings.ReplaceAll(m[1], "$$", "$")) {
+			alt, _, _ = strings.Cut(alt, "/")
+			re, err := regexp.Compile(alt)
+			if err != nil {
+				complaints = append(complaints, fmt.Sprintf("Makefile race: -run alternative %q: %v", alt, err))
+			} else if !slices.ContainsFunc(tests, re.MatchString) {
+				complaints = append(complaints, fmt.Sprintf("Makefile race: -run alternative %q matches no test in %s", alt, m[2]))
+			}
+		}
+	}
+	if runs == 0 {
+		complaints = append(complaints, "Makefile: no race target line with a -run pattern")
+	}
+	return complaints, nil
+}
+
+// alternatives splits a regular expression at its top-level '|'s.
+func alternatives(pattern string) []string {
+	var alts []string
+	depth, start := 0, 0
+	for i, c := range pattern {
+		switch c {
+		case '(':
+			depth++
+		case ')':
+			depth--
+		case '|':
+			if depth == 0 {
+				alts = append(alts, pattern[start:i])
+				start = i + 1
+			}
+		}
+	}
+	return append(alts, pattern[start:])
+}
+
+// testsIn lists the Test functions of the packages a `go test` package
+// pattern under root names: one directory, or with a "/..." suffix every
+// directory below it that the go command would visit — not one holding
+// another module, nor one it ignores by name.
+func testsIn(root, pkg string) ([]string, error) {
+	dir, recursive := strings.CutSuffix(pkg, "...")
+	dir = filepath.Join(root, dir)
+	var names []string
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == dir {
+				return nil
+			}
+			n := d.Name()
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); !recursive || err == nil ||
+				strings.HasPrefix(n, ".") || strings.HasPrefix(n, "_") || n == "testdata" {
+				return fs.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range testFunc.FindAllStringSubmatch(string(src), -1) {
+			names = append(names, m[1])
+		}
+		return err
+	})
+	return names, err
 }
 
 // Unit coverage for the mention scanner on a synthetic package: names

@@ -40,12 +40,14 @@
 //
 // # Commit protocol
 //
-// A batch is validated and scattered once — per op, per occurrence, to one
-// shard (hash of the key columns) or all shards (broadcast) — and then
-// committed two-phase: PrepareCommit on every shard with a non-empty
-// sub-batch, in shard order, and only if all of them accept, ApplyPrepared
-// on all of them in parallel (persistent per-shard runner goroutines). Any
-// prepare failure aborts the already-prepared shards untouched, so the
+// A batch is validated and scattered once — each op resolved by its
+// relation name, then per occurrence sent to one shard (hash of the key
+// columns) or all shards (broadcast) under the occurrence's name, which the
+// shard resolves again in its own validation — and then committed
+// two-phase: PrepareCommit on every shard with a non-empty sub-batch, in
+// shard order, and only if all of them accept, ApplyPrepared on all of
+// them in parallel (persistent per-shard runner goroutines). Any prepare
+// failure aborts the already-prepared shards untouched, so the
 // all-or-nothing guarantee of a single engine holds across shards: on
 // error, every shard's state AND epoch are exactly as before. A successful
 // commit advances the federation epoch by one; Snapshot captures all shard
@@ -93,12 +95,10 @@ func (e *ShardError) Error() string {
 func (e *ShardError) Unwrap() error { return e.Err }
 
 // fedOcc routes one occurrence of an original relation: the occurrence's
-// relation name in the shard engines, its pre-resolved core RelID (equal
-// on every shard, since all shards run the same rewritten query), and the
+// relation name in the shard engines, which resolve it themselves, and the
 // row positions forming the shard key — nil for broadcast occurrences.
 type fedOcc struct {
 	name   string
-	relID  int
 	keyPos []int
 }
 
@@ -202,7 +202,7 @@ func New(q *query.Query, opts Options) (*Fed, error) {
 	f.shardVars = keyVars
 
 	// Routing table, in the original query's first-occurrence relation
-	// order (so federation RelIDs match a single engine's RelIDs).
+	// order.
 	for _, name := range f.orig.RelationNames() {
 		idxs := occAtoms[name]
 		first := f.orig.Atoms[idxs[0]]
@@ -226,13 +226,6 @@ func New(q *query.Query, opts Options) (*Fed, error) {
 			return nil, err
 		}
 		f.shards = append(f.shards, e)
-	}
-	// Pre-resolve the core relation ids; identical across shards because
-	// every shard runs the same rewritten query.
-	for i := range f.relList {
-		for j := range f.relList[i].occs {
-			f.relList[i].occs[j].relID = f.shards[0].RelID(f.relList[i].occs[j].name)
-		}
 	}
 	f.sub = make([][]core.BatchOp, f.k)
 	f.keyScratch = make(tuple.Tuple, len(keyVars))
@@ -337,14 +330,6 @@ func (f *Fed) Explain() string {
 		f.k, f.shardVars, gather, f.shards[0].Explain())
 }
 
-// RelID returns the federation's stable positive identifier for an
-// original relation name, or 0 if unknown — the federation analogue of
-// core's Engine.RelID, for stamping into BatchOp.RelID so CommitBatch skips
-// per-op name lookups. Federation ids and a single core engine's ids agree
-// (both follow first-occurrence order), but they resolve through different
-// tables; ids must come from the instance the batch is committed to.
-func (f *Fed) RelID(name string) int { return f.relIdx[name] }
-
 // Load routes the row {t → m} of relation rel to the shards ahead of
 // Preprocess: per occurrence, to the shard range a committed op on the same
 // row would reach. The arity is checked before the first shard is written,
@@ -440,8 +425,8 @@ func (f *Fed) Update(rel string, t tuple.Tuple, m int64) error {
 // before the call. On success the federation epoch advances by one; a
 // batch with no nonzero-mult op commits nothing, as in core.
 //
-// Ops may carry RelID values from Fed.RelID to skip the per-op name
-// lookup; the rows are referenced, not copied, until CommitBatch returns.
+// Every op is resolved by its Rel name; its RelID is ignored and left as
+// it was. The rows are referenced, not copied, until CommitBatch returns.
 func (f *Fed) CommitBatch(ops []core.BatchOp) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -499,33 +484,23 @@ func (f *Fed) commitLocked(ops []core.BatchOp) error {
 // scatterLocked validates each op (relation known, arity matches — the
 // shard key is unreadable otherwise) and appends it to the sub-batch of
 // every shard it affects: per occurrence, the key-hash shard for
-// shard-component occurrences, every shard for broadcast occurrences. The
-// sub-batches are pooled; rows are referenced, not copied. Ops of one
-// (occurrence, tuple) always land on one shard in their original order,
-// so per-shard validation of running multiplicities agrees with a single
-// engine's.
+// shard-component occurrences, every shard for broadcast occurrences. Ops
+// are resolved by name, through a one-entry cache in front of the map, and
+// reach the shards under their occurrence names, which each shard resolves
+// in its own validation. The sub-batches are pooled; rows are referenced,
+// not copied. Ops of one (occurrence, tuple) always land on one shard in
+// their original order, so per-shard validation of running multiplicities
+// agrees with a single engine's.
 func (f *Fed) scatterLocked(ops []core.BatchOp) error {
-	lastID := 0
-	resolvedID, resolvedName := 0, ""
 	var fr *fedRel
 	for i := range ops {
 		op := &ops[i]
-		id := op.RelID
-		if id == 0 {
-			if resolvedID == 0 || op.Rel != resolvedName {
-				resolvedID = f.relIdx[op.Rel]
-				if resolvedID == 0 {
-					return fmt.Errorf("federation: %w: %q (query %s)", core.ErrUnknownRelation, op.Rel, f.orig)
-				}
-				resolvedName = op.Rel
+		if fr == nil || op.Rel != fr.name {
+			id := f.relIdx[op.Rel]
+			if id == 0 {
+				return fmt.Errorf("federation: %w: %q (query %s)", core.ErrUnknownRelation, op.Rel, f.orig)
 			}
-			id = resolvedID
-		} else if id < 1 || id > len(f.relList) {
-			return fmt.Errorf("federation: %w: %q (op %d carries invalid relation id %d)", core.ErrUnknownRelation, op.Rel, i, id)
-		}
-		if id != lastID {
 			fr = &f.relList[id-1]
-			lastID = id
 		}
 		if len(op.Row) != fr.arity {
 			return &relation.ArityError{Relation: fr.name, Tuple: op.Row.Clone(), Schema: fr.schema}
@@ -537,7 +512,7 @@ func (f *Fed) scatterLocked(ops []core.BatchOp) error {
 			o := &fr.occs[oi]
 			lo, hi := f.shardRange(o, op.Row)
 			for s := lo; s < hi; s++ {
-				f.sub[s] = append(f.sub[s], core.BatchOp{Rel: o.name, RelID: o.relID, Row: op.Row, Mult: op.Mult})
+				f.sub[s] = append(f.sub[s], core.BatchOp{Rel: o.name, Row: op.Row, Mult: op.Mult})
 			}
 		}
 	}

@@ -345,8 +345,8 @@ func TestShardErrorUnwrap(t *testing.T) {
 	}
 }
 
-// TestFederationUpdateParity covers the single-op path (Update) and RelID
-// resolution against a single-engine reference.
+// TestFederationUpdateParity covers the single-op path (Update) against a
+// single-engine reference.
 func TestFederationUpdateParity(t *testing.T) {
 	q := query.MustParse("Q(A, B, C) = R(A, B), S(A, C)")
 	eopts := core.Options{Mode: viewtree.Dynamic, Epsilon: 0.5}
@@ -365,12 +365,6 @@ func TestFederationUpdateParity(t *testing.T) {
 	}
 	if err := f.Preprocess(db); err != nil {
 		t.Fatal(err)
-	}
-	if id := f.RelID("R"); id == 0 || id != ref.RelID("R") {
-		t.Errorf("federation RelID(R) = %d, single-engine %d", id, ref.RelID("R"))
-	}
-	if id := f.RelID("nope"); id != 0 {
-		t.Errorf("RelID(nope) = %d, want 0", id)
 	}
 	steps := []struct {
 		rel  string
@@ -423,16 +417,15 @@ func TestShardedCommitZeroAllocs(t *testing.T) {
 	ops := make([]core.BatchOp, 0, 2*rows)
 	buf := make(tuple.Tuple, 4*rows)
 	next := int64(10000)
-	rid, sid := f.RelID("R"), f.RelID("S")
 	cycle := func() {
 		ops = ops[:0]
 		for i := 0; i < rows; i++ {
 			tu := buf[4*i : 4*i+2]
 			tu[0], tu[1] = next, next+1
-			ops = append(ops, core.BatchOp{Rel: "R", RelID: rid, Row: tu, Mult: 1})
+			ops = append(ops, core.BatchOp{Rel: "R", Row: tu, Mult: 1})
 			tu2 := buf[4*i+2 : 4*i+4]
 			tu2[0], tu2[1] = next, next+2
-			ops = append(ops, core.BatchOp{Rel: "S", RelID: sid, Row: tu2, Mult: 1})
+			ops = append(ops, core.BatchOp{Rel: "S", Row: tu2, Mult: 1})
 			next += 3
 		}
 		if err := f.CommitBatch(ops); err != nil {

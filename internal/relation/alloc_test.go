@@ -36,11 +36,11 @@ func TestMultZeroAllocs(t *testing.T) {
 func TestMultHashedZeroAllocs(t *testing.T) {
 	r := allocRelation(t)
 	probe := tuple.Tuple{3, 13}
-	h := r.HashOf(probe)
+	h := tuple.Hash(r.s.seed, probe)
 	if n := testing.AllocsPerRun(100, func() {
-		r.MultHashed(h, probe)
+		r.multHashed(h, probe)
 	}); n != 0 {
-		t.Errorf("MultHashed allocates %v per run, want 0", n)
+		t.Errorf("multHashed allocates %v per run, want 0", n)
 	}
 }
 
@@ -59,16 +59,16 @@ func TestAddExistingZeroAllocs(t *testing.T) {
 func TestAddHashedZeroAllocs(t *testing.T) {
 	r := allocRelation(t)
 	tu := tuple.Tuple{3, 13}
-	h := r.HashOf(tu)
+	h := tuple.Hash(r.s.seed, tu)
 	if n := testing.AllocsPerRun(100, func() {
-		if err := r.AddHashed(tu, h, 1); err != nil {
+		if err := r.addHashed(tu, h, 1); err != nil {
 			t.Fatal(err)
 		}
-		if err := r.AddHashed(tu, h, -1); err != nil {
+		if err := r.addHashed(tu, h, -1); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
-		t.Errorf("AddHashed allocates %v per run, want 0", n)
+		t.Errorf("addHashed allocates %v per run, want 0", n)
 	}
 }
 

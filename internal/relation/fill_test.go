@@ -94,7 +94,7 @@ func checkTable(r *Relation) string {
 	}
 	for id := r.First(); id != End; id = r.Next(id) {
 		tu, _ := r.At(id)
-		if _, got, ok := r.s.tab.find(r.HashOf(tu), tu); !ok || got != id {
+		if _, got, ok := r.s.tab.find(tuple.Hash(r.s.seed, tu), tu); !ok || got != id {
 			return "entry not found from its home slot"
 		}
 	}
@@ -172,7 +172,7 @@ func TestSealClustersCrossPartitions(t *testing.T) {
 	for _, home := range edges {
 		found := 0
 		for b := int64(1 << 40); found < 6; b++ {
-			if sealed.HashOf(tuple.Tuple{7, b})>>shift == home {
+			if tuple.Hash(sealed.s.seed, tuple.Tuple{7, b})>>shift == home {
 				crafted = append(crafted, [2]int64{7, b})
 				found++
 			}

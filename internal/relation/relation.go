@@ -230,19 +230,14 @@ func capBytes[T any](col []T) int {
 	return cap(col) * int(unsafe.Sizeof(z))
 }
 
-// HashOf returns the hash of t under the relation's table seed, for use
-// with the *Hashed probe and update variants. The seed survives
-// copy-on-write detaches, so hashes stay valid across snapshot generations.
-func (r *Relation) HashOf(t tuple.Tuple) uint64 { return tuple.Hash(r.s.seed, t) }
-
 // Mult returns R(t): the multiplicity of t, or 0 if absent. It does not
 // allocate and is safe to call concurrently while the relation is not being
 // mutated.
-func (r *Relation) Mult(t tuple.Tuple) int64 { return r.MultHashed(tuple.Hash(r.s.seed, t), t) }
+func (r *Relation) Mult(t tuple.Tuple) int64 { return r.multHashed(tuple.Hash(r.s.seed, t), t) }
 
-// MultHashed is Mult with the hash precomputed via HashOf, for embedders
-// that batch probes of one tuple.
-func (r *Relation) MultHashed(h uint64, t tuple.Tuple) int64 {
+// multHashed is Mult with h = tuple.Hash(r.s.seed, t) precomputed, so Set
+// hashes once for its read and its write.
+func (r *Relation) multHashed(h uint64, t tuple.Tuple) int64 {
 	s := r.s
 	if _, id, ok := s.tab.find(h, t); ok {
 		return s.mults[id]
@@ -292,7 +287,7 @@ func (e *ArityError) Error() string {
 // and neither do inserts the columns have room for (see Allocation in the
 // package comment).
 func (r *Relation) Add(t tuple.Tuple, m int64) error {
-	return r.AddHashed(t, tuple.Hash(r.s.seed, t), m)
+	return r.addHashed(t, tuple.Hash(r.s.seed, t), m)
 }
 
 // arityError builds the arity-mismatch error away from the Add hot path:
@@ -308,10 +303,9 @@ func (r *Relation) multError(t tuple.Tuple, have, m int64) error {
 	return &MultiplicityError{Relation: r.name, Tuple: t.Clone(), Have: have, Delta: m}
 }
 
-// AddHashed is Add with the hash precomputed via HashOf (a hash not equal
-// to HashOf(t) corrupts the relation). It skips the hash computation for
-// embedders that batch updates of one tuple.
-func (r *Relation) AddHashed(t tuple.Tuple, h uint64, m int64) error {
+// addHashed is Add with h = tuple.Hash(r.s.seed, t) precomputed; any other
+// h corrupts the relation.
+func (r *Relation) addHashed(t tuple.Tuple, h uint64, m int64) error {
 	if m == 0 {
 		return nil
 	}
@@ -408,8 +402,8 @@ func (r *Relation) MustAdd(t tuple.Tuple, m int64) {
 // hashed once for both the read and the write.
 func (r *Relation) Set(t tuple.Tuple, m int64) {
 	h := tuple.Hash(r.s.seed, t)
-	cur := r.MultHashed(h, t)
-	if err := r.AddHashed(t, h, m-cur); err != nil {
+	cur := r.multHashed(h, t)
+	if err := r.addHashed(t, h, m-cur); err != nil {
 		panic(err)
 	}
 }

@@ -56,10 +56,11 @@
 // exactly what it was. Per touched relation the updates aggregate into one
 // delta per view-tree leaf, so every view tree is walked once per (batch,
 // relation) instead of once per update; the observable result is identical
-// to applying the same updates in order with Apply. ApplyBatch remains as
-// the one-relation convenience wrapper over the same path; a commit with
-// no effective update (no ops, or only zero-multiplicity ones) validates
-// and publishes nothing. The update path is engineered for sustained
+// to applying the same updates in order with Apply. A batch holds only
+// relation names and rows, so one batch may be committed to several
+// engines; Reset it to reuse its storage. A commit with no effective
+// update (no ops, or only zero-multiplicity ones) validates and publishes
+// nothing. The update path is engineered for sustained
 // traffic: the propagation routes from every relation to every affected
 // view are precomputed at Build time, and steady-state Apply and Commit run
 // without heap allocation.
@@ -71,8 +72,7 @@
 // # Parallelism
 //
 // A commit propagates on the caller's goroutine, and write methods (Apply,
-// ApplyBatch, Commit, Insert, Delete) must not be invoked concurrently with
-// each other. NewSharded is how to use several cores: its engine's shards
+// Commit, Insert, Delete) must not be invoked concurrently with each other. NewSharded is how to use several cores: its engine's shards
 // commit in parallel.
 //
 // # Errors and the one panic
@@ -89,7 +89,7 @@
 //
 // Readers do not block the writer. Snapshot captures the current committed
 // state in O(#views) — no data is copied up front — and the returned
-// Snapshot enumerates that state concurrently with Apply and ApplyBatch:
+// Snapshot enumerates that state concurrently with Apply and Commit:
 // when the writer first mutates a relation some live snapshot pins, it
 // detaches the storage copy-on-write, so the snapshot keeps its view while
 // ingestion proceeds. A snapshot taken while a batch is in flight blocks
@@ -126,7 +126,7 @@
 //
 // Engines are in-memory by default; setting Options.Durability.Dir gives an
 // engine a write-ahead log: every committed batch — through Insert, Delete,
-// Apply, ApplyBatch, or Commit — is appended to a segmented, checksummed
+// Apply, or Commit — is appended to a segmented, checksummed
 // commit log in that directory before it is applied, and Build writes an
 // initial checkpoint, so the committed state always equals "newest
 // checkpoint + logged tail". After a crash, Open rebuilds the engine from
@@ -154,11 +154,10 @@
 // that hit it fails with a LogWedgedError and is not applied, nothing is
 // ever written to the log files again (in particular a failed fsync is
 // never retried — its page-cache state is unknowable), and the engine
-// degrades to read-only: every further Insert/Delete/Apply/ApplyBatch/
-// Commit returns the same LogWedgedError with the in-memory state
-// untouched, while Snapshot, All, and Count keep serving the last committed
-// state. Recovery is by restart: reopen the directory
-// with Open, which replays exactly the commits that reached disk. See the
+// degrades to read-only: every further Insert/Delete/Apply/Commit returns
+// the same LogWedgedError with the in-memory state untouched, while
+// Snapshot, All, and Count keep serving the last committed state. Recovery
+// is by restart: reopen the directory with Open, which replays exactly the commits that reached disk. See the
 // failure model in docs/DURABILITY.md.
 //
 // # Watching
@@ -308,9 +307,9 @@ type Stats struct {
 	MinorRebalances int64 `json:"minor_rebalances"`
 	MajorRebalances int64 `json:"major_rebalances"`
 	ViewDeltas      int64 `json:"view_deltas"`
-	// Batches counts commits — every Insert, Delete, Apply, ApplyBatch, or
-	// Commit call that published an epoch, a single-tuple update being a
-	// one-op commit — and BatchRelations the distinct relations with a net
+	// Batches counts commits — every Insert, Delete, Apply, or Commit call
+	// that published an epoch, a single-tuple update being a one-op commit
+	// — and BatchRelations the distinct relations with a net
 	// effect (ops that did not cancel out within the commit), summed over
 	// those commits: BatchRelations/Batches is the mean effective fan-out
 	// of the ingest stream across the query's relations.

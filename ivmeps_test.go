@@ -222,7 +222,11 @@ func TestPublicAPIApplyBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := bat.ApplyBatch("R", rows, mults); err != nil {
+	b := bat.NewBatch()
+	for i := range rows {
+		b.Apply("R", rows[i], mults[i])
+	}
+	if err := bat.Commit(b); err != nil {
 		t.Fatal(err)
 	}
 	sr, sm := collect(seq.All())
@@ -242,15 +246,15 @@ func TestPublicAPIApplyBatch(t *testing.T) {
 	if seq.N() != bat.N() {
 		t.Fatalf("N diverged: %d vs %d", seq.N(), bat.N())
 	}
-	if err := bat.ApplyBatch("R", nil, nil); err != nil {
+	if err := bat.Commit(bat.NewBatch()); err != nil {
 		t.Fatalf("empty batch: %v", err)
 	}
-	if err := bat.ApplyBatch("Z", [][]int64{{1, 2}}, nil); err == nil {
+	if err := bat.Commit(bat.NewBatch().Insert("Z", []int64{1, 2})); err == nil {
 		t.Fatal("unknown relation accepted")
 	}
 	e2, _ := New(q, Options{Epsilon: 0.5})
-	if err := e2.ApplyBatch("R", [][]int64{{1, 2}}, nil); err == nil {
-		t.Fatal("ApplyBatch before Build accepted")
+	if err := e2.Commit(e2.NewBatch().Insert("R", []int64{1, 2})); err == nil {
+		t.Fatal("Commit before Build accepted")
 	}
 }
 

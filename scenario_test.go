@@ -43,7 +43,7 @@ import (
 //	load        LoadWeighted each of Ops (before Build)
 //	build       Build
 //	apply       Apply the one op of Ops
-//	applybatch  ApplyBatch Ops (one relation)
+//	applybatch  commit Ops (one relation) through the scenario's one reused Batch (remote: as batch)
 //	batch       commit Ops as one Batch (remote: a client Batch)
 //	checkpoint  Checkpoint
 //	reopen      Close, then Open the log directory
@@ -342,6 +342,7 @@ type scenario struct {
 	srv  *server.Server
 	cl   *client.Client
 
+	batch    *ivmeps.Batch // the applybatch steps' one Batch
 	script   []step
 	epoch    uint64 // the last acknowledged
 	hist     map[uint64]epochRec
@@ -707,14 +708,17 @@ func (sc *scenario) send(s step) error {
 	switch s.Do {
 	case "apply":
 		return sc.eng.Apply(s.Ops[0].Rel, s.Ops[0].Row, s.Ops[0].Mult)
-	case "applybatch":
-		rows, mults := make([][]int64, len(s.Ops)), make([]int64, len(s.Ops))
-		for i, o := range s.Ops {
-			rows[i], mults[i] = o.Row, o.Mult
-		}
-		return sc.eng.ApplyBatch(s.Ops[0].Rel, rows, mults)
 	}
 	b := sc.eng.NewBatch()
+	if s.Do == "applybatch" {
+		// One Batch serves every such step, across reopens too: a batch
+		// holds names and rows, not anything of the engine that made it.
+		if sc.batch == nil {
+			sc.batch = b
+		}
+		b = sc.batch
+		b.Reset()
+	}
 	for _, o := range s.Ops {
 		b.Apply(o.Rel, o.Row, o.Mult)
 	}
@@ -726,8 +730,8 @@ func (sc *scenario) send(s step) error {
 func (sc *scenario) refused(ok func(error) bool) {
 	rel := sc.q.Relations()[0]
 	row := make([]int64, len(sc.q.Schema(rel)))
-	for i, err := range []error{sc.eng.Insert(rel, row), sc.eng.ApplyBatch(rel, [][]int64{row}, nil),
-		sc.eng.Commit(sc.eng.NewBatch().Insert(rel, row)), sc.eng.Checkpoint()} {
+	for i, err := range []error{sc.eng.Insert(rel, row), sc.eng.Commit(sc.eng.NewBatch().Insert(rel, row)),
+		sc.eng.Checkpoint()} {
 		if !ok(err) {
 			sc.fail("mutation %d after the failure returned %v", i, err)
 		}

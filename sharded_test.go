@@ -30,15 +30,13 @@ func TestShardedMatchesEngine(t *testing.T) {
 	}
 }
 
-// TestShardedApplyBatchParity covers the one-relation convenience.
+// TestShardedApplyBatchParity covers a one-relation batch reused across
+// commits.
 func TestShardedApplyBatchParity(t *testing.T) {
 	sc := newScenario(t, target{query: star, eps: 0.5, shards: 4}, 31)
 	sc.load(gen{load: 30, domain: 7})
-	sc.run(step{Do: "applybatch", Ops: []op{{"R", []int64{1, 2}, 2}, {"R", []int64{3, 4}, 1}, {"R", []int64{1, 2}, -1}}})
-	if err := sc.eng.ApplyBatch("R", [][]int64{{1, 2}, {3, 4}}, []int64{1}); err == nil {
-		t.Error("mismatched rows/mults lengths accepted")
-	}
-	sc.check()
+	sc.run(step{Do: "applybatch", Ops: []op{{"R", []int64{1, 2}, 2}, {"R", []int64{3, 4}, 1}, {"R", []int64{1, 2}, -1}}},
+		step{Do: "applybatch", Ops: []op{{"R", []int64{3, 4}, -1}, {"R", []int64{5, 6}, 1}}})
 	sc.end()
 }
 
@@ -118,23 +116,6 @@ func TestShardedErrors(t *testing.T) {
 	after, _ := bag(s.All())
 	if err := diff(after, before); err != nil {
 		t.Errorf("the failed commit changed the result: %v", err)
-	}
-
-	// A foreign batch is rejected: engine batches do not commit to sharded
-	// engines and vice versa.
-	e, err := ivmeps.New(q, ivmeps.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	if err := e.Build(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Commit(e.NewBatch().Insert("R", []int64{1, 2})); err == nil {
-		t.Error("engine-owned batch accepted by sharded Commit")
-	}
-	if err := e.Commit(s.NewBatch().Insert("R", []int64{1, 2})); err == nil {
-		t.Error("sharded-owned batch accepted by engine Commit")
 	}
 }
 
@@ -333,8 +314,8 @@ func TestAllZeroAllocsPerRow(t *testing.T) {
 // the same thing on both engines: every entry point is one commit through
 // one envelope, so for the same calls a one-shard sharded engine and an
 // engine from New report the same Updates, Batches, and BatchRelations — including the
-// single-tuple Apply, a zero-mult Apply, and an unknown-relation ApplyBatch
-// with no rows, which the two used to treat differently.
+// single-tuple Apply, a zero-mult Apply, and a batch whose one op is a
+// zero-mult op on an unknown relation.
 func TestShardedStatsCountCommitsLikeEngine(t *testing.T) {
 	e, s := built(t, target{query: star, eps: 0.5}, 3, 20, 5), built(t, target{query: star, eps: 0.5, shards: 1}, 3, 20, 5)
 	drive := func(x *ivmeps.Engine) (ivmeps.Stats, []error) {
@@ -342,8 +323,8 @@ func TestShardedStatsCountCommitsLikeEngine(t *testing.T) {
 		errs := []error{
 			x.Apply("R", []int64{71, 1}, 2),
 			x.Apply("R", []int64{71, 1}, 0),
-			x.ApplyBatch("S", [][]int64{{71, 5}, {71, 6}}, nil),
-			x.ApplyBatch("Z", nil, nil),
+			x.Commit(x.NewBatch().Insert("S", []int64{71, 5}).Insert("S", []int64{71, 6})),
+			x.Commit(x.NewBatch().Apply("Z", nil, 0)),
 			x.Commit(b),
 		}
 		st := x.Stats()
@@ -364,7 +345,7 @@ func TestShardedStatsCountCommitsLikeEngine(t *testing.T) {
 		}
 	}
 	if !errors.Is(eerrs[3], ivmeps.ErrUnknownRelation) {
-		t.Fatalf("ApplyBatch on an unknown relation with no rows returned %v", eerrs[3])
+		t.Fatalf("a zero-mult op on an unknown relation returned %v", eerrs[3])
 	}
 }
 
