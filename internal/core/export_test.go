@@ -17,6 +17,22 @@ func traceViewWrites(t *testing.T) map[string]int64 {
 	return writes
 }
 
+// rowByRowFor keeps every propagation edge of row on the row-by-row path
+// until the test ends, whatever the size of its delta, and counts the edges
+// of every other engine that take the sealed path (sealEdge).
+func rowByRowFor(t *testing.T, row *Engine) *int {
+	sealed := new(int)
+	rowByRow = func(e *Engine) bool {
+		if e == row {
+			return true
+		}
+		*sealed++
+		return false
+	}
+	t.Cleanup(func() { rowByRow = nil })
+	return sealed
+}
+
 // viewWriteTable renders traced writes, most-written view first.
 func viewWriteTable(writes map[string]int64) string {
 	names := make([]string, 0, len(writes))

@@ -162,7 +162,9 @@ func (e *Engine) propagateIndicator(s *indShared, key tuple.Tuple, dh int64) {
 // to its writer's edge; a flips edge hands its parent the change of the view's
 // support, not δV: +1 for a row the view did not have, −1 for one it has no
 // more, nothing otherwise — on a skip edge read off the view its writer's
-// edge, propagated earlier, has already brought up to date (pathEdge).
+// edge, propagated earlier, has already brought up to date (pathEdge). Any
+// other edge whose input has more than sealDeltaRows rows seals δV into the
+// view in one pass (sealEdge).
 func (e *Engine) propagatePath(lp *leafPath, d *delta) {
 	// Commit-delta capture (watch.go): while a sink is subscribed, the rows
 	// the final edge applies to a main tree's root view are that view's
@@ -187,43 +189,22 @@ func (e *Engine) propagatePath(lp *leafPath, d *delta) {
 	for i := range lp.edges {
 		edge := &lp.edges[i]
 		out := e.getDelta()
-		edge.plan.run(e.ubind, cur, out)
+		c := capd
+		if i != last {
+			c = nil
+		}
+		wrote := e.stats.DeltasApplied
+		var more bool // the edge above has rows to read
+		if len(cur.rows) > sealDeltaRows && !edge.skip && !edge.flips && (rowByRow == nil || !rowByRow(e)) {
+			more = e.sealEdge(edge, cur, out, c, i == last)
+		} else {
+			edge.plan.run(e.ubind, cur, &planSink{delta: out})
+			more = e.applyEdge(edge, out, c)
+		}
 		if cur != d {
 			e.putDelta(cur)
 		}
 		cur = out
-		// Apply δV to the materialized parent view; more says the edge above
-		// has rows to read.
-		more, wrote := false, e.stats.DeltasApplied
-		for j := range cur.rows {
-			w := &cur.rows[j]
-			if w.m == 0 {
-				continue
-			}
-			m := w.m
-			if edge.flips {
-				after := edge.view.Mult(w.t)
-				if !edge.skip {
-					after += m
-				}
-				switch {
-				case after == m:
-					w.m = 1
-				case after == 0:
-					w.m = -1
-				default:
-					w.m = 0
-				}
-			}
-			if !edge.skip {
-				edge.view.MustAdd(w.t, m)
-				if capd != nil && i == last {
-					capd.add(w.t, m)
-				}
-				e.stats.DeltasApplied++
-			}
-			more = more || w.m != 0
-		}
 		if traceEdge != nil {
 			traceEdge(edge, e.stats.DeltasApplied-wrote)
 		}
@@ -236,9 +217,81 @@ func (e *Engine) propagatePath(lp *leafPath, d *delta) {
 	}
 }
 
+// sealDeltaRows is the input size past which an edge that writes its view
+// seals δV into it (sealEdge) rather than adding it row by row. A seal has a
+// cost per edge that a few rows do not spread — 257 partition offsets to
+// clear and sum, and a pass over its records — so single-tuple updates, the
+// indicator's one-row deltas and small commits stay row by row.
+const sealDeltaRows = 64
+
+// applyEdge applies δV, aggregated in out, to the edge's view row by row (a
+// flips edge rewrites out to its support changes) and captures it into capd
+// when that is non-nil. It reports whether out has a row for the edge above.
+func (e *Engine) applyEdge(edge *pathEdge, out, capd *delta) bool {
+	more := false
+	for j := range out.rows {
+		w := &out.rows[j]
+		if w.m == 0 {
+			continue
+		}
+		m := w.m
+		if edge.flips {
+			var after int64
+			if edge.skip {
+				after = edge.view.Mult(w.t)
+			} else {
+				after = edge.view.MustAddPrior(w.t, m) + m
+			}
+			switch {
+			case after == m:
+				w.m = 1
+			case after == 0:
+				w.m = -1
+			default:
+				w.m = 0
+			}
+		} else if !edge.skip {
+			edge.view.MustAdd(w.t, m)
+		}
+		if !edge.skip {
+			if capd != nil {
+				capd.add(w.t, m)
+			}
+			e.stats.DeltasApplied++
+		}
+		more = more || w.m != 0
+	}
+	return more
+}
+
+// sealEdge runs the edge's plan over in straight into its view's delta fill,
+// whose seal aggregates δV, applies it and hands its non-zero net rows, in
+// the order out.add would have left them, to out — or, on the path's top
+// edge, which no edge reads, to the capture slot capd if there is one. It
+// reports whether there were any.
+func (e *Engine) sealEdge(edge *pathEdge, in, out, capd *delta, top bool) bool {
+	v := edge.view
+	v.OpenDelta()
+	edge.plan.run(e.ubind, in, &planSink{view: v, bulk: true})
+	var emit func(t tuple.Tuple, m int64)
+	switch {
+	case !top:
+		emit = out.appendRow
+	case capd != nil:
+		emit = capd.add
+	}
+	rows := v.SealDelta(emit)
+	e.stats.DeltasApplied += int64(rows)
+	return rows > 0
+}
+
 // traceEdge is nil outside tests: export_test.go sets it to be told, edge by
 // edge, how many rows propagatePath wrote.
 var traceEdge func(edge *pathEdge, rows int64)
+
+// rowByRow is nil outside tests: export_test.go sets it to keep an engine's
+// every edge on the row-by-row path, whatever the size of its delta.
+var rowByRow func(e *Engine) bool
 
 // updPlan is a compiled left-deep index-nested-loops join: a seed's rows are
 // bound to scratch slots and the view's other children probed in turn. The
@@ -264,8 +317,9 @@ type updStep struct {
 }
 
 // planSink is where the executor sends its rows: an update's δV, the relation
-// a fill fills — row by row, or appended for the caller to seal — or, counting,
-// nowhere, the last step's matches being summed, not visited. It lives on the
+// a fill fills — row by row, or appended for the caller to seal, as a sealed
+// edge appends its δV to the view — or, counting, nowhere, the last step's
+// matches being summed, not visited. It lives on the
 // caller's stack: a branch per row, not a call.
 type planSink struct {
 	delta *delta
@@ -339,10 +393,9 @@ func (e *Engine) compilePlan(seed tuple.Schema, rest []joinInput, out tuple.Sche
 	return p
 }
 
-// run evaluates δV = δchild ⋈ siblings over the plan, accumulating the
-// (possibly signed) output rows into out; the bindings live in scratch.
-func (p *updPlan) run(scratch []tuple.Value, d *delta, out *delta) {
-	to := planSink{delta: out}
+// run evaluates δV = δchild ⋈ siblings over the plan, sending the (possibly
+// signed) output rows to to; the bindings live in scratch.
+func (p *updPlan) run(scratch []tuple.Value, d *delta, to *planSink) {
 	for i := range d.rows {
 		w := &d.rows[i]
 		if w.m == 0 {
@@ -351,7 +404,7 @@ func (p *updPlan) run(scratch []tuple.Value, d *delta, out *delta) {
 		for k, s := range p.deltaSlots {
 			scratch[s] = w.t[k]
 		}
-		p.rec(scratch, 0, w.m, &to)
+		p.rec(scratch, 0, w.m, to)
 	}
 }
 

@@ -61,10 +61,10 @@ func TestAddHashedZeroAllocs(t *testing.T) {
 	tu := tuple.Tuple{3, 13}
 	h := tuple.Hash(r.s.seed, tu)
 	if n := testing.AllocsPerRun(100, func() {
-		if err := r.addHashed(tu, h, 1); err != nil {
+		if _, err := r.addHashed(tu, h, 1); err != nil {
 			t.Fatal(err)
 		}
-		if err := r.addHashed(tu, h, -1); err != nil {
+		if _, err := r.addHashed(tu, h, -1); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {

@@ -7,8 +7,8 @@ import (
 	"ivmeps/internal/tuple"
 )
 
-// The bulk fill path: Reserve, Append and Seal (see Bulk fills in the
-// package comment).
+// The bulk fill paths: Reserve, Append and Seal, and OpenDelta, Append and
+// SealDelta (see Bulk fills in the package comment).
 
 const (
 	// partBits sizes a seal's partitions: about 2^14 slots (128 KiB) each.
@@ -28,6 +28,7 @@ type fillState struct {
 	want     int  // rows the fill announced (Reserve)
 	appended int  // rows the fill appended
 	merged   bool // a seal of the fill merged a row into an equal one
+	delta    bool // a delta fill (OpenDelta): SealDelta aggregates and applies its rows
 }
 
 // writable returns the store a mutation of r writes: r's own, detached
@@ -84,6 +85,9 @@ func (r *Relation) Append(t tuple.Tuple, m int64) {
 // takes a multiplicity below zero panics, leaving the relation unusable.
 func (r *Relation) Seal() {
 	s := r.writable()
+	if s.fill.delta {
+		panic(fmt.Sprintf("relation %s: Seal of a delta fill (SealDelta it)", r.name))
+	}
 	r.seal()
 	// A fill that outgrew its columns chunks again when it is repeated (a
 	// major rebalance refills every view): give the repeat room for all its
@@ -94,12 +98,55 @@ func (r *Relation) Seal() {
 	s.fill = fillState{}
 }
 
-// makeRoom is Append's answer to full columns: seal what the fill appended so
-// far, then grow the columns if they are still full, or more than half full
+// OpenDelta opens a delta fill: the rows appended until SealDelta are a
+// delta of the relation — δR — to aggregate and apply in one pass, not rows
+// to store in sequence. Its columns grow as rows come, with no seal between.
+func (r *Relation) OpenDelta() {
+	s := r.writable()
+	if s.fill.pend != 0 {
+		panic(fmt.Sprintf("relation %s: OpenDelta during an open fill", r.name))
+	}
+	s.fill.delta = true
+}
+
+// SealDelta closes a delta fill. It aggregates the appended rows by tuple and
+// applies each non-zero net change exactly as Add of the aggregated rows, in
+// the order their tuples first appeared, would — an insert, a merge or a
+// removal — leaving the same entries under the same ids, the same insertion
+// order and index buckets, the same multiplicities. It calls emit with each
+// non-zero net row in that order, unless it is nil, and returns their number;
+// emit must copy the tuple and leave the relation alone. A net change that
+// takes a multiplicity below zero panics as MustAdd does, leaving the
+// relation unusable.
+func (r *Relation) SealDelta(emit func(t tuple.Tuple, m int64)) (rows int) {
+	s := r.writable()
+	if !s.fill.delta {
+		panic(fmt.Sprintf("relation %s: SealDelta without OpenDelta", r.name))
+	}
+	// place writes a record per appended row past the end of the links:
+	// give them room.
+	if need := len(s.links) + s.fill.pend; cap(s.links) < need {
+		s.links = withCap(s.links, need+need/4)
+	}
+	lo, hi, _ := r.place(true)
+	s.fill = fillState{}
+	if lo == hi {
+		return 0
+	}
+	return r.settle(lo, hi, emit)
+}
+
+// makeRoom is Append's answer to full columns. A delta fill doubles them: its
+// rows aggregate only when it is sealed. A row fill seals what it appended so
+// far, then grows the columns if they are still full, or more than half full
 // with rows still to come that do not fit — to the announced count while no
 // seal has merged a row, and at most 8× their rows once one has.
 func (r *Relation) makeRoom() {
 	s := r.s
+	if s.fill.delta {
+		s.reserve(max(2*len(s.mults), minRows))
+		return
+	}
 	r.seal()
 	n, c := len(s.mults), cap(s.mults)
 	rest := max(s.fill.want-s.fill.appended, 1)
@@ -113,66 +160,14 @@ func (r *Relation) makeRoom() {
 	s.reserve(max(2*n, minRows, size))
 }
 
-// seal places the rows appended since the last seal: one partition of the
-// probe array at a time, each row into the slot Add would find for it. A row
-// equal to a stored or earlier appended one merges into it, leaving a gap in
-// the ids that compact closes. The survivors are linked at the tail of the
-// insertion order and indexed, in append order.
+// seal places the rows appended since the last seal (place), merging equal
+// rows in sequence; the survivors are linked at the tail of the insertion
+// order and indexed, in append order.
 func (r *Relation) seal() {
 	s := r.s
-	t := &s.tab
-	hi := len(s.mults)
-	lo := hi - s.fill.pend
+	lo, hi, merged := r.place(false)
 	if lo == hi {
 		return
-	}
-	s.fill.pend = 0
-	t.grow(t.count + hi - lo)
-
-	// Counting and scatter pass: buf, the free links of the appended rows,
-	// gets each row's slot value, ordered by partition and, within one, by id.
-	pbits := min(max(bits.TrailingZeros(uint(len(t.slots)))-partBits, 0), maxPartBits)
-	pshift := uint(64 - pbits)
-	var off [1<<maxPartBits + 1]int
-	neg := false
-	for id := lo; id < hi; id++ {
-		off[tuple.Hash(s.seed, t.key(ID(id)))>>pshift+1]++
-		neg = neg || s.mults[id] < 0
-	}
-	for p := 1; p < len(off); p++ {
-		off[p] += off[p-1]
-	}
-	buf := s.links[lo:hi]
-	for id := lo; id < hi; id++ {
-		h := tuple.Hash(s.seed, t.key(ID(id)))
-		p := h >> pshift
-		v := h&^idMask | uint64(id+1)
-		buf[off[p]] = link{ID(v), ID(v >> 32)}
-		off[p]++
-	}
-
-	// Placement: the probes of one partition's rows stay in its window of the
-	// probe array, give or take the clusters that cross its edge.
-	merged := false
-	for _, l := range buf {
-		v := uint64(l.prev) | uint64(l.next)<<32
-		id := ID(v - 1)
-		for i := v >> t.shift; ; i = (i + 1) & t.mask {
-			x := t.slots[i]
-			if x == 0 {
-				if neg && s.mults[id] < 0 {
-					panic(r.multError(t.key(id), 0, s.mults[id]))
-				}
-				t.slots[i] = v
-				t.count++
-				break
-			}
-			if x&^idMask == v&^idMask && t.key(ID(x-1)).Equal(t.key(id)) {
-				r.merge(i, ID(x-1), id, lo)
-				merged = true
-				break
-			}
-		}
 	}
 	last := s.order.tail
 	if merged {
@@ -193,6 +188,111 @@ func (r *Relation) seal() {
 			ix.insert(s, id)
 		}
 	}
+}
+
+// place puts the rows appended since the last seal, the ids [lo, hi), into
+// the probe array: one partition of it at a time, each row into the slot Add
+// would find for it. In a row fill (delta false) a row equal to a stored or
+// earlier appended one merges into it (merge), and merged says one did.
+//
+// In a delta fill only appended rows merge: a tuple's first row is its
+// accumulator, and its later rows add into it and empty. An accumulator takes
+// over the slot of a stored equal row — the row's id leaves the slot for the
+// accumulator's until settle puts it back — or else the empty slot its probe
+// ends in, the table growing only as new tuples fill it. place records what
+// settle needs of each row past the end of the links, at hi + id − lo: the
+// stored row and the slot of an accumulator, or {End, End} for a row that
+// merged.
+func (r *Relation) place(delta bool) (lo, hi int, merged bool) {
+	s := r.s
+	t := &s.tab
+	hi = len(s.mults)
+	lo = hi - s.fill.pend
+	if lo == hi {
+		return lo, hi, false
+	}
+	s.fill.pend = 0
+	if delta {
+		t.grow(t.count + 1) // most rows may merge into stored ones: grow as they come
+	} else {
+		t.grow(t.count + hi - lo)
+	}
+
+	// Counting and scatter pass: buf, the free links of the appended rows,
+	// gets each row's slot value, ordered by partition and, within one, by id.
+	pbits := min(max(bits.TrailingZeros(uint(len(t.slots)))-partBits, 0), maxPartBits)
+	pshift := uint(64 - pbits)
+	var off [1<<maxPartBits + 1]int
+	neg := false
+	for id := lo; id < hi; id++ {
+		off[tuple.Hash(s.seed, t.key(ID(id)))>>pshift+1]++
+		neg = neg || s.mults[id] < 0
+	}
+	neg = neg && !delta
+	for p := 1; p < len(off); p++ {
+		off[p] += off[p-1]
+	}
+	buf := s.links[lo:hi]
+	for id := lo; id < hi; id++ {
+		h := tuple.Hash(s.seed, t.key(ID(id)))
+		p := h >> pshift
+		v := h&^idMask | uint64(id+1)
+		buf[off[p]] = link{ID(v), ID(v >> 32)}
+		off[p]++
+	}
+
+	// Placement: the probes of one partition's rows stay in its window of the
+	// probe array, give or take the clusters that cross its edge — and a
+	// growth of the array keeps them there, each window doubling with it.
+	var rec []link
+	if delta {
+		rec = s.links[hi : 2*hi-lo]
+	}
+	for _, l := range buf {
+		v := uint64(l.prev) | uint64(l.next)<<32
+		id := ID(v - 1)
+		for i := v >> t.shift; ; i = (i + 1) & t.mask {
+			x := t.slots[i]
+			if x == 0 {
+				if neg && s.mults[id] < 0 {
+					panic(r.multError(t.key(id), 0, s.mults[id]))
+				}
+				if t.count >= len(t.slots)*3/4 { // a delta fill's, which grows as it places
+					t.grow(t.count + 1)
+					for j, y := range t.slots {
+						if o := int(y&idMask) - 1; o >= lo && o < hi {
+							rec[o-lo].next = ID(j)
+						}
+					}
+					i = t.place(v)
+				}
+				t.slots[i] = v
+				t.count++
+				if delta {
+					rec[int(id)-lo] = link{End, ID(i)}
+				}
+				break
+			}
+			if x&^idMask != v&^idMask || !t.key(ID(x-1)).Equal(t.key(id)) {
+				continue
+			}
+			e := ID(x - 1)
+			switch {
+			case !delta:
+				r.merge(i, e, id, lo)
+				merged = true
+			case int(e) < lo: // the stored row: the accumulator takes its slot
+				t.slots[i] = v
+				rec[int(id)-lo] = link{e, ID(i)}
+			default:
+				s.mults[e] += s.mults[id]
+				s.mults[id] = 0
+				rec[int(id)-lo] = link{End, End}
+			}
+			break
+		}
+	}
+	return lo, hi, merged
 }
 
 // merge adds appended row id's multiplicity to the equal row e in slot i and
@@ -250,4 +350,84 @@ func (r *Relation) compact(lo, hi int) int {
 	}
 	t.vals, s.mults, s.links = t.vals[:n*k], s.mults[:n], s.links[:n]
 	return n
+}
+
+// settle applies a delta fill's accumulators in id order, the order their
+// tuples first appeared, as Add of each would, and emits the non-zero ones,
+// from place's records: no row is hashed again, and no key compared. A change
+// to a stored row gives its slot back; a new row takes a freed id, or the next
+// fresh one, moving there and renumbering its slot, and one that stays where
+// it was appended touches no slot at all. An accumulator's slot is where place
+// left it or, when a deletion since shifted it back, a little before. The
+// merged rows leave gaps the fresh ids close.
+func (r *Relation) settle(lo, hi int, emit func(t tuple.Tuple, m int64)) (rows int) {
+	s := r.s
+	t := &s.tab
+	k := t.arity
+	rec := s.links[hi : 2*hi-lo]
+	n := lo // the next fresh id
+	for o := lo; o < hi; o++ {
+		l := rec[o-lo]
+		if l.next == End {
+			continue // merged
+		}
+		net, key, e := s.mults[o], t.key(ID(o)), l.prev
+		if e == End && net > 0 {
+			if rows++; emit != nil {
+				emit(key, net)
+			}
+			id := s.free
+			if id != End {
+				s.free = s.links[id].next
+			} else {
+				id = ID(n)
+				n++
+			}
+			if int(id) != o {
+				i := accSlot(t, l, o)
+				copy(t.vals[int(id)*k:int(id+1)*k], key)
+				t.slots[i] = t.slots[i]&^idMask | uint64(id+1)
+			}
+			s.mults[id] = net
+			s.order.push(s.links, id)
+			for _, ix := range s.indexes {
+				ix.insert(s, id)
+			}
+			continue
+		}
+		i := accSlot(t, l, o)
+		if e == End {
+			if net < 0 {
+				panic(r.multError(key, 0, net))
+			}
+			t.del(i) // the tuple's rows cancelled
+			continue
+		}
+		t.slots[i] = t.slots[i]&^idMask | uint64(e+1)
+		if net == 0 {
+			continue
+		}
+		have := s.mults[e]
+		if have+net < 0 {
+			panic(r.multError(key, have, net))
+		}
+		if rows++; emit != nil {
+			emit(key, net)
+		}
+		if s.mults[e] = have + net; have+net == 0 {
+			s.remove(i, e)
+		}
+	}
+	t.vals, s.mults, s.links = t.vals[:n*k], s.mults[:n], s.links[:n]
+	return rows
+}
+
+// accSlot returns the slot of accumulator o, whose record is l: the one place
+// gave it, or one before it that a deletion shifted it back to.
+func accSlot(t *table, l link, o int) uint64 {
+	i := uint64(l.next)
+	for t.slots[i]&idMask != uint64(o+1) {
+		i = (i - 1) & t.mask
+	}
+	return i
 }

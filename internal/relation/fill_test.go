@@ -454,3 +454,309 @@ func TestPinnedClearSizesTheRefill(t *testing.T) {
 		t.Errorf("the frozen handle no longer reads the contents it pinned: %d rows", f.Size())
 	}
 }
+
+// deltaRow is one row of an aggregated delta.
+type deltaRow struct {
+	t tuple.Tuple
+	m int64
+}
+
+// aggregate sums ops by tuple, in the order the tuples first appear — as
+// internal/core's delta does — keeping the tuples that net to zero. A row of
+// multiplicity zero is no row: Append drops it.
+func aggregate(ops []fillOp) []deltaRow {
+	var rows []deltaRow
+	at := map[[2]int64]int{}
+	for _, o := range ops {
+		if o.M == 0 {
+			continue
+		}
+		k := [2]int64{o.A, o.B}
+		if i, ok := at[k]; ok {
+			rows[i].m += o.M
+			continue
+		}
+		at[k] = len(rows)
+		rows = append(rows, deltaRow{tuple.Tuple{o.A, o.B}, o.M})
+	}
+	return rows
+}
+
+// runDelta appends ops to sealed as one delta fill and adds their aggregate's
+// rows to added by MustAdd, in order. It reports the first way the entry ids,
+// in insertion order, or the rows SealDelta emitted and counted differ from
+// MustAdd's ids and the aggregate's non-zero rows, or "". A quiet seal emits
+// nothing, and only its count is checked.
+func runDelta(sealed, added *Relation, ops []fillOp, quiet bool) string {
+	sealed.OpenDelta()
+	for _, o := range ops {
+		sealed.Append(tuple.Tuple{o.A, o.B}, o.M)
+	}
+	var got []deltaRow
+	emit := func(t tuple.Tuple, m int64) { got = append(got, deltaRow{t.Clone(), m}) }
+	if quiet {
+		emit = nil
+	}
+	n := sealed.SealDelta(emit)
+	var want []deltaRow
+	for _, w := range aggregate(ops) {
+		if w.m != 0 {
+			added.MustAdd(w.t, w.m)
+			want = append(want, w)
+		}
+	}
+	for g, w := sealed.First(), added.First(); w != End; g, w = sealed.Next(g), added.Next(w) {
+		if g != w {
+			return "entry ids"
+		}
+	}
+	if n != len(want) {
+		return "returned row count"
+	}
+	if quiet {
+		return ""
+	}
+	if len(got) != len(want) {
+		return "emitted row count"
+	}
+	for i := range want {
+		if !got[i].t.Equal(want[i].t) || got[i].m != want[i].m {
+			return "emitted rows or their order"
+		}
+	}
+	return ""
+}
+
+// TestSealDeltaMatchesAggregatedAdd is the model test of the delta fill:
+// random deltas — mixed signs, rows that cancel inside the delta, removals
+// of stored rows, tuples that leave and come back — onto a relation with an
+// index that churned under Add between them leave it equal to MustAdd of
+// each delta's aggregate in first-appearance order: the same entries in the
+// same order, the same buckets in the same order, the same multiplicities
+// and size; and SealDelta emits exactly the aggregate's non-zero rows, in
+// order, or, given no emit, counts them.
+func TestSealDeltaMatchesAggregatedAdd(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	for round := 0; round < 200; round++ {
+		sealed, added := New("R", ab()), New("R", ab())
+		sealed.EnsureIndex(tuple.NewSchema("A"))
+		added.EnsureIndex(tuple.NewSchema("A"))
+		have := map[[2]int64]int64{}
+		keys := 1 + rng.Intn(300)
+		for fill := 0; fill < 6; fill++ {
+			for _, o := range randomStream(rng, rng.Intn(60), keys, have) {
+				sealed.MustAdd(tuple.Tuple{o.A, o.B}, o.M)
+				added.MustAdd(tuple.Tuple{o.A, o.B}, o.M)
+			}
+			ops := randomStream(rng, rng.Intn(2000), keys, have)
+			if d := runDelta(sealed, added, ops, fill == 5); d != "" {
+				t.Fatalf("round %d fill %d (%d rows over %d keys): %s", round, fill, len(ops), keys, d)
+			}
+			if d := sameRelation(sealed, added); d != "" {
+				t.Fatalf("round %d fill %d (%d rows over %d keys): the sealed relation differs from MustAdd's: %s", round, fill, len(ops), keys, d)
+			}
+			if d := checkTable(sealed); d != "" {
+				t.Fatalf("round %d fill %d: %s", round, fill, d)
+			}
+			if sealed.s.fill != (fillState{}) {
+				t.Fatalf("round %d fill %d: the fill is still open", round, fill)
+			}
+		}
+	}
+
+	// A relation past 2^15 slots seals in partitions; deltas that remove a
+	// third of its rows, add as many, repeat rows and cancel some make
+	// deletions shift accumulators' slots back before settle reaches them.
+	// Its table grows only as new tuples fill it, here to what MustAdd's
+	// does.
+	sealed, added := New("R", ab()), New("R", ab())
+	sealed.EnsureIndex(tuple.NewSchema("A"))
+	added.EnsureIndex(tuple.NewSchema("A"))
+	have := map[[2]int64]int64{}
+	var stored [][2]int64 // have's keys, in a fixed order
+	for i := int64(0); i < 30000; i++ {
+		sealed.MustAdd(tuple.Tuple{i % 5000, i}, 1)
+		added.MustAdd(tuple.Tuple{i % 5000, i}, 1)
+		have[[2]int64{i % 5000, i}] = 1
+		stored = append(stored, [2]int64{i % 5000, i})
+	}
+	for fill := 0; fill < 3; fill++ {
+		var ops []fillOp
+		for _, k := range stored {
+			switch m := have[k]; {
+			case m == 0:
+			case rng.Intn(3) == 0:
+				ops = append(ops, fillOp{A: k[0], B: k[1], M: -m})
+				have[k] = 0
+			case rng.Intn(2) == 0:
+				ops = append(ops, fillOp{A: k[0], B: k[1], M: 2}, fillOp{A: k[0], B: k[1], M: -1})
+				have[k] += 1
+			}
+		}
+		for i := 0; i < 10000; i++ {
+			k := [2]int64{rng.Int63n(5000), 30000 + rng.Int63n(20000)}
+			if have[k] == 0 && rng.Intn(4) == 0 {
+				ops = append(ops, fillOp{A: k[0], B: k[1], M: 1}, fillOp{A: k[0], B: k[1], M: -1})
+				continue
+			}
+			ops = append(ops, fillOp{A: k[0], B: k[1], M: 1})
+			if have[k]++; have[k] == 1 {
+				stored = append(stored, k)
+			}
+		}
+		rng.Shuffle(len(ops), func(i, j int) { ops[i], ops[j] = ops[j], ops[i] })
+		if d := runDelta(sealed, added, ops, false); d != "" {
+			t.Fatalf("large fill %d: %s", fill, d)
+		}
+		if d := sameRelation(sealed, added); d != "" {
+			t.Fatalf("large fill %d: the sealed relation differs from MustAdd's: %s", fill, d)
+		}
+		if d := checkTable(sealed); d != "" {
+			t.Fatalf("large fill %d: %s", fill, d)
+		}
+		if got, want := len(sealed.s.tab.slots), len(added.s.tab.slots); got != want {
+			t.Fatalf("large fill %d: the sealed relation has %d slots, MustAdd's %d", fill, got, want)
+		}
+	}
+	slots := len(sealed.s.tab.slots)
+	if slots < 1<<16 {
+		t.Fatalf("the large fills ran on %d slots, want at least 2^16", slots)
+	}
+	// The table grows only as new tuples fill it: a delta that takes every
+	// row out grows nothing.
+	var ops []fillOp
+	for _, k := range stored {
+		if m := have[k]; m > 0 {
+			ops = append(ops, fillOp{A: k[0], B: k[1], M: -m})
+			have[k] = 0
+		}
+	}
+	if d := runDelta(sealed, added, ops, false); d != "" {
+		t.Fatalf("emptying fill: %s", d)
+	}
+	if sealed.Size() != 0 || len(sealed.s.tab.slots) != slots {
+		t.Fatalf("the emptying fill left %d rows in %d slots, want 0 in %d", sealed.Size(), len(sealed.s.tab.slots), slots)
+	}
+}
+
+// A delta fill onto a relation pinned by Freeze detaches it: the frozen
+// handle keeps the contents it pinned, and the live one matches MustAdd of
+// the aggregate. A delta that takes a row below zero panics — whether it is
+// stored or new — and so do a Seal of a delta fill and a SealDelta of none.
+func TestSealDeltaPinnedAndMisuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	sealed, added := New("R", ab()), New("R", ab())
+	sealed.EnsureIndex(tuple.NewSchema("A"))
+	added.EnsureIndex(tuple.NewSchema("A"))
+	have := map[[2]int64]int64{}
+	for _, o := range randomStream(rng, 500, 100, have) {
+		sealed.MustAdd(tuple.Tuple{o.A, o.B}, o.M)
+		added.MustAdd(tuple.Tuple{o.A, o.B}, o.M)
+	}
+	pinned := added.Clone()
+	pinned.EnsureIndex(tuple.NewSchema("A"))
+
+	f := sealed.Freeze()
+	defer f.Release()
+	if d := runDelta(sealed, added, randomStream(rng, 3000, 100, have), false); d != "" {
+		t.Fatal(d)
+	}
+	if sealed.s == f.s {
+		t.Fatal("the delta fill of a pinned relation did not detach it")
+	}
+	if d := sameRelation(sealed, added); d != "" {
+		t.Fatalf("the delta fill of a pinned relation differs from MustAdd's: %s", d)
+	}
+	if d := sameRelation(f, pinned); d != "" {
+		t.Fatalf("the frozen handle lost the contents it pinned: %s", d)
+	}
+
+	for _, c := range []struct {
+		name string
+		fn   func(r *Relation)
+	}{
+		{"a stored row below zero", func(r *Relation) {
+			r.MustAdd(tuple.Tuple{1, 1}, 1)
+			r.OpenDelta()
+			r.Append(tuple.Tuple{1, 1}, -3)
+			r.Append(tuple.Tuple{1, 1}, 1)
+			r.SealDelta(func(tuple.Tuple, int64) {})
+		}},
+		{"a new row below zero", func(r *Relation) {
+			r.OpenDelta()
+			r.Append(tuple.Tuple{1, 1}, 1)
+			r.Append(tuple.Tuple{1, 1}, -2)
+			r.SealDelta(func(tuple.Tuple, int64) {})
+		}},
+		{"Seal of a delta fill", func(r *Relation) {
+			r.OpenDelta()
+			r.Append(tuple.Tuple{1, 1}, 1)
+			r.Seal()
+		}},
+		{"SealDelta of a row fill", func(r *Relation) {
+			r.Append(tuple.Tuple{1, 1}, 1)
+			r.SealDelta(func(tuple.Tuple, int64) {})
+		}},
+		{"OpenDelta on a frozen handle", func(*Relation) { f.OpenDelta() }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", c.name)
+				}
+			}()
+			c.fn(New("R", ab()))
+		}()
+	}
+}
+
+// FuzzSealDelta decodes arbitrary bytes as deltas — three bytes a row: its
+// key, its multiplicity (a negative one clamped so that the running sum of
+// the key stays at or above zero), and whether to seal the delta after it or
+// Add the row between deltas instead — and checks every seal against MustAdd
+// of the delta's aggregate: the relation, its index and the emitted rows.
+func FuzzSealDelta(f *testing.F) {
+	f.Add([]byte{1, 2, 0, 1, 3, 0, 9, 1, 1, 1, 0xfb, 1})
+	f.Add([]byte{0, 5, 2, 9, 1, 0, 0, 0xfb, 0, 9, 0xff, 1, 9, 1, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sealed, added := New("R", ab()), New("R", ab())
+		sealed.EnsureIndex(tuple.NewSchema("A"))
+		added.EnsureIndex(tuple.NewSchema("A"))
+		have := map[[2]int64]int64{}
+		var ops []fillOp
+		check := func() {
+			if d := runDelta(sealed, added, ops, false); d != "" {
+				t.Fatal(d)
+			}
+			ops = ops[:0]
+			if d := sameRelation(sealed, added); d != "" {
+				t.Fatalf("the sealed relation differs from MustAdd's: %s", d)
+			}
+			if d := checkTable(sealed); d != "" {
+				t.Fatal(d)
+			}
+		}
+		for ; len(data) >= 3; data = data[3:] {
+			k := [2]int64{int64(data[0] & 7), int64(data[0] >> 3 & 3)}
+			m, ctl := int64(int8(data[1])), data[2]
+			if m < 0 {
+				m = max(m, -have[k])
+				if m == 0 {
+					m = 1
+				}
+			}
+			have[k] += m
+			if ctl&2 != 0 {
+				check()
+				sealed.MustAdd(tuple.Tuple{k[0], k[1]}, m)
+				added.MustAdd(tuple.Tuple{k[0], k[1]}, m)
+			} else {
+				ops = append(ops, fillOp{A: k[0], B: k[1], M: m})
+			}
+			if ctl&1 != 0 {
+				check()
+			}
+		}
+		check()
+	})
+}

@@ -66,6 +66,23 @@
 // outgrew its columns the room to repeat without growing, so a steady-state
 // major rebalance still allocates nothing.
 //
+// A delta fill applies a delta rather than storing rows: OpenDelta, then
+// Append of each row of δR, then SealDelta, whose count internal/core does
+// not know ahead. Its columns double as rows come and nothing is placed
+// until SealDelta, which shares Seal's two hashing passes and its placement
+// partition by partition, but merges only appended rows: a tuple's first row
+// is its accumulator — in the slot of the stored equal row, whose id the
+// slot gives up until the end, or in a new one, the probe array growing
+// only as new tuples fill it — and its later rows add into it. Placement
+// leaves a record per row past the end of the insertion-order column (the
+// stored row and the accumulator's slot), from which a pass in id order
+// settles every accumulator without a hash or a key compare: exactly as Add
+// of the aggregated rows, in the order their tuples first appeared, would —
+// the same merges, removals and inserts, freed ids reused, in the same
+// insertion order and index buckets — and hands each non-zero net row to
+// the caller in that order. A new row that keeps the id it was appended at
+// touches no slot again.
+//
 // # Keyed sets
 //
 // Keys (keys.go), the probe table without deletion, numbers distinct tuples
@@ -287,7 +304,8 @@ func (e *ArityError) Error() string {
 // and neither do inserts the columns have room for (see Allocation in the
 // package comment).
 func (r *Relation) Add(t tuple.Tuple, m int64) error {
-	return r.addHashed(t, tuple.Hash(r.s.seed, t), m)
+	_, err := r.addHashed(t, tuple.Hash(r.s.seed, t), m)
+	return err
 }
 
 // arityError builds the arity-mismatch error away from the Add hot path:
@@ -304,16 +322,17 @@ func (r *Relation) multError(t tuple.Tuple, have, m int64) error {
 }
 
 // addHashed is Add with h = tuple.Hash(r.s.seed, t) precomputed; any other
-// h corrupts the relation.
-func (r *Relation) addHashed(t tuple.Tuple, h uint64, m int64) error {
+// h corrupts the relation. It also returns the multiplicity t had before, for
+// m ≠ 0.
+func (r *Relation) addHashed(t tuple.Tuple, h uint64, m int64) (prior int64, err error) {
 	if m == 0 {
-		return nil
+		return 0, nil
 	}
 	if r.frozen {
 		panic(fmt.Sprintf("relation %s: mutation of a frozen snapshot handle", r.name))
 	}
 	if len(t) != len(r.schema) {
-		return r.arityError(t)
+		return 0, r.arityError(t)
 	}
 	if r.s.pins.Load() != 0 {
 		r.detach(false)
@@ -325,20 +344,20 @@ func (r *Relation) addHashed(t tuple.Tuple, h uint64, m int64) error {
 	i, id, ok := s.tab.find(h, t)
 	if !ok {
 		if m < 0 {
-			return r.multError(t, 0, m)
+			return 0, r.multError(t, 0, m)
 		}
 		s.insert(i, h, t, m)
-		return nil
+		return 0, nil
 	}
 	have := s.mults[id]
 	if have+m < 0 {
-		return r.multError(t, have, m)
+		return have, r.multError(t, have, m)
 	}
 	s.mults[id] = have + m
 	if have+m == 0 {
 		s.remove(i, id)
 	}
-	return nil
+	return have, nil
 }
 
 // remove drops entry id, in probe slot i, whose multiplicity reached zero:
@@ -398,12 +417,26 @@ func (r *Relation) MustAdd(t tuple.Tuple, m int64) {
 	}
 }
 
+// MustAddPrior is MustAdd that returns the multiplicity t had before the
+// change, found by the same probe: a read and a write of one tuple for the
+// price of the write.
+func (r *Relation) MustAddPrior(t tuple.Tuple, m int64) (prior int64) {
+	if m == 0 {
+		return r.Mult(t)
+	}
+	prior, err := r.addHashed(t, tuple.Hash(r.s.seed, t), m)
+	if err != nil {
+		panic(err)
+	}
+	return prior
+}
+
 // Set forces the multiplicity of t to m ≥ 0 (0 deletes). The tuple is
 // hashed once for both the read and the write.
 func (r *Relation) Set(t tuple.Tuple, m int64) {
 	h := tuple.Hash(r.s.seed, t)
 	cur := r.multHashed(h, t)
-	if err := r.addHashed(t, h, m-cur); err != nil {
+	if _, err := r.addHashed(t, h, m-cur); err != nil {
 		panic(err)
 	}
 }

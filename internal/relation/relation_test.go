@@ -28,6 +28,15 @@ func TestAddLookupDelete(t *testing.T) {
 	if r.Size() != 0 || r.Contains(tuple.Tuple{1, 2}) {
 		t.Fatalf("delete to zero did not remove entry")
 	}
+	// MustAddPrior is the same write, reporting what the tuple held before.
+	for _, c := range []struct{ m, prior int64 }{{2, 0}, {3, 2}, {0, 5}, {-5, 5}} {
+		if got := r.MustAddPrior(tuple.Tuple{1, 2}, c.m); got != c.prior {
+			t.Fatalf("MustAddPrior(%d) = %d, want %d", c.m, got, c.prior)
+		}
+	}
+	if r.Size() != 0 {
+		t.Fatalf("MustAddPrior's delete to zero did not remove entry")
+	}
 }
 
 func TestAddRejectsNegative(t *testing.T) {
