@@ -52,13 +52,12 @@ func readReport(path string) (*benchutil.GoBenchReport, error) {
 
 func main() {
 	var (
-		basePath     = flag.String("baseline", "BENCH_update.json", "committed baseline report")
-		newPath      = flag.String("new", "", "fresh bench2json report to compare (required)")
-		tol          = flag.Float64("tol", 0.30, "allowed fractional ns/op regression")
-		allocTol     = flag.Float64("alloc-tol", 0, "allowed fractional allocs/op and footprint-B increase (default strict: any increase fails)")
-		allocsOnly   = flag.Bool("allocs-only", false, "gate allocs/op only; ignore ns/op entirely (for noisy shared runners)")
-		allowMissing = flag.Bool("allow-missing", false, "tolerate baseline benchmarks absent from the fresh run")
-		allocNondet  = flag.String("alloc-nondet", "", "regexp of benchmarks with nondeterministic allocs/op, gated at 50% tolerance instead of exact")
+		basePath    = flag.String("baseline", "BENCH_update.json", "committed baseline report")
+		newPath     = flag.String("new", "", "fresh bench2json report to compare (required)")
+		tol         = flag.Float64("tol", 0.30, "allowed fractional ns/op regression")
+		allocTol    = flag.Float64("alloc-tol", 0, "allowed fractional allocs/op and footprint-B increase (default strict: any increase fails)")
+		allocsOnly  = flag.Bool("allocs-only", false, "gate allocs/op only; ignore ns/op entirely (for noisy shared runners)")
+		allocNondet = flag.String("alloc-nondet", "", "regexp of benchmarks with nondeterministic allocs/op, gated at 50% tolerance instead of exact")
 	)
 	flag.Parse()
 	if *allocsOnly {
@@ -83,7 +82,6 @@ func main() {
 	opts := benchutil.DiffOptions{
 		NsTolerance:    *tol,
 		AllocTolerance: *allocTol,
-		AllowMissing:   *allowMissing,
 	}
 	if *allocNondet != "" {
 		re, err := regexp.Compile(*allocNondet)
@@ -102,8 +100,6 @@ func main() {
 		case d.Bad:
 			verdict = "FAIL: " + d.Reason
 			bad++
-		case d.Missing:
-			verdict = "missing (tolerated)"
 		case d.New:
 			verdict = "new (no baseline)"
 		}

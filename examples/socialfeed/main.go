@@ -280,17 +280,19 @@ func main() {
 		log.Fatal(err)
 	}
 	for _, v := range views {
-		rows, mults, err := snap.ViewRows(v)
+		seq, err := snap.ViewAll(v)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if len(rows) != len(feed[v]) {
-			log.Fatalf("view %s: remote fold has %d rows, engine has %d", v, len(feed[v]), len(rows))
-		}
-		for i := range rows {
-			if feed[v][fmt.Sprint(rows[i])] != mults[i] {
-				log.Fatalf("view %s: remote fold diverges at row %v", v, rows[i])
+		n := 0
+		for row, mult := range seq {
+			if feed[v][fmt.Sprint(row)] != mult {
+				log.Fatalf("view %s: remote fold diverges at row %v", v, row)
 			}
+			n++
+		}
+		if n != len(feed[v]) {
+			log.Fatalf("view %s: remote fold has %d rows, engine has %d", v, len(feed[v]), n)
 		}
 	}
 	snap.Close()

@@ -14,13 +14,12 @@
 // declared surface, and any change to it, including a swap from a concrete
 // type to an alias, is exactly what should show up in review.
 //
-// One piece of the surface is not written where it shows: the methods an
-// exported struct gets by embedding an unexported struct type of the same
-// package. The dump lists those under the exported type, as godoc does —
-// "func (*Engine) Load(…)" whether Load is declared on Engine or promoted
-// into it — and omits the embed line of the unexported type itself, so
-// moving a method body between an exported type and a struct it embeds
-// leaves the dump unchanged, and dropping the method does not.
+// An exported struct may embed only exported types. An unexported type it
+// embeds is one of this package, or predeclared like error, and would
+// promote methods into the exported struct that have no line of their own,
+// so the lock could pass over a change to them. Dump refuses such a struct
+// with an error naming both types; an exported embed renders as an "embed"
+// line, whose type is locked where it is declared.
 package apilock
 
 import (
@@ -36,7 +35,8 @@ import (
 )
 
 // Dump renders the exported API of the single Go package in dir (non-test
-// files only) as one sorted block of text, one line per declaration.
+// files only) as one sorted block of text, one line per declaration. It
+// fails on an exported struct that embeds an unexported type.
 func Dump(dir string) (string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -55,38 +55,20 @@ func Dump(dir string) (string, error) {
 		}
 		files = append(files, file)
 	}
-	// First pass: the package's struct types and the methods declared on
-	// each type, which promotion needs across files.
-	p := pkgIndex{structs: map[string]*ast.StructType{}, methods: map[string][]*ast.FuncDecl{}}
-	for _, file := range files {
-		for _, decl := range file.Decls {
-			switch d := decl.(type) {
-			case *ast.FuncDecl:
-				if d.Recv != nil && len(d.Recv.List) == 1 {
-					recv, _ := baseTypeName(d.Recv.List[0].Type)
-					p.methods[recv] = append(p.methods[recv], d)
-				}
-			case *ast.GenDecl:
-				for _, spec := range d.Specs {
-					if ts, ok := spec.(*ast.TypeSpec); ok {
-						if st, ok := ts.Type.(*ast.StructType); ok {
-							p.structs[ts.Name.Name] = st
-						}
-					}
-				}
-			}
-		}
-	}
 	var lines []string
 	for _, file := range files {
 		for _, decl := range file.Decls {
 			switch d := decl.(type) {
 			case *ast.FuncDecl:
-				if l, ok := funcLine(d, ""); ok {
+				if l, ok := funcLine(d); ok {
 					lines = append(lines, l)
 				}
 			case *ast.GenDecl:
-				lines = append(lines, p.genLines(d)...)
+				ls, err := genLines(d)
+				if err != nil {
+					return "", err
+				}
+				lines = append(lines, ls...)
 			}
 		}
 	}
@@ -94,126 +76,18 @@ func Dump(dir string) (string, error) {
 	return strings.Join(lines, "\n") + "\n", nil
 }
 
-// pkgIndex is what promotion needs to know about the package as a whole:
-// every struct type by name, and the methods declared on each type name.
-type pkgIndex struct {
-	structs map[string]*ast.StructType
-	methods map[string][]*ast.FuncDecl
-}
-
-// baseTypeName reduces a receiver or embedded-field type to the name it
-// declares or instantiates — "*front[S]" and "front[*core.Snapshot]" both
-// give "front" — and reports whether it was a pointer. Types of
-// other packages give "".
-func baseTypeName(e ast.Expr) (name string, ptr bool) {
-	for {
-		switch t := e.(type) {
-		case *ast.StarExpr:
-			e, ptr = t.X, true
-		case *ast.IndexExpr:
-			e = t.X
-		case *ast.IndexListExpr:
-			e = t.X
-		case *ast.Ident:
-			return t.Name, ptr
-		default:
-			return "", ptr
-		}
-	}
-}
-
-// unexportedStruct reports whether an embedded field's type is an
-// unexported struct type of this package, and its name.
-func (p *pkgIndex) unexportedStruct(f *ast.Field) (name string, ptr, ok bool) {
-	name, ptr = baseTypeName(f.Type)
-	_, ok = p.structs[name]
-	return name, ptr, ok && !ast.IsExported(name)
-}
-
-// promotedLines renders the exported methods that the exported struct
-// outer gets from the unexported struct types it embeds, directly or
-// through further unexported embedding. Go's selector rule applies: a name
-// declared at a shallower depth — a field or method of outer, or of an
-// embedded struct nearer to it — shadows deeper ones, and a name two
-// embedded structs of one depth both provide is promoted from neither.
-func (p *pkgIndex) promotedLines(outer string, st *ast.StructType) []string {
-	type embed struct {
-		name string
-		ptr  bool // reached through a pointer: value-receiver spelling
-	}
-	shadow := map[string]bool{}
-	for _, m := range p.methods[outer] {
-		shadow[m.Name.Name] = true
-	}
-	// scan records st's field names as taken at this depth and queues its
-	// unexported struct embeds for the next one.
-	scan := func(st *ast.StructType, viaPtr bool, taken map[string]bool) (next []embed) {
-		for _, f := range st.Fields.List {
-			for _, fn := range f.Names {
-				taken[fn.Name] = true
-			}
-			if len(f.Names) == 0 {
-				name, ptr, ok := p.unexportedStruct(f)
-				taken[name] = true
-				if ok {
-					next = append(next, embed{name, viaPtr || ptr})
-				}
-			}
-		}
-		return next
-	}
-	level := scan(st, false, shadow)
-	var lines []string
-	for len(level) > 0 {
-		found := map[string][]string{}
-		taken := map[string]bool{}
-		var next []embed
-		for _, em := range level {
-			for _, m := range p.methods[em.name] {
-				name := m.Name.Name
-				if !m.Name.IsExported() || shadow[name] {
-					taken[name] = true
-					continue
-				}
-				recv := outer
-				if _, ptr := baseTypeName(m.Recv.List[0].Type); ptr && !em.ptr {
-					recv = "*" + outer
-				}
-				l, _ := funcLine(m, recv)
-				found[name] = append(found[name], l)
-			}
-			next = append(next, scan(p.structs[em.name], em.ptr, taken)...)
-		}
-		for name, ls := range found {
-			if len(ls) == 1 && !taken[name] {
-				lines = append(lines, ls[0])
-			}
-			shadow[name] = true
-		}
-		for name := range taken {
-			shadow[name] = true
-		}
-		level = next
-	}
-	return lines
-}
-
 // funcLine renders one exported function or method, e.g.
 // "func (*Engine) Commit(b *Batch) error". Methods on unexported
-// receivers are skipped with their type — unless recvAs names the exported
-// type they are promoted into, which then stands as the receiver.
-func funcLine(d *ast.FuncDecl, recvAs string) (string, bool) {
+// receivers are skipped with their type.
+func funcLine(d *ast.FuncDecl) (string, bool) {
 	if !d.Name.IsExported() {
 		return "", false
 	}
 	var b strings.Builder
 	b.WriteString("func ")
 	if d.Recv != nil && len(d.Recv.List) == 1 {
-		recv := recvAs
-		if recv == "" {
-			recv = types.ExprString(d.Recv.List[0].Type)
-		}
-		if !exportedTypeName(recv) {
+		recv := types.ExprString(d.Recv.List[0].Type)
+		if !ast.IsExported(strings.TrimLeft(recv, "*")) {
 			return "", false
 		}
 		fmt.Fprintf(&b, "(%s) ", recv)
@@ -226,14 +100,7 @@ func funcLine(d *ast.FuncDecl, recvAs string) (string, bool) {
 	return b.String(), true
 }
 
-// exportedTypeName reports whether a receiver spelling like "*Engine" or
-// "Batch" names an exported type.
-func exportedTypeName(s string) bool {
-	s = strings.TrimLeft(s, "*")
-	return s != "" && ast.IsExported(s)
-}
-
-func (p *pkgIndex) genLines(d *ast.GenDecl) []string {
+func genLines(d *ast.GenDecl) ([]string, error) {
 	var lines []string
 	switch d.Tok {
 	case token.TYPE:
@@ -242,7 +109,11 @@ func (p *pkgIndex) genLines(d *ast.GenDecl) []string {
 			if !ok || !ts.Name.IsExported() {
 				continue
 			}
-			lines = append(lines, p.typeLines(ts)...)
+			ls, err := typeLines(ts)
+			if err != nil {
+				return nil, err
+			}
+			lines = append(lines, ls...)
 		}
 	case token.VAR, token.CONST:
 		for _, spec := range d.Specs {
@@ -262,15 +133,15 @@ func (p *pkgIndex) genLines(d *ast.GenDecl) []string {
 			}
 		}
 	}
-	return lines
+	return lines, nil
 }
 
 // typeLines renders one exported type: structs get one line per exported
 // field ("type Options struct; field Epsilon float64") and per embedded
-// type — for an unexported struct of this package, the methods it promotes
-// instead — interfaces one per method, and everything else a single line
-// with the underlying spelling.
-func (p *pkgIndex) typeLines(ts *ast.TypeSpec) []string {
+// type, interfaces one per method, and everything else a single line with
+// the underlying spelling. It refuses a struct that embeds an unexported
+// type.
+func typeLines(ts *ast.TypeSpec) ([]string, error) {
 	name := ts.Name.Name
 	assign := ""
 	if ts.Assign != token.NoPos {
@@ -282,9 +153,13 @@ func (p *pkgIndex) typeLines(ts *ast.TypeSpec) []string {
 		for _, f := range t.Fields.List {
 			ft := types.ExprString(f.Type)
 			if len(f.Names) == 0 { // embedded
-				if _, _, ok := p.unexportedStruct(f); !ok {
-					lines = append(lines, fmt.Sprintf("type %s struct; embed %s", name, ft))
+				// The embedded type's name: "*front[S]" gives "front",
+				// "sync.Mutex" gives "Mutex".
+				base, _, _ := strings.Cut(strings.TrimPrefix(ft, "*"), "[")
+				if !ast.IsExported(base[strings.LastIndex(base, ".")+1:]) {
+					return nil, fmt.Errorf("apilock: exported struct %s embeds unexported type %s, whose promoted methods the dump does not render", name, ft)
 				}
+				lines = append(lines, fmt.Sprintf("type %s struct; embed %s", name, ft))
 				continue
 			}
 			for _, fn := range f.Names {
@@ -293,7 +168,7 @@ func (p *pkgIndex) typeLines(ts *ast.TypeSpec) []string {
 				}
 			}
 		}
-		return append(lines, p.promotedLines(name, t)...)
+		return lines, nil
 	case *ast.InterfaceType:
 		lines := []string{fmt.Sprintf("type %s %sinterface", name, assign)}
 		for _, m := range t.Methods.List {
@@ -309,8 +184,8 @@ func (p *pkgIndex) typeLines(ts *ast.TypeSpec) []string {
 				}
 			}
 		}
-		return lines
+		return lines, nil
 	default:
-		return []string{fmt.Sprintf("type %s %s%s", name, assign, types.ExprString(ts.Type))}
+		return []string{fmt.Sprintf("type %s %s%s", name, assign, types.ExprString(ts.Type))}, nil
 	}
 }

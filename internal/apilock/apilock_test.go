@@ -80,93 +80,93 @@ func TestDumpRendersCoreShapes(t *testing.T) {
 	}
 }
 
-// TestDumpPromotedMethods pins the one part of the surface that is not
-// written where it shows: methods promoted into an exported struct from the
-// unexported struct types it embeds — listed under the exported type,
-// across files, through generic and nested embedding, minus shadowed and
-// ambiguous names — while the unexported embed itself is not listed.
-func TestDumpPromotedMethods(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name, src string) {
+// TestDumpRefusesUnexportedEmbed pins the refusal rule: an exported struct
+// that embeds an unexported type of its package, generic or through a
+// pointer, fails the dump with an error naming both types, while exported
+// embeds still render as embed lines.
+func TestDumpRefusesUnexportedEmbed(t *testing.T) {
+	dump := func(src string) (string, error) {
 		t.Helper()
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "p.go"), []byte(src), 0o644); err != nil {
 			t.Fatal(err)
 		}
+		return Dump(dir)
 	}
-	write("a.go", `package p
+	const shared = `
+type front[S any] struct{ s S }
 
-type Engine struct {
-	front[int]
-	Options
-	name string
-}
+func (f *front[S]) Load(rel string) error { return nil }
 
-type Sharded struct {
-	*front[string]
-	Stats int
-}
+type unexported struct{}
 
-type Both struct {
-	left
-	right
-}
+func (unexported) Close() {}
+`
+	for _, c := range []struct{ outer, inner, fields string }{
+		{"Engine", "front[int]", "front[int]"},
+		{"Sharded", "*unexported", "*unexported\n\tStats int"},
+	} {
+		got, err := dump("package p\n\ntype " + c.outer + " struct {\n\t" + c.fields + "\n}\n" + shared)
+		if err == nil {
+			t.Errorf("%s embeds %s, yet Dump passed:\n%s", c.outer, c.inner, got)
+		} else if !strings.Contains(err.Error(), c.outer) || !strings.Contains(err.Error(), c.inner) {
+			t.Errorf("Dump error %q does not name %s and %s", err, c.outer, c.inner)
+		}
+	}
 
-// Build shadows the promoted one.
-func (e *Engine) Build() error { return nil }
-`)
-	write("b.go", `package p
+	got, err := dump(`package p
+
+import "sync"
 
 type Options struct{ Epsilon float64 }
 
-type front[S any] struct {
-	deep
-	s S
+type Engine struct {
+	Options
+	sync.Mutex
+	name string
 }
-
-func (f *front[S]) Load(rel string, rows ...[]int64) error { return nil }
-func (f *front[S]) Build() error                           { return nil }
-func (f front[S]) N() int                                  { return 0 }
-func (f *front[S]) Stats() int                             { return 0 }
-func (f *front[S]) hidden()                                {}
-
-type deep struct{}
-
-func (deep) Close() {}
-func (deep) N() int { return 1 }
-
-type left struct{}
-
-func (left) Shared() {}
-func (left) Left()   {}
-
-type right struct{}
-
-func (right) Shared() {}
 `)
-	got, err := Dump(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := strings.Join([]string{
-		"func (*Engine) Build() error",
-		"func (*Engine) Load(rel string, rows ...[]int64) error",
-		"func (*Engine) Stats() int",
-		"func (Both) Left()",
-		"func (Engine) Close()",
-		"func (Engine) N() int",
-		"func (Sharded) Build() error",
-		"func (Sharded) Close()",
-		"func (Sharded) Load(rel string, rows ...[]int64) error",
-		"func (Sharded) N() int",
-		"type Both struct",
 		"type Engine struct",
 		"type Engine struct; embed Options",
+		"type Engine struct; embed sync.Mutex",
 		"type Options struct",
 		"type Options struct; field Epsilon float64",
-		"type Sharded struct",
-		"type Sharded struct; field Stats int",
 	}, "\n") + "\n"
 	if got != want {
+		t.Errorf("dump:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestDumpRefusesPredeclaredEmbed pins the other half of the rule: a
+// predeclared unexported type such as error also promotes a method with no
+// line of its own, so an exported struct embedding it is refused too, while
+// an unexported struct may embed it, since the dump skips that struct.
+func TestDumpRefusesPredeclaredEmbed(t *testing.T) {
+	dir := t.TempDir()
+	src := "package p\n\ntype Wrapped struct {\n\terror\n\tCode int\n}\n"
+	if err := os.WriteFile(filepath.Join(dir, "p.go"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Dump(dir)
+	if err == nil {
+		t.Errorf("Wrapped embeds error, yet Dump passed:\n%s", got)
+	} else if !strings.Contains(err.Error(), "Wrapped") || !strings.Contains(err.Error(), "error") {
+		t.Errorf("Dump error %q does not name Wrapped and error", err)
+	}
+
+	src = "package p\n\ntype wrapped struct {\n\terror\n}\n\ntype Code int\n"
+	if err := os.WriteFile(filepath.Join(dir, "p.go"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err = Dump(dir)
+	if err != nil {
+		t.Fatalf("an unexported struct's embed was refused: %v", err)
+	}
+	if want := "type Code int\n"; got != want {
 		t.Errorf("dump:\n%s\nwant:\n%s", got, want)
 	}
 }

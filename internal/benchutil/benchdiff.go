@@ -23,21 +23,18 @@ type DiffOptions struct {
 	// nondeterministic allocation profile; keep it well under
 	// 1 / (smallest pinned baseline count).
 	AllocTolerance float64
-	// AllowMissing suppresses failures for baseline benchmarks absent from
-	// the fresh run (e.g. when diffing a partial run).
-	AllowMissing bool
 	// AllocNondet marks benchmarks whose allocation profile is inherently
 	// nondeterministic — paths through the Go HTTP stack, say, where
 	// connection reuse and buffer pooling jitter the count run to run.
-	// Matched benchmarks are gated with AllocNondetTolerance instead of
+	// Matched benchmarks are gated with allocNondetTolerance instead of
 	// AllocTolerance; nil marks none.
 	AllocNondet func(name string) bool
-	// AllocNondetTolerance is the fractional allocs/op increase allowed
-	// for AllocNondet-matched benchmarks. 0 means 0.5 (50%): loose enough
-	// to absorb HTTP-stack jitter, tight enough to catch a per-op
-	// allocation doubling.
-	AllocNondetTolerance float64
 }
+
+// allocNondetTolerance is the fractional allocs/op increase allowed for
+// AllocNondet-matched benchmarks: loose enough to absorb HTTP-stack jitter,
+// tight enough to catch a per-op allocation doubling.
+const allocNondetTolerance = 0.5
 
 // BenchDiff is the comparison result for one benchmark name.
 type BenchDiff struct {
@@ -67,7 +64,7 @@ func (d *BenchDiff) NsDelta() float64 {
 // its ns/op regresses beyond the tolerance, when its allocs/op or its
 // baseline's footprint-B grows beyond the allocation tolerance (a footprint
 // the fresh run no longer reports counts as grown), or when it disappeared
-// from the fresh run (unless AllowMissing).
+// from the fresh run.
 func CompareReports(base, fresh *GoBenchReport, opts DiffOptions) []BenchDiff {
 	fresh2 := map[string]*GoBenchResult{}
 	for i := range fresh.Benchmarks {
@@ -81,21 +78,15 @@ func CompareReports(base, fresh *GoBenchReport, opts DiffOptions) []BenchDiff {
 		d := BenchDiff{Name: b.Name, BaseNs: b.NsPerOp, BaseAllocs: b.AllocsPerOp, BaseFootprint: b.FootprintBytes}
 		f, ok := fresh2[b.Name]
 		if !ok {
-			d.Missing = true
-			if !opts.AllowMissing {
-				d.Bad = true
-				d.Reason = "missing from the fresh run (bench regex no longer covers it?)"
-			}
+			d.Missing, d.Bad = true, true
+			d.Reason = "missing from the fresh run (bench regex no longer covers it?)"
 			out = append(out, d)
 			continue
 		}
 		d.NewNs, d.NewAllocs, d.NewFootprint = f.NsPerOp, f.AllocsPerOp, f.FootprintBytes
 		allocTol := opts.AllocTolerance
 		if opts.AllocNondet != nil && opts.AllocNondet(b.Name) {
-			allocTol = opts.AllocNondetTolerance
-			if allocTol == 0 {
-				allocTol = 0.5
-			}
+			allocTol = allocNondetTolerance
 		}
 		switch {
 		case d.NewAllocs > d.BaseAllocs*(1+allocTol):

@@ -60,7 +60,7 @@ func TestCompareReports(t *testing.T) {
 		t.Fatalf("zero-alloc baseline gaining an alloc not flagged: %+v", d)
 	}
 
-	// AllocNondet-matched benchmarks get the loose 50% default tolerance;
+	// AllocNondet-matched benchmarks get the loose 50% tolerance;
 	// unmatched ones in the same run stay exact, and even a matched one
 	// fails past the loose bound.
 	baseSrv := report(
@@ -80,7 +80,7 @@ func TestCompareReports(t *testing.T) {
 		byName[d.Name] = d
 	}
 	if d := byName["BenchmarkServerCommit"]; d.Bad {
-		t.Fatalf("nondet alloc jitter failed under the 50%% default: %+v", d)
+		t.Fatalf("nondet alloc jitter failed under the 50%% tolerance: %+v", d)
 	}
 	if d := byName["BenchmarkServerBloat"]; !d.Bad || !strings.Contains(d.Reason, "allocs/op") {
 		t.Fatalf("nondet alloc doubling not flagged: %+v", d)
@@ -89,21 +89,18 @@ func TestCompareReports(t *testing.T) {
 		t.Fatalf("unmatched benchmark lost the exact gate: %+v", d)
 	}
 
-	// Time regression beyond tolerance fails; missing tolerated on demand.
+	// Time regression beyond tolerance fails.
 	fresh2 := report(
 		GoBenchResult{Name: "BenchmarkA", NsPerOp: 150, AllocsPerOp: 0},
 		GoBenchResult{Name: "BenchmarkB", NsPerOp: 1000, AllocsPerOp: 5},
 	)
-	diffs = CompareReports(base, fresh2, DiffOptions{NsTolerance: 0.30, AllowMissing: true})
+	diffs = CompareReports(base, fresh2, DiffOptions{NsTolerance: 0.30})
 	byName = map[string]BenchDiff{}
 	for _, d := range diffs {
 		byName[d.Name] = d
 	}
 	if d := byName["BenchmarkA"]; !d.Bad || !strings.Contains(d.Reason, "ns/op") {
 		t.Fatalf("50%% time regression not flagged: %+v", d)
-	}
-	if d := byName["BenchmarkGone"]; d.Bad {
-		t.Fatalf("AllowMissing did not tolerate a missing benchmark: %+v", d)
 	}
 	if d := byName["BenchmarkB"]; d.Bad {
 		t.Fatalf("unchanged benchmark flagged: %+v", d)

@@ -282,16 +282,6 @@ func (c *Client) Epoch(ctx context.Context) (uint64, error) {
 	return sr.Epoch, nil
 }
 
-// Views returns the engine-assigned root-view names, mirroring
-// Engine.Views.
-func (c *Client) Views(ctx context.Context) ([]string, error) {
-	sr, err := c.Stats(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return sr.Views, nil
-}
-
 // drain discards and closes a response body so the connection is reused.
 func drain(rc io.ReadCloser) {
 	io.Copy(io.Discard, io.LimitReader(rc, 1<<20))

@@ -43,7 +43,7 @@ func Fig3Tradeoff(cfg Config) *Result {
 		per := applyStream(sys, workload.UpdateStream(r, q, db, count, 0.3))
 		st := benchutil.MeasureDelay(sys, enumLimit)
 		nn := float64(sys.Engine().N())
-		triple.Add(eps, sys.Engine().N(), prep, per, st.Max, pow(nn, eps), pow(nn, 1-eps))
+		triple.Add(eps, sys.Engine().N(), prep, per, st.Max, math.Pow(nn, eps), math.Pow(nn, 1-eps))
 		if eps == 0.5 {
 			updAt = append(updAt, per.Seconds())
 			delayAt = append(delayAt, st.Max.Seconds())
@@ -104,5 +104,3 @@ func fig3Eps(cfg Config) []float64 {
 	}
 	return []float64{0, 0.25, 0.5, 0.75, 1}
 }
-
-func pow(x, e float64) float64 { return math.Pow(x, e) }

@@ -1,10 +1,6 @@
 package query
 
-import (
-	"math/bits"
-
-	"ivmeps/internal/tuple"
-)
+import "ivmeps/internal/tuple"
 
 // IsHierarchical reports whether the query is hierarchical (Definition 1):
 // for any two variables, their sets of atoms are either disjoint or one is
@@ -277,6 +273,3 @@ func Classify(q *Query) Class {
 	}
 	return c
 }
-
-// popcount is exposed for tests of bitmask helpers.
-func popcount(x uint64) int { return bits.OnesCount64(x) }

@@ -75,9 +75,6 @@ func (q *Query) Bound() tuple.Schema { return q.Vars().Minus(q.Free) }
 // IsFree reports whether v is a free variable.
 func (q *Query) IsFree(v tuple.Variable) bool { return q.Free.Contains(v) }
 
-// IsFull reports whether free(Q) = vars(Q).
-func (q *Query) IsFull() bool { return q.Free.SameSet(q.Vars()) }
-
 // AtomsOf returns the indices into q.Atoms of the atoms containing v
 // (the paper's atoms(X)).
 func (q *Query) AtomsOf(v tuple.Variable) []int {

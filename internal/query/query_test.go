@@ -49,19 +49,13 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-func TestVarsBoundFull(t *testing.T) {
+func TestVarsBound(t *testing.T) {
 	q := MustParse("Q(A) = R(A, B), S(B)")
 	if !q.Vars().Equal(tuple.NewSchema("A", "B")) {
 		t.Fatalf("Vars = %v", q.Vars())
 	}
 	if !q.Bound().Equal(tuple.NewSchema("B")) {
 		t.Fatalf("Bound = %v", q.Bound())
-	}
-	if q.IsFull() {
-		t.Fatalf("IsFull true")
-	}
-	if !MustParse("Q(A, B) = R(A, B)").IsFull() {
-		t.Fatalf("full query not detected")
 	}
 }
 

@@ -105,11 +105,6 @@ type LightPartID struct {
 	Key string // canonical string of the key schema
 }
 
-// LightPart returns the ID of the light part a LightAtom leaf references.
-func (n *Node) LightPart() LightPartID {
-	return LightPartID{Rel: n.Rel, Key: joinVars(n.Keys)}
-}
-
 // LightPart describes one light part required by the forest.
 type LightPart struct {
 	Rel    string

@@ -9,6 +9,7 @@ package vorder
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -101,28 +102,6 @@ func (o *Order) VarNode(v tuple.Variable) *Node {
 		}
 	})
 	return found
-}
-
-// Vars returns all variables of the order in pre-order.
-func (o *Order) Vars() tuple.Schema {
-	var out tuple.Schema
-	o.Walk(func(n *Node) {
-		if n.IsVar() {
-			out = append(out, n.Var)
-		}
-	})
-	return out
-}
-
-// Atoms returns all atom leaves in pre-order.
-func (o *Order) Atoms() []*query.Atom {
-	var out []*query.Atom
-	o.Walk(func(n *Node) {
-		if n.Atom != nil {
-			out = append(out, n.Atom)
-		}
-	})
-	return out
 }
 
 // Clone deep-copies the order (atoms are copied too).
@@ -220,7 +199,7 @@ func Canonical(q *query.Query) (*Order, error) {
 	}
 	// Deterministic group order: larger atom sets first, then by mask.
 	sort.Slice(groups, func(i, j int) bool {
-		ci, cj := popcount(groups[i].mask), popcount(groups[j].mask)
+		ci, cj := bits.OnesCount64(groups[i].mask), bits.OnesCount64(groups[j].mask)
 		if ci != cj {
 			return ci > cj
 		}
@@ -235,7 +214,7 @@ func Canonical(q *query.Query) (*Order, error) {
 			if h == g || h.mask == g.mask || h.mask&g.mask != g.mask {
 				continue // not a strict superset
 			}
-			if parent == nil || popcount(h.mask) < popcount(parent.mask) {
+			if parent == nil || bits.OnesCount64(h.mask) < bits.OnesCount64(parent.mask) {
 				parent = h
 			}
 		}
@@ -258,7 +237,7 @@ func Canonical(q *query.Query) (*Order, error) {
 		var lowest *group
 		for _, v := range a.Vars {
 			g := byMask[q.AtomSet(v)]
-			if lowest == nil || popcount(g.mask) < popcount(lowest.mask) {
+			if lowest == nil || bits.OnesCount64(g.mask) < bits.OnesCount64(lowest.mask) {
 				lowest = g
 			}
 		}
@@ -266,13 +245,4 @@ func Canonical(q *query.Query) (*Order, error) {
 		lowest.last.Children = append(lowest.last.Children, n)
 	}
 	return o, nil
-}
-
-func popcount(x uint64) int {
-	c := 0
-	for x != 0 {
-		x &= x - 1
-		c++
-	}
-	return c
 }

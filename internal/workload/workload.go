@@ -9,7 +9,6 @@
 package workload
 
 import (
-	"math"
 	"math/rand"
 
 	"ivmeps/internal/naive"
@@ -241,27 +240,4 @@ func NewOMvInstance(rng *rand.Rand, n int, density float64) *OMvInstance {
 		inst.Rounds = append(inst.Rounds, vec)
 	}
 	return inst
-}
-
-// Sizes returns a geometric sweep of database sizes from lo to hi with the
-// given number of points, for exponent fitting.
-func Sizes(lo, hi, points int) []int {
-	if points < 2 {
-		return []int{hi}
-	}
-	out := make([]int, points)
-	ratio := math.Pow(float64(hi)/float64(lo), 1/float64(points-1))
-	x := float64(lo)
-	for i := range out {
-		out[i] = int(math.Round(x))
-		x *= ratio
-	}
-	return out
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

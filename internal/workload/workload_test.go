@@ -135,18 +135,3 @@ func TestOMvInstance(t *testing.T) {
 		t.Fatalf("matrix encoding wrong")
 	}
 }
-
-func TestSizes(t *testing.T) {
-	s := Sizes(100, 10000, 5)
-	if len(s) != 5 || s[0] != 100 || s[4] != 10000 {
-		t.Fatalf("Sizes = %v", s)
-	}
-	for i := 1; i < len(s); i++ {
-		if s[i] <= s[i-1] {
-			t.Fatalf("not increasing: %v", s)
-		}
-	}
-	if got := Sizes(10, 100, 1); len(got) != 1 || got[0] != 100 {
-		t.Fatalf("degenerate Sizes = %v", got)
-	}
-}
