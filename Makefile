@@ -25,15 +25,17 @@ GO ?= go
 BENCH_RE = Update|Batch|Sharded|WAL|Watch|Server
 
 # The read-path benchmark set: one capped pass over Engine.All per ε on three
-# query classes. It has its own file (BENCH_enum.json) and its own regex —
-# BENCH_RE is not widened — and is gated on allocs/op only: a pass allocates
-# a fixed few handles (snapshot, closures), since the iterator tree is reused
-# from the previous pass, and nothing per heavy key or per row. Every line
-# reads the same small count, so the 1 % the gate allows means exact. That
-# holds: go test truncates allocs/op to whole allocations, so a stray
-# allocation of the runtime's moves a count only if it recurs in every
-# iteration, while one allocation per heavy key would add thousands and one
-# per row 20 000.
+# query classes, and on the first of them again with one Apply before every
+# pass, so each pass reads at a new epoch. It has its own file
+# (BENCH_enum.json) and its own regex — BENCH_RE is not widened — and is
+# gated on allocs/op only: a pass allocates nothing, since the implicit
+# snapshot lives on the reader's stack, the iterator tree is reused from the
+# previous pass, and a new epoch's capture re-pins the generation the Apply
+# retired — nothing per pass, per heavy key or per row. Every line reads 0,
+# so the 1 % the gate allows means exact. That holds: go test truncates
+# allocs/op to whole allocations, so a stray allocation of the runtime's
+# moves a count only if it recurs in every iteration, while one allocation
+# per pass would read 1, one per heavy key thousands and one per row 20 000.
 BENCH_ENUM_RE = ^BenchmarkEnumerate$$
 BENCH_ENUM_ALLOC_TOL = 0.01
 
@@ -65,7 +67,7 @@ test:
 # than TEST_FLOOR (subtests count, as `go test -v` prints them). A change
 # that adds tests raises the floor to its new count; one that deletes a test
 # on purpose lowers it in the same diff and says why.
-TEST_FLOOR = 594
+TEST_FLOOR = 600
 
 test-count:
 	@log=$$(mktemp); $(GO) test -v ./... > $$log 2>&1; status=$$?; \
@@ -79,8 +81,9 @@ test-count:
 # this target, so the two cannot drift): the internal suite (snapshot
 # readers against commits, the federation's parallel apply, and
 # internal/server's stats-vs-commit and reader-eviction races), three more
-# runs of the snapshot-reuse race (readers recycling enumeration contexts
-# through the engine's free list against a committer), then the root suites
+# runs of the snapshot-reuse races (readers recycling enumeration contexts
+# and snapshot generations through the engine's free lists against a
+# committer, opening at new epochs), then the root suites
 # the scenario driver (scenario_test.go) runs against naive —
 # crash recovery, fault injection over every I/O site, the watch property
 # suite, the public sharded engine (whose multi-shard commits apply on
@@ -90,7 +93,7 @@ test-count:
 # against commits and the cmd/ivmd shutdown and connection-timeout tests.
 race:
 	$(GO) test -race ./internal/...
-	$(GO) test -race -count=3 -run 'TestSnapshotReuseRacesCommits' ./internal/core/
+	$(GO) test -race -count=3 -run 'TestSnapshotReuseRacesCommits|TestGenerationReuseRacesCommits' ./internal/core/
 	$(GO) test -race -run 'CrashRecoveryRandomCut|BitFlipRecovery|DurableRoundTrip|CheckpointBoundsReplay' .
 	$(GO) test -race -run 'FaultInjection|FaultInjectedOpen|LogWedge|EngineClose|OpenErrorPathsNoLeak|OpenRemovesStaleCheckpointTmp|CheckpointRenameFailure|CheckpointTempRemoveCannotMask' ./...
 	$(GO) test -race -run 'TestWatch|TestWatcher|TestExplainRacesCommit' .

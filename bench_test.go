@@ -761,7 +761,8 @@ func BenchmarkShardedEnumerate(b *testing.B) {
 				if err := f.Preprocess(db); err != nil {
 					b.Fatal(err)
 				}
-				s := f.Snapshot()
+				var s federation.Snapshot
+				f.SnapshotInto(&s)
 				defer s.Close()
 				pass := func() {
 					n := 0
@@ -784,10 +785,13 @@ func BenchmarkShardedEnumerate(b *testing.B) {
 // BenchmarkUpdateSteadyState measures the write side: one op = one pass over
 // Engine.All, capped at 20 000 rows, on a built engine that has been
 // enumerated once. allocs/op is the gate (BENCH_enum.json, `make
-// bench-enum`): a pass allocates its snapshot handle and the closures of
-// the range loop — the same few objects at every ε, since the iterator tree,
-// one instance per heavy key, is reused from the previous pass — and nothing
-// per row.
+// bench-enum`): a pass allocates the closures of the range loop — the same
+// few objects at every ε, since the implicit snapshot lives on the stack and
+// the iterator tree, one instance per heavy key, is reused from the previous
+// pass — and nothing per row. The two-path-new-epoch case commits one Apply
+// before each pass, so every pass reads at a new epoch: its capture re-pins
+// the generation the Apply retired and allocates no more than a pass at a
+// held epoch.
 func BenchmarkEnumerate(b *testing.B) {
 	const rowCap = 20000
 	// domains bound each variable's values; unlisted variables range over
@@ -795,10 +799,12 @@ func BenchmarkEnumerate(b *testing.B) {
 	cases := []struct {
 		name, q string
 		domains map[string]int64
+		commit  bool // one Apply before every pass
 	}{
-		{"two-path", "Q(A, C) = R(A, B), S(B, C)", nil}, // Zipf-skewed B: twoPathDB
-		{"q-hierarchical", "Q(A, B, C) = R(A, B), S(A, C)", map[string]int64{"A": benchN / 8}},
-		{"free-connex", "Q(A, D, E) = R(A, B, C), S(A, B, D), T(A, E)", map[string]int64{"A": 50, "B": 10}},
+		{"two-path", "Q(A, C) = R(A, B), S(B, C)", nil, false}, // Zipf-skewed B: twoPathDB
+		{"q-hierarchical", "Q(A, B, C) = R(A, B), S(A, C)", map[string]int64{"A": benchN / 8}, false},
+		{"free-connex", "Q(A, D, E) = R(A, B, C), S(A, B, D), T(A, E)", map[string]int64{"A": 50, "B": 10}, false},
+		{"two-path-new-epoch", "Q(A, C) = R(A, B), S(B, C)", nil, true},
 	}
 	for _, c := range cases {
 		q := ivmeps.MustParseQuery(c.q)
@@ -810,11 +816,15 @@ func BenchmarkEnumerate(b *testing.B) {
 				}
 				defer e.Close()
 				rng := rand.New(rand.NewSource(31))
+				var row []int64 // a row of R, toggled by the new-epoch case's Apply
 				if c.domains == nil {
 					for rel, r := range twoPathDB(benchN) {
 						r.ForEach(func(t tuple.Tuple, _ int64) {
 							if err := e.Load(rel, t); err != nil {
 								b.Fatal(err)
+							}
+							if rel == "R" && row == nil {
+								row = t.Clone()
 							}
 						})
 					}
@@ -839,7 +849,14 @@ func BenchmarkEnumerate(b *testing.B) {
 				if err := e.Build(); err != nil {
 					b.Fatal(err)
 				}
+				sign := int64(1)
 				pass := func() (rows int) {
+					if c.commit {
+						if err := e.Apply("R", row, sign); err != nil { // +1, −1, …: the state cycles
+							b.Fatal(err)
+						}
+						sign = -sign
+					}
 					for range e.All() {
 						if rows++; rows >= rowCap {
 							break
@@ -851,6 +868,7 @@ func BenchmarkEnumerate(b *testing.B) {
 				if rows == 0 {
 					b.Fatal("empty result")
 				}
+				pass() // and again, so the timer starts after an Apply of each sign
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {

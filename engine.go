@@ -27,14 +27,6 @@ type backend interface {
 	Explain() string
 }
 
-// snapSource is a backend's snapshot: one committed state, enumerable
-// concurrently with commits to the backend it came from.
-type snapSource interface {
-	Epoch() uint64
-	Enumerate(yield func(t tuple.Tuple, m int64) bool)
-	Close()
-}
-
 // Engine maintains a hierarchical query under single-tuple updates and
 // enumerates its distinct result tuples with multiplicities. New builds it
 // over one engine; NewSharded over a hash-sharded federation of K engines,
@@ -222,26 +214,28 @@ func (e *Engine) Commit(b *Batch) error {
 	return wrapErr(e.b.CommitBatch(b.ops))
 }
 
-// snapshot captures the backend's current committed state, or reports
-// ErrNotBuilt.
-func (e *Engine) snapshot() (Snapshot, error) {
+// snapshot captures the backend's current committed state into s, or
+// reports ErrNotBuilt.
+func (e *Engine) snapshot(s *Snapshot) error {
 	if err := e.notBuilt("Snapshot"); err != nil {
-		return Snapshot{}, err
+		return err
 	}
 	if e.fed != nil {
-		return Snapshot{e.fed.Snapshot()}, nil
+		s.sharded = true
+		e.fed.SnapshotInto(&s.f)
+		return nil
 	}
-	return Snapshot{e.e.Snapshot()}, nil
+	e.e.SnapshotInto(&s.c)
+	return nil
 }
 
 // mustSnapshot backs the implicit-snapshot reads, All and Count: it panics
-// with ErrNotBuilt where Snapshot would return it.
-func (e *Engine) mustSnapshot() Snapshot {
-	s, err := e.snapshot()
-	if err != nil {
+// with ErrNotBuilt where Snapshot would return it. Their Snapshot lives on
+// the reader's stack, so an implicit read allocates nothing.
+func (e *Engine) mustSnapshot(s *Snapshot) {
+	if e.snapshot(s) != nil {
 		panic(ErrNotBuilt)
 	}
-	return s
 }
 
 // Snapshot captures the current committed state for concurrent reading:
@@ -253,11 +247,11 @@ func (e *Engine) mustSnapshot() Snapshot {
 // not safe for concurrent use — take one per reader goroutine (they share
 // storage). Close it when done.
 func (e *Engine) Snapshot() (*Snapshot, error) {
-	s, err := e.snapshot()
-	if err != nil {
+	s := new(Snapshot)
+	if err := e.snapshot(s); err != nil {
 		return nil, err
 	}
-	return &s, nil
+	return s, nil
 }
 
 // All returns an iterator over the current committed result, for use with
@@ -275,16 +269,18 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 // panic on misuse; see the package documentation).
 func (e *Engine) All() iter.Seq2[[]int64, int64] {
 	return func(yield func([]int64, int64) bool) {
-		s := e.mustSnapshot()
+		var s Snapshot
+		e.mustSnapshot(&s)
 		defer s.Close()
-		s.s.Enumerate(func(t tuple.Tuple, m int64) bool { return yield(t, m) })
+		s.enumerate(yield)
 	}
 }
 
 // Count returns the number of distinct result tuples (by enumeration of an
 // implicit snapshot). It panics with ErrNotBuilt before Build.
 func (e *Engine) Count() int {
-	s := e.mustSnapshot()
+	var s Snapshot
+	e.mustSnapshot(&s)
 	defer s.Close()
 	return s.Count()
 }
@@ -332,13 +328,20 @@ func (e *Engine) Explain() string { return e.b.Explain() }
 // enumeration — readable concurrently with updates to the engine it came
 // from. See Engine.Snapshot.
 type Snapshot struct {
-	s snapSource
+	c       core.Snapshot       // an engine's from New or Open
+	f       federation.Snapshot // a sharded engine's
+	sharded bool
 }
 
 // Epoch identifies the committed state the snapshot observes: the number
 // of committed write operations (Build counts as the first) at capture
 // time. Two snapshots with equal epochs observe identical states.
-func (s *Snapshot) Epoch() uint64 { return s.s.Epoch() }
+func (s *Snapshot) Epoch() uint64 {
+	if s.sharded {
+		return s.f.Epoch()
+	}
+	return s.c.Epoch()
+}
 
 // All returns an iterator over the snapshot's state, for use with range:
 // every distinct result tuple with its multiplicity, in head order, with
@@ -346,9 +349,18 @@ func (s *Snapshot) Epoch() uint64 { return s.s.Epoch() }
 // reused between iterations; copy it to retain. The iterator may be ranged
 // over several times; every pass enumerates the same committed state.
 func (s *Snapshot) All() iter.Seq2[[]int64, int64] {
-	return func(yield func([]int64, int64) bool) {
-		s.s.Enumerate(func(t tuple.Tuple, m int64) bool { return yield(t, m) })
+	return s.enumerate
+}
+
+// enumerate yields every distinct result tuple of the snapshot's state with
+// its multiplicity, stopping early if yield returns false.
+func (s *Snapshot) enumerate(yield func([]int64, int64) bool) {
+	rows := func(t tuple.Tuple, m int64) bool { return yield(t, m) }
+	if s.sharded {
+		s.f.Enumerate(rows)
+		return
 	}
+	s.c.Enumerate(rows)
 }
 
 // collect copies every pair of seq into fresh rows — sub-slices of one
@@ -377,11 +389,17 @@ func collect(seq iter.Seq2[[]int64, int64]) (rows [][]int64, mults []int64) {
 // state (by enumeration).
 func (s *Snapshot) Count() int {
 	n := 0
-	s.s.Enumerate(func(tuple.Tuple, int64) bool { n++; return true })
+	s.enumerate(func([]int64, int64) bool { n++; return true })
 	return n
 }
 
 // Close releases the snapshot, letting the writer stop preserving its
 // generation — on a sharded engine, on every shard. It is idempotent; the
 // snapshot must not be used afterwards.
-func (s *Snapshot) Close() { s.s.Close() }
+func (s *Snapshot) Close() {
+	if s.sharded {
+		s.f.Close()
+		return
+	}
+	s.c.Close()
+}

@@ -386,8 +386,8 @@ func TestCommitSinksAreIndependent(t *testing.T) {
 	}
 	a, b := &countSink{}, &countSink{}
 	for _, s := range []*countSink{a, b} {
-		held, err := e.SubscribeCommits(s)
-		if err != nil {
+		var held Snapshot
+		if err := e.SubscribeCommits(s, &held); err != nil {
 			t.Fatal(err)
 		}
 		held.Close()
@@ -424,7 +424,7 @@ func TestSubscribeCommitsBeforePreprocess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.SubscribeCommits(&countSink{}); !errors.Is(err, ErrNotBuilt) {
+	if err := e.SubscribeCommits(&countSink{}, new(Snapshot)); !errors.Is(err, ErrNotBuilt) {
 		t.Fatalf("SubscribeCommits before Preprocess: %v, want ErrNotBuilt", err)
 	}
 }
@@ -528,13 +528,13 @@ func TestCommitEnvelope(t *testing.T) {
 				}
 				return hookErr
 			})
-			held, err := e.SubscribeCommits(sinkFunc(func(cd *CommitDelta) {
+			var held Snapshot
+			if err := e.SubscribeCommits(sinkFunc(func(cd *CommitDelta) {
 				published++
 				if cd.Epoch != e.epoch {
 					t.Errorf("published delta for epoch %d at epoch %d", cd.Epoch, e.epoch)
 				}
-			}))
-			if err != nil {
+			}), &held); err != nil {
 				t.Fatal(err)
 			}
 			defer held.Close()

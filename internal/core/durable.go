@@ -110,7 +110,7 @@ func (e *Engine) BaseState() (uint64, []FrozenBase, error) {
 	rels := make([]FrozenBase, 0, len(e.relTab))
 	for i := range e.relTab {
 		re := &e.relTab[i]
-		rels = append(rels, FrozenBase{Name: re.name, Rel: re.occs[0].base.Freeze()})
+		rels = append(rels, FrozenBase{Name: re.name, Rel: re.occs[0].base.FreezeInto(nil)})
 	}
 	return e.epoch, rels, nil
 }

@@ -121,6 +121,7 @@ type Engine struct {
 	// scratch of a context: the sums of the regions buildInfo hands out.
 	ectx                      *enumCtx
 	freeCtxs                  ctxList
+	freeGens                  genList
 	scratchVals, scratchFlags int
 
 	// freeSlots are the slots of free(Q) in head order.
@@ -163,19 +164,16 @@ type Engine struct {
 
 	// curGen caches the frozen relation generation of the current epoch so
 	// repeated Snapshot calls between commits are O(1): the first capture
-	// after a commit copies rels and freezes every relation once,
-	// later captures just take a reference. Every mutating operation
-	// invalidates it (invalidateGenLocked) before touching any relation.
+	// after a commit pins every relation once, re-pinning a retired
+	// generation from freeGens, and later captures just take a reference.
+	// Every mutating operation invalidates it (invalidateGenLocked) before
+	// touching any relation.
 	curGen *snapGen
 
 	n int // current database size (sum of distinct-tuple counts, per original relation)
 	m int // threshold base M with ⌊M/4⌋ ≤ N < M
 
 	preprocessed bool
-
-	// work counts enumeration operations (cursor advances and lookups); a
-	// machine-independent proxy for the paper's delay metric.
-	work int64
 
 	// Stats counters.
 	stats Stats
@@ -364,7 +362,7 @@ func New(q *query.Query, opts Options) (*Engine, error) {
 			}
 		})
 	}
-	e.ectx = e.newEnumCtx(e.rels, &e.work) // after buildInfo has sized the scratch
+	e.ectx = e.newEnumCtx(e.rels) // after buildInfo has sized the scratch
 	return e, nil
 }
 
@@ -472,7 +470,7 @@ func (e *Engine) Epoch() uint64 {
 // Work returns the cumulative count of enumeration operations (cursor
 // advances and multiplicity lookups). Differences between successive reads
 // measure per-tuple delay in machine-independent units.
-func (e *Engine) Work() int64 { return e.work }
+func (e *Engine) Work() int64 { return e.ectx.work }
 
 // Close does nothing: an engine holds no goroutines or other resources
 // beyond its memory.

@@ -47,19 +47,19 @@ type enumCtx struct {
 	bound []bool
 	vals  tuple.Tuple
 	flags []bool
-	work  *int64
+	work  int64
 	trees []Iterator
 	open  int
 }
 
-func (e *Engine) newEnumCtx(rels []*relation.Relation, work *int64) *enumCtx {
+func (e *Engine) newEnumCtx(rels []*relation.Relation) *enumCtx {
 	nv := len(e.vars)
 	vals := make(tuple.Tuple, nv+e.scratchVals)
 	flags := make([]bool, nv+e.scratchFlags)
-	return &enumCtx{e: e, rels: rels, bind: vals[:nv:nv], bound: flags[:nv:nv], vals: vals[nv:], flags: flags[nv:], work: work}
+	return &enumCtx{e: e, rels: rels, bind: vals[:nv:nv], bound: flags[:nv:nv], vals: vals[nv:], flags: flags[nv:]}
 }
 
-func (c *enumCtx) tick() { *c.work++ }
+func (c *enumCtx) tick() { c.work++ }
 
 // bindFresh writes a view tuple's fresh positions into the binding array.
 func (c *enumCtx) bindFresh(inf *nodeInfo, t tuple.Tuple) {

@@ -4,13 +4,12 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
-	"weak"
 
 	"ivmeps/internal/naive"
 	"ivmeps/internal/query"
-	"ivmeps/internal/relation"
 	"ivmeps/internal/tuple"
 	"ivmeps/internal/viewtree"
 )
@@ -46,15 +45,39 @@ func freeCtxs(e *Engine) int {
 	return len(e.freeCtxs.list)
 }
 
+func freeGens(e *Engine) int {
+	e.freeGens.mu.Lock()
+	defer e.freeGens.mu.Unlock()
+	return len(e.freeGens.list)
+}
+
+// held is where the open cases keep a Snapshot handle, as a reader that
+// holds one does: the compiler keeps a handle that escapes nowhere on the
+// stack, and the pins below count the handle a caller holds.
+var held *Snapshot
+
 // TestOpenAllocatesConstant pins what an open costs once a context has a tree
 // to reuse: the same constant at every ε, although at ε = 0 the tree holds an
 // instance per heavy key. A Snapshot allocates its handle, taking its context
 // from the engine's free list; an open allocates nothing more, as the
 // compiler keeps the Iterator of Enumerate, and of a Result closed in the
-// caller, on the stack.
+// caller, on the stack. The same holds for the first open after a commit:
+// the capture re-pins the generation the commit retired, so a read through a
+// Snapshot the caller keeps on its stack (SnapshotInto, as the public
+// implicit reads do) allocates nothing, and one through a held handle only
+// the handle.
 func TestOpenAllocatesConstant(t *testing.T) {
 	for _, eps := range []float64{0, 0.5, 1} {
-		e, _ := zipfEngine(t, eps)
+		e, db := zipfEngine(t, eps)
+		var row tuple.Tuple
+		db["R"].ForEachUntil(func(r tuple.Tuple, _ int64) bool { row = r.Clone(); return false })
+		sign := int64(1)
+		commit := func() {
+			if err := e.Update("R", row, sign); err != nil {
+				t.Fatal(err)
+			}
+			sign = -sign
+		}
 		snap := e.Snapshot()
 		stop := func(tuple.Tuple, int64) bool { return false }
 		for _, tc := range []struct {
@@ -65,8 +88,27 @@ func TestOpenAllocatesConstant(t *testing.T) {
 			{"live Result", func() { e.Result().Close() }, 0},
 			{"live Enumerate", func() { e.Enumerate(stop) }, 0},
 			{"held snapshot Result", func() { snap.Result().Close() }, 0},
-			{"Snapshot, Result, Close", func() { s := e.Snapshot(); s.Result().Close(); s.Close() }, 1},
-			{"Snapshot, Enumerate, Close", func() { s := e.Snapshot(); s.Enumerate(stop); s.Close() }, 1},
+			{"Snapshot, Result, Close", func() { held = e.Snapshot(); held.Result().Close(); held.Close() }, 1},
+			{"Snapshot, Enumerate, Close", func() { held = e.Snapshot(); held.Enumerate(stop); held.Close() }, 1},
+			{"commit, then SnapshotInto, Enumerate, Close", func() {
+				commit()
+				var s Snapshot
+				e.SnapshotInto(&s)
+				s.Enumerate(stop)
+				s.Close()
+			}, 0},
+			{"commit, then Snapshot, Enumerate, Close", func() {
+				commit()
+				held = e.Snapshot()
+				held.Enumerate(stop)
+				held.Close()
+			}, 1},
+			{"commit, then Snapshot, Result, Close", func() {
+				commit()
+				held = e.Snapshot()
+				held.Result().Close()
+				held.Close()
+			}, 1},
 		} {
 			first := mallocsOf(tc.open)
 			tc.open()
@@ -75,6 +117,7 @@ func TestOpenAllocatesConstant(t *testing.T) {
 			}
 		}
 		snap.Close()
+		held = nil
 	}
 }
 
@@ -168,19 +211,24 @@ func TestSnapshotCloseDropsBusyContext(t *testing.T) {
 	}
 }
 
-// TestFreedContextPinsNoStore pins that a context on the free list keeps no
-// retired store alive. A snapshot grounds every heavy key, a commit detaches
-// the stores it pins and deletes one heavy key's rows, and the next snapshot
-// reopens the same context's tree with one instance fewer: once both are
-// closed, the first snapshot's frozen handles, which hold the retired stores,
-// are garbage.
+// TestFreedContextPinsNoStore pins that a context and a generation on the
+// engine's free lists keep no retired store alive. A snapshot grounds every
+// heavy key, a commit detaches the stores it pins and deletes one heavy key's
+// rows, and the snapshot closes, retiring its generation; the next snapshot
+// reopens the same context's tree with one instance fewer and re-pins the
+// same generation's handles. Once the first snapshot is closed, and again
+// once both are, the stores the commit retired are garbage.
 func TestFreedContextPinsNoStore(t *testing.T) {
 	e, db := zipfEngine(t, 0)
 	s := e.Snapshot()
 	s.Enumerate(func(tuple.Tuple, int64) bool { return true })
-	var handles []weak.Pointer[relation.Relation]
-	for _, f := range s.gen.pinned {
-		handles = append(handles, weak.Make(f))
+	var stores []func() (live, retired bool) // per pinned store: reachable, and detached since
+	for id, f := range s.gen.rels {
+		if f == nil || e.info[id].frozenAs != id {
+			continue
+		}
+		ref, rel := f.StoreRef(), e.rels[id]
+		stores = append(stores, func() (bool, bool) { return ref.Value() != nil, rel.StoreRef() != ref })
 	}
 	var heavy []tuple.Tuple
 	db["R"].ForEach(func(r tuple.Tuple, _ int64) {
@@ -193,20 +241,37 @@ func TestFreedContextPinsNoStore(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ctx := s.ctx
+	var retired []func() (bool, bool)
+	for _, st := range stores {
+		if _, r := st(); r {
+			retired = append(retired, st)
+		}
+	}
+	if len(retired) == 0 {
+		t.Fatal("the commit detached none of the snapshot's stores")
+	}
+	unreachable := func(when string) {
+		t.Helper()
+		runtime.GC()
+		for i, st := range retired {
+			if live, _ := st(); live {
+				t.Fatalf("%s: retired store %d of %d is still reachable", when, i, len(retired))
+			}
+		}
+	}
+	ctx, gen := s.ctx, s.gen
 	s.Close()
+	if freeCtxs(e) != 1 || freeGens(e) != 1 {
+		t.Fatalf("closing the snapshot freed %d contexts and %d generations, want 1 and 1", freeCtxs(e), freeGens(e))
+	}
+	unreachable("with the context and the generation on the free lists")
 	next := e.Snapshot()
-	if next.ctx != ctx {
-		t.Fatal("the next snapshot did not take the freed context")
+	if next.ctx != ctx || next.gen != gen {
+		t.Fatal("the next snapshot did not take the freed context and generation")
 	}
 	next.Enumerate(func(tuple.Tuple, int64) bool { return true })
 	next.Close()
-	runtime.GC()
-	for i, h := range handles {
-		if h.Value() != nil {
-			t.Fatalf("frozen handle %d of a closed snapshot is still reachable from the freed context", i)
-		}
-	}
+	unreachable("with both snapshots closed")
 	if freeCtxs(e) != 1 {
 		t.Fatal("the freed context left the free list") // and keeps e, so its list, alive
 	}
@@ -219,17 +284,8 @@ func TestFreedContextPinsNoStore(t *testing.T) {
 // it, and the free list never holds more than its cap, though the readers
 // hold more contexts than that at once.
 func TestSnapshotReuseRacesCommits(t *testing.T) {
-	q := query.MustParse("Q(A, C) = R(A, B), S(B, C)")
-	e, err := New(q, Options{Mode: viewtree.Dynamic, Epsilon: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(9))
-	db := randomDB(q, rng, 40, 6)
-	if err := Preprocess(e, db); err != nil {
-		t.Fatal(err)
-	}
-	states := map[uint64]map[string]int64{e.Epoch(): naiveMap(q, db)}
+	e, db, rng := raceEngine(t)
+	states := map[uint64]map[string]int64{e.Epoch(): naiveMap(e.Query(), db)}
 
 	type obs struct {
 		epoch uint64
@@ -289,6 +345,41 @@ func TestSnapshotReuseRacesCommits(t *testing.T) {
 			}
 		}(r)
 	}
+	commitRounds(t, e, db, rng, states)
+	close(stop)
+	wg.Wait()
+
+	t.Logf("%d reads over %d epochs", len(observations), len(states))
+	if overCap > 0 {
+		t.Fatalf("the free list held %d contexts, cap %d", overCap, maxFreeCtxs)
+	}
+	for i, o := range observations {
+		checkObservation(t, fmt.Sprintf("observation %d", i), states, o.epoch, o.res, o.full)
+	}
+}
+
+// raceEngine builds the two-path engine the race tests read, over a small
+// random database.
+func raceEngine(t *testing.T) (*Engine, naive.Database, *rand.Rand) {
+	t.Helper()
+	q := query.MustParse("Q(A, C) = R(A, B), S(B, C)")
+	e, err := New(q, Options{Mode: viewtree.Dynamic, Epsilon: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(9))
+	db := randomDB(q, rng, 40, 6)
+	if err := Preprocess(e, db); err != nil {
+		t.Fatal(err)
+	}
+	return e, db, rng
+}
+
+// commitRounds commits 300 single-tuple updates, alternating R and S,
+// yielding between them so readers capture at every epoch, and records the
+// naive result of every epoch it publishes in states.
+func commitRounds(t *testing.T, e *Engine, db naive.Database, rng *rand.Rand, states map[uint64]map[string]int64) {
+	t.Helper()
 	for round := 0; round < 300; round++ {
 		runtime.Gosched() // let the readers take snapshots at every epoch
 		rel := []string{"R", "S"}[round%2]
@@ -301,29 +392,156 @@ func TestSnapshotReuseRacesCommits(t *testing.T) {
 			t.Fatal(err)
 		}
 		db[rel].MustAdd(row, m)
-		states[e.Epoch()] = naiveMap(q, db)
+		states[e.Epoch()] = naiveMap(e.Query(), db)
 	}
+}
+
+// checkObservation holds a read at epoch to the naive result there: all of
+// it if the read was full, a part of it if it stopped early.
+func checkObservation(t *testing.T, label string, states map[uint64]map[string]int64, epoch uint64, res map[string]int64, full bool) {
+	t.Helper()
+	want, ok := states[epoch]
+	if !ok {
+		t.Fatalf("%s: snapshot at epoch %d, which no commit published", label, epoch)
+	}
+	label = fmt.Sprintf("%s at epoch %d", label, epoch)
+	if full {
+		sameResultMap(t, label, res, want)
+		return
+	}
+	for k, m := range res {
+		if want[k] != m {
+			t.Fatalf("%s: early-stopped read has %s with mult %d, want %d", label, k, m, want[k])
+		}
+	}
+}
+
+// TestGenerationReuseRacesCommits runs readers that each capture at whatever
+// epoch the committer has reached — nearly always a new one, so the capture
+// re-pins a retired generation — read all of it or stop early, and close,
+// against one goroutine that commits. Every third read closes its snapshot
+// while its iterator is still open and drains the iterator afterwards, past
+// later commits and captures. Every full read equals naive at its
+// snapshot's epoch, every early-stopped one is a part of it, and the free
+// list never holds more generations than its cap.
+func TestGenerationReuseRacesCommits(t *testing.T) {
+	e, db, rng := raceEngine(t)
+	states := map[uint64]map[string]int64{e.Epoch(): naiveMap(e.Query(), db)}
+	type obs struct {
+		epoch uint64
+		res   map[string]int64
+		full  bool
+	}
+	var (
+		mu           sync.Mutex
+		observations []obs
+		overCap      int
+	)
+	const readers = 3
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				var s Snapshot
+				e.SnapshotInto(&s)
+				it := s.Result()
+				res := map[string]int64{}
+				limit, rows := 1<<30, 0
+				if (i+r)%3 == 1 {
+					limit = 1 + i%4
+				}
+				if (i+r)%3 == 2 {
+					if row, m, ok := it.Next(); ok {
+						res[fmt.Sprint(row)] = m
+					}
+					s.Close() // the iterator stays open past the Close
+					runtime.Gosched()
+				}
+				for rows < limit {
+					row, m, ok := it.Next()
+					if !ok {
+						break
+					}
+					res[fmt.Sprint(row)] = m
+					rows++
+				}
+				it.Close()
+				s.Close()
+				n := freeGens(e)
+				mu.Lock()
+				observations = append(observations, obs{s.Epoch(), res, rows < limit})
+				overCap = max(overCap, n)
+				mu.Unlock()
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}(r)
+	}
+	commitRounds(t, e, db, rng, states)
 	close(stop)
 	wg.Wait()
 
 	t.Logf("%d reads over %d epochs", len(observations), len(states))
-	if overCap > 0 {
-		t.Fatalf("the free list held %d contexts, cap %d", overCap, maxFreeCtxs)
+	if overCap > maxFreeGens {
+		t.Fatalf("the free list held %d generations, cap %d", overCap, maxFreeGens)
 	}
 	for i, o := range observations {
-		want, ok := states[o.epoch]
+		checkObservation(t, fmt.Sprintf("observation %d", i), states, o.epoch, o.res, o.full)
+	}
+}
+
+// TestSnapshotCloseKeepsBusyGeneration pins that a snapshot closed while its
+// iterator is open keeps its generation: the generation never reaches the
+// free list, later commits and captures at new epochs re-pin other
+// generations, and the iterator still yields the rows of its own epoch.
+func TestSnapshotCloseKeepsBusyGeneration(t *testing.T) {
+	e, db := zipfEngine(t, 0.5)
+	want := naiveMap(e.Query(), db)
+	s := e.Snapshot()
+	it := s.Result()
+	got := map[string]int64{}
+	row, m, ok := it.Next()
+	if !ok {
+		t.Fatal("empty result")
+	}
+	got[fmt.Sprint(row)] = m
+	busy := s.gen
+	s.Close()
+	var rows []tuple.Tuple
+	db["R"].ForEach(func(r tuple.Tuple, _ int64) { rows = append(rows, r.Clone()) })
+	for i, r := range rows[:20] {
+		if err := e.Update("R", r, -1); err != nil {
+			t.Fatal(err)
+		}
+		var next Snapshot
+		e.SnapshotInto(&next)
+		if next.gen == busy {
+			t.Fatalf("read %d after the close took the generation of an open iterator", i)
+		}
+		next.Enumerate(func(tuple.Tuple, int64) bool { return true })
+		next.Close()
+		if n := freeGens(e); n > maxFreeGens {
+			t.Fatalf("the free list holds %d generations, cap %d", n, maxFreeGens)
+		}
+	}
+	for {
+		row, m, ok := it.Next()
 		if !ok {
-			t.Fatalf("observation %d: snapshot at epoch %d, which no commit published", i, o.epoch)
+			break
 		}
-		label := fmt.Sprintf("observation %d at epoch %d", i, o.epoch)
-		if o.full {
-			sameResultMap(t, label, o.res, want)
-			continue
-		}
-		for k, m := range o.res {
-			if want[k] != m {
-				t.Fatalf("%s: early-stopped read has %s with mult %d, want %d", label, k, m, want[k])
-			}
-		}
+		got[fmt.Sprint(row)] = m
+	}
+	it.Close()
+	sameResultMap(t, "the open iterator of a closed snapshot", got, want)
+	e.freeGens.mu.Lock()
+	defer e.freeGens.mu.Unlock()
+	if slices.Contains(e.freeGens.list, busy) {
+		t.Fatal("the generation of a snapshot closed with an open iterator reached the free list")
 	}
 }

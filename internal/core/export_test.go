@@ -7,6 +7,13 @@ import (
 	"testing"
 )
 
+// Snapshot captures into a new handle, as a reader that holds one does.
+func (e *Engine) Snapshot() *Snapshot {
+	s := new(Snapshot)
+	e.SnapshotInto(s)
+	return s
+}
+
 // traceViewWrites counts, until the test ends, the rows every propagation
 // edge writes, by the name of the view relation written: the split of
 // Stats.DeltasApplied that viewWriteTable prints.

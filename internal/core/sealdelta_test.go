@@ -33,9 +33,10 @@ func TestSealedEdgesMatchRowByRow(t *testing.T) {
 		if err := Preprocess(e, db); err != nil {
 			t.Fatal(err)
 		}
-		held, err := e.SubscribeCommits(sinkFunc(func(cd *CommitDelta) {
+		var held Snapshot
+		err = e.SubscribeCommits(sinkFunc(func(cd *CommitDelta) {
 			published[i] = append(published[i], fmt.Sprint(cd.Epoch, cd.Views))
-		}))
+		}), &held)
 		if err != nil {
 			t.Fatal(err)
 		}

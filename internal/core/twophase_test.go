@@ -272,9 +272,19 @@ func TestSnapshotCaptureCachedGeneration(t *testing.T) {
 	// The retired generation stays readable until its snapshots close.
 	sameResultMap(t, "retired-generation snapshot", resultMap(s1.Enumerate), want)
 	s1.Close()
+	for _, f := range s1.gen.pinned {
+		if !f.Pinned() {
+			t.Fatal("closing one of two snapshots of a stale generation released its pins")
+		}
+	}
 	s2.Close()
-	if s1.gen.pinned != nil {
-		t.Error("closing the last snapshot of a stale generation did not release its pins")
+	if len(s1.gen.pinned) == 0 {
+		t.Fatal("the generation pinned no relation")
+	}
+	for _, f := range s1.gen.pinned {
+		if f.Pinned() {
+			t.Error("closing the last snapshot of a stale generation did not release its pins")
+		}
 	}
 	s3.Close()
 

@@ -209,21 +209,21 @@ func (cs *captureSet) captureRebalanceDiff(e *Engine, sign int64) {
 }
 
 // SubscribeCommits adds sink to the engine's commit sinks and captures its
-// anchor under one writer-lock hold: the returned Snapshot observes the
-// committed state at some epoch E, and the sink then receives every commit
-// with epoch > E, gap-free. Any number of sinks may be subscribed, each
-// with its own anchor; capture is armed while at least one is. The caller
-// owns the Snapshot and must Close it.
-func (e *Engine) SubscribeCommits(sink CommitSink) (*Snapshot, error) {
+// anchor into anchor (as SnapshotInto) under one writer-lock hold: the
+// anchor observes the committed state at some epoch E, and the sink then
+// receives every commit with epoch > E, gap-free. Any number of sinks may be
+// subscribed, each with its own anchor; capture is armed while at least one
+// is. The caller owns the anchor and must Close it.
+func (e *Engine) SubscribeCommits(sink CommitSink, anchor *Snapshot) error {
 	if sink == nil {
-		return nil, fmt.Errorf("core: SubscribeCommits: nil sink")
+		return fmt.Errorf("core: SubscribeCommits: nil sink")
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if !e.preprocessed {
-		return nil, fmt.Errorf("core: SubscribeCommits: %w (run Preprocess first)", ErrNotBuilt)
+		return fmt.Errorf("core: SubscribeCommits: %w (run Preprocess first)", ErrNotBuilt)
 	}
-	s := e.snapshotLocked()
+	e.snapshotLocked(anchor)
 	if len(e.sinks) == 0 {
 		if e.cdFree == nil {
 			e.cdFree = make(chan *CommitDelta, commitDeltaFreelist)
@@ -231,7 +231,7 @@ func (e *Engine) SubscribeCommits(sink CommitSink) (*Snapshot, error) {
 		e.setCaptureLocked(true)
 	}
 	e.sinks = append(e.sinks, sink)
-	return s, nil
+	return nil
 }
 
 // commitDeltaFreelist bounds the engine's record pool. In steady state at

@@ -139,6 +139,9 @@ type Fed struct {
 	built bool
 	epoch uint64
 
+	// freeParts holds closed snapshots' parts for the next capture.
+	freeParts partsList
+
 	// Pooled commit scratch: the per-shard sub-batches of the scatter
 	// phase, the prepared-shard list, the shard-key extraction buffer, and
 	// the reused apply barrier. All keep their capacity across commits, so
@@ -638,11 +641,18 @@ func (f *Fed) Close() {
 // and with other snapshots, but is itself single-reader. Close it when
 // done so the shard writers can stop preserving its generations.
 type Snapshot struct {
-	f      *Fed
-	epoch  uint64
-	snaps  []*core.Snapshot
-	closed bool
-	gather *gather // kept for the next aggregate pass
+	f     *Fed
+	epoch uint64
+	p     *snapParts // nil once closed
+}
+
+// snapParts is what a snapshot reads through: one core snapshot per shard,
+// and the aggregate gather's state kept for the next pass. A closed
+// snapshot hands its parts to the federation's free list (partsList), so a
+// capture whose Snapshot the caller keeps on its stack allocates nothing.
+type snapParts struct {
+	snaps  []core.Snapshot
+	gather *gather
 }
 
 // gather is an aggregate pass's state: the distinct rows, numbered in
@@ -652,25 +662,46 @@ type gather struct {
 	mults []int64
 }
 
-// Snapshot captures a read-only view of the current committed federation
-// state. It may be called from any goroutine; if a commit is in flight it
-// blocks until the commit finishes, then captures every shard at the same
-// federation epoch (the lock excludes commits, so no shard can be ahead).
-// Warm shard captures are O(1) per shard (core caches the frozen
-// generation per epoch); no tuples are copied.
-func (f *Fed) Snapshot() *Snapshot {
+// partsList is the federation's free list of closed snapshots' parts,
+// capped at maxFreeParts, behind its own mutex so Close stays off f.mu.
+type partsList struct {
+	mu   sync.Mutex
+	list []*snapParts
+}
+
+// maxFreeParts is core's maxFreeCtxs: a federation snapshot holds one core
+// snapshot per shard, so no more of them are open at once than of those.
+const maxFreeParts = 2
+
+// SnapshotInto captures a read-only view of the current committed
+// federation state into s, which must not hold an open snapshot. It may be
+// called from any goroutine; if a commit is in flight it blocks until the
+// commit finishes, then captures every shard at the same federation epoch
+// (the lock excludes commits, so no shard can be ahead). Shard captures
+// reuse core's generations (see core.Engine.SnapshotInto); no tuples are
+// copied.
+func (f *Fed) SnapshotInto(s *Snapshot) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if !f.built {
-		// Matches core.Engine.Snapshot: the panicking entry point of the
-		// read path; the public façade converts this to an error.
+		// Matches core.Engine.SnapshotInto: the panicking entry point of
+		// the read path; the public façade converts this to an error.
 		panic(core.ErrNotBuilt)
 	}
-	s := &Snapshot{f: f, epoch: f.epoch, snaps: make([]*core.Snapshot, f.k)}
-	for i, e := range f.shards {
-		s.snaps[i] = e.Snapshot()
+	l := &f.freeParts
+	l.mu.Lock()
+	var p *snapParts
+	if n := len(l.list); n > 0 {
+		p, l.list = l.list[n-1], l.list[:n-1]
 	}
-	return s
+	l.mu.Unlock()
+	if p == nil {
+		p = &snapParts{snaps: make([]core.Snapshot, f.k)}
+	}
+	for i, e := range f.shards {
+		e.SnapshotInto(&p.snaps[i])
+	}
+	*s = Snapshot{f: f, epoch: f.epoch, p: p}
 }
 
 // Epoch identifies the committed federation state the snapshot observes.
@@ -683,13 +714,14 @@ func (s *Snapshot) Epoch() uint64 { return s.epoch }
 // delay; otherwise the shard results are aggregated first — multiplicities
 // summed per distinct tuple — and then yielded.
 func (s *Snapshot) Enumerate(yield func(t tuple.Tuple, m int64) bool) {
-	if s.closed {
+	p := s.p
+	if p == nil {
 		panic("federation: Enumerate on a closed Snapshot")
 	}
 	if s.f.concat {
-		for _, sh := range s.snaps {
+		for i := range p.snaps {
 			stopped := false
-			sh.Enumerate(func(t tuple.Tuple, m int64) bool {
+			p.snaps[i].Enumerate(func(t tuple.Tuple, m int64) bool {
 				if !yield(t, m) {
 					stopped = true
 					return false
@@ -702,16 +734,16 @@ func (s *Snapshot) Enumerate(yield func(t tuple.Tuple, m int64) bool) {
 		}
 		return
 	}
-	g := s.gather
+	g := p.gather
 	if g == nil {
 		g = new(gather)
 	}
-	s.gather = nil // taken: a nested pass builds its own
-	defer func() { s.gather = g }()
+	p.gather = nil // taken: a nested pass builds its own
+	defer func() { p.gather = g }()
 	g.rows.Reset(len(s.f.orig.Free))
 	g.mults = g.mults[:0]
-	for _, sh := range s.snaps {
-		sh.Enumerate(func(t tuple.Tuple, m int64) bool {
+	for i := range p.snaps {
+		p.snaps[i].Enumerate(func(t tuple.Tuple, m int64) bool {
 			if gi, added := g.rows.Add(t); !added {
 				g.mults[gi] += m
 			} else {
@@ -727,14 +759,22 @@ func (s *Snapshot) Enumerate(yield func(t tuple.Tuple, m int64) bool) {
 	}
 }
 
-// Close releases every shard snapshot. It is idempotent; the snapshot
-// must not be used afterwards.
+// Close releases every shard snapshot and hands the snapshot's parts to the
+// federation's free list. It is idempotent; the snapshot must not be used
+// afterwards.
 func (s *Snapshot) Close() {
-	if s.closed {
+	p := s.p
+	if p == nil {
 		return
 	}
-	s.closed = true
-	for _, sh := range s.snaps {
-		sh.Close()
+	s.p = nil
+	for i := range p.snaps {
+		p.snaps[i].Close()
+	}
+	l := &s.f.freeParts
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.list) < maxFreeParts {
+		l.list = append(l.list, p)
 	}
 }

@@ -228,7 +228,7 @@ func TestSealPinnedAndFrozen(t *testing.T) {
 	pinned := added.Clone()
 	pinned.EnsureIndex(tuple.NewSchema("A"))
 
-	f := sealed.Freeze()
+	f := sealed.FreezeInto(nil)
 	defer f.Release()
 	runFill(sealed, added, randomStream(rng, 3000, 100, have), -1)
 	if d := sameRelation(sealed, added); d != "" {
@@ -433,7 +433,7 @@ func TestPinnedClearSizesTheRefill(t *testing.T) {
 	fill()
 	slots, ixSlots := len(r.s.tab.slots), len(ix.s.tab.slots)
 
-	f := r.Freeze()
+	f := r.FreezeInto(nil)
 	defer f.Release()
 	r.Clear()
 	if r.Size() != 0 || f.Size() != n {
@@ -656,7 +656,7 @@ func TestSealDeltaPinnedAndMisuse(t *testing.T) {
 	pinned := added.Clone()
 	pinned.EnsureIndex(tuple.NewSchema("A"))
 
-	f := sealed.Freeze()
+	f := sealed.FreezeInto(nil)
 	defer f.Release()
 	if d := runDelta(sealed, added, randomStream(rng, 3000, 100, have), false); d != "" {
 		t.Fatal(d)

@@ -3,6 +3,7 @@ package relation
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"ivmeps/internal/tuple"
@@ -29,7 +30,7 @@ func TestFreezeObservesPinnedGeneration(t *testing.T) {
 	wantSize := r.Size()
 	wantCount := ix.Count(tuple.Tuple{1})
 
-	f := r.Freeze()
+	f := r.FreezeInto(nil)
 	defer f.Release()
 
 	// Mutate the live relation in every way.
@@ -79,7 +80,7 @@ func TestFreezeObservesPinnedGeneration(t *testing.T) {
 	}
 
 	// Clear on a pinned store must also preserve the frozen generation.
-	f2 := r.Freeze()
+	f2 := r.FreezeInto(nil)
 	defer f2.Release()
 	liveWant := entriesMap(r)
 	r.Clear()
@@ -96,9 +97,9 @@ func TestFreezeObservesPinnedGeneration(t *testing.T) {
 func TestFreezeMultipleGenerations(t *testing.T) {
 	r := New("R", tuple.Schema{"A"})
 	r.MustAdd(tuple.Tuple{1}, 1)
-	f1 := r.Freeze()
+	f1 := r.FreezeInto(nil)
 	r.MustAdd(tuple.Tuple{2}, 1)
-	f2 := r.Freeze()
+	f2 := r.FreezeInto(nil)
 	r.MustAdd(tuple.Tuple{3}, 1)
 
 	if f1.Size() != 1 || f2.Size() != 2 || r.Size() != 3 {
@@ -122,7 +123,7 @@ func TestFreezeReleaseRestoresZeroAllocChurn(t *testing.T) {
 	for i := int64(0); i < 64; i++ {
 		r.MustAdd(tuple.Tuple{i % 8, i}, 1)
 	}
-	f := r.Freeze()
+	f := r.FreezeInto(nil)
 	r.MustAdd(tuple.Tuple{0, 0}, 1) // detach happens here
 	f.Release()
 
@@ -144,7 +145,7 @@ func TestFreezeReleaseRestoresZeroAllocChurn(t *testing.T) {
 func TestFrozenMutationPanics(t *testing.T) {
 	r := New("R", tuple.Schema{"A"})
 	r.MustAdd(tuple.Tuple{1}, 1)
-	f := r.Freeze()
+	f := r.FreezeInto(nil)
 	defer f.Release()
 
 	expectPanic := func(name string, fn func()) {
@@ -160,14 +161,66 @@ func TestFrozenMutationPanics(t *testing.T) {
 	expectPanic("Clear", func() { f.Clear() })
 	expectPanic("EnsureIndex(new)", func() { f.EnsureIndex(tuple.Schema{"A"}[:0:0]) })
 
-	f2 := r.Freeze()
+	f2 := r.FreezeInto(nil)
 	f2.Release()
 	expectPanic("double Release", func() { f2.Release() })
 	expectPanic("Release of non-frozen", func() { r.Release() })
-	// A released handle shares the writer's live store (pins back to 0);
-	// mutating through it must still panic, not silently corrupt the store.
+	// A released handle has forgotten its store; mutating through it must
+	// still panic as a frozen handle's mutation, and so must re-pinning a
+	// handle that still holds its pin, or a live relation.
 	expectPanic("MustAdd after Release", func() { f2.MustAdd(tuple.Tuple{3}, 1) })
 	expectPanic("Clear after Release", func() { f2.Clear() })
+	expectPanic("FreezeInto of a pinned handle", func() { r.FreezeInto(f) })
+	expectPanic("FreezeInto of a live relation", func() { r.FreezeInto(r) })
+}
+
+// A released handle passed back to FreezeInto is re-pinned onto the live
+// store, allocating nothing, and observes the new contents; its index
+// handles follow, and an index created since the handle's last pin gets a
+// handle of its own. Release forgets the store, so a kept handle leaves a
+// retired store unreachable.
+func TestFreezeIntoRepins(t *testing.T) {
+	r := New("R", tuple.Schema{"A", "B"})
+	r.EnsureIndex(tuple.Schema{"A"})
+	for i := int64(0); i < 100; i++ {
+		r.MustAdd(tuple.Tuple{i % 7, i}, 1)
+	}
+	f := r.FreezeInto(nil)
+	retired := f.StoreRef()
+	r.MustAdd(tuple.Tuple{0, 1000}, 1) // detaches: f's store is retired
+	f.Release()
+	if f.Pinned() {
+		t.Fatal("a released handle reports its pin")
+	}
+	if f.StoreRef().Value() != nil {
+		t.Fatal("a released handle still reads a store")
+	}
+	runtime.GC()
+	if retired.Value() != nil {
+		t.Fatal("a released handle keeps its retired store reachable")
+	}
+
+	if g := r.FreezeInto(f); g != f || !f.Pinned() {
+		t.Fatal("FreezeInto of a released handle did not re-pin it")
+	}
+	if got, want := entriesMap(f), entriesMap(r); len(got) != len(want) || f.Mult(tuple.Tuple{0, 1000}) != 1 {
+		t.Fatalf("a re-pinned handle reads %d entries, want the live %d", len(got), len(want))
+	}
+	if got := f.Index(tuple.Schema{"A"}).Count(tuple.Tuple{0}); got != 16 {
+		t.Fatalf("a re-pinned index handle counts %d rows under A=0, want 16", got)
+	}
+	f.Release()
+
+	r.EnsureIndex(tuple.Schema{"B"})
+	r.FreezeInto(f)
+	if got := f.Index(tuple.Schema{"B"}).Count(tuple.Tuple{1000}); got != 1 {
+		t.Fatalf("the index created since the last pin counts %d rows, want 1", got)
+	}
+	f.Release()
+
+	if allocs := testing.AllocsPerRun(100, func() { r.FreezeInto(f).Release() }); allocs != 0 {
+		t.Errorf("re-pinning a released handle allocates %v times, want 0", allocs)
+	}
 }
 
 // Randomized model check: interleave mutations with freezes and verify
@@ -184,6 +237,7 @@ func TestFreezeQuick(t *testing.T) {
 		want map[[2]int64]int64
 	}
 	var pinned []gen
+	var released []*Relation // re-pinned by later freezes
 	snapModel := func() map[[2]int64]int64 {
 		out := make(map[[2]int64]int64, len(model))
 		for k, v := range model {
@@ -220,12 +274,17 @@ func TestFreezeQuick(t *testing.T) {
 		case op < 75: // clear
 			r.Clear()
 			model = map[[2]int64]int64{}
-		case op < 85 && len(pinned) < 4: // freeze
-			pinned = append(pinned, gen{f: r.Freeze(), want: snapModel()})
+		case op < 85 && len(pinned) < 4: // freeze, re-pinning a released handle if there is one
+			var f *Relation
+			if n := len(released); n > 0 {
+				f, released = released[n-1], released[:n-1]
+			}
+			pinned = append(pinned, gen{f: r.FreezeInto(f), want: snapModel()})
 		case op < 95 && len(pinned) > 0: // release one
 			i := rng.Intn(len(pinned))
 			check(pinned[i].f, pinned[i].want)
 			pinned[i].f.Release()
+			released = append(released, pinned[i].f)
 			pinned = append(pinned[:i], pinned[i+1:]...)
 		default: // verify everything
 			for _, g := range pinned {
@@ -262,7 +321,7 @@ func TestDetachAllocsIndependentOfSize(t *testing.T) {
 			r.MustAdd(tuple.Tuple{i % 100, i}, 1)
 		}
 		return testing.AllocsPerRun(20, func() {
-			f := r.Freeze()
+			f := r.FreezeInto(nil)
 			r.MustAdd(tuple.Tuple{0, 0}, 1) // detaches
 			f.Release()
 		})

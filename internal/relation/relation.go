@@ -92,26 +92,29 @@
 //
 // # Snapshots
 //
-// Freeze returns a read-only handle pinned to the relation's current store.
-// While any frozen handle is live (not yet Released), the first mutation of
-// the relation detaches the store: the writer copies its columns and probe
-// arrays into a fresh store — a fixed number of flat copies, with no rehash
-// and no per-entry work — swaps the handle onto the copy, and mutates only
-// the copy, so every frozen reader keeps an immutable view of the exact
-// contents it pinned (copy-on-first-write per snapshot generation). Clear on
-// a pinned store swaps in an empty store with the retired one's capacities,
-// for the refill that follows, instead of copying. The detach costs a copy of
-// the store's bytes once per pinned generation; with no live freezes the only
-// overhead on the mutation path is one atomic pin-count load. Retired stores
-// are unreachable once the last frozen handle is dropped and are reclaimed by
-// the garbage collector.
+// FreezeInto returns a read-only handle pinned to the relation's current
+// store. While any frozen handle is live (not yet Released), the first
+// mutation of the relation detaches the store: the writer copies its columns
+// and probe arrays into a fresh store — a fixed number of flat copies, with
+// no rehash and no per-entry work — swaps the handle onto the copy, and
+// mutates only the copy, so every frozen reader keeps an immutable view of
+// the exact contents it pinned (copy-on-first-write per snapshot
+// generation). Clear on a pinned store swaps in an empty store with the
+// retired one's capacities, for the refill that follows, instead of copying.
+// The detach costs a copy of the store's bytes once per pinned generation;
+// with no live freezes the only overhead on the mutation path is one atomic
+// pin-count load. Release drops the pin and makes the handle forget its
+// store, so a retired store is unreachable once its last frozen handle is
+// released (or dropped) and the garbage collector reclaims it, while the
+// released handle itself can be kept and passed back to FreezeInto at a
+// later generation: re-pinning it allocates nothing.
 //
 // Relations are not safe for concurrent mutation, but the probe and cursor
 // methods (Mult, Contains, First/Next/At, index Count/Has/First/Next/
 // FirstMatch/ForEachMatch) are read-only
 // and may run concurrently from any number of goroutines while the relation
 // is not being mutated — and a frozen handle may be read concurrently with
-// any mutation of the relation it was frozen from, provided the Freeze
+// any mutation of the relation it was frozen from, provided the FreezeInto
 // itself was ordered before the mutation (internal/core orders them under
 // the engine's writer lock).
 package relation
@@ -120,6 +123,7 @@ import (
 	"fmt"
 	"sync/atomic"
 	"unsafe"
+	"weak"
 
 	"ivmeps/internal/tuple"
 )
@@ -170,7 +174,7 @@ func (l *list) remove(links []link, id ID) {
 // the entry table with its tuple arena, the multiplicity and insertion-order
 // columns, the free-id list, and the secondary index stores.
 // The live store is mutated in place through the Relation handle; a store
-// pinned by Freeze is detached (copy-on-first-write) before the next mutation
+// pinned by FreezeInto is detached (copy-on-first-write) before the next mutation
 // and never written again.
 type relStore struct {
 	seed    uint64 // per-table hash seed
@@ -201,10 +205,9 @@ type Relation struct {
 	// every handle onto the copied index store so cached *Index pointers
 	// (update plans, partitions) stay valid.
 	hand []*Index
-	// frozen marks a read-only snapshot handle returned by Freeze: mutators
-	// panic, and Release drops its pin.
-	frozen   bool
-	released bool
+	// frozen marks a read-only snapshot handle returned by FreezeInto:
+	// mutators panic, and Release drops its pin and sets s to nil.
+	frozen bool
 }
 
 // New creates an empty relation with the given name and schema.
@@ -441,39 +444,62 @@ func (r *Relation) Set(t tuple.Tuple, m int64) {
 	}
 }
 
-// Freeze returns a read-only handle pinned to the relation's current
-// contents. The handle observes exactly the state at the time of the call,
-// no matter how the relation is mutated afterwards (the first mutation
-// copies the contents aside — see the package comment). Call Release when
-// done reading so the writer can stop preserving this generation. The
-// caller must order Freeze before any concurrent mutation (internal/core
-// uses the engine writer lock); the returned handle itself may then be read
-// from any goroutine not calling its methods concurrently.
-func (r *Relation) Freeze() *Relation {
+// FreezeInto pins the relation's current contents and returns a read-only
+// handle on them. The handle observes exactly the state at the time of the
+// call, no matter how the relation is mutated afterwards (the first mutation
+// copies the contents aside — see the package comment). f is nil for a new
+// handle, or a handle an earlier FreezeInto of this relation returned and
+// Release let go: it is re-pinned and returned, so a reader that freezes at
+// every epoch allocates only its first handle. Call Release when done
+// reading so the writer can stop preserving this generation. The caller
+// must order FreezeInto before any concurrent mutation (internal/core uses
+// the engine writer lock); the returned handle itself may then be read from
+// any goroutine not calling its methods concurrently.
+func (r *Relation) FreezeInto(f *Relation) *Relation {
+	if f == nil {
+		f = &Relation{name: r.name, schema: r.schema, frozen: true}
+	} else if !f.frozen || f.s != nil {
+		panic(fmt.Sprintf("relation %s: FreezeInto of a handle that is not a released frozen one", r.name))
+	}
 	s := r.s
 	s.pins.Add(1)
-	f := &Relation{name: r.name, schema: r.schema, s: s, frozen: true}
-	f.hand = make([]*Index, len(s.indexes))
+	f.s = s
 	for i, ix := range s.indexes {
-		f.hand[i] = &Index{rel: f, s: ix}
+		if i == len(f.hand) {
+			f.hand = append(f.hand, &Index{rel: f})
+		}
+		f.hand[i].s = ix
 	}
 	return f
 }
 
 // Release drops a frozen handle's pin on its store, allowing the writer to
-// mutate that generation in place again (if no other pins remain). The
-// handle must not be used after Release. Releasing twice or releasing a
-// non-frozen relation panics.
+// mutate that generation in place again (if no other pins remain), and
+// forgets the store: nothing the handle keeps — its index handles included
+// — holds a retired store reachable, so a kept handle costs no memory until
+// FreezeInto re-pins it. The handle must not be read after Release.
+// Releasing twice or releasing a non-frozen relation panics.
 func (r *Relation) Release() {
 	if !r.frozen {
 		panic("relation: Release of a non-frozen relation")
 	}
-	if r.released {
+	if r.s == nil {
 		panic("relation: Release called twice")
 	}
-	r.released = true
 	r.s.pins.Add(-1)
+	r.s = nil
+	for _, h := range r.hand {
+		h.s = nil
+	}
 }
+
+// Pinned reports whether r is a frozen handle holding its pin: FreezeInto
+// pinned it and Release has not let it go.
+func (r *Relation) Pinned() bool { return r.frozen && r.s != nil }
+
+// StoreRef returns a weak pointer to the store r reads, by which a test can
+// check that nothing keeps a retired store reachable.
+func (r *Relation) StoreRef() weak.Pointer[relStore] { return weak.Make(r.s) }
 
 // detach performs the copy-on-first-write: it retires the pinned store to
 // its frozen readers and installs a fresh store for the writer — a copy of
@@ -509,7 +535,7 @@ func (r *Relation) detach(empty bool) {
 // Clear removes all tuples (and empties all indexes) while keeping the
 // index definitions. The columns are truncated and the probe arrays emptied
 // in place, so a refill allocates nothing. On a store pinned by a live
-// Freeze, Clear instead swaps in an empty store (detach) with the same
+// FreezeInto, Clear instead swaps in an empty store (detach) with the same
 // capacities.
 func (r *Relation) Clear() {
 	if r.frozen {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 	"path/filepath"
 )
 
@@ -77,32 +78,42 @@ type Checkpoint struct {
 // reappears as the pre-checkpoint state, which recovery handles by
 // replaying a longer tail).
 func WriteCheckpointFS(fs VFS, dir string, epoch uint64, query string, rels []CheckpointRel, strictDirSync bool) error {
-	payload := binary.AppendUvarint(nil, epoch)
-	payload = binary.AppendUvarint(payload, uint64(len(query)))
-	payload = append(payload, query...)
-	payload = binary.AppendUvarint(payload, uint64(len(rels)))
-	for _, r := range rels {
-		payload = binary.AppendUvarint(payload, uint64(len(r.Name)))
-		payload = append(payload, r.Name...)
-		payload = binary.AppendUvarint(payload, uint64(r.Arity))
-		// Count first so the row loop can stream without buffering a
-		// separate length fixup.
-		rows := 0
-		r.Rows(func([]int64, int64) { rows++ })
-		payload = binary.AppendUvarint(payload, uint64(rows))
+	// A counting pass sizes the payload — every relation's row count and
+	// encoded row bytes — so the encoding pass fills one buffer, behind a
+	// header reserved at its front, without growing it.
+	rows := make([]int, len(rels))
+	size := uvarintLen(epoch) + uvarintLen(uint64(len(query))) + len(query) + uvarintLen(uint64(len(rels)))
+	for i, r := range rels {
+		r.Rows(func(row []int64, mult int64) {
+			rows[i]++
+			for _, v := range row {
+				size += varintLen(v)
+			}
+			size += varintLen(mult)
+		})
+		size += uvarintLen(uint64(len(r.Name))) + len(r.Name) + uvarintLen(uint64(r.Arity)) + uvarintLen(uint64(rows[i]))
+	}
+	buf := make([]byte, checkpointHeaderSize, checkpointHeaderSize+size)
+	buf = binary.AppendUvarint(buf, epoch)
+	buf = binary.AppendUvarint(buf, uint64(len(query)))
+	buf = append(buf, query...)
+	buf = binary.AppendUvarint(buf, uint64(len(rels)))
+	for i, r := range rels {
+		buf = binary.AppendUvarint(buf, uint64(len(r.Name)))
+		buf = append(buf, r.Name...)
+		buf = binary.AppendUvarint(buf, uint64(r.Arity))
+		buf = binary.AppendUvarint(buf, uint64(rows[i]))
 		r.Rows(func(row []int64, mult int64) {
 			for _, v := range row {
-				payload = binary.AppendVarint(payload, v)
+				buf = binary.AppendVarint(buf, v)
 			}
-			payload = binary.AppendVarint(payload, mult)
+			buf = binary.AppendVarint(buf, mult)
 		})
 	}
-
-	buf := make([]byte, 0, checkpointHeaderSize+len(payload))
-	buf = append(buf, checkpointMagic...)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(payload)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, castagnoli))
-	buf = append(buf, payload...)
+	payload := buf[checkpointHeaderSize:]
+	copy(buf, checkpointMagic)
+	binary.LittleEndian.PutUint64(buf[len(checkpointMagic):], uint64(len(payload)))
+	binary.LittleEndian.PutUint32(buf[len(checkpointMagic)+8:], crc32.Checksum(payload, castagnoli))
 
 	tmp := filepath.Join(dir, checkpointName(epoch)+".tmp")
 	f, err := fs.CreateTrunc(tmp)
@@ -132,6 +143,12 @@ func WriteCheckpointFS(fs VFS, dir string, epoch uint64, query string, rels []Ch
 	}
 	return nil
 }
+
+// uvarintLen is the byte length of x as a uvarint.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// varintLen is the byte length of v as a (zig-zag) varint.
+func varintLen(v int64) int { return uvarintLen(uint64(v<<1) ^ uint64(v>>63)) }
 
 // LoadCheckpointFS reads and verifies one checkpoint file through fs.
 func LoadCheckpointFS(fs VFS, path string) (*Checkpoint, error) {

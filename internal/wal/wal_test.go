@@ -1,8 +1,11 @@
 package wal
 
 import (
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -346,6 +349,62 @@ func TestReplayRejectsMidFileCorruption(t *testing.T) {
 	}
 	if st.Size() != int64(len(data)) {
 		t.Fatalf("mid-file corruption changed the file size: %d != %d", st.Size(), len(data))
+	}
+}
+
+// TestCheckpointBytesPinned pins the file WriteCheckpointFS writes for a
+// fixed three-relation checkpoint, byte for byte: values and counts of one
+// and of several varint bytes, negative values and multiplicities, and a
+// relation with no rows.
+func TestCheckpointBytesPinned(t *testing.T) {
+	rows := func(rs [][]int64, mults []int64) func(yield func(row []int64, mult int64)) {
+		return func(yield func(row []int64, mult int64)) {
+			for i, r := range rs {
+				yield(r, mults[i])
+			}
+		}
+	}
+	rels := []CheckpointRel{
+		{Name: "R", Arity: 2, Rows: rows([][]int64{{1, 10}, {-1, 300}, {1 << 40, -(1 << 20)}}, []int64{1, 2, -70})},
+		{Name: "Edges", Arity: 3, Rows: rows([][]int64{{0, 63, -64}}, []int64{1 << 33})},
+		{Name: "E", Arity: 1, Rows: rows(nil, nil)},
+	}
+	dir := t.TempDir()
+	if err := WriteCheckpointFS(OSFS, dir, 300, "Q(A, B, C) = R(A, B), Edges(A, B, C), E(C)", rels, false); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, checkpointName(300)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "49564d434b50310a" + // magic
+		"5800000000000000" + "95c1dd53" + // payload length, crc32c
+		"ac022a5128412c20422c204329203d205228412c2042292c20456467657328412c20422c2043292c2045284329030152020302140201d80404808080808040ffff7f8b010545646765730301007e7f808080804001450100"
+	if got := hex.EncodeToString(data); got != want {
+		t.Fatalf("checkpoint file\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestVarintLen holds the checkpoint writer's sizing to encoding/binary's
+// encoders at every byte-length boundary.
+func TestVarintLen(t *testing.T) {
+	var b [binary.MaxVarintLen64]byte
+	for shift := 0; shift < 64; shift++ {
+		for _, u := range []uint64{1<<shift - 1, 1 << shift, 1<<shift + 1} {
+			if got, want := uvarintLen(u), binary.PutUvarint(b[:], u); got != want {
+				t.Fatalf("uvarintLen(%d) = %d, want %d", u, got, want)
+			}
+			for _, v := range []int64{int64(u), -int64(u)} {
+				if got, want := varintLen(v), binary.PutVarint(b[:], v); got != want {
+					t.Fatalf("varintLen(%d) = %d, want %d", v, got, want)
+				}
+			}
+		}
+	}
+	for _, v := range []int64{math.MinInt64, math.MaxInt64} {
+		if got, want := varintLen(v), binary.PutVarint(b[:], v); got != want {
+			t.Fatalf("varintLen(%d) = %d, want %d", v, got, want)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"iter"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -306,6 +307,37 @@ func TestAllZeroAllocsPerRow(t *testing.T) {
 		}
 		if open > src.maxOpen {
 			t.Errorf("%s.All: %d allocations to open, want at most %d", src.name, open, src.maxOpen)
+		}
+	}
+}
+
+// TestApplyThenAllZeroAllocs pins the read at a new epoch: after a commit,
+// opening All and taking its first row allocates nothing, on an engine from
+// New and on a two-shard one. The implicit snapshot lives on the reader's
+// stack, and each shard's capture re-pins the generation the commit retired.
+func TestApplyThenAllZeroAllocs(t *testing.T) {
+	for _, tg := range []target{{query: star, eps: 0.5}, {query: star, eps: 0.5, shards: 2}} {
+		e := built(t, tg, 3, 3000, 300)
+		var row []int64
+		for r := range e.All() {
+			row = slices.Clone(r) // A and B of a row of R: Q's head is A, B, C
+			break
+		}
+		sign := int64(1)
+		cycle := func() {
+			if err := e.Apply("R", row[:2], sign); err != nil {
+				t.Fatal(err)
+			}
+			sign = -sign
+			for range e.All() {
+				break
+			}
+		}
+		for i := 0; i < 4; i++ {
+			cycle()
+		}
+		if n := testing.AllocsPerRun(100, cycle); n != 0 {
+			t.Errorf("shards=%d: Apply, then the first row of All, allocates %v times, want 0", tg.shards, n)
 		}
 	}
 }

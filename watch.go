@@ -125,11 +125,10 @@ func (e *Engine) Watch(opts WatchOptions) (*Watcher, error) {
 		buffer = DefaultWatchBuffer
 	}
 	w := &Watcher{e: e.e, filter: filter, ring: make(chan *core.CommitDelta, buffer), done: make(chan struct{})}
-	snap, err := e.e.SubscribeCommits((*watcherSink)(w))
-	if err != nil {
+	w.anchor = new(Snapshot)
+	if err := e.e.SubscribeCommits((*watcherSink)(w), &w.anchor.c); err != nil {
 		return nil, wrapErr(err)
 	}
-	w.anchor = &Snapshot{snap}
 	return w, nil
 }
 
@@ -272,9 +271,9 @@ func (w *Watcher) Close() {
 // The snapshot must stay open while the iterator is ranged.
 func (s *Snapshot) ViewAll(view string) (iter.Seq2[[]int64, int64], error) {
 	var seq iter.Seq2[tuple.Tuple, int64]
-	cs, ok := s.s.(*core.Snapshot) // a sharded engine's snapshot has no views
+	ok := !s.sharded // a sharded engine's snapshot has no views
 	if ok {
-		seq, ok = cs.View(view)
+		seq, ok = s.c.View(view)
 	}
 	if !ok {
 		return nil, fmt.Errorf("ivmeps: unknown view %q (Engine.Views lists the root views)", view)
