@@ -326,7 +326,9 @@ func (e *Engine) Explain() string { return e.b.Explain() }
 // Snapshot is an immutable view of one committed engine state — on a
 // sharded engine, every shard at one federation epoch, gathered on
 // enumeration — readable concurrently with updates to the engine it came
-// from. See Engine.Snapshot.
+// from. See Engine.Snapshot. Use it through the *Snapshot that
+// Engine.Snapshot returns; a Snapshot must not be copied (go vet reports a
+// copy), since closing a copy too would release its state twice.
 type Snapshot struct {
 	c       core.Snapshot       // an engine's from New or Open
 	f       federation.Snapshot // a sharded engine's

@@ -15,6 +15,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"ivmeps/internal/query"
 	"ivmeps/internal/relation"
@@ -117,11 +118,12 @@ type Engine struct {
 
 	// ectx is the engine's own enumeration context, over rels itself;
 	// snapshots carry their own over a frozen copy (snapshot.go), recycled
-	// through freeCtxs. scratchVals and scratchFlags size the per-node
+	// through freeCtxs; spareGen keeps one retired snapshot generation for
+	// the next epoch's first capture. scratchVals and scratchFlags size the per-node
 	// scratch of a context: the sums of the regions buildInfo hands out.
 	ectx                      *enumCtx
 	freeCtxs                  ctxList
-	freeGens                  genList
+	spareGen                  atomic.Pointer[snapGen]
 	scratchVals, scratchFlags int
 
 	// freeSlots are the slots of free(Q) in head order.
@@ -165,7 +167,7 @@ type Engine struct {
 	// curGen caches the frozen relation generation of the current epoch so
 	// repeated Snapshot calls between commits are O(1): the first capture
 	// after a commit pins every relation once, re-pinning a retired
-	// generation from freeGens, and later captures just take a reference.
+	// generation from spareGen, and later captures just take a reference.
 	// Every mutating operation invalidates it (invalidateGenLocked) before
 	// touching any relation.
 	curGen *snapGen

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"slices"
 	"sync"
 	"testing"
 
@@ -43,12 +42,6 @@ func freeCtxs(e *Engine) int {
 	e.freeCtxs.mu.Lock()
 	defer e.freeCtxs.mu.Unlock()
 	return len(e.freeCtxs.list)
-}
-
-func freeGens(e *Engine) int {
-	e.freeGens.mu.Lock()
-	defer e.freeGens.mu.Unlock()
-	return len(e.freeGens.list)
 }
 
 // held is where the open cases keep a Snapshot handle, as a reader that
@@ -211,12 +204,12 @@ func TestSnapshotCloseDropsBusyContext(t *testing.T) {
 	}
 }
 
-// TestFreedContextPinsNoStore pins that a context and a generation on the
-// engine's free lists keep no retired store alive. A snapshot grounds every
-// heavy key, a commit detaches the stores it pins and deletes one heavy key's
-// rows, and the snapshot closes, retiring its generation; the next snapshot
-// reopens the same context's tree with one instance fewer and re-pins the
-// same generation's handles. Once the first snapshot is closed, and again
+// TestFreedContextPinsNoStore pins that a context on the engine's free list
+// and a generation in its spare slot keep no retired store alive. A
+// snapshot grounds every heavy key, a commit detaches the stores it pins and
+// deletes one heavy key's rows, and the snapshot closes, retiring its
+// generation; the next snapshot reopens the same context's tree with one
+// instance fewer and re-pins the same generation's handles. Once the first snapshot is closed, and again
 // once both are, the stores the commit retired are garbage.
 func TestFreedContextPinsNoStore(t *testing.T) {
 	e, db := zipfEngine(t, 0)
@@ -261,10 +254,10 @@ func TestFreedContextPinsNoStore(t *testing.T) {
 	}
 	ctx, gen := s.ctx, s.gen
 	s.Close()
-	if freeCtxs(e) != 1 || freeGens(e) != 1 {
-		t.Fatalf("closing the snapshot freed %d contexts and %d generations, want 1 and 1", freeCtxs(e), freeGens(e))
+	if freeCtxs(e) != 1 || e.spareGen.Load() != gen {
+		t.Fatalf("closing the snapshot freed %d contexts, want 1, and left its generation spare %v, want true", freeCtxs(e), e.spareGen.Load() == gen)
 	}
-	unreachable("with the context and the generation on the free lists")
+	unreachable("with the context on the free list and the generation spare")
 	next := e.Snapshot()
 	if next.ctx != ctx || next.gen != gen {
 		t.Fatal("the next snapshot did not take the freed context and generation")
@@ -422,8 +415,7 @@ func checkObservation(t *testing.T, label string, states map[uint64]map[string]i
 // against one goroutine that commits. Every third read closes its snapshot
 // while its iterator is still open and drains the iterator afterwards, past
 // later commits and captures. Every full read equals naive at its
-// snapshot's epoch, every early-stopped one is a part of it, and the free
-// list never holds more generations than its cap.
+// snapshot's epoch, and every early-stopped one is a part of it.
 func TestGenerationReuseRacesCommits(t *testing.T) {
 	e, db, rng := raceEngine(t)
 	states := map[uint64]map[string]int64{e.Epoch(): naiveMap(e.Query(), db)}
@@ -435,7 +427,6 @@ func TestGenerationReuseRacesCommits(t *testing.T) {
 	var (
 		mu           sync.Mutex
 		observations []obs
-		overCap      int
 	)
 	const readers = 3
 	stop := make(chan struct{})
@@ -470,10 +461,8 @@ func TestGenerationReuseRacesCommits(t *testing.T) {
 				}
 				it.Close()
 				s.Close()
-				n := freeGens(e)
 				mu.Lock()
 				observations = append(observations, obs{s.Epoch(), res, rows < limit})
-				overCap = max(overCap, n)
 				mu.Unlock()
 				select {
 				case <-stop:
@@ -488,17 +477,14 @@ func TestGenerationReuseRacesCommits(t *testing.T) {
 	wg.Wait()
 
 	t.Logf("%d reads over %d epochs", len(observations), len(states))
-	if overCap > maxFreeGens {
-		t.Fatalf("the free list held %d generations, cap %d", overCap, maxFreeGens)
-	}
 	for i, o := range observations {
 		checkObservation(t, fmt.Sprintf("observation %d", i), states, o.epoch, o.res, o.full)
 	}
 }
 
 // TestSnapshotCloseKeepsBusyGeneration pins that a snapshot closed while its
-// iterator is open keeps its generation: the generation never reaches the
-// free list, later commits and captures at new epochs re-pin other
+// iterator is open keeps its generation: the generation never becomes the
+// engine's spare, later commits and captures at new epochs re-pin other
 // generations, and the iterator still yields the rows of its own epoch.
 func TestSnapshotCloseKeepsBusyGeneration(t *testing.T) {
 	e, db := zipfEngine(t, 0.5)
@@ -526,9 +512,6 @@ func TestSnapshotCloseKeepsBusyGeneration(t *testing.T) {
 		}
 		next.Enumerate(func(tuple.Tuple, int64) bool { return true })
 		next.Close()
-		if n := freeGens(e); n > maxFreeGens {
-			t.Fatalf("the free list holds %d generations, cap %d", n, maxFreeGens)
-		}
 	}
 	for {
 		row, m, ok := it.Next()
@@ -539,9 +522,7 @@ func TestSnapshotCloseKeepsBusyGeneration(t *testing.T) {
 	}
 	it.Close()
 	sameResultMap(t, "the open iterator of a closed snapshot", got, want)
-	e.freeGens.mu.Lock()
-	defer e.freeGens.mu.Unlock()
-	if slices.Contains(e.freeGens.list, busy) {
-		t.Fatal("the generation of a snapshot closed with an open iterator reached the free list")
+	if e.spareGen.Load() == busy {
+		t.Fatal("the generation of a snapshot closed with an open iterator became the spare")
 	}
 }

@@ -29,7 +29,7 @@ import (
 // generation releases its pins.
 //
 // A generation whose pins are released is recycled: it goes to the
-// engine's free list (genList), and the first capture at a later epoch
+// engine's spare slot (spareGen), and the first capture at a later epoch
 // takes it and re-pins each of its frozen handles onto the relation's
 // current store, so a read at a new epoch allocates nothing. Release makes
 // a handle forget its store, so a free-listed generation keeps no retired
@@ -48,7 +48,7 @@ import (
 // epoch. The pins are released by whoever drops the last interest — the
 // writer (invalidateGenLocked) if no snapshot holds it, else the closing of
 // the last snapshot — and the generation, its handles and both slices kept
-// for the next epoch, goes to the engine's free list.
+// for the next epoch, goes to the engine's spare slot.
 type snapGen struct {
 	mu     sync.Mutex
 	refs   int
@@ -91,40 +91,22 @@ func (e *Engine) invalidateGenLocked() {
 }
 
 // retireGen releases the pins of a generation nothing reads any more — its
-// handles forget their stores — and hands it to the free list.
+// handles forget their stores — and leaves it in the engine's spare slot
+// unless a generation already waits there. One slot is the most bench/'s
+// workloads use: a generation is retired at most once per epoch and taken
+// by the next epoch's first capture, and the peak number waiting for reuse
+// on one engine is 1 on all four.
 func (e *Engine) retireGen(g *snapGen) {
 	for _, f := range g.pinned {
 		f.Release()
 	}
 	g.refs, g.stale = 0, false
-	l := &e.freeGens
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if len(l.list) < maxFreeGens {
-		l.list = append(l.list, g)
-	}
+	e.spareGen.CompareAndSwap(nil, g)
 }
 
-// genList is the engine's free list of retired generations, capped at
-// maxFreeGens; like ctxList, its own mutex keeps Snapshot.Close off e.mu.
-type genList struct {
-	mu   sync.Mutex
-	list []*snapGen
-}
-
-// maxFreeGens is the most generations bench/'s workloads have waiting for
-// reuse at once on one engine: 1 on all four. A generation is retired at
-// most once per epoch and taken by the next epoch's first capture.
-const maxFreeGens = 1
-
-// takeGen returns a retired generation, or a new one sized for e.
+// takeGen returns the spare retired generation, or a new one sized for e.
 func (e *Engine) takeGen() *snapGen {
-	l := &e.freeGens
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if n := len(l.list); n > 0 {
-		g := l.list[n-1]
-		l.list = l.list[:n-1]
+	if g := e.spareGen.Swap(nil); g != nil {
 		return g
 	}
 	return &snapGen{rels: make([]*relation.Relation, len(e.rels))}
@@ -135,14 +117,26 @@ func (e *Engine) takeGen() *snapGen {
 // CommitBatch on the engine and with other snapshots; the Snapshot itself is
 // not safe for concurrent use — take one snapshot per reader goroutine
 // (snapshots of one epoch share their frozen storage, which is read-only).
-// Close it when done so the writer can stop preserving its generation.
+// Close it when done so the writer can stop preserving its generation. A
+// Snapshot must not be copied: closing a copy too would release its
+// generation and free its context twice.
 type Snapshot struct {
+	_      noCopy
 	e      *Engine
 	epoch  uint64
 	ctx    *enumCtx
 	gen    *snapGen
 	closed bool
 }
+
+// noCopy makes go vet's copylocks check report a copied Snapshot.
+type noCopy struct{}
+
+// Lock and Unlock do nothing: copylocks looks for them.
+func (*noCopy) Lock() {}
+
+// Unlock does nothing; see Lock.
+func (*noCopy) Unlock() {}
 
 // ctxList is the engine's free list of closed snapshots' contexts, capped at
 // maxFreeCtxs. Its own mutex keeps Snapshot.Close, on any goroutine, off e.mu;

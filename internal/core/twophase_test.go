@@ -273,7 +273,7 @@ func TestSnapshotCaptureCachedGeneration(t *testing.T) {
 	sameResultMap(t, "retired-generation snapshot", resultMap(s1.Enumerate), want)
 	s1.Close()
 	for _, f := range s1.gen.pinned {
-		if !f.Pinned() {
+		if f.StoreRef().Value() == nil {
 			t.Fatal("closing one of two snapshots of a stale generation released its pins")
 		}
 	}
@@ -282,7 +282,7 @@ func TestSnapshotCaptureCachedGeneration(t *testing.T) {
 		t.Fatal("the generation pinned no relation")
 	}
 	for _, f := range s1.gen.pinned {
-		if f.Pinned() {
+		if f.StoreRef().Value() != nil {
 			t.Error("closing the last snapshot of a stale generation did not release its pins")
 		}
 	}

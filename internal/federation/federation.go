@@ -59,6 +59,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"ivmeps/internal/core"
 	"ivmeps/internal/naive"
@@ -139,8 +140,9 @@ type Fed struct {
 	built bool
 	epoch uint64
 
-	// freeParts holds closed snapshots' parts for the next capture.
-	freeParts partsList
+	// spareSnaps holds a closed snapshot's shard snapshots for the next
+	// capture.
+	spareSnaps atomic.Pointer[shardSnaps]
 
 	// Pooled commit scratch: the per-shard sub-batches of the scatter
 	// phase, the prepared-shard list, the shard-key extraction buffer, and
@@ -639,20 +641,33 @@ func (f *Fed) Close() {
 // shard snapshots of one federation epoch, gathered on enumeration. Like a
 // core snapshot it enumerates concurrently with commits on the federation
 // and with other snapshots, but is itself single-reader. Close it when
-// done so the shard writers can stop preserving its generations.
+// done so the shard writers can stop preserving its generations. A
+// Snapshot must not be copied: a copy would close its shards twice.
 type Snapshot struct {
-	f     *Fed
-	epoch uint64
-	p     *snapParts // nil once closed
+	_      noCopy
+	f      *Fed
+	epoch  uint64
+	shards *shardSnaps // nil once closed
+	gather *gather     // kept for the next aggregate pass
 }
 
-// snapParts is what a snapshot reads through: one core snapshot per shard,
-// and the aggregate gather's state kept for the next pass. A closed
-// snapshot hands its parts to the federation's free list (partsList), so a
-// capture whose Snapshot the caller keeps on its stack allocates nothing.
-type snapParts struct {
-	snaps  []core.Snapshot
-	gather *gather
+// noCopy makes go vet's copylocks check report a copied Snapshot.
+type noCopy struct{}
+
+// Lock and Unlock do nothing: copylocks looks for them.
+func (*noCopy) Lock() {}
+
+// Unlock does nothing; see Lock.
+func (*noCopy) Unlock() {}
+
+// shardSnaps is a snapshot's one core snapshot per shard. A closed snapshot
+// leaves them in the federation's spare slot (Fed.spareSnaps) unless one
+// already waits there, and the next capture takes them, so a capture into a
+// Snapshot the caller keeps on its stack allocates nothing. The one slot is
+// not measured — no bench/ workload reads through a sharded engine — and
+// serves a reader that closes each snapshot before it takes the next.
+type shardSnaps struct {
+	s []core.Snapshot
 }
 
 // gather is an aggregate pass's state: the distinct rows, numbered in
@@ -661,17 +676,6 @@ type gather struct {
 	rows  relation.Keys
 	mults []int64
 }
-
-// partsList is the federation's free list of closed snapshots' parts,
-// capped at maxFreeParts, behind its own mutex so Close stays off f.mu.
-type partsList struct {
-	mu   sync.Mutex
-	list []*snapParts
-}
-
-// maxFreeParts is core's maxFreeCtxs: a federation snapshot holds one core
-// snapshot per shard, so no more of them are open at once than of those.
-const maxFreeParts = 2
 
 // SnapshotInto captures a read-only view of the current committed
 // federation state into s, which must not hold an open snapshot. It may be
@@ -688,20 +692,14 @@ func (f *Fed) SnapshotInto(s *Snapshot) {
 		// the read path; the public façade converts this to an error.
 		panic(core.ErrNotBuilt)
 	}
-	l := &f.freeParts
-	l.mu.Lock()
-	var p *snapParts
-	if n := len(l.list); n > 0 {
-		p, l.list = l.list[n-1], l.list[:n-1]
-	}
-	l.mu.Unlock()
-	if p == nil {
-		p = &snapParts{snaps: make([]core.Snapshot, f.k)}
+	sh := f.spareSnaps.Swap(nil)
+	if sh == nil {
+		sh = &shardSnaps{make([]core.Snapshot, f.k)}
 	}
 	for i, e := range f.shards {
-		e.SnapshotInto(&p.snaps[i])
+		e.SnapshotInto(&sh.s[i])
 	}
-	*s = Snapshot{f: f, epoch: f.epoch, p: p}
+	*s = Snapshot{f: f, epoch: f.epoch, shards: sh}
 }
 
 // Epoch identifies the committed federation state the snapshot observes.
@@ -714,14 +712,14 @@ func (s *Snapshot) Epoch() uint64 { return s.epoch }
 // delay; otherwise the shard results are aggregated first — multiplicities
 // summed per distinct tuple — and then yielded.
 func (s *Snapshot) Enumerate(yield func(t tuple.Tuple, m int64) bool) {
-	p := s.p
-	if p == nil {
+	sh := s.shards
+	if sh == nil {
 		panic("federation: Enumerate on a closed Snapshot")
 	}
 	if s.f.concat {
-		for i := range p.snaps {
+		for i := range sh.s {
 			stopped := false
-			p.snaps[i].Enumerate(func(t tuple.Tuple, m int64) bool {
+			sh.s[i].Enumerate(func(t tuple.Tuple, m int64) bool {
 				if !yield(t, m) {
 					stopped = true
 					return false
@@ -734,16 +732,16 @@ func (s *Snapshot) Enumerate(yield func(t tuple.Tuple, m int64) bool) {
 		}
 		return
 	}
-	g := p.gather
+	g := s.gather
 	if g == nil {
 		g = new(gather)
 	}
-	p.gather = nil // taken: a nested pass builds its own
-	defer func() { p.gather = g }()
+	s.gather = nil // taken: a nested pass builds its own
+	defer func() { s.gather = g }()
 	g.rows.Reset(len(s.f.orig.Free))
 	g.mults = g.mults[:0]
-	for i := range p.snaps {
-		p.snaps[i].Enumerate(func(t tuple.Tuple, m int64) bool {
+	for i := range sh.s {
+		sh.s[i].Enumerate(func(t tuple.Tuple, m int64) bool {
 			if gi, added := g.rows.Add(t); !added {
 				g.mults[gi] += m
 			} else {
@@ -759,22 +757,16 @@ func (s *Snapshot) Enumerate(yield func(t tuple.Tuple, m int64) bool) {
 	}
 }
 
-// Close releases every shard snapshot and hands the snapshot's parts to the
-// federation's free list. It is idempotent; the snapshot must not be used
-// afterwards.
+// Close releases every shard snapshot and leaves them in the federation's
+// spare slot. It is idempotent; the snapshot must not be used afterwards.
 func (s *Snapshot) Close() {
-	p := s.p
-	if p == nil {
+	sh := s.shards
+	if sh == nil {
 		return
 	}
-	s.p = nil
-	for i := range p.snaps {
-		p.snaps[i].Close()
+	s.shards = nil
+	for i := range sh.s {
+		sh.s[i].Close()
 	}
-	l := &s.f.freeParts
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if len(l.list) < maxFreeParts {
-		l.list = append(l.list, p)
-	}
+	s.f.spareSnaps.CompareAndSwap(nil, sh)
 }

@@ -452,11 +452,7 @@ func TestShardedCommitZeroAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Routing spreads each cycle's rows over the shards at random, so a
-	// shard's deltas reach new high-water sizes, growing their pooled
-	// tables, for a few cycles: three warm cycles left that growth inside
-	// the measured runs for about one process-wide seed sequence in three.
-	for i := 0; i < 10; i++ {
+	for i := 0; i < 3; i++ {
 		cycle()
 	}
 	if n := testing.AllocsPerRun(50, cycle); n != 0 {

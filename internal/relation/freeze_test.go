@@ -189,9 +189,6 @@ func TestFreezeIntoRepins(t *testing.T) {
 	retired := f.StoreRef()
 	r.MustAdd(tuple.Tuple{0, 1000}, 1) // detaches: f's store is retired
 	f.Release()
-	if f.Pinned() {
-		t.Fatal("a released handle reports its pin")
-	}
 	if f.StoreRef().Value() != nil {
 		t.Fatal("a released handle still reads a store")
 	}
@@ -200,7 +197,7 @@ func TestFreezeIntoRepins(t *testing.T) {
 		t.Fatal("a released handle keeps its retired store reachable")
 	}
 
-	if g := r.FreezeInto(f); g != f || !f.Pinned() {
+	if g := r.FreezeInto(f); g != f || f.StoreRef().Value() == nil {
 		t.Fatal("FreezeInto of a released handle did not re-pin it")
 	}
 	if got, want := entriesMap(f), entriesMap(r); len(got) != len(want) || f.Mult(tuple.Tuple{0, 1000}) != 1 {

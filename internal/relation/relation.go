@@ -493,12 +493,9 @@ func (r *Relation) Release() {
 	}
 }
 
-// Pinned reports whether r is a frozen handle holding its pin: FreezeInto
-// pinned it and Release has not let it go.
-func (r *Relation) Pinned() bool { return r.frozen && r.s != nil }
-
-// StoreRef returns a weak pointer to the store r reads, by which a test can
-// check that nothing keeps a retired store reachable.
+// StoreRef returns a weak pointer to the store r reads: a test instrument,
+// by which tests check that nothing keeps a retired store reachable and
+// that Release let a frozen handle's store go (its StoreRef is then nil).
 func (r *Relation) StoreRef() weak.Pointer[relStore] { return weak.Make(r.s) }
 
 // detach performs the copy-on-first-write: it retires the pinned store to
