@@ -30,8 +30,9 @@ BENCH_RE = Update|Batch|Sharded|WAL|Watch|Server
 # (BENCH_enum.json) and its own regex — BENCH_RE is not widened — and is
 # gated on allocs/op only: a pass allocates nothing, since the implicit
 # snapshot lives on the reader's stack, the iterator tree is reused from the
-# previous pass, and a new epoch's capture re-pins the generation the Apply
-# retired — nothing per pass, per heavy key or per row. Every line reads 0,
+# previous pass, and a new epoch's capture re-pins the frozen handles of the
+# context the previous pass freed — nothing per pass, per heavy key or per
+# row. Every line reads 0,
 # so the 1 % the gate allows means exact. That holds: go test truncates
 # allocs/op to whole allocations, so a stray allocation of the runtime's
 # moves a count only if it recurs in every iteration, while one allocation
@@ -82,8 +83,10 @@ test-count:
 # readers against commits, the federation's parallel apply, and
 # internal/server's stats-vs-commit and reader-eviction races), three more
 # runs of the snapshot-reuse races (readers recycling enumeration contexts
-# and snapshot generations through the engine's free lists against a
-# committer, opening at new epochs), then the root suites
+# and re-pinning their frozen handles through the engine's free list against
+# a committer, opening at new epochs), three shuffled runs of the federation
+# suite (its zero-allocation pins must not depend on test order), then the
+# root suites
 # the scenario driver (scenario_test.go) runs against naive —
 # crash recovery, fault injection over every I/O site, the watch property
 # suite, the public sharded engine (whose multi-shard commits apply on
@@ -94,6 +97,7 @@ test-count:
 race:
 	$(GO) test -race ./internal/...
 	$(GO) test -race -count=3 -run 'TestSnapshotReuseRacesCommits|TestGenerationReuseRacesCommits' ./internal/core/
+	$(GO) test -race -shuffle=on -count=3 ./internal/federation/
 	$(GO) test -race -run 'CrashRecoveryRandomCut|BitFlipRecovery|DurableRoundTrip|CheckpointBoundsReplay' .
 	$(GO) test -race -run 'FaultInjection|FaultInjectedOpen|LogWedge|EngineClose|OpenErrorPathsNoLeak|OpenRemovesStaleCheckpointTmp|CheckpointRenameFailure|CheckpointTempRemoveCannotMask' ./...
 	$(GO) test -race -run 'TestWatch|TestWatcher|TestExplainRacesCommit' .

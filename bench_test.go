@@ -790,8 +790,8 @@ func BenchmarkShardedEnumerate(b *testing.B) {
 // the iterator tree, one instance per heavy key, is reused from the previous
 // pass — and nothing per row. The two-path-new-epoch case commits one Apply
 // before each pass, so every pass reads at a new epoch: its capture re-pins
-// the generation the Apply retired and allocates no more than a pass at a
-// held epoch.
+// the frozen handles of the context the last pass freed and allocates no
+// more than a pass at a held epoch.
 func BenchmarkEnumerate(b *testing.B) {
 	const rowCap = 20000
 	// domains bound each variable's values; unlisted variables range over

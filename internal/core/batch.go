@@ -14,8 +14,8 @@ import (
 // two halves (prepareLocked, applyStagedLocked), the paper's OnUpdate
 // trigger (Figure 22) at commit granularity:
 //
-//	validate → [hook] → invalidate snapshot generation → propagate →
-//	major-rebalance check → stats → epoch++ → publish commit delta
+//	validate → [hook] → propagate → major-rebalance check → stats →
+//	epoch++ → publish commit delta
 //
 // Validation is all-or-nothing and a commit whose ops are all zero-mult (or
 // that has no ops) publishes nothing: no hook call, no epoch, no stats.
@@ -262,9 +262,6 @@ func (e *Engine) applyStagedLocked() {
 		e.releaseStagedLocked()
 		return
 	}
-	// The commit will mutate relations: release the cached snapshot
-	// generation first so an idle cache does not force copy-on-write.
-	e.invalidateGenLocked()
 	touched := 0
 	for _, id := range e.batchTouched {
 		br := &e.relTab[id-1]

@@ -15,7 +15,6 @@ package core
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"ivmeps/internal/query"
 	"ivmeps/internal/relation"
@@ -117,13 +116,12 @@ type Engine struct {
 	slot map[tuple.Variable]int
 
 	// ectx is the engine's own enumeration context, over rels itself;
-	// snapshots carry their own over a frozen copy (snapshot.go), recycled
-	// through freeCtxs; spareGen keeps one retired snapshot generation for
-	// the next epoch's first capture. scratchVals and scratchFlags size the per-node
-	// scratch of a context: the sums of the regions buildInfo hands out.
+	// snapshots carry their own over a frozen copy they pin (snapshot.go),
+	// recycled with its handles through freeCtxs. scratchVals and
+	// scratchFlags size the per-node scratch of a context: the sums of the
+	// regions buildInfo hands out.
 	ectx                      *enumCtx
 	freeCtxs                  ctxList
-	spareGen                  atomic.Pointer[snapGen]
 	scratchVals, scratchFlags int
 
 	// freeSlots are the slots of free(Q) in head order.
@@ -163,14 +161,6 @@ type Engine struct {
 	capSet  *captureSet
 	capture *captureSet
 	cdFree  chan *CommitDelta
-
-	// curGen caches the frozen relation generation of the current epoch so
-	// repeated Snapshot calls between commits are O(1): the first capture
-	// after a commit pins every relation once, re-pinning a retired
-	// generation from spareGen, and later captures just take a reference.
-	// Every mutating operation invalidates it (invalidateGenLocked) before
-	// touching any relation.
-	curGen *snapGen
 
 	n int // current database size (sum of distinct-tuple counts, per original relation)
 	m int // threshold base M with ⌊M/4⌋ ≤ N < M
@@ -213,7 +203,7 @@ type nodeInfo struct {
 	// forest order, then each indicator's All and L tree; for a main tree,
 	// the index of its root view and of its commit-delta capture slot.
 	tree int
-	// frozenAs tells a snapshot generation how to capture the node: the ID
+	// frozenAs tells a snapshot capture how to freeze the node: the ID
 	// of the first main-tree node backed by the same relation (the node's
 	// own ID when it is that node), or -1 for the nodes of indicator trees,
 	// which enumeration never reaches.

@@ -27,9 +27,10 @@ import (
 // enumCtx is one enumeration context: the binding slots shared by a tree of
 // iterators, the delay-work counter, and the relation of every node by
 // Node.ID. The engine's own context holds the live relations (Engine.rels)
-// and may only be used from the writer goroutine; a snapshot's holds its
-// generation's frozen copy and is independent of concurrent updates. The
-// iterators cannot tell the two apart.
+// and may only be used from the writer goroutine; a snapshot's holds a
+// frozen copy, whose distinct handles pinned lists for Close to release, and
+// is independent of concurrent updates. The iterators cannot tell the two
+// apart.
 //
 // vals and flags are the context's scratch: every node owns the region
 // nodeInfo.keyOff/auxOff/flagOff name (the key ctxKey fills, the probe tuple
@@ -41,15 +42,16 @@ import (
 // over one context, sequential or nested, cannot meet in a region.
 // trees holds closed Iterators' trees for reuse; open counts unclosed ones.
 type enumCtx struct {
-	e     *Engine
-	rels  []*relation.Relation
-	bind  tuple.Tuple
-	bound []bool
-	vals  tuple.Tuple
-	flags []bool
-	work  int64
-	trees []Iterator
-	open  int
+	e      *Engine
+	rels   []*relation.Relation
+	pinned []*relation.Relation
+	bind   tuple.Tuple
+	bound  []bool
+	vals   tuple.Tuple
+	flags  []bool
+	work   int64
+	trees  []Iterator
+	open   int
 }
 
 func (e *Engine) newEnumCtx(rels []*relation.Relation) *enumCtx {

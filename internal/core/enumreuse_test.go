@@ -55,7 +55,7 @@ var held *Snapshot
 // from the engine's free list; an open allocates nothing more, as the
 // compiler keeps the Iterator of Enumerate, and of a Result closed in the
 // caller, on the stack. The same holds for the first open after a commit:
-// the capture re-pins the generation the commit retired, so a read through a
+// the capture re-pins the freed context's frozen handles, so a read through a
 // Snapshot the caller keeps on its stack (SnapshotInto, as the public
 // implicit reads do) allocates nothing, and one through a held handle only
 // the handle.
@@ -205,18 +205,18 @@ func TestSnapshotCloseDropsBusyContext(t *testing.T) {
 }
 
 // TestFreedContextPinsNoStore pins that a context on the engine's free list
-// and a generation in its spare slot keep no retired store alive. A
-// snapshot grounds every heavy key, a commit detaches the stores it pins and
-// deletes one heavy key's rows, and the snapshot closes, retiring its
-// generation; the next snapshot reopens the same context's tree with one
-// instance fewer and re-pins the same generation's handles. Once the first snapshot is closed, and again
-// once both are, the stores the commit retired are garbage.
+// keeps no retired store alive. A snapshot grounds every heavy key, a commit
+// detaches the stores it pins and deletes one heavy key's rows, and the
+// snapshot closes, releasing its pins; the next snapshot reopens the same
+// context's tree with one instance fewer and re-pins the same context's
+// handles. Once the first snapshot is closed, and again once both are, the
+// stores the commit retired are garbage.
 func TestFreedContextPinsNoStore(t *testing.T) {
 	e, db := zipfEngine(t, 0)
 	s := e.Snapshot()
 	s.Enumerate(func(tuple.Tuple, int64) bool { return true })
 	var stores []func() (live, retired bool) // per pinned store: reachable, and detached since
-	for id, f := range s.gen.rels {
+	for id, f := range s.ctx.rels {
 		if f == nil || e.info[id].frozenAs != id {
 			continue
 		}
@@ -252,15 +252,15 @@ func TestFreedContextPinsNoStore(t *testing.T) {
 			}
 		}
 	}
-	ctx, gen := s.ctx, s.gen
+	ctx := s.ctx
 	s.Close()
-	if freeCtxs(e) != 1 || e.spareGen.Load() != gen {
-		t.Fatalf("closing the snapshot freed %d contexts, want 1, and left its generation spare %v, want true", freeCtxs(e), e.spareGen.Load() == gen)
+	if n := freeCtxs(e); n != 1 {
+		t.Fatalf("closing the snapshot freed %d contexts, want 1", n)
 	}
-	unreachable("with the context on the free list and the generation spare")
+	unreachable("with the context on the free list")
 	next := e.Snapshot()
-	if next.ctx != ctx || next.gen != gen {
-		t.Fatal("the next snapshot did not take the freed context and generation")
+	if next.ctx != ctx {
+		t.Fatal("the next snapshot did not take the freed context")
 	}
 	next.Enumerate(func(tuple.Tuple, int64) bool { return true })
 	next.Close()
@@ -411,7 +411,7 @@ func checkObservation(t *testing.T, label string, states map[uint64]map[string]i
 
 // TestGenerationReuseRacesCommits runs readers that each capture at whatever
 // epoch the committer has reached — nearly always a new one, so the capture
-// re-pins a retired generation — read all of it or stop early, and close,
+// re-pins a freed context's handles — read all of it or stop early, and close,
 // against one goroutine that commits. Every third read closes its snapshot
 // while its iterator is still open and drains the iterator afterwards, past
 // later commits and captures. Every full read equals naive at its
@@ -483,9 +483,9 @@ func TestGenerationReuseRacesCommits(t *testing.T) {
 }
 
 // TestSnapshotCloseKeepsBusyGeneration pins that a snapshot closed while its
-// iterator is open keeps its generation: the generation never becomes the
-// engine's spare, later commits and captures at new epochs re-pin other
-// generations, and the iterator still yields the rows of its own epoch.
+// iterator is open keeps its context and pins: the context never reaches the
+// free list, later commits and captures at new epochs re-pin other
+// contexts, and the iterator still yields the rows of its own epoch.
 func TestSnapshotCloseKeepsBusyGeneration(t *testing.T) {
 	e, db := zipfEngine(t, 0.5)
 	want := naiveMap(e.Query(), db)
@@ -497,7 +497,7 @@ func TestSnapshotCloseKeepsBusyGeneration(t *testing.T) {
 		t.Fatal("empty result")
 	}
 	got[fmt.Sprint(row)] = m
-	busy := s.gen
+	busy := s.ctx
 	s.Close()
 	var rows []tuple.Tuple
 	db["R"].ForEach(func(r tuple.Tuple, _ int64) { rows = append(rows, r.Clone()) })
@@ -507,11 +507,16 @@ func TestSnapshotCloseKeepsBusyGeneration(t *testing.T) {
 		}
 		var next Snapshot
 		e.SnapshotInto(&next)
-		if next.gen == busy {
-			t.Fatalf("read %d after the close took the generation of an open iterator", i)
+		if next.ctx == busy {
+			t.Fatalf("read %d after the close took the context of an open iterator", i)
 		}
 		next.Enumerate(func(tuple.Tuple, int64) bool { return true })
 		next.Close()
+	}
+	for _, f := range busy.pinned {
+		if f.StoreRef().Value() == nil {
+			t.Fatal("a snapshot closed with an open iterator released its pins")
+		}
 	}
 	for {
 		row, m, ok := it.Next()
@@ -522,7 +527,4 @@ func TestSnapshotCloseKeepsBusyGeneration(t *testing.T) {
 	}
 	it.Close()
 	sameResultMap(t, "the open iterator of a closed snapshot", got, want)
-	if e.spareGen.Load() == busy {
-		t.Fatal("the generation of a snapshot closed with an open iterator became the spare")
-	}
 }

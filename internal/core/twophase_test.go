@@ -13,8 +13,7 @@ import (
 
 // Tests for the exported two-phase commit (PrepareCommit / ApplyPrepared /
 // AbortPrepared), BatchOp.RelID as an output of validation, the
-// commit-boundary rebalancing hysteresis, and the cached O(1) snapshot
-// generation.
+// commit-boundary rebalancing hysteresis, and what a snapshot pins.
 
 // TestPrepareApplyEqualsCommit pins that prepare+apply is observably the
 // same commit as CommitBatch: same result, same epoch advance, same stats.
@@ -238,10 +237,11 @@ func TestBatchRebalanceHysteresis(t *testing.T) {
 	}
 }
 
-// TestSnapshotCaptureCachedGeneration pins the O(1) warm capture: two
-// snapshots of one epoch share one frozen generation, a commit retires it,
-// and the warm capture allocates only the per-snapshot binding state — it
-// must not rebuild the node→relation map or re-freeze relations.
+// TestSnapshotCaptureCachedGeneration pins what a snapshot's pins span: two
+// snapshots of one epoch pin their own handles, a commit leaves both
+// readable, closing one releases its own pins and none of the other's, and a
+// warm capture allocates only the handle — it re-pins a freed context's
+// frozen handles rather than building new ones.
 func TestSnapshotCaptureCachedGeneration(t *testing.T) {
 	q := query.MustParse("Q(A, C) = R(A, B), S(B, C)")
 	e, err := New(q, Options{Mode: viewtree.Dynamic, Epsilon: 0.5})
@@ -254,57 +254,56 @@ func TestSnapshotCaptureCachedGeneration(t *testing.T) {
 	}
 	s1 := e.Snapshot()
 	s2 := e.Snapshot()
-	if s1.gen != s2.gen {
-		t.Error("two snapshots of one epoch do not share a generation")
-	}
 	want := resultMap(e.Enumerate)
-	sameResultMap(t, "shared-generation snapshot", resultMap(s2.Enumerate), want)
+	sameResultMap(t, "second snapshot of the epoch", resultMap(s2.Enumerate), want)
 	if err := e.Update("R", tuple.Tuple{900, 900}, 1); err != nil {
 		t.Fatal(err)
 	}
-	if e.curGen != nil {
-		t.Error("cached generation survives a commit")
-	}
 	s3 := e.Snapshot()
-	if s3.gen == s1.gen {
-		t.Error("post-commit snapshot reuses the retired generation")
-	}
-	// The retired generation stays readable until its snapshots close.
-	sameResultMap(t, "retired-generation snapshot", resultMap(s1.Enumerate), want)
+	// A superseded epoch stays readable until its snapshots close.
+	sameResultMap(t, "superseded snapshot", resultMap(s1.Enumerate), want)
+	pinned1 := append([]*relation.Relation(nil), s1.ctx.pinned...)
 	s1.Close()
-	for _, f := range s1.gen.pinned {
-		if f.StoreRef().Value() == nil {
-			t.Fatal("closing one of two snapshots of a stale generation released its pins")
+	if len(pinned1) == 0 {
+		t.Fatal("the snapshot pinned no relation")
+	}
+	for _, f := range pinned1 {
+		if f.StoreRef().Value() != nil {
+			t.Error("closing a snapshot did not release its pins")
 		}
 	}
-	s2.Close()
-	if len(s1.gen.pinned) == 0 {
-		t.Fatal("the generation pinned no relation")
+	for _, f := range s2.ctx.pinned {
+		if f.StoreRef().Value() == nil {
+			t.Fatal("closing one of two snapshots of an epoch released the other's pins")
+		}
 	}
-	for _, f := range s1.gen.pinned {
+	sameResultMap(t, "snapshot of the epoch after the other closed", resultMap(s2.Enumerate), want)
+	pinned2 := s2.ctx.pinned
+	s2.Close()
+	for _, f := range pinned2 {
 		if f.StoreRef().Value() != nil {
-			t.Error("closing the last snapshot of a stale generation did not release its pins")
+			t.Error("closing the last snapshot of a superseded epoch did not release its pins")
 		}
 	}
 	s3.Close()
 
 	// Warm capture cost: at a fixed epoch, Snapshot+Close must allocate
-	// only the constant per-snapshot state (snapshot struct + bind/bound),
+	// only the constant per-snapshot state (the snapshot struct),
 	// independent of relation count — far below the ~tens of allocations a
 	// forest walk with fresh maps and frozen handles costs.
-	e.Snapshot().Close() // build the generation once
+	e.Snapshot().Close() // put a context on the free list
 	allocs := testing.AllocsPerRun(100, func() {
 		e.Snapshot().Close()
 	})
 	if allocs > 4 {
-		t.Errorf("warm snapshot capture allocates %v per call, want ≤ 4 (cached generation)", allocs)
+		t.Errorf("warm snapshot capture allocates %v per call, want ≤ 4 (a freed context re-pinned)", allocs)
 	}
 }
 
 // TestWriterUnpinnedAfterIdleGenerationInvalidation pins the writer-side
-// cost: after all snapshots close, the first commit retires the cached
-// generation BEFORE mutating relations, so steady single-tuple updates
-// stay allocation-free even when snapshots were taken between commits.
+// cost: a closed snapshot leaves no relation pinned, so steady single-tuple
+// updates stay allocation-free even when snapshots were taken and closed
+// between commits.
 func TestWriterUnpinnedAfterIdleGenerationInvalidation(t *testing.T) {
 	q := query.MustParse("Q(A, C) = R(A, B), S(B, C)")
 	e, err := New(q, Options{Mode: viewtree.Dynamic, Epsilon: 0.5})
@@ -315,15 +314,15 @@ func TestWriterUnpinnedAfterIdleGenerationInvalidation(t *testing.T) {
 	if err := Preprocess(e, randomDB(q, rng, 400, 40)); err != nil {
 		t.Fatal(err)
 	}
-	// Steady in-place churn on existing tuples, with an idle cached
-	// generation rebuilt before every measured update.
+	// Steady in-place churn on existing tuples, with a snapshot taken and
+	// closed before every warm-up cycle.
 	var row tuple.Tuple
 	e.BaseRelation("R").ForEachUntil(func(tu tuple.Tuple, m int64) bool {
 		row = tu.Clone()
 		return false
 	})
 	cycle := func() {
-		e.Snapshot().Close() // leaves a cached, unreferenced generation
+		e.Snapshot().Close() // pins every relation, then releases them
 		if err := e.Update("R", row, 1); err != nil {
 			t.Fatal(err)
 		}

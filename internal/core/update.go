@@ -506,7 +506,6 @@ func (e *Engine) majorRebalance() {
 func (e *Engine) Rebalance() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.invalidateGenLocked()
 	e.majorRebalance()
 }
 

@@ -682,7 +682,7 @@ type gather struct {
 // called from any goroutine; if a commit is in flight it blocks until the
 // commit finishes, then captures every shard at the same federation epoch
 // (the lock excludes commits, so no shard can be ahead). Shard captures
-// reuse core's generations (see core.Engine.SnapshotInto); no tuples are
+// re-pin core's freed contexts (see core.Engine.SnapshotInto); no tuples are
 // copied.
 func (f *Fed) SnapshotInto(s *Snapshot) {
 	f.mu.Lock()

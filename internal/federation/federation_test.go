@@ -427,20 +427,30 @@ func TestShardedCommitZeroAllocs(t *testing.T) {
 	if err := f.Preprocess(randomDB(q, rand.New(rand.NewSource(61)), 400, 40)); err != nil {
 		t.Fatal(err)
 	}
+	// Every cycle takes fresh keys, but as many per shard, so each shard's
+	// deltas have the same size every cycle whatever seed routes them.
 	const rows = 64
 	ops := make([]core.BatchOp, 0, 2*rows)
 	buf := make(tuple.Tuple, 4*rows)
+	perShard := make([]int, f.k)
+	rOcc := &f.relList[f.relIdx["R"]-1].occs[0]
 	next := int64(10000)
 	cycle := func() {
 		ops = ops[:0]
-		for i := 0; i < rows; i++ {
+		clear(perShard)
+		for i := 0; i < rows; next += 3 {
 			tu := buf[4*i : 4*i+2]
 			tu[0], tu[1] = next, next+1
+			s, _ := f.shardRange(rOcc, tu) // S's row routes by the same A
+			if perShard[s] == rows/f.k {
+				continue
+			}
+			perShard[s]++
 			ops = append(ops, core.BatchOp{Rel: "R", Row: tu, Mult: 1})
 			tu2 := buf[4*i+2 : 4*i+4]
 			tu2[0], tu2[1] = next, next+2
 			ops = append(ops, core.BatchOp{Rel: "S", Row: tu2, Mult: 1})
-			next += 3
+			i++
 		}
 		if err := f.CommitBatch(ops); err != nil {
 			t.Fatal(err)

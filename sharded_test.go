@@ -314,7 +314,8 @@ func TestAllZeroAllocsPerRow(t *testing.T) {
 // TestApplyThenAllZeroAllocs pins the read at a new epoch: after a commit,
 // opening All and taking its first row allocates nothing, on an engine from
 // New and on a two-shard one. The implicit snapshot lives on the reader's
-// stack, and each shard's capture re-pins the generation the commit retired.
+// stack, and each shard's capture re-pins the frozen handles of the context
+// the last read freed.
 func TestApplyThenAllZeroAllocs(t *testing.T) {
 	for _, tg := range []target{{query: star, eps: 0.5}, {query: star, eps: 0.5, shards: 2}} {
 		e := built(t, tg, 3, 3000, 300)
