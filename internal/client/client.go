@@ -8,13 +8,17 @@
 // Reads are epoch-consistent: one Rows or All call is one GET whose
 // response streams the rows of one committed snapshot in frames, decoded as
 // the caller's loop advances, and the observed epoch is returned so
-// independent reads can be correlated. Server-side typed errors arrive
+// independent reads can be correlated. A read decodes every frame into one
+// reused frame, so All yields a row slice that the next frame overwrites —
+// as Engine.All reuses its row slice — while Rows copies the rows out into
+// an array the caller owns. Server-side typed errors arrive
 // reconstructed: errors.Is and errors.As match ivmeps.ErrUnknownRelation,
 // ivmeps.ArityError, ivmeps.MultiplicityError, ivmeps.ErrWatcherLagged, and
 // friends exactly as they do against a local engine.
 package client
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -151,14 +155,19 @@ func (c *Client) do(ctx context.Context, method, addr string, body io.Reader, ou
 
 // Rows reads the query result (view "", via /v1/result/rows) or one root
 // view (via /v1/views/{view}/rows) in full; every row observes the snapshot
-// epoch returned. A read the server ended with "gone" (it evicted the
-// oldest of too many open reads) restarts on a fresh snapshot, up to three
-// attempts, so the returned state is always one consistent epoch.
+// epoch returned. The rows are the caller's: they are copied out of the
+// read's reused frame into one backing array. A read the server ended with
+// "gone" (it evicted the oldest of too many open reads) restarts on a fresh
+// snapshot, up to three attempts, so the returned state is always one
+// consistent epoch.
 func (c *Client) Rows(ctx context.Context, view string) (rows [][]int64, mults []int64, epoch uint64, err error) {
 	for attempt := 0; ; attempt++ {
-		rows, mults = nil, nil
+		var vals []int64
+		var ends []int // where each row's values end in vals
+		mults = nil
 		epoch, err = c.walk(ctx, view, func(row []int64, mult int64) bool {
-			rows, mults = append(rows, row), append(mults, mult)
+			vals = append(vals, row...)
+			ends, mults = append(ends, len(vals)), append(mults, mult)
 			return true
 		})
 		var we *server.WireError
@@ -167,6 +176,13 @@ func (c *Client) Rows(ctx context.Context, view string) (rows [][]int64, mults [
 		}
 		if err != nil {
 			return nil, nil, 0, err
+		}
+		if len(ends) > 0 {
+			rows = make([][]int64, len(ends))
+		}
+		start := 0
+		for i, end := range ends {
+			rows[i], start = vals[start:end:end], end
 		}
 		return rows, mults, epoch, nil
 	}
@@ -205,20 +221,59 @@ func (c *Client) walk(ctx context.Context, view string, yield func([]int64, int6
 	return epoch, err
 }
 
+// readBufSize is the buffer a read stream is read through: a rows frame of
+// 2 048 rows of a few small values fits it whole.
+const readBufSize = 64 << 10
+
+// lineReader reads an NDJSON stream line by line through one bufio.Reader.
+// A line longer than the reader's buffer accumulates in long, which the next
+// such line reuses.
+type lineReader struct {
+	br   *bufio.Reader
+	long []byte
+}
+
+// next returns the next line without its newline, valid until the next
+// call. A last line without a newline is still a line; after it, next
+// returns io.EOF.
+func (r *lineReader) next() ([]byte, error) {
+	line, err := r.br.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		r.long = append(r.long[:0], line...)
+		for err == bufio.ErrBufferFull {
+			line, err = r.br.ReadSlice('\n')
+			r.long = append(r.long, line...)
+		}
+		line = r.long
+	}
+	if err != nil && (err != io.EOF || len(line) == 0) {
+		return nil, err
+	}
+	return bytes.TrimSuffix(line, []byte("\n")), nil
+}
+
 // readRows decodes one read stream, handing each row to yield, up to the
 // closing frame, whose epoch it returns and whose row count it checks;
-// closed reports that frame was read. It decodes every frame into one Frame
-// whose Mults keeps its backing array; Rows is fresh per frame, since the
-// caller may keep the rows. A stream that ends without its closing frame is
-// an error, and so is an error frame; yield's false ends the read early,
+// closed reports that frame was read. A rows frame in the form the server
+// writes decodes into one Frame whose row headers, values and mults every
+// frame reuses (server.DecodeRowsFrame), so the rows yield is handed are
+// overwritten by the next frame; any other line goes through
+// server.ParseFrame. A stream that ends without its closing frame is an
+// error, and so is an error frame; yield's false ends the read early,
 // without one.
 func readRows(body io.Reader, yield func([]int64, int64) bool) (epoch uint64, closed bool, err error) {
-	dec := json.NewDecoder(body)
-	var f server.Frame
+	lines := lineReader{br: bufio.NewReaderSize(body, readBufSize)}
+	var rows server.Frame
 	n := 0
 	for {
-		f = server.Frame{Mults: f.Mults[:0]}
-		if err := dec.Decode(&f); err != nil {
+		line, err := lines.next()
+		f := &rows
+		if err == nil && !server.DecodeRowsFrame(line, f) {
+			var other server.Frame
+			other, err = server.ParseFrame(line)
+			f = &other
+		}
+		if err != nil {
 			return 0, false, fmt.Errorf("client: read stream ended after %d rows without its closing frame: %w", n, err)
 		}
 		switch f.Type {
@@ -247,7 +302,8 @@ func readRows(body io.Reader, yield func([]int64, int64) bool) (epoch uint64, cl
 
 // All returns a lazy iterator over the query result (view "") or one root
 // view, decoding the read's frames as the loop advances — every row of one
-// ranging observes the same epoch. Because rows may already have been
+// ranging observes the same epoch. The yielded row slice is reused between
+// iterations — copy it to retain. Because rows may already have been
 // yielded, an error mid-iteration (including a read the server ended with
 // "gone") ends the loop early instead of restarting; the returned error
 // function reports it after the loop, nil on a complete pass or one the

@@ -19,3 +19,10 @@ func OpenReaders(s *Server) int { return s.readers.count() }
 
 // MaxReaders is the cap on open read streams.
 const MaxReaders = maxReaders
+
+// EncodeRowsFrame returns the line the frame writer writes for f, a rows
+// frame, newline included.
+func EncodeRowsFrame(f *Frame) []byte {
+	var e rowsEncoder
+	return e.encode(f)
+}

@@ -132,3 +132,70 @@ func FuzzRowBlock(f *testing.F) {
 		}
 	})
 }
+
+// FuzzRowsFrame holds the rows-frame codec to encoding/json, from both
+// ends. The frame writer's line for any view, rows and mults is
+// json.Marshal's plus a newline, and DecodeRowsFrame accepts it unless an
+// escape in the view name leaves it to ParseFrame. For any line,
+// DecodeRowsFrame either declines, leaving its Frame as it was, or yields
+// what ParseFrame yields — decoding into one Frame that held a larger frame
+// first, and then again, so that a row or value the line does not overwrite
+// shows. The seeds are every line TestWireBytes pins.
+func FuzzRowsFrame(f *testing.F) {
+	for _, ex := range wireExamples {
+		view := "V"
+		if fr, ok := ex.val.(*server.Frame); ok {
+			view = fr.View
+		}
+		f.Add(view, []byte(ex.wire))
+	}
+	f.Add("<&> ", []byte(`{"type":"rows","view":"<&>","rows":[null,[],[-0,null]],"mults":[1,null,-2]}`))
+	f.Add("\xff", []byte(`{"type":"rows","rows":[[1]],"mults":[1],"epoch":2}`))
+	f.Add("", []byte(`{"type":"rows","rows":[[1]],"mults":[1]}x`))
+	const stale = `{"type":"rows","view":"stale","rows":[[9,9,9],[9,9,9],[9,9,9],[9,9,9]],"mults":[9,9,9,9]}`
+	f.Fuzz(func(t *testing.T, view string, line []byte) {
+		if parsed, err := server.ParseFrame(line); err == nil {
+			fr := server.Frame{Type: server.FrameRows, View: view, Rows: parsed.Rows, Mults: parsed.Mults}
+			want, err := json.Marshal(&fr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := server.EncodeRowsFrame(&fr)
+			if string(got) != string(want)+"\n" {
+				t.Fatalf("the frame writer writes\n %s\nencoding/json\n %s", got, want)
+			}
+			var back server.Frame
+			ok := server.DecodeRowsFrame(got[:len(got)-1], &back)
+			if !ok && !bytes.Contains(got, []byte(`\`)) {
+				t.Fatalf("DecodeRowsFrame declines the frame writer's line %s", got)
+			}
+			if again, _ := json.Marshal(&back); ok && (back.View != view || string(again) != string(want)) {
+				t.Fatalf("the frame writer's line %s decodes to %s", got, again)
+			}
+		}
+
+		var into server.Frame
+		if !server.DecodeRowsFrame([]byte(stale), &into) {
+			t.Fatal("DecodeRowsFrame declines the stale frame")
+		}
+		for range 2 {
+			before, _ := json.Marshal(&into)
+			beforeView := into.View
+			ok := server.DecodeRowsFrame(line, &into)
+			got, _ := json.Marshal(&into)
+			if !ok {
+				if string(got) != string(before) || into.View != beforeView {
+					t.Fatalf("%q: DecodeRowsFrame declines, yet the frame went from %s to %s", line, before, got)
+				}
+				return
+			}
+			want, err := server.ParseFrame(line)
+			if err != nil {
+				t.Fatalf("%q: DecodeRowsFrame accepts what ParseFrame rejects: %v", line, err)
+			}
+			if wantJSON, _ := json.Marshal(&want); string(got) != string(wantJSON) || into.View != want.View {
+				t.Fatalf("%q: DecodeRowsFrame yields %s, ParseFrame %s", line, got, wantJSON)
+			}
+		}
+	})
+}

@@ -132,13 +132,21 @@ func (s *Server) fail(w http.ResponseWriter, ep endpoint, err error) {
 // write ends the stream: a peer that stopped reading would otherwise park
 // the handler in Write, with its connection and whatever it holds, until TCP
 // gives up. A deadline that runs out is counted in timeouts. A writer
-// without deadlines (tests) just has none.
+// without deadlines (tests) just has none. Rows frames, the bulk of every
+// read, go through one rowsEncoder and its one buffer; every other frame
+// through encoding/json. Either way a frame is one Write.
 func frameWriter(w http.ResponseWriter, timeouts *atomic.Uint64) func(*Frame) bool {
 	rc := http.NewResponseController(w)
 	enc := json.NewEncoder(w) // Encode appends '\n': one compact frame per line
+	var rows rowsEncoder
 	return func(f *Frame) bool {
 		rc.SetWriteDeadline(time.Now().Add(watchWriteTimeout))
-		err := enc.Encode(f)
+		var err error
+		if f.plainRows() {
+			_, err = w.Write(rows.encode(f))
+		} else {
+			err = enc.Encode(f)
+		}
 		if err == nil {
 			err = rc.Flush()
 		}

@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -117,7 +118,7 @@ func TestCommitAndRowsRoundtrip(t *testing.T) {
 		var grows [][]int64
 		var gmults []int64
 		for row, m := range seq {
-			grows = append(grows, row)
+			grows = append(grows, slices.Clone(row))
 			gmults = append(gmults, m)
 		}
 		if err := errf(); err != nil {
@@ -1151,7 +1152,8 @@ func (deadlineRecorder) SetWriteDeadline(time.Time) error { return nil }
 // limit=2048, differ by < 0.01 allocations per extra row: a frame's rows are
 // one backing array, not a slice each. The 2048 rows at limit=64 — 32 frames
 // instead of one — cost < 0.01 more allocations per row: a frame's arrays
-// are refilled by the next.
+// are refilled by the next, and its line is written from one reused buffer,
+// not by encoding/json, so this holds under -race too.
 func TestReadAllocatesPerFrame(t *testing.T) {
 	_, srv, c := newStack(t, server.Options{}, client.Options{})
 	grow := func(from, to int64) {
@@ -1186,10 +1188,46 @@ func TestReadAllocatesPerFrame(t *testing.T) {
 	if perRow >= 0.01 {
 		t.Errorf("%.4f allocations per extra row of a frame, want < 0.01", perRow)
 	}
-	// Under -race sync.Pool drops entries at random, so encoding/json's pooled
-	// encode state is often allocated afresh for a frame.
-	if perFrameRow >= 0.01 && !raceEnabled {
+	if perFrameRow >= 0.01 {
 		t.Errorf("32 frames instead of one cost %.4f more allocations per row, want < 0.01", perFrameRow)
+	}
+}
+
+// TestWholeReadAllocates bounds what one whole read of 65 536 rows at 2 048
+// rows per frame allocates, client and server together, over loopback:
+// at most 160 times, about 100 of them net/http's per request. Neither end
+// allocates per frame: the server writes every frame from one buffer, and
+// the client decodes every frame into one reused Frame. The count takes in
+// net/http's pooled buffers, which sync.Pool drops at random under -race,
+// so a -race build skips it.
+func TestWholeReadAllocates(t *testing.T) {
+	if raceEnabled {
+		t.Skip("net/http's pooled buffers are allocated afresh at random under -race")
+	}
+	_, _, c := newStack(t, server.Options{}, client.Options{PageLimit: 2048})
+	const rows = 1 << 16
+	b := c.NewBatch()
+	for i := int64(0); i < rows; i++ {
+		b.Insert("R", []int64{i, 0})
+	}
+	if _, err := c.Commit(context.Background(), b.Insert("S", []int64{0, 0})); err != nil {
+		t.Fatal(err)
+	}
+	read := func() {
+		seq, errf := c.All(context.Background(), "")
+		n := 0
+		for range seq {
+			n++
+		}
+		if err := errf(); err != nil || n != rows {
+			t.Fatalf("read %d rows (%v), want %d", n, err, rows)
+		}
+	}
+	read() // the connection and the pools
+	allocs := testing.AllocsPerRun(10, read)
+	t.Logf("one read of %d rows in %d frames: %.0f allocations", rows, rows/2048, allocs)
+	if allocs > 160 {
+		t.Errorf("one read of %d rows in %d frames allocates %.0f times, want at most 160", rows, rows/2048, allocs)
 	}
 }
 

@@ -26,12 +26,15 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
+	"strconv"
+	"unicode/utf8"
 
 	"ivmeps"
 )
@@ -123,6 +126,8 @@ type Frame struct {
 	To     uint64     `json:"to,omitempty"`
 	Reason string     `json:"reason,omitempty"`
 	Err    *WireError `json:"error,omitempty"`
+
+	vals []int64 // the values of Rows, when DecodeRowsFrame filled them
 }
 
 // The Frame.Type values.
@@ -163,11 +168,12 @@ type CommitReply struct {
 }
 
 // RowBlock is the rows of one rows frame. On the wire it is a plain JSON
-// array of integer arrays, encoded by encoding/json as the [][]int64 it is;
-// decoding fills one backing array and one slice of row headers instead of
-// growing every row on its own, so a frame costs the client a fixed number
-// of allocations. The rows are sub-slices of that array, which belongs to
-// the decoded value and is never reused.
+// array of integer arrays, the [][]int64 it is; decoding fills one backing
+// array and one slice of row headers instead of growing every row on its
+// own, so a frame costs the client a fixed number of allocations. The rows
+// are sub-slices of that array, which belongs to the decoded value and is
+// never reused. The frame writer encodes a rows frame without encoding/json,
+// in the same bytes, and DecodeRowsFrame decodes one into reused arrays.
 type RowBlock [][]int64
 
 // UnmarshalJSON accepts exactly what encoding/json accepts for a [][]int64
@@ -183,15 +189,144 @@ func (b *RowBlock) UnmarshalJSON(data []byte) error {
 		*b = nil
 		return nil
 	}
-	fill := rowScan{data: data, rows: make(RowBlock, count.nRows), vals: make([]int64, count.nVals)}
-	_ = fill.block() // the same bytes: it succeeds again
-	*b = fill.rows
+	*b, _ = count.fill(true, nil, nil)
 	return nil
 }
 
-// rowScan is one pass over a row block's JSON: it checks the grammar and
-// counts the rows and values and, when rows is set, also stores them — every
-// row as the next values of vals. nRows is -1 for a null block.
+// rowsFrameHead opens every rows frame the frame writer writes.
+const rowsFrameHead = `{"type":"rows"`
+
+// rowsEncoder writes rows frames without encoding/json, in the bytes
+// json.Encoder.Encode writes for them: the keys type, view, rows and mults
+// in that order, the last three left out when empty, and a newline. Every
+// frame is appended into one buffer, which the next frame reuses, and the
+// view name is encoded by json.Marshal, once per view.
+type rowsEncoder struct {
+	buf      []byte
+	view     string // the view of the previous frame
+	viewJSON []byte // view, encoded
+}
+
+// plainRows reports whether f is a rows frame with none of the fields a
+// rows frame does not carry, so that rowsEncoder can write it.
+func (f *Frame) plainRows() bool {
+	return f.Type == FrameRows && f.Epoch == 0 && f.Count == 0 && len(f.Views) == 0 && !f.Resume &&
+		len(f.Deltas) == 0 && f.From == 0 && f.To == 0 && f.Reason == "" && f.Err == nil
+}
+
+// encode returns the line of f, a frame for which plainRows holds. The
+// line is valid until the next call.
+func (e *rowsEncoder) encode(f *Frame) []byte {
+	if f.View != e.view {
+		e.view = f.View
+		e.viewJSON, _ = json.Marshal(f.View) // a string always encodes
+	}
+	// Size the buffer once for the largest frame so far: a value takes at
+	// most 20 bytes and its comma, a row its brackets and comma or "null,".
+	size := 64 + len(e.viewJSON) + 21*len(f.Mults)
+	for _, row := range f.Rows {
+		size += 5 + 21*len(row)
+	}
+	if cap(e.buf) < size {
+		e.buf = make([]byte, 0, size)
+	}
+	b := append(e.buf[:0], rowsFrameHead...)
+	if f.View != "" {
+		b = append(append(b, `,"view":`...), e.viewJSON...)
+	}
+	if len(f.Rows) > 0 {
+		b = append(b, `,"rows":[`...)
+		for i, row := range f.Rows {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			if row == nil {
+				b = append(b, "null"...)
+			} else {
+				b = appendInts(b, row)
+			}
+		}
+		b = append(b, ']')
+	}
+	if len(f.Mults) > 0 {
+		b = appendInts(append(b, `,"mults":`...), f.Mults)
+	}
+	e.buf = append(b, "}\n"...)
+	return e.buf
+}
+
+// appendInts appends vs as a JSON array.
+func appendInts(b []byte, vs []int64) []byte {
+	b = append(b, '[')
+	for i, v := range vs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, v, 10)
+	}
+	return append(b, ']')
+}
+
+// DecodeRowsFrame decodes line, one frame without its newline, into f when
+// it is a rows frame in the form the frame writer writes: the keys type,
+// view, rows and mults in that order, the last three optional, no
+// whitespace between them, and a view name without escapes, control
+// characters or invalid UTF-8. It fills f's row headers, value array and
+// mults in place when they are large enough, so that a reader decoding every
+// frame into one Frame allocates nothing once they are — and the rows of the
+// previous frame are overwritten. For any other line it returns false and
+// leaves f as it was: the caller hands that line to ParseFrame. What it
+// accepts, it decodes as ParseFrame does, rows for rows and null rows as nil
+// rows, except that an absent rows or mults key leaves an empty slice, not
+// nil.
+func DecodeRowsFrame(line []byte, f *Frame) bool {
+	rest, ok := bytes.CutPrefix(line, []byte(rowsFrameHead))
+	if !ok {
+		return false
+	}
+	var view []byte
+	if r, ok := bytes.CutPrefix(rest, []byte(`,"view":"`)); ok {
+		end := 0
+		for end < len(r) && r[end] != '"' && r[end] != '\\' && r[end] >= 0x20 {
+			end++
+		}
+		if end == len(r) || r[end] != '"' || !utf8.Valid(r[:end]) {
+			return false
+		}
+		view, rest = r[:end], r[end+1:]
+	}
+	// The count passes check the grammar; a list the line leaves out counts
+	// as empty.
+	var rows, mults rowScan
+	if r, ok := bytes.CutPrefix(rest, []byte(`,"rows":`)); ok {
+		if rows.data = r; !rows.list(true) {
+			return false
+		}
+		rest = r[rows.i:]
+	}
+	if r, ok := bytes.CutPrefix(rest, []byte(`,"mults":`)); ok {
+		if mults.data = r; !mults.list(false) {
+			return false
+		}
+		rest = r[mults.i:]
+	}
+	if string(rest) != "}" {
+		return false
+	}
+	g := Frame{Type: FrameRows, View: f.View}
+	if g.View != string(view) {
+		g.View = string(view)
+	}
+	g.Rows, g.vals = rows.fill(true, f.Rows, f.vals)
+	_, g.Mults = mults.fill(false, nil, f.Mults)
+	*f = g
+	return true
+}
+
+// rowScan is one pass over a row block's JSON, or over one integer array:
+// it checks the grammar and counts the rows and values and, in a fill pass,
+// also stores them — every row, when rows is set, as the next values of
+// vals. nRows is -1 for a null block.
 type rowScan struct {
 	data         []byte
 	i            int
@@ -211,6 +346,26 @@ func (s *rowScan) block() error {
 		return s.bad()
 	}
 	return nil
+}
+
+// fill is the fill pass over the list that the count pass s accepted — the
+// rows of a row block when outer is set, else one integer array. It stores
+// the values into vals and the rows into rows, reusing each when it is
+// large enough, and returns both.
+func (s *rowScan) fill(outer bool, rows RowBlock, vals []int64) (RowBlock, []int64) {
+	if vals == nil || cap(vals) < s.nVals {
+		vals = make([]int64, s.nVals)
+	}
+	f := rowScan{data: s.data[:s.i], vals: vals[:s.nVals]}
+	if outer {
+		if rows == nil || cap(rows) < s.nRows {
+			rows = make(RowBlock, s.nRows)
+		}
+		f.rows = rows[:s.nRows]
+	}
+	f.space()
+	f.list(outer) // the same bytes: it succeeds again, or counts nothing again
+	return f.rows, f.vals
 }
 
 func (s *rowScan) bad() error {
@@ -273,15 +428,21 @@ func (s *rowScan) list(outer bool) bool {
 	}
 }
 
+// row consumes one row; a fill pass stores a null row as nil, so that no
+// row of a previous frame survives in reused headers.
 func (s *rowScan) row() bool {
 	from := s.nVals
+	var row []int64
 	if !s.null() {
 		if !s.list(false) {
 			return false
 		}
 		if s.rows != nil {
-			s.rows[s.nRows] = s.vals[from:s.nVals:s.nVals]
+			row = s.vals[from:s.nVals:s.nVals]
 		}
+	}
+	if s.rows != nil {
+		s.rows[s.nRows] = row
 	}
 	s.nRows++
 	return true
@@ -312,7 +473,7 @@ func (s *rowScan) number() bool {
 			return false // no digits, or a leading zero
 		}
 	}
-	if s.rows != nil {
+	if s.vals != nil {
 		s.vals[s.nVals] = int64(u)
 		if neg {
 			s.vals[s.nVals] = -int64(u)
