@@ -8,17 +8,17 @@
 // Reads are epoch-consistent: one Rows or All call is one GET whose
 // response streams the rows of one committed snapshot in frames, decoded as
 // the caller's loop advances, and the observed epoch is returned so
-// independent reads can be correlated. A read decodes every frame into one
-// reused frame, so All yields a row slice that the next frame overwrites —
-// as Engine.All reuses its row slice — while Rows copies the rows out into
-// an array the caller owns. Server-side typed errors arrive
-// reconstructed: errors.Is and errors.As match ivmeps.ErrUnknownRelation,
-// ivmeps.ArityError, ivmeps.MultiplicityError, ivmeps.ErrWatcherLagged, and
-// friends exactly as they do against a local engine.
+// independent reads can be correlated. Every stream, read or watch, decodes
+// through a server.FrameReader, into one reused frame, so All yields a row
+// slice that the next frame overwrites — as Engine.All reuses its row slice
+// — while Rows and a watch's anchor copy the rows out. Server-side typed
+// errors arrive reconstructed: errors.Is and errors.As match
+// ivmeps.ErrUnknownRelation, ivmeps.ArityError, ivmeps.MultiplicityError,
+// ivmeps.ErrWatcherLagged, and friends exactly as they do against a local
+// engine.
 package client
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -221,66 +221,23 @@ func (c *Client) walk(ctx context.Context, view string, yield func([]int64, int6
 	return epoch, err
 }
 
-// readBufSize is the buffer a read stream is read through: a rows frame of
-// 2 048 rows of a few small values fits it whole.
-const readBufSize = 64 << 10
-
-// lineReader reads an NDJSON stream line by line through one bufio.Reader.
-// A line longer than the reader's buffer accumulates in long, which the next
-// such line reuses.
-type lineReader struct {
-	br   *bufio.Reader
-	long []byte
-}
-
-// next returns the next line without its newline, valid until the next
-// call. A last line without a newline is still a line; after it, next
-// returns io.EOF.
-func (r *lineReader) next() ([]byte, error) {
-	line, err := r.br.ReadSlice('\n')
-	if err == bufio.ErrBufferFull {
-		r.long = append(r.long[:0], line...)
-		for err == bufio.ErrBufferFull {
-			line, err = r.br.ReadSlice('\n')
-			r.long = append(r.long, line...)
-		}
-		line = r.long
-	}
-	if err != nil && (err != io.EOF || len(line) == 0) {
-		return nil, err
-	}
-	return bytes.TrimSuffix(line, []byte("\n")), nil
-}
-
 // readRows decodes one read stream, handing each row to yield, up to the
 // closing frame, whose epoch it returns and whose row count it checks;
-// closed reports that frame was read. A rows frame in the form the server
-// writes decodes into one Frame whose row headers, values and mults every
-// frame reuses (server.DecodeRowsFrame), so the rows yield is handed are
-// overwritten by the next frame; any other line goes through
-// server.ParseFrame. A stream that ends without its closing frame is an
-// error, and so is an error frame; yield's false ends the read early,
-// without one.
+// closed reports that frame was read. The stream decodes through one
+// server.FrameReader, so the rows yield is handed are overwritten by the
+// next frame. A stream that ends without its closing frame is an error, and
+// so is a frame the reader rejects or an error frame; yield's false ends the
+// read early, without one.
 func readRows(body io.Reader, yield func([]int64, int64) bool) (epoch uint64, closed bool, err error) {
-	lines := lineReader{br: bufio.NewReaderSize(body, readBufSize)}
-	var rows server.Frame
+	frames := server.NewFrameReader(body)
 	n := 0
 	for {
-		line, err := lines.next()
-		f := &rows
-		if err == nil && !server.DecodeRowsFrame(line, f) {
-			var other server.Frame
-			other, err = server.ParseFrame(line)
-			f = &other
-		}
+		f, err := frames.Next()
 		if err != nil {
 			return 0, false, fmt.Errorf("client: read stream ended after %d rows without its closing frame: %w", n, err)
 		}
 		switch f.Type {
 		case server.FrameRows:
-			if len(f.Mults) != len(f.Rows) {
-				return 0, false, fmt.Errorf("client: rows frame with %d rows and %d mults", len(f.Rows), len(f.Mults))
-			}
 			for i, row := range f.Rows {
 				if !yield(row, f.Mults[i]) {
 					return 0, false, nil
@@ -413,7 +370,7 @@ type ViewState struct {
 type Watcher struct {
 	body    io.ReadCloser
 	cancel  context.CancelFunc
-	dec     *json.Decoder
+	frames  *server.FrameReader
 	epoch   uint64
 	resumed bool
 	views   []string
@@ -464,7 +421,7 @@ func (c *Client) Watch(ctx context.Context, opts WatchOptions) (*Watcher, error)
 	w := &Watcher{
 		body:   resp.Body,
 		cancel: cancel,
-		dec:    json.NewDecoder(resp.Body),
+		frames: server.NewFrameReader(resp.Body),
 		anchor: make(map[string]*ViewState),
 	}
 	if err := w.readAnchor(); err != nil {
@@ -475,14 +432,14 @@ func (c *Client) Watch(ctx context.Context, opts WatchOptions) (*Watcher, error)
 }
 
 // readAnchor consumes the stream opening up to the ready frame. A rows
-// frame must belong to a view the anchor frame listed and carry one mult per
-// row, as readRows asks of a read's, so that AnchorRows never returns
-// unequal slices.
+// frame must belong to a view the anchor frame listed (the reader rejects
+// one whose mults do not match its rows); its rows are copied out of the
+// reader's reused frame into one array.
 func (w *Watcher) readAnchor() error {
 	sawAnchor := false
 	for {
-		var f server.Frame
-		if err := w.dec.Decode(&f); err != nil {
+		f, err := w.frames.Next()
+		if err != nil {
 			return fmt.Errorf("client: watch stream ended during anchor: %w", err)
 		}
 		switch f.Type {
@@ -496,15 +453,18 @@ func (w *Watcher) readAnchor() error {
 			if !slices.Contains(w.views, f.View) {
 				return fmt.Errorf("client: watch stream sent rows of view %q, which its anchor frame did not list", f.View)
 			}
-			if len(f.Mults) != len(f.Rows) {
-				return fmt.Errorf("client: watch anchor rows frame with %d rows and %d mults", len(f.Rows), len(f.Mults))
-			}
 			vs := w.anchor[f.View]
 			if vs == nil {
 				vs = &ViewState{}
 				w.anchor[f.View] = vs
 			}
-			vs.Rows = append(vs.Rows, f.Rows...)
+			vals := slices.Concat(f.Rows...)
+			for _, row := range f.Rows {
+				if len(row) > 0 {
+					row, vals = vals[:len(row):len(row)], vals[len(row):]
+				}
+				vs.Rows = append(vs.Rows, row)
+			}
 			vs.Mults = append(vs.Mults, f.Mults...)
 		case server.FrameReady:
 			if !sawAnchor {
@@ -558,8 +518,8 @@ func (w *Watcher) Events() iter.Seq2[ivmeps.Event, error] {
 			return
 		}
 		for {
-			var f server.Frame
-			if err := w.dec.Decode(&f); err != nil {
+			f, err := w.frames.Next()
+			if err != nil {
 				w.ended = true
 				if !w.closed.Load() {
 					yield(ivmeps.Event{}, fmt.Errorf("client: watch stream dropped: %w", err))

@@ -245,10 +245,65 @@ func TestWatchAnchorRejectsBadRows(t *testing.T) {
 	}
 }
 
+// TestTruncatedWatchIsAnError: a watch stream cut inside its anchor, in a
+// frame or between frames, fails Watch; one cut inside an event, or broken
+// by a blank line, makes Events yield the events before the cut and then
+// exactly one error.
+func TestTruncatedWatchIsAnError(t *testing.T) {
+	const anchor = `{"type":"anchor","epoch":2,"views":["V"]}` + "\n" + `{"type":"rows","view":"V","rows":[[1,2]],"mults":[1]}` + "\n"
+	const event = `{"type":"event","epoch":3,"deltas":[{"view":"V","rows":[[3,4]],"mults":[1]}]}` + "\n"
+	for _, tc := range []struct{ name, body string }{
+		{"cut inside a frame", anchor + `{"type":"rows","view":"V","rows":[[5,`},
+		{"cut between frames", anchor},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := serve(t, func(w http.ResponseWriter, r *http.Request) { io.WriteString(w, tc.body) })
+			w, err := c.Watch(context.Background(), WatchOptions{})
+			if err == nil {
+				w.Close()
+			}
+			if err == nil || !strings.Contains(err.Error(), "ended during anchor") {
+				t.Fatalf("Watch = %v; want an error saying the stream ended during the anchor", err)
+			}
+		})
+	}
+	for _, tc := range []struct{ name, body string }{
+		{"cut inside an event", anchor + `{"type":"ready","epoch":2}` + "\n" + event + `{"type":"event","epoch":4,"deltas":[`},
+		{"blank line", anchor + `{"type":"ready","epoch":2}` + "\n" + event + "\n" + event},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := serve(t, func(w http.ResponseWriter, r *http.Request) { io.WriteString(w, tc.body) })
+			w, err := c.Watch(context.Background(), WatchOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			if rows, mults, ok := w.AnchorRows("V"); !ok || !reflect.DeepEqual(rows, [][]int64{{1, 2}}) || !reflect.DeepEqual(mults, []int64{1}) {
+				t.Fatalf("AnchorRows = %v, %v, %v", rows, mults, ok)
+			}
+			var epochs []uint64
+			var errs []error
+			for ev, err := range w.Events() {
+				if err != nil {
+					errs = append(errs, err)
+				} else {
+					epochs = append(epochs, ev.Epoch)
+				}
+			}
+			if !reflect.DeepEqual(epochs, []uint64{3}) || len(errs) != 1 || !strings.Contains(errs[0].Error(), "watch stream dropped") {
+				t.Fatalf("Events yielded epochs %v and errors %v; want epoch 3 and one error saying the stream dropped", epochs, errs)
+			}
+			if w.Drained() {
+				t.Fatal("a dropped stream reports Drained")
+			}
+		})
+	}
+}
+
 // TestReadDecodeAllocatesPerFrame bounds what decoding one more 2 048-row
 // rows frame costs the client: nothing. The frame is in the form the server
 // writes, so it decodes into the previous frame's row headers, values and
-// mults (server.DecodeRowsFrame), and the line is read out of the stream's
+// mults (server.FrameReader), and the line is read out of the stream's
 // one buffer — where a slice grown per row made a frame cost over 6 000
 // allocations, and a fresh frame through encoding/json 4.
 func TestReadDecodeAllocatesPerFrame(t *testing.T) {

@@ -4,10 +4,11 @@
 // that every exported name of the public package is reachable from its
 // narrative docs (mentioned in the package comment or exercised by an
 // example), that PAPERS.md stays a citation index rather than a dump of
-// retrieval output, and that every test `make race` names exists. It runs
-// as an ordinary test (`go test ./internal/doclint/`, or `make
-// docs-check`), so the CI docs job fails the moment ARCHITECTURE.md points
-// at a file that was renamed or a new exported API lands undocumented.
+// retrieval output, that every test `make race` names exists, and that
+// every CI fuzz step selects one fuzz target. It runs as an ordinary test
+// (`go test ./internal/doclint/`, or `make docs-check`), so the CI docs job
+// fails the moment ARCHITECTURE.md points at a file that was renamed or a
+// new exported API lands undocumented.
 package doclint
 
 import (

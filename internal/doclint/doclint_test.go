@@ -267,7 +267,7 @@ func checkRaceRuns(root string) ([]string, error) {
 			continue
 		}
 		runs++
-		tests, err := testsIn(root, m[2])
+		tests, err := funcsIn(root, m[2], testFunc)
 		if err != nil {
 			return nil, err
 		}
@@ -307,11 +307,11 @@ func alternatives(pattern string) []string {
 	return append(alts, pattern[start:])
 }
 
-// testsIn lists the Test functions of the packages a `go test` package
-// pattern under root names: one directory, or with a "/..." suffix every
-// directory below it that the go command would visit — not one holding
-// another module, nor one it ignores by name.
-func testsIn(root, pkg string) ([]string, error) {
+// funcsIn lists the functions decl matches in the test files of the
+// packages a `go test` package pattern under root names: one directory, or
+// with a "/..." suffix every directory below it that the go command would
+// visit — not one holding another module, nor one it ignores by name.
+func funcsIn(root, pkg string, decl *regexp.Regexp) ([]string, error) {
 	dir, recursive := strings.CutSuffix(pkg, "...")
 	dir = filepath.Join(root, dir)
 	var names []string
@@ -334,12 +334,110 @@ func testsIn(root, pkg string) ([]string, error) {
 			return nil
 		}
 		src, err := os.ReadFile(path)
-		for _, m := range testFunc.FindAllStringSubmatch(string(src), -1) {
+		for _, m := range decl.FindAllStringSubmatch(string(src), -1) {
 			names = append(names, m[1])
 		}
 		return err
 	})
 	return names, err
+}
+
+// Every fuzz step of the CI workflow must select exactly one fuzz target:
+// `go test -fuzz` with a pattern that matches none prints "no fuzz tests to
+// fuzz" and passes, so a renamed or deleted target would leave its step
+// fuzzing nothing.
+func TestCIFuzzTargetsExist(t *testing.T) {
+	complaints, err := checkCIFuzzTargets(repoRoot(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range complaints {
+		t.Error(c)
+	}
+}
+
+// Unit coverage for the fuzz-step check on a synthetic tree: patterns that
+// select one target (plain, quoted and anchored, in a subdirectory) pass;
+// one matching two targets, one matching none and one that does not compile
+// are flagged, and a line that only runs tests is not read.
+func TestCheckCIFuzzTargetsUnit(t *testing.T) {
+	root := t.TempDir()
+	write := func(name, src string) {
+		t.Helper()
+		path := filepath.Join(root, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o777); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o666); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(".github/workflows/ci.yml", "jobs:\n  fuzz:\n    steps:\n"+
+		"      - run: go test -fuzz=FuzzAlpha -fuzztime=20s -run '^$' ./a\n"+
+		"      - run: go test -fuzz='^FuzzSeal$' -fuzztime=20s -run '^$' ./a\n"+
+		"      - run: go test -fuzz=FuzzSeal -fuzztime=20s -run '^$' ./a\n"+
+		"      - run: go test -fuzz=FuzzGone -fuzztime=20s -run '^$' ./a\n"+
+		"      - run: go test -fuzz=FuzzDeep -fuzztime=20s -run '^$' ./a/sub\n"+
+		"      - run: go test -fuzz='Bad(' -fuzztime=20s -run '^$' ./a\n"+
+		"      - run: go test -run 'FuzzNone' ./a\n")
+	write("a/a_test.go", "package a\n\nfunc FuzzAlpha(f *testing.F) {}\nfunc FuzzSeal(f *testing.F) {}\nfunc FuzzSealDelta(f *testing.F) {}\n")
+	write("a/sub/b_test.go", "package sub\n\nfunc FuzzDeep(f *testing.F) {}\n")
+	complaints, err := checkCIFuzzTargets(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wants := []string{`"FuzzSeal" matches 2 fuzz targets in ./a`, `"FuzzGone" matches 0 fuzz targets in ./a`, `"Bad("`}
+	if len(complaints) != len(wants) {
+		t.Fatalf("complaints = %q, want %d of them", complaints, len(wants))
+	}
+	for i, want := range wants {
+		if !strings.Contains(complaints[i], want) {
+			t.Errorf("complaint %d = %q, want it to contain %q", i, complaints[i], want)
+		}
+	}
+}
+
+// fuzzRun matches a workflow line that fuzzes: its -fuzz pattern, quoted or
+// not, and the package after it, the line's last field.
+var fuzzRun = regexp.MustCompile(`go test -fuzz=('[^']*'|\S+)\s.*\s(\S+)\s*$`)
+
+// fuzzFunc matches a top-level Fuzz function declaration.
+var fuzzFunc = regexp.MustCompile(`(?m)^func (Fuzz\w+)\(`)
+
+// checkCIFuzzTargets checks root's CI workflow: the -fuzz pattern of every
+// `go test -fuzz` line must match exactly one Fuzz function of the package
+// that line names, as `go test -fuzz` needs to fuzz anything.
+func checkCIFuzzTargets(root string) ([]string, error) {
+	data, err := os.ReadFile(filepath.Join(root, ".github", "workflows", "ci.yml"))
+	if err != nil {
+		return nil, err
+	}
+	var complaints []string
+	runs := 0
+	for _, line := range strings.Split(string(data), "\n") {
+		m := fuzzRun.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		runs++
+		pattern := strings.Trim(m[1], "'")
+		re, err := regexp.Compile(pattern)
+		if err != nil {
+			complaints = append(complaints, fmt.Sprintf("ci.yml: -fuzz pattern %q: %v", pattern, err))
+			continue
+		}
+		targets, err := funcsIn(root, m[2], fuzzFunc)
+		if err != nil {
+			return nil, err
+		}
+		if n := len(slices.DeleteFunc(targets, func(name string) bool { return !re.MatchString(name) })); n != 1 {
+			complaints = append(complaints, fmt.Sprintf("ci.yml: -fuzz pattern %q matches %d fuzz targets in %s, want 1", pattern, n, m[2]))
+		}
+	}
+	if runs == 0 {
+		complaints = append(complaints, "ci.yml: no go test -fuzz line")
+	}
+	return complaints, nil
 }
 
 // Unit coverage for the mention scanner on a synthetic package: names

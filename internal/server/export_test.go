@@ -26,3 +26,6 @@ func EncodeRowsFrame(f *Frame) []byte {
 	var e rowsEncoder
 	return e.encode(f)
 }
+
+// DecodeRowsFrame is decodeRowsFrame, the FrameReader's rows-frame path.
+var DecodeRowsFrame = decodeRowsFrame

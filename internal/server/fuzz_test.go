@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"reflect"
+	"io"
 	"strings"
 	"testing"
 
@@ -89,58 +89,18 @@ func FuzzServerDecode(f *testing.F) {
 	})
 }
 
-// FuzzRowBlock holds RowBlock's decoder to encoding/json's: for any input,
-// decoding into a RowBlock — directly and through json.Unmarshal — and
-// json.Unmarshal into a plain [][]int64 either all fail or yield the same
-// rows, down to nil against empty. The seeds are the rows of every frame
-// TestWireBytes pins — null for the frames that carry none — then the edges
-// of the grammar.
-func FuzzRowBlock(f *testing.F) {
-	for _, ex := range wireExamples {
-		fr, ok := ex.val.(*server.Frame)
-		if !ok {
-			continue
-		}
-		seed, err := json.Marshal(fr.Rows)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(seed)
-	}
-	for _, s := range []string{
-		`null`, `[]`, `[[]]`, " [ [ 1 ,\t-2 ] ,\r\nnull , [ ] ] ", `[[null,-0,0]]`,
-		`[[-9223372036854775808,9223372036854775807]]`, `[[9223372036854775808]]`, `[[-9223372036854775809]]`,
-		`[[1.0]]`, `[[1e2]]`, `[[01]]`, `[[-]]`, `[[+1]]`, `[[1],]`, `[[1,]]`, `[[1]]x`, `[[1]`, `[1]`,
-		`[["1"]]`, `[[true]]`, `[{}]`, `{}`, `nul`, ``, `[[1] [2]]`,
-	} {
-		f.Add([]byte(s))
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var want [][]int64
-		wantErr := json.Unmarshal(data, &want)
-		var direct, via server.RowBlock
-		directErr := direct.UnmarshalJSON(data)
-		viaErr := json.Unmarshal(data, &via)
-		if (directErr == nil) != (wantErr == nil) || (viaErr == nil) != (wantErr == nil) {
-			t.Fatalf("%q: encoding/json says %v, UnmarshalJSON %v, json.Unmarshal into a RowBlock %v", data, wantErr, directErr, viaErr)
-		}
-		if wantErr != nil {
-			return
-		}
-		if !reflect.DeepEqual([][]int64(direct), want) || !reflect.DeepEqual([][]int64(via), want) {
-			t.Fatalf("%q: encoding/json decodes %#v, UnmarshalJSON %#v, json.Unmarshal into a RowBlock %#v", data, want, direct, via)
-		}
-	})
-}
-
 // FuzzRowsFrame holds the rows-frame codec to encoding/json, from both
 // ends. The frame writer's line for any view, rows and mults is
-// json.Marshal's plus a newline, and DecodeRowsFrame accepts it unless an
-// escape in the view name leaves it to ParseFrame. For any line,
-// DecodeRowsFrame either declines, leaving its Frame as it was, or yields
-// what ParseFrame yields — decoding into one Frame that held a larger frame
-// first, and then again, so that a row or value the line does not overwrite
-// shows. The seeds are every line TestWireBytes pins.
+// json.Marshal's plus a newline, and decodeRowsFrame accepts it unless an
+// escape in the view name leaves it to encoding/json. For any line,
+// decodeRowsFrame either declines, leaving its Frame as it was, or yields
+// what json.Unmarshal yields — decoding into one Frame that held a larger
+// frame first, and then again, so that a row or value the line does not
+// overwrite shows. A FrameReader, after a rows frame and a frame of its
+// encoding/json path, reads the line twice as json.Unmarshal decodes it, or
+// fails where json.Unmarshal fails, the frame has no type, or a rows frame's
+// rows and mults differ in number. The seeds are every line TestWireBytes
+// pins, then rows frames at the edges of the rows grammar.
 func FuzzRowsFrame(f *testing.F) {
 	for _, ex := range wireExamples {
 		view := "V"
@@ -152,9 +112,19 @@ func FuzzRowsFrame(f *testing.F) {
 	f.Add("<&> ", []byte(`{"type":"rows","view":"<&>","rows":[null,[],[-0,null]],"mults":[1,null,-2]}`))
 	f.Add("\xff", []byte(`{"type":"rows","rows":[[1]],"mults":[1],"epoch":2}`))
 	f.Add("", []byte(`{"type":"rows","rows":[[1]],"mults":[1]}x`))
+	for _, rows := range []string{
+		`null`, `[]`, `[[]]`, " [ [ 1 ,\t-2 ] ,\r\nnull , [ ] ] ", `[[null,-0,0]]`,
+		`[[-9223372036854775808,9223372036854775807]]`, `[[9223372036854775808]]`, `[[-9223372036854775809]]`,
+		`[[1.0]]`, `[[1e2]]`, `[[01]]`, `[[-]]`, `[[+1]]`, `[[1],]`, `[[1,]]`, `[[1]]x`, `[[1]`, `[1]`,
+		`[["1"]]`, `[[true]]`, `[{}]`, `{}`, `nul`, ``, `[[1] [2]]`,
+	} {
+		f.Add("V", []byte(`{"type":"rows","rows":`+rows+`,"mults":[1]}`))
+	}
 	const stale = `{"type":"rows","view":"stale","rows":[[9,9,9],[9,9,9],[9,9,9],[9,9,9]],"mults":[9,9,9,9]}`
+	const other = `{"type":"anchor","epoch":1,"views":["stale"]} `
 	f.Fuzz(func(t *testing.T, view string, line []byte) {
-		if parsed, err := server.ParseFrame(line); err == nil {
+		var parsed server.Frame
+		if json.Unmarshal(line, &parsed) == nil {
 			fr := server.Frame{Type: server.FrameRows, View: view, Rows: parsed.Rows, Mults: parsed.Mults}
 			want, err := json.Marshal(&fr)
 			if err != nil {
@@ -167,16 +137,19 @@ func FuzzRowsFrame(f *testing.F) {
 			var back server.Frame
 			ok := server.DecodeRowsFrame(got[:len(got)-1], &back)
 			if !ok && !bytes.Contains(got, []byte(`\`)) {
-				t.Fatalf("DecodeRowsFrame declines the frame writer's line %s", got)
+				t.Fatalf("decodeRowsFrame declines the frame writer's line %s", got)
 			}
 			if again, _ := json.Marshal(&back); ok && (back.View != view || string(again) != string(want)) {
 				t.Fatalf("the frame writer's line %s decodes to %s", got, again)
 			}
 		}
 
+		var want server.Frame
+		wantErr := json.Unmarshal(line, &want)
+		wantJSON, _ := json.Marshal(&want)
 		var into server.Frame
 		if !server.DecodeRowsFrame([]byte(stale), &into) {
-			t.Fatal("DecodeRowsFrame declines the stale frame")
+			t.Fatal("decodeRowsFrame declines the stale frame")
 		}
 		for range 2 {
 			before, _ := json.Marshal(&into)
@@ -185,17 +158,45 @@ func FuzzRowsFrame(f *testing.F) {
 			got, _ := json.Marshal(&into)
 			if !ok {
 				if string(got) != string(before) || into.View != beforeView {
-					t.Fatalf("%q: DecodeRowsFrame declines, yet the frame went from %s to %s", line, before, got)
+					t.Fatalf("%q: decodeRowsFrame declines, yet the frame went from %s to %s", line, before, got)
+				}
+				break
+			}
+			if wantErr != nil {
+				t.Fatalf("%q: decodeRowsFrame accepts what encoding/json rejects: %v", line, wantErr)
+			}
+			if string(got) != string(wantJSON) || into.View != want.View {
+				t.Fatalf("%q: decodeRowsFrame yields %s, encoding/json %s", line, got, wantJSON)
+			}
+		}
+
+		if bytes.ContainsRune(line, '\n') {
+			return // more than one line
+		}
+		fails := wantErr != nil || want.Type == "" || want.Type == server.FrameRows && len(want.Rows) != len(want.Mults)
+		frames := server.NewFrameReader(strings.NewReader(stale + "\n" + other + "\n" + string(line) + "\n" + string(line)))
+		for _, typ := range []string{server.FrameRows, server.FrameAnchor} {
+			if fr, err := frames.Next(); err != nil || fr.Type != typ {
+				t.Fatalf("the FrameReader reads an %s frame as %+v, %v", typ, fr, err)
+			}
+		}
+		for range 2 {
+			fr, err := frames.Next()
+			if fails {
+				if err == nil {
+					t.Fatalf("%q: the FrameReader reads %+v, where encoding/json says %v", line, fr, wantErr)
 				}
 				return
 			}
-			want, err := server.ParseFrame(line)
 			if err != nil {
-				t.Fatalf("%q: DecodeRowsFrame accepts what ParseFrame rejects: %v", line, err)
+				t.Fatalf("%q: the FrameReader fails (%v) where encoding/json decodes %s", line, err, wantJSON)
 			}
-			if wantJSON, _ := json.Marshal(&want); string(got) != string(wantJSON) || into.View != want.View {
-				t.Fatalf("%q: DecodeRowsFrame yields %s, ParseFrame %s", line, got, wantJSON)
+			if got, _ := json.Marshal(fr); string(got) != string(wantJSON) || fr.View != want.View {
+				t.Fatalf("%q: the FrameReader reads %s, encoding/json %s", line, got, wantJSON)
 			}
+		}
+		if fr, err := frames.Next(); err != io.EOF {
+			t.Fatalf("after the last line, the FrameReader reads %+v, %v; want io.EOF", fr, err)
 		}
 	})
 }

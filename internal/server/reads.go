@@ -160,7 +160,7 @@ func streamRows(send func(*Frame) bool, rs *readStream, view string, rows iter.S
 	for row, mult := range rows {
 		if vals == nil {
 			vals = make([]int64, 0, limit*len(row))
-			f.Rows, f.Mults = make(RowBlock, 0, limit), make([]int64, 0, limit)
+			f.Rows, f.Mults = make([][]int64, 0, limit), make([]int64, 0, limit)
 		}
 		vals = append(vals, row...)
 		f.Rows = append(f.Rows, vals[len(vals)-len(row):len(vals):len(vals)])

@@ -496,6 +496,65 @@ func TestWatchRepeatedViewDumpedOnce(t *testing.T) {
 	}
 }
 
+// TestWatchAnchorSpansFrames: a view of more than two frames of anchor rows
+// arrives whole. The client decodes every rows frame into one reused frame,
+// so AnchorRows must hold copies: after Events has read further frames, it
+// still equals the view at the anchor epoch.
+func TestWatchAnchorSpansFrames(t *testing.T) {
+	eng, _, c := newStack(t, server.Options{}, client.Options{})
+	ctx := context.Background()
+	const n = 2*512 + 300 // over two frames of the anchor's page size
+	b := c.NewBatch()
+	for i := int64(0); i < n; i++ {
+		b.Insert("R", []int64{i, i}).Insert("S", []int64{i, 10 * i})
+	}
+	if _, err := c.Commit(ctx, b); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := eng.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	w, err := c.Watch(ctx, client.WatchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if w.Epoch() != snap.Epoch() {
+		t.Fatalf("anchor epoch %d, snapshot epoch %d", w.Epoch(), snap.Epoch())
+	}
+	for i := int64(0); i < 2; i++ {
+		if _, err := c.Commit(ctx, c.NewBatch().Insert("R", []int64{n + i, 0})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	events := 0
+	for _, err := range w.Events() {
+		if err != nil {
+			t.Fatal(err)
+		}
+		if events++; events == 2 {
+			break
+		}
+	}
+	spans := false
+	for _, v := range w.Views() {
+		rows, mults, ok := w.AnchorRows(v)
+		wantRows, wantMults, err := snap.ViewRows(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok || sortedRows(rows, mults) != sortedRows(wantRows, wantMults) {
+			t.Fatalf("after %d events, the anchor of %s (%d rows) differs from the view at its epoch (%d rows)", events, v, len(rows), len(wantRows))
+		}
+		spans = spans || len(wantRows) > 2*512
+	}
+	if !spans {
+		t.Fatal("no view spans more than two frames: the test checked nothing")
+	}
+}
+
 func TestMetricsExposition(t *testing.T) {
 	_, srv, c := newStack(t, server.Options{}, client.Options{})
 	ctx := context.Background()

@@ -26,6 +26,7 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -119,7 +120,7 @@ type Frame struct {
 	Views  []string   `json:"views,omitempty"`
 	Resume bool       `json:"resume,omitempty"`
 	View   string     `json:"view,omitempty"`
-	Rows   RowBlock   `json:"rows,omitempty"`
+	Rows   [][]int64  `json:"rows,omitempty"`
 	Mults  []int64    `json:"mults,omitempty"`
 	Deltas []Delta    `json:"deltas,omitempty"`
 	From   uint64     `json:"from,omitempty"`
@@ -127,7 +128,7 @@ type Frame struct {
 	Reason string     `json:"reason,omitempty"`
 	Err    *WireError `json:"error,omitempty"`
 
-	vals []int64 // the values of Rows, when DecodeRowsFrame filled them
+	vals []int64 // the values of Rows, when decodeRowsFrame filled them
 }
 
 // The Frame.Type values.
@@ -146,18 +147,14 @@ const (
 // are the wire's keys ("view", "rows", "mults").
 type Delta = ivmeps.ViewDelta
 
-// ParseFrame decodes one stream frame from its NDJSON line. A frame without
-// a type, or one whose JSON is malformed, is an error; unknown frame types
-// decode successfully (forward compatibility — clients skip them).
+// ParseFrame decodes one stream frame from its NDJSON line, as a
+// FrameReader decodes a line that is not a rows frame in the frame writer's
+// form. A frame without a type, or one whose JSON is malformed, is an error;
+// unknown frame types decode successfully (forward compatibility — clients
+// skip them).
 func ParseFrame(line []byte) (Frame, error) {
-	var f Frame
-	if err := json.Unmarshal(line, &f); err != nil {
-		return Frame{}, err
-	}
-	if f.Type == "" {
-		return Frame{}, errors.New("frame without a type")
-	}
-	return f, nil
+	f, err := new(frameDecoder).decode(line)
+	return *f, err
 }
 
 // CommitReply is the success body of POST /v1/commit: the epoch the commit
@@ -165,32 +162,6 @@ func ParseFrame(line []byte) (Frame, error) {
 type CommitReply struct {
 	Epoch uint64 `json:"epoch"`
 	Ops   int    `json:"ops"`
-}
-
-// RowBlock is the rows of one rows frame. On the wire it is a plain JSON
-// array of integer arrays, the [][]int64 it is; decoding fills one backing
-// array and one slice of row headers instead of growing every row on its
-// own, so a frame costs the client a fixed number of allocations. The rows
-// are sub-slices of that array, which belongs to the decoded value and is
-// never reused. The frame writer encodes a rows frame without encoding/json,
-// in the same bytes, and DecodeRowsFrame decodes one into reused arrays.
-type RowBlock [][]int64
-
-// UnmarshalJSON accepts exactly what encoding/json accepts for a [][]int64
-// — null, or an array whose elements are null or arrays of integer literals
-// in int64 range (null counting as 0), with JSON whitespace anywhere between
-// tokens — and yields the same value; anything else is an error.
-func (b *RowBlock) UnmarshalJSON(data []byte) error {
-	count := rowScan{data: data}
-	if err := count.block(); err != nil {
-		return err
-	}
-	if count.nRows < 0 {
-		*b = nil
-		return nil
-	}
-	*b, _ = count.fill(true, nil, nil)
-	return nil
 }
 
 // rowsFrameHead opens every rows frame the frame writer writes.
@@ -267,7 +238,96 @@ func appendInts(b []byte, vs []int64) []byte {
 	return append(b, ']')
 }
 
-// DecodeRowsFrame decodes line, one frame without its newline, into f when
+// FrameReader decodes a read or watch stream, the frames a frameWriter
+// writes, one line at a time. A rows frame in the writer's form decodes into
+// one Frame whose row headers, values and mults every such frame reuses
+// (decodeRowsFrame); any other line decodes as ParseFrame decodes it, through
+// one json.Decoder that the stream keeps. The bufio.Reader and the decoder
+// are kept by value: neither costs an allocation of its own.
+type FrameReader struct {
+	br   bufio.Reader
+	long []byte // a line longer than br's buffer; the next such line reuses it
+	rows Frame
+	json frameDecoder
+}
+
+// NewFrameReader returns a reader of the frame stream r, whose buffer holds
+// a rows frame of 2 048 rows of a few small values whole.
+func NewFrameReader(r io.Reader) *FrameReader {
+	return &FrameReader{br: *bufio.NewReaderSize(r, 64<<10)}
+}
+
+// Next decodes the stream's next line. The frame is valid until the next
+// call, and the Rows and Mults of a rows frame may be overwritten by it; the
+// other slices a frame holds are the caller's. A line that is no frame, a
+// blank one included, is an error, and so is a rows frame whose rows and
+// mults differ in number; after an error the stream is broken, and the
+// caller stops reading it. A last line without its newline is still a line;
+// after it, Next returns io.EOF.
+func (r *FrameReader) Next() (*Frame, error) {
+	line, err := r.br.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		r.long = append(r.long[:0], line...)
+		for err == bufio.ErrBufferFull {
+			line, err = r.br.ReadSlice('\n')
+			r.long = append(r.long, line...)
+		}
+		line = r.long
+	}
+	if err != nil && (err != io.EOF || len(line) == 0) {
+		return nil, err
+	}
+	line = bytes.TrimSuffix(line, []byte("\n"))
+	f := &r.rows
+	if !decodeRowsFrame(line, f) {
+		if f, err = r.json.decode(line); err != nil {
+			return nil, err
+		}
+	}
+	if f.Type == FrameRows && len(f.Mults) != len(f.Rows) {
+		return nil, fmt.Errorf("server: rows frame with %d rows and %d mults", len(f.Rows), len(f.Mults))
+	}
+	return f, nil
+}
+
+// frameDecoder decodes frames through encoding/json, one line at a time, as
+// json.Unmarshal does: a line holds one frame and nothing but whitespace
+// after it, and the frame has a type. Its json.Decoder reads every line
+// through one bytes.Reader, which the next line resets, so a stream keeps
+// the decoder's buffer.
+type frameDecoder struct {
+	line bytes.Reader
+	dec  json.Decoder
+	read int64 // the bytes of the earlier lines that dec read
+	f    Frame
+}
+
+// decode decodes line into a zeroed d.f and returns it: the slices it holds
+// are new. On an error the frame is zero.
+func (d *frameDecoder) decode(line []byte) (*Frame, error) {
+	d.read += d.line.Size() - int64(d.line.Len())
+	if d.read == 0 {
+		d.dec = *json.NewDecoder(&d.line) // it has read nothing yet: (re)start it
+	}
+	d.line.Reset(line)
+	d.f = Frame{}
+	err := d.dec.Decode(&d.f)
+	switch {
+	case err == io.EOF:
+		err = errors.New("server: blank line in a frame stream")
+	case err != nil:
+	case len(bytes.TrimLeft(line[d.dec.InputOffset()-d.read:], " \t\r\n")) > 0:
+		err = fmt.Errorf("server: frame line continues after its frame, at offset %d", d.dec.InputOffset()-d.read)
+	case d.f.Type == "":
+		err = errors.New("frame without a type")
+	}
+	if err != nil {
+		d.f = Frame{}
+	}
+	return &d.f, err
+}
+
+// decodeRowsFrame decodes line, one frame without its newline, into f when
 // it is a rows frame in the form the frame writer writes: the keys type,
 // view, rows and mults in that order, the last three optional, no
 // whitespace between them, and a view name without escapes, control
@@ -275,11 +335,11 @@ func appendInts(b []byte, vs []int64) []byte {
 // mults in place when they are large enough, so that a reader decoding every
 // frame into one Frame allocates nothing once they are — and the rows of the
 // previous frame are overwritten. For any other line it returns false and
-// leaves f as it was: the caller hands that line to ParseFrame. What it
-// accepts, it decodes as ParseFrame does, rows for rows and null rows as nil
-// rows, except that an absent rows or mults key leaves an empty slice, not
-// nil.
-func DecodeRowsFrame(line []byte, f *Frame) bool {
+// leaves f as it was: the caller decodes that line through encoding/json.
+// What it accepts, it decodes as json.Unmarshal does, rows for rows and null
+// rows as nil rows, except that an absent rows or mults key leaves an empty
+// slice, not nil.
+func decodeRowsFrame(line []byte, f *Frame) bool {
 	rest, ok := bytes.CutPrefix(line, []byte(rowsFrameHead))
 	if !ok {
 		return false
@@ -323,59 +383,35 @@ func DecodeRowsFrame(line []byte, f *Frame) bool {
 	return true
 }
 
-// rowScan is one pass over a row block's JSON, or over one integer array:
-// it checks the grammar and counts the rows and values and, in a fill pass,
-// also stores them — every row, when rows is set, as the next values of
-// vals. nRows is -1 for a null block.
+// rowScan is one pass over the rows of a rows frame in the writer's form,
+// or over one integer array: it checks the grammar and counts the rows and
+// values and, in a fill pass, also stores them — every row, when rows is
+// set, as the next values of vals.
 type rowScan struct {
 	data         []byte
 	i            int
-	rows         RowBlock
+	rows         [][]int64
 	vals         []int64
 	nRows, nVals int
 }
 
-func (s *rowScan) block() error {
-	s.space()
-	if s.null() {
-		s.nRows = -1
-	} else if !s.list(true) {
-		return s.bad()
-	}
-	if s.space(); s.i != len(s.data) {
-		return s.bad()
-	}
-	return nil
-}
-
 // fill is the fill pass over the list that the count pass s accepted — the
-// rows of a row block when outer is set, else one integer array. It stores
+// rows of a rows frame when outer is set, else one integer array. It stores
 // the values into vals and the rows into rows, reusing each when it is
 // large enough, and returns both.
-func (s *rowScan) fill(outer bool, rows RowBlock, vals []int64) (RowBlock, []int64) {
+func (s *rowScan) fill(outer bool, rows [][]int64, vals []int64) ([][]int64, []int64) {
 	if vals == nil || cap(vals) < s.nVals {
 		vals = make([]int64, s.nVals)
 	}
 	f := rowScan{data: s.data[:s.i], vals: vals[:s.nVals]}
 	if outer {
 		if rows == nil || cap(rows) < s.nRows {
-			rows = make(RowBlock, s.nRows)
+			rows = make([][]int64, s.nRows)
 		}
 		f.rows = rows[:s.nRows]
 	}
-	f.space()
 	f.list(outer) // the same bytes: it succeeds again, or counts nothing again
 	return f.rows, f.vals
-}
-
-func (s *rowScan) bad() error {
-	return fmt.Errorf("server: rows: not an array of integer arrays at offset %d", s.i)
-}
-
-func (s *rowScan) space() {
-	for s.i < len(s.data) && (s.data[s.i] == ' ' || s.data[s.i] == '\t' || s.data[s.i] == '\n' || s.data[s.i] == '\r') {
-		s.i++
-	}
 }
 
 // peek returns the next byte, or 0 at the end of the input.
@@ -402,7 +438,7 @@ func (s *rowScan) list(outer bool) bool {
 		return false
 	}
 	s.i++
-	if s.space(); s.peek() == ']' {
+	if s.peek() == ']' {
 		s.i++
 		return true
 	}
@@ -414,11 +450,9 @@ func (s *rowScan) list(outer bool) bool {
 		if !elem() {
 			return false
 		}
-		s.space()
 		switch s.peek() {
 		case ',':
 			s.i++
-			s.space()
 		case ']':
 			s.i++
 			return true
