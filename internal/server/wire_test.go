@@ -2,12 +2,16 @@ package server_test
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"ivmeps/internal/client"
 	"ivmeps/internal/server"
@@ -124,5 +128,96 @@ func TestWireExamplesAreDocumented(t *testing.T) {
 		if !strings.Contains(string(doc), l) {
 			t.Errorf("docs/SERVICE.md does not print %s", l)
 		}
+	}
+}
+
+// TestFrameReader reads whole streams through a FrameReader: the frames in
+// order and then io.EOF, or the error that breaks the stream. FuzzRowsFrame
+// holds each line's decoding to encoding/json; these cases are the stream's
+// own rules — line framing, lines longer than the reader's buffer, the
+// decoder's offsets across lines, and the underlying reader's errors.
+func TestFrameReader(t *testing.T) {
+	const (
+		rows   = `{"type":"rows","view":"V","rows":[[1,2],[3,4]],"mults":[1,-1]}`
+		anchor = `{"type":"anchor","epoch":2,"views":["V"]}`
+		event  = `{"type":"event","epoch":3,"deltas":[{"view":"V","rows":[[5,6]],"mults":[2]}]}`
+		ready  = `{"type":"ready","epoch":2,"count":2}`
+	)
+	var long strings.Builder // one rows frame of about 170 KB, past the 64 KiB buffer
+	long.WriteString(`{"type":"rows","view":"V","rows":[`)
+	for i := range 10000 {
+		if i > 0 {
+			long.WriteByte(',')
+		}
+		fmt.Fprintf(&long, "[%d,%d]", i, i*1000003)
+	}
+	long.WriteString(`],"mults":[1` + strings.Repeat(",1", 9999) + `]}`)
+	errBoom := errors.New("boom")
+
+	for _, tc := range []struct {
+		name    string
+		in      io.Reader
+		want    []string // the frames, as json.Marshal writes them
+		wantErr string   // "" for io.EOF after the frames
+	}{
+		{"empty stream", strings.NewReader(""), nil, ""},
+		{"frames of both paths",
+			strings.NewReader(anchor + "\n" + rows + "\n" + ready + "\n" + event + "\n" + rows + "\n"),
+			[]string{anchor, rows, ready, event, rows}, ""},
+		{"last line without its newline",
+			strings.NewReader(anchor + "\n" + ready),
+			[]string{anchor, ready}, ""},
+		{"CRLF line ends",
+			strings.NewReader(anchor + "\r\n" + rows + "\r\n"),
+			[]string{anchor, rows}, ""},
+		{"lines longer than the buffer",
+			strings.NewReader(long.String() + "\n" + rows + "\n" + long.String() + "\n" + ready + "\n"),
+			[]string{long.String(), rows, long.String(), ready}, ""},
+		{"unknown frame type",
+			strings.NewReader(`{"type":"hint","epoch":7}` + "\n" + ready + "\n"),
+			[]string{`{"type":"hint","epoch":7}`, ready}, ""},
+		{"blank line",
+			strings.NewReader(anchor + "\n\n" + ready + "\n"),
+			[]string{anchor}, "blank line"},
+		{"line that continues after its frame",
+			strings.NewReader(anchor + "\n" + event + "\n" + anchor + "\n" + ready + ` {}` + "\n"),
+			[]string{anchor, event, anchor}, "continues after its frame"},
+		{"frame without a type",
+			strings.NewReader(anchor + "\n" + `{"epoch":2}` + "\n"),
+			[]string{anchor}, "without a type"},
+		{"rows and mults differ, fast path",
+			strings.NewReader(`{"type":"rows","rows":[[1],[2]],"mults":[1]}` + "\n"),
+			nil, "2 rows and 1 mults"},
+		{"rows and mults differ, JSON path",
+			strings.NewReader(`{"type":"rows", "rows":[[1]]}` + "\n"),
+			nil, "1 rows and 0 mults"},
+		{"truncated last line",
+			strings.NewReader(anchor + "\n" + rows[:len(rows)/2]),
+			[]string{anchor}, "unexpected EOF"},
+		{"reader error",
+			io.MultiReader(strings.NewReader(rows+"\n"+ready[:5]), iotest.ErrReader(errBoom)),
+			[]string{rows}, "boom"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			frames := server.NewFrameReader(tc.in)
+			for i, want := range tc.want {
+				f, err := frames.Next()
+				if err != nil {
+					t.Fatalf("frame %d: %v", i, err)
+				}
+				if got, _ := json.Marshal(f); string(got) != want {
+					t.Fatalf("frame %d reads as\n %.200s\nwant\n %.200s", i, got, want)
+				}
+			}
+			f, err := frames.Next()
+			switch {
+			case tc.wantErr == "" && err != io.EOF:
+				t.Fatalf("after the frames, Next reads %+v, %v; want io.EOF", f, err)
+			case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+				t.Fatalf("after the frames, Next reads %+v, %v; want an error with %q", f, err, tc.wantErr)
+			case tc.wantErr == "boom" && !errors.Is(err, errBoom):
+				t.Fatalf("Next returns %v, not the reader's error", err)
+			}
+		})
 	}
 }
