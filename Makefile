@@ -68,7 +68,7 @@ test:
 # than TEST_FLOOR (subtests count, as `go test -v` prints them). A change
 # that adds tests raises the floor to its new count; one that deletes a test
 # on purpose lowers it in the same diff and says why.
-TEST_FLOOR = 629
+TEST_FLOOR = 635
 
 test-count:
 	@log=$$(mktemp); $(GO) test -v ./... > $$log 2>&1; status=$$?; \
@@ -88,9 +88,10 @@ test-count:
 # suite (its zero-allocation pins must not depend on test order), then the
 # root suites
 # the scenario driver (scenario_test.go) runs against naive —
-# crash recovery, fault injection over every I/O site, the watch property
-# suite, the public sharded engine (whose multi-shard commits apply on
-# runner goroutines), the service loopback suite, and the driver's own
+# crash recovery, fault injection over every I/O site and the federation's
+# commit hook, the watch property suite, the public sharded engine (whose
+# multi-shard commits apply on runner goroutines, and whose one-shard form
+# is New), the service loopback suite, and the driver's own
 # combinations (TestScenario*: held snapshots on two shards, watchers
 # through a wedge, snapshots across a cut, a remote drain) — with Explain
 # against commits and the cmd/ivmd shutdown and connection-timeout tests.
@@ -99,9 +100,9 @@ race:
 	$(GO) test -race -count=3 -run 'TestSnapshotReuseRacesCommits|TestGenerationReuseRacesCommits' ./internal/core/
 	$(GO) test -race -shuffle=on -count=3 ./internal/federation/
 	$(GO) test -race -run 'CrashRecoveryRandomCut|BitFlipRecovery|DurableRoundTrip|CheckpointBoundsReplay' .
-	$(GO) test -race -run 'FaultInjection|FaultInjectedOpen|LogWedge|EngineClose|OpenErrorPathsNoLeak|OpenRemovesStaleCheckpointTmp|CheckpointRenameFailure|CheckpointTempRemoveCannotMask' ./...
+	$(GO) test -race -run 'FaultInjection|FaultInjectedOpen|LogWedge|EngineClose|OpenErrorPathsNoLeak|OpenRemovesStaleCheckpointTmp|CheckpointRenameFailure|CheckpointTempRemoveCannotMask|TestCommitHook' ./...
 	$(GO) test -race -run 'TestWatch|TestWatcher|TestExplainRacesCommit' .
-	$(GO) test -race -run 'TestShardedMatchesEngine|TestShardedErrors|TestShardedApplyBatchParity|TestLoadBuildMatchesPreprocess|TestLoadErrorParity|TestShardedEngineSurface' .
+	$(GO) test -race -run 'TestShardedMatchesEngine|TestShardedErrors|TestShardedApplyBatchParity|TestLoadBuildMatchesPreprocess|TestLoadErrorParity|TestShardedEngineSurface|TestOneShardIsNew' .
 	$(GO) test -race -run 'TestServerLoopback' .
 	$(GO) test -race -run 'TestScenario' .
 	$(GO) test -race ./cmd/ivmd/

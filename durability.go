@@ -68,11 +68,11 @@ func (d Durability) walOptions() wal.Options {
 	return wal.Options{Dir: d.Dir, Sync: wal.SyncMode(d.Sync), SegmentBytes: d.SegmentBytes, FS: d.fs}
 }
 
-// walHook is the engine's core.CommitHook: it re-frames the validated op
-// stream (RelIDs are already resolved by validation) into the log's op type
-// and appends it. The op buffer is pooled and the rows are referenced, not
-// copied, for the duration of the append, so the durable commit path adds
-// no steady-state allocation beyond the log's own buffered writes.
+// walHook is the engine's federation.CommitHook: it re-frames the validated
+// op stream (RelIDs are already resolved by validation) into the log's op
+// type and appends it. The op buffer is pooled and the rows are referenced,
+// not copied, for the duration of the append, so the durable commit path
+// adds no steady-state allocation beyond the log's own buffered writes.
 func (e *Engine) walHook(epoch uint64, ops []core.BatchOp) error {
 	w := e.walOps[:0]
 	for i := range ops {
@@ -107,10 +107,7 @@ func (e *Engine) Checkpoint() error {
 	if e.wal == nil {
 		return fmt.Errorf("ivmeps: Checkpoint on an engine without durability (set Options.Durability.Dir)")
 	}
-	if err := e.e.Degraded(); err != nil {
-		return wrapErr(err)
-	}
-	epoch, rels, err := e.e.BaseState()
+	epoch, rels, err := e.f.BaseState()
 	if err != nil {
 		return wrapErr(err)
 	}
@@ -197,7 +194,7 @@ func Open(q *Query, opts Options) (*Engine, error) {
 			}
 			ops[i] = core.BatchOp{Rel: names[op.RelID-1], Row: tuple.Tuple(op.Row), Mult: op.Mult}
 		}
-		if err := e.e.CommitBatch(ops); err != nil {
+		if err := e.f.CommitBatch(ops); err != nil {
 			// The log only ever holds validated commits; a record the engine
 			// rejects cannot be one the engine wrote.
 			return &CorruptLogError{Path: opts.Durability.Dir, Reason: fmt.Sprintf("record at epoch %d rejected on replay: %v", r.Epoch, err)}
@@ -211,7 +208,7 @@ func Open(q *Query, opts Options) (*Engine, error) {
 	// empty tail) rather than trusting one increment per replayed record: a
 	// log from before zero-mult-only commits stopped publishing epochs may
 	// hold records that replay as no-ops.
-	e.e.RestoreEpoch(rec.LastEpoch)
+	e.f.RestoreEpoch(rec.LastEpoch)
 
 	l, err := rec.Continue(opts.Durability.walOptions())
 	if err != nil {
@@ -219,6 +216,6 @@ func Open(q *Query, opts Options) (*Engine, error) {
 	}
 	e.opts.Durability = opts.Durability
 	e.wal = l
-	e.e.SetCommitHook(e.walHook)
+	e.f.SetHook(e.walHook)
 	return e, nil
 }

@@ -4,41 +4,21 @@ import (
 	"fmt"
 	"iter"
 
-	"ivmeps/internal/core"
 	"ivmeps/internal/federation"
-	"ivmeps/internal/naive"
 	"ivmeps/internal/tuple"
 	"ivmeps/internal/wal"
 )
 
-// backend is what an Engine needs of the engine behind it: one core.Engine
-// (New, Open) or a federation of K of them (NewSharded). The lifecycle,
-// mutation, and read methods below are written once against it; taking a
-// snapshot, which returns each backend's own snapshot type, is the one
-// place that branches on which backend it is.
-type backend interface {
-	Load(rel string, t tuple.Tuple, m int64) error
-	Preprocess(db naive.Database) error
-	Update(rel string, t tuple.Tuple, m int64) error
-	CommitBatch(ops []core.BatchOp) error
-	Epoch() uint64
-	N() int
-	Stats() core.Stats
-	Explain() string
-}
-
 // Engine maintains a hierarchical query under single-tuple updates and
-// enumerates its distinct result tuples with multiplicities. New builds it
-// over one engine; NewSharded over a hash-sharded federation of K engines,
-// with the same lifecycle, mutation, and read API (see the package
-// documentation's Sharding section for what a sharded engine does not
+// enumerates its distinct result tuples with multiplicities. It runs over
+// a federation of engines: one from New and Open, K hash-sharded ones from
+// NewSharded, with the same lifecycle, mutation, and read API (see the
+// package documentation's Sharding section for what K > 1 shards do not
 // support).
 type Engine struct {
 	q     *Query
 	opts  Options
-	b     backend
-	e     *core.Engine    // b of an engine from New or Open, else nil
-	fed   *federation.Fed // b of an engine from NewSharded, else nil
+	f     *federation.Fed
 	built bool
 
 	// Durability state (durability.go): nil unless Options.Durability was
@@ -51,22 +31,7 @@ type Engine struct {
 // check); non-hierarchical queries are rejected with an error, matching the
 // scope of the paper's algorithms.
 func New(q *Query, opts Options) (*Engine, error) {
-	c, err := core.New(q.q, opts.core())
-	if err != nil {
-		return nil, err
-	}
-	e := &Engine{q: q, opts: opts, b: c, e: c}
-	if opts.Durability.enabled() {
-		// Fail on an already-populated log directory now, not at Build:
-		// recovering an existing log is Open's job, and silently appending
-		// to one here could corrupt it.
-		l, err := wal.Create(opts.Durability.walOptions())
-		if err != nil {
-			return nil, err
-		}
-		e.wal = l
-	}
-	return e, nil
+	return NewSharded(q, ShardedOptions{Options: opts, Shards: 1})
 }
 
 // Load bulk-inserts rows (with multiplicity 1) into a relation before
@@ -89,7 +54,7 @@ func (e *Engine) LoadWeighted(rel string, row []int64, mult int64) error {
 	if mult <= 0 {
 		return fmt.Errorf("ivmeps: initial multiplicity must be positive, got %d", mult)
 	}
-	return wrapErr(e.b.Load(rel, tuple.Tuple(row), mult))
+	return wrapErr(e.f.Load(rel, tuple.Tuple(row), mult))
 }
 
 // Build runs the preprocessing stage over the loaded data — on a sharded
@@ -103,7 +68,7 @@ func (e *Engine) Build() error {
 	if e.built {
 		return fmt.Errorf("ivmeps: Build called twice")
 	}
-	if err := e.b.Preprocess(nil); err != nil {
+	if err := e.f.Preprocess(nil); err != nil {
 		return wrapErr(err)
 	}
 	e.built = true
@@ -113,10 +78,10 @@ func (e *Engine) Build() error {
 		// only then do commits start logging.
 		if err := e.Checkpoint(); err != nil {
 			err = fmt.Errorf("ivmeps: Build: writing the initial checkpoint: %w", err)
-			e.e.Degrade(err)
+			e.f.Degrade(err)
 			return err
 		}
-		e.e.SetCommitHook(e.walHook)
+		e.f.SetHook(e.walHook)
 	}
 	return nil
 }
@@ -135,13 +100,11 @@ func (e *Engine) Build() error {
 // returns nil, the wedge having already been reported to the mutation that
 // latched it.
 func (e *Engine) Close() error {
-	if e.fed != nil {
-		e.fed.Close()
-	}
+	e.f.Close()
 	if e.wal == nil {
 		return nil
 	}
-	e.e.SetCommitHook(nil)
+	e.f.SetHook(nil)
 	err := e.wal.Close()
 	e.wal = nil
 	return wrapErr(err)
@@ -171,7 +134,7 @@ func (e *Engine) Apply(rel string, row []int64, mult int64) error {
 	if err := e.notBuilt("Apply"); err != nil {
 		return err
 	}
-	return wrapErr(e.b.Update(rel, tuple.Tuple(row), mult))
+	return wrapErr(e.f.Update(rel, tuple.Tuple(row), mult))
 }
 
 // NewBatch returns an empty update batch: queue updates across any of the
@@ -211,21 +174,16 @@ func (e *Engine) Commit(b *Batch) error {
 	if b == nil {
 		return nil // like an empty batch: nothing to commit
 	}
-	return wrapErr(e.b.CommitBatch(b.ops))
+	return wrapErr(e.f.CommitBatch(b.ops))
 }
 
-// snapshot captures the backend's current committed state into s, or
-// reports ErrNotBuilt.
+// snapshot captures the current committed state into s, or reports
+// ErrNotBuilt.
 func (e *Engine) snapshot(s *Snapshot) error {
 	if err := e.notBuilt("Snapshot"); err != nil {
 		return err
 	}
-	if e.fed != nil {
-		s.sharded = true
-		e.fed.SnapshotInto(&s.f)
-		return nil
-	}
-	e.e.SnapshotInto(&s.c)
+	e.f.SnapshotInto(&s.f)
 	return nil
 }
 
@@ -290,19 +248,19 @@ func (e *Engine) Count() int {
 // of a Snapshot taken now. It reads the engine's counter, so unlike
 // Snapshot it pins no state; like Snapshot it may be called from any
 // goroutine and waits for a commit in flight.
-func (e *Engine) Epoch() uint64 { return e.b.Epoch() }
+func (e *Engine) Epoch() uint64 { return e.f.Epoch() }
 
 // N returns the current database size: the total number of distinct tuples
 // across the query's relations, counted once regardless of sharding or
 // broadcast.
-func (e *Engine) N() int { return e.b.N() }
+func (e *Engine) N() int { return e.f.N() }
 
 // Stats returns activity counters. A sharded engine sums its shards':
 // broadcast relations contribute work on every shard, so its counters can
 // exceed a single engine's for the same logical workload — they measure
 // work done, not logical operations.
 func (e *Engine) Stats() Stats {
-	s := e.b.Stats()
+	s := e.f.Stats()
 	return Stats{
 		Updates:         s.Updates,
 		MinorRebalances: s.MinorRebalances,
@@ -321,7 +279,7 @@ func (e *Engine) Epsilon() float64 { return e.opts.Epsilon }
 // trees, heavy/light indicators, and relation partitions it maintains. A
 // sharded engine prefixes its shard count, shard key, and gather mode, and
 // describes shard 0, whose plan every shard shares.
-func (e *Engine) Explain() string { return e.b.Explain() }
+func (e *Engine) Explain() string { return e.f.Explain() }
 
 // Snapshot is an immutable view of one committed engine state — on a
 // sharded engine, every shard at one federation epoch, gathered on
@@ -330,20 +288,13 @@ func (e *Engine) Explain() string { return e.b.Explain() }
 // Engine.Snapshot returns; a Snapshot must not be copied (go vet reports a
 // copy), since closing a copy too would release its state twice.
 type Snapshot struct {
-	c       core.Snapshot       // an engine's from New or Open
-	f       federation.Snapshot // a sharded engine's
-	sharded bool
+	f federation.Snapshot
 }
 
 // Epoch identifies the committed state the snapshot observes: the number
 // of committed write operations (Build counts as the first) at capture
 // time. Two snapshots with equal epochs observe identical states.
-func (s *Snapshot) Epoch() uint64 {
-	if s.sharded {
-		return s.f.Epoch()
-	}
-	return s.c.Epoch()
-}
+func (s *Snapshot) Epoch() uint64 { return s.f.Epoch() }
 
 // All returns an iterator over the snapshot's state, for use with range:
 // every distinct result tuple with its multiplicity, in head order, with
@@ -357,12 +308,7 @@ func (s *Snapshot) All() iter.Seq2[[]int64, int64] {
 // enumerate yields every distinct result tuple of the snapshot's state with
 // its multiplicity, stopping early if yield returns false.
 func (s *Snapshot) enumerate(yield func([]int64, int64) bool) {
-	rows := func(t tuple.Tuple, m int64) bool { return yield(t, m) }
-	if s.sharded {
-		s.f.Enumerate(rows)
-		return
-	}
-	s.c.Enumerate(rows)
+	s.f.Enumerate(func(t tuple.Tuple, m int64) bool { return yield(t, m) })
 }
 
 // collect copies every pair of seq into fresh rows — sub-slices of one
@@ -398,10 +344,4 @@ func (s *Snapshot) Count() int {
 // Close releases the snapshot, letting the writer stop preserving its
 // generation — on a sharded engine, on every shard. It is idempotent; the
 // snapshot must not be used afterwards.
-func (s *Snapshot) Close() {
-	if s.sharded {
-		s.f.Close()
-		return
-	}
-	s.c.Close()
-}
+func (s *Snapshot) Close() { s.f.Close() }

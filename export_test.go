@@ -3,31 +3,33 @@ package ivmeps
 import (
 	"fmt"
 
+	"ivmeps/internal/tuple"
 	"ivmeps/internal/wal"
 )
 
 // CheckInvariants exposes the core engine's structural invariant check to
 // the external tests; a sharded engine checks every shard.
 func (e *Engine) CheckInvariants() error {
-	if e.fed == nil {
-		return e.e.CheckInvariants()
-	}
-	for s := 0; s < e.fed.Shards(); s++ {
-		if err := e.fed.Shard(s).CheckInvariants(); err != nil {
+	for s := 0; s < e.f.Shards(); s++ {
+		if err := e.f.Shard(s).CheckInvariants(); err != nil {
 			return fmt.Errorf("shard %d: %w", s, err)
 		}
 	}
 	return nil
 }
 
-// MajorRebalance forces one major rebalance at the current threshold base
-// (BenchmarkMajorRebalance).
-func (e *Engine) MajorRebalance() { e.e.Rebalance() }
+// ShardOf returns the shard a row of rel routes to, for tests that take as
+// many rows on every shard.
+func (e *Engine) ShardOf(rel string, row []int64) int { return e.f.ShardOf(rel, tuple.Tuple(row)) }
 
-// Footprint returns the bytes the engine's relations hold (BenchmarkBuild's
+// MajorRebalance forces one major rebalance of shard 0 at the current
+// threshold base (BenchmarkMajorRebalance).
+func (e *Engine) MajorRebalance() { e.f.Shard(0).Rebalance() }
+
+// Footprint returns the bytes shard 0's relations hold (BenchmarkBuild's
 // footprint-B).
 func (e *Engine) Footprint() int {
-	bytes, _ := e.e.Footprint()
+	bytes, _ := e.f.Shard(0).Footprint()
 	return bytes
 }
 

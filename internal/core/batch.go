@@ -14,11 +14,11 @@ import (
 // two halves (prepareLocked, applyStagedLocked), the paper's OnUpdate
 // trigger (Figure 22) at commit granularity:
 //
-//	validate → [hook] → propagate → major-rebalance check → stats →
-//	epoch++ → publish commit delta
+//	validate → propagate → major-rebalance check → stats → epoch++ →
+//	publish commit delta
 //
 // Validation is all-or-nothing and a commit whose ops are all zero-mult (or
-// that has no ops) publishes nothing: no hook call, no epoch, no stats.
+// that has no ops) publishes nothing: no epoch, no stats.
 // Per relation, the ops aggregate into one delta per leaf, so each view
 // tree is walked once per (commit, relation) instead of once per update,
 // and the minor/major rebalance checks run once per distinct partition key
@@ -33,8 +33,9 @@ import (
 //
 // The envelope's two halves are exported (PrepareCommit / ApplyPrepared /
 // AbortPrepared) so a federation of engines can coordinate an atomic commit
-// across shards: validate on every shard first, apply everywhere only if
-// every shard accepted.
+// across shards: validate on every shard first, run its commit hook (the
+// durability point, internal/federation), apply everywhere only if every
+// shard accepted and the hook did too.
 
 // BatchOp is one single-tuple update of a (possibly multi-relation) batch:
 // {Row → Mult} applied to relation Rel. Mult > 0 inserts, Mult < 0 deletes,
@@ -43,8 +44,8 @@ import (
 //
 // RelID is an output of validation, not an input: every commit resolves
 // each op by Rel and writes the engine's relation id (a positive index in
-// first-occurrence order over the query's atoms) into the op, so the
-// commit hook sees resolved ids. Whatever a caller left there is
+// first-occurrence order over the query's atoms) into the op, so a
+// coordinator's commit hook sees resolved ids. Whatever a caller left there is
 // overwritten, so one slice of ops may be committed to several engines.
 type BatchOp struct {
 	Rel   string
@@ -85,20 +86,10 @@ func (e *Engine) CommitBatch(ops []BatchOp) error {
 }
 
 // commitLocked is the commit envelope, under the writer lock: validate,
-// log, apply. The commit hook is the durability point — the validated op
-// stream reaches the commit log (if any) before the first relation write,
-// and a hook error aborts with the engine untouched; apply cannot fail
-// after validation, so a logged commit is a committed one. A commit with
-// no nonzero-mult op is never logged: applyStagedLocked drops it.
+// then apply, which cannot fail after validation.
 func (e *Engine) commitLocked(ops []BatchOp) error {
 	if err := e.prepareLocked(ops); err != nil {
 		return err
-	}
-	if e.commitHook != nil && e.stagedApplied > 0 {
-		if err := e.runCommitHookLocked(e.epoch+1, ops); err != nil {
-			e.releaseStagedLocked()
-			return err
-		}
 	}
 	e.applyStagedLocked()
 	return nil
@@ -111,9 +102,9 @@ func (e *Engine) commitLocked(ops []BatchOp) error {
 func (e *Engine) Update(rel string, t tuple.Tuple, m int64) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.hookOp[0] = BatchOp{Rel: rel, Row: t, Mult: m}
-	err := e.commitLocked(e.hookOp[:])
-	e.hookOp[0] = BatchOp{} // drop the reference into the caller's row
+	e.op1[0] = BatchOp{Rel: rel, Row: t, Mult: m}
+	err := e.commitLocked(e.op1[:])
+	e.op1[0] = BatchOp{} // drop the reference into the caller's row
 	return err
 }
 
@@ -126,10 +117,11 @@ func (e *Engine) Update(rel string, t tuple.Tuple, m int64) error {
 // AbortPrepared call (from any goroutine). The ops (and the rows they
 // reference) must stay unmodified until then.
 //
-// The split exists for multi-engine coordinators (internal/federation):
-// prepare every shard, and only when all of them accepted, apply all of
-// them — an error on any shard aborts the others untouched, preserving
-// all-or-nothing across engines.
+// The split exists for the coordinator (internal/federation), which
+// commits every write this way: prepare every shard, and only when all of
+// them accepted — and its commit hook logged the commit — apply all of
+// them; an error anywhere aborts them untouched, preserving all-or-nothing
+// across engines.
 func (e *Engine) PrepareCommit(ops []BatchOp) error {
 	e.mu.Lock()
 	if err := e.prepareLocked(ops); err != nil {
@@ -172,7 +164,7 @@ func (e *Engine) AbortPrepared() {
 // applied or released), so repeated batches validate without allocating.
 // Every op is resolved by name, through a one-entry cache in front of the
 // map since ingest streams are usually runs of one relation, and the
-// resolved id is written into the op for the commit hook. A one-op commit
+// resolved id is written into the op. A one-op commit
 // has nothing to aggregate and skips the tuple-keyed map. Reset is bounded
 // (relation.Keys), so this skip and the one-row skips in applyBatchOcc and
 // refreshBatchH each save a constant per table: a Reset, a hash and a probe.
@@ -189,9 +181,6 @@ func (e *Engine) prepareLocked(ops []BatchOp) error {
 	}
 	if e.opts.Mode != viewtree.Dynamic {
 		return fmt.Errorf("core: %w; rebuild with Mode: Dynamic for updates", ErrStatic)
-	}
-	if e.degraded != nil {
-		return e.degraded
 	}
 	single := len(ops) == 1
 	applied := 0

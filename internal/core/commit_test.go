@@ -431,15 +431,13 @@ func TestSubscribeCommitsBeforePreprocess(t *testing.T) {
 
 // TestCommitEnvelope drives every entry point into the commit envelope —
 // Update, CommitBatch, and PrepareCommit resolved either way —
-// through one table of commits, with a commit hook installed, a commit sink
-// subscribed, and a snapshot held. Each successful commit must run the hook
-// once, with the epoch it is about to publish and before any relation
-// write (the two-phase path, whose coordinator owns durability, never runs
-// it — durable.go), advance the epoch by one, count one commit in the
-// stats, publish one CommitDelta, leave the held snapshot alone, and agree
-// with the naive evaluation; each commit without effect — rejected,
-// aborted, zero-mult, empty, refused by a failing hook or a degraded
-// engine — must leave epoch, stats, N, and result untouched.
+// through one table of commits, with a commit sink subscribed and a
+// snapshot held. Each successful commit must advance the epoch by one,
+// count one commit in the stats, publish one CommitDelta, leave the held
+// snapshot alone, and agree with the naive evaluation; each commit without
+// effect — rejected, aborted, zero-mult, empty — must leave epoch, stats,
+// N, and result untouched. The commit hook and its latch live at the
+// coordinator: internal/federation's TestCommitHook.
 func TestCommitEnvelope(t *testing.T) {
 	twoPhase := func(resolve func(*Engine)) func(*Engine, []BatchOp) error {
 		return func(e *Engine, ops []BatchOp) error {
@@ -452,17 +450,16 @@ func TestCommitEnvelope(t *testing.T) {
 	}
 	type entry struct {
 		name   string
-		hooked bool // runs the commit hook
 		aborts bool // never takes effect
 		commit func(e *Engine, ops []BatchOp) error
 	}
 	entries := []entry{
-		{"Update", true, false, func(e *Engine, ops []BatchOp) error {
+		{"Update", false, func(e *Engine, ops []BatchOp) error {
 			return e.Update(ops[0].Rel, ops[0].Row, ops[0].Mult)
 		}},
-		{"CommitBatch", true, false, (*Engine).CommitBatch},
-		{"PrepareCommit+ApplyPrepared", false, false, twoPhase((*Engine).ApplyPrepared)},
-		{"PrepareCommit+AbortPrepared", false, true, twoPhase((*Engine).AbortPrepared)},
+		{"CommitBatch", false, (*Engine).CommitBatch},
+		{"PrepareCommit+ApplyPrepared", false, twoPhase((*Engine).ApplyPrepared)},
+		{"PrepareCommit+AbortPrepared", true, twoPhase((*Engine).AbortPrepared)},
 	}
 	// Every step is a one-relation op list, so each entry point can express
 	// it (Update: the one-op steps only). The commits cover one-row and
@@ -510,24 +507,7 @@ func TestCommitEnvelope(t *testing.T) {
 			if err := Preprocess(e, db.Clone()); err != nil {
 				t.Fatal(err)
 			}
-			var hookCalls, published int
-			var hookErr error
-			e.SetCommitHook(func(epoch uint64, ops []BatchOp) error {
-				hookCalls++
-				if epoch != e.epoch+1 {
-					t.Errorf("hook saw epoch %d, want %d", epoch, e.epoch+1)
-				}
-				for _, op := range ops {
-					if op.RelID < 1 || e.relTab[op.RelID-1].name != op.Rel {
-						t.Errorf("hook saw op on %s with unresolved RelID %d", op.Rel, op.RelID)
-					}
-					// db is the reference state before this commit.
-					if have, want := e.BaseRelation(op.Rel).Mult(op.Row), db[op.Rel].Mult(op.Row); have != want {
-						t.Errorf("hook ran after a relation write: %s%v has mult %d, want %d", op.Rel, op.Row, have, want)
-					}
-				}
-				return hookErr
-			})
+			published := 0
 			var held Snapshot
 			if err := e.SubscribeCommits(sinkFunc(func(cd *CommitDelta) {
 				published++
@@ -541,15 +521,15 @@ func TestCommitEnvelope(t *testing.T) {
 			heldRows := resultMap(held.Enumerate)
 
 			// run commits ops through the entry point and checks what moved:
-			// one epoch, one commit in the stats, one hook call (if hooked),
-			// one published delta — or, with effect false, nothing at all.
+			// one epoch, one commit in the stats, one published delta — or,
+			// with effect false, nothing at all.
 			run := func(en entry, label string, ops []BatchOp, effect bool, wantErr func(error) bool) {
 				t.Helper()
 				if en.name == "Update" && len(ops) != 1 {
 					return
 				}
 				effect = effect && !en.aborts
-				epoch, n, stats, hooks, pubs := e.Epoch(), e.N(), e.Stats(), hookCalls, published
+				epoch, n, stats, pubs := e.Epoch(), e.N(), e.Stats(), published
 				err := en.commit(e, ops)
 				switch {
 				case wantErr == nil && err != nil:
@@ -558,7 +538,6 @@ func TestCommitEnvelope(t *testing.T) {
 					t.Fatalf("%s: returned %v", label, err)
 				}
 				want := stats
-				wantHooks := hooks
 				if effect {
 					epoch++
 					want.Batches++
@@ -572,14 +551,11 @@ func TestCommitEnvelope(t *testing.T) {
 					n = db.Size()
 					pubs++
 				}
-				if en.hooked && (effect || hookErr != nil) {
-					wantHooks++
-				}
 				got := e.Stats()
 				got.DeltasApplied, got.MinorRebalances, got.MajorRebalances = want.DeltasApplied, want.MinorRebalances, want.MajorRebalances
-				if e.Epoch() != epoch || e.N() != n || got != want || hookCalls != wantHooks || published != pubs {
-					t.Fatalf("%s: epoch %d N %d stats %+v hook calls %d published %d, want %d %d %+v %d %d",
-						label, e.Epoch(), e.N(), got, hookCalls, published, epoch, n, want, wantHooks, pubs)
+				if e.Epoch() != epoch || e.N() != n || got != want || published != pubs {
+					t.Fatalf("%s: epoch %d N %d stats %+v published %d, want %d %d %+v %d",
+						label, e.Epoch(), e.N(), got, published, epoch, n, want, pubs)
 				}
 				sameResult(t, label, e, db)
 				sameResultMap(t, label+": held snapshot", resultMap(held.Enumerate), heldRows)
@@ -597,20 +573,6 @@ func TestCommitEnvelope(t *testing.T) {
 					run(en, fmt.Sprintf("after commit %d: %s", i, ne.name), ne.ops, false, ne.want)
 				}
 			}
-			// A failing hook refuses the commit and latches the engine
-			// degraded; from then on every entry point — hooked or not —
-			// refuses with the same error before validation.
-			wedged := errors.New("log wedged")
-			isWedged := func(err error) bool { return err == wedged }
-			valid := []BatchOp{op("R", 1, 300, 7)}
-			hookErr = wedged
-			failing := en
-			if !en.hooked {
-				failing = entries[1] // latch the degraded state through a hooked path
-			}
-			run(failing, "failing hook", valid, false, isWedged)
-			hookErr = nil
-			run(en, "degraded engine", valid, false, isWedged)
 		})
 	}
 }

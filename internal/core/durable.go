@@ -6,86 +6,16 @@ import (
 	"ivmeps/internal/relation"
 )
 
-// Durability hooks. The engine itself stores nothing on disk; instead the
-// commit envelope exposes exactly the two primitives a write-ahead log needs:
-//
-//   - a commit hook observing every validated op stream before it is
-//     applied (SetCommitHook) — because validation is complete and apply is
-//     infallible at that point, "logged" and "committed" coincide: a crash
-//     after the hook returns replays the batch, a crash before it leaves a
-//     log without the record and an engine without the batch;
-//   - a checkpoint capture (BaseState) freezing the base relations and the
-//     epoch under one writer-lock hold, so a checkpoint serializes one
-//     committed state without stalling subsequent commits — everything else
-//     the engine holds is re-derived from the base relations by Preprocess
-//     at recovery time (with the usual implementation-defined latitude in M
-//     and the light parts; the enumerated result, N, and the epoch are
-//     exact).
-//
-// Recovery runs Preprocess over the checkpointed base relations, replays
-// the log tail through the normal CommitBatch path with no hook attached
-// (replayed commits are already in the log), and seats the epoch with
-// RestoreEpoch.
-
-// CommitHook observes one validated commit before it is applied: epoch is
-// the epoch the commit will publish and ops is its validated op stream,
-// with every op's RelID resolved. Commits that publish nothing — no
-// nonzero-mult op — are not observed. The hook runs under the writer lock; the
-// ops and their rows are valid only for the duration of the call. A hook
-// error fails the commit with the engine completely unchanged — exactly
-// like a validation error.
-//
-// The two-phase federation path (PrepareCommit/ApplyPrepared) does not
-// invoke the hook: a federation coordinator owns the cross-shard commit
-// protocol and with it the durability story.
-type CommitHook func(epoch uint64, ops []BatchOp) error
-
-// SetCommitHook installs (or, with nil, removes) the engine's commit hook.
-// It does not clear the degraded latch: removing the hook (Engine.Close
-// does) must not let mutations resume unlogged on an engine whose log
-// wedged — the latch lasts for the engine's lifetime, and recovery builds a
-// fresh engine.
-func (e *Engine) SetCommitHook(h CommitHook) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.commitHook = h
-}
-
-// runCommitHookLocked invokes the commit hook for the commit that would
-// publish epoch and latches the degraded state on failure. The hook is the
-// durability layer's append, and every failure there wedges the log (wal:
-// nothing may be written after an uncertain flush), so the engine mirrors
-// the wedge: the first hook error is remembered and every later mutation —
-// CommitBatch, Update, PrepareCommit — is refused with it
-// before validation even runs, while snapshots and enumeration keep
-// serving the last committed state. The latch clears only via
-// SetCommitHook, i.e. by reopening through recovery.
-func (e *Engine) runCommitHookLocked(epoch uint64, ops []BatchOp) error {
-	err := e.commitHook(epoch, ops)
-	if err != nil && e.degraded == nil {
-		e.degraded = err
-	}
-	return err
-}
-
-// Degrade latches the engine read-only with err, as a failing hook does,
-// unless it already is: the durability layer calls it when its log cannot
-// take commits it would otherwise have to acknowledge unlogged.
-func (e *Engine) Degrade(err error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.degraded == nil {
-		e.degraded = err
-	}
-}
-
-// Degraded returns the hook error that latched the engine read-only, or
-// nil while the engine still accepts mutations.
-func (e *Engine) Degraded() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.degraded
-}
+// Durability support. The engine stores nothing on disk, and the durability
+// point — the commit hook — is its coordinator's (internal/federation),
+// which runs it between PrepareCommit and ApplyPrepared. What the engine
+// provides are the two primitives of recovery: BaseState, which freezes
+// the base relations and the epoch under one writer-lock hold so a
+// checkpoint serializes one committed state without stalling commits
+// (everything else is re-derived by Preprocess at recovery, with the usual
+// latitude in M and the light parts; the result, N, and the epoch are
+// exact), and RestoreEpoch, which seats the epoch once the log tail has
+// been replayed through the normal commit path.
 
 // FrozenBase is one base relation captured by BaseState: the original
 // relation name and a frozen read-only handle (first occurrence; all

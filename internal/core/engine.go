@@ -139,15 +139,8 @@ type Engine struct {
 	// publish with it) — and stamped onto snapshots.
 	epoch uint64
 
-	// commitHook, when set, observes every validated commit before it is
-	// applied (durable.go); hookOp is the pooled one-op slice Update
-	// commits through. degraded latches the first hook
-	// error: the durability layer has wedged, so every further mutation is
-	// refused with that error while reads keep serving the last committed
-	// state (durable.go).
-	commitHook CommitHook
-	hookOp     [1]BatchOp
-	degraded   error
+	// op1 is the pooled one-op slice Update commits through.
+	op1 [1]BatchOp
 
 	// Commit-delta capture (watch.go): roots names the main-tree root
 	// views (built at Preprocess, read-only after); every sink in sinks

@@ -33,31 +33,39 @@
 // multiplicities per distinct tuple across shards.
 //
 // Repeated relation symbols (footnote 2 of the paper) are rewritten to
-// per-occurrence relations HERE, not in core: two occurrences of R may sit
+// per-occurrence relations HERE, at K > 1: two occurrences of R may sit
 // at different positions relative to the shard key, so an R-tuple can
 // route to different shards per occurrence. Shard engines are built on the
 // rewritten query and never see a repeated symbol.
+//
+// # One shard
+//
+// A federation of one shard is the engine behind every public Engine that
+// is not sharded, and it passes through: no routing table and no
+// occurrence rewriting (relation and root-view names are the query's own),
+// Load and commits go to the shard as given, its errors come back bare,
+// Explain is the shard's, and enumeration is the shard's own stream.
 //
 // # Commit protocol
 //
 // A batch is validated and scattered once — each op resolved by its
 // relation name, then per occurrence sent to one shard (hash of the key
-// columns) or all shards (broadcast) under the occurrence's name, which the
-// shard resolves again in its own validation — and then committed
-// two-phase: PrepareCommit on every shard with a non-empty sub-batch, in
-// shard order, and only if all of them accept, ApplyPrepared on all of
-// them in parallel (persistent per-shard runner goroutines). Any prepare
-// failure aborts the already-prepared shards untouched, so the
-// all-or-nothing guarantee of a single engine holds across shards: on
-// error, every shard's state AND epoch are exactly as before. A successful
-// commit advances the federation epoch by one; Snapshot captures all shard
-// snapshots under the federation lock, so a snapshot observes a state
-// where every shard has applied exactly the same prefix of commits.
+// columns) or all shards (broadcast) under the occurrence's name — and
+// committed two-phase: PrepareCommit on every shard with a non-empty
+// sub-batch, then the commit hook (the durability point, CommitHook), then
+// ApplyPrepared on all of them in parallel. Any failure aborts the
+// prepared shards untouched, so on error every shard's state AND epoch are
+// exactly as before. A successful commit advances the federation epoch by
+// one; Snapshot captures all shard snapshots under the federation lock, so
+// a snapshot observes a state where every shard has applied exactly the
+// same prefix of commits.
 package federation
 
 import (
 	"fmt"
+	"iter"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -111,14 +119,21 @@ type fedRel struct {
 	occs   []fedOcc
 }
 
+// CommitHook logs one commit after every shard prepared it and before any
+// applies it: epoch is the federation epoch the commit will publish and
+// ops the caller's whole op list, every RelID resolved. Commits without a
+// nonzero-mult op are not logged. It runs under the federation lock; ops
+// are valid only during the call. Apply cannot fail after validation, so a
+// logged commit is a committed one; a hook error fails the commit with
+// every shard unchanged and latches the federation read-only (Degrade).
+type CommitHook func(epoch uint64, ops []core.BatchOp) error
+
 // Fed is a federation of K core engines over one hierarchical query.
 // Mutation (Preprocess, Update, CommitBatch) and snapshot capture serialize on
 // the federation lock; snapshots enumerate outside it, concurrently with
 // commits, exactly as core snapshots do.
 type Fed struct {
 	orig *query.Query // user's query
-	q    *query.Query // occurrence-rewritten query (unique relation symbols)
-	opts Options
 	k    int
 	seed uint64 // shard-routing hash seed
 
@@ -129,6 +144,7 @@ type Fed struct {
 	concat    bool
 	shardVars tuple.Schema
 
+	// The routing table, empty at K = 1.
 	relList []fedRel
 	relIdx  map[string]int // original relation name -> index+1 into relList
 
@@ -140,7 +156,12 @@ type Fed struct {
 	built bool
 	epoch uint64
 
-	// spareSnaps holds a closed snapshot's shard snapshots for the next
+	// hook, when set, logs every commit (CommitHook); degraded latches the
+	// first hook error, or Degrade's, and refuses every later commit with it.
+	hook     CommitHook
+	degraded error
+
+	// spareSnaps holds a closed snapshot's shards 1..K−1 for the next
 	// capture.
 	spareSnaps atomic.Pointer[shardSnaps]
 
@@ -156,67 +177,59 @@ type Fed struct {
 }
 
 // New creates a federation of opts.Shards engines for a hierarchical
-// query. The query constraints are those of core.New.
+// query. The query constraints are those of core.New, which checks them.
 func New(q *query.Query, opts Options) (*Fed, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
+	f := &Fed{orig: q, k: 1, concat: true}
+	shardQ := q
+	if opts.Shards > 1 {
+		shardQ = f.route(q, opts.Shards)
 	}
-	if !q.IsHierarchical() {
-		return nil, fmt.Errorf("federation: query is not hierarchical: %s (the paper's algorithms require hierarchical input)", q)
+	f.shards = make([]*core.Engine, f.k)
+	for s := range f.shards {
+		e, err := core.New(shardQ, opts.Engine)
+		if err != nil {
+			return nil, err
+		}
+		f.shards[s] = e
 	}
-	k := opts.Shards
-	if k < 1 {
-		k = 1
-	}
-	f := &Fed{
-		orig:   q.Clone(),
-		opts:   opts,
-		k:      k,
-		seed:   tuple.NewSeed(),
-		relIdx: map[string]int{},
-	}
+	return f, nil
+}
 
-	// Occurrence rewriting for repeated relation symbols, at the
-	// federation layer: each occurrence routes by its own key positions,
-	// so occurrences must be independent relations in the shard engines.
-	f.q = q.Clone()
+// route sets f up for k > 1 shards — shard key, gather mode and routing
+// table — and returns the query the shards run: q with each occurrence of
+// a repeated relation symbol renamed, since each occurrence routes by its
+// own key positions and must be an independent relation in the shard
+// engines.
+func (f *Fed) route(q *query.Query, k int) *query.Query {
+	rq := q.Clone()
+	repeated := q.HasRepeatedSymbols()
 	occAtoms := map[string][]int{} // original name -> atom indexes
-	if q.HasRepeatedSymbols() {
-		seen := map[string]int{}
-		for i := range f.q.Atoms {
-			name := f.q.Atoms[i].Rel
-			seen[name]++
-			f.q.Atoms[i].Rel = fmt.Sprintf("%s__f%d", name, seen[name])
-			occAtoms[name] = append(occAtoms[name], i)
-		}
-	} else {
-		for i, a := range f.q.Atoms {
-			occAtoms[a.Rel] = append(occAtoms[a.Rel], i)
+	for i := range rq.Atoms {
+		name := rq.Atoms[i].Rel
+		occAtoms[name] = append(occAtoms[name], i)
+		if repeated {
+			rq.Atoms[i].Rel = fmt.Sprintf("%s__f%d", name, len(occAtoms[name]))
 		}
 	}
-
-	shardAtom, keyVars, concat := chooseShardKey(f.q)
+	shardAtom, keyVars, concat := chooseShardKey(rq)
 	if len(keyVars) == 0 {
-		// Defensive: Validate guarantees an atom with variables, whose
-		// component has root variables — but if nothing is shardable,
-		// broadcasting everything to K > 1 shards would K-fold the result,
-		// so collapse to one shard.
-		f.k = 1
+		return q // no valid query: core.New reports why
 	}
-	f.concat = concat
-	f.shardVars = keyVars
+	f.k, f.concat, f.shardVars = k, concat, keyVars
+	f.seed = tuple.NewSeed()
+	f.relIdx = map[string]int{}
 
 	// Routing table, in the original query's first-occurrence relation
 	// order.
-	for _, name := range f.orig.RelationNames() {
+	for _, name := range q.RelationNames() {
 		idxs := occAtoms[name]
-		first := f.orig.Atoms[idxs[0]]
+		first := q.Atoms[idxs[0]]
 		fr := fedRel{name: name, arity: len(first.Vars), schema: first.Vars.Clone()}
 		for _, ai := range idxs {
-			o := fedOcc{name: f.q.Atoms[ai].Rel}
+			o := fedOcc{name: rq.Atoms[ai].Rel}
 			if shardAtom[ai] {
 				for _, v := range keyVars {
-					o.keyPos = append(o.keyPos, f.q.Atoms[ai].Vars.IndexOf(v))
+					o.keyPos = append(o.keyPos, rq.Atoms[ai].Vars.IndexOf(v))
 				}
 			}
 			fr.occs = append(fr.occs, o)
@@ -224,17 +237,9 @@ func New(q *query.Query, opts Options) (*Fed, error) {
 		f.relIdx[name] = len(f.relList) + 1
 		f.relList = append(f.relList, fr)
 	}
-
-	for s := 0; s < f.k; s++ {
-		e, err := core.New(f.q, opts.Engine)
-		if err != nil {
-			return nil, err
-		}
-		f.shards = append(f.shards, e)
-	}
-	f.sub = make([][]core.BatchOp, f.k)
+	f.sub = make([][]core.BatchOp, k)
 	f.keyScratch = make(tuple.Tuple, len(keyVars))
-	return f, nil
+	return rq
 }
 
 // chooseShardKey picks the shard component and key of a rewritten query:
@@ -278,14 +283,7 @@ func chooseShardKey(q *query.Query) (shardAtom []bool, keyVars tuple.Schema, con
 		if len(rootsFree) > 0 {
 			key, keyConcat = rootsFree, true
 		}
-		better := false
-		switch {
-		case keyConcat && !concat:
-			better = true
-		case keyConcat == concat && len(comp.Atoms) > bestAtoms:
-			better = true
-		}
-		if better {
+		if keyConcat && !concat || keyConcat == concat && len(comp.Atoms) > bestAtoms {
 			bestAtoms, bestIdxs, keyVars, concat = len(comp.Atoms), idxs, key, keyConcat
 		}
 	}
@@ -300,7 +298,7 @@ func chooseShardKey(q *query.Query) (shardAtom []bool, keyVars tuple.Schema, con
 // its key columns hash to (copied into the pooled scratch first) for a
 // shard-component occurrence, every shard for a broadcast one.
 func (f *Fed) shardRange(o *fedOcc, row tuple.Tuple) (lo, hi int) {
-	if f.k == 1 || o.keyPos == nil {
+	if o.keyPos == nil {
 		return 0, f.k
 	}
 	for j, p := range o.keyPos {
@@ -313,20 +311,36 @@ func (f *Fed) shardRange(o *fedOcc, row tuple.Tuple) (lo, hi int) {
 // Shards returns the shard count K.
 func (f *Fed) Shards() int { return f.k }
 
+// ShardOf returns the shard rel's first occurrence routes row to, for tests.
+func (f *Fed) ShardOf(rel string, row tuple.Tuple) int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.k == 1 {
+		return 0
+	}
+	s, _ := f.shardRange(&f.relList[f.relIdx[rel]-1].occs[0], row)
+	return s
+}
+
 // Shard returns shard s's engine, for inspection and tests.
 func (f *Fed) Shard(s int) *core.Engine { return f.shards[s] }
 
-// ShardVars returns the shard-key variables (a copy) and whether the
-// gather concatenates per-shard enumerations (all key variables free) or
-// aggregates multiplicities per distinct tuple.
+// ShardVars returns the shard-key variables (a copy; nil at K = 1) and
+// whether the gather concatenates per-shard enumerations (all key
+// variables free, or one shard) or aggregates multiplicities per distinct
+// tuple.
 func (f *Fed) ShardVars() (vars tuple.Schema, concat bool) {
-	return f.shardVars.Clone(), f.concat
+	return slices.Clone(f.shardVars), f.concat
 }
 
 // Explain describes the federation's routing — shard count, shard key, and
 // gather mode — followed by shard 0's plan (core's Engine.Explain), which
-// every shard shares: all run the same occurrence-rewritten query.
+// every shard shares: all run the same occurrence-rewritten query. At
+// K = 1 it is shard 0's plan alone.
 func (f *Fed) Explain() string {
+	if f.k == 1 {
+		return f.shards[0].Explain()
+	}
 	gather := "aggregating"
 	if f.concat {
 		gather = "concatenating"
@@ -339,7 +353,8 @@ func (f *Fed) Explain() string {
 // Preprocess: per occurrence, to the shard range a committed op on the same
 // row would reach. The arity is checked before the first shard is written,
 // so a rejected row is on no shard; everything else about the row is
-// validated by the shard engines' own Load.
+// validated by the shard engines' own Load. One shard takes the row as
+// given.
 func (f *Fed) Load(rel string, t tuple.Tuple, m int64) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -349,6 +364,9 @@ func (f *Fed) Load(rel string, t tuple.Tuple, m int64) error {
 func (f *Fed) loadLocked(rel string, t tuple.Tuple, m int64) error {
 	if f.built {
 		return fmt.Errorf("federation: Load after Preprocess; use Update or CommitBatch")
+	}
+	if f.k == 1 {
+		return f.shards[0].Load(rel, t, m)
 	}
 	id := f.relIdx[rel]
 	if id == 0 {
@@ -387,20 +405,23 @@ func (f *Fed) Preprocess(db naive.Database) error {
 			}
 		}
 	}
-	errs := make([]error, f.k)
-	var wg sync.WaitGroup
-	for s := range f.shards {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			errs[s] = f.shards[s].Preprocess(nil)
-		}(s)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+	// Shards 1..K−1 preprocess on goroutines of their own, shard 0 on the
+	// caller's, so one shard allocates nothing beyond what its engine does.
+	var errs chan error
+	if f.k > 1 {
+		errs = make(chan error, f.k-1)
+		for _, e := range f.shards[1:] {
+			go func(e *core.Engine, errs chan<- error) { errs <- e.Preprocess(nil) }(e, errs)
 		}
+	}
+	err := f.shards[0].Preprocess(nil)
+	for range f.k - 1 {
+		if e := <-errs; err == nil {
+			err = e
+		}
+	}
+	if err != nil {
+		return err
 	}
 	f.built = true
 	f.epoch = 1 // first committed state, matching a single engine
@@ -420,60 +441,45 @@ func (f *Fed) Update(rel string, t tuple.Tuple, m int64) error {
 }
 
 // CommitBatch applies a batch of updates — spanning any of the query's
-// relations — as one atomic federated commit. The ops are validated and
-// scattered once (an unknown relation or an arity mismatch is reported
-// before any shard is involved, engine-identical all-or-nothing), each
-// shard's sub-batch is prepared, and only when every shard accepted are
-// all of them applied, in parallel. On any error — including a
-// MultiplicityError detected by the shard owning the tuple, reported
-// wrapped in a ShardError — every shard's state and epoch are exactly as
-// before the call. On success the federation epoch advances by one; a
-// batch with no nonzero-mult op commits nothing, as in core.
-//
-// Every op is resolved by its Rel name; its RelID is ignored and left as
-// it was. The rows are referenced, not copied, until CommitBatch returns.
+// relations — as one atomic federated commit (see the package comment). On
+// any error — a MultiplicityError detected by the shard owning the tuple
+// arrives wrapped in a ShardError, except at K = 1 — every shard's state
+// and epoch are exactly as before the call. On success the federation
+// epoch advances by one; a batch with no nonzero-mult op commits nothing,
+// as in core. Every op's RelID is overwritten with its relation's id, as
+// in core; the rows are referenced, not copied, until CommitBatch returns.
 func (f *Fed) CommitBatch(ops []core.BatchOp) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.commitLocked(ops)
 }
 
+// commitLocked is the federation's commit envelope: prepare, log, apply.
 func (f *Fed) commitLocked(ops []core.BatchOp) error {
 	if !f.built {
 		return fmt.Errorf("federation: commit: %w (run Preprocess first)", core.ErrNotBuilt)
 	}
-	if err := f.scatterLocked(ops); err != nil {
+	if f.degraded != nil {
+		return f.degraded
+	}
+	err := f.prepareLocked(ops)
+	if err == nil && len(f.prepared) > 0 && f.hook != nil {
+		if err = f.hook(f.epoch+1, ops); err != nil {
+			f.degraded = err
+			f.abortLocked()
+		}
+	}
+	if err != nil || len(f.prepared) == 0 {
+		// Failed, or validated without a nonzero-mult op: nothing commits.
 		f.clearSubsLocked()
 		return err
 	}
-	// Phase 1: prepare every shard with a non-empty sub-batch, in shard
-	// order. Each successful prepare leaves that shard's writer lock held;
-	// a failure aborts the already-prepared shards untouched.
-	f.prepared = f.prepared[:0]
-	for s := 0; s < f.k; s++ {
-		if len(f.sub[s]) == 0 {
-			continue
-		}
-		if err := f.shards[s].PrepareCommit(f.sub[s]); err != nil {
-			for _, p := range f.prepared {
-				f.shards[p].AbortPrepared()
-			}
-			f.clearSubsLocked()
-			return &ShardError{Shard: s, Err: err}
-		}
-		f.prepared = append(f.prepared, s)
-	}
-	// Phase 2: apply everywhere. A single prepared shard applies inline
-	// (the common K=1 path pays no goroutine handoff); several apply in
-	// parallel on the persistent per-shard runners.
-	switch len(f.prepared) {
-	case 0:
-		// A batch with no nonzero-mult op validates but commits nothing.
-		f.clearSubsLocked()
-		return nil
-	case 1:
+	// Apply everywhere. A single prepared shard applies inline (the K = 1
+	// path pays no goroutine handoff); several apply in parallel on the
+	// persistent per-shard runners.
+	if len(f.prepared) == 1 {
 		f.shards[f.prepared[0]].ApplyPrepared()
-	default:
+	} else {
 		f.ensureRunnersLocked()
 		f.applyWG.Add(len(f.prepared))
 		for _, s := range f.prepared {
@@ -486,11 +492,54 @@ func (f *Fed) commitLocked(ops []core.BatchOp) error {
 	return nil
 }
 
+// prepareLocked prepares every shard the batch changes, in shard order, and
+// lists them in f.prepared. Each successful prepare leaves that shard's
+// writer lock held; on a failure the shards already prepared are aborted
+// untouched and none is listed.
+func (f *Fed) prepareLocked(ops []core.BatchOp) error {
+	f.prepared = f.prepared[:0]
+	if f.k == 1 {
+		// The ops as given: the shard resolves them itself.
+		if err := f.shards[0].PrepareCommit(ops); err != nil {
+			return err
+		}
+		if !slices.ContainsFunc(ops, func(op core.BatchOp) bool { return op.Mult != 0 }) {
+			f.shards[0].AbortPrepared()
+			return nil
+		}
+		f.prepared = append(f.prepared, 0)
+		return nil
+	}
+	if err := f.scatterLocked(ops); err != nil {
+		return err
+	}
+	for s := 0; s < f.k; s++ {
+		if len(f.sub[s]) == 0 {
+			continue
+		}
+		if err := f.shards[s].PrepareCommit(f.sub[s]); err != nil {
+			f.abortLocked()
+			return &ShardError{Shard: s, Err: err}
+		}
+		f.prepared = append(f.prepared, s)
+	}
+	return nil
+}
+
+// abortLocked aborts every prepared shard.
+func (f *Fed) abortLocked() {
+	for _, p := range f.prepared {
+		f.shards[p].AbortPrepared()
+	}
+	f.prepared = f.prepared[:0]
+}
+
 // scatterLocked validates each op (relation known, arity matches — the
 // shard key is unreadable otherwise) and appends it to the sub-batch of
 // every shard it affects: per occurrence, the key-hash shard for
 // shard-component occurrences, every shard for broadcast occurrences. Ops
-// are resolved by name, through a one-entry cache in front of the map, and
+// are resolved by name, through a one-entry cache in front of the map,
+// which writes the relation's id into the op for the commit hook, and
 // reach the shards under their occurrence names, which each shard resolves
 // in its own validation. The sub-batches are pooled; rows are referenced,
 // not copied. Ops of one (occurrence, tuple) always land on one shard in
@@ -498,15 +547,16 @@ func (f *Fed) commitLocked(ops []core.BatchOp) error {
 // agrees with a single engine's.
 func (f *Fed) scatterLocked(ops []core.BatchOp) error {
 	var fr *fedRel
+	id := 0
 	for i := range ops {
 		op := &ops[i]
 		if fr == nil || op.Rel != fr.name {
-			id := f.relIdx[op.Rel]
-			if id == 0 {
+			if id = f.relIdx[op.Rel]; id == 0 {
 				return fmt.Errorf("federation: %w: %q (query %s)", core.ErrUnknownRelation, op.Rel, f.orig)
 			}
 			fr = &f.relList[id-1]
 		}
+		op.RelID = id
 		if len(op.Row) != fr.arity {
 			return &relation.ArityError{Relation: fr.name, Tuple: op.Row.Clone(), Schema: fr.schema}
 		}
@@ -585,15 +635,19 @@ func (f *Fed) Epoch() uint64 {
 // N returns the current database size: distinct tuples summed once per
 // original relation — over all shards for partitioned relations (their
 // shard parts are disjoint), over one shard for broadcast relations
-// (every shard holds the same copy). Like Epoch it takes the federation
-// lock, so it observes a committed state from any goroutine.
+// (every shard holds the same copy); at K = 1, the shard's. Like Epoch it
+// takes the federation lock, so it observes a committed state from any
+// goroutine.
 func (f *Fed) N() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if f.k == 1 {
+		return f.shards[0].N()
+	}
 	n := 0
 	for i := range f.relList {
 		o := &f.relList[i].occs[0]
-		if o.keyPos == nil || f.k == 1 {
+		if o.keyPos == nil {
 			n += f.shards[0].BaseRelation(o.name).Size()
 			continue
 		}
@@ -637,35 +691,104 @@ func (f *Fed) Close() {
 	}
 }
 
+// SetHook installs (or, with nil, removes) the commit hook. It does not
+// clear the degraded latch, which lasts for the federation's lifetime:
+// commits must not resume unlogged after the log wedged.
+func (f *Fed) SetHook(h CommitHook) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.hook = h
+}
+
+// Degrade latches the federation read-only with err, as a failing hook
+// does, unless it already is: every later commit is refused with the
+// latched error, while snapshots keep serving the last committed state.
+func (f *Fed) Degrade(err error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.degraded == nil {
+		f.degraded = err
+	}
+}
+
+// BaseState captures the committed epoch and every base relation of a
+// one-shard federation for a checkpoint (core's Engine.BaseState). It
+// refuses with the latched error on a degraded federation, since a
+// checkpoint claims its epoch is durably reconstructible, and at K > 1.
+func (f *Fed) BaseState() (uint64, []core.FrozenBase, error) {
+	if f.k > 1 {
+		return 0, nil, fmt.Errorf("federation: BaseState needs one shard, not %d", f.k)
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.degraded != nil {
+		return 0, nil, f.degraded
+	}
+	return f.shards[0].BaseState()
+}
+
+// RestoreEpoch seats the federation's epoch, and every shard's, at a
+// recovered value: for the recovery path only, after Preprocess and the
+// replay of the log tail, before a hook or a sink is attached.
+func (f *Fed) RestoreEpoch(epoch uint64) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.epoch = epoch
+	for _, e := range f.shards {
+		e.RestoreEpoch(epoch)
+	}
+}
+
+// SubscribeCommits subscribes sink to the commit stream of a one-shard
+// federation and captures its anchor into anchor, which must not hold an
+// open snapshot (core's Engine.SubscribeCommits): the anchor observes
+// epoch E and the sink receives every commit with epoch > E. At K > 1 it
+// returns an error, since the shards' streams are not merged into one.
+func (f *Fed) SubscribeCommits(sink core.CommitSink, anchor *Snapshot) error {
+	if f.k > 1 {
+		return fmt.Errorf("federation: SubscribeCommits needs one shard, not %d", f.k)
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if err := f.shards[0].SubscribeCommits(sink, &anchor.s0); err != nil {
+		return err
+	}
+	anchor.f, anchor.epoch = f, f.epoch
+	return nil
+}
+
+// UnsubscribeCommits removes sink (core's Engine.UnsubscribeCommits).
+func (f *Fed) UnsubscribeCommits(sink core.CommitSink) {
+	f.shards[0].UnsubscribeCommits(sink)
+}
+
+// RootViews returns the root-view names of a one-shard federation (core's
+// Engine.RootViews), and nil at K > 1, whose shards hold parts of theirs.
+func (f *Fed) RootViews() []string {
+	if f.k > 1 {
+		return nil
+	}
+	return f.shards[0].RootViews()
+}
+
 // Snapshot is an immutable view of one committed federation state: the
 // shard snapshots of one federation epoch, gathered on enumeration. Like a
 // core snapshot it enumerates concurrently with commits on the federation
 // and with other snapshots, but is itself single-reader. Close it when
 // done so the shard writers can stop preserving its generations. A
-// Snapshot must not be copied: a copy would close its shards twice.
+// Snapshot must not be copied (go vet reports a copy, through its core
+// snapshot): a copy would close its shards twice.
 type Snapshot struct {
-	_      noCopy
-	f      *Fed
+	f      *Fed // nil once closed
 	epoch  uint64
-	shards *shardSnaps // nil once closed
-	gather *gather     // kept for the next aggregate pass
+	s0     core.Snapshot // shard 0's, inline: K = 1 takes no spare slot
+	rest   *shardSnaps   // shards 1..K−1; nil at K = 1
+	gather *gather       // kept for the next aggregate pass
 }
 
-// noCopy makes go vet's copylocks check report a copied Snapshot.
-type noCopy struct{}
-
-// Lock and Unlock do nothing: copylocks looks for them.
-func (*noCopy) Lock() {}
-
-// Unlock does nothing; see Lock.
-func (*noCopy) Unlock() {}
-
-// shardSnaps is a snapshot's one core snapshot per shard. A closed snapshot
-// leaves them in the federation's spare slot (Fed.spareSnaps) unless one
-// already waits there, and the next capture takes them, so a capture into a
-// Snapshot the caller keeps on its stack allocates nothing. The one slot is
-// not measured — no bench/ workload reads through a sharded engine — and
-// serves a reader that closes each snapshot before it takes the next.
+// shardSnaps is a snapshot's core snapshots of shards 1..K−1, left in the
+// federation's one spare slot (Fed.spareSnaps) at Close for the next
+// capture — unmeasured: no bench/ workload reads through K > 1 shards.
 type shardSnaps struct {
 	s []core.Snapshot
 }
@@ -692,39 +815,51 @@ func (f *Fed) SnapshotInto(s *Snapshot) {
 		// the read path; the public façade converts this to an error.
 		panic(core.ErrNotBuilt)
 	}
-	sh := f.spareSnaps.Swap(nil)
-	if sh == nil {
-		sh = &shardSnaps{make([]core.Snapshot, f.k)}
+	var rest *shardSnaps
+	if f.k > 1 {
+		if rest = f.spareSnaps.Swap(nil); rest == nil {
+			rest = &shardSnaps{make([]core.Snapshot, f.k-1)}
+		}
+		for i := range rest.s {
+			f.shards[i+1].SnapshotInto(&rest.s[i])
+		}
 	}
-	for i, e := range f.shards {
-		e.SnapshotInto(&sh.s[i])
-	}
-	*s = Snapshot{f: f, epoch: f.epoch, shards: sh}
+	s.f, s.epoch, s.rest = f, f.epoch, rest
+	f.shards[0].SnapshotInto(&s.s0)
 }
 
 // Epoch identifies the committed federation state the snapshot observes.
 func (s *Snapshot) Epoch() uint64 { return s.epoch }
 
+// shard returns shard i's snapshot.
+func (s *Snapshot) shard(i int) *core.Snapshot {
+	if i == 0 {
+		return &s.s0
+	}
+	return &s.rest.s[i-1]
+}
+
 // Enumerate calls yield for every distinct result tuple of the snapshot's
 // state with its multiplicity, stopping early if yield returns false.
-// With an all-free shard key the shards' enumerations concatenate (each
-// distinct tuple lives on exactly one shard), preserving the per-shard
-// delay; otherwise the shard results are aggregated first — multiplicities
-// summed per distinct tuple — and then yielded.
+// One shard's enumeration is the result. With an all-free shard key the
+// shards' enumerations concatenate (each distinct tuple lives on exactly
+// one shard), preserving the per-shard delay; otherwise the shard results
+// are aggregated first — multiplicities summed per distinct tuple — and
+// then yielded.
 func (s *Snapshot) Enumerate(yield func(t tuple.Tuple, m int64) bool) {
-	sh := s.shards
-	if sh == nil {
+	if s.f == nil {
 		panic("federation: Enumerate on a closed Snapshot")
 	}
+	if s.rest == nil {
+		s.s0.Enumerate(yield)
+		return
+	}
 	if s.f.concat {
-		for i := range sh.s {
+		for i := range s.f.k {
 			stopped := false
-			sh.s[i].Enumerate(func(t tuple.Tuple, m int64) bool {
-				if !yield(t, m) {
-					stopped = true
-					return false
-				}
-				return true
+			s.shard(i).Enumerate(func(t tuple.Tuple, m int64) bool {
+				stopped = !yield(t, m)
+				return !stopped
 			})
 			if stopped {
 				return
@@ -740,8 +875,8 @@ func (s *Snapshot) Enumerate(yield func(t tuple.Tuple, m int64) bool) {
 	defer func() { s.gather = g }()
 	g.rows.Reset(len(s.f.orig.Free))
 	g.mults = g.mults[:0]
-	for i := range sh.s {
-		sh.s[i].Enumerate(func(t tuple.Tuple, m int64) bool {
+	for i := range s.f.k {
+		s.shard(i).Enumerate(func(t tuple.Tuple, m int64) bool {
 			if gi, added := g.rows.Add(t); !added {
 				g.mults[gi] += m
 			} else {
@@ -757,16 +892,30 @@ func (s *Snapshot) Enumerate(yield func(t tuple.Tuple, m int64) bool) {
 	}
 }
 
-// Close releases every shard snapshot and leaves them in the federation's
-// spare slot. It is idempotent; the snapshot must not be used afterwards.
+// View returns an iterator over one root view's rows in a one-shard
+// snapshot's state (core's Snapshot.View), and reports whether the view is
+// known; at K > 1 none is.
+func (s *Snapshot) View(view string) (iter.Seq2[tuple.Tuple, int64], bool) {
+	if s.rest != nil {
+		return nil, false
+	}
+	return s.s0.View(view)
+}
+
+// Close releases every shard snapshot and leaves those of shards 1..K−1 in
+// the federation's spare slot. It is idempotent; the snapshot must not be
+// used afterwards.
 func (s *Snapshot) Close() {
-	sh := s.shards
-	if sh == nil {
+	if s.f == nil {
 		return
 	}
-	s.shards = nil
-	for i := range sh.s {
-		sh.s[i].Close()
+	s.s0.Close()
+	if rest := s.rest; rest != nil {
+		s.rest = nil
+		for i := range rest.s {
+			rest.s[i].Close()
+		}
+		s.f.spareSnaps.CompareAndSwap(nil, rest)
 	}
-	s.f.spareSnaps.CompareAndSwap(nil, sh)
+	s.f = nil
 }

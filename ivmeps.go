@@ -72,7 +72,8 @@
 // # Parallelism
 //
 // A commit propagates on the caller's goroutine, and write methods (Apply,
-// Commit, Insert, Delete) must not be invoked concurrently with each other. NewSharded is how to use several cores: its engine's shards
+// Commit, Insert, Delete) must not be invoked concurrently with each
+// other. NewSharded is how to use several cores: its engine's shards
 // commit in parallel.
 //
 // # Errors and the one panic
@@ -82,8 +83,9 @@
 // Snapshot variants cannot be obtained before Build) have no error results
 // so they compose with range loops, and calling them before Build is
 // unambiguous API misuse: they panic with ErrNotBuilt rather than silently
-// yielding nothing. That is the package's only panic on misuse; programmatic callers who prefer an error call Snapshot, which
-// returns ErrNotBuilt instead.
+// yielding nothing. That is the package's only panic on misuse;
+// programmatic callers who prefer an error call Snapshot, which returns
+// ErrNotBuilt instead.
 //
 // # Snapshots
 //
@@ -103,32 +105,33 @@
 //
 // # Sharding
 //
-// NewSharded returns an Engine that federates K independent engines over
-// the same query, for multi-core scaling. A hierarchical query's connected
-// component always has variables occurring in every one of its atoms;
-// hashing those shard-key values partitions the component's relations so
-// that tuples on different shards never join, and the per-shard results
-// sum exactly to the unsharded result. It is the same Engine — Load/Build,
-// Insert/Delete/Apply, NewBatch/Commit, Snapshot — over a federation
-// instead of one engine, with the same atomicity contract extended across
-// shards: a commit is validated on every shard and applied on all of them
-// or none of them, and a Snapshot observes every shard at one federation
-// epoch. A shard-detected validation failure arrives wrapped in a
-// ShardError; see ShardKey for the routing and gather details.
+// Every Engine runs over a federation of K engines over the same query:
+// New builds one of K = 1, which passes everything through to its one
+// engine, and NewSharded one of K shards, for multi-core scaling. A
+// hierarchical query's connected component always has variables occurring
+// in every one of its atoms; hashing those shard-key values partitions the
+// component's relations so that tuples on different shards never join,
+// and the per-shard results sum exactly to the unsharded result. The API
+// and the atomicity contract are the same at every K: a commit is
+// validated on every shard and applied on all of them or none of them, and
+// a Snapshot observes every shard at one federation epoch. A
+// shard-detected validation failure arrives wrapped in a ShardError; see
+// ShardKey for the routing and gather details.
 //
-// A sharded engine has no durability (NewSharded refuses
+// An engine of K > 1 shards has no durability (NewSharded refuses
 // Options.Durability, and Checkpoint returns an error), no watch stream
 // (Watch returns an error, and Views is empty), and its Explain describes
 // the routing and shard 0's plan. Shards and ShardKey report its layout;
-// on an engine from New they return 1 and no key.
+// at K = 1 — New, or NewSharded with Shards ≤ 1, which is New — they
+// return 1 and no key.
 //
 // # Durability
 //
 // Engines are in-memory by default; setting Options.Durability.Dir gives an
 // engine a write-ahead log: every committed batch — through Insert, Delete,
-// Apply, or Commit — is appended to a segmented, checksummed
-// commit log in that directory before it is applied, and Build writes an
-// initial checkpoint, so the committed state always equals "newest
+// Apply, or Commit — is appended to a segmented, checksummed commit log in
+// that directory once validated and before it is applied, and Build writes
+// an initial checkpoint, so the committed state always equals "newest
 // checkpoint + logged tail". After a crash, Open rebuilds the engine from
 // that directory and resumes logging into it; the recovered result rows, N,
 // and snapshot epoch are exactly those of the last durable commit
@@ -144,10 +147,10 @@
 // one shape a mid-write kill leaves) is truncated silently by Open; any
 // other damage — checksum mismatches, missing epochs — is refused with a
 // CorruptLogError rather than guessed around. Durable engines should be
-// Closed when discarded so buffered appends reach the OS; sharded engines
-// do not support Durability. The cmd/ivmwal tool inspects and verifies log
-// directories offline, and docs/DURABILITY.md specifies the file formats,
-// the recovery rules, and the full crash-guarantee table.
+// Closed when discarded so buffered appends reach the OS; engines of K > 1
+// shards do not support Durability. The cmd/ivmwal tool inspects and
+// verifies log directories offline, and docs/DURABILITY.md specifies the
+// file formats, the recovery rules, and the full crash-guarantee table.
 //
 // Durability also defines behavior when the disk itself fails. The first
 // write, flush, fsync, or segment-rotation error wedges the log: the commit
@@ -157,8 +160,8 @@
 // degrades to read-only: every further Insert/Delete/Apply/Commit returns
 // the same LogWedgedError with the in-memory state untouched, while
 // Snapshot, All, and Count keep serving the last committed state. Recovery
-// is by restart: reopen the directory with Open, which replays exactly the commits that reached disk. See the
-// failure model in docs/DURABILITY.md.
+// is by restart: reopen the directory with Open, which replays exactly the
+// commits that reached disk. See the failure model in docs/DURABILITY.md.
 //
 // # Watching
 //

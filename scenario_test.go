@@ -258,7 +258,7 @@ func (s step) GoString() string {
 type target struct {
 	query  string
 	eps    float64
-	shards int   // > 0: NewSharded with this many shards
+	shards int   // > 0: NewSharded with this many shards (1 is New)
 	seg    int64 // > 0: a SyncAlways write-ahead log with segments of this many bytes, on a faultfs
 	remote bool  // served by internal/server and driven through internal/client
 }
@@ -272,9 +272,9 @@ func (tg target) supports(do string) bool {
 	case "cut", "fault":
 		return tg.seg > 0 && !tg.remote
 	case "watch", "close":
-		return tg.shards == 0
+		return tg.shards <= 1
 	case "stall":
-		return tg.shards == 0 && !tg.remote
+		return tg.shards <= 1 && !tg.remote
 	case "apply", "applybatch":
 		return !tg.remote
 	case "read", "drain":

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ivmeps/internal/federation"
+	"ivmeps/internal/wal"
 )
 
 // ShardedOptions configures an engine from NewSharded: the per-shard engine
@@ -29,28 +30,33 @@ type ShardedOptions struct {
 // of Commit holds across shards: on any error, every shard's state and
 // epoch are exactly as before. See the package documentation's Sharding
 // section, and ShardKey for how the gather works.
+//
+// With Shards ≤ 1, NewSharded is New.
 func NewSharded(q *Query, opts ShardedOptions) (*Engine, error) {
-	if opts.Durability.enabled() {
-		// Durable sharded engines need a per-shard log plus a federation
-		// commit record to make the two-phase commit atomic across K logs;
-		// the single-engine WAL would silently miss the federation's
-		// PrepareCommit path. Refuse rather than pretend.
+	durable := opts.Durability.enabled()
+	if durable && opts.Shards > 1 {
+		// K logs would need a federation commit record to make the
+		// two-phase commit atomic across them. Refuse rather than pretend.
 		return nil, fmt.Errorf("ivmeps: Durability is not supported on sharded engines")
 	}
 	f, err := federation.New(q.q, federation.Options{Shards: opts.Shards, Engine: opts.core()})
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{q: q, opts: opts.Options, b: f, fed: f}, nil
+	e := &Engine{q: q, opts: opts.Options, f: f}
+	if durable {
+		// Fail on an already-populated log directory now, not at Build:
+		// recovering an existing log is Open's job, and silently appending
+		// to one here could corrupt it.
+		if e.wal, err = wal.Create(opts.Durability.walOptions()); err != nil {
+			return nil, err
+		}
+	}
+	return e, nil
 }
 
 // Shards returns the shard count K: 1 on an engine from New.
-func (e *Engine) Shards() int {
-	if e.fed == nil {
-		return 1
-	}
-	return e.fed.Shards()
-}
+func (e *Engine) Shards() int { return e.f.Shards() }
 
 // ShardKey returns the variables whose hash routes tuples to shards, and
 // whether the gather concatenates per-shard enumerations. When every
@@ -58,12 +64,13 @@ func (e *Engine) Shards() int {
 // one shard and enumeration concatenates the shards' streams, preserving
 // the per-shard delay guarantee; otherwise — including Boolean queries —
 // the gather sums multiplicities per distinct tuple across shards before
-// yielding. An engine from New has no shard key and nothing to gather: it
-// returns (nil, true).
+// yielding. An engine of one shard — from New, or NewSharded with
+// Shards ≤ 1 — has no shard key and nothing to gather: it returns
+// (nil, true).
 func (e *Engine) ShardKey() (vars []string, concat bool) {
-	if e.fed == nil {
-		return nil, true
+	sv, concat := e.f.ShardVars()
+	if sv != nil {
+		vars = sv.Names()
 	}
-	sv, concat := e.fed.ShardVars()
-	return sv.Names(), concat
+	return vars, concat
 }

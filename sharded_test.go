@@ -13,14 +13,15 @@ import (
 )
 
 // TestShardedMatchesEngine drives a mixed update stream — single applies
-// and multi-relation batches — through sharded engines at several K; the
-// scenario driver holds the result, N and the epoch to naive after every
-// commit.
+// and multi-relation batches, and at K = 1 watchers opening, closing and
+// stalling — through sharded engines at several K; the scenario driver
+// holds the result, N and the epoch to naive after every commit, and every
+// watcher's fold to the root views.
 func TestShardedMatchesEngine(t *testing.T) {
 	for _, k := range []int{1, 3, 8} {
 		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
 			sc := newScenario(t, target{query: star, eps: 0.5, shards: k}, 17)
-			g := gen{mix: map[string]int{"batch": 1, "apply": 1}, load: 50, ops: 25, domain: 9}
+			g := gen{mix: map[string]int{"batch": 4, "apply": 4, "watch": 1, "close": 1, "stall": 1}, load: 50, ops: 25, domain: 9}
 			sc.load(g)
 			if n := sc.eng.Shards(); n != k {
 				t.Fatalf("Shards() = %d, want %d", n, k)
@@ -117,6 +118,67 @@ func TestShardedErrors(t *testing.T) {
 	after, _ := bag(s.All())
 	if err := diff(after, before); err != nil {
 		t.Errorf("the failed commit changed the result: %v", err)
+	}
+}
+
+// TestOneShardIsNew pins that NewSharded with Shards ≤ 1 builds the engine
+// New does — on a query with a repeated relation symbol, which one shard
+// does not rename: the same Explain, Views and ShardKey (nil, true), and
+// both take Durability and Watch.
+func TestOneShardIsNew(t *testing.T) {
+	q := ivmeps.MustParseQuery("Q(A, B) = R(A, B), R(B, A)")
+	build := func(name string, shards int) *ivmeps.Engine {
+		opts := ivmeps.ShardedOptions{Options: ivmeps.Options{Epsilon: 0.5, Durability: ivmeps.Durability{Dir: t.TempDir()}}, Shards: shards}
+		var e *ivmeps.Engine
+		var err error
+		if shards < 0 {
+			e, err = ivmeps.New(q, opts.Options)
+		} else {
+			e, err = ivmeps.NewSharded(q, opts)
+		}
+		if err != nil {
+			t.Fatalf("%s with Durability: %v", name, err)
+		}
+		t.Cleanup(func() { e.Close() })
+		if err := e.Load("R", []int64{1, 2}, []int64{2, 1}, []int64{2, 3}); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Build(); err != nil {
+			t.Fatal(err)
+		}
+		if vars, concat := e.ShardKey(); vars != nil || !concat || e.Shards() != 1 {
+			t.Errorf("%s: ShardKey() = %v, %v and Shards() = %d, want nil, true and 1", name, vars, concat, e.Shards())
+		}
+		w, err := e.Watch(ivmeps.WatchOptions{})
+		if err != nil {
+			t.Fatalf("%s: Watch: %v", name, err)
+		}
+		defer w.Close()
+		if err := e.Insert("R", []int64{3, 2}); err != nil {
+			t.Fatal(err)
+		}
+		for ev, err := range w.Events() {
+			if err != nil || ev.Epoch != w.Snapshot().Epoch()+1 || len(ev.Deltas) == 0 {
+				t.Errorf("%s: first event %+v, %v after the anchor at epoch %d", name, ev, err, w.Snapshot().Epoch())
+			}
+			break
+		}
+		w.Snapshot().Close()
+		if err := e.Checkpoint(); err != nil {
+			t.Errorf("%s: Checkpoint: %v", name, err)
+		}
+		return e
+	}
+	ref := build("New", -1)
+	for _, shards := range []int{0, 1} {
+		name := fmt.Sprintf("NewSharded(Shards: %d)", shards)
+		e := build(name, shards)
+		if x, want := e.Explain(), ref.Explain(); x != want {
+			t.Errorf("%s: Explain() =\n%s\nwant New's\n%s", name, x, want)
+		}
+		if v, want := e.Views(), ref.Views(); !slices.Equal(v, want) {
+			t.Errorf("%s: Views() = %v, want New's %v", name, v, want)
+		}
 	}
 }
 
@@ -221,7 +283,10 @@ func TestShardedEngineSurface(t *testing.T) {
 
 // TestShardedCommitSteadyStateZeroAllocs pins the public sharded commit
 // path — Batch build with id stamping, scatter, two-phase apply across 4
-// shards — at zero heap allocations per warm cycle.
+// shards — at zero heap allocations per warm cycle. Every cycle takes fresh
+// keys, but as many per shard, so each shard's sub-batch has the same size
+// every cycle whatever seed routes them: a shard handed more rows than ever
+// before grows its pooled scratch once.
 func TestShardedCommitSteadyStateZeroAllocs(t *testing.T) {
 	s := built(t, target{query: star, eps: 0.5, shards: 4}, 43, 200, 40)
 	const rows = 32
@@ -232,16 +297,23 @@ func TestShardedCommitSteadyStateZeroAllocs(t *testing.T) {
 	}
 	b := s.NewBatch()
 	next := int64(9000)
+	perShard := make([]int, s.Shards())
 	cycle := func() {
 		b.Reset()
-		for i := 0; i < rows; i++ {
+		clear(perShard)
+		for i := 0; i < rows; next += 3 {
 			r := buf[2*i]
 			r[0], r[1] = next, next+1
+			if sh := s.ShardOf("R", r); perShard[sh] == rows/len(perShard) {
+				continue // S's row routes by the same A
+			} else {
+				perShard[sh]++
+			}
 			b.Insert("R", r)
 			r2 := buf[2*i+1]
 			r2[0], r2[1] = next, next+2
 			b.Insert("S", r2)
-			next += 3
+			i++
 		}
 		if err := s.Commit(b); err != nil {
 			t.Fatal(err)
@@ -268,10 +340,13 @@ func TestShardedCommitSteadyStateZeroAllocs(t *testing.T) {
 // (two shards, the concatenating gather) allocates a few handles to take its
 // snapshot and open its iterators, whose trees the engine reuses from the
 // previous pass, and a full pass costs less than 0.001 allocations per row
-// more than a pass stopped after its first row. internal/core's
-// TestEnumerateZeroAllocsPerRow pins the iterators themselves.
+// more than a pass stopped after its first row. The two-path query, whose
+// shard key is bound, reads the same on New and on one shard, which has
+// nothing to gather. internal/core's TestEnumerateZeroAllocsPerRow pins the
+// iterators themselves.
 func TestAllZeroAllocsPerRow(t *testing.T) {
 	e, s := built(t, target{query: star, eps: 0.5}, 3, 3000, 300), built(t, target{query: star, eps: 0.5, shards: 2}, 3, 3000, 300)
+	p, p1 := built(t, target{query: twoPath, eps: 0.5}, 3, 3000, 300), built(t, target{query: twoPath, eps: 0.5, shards: 1}, 3, 3000, 300)
 	if _, concat := s.ShardKey(); !concat {
 		t.Fatal("the star query does not gather by concatenation")
 	}
@@ -279,7 +354,7 @@ func TestAllZeroAllocsPerRow(t *testing.T) {
 		name    string
 		all     iter.Seq2[[]int64, int64]
 		maxOpen uint64
-	}{{"Engine", e.All(), 5}, {"Sharded", s.All(), 8}} {
+	}{{"Engine", e.All(), 5}, {"Sharded", s.All(), 8}, {"two-path Engine", p.All(), 5}, {"two-path one shard", p1.All(), 5}} {
 		pass := func(limit int) (rows int) {
 			for range src.all {
 				if rows++; rows >= limit {
@@ -313,11 +388,13 @@ func TestAllZeroAllocsPerRow(t *testing.T) {
 
 // TestApplyThenAllZeroAllocs pins the read at a new epoch: after a commit,
 // opening All and taking its first row allocates nothing, on an engine from
-// New and on a two-shard one. The implicit snapshot lives on the reader's
-// stack, and each shard's capture re-pins the frozen handles of the context
-// the last read freed.
+// New, on a two-shard one, and on the two-path query, whose bound shard key
+// has one shard gather nothing, from New and from one shard. The implicit
+// snapshot lives on the reader's stack, and each shard's capture re-pins the
+// frozen handles of the context the last read freed.
 func TestApplyThenAllZeroAllocs(t *testing.T) {
-	for _, tg := range []target{{query: star, eps: 0.5}, {query: star, eps: 0.5, shards: 2}} {
+	for _, tg := range []target{{query: star, eps: 0.5}, {query: star, eps: 0.5, shards: 2},
+		{query: twoPath, eps: 0.5}, {query: twoPath, eps: 0.5, shards: 1}} {
 		e := built(t, tg, 3, 3000, 300)
 		var row []int64
 		for r := range e.All() {
@@ -338,7 +415,7 @@ func TestApplyThenAllZeroAllocs(t *testing.T) {
 			cycle()
 		}
 		if n := testing.AllocsPerRun(100, cycle); n != 0 {
-			t.Errorf("shards=%d: Apply, then the first row of All, allocates %v times, want 0", tg.shards, n)
+			t.Errorf("%s, shards=%d: Apply, then the first row of All, allocates %v times, want 0", tg.query, tg.shards, n)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"ivmeps/internal/core"
+	"ivmeps/internal/federation"
 	"ivmeps/internal/tuple"
 )
 
@@ -70,7 +71,7 @@ type Event struct {
 // engine.mu → Watcher.mu; Close and Events let go of mu before they call
 // the engine.
 type Watcher struct {
-	e      *core.Engine
+	f      *federation.Fed
 	filter map[string]bool
 	ring   chan *core.CommitDelta
 	done   chan struct{} // closed by Close
@@ -95,24 +96,21 @@ type watcherSink Watcher
 // and its Events deliver every commit with epoch > E — the anchor and the
 // subscription are captured atomically, so the stream has no gap and no
 // overlap with the snapshot. Watch before Build returns ErrNotBuilt, and
-// Watch on a sharded engine (NewSharded) returns an error: its shards'
-// commit streams are not merged into one.
+// Watch on an engine of K > 1 shards (NewSharded) returns an error: its
+// shards' commit streams are not merged into one.
 //
 // Watchers are independent: any number may be open, each with its own
 // anchor, buffer, and view filter, and a slow watcher is evicted without
 // affecting the others. While no watcher is open the commit path does no
 // capture work at all.
 func (e *Engine) Watch(opts WatchOptions) (*Watcher, error) {
-	if e.fed != nil {
-		return nil, fmt.Errorf("ivmeps: Watch is not supported on sharded engines")
-	}
 	if !e.built {
 		return nil, fmt.Errorf("ivmeps: Watch: %w (call Build first)", ErrNotBuilt)
 	}
 	var filter map[string]bool
 	if opts.Views != nil {
 		filter = make(map[string]bool, len(opts.Views))
-		known := e.e.RootViews()
+		known := e.f.RootViews()
 		for _, v := range opts.Views {
 			if !slices.Contains(known, v) {
 				return nil, fmt.Errorf("ivmeps: Watch: unknown view %q (Engine.Views lists the root views)", v)
@@ -124,9 +122,9 @@ func (e *Engine) Watch(opts WatchOptions) (*Watcher, error) {
 	if buffer <= 0 {
 		buffer = DefaultWatchBuffer
 	}
-	w := &Watcher{e: e.e, filter: filter, ring: make(chan *core.CommitDelta, buffer), done: make(chan struct{})}
+	w := &Watcher{f: e.f, filter: filter, ring: make(chan *core.CommitDelta, buffer), done: make(chan struct{})}
 	w.anchor = new(Snapshot)
-	if err := e.e.SubscribeCommits((*watcherSink)(w), &w.anchor.c); err != nil {
+	if err := e.f.SubscribeCommits((*watcherSink)(w), &w.anchor.f); err != nil {
 		return nil, wrapErr(err)
 	}
 	return w, nil
@@ -164,12 +162,7 @@ func (s *watcherSink) PublishCommit(cd *core.CommitDelta) {
 // Snapshot.ViewAll and Snapshot.ViewRows, one per materialized view tree,
 // in a fixed order. Empty before Build, and on a sharded engine, which
 // exposes no root views.
-func (e *Engine) Views() []string {
-	if e.e == nil {
-		return nil
-	}
-	return e.e.RootViews()
-}
+func (e *Engine) Views() []string { return e.f.RootViews() }
 
 // Snapshot returns the watcher's anchor: the committed state immediately
 // before the first event of the stream. The first call transfers ownership
@@ -202,7 +195,7 @@ func (w *Watcher) Events() iter.Seq2[Event, error] {
 				if !ok {
 					// Evicted, buffered prefix consumed. Unsubscribe first so
 					// the publisher stops extending the gap, then read it.
-					w.e.UnsubscribeCommits((*watcherSink)(w))
+					w.f.UnsubscribeCommits((*watcherSink)(w))
 					w.mu.Lock()
 					lag := *w.lag
 					w.mu.Unlock()
@@ -257,7 +250,7 @@ func (w *Watcher) Close() {
 	taken := w.anchorTaken
 	w.anchorTaken = true
 	w.mu.Unlock()
-	w.e.UnsubscribeCommits((*watcherSink)(w))
+	w.f.UnsubscribeCommits((*watcherSink)(w))
 	close(w.done)
 	if !taken {
 		w.anchor.Close()
@@ -270,11 +263,7 @@ func (w *Watcher) Close() {
 // storage: read it only, and copy it to retain past the iteration step.
 // The snapshot must stay open while the iterator is ranged.
 func (s *Snapshot) ViewAll(view string) (iter.Seq2[[]int64, int64], error) {
-	var seq iter.Seq2[tuple.Tuple, int64]
-	ok := !s.sharded // a sharded engine's snapshot has no views
-	if ok {
-		seq, ok = s.c.View(view)
-	}
+	seq, ok := s.f.View(view) // a sharded engine's snapshot has no views
 	if !ok {
 		return nil, fmt.Errorf("ivmeps: unknown view %q (Engine.Views lists the root views)", view)
 	}
