@@ -82,9 +82,12 @@ test-count:
 # this target, so the two cannot drift): the internal suite (snapshot
 # readers against commits, the federation's parallel apply, and
 # internal/server's stats-vs-commit and reader-eviction races), three more
-# runs of the snapshot-reuse races (readers recycling enumeration contexts
-# and re-pinning their frozen handles through the engine's free list against
-# a committer, opening at new epochs), three shuffled runs of the federation
+# runs of core's three snapshot races (readers capturing against a
+# committer — consistency at every epoch, and readers recycling enumeration
+# contexts and re-pinning their frozen handles through the engine's free
+# list, opening at new epochs — each serializing commits and captures on one
+# owner mutex, the role the federation's Fed.mu plays for a core engine, which
+# takes no lock of its own), three shuffled runs of the federation
 # suite (its zero-allocation pins must not depend on test order), then the
 # root suites
 # the scenario driver (scenario_test.go) runs against naive —
@@ -97,7 +100,7 @@ test-count:
 # against commits and the cmd/ivmd shutdown and connection-timeout tests.
 race:
 	$(GO) test -race ./internal/...
-	$(GO) test -race -count=3 -run 'TestSnapshotReuseRacesCommits|TestGenerationReuseRacesCommits' ./internal/core/
+	$(GO) test -race -count=3 -run 'TestSnapshotConsistentUnderConcurrentBatches|TestSnapshotReuseRacesCommits|TestGenerationReuseRacesCommits' ./internal/core/
 	$(GO) test -race -shuffle=on -count=3 ./internal/federation/
 	$(GO) test -race -run 'CrashRecoveryRandomCut|BitFlipRecovery|DurableRoundTrip|CheckpointBoundsReplay' .
 	$(GO) test -race -run 'FaultInjection|FaultInjectedOpen|LogWedge|EngineClose|OpenErrorPathsNoLeak|OpenRemovesStaleCheckpointTmp|CheckpointRenameFailure|CheckpointTempRemoveCannotMask|TestCommitHook' ./...

@@ -86,7 +86,7 @@ func (e *Engine) walHook(epoch uint64, ops []core.BatchOp) error {
 
 // Checkpoint serializes the current committed state (base relations +
 // epoch) into the log directory and retires log segments the checkpoint
-// covers. The state capture is O(#relations) under the writer lock —
+// covers. The state capture is O(#relations) under the writer lock, Fed.mu —
 // exactly a Snapshot capture — and the serialization streams from the
 // frozen relations outside the lock, so commits proceed while the
 // checkpoint writes; the checkpoint file becomes visible atomically.

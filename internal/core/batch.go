@@ -10,15 +10,17 @@ import (
 
 // The commit envelope. Every write to a preprocessed engine — the
 // single-tuple Update, the multi-relation CommitBatch, and the two-phase
-// PrepareCommit/ApplyPrepared — is one commit through commitLocked or its
-// two halves (prepareLocked, applyStagedLocked), the paper's OnUpdate
-// trigger (Figure 22) at commit granularity:
+// PrepareCommit/ApplyPrepared — is one commit through its two halves,
+// PrepareCommit and applyStagedLocked, the paper's OnUpdate trigger
+// (Figure 22) at commit granularity:
 //
 //	validate → propagate → major-rebalance check → stats → epoch++ →
 //	publish commit delta
 //
 // Validation is all-or-nothing and a commit whose ops are all zero-mult (or
-// that has no ops) publishes nothing: no epoch, no stats.
+// that has no ops) publishes nothing: no epoch, no stats. The envelope takes
+// no lock: the engine's owner serializes commits with every other call (see
+// Engine), so a commit is never observed half-applied.
 // Per relation, the ops aggregate into one delta per leaf, so each view
 // tree is walked once per (commit, relation) instead of once per update,
 // and the minor/major rebalance checks run once per distinct partition key
@@ -61,9 +63,9 @@ type BatchOp struct {
 // deletes against the stored multiplicities plus the preceding ops of the
 // batch — and on any error (an unknown relation, an ArityError, a
 // MultiplicityError) the engine is left completely unchanged, unlike a
-// sequential Update loop, which would have applied the prefix. On success the whole batch commits
-// under one writer-lock hold and publishes one epoch: a concurrent
-// Snapshot observes either none or all of it, never a half-applied batch.
+// sequential Update loop, which would have applied the prefix. On success
+// the whole batch publishes one epoch: a Snapshot captures the state before
+// or after it, never a half-applied batch.
 //
 // Per touched relation (in first-touched order), the ops aggregate into
 // one net delta per view-tree leaf, propagated with the same phase
@@ -77,18 +79,8 @@ type BatchOp struct {
 // equals the interleaved sequential Update sequence, with the usual
 // implementation-defined latitude in M and the light parts.
 func (e *Engine) CommitBatch(ops []BatchOp) error {
-	// The writer lock covers the whole commit: a Snapshot captured while
-	// the batch is in flight blocks until the commit and then observes the
-	// post-batch state; one captured before observes the pre-batch state.
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.commitLocked(ops)
-}
-
-// commitLocked is the commit envelope, under the writer lock: validate,
-// then apply, which cannot fail after validation.
-func (e *Engine) commitLocked(ops []BatchOp) error {
-	if err := e.prepareLocked(ops); err != nil {
+	// Validate, then apply, which cannot fail after validation.
+	if err := e.PrepareCommit(ops); err != nil {
 		return err
 	}
 	e.applyStagedLocked()
@@ -100,72 +92,56 @@ func (e *Engine) commitLocked(ops []BatchOp) error {
 // nothing. Deletes that exceed the stored multiplicity are rejected. The
 // amortized cost is O(N^(δε)) (Proposition 27).
 func (e *Engine) Update(rel string, t tuple.Tuple, m int64) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	e.op1[0] = BatchOp{Rel: rel, Row: t, Mult: m}
-	err := e.commitLocked(e.op1[:])
+	err := e.CommitBatch(e.op1[:])
 	e.op1[0] = BatchOp{} // drop the reference into the caller's row
 	return err
 }
 
-// PrepareCommit is the first half of a two-phase commit: it acquires the
-// engine's writer lock and validates the batch exactly as CommitBatch
-// does. On an error the lock is released and the engine is untouched. On
-// success the validated batch stays staged and THE WRITER LOCK REMAINS
-// HELD — the engine admits no other write and no snapshot capture — until
-// the caller resolves the prepared state with exactly one ApplyPrepared or
-// AbortPrepared call (from any goroutine). The ops (and the rows they
-// reference) must stay unmodified until then.
+// ApplyPrepared is the second half of a two-phase commit: it applies the
+// batch staged by a successful PrepareCommit and publishes one epoch (none
+// if the batch had no nonzero-mult op). It panics if no prepared batch is
+// staged.
+func (e *Engine) ApplyPrepared() {
+	if !e.staged {
+		panic("core: ApplyPrepared without a successful PrepareCommit")
+	}
+	e.applyStagedLocked()
+}
+
+// AbortPrepared discards the batch staged by a successful PrepareCommit —
+// the engine state, including its epoch, is exactly as before the prepare.
+// It panics if no prepared batch is staged.
+func (e *Engine) AbortPrepared() {
+	if !e.staged {
+		panic("core: AbortPrepared without a successful PrepareCommit")
+	}
+	e.releaseStagedLocked()
+}
+
+// PrepareCommit is the first half of a two-phase commit: it validates the
+// batch exactly as CommitBatch does. On an error the engine is untouched.
+// On success the validated batch stays staged until the owner resolves it
+// with exactly one ApplyPrepared or AbortPrepared call, making no other
+// call in between; it panics if a batch is already staged. The ops (and
+// the rows they reference) must stay unmodified until then.
 //
 // The split exists for the coordinator (internal/federation), which
 // commits every write this way: prepare every shard, and only when all of
 // them accepted — and its commit hook logged the commit — apply all of
 // them; an error anywhere aborts them untouched, preserving all-or-nothing
 // across engines.
-func (e *Engine) PrepareCommit(ops []BatchOp) error {
-	e.mu.Lock()
-	if err := e.prepareLocked(ops); err != nil {
-		e.mu.Unlock()
-		return err
-	}
-	return nil
-}
-
-// ApplyPrepared is the second half of a two-phase commit: it applies the
-// batch staged by a successful PrepareCommit, publishes one epoch (none if
-// the batch had no nonzero-mult op), and releases the writer lock. It
-// panics if no prepared batch is staged.
-func (e *Engine) ApplyPrepared() {
-	if !e.staged {
-		panic("core: ApplyPrepared without a successful PrepareCommit")
-	}
-	e.applyStagedLocked()
-	e.mu.Unlock()
-}
-
-// AbortPrepared discards the batch staged by a successful PrepareCommit —
-// the engine state, including its epoch, is exactly as before the prepare
-// — and releases the writer lock. It panics if no prepared batch is
-// staged.
-func (e *Engine) AbortPrepared() {
-	if !e.staged {
-		panic("core: AbortPrepared without a successful PrepareCommit")
-	}
-	e.releaseStagedLocked()
-	e.mu.Unlock()
-}
-
-// prepareLocked validates the whole batch in op order under the writer
-// lock, tracking the running multiplicity of each distinct
-// (relation, tuple) and aggregating the net delta per tuple in first-seen
-// order. All grouping state — the relation table's tuple-keyed maps and
-// group lists, one set per query relation, indexed by RelID — is pooled on
-// the engine (keys reference the caller's rows until the staged batch is
-// applied or released), so repeated batches validate without allocating.
-// Every op is resolved by name, through a one-entry cache in front of the
-// map since ingest streams are usually runs of one relation, and the
-// resolved id is written into the op. A one-op commit
-// has nothing to aggregate and skips the tuple-keyed map. Reset is bounded
+//
+// Validation runs in op order, tracking the running multiplicity of each
+// distinct (relation, tuple) and aggregating the net delta per tuple in
+// first-seen order. All grouping state — the relation table's tuple-keyed
+// maps and group lists, one set per query relation, indexed by RelID — is
+// pooled on the engine (keys reference the caller's rows until the staged
+// batch is applied or released), so repeated batches validate without
+// allocating. Every op is resolved by name, through a one-entry cache in
+// front of the map since ingest streams are usually runs of one relation,
+// and the resolved id is written into the op. A one-op commit has nothing
+// to aggregate and skips the tuple-keyed map. Reset is bounded
 // (relation.Keys), so this skip and the one-row skips in applyBatchOcc and
 // refreshBatchH each save a constant per table: a Reset, a hash and a probe.
 // A single-tuple update is made of such constants: without the three skips,
@@ -174,8 +150,11 @@ func (e *Engine) AbortPrepared() {
 //
 // On success the aggregated groups stay staged on the engine
 // (e.batchTouched / e.relTab) for applyStagedLocked; on an error every
-// entry is released and the engine is untouched.
-func (e *Engine) prepareLocked(ops []BatchOp) error {
+// entry is released.
+func (e *Engine) PrepareCommit(ops []BatchOp) error {
+	if e.staged {
+		panic("core: PrepareCommit with a batch already staged")
+	}
 	if !e.preprocessed {
 		return fmt.Errorf("core: commit: %w (run Preprocess first)", ErrNotBuilt)
 	}
@@ -238,7 +217,7 @@ func (e *Engine) prepareLocked(ops []BatchOp) error {
 }
 
 // applyStagedLocked is the envelope's second half: it applies a batch
-// staged by prepareLocked, relation-major, in first-touched order — one
+// staged by PrepareCommit, relation-major, in first-touched order — one
 // aggregated delta per relation (zero-net tuples drop out), run through
 // every occurrence's routes. Each relation's validation state only reads
 // its own pre-batch multiplicities, so earlier relations' propagation
@@ -364,7 +343,7 @@ func appendBatchKey(keys []batchKey, key tuple.Tuple, light bool) []batchKey {
 // minor-rebalancing checks once per distinct key (Figure 22 lines 9–15).
 // Every commit's delta takes it, a single-tuple Update's as a batch of one,
 // which size guards keep cheap: a one-row delta skips the grouping tables
-// (prepareLocked says what that saves), a partition whose keys all route
+// (PrepareCommit says what that saves), a partition whose keys all route
 // light takes d itself as its light delta, and an occurrence without
 // partitions returns before computing θ. The major-rebalance trigger is NOT
 // evaluated here — it is deferred to the commit boundary
@@ -470,7 +449,7 @@ func (e *Engine) applyBatchOcc(rt *relRoutes, d *delta) {
 
 // refreshBatchH refreshes ∃H once per distinct indicator key appearing in
 // the delta and propagates the resulting δ(∃H) changes. The distinct-key set
-// is pooled, and a one-row delta skips it (see prepareLocked).
+// is pooled, and a one-row delta skips it (see PrepareCommit).
 func (e *Engine) refreshBatchH(ir *indRoute, d *delta) {
 	single := len(d.rows) == 1
 	if !single {

@@ -10,7 +10,7 @@ import (
 // point — the commit hook — is its coordinator's (internal/federation),
 // which runs it between PrepareCommit and ApplyPrepared. What the engine
 // provides are the two primitives of recovery: BaseState, which freezes
-// the base relations and the epoch under one writer-lock hold so a
+// the base relations and the epoch in one call, between two commits, so a
 // checkpoint serializes one committed state without stalling commits
 // (everything else is re-derived by Preprocess at recovery, with the usual
 // latitude in M and the light parts; the result, N, and the epoch are
@@ -26,14 +26,12 @@ type FrozenBase struct {
 }
 
 // BaseState captures the engine's committed epoch and a frozen handle for
-// every original base relation, in first-occurrence order, under one
-// writer-lock hold — the capture is O(#relations) and copies no tuples.
+// every original base relation, in first-occurrence order — the capture is
+// O(#relations) and copies no tuples.
 // The caller must Release every returned handle; until then a writer
 // mutating a captured relation detaches its storage copy-on-first-write,
 // exactly as for snapshots.
 func (e *Engine) BaseState() (uint64, []FrozenBase, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if !e.preprocessed {
 		return 0, nil, fmt.Errorf("core: BaseState: %w (run Preprocess first)", ErrNotBuilt)
 	}
@@ -48,8 +46,4 @@ func (e *Engine) BaseState() (uint64, []FrozenBase, error) {
 // RestoreEpoch seats the epoch counter at a recovered value. It is meant
 // for the recovery path only, after Preprocess (which left the epoch at 1)
 // and the replay of the log tail, before a hook or a sink is attached.
-func (e *Engine) RestoreEpoch(epoch uint64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.epoch = epoch
-}
+func (e *Engine) RestoreEpoch(epoch uint64) { e.epoch = epoch }

@@ -14,7 +14,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"ivmeps/internal/query"
 	"ivmeps/internal/relation"
@@ -58,11 +57,16 @@ type Options struct {
 // Engine maintains the materialized view trees of a hierarchical query and
 // answers enumeration requests over them.
 //
-// An Engine is single-writer: Update, CommitBatch, and the direct
-// Result/Enumerate path must all run on one goroutine, and a commit
-// propagates on that goroutine. Snapshot may be called from any goroutine,
-// and the Snapshots it returns enumerate concurrently with the writer — see
-// snapshot.go for the epoch scheme.
+// An Engine is owned: it takes no lock, and its owner serializes every
+// call — loads, commits, snapshot capture, subscriptions and every read of
+// the live state (N, Stats, Epoch, Explain, the direct Result/Enumerate
+// path). A commit propagates on the goroutine that makes it; the two halves
+// of a two-phase commit may run on two goroutines if the owner orders the
+// handoff. In this module the owner is internal/federation's Fed, whose
+// mutex is the one writer lock. The only calls that need no serialization
+// are the reads of a captured Snapshot and Snapshot.Close: they run on any
+// goroutine, concurrently with the owner's commits — see snapshot.go for the
+// epoch scheme.
 type Engine struct {
 	orig *query.Query // user's query
 	q    *query.Query // occurrence-rewritten query (unique relation symbols)
@@ -127,14 +131,8 @@ type Engine struct {
 	// freeSlots are the slots of free(Q) in head order.
 	freeSlots []int
 
-	// mu serializes the write operations (Update, CommitBatch, the
-	// preprocessing commit) with snapshot capture. Writers hold it for the
-	// whole operation, so a Snapshot observes a committed state — never a
-	// half-applied batch; snapshot *enumeration* runs outside the lock.
-	mu sync.Mutex
-
-	// epoch counts committed write operations. It is bumped under mu at
-	// the two commit points — Preprocess, and the commit envelope's
+	// epoch counts committed write operations. It is bumped at the two
+	// commit points — Preprocess, and the commit envelope's
 	// applyStagedLocked (major rebalances happen inside a commit and
 	// publish with it) — and stamped onto snapshots.
 	epoch uint64
@@ -147,7 +145,7 @@ type Engine struct {
 	// receives one pooled CommitDelta per commit, capSet holds the
 	// per-tree capture slots propagation fills, capture is capSet while a
 	// sink is subscribed and nil otherwise, and cdFree is the record
-	// freelist. All sink state is guarded by mu.
+	// freelist.
 	roots   []rootView
 	rootIdx map[string]int
 	sinks   []CommitSink
@@ -421,13 +419,8 @@ func (e *Engine) Epsilon() float64 { return e.opts.Epsilon }
 func (e *Engine) Mode() viewtree.Mode { return e.opts.Mode }
 
 // N returns the current database size (sum of distinct tuple counts over
-// the original relations). Like Stats and Epoch it takes the writer lock,
-// so it is safe from any goroutine and observes a committed state.
-func (e *Engine) N() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.n
-}
+// the original relations).
+func (e *Engine) N() int { return e.n }
 
 // ThresholdBase returns M, the rebalancing threshold base with
 // ⌊M/4⌋ ≤ N < M (Section 6.2).
@@ -437,20 +430,12 @@ func (e *Engine) ThresholdBase() int { return e.m }
 func (e *Engine) Theta() float64 { return relation.Threshold(e.m, e.opts.Epsilon) }
 
 // Stats returns activity counters.
-func (e *Engine) Stats() Stats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.stats
-}
+func (e *Engine) Stats() Stats { return e.stats }
 
 // Epoch returns the number of committed write operations (Preprocess
 // counts as the first). A Snapshot's Epoch identifies the committed state
 // it observes.
-func (e *Engine) Epoch() uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.epoch
-}
+func (e *Engine) Epoch() uint64 { return e.epoch }
 
 // Work returns the cumulative count of enumeration operations (cursor
 // advances and multiplicity lookups). Differences between successive reads

@@ -272,12 +272,14 @@ func TestFreedContextPinsNoStore(t *testing.T) {
 
 // TestSnapshotReuseRacesCommits runs readers that each take a snapshot, range
 // over all of it or stop early, take a second snapshot while the first is
-// open and close both, against one goroutine that commits. Every full read
-// equals naive at its snapshot's epoch, every early-stopped one is a part of
-// it, and the free list never holds more than its cap, though the readers
-// hold more contexts than that at once.
+// open and close both, against one goroutine that commits; captures and
+// commits serialize on an owner mutex (commitRounds). Every full read equals
+// naive at its snapshot's epoch, every early-stopped one is a part of it, and
+// the free list never holds more than its cap, though the readers hold more
+// contexts than that at once.
 func TestSnapshotReuseRacesCommits(t *testing.T) {
 	e, db, rng := raceEngine(t)
+	var own sync.Mutex
 	states := map[uint64]map[string]int64{e.Epoch(): naiveMap(e.Query(), db)}
 
 	type obs struct {
@@ -318,9 +320,13 @@ func TestSnapshotReuseRacesCommits(t *testing.T) {
 				if (i+r)%3 == 0 {
 					limit = 1 + i%5
 				}
+				own.Lock()
 				first := e.Snapshot()
+				own.Unlock()
 				record(first, limit)
+				own.Lock()
 				second := e.Snapshot()
+				own.Unlock()
 				record(second, 1<<30)
 				first.Close()
 				record(second, limit)
@@ -338,7 +344,7 @@ func TestSnapshotReuseRacesCommits(t *testing.T) {
 			}
 		}(r)
 	}
-	commitRounds(t, e, db, rng, states)
+	commitRounds(t, e, &own, db, rng, states)
 	close(stop)
 	wg.Wait()
 
@@ -368,10 +374,12 @@ func raceEngine(t *testing.T) (*Engine, naive.Database, *rand.Rand) {
 	return e, db, rng
 }
 
-// commitRounds commits 300 single-tuple updates, alternating R and S,
-// yielding between them so readers capture at every epoch, and records the
-// naive result of every epoch it publishes in states.
-func commitRounds(t *testing.T, e *Engine, db naive.Database, rng *rand.Rand, states map[uint64]map[string]int64) {
+// commitRounds commits 300 single-tuple updates, alternating R and S, each
+// under own — the engine's owner lock, which the readers take around their
+// captures, as internal/federation's Fed.mu is — yielding between them so
+// readers capture at every epoch, and records the naive result of every epoch
+// it publishes in states.
+func commitRounds(t *testing.T, e *Engine, own *sync.Mutex, db naive.Database, rng *rand.Rand, states map[uint64]map[string]int64) {
 	t.Helper()
 	for round := 0; round < 300; round++ {
 		runtime.Gosched() // let the readers take snapshots at every epoch
@@ -381,7 +389,10 @@ func commitRounds(t *testing.T, e *Engine, db naive.Database, rng *rand.Rand, st
 		if cur := db[rel].Mult(row); cur > 0 && rng.Intn(2) == 0 {
 			m = -cur
 		}
-		if err := e.Update(rel, row, m); err != nil {
+		own.Lock()
+		err := e.Update(rel, row, m)
+		own.Unlock()
+		if err != nil {
 			t.Fatal(err)
 		}
 		db[rel].MustAdd(row, m)
@@ -414,10 +425,12 @@ func checkObservation(t *testing.T, label string, states map[uint64]map[string]i
 // re-pins a freed context's handles — read all of it or stop early, and close,
 // against one goroutine that commits. Every third read closes its snapshot
 // while its iterator is still open and drains the iterator afterwards, past
-// later commits and captures. Every full read equals naive at its
-// snapshot's epoch, and every early-stopped one is a part of it.
+// later commits and captures; captures and commits serialize on an owner
+// mutex (commitRounds). Every full read equals naive at its snapshot's epoch,
+// and every early-stopped one is a part of it.
 func TestGenerationReuseRacesCommits(t *testing.T) {
 	e, db, rng := raceEngine(t)
+	var own sync.Mutex
 	states := map[uint64]map[string]int64{e.Epoch(): naiveMap(e.Query(), db)}
 	type obs struct {
 		epoch uint64
@@ -437,7 +450,9 @@ func TestGenerationReuseRacesCommits(t *testing.T) {
 			defer wg.Done()
 			for i := 0; ; i++ {
 				var s Snapshot
+				own.Lock()
 				e.SnapshotInto(&s)
+				own.Unlock()
 				it := s.Result()
 				res := map[string]int64{}
 				limit, rows := 1<<30, 0
@@ -472,7 +487,7 @@ func TestGenerationReuseRacesCommits(t *testing.T) {
 			}
 		}(r)
 	}
-	commitRounds(t, e, db, rng, states)
+	commitRounds(t, e, &own, db, rng, states)
 	close(stop)
 	wg.Wait()
 

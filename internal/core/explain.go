@@ -16,12 +16,8 @@ import (
 // indicators. A view that repeats an earlier one prints as "=Name" and is
 // spelled out under "shared"; "∃" marks a view read for its support only.
 // Once preprocessed, it lists each view class's rows and the bytes its
-// relation holds (relation.Relation.Footprint). Like N and Stats it takes the
-// writer lock, so it is safe from any goroutine and describes a committed
-// state.
+// relation holds (relation.Relation.Footprint).
 func (e *Engine) Explain() string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	var b strings.Builder
 	c := query.Classify(e.orig)
 	fmt.Fprintf(&b, "query: %s\n", e.orig)
@@ -92,8 +88,6 @@ func (e *Engine) Explain() string {
 // shared one once (relation.Relation.Footprint) — and the tuples they store:
 // the space side of the trade-off, as exact counts for a given history.
 func (e *Engine) Footprint() (bytes, tuples int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	seen := map[*relation.Relation]bool{}
 	count := func(r *relation.Relation) {
 		if !seen[r] {

@@ -13,16 +13,10 @@ import (
 // Load adds the row {t → m}, m > 0, to relation rel ahead of Preprocess: the
 // row goes into the base relation of every occurrence of rel, and repeated
 // loads of one row accumulate multiplicity. It is the one way initial data
-// enters an engine; Preprocess(db) loads db through it.
+// enters an engine; Preprocess(db) loads db through it. The row is
+// validated — all of it before the first write, so a rejected row leaves no
+// occurrence changed — and then stored.
 func (e *Engine) Load(rel string, t tuple.Tuple, m int64) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.loadLocked(rel, t, m)
-}
-
-// loadLocked validates a loaded row — all of it before the first write, so
-// a rejected row leaves no occurrence changed — and stores it.
-func (e *Engine) loadLocked(rel string, t tuple.Tuple, m int64) error {
 	if e.preprocessed {
 		return fmt.Errorf("core: Load after Preprocess; use Update or CommitBatch")
 	}
@@ -51,15 +45,13 @@ func (e *Engine) loadLocked(rel string, t tuple.Tuple, m int64) error {
 // indicators are built, and all view trees are materialized bottom-up. db
 // maps original relation names to relations; missing relations start empty.
 func (e *Engine) Preprocess(db naive.Database) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if e.preprocessed {
 		return fmt.Errorf("core: engine already preprocessed")
 	}
 	for name, src := range db {
 		for id := src.First(); id != relation.End; id = src.Next(id) {
 			t, m := src.At(id)
-			if err := e.loadLocked(name, t, m); err != nil {
+			if err := e.Load(name, t, m); err != nil {
 				return err
 			}
 		}

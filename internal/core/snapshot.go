@@ -9,11 +9,14 @@ import (
 
 // Reader/writer epochs. Every committed write operation (Preprocess, each
 // Update, each batch commit — major rebalances commit inside them)
-// publishes a new epoch under the engine's writer lock. SnapshotInto, also
-// under the lock, captures the epoch plus a frozen handle
-// (relation.FreezeInto) for every relation enumeration can reach, so a
-// snapshot always observes one committed state: the one before or the one
-// after any concurrent batch, never a half-applied one.
+// publishes a new epoch. SnapshotInto, which the engine's owner serializes
+// with those writes like every other engine call (see Engine), captures the
+// epoch plus a frozen handle (relation.FreezeInto) for every relation
+// enumeration can reach, so a snapshot always observes one committed state:
+// the one before or the one after any batch, never a half-applied one. The
+// snapshot's reads and its Close take no engine lock: they run on any
+// goroutine, concurrently with the owner's commits, through the relation
+// pins and the free list's own mutex.
 //
 // A snapshot owns its frozen handles: its enumeration context holds a
 // frozen copy of the engine's node→relation slice, and the capture pins
@@ -61,8 +64,9 @@ func (*noCopy) Lock() {}
 func (*noCopy) Unlock() {}
 
 // ctxList is the engine's free list of closed snapshots' contexts, capped at
-// maxFreeCtxs. Its own mutex keeps Snapshot.Close, on any goroutine, off e.mu;
-// a plain slice, unlike a sync.Pool, survives garbage collections.
+// maxFreeCtxs. Its own mutex lets Snapshot.Close, on any goroutine, race the
+// owner's captures; a plain slice, unlike a sync.Pool, survives garbage
+// collections.
 type ctxList struct {
 	mu   sync.Mutex
 	list []*enumCtx
@@ -105,25 +109,15 @@ func (e *Engine) putCtx(c *enumCtx) {
 // SnapshotInto captures a read-only view of the current committed state
 // into s, which must not hold an open snapshot: a caller that keeps s on
 // its stack reads without allocating, and one that holds a handle
-// allocates only the handle. It may be called from any goroutine; if a
-// batch is in flight, it blocks until the batch commits. The capture pins
-// every reachable relation once, re-pinning a freed context's handles, and
-// copies no tuples.
+// allocates only the handle. The owner serializes it with commits, so it
+// never sees a batch in flight. The capture pins every reachable relation
+// once, re-pinning a freed context's handles, and copies no tuples.
 func (e *Engine) SnapshotInto(s *Snapshot) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if !e.preprocessed {
 		// The one panicking entry point of the read path (documented on the
 		// public All/Count): recover sees ErrNotBuilt itself.
 		panic(ErrNotBuilt)
 	}
-	e.snapshotLocked(s)
-}
-
-// snapshotLocked captures into s with the writer lock already held and the
-// engine known to be preprocessed; SubscribeCommits uses it to take the
-// anchor under the same hold that installs the sink.
-func (e *Engine) snapshotLocked(s *Snapshot) {
 	c := e.takeCtx()
 	c.pinned = c.pinned[:0]
 	for id := range e.info {

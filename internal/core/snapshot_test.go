@@ -118,9 +118,11 @@ func TestSnapshotAcrossMajorRebalance(t *testing.T) {
 // mixture. Reader goroutines snapshot and materialize continuously while the
 // writer commits a stream of batches and single updates, recording the
 // materialization of every committed epoch; every reader observation must
-// match the writer's record for its epoch. Run with -race, this is also the
-// race suite for Enumerate/Snapshot vs batch commits. Each seed draws its own
-// database and commit stream.
+// match the writer's record for its epoch. Commits and captures serialize on
+// one owner mutex, as internal/federation's Fed.mu serializes them; snapshot
+// enumeration and Close run outside it. Run with -race, this is also the race
+// suite for snapshot reads vs batch commits. Each seed draws its own database
+// and commit stream.
 func TestSnapshotConsistentUnderConcurrentBatches(t *testing.T) {
 	for _, seed := range []int64{1, 2, 8} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -151,6 +153,7 @@ func testSnapshotConsistentUnderConcurrentBatches(t *testing.T, seed int64) {
 		res   map[string]int64
 	}
 	var (
+		own          sync.Mutex // the engine's owner lock: commits and captures
 		obsMu        sync.Mutex
 		observations []obs
 	)
@@ -164,7 +167,9 @@ func testSnapshotConsistentUnderConcurrentBatches(t *testing.T, seed int64) {
 			// at least one observation even if it is only scheduled
 			// once the writer is done (single-CPU runs).
 			for {
+				own.Lock()
 				s := e.Snapshot()
+				own.Unlock()
 				res := resultMap(s.Enumerate)
 				ep := s.Epoch()
 				s.Close()
@@ -197,14 +202,20 @@ func testSnapshotConsistentUnderConcurrentBatches(t *testing.T, seed int64) {
 		if round%4 == 3 {
 			// Single-update commits interleave with batch commits.
 			for i := range rows[:min(len(rows), 5)] {
-				if err := e.Update(rel, rows[i], mults[i]); err != nil {
+				own.Lock()
+				err := e.Update(rel, rows[i], mults[i])
+				own.Unlock()
+				if err != nil {
 					t.Fatal(err)
 				}
 				states[e.Epoch()] = resultMap(e.Enumerate)
 			}
 			continue
 		}
-		if err := applyBatch(e, rel, rows, mults); err != nil {
+		own.Lock()
+		err := applyBatch(e, rel, rows, mults)
+		own.Unlock()
+		if err != nil {
 			t.Fatal(err)
 		}
 		states[e.Epoch()] = resultMap(e.Enumerate)

@@ -58,8 +58,9 @@ func TestPrepareApplyEqualsCommit(t *testing.T) {
 
 // TestAbortPreparedLeavesStateUntouched pins the abort half: after a
 // successful prepare, AbortPrepared must leave result, epoch, N, and the
-// pooled validation scratch exactly as before — and release the writer
-// lock so later commits proceed.
+// pooled validation scratch exactly as before — and let later commits
+// proceed. A second prepare while a batch is staged panics and stages
+// nothing.
 func TestAbortPreparedLeavesStateUntouched(t *testing.T) {
 	q := query.MustParse("Q(A, C) = R(A, B), S(B, C)")
 	e, err := New(q, Options{Mode: viewtree.Dynamic, Epsilon: 0.5})
@@ -79,6 +80,14 @@ func TestAbortPreparedLeavesStateUntouched(t *testing.T) {
 	if err := e.PrepareCommit(ops); err != nil {
 		t.Fatal(err)
 	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("a second PrepareCommit with a batch staged did not panic")
+			}
+		}()
+		e.PrepareCommit(ops)
+	}()
 	e.AbortPrepared()
 	if got := e.Epoch(); got != epoch {
 		t.Errorf("epoch after abort = %d, want %d", got, epoch)
@@ -90,7 +99,7 @@ func TestAbortPreparedLeavesStateUntouched(t *testing.T) {
 	if len(e.batchTouched) != 0 || e.staged {
 		t.Errorf("staged scratch survives abort: touched=%d staged=%v", len(e.batchTouched), e.staged)
 	}
-	// The lock must be free again: a normal commit goes through.
+	// A normal commit goes through.
 	if err := e.CommitBatch(ops); err != nil {
 		t.Fatal(err)
 	}
@@ -99,9 +108,9 @@ func TestAbortPreparedLeavesStateUntouched(t *testing.T) {
 	}
 }
 
-// TestPrepareCommitErrorReleasesLock pins that a failed prepare releases
-// the writer lock and stages nothing.
-func TestPrepareCommitErrorReleasesLock(t *testing.T) {
+// TestPrepareCommitErrorStagesNothing pins that a failed prepare stages
+// nothing, and the next commit goes through.
+func TestPrepareCommitErrorStagesNothing(t *testing.T) {
 	q := query.MustParse("Q(A, C) = R(A, B), S(B, C)")
 	e, err := New(q, Options{Mode: viewtree.Dynamic, Epsilon: 0.5})
 	if err != nil {

@@ -503,11 +503,7 @@ func (e *Engine) majorRebalance() {
 
 // Rebalance forces one major rebalance at the current M, for benchmarks
 // (BenchmarkMajorRebalance); not for an engine with commit sinks subscribed.
-func (e *Engine) Rebalance() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.majorRebalance()
-}
+func (e *Engine) Rebalance() { e.majorRebalance() }
 
 // minorRebalance is MinorRebalancing (Figure 21): move the tuples of one
 // partition key into (insert=true) or out of (insert=false) the light part

@@ -14,13 +14,13 @@ import (
 // the exact delta of every root view — the rows the final path edge applies
 // — and then discards it. This file captures those rows at the commit point
 // into a pooled, epoch-stamped CommitDelta record and hands it to every
-// subscribed CommitSink under the writer lock, so each sink's record stream
-// is totally ordered by epoch with no gaps: every commit publishes exactly
-// one record (possibly with no view changes), and record N+1 is the state
-// diff from the state record N left behind. The sinks are the subscribers
+// subscribed CommitSink inside the commit, so each sink's record stream is
+// totally ordered by epoch with no gaps: every commit publishes exactly one
+// record (possibly with no view changes), and record N+1 is the state diff
+// from the state record N left behind. The sinks are the subscribers
 // themselves (the public Watcher is one): the engine keeps them in a slice
-// guarded by the writer lock, so a sink's lock, if it has one, is always
-// taken after the engine's.
+// that, like the rest of the engine, its owner serializes (see Engine), so
+// a sink's lock, if it has one, is always taken after the owner's.
 //
 // Capture is pay-as-you-go: with no sink subscribed the only cost on the
 // commit path is one nil check, which keeps the steady-state zero-alloc
@@ -97,10 +97,11 @@ func (cd *CommitDelta) Release() {
 }
 
 // CommitSink consumes the engine's per-commit root-view delta records.
-// PublishCommit is called under the engine's writer lock, once per commit,
-// in strictly increasing epoch order. The sink must not block, must not
-// call back into the engine, and must Retain the record before sharing it
-// beyond the call (the engine's own reference dies when the call returns).
+// PublishCommit is called inside the commit, on the committing goroutine,
+// once per commit, in strictly increasing epoch order. The sink must not
+// block, must not call back into the engine, and must Retain the record
+// before sharing it beyond the call (the engine's own reference dies when
+// the call returns).
 // UnsubscribeCommits finds a sink with ==, so a sink that is ever
 // unsubscribed must be of a comparable type — in practice a pointer.
 type CommitSink interface {
@@ -139,8 +140,6 @@ func (e *Engine) buildRootsLocked() {
 // CommitDelta records and accepted by Snapshot.View. Empty before
 // Preprocess.
 func (e *Engine) RootViews() []string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	out := make([]string, len(e.roots))
 	for i := range e.roots {
 		out[i] = e.roots[i].name
@@ -167,7 +166,7 @@ func (s *Snapshot) View(view string) (iter.Seq2[tuple.Tuple, int64], bool) {
 
 // captureSet is the per-commit capture state: one slot (an aggregating
 // delta) per main tree, indexed by the tree's dense id, filled by
-// propagation and drained by publishCommitLocked under the writer lock.
+// propagation and drained by publishCommitLocked.
 type captureSet struct {
 	roots []rootView
 	slots []delta
@@ -209,21 +208,19 @@ func (cs *captureSet) captureRebalanceDiff(e *Engine, sign int64) {
 }
 
 // SubscribeCommits adds sink to the engine's commit sinks and captures its
-// anchor into anchor (as SnapshotInto) under one writer-lock hold: the
-// anchor observes the committed state at some epoch E, and the sink then
-// receives every commit with epoch > E, gap-free. Any number of sinks may be
-// subscribed, each with its own anchor; capture is armed while at least one
-// is. The caller owns the anchor and must Close it.
+// anchor into anchor (as SnapshotInto) in one call: the anchor observes the
+// committed state at some epoch E, and the sink then receives every commit
+// with epoch > E, gap-free. Any number of sinks may be subscribed, each
+// with its own anchor; capture is armed while at least one is. The caller
+// owns the anchor and must Close it.
 func (e *Engine) SubscribeCommits(sink CommitSink, anchor *Snapshot) error {
 	if sink == nil {
 		return fmt.Errorf("core: SubscribeCommits: nil sink")
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if !e.preprocessed {
 		return fmt.Errorf("core: SubscribeCommits: %w (run Preprocess first)", ErrNotBuilt)
 	}
-	e.snapshotLocked(anchor)
+	e.SnapshotInto(anchor)
 	if len(e.sinks) == 0 {
 		if e.cdFree == nil {
 			e.cdFree = make(chan *CommitDelta, commitDeltaFreelist)
@@ -244,8 +241,6 @@ const commitDeltaFreelist = 256
 // the commit path to its zero-overhead state. A sink that is not
 // subscribed is ignored, so the call is idempotent.
 func (e *Engine) UnsubscribeCommits(sink CommitSink) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	i := slices.Index(e.sinks, sink)
 	if i < 0 {
 		return
@@ -258,7 +253,7 @@ func (e *Engine) UnsubscribeCommits(sink CommitSink) {
 
 // publishCommitLocked drains the capture slots into a pooled record for the
 // epoch just published (e.epoch) and hands it to every sink. Called at every
-// commit point, right after the epoch bump, under the writer lock.
+// commit point, right after the epoch bump.
 func (e *Engine) publishCommitLocked() {
 	cs := e.capture
 	if cs == nil {

@@ -128,10 +128,12 @@ type fedRel struct {
 // every shard unchanged and latches the federation read-only (Degrade).
 type CommitHook func(epoch uint64, ops []core.BatchOp) error
 
-// Fed is a federation of K core engines over one hierarchical query.
-// Mutation (Preprocess, Update, CommitBatch) and snapshot capture serialize on
-// the federation lock; snapshots enumerate outside it, concurrently with
-// commits, exactly as core snapshots do.
+// Fed is a federation of K core engines over one hierarchical query, and
+// their owner: a core engine takes no lock, and the federation lock is the
+// one writer lock. Every Fed method that reaches a shard engine — loads,
+// commits, snapshot capture, subscriptions, and the reads of live state —
+// holds it; snapshots enumerate outside it, concurrently with commits,
+// exactly as core snapshots do.
 type Fed struct {
 	orig *query.Query // user's query
 	k    int
@@ -322,7 +324,8 @@ func (f *Fed) ShardOf(rel string, row tuple.Tuple) int {
 	return s
 }
 
-// Shard returns shard s's engine, for inspection and tests.
+// Shard returns shard s's engine, for inspection and tests while no commit
+// is in flight: the engine takes no lock of its own.
 func (f *Fed) Shard(s int) *core.Engine { return f.shards[s] }
 
 // ShardVars returns the shard-key variables (a copy; nil at K = 1) and
@@ -338,6 +341,8 @@ func (f *Fed) ShardVars() (vars tuple.Schema, concat bool) {
 // every shard shares: all run the same occurrence-rewritten query. At
 // K = 1 it is shard 0's plan alone.
 func (f *Fed) Explain() string {
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	if f.k == 1 {
 		return f.shards[0].Explain()
 	}
@@ -494,7 +499,7 @@ func (f *Fed) commitLocked(ops []core.BatchOp) error {
 
 // prepareLocked prepares every shard the batch changes, in shard order, and
 // lists them in f.prepared. Each successful prepare leaves that shard's
-// writer lock held; on a failure the shards already prepared are aborted
+// batch staged; on a failure the shards already prepared are aborted
 // untouched and none is listed.
 func (f *Fed) prepareLocked(ops []core.BatchOp) error {
 	f.prepared = f.prepared[:0]
@@ -596,10 +601,8 @@ func (r *runnerSet) close() {
 	}
 }
 
-// applyRunner applies prepared commits on one shard. The shard's writer
-// lock was acquired by PrepareCommit on the committing goroutine and is
-// released here by ApplyPrepared — handing a held sync.Mutex across
-// goroutines is the intended two-phase usage.
+// applyRunner applies prepared commits on one shard, for a committer that
+// holds the federation lock and waits on wg.
 func applyRunner(e *core.Engine, ch chan *sync.WaitGroup) {
 	for wg := range ch {
 		e.ApplyPrepared()
@@ -759,6 +762,8 @@ func (f *Fed) SubscribeCommits(sink core.CommitSink, anchor *Snapshot) error {
 
 // UnsubscribeCommits removes sink (core's Engine.UnsubscribeCommits).
 func (f *Fed) UnsubscribeCommits(sink core.CommitSink) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	f.shards[0].UnsubscribeCommits(sink)
 }
 
@@ -768,6 +773,8 @@ func (f *Fed) RootViews() []string {
 	if f.k > 1 {
 		return nil
 	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	return f.shards[0].RootViews()
 }
 

@@ -115,8 +115,8 @@
 // and may run concurrently from any number of goroutines while the relation
 // is not being mutated — and a frozen handle may be read concurrently with
 // any mutation of the relation it was frozen from, provided the FreezeInto
-// itself was ordered before the mutation (internal/core orders them under
-// the engine's writer lock).
+// itself was ordered before the mutation (internal/core's owner orders them
+// under its one writer lock, internal/federation's Fed.mu).
 package relation
 
 import (
@@ -452,9 +452,9 @@ func (r *Relation) Set(t tuple.Tuple, m int64) {
 // Release let go: it is re-pinned and returned, so a reader that freezes at
 // every epoch allocates only its first handle. Call Release when done
 // reading so the writer can stop preserving this generation. The caller
-// must order FreezeInto before any concurrent mutation (internal/core uses
-// the engine writer lock); the returned handle itself may then be read from
-// any goroutine not calling its methods concurrently.
+// must order FreezeInto before any concurrent mutation (internal/core's
+// owner uses its writer lock, Fed.mu); the returned handle itself may then
+// be read from any goroutine not calling its methods concurrently.
 func (r *Relation) FreezeInto(f *Relation) *Relation {
 	if f == nil {
 		f = &Relation{name: r.name, schema: r.schema, frozen: true}

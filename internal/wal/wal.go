@@ -14,9 +14,9 @@
 //	ckpt-<epoch>.ckpt checkpoints, named by the epoch they serialize
 //
 // Segments are strictly append-only and are written by exactly one process
-// at a time (the engine's writer lock serializes Append calls; the package
-// adds its own mutex only to order appends against checkpoint-time rotation
-// and retirement). A segment starts with an 8-byte magic string and the
+// at a time (the engine's writer lock, Fed.mu, serializes Append calls; the
+// package adds its own mutex only to order appends against checkpoint-time
+// rotation and retirement). A segment starts with an 8-byte magic string and the
 // first epoch it may contain; records follow back to back. Epochs are
 // globally consecutive across the whole log: every record's epoch is
 // exactly one above the previous record's, across segment boundaries, which
@@ -139,8 +139,8 @@ type segMeta struct {
 
 // Log is an open commit log: an append handle on the active segment plus
 // the metadata needed to rotate and retire segments. Append may be called
-// from one goroutine at a time (the engine's writer lock provides that);
-// WriteCheckpointFS and Retire may run concurrently with Append.
+// from one goroutine at a time (the engine's writer lock, Fed.mu, provides
+// that); WriteCheckpointFS and Retire may run concurrently with Append.
 //
 // A Log is fail-stop: the first append/flush/fsync/rotate error latches a
 // sticky wedged state (WedgedError) and every subsequent Append and

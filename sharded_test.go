@@ -223,9 +223,14 @@ func TestShardedEngineSurface(t *testing.T) {
 		t.Errorf("Shards() = %d, want 2", n)
 	}
 
-	if w, err := s.Watch(ivmeps.WatchOptions{}); err == nil {
-		w.Close()
-		t.Error("Watch on a sharded engine succeeded")
+	for _, opts := range []ivmeps.WatchOptions{{}, {Views: e.Views()[:1]}} {
+		w, err := s.Watch(opts)
+		if err == nil {
+			w.Close()
+		}
+		if want := "ivmeps: Watch needs one shard, not 2"; err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("Watch(%+v) on a sharded engine = %v, want %q", opts, err, want)
+		}
 	}
 	if v := s.Views(); len(v) != 0 {
 		t.Errorf("Views() = %v, want none", v)

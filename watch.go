@@ -65,11 +65,11 @@ type Event struct {
 // any goroutine, concurrently with an in-flight iteration.
 //
 // The Watcher is itself one of the engine's commit sinks (watcherSink):
-// the committer hands it every record, under the engine's writer lock, and
-// it takes the record into its ring — a buffered channel of shared,
-// reference-counted records — without ever blocking. Lock order is
-// engine.mu → Watcher.mu; Close and Events let go of mu before they call
-// the engine.
+// the committer hands it every record, under the engine's one writer lock
+// (the federation's Fed.mu), and it takes the record into its ring — a
+// buffered channel of shared, reference-counted records — without ever
+// blocking. Lock order is Fed.mu → Watcher.mu; Close and Events let go of
+// mu before they call the engine.
 type Watcher struct {
 	f      *federation.Fed
 	filter map[string]bool
@@ -107,6 +107,9 @@ func (e *Engine) Watch(opts WatchOptions) (*Watcher, error) {
 	if !e.built {
 		return nil, fmt.Errorf("ivmeps: Watch: %w (call Build first)", ErrNotBuilt)
 	}
+	if k := e.f.Shards(); k > 1 {
+		return nil, fmt.Errorf("ivmeps: Watch needs one shard, not %d: the shards' commit streams are not merged", k)
+	}
 	var filter map[string]bool
 	if opts.Views != nil {
 		filter = make(map[string]bool, len(opts.Views))
@@ -131,7 +134,8 @@ func (e *Engine) Watch(opts WatchOptions) (*Watcher, error) {
 }
 
 // PublishCommit implements core.CommitSink: it runs on the committer's
-// goroutine under the engine's writer lock, once per commit in epoch order.
+// goroutine under Fed.mu, the engine's writer lock, once per commit in
+// epoch order.
 // Delivery is one non-blocking ring send; a full ring evicts the watcher
 // (close the ring, start the gap), and an evicted one just extends its gap
 // until its consumer notices.
@@ -149,9 +153,9 @@ func (s *watcherSink) PublishCommit(cd *core.CommitDelta) {
 	default:
 		cd.Release()
 		w.lag = &WatcherLaggedError{From: cd.Epoch, To: cd.Epoch}
-		// Sends and this close all happen here, under the engine's writer
-		// lock, and the lag above gates every later publish: the ring is
-		// never sent to again. The consumer drains the buffered prefix, then
+		// Sends and this close all happen here, under Fed.mu, and the lag
+		// above gates every later publish: the ring is never sent to
+		// again. The consumer drains the buffered prefix, then
 		// sees the close.
 		close(w.ring)
 	}
