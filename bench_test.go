@@ -975,6 +975,32 @@ func BenchmarkMajorRebalance(b *testing.B) {
 	}
 }
 
+// BenchmarkOpen is the restart side of preprocessing, recorded in
+// BENCH_build.json: one op = Open of a durable engine over BenchmarkBuild's
+// star case from its initial checkpoint, with an empty log tail — read and
+// decode the checkpoint, load each relation's rows, Build — and Close. Its
+// allocs/op count the decoder's arenas and the columns and tables Build
+// grows, none of them per row.
+func BenchmarkOpen(b *testing.B) {
+	c := buildCases[4] // star/eps=0.50
+	q, opts := ivmeps.MustParseQuery(c.q), c.opts
+	opts.Durability = ivmeps.Durability{Dir: filepath.Join(b.TempDir(), "log")}
+	if err := loadAndBuild(b, q, opts, twoPathRows(5*benchN)).Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e, err := ivmeps.Open(q, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := e.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSnapshotFirstWrite is what a held snapshot costs the writer: one
 // op = Snapshot, one Apply — its first write to each relation it touches
 // detaches that relation's pinned store — and Close, on the built two-path

@@ -78,7 +78,7 @@ func inspect(dir string) error {
 		}
 		rows := 0
 		for _, r := range ck.Rels {
-			rows += len(r.Rows)
+			rows += len(r.Mults)
 		}
 		fmt.Printf("checkpoint %s: epoch %d, query %q, %d relations, %d rows\n",
 			c.Path, ck.Epoch, ck.Query, len(ck.Rels), rows)

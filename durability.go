@@ -172,11 +172,10 @@ func Open(q *Query, opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, r := range rec.Checkpoint.Rels {
-		for i := range r.Rows {
-			if err := e.LoadWeighted(r.Name, r.Rows[i], r.Mults[i]); err != nil {
-				return nil, &CorruptLogError{Path: opts.Durability.Dir, Reason: fmt.Sprintf("checkpoint rejected by engine: %v", err)}
-			}
+	for i := range rec.Checkpoint.Rels {
+		r := &rec.Checkpoint.Rels[i]
+		if err := e.f.LoadRows(r.Name, r.Vals, r.Mults); err != nil {
+			return nil, &CorruptLogError{Path: opts.Durability.Dir, Reason: fmt.Sprintf("checkpoint rejected by engine: %v", err)}
 		}
 	}
 	if err := e.Build(); err != nil {

@@ -35,7 +35,9 @@ func New(q *Query, opts Options) (*Engine, error) {
 }
 
 // Load bulk-inserts rows (with multiplicity 1) into a relation before
-// Build. Duplicate rows accumulate multiplicity.
+// Build. Duplicate rows accumulate multiplicity. Rows are validated here and
+// appended to the relation's storage as they come; Build places them all at
+// once, so a loaded row is visible from Build on.
 func (e *Engine) Load(rel string, rows ...[]int64) error {
 	for _, r := range rows {
 		if err := e.LoadWeighted(rel, r, 1); err != nil {
@@ -46,7 +48,7 @@ func (e *Engine) Load(rel string, rows ...[]int64) error {
 }
 
 // LoadWeighted bulk-inserts one row with a positive multiplicity before
-// Build.
+// Build, which places it as it places Load's rows.
 func (e *Engine) LoadWeighted(rel string, row []int64, mult int64) error {
 	if e.built {
 		return fmt.Errorf("ivmeps: Load after Build; use Insert/Delete/Apply or a Batch")

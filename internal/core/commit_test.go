@@ -577,11 +577,14 @@ func TestCommitEnvelope(t *testing.T) {
 	}
 }
 
-// TestLoadStoresBeforePreprocess pins the load path: a loaded row is in the
-// base relation of every occurrence at once — there is no staging copy for
-// Preprocess to drain — a rejected row touches no occurrence, and Load is
-// refused once Preprocess has run.
-func TestLoadStoresBeforePreprocess(t *testing.T) {
+// TestLoadPlacesAtPreprocess pins the load path: a loaded row is appended to
+// the base relation of every occurrence — there is no staging copy — and
+// Preprocess places what was appended; a rejected row touches no occurrence,
+// and Load is refused once Preprocess has run. The placed base relations
+// hold exactly what MustAdd of every loaded row, in load order, gives: the
+// same entries with the same multiplicities, in the same insertion order,
+// which is the order enumeration follows.
+func TestLoadPlacesAtPreprocess(t *testing.T) {
 	e, err := New(query.MustParse("Q(A, B) = R(A, B), R(B, A)"), Options{Epsilon: 0.5})
 	if err != nil {
 		t.Fatal(err)
@@ -590,11 +593,6 @@ func TestLoadStoresBeforePreprocess(t *testing.T) {
 	for i := 0; i < 2; i++ { // a repeated row accumulates multiplicity
 		if err := e.Load("R", row, 2); err != nil {
 			t.Fatal(err)
-		}
-	}
-	for _, rt := range e.relTab[e.relIdx["R"]-1].occs {
-		if got := rt.base.Mult(row); got != 4 {
-			t.Errorf("occurrence %s holds multiplicity %d before Preprocess, want 4", rt.base.Name(), got)
 		}
 	}
 	var ae *relation.ArityError
@@ -607,11 +605,13 @@ func TestLoadStoresBeforePreprocess(t *testing.T) {
 	if err := e.Load("Z", row, 1); !errors.Is(err, ErrUnknownRelation) {
 		t.Errorf("Load of an unknown relation returned %v", err)
 	}
-	if n := e.BaseRelation("R").Size(); n != 1 {
-		t.Errorf("base relation holds %d rows after the rejected loads, want 1", n)
-	}
 	if err := e.Preprocess(nil); err != nil {
 		t.Fatal(err)
+	}
+	for _, rt := range e.relTab[e.relIdx["R"]-1].occs {
+		if got, n := rt.base.Mult(row), rt.base.Size(); got != 4 || n != 1 {
+			t.Errorf("occurrence %s holds multiplicity %d in %d rows after Preprocess, want 4 in 1", rt.base.Name(), got, n)
+		}
 	}
 	if e.N() != 1 || e.ResultRelation().Mult(row) != 16 {
 		t.Errorf("after Preprocess: N = %d, Q(1,1) = %d, want 1 and 16", e.N(), e.ResultRelation().Mult(row))
@@ -622,4 +622,39 @@ func TestLoadStoresBeforePreprocess(t *testing.T) {
 	if err := e.CheckInvariants(); err != nil {
 		t.Error(err)
 	}
+
+	// Enough rows, repeats among them, to fill the base columns several
+	// times over before Preprocess places them.
+	e, err = New(query.MustParse("Q(A, B) = R(A, B), R(B, A)"), Options{Epsilon: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := relation.New("R", tuple.Schema{"A", "B"})
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 3000; i++ {
+		r, m := tuple.Tuple{rng.Int63n(60), rng.Int63n(60)}, 1+rng.Int63n(3)
+		if err := e.Load("R", r, m); err != nil {
+			t.Fatal(err)
+		}
+		ref.MustAdd(r, m)
+	}
+	if err := e.Preprocess(nil); err != nil {
+		t.Fatal(err)
+	}
+	want := entries(ref)
+	for _, rt := range e.relTab[e.relIdx["R"]-1].occs {
+		if got := entries(rt.base); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("occurrence %s holds %d entries after Preprocess, want MustAdd's %d in its order", rt.base.Name(), len(got), len(want))
+		}
+	}
+	if err := e.CheckInvariants(); err != nil {
+		t.Error(err)
+	}
+}
+
+// entries lists r's entries in insertion order as "tuple:mult" strings.
+func entries(r *relation.Relation) []string {
+	var out []string
+	r.ForEach(func(t tuple.Tuple, m int64) { out = append(out, fmt.Sprint(t, ":", m)) })
+	return out
 }

@@ -11,12 +11,23 @@ import (
 )
 
 // Load adds the row {t → m}, m > 0, to relation rel ahead of Preprocess: the
-// row goes into the base relation of every occurrence of rel, and repeated
-// loads of one row accumulate multiplicity. It is the one way initial data
-// enters an engine; Preprocess(db) loads db through it. The row is
-// validated — all of it before the first write, so a rejected row leaves no
-// occurrence changed — and then stored.
+// row is appended to the base relation of every occurrence of rel, and
+// Preprocess places every appended row at once (relation.Seal), exactly as
+// MustAdd of each row in load order would have, so repeated loads of one row
+// accumulate multiplicity. Until then the base relations may not be read. It
+// is the one way initial data enters an engine; Preprocess(db) loads db
+// through it. The row is validated — all of it before the first write, so a
+// rejected row leaves no occurrence changed — and then appended.
 func (e *Engine) Load(rel string, t tuple.Tuple, m int64) error {
+	ms := [1]int64{m}
+	return e.LoadRows(rel, t, ms[:])
+}
+
+// LoadRows is Load of a block of rows of rel — row i is the i-th run of
+// arity values in vals, with multiplicity mults[i] — which it validates
+// whole before the first row is appended: a checkpoint's relation on
+// restore takes one call, not one per row.
+func (e *Engine) LoadRows(rel string, vals []tuple.Value, mults []int64) error {
 	if e.preprocessed {
 		return fmt.Errorf("core: Load after Preprocess; use Update or CommitBatch")
 	}
@@ -24,26 +35,35 @@ func (e *Engine) Load(rel string, t tuple.Tuple, m int64) error {
 	if id == 0 {
 		return fmt.Errorf("core: %w: %q (query %s)", ErrUnknownRelation, rel, e.orig)
 	}
-	if m <= 0 {
-		return fmt.Errorf("core: relation %s: tuple %v has non-positive multiplicity %d", rel, t, m)
-	}
 	occs := e.relTab[id-1].occs
 	for _, rt := range occs {
-		if len(t) != len(rt.base.Schema()) {
-			return &relation.ArityError{Relation: rel, Tuple: t.Clone(), Schema: rt.base.Schema()}
+		if k := len(rt.base.Schema()); len(vals) != k*len(mults) {
+			if len(mults) == 1 {
+				return &relation.ArityError{Relation: rel, Tuple: tuple.Tuple(vals).Clone(), Schema: rt.base.Schema()}
+			}
+			return fmt.Errorf("core: relation %s: %d values are not %d rows of arity %d", rel, len(vals), len(mults), k)
+		}
+	}
+	k := len(occs[0].base.Schema())
+	for i, m := range mults {
+		if m <= 0 {
+			return fmt.Errorf("core: relation %s: tuple %v has non-positive multiplicity %d", rel, vals[i*k:(i+1)*k], m)
 		}
 	}
 	for _, rt := range occs {
-		rt.base.MustAdd(t, m)
+		for i, m := range mults {
+			rt.base.Append(vals[i*k:(i+1)*k], m)
+		}
 	}
 	return nil
 }
 
-// Preprocess loads db, if any, on top of what Load stored and materializes
-// every view (Proposition 21): the light parts are computed by a strict
-// partition with threshold θ = M^ε, the indicator trees and heavy
-// indicators are built, and all view trees are materialized bottom-up. db
-// maps original relation names to relations; missing relations start empty.
+// Preprocess loads db, if any, on top of what Load appended, places every
+// loaded row in its base relation (relation.Seal), and materializes every
+// view (Proposition 21): the light parts are computed by a strict partition
+// with threshold θ = M^ε, the indicator trees and heavy indicators are
+// built, and all view trees are materialized bottom-up. db maps original
+// relation names to relations; missing relations start empty.
 func (e *Engine) Preprocess(db naive.Database) error {
 	if e.preprocessed {
 		return fmt.Errorf("core: engine already preprocessed")
@@ -54,6 +74,11 @@ func (e *Engine) Preprocess(db naive.Database) error {
 			if err := e.Load(name, t, m); err != nil {
 				return err
 			}
+		}
+	}
+	for i := range e.relTab {
+		for _, rt := range e.relTab[i].occs {
+			rt.base.Seal()
 		}
 	}
 	e.recomputeN()

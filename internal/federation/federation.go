@@ -393,6 +393,18 @@ func (f *Fed) loadLocked(rel string, t tuple.Tuple, m int64) error {
 	return nil
 }
 
+// LoadRows passes a block of rows of rel ahead of Preprocess to the one
+// shard's LoadRows, under one lock: a checkpoint's relation on restore. It
+// refuses at K > 1, where Load routes each row.
+func (f *Fed) LoadRows(rel string, vals []tuple.Value, mults []int64) error {
+	if f.k > 1 {
+		return fmt.Errorf("federation: LoadRows needs one shard, not %d", f.k)
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.shards[0].LoadRows(rel, vals, mults)
+}
+
 // Preprocess loads db, if any, on top of what Load routed to the shards and
 // runs the core preprocessing stage on all shards in parallel. db maps
 // original relation names to relations; missing relations start empty.

@@ -18,7 +18,9 @@ const (
 	maxPartBits = 8
 	// firstChunk is the most rows a fill appends before its first seal when
 	// its columns have no room for them: enough to see whether the rows
-	// merge, and little enough to respect the 8× bound when they do.
+	// merge, and little enough to respect the 8× bound when they do. A fill
+	// that announced no count seals as its columns fill until it has
+	// appended this many, for the same reason.
 	firstChunk = 8 * minRows
 )
 
@@ -137,13 +139,16 @@ func (r *Relation) SealDelta(emit func(t tuple.Tuple, m int64)) (rows int) {
 }
 
 // makeRoom is Append's answer to full columns. A delta fill doubles them: its
-// rows aggregate only when it is sealed. A row fill seals what it appended so
-// far, then grows the columns if they are still full, or more than half full
-// with rows still to come that do not fit — to the announced count while no
-// seal has merged a row, and at most 8× their rows once one has.
+// rows aggregate only when it is sealed. So does a fill that announced no
+// count once its first chunk of rows has been sealed without a merge: Seal
+// places the rest at once, in a probe array it sizes once. Any other row
+// fill seals what it appended so far, then grows the columns if they are
+// still full, or more than half full with rows still to come that do not
+// fit — to the announced count while no seal has merged a row, and at most
+// 8× their rows once one has.
 func (r *Relation) makeRoom() {
 	s := r.s
-	if s.fill.delta {
+	if s.fill.delta || s.fill.want == 0 && s.fill.appended > firstChunk && !s.fill.merged {
 		s.reserve(max(2*len(s.mults), minRows))
 		return
 	}

@@ -317,6 +317,36 @@ func TestFillGrowth(t *testing.T) {
 		}
 	}
 
+	// A fill that announces no count — internal/core's Load — seals its
+	// first 512 rows as its columns fill and places the rest at Seal, ending
+	// with the columns and probe array MustAdd's doubling gives; one whose
+	// early rows merge goes on sealing, and stays within the same 8× bound.
+	const m = 100_000
+	uncounted, added := New("R", ab()), New("R", ab())
+	for i := range m {
+		o := distinct(i)
+		uncounted.Append(tuple.Tuple{o.A, o.B}, o.M)
+		added.MustAdd(tuple.Tuple{o.A, o.B}, o.M)
+	}
+	if placed := uncounted.s.tab.count; placed != firstChunk {
+		t.Errorf("an uncounted fill of %d distinct rows placed %d of them before Seal, want its first %d", m, placed, firstChunk)
+	}
+	uncounted.Seal()
+	if got, want := [2]int{cap(uncounted.s.mults), len(uncounted.s.tab.slots)}, [2]int{cap(added.s.mults), len(added.s.tab.slots)}; got != want {
+		t.Errorf("an uncounted fill of %d distinct rows ends with columns of %d rows and %d slots, MustAdd with %d and %d", m, got[0], got[1], want[0], want[1])
+	}
+	for _, keys := range []int{100, 400} {
+		r := New("R", ab())
+		for i := range m {
+			o := distinct(i % keys)
+			r.Append(tuple.Tuple{o.A, o.B}, o.M)
+		}
+		r.Seal()
+		if rows := cap(r.s.mults); rows > 8*keys {
+			t.Errorf("an uncounted fill of %d rows that stored %d ends with columns of %d rows, want at most %d", m, keys, rows, 8*keys)
+		}
+	}
+
 	for _, c := range []struct {
 		name    string
 		ops     []fillOp

@@ -51,7 +51,9 @@
 // A fill whose row count is known ahead (internal/core counts a join's rows
 // before it runs it) takes its own path, in fill.go: Reserve(n) announces the
 // rows, Append stores each one at the next id without probing, and Seal
-// places them. Seal hashes the appended rows twice — a counting pass, then a
+// places them. A fill that announces no count (internal/core's Load, sealed
+// once by Preprocess) grows its columns as Add would; past its first 512
+// rows, unless one of them merged, Seal places the rest at once. Seal hashes the appended rows twice — a counting pass, then a
 // scatter pass into the insertion-order column, free until Seal rebuilds it —
 // to order their slot values by the top bits of their home slots, and inserts
 // them one partition of the probe array at a time (about 2^14 slots, at most

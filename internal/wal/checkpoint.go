@@ -50,8 +50,9 @@ type CheckpointData struct {
 	Name string
 	// Arity is the relation's arity.
 	Arity int
-	// Rows and Mults hold the stored tuples pairwise.
-	Rows  [][]int64
+	// Vals holds the stored tuples back to back, Arity values each, in one
+	// arena; Mults holds their multiplicities, one per tuple.
+	Vals  []int64
 	Mults []int64
 }
 
@@ -78,6 +79,38 @@ type Checkpoint struct {
 // reappears as the pre-checkpoint state, which recovery handles by
 // replaying a longer tail).
 func WriteCheckpointFS(fs VFS, dir string, epoch uint64, query string, rels []CheckpointRel, strictDirSync bool) error {
+	buf := encodeCheckpoint(epoch, query, rels)
+	tmp := filepath.Join(dir, checkpointName(epoch)+".tmp")
+	f, err := fs.CreateTrunc(tmp)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(buf); err != nil {
+		f.Close()
+		fs.Remove(tmp)
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		fs.Remove(tmp)
+		return err
+	}
+	if err := f.Close(); err != nil {
+		fs.Remove(tmp)
+		return err
+	}
+	if err := fs.Rename(tmp, filepath.Join(dir, checkpointName(epoch))); err != nil {
+		fs.Remove(tmp)
+		return err
+	}
+	if err := fs.SyncDir(dir); err != nil && strictDirSync {
+		return fmt.Errorf("wal: directory fsync after checkpoint rename: %w", err)
+	}
+	return nil
+}
+
+// encodeCheckpoint returns the checkpoint file of epoch: header and payload.
+func encodeCheckpoint(epoch uint64, query string, rels []CheckpointRel) []byte {
 	// A counting pass sizes the payload — every relation's row count and
 	// encoded row bytes — so the encoding pass fills one buffer, behind a
 	// header reserved at its front, without growing it.
@@ -114,34 +147,7 @@ func WriteCheckpointFS(fs VFS, dir string, epoch uint64, query string, rels []Ch
 	copy(buf, checkpointMagic)
 	binary.LittleEndian.PutUint64(buf[len(checkpointMagic):], uint64(len(payload)))
 	binary.LittleEndian.PutUint32(buf[len(checkpointMagic)+8:], crc32.Checksum(payload, castagnoli))
-
-	tmp := filepath.Join(dir, checkpointName(epoch)+".tmp")
-	f, err := fs.CreateTrunc(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		fs.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		fs.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		fs.Remove(tmp)
-		return err
-	}
-	if err := fs.Rename(tmp, filepath.Join(dir, checkpointName(epoch))); err != nil {
-		fs.Remove(tmp)
-		return err
-	}
-	if err := fs.SyncDir(dir); err != nil && strictDirSync {
-		return fmt.Errorf("wal: directory fsync after checkpoint rename: %w", err)
-	}
-	return nil
+	return buf
 }
 
 // uvarintLen is the byte length of x as a uvarint.
@@ -177,9 +183,11 @@ func LoadCheckpointFS(fs VFS, path string) (*Checkpoint, error) {
 	return ck, nil
 }
 
-// decodeCheckpoint decodes a checksum-verified checkpoint payload. As with
-// records, allocation is bounded by the payload length, never by a count
-// field alone.
+// decodeCheckpoint decodes a checksum-verified checkpoint payload, each
+// relation's rows into one value arena. As with records, allocation is
+// bounded by the payload length, never by a count field alone: a count is
+// checked against the bytes left — a relation takes at least 3 bytes, a row
+// at least arity + 1 — before anything is sized by it.
 func decodeCheckpoint(p []byte) (*Checkpoint, error) {
 	bad := func(what string) error { return &CorruptError{Reason: "checkpoint: bad " + what} }
 	off := 0
@@ -189,20 +197,21 @@ func decodeCheckpoint(p []byte) (*Checkpoint, error) {
 	}
 	off += n
 	qlen, n := binary.Uvarint(p[off:])
-	if n <= 0 || qlen > uint64(len(p)-off) {
+	if n <= 0 || qlen > uint64(len(p)-off-n) {
 		return nil, bad("query length")
 	}
 	off += n
 	ck := &Checkpoint{Epoch: epoch, Query: string(p[off : off+int(qlen)])}
 	off += int(qlen)
 	nRels, n := binary.Uvarint(p[off:])
-	if n <= 0 {
+	if n <= 0 || nRels > uint64(len(p)-off-n)/3 {
 		return nil, bad("relation count")
 	}
 	off += n
+	ck.Rels = make([]CheckpointData, 0, nRels)
 	for i := uint64(0); i < nRels; i++ {
 		nameLen, n := binary.Uvarint(p[off:])
-		if n <= 0 || nameLen > uint64(len(p)-off) {
+		if n <= 0 || nameLen > uint64(len(p)-off-n) {
 			return nil, bad("relation name length")
 		}
 		off += n
@@ -215,18 +224,19 @@ func decodeCheckpoint(p []byte) (*Checkpoint, error) {
 		rel.Arity = int(arity)
 		off += n
 		nRows, n := binary.Uvarint(p[off:])
-		if n <= 0 {
+		if n <= 0 || nRows > uint64(len(p)-off-n)/(arity+1) {
 			return nil, bad("row count")
 		}
 		off += n
+		rel.Vals = make([]int64, 0, int(nRows)*rel.Arity)
+		rel.Mults = make([]int64, 0, nRows)
 		for j := uint64(0); j < nRows; j++ {
-			row := make([]int64, 0, rel.Arity)
 			for k := 0; k < rel.Arity; k++ {
 				v, n := binary.Varint(p[off:])
 				if n <= 0 {
 					return nil, bad("row value")
 				}
-				row = append(row, v)
+				rel.Vals = append(rel.Vals, v)
 				off += n
 			}
 			mult, n := binary.Varint(p[off:])
@@ -234,7 +244,6 @@ func decodeCheckpoint(p []byte) (*Checkpoint, error) {
 				return nil, bad("row multiplicity")
 			}
 			off += n
-			rel.Rows = append(rel.Rows, row)
 			rel.Mults = append(rel.Mults, mult)
 		}
 		ck.Rels = append(ck.Rels, rel)

@@ -3,6 +3,7 @@ package wal
 import (
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -72,4 +73,66 @@ func opsEqual(a, b []Op) bool {
 		}
 	}
 	return true
+}
+
+// FuzzCheckpointDecode drives decodeCheckpoint with arbitrary payloads: it
+// must never panic, allocate no more than a constant times the payload's
+// length — a row or relation count is checked against the bytes left before
+// anything is sized by it — and fail only with a CorruptError. A decoded
+// checkpoint must re-encode and decode back to itself.
+func FuzzCheckpointDecode(f *testing.F) {
+	payload := func(epoch uint64, query string, rels ...CheckpointData) []byte {
+		return encodeCheckpoint(epoch, query, checkpointRels(rels))[checkpointHeaderSize:]
+	}
+	f.Add([]byte{})
+	f.Add(payload(1, "Q(A, B) = R(A, B)", CheckpointData{Name: "R", Arity: 2, Vals: []int64{1, 10, 2, 20}, Mults: []int64{2, 1}}))
+	f.Add(payload(9, "Q() = R(), S(A)",
+		CheckpointData{Name: "R", Mults: []int64{3}},
+		CheckpointData{Name: "S", Arity: 1, Vals: []int64{-1 << 62, 5}, Mults: []int64{1, 1 << 40}}))
+	f.Add(payload(2, "Q", CheckpointData{Name: "R", Arity: 1}))
+	// A row count of 2^62 with no rows behind it.
+	f.Add([]byte{1, 1, 'Q', 1, 1, 'R', 2, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40})
+	f.Fuzz(func(t *testing.T, p []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		ck, err := decodeCheckpoint(p)
+		runtime.ReadMemStats(&after)
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(64*len(p)+1<<16); got > limit {
+			t.Fatalf("decoding %d bytes allocated %d bytes, want at most %d", len(p), got, limit)
+		}
+		if err != nil {
+			var ce *CorruptError
+			if !errors.As(err, &ce) {
+				t.Fatalf("unclassified decode error: %v", err)
+			}
+			return
+		}
+		for _, r := range ck.Rels {
+			if len(r.Vals) != r.Arity*len(r.Mults) {
+				t.Fatalf("relation %q: %d values for %d rows of arity %d", r.Name, len(r.Vals), len(r.Mults), r.Arity)
+			}
+		}
+		ck2, err := decodeCheckpoint(encodeCheckpoint(ck.Epoch, ck.Query, checkpointRels(ck.Rels))[checkpointHeaderSize:])
+		if err != nil {
+			t.Fatalf("re-encoded checkpoint failed to decode: %v", err)
+		}
+		if !reflect.DeepEqual(ck2, ck) {
+			t.Fatalf("round trip mismatch: %+v != %+v", ck2, ck)
+		}
+	})
+}
+
+// checkpointRels is the writer's view of loaded relations: what a checkpoint
+// of them writes.
+func checkpointRels(rels []CheckpointData) []CheckpointRel {
+	out := make([]CheckpointRel, len(rels))
+	for i := range rels {
+		d := &rels[i]
+		out[i] = CheckpointRel{Name: d.Name, Arity: d.Arity, Rows: func(yield func(row []int64, mult int64)) {
+			for j, m := range d.Mults {
+				yield(d.Vals[j*d.Arity:(j+1)*d.Arity], m)
+			}
+		}}
+	}
+	return out
 }

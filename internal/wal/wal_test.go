@@ -408,6 +408,33 @@ func TestVarintLen(t *testing.T) {
 	}
 }
 
+// TestLoadCheckpointAllocatesPerRelation pins the restore path's allocations:
+// a relation's rows decode into one value arena and one multiplicity column,
+// so reading a checkpoint of 8 000 rows allocates what one of 1 000 does.
+func TestLoadCheckpointAllocatesPerRelation(t *testing.T) {
+	allocs := func(rows int) float64 {
+		dir := t.TempDir()
+		rels := []CheckpointRel{{Name: "R", Arity: 2, Rows: func(yield func(row []int64, mult int64)) {
+			for i := range rows {
+				yield([]int64{int64(i), int64(i) * 7}, 1+int64(i%3))
+			}
+		}}}
+		if err := WriteCheckpointFS(OSFS, dir, 1, "Q(A, B) = R(A, B)", rels, false); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, checkpointName(1))
+		return testing.AllocsPerRun(10, func() {
+			ck, err := LoadCheckpointFS(OSFS, path)
+			if err != nil || len(ck.Rels[0].Mults) != rows {
+				t.Fatalf("LoadCheckpointFS: %v", err)
+			}
+		})
+	}
+	if small, large := allocs(1000), allocs(8000); small != large {
+		t.Errorf("LoadCheckpointFS allocates %v times for 1 000 rows and %v for 8 000, want the same", small, large)
+	}
+}
+
 func TestCheckpointRoundTripAndRetirement(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Create(Options{Dir: dir, Sync: SyncBatched, SegmentBytes: 128})
@@ -423,7 +450,7 @@ func TestCheckpointRoundTripAndRetirement(t *testing.T) {
 		t.Fatalf("checkpoint = %+v", ck)
 	}
 	r := ck.Rels[0]
-	if r.Name != "R" || r.Arity != 2 || !reflect.DeepEqual(r.Rows, [][]int64{{1, 10}, {2, 20}}) || !reflect.DeepEqual(r.Mults, []int64{2, 1}) {
+	if r.Name != "R" || r.Arity != 2 || !reflect.DeepEqual(r.Vals, []int64{1, 10, 2, 20}) || !reflect.DeepEqual(r.Mults, []int64{2, 1}) {
 		t.Fatalf("relation = %+v", r)
 	}
 
