@@ -80,8 +80,10 @@ type Engine struct {
 	// engine knows about the query's relations — base relations, light-part
 	// partitions, propagation routes, commit validation state — hangs off an
 	// entry, so every pass over "the relations" runs in table order.
-	relTab []relEntry
-	relIdx map[string]int
+	// loadRel is LoadRows's one-entry cache in front of relIdx.
+	relTab  []relEntry
+	relIdx  map[string]int
+	loadRel *relEntry
 
 	// Per-node state, indexed by viewtree.Node.ID. rels[id] is the node's
 	// materialized relation, set at New and refilled in place from then on:
@@ -91,13 +93,15 @@ type Engine struct {
 	// plans[id] the delta plan from the node into its parent view; fills[id]
 	// is the fill of the view class whose canonical node is id, filled[id]
 	// says materializeAll's current round has run it, and writer[id] is the
-	// one node of the class whose edges write its relation.
+	// one node of the class whose edges write its relation. sums is the
+	// scratch of the fills that read their sums off an index.
 	rels   []*relation.Relation
 	info   []nodeInfo
 	plans  []*updPlan
 	fills  [][]viewFill
 	filled []bool
 	writer []*viewtree.Node
+	sums   []int64
 
 	// Propagation scratch: the binding slots of the update plans and the
 	// pool of deltas propagatePath draws its per-edge deltas from.

@@ -26,16 +26,23 @@ func (e *Engine) Load(rel string, t tuple.Tuple, m int64) error {
 // LoadRows is Load of a block of rows of rel — row i is the i-th run of
 // arity values in vals, with multiplicity mults[i] — which it validates
 // whole before the first row is appended: a checkpoint's relation on
-// restore takes one call, not one per row.
+// restore takes one call, not one per row. The relation is resolved through
+// a one-entry cache in front of the name map, since loads come in runs of
+// one relation.
 func (e *Engine) LoadRows(rel string, vals []tuple.Value, mults []int64) error {
 	if e.preprocessed {
 		return fmt.Errorf("core: Load after Preprocess; use Update or CommitBatch")
 	}
-	id := e.relIdx[rel]
-	if id == 0 {
-		return fmt.Errorf("core: %w: %q (query %s)", ErrUnknownRelation, rel, e.orig)
+	br := e.loadRel
+	if br == nil || br.name != rel {
+		id := e.relIdx[rel]
+		if id == 0 {
+			return fmt.Errorf("core: %w: %q (query %s)", ErrUnknownRelation, rel, e.orig)
+		}
+		br = &e.relTab[id-1]
+		e.loadRel = br
 	}
-	occs := e.relTab[id-1].occs
+	occs := br.occs
 	for _, rt := range occs {
 		if k := len(rt.base.Schema()); len(vals) != k*len(mults) {
 			if len(mults) == 1 {
@@ -62,7 +69,9 @@ func (e *Engine) LoadRows(rel string, vals []tuple.Value, mults []int64) error {
 // loaded row in its base relation (relation.Seal), and materializes every
 // view (Proposition 21): the light parts are computed by a strict partition
 // with threshold θ = M^ε, the indicator trees and heavy indicators are
-// built, and all view trees are materialized bottom-up. db maps original
+// built, and all view trees are materialized bottom-up — a sum of one child
+// off the child's index where it has one (joinChildren), the enumeration
+// indexes such sums read built first, the others after. db maps original
 // relation names to relations; missing relations start empty.
 func (e *Engine) Preprocess(db naive.Database) error {
 	if e.preprocessed {
@@ -159,10 +168,18 @@ func (e *Engine) input(n *viewtree.Node) joinInput { return joinInput{e.rels[n.I
 // static V(B) = ∃H(B), R(A,B), S(B,C) is ∃H ⋈ (Σ_A R) ⋈ (Σ_C S), not the flat
 // join): a child with variables neither the view nor a sibling needs is first
 // summed onto the others, into a relation kept as long as the plans over it.
+//
+// A fill without steps whose seed has an index on exactly dst's variables —
+// or will have one, for enumeration (enumIndexes), which compileFill then
+// builds ahead — reads its sums off that index (relation.Index.Sums), whose
+// key toDst permutes into dst's column order: the seed's rows are grouped
+// once, for the index, not again for the sum.
 type viewFill struct {
-	plan *updPlan
-	seed joinInput
-	dst  *relation.Relation
+	plan  *updPlan
+	seed  joinInput
+	dst   *relation.Relation
+	sum   *relation.Index
+	toDst tuple.Projection
 }
 
 func (e *Engine) compileFill(n *viewtree.Node) []viewFill {
@@ -180,7 +197,7 @@ func (e *Engine) compileFill(n *viewtree.Node) []viewFill {
 		keep := c.Schema.Intersect(needed)
 		if len(keep) < len(c.Schema) && len(n.Children) > 1 && !e.opts.NoPushdown {
 			agg := relation.New(c.Name+"#agg", keep)
-			fills = append(fills, viewFill{e.compilePlan(c.Schema, nil, keep), ins[i], agg})
+			fills = append(fills, viewFill{plan: e.compilePlan(c.Schema, nil, keep), seed: ins[i], dst: agg})
 			ins[i] = joinInput{rel: agg}
 		}
 		if len(ins[i].rel.Schema()) < len(ins[seed].rel.Schema()) {
@@ -188,7 +205,33 @@ func (e *Engine) compileFill(n *viewtree.Node) []viewFill {
 		}
 	}
 	s := ins[seed]
-	return append(fills, viewFill{e.compilePlan(s.rel.Schema(), slices.Delete(ins, seed, seed+1), n.Schema), s, e.rels[n.ID]})
+	fills = append(fills, viewFill{plan: e.compilePlan(s.rel.Schema(), slices.Delete(ins, seed, seed+1), n.Schema), seed: s, dst: e.rels[n.ID]})
+	for i := range fills {
+		if f := &fills[i]; len(f.plan.steps) == 0 {
+			f.sum, f.toDst = e.sumIndex(f.seed.rel, f.dst.Schema())
+		}
+	}
+	return fills
+}
+
+// sumIndex returns the index on seed a fill without steps onto out reads its
+// sums off, with the projection of its key onto out: seed's index on out —
+// a light part's on its partition key — or else the one enumeration reads
+// seed through, if its key has exactly out's variables, built here ahead of
+// buildEnumIndexes. It returns nil if there is neither.
+func (e *Engine) sumIndex(seed *relation.Relation, out tuple.Schema) (*relation.Index, tuple.Projection) {
+	ix, key := seed.Index(out), out
+	if ix == nil {
+		e.enumIndexes(func(r *relation.Relation, k tuple.Schema) {
+			if ix == nil && r == seed && len(k) == len(out) && out.ContainsAll(k) {
+				ix, key = r.EnsureIndex(k), k
+			}
+		})
+	}
+	if ix == nil {
+		return nil, tuple.Projection{}
+	}
+	return ix, tuple.MustProjection(key, out)
 }
 
 // joinChildren clears n's relation and fills it with V(S) = C1(S1), ...,
@@ -197,7 +240,9 @@ func (e *Engine) compileFill(n *viewtree.Node) []viewFill {
 // the last step's bucket sizes — the rows the join will append, |V| unless the
 // projection merges some — which size the relation's columns; the join then
 // appends its rows and Seal places them (relation.Relation.Append). A fill
-// without steps, a sum of one child, adds its rows one by one.
+// without steps, a sum of one child, is a bulk fill too when it reads its
+// sums off an index, one row per distinct key (viewFill); without one, it
+// adds its rows one by one.
 func (e *Engine) joinChildren(n *viewtree.Node) {
 	id := n.Canon.ID
 	if e.fills[id] == nil {
@@ -205,6 +250,14 @@ func (e *Engine) joinChildren(n *viewtree.Node) {
 	}
 	for _, f := range e.fills[id] {
 		f.dst.Clear()
+		if f.sum != nil {
+			f.dst.Reserve(f.sum.DistinctKeys())
+			e.sums = f.sum.Sums(e.sums, f.seed.exists, func(k tuple.Tuple, m int64) {
+				f.dst.Append(f.toDst.AppendTo(f.plan.outScratch[:0], k), m)
+			})
+			f.dst.Seal()
+			continue
+		}
 		if len(f.plan.steps) == 0 {
 			f.plan.fill(e.ubind, f.seed, &planSink{view: f.dst})
 			continue
@@ -231,16 +284,21 @@ func (e *Engine) materializeH(ind *viewtree.Indicator) {
 }
 
 // buildEnumIndexes creates, ahead of enumeration, the secondary indexes the
-// iterators need: every child view is indexed on the variables it shares
-// with its parent's schema, and every tree root on the variables shared
-// with its grounding keys.
+// iterators need (enumIndexes).
 func (e *Engine) buildEnumIndexes() {
+	e.enumIndexes(func(r *relation.Relation, key tuple.Schema) { r.EnsureIndex(key) })
+}
+
+// enumIndexes calls fn with every secondary index the iterators need, as a
+// relation and a key: every child of a main-tree view is indexed on the
+// variables it shares with its parent's schema, unless it shares none or all.
+func (e *Engine) enumIndexes(fn func(r *relation.Relation, key tuple.Schema)) {
 	for _, t := range e.forest.Trees() {
 		walkNodes(t, func(n *viewtree.Node) {
 			for _, c := range n.Children {
 				shared := c.Schema.Intersect(n.Schema)
 				if c.Kind != viewtree.IndicatorRef && len(shared) > 0 && len(shared) < len(c.Schema) {
-					e.rels[c.ID].EnsureIndex(shared)
+					fn(e.rels[c.ID], shared)
 				}
 			}
 		})

@@ -217,7 +217,7 @@ func TestStorageFootprint(t *testing.T) {
 	}
 	bytes, tuples := e.Footprint()
 	t.Logf("the relations hold %d bytes for %d tuples: %.2f bytes per tuple", bytes, tuples, float64(bytes)/float64(tuples))
-	if bytes != 4516544 || tuples != 78638 {
-		t.Errorf("%d bytes for %d tuples, want 4516544 bytes for 78638 tuples", bytes, tuples)
+	if bytes != 4347200 || tuples != 78638 {
+		t.Errorf("%d bytes for %d tuples, want 4347200 bytes for 78638 tuples", bytes, tuples)
 	}
 }

@@ -84,10 +84,41 @@ func (r *Relation) EnsureIndex(keySchema tuple.Schema) *Index {
 	s.indexes = append(s.indexes, ix)
 	h := &Index{rel: r, s: ix}
 	r.hand = append(r.hand, h)
-	for id := s.order.head; id != End; id = s.links[id].next {
-		ix.insert(s, id)
-	}
+	ix.build(s)
 	return h
+}
+
+// build indexes the entries of rs, on an index just created, as insert of
+// each in insertion order would — the same bucket ids, bucket order and
+// counts — in passes over the entries that each touch one of the index's
+// tables, and write no link but the visited entry's own, where insert also
+// writes its bucket tail's, anywhere in the column. A pass in insertion order
+// finds each entry's bucket, opening a new key's at the next bucket id; a
+// second sets the entry's prev and its bucket's tail and count, and one in
+// reverse order its next and the bucket's head.
+func (ix *ixStore) build(rs *relStore) {
+	for id := rs.order.head; id != End; id = rs.links[id].next {
+		ix.keyT = ix.proj.AppendTo(ix.keyT[:0], rs.tab.key(id))
+		h := tuple.Hash(ix.seed, ix.keyT)
+		i, b, ok := ix.tab.find(h, ix.keyT)
+		if !ok {
+			b = ID(len(ix.buckets))
+			ix.buckets = append(ix.buckets, bucket{list: noList})
+			ix.tab.put(i, h, ix.keyT, b)
+		}
+		ix.of[id] = b
+	}
+	for id := rs.order.head; id != End; id = rs.links[id].next {
+		bk := &ix.buckets[ix.of[id]]
+		ix.links[id].prev = bk.tail
+		bk.tail = id
+		bk.count++
+	}
+	for id := rs.order.tail; id != End; id = rs.links[id].prev {
+		bk := &ix.buckets[ix.of[id]]
+		ix.links[id].next = bk.head
+		bk.head = id
+	}
 }
 
 // Index returns the existing index on keySchema, or nil.
@@ -218,6 +249,45 @@ func (ix *Index) ForEachMatch(key tuple.Tuple, fn func(t tuple.Tuple, m int64)) 
 	for id := ix.First(key); id != End; id = ix.Next(id) {
 		fn(ix.rel.At(id))
 	}
+}
+
+// Sums aggregates the relation onto the index's key: it calls emit once per
+// distinct key, in the order the keys first appear in insertion order, with
+// the key's Σ multiplicity or, when count is set, its number of entries (the
+// sum of an ∃ input). Those rows are exactly what MustAdd of every entry's
+// projected key, in insertion order, leaves in an empty relation. Nothing is
+// hashed: a pass in id order adds each entry's multiplicity into its bucket's
+// slot of sums, and a pass in insertion order emits each key at its bucket's
+// head, the key's first entry. sums is the caller's scratch, grown to the
+// bucket count and handed back all zero, so a repeated aggregation allocates
+// nothing. emit must copy the key and leave the relation alone.
+func (ix *Index) Sums(sums []int64, count bool, emit func(key tuple.Tuple, m int64)) []int64 {
+	s, rs := ix.s, ix.rel.s
+	if s.tab.count == 0 {
+		return sums
+	}
+	if !count {
+		if cap(sums) < len(s.buckets) {
+			sums = make([]int64, len(s.buckets))
+		}
+		sums = sums[:len(s.buckets)]
+		for id, b := range s.of { // a freed id's multiplicity is 0
+			sums[b] += rs.mults[id]
+		}
+	}
+	for id := rs.order.head; id != End; id = rs.links[id].next {
+		b := s.of[id]
+		bk := &s.buckets[b]
+		if bk.head != id {
+			continue
+		}
+		m := int64(bk.count)
+		if !count {
+			m, sums[b] = sums[b], 0
+		}
+		emit(s.tab.key(b), m)
+	}
+	return sums
 }
 
 // ForEachKey calls fn on one representative (key, bucket-count) per

@@ -21,9 +21,8 @@ type Partition struct {
 	key   tuple.Schema
 	light *Relation // R^S, the materialized light part
 	proj  tuple.Projection
-	relIx *Index      // index of R on S (degrees of all tuples)
-	ltIx  *Index      // index of R^S on S
-	keyT  tuple.Tuple // Rebuild's projected-key buffer
+	relIx *Index // index of R on S (degrees of all tuples)
+	ltIx  *Index // index of R^S on S
 }
 
 // NewPartition creates a partition of rel on key with an empty light part.
@@ -64,16 +63,26 @@ func (p *Partition) IsLight(key tuple.Tuple) bool { return p.ltIx.Has(key) }
 
 // Rebuild strictly repartitions: the light part becomes exactly the tuples
 // whose key degree in R is < θ (Definition 11, strict conditions). This is
-// the per-relation step of MajorRebalancing (Figure 20, line 3).
+// the per-relation step of MajorRebalancing (Figure 20, line 3). It is a
+// bulk fill of the exact count — the sizes of R's buckets below θ — and
+// reads each entry's degree off its bucket, hashing no key; the light part
+// is what MustAdd of its rows in R's insertion order would leave.
 func (p *Partition) Rebuild(theta float64) {
-	p.light.Clear()
-	for id := p.rel.First(); id != End; id = p.rel.Next(id) {
-		t, m := p.rel.At(id)
-		p.keyT = p.proj.AppendTo(p.keyT[:0], t)
-		if float64(p.relIx.Count(p.keyT)) < theta {
-			p.light.MustAdd(t, m)
+	ix := p.relIx.s
+	n := 0
+	for _, b := range ix.buckets { // a freed bucket counts 0
+		if float64(b.count) < theta {
+			n += int(b.count)
 		}
 	}
+	p.light.Clear()
+	p.light.Reserve(n)
+	for id := p.rel.First(); id != End; id = p.rel.Next(id) {
+		if float64(ix.buckets[ix.of[id]].count) < theta {
+			p.light.Append(p.rel.At(id))
+		}
+	}
+	p.light.Seal()
 }
 
 // CheckStrict verifies the strict partition conditions for threshold θ:
