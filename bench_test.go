@@ -668,6 +668,20 @@ func BenchmarkMultiRelationBatch(b *testing.B) {
 	}
 }
 
+// fedPreprocess loads db into f row by row through LoadRows and
+// preprocesses f.
+func fedPreprocess(f *federation.Fed, db naive.Database) error {
+	for name, src := range db {
+		for id := src.First(); id != relation.End; id = src.Next(id) {
+			t, m := src.At(id)
+			if err := f.LoadRows(name, t, []int64{m}); err != nil {
+				return err
+			}
+		}
+	}
+	return f.Preprocess()
+}
+
 // BenchmarkShardedCommit measures the federated multi-relation commit path
 // on the same mixedStream as BenchmarkMultiRelationBatch: each iteration
 // commits the 9000-op batch and its inverse through a K-shard federation
@@ -689,7 +703,7 @@ func BenchmarkShardedCommit(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer f.Close()
-			if err := f.Preprocess(multiTreeDB(rng, benchN)); err != nil {
+			if err := fedPreprocess(f, multiTreeDB(rng, benchN)); err != nil {
 				b.Fatal(err)
 			}
 			ops, inv := mixedStream(rng)
@@ -758,7 +772,7 @@ func BenchmarkShardedEnumerate(b *testing.B) {
 					}
 					db[a.Rel] = r
 				}
-				if err := f.Preprocess(db); err != nil {
+				if err := fedPreprocess(f, db); err != nil {
 					b.Fatal(err)
 				}
 				var s federation.Snapshot

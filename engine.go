@@ -37,7 +37,9 @@ func New(q *Query, opts Options) (*Engine, error) {
 // Load bulk-inserts rows (with multiplicity 1) into a relation before
 // Build. Duplicate rows accumulate multiplicity. Rows are validated here and
 // appended to the relation's storage as they come; Build places them all at
-// once, so a loaded row is visible from Build on.
+// once, so a loaded row is visible from Build on. A call of many rows is not
+// atomic: it loads them one by one, and when a row is rejected the rows
+// before it stay loaded.
 func (e *Engine) Load(rel string, rows ...[]int64) error {
 	for _, r := range rows {
 		if err := e.LoadWeighted(rel, r, 1); err != nil {
@@ -53,10 +55,7 @@ func (e *Engine) LoadWeighted(rel string, row []int64, mult int64) error {
 	if e.built {
 		return fmt.Errorf("ivmeps: Load after Build; use Insert/Delete/Apply or a Batch")
 	}
-	if mult <= 0 {
-		return fmt.Errorf("ivmeps: initial multiplicity must be positive, got %d", mult)
-	}
-	return wrapErr(e.f.Load(rel, tuple.Tuple(row), mult))
+	return wrapErr(e.f.LoadRows(rel, row, []int64{mult}))
 }
 
 // Build runs the preprocessing stage over the loaded data — on a sharded
@@ -70,7 +69,7 @@ func (e *Engine) Build() error {
 	if e.built {
 		return fmt.Errorf("ivmeps: Build called twice")
 	}
-	if err := e.f.Preprocess(nil); err != nil {
+	if err := e.f.Preprocess(); err != nil {
 		return wrapErr(err)
 	}
 	e.built = true

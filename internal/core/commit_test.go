@@ -591,23 +591,21 @@ func TestLoadPlacesAtPreprocess(t *testing.T) {
 	}
 	row := tuple.Tuple{1, 1}
 	for i := 0; i < 2; i++ { // a repeated row accumulates multiplicity
-		if err := e.Load("R", row, 2); err != nil {
+		if err := e.LoadRows("R", row, []int64{2}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	var ae *relation.ArityError
-	if err := e.Load("R", tuple.Tuple{1, 2, 3}, 1); !errors.As(err, &ae) || ae.Relation != "R" {
+	if err := e.LoadRows("R", tuple.Tuple{1, 2, 3}, []int64{1}); !errors.As(err, &ae) || ae.Relation != "R" {
 		t.Errorf("Load of a 3-column row returned %v, want an ArityError naming R", err)
 	}
-	if err := e.Load("R", row, 0); err == nil {
+	if err := e.LoadRows("R", row, []int64{0}); err == nil {
 		t.Error("Load with multiplicity 0 accepted")
 	}
-	if err := e.Load("Z", row, 1); !errors.Is(err, ErrUnknownRelation) {
+	if err := e.LoadRows("Z", row, []int64{1}); !errors.Is(err, ErrUnknownRelation) {
 		t.Errorf("Load of an unknown relation returned %v", err)
 	}
-	if err := e.Preprocess(nil); err != nil {
-		t.Fatal(err)
-	}
+	e.Preprocess()
 	for _, rt := range e.relTab[e.relIdx["R"]-1].occs {
 		if got, n := rt.base.Mult(row), rt.base.Size(); got != 4 || n != 1 {
 			t.Errorf("occurrence %s holds multiplicity %d in %d rows after Preprocess, want 4 in 1", rt.base.Name(), got, n)
@@ -616,7 +614,7 @@ func TestLoadPlacesAtPreprocess(t *testing.T) {
 	if e.N() != 1 || e.ResultRelation().Mult(row) != 16 {
 		t.Errorf("after Preprocess: N = %d, Q(1,1) = %d, want 1 and 16", e.N(), e.ResultRelation().Mult(row))
 	}
-	if err := e.Load("R", tuple.Tuple{3, 4}, 1); err == nil {
+	if err := e.LoadRows("R", tuple.Tuple{3, 4}, []int64{1}); err == nil {
 		t.Error("Load after Preprocess accepted")
 	}
 	if err := e.CheckInvariants(); err != nil {
@@ -633,14 +631,12 @@ func TestLoadPlacesAtPreprocess(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 3000; i++ {
 		r, m := tuple.Tuple{rng.Int63n(60), rng.Int63n(60)}, 1+rng.Int63n(3)
-		if err := e.Load("R", r, m); err != nil {
+		if err := e.LoadRows("R", r, []int64{m}); err != nil {
 			t.Fatal(err)
 		}
 		ref.MustAdd(r, m)
 	}
-	if err := e.Preprocess(nil); err != nil {
-		t.Fatal(err)
-	}
+	e.Preprocess()
 	want := entries(ref)
 	for _, rt := range e.relTab[e.relIdx["R"]-1].occs {
 		if got := entries(rt.base); fmt.Sprint(got) != fmt.Sprint(want) {

@@ -10,25 +10,16 @@ import (
 	"ivmeps/internal/viewtree"
 )
 
-// Load adds the row {t → m}, m > 0, to relation rel ahead of Preprocess: the
-// row is appended to the base relation of every occurrence of rel, and
-// Preprocess places every appended row at once (relation.Seal), exactly as
-// MustAdd of each row in load order would have, so repeated loads of one row
-// accumulate multiplicity. Until then the base relations may not be read. It
-// is the one way initial data enters an engine; Preprocess(db) loads db
-// through it. The row is validated — all of it before the first write, so a
-// rejected row leaves no occurrence changed — and then appended.
-func (e *Engine) Load(rel string, t tuple.Tuple, m int64) error {
-	ms := [1]int64{m}
-	return e.LoadRows(rel, t, ms[:])
-}
-
-// LoadRows is Load of a block of rows of rel — row i is the i-th run of
-// arity values in vals, with multiplicity mults[i] — which it validates
-// whole before the first row is appended: a checkpoint's relation on
-// restore takes one call, not one per row. The relation is resolved through
-// a one-entry cache in front of the name map, since loads come in runs of
-// one relation.
+// LoadRows adds a block of rows of rel ahead of Preprocess — row i is the
+// i-th run of arity values in vals, with multiplicity mults[i] > 0 — and is
+// the one way initial data enters an engine: each row is appended to the
+// base relation of every occurrence of rel, and Preprocess places every
+// appended row at once (relation.Seal), exactly as MustAdd of each row in
+// load order would have, so repeated loads of one row accumulate
+// multiplicity. Until then the base relations may not be read. The block is
+// validated whole before the first write, so a rejected block leaves no
+// occurrence changed. The relation is resolved through a one-entry cache in
+// front of the name map, since loads come in runs of one relation.
 func (e *Engine) LoadRows(rel string, vals []tuple.Value, mults []int64) error {
 	if e.preprocessed {
 		return fmt.Errorf("core: Load after Preprocess; use Update or CommitBatch")
@@ -42,22 +33,11 @@ func (e *Engine) LoadRows(rel string, vals []tuple.Value, mults []int64) error {
 		br = &e.relTab[id-1]
 		e.loadRel = br
 	}
-	occs := br.occs
-	for _, rt := range occs {
-		if k := len(rt.base.Schema()); len(vals) != k*len(mults) {
-			if len(mults) == 1 {
-				return &relation.ArityError{Relation: rel, Tuple: tuple.Tuple(vals).Clone(), Schema: rt.base.Schema()}
-			}
-			return fmt.Errorf("core: relation %s: %d values are not %d rows of arity %d", rel, len(vals), len(mults), k)
-		}
+	if err := CheckRows(rel, br.occs[0].base.Schema(), vals, mults); err != nil {
+		return err
 	}
-	k := len(occs[0].base.Schema())
-	for i, m := range mults {
-		if m <= 0 {
-			return fmt.Errorf("core: relation %s: tuple %v has non-positive multiplicity %d", rel, vals[i*k:(i+1)*k], m)
-		}
-	}
-	for _, rt := range occs {
+	k := br.arity
+	for _, rt := range br.occs {
 		for i, m := range mults {
 			rt.base.Append(vals[i*k:(i+1)*k], m)
 		}
@@ -65,25 +45,36 @@ func (e *Engine) LoadRows(rel string, vals []tuple.Value, mults []int64) error {
 	return nil
 }
 
-// Preprocess loads db, if any, on top of what Load appended, places every
-// loaded row in its base relation (relation.Seal), and materializes every
-// view (Proposition 21): the light parts are computed by a strict partition
-// with threshold θ = M^ε, the indicator trees and heavy indicators are
-// built, and all view trees are materialized bottom-up — a sum of one child
-// off the child's index where it has one (joinChildren), the enumeration
-// indexes such sums read built first, the others after. db maps original
-// relation names to relations; missing relations start empty.
-func (e *Engine) Preprocess(db naive.Database) error {
-	if e.preprocessed {
-		return fmt.Errorf("core: engine already preprocessed")
-	}
-	for name, src := range db {
-		for id := src.First(); id != relation.End; id = src.Next(id) {
-			t, m := src.At(id)
-			if err := e.Load(name, t, m); err != nil {
-				return err
-			}
+// CheckRows validates a block of rows of relation rel, whose schema is s,
+// as LoadRows takes it: len(vals) is len(mults) rows of s's arity — one row
+// of another length is an ArityError — and every multiplicity is positive.
+func CheckRows(rel string, s tuple.Schema, vals []tuple.Value, mults []int64) error {
+	k := len(s)
+	if len(vals) != k*len(mults) {
+		if len(mults) == 1 {
+			return &relation.ArityError{Relation: rel, Tuple: tuple.Tuple(vals).Clone(), Schema: s}
 		}
+		return fmt.Errorf("core: relation %s: %d values are not %d rows of arity %d", rel, len(vals), len(mults), k)
+	}
+	for i, m := range mults {
+		if m <= 0 {
+			return fmt.Errorf("core: relation %s: tuple %v has non-positive multiplicity %d", rel, tuple.Tuple(vals[i*k:(i+1)*k]).Clone(), m)
+		}
+	}
+	return nil
+}
+
+// Preprocess places every row LoadRows appended in its base relation
+// (relation.Seal) and materializes every view (Proposition 21): the light
+// parts are computed by a strict partition with threshold θ = M^ε, the
+// indicator trees and heavy indicators are built, and all view trees are
+// materialized bottom-up — a sum of one child off the child's index where it
+// has one (joinChildren), the enumeration indexes such sums read built
+// first, the others after. It runs once: a second call is a misuse by the
+// owner and panics.
+func (e *Engine) Preprocess() {
+	if e.preprocessed {
+		panic("core: Preprocess of an engine already preprocessed")
 	}
 	for i := range e.relTab {
 		for _, rt := range e.relTab[i].occs {
@@ -104,12 +95,30 @@ func (e *Engine) Preprocess(db naive.Database) error {
 	e.buildRootsLocked()
 	e.preprocessed = true
 	e.epoch = 1 // first committed state
-	return nil
 }
 
-// Preprocess is e.Preprocess(db), for the callers — bench/ among them —
-// that spell it as a function.
-func Preprocess(e *Engine, db naive.Database) error { return e.Preprocess(db) }
+// Preprocess loads db into e row by row through LoadRows and runs
+// e.Preprocess: the database loader of the callers — bench/ among them —
+// that hold their initial data as relations. db maps original relation
+// names to relations; missing relations start empty. Unlike e.Preprocess it
+// returns an error on an engine already preprocessed.
+func Preprocess(e *Engine, db naive.Database) error {
+	if e.preprocessed {
+		return fmt.Errorf("core: engine already preprocessed")
+	}
+	var ms [1]int64
+	for name, src := range db {
+		for id := src.First(); id != relation.End; id = src.Next(id) {
+			t, m := src.At(id)
+			ms[0] = m
+			if err := e.LoadRows(name, t, ms[:]); err != nil {
+				return err
+			}
+		}
+	}
+	e.Preprocess()
+	return nil
+}
 
 // materializeAll (re)computes all derived state from the base relations:
 // strict light parts for the current θ, indicator views, heavy indicators,

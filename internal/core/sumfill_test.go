@@ -45,14 +45,12 @@ func TestFillsMatchRowByRow(t *testing.T) {
 		}
 		for i := range e.relTab {
 			for range 400 {
-				if err := e.Load(e.relTab[i].name, row(&e.relTab[i], 0), 1+rng.Int63n(3)); err != nil {
+				if err := e.LoadRows(e.relTab[i].name, row(&e.relTab[i], 0), []int64{1 + rng.Int63n(3)}); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
-		if err := e.Preprocess(nil); err != nil {
-			t.Fatal(err)
-		}
+		e.Preprocess()
 		checkFills(t, e, q+" after Preprocess")
 
 		var ops []BatchOp

@@ -345,7 +345,8 @@ func funcsIn(root, pkg string, decl *regexp.Regexp) ([]string, error) {
 // Every fuzz step of the CI workflow must select exactly one fuzz target:
 // `go test -fuzz` with a pattern that matches none prints "no fuzz tests to
 // fuzz" and passes, so a renamed or deleted target would leave its step
-// fuzzing nothing.
+// fuzzing nothing. Conversely, every fuzz target must be selected by some
+// step, or a new target is never fuzzed in CI.
 func TestCIFuzzTargetsExist(t *testing.T) {
 	complaints, err := checkCIFuzzTargets(repoRoot(t))
 	if err != nil {
@@ -359,7 +360,9 @@ func TestCIFuzzTargetsExist(t *testing.T) {
 // Unit coverage for the fuzz-step check on a synthetic tree: patterns that
 // select one target (plain, quoted and anchored, in a subdirectory) pass;
 // one matching two targets, one matching none and one that does not compile
-// are flagged, and a line that only runs tests is not read.
+// are flagged, and a line that only runs tests is not read. A target no step
+// selects is flagged: one no pattern matches, and one only the step that
+// matches two targets names, since that step fuzzes nothing.
 func TestCheckCIFuzzTargetsUnit(t *testing.T) {
 	root := t.TempDir()
 	write := func(name, src string) {
@@ -381,12 +384,13 @@ func TestCheckCIFuzzTargetsUnit(t *testing.T) {
 		"      - run: go test -fuzz='Bad(' -fuzztime=20s -run '^$' ./a\n"+
 		"      - run: go test -run 'FuzzNone' ./a\n")
 	write("a/a_test.go", "package a\n\nfunc FuzzAlpha(f *testing.F) {}\nfunc FuzzSeal(f *testing.F) {}\nfunc FuzzSealDelta(f *testing.F) {}\n")
-	write("a/sub/b_test.go", "package sub\n\nfunc FuzzDeep(f *testing.F) {}\n")
+	write("a/sub/b_test.go", "package sub\n\nfunc FuzzDeep(f *testing.F) {}\nfunc FuzzOrphan(f *testing.F) {}\n")
 	complaints, err := checkCIFuzzTargets(root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wants := []string{`"FuzzSeal" matches 2 fuzz targets in ./a`, `"FuzzGone" matches 0 fuzz targets in ./a`, `"Bad("`}
+	wants := []string{`"FuzzSeal" matches 2 fuzz targets in ./a`, `"FuzzGone" matches 0 fuzz targets in ./a`, `"Bad("`,
+		"fuzz target FuzzSealDelta", "fuzz target FuzzOrphan"}
 	if len(complaints) != len(wants) {
 		t.Fatalf("complaints = %q, want %d of them", complaints, len(wants))
 	}
@@ -406,7 +410,9 @@ var fuzzFunc = regexp.MustCompile(`(?m)^func (Fuzz\w+)\(`)
 
 // checkCIFuzzTargets checks root's CI workflow: the -fuzz pattern of every
 // `go test -fuzz` line must match exactly one Fuzz function of the package
-// that line names, as `go test -fuzz` needs to fuzz anything.
+// that line names, as `go test -fuzz` needs to fuzz anything, and every Fuzz
+// function of the module must be the one some line selects. Targets are
+// told apart by name, not by package.
 func checkCIFuzzTargets(root string) ([]string, error) {
 	data, err := os.ReadFile(filepath.Join(root, ".github", "workflows", "ci.yml"))
 	if err != nil {
@@ -414,6 +420,7 @@ func checkCIFuzzTargets(root string) ([]string, error) {
 	}
 	var complaints []string
 	runs := 0
+	selected := map[string]bool{}
 	for _, line := range strings.Split(string(data), "\n") {
 		m := fuzzRun.FindStringSubmatch(line)
 		if m == nil {
@@ -430,12 +437,23 @@ func checkCIFuzzTargets(root string) ([]string, error) {
 		if err != nil {
 			return nil, err
 		}
-		if n := len(slices.DeleteFunc(targets, func(name string) bool { return !re.MatchString(name) })); n != 1 {
-			complaints = append(complaints, fmt.Sprintf("ci.yml: -fuzz pattern %q matches %d fuzz targets in %s, want 1", pattern, n, m[2]))
+		if targets = slices.DeleteFunc(targets, func(name string) bool { return !re.MatchString(name) }); len(targets) != 1 {
+			complaints = append(complaints, fmt.Sprintf("ci.yml: -fuzz pattern %q matches %d fuzz targets in %s, want 1", pattern, len(targets), m[2]))
+		} else {
+			selected[targets[0]] = true
 		}
 	}
 	if runs == 0 {
 		complaints = append(complaints, "ci.yml: no go test -fuzz line")
+	}
+	all, err := funcsIn(root, "./...", fuzzFunc)
+	if err != nil {
+		return nil, err
+	}
+	for _, name := range all {
+		if !selected[name] {
+			complaints = append(complaints, fmt.Sprintf("ci.yml: fuzz target %s is selected by no go test -fuzz line", name))
+		}
 	}
 	return complaints, nil
 }

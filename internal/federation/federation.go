@@ -43,7 +43,7 @@
 // A federation of one shard is the engine behind every public Engine that
 // is not sharded, and it passes through: no routing table and no
 // occurrence rewriting (relation and root-view names are the query's own),
-// Load and commits go to the shard as given, its errors come back bare,
+// LoadRows and commits go to the shard as given, its errors come back bare,
 // Explain is the shard's, and enumeration is the shard's own stream.
 //
 // # Commit protocol
@@ -70,7 +70,6 @@ import (
 	"sync/atomic"
 
 	"ivmeps/internal/core"
-	"ivmeps/internal/naive"
 	"ivmeps/internal/query"
 	"ivmeps/internal/relation"
 	"ivmeps/internal/tuple"
@@ -295,7 +294,7 @@ func chooseShardKey(q *query.Query) (shardAtom []bool, keyVars tuple.Schema, con
 	return shardAtom, keyVars, concat
 }
 
-// shardRange is the one routing decision, shared by Load and the commit
+// shardRange is the one routing decision, shared by LoadRows and the commit
 // scatter: occurrence o of a row goes to the shards [lo, hi) — the one shard
 // its key columns hash to (copied into the pooled scratch first) for a
 // shard-component occurrence, every shard for a broadcast one.
@@ -354,91 +353,70 @@ func (f *Fed) Explain() string {
 		f.k, f.shardVars, gather, f.shards[0].Explain())
 }
 
-// Load routes the row {t → m} of relation rel to the shards ahead of
-// Preprocess: per occurrence, to the shard range a committed op on the same
-// row would reach. The arity is checked before the first shard is written,
-// so a rejected row is on no shard; everything else about the row is
-// validated by the shard engines' own Load. One shard takes the row as
-// given.
-func (f *Fed) Load(rel string, t tuple.Tuple, m int64) error {
+// LoadRows adds a block of rows of rel ahead of Preprocess — row i is the
+// i-th run of arity values in vals, with multiplicity mults[i] — and is the
+// one way initial data enters the federation. One shard takes the block as
+// given. At K > 1 the whole block is checked first (core.CheckRows), so a
+// rejected block is on no shard, and then each row goes, per occurrence, to
+// the shard range a committed op on the same row would reach.
+func (f *Fed) LoadRows(rel string, vals []tuple.Value, mults []int64) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.loadLocked(rel, t, m)
-}
-
-func (f *Fed) loadLocked(rel string, t tuple.Tuple, m int64) error {
+	if f.k == 1 {
+		return f.shards[0].LoadRows(rel, vals, mults)
+	}
 	if f.built {
 		return fmt.Errorf("federation: Load after Preprocess; use Update or CommitBatch")
-	}
-	if f.k == 1 {
-		return f.shards[0].Load(rel, t, m)
 	}
 	id := f.relIdx[rel]
 	if id == 0 {
 		return fmt.Errorf("federation: %w: %q (query %s)", core.ErrUnknownRelation, rel, f.orig)
 	}
 	fr := &f.relList[id-1]
-	if len(t) != fr.arity {
-		return &relation.ArityError{Relation: fr.name, Tuple: t.Clone(), Schema: fr.schema}
+	if err := core.CheckRows(fr.name, fr.schema, vals, mults); err != nil {
+		return err
 	}
-	for oi := range fr.occs {
-		o := &fr.occs[oi]
-		lo, hi := f.shardRange(o, t)
-		for _, e := range f.shards[lo:hi] {
-			if err := e.Load(o.name, t, m); err != nil {
-				return err
+	for i := range mults {
+		t := tuple.Tuple(vals[i*fr.arity : (i+1)*fr.arity])
+		for oi := range fr.occs {
+			o := &fr.occs[oi]
+			lo, hi := f.shardRange(o, t)
+			for _, e := range f.shards[lo:hi] {
+				// Cannot fail: the shard checks what was checked above, as
+				// every occurrence of rel has its arity (query.Validate).
+				if err := e.LoadRows(o.name, t, mults[i:i+1]); err != nil {
+					return err
+				}
 			}
 		}
 	}
 	return nil
 }
 
-// LoadRows passes a block of rows of rel ahead of Preprocess to the one
-// shard's LoadRows, under one lock: a checkpoint's relation on restore. It
-// refuses at K > 1, where Load routes each row.
-func (f *Fed) LoadRows(rel string, vals []tuple.Value, mults []int64) error {
-	if f.k > 1 {
-		return fmt.Errorf("federation: LoadRows needs one shard, not %d", f.k)
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.shards[0].LoadRows(rel, vals, mults)
-}
-
-// Preprocess loads db, if any, on top of what Load routed to the shards and
-// runs the core preprocessing stage on all shards in parallel. db maps
-// original relation names to relations; missing relations start empty.
-func (f *Fed) Preprocess(db naive.Database) error {
+// Preprocess runs the core preprocessing stage over what LoadRows routed to
+// the shards, on all shards in parallel. It runs once; a second call is an
+// error.
+func (f *Fed) Preprocess() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.built {
 		return fmt.Errorf("federation: already preprocessed")
 	}
-	for name, src := range db {
-		for id := src.First(); id != relation.End; id = src.Next(id) {
-			t, m := src.At(id)
-			if err := f.loadLocked(name, t, m); err != nil {
-				return err
-			}
-		}
-	}
 	// Shards 1..K−1 preprocess on goroutines of their own, shard 0 on the
 	// caller's, so one shard allocates nothing beyond what its engine does.
-	var errs chan error
-	if f.k > 1 {
-		errs = make(chan error, f.k-1)
+	if f.k == 1 {
+		f.shards[0].Preprocess()
+	} else {
+		var wg sync.WaitGroup
 		for _, e := range f.shards[1:] {
-			go func(e *core.Engine, errs chan<- error) { errs <- e.Preprocess(nil) }(e, errs)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				e.Preprocess()
+			}()
 		}
-	}
-	err := f.shards[0].Preprocess(nil)
-	for range f.k - 1 {
-		if e := <-errs; err == nil {
-			err = e
-		}
-	}
-	if err != nil {
-		return err
+		f.shards[0].Preprocess()
+		wg.Wait()
 	}
 	f.built = true
 	f.epoch = 1 // first committed state, matching a single engine

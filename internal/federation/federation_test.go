@@ -40,6 +40,23 @@ func randomDB(q *query.Query, rng *rand.Rand, n int, domain int64) naive.Databas
 	return db
 }
 
+// preprocess loads db into f through LoadRows, one block per relation, and
+// preprocesses f.
+func preprocess(f *Fed, db naive.Database) error {
+	for name, src := range db {
+		var vals []tuple.Value
+		var mults []int64
+		src.ForEach(func(t tuple.Tuple, m int64) {
+			vals = append(vals, t...)
+			mults = append(mults, m)
+		})
+		if err := f.LoadRows(name, vals, mults); err != nil {
+			return err
+		}
+	}
+	return f.Preprocess()
+}
+
 func resultMap(enum func(func(tuple.Tuple, int64) bool)) map[string]int64 {
 	out := map[string]int64{}
 	enum(func(t tuple.Tuple, m int64) bool {
@@ -173,7 +190,7 @@ func testFederatedMatchesSingleEngine(t *testing.T, qs string, k int, eps float6
 	if err := core.Preprocess(ref, db.Clone()); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Preprocess(db); err != nil {
+	if err := preprocess(f, db); err != nil {
 		t.Fatal(err)
 	}
 
@@ -230,7 +247,7 @@ func TestConcurrentReadersDuringCommits(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if err := f.Preprocess(randomDB(q, rand.New(rand.NewSource(7)), 80, 10)); err != nil {
+	if err := preprocess(f, randomDB(q, rand.New(rand.NewSource(7)), 80, 10)); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -273,7 +290,7 @@ func TestCrossShardAllOrNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if err := f.Preprocess(randomDB(q, rand.New(rand.NewSource(41)), 60, 8)); err != nil {
+	if err := preprocess(f, randomDB(q, rand.New(rand.NewSource(41)), 60, 8)); err != nil {
 		t.Fatal(err)
 	}
 	// Spread valid inserts over many keys (touching all shards), then an
@@ -377,7 +394,7 @@ func TestFederationUpdateParity(t *testing.T) {
 	if err := core.Preprocess(ref, db.Clone()); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Preprocess(db); err != nil {
+	if err := preprocess(f, db); err != nil {
 		t.Fatal(err)
 	}
 	steps := []struct {
@@ -413,6 +430,75 @@ func TestFederationUpdateParity(t *testing.T) {
 	}
 }
 
+// TestLoadRowsRoutes: a block of rows loaded through LoadRows and
+// preprocessed equals a single-engine reference at K ∈ {1, 2, 3}, for a
+// repeated symbol (one R row routes to up to two shards) and for a broadcast
+// relation; and a block that is rejected — an unknown relation, a length
+// that is not a multiple of the arity, a non-positive multiplicity after
+// valid rows — leaves every shard empty.
+func TestLoadRowsRoutes(t *testing.T) {
+	for _, qs := range []string{"Q(A, B) = R(A, B), R(B, A)", "Q(A, C) = R(A, B), T(C)"} {
+		for _, k := range []int{1, 2, 3} {
+			t.Run(fmt.Sprintf("%s/K=%d", qs, k), func(t *testing.T) {
+				q := query.MustParse(qs)
+				eopts := core.Options{Mode: viewtree.Dynamic, Epsilon: 0.5}
+				ref, err := core.New(q, eopts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				f, err := New(q, Options{Shards: k, Engine: eopts})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer f.Close()
+				db := randomDB(q, rand.New(rand.NewSource(29)), 80, 9)
+				if err := core.Preprocess(ref, db.Clone()); err != nil {
+					t.Fatal(err)
+				}
+				if err := preprocess(f, db); err != nil {
+					t.Fatal(err)
+				}
+				sameResultMap(t, "loaded", liveResult(f), resultMap(ref.Enumerate))
+				if n, rn := f.N(), ref.N(); n != rn {
+					t.Errorf("N = %d, single-engine N = %d", n, rn)
+				}
+
+				e, err := New(q, Options{Shards: k, Engine: eopts})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer e.Close()
+				if err := e.LoadRows("nope", []tuple.Value{1, 2}, []int64{1}); !errors.Is(err, core.ErrUnknownRelation) {
+					t.Errorf("block of an unknown relation returned %v", err)
+				}
+				var ae *relation.ArityError
+				if err := e.LoadRows("R", []tuple.Value{1, 2, 3}, []int64{1}); !errors.As(err, &ae) {
+					t.Errorf("3-column row returned %v, want *relation.ArityError", err)
+				}
+				if err := e.LoadRows("R", []tuple.Value{1, 2, 3, 4, 5}, []int64{1, 1}); err == nil {
+					t.Error("5 values as 2 rows of arity 2 accepted")
+				}
+				for _, m := range []int64{0, -1} {
+					if err := e.LoadRows("R", []tuple.Value{1, 2, 2, 1, 3, 3}, []int64{1, 2, m}); err == nil {
+						t.Errorf("block with multiplicity %d accepted", m)
+					}
+				}
+				if err := e.Preprocess(); err != nil {
+					t.Fatal(err)
+				}
+				for s := range e.Shards() {
+					if n := e.Shard(s).N(); n != 0 {
+						t.Errorf("shard %d holds N = %d after only rejected blocks", s, n)
+					}
+				}
+				if got := liveResult(e); len(got) != 0 {
+					t.Errorf("result %v after only rejected blocks", got)
+				}
+			})
+		}
+	}
+}
+
 // TestShardedCommitZeroAllocs pins the steady-state federated commit at
 // zero heap allocations per commit: scatter into pooled sub-batches,
 // per-shard prepare/apply on warmed engines, parallel apply via the
@@ -424,7 +510,7 @@ func TestShardedCommitZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if err := f.Preprocess(randomDB(q, rand.New(rand.NewSource(61)), 400, 40)); err != nil {
+	if err := preprocess(f, randomDB(q, rand.New(rand.NewSource(61)), 400, 40)); err != nil {
 		t.Fatal(err)
 	}
 	// Every cycle takes fresh keys, but as many per shard, so each shard's

@@ -56,7 +56,7 @@ func TestCommitHook(t *testing.T) {
 				if err := core.Preprocess(ref, db.Clone()); err != nil {
 					t.Fatal(err)
 				}
-				if err := f.Preprocess(db); err != nil {
+				if err := preprocess(f, db); err != nil {
 					t.Fatal(err)
 				}
 				// stored is a row's multiplicity summed over the shards: both

@@ -29,8 +29,9 @@ type Query struct {
 }
 
 // Validate checks structural well-formedness: at least one atom, free
-// variables drawn from the body, valid schemas, and at least one atom with
-// a non-empty schema (the paper's standing assumption, footnote 1).
+// variables drawn from the body, valid schemas, one arity per relation
+// symbol, and at least one atom with a non-empty schema (the paper's
+// standing assumption, footnote 1).
 func (q *Query) Validate() error {
 	if len(q.Atoms) == 0 {
 		return fmt.Errorf("query %s: no atoms", q.Name)
@@ -40,10 +41,15 @@ func (q *Query) Validate() error {
 	}
 	vars := q.Vars()
 	nonEmpty := false
+	arity := map[string]int{}
 	for _, a := range q.Atoms {
 		if err := a.Vars.Validate(); err != nil {
 			return fmt.Errorf("atom %s: %w", a, err)
 		}
+		if k, ok := arity[a.Rel]; ok && k != len(a.Vars) {
+			return fmt.Errorf("atom %s: relation %s has arity %d in an earlier atom", a, a.Rel, k)
+		}
+		arity[a.Rel] = len(a.Vars)
 		if len(a.Vars) > 0 {
 			nonEmpty = true
 		}

@@ -36,11 +36,12 @@ func TestParseErrors(t *testing.T) {
 		"Q(A) = ",
 		"Q(A) = R(A,)",
 		"Q(A) = R(A) extra",
-		"Q(A, A) = R(A)",      // duplicate free variable
-		"Q(Z) = R(A)",         // free var not in body
-		"Q() = R(), S()",      // all atoms empty
-		"(A) = R(A)",          // missing name
-		"Q(A) = R(A), , S(A)", // empty atom
+		"Q(A, A) = R(A)",       // duplicate free variable
+		"Q(Z) = R(A)",          // free var not in body
+		"Q() = R(), S()",       // all atoms empty
+		"(A) = R(A)",           // missing name
+		"Q(A) = R(A), , S(A)",  // empty atom
+		"Q(A) = R(A), R(A, B)", // one symbol, two arities
 	}
 	for _, s := range bad {
 		if _, err := Parse(s); err == nil {

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"iter"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -493,6 +494,41 @@ func TestWatchRepeatedViewDumpedOnce(t *testing.T) {
 	}
 	if dumped == 0 {
 		t.Fatal("every view is empty: the test compared nothing")
+	}
+}
+
+// TestWatchEmptyViewsFilter: an empty view list is a filter that passes no
+// view, remotely as locally — the remote anchor lists no view and the next
+// commit's event carries no delta, as the local watcher's does.
+func TestWatchEmptyViewsFilter(t *testing.T) {
+	eng, _, c := newStack(t, server.Options{}, client.Options{})
+	ctx := context.Background()
+	lw, err := eng.Watch(ivmeps.WatchOptions{Views: []string{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lw.Close()
+	rw, err := c.Watch(ctx, client.WatchOptions{Views: []string{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rw.Close()
+	if len(rw.Views()) != 0 {
+		t.Errorf("remote anchor lists %v, want no view", rw.Views())
+	}
+	if _, err := c.Commit(ctx, c.NewBatch().Insert("R", []int64{1, 2}).Insert("S", []int64{2, 3})); err != nil {
+		t.Fatal(err)
+	}
+	for name, events := range map[string]iter.Seq2[ivmeps.Event, error]{"local": lw.Events(), "remote": rw.Events()} {
+		for ev, err := range events {
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if ev.Epoch != 2 || len(ev.Deltas) != 0 {
+				t.Errorf("%s: event at epoch %d with %d deltas, want epoch 2 with none", name, ev.Epoch, len(ev.Deltas))
+			}
+			break
+		}
 	}
 }
 

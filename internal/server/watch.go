@@ -42,8 +42,12 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
-	// Each view is named and dumped once, in first-seen order.
+	// Each view is named and dumped once, in first-seen order; a views
+	// parameter present but empty passes no view, as empty Views do locally.
 	var views []string
+	if q.Has("views") {
+		views = []string{}
+	}
 	if vs := q.Get("views"); vs != "" {
 		seen := make(map[string]bool)
 		for _, v := range strings.Split(vs, ",") {

@@ -35,8 +35,10 @@ type ShardedOptions struct {
 func NewSharded(q *Query, opts ShardedOptions) (*Engine, error) {
 	durable := opts.Durability.enabled()
 	if durable && opts.Shards > 1 {
-		// K logs would need a federation commit record to make the
-		// two-phase commit atomic across them. Refuse rather than pretend.
+		// The commit hook already logs a K-shard commit's whole op list
+		// once (Fed.commitLocked); what is missing is a checkpoint across
+		// shards (Fed.BaseState is one-shard only) and an Open that
+		// rebuilds K shards. Refuse rather than pretend.
 		return nil, fmt.Errorf("ivmeps: Durability is not supported on sharded engines")
 	}
 	f, err := federation.New(q.q, federation.Options{Shards: opts.Shards, Engine: opts.core()})

@@ -464,6 +464,27 @@ func TestShardedStatsCountCommitsLikeEngine(t *testing.T) {
 	}
 }
 
+// TestLoadRowLiteralZeroAllocs: loading a row literal allocates nothing once
+// the base columns have room — no layer keeps the caller's row or formats it
+// outside an error — on an engine from New and at every shard count.
+func TestLoadRowLiteralZeroAllocs(t *testing.T) {
+	for name, l := range loadTargets(t, "Q(A, B) = R(A, B), R(B, A)") {
+		i := int64(0)
+		load := func() {
+			i++
+			if err := l.Load("R", []int64{i % 5, i % 3}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for range 1000 { // room for the measured rows
+			load()
+		}
+		if n := testing.AllocsPerRun(100, load); n != 0 {
+			t.Errorf("%s: Load of a row literal allocates %v times, want 0", name, n)
+		}
+	}
+}
+
 // loadTargets returns a fresh engine from New and sharded engines at
 // K ∈ {1, 2, 4} over qs, closed with the test.
 func loadTargets(t *testing.T, qs string) map[string]*ivmeps.Engine {
@@ -541,6 +562,28 @@ func TestLoadErrorParity(t *testing.T) {
 		}
 		if err := l.Insert("R", []int64{5, 5}); err != nil {
 			t.Errorf("%s: Insert after the refused Load: %v", name, err)
+		}
+	}
+}
+
+// TestLoadManyRowsNotAtomic pins what Load's documentation says: a call of
+// many rows loads them one by one, so when a row is rejected the rows before
+// it stay loaded and the rows after it are not — on an engine from New and
+// at every shard count.
+func TestLoadManyRowsNotAtomic(t *testing.T) {
+	for name, l := range loadTargets(t, "Q(A, B) = R(A, B), R(B, A)") {
+		var ae *ivmeps.ArityError
+		if err := l.Load("R", []int64{1, 2}, []int64{2, 1}, []int64{1, 2, 3}, []int64{3, 3}); !errors.As(err, &ae) {
+			t.Errorf("%s: Load with a 3-column third row returned %v, want *ArityError", name, err)
+		}
+		if err := l.Build(); err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := bag(l.All()); diff(got, state{"[1 2]": 1, "[2 1]": 1}) != nil {
+			t.Errorf("%s: result %v, want the two rows before the rejected one, joined", name, got)
+		}
+		if l.N() != 2 {
+			t.Errorf("%s: N = %d, want the 2 rows before the rejected one", name, l.N())
 		}
 	}
 }
