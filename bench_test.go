@@ -730,11 +730,11 @@ func BenchmarkShardedCommit(b *testing.B) {
 
 // BenchmarkShardedEnumerate measures the federated gather: one op is one
 // full enumeration of the result across K shard snapshots, after a first
-// pass has sized the state the snapshot keeps. gather=concat streams a
-// free-shard-key query's shards back to back (no merge state);
-// gather=aggregate merges a bound-shard-key query's multiplicities per
-// distinct tuple before yielding. Neither allocates once warm: the shard
-// snapshots reuse their iterator trees and the aggregate gather its table.
+// pass has opened the iterators the snapshot keeps. gather=concat streams a
+// free-shard-key query's shards back to back; gather=aggregate unions a
+// bound-shard-key query's overlapping shard streams, looking each tuple up
+// on the other shards to sum its multiplicity. Neither allocates once warm:
+// the snapshot reuses its K shard iterators and their trees.
 func BenchmarkShardedEnumerate(b *testing.B) {
 	cases := []struct {
 		name string

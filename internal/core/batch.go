@@ -170,7 +170,7 @@ func (e *Engine) PrepareCommit(ops []BatchOp) error {
 		op := &ops[i]
 		if br == nil || op.Rel != br.name {
 			if id = e.relIdx[op.Rel]; id == 0 {
-				err = fmt.Errorf("core: %w: %q (query %s)", ErrUnknownRelation, op.Rel, e.orig)
+				err = fmt.Errorf("%w: %q (query %s)", ErrUnknownRelation, op.Rel, e.orig)
 				break
 			}
 			br = &e.relTab[id-1]

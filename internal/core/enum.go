@@ -676,6 +676,18 @@ func (it *Iterator) Next() (tuple.Tuple, int64, bool) {
 	return it.out, m, true
 }
 
+// Lookup returns the multiplicity of t, a tuple over the query's free
+// variables, in the iterator's result, 0 if t is not in it. It binds the free
+// variables to t, and the next Next re-asserts the iterator's own, as a Union
+// operand's does after its siblings ran, so lookups may interleave with a
+// pass.
+func (it *Iterator) Lookup(t tuple.Tuple) int64 {
+	for i, s := range it.c.e.freeSlots {
+		it.c.bind[s], it.c.bound[s] = t[i], true
+	}
+	return it.top.lookup()
+}
+
 // Close releases the iterator's bindings and hands its tree back to the
 // context for reuse; Next then returns false, and a second Close does nothing.
 func (it *Iterator) Close() {

@@ -28,7 +28,7 @@ func (e *Engine) LoadRows(rel string, vals []tuple.Value, mults []int64) error {
 	if br == nil || br.name != rel {
 		id := e.relIdx[rel]
 		if id == 0 {
-			return fmt.Errorf("core: %w: %q (query %s)", ErrUnknownRelation, rel, e.orig)
+			return fmt.Errorf("%w: %q (query %s)", ErrUnknownRelation, rel, e.orig)
 		}
 		br = &e.relTab[id-1]
 		e.loadRel = br

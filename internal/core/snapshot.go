@@ -145,6 +145,16 @@ func (s *Snapshot) Result() *Iterator {
 	return s.ctx.result()
 }
 
+// ResultInto opens an iterator over the snapshot's state into it, which must
+// not hold an open iterator: a caller that holds it reads without allocating
+// once the snapshot's context has a closed iterator's tree to reuse.
+func (s *Snapshot) ResultInto(it *Iterator) {
+	if s.closed {
+		panic("core: Result on a closed Snapshot")
+	}
+	s.ctx.openInto(it)
+}
+
 // Enumerate calls yield for every distinct result tuple of the snapshot's
 // state with its multiplicity, stopping early if yield returns false.
 func (s *Snapshot) Enumerate(yield func(t tuple.Tuple, m int64) bool) {

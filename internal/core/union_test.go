@@ -5,7 +5,9 @@ import (
 	"sort"
 	"testing"
 
+	"ivmeps/internal/query"
 	"ivmeps/internal/tuple"
+	"ivmeps/internal/viewtree"
 )
 
 // fakeIter is a synthetic resultIter over a fixed set of single-variable
@@ -218,3 +220,68 @@ func (w *prodWrap) next() (int64, bool) { return w.p.next() }
 func (w *prodWrap) lookup() int64       { return w.p.lookup() }
 func (w *prodWrap) rebind()             { w.p.rebind() }
 func (w *prodWrap) close()              { w.p.close() }
+
+// TestIteratorLookupInterleaved holds Iterator.Lookup, which the federation's
+// union over shard iterators calls between their Next calls, to the result:
+// before every Next, the lookups of a row of the result (the one just read
+// among them) and of a row absent from it return their multiplicities, and
+// the stream stays the one an undisturbed pass yields, row for row — on the
+// multi-tree query, whose components union their trees, on one grounded at
+// heavy keys of a bound variable, and on the paper's catalog, at ε ∈ {0, 0.5,
+// 1}. The pass opens through Snapshot.ResultInto.
+func TestIteratorLookupInterleaved(t *testing.T) {
+	type row struct {
+		t tuple.Tuple
+		m int64
+	}
+	for _, qs := range append([]string{multiTreeQuery, "Q(B, C) = R(A, B), S(A, C)"}, paperQueries...) {
+		for _, eps := range []float64{0, 0.5, 1} {
+			q := query.MustParse(qs)
+			e, err := New(q, Options{Mode: viewtree.Dynamic, Epsilon: eps})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := Preprocess(e, randomDB(q, rand.New(rand.NewSource(9)), 60, 8)); err != nil {
+				t.Fatal(err)
+			}
+			var want []row
+			e.Enumerate(func(tu tuple.Tuple, m int64) bool {
+				want = append(want, row{tu.Clone(), m})
+				return true
+			})
+			if len(want) == 0 {
+				t.Fatalf("%s, eps=%v: empty result", qs, eps)
+			}
+			absent := make(tuple.Tuple, len(q.Free))
+			for i := range absent {
+				absent[i] = 1 << 40
+			}
+			s := e.Snapshot()
+			var it Iterator
+			s.ResultInto(&it)
+			rng := rand.New(rand.NewSource(4))
+			for i := 0; ; i++ {
+				for _, r := range []row{want[rng.Intn(len(want))], want[max(i-1, 0)]} {
+					if m := it.Lookup(r.t); m != r.m {
+						t.Fatalf("%s, eps=%v, before row %d: Lookup(%v) = %d, want %d", qs, eps, i, r.t, m, r.m)
+					}
+				}
+				if m := it.Lookup(absent); len(absent) > 0 && m != 0 {
+					t.Fatalf("%s, eps=%v, before row %d: Lookup(%v) = %d, want 0", qs, eps, i, absent, m)
+				}
+				tu, m, ok := it.Next()
+				if i == len(want) {
+					if ok {
+						t.Fatalf("%s, eps=%v: row %d %v beyond the undisturbed pass's %d", qs, eps, i, tu, len(want))
+					}
+					break
+				}
+				if !ok || !tu.Equal(want[i].t) || m != want[i].m {
+					t.Fatalf("%s, eps=%v: row %d is %v × %d (ok %v), want %v × %d", qs, eps, i, tu, m, ok, want[i].t, want[i].m)
+				}
+			}
+			it.Close()
+			s.Close()
+		}
+	}
+}

@@ -25,12 +25,13 @@
 //	Q = shardComp × rest
 //
 // distributes over the disjoint union, so summing the per-shard results
-// (as bags) is exact, multiplicities included. When the shard key
-// variables are all free, each distinct result tuple is produced by
-// exactly one shard (its key values hash to one shard) and gathering is
-// pure concatenation, preserving the per-shard enumeration delay; when
-// some key variable is bound — including Boolean queries — the gather sums
-// multiplicities per distinct tuple across shards.
+// (as bags) is exact, multiplicities included. The gather streams that sum:
+// it is the union of the shard streams (Durand–Strozecki, the paper's
+// Figure 15), which emits each distinct tuple once with its multiplicity
+// summed by lookups on the other shards, and keeps the shards' delay plus
+// O(K²) lookups per tuple. When the shard key variables are all free, each
+// distinct result tuple is produced by exactly one shard (its key values
+// hash to one shard), so the union skips the lookups and concatenates.
 //
 // Repeated relation symbols (footnote 2 of the paper) are rewritten to
 // per-occurrence relations HERE, at K > 1: two occurrences of R may sit
@@ -139,15 +140,15 @@ type Fed struct {
 	seed uint64 // shard-routing hash seed
 
 	// concat reports whether the shard key variables are all free: the
-	// gather is then a plain concatenation of per-shard enumerations
-	// (delay-preserving); otherwise the gather aggregates multiplicities
-	// per distinct tuple.
+	// shards' streams are then disjoint, and the gather concatenates them
+	// without the lookups the union of overlapping streams makes.
 	concat    bool
 	shardVars tuple.Schema
 
 	// The routing table, empty at K = 1.
 	relList []fedRel
-	relIdx  map[string]int // original relation name -> index+1 into relList
+	relIdx  map[string]int    // original relation name -> index+1 into relList
+	relOf   map[string]string // occurrence name -> original relation name
 
 	shards  []*core.Engine
 	runners *runnerSet
@@ -218,7 +219,7 @@ func (f *Fed) route(q *query.Query, k int) *query.Query {
 	}
 	f.k, f.concat, f.shardVars = k, concat, keyVars
 	f.seed = tuple.NewSeed()
-	f.relIdx = map[string]int{}
+	f.relIdx, f.relOf = map[string]int{}, map[string]string{}
 
 	// Routing table, in the original query's first-occurrence relation
 	// order.
@@ -228,6 +229,7 @@ func (f *Fed) route(q *query.Query, k int) *query.Query {
 		fr := fedRel{name: name, arity: len(first.Vars), schema: first.Vars.Clone()}
 		for _, ai := range idxs {
 			o := fedOcc{name: rq.Atoms[ai].Rel}
+			f.relOf[o.name] = name
 			if shardAtom[ai] {
 				for _, v := range keyVars {
 					o.keyPos = append(o.keyPos, rq.Atoms[ai].Vars.IndexOf(v))
@@ -329,8 +331,8 @@ func (f *Fed) Shard(s int) *core.Engine { return f.shards[s] }
 
 // ShardVars returns the shard-key variables (a copy; nil at K = 1) and
 // whether the gather concatenates per-shard enumerations (all key
-// variables free, or one shard) or aggregates multiplicities per distinct
-// tuple.
+// variables free, or one shard) or unions them, summing the multiplicities
+// of a tuple several shards hold.
 func (f *Fed) ShardVars() (vars tuple.Schema, concat bool) {
 	return slices.Clone(f.shardVars), f.concat
 }
@@ -345,7 +347,7 @@ func (f *Fed) Explain() string {
 	if f.k == 1 {
 		return f.shards[0].Explain()
 	}
-	gather := "aggregating"
+	gather := "union"
 	if f.concat {
 		gather = "concatenating"
 	}
@@ -370,7 +372,7 @@ func (f *Fed) LoadRows(rel string, vals []tuple.Value, mults []int64) error {
 	}
 	id := f.relIdx[rel]
 	if id == 0 {
-		return fmt.Errorf("federation: %w: %q (query %s)", core.ErrUnknownRelation, rel, f.orig)
+		return fmt.Errorf("%w: %q (query %s)", core.ErrUnknownRelation, rel, f.orig)
 	}
 	fr := &f.relList[id-1]
 	if err := core.CheckRows(fr.name, fr.schema, vals, mults); err != nil {
@@ -514,6 +516,10 @@ func (f *Fed) prepareLocked(ops []core.BatchOp) error {
 		}
 		if err := f.shards[s].PrepareCommit(f.sub[s]); err != nil {
 			f.abortLocked()
+			// The shard names the occurrence; the caller knows the relation.
+			if me, ok := err.(*relation.MultiplicityError); ok {
+				me.Relation = f.relOf[me.Relation]
+			}
 			return &ShardError{Shard: s, Err: err}
 		}
 		f.prepared = append(f.prepared, s)
@@ -547,7 +553,7 @@ func (f *Fed) scatterLocked(ops []core.BatchOp) error {
 		op := &ops[i]
 		if fr == nil || op.Rel != fr.name {
 			if id = f.relIdx[op.Rel]; id == 0 {
-				return fmt.Errorf("federation: %w: %q (query %s)", core.ErrUnknownRelation, op.Rel, f.orig)
+				return fmt.Errorf("%w: %q (query %s)", core.ErrUnknownRelation, op.Rel, f.orig)
 			}
 			fr = &f.relList[id-1]
 		}
@@ -776,25 +782,19 @@ func (f *Fed) RootViews() []string {
 // Snapshot must not be copied (go vet reports a copy, through its core
 // snapshot): a copy would close its shards twice.
 type Snapshot struct {
-	f      *Fed // nil once closed
-	epoch  uint64
-	s0     core.Snapshot // shard 0's, inline: K = 1 takes no spare slot
-	rest   *shardSnaps   // shards 1..K−1; nil at K = 1
-	gather *gather       // kept for the next aggregate pass
+	f     *Fed // nil once closed
+	epoch uint64
+	s0    core.Snapshot // shard 0's, inline: K = 1 takes no spare slot
+	rest  *shardSnaps   // shards 1..K−1; nil at K = 1
 }
 
-// shardSnaps is a snapshot's core snapshots of shards 1..K−1, left in the
+// shardSnaps is a snapshot's core snapshots of shards 1..K−1 and the K shard
+// iterators of its last pass (nil while a pass holds them), left in the
 // federation's one spare slot (Fed.spareSnaps) at Close for the next
-// capture — unmeasured: no bench/ workload reads through K > 1 shards.
+// capture, so a warm K > 1 read allocates nothing.
 type shardSnaps struct {
-	s []core.Snapshot
-}
-
-// gather is an aggregate pass's state: the distinct rows, numbered in
-// first-seen order, and their summed mults.
-type gather struct {
-	rows  relation.Keys
-	mults []int64
+	s   []core.Snapshot
+	its []core.Iterator
 }
 
 // SnapshotInto captures a read-only view of the current committed
@@ -815,7 +815,7 @@ func (f *Fed) SnapshotInto(s *Snapshot) {
 	var rest *shardSnaps
 	if f.k > 1 {
 		if rest = f.spareSnaps.Swap(nil); rest == nil {
-			rest = &shardSnaps{make([]core.Snapshot, f.k-1)}
+			rest = &shardSnaps{s: make([]core.Snapshot, f.k-1)}
 		}
 		for i := range rest.s {
 			f.shards[i+1].SnapshotInto(&rest.s[i])
@@ -828,21 +828,13 @@ func (f *Fed) SnapshotInto(s *Snapshot) {
 // Epoch identifies the committed federation state the snapshot observes.
 func (s *Snapshot) Epoch() uint64 { return s.epoch }
 
-// shard returns shard i's snapshot.
-func (s *Snapshot) shard(i int) *core.Snapshot {
-	if i == 0 {
-		return &s.s0
-	}
-	return &s.rest.s[i-1]
-}
-
 // Enumerate calls yield for every distinct result tuple of the snapshot's
 // state with its multiplicity, stopping early if yield returns false.
-// One shard's enumeration is the result. With an all-free shard key the
-// shards' enumerations concatenate (each distinct tuple lives on exactly
-// one shard), preserving the per-shard delay; otherwise the shard results
-// are aggregated first — multiplicities summed per distinct tuple — and
-// then yielded.
+// One shard's enumeration is the result. At K > 1 it is the union of the
+// shards' streams (union), opened into the snapshot's K iterators, which a
+// pass takes out of the snapshot while it runs, so a pass nested in its
+// yield opens its own. No shard's result is buffered: a row costs the
+// shards' delays and O(K²) lookups.
 func (s *Snapshot) Enumerate(yield func(t tuple.Tuple, m int64) bool) {
 	if s.f == nil {
 		panic("federation: Enumerate on a closed Snapshot")
@@ -851,42 +843,55 @@ func (s *Snapshot) Enumerate(yield func(t tuple.Tuple, m int64) bool) {
 		s.s0.Enumerate(yield)
 		return
 	}
-	if s.f.concat {
-		for i := range s.f.k {
-			stopped := false
-			s.shard(i).Enumerate(func(t tuple.Tuple, m int64) bool {
-				stopped = !yield(t, m)
-				return !stopped
-			})
-			if stopped {
-				return
-			}
+	rest, its := s.rest, s.rest.its
+	if rest.its = nil; its == nil {
+		its = make([]core.Iterator, s.f.k)
+	}
+	defer func() {
+		for i := range its {
+			its[i].Close()
 		}
-		return
+		if s.rest == rest { // else a yield closed s, which left rest spare
+			rest.its = its
+		}
+	}()
+	s.s0.ResultInto(&its[0])
+	for i := range rest.s {
+		rest.s[i].ResultInto(&its[i+1])
 	}
-	g := s.gather
-	if g == nil {
-		g = new(gather)
-	}
-	s.gather = nil // taken: a nested pass builds its own
-	defer func() { s.gather = g }()
-	g.rows.Reset(len(s.f.orig.Free))
-	g.mults = g.mults[:0]
-	for i := range s.f.k {
-		s.shard(i).Enumerate(func(t tuple.Tuple, m int64) bool {
-			if gi, added := g.rows.Add(t); !added {
-				g.mults[gi] += m
-			} else {
-				g.mults = append(g.mults, m)
-			}
-			return true
-		})
-	}
-	for i, m := range g.mults {
-		if !yield(g.rows.Key(i), m) {
+	for {
+		t, m, ok := union(its, s.f.concat)
+		if !ok || !yield(t, m) {
 			return
 		}
 	}
+}
+
+// union returns the next distinct tuple of the streams its with its
+// multiplicity summed over them: Durand–Strozecki's union (core's unionIter,
+// the paper's Figure 15) over one iterator per shard, its recursion over
+// operands unrolled into a climb from its[0]. A candidate of its[0..k−1] that
+// its[k] also holds is not passed up: its[k]'s next tuple is, and the
+// candidate comes again through its[k]'s own stream. Disjoint streams (an
+// all-free shard key) need no lookups: the union concatenates.
+func union(its []core.Iterator, disjoint bool) (tuple.Tuple, int64, bool) {
+	t, m, ok := its[0].Next()
+	for k := 1; k < len(its); k++ {
+		if ok && (disjoint || its[k].Lookup(t) == 0) {
+			continue
+		}
+		if tk, mk, more := its[k].Next(); more {
+			t, m, ok = tk, mk, true
+			for i := 0; i < k && !disjoint; i++ {
+				m += its[i].Lookup(tk)
+			}
+		} else if ok {
+			// its[k] is spent, so it emitted t already: climb again.
+			t, m, ok = its[0].Next()
+			k = 0
+		}
+	}
+	return t, m, ok
 }
 
 // View returns an iterator over one root view's rows in a one-shard

@@ -57,10 +57,17 @@ func preprocess(f *Fed, db naive.Database) error {
 	return f.Preprocess()
 }
 
+// resultMap collects an enumeration keyed by tuple. An enumeration yields
+// distinct tuples with nonzero multiplicities, so a repeated tuple or a zero
+// multiplicity panics: collected into a map, either would pass unseen.
 func resultMap(enum func(func(tuple.Tuple, int64) bool)) map[string]int64 {
 	out := map[string]int64{}
 	enum(func(t tuple.Tuple, m int64) bool {
-		out[fmt.Sprint(t)] = m
+		k := fmt.Sprint(t)
+		if _, dup := out[k]; dup || m == 0 {
+			panic(fmt.Sprintf("enumeration yielded %s with multiplicity %d (repeated: %v)", k, m, dup))
+		}
+		out[k] = m
 		return true
 	})
 	return out
@@ -101,7 +108,7 @@ func sameResultMap(t *testing.T, label string, got, want map[string]int64) {
 }
 
 // propQueries exercises every routing shape: a free shard key
-// (concatenating gather), a bound shard key (aggregating gather), multiple
+// (concatenating gather), a bound shard key (union gather), multiple
 // components with a broadcast component, repeated relation symbols with
 // per-occurrence key positions, and a Boolean query.
 var propQueries = []string{

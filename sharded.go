@@ -63,12 +63,13 @@ func (e *Engine) Shards() int { return e.f.Shards() }
 // ShardKey returns the variables whose hash routes tuples to shards, and
 // whether the gather concatenates per-shard enumerations. When every
 // shard-key variable is free, each distinct result tuple lives on exactly
-// one shard and enumeration concatenates the shards' streams, preserving
-// the per-shard delay guarantee; otherwise — including Boolean queries —
-// the gather sums multiplicities per distinct tuple across shards before
-// yielding. An engine of one shard — from New, or NewSharded with
-// Shards ≤ 1 — has no shard key and nothing to gather: it returns
-// (nil, true).
+// one shard and enumeration concatenates the shards' streams; otherwise —
+// including Boolean queries — it unions them, yielding a tuple several
+// shards hold once, with its multiplicities summed, as the shards' streams
+// reach it. Either way nothing is buffered: the delay is the shards' plus,
+// for the union, a few lookups per row. An engine of one shard — from New,
+// or NewSharded with Shards ≤ 1 — has no shard key and nothing to gather:
+// it returns (nil, true).
 func (e *Engine) ShardKey() (vars []string, concat bool) {
 	sv, concat := e.f.ShardVars()
 	if sv != nil {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"regexp"
 	"runtime"
 	"slices"
 	"strings"
@@ -16,15 +17,23 @@ import (
 // and multi-relation batches, and at K = 1 watchers opening, closing and
 // stalling — through sharded engines at several K; the scenario driver
 // holds the result, N and the epoch to naive after every commit, and every
-// watcher's fold to the root views.
+// watcher's fold to the root views. The star query's shard streams
+// concatenate; the two-path query's, whose shard key is bound, overlap and
+// are unioned.
 func TestShardedMatchesEngine(t *testing.T) {
-	for _, k := range []int{1, 3, 8} {
-		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
-			sc := newScenario(t, target{query: star, eps: 0.5, shards: k}, 17)
+	for _, tg := range []target{{query: star, shards: 1}, {query: star, shards: 3}, {query: star, shards: 8},
+		{query: twoPath, shards: 3}, {query: twoPath, shards: 8}} {
+		name := fmt.Sprintf("K=%d", tg.shards)
+		if tg.query == twoPath {
+			name = "two-path/" + name
+		}
+		t.Run(name, func(t *testing.T) {
+			tg.eps = 0.5
+			sc := newScenario(t, tg, 17)
 			g := gen{mix: map[string]int{"batch": 4, "apply": 4, "watch": 1, "close": 1, "stall": 1}, load: 50, ops: 25, domain: 9}
 			sc.load(g)
-			if n := sc.eng.Shards(); n != k {
-				t.Fatalf("Shards() = %d, want %d", n, k)
+			if n := sc.eng.Shards(); n != tg.shards {
+				t.Fatalf("Shards() = %d, want %d", n, tg.shards)
 			}
 			sc.gen(g, 20)
 			sc.end()
@@ -118,6 +127,55 @@ func TestShardedErrors(t *testing.T) {
 	after, _ := bag(s.All())
 	if err := diff(after, before); err != nil {
 		t.Errorf("the failed commit changed the result: %v", err)
+	}
+}
+
+// TestShardedErrorParity: on a query whose relation occurs twice, a sharded
+// engine rejects a delete of an absent row — by Apply and in a committed
+// batch —, a row of the wrong arity and an unknown relation with the error
+// one shard returns: the same Relation, the query's and not an occurrence's,
+// and the same text after the "shard s: " a shard-detected error carries.
+func TestShardedErrorParity(t *testing.T) {
+	engines := loadTargets(t, "Q(A, B) = R(A, B), R(B, A)")
+	for _, e := range engines {
+		if err := e.Load("R", []int64{1, 2}, []int64{2, 1}); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Build(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	shardOf := regexp.MustCompile(`^ivmeps: shard \d+: `)
+	for _, c := range []struct {
+		name string
+		do   func(*ivmeps.Engine) error
+	}{
+		{"Apply", func(e *ivmeps.Engine) error { return e.Delete("R", []int64{5, 6}) }},
+		{"Commit", func(e *ivmeps.Engine) error {
+			return e.Commit(e.NewBatch().Insert("R", []int64{7, 8}).Delete("R", []int64{5, 6}))
+		}},
+		{"arity", func(e *ivmeps.Engine) error { return e.Insert("R", []int64{1, 2, 3}) }},
+		{"unknown", func(e *ivmeps.Engine) error { return e.Insert("nope", []int64{1, 2}) }},
+	} {
+		want := c.do(engines["Sharded/K=1"])
+		if want == nil {
+			t.Fatalf("%s: accepted on one shard", c.name)
+		}
+		for name, e := range engines {
+			err := c.do(e)
+			if err == nil {
+				t.Errorf("%s on %s: accepted", c.name, name)
+				continue
+			}
+			if got := shardOf.ReplaceAllString(err.Error(), ""); got != want.Error() {
+				t.Errorf("%s on %s: %q, want %q after any shard attribution", c.name, name, err, want)
+			}
+			var me *ivmeps.MultiplicityError
+			var ae *ivmeps.ArityError
+			if errors.As(err, &me) && me.Relation != "R" || errors.As(err, &ae) && ae.Relation != "R" {
+				t.Errorf("%s on %s: %v names a relation other than R", c.name, name, err)
+			}
+		}
 	}
 }
 
@@ -346,12 +404,14 @@ func TestShardedCommitSteadyStateZeroAllocs(t *testing.T) {
 // snapshot and open its iterators, whose trees the engine reuses from the
 // previous pass, and a full pass costs less than 0.001 allocations per row
 // more than a pass stopped after its first row. The two-path query, whose
-// shard key is bound, reads the same on New and on one shard, which has
-// nothing to gather. internal/core's TestEnumerateZeroAllocsPerRow pins the
-// iterators themselves.
+// shard key is bound, reads the same on New, on one shard, which has
+// nothing to gather, and on two, whose streams are unioned.
+// internal/core's TestEnumerateZeroAllocsPerRow pins the iterators
+// themselves.
 func TestAllZeroAllocsPerRow(t *testing.T) {
 	e, s := built(t, target{query: star, eps: 0.5}, 3, 3000, 300), built(t, target{query: star, eps: 0.5, shards: 2}, 3, 3000, 300)
 	p, p1 := built(t, target{query: twoPath, eps: 0.5}, 3, 3000, 300), built(t, target{query: twoPath, eps: 0.5, shards: 1}, 3, 3000, 300)
+	p2 := built(t, target{query: twoPath, eps: 0.5, shards: 2}, 3, 3000, 300)
 	if _, concat := s.ShardKey(); !concat {
 		t.Fatal("the star query does not gather by concatenation")
 	}
@@ -359,7 +419,8 @@ func TestAllZeroAllocsPerRow(t *testing.T) {
 		name    string
 		all     iter.Seq2[[]int64, int64]
 		maxOpen uint64
-	}{{"Engine", e.All(), 5}, {"Sharded", s.All(), 8}, {"two-path Engine", p.All(), 5}, {"two-path one shard", p1.All(), 5}} {
+	}{{"Engine", e.All(), 5}, {"Sharded", s.All(), 8}, {"two-path Engine", p.All(), 5}, {"two-path one shard", p1.All(), 5},
+		{"two-path Sharded", p2.All(), 8}} {
 		pass := func(limit int) (rows int) {
 			for range src.all {
 				if rows++; rows >= limit {
@@ -394,12 +455,13 @@ func TestAllZeroAllocsPerRow(t *testing.T) {
 // TestApplyThenAllZeroAllocs pins the read at a new epoch: after a commit,
 // opening All and taking its first row allocates nothing, on an engine from
 // New, on a two-shard one, and on the two-path query, whose bound shard key
-// has one shard gather nothing, from New and from one shard. The implicit
+// has one shard gather nothing and two union their streams, from New, from
+// one shard and from two. The implicit
 // snapshot lives on the reader's stack, and each shard's capture re-pins the
 // frozen handles of the context the last read freed.
 func TestApplyThenAllZeroAllocs(t *testing.T) {
 	for _, tg := range []target{{query: star, eps: 0.5}, {query: star, eps: 0.5, shards: 2},
-		{query: twoPath, eps: 0.5}, {query: twoPath, eps: 0.5, shards: 1}} {
+		{query: twoPath, eps: 0.5}, {query: twoPath, eps: 0.5, shards: 1}, {query: twoPath, eps: 0.5, shards: 2}} {
 		e := built(t, tg, 3, 3000, 300)
 		var row []int64
 		for r := range e.All() {
