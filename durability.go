@@ -109,7 +109,7 @@ func (e *Engine) Checkpoint() error {
 	}
 	epoch, rels, err := e.f.BaseState()
 	if err != nil {
-		return wrapErr(err)
+		return err
 	}
 	crels := make([]wal.CheckpointRel, len(rels))
 	for i := range rels {
@@ -128,9 +128,9 @@ func (e *Engine) Checkpoint() error {
 		rels[i].Rel.Release()
 	}
 	if err != nil {
-		return wrapErr(err)
+		return err
 	}
-	return wrapErr(e.wal.Checkpointed(epoch))
+	return e.wal.Checkpointed(epoch)
 }
 
 // Open recovers a durable engine from an existing log directory
@@ -155,7 +155,7 @@ func Open(q *Query, opts Options) (*Engine, error) {
 		if errors.Is(err, wal.ErrNoCheckpoint) {
 			return nil, fmt.Errorf("ivmeps: Open %s: %w (create the log with New first)", opts.Durability.Dir, err)
 		}
-		return nil, wrapErr(err)
+		return nil, err
 	}
 	if got, want := rec.Checkpoint.Query, q.q.String(); got != want {
 		return nil, fmt.Errorf("ivmeps: Open %s: log belongs to query %q, not %q", opts.Durability.Dir, got, want)
@@ -201,7 +201,7 @@ func Open(q *Query, opts Options) (*Engine, error) {
 		return nil
 	}
 	if err := rec.Replay(true, replay); err != nil {
-		return nil, wrapErr(err)
+		return nil, err
 	}
 	// Seat the epoch at the last intact record's (the checkpoint's, with an
 	// empty tail) rather than trusting one increment per replayed record: a
@@ -211,7 +211,7 @@ func Open(q *Query, opts Options) (*Engine, error) {
 
 	l, err := rec.Continue(opts.Durability.walOptions())
 	if err != nil {
-		return nil, wrapErr(err)
+		return nil, err
 	}
 	e.opts.Durability = opts.Durability
 	e.wal = l

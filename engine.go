@@ -55,7 +55,7 @@ func (e *Engine) LoadWeighted(rel string, row []int64, mult int64) error {
 	if e.built {
 		return fmt.Errorf("ivmeps: Load after Build; use Insert/Delete/Apply or a Batch")
 	}
-	return wrapErr(e.f.LoadRows(rel, row, []int64{mult}))
+	return e.f.LoadRows(rel, row, []int64{mult})
 }
 
 // Build runs the preprocessing stage over the loaded data — on a sharded
@@ -70,7 +70,7 @@ func (e *Engine) Build() error {
 		return fmt.Errorf("ivmeps: Build called twice")
 	}
 	if err := e.f.Preprocess(); err != nil {
-		return wrapErr(err)
+		return err
 	}
 	e.built = true
 	if e.wal != nil {
@@ -108,7 +108,7 @@ func (e *Engine) Close() error {
 	e.f.SetHook(nil)
 	err := e.wal.Close()
 	e.wal = nil
-	return wrapErr(err)
+	return err
 }
 
 // notBuilt is the ErrNotBuilt error of the entry point op, or nil once
@@ -118,6 +118,19 @@ func (e *Engine) notBuilt(op string) error {
 		return nil
 	}
 	return fmt.Errorf("ivmeps: %s: %w (call Build first)", op, ErrNotBuilt)
+}
+
+// errStaticEngine is every write's refusal on an engine built with
+// Options.Static, the same at every shard count and for every op.
+var errStaticEngine = fmt.Errorf("ivmeps: %w: Options.Static rejects every update after Build", ErrStatic)
+
+// notWritable is notBuilt for the write entry point op, which an engine
+// built with Options.Static also refuses.
+func (e *Engine) notWritable(op string) error {
+	if e.built && e.opts.Static {
+		return errStaticEngine
+	}
+	return e.notBuilt(op)
 }
 
 // Insert applies the single-tuple insert {row → 1}.
@@ -132,10 +145,10 @@ func (e *Engine) Delete(rel string, row []int64) error { return e.Apply(rel, row
 // O(N^(δε)); on a sharded engine only the shards owning the affected
 // occurrences update.
 func (e *Engine) Apply(rel string, row []int64, mult int64) error {
-	if err := e.notBuilt("Apply"); err != nil {
+	if err := e.notWritable("Apply"); err != nil {
 		return err
 	}
-	return wrapErr(e.f.Update(rel, tuple.Tuple(row), mult))
+	return e.f.Update(rel, tuple.Tuple(row), mult)
 }
 
 // NewBatch returns an empty update batch: queue updates across any of the
@@ -169,13 +182,13 @@ func (e *Engine) NewBatch() *Batch { return &Batch{} }
 // a batch for high-throughput ingestion. Commit does not consume the batch;
 // Reset it before building the next one.
 func (e *Engine) Commit(b *Batch) error {
-	if err := e.notBuilt("Commit"); err != nil {
+	if err := e.notWritable("Commit"); err != nil {
 		return err
 	}
 	if b == nil {
 		return nil // like an empty batch: nothing to commit
 	}
-	return wrapErr(e.f.CommitBatch(b.ops))
+	return e.f.CommitBatch(b.ops)
 }
 
 // snapshot captures the current committed state into s, or reports

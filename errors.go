@@ -36,35 +36,15 @@ var (
 )
 
 // ArityError reports a row whose length does not match the schema of the
-// relation it was applied to.
-type ArityError struct {
-	Relation string
-	Row      []int64
-	Schema   []string // the relation's variable names
-}
-
-// Error formats the arity mismatch.
-func (e *ArityError) Error() string {
-	return fmt.Sprintf("ivmeps: relation %s: row %v has arity %d, schema %v has arity %d",
-		e.Relation, e.Row, len(e.Row), e.Schema, len(e.Schema))
-}
+// relation it was applied to: Row is the rejected row and Schema the
+// relation's variable names.
+type ArityError = relation.ArityError
 
 // MultiplicityError reports a delete that would drive a row's multiplicity
 // below zero. Have is the multiplicity available when the update was
 // attempted — for a batch, the stored multiplicity plus the net effect of
 // the preceding ops of the same batch — and Delta the attempted change.
-type MultiplicityError struct {
-	Relation string
-	Row      []int64
-	Have     int64
-	Delta    int64
-}
-
-// Error formats the rejected delete.
-func (e *MultiplicityError) Error() string {
-	return fmt.Sprintf("ivmeps: relation %s: delete of %v with multiplicity %d exceeds available multiplicity %d",
-		e.Relation, e.Row, -e.Delta, e.Have)
-}
+type MultiplicityError = relation.MultiplicityError
 
 // ShardError reports a validation failure detected by one shard of a
 // sharded engine's (NewSharded) federated commit, identifying the shard.
@@ -79,18 +59,7 @@ func (e *MultiplicityError) Error() string {
 // an arity mismatch, caught while scattering the batch — carry no shard
 // attribution and are returned without a ShardError wrapper, exactly as an
 // unsharded engine returns them.
-type ShardError struct {
-	Shard int
-	Err   error
-}
-
-// Error formats the shard-attributed failure.
-func (e *ShardError) Error() string {
-	return fmt.Sprintf("ivmeps: shard %d: %v", e.Shard, e.Err)
-}
-
-// Unwrap exposes the shard's error to errors.Is / errors.As.
-func (e *ShardError) Unwrap() error { return e.Err }
+type ShardError = federation.ShardError
 
 // CorruptLogError reports write-ahead log or checkpoint data that is
 // present but wrong — a checksum mismatch, a malformed record, an epoch
@@ -102,55 +71,18 @@ func (e *ShardError) Unwrap() error { return e.Err }
 //
 //	var cle *ivmeps.CorruptLogError
 //	if errors.As(err, &cle) { ... cle.Path ...
-type CorruptLogError struct {
-	// Path is the offending file (or the log directory when the violation
-	// spans files).
-	Path string
-	// Offset is the byte offset of the offending frame within Path, when
-	// the violation is tied to one.
-	Offset int64
-	// Reason describes the violation.
-	Reason string
-}
-
-// Error formats the corruption report.
-func (e *CorruptLogError) Error() string {
-	if e.Offset == 0 {
-		return fmt.Sprintf("ivmeps: corrupt log: %s: %s", e.Path, e.Reason)
-	}
-	return fmt.Sprintf("ivmeps: corrupt log: %s at offset %d: %s", e.Path, e.Offset, e.Reason)
-}
+type CorruptLogError = wal.CorruptLogError
 
 // LogWedgedError reports an engine whose write-ahead log has wedged: an
 // append, flush, fsync, or segment rotation failed, so the on-disk tail of
-// the log is unknowable (a failed fsync in particular may or may not have
-// persisted anything, and retrying cannot find out — so it is never
-// retried). The engine degrades to read-only: every further mutation —
-// Insert, Delete, Apply, Commit — returns this same error with the
-// in-memory state exactly as it was before the failed commit, while
-// Snapshot, All, and Count keep serving the last committed state. The
-// failed commit itself was not applied; whether its record reached stable
-// storage is uncertain, and recovery resolves that honestly: reopen the
-// directory with Open, which replays exactly the records that made it to
-// disk. Match it with errors.As:
+// the log is unknowable. The engine degrades to read-only: every further
+// mutation returns this same error with the in-memory state untouched,
+// while Snapshot, All, and Count keep serving the last committed state;
+// recover by reopening the directory with Open. Match it with errors.As:
 //
 //	var lwe *ivmeps.LogWedgedError
 //	if errors.As(err, &lwe) { ... reopen via ivmeps.Open ...
-type LogWedgedError struct {
-	// Op names the I/O operation that failed first: "append", "flush",
-	// "sync", or "rotate".
-	Op string
-	// Err is the original I/O error from that operation.
-	Err error
-}
-
-// Error formats the wedge report.
-func (e *LogWedgedError) Error() string {
-	return fmt.Sprintf("ivmeps: write-ahead log wedged by %s failure: %v (engine is read-only; recover by reopening with Open)", e.Op, e.Err)
-}
-
-// Unwrap exposes the original I/O error to errors.Is / errors.As.
-func (e *LogWedgedError) Unwrap() error { return e.Err }
+type LogWedgedError = wal.LogWedgedError
 
 // ErrWatcherLagged classifies the eviction of a watcher that fell more
 // commits behind the writer than its buffer holds. It never arrives bare:
@@ -178,35 +110,3 @@ func (e *WatcherLaggedError) Error() string {
 
 // Is matches the ErrWatcherLagged sentinel class.
 func (e *WatcherLaggedError) Is(target error) bool { return target == ErrWatcherLagged }
-
-// wrapErr maps the engine's internal structured errors onto the public
-// ArityError / MultiplicityError / ShardError / CorruptLogError /
-// LogWedgedError types. Sentinels pass through untouched — they are shared
-// by value with the internal layers, so errors.Is matches without
-// translation — as does anything else.
-func wrapErr(err error) error {
-	if err == nil {
-		return nil
-	}
-	var se *federation.ShardError
-	if errors.As(err, &se) {
-		return &ShardError{Shard: se.Shard, Err: wrapErr(se.Err)}
-	}
-	var we *wal.WedgedError
-	if errors.As(err, &we) {
-		return &LogWedgedError{Op: we.Op, Err: we.Err}
-	}
-	var ce *wal.CorruptError
-	if errors.As(err, &ce) {
-		return &CorruptLogError{Path: ce.Path, Offset: ce.Offset, Reason: ce.Reason}
-	}
-	var ae *relation.ArityError
-	if errors.As(err, &ae) {
-		return &ArityError{Relation: ae.Relation, Row: ae.Tuple, Schema: ae.Schema.Names()}
-	}
-	var me *relation.MultiplicityError
-	if errors.As(err, &me) {
-		return &MultiplicityError{Relation: me.Relation, Row: me.Tuple, Have: me.Have, Delta: me.Delta}
-	}
-	return err
-}

@@ -170,3 +170,80 @@ func TestDumpRefusesPredeclaredEmbed(t *testing.T) {
 		t.Errorf("dump:\n%s\nwant:\n%s", got, want)
 	}
 }
+
+// TestDumpFollowsModuleAlias pins the alias rule on a synthetic module: a
+// root alias to an internal struct renders that struct's exported fields
+// and methods under the alias's name, with only the head line marking the
+// alias; an alias outside the module renders as one line; and changing a
+// field's type in the internal package changes the dump.
+func TestDumpFollowsModuleAlias(t *testing.T) {
+	root := t.TempDir()
+	write := func(name, src string) {
+		t.Helper()
+		path := filepath.Join(root, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o777); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o666); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("go.mod", "module example.com/m\n\ngo 1.24\n")
+	write("p.go", `package p
+
+import (
+	"time"
+
+	rel "example.com/m/internal/relation"
+)
+
+// RowError is the relation layer's.
+type RowError = rel.RowError
+
+// Wait is time's.
+type Wait = time.Duration
+`)
+	internal := func(rowType string) {
+		write("internal/relation/relation.go", `package relation
+
+// RowError reports a row.
+type RowError struct {
+	Relation string
+	Row      `+rowType+`
+	hidden   int
+}
+
+// Error formats it.
+func (e *RowError) Error() string { return e.Relation }
+
+func (e *RowError) unexported() {}
+
+// Other is not aliased.
+type Other struct{ X int }
+
+// New is not a method.
+func New() *RowError { return nil }
+`)
+	}
+	internal("[]int64")
+	got, err := Dump(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Join([]string{
+		"func (*RowError) Error() string",
+		"type RowError = struct",
+		"type RowError struct; field Relation string",
+		"type RowError struct; field Row []int64",
+		"type Wait = time.Duration",
+	}, "\n") + "\n"
+	if got != want {
+		t.Errorf("dump:\n%s\nwant:\n%s", got, want)
+	}
+	internal("[]int32")
+	if changed, err := Dump(root); err != nil {
+		t.Fatal(err)
+	} else if changed == got || !strings.Contains(changed, "type RowError struct; field Row []int32\n") {
+		t.Errorf("dump after the internal field's type changed:\n%s", changed)
+	}
+}

@@ -191,7 +191,7 @@ func (s *FirstOrderIVM) Update(rel string, t tuple.Tuple, m int64) error {
 		return fmt.Errorf("fo-ivm: unknown relation %s", rel)
 	}
 	if cur := r.Mult(t); cur+m < 0 {
-		return &relation.MultiplicityError{Relation: rel, Tuple: t.Clone(), Have: cur, Delta: m}
+		return &relation.MultiplicityError{Relation: rel, Row: t.Clone(), Have: cur, Delta: m}
 	}
 	// The delta query δQ replaces rel's atom by the single-tuple delta and
 	// joins it with the other relations, seeded at the delta.

@@ -181,7 +181,7 @@ func (e *Engine) PrepareCommit(ops []BatchOp) error {
 		}
 		op.RelID = id
 		if len(op.Row) != br.arity {
-			err = &relation.ArityError{Relation: br.name, Tuple: op.Row.Clone(), Schema: br.occs[0].base.Schema()}
+			err = &relation.ArityError{Relation: br.name, Row: op.Row.Clone(), Schema: br.occs[0].base.Schema().Names()}
 			break
 		}
 		if op.Mult == 0 {
@@ -199,7 +199,7 @@ func (e *Engine) PrepareCommit(ops []BatchOp) error {
 		}
 		g := &br.groups[gi]
 		if g.stored+g.net+op.Mult < 0 {
-			err = &relation.MultiplicityError{Relation: br.name, Tuple: op.Row.Clone(),
+			err = &relation.MultiplicityError{Relation: br.name, Row: op.Row.Clone(),
 				Have: g.stored + g.net, Delta: op.Mult}
 			break
 		}

@@ -52,13 +52,13 @@ func CheckRows(rel string, s tuple.Schema, vals []tuple.Value, mults []int64) er
 	k := len(s)
 	if len(vals) != k*len(mults) {
 		if len(mults) == 1 {
-			return &relation.ArityError{Relation: rel, Tuple: tuple.Tuple(vals).Clone(), Schema: s}
+			return &relation.ArityError{Relation: rel, Row: slices.Clone(vals), Schema: s.Names()}
 		}
 		return fmt.Errorf("core: relation %s: %d values are not %d rows of arity %d", rel, len(vals), len(mults), k)
 	}
 	for i, m := range mults {
 		if m <= 0 {
-			return fmt.Errorf("core: relation %s: tuple %v has non-positive multiplicity %d", rel, tuple.Tuple(vals[i*k:(i+1)*k]).Clone(), m)
+			return fmt.Errorf("ivmeps: relation %s: row %v has non-positive multiplicity %d", rel, slices.Clone(vals[i*k:(i+1)*k]), m)
 		}
 	}
 	return nil

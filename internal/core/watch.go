@@ -41,11 +41,12 @@ import (
 
 // ViewDelta is the per-commit change of one root view: Rows[i] changed
 // multiplicity by Mults[i] (never zero). Rows within one ViewDelta are
-// distinct.
+// distinct. It is the public ivmeps.ViewDelta, and cmd/ivmd writes it to
+// the wire as it is, hence the JSON tags.
 type ViewDelta struct {
-	View  string
-	Rows  [][]int64
-	Mults []int64
+	View  string    `json:"view"`
+	Rows  [][]int64 `json:"rows"`
+	Mults []int64   `json:"mults"`
 }
 
 // CommitDelta is the root-view diff published by one commit: applying every

@@ -84,12 +84,20 @@ type Options struct {
 	Engine core.Options
 }
 
-// ShardError reports an error from one shard of a federated operation,
-// identifying the shard. It wraps the shard engine's error, so errors.Is
-// and errors.As reach the underlying sentinel or structured error. When
-// sub-batches of several shards would fail validation, which shard's error
-// is reported is unspecified (the implementation reports the lowest shard
-// index with a non-empty sub-batch that failed).
+// ShardError reports a validation failure detected by one shard of a
+// sharded engine's (NewSharded) federated commit, identifying the shard.
+// It wraps the underlying error — typically a MultiplicityError for a
+// delete the owning shard rejected — so errors.Is and errors.As reach
+// through it; match the shard attribution itself with errors.As:
+//
+//	var se *ivmeps.ShardError
+//	if errors.As(err, &se) { ... se.Shard ...
+//
+// Failures detected before any shard is involved — an unknown relation or
+// an arity mismatch, caught while scattering the batch — carry no shard
+// attribution and are returned without a ShardError wrapper, exactly as an
+// unsharded engine returns them. When several shards would reject their
+// sub-batches, the lowest such shard is reported.
 type ShardError struct {
 	Shard int
 	Err   error
@@ -97,10 +105,10 @@ type ShardError struct {
 
 // Error formats the shard-attributed failure.
 func (e *ShardError) Error() string {
-	return fmt.Sprintf("federation: shard %d: %v", e.Shard, e.Err)
+	return fmt.Sprintf("ivmeps: shard %d: %v", e.Shard, e.Err)
 }
 
-// Unwrap exposes the shard engine's error to errors.Is / errors.As.
+// Unwrap exposes the shard's error to errors.Is / errors.As.
 func (e *ShardError) Unwrap() error { return e.Err }
 
 // fedOcc routes one occurrence of an original relation: the occurrence's
@@ -559,7 +567,7 @@ func (f *Fed) scatterLocked(ops []core.BatchOp) error {
 		}
 		op.RelID = id
 		if len(op.Row) != fr.arity {
-			return &relation.ArityError{Relation: fr.name, Tuple: op.Row.Clone(), Schema: fr.schema}
+			return &relation.ArityError{Relation: fr.name, Row: op.Row.Clone(), Schema: fr.schema.Names()}
 		}
 		if op.Mult == 0 {
 			continue // validated above; contributes nothing to any shard

@@ -369,7 +369,7 @@ func TestCrossShardAllOrNothing(t *testing.T) {
 // TestShardErrorUnwrap pins the error chain: sentinel values and
 // structured errors pass through ShardError.
 func TestShardErrorUnwrap(t *testing.T) {
-	inner := &relation.MultiplicityError{Relation: "R", Tuple: tuple.Tuple{1}, Have: 0, Delta: -1}
+	inner := &relation.MultiplicityError{Relation: "R", Row: []int64{1}, Have: 0, Delta: -1}
 	se := &ShardError{Shard: 3, Err: inner}
 	var me *relation.MultiplicityError
 	if !errors.As(se, &me) || me != inner {

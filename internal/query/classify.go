@@ -245,25 +245,22 @@ func (q *Query) mustHierarchical() {
 	}
 }
 
-// Class summarizes the classification of a query.
+// Class describes where a query sits in the paper's taxonomy (Figure 2) and
+// its width measures.
 type Class struct {
-	Hierarchical   bool
-	QHierarchical  bool
-	AlphaAcyclic   bool
-	FreeConnex     bool
-	StaticWidth    int // 0 if not hierarchical
-	DynamicWidth   int // 0 if not hierarchical; equals the δi rank
-	RepeatedAtoms  bool
-	ConnectedComps int
+	Hierarchical  bool
+	QHierarchical bool // δ0-hierarchical (Proposition 6)
+	AlphaAcyclic  bool
+	FreeConnex    bool
+	StaticWidth   int // w: preprocessing exponent is 1+(w−1)ε; 0 if not hierarchical
+	DynamicWidth  int // δ: update exponent is δε; equals the δi rank; 0 if not hierarchical
 }
 
-// Classify computes the full classification of q.
+// Classify computes the query's class and width measures.
 func Classify(q *Query) Class {
 	c := Class{
-		Hierarchical:   q.IsHierarchical(),
-		AlphaAcyclic:   q.IsAlphaAcyclic(),
-		RepeatedAtoms:  q.HasRepeatedSymbols(),
-		ConnectedComps: len(q.ConnectedComponents()),
+		Hierarchical: q.IsHierarchical(),
+		AlphaAcyclic: q.IsAlphaAcyclic(),
 	}
 	c.FreeConnex = c.AlphaAcyclic && q.IsFreeConnex()
 	if c.Hierarchical {

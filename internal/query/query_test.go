@@ -250,7 +250,7 @@ func TestCloneIndependence(t *testing.T) {
 func TestClassifySummary(t *testing.T) {
 	c := Classify(MustParse("Q(A, C) = R(A, B), S(B, C)"))
 	want := Class{Hierarchical: true, QHierarchical: false, AlphaAcyclic: true,
-		FreeConnex: false, StaticWidth: 2, DynamicWidth: 1, RepeatedAtoms: false, ConnectedComps: 1}
+		FreeConnex: false, StaticWidth: 2, DynamicWidth: 1}
 	if c != want {
 		t.Fatalf("Classify = %+v, want %+v", c, want)
 	}

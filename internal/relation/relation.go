@@ -270,35 +270,36 @@ func (r *Relation) multHashed(h uint64, t tuple.Tuple) int64 {
 // Contains reports whether t ∈ R (non-zero multiplicity).
 func (r *Relation) Contains(t tuple.Tuple) bool { return r.Mult(t) != 0 }
 
-// MultiplicityError is returned when an update would drive a multiplicity
+// MultiplicityError reports a delete that would drive a row's multiplicity
 // below zero; the paper rejects such deletes (Section 3, "Modeling
 // Updates"). Have is the multiplicity available when the update was
-// attempted and Delta the attempted (negative) change.
+// attempted — for a batch, the stored multiplicity plus the net effect of
+// the preceding ops of the same batch — and Delta the attempted change.
 type MultiplicityError struct {
 	Relation string
-	Tuple    tuple.Tuple
+	Row      []int64
 	Have     int64
 	Delta    int64
 }
 
 // Error formats the rejected delete.
 func (e *MultiplicityError) Error() string {
-	return fmt.Sprintf("relation %s: delete of %v with multiplicity %d exceeds stored multiplicity %d",
-		e.Relation, e.Tuple, -e.Delta, e.Have)
+	return fmt.Sprintf("ivmeps: relation %s: delete of %v with multiplicity %d exceeds available multiplicity %d",
+		e.Relation, e.Row, -e.Delta, e.Have)
 }
 
-// ArityError is returned when a tuple's length does not match the schema of
-// the relation it is applied to.
+// ArityError reports a row whose length does not match the schema of the
+// relation it was applied to.
 type ArityError struct {
 	Relation string
-	Tuple    tuple.Tuple
-	Schema   tuple.Schema
+	Row      []int64
+	Schema   []string // the relation's variable names
 }
 
 // Error formats the arity mismatch.
 func (e *ArityError) Error() string {
-	return fmt.Sprintf("relation %s: tuple %v has arity %d, schema %v has arity %d",
-		e.Relation, e.Tuple, len(e.Tuple), e.Schema, len(e.Schema))
+	return fmt.Sprintf("ivmeps: relation %s: row %v has arity %d, schema %v has arity %d",
+		e.Relation, e.Row, len(e.Row), e.Schema, len(e.Schema))
 }
 
 // Add applies the single-tuple delta {t -> m}: it adds m to the
@@ -317,13 +318,13 @@ func (r *Relation) Add(t tuple.Tuple, m int64) error {
 // constructing it directly there would make the tuple parameter escape and
 // heap-allocate every caller-constructed tuple.
 func (r *Relation) arityError(t tuple.Tuple) error {
-	return &ArityError{Relation: r.name, Tuple: t.Clone(), Schema: r.schema}
+	return &ArityError{Relation: r.name, Row: t.Clone(), Schema: r.schema.Names()}
 }
 
 // multError builds the rejected-delete error away from the Add hot path, for
 // the same reason as arityError.
 func (r *Relation) multError(t tuple.Tuple, have, m int64) error {
-	return &MultiplicityError{Relation: r.name, Tuple: t.Clone(), Have: have, Delta: m}
+	return &MultiplicityError{Relation: r.name, Row: t.Clone(), Have: have, Delta: m}
 }
 
 // addHashed is Add with h = tuple.Hash(r.s.seed, t) precomputed; any other

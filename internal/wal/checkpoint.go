@@ -163,19 +163,19 @@ func LoadCheckpointFS(fs VFS, path string) (*Checkpoint, error) {
 		return nil, err
 	}
 	if len(data) < checkpointHeaderSize || string(data[:len(checkpointMagic)]) != checkpointMagic {
-		return nil, &CorruptError{Path: path, Reason: "missing checkpoint header"}
+		return nil, &CorruptLogError{Path: path, Reason: "missing checkpoint header"}
 	}
 	plen := binary.LittleEndian.Uint64(data[len(checkpointMagic):])
 	if plen != uint64(len(data)-checkpointHeaderSize) {
-		return nil, &CorruptError{Path: path, Reason: fmt.Sprintf("checkpoint length %d does not match file size", plen)}
+		return nil, &CorruptLogError{Path: path, Reason: fmt.Sprintf("checkpoint length %d does not match file size", plen)}
 	}
 	payload := data[checkpointHeaderSize:]
 	if got, want := crc32.Checksum(payload, castagnoli), binary.LittleEndian.Uint32(data[len(checkpointMagic)+8:]); got != want {
-		return nil, &CorruptError{Path: path, Reason: fmt.Sprintf("checkpoint checksum mismatch: computed %08x, stored %08x", got, want)}
+		return nil, &CorruptLogError{Path: path, Reason: fmt.Sprintf("checkpoint checksum mismatch: computed %08x, stored %08x", got, want)}
 	}
 	ck, err := decodeCheckpoint(payload)
 	if err != nil {
-		if ce, ok := err.(*CorruptError); ok {
+		if ce, ok := err.(*CorruptLogError); ok {
 			ce.Path = path
 		}
 		return nil, err
@@ -189,7 +189,7 @@ func LoadCheckpointFS(fs VFS, path string) (*Checkpoint, error) {
 // checked against the bytes left — a relation takes at least 3 bytes, a row
 // at least arity + 1 — before anything is sized by it.
 func decodeCheckpoint(p []byte) (*Checkpoint, error) {
-	bad := func(what string) error { return &CorruptError{Reason: "checkpoint: bad " + what} }
+	bad := func(what string) error { return &CorruptLogError{Reason: "checkpoint: bad " + what} }
 	off := 0
 	epoch, n := binary.Uvarint(p)
 	if n <= 0 {

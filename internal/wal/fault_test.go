@@ -58,9 +58,9 @@ func TestLogWedgeStopsAllIO(t *testing.T) {
 
 	ffs.Inject(faultfs.FileSync, 1)
 	err := l.Append(2, op)
-	var we *wal.WedgedError
+	var we *wal.LogWedgedError
 	if !errors.As(err, &we) {
-		t.Fatalf("append with failing fsync = %v, want WedgedError", err)
+		t.Fatalf("append with failing fsync = %v, want LogWedgedError", err)
 	}
 	if we.Op != "sync" {
 		t.Fatalf("wedge op = %q, want \"sync\"", we.Op)
@@ -73,13 +73,13 @@ func TestLogWedgeStopsAllIO(t *testing.T) {
 	// operation, so equality of counts IS the never-retry property.
 	before := ffs.Counts()
 	if err2 := l.Append(3, op); !errors.As(err2, &we) {
-		t.Fatalf("append after wedge = %v, want WedgedError", err2)
+		t.Fatalf("append after wedge = %v, want LogWedgedError", err2)
 	}
 	if err2 := l.Append(3, op); !errors.As(err2, &we) {
-		t.Fatalf("second append after wedge = %v, want WedgedError", err2)
+		t.Fatalf("second append after wedge = %v, want LogWedgedError", err2)
 	}
 	if err2 := l.Checkpointed(1); !errors.As(err2, &we) {
-		t.Fatalf("Checkpointed after wedge = %v, want WedgedError", err2)
+		t.Fatalf("Checkpointed after wedge = %v, want LogWedgedError", err2)
 	}
 	if !sameCounts(before, ffs.Counts()) {
 		t.Fatalf("wedged log touched the filesystem: ops %v -> %v", before, ffs.Counts())
@@ -111,9 +111,9 @@ func TestLogWedgeKeepsFirstEvidence(t *testing.T) {
 	// surfaces as a flush wedge.
 	ffs.Inject(faultfs.Write, 2)
 	err := l.Append(1, op)
-	var we *wal.WedgedError
+	var we *wal.LogWedgedError
 	if !errors.As(err, &we) {
-		t.Fatalf("append = %v, want WedgedError", err)
+		t.Fatalf("append = %v, want LogWedgedError", err)
 	}
 	firstOp := we.Op
 	if firstOp != "flush" {

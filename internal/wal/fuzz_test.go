@@ -43,7 +43,7 @@ func FuzzWALDecode(f *testing.F) {
 				t.Fatalf("round trip mismatch: %+v != %+v", rec2, rec)
 			}
 		default:
-			var ce *CorruptError
+			var ce *CorruptLogError
 			if !errors.As(err, &ce) {
 				// The only other allowed failure is a torn (incomplete) frame.
 				var short *errShortRecord
@@ -78,7 +78,7 @@ func opsEqual(a, b []Op) bool {
 // FuzzCheckpointDecode drives decodeCheckpoint with arbitrary payloads: it
 // must never panic, allocate no more than a constant times the payload's
 // length — a row or relation count is checked against the bytes left before
-// anything is sized by it — and fail only with a CorruptError. A decoded
+// anything is sized by it — and fail only with a CorruptLogError. A decoded
 // checkpoint must re-encode and decode back to itself.
 func FuzzCheckpointDecode(f *testing.F) {
 	payload := func(epoch uint64, query string, rels ...CheckpointData) []byte {
@@ -101,7 +101,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 			t.Fatalf("decoding %d bytes allocated %d bytes, want at most %d", len(p), got, limit)
 		}
 		if err != nil {
-			var ce *CorruptError
+			var ce *CorruptLogError
 			if !errors.As(err, &ce) {
 				t.Fatalf("unclassified decode error: %v", err)
 			}

@@ -26,7 +26,7 @@ import (
 // being checked against the remaining file size. DecodeRecord distinguishes
 // a record that is *incomplete* (the file ends before the frame does — the
 // signature of a torn write, errShortRecord) from one that is *wrong*
-// (checksum or encoding violation inside a complete frame — CorruptError);
+// (checksum or encoding violation inside a complete frame — CorruptLogError);
 // recovery truncates the former at the physical tail and refuses the
 // latter.
 
@@ -66,7 +66,7 @@ type Record struct {
 // errShortRecord reports a record frame cut off by the end of the data —
 // the shape a torn write leaves behind. It is internal: the scanners
 // translate it into either a clean truncation (at the physical tail of the
-// final segment) or a CorruptError (anywhere else).
+// final segment) or a CorruptLogError (anywhere else).
 type errShortRecord struct{ have, want int }
 
 // Error formats the torn frame's byte counts.
@@ -99,8 +99,8 @@ func appendRecord(dst []byte, epoch uint64, ops []Op) []byte {
 // DecodeRecord decodes the record framed at the start of data, returning it
 // and the number of bytes consumed. len(data) == 0 means "no record" (nil
 // error, n == 0). An incomplete frame returns an error matching neither
-// *CorruptError nor nil (a torn tail — see IsShort); a complete frame with
-// a bad checksum or malformed payload returns a *CorruptError whose Offset
+// *CorruptLogError nor nil (a torn tail — see IsShort); a complete frame with
+// a bad checksum or malformed payload returns a *CorruptLogError whose Offset
 // is relative to data.
 func DecodeRecord(data []byte) (rec Record, n int, err error) {
 	if len(data) == 0 {
@@ -111,18 +111,18 @@ func DecodeRecord(data []byte) (rec Record, n int, err error) {
 	}
 	plen := int(binary.LittleEndian.Uint32(data))
 	if plen > MaxRecordBytes {
-		return Record{}, 0, &CorruptError{Offset: 0, Reason: fmt.Sprintf("record length %d exceeds the %d-byte bound", plen, MaxRecordBytes)}
+		return Record{}, 0, &CorruptLogError{Offset: 0, Reason: fmt.Sprintf("record length %d exceeds the %d-byte bound", plen, MaxRecordBytes)}
 	}
 	if len(data) < recordHeaderSize+plen {
 		return Record{}, 0, &errShortRecord{have: len(data), want: recordHeaderSize + plen}
 	}
 	payload := data[recordHeaderSize : recordHeaderSize+plen]
 	if got, want := crc32.Checksum(payload, castagnoli), binary.LittleEndian.Uint32(data[4:]); got != want {
-		return Record{}, 0, &CorruptError{Offset: 0, Reason: fmt.Sprintf("record checksum mismatch: computed %08x, stored %08x", got, want)}
+		return Record{}, 0, &CorruptLogError{Offset: 0, Reason: fmt.Sprintf("record checksum mismatch: computed %08x, stored %08x", got, want)}
 	}
 	rec, err = decodePayload(payload)
 	if err != nil {
-		if ce, ok := err.(*CorruptError); ok {
+		if ce, ok := err.(*CorruptLogError); ok {
 			ce.Offset += recordHeaderSize // payload-relative → frame-relative
 		}
 		return Record{}, 0, err
@@ -139,39 +139,39 @@ func decodePayload(p []byte) (Record, error) {
 	var off int
 	epoch, n := binary.Uvarint(p)
 	if n <= 0 {
-		return rec, &CorruptError{Offset: int64(off), Reason: "bad epoch varint"}
+		return rec, &CorruptLogError{Offset: int64(off), Reason: "bad epoch varint"}
 	}
 	rec.Epoch = epoch
 	off += n
 	nOps, n := binary.Uvarint(p[off:])
 	if n <= 0 {
-		return rec, &CorruptError{Offset: int64(off), Reason: "bad op-count varint"}
+		return rec, &CorruptLogError{Offset: int64(off), Reason: "bad op-count varint"}
 	}
 	off += n
 	for i := uint64(0); i < nOps; i++ {
 		var op Op
 		relID, n := binary.Uvarint(p[off:])
 		if n <= 0 || relID == 0 || relID > uint64(MaxRecordBytes) {
-			return rec, &CorruptError{Offset: int64(off), Reason: fmt.Sprintf("op %d: bad relation id", i)}
+			return rec, &CorruptLogError{Offset: int64(off), Reason: fmt.Sprintf("op %d: bad relation id", i)}
 		}
 		op.RelID = int(relID)
 		off += n
 		mult, n := binary.Varint(p[off:])
 		if n <= 0 {
-			return rec, &CorruptError{Offset: int64(off), Reason: fmt.Sprintf("op %d: bad multiplicity varint", i)}
+			return rec, &CorruptLogError{Offset: int64(off), Reason: fmt.Sprintf("op %d: bad multiplicity varint", i)}
 		}
 		op.Mult = mult
 		off += n
 		rowLen, n := binary.Uvarint(p[off:])
 		if n <= 0 || rowLen > uint64(len(p)-off) {
-			return rec, &CorruptError{Offset: int64(off), Reason: fmt.Sprintf("op %d: bad row length", i)}
+			return rec, &CorruptLogError{Offset: int64(off), Reason: fmt.Sprintf("op %d: bad row length", i)}
 		}
 		off += n
 		op.Row = make([]int64, 0, rowLen)
 		for j := uint64(0); j < rowLen; j++ {
 			v, n := binary.Varint(p[off:])
 			if n <= 0 {
-				return rec, &CorruptError{Offset: int64(off), Reason: fmt.Sprintf("op %d: bad value varint", i)}
+				return rec, &CorruptLogError{Offset: int64(off), Reason: fmt.Sprintf("op %d: bad value varint", i)}
 			}
 			op.Row = append(op.Row, v)
 			off += n
@@ -179,7 +179,7 @@ func decodePayload(p []byte) (Record, error) {
 		rec.Ops = append(rec.Ops, op)
 	}
 	if off != len(p) {
-		return rec, &CorruptError{Offset: int64(off), Reason: fmt.Sprintf("%d trailing bytes after the last op", len(p)-off)}
+		return rec, &CorruptLogError{Offset: int64(off), Reason: fmt.Sprintf("%d trailing bytes after the last op", len(p)-off)}
 	}
 	return rec, nil
 }
@@ -196,7 +196,7 @@ type SegmentData struct {
 	Good int64
 	// Tail describes why decoding stopped before the end of the file: nil
 	// when the file ends exactly at Good, an incomplete-frame error for a
-	// torn write, a *CorruptError for a checksum or encoding violation.
+	// torn write, a *CorruptLogError for a checksum or encoding violation.
 	Tail error
 	// TailEndsFile reports whether the bad frame reaches the end of the
 	// file — the necessary condition for it to be a torn write rather than
@@ -208,14 +208,14 @@ type SegmentData struct {
 // stops at the first bad record; the error is reported in SegmentData.Tail
 // rather than returned, because whether it condemns the log depends on
 // context the caller has (is this the final segment? does intact data
-// follow?). A missing or malformed header is returned as a *CorruptError.
+// follow?). A missing or malformed header is returned as a *CorruptLogError.
 func ReadSegmentFS(fs VFS, path string) (*SegmentData, error) {
 	data, err := fs.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
 	if len(data) < segmentHeaderSize || string(data[:len(segmentMagic)]) != segmentMagic {
-		return nil, &CorruptError{Path: path, Reason: "missing segment header"}
+		return nil, &CorruptLogError{Path: path, Reason: "missing segment header"}
 	}
 	sd := &SegmentData{
 		FirstEpoch: binary.LittleEndian.Uint64(data[len(segmentMagic):]),
@@ -225,7 +225,7 @@ func ReadSegmentFS(fs VFS, path string) (*SegmentData, error) {
 	for off < len(data) {
 		rec, n, err := DecodeRecord(data[off:])
 		if err != nil {
-			if ce, ok := err.(*CorruptError); ok {
+			if ce, ok := err.(*CorruptLogError); ok {
 				ce.Path = path
 				ce.Offset += int64(off)
 				// A checksum failure on a frame that ends exactly at EOF is

@@ -49,13 +49,13 @@ func BeginRecoveryFS(fs VFS, dir string) (*Recovery, error) {
 		ck, err := LoadCheckpointFS(fs, ckpts[i].Path)
 		if err != nil {
 			// Fall back to an older checkpoint only for content damage
-			// (*CorruptError): older segments may already be retired, so
+			// (*CorruptLogError): older segments may already be retired, so
 			// recovering from an older checkpoint is a last resort for a
 			// genuinely rotted file. An I/O failure reading the file says
 			// nothing about its content — surface it and let the caller
 			// retry, rather than fall back and misreport the retired gap
 			// as corruption.
-			var ce *CorruptError
+			var ce *CorruptLogError
 			if !errors.As(err, &ce) {
 				return nil, err
 			}
@@ -63,7 +63,7 @@ func BeginRecoveryFS(fs VFS, dir string) (*Recovery, error) {
 			continue
 		}
 		if ck.Epoch != ckpts[i].Epoch {
-			lastErr = &CorruptError{Path: ckpts[i].Path, Reason: fmt.Sprintf("checkpoint claims epoch %d but is named for %d", ck.Epoch, ckpts[i].Epoch)}
+			lastErr = &CorruptLogError{Path: ckpts[i].Path, Reason: fmt.Sprintf("checkpoint claims epoch %d but is named for %d", ck.Epoch, ckpts[i].Epoch)}
 			continue
 		}
 		r.Checkpoint = ck
@@ -89,7 +89,7 @@ func BeginRecoveryFS(fs VFS, dir string) (*Recovery, error) {
 // record at the physical tail of the final segment is a torn write: with
 // fix set it is truncated away (and anything the tear made unreachable with
 // it), without fix it just ends the replay. A bad record anywhere else is a
-// *CorruptError. fn errors abort the replay unchanged.
+// *CorruptLogError. fn errors abort the replay unchanged.
 func (r *Recovery) Replay(fix bool, fn func(Record) error) error {
 	prev := uint64(0) // last record epoch seen anywhere in the log
 	for i := range r.segs {
@@ -119,10 +119,10 @@ func (r *Recovery) Replay(fix bool, fn func(Record) error) error {
 		seg.last = sd.FirstEpoch - 1
 		if sd.Tail != nil {
 			if !final || !sd.TailEndsFile {
-				if ce, ok := sd.Tail.(*CorruptError); ok {
+				if ce, ok := sd.Tail.(*CorruptLogError); ok {
 					return ce
 				}
-				return &CorruptError{Path: seg.path, Offset: sd.Good, Reason: sd.Tail.Error()}
+				return &CorruptLogError{Path: seg.path, Offset: sd.Good, Reason: sd.Tail.Error()}
 			}
 			if fix {
 				if err := r.fs.Truncate(seg.path, sd.Good); err != nil {
@@ -132,14 +132,14 @@ func (r *Recovery) Replay(fix bool, fn func(Record) error) error {
 		}
 		for _, rec := range sd.Records {
 			if prev != 0 && rec.Epoch != prev+1 {
-				return &CorruptError{Path: seg.path, Reason: fmt.Sprintf("epoch gap: record %d follows %d", rec.Epoch, prev)}
+				return &CorruptLogError{Path: seg.path, Reason: fmt.Sprintf("epoch gap: record %d follows %d", rec.Epoch, prev)}
 			}
 			prev = rec.Epoch
 			if rec.Epoch <= r.Checkpoint.Epoch {
 				continue
 			}
 			if rec.Epoch != r.LastEpoch+1 {
-				return &CorruptError{Path: seg.path, Reason: fmt.Sprintf("epoch gap: tail starts at %d but checkpoint is at %d", rec.Epoch, r.Checkpoint.Epoch)}
+				return &CorruptLogError{Path: seg.path, Reason: fmt.Sprintf("epoch gap: tail starts at %d but checkpoint is at %d", rec.Epoch, r.Checkpoint.Epoch)}
 			}
 			if err := fn(rec); err != nil {
 				return err

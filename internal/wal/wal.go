@@ -32,7 +32,7 @@
 // the longest prefix of intact records, which by construction is a prefix
 // of the committed batches. A bad record that is NOT the physical tail
 // (intact data follows it) cannot be a torn write and is reported as a
-// CorruptError instead of being silently dropped.
+// CorruptLogError instead of being silently dropped.
 //
 // # Checkpoints
 //
@@ -143,7 +143,7 @@ type segMeta struct {
 // that); WriteCheckpointFS and Retire may run concurrently with Append.
 //
 // A Log is fail-stop: the first append/flush/fsync/rotate error latches a
-// sticky wedged state (WedgedError) and every subsequent Append and
+// sticky wedged state (LogWedgedError) and every subsequent Append and
 // Checkpointed refuses with it. Nothing is ever written after an error —
 // in particular a failed fsync is never retried, because its page-cache
 // state is unknowable — so the on-disk committed prefix stays exactly what
@@ -161,7 +161,7 @@ type Log struct {
 	last     uint64 // last epoch appended (0 = none yet)
 	unsynced int    // appends since the last fsync (SyncBatched)
 	buf      []byte // pooled record-encoding buffer
-	wedged   *WedgedError
+	wedged   *LogWedgedError
 }
 
 // Create opens a fresh log in opts.Dir, creating the directory if needed.
@@ -187,7 +187,7 @@ func Create(opts Options) (*Log, error) {
 // failures keep the original evidence) and returns it.
 func (l *Log) wedgeLocked(op string, err error) error {
 	if l.wedged == nil {
-		l.wedged = &WedgedError{Op: op, Err: err}
+		l.wedged = &LogWedgedError{Op: op, Err: err}
 	}
 	return l.wedged
 }
@@ -210,7 +210,7 @@ func (l *Log) Wedged() error {
 // guarantees that by construction.
 //
 // Any I/O failure wedges the log: the error comes back wrapped in a
-// *WedgedError and every later Append returns the same error without
+// *LogWedgedError and every later Append returns the same error without
 // touching the files again. A failed append may have left a partial frame
 // at the tail of the active segment; because nothing is appended after it,
 // recovery truncates it as a torn tail.

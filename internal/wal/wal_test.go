@@ -70,13 +70,13 @@ func TestRecordRoundTrip(t *testing.T) {
 func TestDecodeRecordCorruption(t *testing.T) {
 	whole := appendRecord(nil, 5, testOps(5))
 	// Every strict prefix is a torn write: an incomplete-frame error, never
-	// a CorruptError, never success.
+	// a CorruptLogError, never success.
 	for cut := 1; cut < len(whole); cut++ {
 		_, _, err := DecodeRecord(whole[:cut])
 		if err == nil {
 			t.Fatalf("cut %d: decode succeeded on a strict prefix", cut)
 		}
-		var ce *CorruptError
+		var ce *CorruptLogError
 		if errors.As(err, &ce) {
 			t.Fatalf("cut %d: prefix reported corrupt (%v), want short", cut, err)
 		}
@@ -338,9 +338,9 @@ func TestReplayRejectsMidFileCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = rec.Replay(true, func(Record) error { return nil })
-	var ce *CorruptError
+	var ce *CorruptLogError
 	if !errors.As(err, &ce) {
-		t.Fatalf("Replay = %v, want CorruptError", err)
+		t.Fatalf("Replay = %v, want CorruptLogError", err)
 	}
 	// fix=true must NOT have truncated: the damage is not a tear.
 	st, err := os.Stat(path)
@@ -599,8 +599,8 @@ func TestReplayDropsTornFinalSegmentHeader(t *testing.T) {
 		t.Fatalf("BeginRecoveryFS: %v", err)
 	}
 	err = rec.Replay(false, func(Record) error { return nil })
-	var ce *CorruptError
+	var ce *CorruptLogError
 	if !errors.As(err, &ce) {
-		t.Fatalf("Replay on mid-log short header = %v, want CorruptError", err)
+		t.Fatalf("Replay on mid-log short header = %v, want CorruptLogError", err)
 	}
 }

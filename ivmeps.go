@@ -249,28 +249,14 @@ func (q *Query) Schema(rel string) []string {
 }
 
 // Class describes where a query sits in the paper's taxonomy (Figure 2) and
-// its width measures.
-type Class struct {
-	Hierarchical  bool
-	QHierarchical bool // δ0-hierarchical (Proposition 6)
-	AlphaAcyclic  bool
-	FreeConnex    bool
-	StaticWidth   int // w: preprocessing exponent is 1+(w−1)ε; 0 if not hierarchical
-	DynamicWidth  int // δ: update exponent is δε; equals the δi rank; 0 if not hierarchical
-}
+// its width measures: whether it is hierarchical, q-hierarchical
+// (δ0-hierarchical, Proposition 6), α-acyclic and free-connex, its static
+// width w (preprocessing exponent 1+(w−1)ε) and its dynamic width δ (update
+// exponent δε), both 0 if it is not hierarchical.
+type Class = query.Class
 
 // Classify computes the query's class and width measures.
-func (q *Query) Classify() Class {
-	c := query.Classify(q.q)
-	return Class{
-		Hierarchical:  c.Hierarchical,
-		QHierarchical: c.QHierarchical,
-		AlphaAcyclic:  c.AlphaAcyclic,
-		FreeConnex:    c.FreeConnex,
-		StaticWidth:   c.StaticWidth,
-		DynamicWidth:  c.DynamicWidth,
-	}
-}
+func (q *Query) Classify() Class { return query.Classify(q.q) }
 
 // Options configures an Engine.
 type Options struct {
@@ -278,7 +264,8 @@ type Options struct {
 	// preprocessing and update time, 1 minimizes delay.
 	Epsilon float64
 	// Static builds a static-evaluation engine: fewer auxiliary views, but
-	// Insert/Delete/Apply after Build are rejected.
+	// every Insert, Delete, Apply and Commit after Build is rejected with
+	// ErrStatic.
 	Static bool
 	// Workers is ignored: a commit propagates on the caller's goroutine,
 	// and an engine from NewSharded is the parallel path.

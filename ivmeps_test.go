@@ -315,3 +315,14 @@ func TestPublicAPIBooleanAndEarlyStop(t *testing.T) {
 		t.Fatalf("early stop yielded %d", n)
 	}
 }
+
+// TestWalOptionsSyncMode: Durability.walOptions casts the public SyncMode to
+// the log's, which is right only while both enums list the modes in one
+// order; each public mode must reach the log as itself.
+func TestWalOptionsSyncMode(t *testing.T) {
+	for mode, want := range map[SyncMode]string{SyncOff: "off", SyncBatched: "batched", SyncAlways: "always"} {
+		if got := (Durability{Sync: mode}).walOptions().Sync.String(); got != want {
+			t.Errorf("SyncMode %d reaches the log as %q, want %q", mode, got, want)
+		}
+	}
+}

@@ -551,15 +551,21 @@ func TestLoadRowLiteralZeroAllocs(t *testing.T) {
 // K ∈ {1, 2, 4} over qs, closed with the test.
 func loadTargets(t *testing.T, qs string) map[string]*ivmeps.Engine {
 	t.Helper()
+	return optTargets(t, qs, ivmeps.Options{Epsilon: 0.5})
+}
+
+// optTargets is loadTargets with the engines' options.
+func optTargets(t *testing.T, qs string, opts ivmeps.Options) map[string]*ivmeps.Engine {
+	t.Helper()
 	q := ivmeps.MustParseQuery(qs)
-	e, err := ivmeps.New(q, ivmeps.Options{Epsilon: 0.5})
+	e, err := ivmeps.New(q, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { e.Close() })
 	out := map[string]*ivmeps.Engine{"Engine": e}
 	for _, k := range []int{1, 2, 4} {
-		s, err := ivmeps.NewSharded(q, ivmeps.ShardedOptions{Options: ivmeps.Options{Epsilon: 0.5}, Shards: k})
+		s, err := ivmeps.NewSharded(q, ivmeps.ShardedOptions{Options: opts, Shards: k})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -567,6 +573,65 @@ func loadTargets(t *testing.T, qs string) map[string]*ivmeps.Engine {
 		out[fmt.Sprintf("Sharded/K=%d", k)] = s
 	}
 	return out
+}
+
+// TestStaticRefusalParity: an engine built with Options.Static refuses
+// every write — Insert, Delete, a zero-multiplicity Apply, an empty Commit
+// and a Commit — with ErrStatic and one message naming the option, from New
+// and at every shard count, attributed to no shard, and its result stays
+// as built.
+func TestStaticRefusalParity(t *testing.T) {
+	want := ""
+	for name, e := range optTargets(t, "Q(A, B) = R(A, B), R(B, A)", ivmeps.Options{Epsilon: 0.5, Static: true}) {
+		if err := e.Load("R", []int64{1, 2}, []int64{2, 1}); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Build(); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			name string
+			do   func() error
+		}{
+			{"Insert", func() error { return e.Insert("R", []int64{5, 6}) }},
+			{"Delete", func() error { return e.Delete("R", []int64{1, 2}) }},
+			{"zero-mult Apply", func() error { return e.Apply("R", []int64{5, 6}, 0) }},
+			{"empty Commit", func() error { return e.Commit(e.NewBatch()) }},
+			{"Commit", func() error { return e.Commit(e.NewBatch().Insert("R", []int64{5, 6}).Delete("R", []int64{1, 2})) }},
+		} {
+			err := c.do()
+			var se *ivmeps.ShardError
+			switch {
+			case !errors.Is(err, ivmeps.ErrStatic):
+				t.Errorf("%s %s: %v, want ErrStatic", name, c.name, err)
+			case errors.As(err, &se):
+				t.Errorf("%s %s: %v names a shard", name, c.name, err)
+			case want == "":
+				want = err.Error()
+			case err.Error() != want:
+				t.Errorf("%s %s: %q, want %q", name, c.name, err, want)
+			}
+		}
+		if got, _ := bag(e.All()); diff(got, state{"[1 2]": 1, "[2 1]": 1}) != nil {
+			t.Errorf("%s: result %v after refused writes, want the built one", name, got)
+		}
+	}
+	if !strings.Contains(want, "Options.Static") {
+		t.Errorf("static refusal %q does not name Options.Static", want)
+	}
+}
+
+// TestLoadMultiplicityText pins the text of a non-positive load
+// multiplicity, from New and at every shard count before Build.
+func TestLoadMultiplicityText(t *testing.T) {
+	for name, l := range loadTargets(t, "Q(A, B) = R(A, B), R(B, A)") {
+		for _, m := range []int64{0, -2} {
+			want := fmt.Sprintf("ivmeps: relation R: row [1 2] has non-positive multiplicity %d", m)
+			if err := l.LoadWeighted("R", []int64{1, 2}, m); err == nil || err.Error() != want {
+				t.Errorf("%s: LoadWeighted with multiplicity %d: %v, want %q", name, m, err, want)
+			}
+		}
+	}
 }
 
 // TestLoadBuildMatchesPreprocess: rows loaded one by one and built are

@@ -44,11 +44,7 @@ type WatchOptions struct {
 // ViewDelta is the change of one root view in one commit: row Rows[i]
 // changed multiplicity by Mults[i] (never zero). Rows within one ViewDelta
 // are distinct.
-type ViewDelta struct {
-	View  string    `json:"view"`
-	Rows  [][]int64 `json:"rows"`
-	Mults []int64   `json:"mults"`
-}
+type ViewDelta = core.ViewDelta
 
 // Event is the root-view diff published by one commit: applying every
 // delta to the state as of epoch Epoch−1 yields the state as of Epoch.
@@ -128,7 +124,7 @@ func (e *Engine) Watch(opts WatchOptions) (*Watcher, error) {
 	w := &Watcher{f: e.f, filter: filter, ring: make(chan *core.CommitDelta, buffer), done: make(chan struct{})}
 	w.anchor = new(Snapshot)
 	if err := e.f.SubscribeCommits((*watcherSink)(w), &w.anchor.f); err != nil {
-		return nil, wrapErr(err)
+		return nil, err
 	}
 	return w, nil
 }
@@ -224,15 +220,14 @@ func (w *Watcher) Events() iter.Seq2[Event, error] {
 	}
 }
 
-// convert reshapes a shared commit record into the public Event form,
-// applying the view filter. Only the Deltas headers are the watcher's (a
-// reused arena); the rows and mults are the record's (released only after
-// the yield returns).
+// convert shapes a shared commit record into an Event, applying the view
+// filter. Only the Deltas headers are the watcher's (a reused arena); the
+// rows and mults are the record's (released only after the yield returns).
 func (w *Watcher) convert(cd *core.CommitDelta) Event {
 	deltas := w.evDeltas[:0]
 	for _, vd := range cd.Views {
 		if w.filter == nil || w.filter[vd.View] {
-			deltas = append(deltas, ViewDelta(vd))
+			deltas = append(deltas, vd)
 		}
 	}
 	w.evDeltas = deltas
