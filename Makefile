@@ -69,7 +69,7 @@ test:
 # than TEST_FLOOR (subtests count, as `go test -v` prints them). A change
 # that adds tests raises the floor to its new count; one that deletes a test
 # on purpose lowers it in the same diff and says why.
-TEST_FLOOR = 670
+TEST_FLOOR = 671
 
 test-count:
 	@log=$$(mktemp); $(GO) test -v ./... > $$log 2>&1; status=$$?; \
@@ -91,12 +91,16 @@ test-count:
 # their frozen handles through the engine's free list, opening at new
 # epochs — each serializing commits and captures on one owner mutex, the
 # role the federation's Fed.mu plays for a core engine, which takes no lock
-# of its own), and three shuffled runs of the federation suite (its
-# zero-allocation pins must not depend on test order).
+# of its own), three shuffled runs of the federation suite (its
+# zero-allocation pins must not depend on test order), and a Build whose
+# light join crosses the rows a fill's helper needs, at K ∈ {1, 2}, at
+# GOMAXPROCS 1 and 4 — so the helper count is derived from one core and from
+# more cores than the machine may have.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=3 -run 'TestSnapshotConsistentUnderConcurrentBatches|TestSnapshotReuseRacesCommits|TestGenerationReuseRacesCommits' ./internal/core/
 	$(GO) test -race -shuffle=on -count=3 ./internal/federation/
+	$(GO) test -race -cpu 1,4 -run '^TestBuildOnHelpersMatchesSingleEngine$$' ./internal/federation/
 
 # Run every example end to end. Each checks itself and exits non-zero on a
 # failure (log.Fatal): matmul verifies its product, socialfeed its remote

@@ -60,7 +60,9 @@ func (e *Engine) LoadWeighted(rel string, row []int64, mult int64) error {
 
 // Build runs the preprocessing stage over the loaded data — on a sharded
 // engine, whose shards each hold the rows Load routed to them, on all of
-// them in parallel. It must be called exactly once, before any
+// them in parallel. A large join's fill runs on helper goroutines that
+// follow GOMAXPROCS — a K-th of it for each of K shards — and return before
+// Build does. It must be called exactly once, before any
 // Insert/Delete/Apply/All. On a durable engine it also writes the
 // initial checkpoint; if that fails, the engine serves reads of the built
 // state but refuses every mutation with Build's error, since nothing it

@@ -37,7 +37,8 @@ type Options struct {
 	PlainViewTree bool
 
 	// Workers is ignored: a commit propagates on the goroutine that makes
-	// it. Sharding (internal/federation) is the parallel path.
+	// it, and Preprocess's helpers follow the share of GOMAXPROCS its caller
+	// passes. Sharding (internal/federation) is the parallel path.
 	//
 	// Deprecated: no effect; kept so existing callers compile.
 	Workers int

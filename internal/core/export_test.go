@@ -40,6 +40,20 @@ func rowByRowFor(t *testing.T, row *Engine) *int {
 	return sealed
 }
 
+// helpersFrom lowers, until the test ends, the rows a join's fill needs for a
+// helper goroutine to rows, and counts the fills that ran on helpers.
+func helpersFrom(t *testing.T, rows int) *int {
+	old, helped := minHelperRows, new(int)
+	minHelperRows = rows
+	traceHelpers = func(p int) {
+		if p > 1 {
+			*helped++
+		}
+	}
+	t.Cleanup(func() { minHelperRows, traceHelpers = old, nil })
+	return helped
+}
+
 // viewWriteTable renders traced writes, most-written view first.
 func viewWriteTable(writes map[string]int64) string {
 	names := make([]string, 0, len(writes))

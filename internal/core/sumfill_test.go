@@ -22,15 +22,27 @@ import (
 // so that their bucket order is no longer the keys' first-appearance order.
 // The queries cover sums read off the index of a base relation, of a light
 // part and of an ∃-child view, and off an index whose key order is not the
-// view's column order.
+// view's column order. Preprocess runs on p ∈ {1, 2, 4} cores, with a helper
+// worth 64 rows of a join, so that joins of more than 512 rows run on p
+// helpers — those whose first 512 rows do not merge: the light join
+// V(A, C) of the two-path query over values of A and C too wide to repeat.
 func TestFillsMatchRowByRow(t *testing.T) {
+	helped := helpersFrom(t, 64)
 	var sums, lights, exists, perms, reordered int
-	for _, q := range []string{
-		"Q(A, C) = R(A, B), S(B, C)",
-		"Q(A, B, C) = R(A, B), S(A, C)",
-		"Q(A) = R(B), S(E, B, A)",       // AllA(B) sums the ∃-child VE(B, A)
-		"Q(B, C) = R(E, D, B), S(B, C)", // VE(B, D) sums R through its index on (D, B)
+	for _, c := range []struct {
+		q    string
+		p    int
+		wide bool // values of A and C drawn from a million
+	}{
+		{"Q(A, C) = R(A, B), S(B, C)", 1, false},
+		{"Q(A, C) = R(A, B), S(B, C)", 1, true},
+		{"Q(A, C) = R(A, B), S(B, C)", 2, true},
+		{"Q(A, C) = R(A, B), S(B, C)", 4, true},
+		{"Q(A, B, C) = R(A, B), S(A, C)", 2, false},
+		{"Q(A) = R(B), S(E, B, A)", 2, false},       // AllA(B) sums the ∃-child VE(B, A)
+		{"Q(B, C) = R(E, D, B), S(B, C)", 4, false}, // VE(B, D) sums R through its index on (D, B)
 	} {
+		q := c.q
 		rng := rand.New(rand.NewSource(49))
 		e, err := New(query.MustParse(q), Options{Mode: viewtree.Dynamic, Epsilon: 0.5})
 		if err != nil {
@@ -38,8 +50,11 @@ func TestFillsMatchRowByRow(t *testing.T) {
 		}
 		row := func(br *relEntry, lo int) tuple.Tuple {
 			r := make(tuple.Tuple, br.arity)
-			for j := range r {
+			for j, v := range br.occs[0].base.Schema() {
 				r[j] = tuple.Value(lo + rng.Intn(1+rng.Intn(30)))
+				if c.wide && v != "B" {
+					r[j] = tuple.Value(lo + rng.Intn(1_000_000))
+				}
 			}
 			return r
 		}
@@ -50,8 +65,8 @@ func TestFillsMatchRowByRow(t *testing.T) {
 				}
 			}
 		}
-		e.Preprocess()
-		checkFills(t, e, q+" after Preprocess")
+		e.Preprocess(c.p)
+		checkFills(t, e, fmt.Sprintf("%s after Preprocess(%d)", q, c.p))
 
 		var ops []BatchOp
 		for i := range e.relTab {
@@ -103,8 +118,11 @@ func TestFillsMatchRowByRow(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("fills summed off an index: %d, of a light part %d, of an ∃-child %d, permuting its key %d, in an order not the buckets' %d",
-		sums, lights, exists, perms, reordered)
+	t.Logf("fills summed off an index: %d, of a light part %d, of an ∃-child %d, permuting its key %d, in an order not the buckets' %d; joins on helpers %d",
+		sums, lights, exists, perms, reordered, *helped)
+	if *helped == 0 {
+		t.Error("no join's fill ran on helpers")
+	}
 	if sums == 0 || lights == 0 || exists == 0 || perms == 0 || reordered == 0 {
 		t.Errorf("fills summed off an index: %d, of a light part %d, of an ∃-child %d, permuting its key %d, in an order not the buckets' %d; want each > 0",
 			sums, lights, exists, perms, reordered)
@@ -118,10 +136,18 @@ func checkFills(t *testing.T, e *Engine, stage string) {
 	for _, fs := range e.fills {
 		for _, f := range fs {
 			ref := relation.New(f.dst.Name(), f.dst.Schema())
-			f.plan.fill(e.ubind, f.seed, &planSink{view: ref})
+			f.plan.fill(e.ubind, f.seed, f.seed.rel.First(), -1, &planSink{view: ref})
 			if got, want := entries(f.dst), entries(ref); !slices.Equal(got, want) {
 				t.Fatalf("%s: %s (summed off an index: %v) holds\n%v\nwant\n%v", stage, f.dst.Name(), f.sum != nil, got, want)
 			}
+			e.enumIndexes(func(r *relation.Relation, key tuple.Schema) {
+				if r != f.dst {
+					return
+				}
+				if got, want := buckets(r, r.Index(key)), buckets(ref, ref.EnsureIndex(key)); !slices.Equal(got, want) {
+					t.Fatalf("%s: %s's buckets on %v hold\n%v\nwant\n%v", stage, r.Name(), key, got, want)
+				}
+			})
 		}
 	}
 	theta := e.Theta()
@@ -138,4 +164,20 @@ func checkFills(t *testing.T, e *Engine, stage string) {
 			t.Fatalf("%s: light part %s holds\n%v\nwant\n%v", stage, p.Light().Name(), got, want)
 		}
 	}
+}
+
+// buckets lists the buckets of r's index ix, by key, each with its entries
+// in bucket order.
+func buckets(r *relation.Relation, ix *relation.Index) []string {
+	var out []string
+	ix.ForEachKey(func(key tuple.Tuple, _ int) {
+		b := fmt.Sprint(key, ":")
+		for id := ix.First(key); id != relation.End; id = ix.Next(id) {
+			t, m := r.At(id)
+			b += fmt.Sprint(" ", t, ":", m)
+		}
+		out = append(out, b)
+	})
+	slices.Sort(out)
+	return out
 }

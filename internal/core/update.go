@@ -318,13 +318,16 @@ type updStep struct {
 
 // planSink is where the executor sends its rows: an update's δV, the relation
 // a fill fills — row by row, or appended for the caller to seal, as a sealed
-// edge appends its δV to the view — or, counting, nowhere, the last step's
-// matches being summed, not visited. It lives on the
-// caller's stack: a branch per row, not a call.
+// edge appends its δV to the view, or written at the ids at, at+1, … that
+// relation.Relation.Extend opened, as a fill's helper writes its range — or,
+// counting, nowhere, the last step's matches being summed, not visited. It
+// lives on the caller's stack: a branch per row, not a call.
 type planSink struct {
 	delta *delta
 	view  *relation.Relation
 	bulk  bool
+	put   bool
+	at    relation.ID
 	count bool
 	rows  int
 }
@@ -408,16 +411,19 @@ func (p *updPlan) run(scratch []tuple.Value, d *delta, to *planSink) {
 	}
 }
 
-// fill runs the whole of seed through the plan as if it were the delta.
-func (p *updPlan) fill(scratch []tuple.Value, seed joinInput, to *planSink) {
+// fill runs n entries of seed, from id on in insertion order — every one
+// from id on when n < 0 — through the plan as if they were the delta, and
+// returns the entry after the last it ran.
+func (p *updPlan) fill(scratch []tuple.Value, seed joinInput, id relation.ID, n int, to *planSink) relation.ID {
 	r := seed.rel
-	for id := r.First(); id != relation.End; id = r.Next(id) {
+	for ; id != relation.End && n != 0; id, n = r.Next(id), n-1 {
 		t, m := r.At(id)
 		for k, s := range p.deltaSlots {
 			scratch[s] = t[k]
 		}
 		p.rec(scratch, 0, seed.mult(m), to)
 	}
+	return id
 }
 
 // mult is what a stored multiplicity m ≠ 0 counts for in a join over the input.
@@ -438,6 +444,9 @@ func (p *updPlan) rec(scratch []tuple.Value, i int, mult int64, to *planSink) {
 		switch {
 		case to.bulk:
 			to.view.Append(p.outScratch, mult)
+		case to.put:
+			to.view.Put(to.at, p.outScratch, mult)
+			to.at++
 		case to.view != nil:
 			to.view.MustAdd(p.outScratch, mult)
 		default:
@@ -494,7 +503,7 @@ func (e *Engine) majorRebalance() {
 	if cs != nil {
 		cs.captureRebalanceDiff(e, -1)
 	}
-	e.materializeAll()
+	e.materializeAll(1)
 	if cs != nil {
 		cs.captureRebalanceDiff(e, 1)
 	}

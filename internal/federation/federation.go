@@ -2,9 +2,10 @@
 // core engines (shards) and gathers their results, multiplying the
 // engine-level wins — allocation-free commits, copy-on-write snapshots —
 // by K mostly-independent workers. A core engine propagates a commit on the
-// goroutine that makes it, one view tree after another (core starts no
-// goroutines; core.Options.Workers is a no-op): the shards are the only
-// parallelism.
+// goroutine that makes it, one view tree after another (a commit starts no
+// goroutine in core; core.Options.Workers is a no-op): the shards are the
+// only parallelism of a commit. Preprocess gives each shard a K-th of
+// GOMAXPROCS for the helpers of its large fills.
 //
 // # Sharding a hierarchical query
 //
@@ -404,8 +405,9 @@ func (f *Fed) LoadRows(rel string, vals []tuple.Value, mults []int64) error {
 }
 
 // Preprocess runs the core preprocessing stage over what LoadRows routed to
-// the shards, on all shards in parallel. It runs once; a second call is an
-// error.
+// the shards, on all shards in parallel, each with its share of GOMAXPROCS
+// for its large fills (core.Engine.Preprocess). It runs once; a second call
+// is an error.
 func (f *Fed) Preprocess() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -413,19 +415,22 @@ func (f *Fed) Preprocess() error {
 		return fmt.Errorf("federation: already preprocessed")
 	}
 	// Shards 1..K−1 preprocess on goroutines of their own, shard 0 on the
-	// caller's, so one shard allocates nothing beyond what its engine does.
+	// caller's, so one shard starts no goroutine but its engine's fill
+	// helpers. The K shards preprocess at once, so each takes a K-th of
+	// GOMAXPROCS for those helpers, one at least.
+	cores := max(1, runtime.GOMAXPROCS(0)/f.k)
 	if f.k == 1 {
-		f.shards[0].Preprocess()
+		f.shards[0].Preprocess(cores)
 	} else {
 		var wg sync.WaitGroup
 		for _, e := range f.shards[1:] {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				e.Preprocess()
+				e.Preprocess(cores)
 			}()
 		}
-		f.shards[0].Preprocess()
+		f.shards[0].Preprocess(cores)
 		wg.Wait()
 	}
 	f.built = true

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -437,12 +438,85 @@ func TestFederationUpdateParity(t *testing.T) {
 	}
 }
 
+// TestBuildOnHelpersMatchesSingleEngine: a Build whose light join is well
+// past the rows a fill's helper needs — V(A, C) of 176 000 rows over 440
+// light values of B, at least 2^16 of them on either of two shards — gives
+// the result, N and invariants of a single engine preprocessed on one
+// goroutine, at K ∈ {1, 2}. make race runs it at -cpu 1,4, where each shard
+// takes GOMAXPROCS ÷ K helpers — or one.
+func TestBuildOnHelpersMatchesSingleEngine(t *testing.T) {
+	q := query.MustParse("Q(A, C) = R(A, B), S(B, C)")
+	eopts := core.Options{Mode: viewtree.Dynamic, Epsilon: 0.5}
+	const keys, degree = 440, 20 // N = 17 600: θ = M^0.5 ≈ 188, so every B is light
+	r, s := relation.New("R", tuple.NewSchema("A", "B")), relation.New("S", tuple.NewSchema("B", "C"))
+	for b := range int64(keys) {
+		for i := range int64(degree) {
+			r.MustAdd(tuple.Tuple{b*degree + i, b}, 1)
+			s.MustAdd(tuple.Tuple{b, b*degree + i}, 1)
+		}
+	}
+	db := naive.Database{"R": r, "S": s}
+	ref, err := core.New(q, eopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, rel := range db {
+		rel.ForEach(func(tu tuple.Tuple, m int64) {
+			if err := ref.LoadRows(name, tu, []int64{m}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	ref.Preprocess(1)
+	want := sortedResult(ref.Enumerate)
+	if len(want) != keys*degree*degree {
+		t.Fatalf("the single engine holds %d result rows, want %d", len(want), keys*degree*degree)
+	}
+	for _, k := range []int{1, 2} {
+		f, err := New(q, Options{Shards: k, Engine: eopts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if err := preprocess(f, db); err != nil {
+			t.Fatal(err)
+		}
+		snap := f.Snapshot()
+		got := sortedResult(snap.Enumerate)
+		snap.Close()
+		if !slices.Equal(got, want) {
+			t.Errorf("K=%d: %d result rows differ from the single engine's %d", k, len(got), len(want))
+		}
+		if n, rn := f.N(), ref.N(); n != rn {
+			t.Errorf("K=%d: N = %d, single-engine N = %d", k, n, rn)
+		}
+		for i := range f.Shards() {
+			if err := f.Shard(i).CheckInvariants(); err != nil {
+				t.Errorf("K=%d shard %d: %v", k, i, err)
+			}
+		}
+	}
+}
+
+// sortedResult collects a two-column enumeration as sorted (A, C, mult)
+// rows: cheaper than resultMap for a large result.
+func sortedResult(enum func(func(tuple.Tuple, int64) bool)) [][3]int64 {
+	var out [][3]int64
+	enum(func(t tuple.Tuple, m int64) bool {
+		out = append(out, [3]int64{t[0], t[1], m})
+		return true
+	})
+	slices.SortFunc(out, func(a, b [3]int64) int { return slices.Compare(a[:], b[:]) })
+	return out
+}
+
 // TestLoadRowsRoutes: a block of rows loaded through LoadRows and
 // preprocessed equals a single-engine reference at K ∈ {1, 2, 3}, for a
 // repeated symbol (one R row routes to up to two shards) and for a broadcast
 // relation; and a block that is rejected — an unknown relation, a length
-// that is not a multiple of the arity, a non-positive multiplicity after
-// valid rows — leaves every shard empty.
+// that is not a multiple of the arity (in the words of the other row
+// errors), a non-positive multiplicity after valid rows — leaves every shard
+// empty.
 func TestLoadRowsRoutes(t *testing.T) {
 	for _, qs := range []string{"Q(A, B) = R(A, B), R(B, A)", "Q(A, C) = R(A, B), T(C)"} {
 		for _, k := range []int{1, 2, 3} {
@@ -482,8 +556,9 @@ func TestLoadRowsRoutes(t *testing.T) {
 				if err := e.LoadRows("R", []tuple.Value{1, 2, 3}, []int64{1}); !errors.As(err, &ae) {
 					t.Errorf("3-column row returned %v, want *relation.ArityError", err)
 				}
-				if err := e.LoadRows("R", []tuple.Value{1, 2, 3, 4, 5}, []int64{1, 1}); err == nil {
-					t.Error("5 values as 2 rows of arity 2 accepted")
+				const block = "ivmeps: relation R: 5 values are not 2 rows of arity 2"
+				if err := e.LoadRows("R", []tuple.Value{1, 2, 3, 4, 5}, []int64{1, 1}); err == nil || err.Error() != block {
+					t.Errorf("5 values as 2 rows of arity 2 returned %v, want %q", err, block)
 				}
 				for _, m := range []int64{0, -1} {
 					if err := e.LoadRows("R", []tuple.Value{1, 2, 2, 1, 3, 3}, []int64{1, 2, m}); err == nil {

@@ -3,6 +3,7 @@ package relation
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"ivmeps/internal/tuple"
 )
@@ -16,13 +17,18 @@ const (
 	// maxPartBits caps a seal at 2^8 partitions, whose offsets then fit in a
 	// fixed array on the stack.
 	maxPartBits = 8
-	// firstChunk is the most rows a fill appends before its first seal when
+	// FirstChunk is the most rows a fill appends before its first seal when
 	// its columns have no room for them: enough to see whether the rows
 	// merge, and little enough to respect the 8× bound when they do. A fill
 	// that announced no count seals as its columns fill until it has
-	// appended this many, for the same reason.
-	firstChunk = 8 * minRows
+	// appended this many, for the same reason, and Extend opens rows only
+	// once a seal has placed this many without a merge.
+	FirstChunk = 8 * minRows
 )
+
+// traceDeferred is nil outside tests: a test sets it to count the rows a
+// seal on several helpers defers to its caller (placeOn).
+var traceDeferred func(rows int)
 
 // fillState is the bookkeeping of an open bulk fill.
 type fillState struct {
@@ -53,7 +59,7 @@ func (r *Relation) writable() *relStore {
 func (r *Relation) Reserve(n int) {
 	s := r.writable()
 	s.fill.want += n
-	if first := min(n, firstChunk); cap(s.mults)-len(s.mults) < first {
+	if first := min(n, FirstChunk); cap(s.mults)-len(s.mults) < first {
 		s.reserve(max(minRows, len(s.mults)+first))
 	}
 }
@@ -80,17 +86,62 @@ func (r *Relation) Append(t tuple.Tuple, m int64) {
 	s.fill.appended++
 }
 
-// Seal places the rows appended since the last seal and closes the fill.
-// The relation then holds exactly what Add of each appended row, in append
-// order, would have left: the same entries in the same insertion order, the
-// same index buckets in the same order, the same multiplicities. A row that
-// takes a multiplicity below zero panics, leaving the relation unusable.
-func (r *Relation) Seal() {
+// Extend opens the next n rows of the fill at once, for writers that fill
+// them out of order (Put) — internal/core's helpers, each writing chunks of
+// a join's rows. It returns the id of the first. A seal of the fill must
+// have placed its first FirstChunk rows without a merge — the evidence on
+// which makeRoom grows the columns straight to the announced count — or
+// Extend opens nothing and returns false. Every opened row must be Put
+// before the next Seal, which places them with the rest.
+func (r *Relation) Extend(n int) (first ID, ok bool) {
+	s := r.writable()
+	f := &s.fill
+	if f.delta || f.merged || f.appended-f.pend < FirstChunk {
+		return 0, false
+	}
+	at := len(s.mults)
+	if cap(s.mults)-at < n {
+		s.reserve(at + n)
+	}
+	s.tab.vals = s.tab.vals[:(at+n)*s.tab.arity]
+	s.mults, s.links = s.mults[:at+n], s.links[:at+n]
+	f.pend += n
+	f.appended += n
+	return ID(at), true
+}
+
+// Put writes the row {t → m}, m ≠ 0, at id, a row Extend opened; t is
+// copied. Puts of distinct ids may run concurrently with one another, but
+// not with any other method of the relation.
+func (r *Relation) Put(id ID, t tuple.Tuple, m int64) {
+	s := r.s
+	k := s.tab.arity
+	copy(s.tab.vals[int(id)*k:int(id+1)*k], t)
+	s.mults[id] = m
+}
+
+// SizeSlots grows the probe array for every row the open fill holds, as the
+// next Seal would before it places them. It touches no column, so it may
+// run concurrently with Puts: on a goroutine of its own beside them, it
+// takes the array's allocation off the seal.
+func (r *Relation) SizeSlots() {
+	s := r.s
+	s.tab.grow(s.tab.count + s.fill.pend)
+}
+
+// Seal places the rows appended since the last seal and closes the fill, on
+// p ≥ 1 goroutines (placeOn) when p > 1 and no row's multiplicity is
+// negative. The relation then holds exactly what Add of each appended row,
+// in append order, would have left: the same entries in the same insertion
+// order, the same index buckets in the same order, the same multiplicities.
+// A row that takes a multiplicity below zero panics, leaving the relation
+// unusable.
+func (r *Relation) Seal(p int) {
 	s := r.writable()
 	if s.fill.delta {
 		panic(fmt.Sprintf("relation %s: Seal of a delta fill (SealDelta it)", r.name))
 	}
-	r.seal()
+	r.seal(p)
 	// A fill that outgrew its columns chunks again when it is repeated (a
 	// major rebalance refills every view): give the repeat room for all its
 	// rows or leave it half the columns free, so it never has to grow them.
@@ -130,7 +181,7 @@ func (r *Relation) SealDelta(emit func(t tuple.Tuple, m int64)) (rows int) {
 	if need := len(s.links) + s.fill.pend; cap(s.links) < need {
 		s.links = withCap(s.links, need+need/4)
 	}
-	lo, hi, _ := r.place(true)
+	lo, hi, _ := r.place(true, 1)
 	s.fill = fillState{}
 	if lo == hi {
 		return 0
@@ -148,11 +199,11 @@ func (r *Relation) SealDelta(emit func(t tuple.Tuple, m int64)) (rows int) {
 // 8× their rows once one has.
 func (r *Relation) makeRoom() {
 	s := r.s
-	if s.fill.delta || s.fill.want == 0 && s.fill.appended > firstChunk && !s.fill.merged {
+	if s.fill.delta || s.fill.want == 0 && s.fill.appended > FirstChunk && !s.fill.merged {
 		s.reserve(max(2*len(s.mults), minRows))
 		return
 	}
-	r.seal()
+	r.seal(1)
 	n, c := len(s.mults), cap(s.mults)
 	rest := max(s.fill.want-s.fill.appended, 1)
 	if n < c && (c-n >= rest || 2*n <= c) {
@@ -165,12 +216,13 @@ func (r *Relation) makeRoom() {
 	s.reserve(max(2*n, minRows, size))
 }
 
-// seal places the rows appended since the last seal (place), merging equal
-// rows in sequence; the survivors are linked at the tail of the insertion
-// order and indexed, in append order.
-func (r *Relation) seal() {
+// seal places the rows appended since the last seal (place, on p
+// goroutines), merging equal rows in sequence; the survivors are linked at
+// the tail of the insertion order and indexed, in append order, on the
+// caller's goroutine.
+func (r *Relation) seal(p int) {
 	s := r.s
-	lo, hi, merged := r.place(false)
+	lo, hi, merged := r.place(false, p)
 	if lo == hi {
 		return
 	}
@@ -198,7 +250,8 @@ func (r *Relation) seal() {
 // place puts the rows appended since the last seal, the ids [lo, hi), into
 // the probe array: one partition of it at a time, each row into the slot Add
 // would find for it. In a row fill (delta false) a row equal to a stored or
-// earlier appended one merges into it (merge), and merged says one did.
+// earlier appended one merges into it (merge), and merged says one did. A
+// row fill with p > 1 runs on p goroutines (placeOn).
 //
 // In a delta fill only appended rows merge: a tuple's first row is its
 // accumulator, and its later rows add into it and empty. An accumulator takes
@@ -208,7 +261,7 @@ func (r *Relation) seal() {
 // settle needs of each row past the end of the links, at hi + id − lo: the
 // stored row and the slot of an accumulator, or {End, End} for a row that
 // merged.
-func (r *Relation) place(delta bool) (lo, hi int, merged bool) {
+func (r *Relation) place(delta bool, p int) (lo, hi int, merged bool) {
 	s := r.s
 	t := &s.tab
 	hi = len(s.mults)
@@ -225,30 +278,53 @@ func (r *Relation) place(delta bool) (lo, hi int, merged bool) {
 
 	// Counting and scatter pass: buf, the free links of the appended rows,
 	// gets each row's slot value, ordered by partition and, within one, by id.
-	pbits := min(max(bits.TrailingZeros(uint(len(t.slots)))-partBits, 0), maxPartBits)
-	pshift := uint(64 - pbits)
-	var off [1<<maxPartBits + 1]int
-	neg := false
-	for id := lo; id < hi; id++ {
-		off[tuple.Hash(s.seed, t.key(ID(id)))>>pshift+1]++
-		neg = neg || s.mults[id] < 0
+	// A fill on helpers has a partition for each at least.
+	slotBits := bits.TrailingZeros(uint(len(t.slots)))
+	pbits := uint(min(max(slotBits-partBits, bits.Len(uint(p-1))), maxPartBits, slotBits))
+	if p > 1 && !delta {
+		return lo, hi, r.placeOn(lo, hi, pbits, min(p, 1<<pbits))
 	}
-	neg = neg && !delta
-	for p := 1; p < len(off); p++ {
-		off[p] += off[p-1]
+	var off [1 << maxPartBits]int
+	neg := s.count(lo, hi, 64-pbits, &off) && !delta
+	for q, at := 0, 0; q < 1<<pbits; q++ {
+		off[q], at = at, at+off[q]
 	}
 	buf := s.links[lo:hi]
-	for id := lo; id < hi; id++ {
-		h := tuple.Hash(s.seed, t.key(ID(id)))
-		p := h >> pshift
-		v := h&^idMask | uint64(id+1)
-		buf[off[p]] = link{ID(v), ID(v >> 32)}
-		off[p]++
-	}
+	s.scatter(lo, hi, 64-pbits, buf, &off)
+	return lo, hi, r.placeRows(buf, lo, hi, delta, neg)
+}
 
-	// Placement: the probes of one partition's rows stay in its window of the
-	// probe array, give or take the clusters that cross its edge — and a
-	// growth of the array keeps them there, each window doubling with it.
+// count adds each appended row of the ids [a, b) to hist, under the
+// partition of its home slot, and reports whether one has a negative
+// multiplicity.
+func (s *relStore) count(a, b int, pshift uint, hist *[1 << maxPartBits]int) (neg bool) {
+	for id := a; id < b; id++ {
+		hist[tuple.Hash(s.seed, s.tab.key(ID(id)))>>pshift]++
+		neg = neg || s.mults[id] < 0
+	}
+	return neg
+}
+
+// scatter writes the slot value of each appended row of the ids [a, b) into
+// buf, at the next offset at holds for the row's partition.
+func (s *relStore) scatter(a, b int, pshift uint, buf []link, at *[1 << maxPartBits]int) {
+	for id := a; id < b; id++ {
+		h := tuple.Hash(s.seed, s.tab.key(ID(id)))
+		q := h >> pshift
+		v := h&^idMask | uint64(id+1)
+		buf[at[q]] = link{ID(v), ID(v >> 32)}
+		at[q]++
+	}
+}
+
+// placeRows places the rows of buf, slot values the scatter pass wrote, in
+// order: the placement of place. The probes of one partition's rows stay in
+// its window of the probe array, give or take the clusters that cross its
+// edge — and a growth of the array keeps them there, each window doubling
+// with it. neg says a row of a row fill may take a multiplicity below zero.
+func (r *Relation) placeRows(buf []link, lo, hi int, delta, neg bool) (merged bool) {
+	s := r.s
+	t := &s.tab
 	var rec []link
 	if delta {
 		rec = s.links[hi : 2*hi-lo]
@@ -297,7 +373,137 @@ func (r *Relation) place(delta bool) (lo, hi int, merged bool) {
 			break
 		}
 	}
-	return lo, hi, merged
+	return merged
+}
+
+// placeOn is place's row fill on p > 1 helpers, for a probe array of
+// 2^pbits partitions, p at most. The counting and scatter passes split the
+// ids [lo, hi) into p ranges, one a helper; the ranges' partition counts are
+// summed in partition order, then range order, so the scatter still orders
+// each partition's rows by id. Unless a row's multiplicity is negative —
+// then placeRows places them all on the caller's goroutine — each helper
+// then places a contiguous range of partitions (placeWindow), and the caller
+// places the rows they deferred afterwards, helper by helper: within one
+// helper's in id order among equal rows, which share a home slot and so a
+// helper. A row equal to a deferred one is deferred too, so the survivor of
+// every merge is the row a placement in sequence keeps. The helpers run the
+// three passes on one goroutine each, the caller's the first, meeting at a
+// barrier after each of the first two.
+func (r *Relation) placeOn(lo, hi int, pbits uint, p int) (merged bool) {
+	s := r.s
+	t := &s.tab
+	pshift, parts, width := 64-pbits, 1<<pbits, len(t.slots)>>pbits
+	buf := s.links[lo:hi]
+	type helper struct {
+		hist           [1 << maxPartBits]int // the range's rows per partition, then where its next goes in buf
+		neg            bool
+		rows           []link // the window's rows in buf; the deferred ones end up first
+		placed, defers int
+		merged         bool
+	}
+	hs := make([]helper, p)
+	var (
+		start                      [1<<maxPartBits + 1]int // where each partition's rows start in buf
+		neg                        bool
+		counted, summed, scattered sync.WaitGroup // one-shot barriers
+	)
+	counted.Add(p)
+	summed.Add(1)
+	scattered.Add(p)
+	run := func(k int) {
+		h := &hs[k]
+		a, b := lo+k*(hi-lo)/p, lo+(k+1)*(hi-lo)/p
+		h.neg = s.count(a, b, pshift, &h.hist)
+		counted.Done()
+		if k == 0 {
+			counted.Wait()
+			at := 0
+			for q := range parts {
+				start[q] = at
+				for i := range hs {
+					hs[i].hist[q], at = at, at+hs[i].hist[q]
+				}
+			}
+			start[parts] = at
+			for i := range hs {
+				neg = neg || hs[i].neg
+			}
+			summed.Done()
+		}
+		summed.Wait()
+		s.scatter(a, b, pshift, buf, &h.hist)
+		scattered.Done()
+		scattered.Wait()
+		if !neg {
+			a, b = k*parts/p, (k+1)*parts/p
+			h.rows = buf[start[a]:start[b]]
+			h.placed, h.merged, h.defers = s.placeWindow(h.rows, uint64(b*width))
+		}
+	}
+	var done sync.WaitGroup
+	done.Add(p - 1)
+	for k := 1; k < p; k++ {
+		go func() {
+			defer done.Done()
+			run(k)
+		}()
+	}
+	run(0)
+	done.Wait()
+	if neg {
+		return r.placeRows(buf, lo, hi, false, true)
+	}
+	deferred := 0
+	for _, h := range hs {
+		t.count += h.placed
+		merged = merged || h.merged
+		deferred += h.defers
+	}
+	for _, h := range hs {
+		merged = r.placeRows(h.rows[:h.defers], lo, hi, false, false) || merged
+	}
+	if traceDeferred != nil {
+		traceDeferred(deferred)
+	}
+	return merged
+}
+
+// placeWindow places the rows of buf, all homed in one helper's window of the
+// probe array, which ends at slot end, as placeRows places a row fill's with
+// no negative multiplicity: a row merges into an equal one — stored or
+// placed before it, and homed in the same slot, so in this window — or takes
+// the first empty slot of its probe. A probe that would reach end, out of the
+// window, is deferred instead: the row moves to the front of buf, in order.
+// It touches no slot outside the window and no multiplicity but those of its
+// rows and of the rows they merge into. It returns the rows it placed,
+// whether one merged, and how many it deferred.
+func (s *relStore) placeWindow(buf []link, end uint64) (placed int, merged bool, deferred int) {
+	t := &s.tab
+	for _, l := range buf {
+		v := uint64(l.prev) | uint64(l.next)<<32
+		id := ID(v - 1)
+		for i := v >> t.shift; ; i++ {
+			if i == end {
+				buf[deferred] = l
+				deferred++
+				break
+			}
+			x := t.slots[i]
+			if x == 0 {
+				t.slots[i] = v
+				placed++
+				break
+			}
+			if x&^idMask != v&^idMask || !t.key(ID(x-1)).Equal(t.key(id)) {
+				continue
+			}
+			s.mults[ID(x-1)] += s.mults[id]
+			s.mults[id] = 0
+			merged = true
+			break
+		}
+	}
+	return placed, merged, deferred
 }
 
 // merge adds appended row id's multiplicity to the equal row e in slot i and

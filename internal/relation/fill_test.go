@@ -2,6 +2,7 @@ package relation
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"ivmeps/internal/tuple"
@@ -14,21 +15,66 @@ type fillOp struct {
 	Seal    bool
 }
 
-// runFill plays ops into sealed through Reserve(reserve)/Append/Seal and into
-// added through MustAdd. A Reserve of −1 announces the stream's own length.
-func runFill(sealed, added *Relation, ops []fillOp, reserve int) {
+// runFill plays ops into sealed through Reserve(reserve)/Append/Seal(p) and
+// into added through MustAdd. A Reserve of −1 announces the stream's own
+// length. With put, the stream's own seals are skipped, and the rows past
+// the first FirstChunk + 1 are, if Extend opens them, written out of order
+// by p goroutines through Put, while one more runs SizeSlots; opened says
+// Extend did.
+func runFill(sealed, added *Relation, ops []fillOp, reserve, p int, put bool) (opened bool) {
 	if reserve < 0 {
 		reserve = len(ops)
 	}
 	sealed.Reserve(reserve)
-	for _, o := range ops {
+	for i, o := range ops {
+		if put && i == FirstChunk+1 {
+			if first, ok := sealed.Extend(len(ops) - i); ok {
+				putRows(sealed, first, ops[i:], p)
+				for _, o := range ops[i:] {
+					added.MustAdd(tuple.Tuple{o.A, o.B}, o.M)
+				}
+				sealed.Seal(p)
+				return true
+			}
+		}
 		sealed.Append(tuple.Tuple{o.A, o.B}, o.M)
 		added.MustAdd(tuple.Tuple{o.A, o.B}, o.M)
-		if o.Seal {
-			sealed.Seal()
+		if o.Seal && !put {
+			sealed.Seal(p)
 		}
 	}
-	sealed.Seal()
+	sealed.Seal(p)
+	return false
+}
+
+// putRows writes ops at the ids from first on, as Extend opened them: p
+// goroutines take every p-th row, from the last one back, while one more
+// sizes the probe array.
+func putRows(r *Relation, first ID, ops []fillOp, p int) {
+	var wg sync.WaitGroup
+	wg.Add(p + 1)
+	go func() {
+		defer wg.Done()
+		r.SizeSlots()
+	}()
+	for k := range p {
+		go func() {
+			defer wg.Done()
+			for j := len(ops) - 1 - k; j >= 0; j -= p {
+				r.Put(first+ID(j), tuple.Tuple{ops[j].A, ops[j].B}, ops[j].M)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// traceHelpers counts, until the test ends, the seals that placed rows on
+// helpers and the rows they deferred to their callers.
+func traceHelpers(t *testing.T) (seals, deferred *int) {
+	seals, deferred = new(int), new(int)
+	traceDeferred = func(rows int) { *seals, *deferred = *seals+1, *deferred+rows }
+	t.Cleanup(func() { traceDeferred = nil })
+	return seals, deferred
 }
 
 // sameRelation reports the first way got differs from want — as seen
@@ -102,15 +148,16 @@ func checkTable(r *Relation) string {
 }
 
 // randomStream draws n appends over a domain of keys keys — so rows repeat —
-// whose multiplicities never go below zero in the reference: now and then a
-// row takes back part or all of its key's multiplicity, and a key taken to
-// zero may come back later. Seal points fall at random.
-func randomStream(rng *rand.Rand, n, keys int, have map[[2]int64]int64) []fillOp {
+// whose multiplicities never go below zero in the reference: unless neg is
+// false, now and then a row takes back part or all of its key's
+// multiplicity, and a key taken to zero may come back later. Seal points fall
+// at random.
+func randomStream(rng *rand.Rand, n, keys int, neg bool, have map[[2]int64]int64) []fillOp {
 	ops := make([]fillOp, n)
 	for i := range ops {
 		k := [2]int64{int64(rng.Intn(keys)), int64(rng.Intn(3))}
 		m := int64(1 + rng.Intn(3))
-		if cur := have[k]; cur > 0 && rng.Intn(4) == 0 {
+		if cur := have[k]; neg && cur > 0 && rng.Intn(4) == 0 {
 			m = -cur
 			if rng.Intn(2) == 0 {
 				m = -1 - rng.Int63n(cur)
@@ -125,91 +172,122 @@ func randomStream(rng *rand.Rand, n, keys int, have map[[2]int64]int64) []fillOp
 // TestSealMatchesAdd is the model test of the bulk fill: random append
 // streams — duplicates, rows netting to zero and coming back, fills onto a
 // relation that churned under Add, with and without a count, chunked by full
-// columns and by explicit seals — leave a sealed relation equal to one built
-// by MustAdd: the same entries in the same order, the same multiplicities and
-// sizes, and the same buckets in the same order on an index made before the
-// fills.
+// columns and by explicit seals, sealed on p ∈ {1, 2, 3, 4} helpers — leave a
+// sealed relation equal to one built by MustAdd: the same entries in the same
+// order, the same multiplicities and sizes, and the same buckets in the same
+// order on an index made before the fills. Half the rounds append no negative
+// multiplicity, so their seals on p > 1 place rows on the helpers, and some
+// of those rows are deferred at a window's edge. Half put the rows past the
+// first chunk through Extend and Put (runFill), over keys too many to
+// repeat often, so that the first chunk may not merge and Extend opens them.
 func TestSealMatchesAdd(t *testing.T) {
+	seals, deferred := traceHelpers(t)
+	opened := 0
 	rng := rand.New(rand.NewSource(30))
 	for round := 0; round < 200; round++ {
+		p, neg, put := 1+round%4, round/4%2 == 0, round/8%2 == 0
 		sealed, added := New("R", ab()), New("R", ab())
 		sealed.EnsureIndex(tuple.NewSchema("A"))
 		added.EnsureIndex(tuple.NewSchema("A"))
 		have := map[[2]int64]int64{}
 		keys := 1 + rng.Intn(300)
+		if put {
+			keys *= 1000
+		}
 		for fill := 0; fill < 4; fill++ {
-			for _, o := range randomStream(rng, rng.Intn(40), keys, have) {
+			for _, o := range randomStream(rng, rng.Intn(40), keys, neg, have) {
 				sealed.MustAdd(tuple.Tuple{o.A, o.B}, o.M)
 				added.MustAdd(tuple.Tuple{o.A, o.B}, o.M)
 			}
-			ops := randomStream(rng, rng.Intn(2000), keys, have)
+			ops := randomStream(rng, rng.Intn(2000), keys, neg, have)
 			reserve := []int{-1, 0, rng.Intn(4000)}[rng.Intn(3)]
-			runFill(sealed, added, ops, reserve)
+			if runFill(sealed, added, ops, reserve, p, put) {
+				opened++
+			}
 			if d := sameRelation(sealed, added); d != "" {
-				t.Fatalf("round %d fill %d (%d rows over %d keys, Reserve(%d)): the sealed relation differs from MustAdd's: %s", round, fill, len(ops), keys, reserve, d)
+				t.Fatalf("round %d fill %d (%d rows over %d keys, Reserve(%d), Seal(%d), Put %v): the sealed relation differs from MustAdd's: %s", round, fill, len(ops), keys, reserve, p, put, d)
 			}
 			if d := checkTable(sealed); d != "" {
 				t.Fatalf("round %d fill %d: %s", round, fill, d)
 			}
 		}
 	}
+	t.Logf("%d seals placed rows on helpers, deferring %d rows; Extend opened %d fills", *seals, *deferred, opened)
+	if *seals == 0 || *deferred == 0 || opened == 0 {
+		t.Errorf("%d seals placed rows on helpers, deferring %d rows; Extend opened %d fills: want some of each", *seals, *deferred, opened)
+	}
 }
 
 // A seal of a table past 2^15 slots runs in several partitions; rows whose
 // home is the last slot of a partition, or of the whole array, form probe
 // clusters that cross into the next partition's window and wrap to the
-// array's start. Crafted rows of both kinds — some repeated, one netting to
-// zero inside its cluster — seal to what MustAdd builds, and the clusters do
-// cross.
+// array's start. Crafted rows of both kinds — some repeated, and, in the
+// streams with a negative multiplicity, one netting to zero inside its
+// cluster — seal on p ∈ {1, 2, 3, 4} helpers to what MustAdd builds, appended
+// or put past their first chunk (runFill), and the clusters do cross. A
+// positive stream's seal on helpers defers the rows whose probes reach a
+// window's edge — the array's end at least.
 func TestSealClustersCrossPartitions(t *testing.T) {
 	const rows = 30000 // a table of 2^16 slots: four partitions of 2^14
-	sealed, added := New("R", ab()), New("R", ab())
-	sealed.EnsureIndex(tuple.NewSchema("A"))
-	added.EnsureIndex(tuple.NewSchema("A"))
 	const shift = 64 - 16
 	edges := []uint64{1<<partBits - 1, 1<<16 - 1}
-	var crafted [][2]int64
-	for _, home := range edges {
-		found := 0
-		for b := int64(1 << 40); found < 6; b++ {
-			if tuple.Hash(sealed.s.seed, tuple.Tuple{7, b})>>shift == home {
-				crafted = append(crafted, [2]int64{7, b})
-				found++
+	seals, deferred := traceHelpers(t)
+	for i := range 16 {
+		neg, put, p := i/8 == 1, i/4%2 == 1, 1+i%4
+		sealed, added := New("R", ab()), New("R", ab())
+		sealed.EnsureIndex(tuple.NewSchema("A"))
+		added.EnsureIndex(tuple.NewSchema("A"))
+		var crafted [][2]int64
+		for _, home := range edges {
+			found := 0
+			for b := int64(1 << 40); found < 6; b++ {
+				if tuple.Hash(sealed.s.seed, tuple.Tuple{7, b})>>shift == home {
+					crafted = append(crafted, [2]int64{7, b})
+					found++
+				}
 			}
 		}
-	}
-	rng := rand.New(rand.NewSource(31))
-	var ops []fillOp
-	for i := 0; i < rows; i++ {
-		ops = append(ops, fillOp{A: rng.Int63n(rows), B: int64(i), M: 1})
-		if i%(rows/len(crafted)) == 0 {
-			c := crafted[i/(rows/len(crafted))%len(crafted)]
-			ops = append(ops, fillOp{A: c[0], B: c[1], M: 2})
+		rng := rand.New(rand.NewSource(31))
+		var ops []fillOp
+		for i := 0; i < rows; i++ {
+			ops = append(ops, fillOp{A: rng.Int63n(rows), B: int64(i), M: 1})
+			if i%(rows/len(crafted)) == 0 {
+				c := crafted[i/(rows/len(crafted))%len(crafted)]
+				ops = append(ops, fillOp{A: c[0], B: c[1], M: 2})
+			}
 		}
-	}
-	for _, c := range crafted[:3] {
-		ops = append(ops, fillOp{A: c[0], B: c[1], M: 1}) // repeats merge
-	}
-	c := crafted[len(crafted)-1]
-	ops = append(ops, fillOp{A: c[0], B: c[1], M: -2}) // nets to zero in the wrapping cluster
-	runFill(sealed, added, ops, -1)
+		for _, c := range crafted[:3] {
+			ops = append(ops, fillOp{A: c[0], B: c[1], M: 1}) // repeats merge
+		}
+		if neg {
+			c := crafted[len(crafted)-1]
+			ops = append(ops, fillOp{A: c[0], B: c[1], M: -2}) // nets to zero in the wrapping cluster
+		}
+		*seals, *deferred = 0, 0
+		if opened := runFill(sealed, added, ops, -1, p, put); opened != put {
+			t.Fatalf("Seal(%d), Put %v: Extend opened the rows past the first chunk: %v", p, put, opened)
+		}
 
-	if got := len(sealed.s.tab.slots); got != 1<<16 {
-		t.Fatalf("the seal built %d slots, want 2^16", got)
-	}
-	if d := sameRelation(sealed, added); d != "" {
-		t.Fatalf("the sealed relation differs from MustAdd's: %s", d)
-	}
-	if d := checkTable(sealed); d != "" {
-		t.Fatal(d)
-	}
-	for _, home := range edges {
-		next, crossed := (home+1)&(1<<16-1), false
-		for _, s := range sealed.s.tab.slots[next : next+32] {
-			crossed = crossed || s != 0 && s>>shift == home
+		if got := len(sealed.s.tab.slots); got != 1<<16 {
+			t.Fatalf("Seal(%d): the seal built %d slots, want 2^16", p, got)
 		}
-		if !crossed {
-			t.Errorf("no row homed at slot %d sits past it: the cluster at the edge did not cross", home)
+		if d := sameRelation(sealed, added); d != "" {
+			t.Fatalf("Seal(%d), negative rows %v, Put %v: the sealed relation differs from MustAdd's: %s", p, neg, put, d)
+		}
+		if d := checkTable(sealed); d != "" {
+			t.Fatalf("Seal(%d): %s", p, d)
+		}
+		for _, home := range edges {
+			next, crossed := (home+1)&(1<<16-1), false
+			for _, s := range sealed.s.tab.slots[next : next+32] {
+				crossed = crossed || s != 0 && s>>shift == home
+			}
+			if !crossed {
+				t.Errorf("Seal(%d): no row homed at slot %d sits past it: the cluster at the edge did not cross", p, home)
+			}
+		}
+		if helped := p > 1 && !neg; helped != (*seals == 1) || helped && *deferred < 5 {
+			t.Errorf("Seal(%d), negative rows %v: %d seals on helpers deferred %d rows; want one deferring five of the six crafted rows homed at the array's end at least, when p > 1 and no row is negative", p, neg, *seals, *deferred)
 		}
 	}
 }
@@ -224,13 +302,13 @@ func TestSealPinnedAndFrozen(t *testing.T) {
 	sealed.EnsureIndex(tuple.NewSchema("A"))
 	added.EnsureIndex(tuple.NewSchema("A"))
 	have := map[[2]int64]int64{}
-	runFill(sealed, added, randomStream(rng, 500, 100, have), -1)
+	runFill(sealed, added, randomStream(rng, 500, 100, true, have), -1, 1, false)
 	pinned := added.Clone()
 	pinned.EnsureIndex(tuple.NewSchema("A"))
 
 	f := sealed.FreezeInto(nil)
 	defer f.Release()
-	runFill(sealed, added, randomStream(rng, 3000, 100, have), -1)
+	runFill(sealed, added, randomStream(rng, 3000, 100, true, have), -1, 1, false)
 	if d := sameRelation(sealed, added); d != "" {
 		t.Fatalf("the fill of a pinned relation differs from MustAdd's: %s", d)
 	}
@@ -244,7 +322,7 @@ func TestSealPinnedAndFrozen(t *testing.T) {
 	}{
 		{"Append on a frozen handle", func(*Relation) { f.Append(tuple.Tuple{1, 1}, 1) }},
 		{"Reserve on a frozen handle", func(*Relation) { f.Reserve(1) }},
-		{"Seal on a frozen handle", func(*Relation) { f.Seal() }},
+		{"Seal on a frozen handle", func(*Relation) { f.Seal(1) }},
 		{"Add during an open fill", func(r *Relation) {
 			r.Append(tuple.Tuple{1, 1}, 1)
 			r.MustAdd(tuple.Tuple{1, 1}, 1)
@@ -252,7 +330,7 @@ func TestSealPinnedAndFrozen(t *testing.T) {
 		{"a row below zero", func(r *Relation) {
 			r.Append(tuple.Tuple{1, 1}, 1)
 			r.Append(tuple.Tuple{1, 1}, -2)
-			r.Seal()
+			r.Seal(1)
 		}},
 	} {
 		func() {
@@ -295,7 +373,7 @@ func TestFillGrowth(t *testing.T) {
 			grows, rows = grows+1, c
 		}
 	}
-	sealed.Seal()
+	sealed.Seal(1)
 	if grows != 1 || rows != n {
 		t.Errorf("a fill of %d distinct rows grew its columns %d times after Reserve, to %d rows; want once, to %d", n, grows, rows, n)
 	}
@@ -308,7 +386,7 @@ func TestFillGrowth(t *testing.T) {
 
 	for _, keys := range []int{100, 400} {
 		small, collapsed := New("R", ab()), New("R", ab())
-		runFill(collapsed, small, stream(n, func(i int) fillOp { return distinct(i % keys) }), -1)
+		runFill(collapsed, small, stream(n, func(i int) fillOp { return distinct(i % keys) }), -1, 1, false)
 		if got, limit := len(collapsed.s.tab.slots), 8*len(small.s.tab.slots); got > limit {
 			t.Errorf("a fill of %d rows that stored %d ends at %d slots, want at most %d", n, keys, got, limit)
 		}
@@ -328,10 +406,10 @@ func TestFillGrowth(t *testing.T) {
 		uncounted.Append(tuple.Tuple{o.A, o.B}, o.M)
 		added.MustAdd(tuple.Tuple{o.A, o.B}, o.M)
 	}
-	if placed := uncounted.s.tab.count; placed != firstChunk {
-		t.Errorf("an uncounted fill of %d distinct rows placed %d of them before Seal, want its first %d", m, placed, firstChunk)
+	if placed := uncounted.s.tab.count; placed != FirstChunk {
+		t.Errorf("an uncounted fill of %d distinct rows placed %d of them before Seal, want its first %d", m, placed, FirstChunk)
 	}
-	uncounted.Seal()
+	uncounted.Seal(1)
 	if got, want := [2]int{cap(uncounted.s.mults), len(uncounted.s.tab.slots)}, [2]int{cap(added.s.mults), len(added.s.tab.slots)}; got != want {
 		t.Errorf("an uncounted fill of %d distinct rows ends with columns of %d rows and %d slots, MustAdd with %d and %d", m, got[0], got[1], want[0], want[1])
 	}
@@ -341,7 +419,7 @@ func TestFillGrowth(t *testing.T) {
 			o := distinct(i % keys)
 			r.Append(tuple.Tuple{o.A, o.B}, o.M)
 		}
-		r.Seal()
+		r.Seal(1)
 		if rows := cap(r.s.mults); rows > 8*keys {
 			t.Errorf("an uncounted fill of %d rows that stored %d ends with columns of %d rows, want at most %d", m, keys, rows, 8*keys)
 		}
@@ -385,7 +463,7 @@ func TestFillGrowth(t *testing.T) {
 			for _, o := range c.ops {
 				r.Append(tuple.Tuple{o.A, o.B}, o.M)
 			}
-			r.Seal()
+			r.Seal(1)
 		}
 		// The warm-up run is the first fill; the two measured ones repeat it.
 		if allocs := testing.AllocsPerRun(2, refill); allocs != 0 {
@@ -410,7 +488,7 @@ func FuzzSeal(f *testing.F) {
 		added.EnsureIndex(tuple.NewSchema("A"))
 		have := map[[2]int64]int64{}
 		check := func() {
-			sealed.Seal()
+			sealed.Seal(1)
 			if d := sameRelation(sealed, added); d != "" {
 				t.Fatalf("the sealed relation differs from MustAdd's: %s", d)
 			}
@@ -574,11 +652,11 @@ func TestSealDeltaMatchesAggregatedAdd(t *testing.T) {
 		have := map[[2]int64]int64{}
 		keys := 1 + rng.Intn(300)
 		for fill := 0; fill < 6; fill++ {
-			for _, o := range randomStream(rng, rng.Intn(60), keys, have) {
+			for _, o := range randomStream(rng, rng.Intn(60), keys, true, have) {
 				sealed.MustAdd(tuple.Tuple{o.A, o.B}, o.M)
 				added.MustAdd(tuple.Tuple{o.A, o.B}, o.M)
 			}
-			ops := randomStream(rng, rng.Intn(2000), keys, have)
+			ops := randomStream(rng, rng.Intn(2000), keys, true, have)
 			if d := runDelta(sealed, added, ops, fill == 5); d != "" {
 				t.Fatalf("round %d fill %d (%d rows over %d keys): %s", round, fill, len(ops), keys, d)
 			}
@@ -679,7 +757,7 @@ func TestSealDeltaPinnedAndMisuse(t *testing.T) {
 	sealed.EnsureIndex(tuple.NewSchema("A"))
 	added.EnsureIndex(tuple.NewSchema("A"))
 	have := map[[2]int64]int64{}
-	for _, o := range randomStream(rng, 500, 100, have) {
+	for _, o := range randomStream(rng, 500, 100, true, have) {
 		sealed.MustAdd(tuple.Tuple{o.A, o.B}, o.M)
 		added.MustAdd(tuple.Tuple{o.A, o.B}, o.M)
 	}
@@ -688,7 +766,7 @@ func TestSealDeltaPinnedAndMisuse(t *testing.T) {
 
 	f := sealed.FreezeInto(nil)
 	defer f.Release()
-	if d := runDelta(sealed, added, randomStream(rng, 3000, 100, have), false); d != "" {
+	if d := runDelta(sealed, added, randomStream(rng, 3000, 100, true, have), false); d != "" {
 		t.Fatal(d)
 	}
 	if sealed.s == f.s {
@@ -721,7 +799,7 @@ func TestSealDeltaPinnedAndMisuse(t *testing.T) {
 		{"Seal of a delta fill", func(r *Relation) {
 			r.OpenDelta()
 			r.Append(tuple.Tuple{1, 1}, 1)
-			r.Seal()
+			r.Seal(1)
 		}},
 		{"SealDelta of a row fill", func(r *Relation) {
 			r.Append(tuple.Tuple{1, 1}, 1)

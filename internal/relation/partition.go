@@ -82,7 +82,7 @@ func (p *Partition) Rebuild(theta float64) {
 			p.light.Append(p.rel.At(id))
 		}
 	}
-	p.light.Seal()
+	p.light.Seal(1)
 }
 
 // CheckStrict verifies the strict partition conditions for threshold θ:

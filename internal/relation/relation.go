@@ -68,6 +68,14 @@
 // outgrew its columns the room to repeat without growing, so a steady-state
 // major rebalance still allocates nothing.
 //
+// Seal(p) with p > 1 places a fill with no negative multiplicity on p
+// goroutines: the two hashing passes split the appended ids into p ranges,
+// and each helper places the rows of a contiguous range of partitions in its
+// window of the probe array, deferring to the caller the rows whose probes
+// would leave it (placeOn). Writers that fill their rows out of order open
+// them at once with Extend and write each with Put, concurrently, while
+// SizeSlots, on a goroutine of its own, sizes the probe array for them.
+//
 // A delta fill applies a delta rather than storing rows: OpenDelta, then
 // Append of each row of δR, then SealDelta, whose count internal/core does
 // not know ahead. Its columns double as rows come and nothing is placed

@@ -268,7 +268,8 @@ type Options struct {
 	// ErrStatic.
 	Static bool
 	// Workers is ignored: a commit propagates on the caller's goroutine,
-	// and an engine from NewSharded is the parallel path.
+	// and an engine from NewSharded is the parallel path; Build's helpers
+	// follow GOMAXPROCS.
 	//
 	// Deprecated: no effect; kept so existing callers compile.
 	Workers int
