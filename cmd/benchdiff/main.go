@@ -1,29 +1,35 @@
 // Command benchdiff gates performance regressions: it compares a fresh
 // bench2json report against the committed baseline and exits non-zero when
 // a benchmark regressed. Time (ns/op) is allowed a generous fractional
-// tolerance; allocations (allocs/op) are compared with strict equality by
-// default — the repository's hot paths (steady-state updates, batch
-// propagation, cold-insert amortization via the slab arenas) are pinned
-// allocation-free or to small deterministic counts, an alloc creeping into
-// one is the regression class this gate exists to catch, and there are no
-// longer per-batch map rebuilds to jitter the macro counts. Benchmarks
-// whose allocation profile is legitimately nondeterministic — the
-// BenchmarkServer* HTTP-path benchmarks ride the Go net/http stack, whose
-// connection reuse and buffer pooling jitter the count — are matched by
-// -alloc-nondet and gated with a loose 50% tolerance instead; everything
-// else stays exact. A baseline line that records footprint-B (the bytes
-// BenchmarkBuild's built engine holds) has it gated like its allocs/op.
+// tolerance (-tol); allocations (allocs/op) are compared with strict
+// equality by default (-alloc-tol raises that): the single-tuple update
+// path is pinned allocation-free and the batch paths to small
+// deterministic counts, and an allocation creeping into one is the
+// regression class this gate exists to catch. Benchmarks whose allocation
+// profile is legitimately nondeterministic — the BenchmarkServer* HTTP-path
+// benchmarks ride the Go net/http stack, whose connection reuse and buffer
+// pooling jitter the count — are matched by -alloc-nondet and gated with a
+// loose 50% tolerance instead. A baseline line that records footprint-B
+// (the bytes BenchmarkBuild's built engine holds) has it gated like its
+// allocs/op.
 //
-// Typical use (what `make bench-check` runs):
+// The Makefile runs it against three baselines, each from its own
+// benchmark regex (BENCH_RE, BENCH_ENUM_RE, BENCH_BUILD_RE): what
+// `make bench-check-allocs` runs for the update set is
 //
-//	go test -run '^$' -bench 'Update|Batch|Parallel' -benchmem | bench2json > fresh.json
-//	benchdiff -baseline BENCH_update.json -new fresh.json
+//	go test -run '^$' -bench 'Update|Batch|Sharded|WAL|Watch|Server' -benchmem | bench2json > BENCH_check.json
+//	benchdiff -baseline BENCH_update.json -new BENCH_check.json -allocs-only -alloc-nondet '^BenchmarkServer'
+//
+// and the read-path and preprocessing sets are gated the same way against
+// BENCH_enum.json and BENCH_build.json at -alloc-tol 0.01 (the
+// preprocessing set at GOMAXPROCS 2, since a build's helpers allocate).
 //
 // Machine-to-machine ns/op variance is large; compare like with like (same
 // machine as the committed baseline) or raise -tol. -allocs-only skips the
-// time comparison entirely: allocs/op is machine-independent and — with the
-// deterministic worker-pool warmup — fully deterministic, so the CI bench
-// job gates it hard while keeping the ns/op diff advisory.
+// time comparison entirely: allocs/op is machine-independent and, with
+// every benchmark warmed to its steady state, deterministic, so the CI
+// bench job gates it hard while `make diff-time` keeps the ns/op diff
+// advisory.
 package main
 
 import (

@@ -1,6 +1,8 @@
 // Command hiqbench regenerates the paper's figures and tables by running
 // the experiment suite (internal/experiments) and printing markdown reports
-// with measured scaling slopes next to the paper's predicted exponents.
+// whose tables give each measured scaling slope beside the paper's bound.
+// The report asserts nothing: the bounds are asserted on exact counts by
+// the experiments package's TestBoundsExact.
 //
 // Usage:
 //
@@ -9,9 +11,9 @@
 //	hiqbench -exp fig3,ex28   # selected experiments
 //	hiqbench -list            # list experiment IDs
 //	hiqbench -o report.md     # write the report to a file
-//	hiqbench -json            # emit machine-readable JSON instead of
-//	                          # markdown (feeds the BENCH_*.json trajectory
-//	                          # files directly)
+//	hiqbench -json            # emit the same tables as JSON instead of
+//	                          # markdown (the BENCH_*.json trajectory files
+//	                          # come from bench2json, not from here)
 package main
 
 import (
@@ -23,12 +25,12 @@ import (
 	"strings"
 	"time"
 
+	"ivmeps/internal/benchutil"
 	"ivmeps/internal/experiments"
 )
 
 // jsonReport is the machine-readable -json output: one entry per
-// experiment, with the same tables and measured-vs-predicted checks as the
-// markdown report.
+// experiment, with the same tables and notes as the markdown report.
 type jsonReport struct {
 	Generated time.Time        `json:"generated"`
 	Quick     bool             `json:"quick"`
@@ -37,18 +39,11 @@ type jsonReport struct {
 }
 
 type jsonExperiment struct {
-	ID         string              `json:"id"`
-	Title      string              `json:"title"`
-	Tables     []*benchutilTable   `json:"tables,omitempty"`
-	Checks     []experiments.Check `json:"checks,omitempty"`
-	Notes      []string            `json:"notes,omitempty"`
-	WallMillis int64               `json:"wall_millis"`
-}
-
-// benchutilTable mirrors benchutil.Table with JSON field names.
-type benchutilTable struct {
-	Header []string   `json:"header"`
-	Rows   [][]string `json:"rows"`
+	ID         string             `json:"id"`
+	Title      string             `json:"title"`
+	Tables     []*benchutil.Table `json:"tables,omitempty"`
+	Notes      []string           `json:"notes,omitempty"`
+	WallMillis int64              `json:"wall_millis"`
 }
 
 func main() {
@@ -113,17 +108,13 @@ func main() {
 			fmt.Fprintf(out, "_(experiment wall time: %v)_\n\n", wall.Round(time.Millisecond))
 			continue
 		}
-		je := jsonExperiment{
+		rep.Results = append(rep.Results, jsonExperiment{
 			ID:         res.ID,
 			Title:      res.Title,
-			Checks:     res.Checks,
+			Tables:     res.Tables,
 			Notes:      res.Notes,
 			WallMillis: wall.Milliseconds(),
-		}
-		for _, t := range res.Tables {
-			je.Tables = append(je.Tables, &benchutilTable{Header: t.Header, Rows: t.Rows})
-		}
-		rep.Results = append(rep.Results, je)
+		})
 	}
 	if *jsonFlag {
 		enc := json.NewEncoder(out)

@@ -103,10 +103,11 @@ func FitSlope(xs []float64, ys []float64) float64 {
 	return (n*sxy - sx*sy) / den
 }
 
-// Table accumulates rows and renders a markdown table.
+// Table accumulates rows and renders a markdown table; hiqbench -json
+// encodes it as is.
 type Table struct {
-	Header []string
-	Rows   [][]string
+	Header []string   `json:"header"`
+	Rows   [][]string `json:"rows"`
 }
 
 // NewTable creates a table with the given column headers.

@@ -172,9 +172,15 @@ type Stats struct {
 	Updates         int64
 	MinorRebalances int64
 	MajorRebalances int64
-	DeltasApplied   int64 // single-tuple deltas applied to views
-	Batches         int64 // commits: every Update, CommitBatch, or ApplyPrepared that published an epoch
-	BatchRelations  int64 // distinct relations with a net effect, summed over commits
+	// DeltasApplied counts view rows written by a commit's propagation
+	// (propagatePath): every net row an edge applies to its view, the
+	// light step of a minor rebalance included. Not counted: the refill of
+	// a major rebalance (materializeAll), the writes to light parts, and
+	// the writes to base relations. The benchmark's
+	// view_deltas_per_update is this counter over Updates.
+	DeltasApplied  int64
+	Batches        int64 // commits: every Update, CommitBatch, or ApplyPrepared that published an epoch
+	BatchRelations int64 // distinct relations with a net effect, summed over commits
 }
 
 // relEntry is one row of the relation table: an original relation symbol

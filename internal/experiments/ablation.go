@@ -64,14 +64,9 @@ func Ablation(cfg Config) *Result {
 		with = append(with, per[0].Seconds())
 		without = append(without, per[1].Seconds())
 	}
-	res.Tables = append(res.Tables, auxT)
-	res.Checks = append(res.Checks,
-		Check{Name: "update slope WITH aux views (bound δε = 0.5)",
-			Measured: benchutil.FitSlope(ns, with), Predicted: 0.5},
-		Check{Name: "update slope WITHOUT aux views (degrades toward 1)",
-			Measured: benchutil.FitSlope(ns, without), Predicted: 1,
-			Note: "deltas re-scan sibling subtrees"},
-	)
+	auxFit := benchutil.NewTable("update slope (with aux)", "bound δε", "update slope (no aux)", "degrades toward")
+	auxFit.Add(benchutil.FitSlope(ns, with), 0.5, benchutil.FitSlope(ns, without), 1)
+	res.Tables = append(res.Tables, auxT, auxFit)
 
 	// --- Pushdown: static preprocessing at ε = 0 with and without.
 	pushT := benchutil.NewTable("N", "preprocess (pushdown)", "preprocess (flat join)", "slowdown")
@@ -98,14 +93,9 @@ func Ablation(cfg Config) *Result {
 		withP = append(withP, prep[0].Seconds())
 		withoutP = append(withoutP, prep[1].Seconds())
 	}
-	res.Tables = append(res.Tables, pushT)
-	res.Checks = append(res.Checks,
-		Check{Name: "ε=0 preprocessing slope WITH pushdown (bound 1)",
-			Measured: benchutil.FitSlope(ns2, withP), Predicted: 1},
-		Check{Name: "ε=0 preprocessing slope WITHOUT pushdown (flat join ≈ 2)",
-			Measured: benchutil.FitSlope(ns2, withoutP), Predicted: 2,
-			Note: "covered views pay Σ_b deg_R(b)·deg_S(b)"},
-	)
+	pushFit := benchutil.NewTable("preproc slope (pushdown)", "bound", "preproc slope (flat join)", "flat join")
+	pushFit.Add(benchutil.FitSlope(ns2, withP), 1, benchutil.FitSlope(ns2, withoutP), 2)
+	res.Tables = append(res.Tables, pushT, pushFit)
 	res.Notes = append(res.Notes,
 		"Both ablations are correctness-preserving (verified by golden tests); they isolate where the paper's asymptotics come from.",
 		"Aux views (Figure 8) are what make a single-tuple delta pass each view in O(1) sibling lookups (Lemma 47); without them the engine still answers correctly but pays sibling-subtree scans per update.",

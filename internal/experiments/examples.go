@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"ivmeps/internal/benchutil"
 	"ivmeps/internal/naive"
 	"ivmeps/internal/query"
@@ -24,7 +22,7 @@ func Ex18FreeConnex(cfg Config) *Result {
 		db := workload.FreeConnex18(r, n)
 		sys, prep := buildAt(q, 0.5, db.Clone(), true)
 		st := benchutil.MeasureDelay(sys, enumLimit)
-		ops := measureDelayOps(sys, enumLimit)
+		ops := delayOpsP99(sys, enumLimit)
 
 		dsys, _ := buildAt(q, 0.5, db, false)
 		count := 400
@@ -33,16 +31,14 @@ func Ex18FreeConnex(cfg Config) *Result {
 		}
 		per := applyStream(dsys, workload.UpdateStream(r, q, db, count, 0.3))
 
-		t.Add(sys.Engine().N(), prep, st.P99, ops.P99, per)
+		t.Add(sys.Engine().N(), prep, st.P99, ops, per)
 		ns = append(ns, float64(sys.Engine().N()))
 		preps = append(preps, prep.Seconds())
-		delays = append(delays, float64(ops.P99))
+		delays = append(delays, float64(ops))
 	}
-	res.Tables = append(res.Tables, t)
-	res.Checks = append(res.Checks,
-		Check{Name: "preprocessing slope (paper: O(N), w=1)", Measured: benchutil.FitSlope(ns, preps), Predicted: 1},
-		Check{Name: "delay slope in ops (paper: O(1))", Measured: benchutil.FitSlope(ns, delays), Predicted: 0},
-	)
+	fits := benchutil.NewTable("preproc slope", "paper preproc (w=1)", "delay slope (ops p99)", "paper delay")
+	fits.Add(benchutil.FitSlope(ns, preps), 1, benchutil.FitSlope(ns, delays), 0)
+	res.Tables = append(res.Tables, t, fits)
 	res.Notes = append(res.Notes,
 		"Free-connex ⇒ w = 1 (Prop 3): the O(N^(1+(w−1)ε)) preprocessing bound is linear for every ε, and the view tree of Figure 9 enumerates with constant delay.",
 		"The query is δ1- (not δ0-) hierarchical, so dynamic mode partitions on (A,B) and B's updates pay O(N^ε) amortized.",
@@ -77,15 +73,9 @@ func Ex19Skew(cfg Config) *Result {
 		preps = append(preps, prep.Seconds())
 		upds = append(upds, per.Seconds())
 	}
-	res.Tables = append(res.Tables, t)
-	res.Checks = append(res.Checks,
-		Check{Name: fmt.Sprintf("preprocessing slope ≤ 1+2ε = %.1f", 1+2*eps),
-			Measured: benchutil.FitSlope(ns, preps), Predicted: 1 + 2*eps, Note: "upper bound"},
-		Check{Name: fmt.Sprintf("update slope ≤ 3ε = %.1f", 3*eps),
-			Measured: benchutil.FitSlope(ns, upds), Predicted: 3 * eps, Note: "upper bound (Example 24)"},
-		Check{Name: "view trees built (Figure 12)", Measured: 3, Predicted: 3},
-		Check{Name: "indicator triples built (H_A, H_B)", Measured: 2, Predicted: 2},
-	)
+	fits := benchutil.NewTable("preproc slope", "bound 1+2ε", "update slope", "bound 3ε (Example 24)")
+	fits.Add(benchutil.FitSlope(ns, preps), 1+2*eps, benchutil.FitSlope(ns, upds), 3*eps)
+	res.Tables = append(res.Tables, t, fits)
 	res.Notes = append(res.Notes,
 		"The construction of Figure 12 is pinned structurally in internal/viewtree's tests: three main view trees (all-light on A; heavy-A/light-(A,B); heavy-A/heavy-(A,B)) plus indicator triples for A and (A,B).",
 		"Example 24 bounds maintenance by O(N^(3ε)) — updates to U's light part pay O(N^(3ε)), others less.",
@@ -116,11 +106,9 @@ func Ex28MatMul(cfg Config) *Result {
 		ns = append(ns, float64(sys.Engine().N()))
 		preps = append(preps, prep.Seconds())
 	}
-	res.Tables = append(res.Tables, sq)
-	res.Checks = append(res.Checks, Check{
-		Name:     "square dense: preprocessing slope (paper: N^(3/2))",
-		Measured: benchutil.FitSlope(ns, preps), Predicted: 1.5,
-	})
+	sqFit := benchutil.NewTable("square dense: preproc slope", "paper preproc")
+	sqFit.Add(benchutil.FitSlope(ns, preps), 1.5)
+	res.Tables = append(res.Tables, sq, sqFit)
 
 	// Endpoints on the same workload (Example 28's recovered cases).
 	ends := benchutil.NewTable("eps", "n", "preprocess", "delay max", "first tuple", "regime")
@@ -165,11 +153,9 @@ func Ex29Unary(cfg Config) *Result {
 		ns = append(ns, float64(sys.Engine().N()))
 		preps = append(preps, prep.Seconds())
 	}
-	res.Tables = append(res.Tables, staticT)
-	res.Checks = append(res.Checks, Check{
-		Name:     "static preprocessing slope (paper: O(N); no partitioning in static mode)",
-		Measured: benchutil.FitSlope(ns, preps), Predicted: 1,
-	})
+	staticFit := benchutil.NewTable("static preproc slope", "paper preproc")
+	staticFit.Add(benchutil.FitSlope(ns, preps), 1)
+	res.Tables = append(res.Tables, staticT, staticFit)
 
 	dynT := benchutil.NewTable("eps", "N", "per-update", "delay max")
 	n := pick(cfg.Quick, []int{6000}, []int{24000})[0]

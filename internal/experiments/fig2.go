@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"ivmeps/internal/benchutil"
 	"ivmeps/internal/query"
@@ -27,49 +28,52 @@ var fig2Catalog = []struct {
 	{"Q() = R(A, B), S(B, C), T(A, C)", "triangle: not α-acyclic (Figure 5 rows are prior work)"},
 }
 
-// Fig2Landscape classifies the catalog and verifies the structural
-// propositions that define Figure 2's containments.
+// Fig2Landscape classifies the catalog and reports, per query, which of the
+// structural propositions that define Figure 2's containments it violates.
 func Fig2Landscape(cfg Config) *Result {
 	res := &Result{ID: "fig2", Title: "query-class landscape"}
-	t := benchutil.NewTable("query", "hier.", "q-hier.", "α-acyclic", "free-connex", "w", "δ", "role")
-	violations := 0
+	t := benchutil.NewTable("query", "hier.", "q-hier.", "α-acyclic", "free-connex", "w", "δ", "violates", "role")
 	for _, row := range fig2Catalog {
-		q := query.MustParse(row.q)
-		c := query.Classify(q)
+		c := query.Classify(query.MustParse(row.q))
 		w, d := "-", "-"
 		if c.Hierarchical {
 			w, d = fmt.Sprint(c.StaticWidth), fmt.Sprint(c.DynamicWidth)
 		}
-		t.Add(row.q, yn(c.Hierarchical), yn(c.QHierarchical), yn(c.AlphaAcyclic), yn(c.FreeConnex), w, d, row.role)
-		if c.Hierarchical {
-			// Proposition 3: free-connex ⇒ w = 1.
-			if c.FreeConnex && c.StaticWidth != 1 {
-				violations++
-			}
-			// Proposition 6: q-hierarchical ⇔ δ = 0.
-			if c.QHierarchical != (c.DynamicWidth == 0) {
-				violations++
-			}
-			// Proposition 7: free-connex ⇒ δ ∈ {0, 1}.
-			if c.FreeConnex && c.DynamicWidth > 1 {
-				violations++
-			}
-			// Proposition 17: δ ∈ {w−1, w}.
-			if c.DynamicWidth != c.StaticWidth && c.DynamicWidth != c.StaticWidth-1 {
-				violations++
-			}
+		violates := strings.Join(landscapeViolations(c), ", ")
+		if violates == "" {
+			violates = "-"
 		}
+		t.Add(row.q, yn(c.Hierarchical), yn(c.QHierarchical), yn(c.AlphaAcyclic), yn(c.FreeConnex), w, d, violates, row.role)
 	}
 	res.Tables = append(res.Tables, t)
-	res.Checks = append(res.Checks, Check{
-		Name: "Props 3, 6, 7, 17 violations over catalog", Measured: float64(violations), Predicted: 0,
-	})
 	res.Notes = append(res.Notes,
 		"q-hierarchical = δ0-hierarchical (Prop 6); free-connex hierarchical queries are δ0- or δ1-hierarchical (Prop 7) and have w = 1 (Prop 3); δ = w or w−1 (Prop 17).",
 		"The same propositions are property-tested on randomly generated hierarchical queries in internal/query.",
 		"Non-hierarchical rows are classified and rejected by the engine; the triangle rows of Figures 2 and 5 belong to the prior triangle-specific work [27, 29].",
 	)
 	return res
+}
+
+// landscapeViolations names the propositions among 3, 6, 7 and 17 that a
+// hierarchical query's classification contradicts.
+func landscapeViolations(c query.Class) []string {
+	if !c.Hierarchical {
+		return nil
+	}
+	var v []string
+	if c.FreeConnex && c.StaticWidth != 1 {
+		v = append(v, "Prop 3") // free-connex ⇒ w = 1
+	}
+	if c.QHierarchical != (c.DynamicWidth == 0) {
+		v = append(v, "Prop 6") // q-hierarchical ⇔ δ = 0
+	}
+	if c.FreeConnex && c.DynamicWidth > 1 {
+		v = append(v, "Prop 7") // free-connex ⇒ δ ∈ {0, 1}
+	}
+	if c.DynamicWidth != c.StaticWidth && c.DynamicWidth != c.StaticWidth-1 {
+		v = append(v, "Prop 17") // δ ∈ {w−1, w}
+	}
+	return v
 }
 
 func yn(b bool) string {

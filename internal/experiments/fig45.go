@@ -35,10 +35,6 @@ func Fig4StaticLandscape(cfg Config) *Result {
 			lastDelay = st.Max.Seconds()
 		}
 		t.Add(name, q.Name, setting, benchutil.FitSlope(ns, preps), paperPre, lastDelay*1e6, paperDelay)
-		res.Checks = append(res.Checks, Check{
-			Name: name + ": preprocessing slope", Measured: benchutil.FitSlope(ns, preps),
-			Predicted: paperExp(paperPre), Note: "upper bound",
-		})
 	}
 
 	measure("α-acyclic CQ [8]", twoPath, 0,
@@ -89,11 +85,9 @@ func Fig5DynamicLandscape(cfg Config) *Result {
 		preps = append(preps, prep.Seconds())
 		upds = append(upds, per.Seconds())
 	}
-	res.Tables = append(res.Tables, qhT)
-	res.Checks = append(res.Checks,
-		Check{Name: "q-hierarchical preprocessing slope", Measured: benchutil.FitSlope(ns, preps), Predicted: 1},
-		Check{Name: "q-hierarchical update slope (paper: O(1))", Measured: benchutil.FitSlope(ns, upds), Predicted: 0},
-	)
+	qhFit := benchutil.NewTable("preproc slope", "paper preproc", "update slope", "paper update")
+	qhFit.Add(benchutil.FitSlope(ns, preps), 1, benchutil.FitSlope(ns, upds), 0)
+	res.Tables = append(res.Tables, qhT, qhFit)
 
 	// Row 2: the hard hierarchical query across systems at a fixed N.
 	q := query.MustParse(fig1Query)
@@ -137,17 +131,4 @@ func Fig5DynamicLandscape(cfg Config) *Result {
 		"The triangle rows of Figure 5 are prior work on non-hierarchical queries [27, 29]; the classifier rejects the triangle query (see fig2).",
 	)
 	return res
-}
-
-// paperExp extracts the leading numeric exponent of strings like
-// "2 (O(N^w), w=2)"; used only to line up check rows.
-func paperExp(s string) float64 {
-	var v float64
-	for i := 0; i < len(s); i++ {
-		if s[i] >= '0' && s[i] <= '9' {
-			v = float64(s[i] - '0')
-			break
-		}
-	}
-	return v
 }

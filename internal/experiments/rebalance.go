@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"ivmeps/internal/benchutil"
+	"ivmeps/internal/core"
 	"ivmeps/internal/query"
 	"ivmeps/internal/tuple"
 	"ivmeps/internal/workload"
@@ -13,6 +14,13 @@ import (
 // the ⌊M/4⌋ ≤ N < M invariant), then verifies the amortized per-update cost
 // stays near the plain-update cost (Propositions 25-27).
 func Rebalancing(cfg Config) *Result {
+	res, _ := rebalancing(cfg)
+	return res
+}
+
+// rebalancing runs Rebalancing and returns the engine it drained, whose
+// Stats the tests read.
+func rebalancing(cfg Config) (*Result, *core.Engine) {
 	q := query.MustParse(fig1Query)
 	res := &Result{ID: "rebalance", Title: "rebalancing amortization under churn"}
 	t := benchutil.NewTable("phase", "updates", "per-update", "minor reb.", "major reb.", "N after")
@@ -71,17 +79,9 @@ func Rebalancing(cfg Config) *Result {
 	phase("drain", drain)
 
 	res.Tables = append(res.Tables, t)
-	st := e.Stats()
-	res.Checks = append(res.Checks,
-		Check{Name: "minor rebalances triggered", Measured: float64(st.MinorRebalances), Predicted: 1,
-			Note: "≥ 1 expected; exact count is workload-dependent"},
-		Check{Name: "major rebalances triggered", Measured: float64(st.MajorRebalances), Predicted: 1,
-			Note: "≥ 1 expected (grow and drain phases)"},
-		Check{Name: "final N", Measured: float64(e.N()), Predicted: 0},
-	)
 	res.Notes = append(res.Notes,
 		"The size invariant ⌊M/4⌋ ≤ N < M and the loose partition conditions of Definition 11 are re-checked after every phase (Engine.CheckInvariants).",
 		"Major rebalancing costs O(N^(1+(w−1)ε)) but is amortized over Ω(M) updates; minor rebalancing costs O(N^((δ+1)ε)) amortized over Ω(M^ε) updates (Props 25-27) — the per-update columns stay the same order of magnitude across phases.",
 	)
-	return res
+	return res, e
 }

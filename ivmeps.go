@@ -297,7 +297,11 @@ type Stats struct {
 	Updates         int64 `json:"updates"`
 	MinorRebalances int64 `json:"minor_rebalances"`
 	MajorRebalances int64 `json:"major_rebalances"`
-	ViewDeltas      int64 `json:"view_deltas"`
+	// ViewDeltas counts the view rows that commits' propagation wrote,
+	// the light step of each minor rebalance included. A major
+	// rebalance's refill of every view, the writes to light parts and
+	// the writes to base relations are not counted.
+	ViewDeltas int64 `json:"view_deltas"`
 	// Batches counts commits — every Insert, Delete, Apply, or Commit call
 	// that published an epoch, a single-tuple update being a one-op commit
 	// — and BatchRelations the distinct relations with a net
