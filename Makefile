@@ -10,7 +10,7 @@
 # then — ns/op drift is no reason; enum.go moves only BENCH_enum.json, and
 # the read stream's codec only BenchmarkServerRead in BENCH_update.json. The paper's update cost has its own exact gate inside
 # `make test`: the view-write count, `go test ./internal/core -run
-# TestViewDeltasExact -v`, which pins Stats.DeltasApplied of a fixed run and
+# TestViewDeltasExact -v`, which pins Stats.ViewDeltas of a fixed run and
 # prints it per view, and so do the paper's space, delay and amortized
 # update bounds: `go test ./internal/experiments -run TestBoundsExact -v`
 # prints each derived constant beside the largest ratio observed.

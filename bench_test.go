@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -538,11 +539,24 @@ func BenchmarkAblationPushdown(b *testing.B) {
 // over many trees.
 var multiTreeQuery = query.MustParse("Q(C, E) = R(A), S(A, B), T(A, B, C), U(A, D), V(A, D, E)")
 
+// twoAtomQuery is the smallest query whose shard key is a bound root: A
+// occurs in both atoms and is not free.
+var twoAtomQuery = query.MustParse("Q(B, C) = R(A, B), S(A, C)")
+
 // multiTreeDB draws n tuples per relation of multiTreeQuery, with the shared
 // A skewed enough to split.
 func multiTreeDB(rng *rand.Rand, n int) naive.Database {
+	return skewedDB(rng, multiTreeQuery, n)
+}
+
+// skewedDB draws n tuples per relation of q, the first column from n/8
+// values and the others from n.
+func skewedDB(rng *rand.Rand, q *query.Query, n int) naive.Database {
 	db := naive.Database{}
-	for _, a := range multiTreeQuery.Atoms {
+	for _, a := range q.Atoms {
+		if _, ok := db[a.Rel]; ok {
+			continue
+		}
 		r := relation.New(a.Rel, a.Vars)
 		for i := 0; i < n; i++ {
 			t := make(tuple.Tuple, len(a.Vars))
@@ -557,28 +571,37 @@ func multiTreeDB(rng *rand.Rand, n int) naive.Database {
 	return db
 }
 
-// mixedStream builds a 9000-op ingest stream that round-robins across S, T
-// and V of multiTreeQuery — every op switches relations, the worst case for
-// a commit's relation resolution — and its inverse, the stream reversed
-// with negated multiplicities.
-func mixedStream(rng *rand.Rand) (ops, inv []core.BatchOp) {
-	const opsPerRel = 3000
-	sPool := make([]tuple.Tuple, 2000)
-	tPool := make([]tuple.Tuple, 2000)
-	vPool := make([]tuple.Tuple, 2000)
-	for i := range sPool {
-		a := rng.Int63n(benchN / 8)
-		sPool[i] = tuple.Tuple{a, 1_000_000 + int64(i)}
-		tPool[i] = tuple.Tuple{a, rng.Int63n(benchN), 2_000_000 + int64(i)}
-		vPool[i] = tuple.Tuple{a, rng.Int63n(benchN), 3_000_000 + int64(i)}
+// mixedStream builds an ingest stream of 3000 ops per relation of rels
+// (relations of q whose first column is the shared A), round-robin — every
+// op switches relations, the worst case for a commit's relation resolution
+// — and its inverse, the stream reversed with negated multiplicities. Each
+// relation draws from a pool of 2000 tuples whose i-th entries share A.
+func mixedStream(rng *rand.Rand, q *query.Query, rels ...string) (ops, inv []core.BatchOp) {
+	const opsPerRel, poolSize = 3000, 2000
+	pools := make([][]tuple.Tuple, len(rels))
+	for r, rel := range rels {
+		a := q.Atoms[slices.IndexFunc(q.Atoms, func(a query.Atom) bool { return a.Rel == rel })]
+		pools[r] = make([]tuple.Tuple, poolSize)
+		for i := range pools[r] {
+			pools[r][i] = make(tuple.Tuple, len(a.Vars))
+		}
 	}
-	ops = make([]core.BatchOp, 0, 3*opsPerRel)
+	for i := 0; i < poolSize; i++ {
+		a := rng.Int63n(benchN / 8)
+		for r, pool := range pools {
+			t := pool[i]
+			t[0] = a
+			for j := 1; j < len(t)-1; j++ {
+				t[j] = rng.Int63n(benchN)
+			}
+			t[len(t)-1] = int64(r+1)*1_000_000 + int64(i)
+		}
+	}
+	ops = make([]core.BatchOp, 0, len(rels)*opsPerRel)
 	for i := 0; i < opsPerRel; i++ {
-		ops = append(ops,
-			core.BatchOp{Rel: "S", Row: sPool[rng.Intn(len(sPool))], Mult: 1},
-			core.BatchOp{Rel: "T", Row: tPool[rng.Intn(len(tPool))], Mult: 1},
-			core.BatchOp{Rel: "V", Row: vPool[rng.Intn(len(vPool))], Mult: 1},
-		)
+		for r, rel := range rels {
+			ops = append(ops, core.BatchOp{Rel: rel, Row: pools[r][rng.Intn(poolSize)], Mult: 1})
+		}
 	}
 	inv = make([]core.BatchOp, len(ops))
 	for i, op := range ops {
@@ -649,7 +672,7 @@ func BenchmarkMultiRelationBatch(b *testing.B) {
 	if err := core.Preprocess(e, multiTreeDB(rng, benchN)); err != nil {
 		b.Fatal(err)
 	}
-	ops, inv := mixedStream(rng)
+	ops, inv := mixedStream(rng, multiTreeQuery, "S", "T", "V")
 	cycle := func() {
 		if err := e.CommitBatch(ops); err != nil {
 			b.Fatal(err)
@@ -690,41 +713,55 @@ func fedPreprocess(f *federation.Fed, db naive.Database) error {
 // scatter pass and one extra indirection — and is held within 10% of
 // BenchmarkMultiRelationBatch by the CI bench tolerance; K>1 shows the
 // cross-shard path (on a multi-core host the prepared shards apply in
-// parallel). allocs/op is pinned at 0 by the CI bench gate.
+// parallel). two-atom runs the same cycle on a 6000-op stream over both
+// relations of twoAtomQuery, whose shard key is its bound root A, as the
+// multi-tree query's is. allocs/op is pinned at 0 by the CI bench gate.
 func BenchmarkShardedCommit(b *testing.B) {
-	for _, k := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(83))
-			f, err := federation.New(multiTreeQuery, federation.Options{
-				Shards: k,
-				Engine: core.Options{Mode: viewtree.Dynamic, Epsilon: 0.5},
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer f.Close()
-			if err := fedPreprocess(f, multiTreeDB(rng, benchN)); err != nil {
-				b.Fatal(err)
-			}
-			ops, inv := mixedStream(rng)
-			cycle := func() {
-				if err := f.CommitBatch(ops); err != nil {
+	cases := []struct {
+		name   string
+		q      *query.Query
+		rels   []string
+		shards []int
+	}{
+		{"", multiTreeQuery, []string{"S", "T", "V"}, []int{1, 2, 4}},
+		{"two-atom/", twoAtomQuery, []string{"R", "S"}, []int{2, 4}},
+	}
+	for _, c := range cases {
+		for _, k := range c.shards {
+			b.Run(fmt.Sprintf("%sK=%d", c.name, k), func(b *testing.B) {
+				rng := rand.New(rand.NewSource(83))
+				f, err := federation.New(c.q, federation.Options{
+					Shards: k,
+					Engine: core.Options{Mode: viewtree.Dynamic, Epsilon: 0.5},
+				})
+				if err != nil {
 					b.Fatal(err)
 				}
-				if err := f.CommitBatch(inv); err != nil {
+				defer f.Close()
+				if err := fedPreprocess(f, skewedDB(rng, c.q, benchN)); err != nil {
 					b.Fatal(err)
 				}
-			}
-			// Warm up outside the timer: spawn the apply runners, size the
-			// pooled sub-batches and every shard's scratch to steady state.
-			cycle()
-			cycle()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+				ops, inv := mixedStream(rng, c.q, c.rels...)
+				cycle := func() {
+					if err := f.CommitBatch(ops); err != nil {
+						b.Fatal(err)
+					}
+					if err := f.CommitBatch(inv); err != nil {
+						b.Fatal(err)
+					}
+				}
+				// Warm up outside the timer: spawn the apply runners, size
+				// the pooled sub-batches and every shard's scratch to
+				// steady state.
 				cycle()
-			}
-		})
+				cycle()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					cycle()
+				}
+			})
+		}
 	}
 }
 
@@ -756,23 +793,7 @@ func BenchmarkShardedEnumerate(b *testing.B) {
 					b.Fatal(err)
 				}
 				defer f.Close()
-				db := naive.Database{}
-				for _, a := range q.Atoms {
-					if _, ok := db[a.Rel]; ok {
-						continue
-					}
-					r := relation.New(a.Rel, a.Vars)
-					for i := 0; i < benchN; i++ {
-						t := make(tuple.Tuple, len(a.Vars))
-						t[0] = rng.Int63n(int64(benchN) / 8)
-						for j := 1; j < len(t); j++ {
-							t[j] = rng.Int63n(int64(benchN))
-						}
-						r.Set(t, 1)
-					}
-					db[a.Rel] = r
-				}
-				if err := fedPreprocess(f, db); err != nil {
+				if err := fedPreprocess(f, skewedDB(rng, q, benchN)); err != nil {
 					b.Fatal(err)
 				}
 				var s federation.Snapshot

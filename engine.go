@@ -231,7 +231,7 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 // All returns an iterator over the current committed result, for use with
 // range: every distinct result tuple (over the query's free variables, in
 // head order) with its multiplicity, with O(N^(1−ε)) delay; a sharded
-// engine gathers across its shards (see ShardKey). The yielded row slice is
+// engine gathers across its shards (see Explain). The yielded row slice is
 // reused between iterations — copy it to retain. Break to stop early.
 //
 // Each ranging takes an implicit Snapshot, closed when the loop ends, so one
@@ -275,17 +275,7 @@ func (e *Engine) N() int { return e.f.N() }
 // broadcast relations contribute work on every shard, so its counters can
 // exceed a single engine's for the same logical workload — they measure
 // work done, not logical operations.
-func (e *Engine) Stats() Stats {
-	s := e.f.Stats()
-	return Stats{
-		Updates:         s.Updates,
-		MinorRebalances: s.MinorRebalances,
-		MajorRebalances: s.MajorRebalances,
-		ViewDeltas:      s.DeltasApplied,
-		Batches:         s.Batches,
-		BatchRelations:  s.BatchRelations,
-	}
-}
+func (e *Engine) Stats() Stats { return e.f.Stats() }
 
 // Epsilon returns the engine's trade-off parameter.
 func (e *Engine) Epsilon() float64 { return e.opts.Epsilon }

@@ -182,10 +182,11 @@ func Example_sharded() {
 	_ = s.Load("S", []int64{1, 100}, []int64{2, 200})
 	_ = s.Build()
 
-	// Every shard-key variable (here A, the variable in every atom) is
-	// free, so the gather concatenates per-shard streams with no merge.
-	vars, concat := s.ShardKey()
-	fmt.Printf("shard key %v, concatenating gather: %v\n", vars, concat)
+	// Explain's first line reports the layout. Every shard-key variable
+	// (here A, the variable in every atom) is free, so the gather
+	// concatenates per-shard streams with no merge.
+	layout, _, _ := strings.Cut(s.Explain(), "\n")
+	fmt.Println(layout)
 
 	// One atomic cross-shard batch, through the same Commit.
 	b := s.NewBatch()
@@ -200,7 +201,7 @@ func Example_sharded() {
 	sort.Strings(out)
 	fmt.Println(strings.Join(out, "\n"))
 	// Output:
-	// shard key [A], concatenating gather: true
+	// federation: 4 shard(s), shard key (A), concatenating gather
 	// Q(1, 10, 100)
 	// Q(2, 20, 200)
 	// Q(3, 30, 300)

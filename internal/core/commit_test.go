@@ -552,7 +552,7 @@ func TestCommitEnvelope(t *testing.T) {
 					pubs++
 				}
 				got := e.Stats()
-				got.DeltasApplied, got.MinorRebalances, got.MajorRebalances = want.DeltasApplied, want.MinorRebalances, want.MajorRebalances
+				got.ViewDeltas, got.MinorRebalances, got.MajorRebalances = want.ViewDeltas, want.MinorRebalances, want.MajorRebalances
 				if e.Epoch() != epoch || e.N() != n || got != want || published != pubs {
 					t.Fatalf("%s: epoch %d N %d stats %+v published %d, want %d %d %+v %d",
 						label, e.Epoch(), e.N(), got, published, epoch, n, want, pubs)

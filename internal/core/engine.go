@@ -167,20 +167,26 @@ type Engine struct {
 	stats Stats
 }
 
-// Stats reports engine activity counters.
+// Stats reports maintenance activity counters. The root package publishes
+// it as ivmeps.Stats, and the service's stats reply encodes it with these
+// JSON names.
 type Stats struct {
-	Updates         int64
-	MinorRebalances int64
-	MajorRebalances int64
-	// DeltasApplied counts view rows written by a commit's propagation
-	// (propagatePath): every net row an edge applies to its view, the
-	// light step of a minor rebalance included. Not counted: the refill of
-	// a major rebalance (materializeAll), the writes to light parts, and
-	// the writes to base relations. The benchmark's
-	// view_deltas_per_update is this counter over Updates.
-	DeltasApplied  int64
-	Batches        int64 // commits: every Update, CommitBatch, or ApplyPrepared that published an epoch
-	BatchRelations int64 // distinct relations with a net effect, summed over commits
+	Updates         int64 `json:"updates"`
+	MinorRebalances int64 `json:"minor_rebalances"`
+	MajorRebalances int64 `json:"major_rebalances"`
+	// ViewDeltas counts the view rows that commits' propagation wrote,
+	// the light step of each minor rebalance included. A major
+	// rebalance's refill of every view, the writes to light parts and
+	// the writes to base relations are not counted.
+	ViewDeltas int64 `json:"view_deltas"`
+	// Batches counts commits — every Insert, Delete, Apply, or Commit call
+	// that published an epoch, a single-tuple update being a one-op commit
+	// — and BatchRelations the distinct relations with a net
+	// effect (ops that did not cancel out within the commit), summed over
+	// those commits: BatchRelations/Batches is the mean effective fan-out
+	// of the ingest stream across the query's relations.
+	Batches        int64 `json:"batches"`
+	BatchRelations int64 `json:"batch_relations"`
 }
 
 // relEntry is one row of the relation table: an original relation symbol

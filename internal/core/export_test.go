@@ -16,7 +16,7 @@ func (e *Engine) Snapshot() *Snapshot {
 
 // traceViewWrites counts, until the test ends, the rows every propagation
 // edge writes, by the name of the view relation written: the split of
-// Stats.DeltasApplied that viewWriteTable prints.
+// Stats.ViewDeltas that viewWriteTable prints.
 func traceViewWrites(t *testing.T) map[string]int64 {
 	writes := map[string]int64{}
 	traceEdge = func(edge *pathEdge, rows int64) { writes[edge.view.Name()] += rows }

@@ -113,7 +113,7 @@ func TestSealedEdgesMatchRowByRow(t *testing.T) {
 	}
 	sameResult(t, "after the stream", engines[0], db)
 	s := engines[0].Stats()
-	t.Logf("%d commits, %d sealed edges, %d major rebalances, %d view writes", s.Batches, *sealed, s.MajorRebalances, s.DeltasApplied)
+	t.Logf("%d commits, %d sealed edges, %d major rebalances, %d view writes", s.Batches, *sealed, s.MajorRebalances, s.ViewDeltas)
 	if *sealed == 0 || s.MajorRebalances < 2 {
 		t.Errorf("the stream sealed %d edges and crossed %d major rebalances, want some and at least 2", *sealed, s.MajorRebalances)
 	}

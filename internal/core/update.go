@@ -193,7 +193,7 @@ func (e *Engine) propagatePath(lp *leafPath, d *delta) {
 		if i != last {
 			c = nil
 		}
-		wrote := e.stats.DeltasApplied
+		wrote := e.stats.ViewDeltas
 		var more bool // the edge above has rows to read
 		if len(cur.rows) > sealDeltaRows && !edge.skip && !edge.flips && (rowByRow == nil || !rowByRow(e)) {
 			more = e.sealEdge(edge, cur, out, c, i == last)
@@ -206,7 +206,7 @@ func (e *Engine) propagatePath(lp *leafPath, d *delta) {
 		}
 		cur = out
 		if traceEdge != nil {
-			traceEdge(edge, e.stats.DeltasApplied-wrote)
+			traceEdge(edge, e.stats.ViewDeltas-wrote)
 		}
 		if !more {
 			break
@@ -257,7 +257,7 @@ func (e *Engine) applyEdge(edge *pathEdge, out, capd *delta) bool {
 			if capd != nil {
 				capd.add(w.t, m)
 			}
-			e.stats.DeltasApplied++
+			e.stats.ViewDeltas++
 		}
 		more = more || w.m != 0
 	}
@@ -281,7 +281,7 @@ func (e *Engine) sealEdge(edge *pathEdge, in, out, capd *delta, top bool) bool {
 		emit = capd.add
 	}
 	rows := v.SealDelta(emit)
-	e.stats.DeltasApplied += int64(rows)
+	e.stats.ViewDeltas += int64(rows)
 	return rows > 0
 }
 

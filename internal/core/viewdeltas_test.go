@@ -12,7 +12,7 @@ import (
 	"ivmeps/internal/workload"
 )
 
-// viewDeltasExact is Stats.DeltasApplied after TestViewDeltasExact's two-path
+// viewDeltasExact is Stats.ViewDeltas after TestViewDeltasExact's two-path
 // run: the paper's update cost (Proposition 27) as a count of view writes. It
 // moves only when propagation writes more or fewer rows — CHANGES.md records
 // every value it has had and why.
@@ -161,12 +161,12 @@ func runViewDeltas(t *testing.T, rng *rand.Rand, run viewDeltasRun) {
 	for _, rows := range writes {
 		traced += rows
 	}
-	t.Logf("view writes: %d over %d updates, %d minor rebalances\n%s", s.DeltasApplied, s.Updates, s.MinorRebalances, viewWriteTable(writes))
-	if traced != s.DeltasApplied {
-		t.Errorf("the per-view counts sum to %d, DeltasApplied is %d", traced, s.DeltasApplied)
+	t.Logf("view writes: %d over %d updates, %d minor rebalances\n%s", s.ViewDeltas, s.Updates, s.MinorRebalances, viewWriteTable(writes))
+	if traced != s.ViewDeltas {
+		t.Errorf("the per-view counts sum to %d, ViewDeltas is %d", traced, s.ViewDeltas)
 	}
-	if s.DeltasApplied != run.want || s.MinorRebalances != run.minors {
-		t.Errorf("DeltasApplied = %d, MinorRebalances = %d; recorded %d, %d", s.DeltasApplied, s.MinorRebalances, run.want, run.minors)
+	if s.ViewDeltas != run.want || s.MinorRebalances != run.minors {
+		t.Errorf("ViewDeltas = %d, MinorRebalances = %d; recorded %d, %d", s.ViewDeltas, s.MinorRebalances, run.want, run.minors)
 	}
 
 	views, distinct := 0, map[*relation.Relation]bool{}

@@ -29,7 +29,7 @@ import (
 //     at the end of the update stream;
 //   - update (Proposition 27): view rows written per update, the refill of
 //     every major rebalance counted as the tuples stored after it —
-//     (DeltasApplied + Σ stored tuples at each major rebalance) ÷ Updates —
+//     (ViewDeltas + Σ stored tuples at each major rebalance) ÷ Updates —
 //     ≤ C·N^(δε), over a single-tuple update stream that crosses two major
 //     rebalances.
 //
@@ -163,7 +163,7 @@ func boundsRun(t *testing.T, q *query.Query, c query.Class, eps float64, perRel 
 	res.updates = st.Updates - start.Updates
 	res.minor = st.MinorRebalances - start.MinorRebalances
 	res.major = st.MajorRebalances - start.MajorRebalances
-	writes := float64(st.DeltasApplied-start.DeltasApplied) + float64(refills)
+	writes := float64(st.ViewDeltas-start.ViewDeltas) + float64(refills)
 	observe(boundUpdate, writes/float64(res.updates), model.updateWrites(nmax), math.Pow(float64(nmax), float64(c.DynamicWidth)*eps))
 	checkDelay()
 	if err := e.CheckInvariants(); err != nil {

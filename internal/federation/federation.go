@@ -338,14 +338,6 @@ func (f *Fed) ShardOf(rel string, row tuple.Tuple) int {
 // is in flight: the engine takes no lock of its own.
 func (f *Fed) Shard(s int) *core.Engine { return f.shards[s] }
 
-// ShardVars returns the shard-key variables (a copy; nil at K = 1) and
-// whether the gather concatenates per-shard enumerations (all key
-// variables free, or one shard) or unions them, summing the multiplicities
-// of a tuple several shards hold.
-func (f *Fed) ShardVars() (vars tuple.Schema, concat bool) {
-	return slices.Clone(f.shardVars), f.concat
-}
-
 // Explain describes the federation's routing — shard count, shard key, and
 // gather mode — followed by shard 0's plan (core's Engine.Explain), which
 // every shard shares: all run the same occurrence-rewritten query. At
@@ -419,20 +411,16 @@ func (f *Fed) Preprocess() error {
 	// helpers. The K shards preprocess at once, so each takes a K-th of
 	// GOMAXPROCS for those helpers, one at least.
 	cores := max(1, runtime.GOMAXPROCS(0)/f.k)
-	if f.k == 1 {
-		f.shards[0].Preprocess(cores)
-	} else {
-		var wg sync.WaitGroup
-		for _, e := range f.shards[1:] {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				e.Preprocess(cores)
-			}()
-		}
-		f.shards[0].Preprocess(cores)
-		wg.Wait()
+	var wg sync.WaitGroup
+	for _, e := range f.shards[1:] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			e.Preprocess(cores)
+		}()
 	}
+	f.shards[0].Preprocess(cores)
+	wg.Wait()
 	f.built = true
 	f.epoch = 1 // first committed state, matching a single engine
 	return nil
@@ -683,7 +671,7 @@ func (f *Fed) Stats() core.Stats {
 		out.Updates += s.Updates
 		out.MinorRebalances += s.MinorRebalances
 		out.MajorRebalances += s.MajorRebalances
-		out.DeltasApplied += s.DeltasApplied
+		out.ViewDeltas += s.ViewDeltas
 		out.Batches += s.Batches
 		out.BatchRelations += s.BatchRelations
 	}

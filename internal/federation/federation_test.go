@@ -638,7 +638,11 @@ func TestShardedCommitZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestShardKeySelection pins the routing choices per query shape.
+// TestShardKeySelection pins the routing choices per query shape. The
+// multi-tree row pins a measured decision: a component whose root is bound
+// keeps the root as its key, with a union gather, rather than sharding on a
+// free variable and broadcasting the atoms without it (README.md, "Shard
+// key").
 func TestShardKeySelection(t *testing.T) {
 	cases := []struct {
 		q      string
@@ -655,9 +659,8 @@ func TestShardKeySelection(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.q, err)
 		}
-		vars, concat := f.ShardVars()
-		if got := vars.String(); got != c.vars || concat != c.concat {
-			t.Errorf("%s: shard key %s concat=%v, want %s concat=%v", c.q, got, concat, c.vars, c.concat)
+		if got := f.shardVars.String(); got != c.vars || f.concat != c.concat {
+			t.Errorf("%s: shard key %s concat=%v, want %s concat=%v", c.q, got, f.concat, c.vars, c.concat)
 		}
 		f.Close()
 	}

@@ -3,7 +3,7 @@ package relation
 import (
 	"math/rand"
 	"reflect"
-	"sort"
+	"slices"
 	"testing"
 
 	"ivmeps/internal/tuple"
@@ -347,7 +347,7 @@ func TestEntriesSnapshotSorted(t *testing.T) {
 	}
 	var es []entry
 	r.ForEach(func(tp tuple.Tuple, m int64) { es = append(es, entry{tp.Clone(), m}) })
-	sort.Slice(es, func(i, j int) bool { return es[i].tuple.Less(es[j].tuple) })
+	slices.SortFunc(es, func(x, y entry) int { return slices.Compare(x.tuple, y.tuple) })
 	if !es[0].tuple.Equal(tuple.Tuple{1, 1}) || es[0].mult != 2 {
 		t.Fatalf("entries snapshot wrong: %+v", es)
 	}

@@ -222,20 +222,6 @@ func (t Tuple) Clone() Tuple {
 	return out
 }
 
-// Less orders tuples lexicographically; used for deterministic output.
-func (t Tuple) Less(u Tuple) bool {
-	n := len(t)
-	if len(u) < n {
-		n = len(u)
-	}
-	for i := 0; i < n; i++ {
-		if t[i] != u[i] {
-			return t[i] < u[i]
-		}
-	}
-	return len(t) < len(u)
-}
-
 // String renders the tuple as "(1, 2, 3)".
 func (t Tuple) String() string {
 	parts := make([]string, len(t))

@@ -105,9 +105,6 @@ func TestProjectionAppendTo(t *testing.T) {
 
 func TestTupleOps(t *testing.T) {
 	a := Tuple{1, 2}
-	if !a.Less(Tuple{1, 3}) || a.Less(Tuple{1, 2}) || !a.Less(Tuple{1, 2, 0}) {
-		t.Errorf("Less ordering wrong")
-	}
 	c := a.Clone()
 	c[0] = 99
 	if a[0] == 99 {

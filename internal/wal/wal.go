@@ -147,7 +147,7 @@ type segMeta struct {
 // Checkpointed refuses with it. Nothing is ever written after an error —
 // in particular a failed fsync is never retried, because its page-cache
 // state is unknowable — so the on-disk committed prefix stays exactly what
-// recovery needs. See Wedged.
+// recovery needs.
 type Log struct {
 	opts Options
 	fs   VFS
@@ -188,17 +188,6 @@ func Create(opts Options) (*Log, error) {
 func (l *Log) wedgeLocked(op string, err error) error {
 	if l.wedged == nil {
 		l.wedged = &LogWedgedError{Op: op, Err: err}
-	}
-	return l.wedged
-}
-
-// Wedged returns the sticky wedge error if the log has latched one, nil
-// otherwise.
-func (l *Log) Wedged() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.wedged == nil {
-		return nil
 	}
 	return l.wedged
 }

@@ -115,15 +115,22 @@
 // and the atomicity contract are the same at every K: a commit is
 // validated on every shard and applied on all of them or none of them, and
 // a Snapshot observes every shard at one federation epoch. A
-// shard-detected validation failure arrives wrapped in a ShardError; see
-// ShardKey for the routing and gather details.
+// shard-detected validation failure arrives wrapped in a ShardError.
+//
+// Reads gather across the shards. When every shard-key variable is free,
+// each distinct result tuple lives on exactly one shard and enumeration
+// concatenates the shards' streams; otherwise — including Boolean queries —
+// it unions them, yielding a tuple several shards hold once, with its
+// multiplicities summed, as the shards' streams reach it. Either way
+// nothing is buffered: the delay is the shards' plus, for the union, a few
+// lookups per row.
 //
 // An engine of K > 1 shards has no durability (NewSharded refuses
 // Options.Durability, and Checkpoint returns an error), no watch stream
-// (Watch returns an error, and Views is empty), and its Explain describes
-// the routing and shard 0's plan. Shards and ShardKey report its layout;
-// at K = 1 — New, or NewSharded with Shards ≤ 1, which is New — they
-// return 1 and no key.
+// (Watch returns an error, and Views is empty), and its Explain's first
+// line reports its layout — shard count, shard key and gather mode —
+// before shard 0's plan. Shards returns K: 1 on an engine from New, or
+// from NewSharded with Shards ≤ 1, which is New.
 //
 // # Durability
 //
@@ -293,21 +300,4 @@ func (o Options) core() core.Options {
 }
 
 // Stats reports maintenance activity counters.
-type Stats struct {
-	Updates         int64 `json:"updates"`
-	MinorRebalances int64 `json:"minor_rebalances"`
-	MajorRebalances int64 `json:"major_rebalances"`
-	// ViewDeltas counts the view rows that commits' propagation wrote,
-	// the light step of each minor rebalance included. A major
-	// rebalance's refill of every view, the writes to light parts and
-	// the writes to base relations are not counted.
-	ViewDeltas int64 `json:"view_deltas"`
-	// Batches counts commits — every Insert, Delete, Apply, or Commit call
-	// that published an epoch, a single-tuple update being a one-op commit
-	// — and BatchRelations the distinct relations with a net
-	// effect (ops that did not cancel out within the commit), summed over
-	// those commits: BatchRelations/Batches is the mean effective fan-out
-	// of the ingest stream across the query's relations.
-	Batches        int64 `json:"batches"`
-	BatchRelations int64 `json:"batch_relations"`
-}
+type Stats = core.Stats

@@ -29,7 +29,7 @@ type ShardedOptions struct {
 // then applied on all of them in parallel — so the all-or-nothing guarantee
 // of Commit holds across shards: on any error, every shard's state and
 // epoch are exactly as before. See the package documentation's Sharding
-// section, and ShardKey for how the gather works.
+// section, and Explain for the shard key and gather mode it chose.
 //
 // With Shards ≤ 1, NewSharded is New.
 func NewSharded(q *Query, opts ShardedOptions) (*Engine, error) {
@@ -59,21 +59,3 @@ func NewSharded(q *Query, opts ShardedOptions) (*Engine, error) {
 
 // Shards returns the shard count K: 1 on an engine from New.
 func (e *Engine) Shards() int { return e.f.Shards() }
-
-// ShardKey returns the variables whose hash routes tuples to shards, and
-// whether the gather concatenates per-shard enumerations. When every
-// shard-key variable is free, each distinct result tuple lives on exactly
-// one shard and enumeration concatenates the shards' streams; otherwise —
-// including Boolean queries — it unions them, yielding a tuple several
-// shards hold once, with its multiplicities summed, as the shards' streams
-// reach it. Either way nothing is buffered: the delay is the shards' plus,
-// for the union, a few lookups per row. An engine of one shard — from New,
-// or NewSharded with Shards ≤ 1 — has no shard key and nothing to gather:
-// it returns (nil, true).
-func (e *Engine) ShardKey() (vars []string, concat bool) {
-	sv, concat := e.f.ShardVars()
-	if sv != nil {
-		vars = sv.Names()
-	}
-	return vars, concat
-}

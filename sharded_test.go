@@ -181,8 +181,8 @@ func TestShardedErrorParity(t *testing.T) {
 
 // TestOneShardIsNew pins that NewSharded with Shards ≤ 1 builds the engine
 // New does — on a query with a repeated relation symbol, which one shard
-// does not rename: the same Explain, Views and ShardKey (nil, true), and
-// both take Durability and Watch.
+// does not rename: the same Explain and Views, Shards 1, and both take
+// Durability and Watch.
 func TestOneShardIsNew(t *testing.T) {
 	q := ivmeps.MustParseQuery("Q(A, B) = R(A, B), R(B, A)")
 	build := func(name string, shards int) *ivmeps.Engine {
@@ -204,8 +204,8 @@ func TestOneShardIsNew(t *testing.T) {
 		if err := e.Build(); err != nil {
 			t.Fatal(err)
 		}
-		if vars, concat := e.ShardKey(); vars != nil || !concat || e.Shards() != 1 {
-			t.Errorf("%s: ShardKey() = %v, %v and Shards() = %d, want nil, true and 1", name, vars, concat, e.Shards())
+		if n := e.Shards(); n != 1 {
+			t.Errorf("%s: Shards() = %d, want 1", name, n)
 		}
 		w, err := e.Watch(ivmeps.WatchOptions{})
 		if err != nil {
@@ -240,26 +240,24 @@ func TestOneShardIsNew(t *testing.T) {
 	}
 }
 
-// TestShardedShardKey pins the public routing report.
+// TestShardedShardKey pins the layout report, Explain's first line: a
+// free root variable is the key and the gather concatenates; a bound root
+// is the key of the two-atom query, and of the Boolean query, which has no
+// free variable, and the gather unions.
 func TestShardedShardKey(t *testing.T) {
-	s, err := ivmeps.NewSharded(ivmeps.MustParseQuery("Q(A, B, C) = R(A, B), S(A, C)"),
-		ivmeps.ShardedOptions{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	vars, concat := s.ShardKey()
-	if len(vars) != 1 || vars[0] != "A" || !concat {
-		t.Errorf("ShardKey() = %v concat=%v, want [A] concat=true", vars, concat)
-	}
-	boolS, err := ivmeps.NewSharded(ivmeps.MustParseQuery("Q() = R(A, B), S(B)"),
-		ivmeps.ShardedOptions{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer boolS.Close()
-	if _, concat := boolS.ShardKey(); concat {
-		t.Error("Boolean query reported a concatenating gather")
+	for q, want := range map[string]string{
+		"Q(A, B, C) = R(A, B), S(A, C)": "federation: 2 shard(s), shard key (A), concatenating gather",
+		"Q(B, C) = R(A, B), S(A, C)":    "federation: 2 shard(s), shard key (A), union gather",
+		"Q() = R(A, B), S(B)":           "federation: 2 shard(s), shard key (B), union gather",
+	} {
+		s, err := ivmeps.NewSharded(ivmeps.MustParseQuery(q), ivmeps.ShardedOptions{Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _, _ := strings.Cut(s.Explain(), "\n"); got != want {
+			t.Errorf("%s: Explain's first line %q, want %q", q, got, want)
+		}
+		s.Close()
 	}
 }
 
@@ -267,15 +265,12 @@ func TestShardedShardKey(t *testing.T) {
 // lifecycle do on a sharded engine (K = 2): no watch stream and no views, no
 // durability, an Explain that names the routing, ε from the options, and a
 // Close that is idempotent and leaves the engine committing. It also pins
-// Shards and ShardKey on an engine from New.
+// Shards on an engine from New.
 func TestShardedEngineSurface(t *testing.T) {
 	e, s := built(t, target{query: star, eps: 0.5}, 5, 40, 9), built(t, target{query: star, eps: 0.5, shards: 2}, 5, 40, 9)
 
 	if n := e.Shards(); n != 1 {
 		t.Errorf("New engine: Shards() = %d, want 1", n)
-	}
-	if vars, concat := e.ShardKey(); vars != nil || !concat {
-		t.Errorf("New engine: ShardKey() = %v, %v, want nil, true", vars, concat)
 	}
 	if n := s.Shards(); n != 2 {
 		t.Errorf("Shards() = %d, want 2", n)
@@ -412,9 +407,6 @@ func TestAllZeroAllocsPerRow(t *testing.T) {
 	e, s := built(t, target{query: star, eps: 0.5}, 3, 3000, 300), built(t, target{query: star, eps: 0.5, shards: 2}, 3, 3000, 300)
 	p, p1 := built(t, target{query: twoPath, eps: 0.5}, 3, 3000, 300), built(t, target{query: twoPath, eps: 0.5, shards: 1}, 3, 3000, 300)
 	p2 := built(t, target{query: twoPath, eps: 0.5, shards: 2}, 3, 3000, 300)
-	if _, concat := s.ShardKey(); !concat {
-		t.Fatal("the star query does not gather by concatenation")
-	}
 	for _, src := range []struct {
 		name    string
 		all     iter.Seq2[[]int64, int64]
