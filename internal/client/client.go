@@ -51,9 +51,14 @@ type Options struct {
 
 // Client talks to one ivmd server. Methods are safe for concurrent use.
 type Client struct {
-	base string
-	hc   *http.Client
-	page int
+	base   string
+	hc     *http.Client
+	limit  string // the ?limit= of a read, or ""
+	result string // the URL of a query-result read
+	// frames is the FrameReader of the last read, kept for the next one with
+	// its buffer and arrays; nil while a read holds it. Reads that overlap
+	// make readers of their own, and only one is kept.
+	frames atomic.Pointer[server.FrameReader]
 }
 
 // New returns a client for the server at baseURL (e.g.
@@ -70,7 +75,12 @@ func New(baseURL string, opts Options) (*Client, error) {
 	if hc == nil {
 		hc = &http.Client{}
 	}
-	return &Client{base: strings.TrimRight(u.String(), "/"), hc: hc, page: opts.PageLimit}, nil
+	c := &Client{base: strings.TrimRight(u.String(), "/"), hc: hc}
+	if opts.PageLimit > 0 {
+		c.limit = "?limit=" + strconv.Itoa(opts.PageLimit)
+	}
+	c.result = c.base + "/v1/result/rows" + c.limit
+	return c, nil
 }
 
 // Batch collects updates for one atomic remote commit, mirroring
@@ -111,46 +121,51 @@ func (b *Batch) Reset() {
 // batch). All-or-nothing exactly as Engine.Commit: on a validation error —
 // reconstructed as the typed ivmeps error it was — the remote engine is
 // unchanged. Commit does not consume the batch; Reset it for the next one.
+// The op lines are appended by hand (server.AppendOps) into one buffer per
+// commit, which the transport may still read after the reply, and the reply
+// decodes without encoding/json.
 func (c *Client) Commit(ctx context.Context, b *Batch) (uint64, error) {
-	var body bytes.Buffer
+	var body []byte
 	if b != nil {
-		enc := json.NewEncoder(&body)
-		for i := range b.ops {
-			if err := enc.Encode(&b.ops[i]); err != nil {
-				return 0, fmt.Errorf("client: encoding op %d: %w", i, err)
-			}
-		}
+		body = server.AppendOps(nil, b.ops)
 	}
-	var cr server.CommitReply
-	if err := c.do(ctx, http.MethodPost, c.base+"/v1/commit", &body, &cr); err != nil {
+	addr := c.base + "/v1/commit"
+	resp, err := c.do(ctx, http.MethodPost, addr, bytes.NewReader(body))
+	if err != nil {
 		return 0, err
+	}
+	defer resp.Body.Close()
+	reply, rerr := io.ReadAll(io.LimitReader(resp.Body, 1<<20)) // to its end, so the connection is reused
+	cr, err := server.DecodeCommitReply(reply)
+	if err != nil {
+		if rerr != nil {
+			err = rerr
+		}
+		return 0, fmt.Errorf("client: POST %s: decoding the reply: %w", addr, err)
 	}
 	return cr.Epoch, nil
 }
 
-// do sends one request — a body is an NDJSON op stream — and decodes the
-// JSON reply into out; a non-200 response comes back as the typed error it
-// carries.
-func (c *Client) do(ctx context.Context, method, addr string, body io.Reader, out any) error {
+// do sends one request — a body is an NDJSON op stream — and returns the
+// response when its status is 200, for the caller to read and close; any
+// other response comes back as the typed error it carries.
+func (c *Client) do(ctx context.Context, method, addr string, body io.Reader) (*http.Response, error) {
 	req, err := http.NewRequestWithContext(ctx, method, addr, body)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/x-ndjson")
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return fmt.Errorf("client: %w", err)
+		return nil, fmt.Errorf("client: %w", err)
 	}
-	defer drain(resp.Body)
 	if resp.StatusCode != http.StatusOK {
-		return decodeErrorBody(resp)
+		defer drain(resp.Body)
+		return nil, decodeErrorBody(resp)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		return fmt.Errorf("client: %s %s: decoding the reply: %w", method, addr, err)
-	}
-	return nil
+	return resp, nil
 }
 
 // Rows reads the query result (view "", via /v1/result/rows) or one root
@@ -189,16 +204,14 @@ func (c *Client) Rows(ctx context.Context, view string) (rows [][]int64, mults [
 }
 
 // walk is the one read behind Rows and All: one GET, whose stream it hands
-// to yield row by row. Breaking out of the loop closes the body unread, so
-// the connection drops and the server's next frame write fails: the
-// server's handler returns and releases the snapshot at once.
+// to yield row by row, decoded by the client's kept FrameReader. Breaking
+// out of the loop closes the body unread, so the connection drops and the
+// server's next frame write fails: the server's handler returns and releases
+// the snapshot at once.
 func (c *Client) walk(ctx context.Context, view string, yield func([]int64, int64) bool) (uint64, error) {
-	path := c.base + "/v1/result/rows"
+	path := c.result
 	if view != "" {
-		path = c.base + "/v1/views/" + url.PathEscape(view) + "/rows"
-	}
-	if c.page > 0 {
-		path += "?limit=" + strconv.Itoa(c.page)
+		path = c.base + "/v1/views/" + url.PathEscape(view) + "/rows" + c.limit
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, path, nil)
 	if err != nil {
@@ -212,24 +225,29 @@ func (c *Client) walk(ctx context.Context, view string, yield func([]int64, int6
 		defer drain(resp.Body)
 		return 0, decodeErrorBody(resp)
 	}
-	epoch, closed, err := readRows(resp.Body, yield)
-	if closed {
-		drain(resp.Body) // read to EOF, so the connection is reused
+	frames := c.frames.Swap(nil)
+	if frames == nil {
+		frames = server.NewFrameReader(resp.Body)
 	} else {
-		resp.Body.Close()
+		frames.Reset(resp.Body)
 	}
+	epoch, closed, err := readRows(frames, yield)
+	if closed {
+		frames.Next() // read on to EOF, so the connection is reused
+	}
+	resp.Body.Close()
+	frames.Reset(nil)
+	c.frames.Store(frames)
 	return epoch, err
 }
 
 // readRows decodes one read stream, handing each row to yield, up to the
 // closing frame, whose epoch it returns and whose row count it checks;
-// closed reports that frame was read. The stream decodes through one
-// server.FrameReader, so the rows yield is handed are overwritten by the
-// next frame. A stream that ends without its closing frame is an error, and
-// so is a frame the reader rejects or an error frame; yield's false ends the
-// read early, without one.
-func readRows(body io.Reader, yield func([]int64, int64) bool) (epoch uint64, closed bool, err error) {
-	frames := server.NewFrameReader(body)
+// closed reports that frame was read. The stream decodes through frames, so
+// the rows yield is handed are overwritten by the next frame. A stream that
+// ends without its closing frame is an error, and so is a frame the reader
+// rejects or an error frame; yield's false ends the read early, without one.
+func readRows(frames *server.FrameReader, yield func([]int64, int64) bool) (epoch uint64, closed bool, err error) {
 	n := 0
 	for {
 		f, err := frames.Next()
@@ -279,9 +297,15 @@ func (c *Client) All(ctx context.Context, view string) (iter.Seq2[[]int64, int64
 
 // Stats fetches the server's /v1/stats report.
 func (c *Client) Stats(ctx context.Context) (*server.StatsReply, error) {
-	var sr server.StatsReply
-	if err := c.do(ctx, http.MethodGet, c.base+"/v1/stats", nil, &sr); err != nil {
+	addr := c.base + "/v1/stats"
+	resp, err := c.do(ctx, http.MethodGet, addr, nil)
+	if err != nil {
 		return nil, err
+	}
+	defer drain(resp.Body)
+	var sr server.StatsReply
+	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
+		return nil, fmt.Errorf("client: GET %s: decoding the reply: %w", addr, err)
 	}
 	return &sr, nil
 }

@@ -12,6 +12,7 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -326,7 +327,7 @@ func TestReadDecodeAllocatesPerFrame(t *testing.T) {
 		return b.Bytes()
 	}
 	decode := func(body []byte, yield func([]int64, int64) bool) {
-		epoch, closed, err := readRows(bytes.NewReader(body), yield)
+		epoch, closed, err := readRows(server.NewFrameReader(bytes.NewReader(body)), yield)
 		if err != nil || !closed || epoch != 3 {
 			t.Fatalf("readRows = %d, %v, %v", epoch, closed, err)
 		}
@@ -379,4 +380,170 @@ func TestRowsOwnsItsRows(t *testing.T) {
 	if !reflect.DeepEqual(rows, want) {
 		t.Fatalf("the first read's rows are %v after a second read, want %v", rows, want)
 	}
+}
+
+// TestHotLinesSkipEncodingJSON drives commits, reads and a watch through the
+// client against a real server, and checks that no hot line went through
+// encoding/json on either end: the server's ivmd_commit_ops_json_total stays
+// 0, and so do the Fallbacks of the client's read reader and of the watch's.
+// The two ends' fast forms are written separately — AppendOps against
+// decodeOp, the frame encoder against the frame decoders — so a change to one
+// that the other does not follow would show only here: every test that
+// compares results still passes through the fallback. A commit body in
+// another form then moves the counter.
+func TestHotLinesSkipEncodingJSON(t *testing.T) {
+	eng, err := ivmeps.New(ivmeps.MustParseQuery("Q(A, C) = R(A, B), S(B, C)"), ivmeps.Options{Epsilon: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	if err := eng.Build(); err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(server.New(eng, server.Options{}))
+	defer hs.Close()
+	c, err := New(hs.URL, Options{PageLimit: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	commit := func(b *Batch) {
+		if _, err := c.Commit(ctx, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	jsonOps := func() string {
+		resp, err := http.Get(hs.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(string(body), "\n") {
+			if v, ok := strings.CutPrefix(line, "ivmd_commit_ops_json_total "); ok {
+				return v
+			}
+		}
+		t.Fatalf("/metrics has no ivmd_commit_ops_json_total:\n%s", body)
+		return ""
+	}
+
+	commit(c.NewBatch().Insert("R", []int64{1, 1}).Insert("R", []int64{2, 1}).Insert("R", []int64{3, 1}).Insert("S", []int64{1, 7}))
+	w, err := c.Watch(ctx, WatchOptions{}) // a full anchor: anchor, rows and ready frames
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	commit(c.NewBatch().Apply("S", []int64{1, 8}, 2).Delete("R", []int64{2, 1}))
+	commit(c.NewBatch().Insert("R", []int64{9, 5}))
+	events := 0
+	for ev, err := range w.Events() {
+		if err != nil {
+			t.Fatal(err)
+		}
+		if events++; ev.Epoch != w.Epoch()+uint64(events) {
+			t.Fatalf("event %d has epoch %d after anchor %d", events, ev.Epoch, w.Epoch())
+		}
+		if events == 2 {
+			break
+		}
+	}
+	if _, _, _, err := c.Rows(ctx, ""); err != nil {
+		t.Fatal(err)
+	}
+	seq, errf := c.All(ctx, eng.Views()[0])
+	for range seq {
+	}
+	if err := errf(); err != nil {
+		t.Fatal(err)
+	}
+
+	if n := jsonOps(); n != "0" {
+		t.Errorf("the server decoded %s of the client's ops through encoding/json, want 0", n)
+	}
+	if n := c.frames.Load().Fallbacks(); n != 0 {
+		t.Errorf("the client's reads decoded %d frames through encoding/json, want 0", n)
+	}
+	if n := w.frames.Fallbacks(); n != 0 {
+		t.Errorf("the watch decoded %d frames through encoding/json, want 0", n)
+	}
+
+	resp, err := http.Post(hs.URL+"/v1/commit", "application/x-ndjson", strings.NewReader(`{"row":[4,1],"rel":"R"}`+"\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("a commit in another form: %s", resp.Status)
+	}
+	if n := jsonOps(); n != "1" {
+		t.Errorf("after one op in another form, ivmd_commit_ops_json_total reads %s, want 1", n)
+	}
+}
+
+// TestOverlappingReadsShareOneClient reads one result from four goroutines
+// at once through one client, by Rows and by All, while the client hands its
+// one kept FrameReader from read to read: a read that finds it taken makes
+// its own, and no read sees another's rows.
+func TestOverlappingReadsShareOneClient(t *testing.T) {
+	eng, err := ivmeps.New(ivmeps.MustParseQuery("Q(A, C) = R(A, B), S(B, C)"), ivmeps.Options{Epsilon: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	if err := eng.Build(); err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(server.New(eng, server.Options{}))
+	defer hs.Close()
+	c, err := New(hs.URL, Options{PageLimit: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 100
+	b := c.NewBatch().Insert("S", []int64{0, 1})
+	for i := int64(0); i < n; i++ {
+		b.Insert("R", []int64{i, 0})
+	}
+	if _, err := c.Commit(context.Background(), b); err != nil {
+		t.Fatal(err)
+	}
+	const want = n * (n - 1) / 2 // the sum of A over the result
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 25 {
+				sum := int64(0)
+				if g%2 == 0 {
+					rows, _, _, err := c.Rows(context.Background(), "")
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					for _, row := range rows {
+						sum += row[0]
+					}
+				} else {
+					seq, errf := c.All(context.Background(), "")
+					for row := range seq {
+						sum += row[0]
+					}
+					if err := errf(); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				if sum != want {
+					t.Errorf("a read sums A to %d, want %d", sum, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

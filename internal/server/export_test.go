@@ -1,6 +1,8 @@
 package server
 
 import (
+	"encoding/json"
+	"io"
 	"testing"
 	"time"
 )
@@ -22,10 +24,44 @@ const MaxReaders = maxReaders
 
 // EncodeRowsFrame returns the line the frame writer writes for f, a rows
 // frame, newline included.
-func EncodeRowsFrame(f *Frame) []byte {
-	var e rowsEncoder
-	return e.encode(f)
-}
+var EncodeRowsFrame = EncodeFrame
 
 // DecodeRowsFrame is decodeRowsFrame, the FrameReader's rows-frame path.
 var DecodeRowsFrame = decodeRowsFrame
+
+// EncodeFrame returns the line the frame writer writes for f without
+// encoding/json, newline included, or nil for a frame it leaves to
+// encoding/json.
+func EncodeFrame(f *Frame) []byte {
+	var e frameEncoder
+	return e.encode(f)
+}
+
+// DecodeReadyFrame is decodeReadyFrame, the FrameReader's ready-frame path.
+var DecodeReadyFrame = decodeReadyFrame
+
+// DecodeEventFrame is decodeEventFrame, the FrameReader's event-frame path.
+var DecodeEventFrame = decodeEventFrame
+
+// DecodeOp decodes line, one op line without its newline, through DecodeOps'
+// fast path alone; ok is false where the fast path declines the line.
+func DecodeOp(line []byte) (op Op, ok bool) {
+	count := rowScan{data: line}
+	if !count.decodeOp(&op) || count.i != len(line) {
+		return Op{}, false
+	}
+	var names []string
+	fill := rowScan{data: line, vals: make([]int64, count.nVals), names: &names}
+	fill.decodeOp(&op)
+	return op, true
+}
+
+// DecodeOpsJSON decodes an op stream as DecodeOps does, through encoding/json
+// alone.
+func DecodeOpsJSON(r io.Reader, maxOps int) ([]Op, error) {
+	if maxOps <= 0 {
+		maxOps = DefaultMaxOps
+	}
+	ops, _, err := decodeOpsJSON(json.NewDecoder(r), nil, maxOps)
+	return ops, err
+}

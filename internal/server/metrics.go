@@ -50,6 +50,7 @@ type metrics struct {
 	readWriteTimeouts  atomic.Uint64 // the same, for read streams
 	commitsOK          atomic.Uint64
 	commitsFailed      atomic.Uint64
+	commitOpsJSON      atomic.Uint64 // commit op values decoded through encoding/json
 }
 
 // observeCommit records one successful commit's wall-clock latency.
@@ -90,6 +91,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# HELP ivmd_commits_total Commit outcomes.\n# TYPE ivmd_commits_total counter\n")
 	fmt.Fprintf(w, "ivmd_commits_total{outcome=\"ok\"} %d\n", m.commitsOK.Load())
 	fmt.Fprintf(w, "ivmd_commits_total{outcome=\"rejected\"} %d\n", m.commitsFailed.Load())
+
+	fmt.Fprintf(w, "# HELP ivmd_commit_ops_json_total Commit ops decoded through encoding/json, not the fast path of the client's form.\n# TYPE ivmd_commit_ops_json_total counter\n")
+	fmt.Fprintf(w, "ivmd_commit_ops_json_total %d\n", m.commitOpsJSON.Load())
 
 	fmt.Fprintf(w, "# HELP ivmd_commit_latency_seconds Wall-clock latency of successful commits.\n# TYPE ivmd_commit_latency_seconds histogram\n")
 	cum := uint64(0)

@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"iter"
 	"net/http"
+	"net/url"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 )
 
@@ -88,7 +90,7 @@ func (t *readStreams) count() int {
 // handleRows streams one read; view "" is the query result.
 func (s *Server) handleRows(w http.ResponseWriter, r *http.Request, view string) {
 	limit := pageSize
-	if ls := r.URL.Query().Get("limit"); ls != "" {
+	if ls := limitParam(r.URL.RawQuery); ls != "" {
 		n, err := strconv.Atoi(ls)
 		if err != nil || n <= 0 {
 			s.fail(w, epRows, &WireError{Code: CodeBadRequest, Message: fmt.Sprintf("bad limit %q", ls)})
@@ -117,20 +119,35 @@ func (s *Server) handleRows(w http.ResponseWriter, r *http.Request, view string)
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set(HeaderEpoch, strconv.FormatUint(snap.Epoch(), 10))
 	w.WriteHeader(http.StatusOK)
-	send := frameWriter(w, &s.metrics.readWriteTimeouts)
-	if count := streamRows(send, rs, view, rows, limit); count >= 0 {
-		send(&Frame{Type: FrameReady, Epoch: snap.Epoch(), Count: count})
+	fw := newFrameWriter(w, &s.metrics.readWriteTimeouts)
+	defer fw.release()
+	if count := fw.streamRows(rs, view, rows, limit); count >= 0 {
+		fw.sendFrame(Frame{Type: FrameReady, Epoch: snap.Epoch(), Count: count})
 	}
+}
+
+// limitParam returns the limit parameter of the query rawQuery as
+// url.Values.Get returns it, without parsing the query into a map when it is
+// just "limit=" and digits.
+func limitParam(rawQuery string) string {
+	if v, ok := strings.CutPrefix(rawQuery, "limit="); ok && strings.Trim(v, "0123456789") == "" {
+		return v
+	}
+	if rawQuery == "" {
+		return ""
+	}
+	q, _ := url.ParseQuery(rawQuery)
+	return q.Get("limit")
 }
 
 // ended reports whether the read stream has ended; one ended by eviction
 // first gets its terminal gone frame.
-func (rs *readStream) ended(send func(*Frame) bool) bool {
+func (rs *readStream) ended(fw *frameWriter) bool {
 	if rs.ctx.Err() == nil {
 		return false
 	}
 	if errors.Is(context.Cause(rs.ctx), errEvicted) {
-		send(&Frame{Type: FrameError, Err: &WireError{Code: CodeGone,
+		fw.sendFrame(Frame{Type: FrameError, Err: &WireError{Code: CodeGone,
 			Message: fmt.Sprintf("more than %d reads open: the oldest was ended; restart the read", maxReaders)}})
 	}
 	return true
@@ -142,37 +159,61 @@ func (rs *readStream) ended(send func(*Frame) bool) bool {
 // frame, nil for the watch anchor's dump — ended. Yielded rows may alias
 // engine storage or reused buffers, so each is copied before the next pull,
 // into one backing array whose sub-slices are the frame's rows; a sent
-// frame's arrays are refilled by the next one. Failure rides in count, not
-// in a flag or a result of its own: the loop body is a closure handed to
-// rows, so each local it writes costs one heap allocation per stream.
-func streamRows(send func(*Frame) bool, rs *readStream, view string, rows iter.Seq2[[]int64, int64], limit int) int {
-	f := Frame{Type: FrameRows, View: view}
-	var vals []int64
-	count := 0
-	flush := func() {
-		if rs != nil && rs.ended(send) || !send(&f) {
-			count = -1
-			return
-		}
-		count += len(f.Rows)
-		f.Rows, f.Mults, vals = f.Rows[:0], f.Mults[:0], vals[:0]
+// frame's arrays are refilled by the next one, and the next stream of the
+// pooled writer refills them again. The loop body is the pager's row method,
+// bound once per writer: a closure handed to rows would cost a heap
+// allocation, and so would each local it writes, on every stream.
+func (fw *frameWriter) streamRows(rs *readStream, view string, rows iter.Seq2[[]int64, int64], limit int) int {
+	p := &fw.page
+	if p.yield == nil {
+		p.fw, p.yield = fw, p.row
 	}
-	for row, mult := range rows {
-		if vals == nil {
-			vals = make([]int64, 0, limit*len(row))
-			f.Rows, f.Mults = make([][]int64, 0, limit), make([]int64, 0, limit)
-		}
-		vals = append(vals, row...)
-		f.Rows = append(f.Rows, vals[len(vals)-len(row):len(vals):len(vals)])
-		f.Mults = append(f.Mults, mult)
-		if len(f.Rows) == limit {
-			if flush(); count < 0 {
-				break
-			}
-		}
+	p.rs, p.limit, p.count = rs, limit, 0
+	p.f = Frame{Type: FrameRows, View: view, Rows: p.f.Rows[:0], Mults: p.f.Mults[:0]}
+	p.vals = p.vals[:0]
+	rows(p.yield)
+	if p.count >= 0 && len(p.f.Rows) > 0 {
+		p.flush()
 	}
-	if count >= 0 && len(f.Rows) > 0 {
-		flush()
+	p.rs = nil
+	return p.count
+}
+
+// pager is streamRows' state, kept in its frameWriter.
+type pager struct {
+	fw    *frameWriter
+	yield func([]int64, int64) bool // row, bound to this pager
+	rs    *readStream
+	limit int
+	count int
+	f     Frame
+	vals  []int64 // the values of f.Rows
+}
+
+// row copies one row into the page, and sends the page once it holds limit
+// rows. A page starts with room for limit rows of row's arity.
+func (p *pager) row(row []int64, mult int64) bool {
+	if len(p.f.Rows) == 0 && (cap(p.vals) < p.limit*len(row) || cap(p.f.Rows) < p.limit) {
+		p.vals = make([]int64, 0, p.limit*len(row))
+		p.f.Rows, p.f.Mults = make([][]int64, 0, p.limit), make([]int64, 0, p.limit)
 	}
-	return count
+	p.vals = append(p.vals, row...)
+	p.f.Rows = append(p.f.Rows, p.vals[len(p.vals)-len(row):len(p.vals):len(p.vals)])
+	p.f.Mults = append(p.f.Mults, mult)
+	if len(p.f.Rows) < p.limit {
+		return true
+	}
+	p.flush()
+	return p.count >= 0
+}
+
+// flush sends the page, or sets count to -1 when the stream ended or the
+// frame did not go out.
+func (p *pager) flush() {
+	if p.rs != nil && p.rs.ended(p.fw) || !p.fw.send(&p.f) {
+		p.count = -1
+		return
+	}
+	p.count += len(p.f.Rows)
+	p.f.Rows, p.f.Mults, p.vals = p.f.Rows[:0], p.f.Mults[:0], p.vals[:0]
 }

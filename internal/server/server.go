@@ -127,34 +127,70 @@ func (s *Server) fail(w http.ResponseWriter, ep endpoint, err error) {
 	}{we})
 }
 
-// frameWriter returns the send function of one NDJSON stream, watch or read.
-// Every frame is written and flushed under its own deadline, and a failed
-// write ends the stream: a peer that stopped reading would otherwise park
-// the handler in Write, with its connection and whatever it holds, until TCP
-// gives up. A deadline that runs out is counted in timeouts. A writer
-// without deadlines (tests) just has none. Rows frames, the bulk of every
-// read, go through one rowsEncoder and its one buffer; every other frame
-// through encoding/json. Either way a frame is one Write.
-func frameWriter(w http.ResponseWriter, timeouts *atomic.Uint64) func(*Frame) bool {
-	rc := http.NewResponseController(w)
-	enc := json.NewEncoder(w) // Encode appends '\n': one compact frame per line
-	var rows rowsEncoder
-	return func(f *Frame) bool {
-		rc.SetWriteDeadline(time.Now().Add(watchWriteTimeout))
-		var err error
-		if f.plainRows() {
-			_, err = w.Write(rows.encode(f))
-		} else {
-			err = enc.Encode(f)
+// frameWriter writes one NDJSON stream, watch or read. Every frame is
+// written and flushed under its own deadline, and a failed write ends the
+// stream: a peer that stopped reading would otherwise park the handler in
+// Write, with its connection and whatever it holds, until TCP gives up. A
+// deadline that runs out is counted in timeouts. A writer without deadlines
+// (tests) just has none. Rows, ready and event frames go through one
+// frameEncoder and its one buffer; a watch's anchor frame and a stream's
+// lagged, end or error frame through a json.Encoder made for it. Either way
+// a frame is one Write. Writers are pooled with their buffers and
+// streamRows' pages.
+type frameWriter struct {
+	w        http.ResponseWriter
+	rc       http.ResponseController
+	timeouts *atomic.Uint64
+	enc      frameEncoder
+	json     *json.Encoder // made at the stream's first frame enc does not write
+	frame    Frame         // the frame sendFrame sends
+	page     pager
+}
+
+var frameWriters = sync.Pool{New: func() any { return new(frameWriter) }}
+
+// newFrameWriter takes a writer of the stream w from the pool; release
+// returns it.
+func newFrameWriter(w http.ResponseWriter, timeouts *atomic.Uint64) *frameWriter {
+	fw := frameWriters.Get().(*frameWriter)
+	fw.w, fw.rc, fw.timeouts = w, *http.NewResponseController(w), timeouts
+	return fw
+}
+
+// release returns fw to the pool, holding nothing of its stream.
+func (fw *frameWriter) release() {
+	fw.w, fw.rc, fw.timeouts, fw.json, fw.frame = nil, http.ResponseController{}, nil, nil, Frame{}
+	frameWriters.Put(fw)
+}
+
+// send writes f and reports whether it went out.
+func (fw *frameWriter) send(f *Frame) bool {
+	fw.rc.SetWriteDeadline(time.Now().Add(watchWriteTimeout))
+	var err error
+	if line := fw.enc.encode(f); line != nil {
+		_, err = fw.w.Write(line)
+	} else {
+		if fw.json == nil {
+			fw.json = json.NewEncoder(fw.w) // Encode appends '\n': one compact frame per line
 		}
-		if err == nil {
-			err = rc.Flush()
-		}
-		if errors.Is(err, os.ErrDeadlineExceeded) {
-			timeouts.Add(1)
-		}
-		return err == nil
+		err = fw.json.Encode(f)
 	}
+	if err == nil {
+		err = fw.rc.Flush()
+	}
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		fw.timeouts.Add(1)
+	}
+	return err == nil
+}
+
+// sendFrame sends f from the writer's own Frame, so that a frame built for
+// one send costs no allocation.
+func (fw *frameWriter) sendFrame(f Frame) bool {
+	fw.frame = f
+	ok := fw.send(&fw.frame)
+	fw.frame = Frame{}
+	return ok
 }
 
 // handleCommit applies one NDJSON op stream as one atomic engine commit
@@ -168,7 +204,8 @@ func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, epCommit, &WireError{Code: CodeDraining, Message: "server is draining"})
 		return
 	}
-	ops, err := DecodeOps(http.MaxBytesReader(w, r.Body, maxCommitBytes), DefaultMaxOps)
+	ops, jsonOps, err := decodeOps(http.MaxBytesReader(w, r.Body, maxCommitBytes), DefaultMaxOps)
+	s.metrics.commitOpsJSON.Add(uint64(jsonOps))
 	if err != nil {
 		s.fail(w, epCommit, err)
 		return

@@ -102,9 +102,10 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set(HeaderEpoch, strconv.FormatUint(anchor.Epoch(), 10))
 	w.WriteHeader(http.StatusOK)
-	send := frameWriter(w, &s.metrics.watchWriteTimeouts)
+	fw := newFrameWriter(w, &s.metrics.watchWriteTimeouts)
+	defer fw.release()
 
-	if !s.sendAnchor(send, anchor, fromSet && fromEpoch == anchor.Epoch(), views) {
+	if !s.sendAnchor(fw, anchor, fromSet && fromEpoch == anchor.Epoch(), views) {
 		return
 	}
 
@@ -129,13 +130,13 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 			var wle *ivmeps.WatcherLaggedError
 			if errors.As(err, &wle) {
 				s.metrics.watchEvicted.Add(1)
-				send(&Frame{Type: FrameLagged, From: wle.From, To: wle.To})
+				fw.sendFrame(Frame{Type: FrameLagged, From: wle.From, To: wle.To})
 			} else {
-				send(&Frame{Type: FrameError, Err: EncodeError(err)})
+				fw.sendFrame(Frame{Type: FrameError, Err: EncodeError(err)})
 			}
 			return
 		}
-		if !send(&Frame{Type: FrameEvent, Epoch: ev.Epoch, Deltas: ev.Deltas}) {
+		if !fw.sendFrame(Frame{Type: FrameEvent, Epoch: ev.Epoch, Deltas: ev.Deltas}) {
 			return
 		}
 	}
@@ -143,7 +144,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	// path, tell the client the stream ended on purpose with nothing lost.
 	if drained.Load() {
 		s.metrics.watchDrained.Add(1)
-		send(&Frame{Type: FrameEnd, Epoch: s.eng.Epoch(), Reason: "draining"})
+		fw.sendFrame(Frame{Type: FrameEnd, Epoch: s.eng.Epoch(), Reason: "draining"})
 	}
 }
 
@@ -153,29 +154,29 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 // frame. It closes the anchor on every path, and before the ready frame goes
 // out: a client may commit the moment it reads "ready", and a commit that
 // finds the anchor still pinned copies every relation it writes.
-func (s *Server) sendAnchor(send func(*Frame) bool, anchor *ivmeps.Snapshot, resume bool, views []string) bool {
+func (s *Server) sendAnchor(fw *frameWriter, anchor *ivmeps.Snapshot, resume bool, views []string) bool {
 	defer anchor.Close() // idempotent: the failure paths' release
 	epoch := anchor.Epoch()
 	if views == nil {
 		views = s.eng.Views()
 	}
-	if !send(&Frame{Type: FrameAnchor, Epoch: epoch, Views: views, Resume: resume}) {
+	if !fw.sendFrame(Frame{Type: FrameAnchor, Epoch: epoch, Views: views, Resume: resume}) {
 		return false
 	}
 	if !resume {
 		for _, v := range views {
 			rows, err := anchor.ViewAll(v)
 			if err != nil {
-				send(&Frame{Type: FrameError, Err: EncodeError(err)})
+				fw.sendFrame(Frame{Type: FrameError, Err: EncodeError(err)})
 				return false
 			}
 			// An empty view still gets one rows frame, so the client's anchor
 			// map lists every subscribed view explicitly.
-			if n := streamRows(send, nil, v, rows, pageSize); n < 0 || n == 0 && !send(&Frame{Type: FrameRows, View: v}) {
+			if n := fw.streamRows(nil, v, rows, pageSize); n < 0 || n == 0 && !fw.sendFrame(Frame{Type: FrameRows, View: v}) {
 				return false
 			}
 		}
 	}
 	anchor.Close()
-	return send(&Frame{Type: FrameReady, Epoch: epoch})
+	return fw.sendFrame(Frame{Type: FrameReady, Epoch: epoch})
 }

@@ -32,10 +32,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
-	"strconv"
-	"unicode/utf8"
+	"sync"
 
 	"ivmeps"
 )
@@ -65,25 +63,93 @@ type opWire struct {
 // (<=0 means DefaultMaxOps); exceeding it, a syntactically malformed
 // value, or an op without a relation name is a *WireError with code
 // "bad_request" identifying the offending op index.
+//
+// The ops at the head of the stream that are in the client's form
+// (AppendOps) decode without encoding/json, their rows into one values array
+// sized by a count pass; from the first value in any other form on, the
+// stream decodes through a json.Decoder, which gives the ops and errors it
+// gave for the whole stream. The body is read whole first.
 func DecodeOps(r io.Reader, maxOps int) ([]Op, error) {
+	ops, _, err := decodeOps(r, maxOps)
+	return ops, err
+}
+
+// opBodies holds the buffers commit bodies are read into; one that grew past
+// maxPooledBody is dropped.
+var opBodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledBody = 1 << 20
+
+// decodeOps is DecodeOps, which also returns how many values it handed to
+// encoding/json.
+func decodeOps(r io.Reader, maxOps int) ([]Op, int, error) {
 	if maxOps <= 0 {
 		maxOps = DefaultMaxOps
 	}
-	dec := json.NewDecoder(r)
+	body := opBodies.Get().(*bytes.Buffer)
+	defer func() {
+		if body.Cap() <= maxPooledBody {
+			body.Reset()
+			opBodies.Put(body)
+		}
+	}()
+	body.Reset()
+	_, rerr := body.ReadFrom(r)
+	data := body.Bytes()
+
+	// The count pass: the ops in the client's form at the head of the body,
+	// at most maxOps of them, and their values.
+	count := rowScan{data: data}
+	var n, vals, end int
 	var ops []Op
-	for i := 0; ; i++ {
+	var op Op
+	for ; n < maxOps; n++ {
+		count.space()
+		if !count.decodeOp(&op) {
+			break
+		}
+		vals, end = count.nVals, count.i
+	}
+	if n > 0 {
+		ops = make([]Op, n)
+		var names []string
+		fill := rowScan{data: data[:end], vals: make([]int64, vals), names: &names}
+		for i := range ops {
+			fill.space()
+			fill.decodeOp(&ops[i])
+		}
+	}
+	rest := data[end:]
+	if rerr == nil && len(bytes.TrimLeft(rest, " \t\r\n")) == 0 {
+		return ops, 0, nil
+	}
+
+	var in io.Reader = bytes.NewReader(rest)
+	if rerr != nil {
+		in = io.MultiReader(in, errReader{rerr}) // the error where a json.Decoder of the body meets it
+	}
+	return decodeOpsJSON(json.NewDecoder(in), ops, maxOps)
+}
+
+// decodeOpsJSON decodes the rest of an op stream through dec, after the
+// len(ops) ops already decoded, and returns all of them and how many values
+// it decoded.
+func decodeOpsJSON(dec *json.Decoder, ops []Op, maxOps int) ([]Op, int, error) {
+	n := 0
+	for i := len(ops); ; i++ {
 		var ow opWire
 		if err := dec.Decode(&ow); err != nil {
 			if err == io.EOF {
-				return ops, nil
+				return ops, n, nil
 			}
-			return nil, &WireError{Code: CodeBadRequest, Message: fmt.Sprintf("op %d: %v", i, err)}
+			return nil, n, &WireError{Code: CodeBadRequest, Message: fmt.Sprintf("op %d: %v", i, err)}
 		}
+		n++
 		if i >= maxOps {
-			return nil, &WireError{Code: CodeBadRequest, Message: fmt.Sprintf("more than %d ops in one commit", maxOps)}
+			return nil, n, &WireError{Code: CodeBadRequest, Message: fmt.Sprintf("more than %d ops in one commit", maxOps)}
 		}
 		if ow.Rel == "" {
-			return nil, &WireError{Code: CodeBadRequest, Message: fmt.Sprintf("op %d: missing relation name", i)}
+			return nil, n, &WireError{Code: CodeBadRequest, Message: fmt.Sprintf("op %d: missing relation name", i)}
 		}
 		mult := int64(1)
 		if ow.Mult != nil {
@@ -92,6 +158,12 @@ func DecodeOps(r io.Reader, maxOps int) ([]Op, error) {
 		ops = append(ops, Op{Rel: ow.Rel, Row: ow.Row, Mult: mult})
 	}
 }
+
+// errReader is a reader that only fails.
+type errReader struct{ err error }
+
+// Read returns the reader's error.
+func (r errReader) Read([]byte) (int, error) { return 0, r.err }
 
 // DefaultMaxOps bounds the number of ops DecodeOps accepts in one commit
 // when the caller does not say otherwise.
@@ -148,13 +220,16 @@ const (
 type Delta = ivmeps.ViewDelta
 
 // ParseFrame decodes one stream frame from its NDJSON line, as a
-// FrameReader decodes a line that is not a rows frame in the frame writer's
-// form. A frame without a type, or one whose JSON is malformed, is an error;
-// unknown frame types decode successfully (forward compatibility — clients
-// skip them).
+// FrameReader decodes it, into arrays of its own. A frame without a type, or
+// one whose JSON is malformed, is an error; unknown frame types decode
+// successfully (forward compatibility — clients skip them).
 func ParseFrame(line []byte) (Frame, error) {
-	f, err := new(frameDecoder).decode(line)
-	return *f, err
+	var f Frame
+	if decodeRowsFrame(line, &f) || decodeReadyFrame(line, &f) || decodeEventFrame(line, &f, nil) {
+		return f, nil
+	}
+	g, err := new(frameDecoder).decode(line)
+	return *g, err
 }
 
 // CommitReply is the success body of POST /v1/commit: the epoch the commit
@@ -164,91 +239,23 @@ type CommitReply struct {
 	Ops   int    `json:"ops"`
 }
 
-// rowsFrameHead opens every rows frame the frame writer writes.
-const rowsFrameHead = `{"type":"rows"`
-
-// rowsEncoder writes rows frames without encoding/json, in the bytes
-// json.Encoder.Encode writes for them: the keys type, view, rows and mults
-// in that order, the last three left out when empty, and a newline. Every
-// frame is appended into one buffer, which the next frame reuses, and the
-// view name is encoded by json.Marshal, once per view.
-type rowsEncoder struct {
-	buf      []byte
-	view     string // the view of the previous frame
-	viewJSON []byte // view, encoded
-}
-
-// plainRows reports whether f is a rows frame with none of the fields a
-// rows frame does not carry, so that rowsEncoder can write it.
-func (f *Frame) plainRows() bool {
-	return f.Type == FrameRows && f.Epoch == 0 && f.Count == 0 && len(f.Views) == 0 && !f.Resume &&
-		len(f.Deltas) == 0 && f.From == 0 && f.To == 0 && f.Reason == "" && f.Err == nil
-}
-
-// encode returns the line of f, a frame for which plainRows holds. The
-// line is valid until the next call.
-func (e *rowsEncoder) encode(f *Frame) []byte {
-	if f.View != e.view {
-		e.view = f.View
-		e.viewJSON, _ = json.Marshal(f.View) // a string always encodes
-	}
-	// Size the buffer once for the largest frame so far: a value takes at
-	// most 20 bytes and its comma, a row its brackets and comma or "null,".
-	size := 64 + len(e.viewJSON) + 21*len(f.Mults)
-	for _, row := range f.Rows {
-		size += 5 + 21*len(row)
-	}
-	if cap(e.buf) < size {
-		e.buf = make([]byte, 0, size)
-	}
-	b := append(e.buf[:0], rowsFrameHead...)
-	if f.View != "" {
-		b = append(append(b, `,"view":`...), e.viewJSON...)
-	}
-	if len(f.Rows) > 0 {
-		b = append(b, `,"rows":[`...)
-		for i, row := range f.Rows {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			if row == nil {
-				b = append(b, "null"...)
-			} else {
-				b = appendInts(b, row)
-			}
-		}
-		b = append(b, ']')
-	}
-	if len(f.Mults) > 0 {
-		b = appendInts(append(b, `,"mults":`...), f.Mults)
-	}
-	e.buf = append(b, "}\n"...)
-	return e.buf
-}
-
-// appendInts appends vs as a JSON array.
-func appendInts(b []byte, vs []int64) []byte {
-	b = append(b, '[')
-	for i, v := range vs {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = strconv.AppendInt(b, v, 10)
-	}
-	return append(b, ']')
-}
-
 // FrameReader decodes a read or watch stream, the frames a frameWriter
 // writes, one line at a time. A rows frame in the writer's form decodes into
 // one Frame whose row headers, values and mults every such frame reuses
-// (decodeRowsFrame); any other line decodes as ParseFrame decodes it, through
-// one json.Decoder that the stream keeps. The bufio.Reader and the decoder
-// are kept by value: neither costs an allocation of its own.
+// (decodeRowsFrame); a ready or event frame in the writer's form decodes on
+// the same scanner (decodeReadyFrame, decodeEventFrame), an event into arrays
+// of its own; any other line decodes as encoding/json decodes it, through one
+// json.Decoder that the reader keeps. NewFrameReader allocates the reader and
+// its 64 KiB buffer; Reset points them at the next stream, so a reader kept
+// between streams allocates nothing of its own for the next one.
 type FrameReader struct {
-	br   bufio.Reader
-	long []byte // a line longer than br's buffer; the next such line reuses it
-	rows Frame
-	json frameDecoder
+	br        bufio.Reader
+	long      []byte // a line longer than br's buffer; the next such line reuses it
+	rows      Frame
+	frame     Frame    // a ready or event frame
+	names     []string // the view names of earlier events, which later ones share
+	json      frameDecoder
+	fallbacks int // the rows, ready and event frames decoded through encoding/json
 }
 
 // NewFrameReader returns a reader of the frame stream r, whose buffer holds
@@ -256,6 +263,19 @@ type FrameReader struct {
 func NewFrameReader(r io.Reader) *FrameReader {
 	return &FrameReader{br: *bufio.NewReaderSize(r, 64<<10)}
 }
+
+// Reset makes the reader read the stream r from its start, keeping its
+// buffer and the arrays of its rows frame.
+func (r *FrameReader) Reset(rd io.Reader) {
+	r.br.Reset(rd)
+	r.json.read, r.json.line = 0, bytes.Reader{}
+}
+
+// Fallbacks reports how many rows, ready and event frames the reader has
+// decoded through encoding/json, over every stream it has read: those that
+// were not in the frame writer's form. Reading a frameWriter's stream, it
+// stays 0.
+func (r *FrameReader) Fallbacks() int { return r.fallbacks }
 
 // Next decodes the stream's next line. The frame is valid until the next
 // call, and the Rows and Mults of a rows frame may be overwritten by it; the
@@ -280,8 +300,14 @@ func (r *FrameReader) Next() (*Frame, error) {
 	line = bytes.TrimSuffix(line, []byte("\n"))
 	f := &r.rows
 	if !decodeRowsFrame(line, f) {
-		if f, err = r.json.decode(line); err != nil {
-			return nil, err
+		f = &r.frame
+		if !decodeReadyFrame(line, f) && !decodeEventFrame(line, f, &r.names) {
+			if f, err = r.json.decode(line); err != nil {
+				return nil, err
+			}
+			if f.Type == FrameRows || f.Type == FrameReady || f.Type == FrameEvent {
+				r.fallbacks++
+			}
 		}
 	}
 	if f.Type == FrameRows && len(f.Mults) != len(f.Rows) {
@@ -325,196 +351,6 @@ func (d *frameDecoder) decode(line []byte) (*Frame, error) {
 		d.f = Frame{}
 	}
 	return &d.f, err
-}
-
-// decodeRowsFrame decodes line, one frame without its newline, into f when
-// it is a rows frame in the form the frame writer writes: the keys type,
-// view, rows and mults in that order, the last three optional, no
-// whitespace between them, and a view name without escapes, control
-// characters or invalid UTF-8. It fills f's row headers, value array and
-// mults in place when they are large enough, so that a reader decoding every
-// frame into one Frame allocates nothing once they are — and the rows of the
-// previous frame are overwritten. For any other line it returns false and
-// leaves f as it was: the caller decodes that line through encoding/json.
-// What it accepts, it decodes as json.Unmarshal does, rows for rows and null
-// rows as nil rows, except that an absent rows or mults key leaves an empty
-// slice, not nil.
-func decodeRowsFrame(line []byte, f *Frame) bool {
-	rest, ok := bytes.CutPrefix(line, []byte(rowsFrameHead))
-	if !ok {
-		return false
-	}
-	var view []byte
-	if r, ok := bytes.CutPrefix(rest, []byte(`,"view":"`)); ok {
-		end := 0
-		for end < len(r) && r[end] != '"' && r[end] != '\\' && r[end] >= 0x20 {
-			end++
-		}
-		if end == len(r) || r[end] != '"' || !utf8.Valid(r[:end]) {
-			return false
-		}
-		view, rest = r[:end], r[end+1:]
-	}
-	// The count passes check the grammar; a list the line leaves out counts
-	// as empty.
-	var rows, mults rowScan
-	if r, ok := bytes.CutPrefix(rest, []byte(`,"rows":`)); ok {
-		if rows.data = r; !rows.list(true) {
-			return false
-		}
-		rest = r[rows.i:]
-	}
-	if r, ok := bytes.CutPrefix(rest, []byte(`,"mults":`)); ok {
-		if mults.data = r; !mults.list(false) {
-			return false
-		}
-		rest = r[mults.i:]
-	}
-	if string(rest) != "}" {
-		return false
-	}
-	g := Frame{Type: FrameRows, View: f.View}
-	if g.View != string(view) {
-		g.View = string(view)
-	}
-	g.Rows, g.vals = rows.fill(true, f.Rows, f.vals)
-	_, g.Mults = mults.fill(false, nil, f.Mults)
-	*f = g
-	return true
-}
-
-// rowScan is one pass over the rows of a rows frame in the writer's form,
-// or over one integer array: it checks the grammar and counts the rows and
-// values and, in a fill pass, also stores them — every row, when rows is
-// set, as the next values of vals.
-type rowScan struct {
-	data         []byte
-	i            int
-	rows         [][]int64
-	vals         []int64
-	nRows, nVals int
-}
-
-// fill is the fill pass over the list that the count pass s accepted — the
-// rows of a rows frame when outer is set, else one integer array. It stores
-// the values into vals and the rows into rows, reusing each when it is
-// large enough, and returns both.
-func (s *rowScan) fill(outer bool, rows [][]int64, vals []int64) ([][]int64, []int64) {
-	if vals == nil || cap(vals) < s.nVals {
-		vals = make([]int64, s.nVals)
-	}
-	f := rowScan{data: s.data[:s.i], vals: vals[:s.nVals]}
-	if outer {
-		if rows == nil || cap(rows) < s.nRows {
-			rows = make([][]int64, s.nRows)
-		}
-		f.rows = rows[:s.nRows]
-	}
-	f.list(outer) // the same bytes: it succeeds again, or counts nothing again
-	return f.rows, f.vals
-}
-
-// peek returns the next byte, or 0 at the end of the input.
-func (s *rowScan) peek() byte {
-	if s.i < len(s.data) {
-		return s.data[s.i]
-	}
-	return 0
-}
-
-func (s *rowScan) null() bool {
-	if len(s.data)-s.i < 4 || string(s.data[s.i:s.i+4]) != "null" {
-		return false
-	}
-	s.i += 4
-	return true
-}
-
-// list consumes "[]" or "[" elem ("," elem)* "]", the elements being rows in
-// the outer list and numbers in a row's, and reports whether the input had
-// that shape.
-func (s *rowScan) list(outer bool) bool {
-	if s.peek() != '[' {
-		return false
-	}
-	s.i++
-	if s.peek() == ']' {
-		s.i++
-		return true
-	}
-	for {
-		elem := s.number
-		if outer {
-			elem = s.row
-		}
-		if !elem() {
-			return false
-		}
-		switch s.peek() {
-		case ',':
-			s.i++
-		case ']':
-			s.i++
-			return true
-		default:
-			return false
-		}
-	}
-}
-
-// row consumes one row; a fill pass stores a null row as nil, so that no
-// row of a previous frame survives in reused headers.
-func (s *rowScan) row() bool {
-	from := s.nVals
-	var row []int64
-	if !s.null() {
-		if !s.list(false) {
-			return false
-		}
-		if s.rows != nil {
-			row = s.vals[from:s.nVals:s.nVals]
-		}
-	}
-	if s.rows != nil {
-		s.rows[s.nRows] = row
-	}
-	s.nRows++
-	return true
-}
-
-// number consumes null (the zero value, as in encoding/json) or
-// "-"? ("0" | [1-9][0-9]*) within int64; a fraction or exponent after it
-// fails list's check for "," or "]".
-func (s *rowScan) number() bool {
-	var u uint64
-	limit := uint64(math.MaxInt64)
-	neg := false
-	if !s.null() {
-		if neg = s.peek() == '-'; neg {
-			limit++
-			s.i++
-		}
-		start := s.i
-		for ; s.peek() >= '0' && s.peek() <= '9'; s.i++ {
-			if u > limit/10 {
-				return false
-			}
-			if u = u*10 + uint64(s.data[s.i]-'0'); u > limit {
-				return false
-			}
-		}
-		if s.i == start || (s.data[start] == '0' && s.i-start > 1) {
-			return false // no digits, or a leading zero
-		}
-	}
-	if s.vals != nil {
-		s.vals[s.nVals] = int64(u)
-		if neg {
-			s.vals[s.nVals] = -int64(u)
-		}
-	}
-	s.nVals++
-	return true
 }
 
 // StatsReply is the body of GET /v1/stats.

@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"reflect"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -219,5 +221,115 @@ func TestFrameReader(t *testing.T) {
 				t.Fatalf("Next returns %v, not the reader's error", err)
 			}
 		})
+	}
+}
+
+// TestEventDecodeAllocates bounds what one more event frame costs a
+// FrameReader: at most three allocations — the deltas, their row headers,
+// and their values and mults — however many rows it carries, where
+// encoding/json allocated every row and grew every list. The view names are
+// the stream's, shared from the first event on, and an event stays the
+// caller's after the next one is read.
+func TestEventDecodeAllocates(t *testing.T) {
+	event := func(epoch uint64, rows int) string {
+		f := server.Frame{Type: server.FrameEvent, Epoch: epoch}
+		for _, view := range []string{"VB_9", "VB_10"} {
+			d := server.Delta{View: view}
+			for i := range rows {
+				d.Rows = append(d.Rows, []int64{int64(i), int64(epoch)})
+				d.Mults = append(d.Mults, 1-2*int64(i%2))
+			}
+			f.Deltas = append(f.Deltas, d)
+		}
+		line, err := json.Marshal(&f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(line) + "\n"
+	}
+	stream := func(events, rows int) string {
+		var b strings.Builder
+		b.WriteString(`{"type":"anchor","epoch":1,"views":["VB_9","VB_10"],"resume":true}` + "\n" + `{"type":"ready","epoch":1}` + "\n")
+		for i := range events {
+			b.WriteString(event(uint64(2+i), rows))
+		}
+		return b.String()
+	}
+
+	frames := server.NewFrameReader(strings.NewReader(stream(2, 3)))
+	var first *server.Frame
+	for range 3 {
+		f, err := frames.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		first = f
+	}
+	kept := first.Deltas
+	want, _ := json.Marshal(kept)
+	if _, err := frames.Next(); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := json.Marshal(kept); string(got) != string(want) || string(got) == "null" {
+		t.Fatalf("an event's deltas read %s after the next event, were %s", got, want)
+	}
+
+	// A garbage collection allocates a little of its own, and reading the
+	// larger events runs more of them: the count is taken without.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	read := func(s string) float64 {
+		return testing.AllocsPerRun(10, func() {
+			frames := server.NewFrameReader(strings.NewReader(s))
+			for {
+				if _, err := frames.Next(); err == io.EOF {
+					break
+				} else if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if frames.Fallbacks() != 0 {
+				t.Fatalf("%d frames of the stream went through encoding/json", frames.Fallbacks())
+			}
+		})
+	}
+	for _, rows := range []int{1, 1024} {
+		one := read(stream(1, rows))
+		const more = 32
+		perEvent := (read(stream(1+more, rows)) - one) / more
+		t.Logf("a stream of one event of 2 × %d rows: %.0f allocations; each further event: %.2f", rows, one, perEvent)
+		if perEvent > 3 {
+			t.Errorf("each further event of 2 × %d rows allocates %.2f times, want at most 3", rows, perEvent)
+		}
+	}
+}
+
+// TestDecodeOpsAllocates bounds what DecodeOps allocates per op of a body in
+// the client's form: nothing. A 32-op body and a 512-op body differ at most
+// by four allocations — the arrays of ops and values are each one
+// allocation, sized by the count pass, and the body is read into a pooled
+// buffer — where a json.Decoder allocated every row.
+func TestDecodeOpsAllocates(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops the body buffer at random under -race")
+	}
+	body := func(n int) []byte {
+		ops := make([]server.Op, n)
+		for i := range ops {
+			ops[i] = server.Op{Rel: []string{"R", "S"}[i%2], Row: []int64{int64(i), int64(i % 4)}, Mult: 1 - 2*int64(i%2)}
+		}
+		return server.AppendOps(nil, ops)
+	}
+	decode := func(b []byte, n int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			ops, err := server.DecodeOps(bytes.NewReader(b), 0)
+			if err != nil || len(ops) != n || ops[n-1].Rel != "S" || ops[n-1].Mult != -1 {
+				t.Fatalf("DecodeOps = %d ops, %v", len(ops), err)
+			}
+		})
+	}
+	small, large := decode(body(32), 32), decode(body(512), 512)
+	t.Logf("a 32-op body: %.0f allocations; a 512-op body: %.0f", small, large)
+	if large-small > 4 {
+		t.Errorf("a 512-op body allocates %.0f times, a 32-op body %.0f: want at most 4 more", large, small)
 	}
 }
