@@ -22,6 +22,22 @@ func OpenReaders(s *Server) int { return s.readers.count() }
 // MaxReaders is the cap on open read streams.
 const MaxReaders = maxReaders
 
+// PageSize is the rows per frame of a read without ?limit and of the watch
+// anchor's dump.
+const PageSize = pageSize
+
+// ChunkSize is the size of the chunks a stream's queued rows frames are
+// written in.
+const ChunkSize = chunkSize
+
+// EvictOldestRead evicts the oldest open read not already ending, as a read
+// opened past MaxReaders does.
+func EvictOldestRead(s *Server) {
+	s.readers.mu.Lock()
+	defer s.readers.mu.Unlock()
+	s.readers.evictOldest()
+}
+
 // EncodeRowsFrame returns the line the frame writer writes for f, a rows
 // frame, newline included.
 var EncodeRowsFrame = EncodeFrame

@@ -77,7 +77,7 @@ func (m *metrics) hit(ep endpoint, status int) {
 // database size, live watchers, open reads) are sampled at scrape time.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m := &s.metrics
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	w.Header()["Content-Type"] = metricsContent
 
 	fmt.Fprintf(w, "# HELP ivmd_requests_total Requests served, by endpoint.\n# TYPE ivmd_requests_total counter\n")
 	for ep := endpoint(0); ep < numEndpoints; ep++ {

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"iter"
 	"net/http"
@@ -11,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Reads. GET /v1/result/rows and GET /v1/views/{view}/rows answer with one
@@ -25,21 +25,18 @@ import (
 // blocked, it copy-on-writes around the pin. A view read ranges over its
 // view (ViewAll) the same way and holds its snapshot as long. One loop,
 // streamRows, writes the frames of both reads and of the watch anchor's
-// dump. A stream ends with its closing frame, with a frame write that
+// dump. A stream ends with its closing frame, with a write that
 // misses watchWriteTimeout (a peer that stopped reading), when the client
 // goes away, or — when maxReaders streams are open and another one starts —
 // as the oldest, with a terminal "gone" error frame at its next frame
 // boundary. The handler then returns and the snapshot is released.
 
-// errEvicted is the cancellation cause of a read stream ended to make room
-// for a newer one.
-var errEvicted = errors.New("read evicted by a newer one")
-
-// readStream is one open read. Its context ends when the client goes away,
-// when the handler returns, or with errEvicted.
-type readStream struct {
-	ctx    context.Context
-	cancel context.CancelCauseFunc
+// readEntry is a read stream's place in the registry, kept in its
+// frameWriter: the request's context, which ends when the client goes away,
+// and the flag a newer read sets to evict it.
+type readEntry struct {
+	ctx     context.Context
+	evicted atomic.Bool
 }
 
 // readStreams is the registry of open read streams, oldest first. A stream
@@ -48,35 +45,41 @@ type readStream struct {
 // hold a connection and a snapshot.
 type readStreams struct {
 	mu   sync.Mutex
-	open []*readStream
+	open []*readEntry
 }
 
-// add registers a read stream under the request's context and, when
-// maxReaders streams are registered, ends the oldest one not already ending.
-func (t *readStreams) add(parent context.Context) *readStream {
-	ctx, cancel := context.WithCancelCause(parent)
-	rs := &readStream{ctx: ctx, cancel: cancel}
+// add registers e as a read stream under the request's context ctx and,
+// when maxReaders streams are registered, evicts the oldest one not already
+// ending.
+func (t *readStreams) add(e *readEntry, ctx context.Context) {
+	e.ctx = ctx
+	e.evicted.Store(false)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if len(t.open) >= maxReaders {
-		for _, o := range t.open {
-			if o.ctx.Err() == nil {
-				o.cancel(errEvicted)
-				break
-			}
-		}
+		t.evictOldest()
 	}
-	t.open = append(t.open, rs)
-	return rs
+	t.open = append(t.open, e)
 }
 
-// remove unregisters a stream whose handler is returning.
-func (t *readStreams) remove(rs *readStream) {
-	rs.cancel(nil)
+// evictOldest flags the oldest stream not already ending. t.mu must be held.
+func (t *readStreams) evictOldest() {
+	for _, o := range t.open {
+		if o.ctx.Err() == nil && !o.evicted.Load() {
+			o.evicted.Store(true)
+			return
+		}
+	}
+}
+
+// remove unregisters e, whose handler is returning. Its writer goes back to
+// the pool only afterwards, so no later add can flag the writer's next read.
+func (t *readStreams) remove(e *readEntry) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	i := slices.Index(t.open, rs)
+	i := slices.Index(t.open, e)
 	t.open = slices.Delete(t.open, i, i+1)
+	e.ctx = nil
 }
 
 // count reports the number of open read streams (for /v1/stats and
@@ -112,16 +115,16 @@ func (s *Server) handleRows(w http.ResponseWriter, r *http.Request, view string)
 			return
 		}
 	}
-	rs := s.readers.add(r.Context())
-	defer s.readers.remove(rs)
+	fw := newFrameWriter(w, &s.metrics.readWriteTimeouts, s.chunks)
+	defer fw.release()
+	s.readers.add(&fw.read, r.Context())
+	defer s.readers.remove(&fw.read) // before release
 
 	s.metrics.hit(epRows, http.StatusOK)
-	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header()["Content-Type"] = ndjsonContent
 	w.Header().Set(HeaderEpoch, strconv.FormatUint(snap.Epoch(), 10))
 	w.WriteHeader(http.StatusOK)
-	fw := newFrameWriter(w, &s.metrics.readWriteTimeouts)
-	defer fw.release()
-	if count := fw.streamRows(rs, view, rows, limit); count >= 0 {
+	if count := fw.streamRows(&fw.read, view, rows, limit); count >= 0 {
 		fw.sendFrame(Frame{Type: FrameReady, Epoch: snap.Epoch(), Count: count})
 	}
 }
@@ -140,30 +143,30 @@ func limitParam(rawQuery string) string {
 	return q.Get("limit")
 }
 
-// ended reports whether the read stream has ended; one ended by eviction
-// first gets its terminal gone frame.
-func (rs *readStream) ended(fw *frameWriter) bool {
-	if rs.ctx.Err() == nil {
-		return false
-	}
-	if errors.Is(context.Cause(rs.ctx), errEvicted) {
+// ended reports whether the read stream has ended; one evicted by a newer
+// read first gets its terminal gone frame.
+func (e *readEntry) ended(fw *frameWriter) bool {
+	if e.evicted.Load() {
 		fw.sendFrame(Frame{Type: FrameError, Err: &WireError{Code: CodeGone,
 			Message: fmt.Sprintf("more than %d reads open: the oldest was ended; restart the read", maxReaders)}})
+		return true
 	}
-	return true
+	return e.ctx.Err() != nil
 }
 
 // streamRows is the one frame loop of every stream: it writes rows as rows
 // frames of at most limit rows, labelled view, and returns how many rows it
-// sent, or -1 when a frame did not go out or rs — checked before every
-// frame, nil for the watch anchor's dump — ended. Yielded rows may alias
+// sent, or -1 when a frame did not go out or the read rs — checked before
+// every frame, nil for the watch anchor's dump — ended. The first frame of
+// the stream is sent alone and the others queued (frameWriter.queue).
+// Yielded rows may alias
 // engine storage or reused buffers, so each is copied before the next pull,
 // into one backing array whose sub-slices are the frame's rows; a sent
 // frame's arrays are refilled by the next one, and the next stream of the
 // pooled writer refills them again. The loop body is the pager's row method,
 // bound once per writer: a closure handed to rows would cost a heap
 // allocation, and so would each local it writes, on every stream.
-func (fw *frameWriter) streamRows(rs *readStream, view string, rows iter.Seq2[[]int64, int64], limit int) int {
+func (fw *frameWriter) streamRows(rs *readEntry, view string, rows iter.Seq2[[]int64, int64], limit int) int {
 	p := &fw.page
 	if p.yield == nil {
 		p.fw, p.yield = fw, p.row
@@ -183,7 +186,7 @@ func (fw *frameWriter) streamRows(rs *readStream, view string, rows iter.Seq2[[]
 type pager struct {
 	fw    *frameWriter
 	yield func([]int64, int64) bool // row, bound to this pager
-	rs    *readStream
+	rs    *readEntry
 	limit int
 	count int
 	f     Frame
@@ -207,10 +210,10 @@ func (p *pager) row(row []int64, mult int64) bool {
 	return p.count >= 0
 }
 
-// flush sends the page, or sets count to -1 when the stream ended or the
-// frame did not go out.
+// flush queues the page, or sets count to -1 when the stream ended or a
+// write failed.
 func (p *pager) flush() {
-	if p.rs != nil && p.rs.ended(p.fw) || !p.fw.send(&p.f) {
+	if p.rs != nil && p.rs.ended(p.fw) || !p.fw.queue(&p.f) {
 		p.count = -1
 		return
 	}

@@ -53,6 +53,7 @@ type Server struct {
 	mux     *http.ServeMux
 	metrics metrics
 	readers readStreams
+	chunks  chunkPool
 
 	commitMu sync.Mutex    // serializes POST /v1/commit onto the single-writer engine
 	batch    *ivmeps.Batch // reused under commitMu
@@ -70,6 +71,7 @@ func New(eng *ivmeps.Engine, opts Options) *Server {
 		opts:    opts,
 		mux:     http.NewServeMux(),
 		batch:   eng.NewBatch(),
+		chunks:  make(chunkPool, maxReaders),
 		drainCh: make(chan struct{}),
 	}
 	s.mux.HandleFunc("POST /v1/commit", s.handleCommit)
@@ -110,9 +112,18 @@ func (s *Server) Draining() bool {
 	}
 }
 
+// The Content-Type values of the service's responses, assigned to a
+// response's header map as they are: Header().Set would allocate the slice
+// for every response.
+var (
+	jsonContent    = []string{"application/json"}
+	ndjsonContent  = []string{"application/x-ndjson"}
+	metricsContent = []string{"text/plain; version=0.0.4; charset=utf-8"}
+)
+
 // reply writes a JSON response body.
 func (s *Server) reply(w http.ResponseWriter, ep endpoint, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContent
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(body)
 	s.metrics.hit(ep, status)
@@ -127,44 +138,100 @@ func (s *Server) fail(w http.ResponseWriter, ep endpoint, err error) {
 	}{we})
 }
 
-// frameWriter writes one NDJSON stream, watch or read. Every frame is
-// written and flushed under its own deadline, and a failed write ends the
-// stream: a peer that stopped reading would otherwise park the handler in
-// Write, with its connection and whatever it holds, until TCP gives up. A
-// deadline that runs out is counted in timeouts. A writer without deadlines
-// (tests) just has none. Rows, ready and event frames go through one
-// frameEncoder and its one buffer; a watch's anchor frame and a stream's
-// lagged, end or error frame through a json.Encoder made for it. Either way
-// a frame is one Write. Writers are pooled with their buffers and
-// streamRows' pages.
+// frameWriter writes one NDJSON stream, watch or read. Every write has its
+// own deadline, and a failed write ends the stream: a peer that stopped
+// reading would otherwise park the handler in Write, with its connection and
+// whatever it holds, until TCP gives up. A deadline that runs out is counted
+// in timeouts. A writer without deadlines (tests) just has none. A stream's
+// first frame is written and flushed alone, so its first row is on the wire
+// at once; later rows frames are queued in a chunk and written, unflushed,
+// each time chunkSize bytes are queued; and every other frame is written and
+// flushed on its own after whatever is queued. Rows, ready and event frames
+// go through one frameEncoder and its one buffer; a watch's anchor frame and
+// a stream's lagged, end or error frame through a json.Encoder made for it.
+// Writers are pooled with their buffers, streamRows' pages and their place
+// in the read registry.
 type frameWriter struct {
 	w        http.ResponseWriter
 	rc       http.ResponseController
 	timeouts *atomic.Uint64
+	chunks   chunkPool
 	enc      frameEncoder
-	json     *json.Encoder // made at the stream's first frame enc does not write
-	frame    Frame         // the frame sendFrame sends
+	json     *json.Encoder    // made at the stream's first frame enc does not write
+	frame    Frame            // the frame sendFrame sends
+	started  bool             // a frame was sent: rows frames are queued
+	chunk    *[chunkSize]byte // held while rows frames are queued
+	queued   int              // the bytes of chunk queued
 	page     pager
+	read     readEntry
 }
 
 var frameWriters = sync.Pool{New: func() any { return new(frameWriter) }}
 
 // newFrameWriter takes a writer of the stream w from the pool; release
 // returns it.
-func newFrameWriter(w http.ResponseWriter, timeouts *atomic.Uint64) *frameWriter {
+func newFrameWriter(w http.ResponseWriter, timeouts *atomic.Uint64, chunks chunkPool) *frameWriter {
 	fw := frameWriters.Get().(*frameWriter)
-	fw.w, fw.rc, fw.timeouts = w, *http.NewResponseController(w), timeouts
+	fw.w, fw.rc, fw.timeouts, fw.chunks = w, *http.NewResponseController(w), timeouts, chunks
 	return fw
 }
 
-// release returns fw to the pool, holding nothing of its stream.
+// release returns fw to the pool, and a chunk it still holds to its list,
+// holding nothing of its stream. A read's entry must be out of the registry
+// by then.
 func (fw *frameWriter) release() {
-	fw.w, fw.rc, fw.timeouts, fw.json, fw.frame = nil, http.ResponseController{}, nil, nil, Frame{}
+	fw.chunks.put(fw.chunk)
+	fw.w, fw.rc, fw.timeouts, fw.chunks, fw.json, fw.frame = nil, http.ResponseController{}, nil, nil, nil, Frame{}
+	fw.started, fw.chunk, fw.queued = false, nil, 0
 	frameWriters.Put(fw)
 }
 
-// send writes f and reports whether it went out.
+// chunkSize is the size of the chunks queued rows frames are written in.
+// Each write is one HTTP chunk, whose length net/http boxes: one allocation
+// a write. A larger chunk makes the peer wait longer, though, since it can
+// decode no frame of a chunk before the chunk is written. A read of 65 000
+// rows in 2 048-row frames of about 89 KB is 17 writes at 192 KiB instead of
+// 33 at one frame a write; svc-mixed's reads allocated 0.00152, 0.00142 and
+// 0.00137 times a row at chunks of 128, 192 and 256 KiB, and streamed about
+// 4 % and 5 % fewer rows a second at 192 and 256 KiB than at one frame a
+// write.
+const chunkSize = 192 << 10
+
+// chunkPool is a server's free list of chunks. A stream holds one only while
+// it has rows frames queued, so a watcher's event loop holds none, and the
+// list never keeps more chunks than streams queued rows at once, nor more
+// than maxReaders. Unlike a sync.Pool it keeps them across garbage
+// collections, which a server taking commits runs between most reads.
+type chunkPool chan *[chunkSize]byte
+
+// get takes a chunk from the list, or makes one.
+func (p chunkPool) get() *[chunkSize]byte {
+	select {
+	case c := <-p:
+		return c
+	default:
+		return new([chunkSize]byte)
+	}
+}
+
+// put returns c, if not nil, to the list, unless the list is full.
+func (p chunkPool) put(c *[chunkSize]byte) {
+	if c == nil {
+		return
+	}
+	select {
+	case p <- c:
+	default:
+	}
+}
+
+// send writes whatever is queued, then f, and flushes; it reports whether
+// everything went out.
 func (fw *frameWriter) send(f *Frame) bool {
+	fw.started = true
+	if !fw.writeQueued() {
+		return false
+	}
 	fw.rc.SetWriteDeadline(time.Now().Add(watchWriteTimeout))
 	var err error
 	if line := fw.enc.encode(f); line != nil {
@@ -178,6 +245,56 @@ func (fw *frameWriter) send(f *Frame) bool {
 	if err == nil {
 		err = fw.rc.Flush()
 	}
+	return fw.wrote(err)
+}
+
+// queue copies the line of f, a rows frame, into the writer's chunk and
+// writes the chunk whenever it is full; the stream's first frame it sends
+// instead. A chunk may end inside a frame: the stream's bytes are the
+// frames' whatever the chunks. It reports false when a write failed.
+func (fw *frameWriter) queue(f *Frame) bool {
+	if !fw.started {
+		return fw.send(f)
+	}
+	if fw.chunk == nil {
+		fw.chunk = fw.chunks.get()
+	}
+	for line := fw.enc.encode(f); len(line) > 0; {
+		n := copy(fw.chunk[fw.queued:], line)
+		line, fw.queued = line[n:], fw.queued+n
+		if fw.queued == chunkSize {
+			fw.queued = 0
+			if !fw.write(fw.chunk[:]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// writeQueued writes what is queued, if anything, and returns the chunk to
+// its list; it reports whether the bytes went out.
+func (fw *frameWriter) writeQueued() bool {
+	if fw.chunk == nil {
+		return true
+	}
+	ok := fw.queued == 0 || fw.write(fw.chunk[:fw.queued])
+	fw.chunks.put(fw.chunk)
+	fw.chunk, fw.queued = nil, 0
+	return ok
+}
+
+// write writes p under a deadline of its own and reports whether it went
+// out.
+func (fw *frameWriter) write(p []byte) bool {
+	fw.rc.SetWriteDeadline(time.Now().Add(watchWriteTimeout))
+	_, err := fw.w.Write(p)
+	return fw.wrote(err)
+}
+
+// wrote counts a write that missed its deadline and reports whether err is
+// nil.
+func (fw *frameWriter) wrote(err error) bool {
 	if errors.Is(err, os.ErrDeadlineExceeded) {
 		fw.timeouts.Add(1)
 	}
@@ -189,6 +306,14 @@ func (fw *frameWriter) send(f *Frame) bool {
 func (fw *frameWriter) sendFrame(f Frame) bool {
 	fw.frame = f
 	ok := fw.send(&fw.frame)
+	fw.frame = Frame{}
+	return ok
+}
+
+// queueFrame queues f, a rows frame, as sendFrame sends one.
+func (fw *frameWriter) queueFrame(f Frame) bool {
+	fw.frame = f
+	ok := fw.queue(&fw.frame)
 	fw.frame = Frame{}
 	return ok
 }

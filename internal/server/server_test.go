@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -1290,13 +1291,14 @@ func TestReadAllocatesPerFrame(t *testing.T) {
 
 // TestWholeReadAllocates bounds what one whole read of 65 536 rows at 2 048
 // rows per frame allocates, client and server together, over loopback:
-// at most 118 times, about 100 of them net/http's per request (113 read
-// here). Neither end allocates per frame, nor for a stream's buffers once
-// one read has run: the server writes every frame, the closing one too, from
-// a pooled writer's one buffer and pages, and the client decodes every frame
-// into the reused Frame of the FrameReader it keeps between reads. The count
-// takes in net/http's pooled buffers and the server's pooled writers, which
-// sync.Pool drops at random under -race, so a -race build skips it.
+// at most 82 times, most of them net/http's per request (79 read here).
+// Neither end allocates per frame, nor for a stream's buffers once one read
+// has run: the server writes every frame, the closing one too, from a
+// pooled writer's one buffer and pages, its rows frames after the first in
+// 192 KiB chunks from the server's free list, and the client decodes every
+// frame into the reused Frame of the FrameReader it keeps between reads. The
+// count takes in net/http's pooled buffers and the server's pooled writers,
+// which sync.Pool drops at random under -race, so a -race build skips it.
 func TestWholeReadAllocates(t *testing.T) {
 	if raceEnabled {
 		t.Skip("net/http's pooled buffers are allocated afresh at random under -race")
@@ -1323,8 +1325,8 @@ func TestWholeReadAllocates(t *testing.T) {
 	read() // the connection and the pools
 	allocs := testing.AllocsPerRun(10, read)
 	t.Logf("one read of %d rows in %d frames: %.0f allocations", rows, rows/2048, allocs)
-	if allocs > 118 {
-		t.Errorf("one read of %d rows in %d frames allocates %.0f times, want at most 118", rows, rows/2048, allocs)
+	if allocs > 82 {
+		t.Errorf("one read of %d rows in %d frames allocates %.0f times, want at most 82", rows, rows/2048, allocs)
 	}
 }
 
@@ -1352,6 +1354,239 @@ func (w *discardWriter) SetWriteDeadline(time.Time) error { return nil }
 func (w *discardWriter) Write(p []byte) (int, error) {
 	w.last = append(w.last[:0], p...)
 	return len(p), nil
+}
+
+// scheduleWriter is a response writer that records every Write it is handed,
+// whether a write deadline was set since the previous Write, and whether a
+// Flush followed it before the next: the schedule a connection would see.
+type scheduleWriter struct {
+	header   http.Header
+	writes   [][]byte
+	deadline []bool
+	flushed  []bool
+	armed    bool // a deadline was set since the last Write
+}
+
+// Header implements http.ResponseWriter.
+func (w *scheduleWriter) Header() http.Header { return w.header }
+
+// WriteHeader implements http.ResponseWriter.
+func (w *scheduleWriter) WriteHeader(int) {}
+
+// Flush implements http.Flusher.
+func (w *scheduleWriter) Flush() {
+	if n := len(w.flushed); n > 0 {
+		w.flushed[n-1] = true
+	}
+}
+
+// SetWriteDeadline lets http.ResponseController set deadlines.
+func (w *scheduleWriter) SetWriteDeadline(time.Time) error {
+	w.armed = true
+	return nil
+}
+
+// Write records a copy of p.
+func (w *scheduleWriter) Write(p []byte) (int, error) {
+	w.writes = append(w.writes, slices.Clone(p))
+	w.deadline = append(w.deadline, w.armed)
+	w.flushed = append(w.flushed, false)
+	w.armed = false
+	return len(p), nil
+}
+
+// check holds the recorded writes to want, which are flushed where flushed
+// says, and every one to a deadline of its own.
+func (w *scheduleWriter) check(t *testing.T, want [][]byte, flushed []bool) {
+	t.Helper()
+	for i := range max(len(w.writes), len(want)) {
+		switch {
+		case i >= len(w.writes):
+			t.Fatalf("%d writes, want %d: write %d, %.80q…, missing", len(w.writes), len(want), i, want[i])
+		case i >= len(want):
+			t.Fatalf("%d writes, want %d: write %d, %.80q…, extra", len(w.writes), len(want), i, w.writes[i])
+		case !bytes.Equal(w.writes[i], want[i]):
+			t.Fatalf("write %d of %d holds %d bytes, %.80q…; want %d bytes, %.80q…", i, len(want), len(w.writes[i]), w.writes[i], len(want[i]), want[i])
+		case !w.deadline[i]:
+			t.Errorf("write %d had no deadline of its own", i)
+		case w.flushed[i] != flushed[i]:
+			t.Errorf("write %d flushed %v, want %v", i, w.flushed[i], flushed[i])
+		}
+	}
+}
+
+// chunked is the schedule of a stream whose frames, one line each, are lines
+// and which queues the rows frames lines[from:to]: the lines before them
+// written and flushed one by one, the queued ones' bytes cut into writes of
+// server.ChunkSize bytes and then whatever is left, unflushed, and the lines
+// after them written and flushed one by one again.
+func chunked(lines [][]byte, from, to int) (writes [][]byte, flushed []bool) {
+	for _, l := range lines[:from] {
+		writes, flushed = append(writes, l), append(flushed, true)
+	}
+	for queued := bytes.Join(lines[from:to], nil); len(queued) > 0; {
+		n := min(len(queued), server.ChunkSize)
+		writes, flushed, queued = append(writes, queued[:n]), append(flushed, false), queued[n:]
+	}
+	for _, l := range lines[to:] {
+		writes, flushed = append(writes, l), append(flushed, true)
+	}
+	return writes, flushed
+}
+
+// TestReadWriteSchedule pins when a read and a watch opening write and
+// flush. A read writes and flushes its first rows frame alone, so its first
+// row is on the wire at once; the bytes of its later rows frames go out in
+// unflushed writes of server.ChunkSize bytes, and the ready frame first
+// writes what is left and then goes out alone, flushed. A watch's anchor frame is its
+// first frame, so every rows frame of its dump is queued. Every write has a
+// deadline of its own, and the bytes are those of the stream written frame
+// by frame: the frames the snapshot's rows make, each as EncodeFrame writes
+// it.
+func TestReadWriteSchedule(t *testing.T) {
+	eng, srv, c := newStack(t, server.Options{}, client.Options{})
+	// A result and a view of 60 000 rows, about 900 KB of frames at 256 rows
+	// a frame: four chunks and what is left.
+	const rows, limit = 60000, 256
+	b := c.NewBatch()
+	for i := int64(0); i < rows; i++ {
+		b.Insert("R", []int64{i, i}).Insert("S", []int64{i, i})
+	}
+	if _, err := c.Commit(context.Background(), b); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := eng.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	// frames encodes seq as the rows frames, labelled view, of per rows each
+	// that a stream writes for it: one empty frame for no rows.
+	frames := func(seq iter.Seq2[[]int64, int64], view string, per int) (lines [][]byte) {
+		f := server.Frame{Type: server.FrameRows, View: view}
+		for row, mult := range seq {
+			f.Rows, f.Mults = append(f.Rows, slices.Clone(row)), append(f.Mults, mult)
+			if len(f.Rows) == per {
+				lines, f.Rows, f.Mults = append(lines, server.EncodeFrame(&f)), nil, nil
+			}
+		}
+		if len(f.Rows) > 0 || lines == nil {
+			lines = append(lines, server.EncodeFrame(&f))
+		}
+		return lines
+	}
+	// The dump is of the largest view.
+	var view string
+	var viewRows iter.Seq2[[]int64, int64]
+	viewCount := 0
+	for _, v := range eng.Views() {
+		seq, err := snap.ViewAll(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for range seq {
+			n++
+		}
+		if n > viewCount {
+			view, viewRows, viewCount = v, seq, n
+		}
+	}
+
+	t.Run("read", func(t *testing.T) {
+		lines := frames(snap.All(), "", limit)
+		lines = append(lines, server.EncodeFrame(&server.Frame{Type: server.FrameReady, Epoch: snap.Epoch(), Count: rows}))
+		want, flushed := chunked(lines, 1, len(lines)-1)
+		if len(want) < 6 || len(want[len(want)-2]) >= server.ChunkSize {
+			t.Fatalf("%d writes, the last chunk of %d bytes: the result does not fill several chunks and leave some frames queued at ready", len(want), len(want[len(want)-2]))
+		}
+		w := &scheduleWriter{header: make(http.Header)}
+		srv.ServeHTTP(w, httptest.NewRequest(http.MethodGet, fmt.Sprintf("/v1/result/rows?limit=%d", limit), nil))
+		w.check(t, want, flushed)
+	})
+	t.Run("watch opening", func(t *testing.T) {
+		anchor, err := json.Marshal(server.Frame{Type: server.FrameAnchor, Epoch: snap.Epoch(), Views: []string{view}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := [][]byte{append(anchor, '\n')}
+		lines = append(lines, frames(viewRows, view, server.PageSize)...)
+		lines = append(lines, server.EncodeFrame(&server.Frame{Type: server.FrameReady, Epoch: snap.Epoch()}))
+		want, flushed := chunked(lines, 1, len(lines)-1)
+		if viewCount < rows || len(want) < 6 {
+			t.Fatalf("view %s: %d rows in %d writes, want a dump of several chunks", view, viewCount, len(want))
+		}
+		// The stream ends right after its opening.
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		w := &scheduleWriter{header: make(http.Header)}
+		srv.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/watch?views="+url.QueryEscape(view), nil).WithContext(ctx))
+		w.check(t, want, flushed)
+	})
+}
+
+// evictingContext is a request context that has the server evict its oldest
+// read, as a read opened past the cap does, the n-th time its Err is asked.
+type evictingContext struct {
+	context.Context
+	srv *server.Server
+	n   int
+}
+
+// Err evicts on the n-th call.
+func (c *evictingContext) Err() error {
+	if c.n--; c.n == 0 {
+		server.EvictOldestRead(c.srv)
+	}
+	return c.Context.Err()
+}
+
+// TestEvictedReadWritesQueuedFrames evicts a read of one row per frame after
+// it checked its second frame, so that frame is queued when the read sees
+// the eviction at its third: the gone frame first writes the queued frame,
+// then goes out alone, flushed, and the read writes nothing more. The
+// stream reads as whole lines — two rows frames, then one gone frame — and
+// the next read, on the evicted read's writer if the pool hands it back,
+// runs to its closing frame.
+func TestEvictedReadWritesQueuedFrames(t *testing.T) {
+	srv := newReadStack(t)
+	w := &scheduleWriter{header: make(http.Header)}
+	ctx := &evictingContext{Context: context.Background(), srv: srv, n: 2}
+	srv.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/result/rows?limit=1", nil).WithContext(ctx))
+	if len(w.writes) != 3 || !w.flushed[0] || w.flushed[1] || !w.flushed[2] {
+		t.Fatalf("writes %q flushed %v, want the first frame flushed, the queued one, then the gone frame flushed", w.writes, w.flushed)
+	}
+	fr := server.NewFrameReader(bytes.NewReader(bytes.Join(w.writes, nil)))
+	var got []string
+	for {
+		f, err := fr.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("the stream %q does not read as frames: %v", w.writes, err)
+		}
+		switch {
+		case f.Type == server.FrameRows && len(f.Rows) == 1:
+			got = append(got, "rows")
+		case f.Type == server.FrameError && f.Err.Code == server.CodeGone:
+			got = append(got, "gone")
+		default:
+			got = append(got, fmt.Sprintf("%+v", *f))
+		}
+	}
+	if want := []string{"rows", "rows", "gone"}; !slices.Equal(got, want) {
+		t.Fatalf("the evicted read wrote %v, want %v", got, want)
+	}
+	if n := server.OpenReaders(srv); n != 0 {
+		t.Fatalf("%d reads open after the handler returned", n)
+	}
+	// The next read takes the evicted one's writer, and is not evicted.
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/result/rows?limit=1", nil))
+	if f := lastFrame(t, rec.Body.String()); f.Type != server.FrameReady || f.Count != 4 {
+		t.Fatalf("the read after the evicted one ended with %+v, want its closing frame", f)
+	}
 }
 
 // TestViewStreamsAllocatePerFrame bounds the bytes that a view read and a

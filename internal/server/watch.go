@@ -99,10 +99,10 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	s.metrics.watchers.Add(1)
 	defer s.metrics.watchers.Add(-1)
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header()["Content-Type"] = ndjsonContent
 	w.Header().Set(HeaderEpoch, strconv.FormatUint(anchor.Epoch(), 10))
 	w.WriteHeader(http.StatusOK)
-	fw := newFrameWriter(w, &s.metrics.watchWriteTimeouts)
+	fw := newFrameWriter(w, &s.metrics.watchWriteTimeouts, s.chunks)
 	defer fw.release()
 
 	if !s.sendAnchor(fw, anchor, fromSet && fromEpoch == anchor.Epoch(), views) {
@@ -172,7 +172,7 @@ func (s *Server) sendAnchor(fw *frameWriter, anchor *ivmeps.Snapshot, resume boo
 			}
 			// An empty view still gets one rows frame, so the client's anchor
 			// map lists every subscribed view explicitly.
-			if n := fw.streamRows(nil, v, rows, pageSize); n < 0 || n == 0 && !fw.sendFrame(Frame{Type: FrameRows, View: v}) {
+			if n := fw.streamRows(nil, v, rows, pageSize); n < 0 || n == 0 && !fw.queueFrame(Frame{Type: FrameRows, View: v}) {
 				return false
 			}
 		}
