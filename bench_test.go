@@ -13,6 +13,7 @@ package ivmeps_test
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"slices"
 	"sync"
@@ -702,7 +703,7 @@ func fedPreprocess(f *federation.Fed, db naive.Database) error {
 			}
 		}
 	}
-	return f.Preprocess()
+	return f.Preprocess(nil)
 }
 
 // BenchmarkShardedCommit measures the federated multi-relation commit path
@@ -918,16 +919,19 @@ func BenchmarkEnumerate(b *testing.B) {
 // buildCases are the engines of BenchmarkBuild and BenchmarkMajorRebalance:
 // the two-path query, whose skew-aware forest joins light parts, and the
 // q-hierarchical star query over the same two relations, whose views are all
-// single-child aggregates.
+// single-child aggregates — once more durable, under SyncAlways, for Build's
+// initial checkpoint, written beside the materialization.
 var buildCases = []struct {
 	name, q string
 	opts    ivmeps.Options
+	durable bool
 }{
-	{"two-path/eps=0.00", "Q(A, C) = R(A, B), S(B, C)", ivmeps.Options{Epsilon: 0}},
-	{"two-path/eps=0.50", "Q(A, C) = R(A, B), S(B, C)", ivmeps.Options{Epsilon: 0.5}},
-	{"two-path/eps=1.00", "Q(A, C) = R(A, B), S(B, C)", ivmeps.Options{Epsilon: 1}},
-	{"two-path/static/eps=0.50", "Q(A, C) = R(A, B), S(B, C)", ivmeps.Options{Epsilon: 0.5, Static: true}},
-	{"star/eps=0.50", "Q(A, B, C) = R(A, B), S(A, C)", ivmeps.Options{Epsilon: 0.5}},
+	{"two-path/eps=0.00", "Q(A, C) = R(A, B), S(B, C)", ivmeps.Options{Epsilon: 0}, false},
+	{"two-path/eps=0.50", "Q(A, C) = R(A, B), S(B, C)", ivmeps.Options{Epsilon: 0.5}, false},
+	{"two-path/eps=1.00", "Q(A, C) = R(A, B), S(B, C)", ivmeps.Options{Epsilon: 1}, false},
+	{"two-path/static/eps=0.50", "Q(A, C) = R(A, B), S(B, C)", ivmeps.Options{Epsilon: 0.5, Static: true}, false},
+	{"star/eps=0.50", "Q(A, B, C) = R(A, B), S(A, C)", ivmeps.Options{Epsilon: 0.5}, false},
+	{"star/eps=0.50/durable", "Q(A, B, C) = R(A, B), S(A, C)", ivmeps.Options{Epsilon: 0.5}, true},
 }
 
 // loadAndBuild is one preprocessing through the public surface: New, Load of
@@ -966,7 +970,8 @@ func twoPathRows(n int) map[string][][]int64 {
 // light join is the full one. Its allocs/op count the columns and probe
 // arrays the relations allocate as they grow, and footprint-B is the bytes
 // the built engine's relations hold (the paper's space side); both are
-// deterministic at the fixed seed.
+// deterministic at the fixed seed. A durable case's log directory is emptied
+// between ops, off the clock.
 func BenchmarkBuild(b *testing.B) {
 	for _, c := range buildCases {
 		b.Run(c.name, func(b *testing.B) {
@@ -974,18 +979,59 @@ func BenchmarkBuild(b *testing.B) {
 			if c.opts.Epsilon == 1 {
 				n /= 4
 			}
-			q, rows := ivmeps.MustParseQuery(c.q), twoPathRows(n)
+			q, rows, opts := ivmeps.MustParseQuery(c.q), twoPathRows(n), c.opts
+			if c.durable {
+				opts.Durability = ivmeps.Durability{Dir: filepath.Join(b.TempDir(), "log"), Sync: ivmeps.SyncAlways}
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			var e *ivmeps.Engine
 			for i := 0; i < b.N; i++ {
-				e = loadAndBuild(b, q, c.opts, rows)
-				e.Close()
+				e = loadAndBuild(b, q, opts, rows)
+				if err := e.Close(); err != nil {
+					b.Fatal(err)
+				}
+				if c.durable {
+					b.StopTimer()
+					if err := os.RemoveAll(opts.Durability.Dir); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+				}
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(e.Footprint()), "footprint-B")
 		})
 	}
+}
+
+// BenchmarkLoad is what loading costs a caller that streams its rows one at
+// a time: one op = New and a one-row Load of every row of BenchmarkBuild's
+// star case, with no Build. ns/row is the op's time over its rows; allocs/op
+// count the base columns' growth.
+func BenchmarkLoad(b *testing.B) {
+	c := buildCases[4] // star/eps=0.50
+	q, rows := ivmeps.MustParseQuery(c.q), twoPathRows(5*benchN)
+	n := 0
+	for _, rs := range rows {
+		n += len(rs)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e, err := ivmeps.New(q, c.opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for rel, rs := range rows {
+			for _, r := range rs {
+				if err := e.Load(rel, r); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
 }
 
 // BenchmarkMajorRebalance is what Proposition 25 amortizes: one op = one
@@ -994,7 +1040,7 @@ func BenchmarkBuild(b *testing.B) {
 // place and allocates nothing.
 func BenchmarkMajorRebalance(b *testing.B) {
 	for _, c := range buildCases {
-		if c.opts.Static || c.opts.Epsilon != 0.5 {
+		if c.opts.Static || c.opts.Epsilon != 0.5 || c.durable {
 			continue
 		}
 		b.Run(c.name, func(b *testing.B) {

@@ -111,19 +111,7 @@ func (e *Engine) Checkpoint() error {
 	if err != nil {
 		return err
 	}
-	crels := make([]wal.CheckpointRel, len(rels))
-	for i := range rels {
-		fb := rels[i]
-		crels[i] = wal.CheckpointRel{
-			Name:  fb.Name,
-			Arity: len(fb.Rel.Schema()),
-			Rows: func(yield func(row []int64, mult int64)) {
-				fb.Rel.ForEach(func(t tuple.Tuple, m int64) { yield(t, m) })
-			},
-		}
-	}
-	d := e.opts.Durability
-	err = wal.WriteCheckpointFS(d.vfs(), d.Dir, epoch, e.q.String(), crels, d.Sync == SyncAlways)
+	err = e.writeCheckpoint(epoch, rels)
 	for i := range rels {
 		rels[i].Rel.Release()
 	}
@@ -131,6 +119,26 @@ func (e *Engine) Checkpoint() error {
 		return err
 	}
 	return e.wal.Checkpointed(epoch)
+}
+
+// writeCheckpoint writes the checkpoint file of epoch, whose base relations
+// are rels, into the log directory. It reads rels only through ForEach and
+// pins nothing, so Build runs it on the live base relations beside its
+// indexing and materialization (core's Preprocess alongside).
+func (e *Engine) writeCheckpoint(epoch uint64, rels []core.Base) error {
+	crels := make([]wal.CheckpointRel, len(rels))
+	for i := range rels {
+		b := rels[i]
+		crels[i] = wal.CheckpointRel{
+			Name:  b.Name,
+			Arity: len(b.Rel.Schema()),
+			Rows: func(yield func(row []int64, mult int64)) {
+				b.Rel.ForEach(func(t tuple.Tuple, m int64) { yield(t, m) })
+			},
+		}
+	}
+	d := e.opts.Durability
+	return wal.WriteCheckpointFS(d.vfs(), d.Dir, epoch, e.q.String(), crels, d.Sync == SyncAlways)
 }
 
 // Open recovers a durable engine from an existing log directory

@@ -3,7 +3,9 @@ package ivmeps
 import (
 	"fmt"
 	"iter"
+	"slices"
 
+	"ivmeps/internal/core"
 	"ivmeps/internal/federation"
 	"ivmeps/internal/tuple"
 	"ivmeps/internal/wal"
@@ -37,50 +39,79 @@ func New(q *Query, opts Options) (*Engine, error) {
 // Load bulk-inserts rows (with multiplicity 1) into a relation before
 // Build. Duplicate rows accumulate multiplicity. Rows are validated here and
 // appended to the relation's storage as they come; Build places them all at
-// once, so a loaded row is visible from Build on. A call of many rows is not
-// atomic: it loads them one by one, and when a row is rejected the rows
-// before it stay loaded.
+// once, so a loaded row is visible from Build on. Rows of one length load as
+// one block, validated once, for which the relation's storage makes room at
+// once. A call of many rows is not atomic: rows of different lengths load one
+// by one, and when a row is rejected the rows before it stay loaded.
 func (e *Engine) Load(rel string, rows ...[]int64) error {
-	for _, r := range rows {
-		if err := e.LoadWeighted(rel, r, 1); err != nil {
-			return err
-		}
+	if len(rows) == 1 {
+		return e.LoadWeighted(rel, rows[0], 1)
 	}
-	return nil
+	if len(rows) == 0 || slices.ContainsFunc(rows, func(r []int64) bool { return len(r) != len(rows[0]) }) {
+		for _, r := range rows {
+			if err := e.LoadWeighted(rel, r, 1); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if e.built {
+		return errLoadAfterBuild
+	}
+	vals, mults := make([]int64, 0, len(rows[0])*len(rows)), make([]int64, len(rows))
+	for i, r := range rows {
+		vals = append(vals, r...)
+		mults[i] = 1
+	}
+	return e.f.LoadRows(rel, vals, mults)
 }
+
+// errLoadAfterBuild is every load's refusal once Build has run.
+var errLoadAfterBuild = fmt.Errorf("ivmeps: Load after Build; use Insert/Delete/Apply or a Batch")
 
 // LoadWeighted bulk-inserts one row with a positive multiplicity before
 // Build, which places it as it places Load's rows.
 func (e *Engine) LoadWeighted(rel string, row []int64, mult int64) error {
 	if e.built {
-		return fmt.Errorf("ivmeps: Load after Build; use Insert/Delete/Apply or a Batch")
+		return errLoadAfterBuild
 	}
 	return e.f.LoadRows(rel, row, []int64{mult})
 }
 
 // Build runs the preprocessing stage over the loaded data — on a sharded
 // engine, whose shards each hold the rows Load routed to them, on all of
-// them in parallel. A large join's fill runs on helper goroutines that
-// follow GOMAXPROCS — a K-th of it for each of K shards — and return before
-// Build does. It must be called exactly once, before any
-// Insert/Delete/Apply/All. On a durable engine it also writes the
-// initial checkpoint; if that fails, the engine serves reads of the built
-// state but refuses every mutation with Build's error, since nothing it
-// committed could be recovered.
+// them in parallel. The base relations' placement and a large join's fill
+// run on helper goroutines that follow GOMAXPROCS — a K-th of it for each
+// of K shards — and return before Build does. It must be called exactly
+// once, before any Insert/Delete/Apply/All. On a durable engine it also
+// writes the initial checkpoint, on a goroutine of its own, from the
+// placed base relations while it indexes them and materializes the views,
+// and returns once the checkpoint is durable; if writing it fails, the
+// engine serves reads of the built state but refuses every mutation with
+// Build's error, since nothing it committed could be recovered.
 func (e *Engine) Build() error {
 	if e.built {
 		return fmt.Errorf("ivmeps: Build called twice")
 	}
-	if err := e.f.Preprocess(); err != nil {
+	// Durable engines seed the log directory with a checkpoint of the built
+	// state (epoch 1), so Open always finds a base to replay from; only then
+	// do commits start logging.
+	var ckErr error
+	var alongside func(bases []core.Base)
+	if e.wal != nil {
+		alongside = func(bases []core.Base) {
+			if ckErr = e.writeCheckpoint(1, bases); ckErr == nil {
+				ckErr = e.wal.Checkpointed(1)
+			}
+		}
+	}
+	if err := e.f.Preprocess(alongside); err != nil {
 		return err
 	}
 	e.built = true
 	if e.wal != nil {
-		// Durable engines seed the log directory with a checkpoint of the
-		// built state (epoch 1), so Open always finds a base to replay from;
-		// only then do commits start logging.
-		if err := e.Checkpoint(); err != nil {
-			err = fmt.Errorf("ivmeps: Build: writing the initial checkpoint: %w", err)
+		if ckErr != nil {
+			err := fmt.Errorf("ivmeps: Build: writing the initial checkpoint: %w", ckErr)
 			e.f.Degrade(err)
 			return err
 		}

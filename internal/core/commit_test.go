@@ -605,7 +605,7 @@ func TestLoadPlacesAtPreprocess(t *testing.T) {
 	if err := e.LoadRows("Z", row, []int64{1}); !errors.Is(err, ErrUnknownRelation) {
 		t.Errorf("Load of an unknown relation returned %v", err)
 	}
-	e.Preprocess(1)
+	e.Preprocess(1, nil)
 	for _, rt := range e.relTab[e.relIdx["R"]-1].occs {
 		if got, n := rt.base.Mult(row), rt.base.Size(); got != 4 || n != 1 {
 			t.Errorf("occurrence %s holds multiplicity %d in %d rows after Preprocess, want 4 in 1", rt.base.Name(), got, n)
@@ -636,7 +636,7 @@ func TestLoadPlacesAtPreprocess(t *testing.T) {
 		}
 		ref.MustAdd(r, m)
 	}
-	e.Preprocess(1)
+	e.Preprocess(1, nil)
 	want := entries(ref)
 	for _, rt := range e.relTab[e.relIdx["R"]-1].occs {
 		if got := entries(rt.base); fmt.Sprint(got) != fmt.Sprint(want) {

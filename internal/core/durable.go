@@ -15,12 +15,14 @@ import (
 // (everything else is re-derived by Preprocess at recovery, with the usual
 // latitude in M and the light parts; the result, N, and the epoch are
 // exact), and RestoreEpoch, which seats the epoch once the log tail has
-// been replayed through the normal commit path.
+// been replayed through the normal commit path. The first checkpoint, of
+// epoch 1, needs no freeze: Preprocess hands the sealed base relations to
+// its alongside, which writes it while the views materialize.
 
-// FrozenBase is one base relation captured by BaseState: the original
-// relation name and a frozen read-only handle (first occurrence; all
-// occurrences hold identical content).
-type FrozenBase struct {
+// Base is one base relation: the original relation name and a handle on
+// its first occurrence's relation (all occurrences hold identical content) —
+// frozen and read-only from BaseState, live in Preprocess's alongside.
+type Base struct {
 	Name string
 	Rel  *relation.Relation
 }
@@ -31,14 +33,14 @@ type FrozenBase struct {
 // The caller must Release every returned handle; until then a writer
 // mutating a captured relation detaches its storage copy-on-first-write,
 // exactly as for snapshots.
-func (e *Engine) BaseState() (uint64, []FrozenBase, error) {
+func (e *Engine) BaseState() (uint64, []Base, error) {
 	if !e.preprocessed {
 		return 0, nil, fmt.Errorf("core: BaseState: %w (run Preprocess first)", ErrNotBuilt)
 	}
-	rels := make([]FrozenBase, 0, len(e.relTab))
+	rels := make([]Base, 0, len(e.relTab))
 	for i := range e.relTab {
 		re := &e.relTab[i]
-		rels = append(rels, FrozenBase{Name: re.name, Rel: re.occs[0].base.FreezeInto(nil)})
+		rels = append(rels, Base{Name: re.name, Rel: re.occs[0].base.FreezeInto(nil)})
 	}
 	return e.epoch, rels, nil
 }

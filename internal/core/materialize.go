@@ -21,8 +21,10 @@ import (
 // load order would have, so repeated loads of one row accumulate
 // multiplicity. Until then the base relations may not be read. The block is
 // validated whole before the first write, so a rejected block leaves no
-// occurrence changed. The relation is resolved through a one-entry cache in
-// front of the name map, since loads come in runs of one relation.
+// occurrence changed, and a block of several rows is announced to each
+// occurrence (relation.Reserve) before its rows are appended, so the columns
+// grow once for all of them. The relation is resolved through a one-entry
+// cache in front of the name map, since loads come in runs of one relation.
 func (e *Engine) LoadRows(rel string, vals []tuple.Value, mults []int64) error {
 	if e.preprocessed {
 		return fmt.Errorf("core: Load after Preprocess; use Update or CommitBatch")
@@ -41,6 +43,9 @@ func (e *Engine) LoadRows(rel string, vals []tuple.Value, mults []int64) error {
 	}
 	k := br.arity
 	for _, rt := range br.occs {
+		if len(mults) > 1 {
+			rt.base.Reserve(len(mults))
+		}
 		for i, m := range mults {
 			rt.base.Append(vals[i*k:(i+1)*k], m)
 		}
@@ -49,13 +54,14 @@ func (e *Engine) LoadRows(rel string, vals []tuple.Value, mults []int64) error {
 }
 
 // CheckRows validates a block of rows of relation rel, whose schema is s,
-// as LoadRows takes it: len(vals) is len(mults) rows of s's arity — one row
-// of another length is an ArityError — and every multiplicity is positive.
+// as LoadRows takes it: len(vals) is len(mults) rows of s's arity — rows of
+// one other length are an ArityError of the first — and every multiplicity
+// is positive.
 func CheckRows(rel string, s tuple.Schema, vals []tuple.Value, mults []int64) error {
 	k := len(s)
 	if len(vals) != k*len(mults) {
-		if len(mults) == 1 {
-			return &relation.ArityError{Relation: rel, Row: slices.Clone(vals), Schema: s.Names()}
+		if n := len(mults); n > 0 && len(vals)%n == 0 {
+			return &relation.ArityError{Relation: rel, Row: slices.Clone(vals[:len(vals)/n]), Schema: s.Names()}
 		}
 		return fmt.Errorf("ivmeps: relation %s: %d values are not %d rows of arity %d", rel, len(vals), len(mults), k)
 	}
@@ -73,18 +79,37 @@ func CheckRows(rel string, s tuple.Schema, vals []tuple.Value, mults []int64) er
 // indicator trees and heavy indicators are built, and all view trees are
 // materialized bottom-up — a sum of one child off the child's index where it
 // has one (joinChildren), the enumeration indexes such sums read built
-// first, the others after. A large join's fill runs on up to cores
-// goroutines (fillJoin), which return before Preprocess does: the engine's
-// share of GOMAXPROCS. It runs once: a second call is a misuse by the owner
-// and panics.
-func (e *Engine) Preprocess(cores int) {
+// first, the others after. The base seals and a large join's fill run on up
+// to cores goroutines (Seal, fillJoin), which return before Preprocess does:
+// the engine's share of GOMAXPROCS.
+//
+// alongside, unless nil, runs on a goroutine of its own once the base
+// relations are sealed, with a live handle on each, while Preprocess goes on
+// to index and materialize; Preprocess returns once it has returned. Nothing
+// writes a base relation's entries from the seal until the first commit, so
+// alongside may read them (ForEach), but it must pin nothing (FreezeInto):
+// a pin would make every index built on the relation meanwhile copy it
+// first. It runs once: a second call is a misuse by the owner and panics.
+func (e *Engine) Preprocess(cores int, alongside func(bases []Base)) {
 	if e.preprocessed {
 		panic("core: Preprocess of an engine already preprocessed")
 	}
 	for i := range e.relTab {
 		for _, rt := range e.relTab[i].occs {
-			rt.base.Seal(1)
+			rt.base.Seal(cores)
 		}
+	}
+	var done sync.WaitGroup
+	if alongside != nil {
+		bases := make([]Base, len(e.relTab))
+		for i := range e.relTab {
+			bases[i] = Base{Name: e.relTab[i].name, Rel: e.relTab[i].occs[0].base}
+		}
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			alongside(bases)
+		}()
 	}
 	e.recomputeN()
 	// The preprocessing stage sets M = 2N + 1, establishing ⌊M/4⌋ ≤ N < M
@@ -98,6 +123,7 @@ func (e *Engine) Preprocess(cores int) {
 		clear(e.fills) // a static engine never rebalances: drop the plans and aggregates
 	}
 	e.buildRootsLocked()
+	done.Wait()
 	e.preprocessed = true
 	e.epoch = 1 // first committed state
 }
@@ -121,7 +147,7 @@ func Preprocess(e *Engine, db naive.Database) error {
 			}
 		}
 	}
-	e.Preprocess(runtime.GOMAXPROCS(0))
+	e.Preprocess(runtime.GOMAXPROCS(0), nil)
 	return nil
 }
 

@@ -65,7 +65,7 @@ func TestFillsMatchRowByRow(t *testing.T) {
 				}
 			}
 		}
-		e.Preprocess(c.p)
+		e.Preprocess(c.p, nil)
 		checkFills(t, e, fmt.Sprintf("%s after Preprocess(%d)", q, c.p))
 
 		var ops []BatchOp

@@ -398,28 +398,34 @@ func (f *Fed) LoadRows(rel string, vals []tuple.Value, mults []int64) error {
 
 // Preprocess runs the core preprocessing stage over what LoadRows routed to
 // the shards, on all shards in parallel, each with its share of GOMAXPROCS
-// for its large fills (core.Engine.Preprocess). It runs once; a second call
-// is an error.
-func (f *Fed) Preprocess() error {
+// for its base seals and large fills (core.Engine.Preprocess). alongside,
+// unless nil, runs beside the one shard's indexing and materialization once
+// its base relations are sealed, as core's Preprocess runs it, and has
+// returned when Preprocess returns; like BaseState it needs one shard. It
+// runs once; a second call is an error.
+func (f *Fed) Preprocess(alongside func(bases []core.Base)) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.built {
 		return fmt.Errorf("federation: already preprocessed")
 	}
+	if alongside != nil && f.k != 1 {
+		return fmt.Errorf("federation: Preprocess alongside needs one shard, not %d", f.k)
+	}
 	// Shards 1..K−1 preprocess on goroutines of their own, shard 0 on the
-	// caller's, so one shard starts no goroutine but its engine's fill
-	// helpers. The K shards preprocess at once, so each takes a K-th of
-	// GOMAXPROCS for those helpers, one at least.
+	// caller's, so one shard starts no goroutine but its engine's helpers.
+	// The K shards preprocess at once, so each takes a K-th of GOMAXPROCS
+	// for those helpers, one at least.
 	cores := max(1, runtime.GOMAXPROCS(0)/f.k)
 	var wg sync.WaitGroup
 	for _, e := range f.shards[1:] {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			e.Preprocess(cores)
+			e.Preprocess(cores, nil)
 		}()
 	}
-	f.shards[0].Preprocess(cores)
+	f.shards[0].Preprocess(cores, alongside)
 	wg.Wait()
 	f.built = true
 	f.epoch = 1 // first committed state, matching a single engine
@@ -715,7 +721,7 @@ func (f *Fed) Degrade(err error) {
 // one-shard federation for a checkpoint (core's Engine.BaseState). It
 // refuses with the latched error on a degraded federation, since a
 // checkpoint claims its epoch is durably reconstructible, and at K > 1.
-func (f *Fed) BaseState() (uint64, []core.FrozenBase, error) {
+func (f *Fed) BaseState() (uint64, []core.Base, error) {
 	if f.k > 1 {
 		return 0, nil, fmt.Errorf("federation: BaseState needs one shard, not %d", f.k)
 	}

@@ -55,7 +55,7 @@ func preprocess(f *Fed, db naive.Database) error {
 			return err
 		}
 	}
-	return f.Preprocess()
+	return f.Preprocess(nil)
 }
 
 // resultMap collects an enumeration keyed by tuple. An enumeration yields
@@ -467,7 +467,7 @@ func TestBuildOnHelpersMatchesSingleEngine(t *testing.T) {
 			}
 		})
 	}
-	ref.Preprocess(1)
+	ref.Preprocess(1, nil)
 	want := sortedResult(ref.Enumerate)
 	if len(want) != keys*degree*degree {
 		t.Fatalf("the single engine holds %d result rows, want %d", len(want), keys*degree*degree)
@@ -565,7 +565,7 @@ func TestLoadRowsRoutes(t *testing.T) {
 						t.Errorf("block with multiplicity %d accepted", m)
 					}
 				}
-				if err := e.Preprocess(); err != nil {
+				if err := e.Preprocess(nil); err != nil {
 					t.Fatal(err)
 				}
 				for s := range e.Shards() {

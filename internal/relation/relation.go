@@ -127,6 +127,16 @@
 // any mutation of the relation it was frozen from, provided the FreezeInto
 // itself was ordered before the mutation (internal/core's owner orders them
 // under its one writer lock, internal/federation's Fed.mu).
+//
+// One writer leaves the entries alone: EnsureIndex writes only the new
+// index's store and the relation's index lists, and a Partition's Rebuild and
+// an Index's Sums read the relation they partition or sum. So the entry reads
+// (ForEach, First/Next/At, Size) of a live, unpinned handle may run on another
+// goroutine while the owner builds indexes on the relation, rebuilds its
+// partitions and sums it, provided nothing else writes it meanwhile and the
+// reader pins nothing: a FreezeInto would make every such EnsureIndex copy the
+// store first. internal/core's Preprocess relies on it to write the initial
+// checkpoint from the sealed base relations while it materializes.
 package relation
 
 import (

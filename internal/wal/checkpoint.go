@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"math/bits"
 	"path/filepath"
+	"slices"
 )
 
 // Checkpoint files. A checkpoint serializes the base relations of one
@@ -110,38 +111,37 @@ func WriteCheckpointFS(fs VFS, dir string, epoch uint64, query string, rels []Ch
 }
 
 // encodeCheckpoint returns the checkpoint file of epoch: header and payload.
+// It walks each relation once, encoding its rows into a buffer, behind a
+// header reserved at its front, that doubles as it fills; the row count,
+// which precedes the rows, is known only then, so the rows move up by the
+// count's length to make room for it.
 func encodeCheckpoint(epoch uint64, query string, rels []CheckpointRel) []byte {
-	// A counting pass sizes the payload — every relation's row count and
-	// encoded row bytes — so the encoding pass fills one buffer, behind a
-	// header reserved at its front, without growing it.
-	rows := make([]int, len(rels))
-	size := uvarintLen(epoch) + uvarintLen(uint64(len(query))) + len(query) + uvarintLen(uint64(len(rels)))
-	for i, r := range rels {
-		r.Rows(func(row []int64, mult int64) {
-			rows[i]++
-			for _, v := range row {
-				size += varintLen(v)
-			}
-			size += varintLen(mult)
-		})
-		size += uvarintLen(uint64(len(r.Name))) + len(r.Name) + uvarintLen(uint64(r.Arity)) + uvarintLen(uint64(rows[i]))
-	}
-	buf := make([]byte, checkpointHeaderSize, checkpointHeaderSize+size)
+	buf := make([]byte, checkpointHeaderSize)
 	buf = binary.AppendUvarint(buf, epoch)
 	buf = binary.AppendUvarint(buf, uint64(len(query)))
 	buf = append(buf, query...)
 	buf = binary.AppendUvarint(buf, uint64(len(rels)))
-	for i, r := range rels {
+	for _, r := range rels {
 		buf = binary.AppendUvarint(buf, uint64(len(r.Name)))
 		buf = append(buf, r.Name...)
 		buf = binary.AppendUvarint(buf, uint64(r.Arity))
-		buf = binary.AppendUvarint(buf, uint64(rows[i]))
+		at, rows := len(buf), uint64(0)
 		r.Rows(func(row []int64, mult int64) {
-			for _, v := range row {
-				buf = binary.AppendVarint(buf, v)
+			if cap(buf)-len(buf) < (len(row)+1)*binary.MaxVarintLen64 {
+				buf = slices.Grow(buf, max(len(buf), (len(row)+1)*binary.MaxVarintLen64))
 			}
-			buf = binary.AppendVarint(buf, mult)
+			b, n := buf[len(buf):cap(buf)], 0
+			for _, v := range row {
+				n += binary.PutVarint(b[n:], v)
+			}
+			n += binary.PutVarint(b[n:], mult)
+			buf = buf[:len(buf)+n]
+			rows++
 		})
+		n := uvarintLen(rows)
+		buf = append(buf, make([]byte, n)...)
+		copy(buf[at+n:], buf[at:len(buf)-n])
+		binary.PutUvarint(buf[at:], rows)
 	}
 	payload := buf[checkpointHeaderSize:]
 	copy(buf, checkpointMagic)
@@ -152,9 +152,6 @@ func encodeCheckpoint(epoch uint64, query string, rels []CheckpointRel) []byte {
 
 // uvarintLen is the byte length of x as a uvarint.
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
-
-// varintLen is the byte length of v as a (zig-zag) varint.
-func varintLen(v int64) int { return uvarintLen(uint64(v<<1) ^ uint64(v>>63)) }
 
 // LoadCheckpointFS reads and verifies one checkpoint file through fs.
 func LoadCheckpointFS(fs VFS, path string) (*Checkpoint, error) {

@@ -385,8 +385,9 @@ func TestCheckpointBytesPinned(t *testing.T) {
 	}
 }
 
-// TestVarintLen holds the checkpoint writer's sizing to encoding/binary's
-// encoders at every byte-length boundary.
+// TestVarintLen holds the checkpoint writer's row-count length, the room it
+// makes in front of a relation's rows, to encoding/binary's encoder at every
+// byte-length boundary.
 func TestVarintLen(t *testing.T) {
 	var b [binary.MaxVarintLen64]byte
 	for shift := 0; shift < 64; shift++ {
@@ -394,17 +395,10 @@ func TestVarintLen(t *testing.T) {
 			if got, want := uvarintLen(u), binary.PutUvarint(b[:], u); got != want {
 				t.Fatalf("uvarintLen(%d) = %d, want %d", u, got, want)
 			}
-			for _, v := range []int64{int64(u), -int64(u)} {
-				if got, want := varintLen(v), binary.PutVarint(b[:], v); got != want {
-					t.Fatalf("varintLen(%d) = %d, want %d", v, got, want)
-				}
-			}
 		}
 	}
-	for _, v := range []int64{math.MinInt64, math.MaxInt64} {
-		if got, want := varintLen(v), binary.PutVarint(b[:], v); got != want {
-			t.Fatalf("varintLen(%d) = %d, want %d", v, got, want)
-		}
+	if got, want := uvarintLen(math.MaxUint64), binary.PutUvarint(b[:], math.MaxUint64); got != want {
+		t.Fatalf("uvarintLen(%d) = %d, want %d", uint64(math.MaxUint64), got, want)
 	}
 }
 

@@ -655,6 +655,13 @@ func TestLoadErrorParity(t *testing.T) {
 		} else if ae.Relation != "R" || len(ae.Schema) != 2 || len(ae.Row) != 3 {
 			t.Errorf("%s: ArityError = %+v", name, ae)
 		}
+		// Rows of one length load as one block: all 3-column, the first is
+		// the ArityError, as it is loaded alone.
+		if err := l.Load("R", []int64{1, 2, 3}, []int64{4, 5, 6}); !errors.As(err, &ae) {
+			t.Errorf("%s: Load of two 3-column rows returned %v, want *ArityError", name, err)
+		} else if !slices.Equal(ae.Row, []int64{1, 2, 3}) {
+			t.Errorf("%s: ArityError of a block = %+v, want its first row", name, ae)
+		}
 		for _, m := range []int64{0, -2} {
 			if err := l.LoadWeighted("R", []int64{1, 2}, m); err == nil {
 				t.Errorf("%s: LoadWeighted with multiplicity %d accepted", name, m)
