@@ -72,15 +72,16 @@ test:
 # than TEST_FLOOR (subtests count, as `go test -v` prints them). A change
 # that adds tests raises the floor to its new count; one that deletes a test
 # on purpose lowers it in the same diff and says why.
-TEST_FLOOR = 728
+TEST_FLOOR = 732
 
 test-count:
 	@log=$$(mktemp); $(GO) test -v ./... > $$log 2>&1; status=$$?; \
 	passed=$$(grep -c -- '--- PASS' $$log); \
-	grep -E -- '--- FAIL|^FAIL|^panic:' $$log; rm -f $$log; \
+	grep -E -- '--- FAIL|^FAIL|^panic:' $$log; \
 	echo "go test -v ./...: $$passed passed, floor $(TEST_FLOOR)"; \
-	if [ $$status -ne 0 ]; then exit $$status; fi; \
-	if [ $$passed -lt $(TEST_FLOOR) ]; then echo "fewer tests pass than TEST_FLOOR" >&2; exit 1; fi
+	if [ $$status -eq 0 ] && [ $$passed -lt $(TEST_FLOOR) ]; then echo "fewer tests pass than TEST_FLOOR" >&2; status=1; fi; \
+	if [ $$status -ne 0 ]; then echo "the full log is kept in $$log" >&2; exit $$status; fi; \
+	rm -f $$log
 
 # The race-detector suites, exactly as the CI test job runs them (it calls
 # this target, so the two cannot drift): every package of the module once
@@ -209,6 +210,7 @@ loc:
 	@echo "internal/relation: $(call LOC_COUNT,internal/relation)"
 	@echo "internal/tuple: $(call LOC_COUNT,internal/tuple)"
 	@echo "internal/core: $(call LOC_COUNT,internal/core)"
+	@echo "internal/server: $(call LOC_COUNT,internal/server)"
 
 # Full experiment sweep (slow); see cmd/hiqbench for options.
 bench-all:

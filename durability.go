@@ -135,6 +135,7 @@ func (e *Engine) writeCheckpoint(epoch uint64, rels []core.Base) error {
 			Rows: func(yield func(row []int64, mult int64)) {
 				b.Rel.ForEach(func(t tuple.Tuple, m int64) { yield(t, m) })
 			},
+			Size: b.Rel.Size(),
 		}
 	}
 	d := e.opts.Durability

@@ -139,3 +139,39 @@ func TestFreeConnexConstantDelayOps(t *testing.T) {
 		t.Errorf("free-connex delay not constant: %d -> %d ops/tuple", per[0], per[1])
 	}
 }
+
+// TestPartitionFreeConstantDelayOps holds the star, whose forest has no
+// partition and no indicator (Explain prints delay O(1) for it), to a worst
+// per-tuple operation count of a full pass that stays flat while N grows
+// 4× over a skewed join key, at ε = ½ where the class formula allows
+// N^(1−ε).
+func TestPartitionFreeConstantDelayOps(t *testing.T) {
+	q := query.MustParse("Q(A, B, C) = R(A, B), S(A, C)")
+	var per [2]int64
+	for i, n := range []int{1000, 4000} {
+		rng := rand.New(rand.NewSource(56))
+		z := rand.NewZipf(rng, 1.2, 1, uint64(n))
+		db := naive.Database{
+			"R": relation.New("R", tuple.NewSchema("A", "B")),
+			"S": relation.New("S", tuple.NewSchema("A", "C")),
+		}
+		for db["R"].Size() < n {
+			db["R"].Set(tuple.Tuple{int64(z.Uint64()), rng.Int63n(int64(n))}, 1)
+		}
+		for db["S"].Size() < n {
+			db["S"].Set(tuple.Tuple{int64(z.Uint64()), rng.Int63n(int64(n))}, 1)
+		}
+		e, err := New(q, Options{Mode: viewtree.Dynamic, Epsilon: 0.5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := Preprocess(e, db); err != nil {
+			t.Fatal(err)
+		}
+		per[i] = maxOpsPerTuple(e, 0)
+	}
+	t.Logf("star max ops/tuple: %d at N = 2 000, %d at N = 8 000", per[0], per[1])
+	if per[1] > per[0] {
+		t.Errorf("star delay not constant: %d -> %d ops/tuple", per[0], per[1])
+	}
+}

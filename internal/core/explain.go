@@ -25,10 +25,21 @@ func (e *Engine) Explain() string {
 		c.Hierarchical, c.QHierarchical, c.FreeConnex, c.StaticWidth, c.DynamicWidth)
 	w, d := float64(c.StaticWidth), float64(c.DynamicWidth)
 	eps := e.opts.Epsilon
+	var parts []string
+	for _, pr := range e.partitions {
+		parts = append(parts, pr.p.Light().Name())
+	}
+	// A forest with no partition and no indicator enumerates at constant
+	// delay and takes constant-time updates (Berkholz, Keppeler and
+	// Schweikardt, PODS 2017), whatever the class formula says at ε.
+	delay, update := fmt.Sprintf("O(N^%.2f)", 1-eps), fmt.Sprintf("O(N^%.2f)", d*eps)
+	if len(parts) == 0 && len(e.forest.Indicators) == 0 {
+		delay, update = "O(1)", "O(1)"
+	}
 	fmt.Fprintf(&b, "mode: %v, ε = %v\n", e.opts.Mode, eps)
-	fmt.Fprintf(&b, "guarantees: preprocessing O(N^%.2f), delay O(N^%.2f)", 1+(w-1)*eps, 1-eps)
+	fmt.Fprintf(&b, "guarantees: preprocessing O(N^%.2f), delay %s", 1+(w-1)*eps, delay)
 	if e.opts.Mode == viewtree.Dynamic {
-		fmt.Fprintf(&b, ", amortized update O(N^%.2f)", d*eps)
+		fmt.Fprintf(&b, ", amortized update %s", update)
 	}
 	b.WriteString("\n")
 	if e.preprocessed {
@@ -71,10 +82,6 @@ func (e *Engine) Explain() string {
 				fmt.Fprintf(&b, "  %s: %d rows, %d bytes\n", e.info[id].node.Name, r.Size(), r.Footprint())
 			}
 		}
-	}
-	var parts []string
-	for _, pr := range e.partitions {
-		parts = append(parts, pr.p.Light().Name())
 	}
 	if len(parts) > 0 {
 		sort.Strings(parts)

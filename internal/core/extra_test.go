@@ -83,6 +83,25 @@ func TestExplain(t *testing.T) {
 	if strings.Contains(s.Explain(), "update") {
 		t.Errorf("static Explain mentions updates:\n%s", s.Explain())
 	}
+
+	// The star's forest has no partition and no indicator: constant delay
+	// and constant updates at any ε, not the class formula's N^(1−ε).
+	star := query.MustParse("Q(A, B, C) = R(A, B), S(A, C)")
+	for _, tc := range []struct {
+		mode viewtree.Mode
+		want string
+	}{
+		{viewtree.Dynamic, "guarantees: preprocessing O(N^1.00), delay O(1), amortized update O(1)\n"},
+		{viewtree.Static, "guarantees: preprocessing O(N^1.00), delay O(1)\n"},
+	} {
+		e, err := New(star, Options{Mode: tc.mode, Epsilon: 0.5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := e.Explain(); !strings.Contains(got, tc.want) || strings.Contains(got, "∃H") || strings.Contains(got, "light parts") {
+			t.Errorf("%v star: Explain does not print %q, or prints a partition or an indicator:\n%s", tc.mode, tc.want, got)
+		}
+	}
 }
 
 // Enumeration after a major rebalance must use the re-materialized views

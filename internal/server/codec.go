@@ -8,45 +8,47 @@ import (
 	"unicode/utf8"
 )
 
-// The hand-written codec of the lines on the hot paths: rows, ready and
-// event frames, and the op lines of a commit. Each end writes and reads them
-// in exactly the bytes encoding/json writes, so the wire is json's; a line
-// in any other form goes to encoding/json.
+// The hand-written codec of the service's stream frames and of a commit's op
+// lines. Each end writes and reads them in exactly the bytes encoding/json
+// writes, so the wire is json's. The server writes every frame here; a
+// reader decodes rows, ready and event frames here, and a line in any other
+// form through encoding/json.
 
-// frameEncoder writes rows, ready and event frames without encoding/json, in
-// the bytes json.Encoder.Encode writes for them: the keys type, epoch, count,
-// view, rows, mults and deltas in that order, each left out when empty (a
-// delta's keys never are), and a newline. Every frame is appended into one
-// buffer, which the next frame reuses.
-type frameEncoder struct {
-	buf []byte
-}
-
-// encode returns the line of f, or nil when f is a frame the encoder does not
-// write: one of another type, or one that carries views, resume, from, to, a
-// reason or an error. The line is valid until the next call.
-func (e *frameEncoder) encode(f *Frame) []byte {
-	if f.Type != FrameRows && f.Type != FrameReady && f.Type != FrameEvent ||
-		len(f.Views) > 0 || f.Resume || f.From != 0 || f.To != 0 || f.Reason != "" || f.Err != nil {
-		return nil
-	}
-	// Size the buffer once for the largest frame so far: a number takes at
-	// most 20 bytes and its comma, a row its brackets and comma or "null,",
-	// and a byte of a name at most six once escaped.
-	size := 96 + 6*len(f.View) + rowsSize(f.Rows) + 21*len(f.Mults)
+// appendFrame appends the line of f to b, in the bytes json.Encoder.Encode
+// writes for it: Frame's keys in their order, each left out when empty (a
+// delta's keys never are), and a newline. It returns the extended buffer,
+// grown at most once for a frame's numbers, rows and view names: a number
+// takes at most 20 bytes and its comma, a row its brackets and comma or
+// "null,", and a byte of a name at most six once escaped. The views, reason
+// or error of a rare frame may grow it again.
+func appendFrame(b []byte, f *Frame) []byte {
+	size := len(b) + 96 + 6*len(f.View) + rowsSize(f.Rows) + 21*len(f.Mults)
 	for i := range f.Deltas {
 		d := &f.Deltas[i]
 		size += 48 + 6*len(d.View) + rowsSize(d.Rows) + 21*len(d.Mults)
 	}
-	if cap(e.buf) < size {
-		e.buf = make([]byte, 0, size)
+	if cap(b) < size {
+		b = append(make([]byte, 0, size), b...)
 	}
-	b := append(append(append(e.buf[:0], `{"type":"`...), f.Type...), '"')
+	b = appendString(append(b, `{"type":`...), f.Type)
 	if f.Epoch != 0 {
 		b = strconv.AppendUint(append(b, `,"epoch":`...), f.Epoch, 10)
 	}
 	if f.Count != 0 {
 		b = strconv.AppendInt(append(b, `,"count":`...), int64(f.Count), 10)
+	}
+	if len(f.Views) > 0 {
+		b = append(b, `,"views":[`...)
+		for i, v := range f.Views {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendString(b, v)
+		}
+		b = append(b, ']')
+	}
+	if f.Resume {
+		b = append(b, `,"resume":true`...)
 	}
 	if f.View != "" {
 		b = appendString(append(b, `,"view":`...), f.View)
@@ -70,8 +72,20 @@ func (e *frameEncoder) encode(f *Frame) []byte {
 		}
 		b = append(b, ']')
 	}
-	e.buf = append(b, "}\n"...)
-	return e.buf
+	if f.From != 0 {
+		b = strconv.AppendUint(append(b, `,"from":`...), f.From, 10)
+	}
+	if f.To != 0 {
+		b = strconv.AppendUint(append(b, `,"to":`...), f.To, 10)
+	}
+	if f.Reason != "" {
+		b = appendString(append(b, `,"reason":`...), f.Reason)
+	}
+	if f.Err != nil {
+		we, _ := json.Marshal(f.Err) // a WireError always encodes
+		b = append(append(b, `,"error":`...), we...)
+	}
+	return append(b, "}\n"...)
 }
 
 // rowsSize bounds the bytes of rows encoded, its brackets aside.

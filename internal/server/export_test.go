@@ -30,6 +30,9 @@ const PageSize = pageSize
 // written in.
 const ChunkSize = chunkSize
 
+// FreeChunks counts the chunks on the server's free list.
+func FreeChunks(s *Server) int { return len(s.chunks) }
+
 // EvictOldestRead evicts the oldest open read not already ending, as a read
 // opened past MaxReaders does.
 func EvictOldestRead(s *Server) {
@@ -45,13 +48,9 @@ var EncodeRowsFrame = EncodeFrame
 // DecodeRowsFrame is decodeRowsFrame, the FrameReader's rows-frame path.
 var DecodeRowsFrame = decodeRowsFrame
 
-// EncodeFrame returns the line the frame writer writes for f without
-// encoding/json, newline included, or nil for a frame it leaves to
-// encoding/json.
-func EncodeFrame(f *Frame) []byte {
-	var e frameEncoder
-	return e.encode(f)
-}
+// EncodeFrame returns the line the frame writer writes for f, newline
+// included.
+func EncodeFrame(f *Frame) []byte { return appendFrame(nil, f) }
 
 // DecodeReadyFrame is decodeReadyFrame, the FrameReader's ready-frame path.
 var DecodeReadyFrame = decodeReadyFrame

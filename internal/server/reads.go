@@ -125,7 +125,7 @@ func (s *Server) handleRows(w http.ResponseWriter, r *http.Request, view string)
 	w.Header().Set(HeaderEpoch, strconv.FormatUint(snap.Epoch(), 10))
 	w.WriteHeader(http.StatusOK)
 	if count := fw.streamRows(&fw.read, view, rows, limit); count >= 0 {
-		fw.sendFrame(Frame{Type: FrameReady, Epoch: snap.Epoch(), Count: count})
+		fw.put(&Frame{Type: FrameReady, Epoch: snap.Epoch(), Count: count})
 	}
 }
 
@@ -147,7 +147,7 @@ func limitParam(rawQuery string) string {
 // read first gets its terminal gone frame.
 func (e *readEntry) ended(fw *frameWriter) bool {
 	if e.evicted.Load() {
-		fw.sendFrame(Frame{Type: FrameError, Err: &WireError{Code: CodeGone,
+		fw.put(&Frame{Type: FrameError, Err: &WireError{Code: CodeGone,
 			Message: fmt.Sprintf("more than %d reads open: the oldest was ended; restart the read", maxReaders)}})
 		return true
 	}
@@ -157,15 +157,15 @@ func (e *readEntry) ended(fw *frameWriter) bool {
 // streamRows is the one frame loop of every stream: it writes rows as rows
 // frames of at most limit rows, labelled view, and returns how many rows it
 // sent, or -1 when a frame did not go out or the read rs — checked before
-// every frame, nil for the watch anchor's dump — ended. The first frame of
-// the stream is sent alone and the others queued (frameWriter.queue).
-// Yielded rows may alias
-// engine storage or reused buffers, so each is copied before the next pull,
-// into one backing array whose sub-slices are the frame's rows; a sent
-// frame's arrays are refilled by the next one, and the next stream of the
-// pooled writer refills them again. The loop body is the pager's row method,
-// bound once per writer: a closure handed to rows would cost a heap
-// allocation, and so would each local it writes, on every stream.
+// every frame, nil for the watch anchor's dump — ended. Each frame goes
+// through frameWriter.put, which writes the stream's first alone and queues
+// the others. Yielded rows may alias engine storage or reused buffers, so
+// each is copied before the next pull, into one backing array whose
+// sub-slices are the frame's rows; a sent frame's arrays are refilled by the
+// next one, and the next stream of the pooled writer refills them again. The
+// loop body is the pager's row method, bound once per writer: a closure
+// handed to rows would cost a heap allocation, and so would each local it
+// writes, on every stream.
 func (fw *frameWriter) streamRows(rs *readEntry, view string, rows iter.Seq2[[]int64, int64], limit int) int {
 	p := &fw.page
 	if p.yield == nil {
@@ -213,7 +213,7 @@ func (p *pager) row(row []int64, mult int64) bool {
 // flush queues the page, or sets count to -1 when the stream ended or a
 // write failed.
 func (p *pager) flush() {
-	if p.rs != nil && p.rs.ended(p.fw) || !p.fw.queue(&p.f) {
+	if p.rs != nil && p.rs.ended(p.fw) || !p.fw.put(&p.f) {
 		p.count = -1
 		return
 	}

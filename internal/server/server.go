@@ -142,25 +142,22 @@ func (s *Server) fail(w http.ResponseWriter, ep endpoint, err error) {
 // own deadline, and a failed write ends the stream: a peer that stopped
 // reading would otherwise park the handler in Write, with its connection and
 // whatever it holds, until TCP gives up. A deadline that runs out is counted
-// in timeouts. A writer without deadlines (tests) just has none. A stream's
-// first frame is written and flushed alone, so its first row is on the wire
-// at once; later rows frames are queued in a chunk and written, unflushed,
-// each time chunkSize bytes are queued; and every other frame is written and
-// flushed on its own after whatever is queued. Rows, ready and event frames
-// go through one frameEncoder and its one buffer; a watch's anchor frame and
-// a stream's lagged, end or error frame through a json.Encoder made for it.
-// Writers are pooled with their buffers, streamRows' pages and their place
-// in the read registry.
+// in timeouts. A writer without deadlines (tests) just has none. Every frame
+// goes out through put, encoded into the writer's one buffer: later rows
+// frames are queued in a chunk, written unflushed each time chunkSize bytes
+// are queued, and every other frame — the stream's first, ready, an error,
+// anchor, event, lagged or end — is written with whatever is queued and
+// flushed, so a stream's first row is on the wire at once. Writers are
+// pooled with their buffers, streamRows' pages and their place in the read
+// registry.
 type frameWriter struct {
 	w        http.ResponseWriter
 	rc       http.ResponseController
 	timeouts *atomic.Uint64
 	chunks   chunkPool
-	enc      frameEncoder
-	json     *json.Encoder    // made at the stream's first frame enc does not write
-	frame    Frame            // the frame sendFrame sends
-	started  bool             // a frame was sent: rows frames are queued
-	chunk    *[chunkSize]byte // held while rows frames are queued
+	buf      []byte           // the frame put last, appendFrame's line
+	started  bool             // a frame was put: later rows frames are queued
+	chunk    *[chunkSize]byte // held while frames are queued
 	queued   int              // the bytes of chunk queued
 	page     pager
 	read     readEntry
@@ -181,7 +178,7 @@ func newFrameWriter(w http.ResponseWriter, timeouts *atomic.Uint64, chunks chunk
 // by then.
 func (fw *frameWriter) release() {
 	fw.chunks.put(fw.chunk)
-	fw.w, fw.rc, fw.timeouts, fw.chunks, fw.json, fw.frame = nil, http.ResponseController{}, nil, nil, nil, Frame{}
+	fw.w, fw.rc, fw.timeouts, fw.chunks = nil, http.ResponseController{}, nil, nil
 	fw.started, fw.chunk, fw.queued = false, nil, 0
 	frameWriters.Put(fw)
 }
@@ -190,11 +187,11 @@ func (fw *frameWriter) release() {
 // Each write is one HTTP chunk, whose length net/http boxes: one allocation
 // a write. A larger chunk makes the peer wait longer, though, since it can
 // decode no frame of a chunk before the chunk is written. A read of 65 000
-// rows in 2 048-row frames of about 89 KB is 17 writes at 192 KiB instead of
-// 33 at one frame a write; svc-mixed's reads allocated 0.00152, 0.00142 and
-// 0.00137 times a row at chunks of 128, 192 and 256 KiB, and streamed about
-// 4 % and 5 % fewer rows a second at 192 and 256 KiB than at one frame a
-// write.
+// rows in 2 048-row frames of about 89 KB is about 16 writes at 192 KiB, the
+// closing frame in the last, instead of 33 at one frame a write; svc-mixed's
+// reads allocated 0.00152, 0.00142 and 0.00137 times a row at chunks of 128,
+// 192 and 256 KiB, and streamed about 4 % and 5 % fewer rows a second at 192
+// and 256 KiB than at one frame a write.
 const chunkSize = 192 << 10
 
 // chunkPool is a server's free list of chunks. A stream holds one only while
@@ -225,97 +222,55 @@ func (p chunkPool) put(c *[chunkSize]byte) {
 	}
 }
 
-// send writes whatever is queued, then f, and flushes; it reports whether
-// everything went out.
-func (fw *frameWriter) send(f *Frame) bool {
+// put writes f to the stream. A rows frame other than the stream's first is
+// queued: copied into the writer's chunk, which is written, unflushed, once
+// it is full and more bytes come, so a chunk may end inside a frame. Any
+// other frame is queued too, and then what is queued is written and flushed
+// and the chunk goes back to its list; with nothing queued, the frame is
+// written and flushed straight from the writer's buffer, and takes no
+// chunk. It reports whether every write went out.
+func (fw *frameWriter) put(f *Frame) bool {
+	fw.buf = appendFrame(fw.buf[:0], f)
+	line := fw.buf
+	flush := f.Type != FrameRows || !fw.started
 	fw.started = true
-	if !fw.writeQueued() {
-		return false
-	}
-	fw.rc.SetWriteDeadline(time.Now().Add(watchWriteTimeout))
-	var err error
-	if line := fw.enc.encode(f); line != nil {
-		_, err = fw.w.Write(line)
-	} else {
-		if fw.json == nil {
-			fw.json = json.NewEncoder(fw.w) // Encode appends '\n': one compact frame per line
-		}
-		err = fw.json.Encode(f)
-	}
-	if err == nil {
-		err = fw.rc.Flush()
-	}
-	return fw.wrote(err)
-}
-
-// queue copies the line of f, a rows frame, into the writer's chunk and
-// writes the chunk whenever it is full; the stream's first frame it sends
-// instead. A chunk may end inside a frame: the stream's bytes are the
-// frames' whatever the chunks. It reports false when a write failed.
-func (fw *frameWriter) queue(f *Frame) bool {
-	if !fw.started {
-		return fw.send(f)
+	if flush && fw.chunk == nil {
+		return fw.write(line, true)
 	}
 	if fw.chunk == nil {
 		fw.chunk = fw.chunks.get()
 	}
-	for line := fw.enc.encode(f); len(line) > 0; {
-		n := copy(fw.chunk[fw.queued:], line)
-		line, fw.queued = line[n:], fw.queued+n
+	for len(line) > 0 {
 		if fw.queued == chunkSize {
-			fw.queued = 0
-			if !fw.write(fw.chunk[:]) {
+			if !fw.write(fw.chunk[:], false) {
 				return false
 			}
+			fw.queued = 0
 		}
+		n := copy(fw.chunk[fw.queued:], line)
+		line, fw.queued = line[n:], fw.queued+n
 	}
-	return true
-}
-
-// writeQueued writes what is queued, if anything, and returns the chunk to
-// its list; it reports whether the bytes went out.
-func (fw *frameWriter) writeQueued() bool {
-	if fw.chunk == nil {
+	if !flush {
 		return true
 	}
-	ok := fw.queued == 0 || fw.write(fw.chunk[:fw.queued])
+	ok := fw.write(fw.chunk[:fw.queued], true)
 	fw.chunks.put(fw.chunk)
 	fw.chunk, fw.queued = nil, 0
 	return ok
 }
 
-// write writes p under a deadline of its own and reports whether it went
-// out.
-func (fw *frameWriter) write(p []byte) bool {
+// write writes p under a deadline of its own and, if flush is set, flushes
+// it; it counts a deadline that ran out and reports whether p went out.
+func (fw *frameWriter) write(p []byte, flush bool) bool {
 	fw.rc.SetWriteDeadline(time.Now().Add(watchWriteTimeout))
 	_, err := fw.w.Write(p)
-	return fw.wrote(err)
-}
-
-// wrote counts a write that missed its deadline and reports whether err is
-// nil.
-func (fw *frameWriter) wrote(err error) bool {
+	if err == nil && flush {
+		err = fw.rc.Flush()
+	}
 	if errors.Is(err, os.ErrDeadlineExceeded) {
 		fw.timeouts.Add(1)
 	}
 	return err == nil
-}
-
-// sendFrame sends f from the writer's own Frame, so that a frame built for
-// one send costs no allocation.
-func (fw *frameWriter) sendFrame(f Frame) bool {
-	fw.frame = f
-	ok := fw.send(&fw.frame)
-	fw.frame = Frame{}
-	return ok
-}
-
-// queueFrame queues f, a rows frame, as sendFrame sends one.
-func (fw *frameWriter) queueFrame(f Frame) bool {
-	fw.frame = f
-	ok := fw.queue(&fw.frame)
-	fw.frame = Frame{}
-	return ok
 }
 
 // handleCommit applies one NDJSON op stream as one atomic engine commit

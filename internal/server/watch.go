@@ -130,13 +130,13 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 			var wle *ivmeps.WatcherLaggedError
 			if errors.As(err, &wle) {
 				s.metrics.watchEvicted.Add(1)
-				fw.sendFrame(Frame{Type: FrameLagged, From: wle.From, To: wle.To})
+				fw.put(&Frame{Type: FrameLagged, From: wle.From, To: wle.To})
 			} else {
-				fw.sendFrame(Frame{Type: FrameError, Err: EncodeError(err)})
+				fw.put(&Frame{Type: FrameError, Err: EncodeError(err)})
 			}
 			return
 		}
-		if !fw.sendFrame(Frame{Type: FrameEvent, Epoch: ev.Epoch, Deltas: ev.Deltas}) {
+		if !fw.put(&Frame{Type: FrameEvent, Epoch: ev.Epoch, Deltas: ev.Deltas}) {
 			return
 		}
 	}
@@ -144,7 +144,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	// path, tell the client the stream ended on purpose with nothing lost.
 	if drained.Load() {
 		s.metrics.watchDrained.Add(1)
-		fw.sendFrame(Frame{Type: FrameEnd, Epoch: s.eng.Epoch(), Reason: "draining"})
+		fw.put(&Frame{Type: FrameEnd, Epoch: s.eng.Epoch(), Reason: "draining"})
 	}
 }
 
@@ -160,23 +160,23 @@ func (s *Server) sendAnchor(fw *frameWriter, anchor *ivmeps.Snapshot, resume boo
 	if views == nil {
 		views = s.eng.Views()
 	}
-	if !fw.sendFrame(Frame{Type: FrameAnchor, Epoch: epoch, Views: views, Resume: resume}) {
+	if !fw.put(&Frame{Type: FrameAnchor, Epoch: epoch, Views: views, Resume: resume}) {
 		return false
 	}
 	if !resume {
 		for _, v := range views {
 			rows, err := anchor.ViewAll(v)
 			if err != nil {
-				fw.sendFrame(Frame{Type: FrameError, Err: EncodeError(err)})
+				fw.put(&Frame{Type: FrameError, Err: EncodeError(err)})
 				return false
 			}
 			// An empty view still gets one rows frame, so the client's anchor
 			// map lists every subscribed view explicitly.
-			if n := fw.streamRows(nil, v, rows, pageSize); n < 0 || n == 0 && !fw.queueFrame(Frame{Type: FrameRows, View: v}) {
+			if n := fw.streamRows(nil, v, rows, pageSize); n < 0 || n == 0 && !fw.put(&Frame{Type: FrameRows, View: v}) {
 				return false
 			}
 		}
 	}
 	anchor.Close()
-	return fw.sendFrame(Frame{Type: FrameReady, Epoch: epoch})
+	return fw.put(&Frame{Type: FrameReady, Epoch: epoch})
 }

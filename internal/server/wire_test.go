@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -129,6 +130,43 @@ func TestWireExamplesAreDocumented(t *testing.T) {
 	for _, l := range lines {
 		if !strings.Contains(string(doc), l) {
 			t.Errorf("docs/SERVICE.md does not print %s", l)
+		}
+	}
+}
+
+// TestEncodeFrameMatchesJSON holds the frame writer's encoder, which writes
+// every frame a stream carries, to encoding/json: on each frame of
+// wireExamples, and on frames with names that need escaping, empty and
+// extreme fields, and fields no handler combines. FuzzRowsFrame and
+// FuzzEventFrame fuzz the rows, ready and event frames.
+func TestEncodeFrameMatchesJSON(t *testing.T) {
+	frames := []*server.Frame{
+		{},
+		{Type: server.FrameAnchor, Views: []string{}},
+		{Type: server.FrameAnchor, Epoch: 1, Views: []string{"<a&b>", "é\"\\", "", "\x00\xff"}, Resume: true},
+		{Type: server.FrameLagged, From: math.MaxUint64},
+		{Type: server.FrameLagged, To: 1},
+		{Type: server.FrameEnd, Reason: "line\nbreak <&>"},
+		{Type: server.FrameError, Err: &server.WireError{}},
+		{Type: server.FrameError, Err: &server.WireError{Code: server.CodeInternal, Message: "\"quoted\" <&>", Relation: "R",
+			Row: []int64{math.MinInt64, 0}, Schema: []string{"A", "B"}, Have: -1, Delta: math.MaxInt64}},
+		{Type: "x\"<", Epoch: math.MaxUint64, Count: -1, Views: []string{"V"}, Resume: true, View: "V",
+			Rows: [][]int64{nil, {}, {1, -2}}, Mults: []int64{1, 0, -1},
+			Deltas: []server.Delta{{}, {View: "W", Rows: [][]int64{}, Mults: []int64{}}}, From: 2, To: 3, Reason: "r",
+			Err: &server.WireError{Code: server.CodeGone, Message: "m"}},
+	}
+	for _, ex := range wireExamples {
+		if f, ok := ex.val.(*server.Frame); ok {
+			frames = append(frames, f)
+		}
+	}
+	for _, f := range frames {
+		want, err := json.Marshal(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := server.EncodeFrame(f); string(got) != string(want)+"\n" {
+			t.Errorf("%+v: the frame writer writes\n %s\nencoding/json\n %s", *f, got, want)
 		}
 	}
 }

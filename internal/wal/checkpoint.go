@@ -43,6 +43,10 @@ type CheckpointRel struct {
 	Name  string
 	Arity int
 	Rows  func(yield func(row []int64, mult int64))
+	// Size is the number of rows Rows yields, or 0 when it is not known. A
+	// wrong Size costs time and memory, never the file: the count written is
+	// the rows'.
+	Size int
 }
 
 // CheckpointData is one base relation loaded from a checkpoint.
@@ -111,10 +115,13 @@ func WriteCheckpointFS(fs VFS, dir string, epoch uint64, query string, rels []Ch
 }
 
 // encodeCheckpoint returns the checkpoint file of epoch: header and payload.
-// It walks each relation once, encoding its rows into a buffer, behind a
-// header reserved at its front, that doubles as it fills; the row count,
-// which precedes the rows, is known only then, so the rows move up by the
-// count's length to make room for it.
+// It walks each relation once, encoding its rows into one buffer, behind a
+// header reserved at its front. A relation's row count precedes its rows:
+// it is written from the relation's Size before them, and when the rows
+// walked need a count of another length — always, without a Size — the rows
+// move by the difference. The buffer doubles when a row does not fit, but
+// once a relation has walked an eighth of its Size it grows by room for the
+// rows left, at the relation's bytes a row so far and an eighth more.
 func encodeCheckpoint(epoch uint64, query string, rels []CheckpointRel) []byte {
 	buf := make([]byte, checkpointHeaderSize)
 	buf = binary.AppendUvarint(buf, epoch)
@@ -125,10 +132,19 @@ func encodeCheckpoint(epoch uint64, query string, rels []CheckpointRel) []byte {
 		buf = binary.AppendUvarint(buf, uint64(len(r.Name)))
 		buf = append(buf, r.Name...)
 		buf = binary.AppendUvarint(buf, uint64(r.Arity))
-		at, rows := len(buf), uint64(0)
+		at, n0 := len(buf), 0
+		if r.Size > 0 {
+			buf = binary.AppendUvarint(buf, uint64(r.Size))
+			n0 = len(buf) - at
+		}
+		rows := 0
 		r.Rows(func(row []int64, mult int64) {
-			if cap(buf)-len(buf) < (len(row)+1)*binary.MaxVarintLen64 {
-				buf = slices.Grow(buf, max(len(buf), (len(row)+1)*binary.MaxVarintLen64))
+			if need := (len(row) + 1) * binary.MaxVarintLen64; cap(buf)-len(buf) < need {
+				more := len(buf)
+				if 8*rows >= r.Size && r.Size > rows {
+					more = int(float64(r.Size-rows) * float64(len(buf)-at-n0) / float64(rows) * 9 / 8)
+				}
+				buf = slices.Grow(buf, max(more, need))
 			}
 			b, n := buf[len(buf):cap(buf)], 0
 			for _, v := range row {
@@ -138,10 +154,13 @@ func encodeCheckpoint(epoch uint64, query string, rels []CheckpointRel) []byte {
 			buf = buf[:len(buf)+n]
 			rows++
 		})
-		n := uvarintLen(rows)
-		buf = append(buf, make([]byte, n)...)
-		copy(buf[at+n:], buf[at:len(buf)-n])
-		binary.PutUvarint(buf[at:], rows)
+		var pad [binary.MaxVarintLen64]byte
+		if n := uvarintLen(uint64(rows)); n > n0 {
+			buf = slices.Insert(buf, at, pad[:n-n0]...)
+		} else if n < n0 {
+			buf = slices.Delete(buf, at, at+n0-n)
+		}
+		binary.PutUvarint(buf[at:], uint64(rows))
 	}
 	payload := buf[checkpointHeaderSize:]
 	copy(buf, checkpointMagic)

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
@@ -382,6 +383,29 @@ func TestCheckpointBytesPinned(t *testing.T) {
 		"ac022a5128412c20422c204329203d205228412c2042292c20456467657328412c20422c2043292c2045284329030152020302140201d80404808080808040ffff7f8b010545646765730301007e7f808080804001450100"
 	if got := hex.EncodeToString(data); got != want {
 		t.Fatalf("checkpoint file\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestCheckpointSizeHint holds a checkpoint written with relation sizes to
+// the one written without: a Size exact, off by one, or of another count
+// length than the rows' must not change a byte. Counts of 127, 128 and
+// 16 384 rows cross the uvarint's length boundaries.
+func TestCheckpointSizeHint(t *testing.T) {
+	rows := func(n int) func(yield func(row []int64, mult int64)) {
+		return func(yield func(row []int64, mult int64)) {
+			for i := range n {
+				yield([]int64{int64(i), int64(i) << 20}, 1)
+			}
+		}
+	}
+	for _, n := range []int{0, 1, 127, 128, 16384} {
+		want := encodeCheckpoint(7, "Q", []CheckpointRel{{Name: "R", Arity: 2, Rows: rows(n)}, {Name: "S", Arity: 2, Rows: rows(n)}})
+		for _, size := range []int{n, n - 1, n + 1, 1, 200, 20000} {
+			got := encodeCheckpoint(7, "Q", []CheckpointRel{{Name: "R", Arity: 2, Rows: rows(n), Size: size}, {Name: "S", Arity: 2, Rows: rows(n), Size: size}})
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%d rows with Size %d: %d bytes, want the %d written without a Size", n, size, len(got), len(want))
+			}
+		}
 	}
 }
 
