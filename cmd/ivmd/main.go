@@ -22,8 +22,10 @@
 //
 // On SIGTERM or SIGINT the daemon drains: the health probe flips to 503, new
 // commits and watch streams are refused, live watch streams get a terminal
-// "end" frame, in-flight requests finish (up to -drain-timeout), and the WAL
-// is flushed before exit. A second signal forces immediate exit with code 3.
+// "end" frame, in-flight requests finish (up to -drain-timeout), a durable
+// daemon checkpoints its last committed epoch — so the next start replays no
+// log tail — and the WAL is flushed before exit. A second signal forces
+// immediate exit with code 3.
 package main
 
 import (
@@ -137,8 +139,8 @@ func run() int {
 	}
 
 	// Orderly shutdown: refuse new work and end watch streams with a
-	// terminal frame, wait for in-flight requests, then flush the WAL. A
-	// second signal skips all of that.
+	// terminal frame, wait for in-flight requests, checkpoint, then flush
+	// the WAL. A second signal skips all of that.
 	go func() {
 		sig := <-sigCh
 		log.Printf("caught %s again; forcing exit", sig)
@@ -149,6 +151,11 @@ func run() int {
 	defer cancel()
 	if err := hs.Shutdown(ctx); err != nil {
 		log.Printf("shutdown: %v (in-flight requests abandoned)", err)
+	}
+	if *dir != "" {
+		if err := eng.Checkpoint(); err != nil {
+			log.Printf("checkpoint: %v (the next start replays the log tail)", err)
+		}
 	}
 	if err := eng.Close(); err != nil {
 		log.Printf("closing engine: %v", err)

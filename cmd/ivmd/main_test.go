@@ -19,6 +19,7 @@ import (
 	"ivmeps"
 	"ivmeps/internal/client"
 	"ivmeps/internal/server"
+	"ivmeps/internal/wal"
 )
 
 const daemonQuery = "Q(A, C) = R(A, B), S(B, C)"
@@ -163,6 +164,20 @@ func TestDaemonGracefulShutdown(t *testing.T) {
 	}
 	if code := d.exitCode(t, 15*time.Second); code != 0 {
 		t.Fatalf("daemon exit code = %d, want 0", code)
+	}
+
+	// The drain checkpointed the last committed epoch: recovery starts from
+	// it and replays no record.
+	rec, err := wal.BeginRecovery(wal.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Checkpoint.Epoch != epoch {
+		t.Fatalf("newest checkpoint at epoch %d, want the last committed %d", rec.Checkpoint.Epoch, epoch)
+	}
+	replayed := 0
+	if err := rec.Replay(false, func(wal.Record) error { replayed++; return nil }); err != nil || replayed != 0 {
+		t.Fatalf("recovery replays %d records (%v), want none", replayed, err)
 	}
 
 	// The WAL was flushed on the way out: reopening the directory recovers

@@ -6,14 +6,16 @@
 //
 // Usage:
 //
-//	ivmwal inspect <dir>   list checkpoints and segments with epoch ranges
+//	ivmwal inspect <dir>   list checkpoints and segments with epoch ranges,
+//	                       change nothing
 //	ivmwal verify  <dir>   dry-run recovery: decode everything, report the
 //	                       recoverable epoch and any torn tail, change
 //	                       nothing
 //	ivmwal replay  <dir>   full recovery: rebuild the engine from the
 //	                       checkpoint and replay the tail exactly as Open
-//	                       does — including truncating a torn final record —
-//	                       then print the recovered result size and epoch
+//	                       does — including truncating a torn final record
+//	                       and removing stale checkpoint temporaries — then
+//	                       print the recovered result size and epoch
 //
 // verify exits with a distinct code per outcome, so scripts and health
 // checks can branch without parsing output:
@@ -66,7 +68,7 @@ func main() {
 // inspect lists the directory's checkpoints and segments with whatever can
 // be read from each, flagging damage without judging it (verify does that).
 func inspect(dir string) error {
-	segs, ckpts, err := wal.ScanDirFS(wal.OSFS, dir)
+	segs, ckpts, _, err := wal.ScanDirFS(wal.OSFS, dir)
 	if err != nil {
 		return err
 	}
@@ -108,7 +110,7 @@ func inspect(dir string) error {
 // real Open would do, and returns the process exit code: 0 clean, 1 torn
 // tail only (recoverable; Open will truncate), 2 corrupt or unreadable.
 func verify(dir string) int {
-	rec, err := wal.BeginRecoveryFS(wal.OSFS, dir)
+	rec, err := wal.BeginRecovery(wal.Options{Dir: dir})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ivmwal: %v\n", err)
 		return 2
@@ -123,7 +125,7 @@ func verify(dir string) int {
 	fmt.Printf("replayable tail: %d records, recoverable epoch %d\n", records, rec.LastEpoch)
 	// Replay tolerates a torn final record without reporting it; surface it
 	// here so the operator knows a real Open will truncate.
-	if segs, _, err := wal.ScanDirFS(wal.OSFS, dir); err == nil && len(segs) > 0 {
+	if segs, _, _, err := wal.ScanDirFS(wal.OSFS, dir); err == nil && len(segs) > 0 {
 		last := segs[len(segs)-1]
 		sd, err := wal.ReadSegmentFS(wal.OSFS, last.Path)
 		switch {
@@ -145,9 +147,9 @@ func verify(dir string) int {
 // replay performs a real recovery through the public Open path — the query
 // comes from the checkpoint, so nothing beyond the directory is needed —
 // and reports the recovered state. Like any Open, it truncates a torn
-// final record; it appends nothing.
+// final record and removes stale temporaries; it appends nothing.
 func replay(dir string) error {
-	rec, err := wal.BeginRecoveryFS(wal.OSFS, dir)
+	rec, err := wal.BeginRecovery(wal.Options{Dir: dir})
 	if err != nil {
 		return err
 	}

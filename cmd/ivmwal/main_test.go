@@ -17,20 +17,21 @@ func buildLogDir(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rels := []wal.CheckpointRel{{
+		Name: "R", Arity: 2,
+		Rows: func(yield func([]int64, int64)) { yield([]int64{1, 2}, 1) },
+		Size: 1,
+	}}
+	if err := l.Checkpoint(1, "Q(A, C) = R(A, B), S(B, C)", rels); err != nil {
+		t.Fatal(err)
+	}
 	ops := []wal.Op{{RelID: 1, Row: []int64{1, 2}, Mult: 1}}
-	for epoch := uint64(1); epoch <= 3; epoch++ {
+	for epoch := uint64(2); epoch <= 3; epoch++ {
 		if err := l.Append(epoch, ops); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rels := []wal.CheckpointRel{{
-		Name: "R", Arity: 2,
-		Rows: func(yield func([]int64, int64)) { yield([]int64{1, 2}, 1) },
-	}}
-	if err := wal.WriteCheckpointFS(wal.OSFS, dir, 1, "Q(A, C) = R(A, B), S(B, C)", rels, false); err != nil {
 		t.Fatal(err)
 	}
 	return dir
@@ -39,7 +40,7 @@ func buildLogDir(t *testing.T) string {
 // lastSegment returns the path of the directory's last segment.
 func lastSegment(t *testing.T, dir string) string {
 	t.Helper()
-	segs, _, err := wal.ScanDirFS(wal.OSFS, dir)
+	segs, _, _, err := wal.ScanDirFS(wal.OSFS, dir)
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("ScanDirFS: %v (%d segments)", err, len(segs))
 	}
@@ -107,4 +108,23 @@ func TestVerifyExitCodes(t *testing.T) {
 			t.Fatal("verify(no log) != 2")
 		}
 	})
+}
+
+// TestReadOnlyCommandsKeepStaleTemp checks that inspect and verify change
+// nothing: a checkpoint temporary a crash left stays where it is.
+func TestReadOnlyCommandsKeepStaleTemp(t *testing.T) {
+	dir := buildLogDir(t)
+	stale := filepath.Join(dir, "ckpt-00000000000000000003.ckpt.tmp")
+	if err := os.WriteFile(stale, []byte("junk"), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	if err := inspect(dir); err != nil {
+		t.Fatalf("inspect: %v", err)
+	}
+	if code := verify(dir); code != 0 {
+		t.Fatalf("verify = %d, want 0", code)
+	}
+	if _, err := os.Stat(stale); err != nil {
+		t.Fatalf("inspect or verify removed the stale temporary: %v", err)
+	}
 }

@@ -54,15 +54,6 @@ type Durability struct {
 // enabled reports whether the options ask for a write-ahead log.
 func (d Durability) enabled() bool { return d.Dir != "" }
 
-// vfs returns the configured file-operation implementation, defaulting to
-// direct os calls.
-func (d Durability) vfs() wal.VFS {
-	if d.fs != nil {
-		return d.fs
-	}
-	return wal.OSFS
-}
-
 // walOptions translates the public knobs for internal/wal.
 func (d Durability) walOptions() wal.Options {
 	return wal.Options{Dir: d.Dir, Sync: wal.SyncMode(d.Sync), SegmentBytes: d.SegmentBytes, FS: d.fs}
@@ -91,7 +82,7 @@ func (e *Engine) walHook(epoch uint64, ops []core.BatchOp) error {
 // frozen relations outside the lock, so commits proceed while the
 // checkpoint writes; the checkpoint file becomes visible atomically.
 // Recovery cost after a checkpoint is proportional to the log tail, not to
-// history. Checkpoint returns an error on an engine without durability
+// history. Concurrent calls are safe and run one at a time. Checkpoint returns an error on an engine without durability
 // configured (a sharded engine never has it) or whose log Close has closed,
 // and refuses with the LogWedgedError on an engine whose log has wedged, or
 // with Build's error on one whose initial checkpoint failed — a checkpoint
@@ -111,21 +102,18 @@ func (e *Engine) Checkpoint() error {
 	if err != nil {
 		return err
 	}
-	err = e.writeCheckpoint(epoch, rels)
+	err = e.wal.Checkpoint(epoch, e.q.String(), checkpointRels(rels))
 	for i := range rels {
 		rels[i].Rel.Release()
 	}
-	if err != nil {
-		return err
-	}
-	return e.wal.Checkpointed(epoch)
+	return err
 }
 
-// writeCheckpoint writes the checkpoint file of epoch, whose base relations
-// are rels, into the log directory. It reads rels only through ForEach and
-// pins nothing, so Build runs it on the live base relations beside its
-// indexing and materialization (core's Preprocess alongside).
-func (e *Engine) writeCheckpoint(epoch uint64, rels []core.Base) error {
+// checkpointRels is the log's view of the base relations rels. It reads
+// them only through ForEach and pins nothing, so Build checkpoints the live
+// base relations beside its indexing and materialization (core's
+// Preprocess alongside).
+func checkpointRels(rels []core.Base) []wal.CheckpointRel {
 	crels := make([]wal.CheckpointRel, len(rels))
 	for i := range rels {
 		b := rels[i]
@@ -138,8 +126,7 @@ func (e *Engine) writeCheckpoint(epoch uint64, rels []core.Base) error {
 			Size: b.Rel.Size(),
 		}
 	}
-	d := e.opts.Durability
-	return wal.WriteCheckpointFS(d.vfs(), d.Dir, epoch, e.q.String(), crels, d.Sync == SyncAlways)
+	return crels
 }
 
 // Open recovers a durable engine from an existing log directory
@@ -159,7 +146,7 @@ func Open(q *Query, opts Options) (*Engine, error) {
 	if !opts.Durability.enabled() {
 		return nil, fmt.Errorf("ivmeps: Open requires Options.Durability.Dir")
 	}
-	rec, err := wal.BeginRecoveryFS(opts.Durability.vfs(), opts.Durability.Dir)
+	rec, err := wal.BeginRecovery(opts.Durability.walOptions())
 	if err != nil {
 		if errors.Is(err, wal.ErrNoCheckpoint) {
 			return nil, fmt.Errorf("ivmeps: Open %s: %w (create the log with New first)", opts.Durability.Dir, err)
@@ -218,7 +205,7 @@ func Open(q *Query, opts Options) (*Engine, error) {
 	// hold records that replay as no-ops.
 	e.f.RestoreEpoch(rec.LastEpoch)
 
-	l, err := rec.Continue(opts.Durability.walOptions())
+	l, err := rec.Continue()
 	if err != nil {
 		return nil, err
 	}

@@ -106,6 +106,56 @@ func TestCrashRecoveryRandomCut(t *testing.T) {
 	}
 }
 
+// TestConcurrentCheckpoints runs Checkpoint on two goroutines beside
+// single-row commits, 20 rounds: the calls of a round meet on one epoch or
+// on two, and neither may truncate or delete the other's temporary. Every
+// call succeeds, every checkpoint left in the directory loads, and Open
+// recovers the last committed epoch. Run under -race, it is also the race
+// check of checkpoints against appends.
+func TestConcurrentCheckpoints(t *testing.T) {
+	const goroutines, rounds = 2, 20
+	d := ivmeps.Durability{Dir: filepath.Join(t.TempDir(), "log"), Sync: ivmeps.SyncAlways}
+	e := durableLoad(t, twoPath, d, twoPathRows(2000))
+	if err := e.Build(); err != nil {
+		t.Fatal(err)
+	}
+	for i := range rounds {
+		errs := make(chan error, goroutines)
+		for range goroutines {
+			go func() { errs <- e.Checkpoint() }()
+		}
+		if err := e.Insert("R", []int64{int64(1000000 + i), 1}); err != nil {
+			t.Fatal(err)
+		}
+		for range goroutines {
+			if err := <-errs; err != nil {
+				t.Fatalf("round %d: Checkpoint: %v", i, err)
+			}
+		}
+	}
+	epoch, count := e.Epoch(), e.Count()
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, ckpts, _, err := wal.ScanDirFS(wal.OSFS, d.Dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range ckpts {
+		if _, err := wal.LoadCheckpointFS(wal.OSFS, c.Path); err != nil {
+			t.Fatalf("checkpoint %s does not load: %v", c.Path, err)
+		}
+	}
+	r, err := ivmeps.Open(ivmeps.MustParseQuery(twoPath), ivmeps.Options{Epsilon: 0.5, Durability: d})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer r.Close()
+	if r.Epoch() != epoch || r.Count() != count {
+		t.Fatalf("recovered epoch %d with %d rows, want epoch %d with %d", r.Epoch(), r.Count(), epoch, count)
+	}
+}
+
 // TestCheckpointBoundsReplay proves recovery cost is proportional to the
 // post-checkpoint tail: after Checkpoint, only the commits made since are
 // replayed.
@@ -123,7 +173,7 @@ func TestCheckpointBoundsReplay(t *testing.T) {
 	if err := sc.eng.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := wal.BeginRecoveryFS(wal.OSFS, sc.dir)
+	rec, err := wal.BeginRecovery(wal.Options{Dir: sc.dir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -100,9 +100,7 @@ func (e *Engine) Build() error {
 	var alongside func(bases []core.Base)
 	if e.wal != nil {
 		alongside = func(bases []core.Base) {
-			if ckErr = e.writeCheckpoint(1, bases); ckErr == nil {
-				ckErr = e.wal.Checkpointed(1)
-			}
+			ckErr = e.wal.Checkpoint(1, e.q.String(), checkpointRels(bases))
 		}
 	}
 	if err := e.f.Preprocess(alongside); err != nil {

@@ -264,7 +264,9 @@ func (e *Engine) applyStagedLocked() {
 // (Figure 22 lines 2–7, hoisted from per-update to per-commit): if the
 // whole batch left N outside [⌊M/4⌋, M), adjust M until the size
 // invariant holds again (a large batch can cross several doublings at
-// once) and recompute everything. Evaluating the trigger once per commit
+// once) and recompute everything. A forest without a partition stops at
+// M: no view reads θ, so each already holds what the recomputation would
+// (the star, every δ = 0 query). Evaluating the trigger once per commit
 // — after every relation's pass — is deliberate hysteresis: a batch whose
 // early relations barely cross an M doubling and whose later relations
 // shrink N back re-materializes zero times, where a per-relation trigger
@@ -285,6 +287,10 @@ func (e *Engine) rebalanceBatchLocked() {
 		if e.m == old {
 			break
 		}
+	}
+	if len(e.forest.LightParts) == 0 {
+		e.stats.MajorRebalances++
+		return
 	}
 	e.majorRebalance()
 }

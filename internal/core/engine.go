@@ -173,6 +173,10 @@ type Engine struct {
 type Stats struct {
 	Updates         int64 `json:"updates"`
 	MinorRebalances int64 `json:"minor_rebalances"`
+	// MajorRebalances counts the commits that moved M to restore
+	// ⌊M/4⌋ ≤ N < M, and the forced Rebalance calls. Each recomputes every
+	// view, except a commit's on a forest without a partition, where no
+	// view reads θ.
 	MajorRebalances int64 `json:"major_rebalances"`
 	// ViewDeltas counts the view rows that commits' propagation wrote,
 	// the light step of each minor rebalance included. A major

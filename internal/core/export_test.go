@@ -54,6 +54,15 @@ func helpersFrom(t *testing.T, rows int) *int {
 	return helped
 }
 
+// countJoinFills counts, until the test ends, the joins' fills that run: a
+// major rebalance's recomputation of every view runs one per join view.
+func countJoinFills(t *testing.T) *int {
+	fills := new(int)
+	traceHelpers = func(int) { *fills++ }
+	t.Cleanup(func() { traceHelpers = nil })
+	return fills
+}
+
 // viewWriteTable renders traced writes, most-written view first.
 func viewWriteTable(writes map[string]int64) string {
 	names := make([]string, 0, len(writes))

@@ -104,6 +104,57 @@ func TestExplain(t *testing.T) {
 	}
 }
 
+// TestDoublingWithoutPartition: the star's forest has no partition, so a
+// commit that crosses a doubling of M, or a halving, only moves M — no view
+// reads θ — and recomputes nothing, while the result stays naive's and the
+// invariants hold.
+func TestDoublingWithoutPartition(t *testing.T) {
+	q := query.MustParse("Q(A, B, C) = R(A, B), S(A, C)")
+	db := randomDB(q, rand.New(rand.NewSource(7)), 40, 6)
+	e, err := New(q, Options{Mode: viewtree.Dynamic, Epsilon: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Preprocess(e, db); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(e.Forest().LightParts); n != 0 {
+		t.Fatalf("the star's forest has %d light parts, want none", n)
+	}
+	fills := countJoinFills(t)
+	check := func(label string) {
+		t.Helper()
+		sameResult(t, label, e, db)
+		if err := e.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if *fills != 0 {
+			t.Fatalf("%s: %d join fills ran, want no recomputation", label, *fills)
+		}
+	}
+	m, majors := e.ThresholdBase(), e.Stats().MajorRebalances
+	for i := int64(0); e.ThresholdBase() == m; i++ {
+		applyBoth(t, e, db, "R", tuple.Tuple{i % 5, 1000 + i}, 1)
+	}
+	if got := e.ThresholdBase(); got != 2*m {
+		t.Fatalf("M = %d after the crossing, want %d", got, 2*m)
+	}
+	check("after the doubling")
+	m = e.ThresholdBase()
+	for e.ThresholdBase() == m {
+		r := db["R"]
+		t0, _ := r.At(r.First())
+		applyBoth(t, e, db, "R", t0.Clone(), -1)
+	}
+	if got := e.ThresholdBase(); got >= m {
+		t.Fatalf("M = %d after the crossing, want below %d", got, m)
+	}
+	check("after the halving")
+	if got := e.Stats().MajorRebalances - majors; got != 2 {
+		t.Fatalf("MajorRebalances rose by %d, want 2: the doubling and the halving", got)
+	}
+}
+
 // Enumeration after a major rebalance must use the re-materialized views
 // (view relations are replaced wholesale by materializeAll).
 func TestEnumerateAfterMajorRebalance(t *testing.T) {

@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"math/bits"
-	"path/filepath"
 	"slices"
 )
 
@@ -25,8 +23,9 @@ import (
 //	per rel: uvarint name length | name | uvarint arity | uvarint nRows
 //	         | per row: arity varint values | varint multiplicity
 //
-// A checkpoint is written to a .tmp file, fsynced, and renamed into place:
-// a crash mid-write leaves only a temporary file that ScanDirFS removes, so a
+// Log.Checkpoint writes a checkpoint to a .tmp file, fsyncs it, and renames
+// it into place: a crash mid-write leaves only a temporary file, which the
+// next Create or Recovery.Continue in the directory removes, so a
 // checkpoint is either completely visible or not at all.
 
 // checkpointMagic begins every checkpoint file.
@@ -43,9 +42,9 @@ type CheckpointRel struct {
 	Name  string
 	Arity int
 	Rows  func(yield func(row []int64, mult int64))
-	// Size is the number of rows Rows yields, or 0 when it is not known. A
-	// wrong Size costs time and memory, never the file: the count written is
-	// the rows'.
+	// Size is the number of rows Rows yields, written before them. A Rows
+	// that yields another number fails the checkpoint, which then leaves no
+	// file.
 	Size int
 }
 
@@ -71,58 +70,14 @@ type Checkpoint struct {
 	Rels []CheckpointData
 }
 
-// WriteCheckpointFS serializes a checkpoint of epoch into dir through fs,
-// atomically (temp file + fsync + rename). It does not touch the commit
-// log; call Log.Checkpointed afterwards to retire segments the checkpoint
-// covers. A failure on any step never leaves a visible (renamed)
-// checkpoint: the temp file is removed best-effort, and that removal can
-// never mask the original error — the write/sync/close/rename error is
-// always the one returned. When strictDirSync is set (the engine passes it
-// under SyncAlways), a failed directory fsync after the rename is an error,
-// because the checkpoint's durability against power loss is part of the
-// guarantee there; otherwise it is best-effort (an undurable rename
-// reappears as the pre-checkpoint state, which recovery handles by
-// replaying a longer tail).
-func WriteCheckpointFS(fs VFS, dir string, epoch uint64, query string, rels []CheckpointRel, strictDirSync bool) error {
-	buf := encodeCheckpoint(epoch, query, rels)
-	tmp := filepath.Join(dir, checkpointName(epoch)+".tmp")
-	f, err := fs.CreateTrunc(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		fs.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		fs.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		fs.Remove(tmp)
-		return err
-	}
-	if err := fs.Rename(tmp, filepath.Join(dir, checkpointName(epoch))); err != nil {
-		fs.Remove(tmp)
-		return err
-	}
-	if err := fs.SyncDir(dir); err != nil && strictDirSync {
-		return fmt.Errorf("wal: directory fsync after checkpoint rename: %w", err)
-	}
-	return nil
-}
-
 // encodeCheckpoint returns the checkpoint file of epoch: header and payload.
 // It walks each relation once, encoding its rows into one buffer, behind a
-// header reserved at its front. A relation's row count precedes its rows:
-// it is written from the relation's Size before them, and when the rows
-// walked need a count of another length — always, without a Size — the rows
-// move by the difference. The buffer doubles when a row does not fit, but
-// once a relation has walked an eighth of its Size it grows by room for the
-// rows left, at the relation's bytes a row so far and an eighth more.
-func encodeCheckpoint(epoch uint64, query string, rels []CheckpointRel) []byte {
+// header reserved at its front and the relation's row count, its Size. The
+// buffer doubles when a row does not fit, but once a relation has walked an
+// eighth of its Size it grows by room for the rows left, at the relation's
+// bytes a row so far and an eighth more. A relation whose Rows yields other
+// than Size rows fails the encoding.
+func encodeCheckpoint(epoch uint64, query string, rels []CheckpointRel) ([]byte, error) {
 	buf := make([]byte, checkpointHeaderSize)
 	buf = binary.AppendUvarint(buf, epoch)
 	buf = binary.AppendUvarint(buf, uint64(len(query)))
@@ -132,17 +87,13 @@ func encodeCheckpoint(epoch uint64, query string, rels []CheckpointRel) []byte {
 		buf = binary.AppendUvarint(buf, uint64(len(r.Name)))
 		buf = append(buf, r.Name...)
 		buf = binary.AppendUvarint(buf, uint64(r.Arity))
-		at, n0 := len(buf), 0
-		if r.Size > 0 {
-			buf = binary.AppendUvarint(buf, uint64(r.Size))
-			n0 = len(buf) - at
-		}
-		rows := 0
+		buf = binary.AppendUvarint(buf, uint64(r.Size))
+		at, rows := len(buf), 0
 		r.Rows(func(row []int64, mult int64) {
 			if need := (len(row) + 1) * binary.MaxVarintLen64; cap(buf)-len(buf) < need {
 				more := len(buf)
 				if 8*rows >= r.Size && r.Size > rows {
-					more = int(float64(r.Size-rows) * float64(len(buf)-at-n0) / float64(rows) * 9 / 8)
+					more = int(float64(r.Size-rows) * float64(len(buf)-at) / float64(rows) * 9 / 8)
 				}
 				buf = slices.Grow(buf, max(more, need))
 			}
@@ -154,23 +105,16 @@ func encodeCheckpoint(epoch uint64, query string, rels []CheckpointRel) []byte {
 			buf = buf[:len(buf)+n]
 			rows++
 		})
-		var pad [binary.MaxVarintLen64]byte
-		if n := uvarintLen(uint64(rows)); n > n0 {
-			buf = slices.Insert(buf, at, pad[:n-n0]...)
-		} else if n < n0 {
-			buf = slices.Delete(buf, at, at+n0-n)
+		if rows != r.Size {
+			return nil, fmt.Errorf("wal: checkpoint of %s: Rows yielded %d rows, Size says %d", r.Name, rows, r.Size)
 		}
-		binary.PutUvarint(buf[at:], uint64(rows))
 	}
 	payload := buf[checkpointHeaderSize:]
 	copy(buf, checkpointMagic)
 	binary.LittleEndian.PutUint64(buf[len(checkpointMagic):], uint64(len(payload)))
 	binary.LittleEndian.PutUint32(buf[len(checkpointMagic)+8:], crc32.Checksum(payload, castagnoli))
-	return buf
+	return buf, nil
 }
-
-// uvarintLen is the byte length of x as a uvarint.
-func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // LoadCheckpointFS reads and verifies one checkpoint file through fs.
 func LoadCheckpointFS(fs VFS, path string) (*Checkpoint, error) {

@@ -36,7 +36,7 @@ func (e *CorruptLogError) Error() string {
 // the log is unknowable (a failed fsync in particular may or may not have
 // persisted anything — the PostgreSQL fsyncgate lesson is that retrying
 // cannot find out — so it is never retried). The Log latches the error and
-// refuses every further Append and Checkpointed with it, and the engine
+// refuses every further Append and Checkpoint with it, and the engine
 // degrades to read-only: every further mutation — Insert, Delete, Apply,
 // Commit — returns this same error with the in-memory state exactly as it
 // was before the failed commit, while Snapshot, All, and Count keep serving

@@ -46,7 +46,7 @@ func sameCounts(a, b map[faultfs.Kind]int) bool {
 
 // TestLogWedgeStopsAllIO wedges the log with a failed fsync and then
 // proves, by counting, that no subsequent operation reaches the files:
-// Append and Checkpointed refuse with the original wedge evidence, and
+// Append and Checkpoint refuse with the original wedge evidence, and
 // Close only releases the descriptor.
 func TestLogWedgeStopsAllIO(t *testing.T) {
 	ffs := faultfs.New(nil)
@@ -75,8 +75,8 @@ func TestLogWedgeStopsAllIO(t *testing.T) {
 	if err2 := l.Append(3, op); !errors.As(err2, &we) {
 		t.Fatalf("second append after wedge = %v, want LogWedgedError", err2)
 	}
-	if err2 := l.Checkpointed(1); !errors.As(err2, &we) {
-		t.Fatalf("Checkpointed after wedge = %v, want LogWedgedError", err2)
+	if err2 := l.Checkpoint(1, "Q", nil); !errors.As(err2, &we) {
+		t.Fatalf("Checkpoint after wedge = %v, want LogWedgedError", err2)
 	}
 	if !sameCounts(before, ffs.Counts()) {
 		t.Fatalf("wedged log touched the filesystem: ops %v -> %v", before, ffs.Counts())
@@ -154,24 +154,29 @@ type maskFile struct {
 // Write always fails.
 func (maskFile) Write(p []byte) (int, error) { return 0, errWrite }
 
-// TestCheckpointTempRemoveCannotMaskError drives WriteCheckpointFS into a
+// TestCheckpointTempRemoveCannotMaskError drives Log.Checkpoint into a
 // write failure on a VFS whose Remove also fails: the returned error must
 // be the write failure, never the cleanup failure, and no checkpoint may
 // become visible.
 func TestCheckpointTempRemoveCannotMaskError(t *testing.T) {
 	dir := t.TempDir()
+	l, err := wal.Create(wal.Options{Dir: dir, Sync: wal.SyncAlways, FS: maskFS{wal.OSFS}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	rels := []wal.CheckpointRel{{
 		Name: "R", Arity: 1,
 		Rows: func(yield func([]int64, int64)) { yield([]int64{1}, 1) },
+		Size: 1,
 	}}
-	err := wal.WriteCheckpointFS(maskFS{wal.OSFS}, dir, 7, "Q", rels, true)
+	err = l.Checkpoint(7, "Q", rels)
 	if !errors.Is(err, errWrite) {
-		t.Fatalf("WriteCheckpointFS = %v, want the original write error %v", err, errWrite)
+		t.Fatalf("Checkpoint = %v, want the original write error %v", err, errWrite)
 	}
 	if errors.Is(err, errRemove) {
 		t.Fatalf("cleanup error masked the write error: %v", err)
 	}
-	_, ckpts, scanErr := wal.ScanDirFS(wal.OSFS, dir)
+	_, ckpts, _, scanErr := wal.ScanDirFS(wal.OSFS, dir)
 	if scanErr != nil {
 		t.Fatalf("ScanDirFS: %v", scanErr)
 	}
@@ -180,41 +185,102 @@ func TestCheckpointTempRemoveCannotMaskError(t *testing.T) {
 	}
 }
 
-// TestScanDirRemovesStaleTemp checks that ScanDirFS deletes crash-leftover
-// .tmp files, ignores unrelated names, and stays silent when the cleanup
-// itself fails (a stale temporary is inert).
-func TestScanDirRemovesStaleTemp(t *testing.T) {
-	dir := t.TempDir()
-	staleCkpt := filepath.Join(dir, "ckpt-00000000000000000007.ckpt.tmp")
-	staleOther := filepath.Join(dir, "stray.tmp")
-	unrelated := filepath.Join(dir, "README")
-	for _, p := range []string{staleCkpt, staleOther, unrelated} {
-		if err := os.WriteFile(p, []byte("junk"), 0o666); err != nil {
-			t.Fatal(err)
+// TestStaleTempSweep checks that ScanDirFS and BeginRecovery only read —
+// the .tmp files a crash left survive them — and that Create and
+// Recovery.Continue, where a process takes the directory for appending,
+// delete those files, leave unrelated names alone, and stay silent when
+// the removal itself fails (a stale temporary is inert).
+func TestStaleTempSweep(t *testing.T) {
+	// plant writes two stale temporaries and an unrelated file into dir.
+	plant := func(t *testing.T, dir string) (stale []string, unrelated string) {
+		t.Helper()
+		stale = []string{filepath.Join(dir, "ckpt-00000000000000000007.ckpt.tmp"), filepath.Join(dir, "stray.tmp")}
+		unrelated = filepath.Join(dir, "README")
+		for _, p := range append(stale, unrelated) {
+			if err := os.WriteFile(p, []byte("junk"), 0o666); err != nil {
+				t.Fatal(err)
+			}
 		}
+		return stale, unrelated
 	}
-	segs, ckpts, err := wal.ScanDirFS(wal.OSFS, dir)
-	if err != nil {
-		t.Fatalf("ScanDirFS: %v", err)
-	}
-	if len(segs) != 0 || len(ckpts) != 0 {
-		t.Fatalf("ScanDir reported stale temporaries as log files: %v %v", segs, ckpts)
-	}
-	for _, p := range []string{staleCkpt, staleOther} {
-		if _, err := os.Stat(p); !os.IsNotExist(err) {
-			t.Fatalf("stale temporary %s survived ScanDir", p)
+	// present reports which of paths exist.
+	present := func(paths ...string) (n int) {
+		for _, p := range paths {
+			if _, err := os.Stat(p); err == nil {
+				n++
+			}
 		}
-	}
-	if _, err := os.Stat(unrelated); err != nil {
-		t.Fatalf("ScanDir touched an unrelated file: %v", err)
+		return n
 	}
 
-	// A cleanup failure is swallowed, not surfaced: scanning through a VFS
-	// whose Remove fails still succeeds.
-	if err := os.WriteFile(staleOther, []byte("junk"), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := wal.ScanDirFS(maskFS{wal.OSFS}, dir); err != nil {
-		t.Fatalf("ScanDirFS with failing Remove = %v, want nil", err)
-	}
+	t.Run("create", func(t *testing.T) {
+		dir := t.TempDir()
+		stale, unrelated := plant(t, dir)
+		segs, ckpts, tmps, err := wal.ScanDirFS(wal.OSFS, dir)
+		if err != nil || len(segs) != 0 || len(ckpts) != 0 || len(tmps) != len(stale) {
+			t.Fatalf("ScanDirFS = %v, %v, %v, %v; want only the stale temporaries", segs, ckpts, tmps, err)
+		}
+		if n := present(stale...); n != len(stale) {
+			t.Fatalf("ScanDirFS removed %d stale temporaries, want none", len(stale)-n)
+		}
+		l, err := wal.Create(wal.Options{Dir: dir})
+		if err != nil {
+			t.Fatalf("Create: %v", err)
+		}
+		l.Close()
+		if n := present(stale...); n != 0 {
+			t.Fatalf("%d stale temporaries survived Create", n)
+		}
+		if present(unrelated) != 1 {
+			t.Fatal("Create removed an unrelated file")
+		}
+		// A failed removal is swallowed, not surfaced.
+		plant(t, dir)
+		if _, err := wal.Create(wal.Options{Dir: dir, FS: maskFS{wal.OSFS}}); err != nil {
+			t.Fatalf("Create with failing Remove = %v, want nil", err)
+		}
+	})
+
+	t.Run("continue", func(t *testing.T) {
+		dir := t.TempDir()
+		l, err := wal.Create(wal.Options{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Checkpoint(1, "Q", nil); err != nil {
+			t.Fatal(err)
+		}
+		l.Close()
+		stale, unrelated := plant(t, dir)
+		rec, err := wal.BeginRecovery(wal.Options{Dir: dir})
+		if err != nil {
+			t.Fatalf("BeginRecovery: %v", err)
+		}
+		if err := rec.Replay(true, func(wal.Record) error { return nil }); err != nil {
+			t.Fatalf("Replay: %v", err)
+		}
+		if n := present(stale...); n != len(stale) {
+			t.Fatalf("recovery removed %d stale temporaries before Continue", len(stale)-n)
+		}
+		if _, err := rec.Continue(); err != nil {
+			t.Fatalf("Continue: %v", err)
+		}
+		if n := present(stale...); n != 0 {
+			t.Fatalf("%d stale temporaries survived Continue", n)
+		}
+		if present(unrelated) != 1 {
+			t.Fatal("Continue removed an unrelated file")
+		}
+		plant(t, dir)
+		rec, err = wal.BeginRecovery(wal.Options{Dir: dir, FS: maskFS{wal.OSFS}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rec.Replay(true, func(wal.Record) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rec.Continue(); err != nil {
+			t.Fatalf("Continue with failing Remove = %v, want nil", err)
+		}
+	})
 }

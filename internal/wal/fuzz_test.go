@@ -82,7 +82,11 @@ func opsEqual(a, b []Op) bool {
 // checkpoint must re-encode and decode back to itself.
 func FuzzCheckpointDecode(f *testing.F) {
 	payload := func(epoch uint64, query string, rels ...CheckpointData) []byte {
-		return encodeCheckpoint(epoch, query, checkpointRels(rels))[checkpointHeaderSize:]
+		buf, err := encodeCheckpoint(epoch, query, checkpointRels(rels))
+		if err != nil {
+			f.Fatal(err)
+		}
+		return buf[checkpointHeaderSize:]
 	}
 	f.Add([]byte{})
 	f.Add(payload(1, "Q(A, B) = R(A, B)", CheckpointData{Name: "R", Arity: 2, Vals: []int64{1, 10, 2, 20}, Mults: []int64{2, 1}}))
@@ -112,7 +116,11 @@ func FuzzCheckpointDecode(f *testing.F) {
 				t.Fatalf("relation %q: %d values for %d rows of arity %d", r.Name, len(r.Vals), len(r.Mults), r.Arity)
 			}
 		}
-		ck2, err := decodeCheckpoint(encodeCheckpoint(ck.Epoch, ck.Query, checkpointRels(ck.Rels))[checkpointHeaderSize:])
+		buf, err := encodeCheckpoint(ck.Epoch, ck.Query, checkpointRels(ck.Rels))
+		if err != nil {
+			t.Fatalf("re-encoding a decoded checkpoint: %v", err)
+		}
+		ck2, err := decodeCheckpoint(buf[checkpointHeaderSize:])
 		if err != nil {
 			t.Fatalf("re-encoded checkpoint failed to decode: %v", err)
 		}
@@ -132,7 +140,7 @@ func checkpointRels(rels []CheckpointData) []CheckpointRel {
 			for j, m := range d.Mults {
 				yield(d.Vals[j*d.Arity:(j+1)*d.Arity], m)
 			}
-		}}
+		}, Size: len(d.Mults)}
 	}
 	return out
 }

@@ -12,12 +12,10 @@ var ErrNoCheckpoint = errors.New("wal: no loadable checkpoint in log directory")
 
 // Recovery is an in-progress recovery of a log directory: the checkpoint to
 // rebuild state from, plus the scanned segment list for the replay and
-// continuation steps. Use it in order: BeginRecoveryFS, rebuild the engine
+// continuation steps. Use it in order: BeginRecovery, rebuild the engine
 // from Checkpoint, Replay the tail into it, then Continue for the append
 // handle.
 type Recovery struct {
-	// Dir is the log directory.
-	Dir string
 	// Checkpoint is the newest loadable checkpoint. When several exist and
 	// the newest is damaged, an older one is selected; the replay's epoch
 	// continuity check guarantees the longer tail is actually present, so a
@@ -28,25 +26,28 @@ type Recovery struct {
 	// epoch.
 	LastEpoch uint64
 
-	fs       VFS
+	opts     Options
 	segs     []segMeta
+	tmps     []string // temporary files the scan found, swept by Continue
 	replayed bool
 }
 
-// BeginRecoveryFS scans dir through fs and loads its newest loadable
-// checkpoint. The log tail is not read yet; rebuild the engine from the
-// checkpoint first, then call Replay. Replay and Continue inherit fs, so a
-// whole recovery (and the Log it produces) runs on one file-operation
-// implementation.
-func BeginRecoveryFS(fs VFS, dir string) (*Recovery, error) {
-	segInfos, ckpts, err := ScanDirFS(fs, dir)
+// BeginRecovery scans the log directory opts.Dir through opts.FS and loads
+// its newest loadable checkpoint. The log tail is not read yet; rebuild the
+// engine from the checkpoint first, then call Replay. Replay and Continue
+// run on the same options, so a whole recovery and the Log it produces use
+// one directory and one file-operation implementation. BeginRecovery writes
+// nothing, and Replay writes only to fix a torn tail.
+func BeginRecovery(opts Options) (*Recovery, error) {
+	opts = opts.normalized()
+	segInfos, ckpts, tmps, err := ScanDirFS(opts.FS, opts.Dir)
 	if err != nil {
 		return nil, err
 	}
-	r := &Recovery{Dir: dir, fs: fs}
+	r := &Recovery{opts: opts, tmps: tmps}
 	var lastErr error
 	for i := len(ckpts) - 1; i >= 0; i-- {
-		ck, err := LoadCheckpointFS(fs, ckpts[i].Path)
+		ck, err := LoadCheckpointFS(opts.FS, ckpts[i].Path)
 		if err != nil {
 			// Fall back to an older checkpoint only for content damage
 			// (*CorruptLogError): older segments may already be retired, so
@@ -95,7 +96,7 @@ func (r *Recovery) Replay(fix bool, fn func(Record) error) error {
 	for i := range r.segs {
 		seg := &r.segs[i]
 		final := i == len(r.segs)-1
-		sd, err := ReadSegmentFS(r.fs, seg.path)
+		sd, err := ReadSegmentFS(r.opts.FS, seg.path)
 		if err != nil {
 			// A crash during rotation can leave the just-created final
 			// segment without a complete header; nothing in it was ever
@@ -103,9 +104,9 @@ func (r *Recovery) Replay(fix bool, fn func(Record) error) error {
 			// header anywhere else — or a full-length header with the wrong
 			// magic — stays an error.
 			if final {
-				if size, statErr := r.fs.Size(seg.path); statErr == nil && size < int64(segmentHeaderSize) {
+				if size, statErr := r.opts.FS.Size(seg.path); statErr == nil && size < int64(segmentHeaderSize) {
 					if fix {
-						if err := r.fs.Remove(seg.path); err != nil {
+						if err := r.opts.FS.Remove(seg.path); err != nil {
 							return err
 						}
 						r.segs = r.segs[:i]
@@ -125,7 +126,7 @@ func (r *Recovery) Replay(fix bool, fn func(Record) error) error {
 				return &CorruptLogError{Path: seg.path, Offset: sd.Good, Reason: sd.Tail.Error()}
 			}
 			if fix {
-				if err := r.fs.Truncate(seg.path, sd.Good); err != nil {
+				if err := r.opts.FS.Truncate(seg.path, sd.Good); err != nil {
 					return err
 				}
 			}
@@ -155,24 +156,21 @@ func (r *Recovery) Replay(fix bool, fn func(Record) error) error {
 	return nil
 }
 
-// Continue opens the replayed log for appending: the surviving segments are
-// kept for retirement bookkeeping and a fresh segment will start at the
-// first append (first epoch LastEpoch+1), so a recovered process never
-// appends into a file a crash may have touched.
-func (r *Recovery) Continue(opts Options) (*Log, error) {
+// Continue opens the replayed log for appending, on the options recovery
+// began with: the surviving segments are kept for retirement bookkeeping
+// and a fresh segment will start at the first append (first epoch
+// LastEpoch+1), so a recovered process never appends into a file a crash
+// may have touched. It removes the temporary files the scan found.
+func (r *Recovery) Continue() (*Log, error) {
 	if !r.replayed {
 		return nil, errors.New("wal: Continue before Replay")
 	}
-	opts = opts.normalized()
-	opts.Dir = r.Dir
-	if r.fs != nil {
-		opts.FS = r.fs
-	}
+	removeAll(r.opts.FS, r.tmps)
 	nextSeq := uint64(1)
 	for _, s := range r.segs {
 		if s.seq >= nextSeq {
 			nextSeq = s.seq + 1
 		}
 	}
-	return &Log{opts: opts, fs: opts.FS, segs: r.segs, nextSeq: nextSeq, last: r.LastEpoch}, nil
+	return &Log{opts: r.opts, segs: r.segs, nextSeq: nextSeq, last: r.LastEpoch}, nil
 }

@@ -36,16 +36,21 @@
 //
 // # Checkpoints
 //
-// WriteCheckpointFS serializes the base relations at one epoch to a
-// temporary file and renames it into place, so a crash mid-checkpoint
-// never leaves a half-visible checkpoint. After a successful checkpoint,
-// segments whose records all fall at or below the checkpoint epoch are
-// retired (deleted), and older checkpoints beyond one spare are removed.
-// Recovery prefers the newest loadable checkpoint and falls back to an
-// older one when the newest is damaged (its content fails verification —
-// an I/O error reading it aborts recovery instead, since it says nothing
-// about the file); the epoch-continuity check makes a fallback that
-// cannot be completed by replay fail loudly.
+// Log.Checkpoint, the one call behind Build's initial checkpoint and
+// Engine.Checkpoint (which cmd/ivmd makes when it drains), serializes the
+// base relations at one epoch to a temporary file and renames it into
+// place, so a crash mid-checkpoint never leaves a half-visible checkpoint.
+// Checkpoints run one at a time, beside appends. After a successful
+// checkpoint, segments whose records all fall at or below the checkpoint
+// epoch are retired (deleted), and older checkpoints beyond one spare are
+// removed. BeginRecovery, from the log's Options, prefers the newest
+// loadable checkpoint and falls back to an older one when the newest is
+// damaged (its content fails verification — an I/O error reading it aborts
+// recovery instead, since it says nothing about the file); the
+// epoch-continuity check makes a fallback that cannot be completed by
+// replay fail loudly. Only Create and Recovery.Continue, which take the
+// directory for appending, delete the temporaries a crash left: the scan
+// only reads, so cmd/ivmwal's inspect and verify write nothing.
 package wal
 
 import (
@@ -140,18 +145,18 @@ type segMeta struct {
 // Log is an open commit log: an append handle on the active segment plus
 // the metadata needed to rotate and retire segments. Append may be called
 // from one goroutine at a time (the engine's writer lock, Fed.mu, provides
-// that); WriteCheckpointFS and Retire may run concurrently with Append.
+// that); Checkpoint may be called from any goroutine, concurrently with
+// Append and with other Checkpoint calls.
 //
 // A Log is fail-stop: the first append/flush/fsync/rotate error latches a
 // sticky wedged state (LogWedgedError) and every subsequent Append and
-// Checkpointed refuses with it. Nothing is ever written after an error —
+// Checkpoint refuses with it. Nothing is ever written after an error —
 // in particular a failed fsync is never retried, because its page-cache
 // state is unknowable — so the on-disk committed prefix stays exactly what
 // recovery needs.
 type Log struct {
-	opts Options
-	fs   VFS
-
+	opts     Options
+	ckMu     sync.Mutex // serializes Checkpoint; taken before mu
 	mu       sync.Mutex
 	segs     []segMeta // in seq order; the last entry is the active segment (if any)
 	f        File      // active segment file; nil until the first append
@@ -166,21 +171,22 @@ type Log struct {
 
 // Create opens a fresh log in opts.Dir, creating the directory if needed.
 // It refuses a directory that already contains log segments or checkpoints
-// — recover those with BeginRecoveryFS (ivmeps.Open) instead, or point at an
-// empty directory.
+// — recover those with BeginRecovery (ivmeps.Open) instead, or point at an
+// empty directory. It removes the temporary files it finds.
 func Create(opts Options) (*Log, error) {
 	opts = opts.normalized()
 	if err := opts.FS.MkdirAll(opts.Dir); err != nil {
 		return nil, err
 	}
-	segs, ckpts, err := ScanDirFS(opts.FS, opts.Dir)
+	segs, ckpts, tmps, err := ScanDirFS(opts.FS, opts.Dir)
 	if err != nil {
 		return nil, err
 	}
 	if len(segs) > 0 || len(ckpts) > 0 {
 		return nil, fmt.Errorf("wal: directory %s already contains a log (%d segments, %d checkpoints); use Open to recover it", opts.Dir, len(segs), len(ckpts))
 	}
-	return &Log{opts: opts, fs: opts.FS, nextSeq: 1}, nil
+	removeAll(opts.FS, tmps)
+	return &Log{opts: opts, nextSeq: 1}, nil
 }
 
 // wedgeLocked latches the sticky wedged state on the first failure (later
@@ -259,7 +265,7 @@ func (l *Log) rotateLocked(first uint64) error {
 	seq := l.nextSeq
 	l.nextSeq++
 	path := filepath.Join(l.opts.Dir, segmentName(seq))
-	f, err := l.fs.Create(path)
+	f, err := l.opts.FS.Create(path)
 	if err != nil {
 		return err
 	}
@@ -275,7 +281,7 @@ func (l *Log) rotateLocked(first uint64) error {
 	l.size = int64(len(hdr))
 	l.unsynced = 0
 	l.segs = append(l.segs, segMeta{seq: seq, path: path, first: first, last: first - 1})
-	if err := l.fs.SyncDir(l.opts.Dir); err != nil && l.opts.Sync == SyncAlways {
+	if err := l.opts.FS.SyncDir(l.opts.Dir); err != nil && l.opts.Sync == SyncAlways {
 		return fmt.Errorf("wal: directory fsync after segment create: %w", err)
 	}
 	return nil
@@ -330,13 +336,56 @@ func (l *Log) LastEpoch() uint64 {
 	return l.last
 }
 
-// Checkpointed is the bookkeeping side of a completed checkpoint at epoch:
-// it rotates the active segment (so the pre-checkpoint tail stops growing),
-// retires every non-active segment whose records all fall at or below
-// epoch, and deletes all but the newest older checkpoint (the spare covers
-// the one-in-a-billion case of the new checkpoint file rotting on disk —
-// recovery falls back and replays the longer tail).
-func (l *Log) Checkpointed(epoch uint64) error {
+// Checkpoint writes the checkpoint of epoch, the base relations rels of
+// query, atomically (temp file + fsync + rename + directory fsync) and then
+// retires what it covers. A failure on any step never leaves a visible
+// checkpoint: the temp file is removed best-effort, and that removal can
+// never mask the step's error. A failed directory fsync is an error under
+// SyncAlways, where the checkpoint's durability against power loss is part
+// of the guarantee; otherwise it is best-effort (an undurable rename
+// reappears as the pre-checkpoint state, which recovery handles by
+// replaying a longer tail). Retirement rotates the active segment (so the
+// pre-checkpoint tail stops growing), deletes every non-active segment
+// whose records all fall at or below epoch, and deletes all but the newest
+// older checkpoint (the spare covers the new file rotting on disk —
+// recovery falls back and replays the longer tail). Checkpoints run one at
+// a time, so two never share or delete each other's temp file; appends
+// wait only for the rotation. A wedged log refuses and touches no file.
+func (l *Log) Checkpoint(epoch uint64, query string, rels []CheckpointRel) error {
+	l.ckMu.Lock()
+	defer l.ckMu.Unlock()
+	l.mu.Lock()
+	wedged := l.wedged
+	l.mu.Unlock()
+	if wedged != nil {
+		return wedged
+	}
+	buf, err := encodeCheckpoint(epoch, query, rels)
+	if err != nil {
+		return err
+	}
+	fs, dir := l.opts.FS, l.opts.Dir
+	tmp := filepath.Join(dir, checkpointName(epoch)+".tmp")
+	f, err := fs.CreateTrunc(tmp)
+	if err != nil {
+		return err
+	}
+	if _, err = f.Write(buf); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = fs.Rename(tmp, filepath.Join(dir, checkpointName(epoch)))
+	}
+	if err != nil {
+		fs.Remove(tmp)
+		return err
+	}
+	if err := fs.SyncDir(dir); err != nil && l.opts.Sync == SyncAlways {
+		return fmt.Errorf("wal: directory fsync after checkpoint rename: %w", err)
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.wedged != nil {
@@ -356,7 +405,7 @@ func (l *Log) Checkpointed(epoch uint64) error {
 			// Retirement failures don't wedge: nothing was written to the log
 			// stream, so appends remain safe; the caller just learns cleanup
 			// didn't finish (a later checkpoint retries it).
-			if err := l.fs.Remove(s.path); err != nil && !os.IsNotExist(err) {
+			if err := fs.Remove(s.path); err != nil && !os.IsNotExist(err) {
 				return err
 			}
 			continue
@@ -364,14 +413,14 @@ func (l *Log) Checkpointed(epoch uint64) error {
 		kept = append(kept, s)
 	}
 	l.segs = kept
-	l.fs.SyncDir(l.opts.Dir) // best-effort: retired files reappearing is harmless
-	return retireCheckpoints(l.fs, l.opts.Dir, epoch)
+	fs.SyncDir(dir) // best-effort: retired files reappearing is harmless
+	return retireCheckpoints(fs, dir, epoch)
 }
 
 // retireCheckpoints deletes checkpoints older than the newest one below
 // epoch — i.e. it keeps the checkpoint at epoch and one older spare.
 func retireCheckpoints(fs VFS, dir string, epoch uint64) error {
-	_, ckpts, err := ScanDirFS(fs, dir)
+	_, ckpts, _, err := ScanDirFS(fs, dir)
 	if err != nil {
 		return err
 	}
@@ -406,19 +455,14 @@ type CkptInfo struct {
 	Path string
 }
 
-// ScanDirFS lists the segments (in sequence order) and checkpoints (in
-// epoch order) of a log directory through fs. Unrelated files are ignored;
-// temporary checkpoint files left by a crash are removed. The removal is
-// best-effort cleanup of crash leftovers — a removal failure is ignored,
-// never surfaced, because a stale temporary is inert (recovery and
-// checkpointing never read .tmp files).
-func ScanDirFS(fs VFS, dir string) ([]SegInfo, []CkptInfo, error) {
+// ScanDirFS lists the segments (in sequence order), checkpoints (in epoch
+// order) and temporary files of a log directory through fs. It only reads;
+// unrelated files are ignored.
+func ScanDirFS(fs VFS, dir string) (segs []SegInfo, ckpts []CkptInfo, tmps []string, err error) {
 	names, err := fs.ReadDir(dir)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	var segs []SegInfo
-	var ckpts []CkptInfo
 	for _, name := range names {
 		switch {
 		case strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".seg"):
@@ -434,12 +478,20 @@ func ScanDirFS(fs VFS, dir string) ([]SegInfo, []CkptInfo, error) {
 			}
 			ckpts = append(ckpts, CkptInfo{Epoch: epoch, Path: filepath.Join(dir, name)})
 		case strings.HasSuffix(name, ".tmp"):
-			fs.Remove(filepath.Join(dir, name))
+			tmps = append(tmps, filepath.Join(dir, name))
 		}
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i].Seq < segs[j].Seq })
 	sort.Slice(ckpts, func(i, j int) bool { return ckpts[i].Epoch < ckpts[j].Epoch })
-	return segs, ckpts, nil
+	return segs, ckpts, tmps, nil
+}
+
+// removeAll removes paths best-effort: the temporaries a crash left are
+// inert (nothing reads .tmp files), so a failure is ignored.
+func removeAll(fs VFS, paths []string) {
+	for _, p := range paths {
+		fs.Remove(p)
+	}
 }
 
 // segmentName renders the filename of segment seq.

@@ -1,12 +1,9 @@
 package wal
 
 import (
-	"bytes"
-	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -21,19 +18,29 @@ func testOps(e uint64) []Op {
 	}
 }
 
+// testQuery is the query of every test checkpoint.
+const testQuery = "Q(A, B) = R(A, B)"
+
+// testRels is a minimal checkpoint's one relation.
+var testRels = []CheckpointRel{{
+	Name:  "R",
+	Arity: 2,
+	Rows: func(yield func(row []int64, mult int64)) {
+		yield([]int64{1, 10}, 2)
+		yield([]int64{2, 20}, 1)
+	},
+	Size: 2,
+}}
+
+// checkpointsOnly returns a log in dir that holds no segment, so its
+// checkpoints retire no segment.
+func checkpointsOnly(dir string) *Log { return &Log{opts: Options{Dir: dir}.normalized()} }
+
 // writeTestCheckpoint seeds dir with a minimal checkpoint at epoch.
 func writeTestCheckpoint(t *testing.T, dir string, epoch uint64) {
 	t.Helper()
-	rels := []CheckpointRel{{
-		Name:  "R",
-		Arity: 2,
-		Rows: func(yield func(row []int64, mult int64)) {
-			yield([]int64{1, 10}, 2)
-			yield([]int64{2, 20}, 1)
-		},
-	}}
-	if err := WriteCheckpointFS(OSFS, dir, epoch, "Q(A, B) = R(A, B)", rels, false); err != nil {
-		t.Fatalf("WriteCheckpointFS: %v", err)
+	if err := checkpointsOnly(dir).Checkpoint(epoch, testQuery, testRels); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
 	}
 }
 
@@ -113,7 +120,7 @@ func TestSegmentRotationScanAndReplay(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	segs, ckpts, err := ScanDirFS(OSFS, dir)
+	segs, ckpts, _, err := ScanDirFS(OSFS, dir)
 	if err != nil {
 		t.Fatalf("ScanDirFS: %v", err)
 	}
@@ -124,9 +131,9 @@ func TestSegmentRotationScanAndReplay(t *testing.T) {
 		t.Fatalf("checkpoints = %+v", ckpts)
 	}
 
-	rec, err := BeginRecoveryFS(OSFS, dir)
+	rec, err := BeginRecovery(Options{Dir: dir})
 	if err != nil {
-		t.Fatalf("BeginRecoveryFS: %v", err)
+		t.Fatalf("BeginRecovery: %v", err)
 	}
 	next := uint64(2)
 	if err := rec.Replay(false, func(r Record) error {
@@ -149,7 +156,7 @@ func TestSegmentRotationScanAndReplay(t *testing.T) {
 // segPaths returns the segment paths of dir in sequence order.
 func segPaths(t *testing.T, dir string) []string {
 	t.Helper()
-	segs, _, err := ScanDirFS(OSFS, dir)
+	segs, _, _, err := ScanDirFS(OSFS, dir)
 	if err != nil {
 		t.Fatalf("ScanDirFS: %v", err)
 	}
@@ -257,7 +264,7 @@ func TestReplayTruncatesTornTail(t *testing.T) {
 	if err := os.Truncate(path, st.Size()-3); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := BeginRecoveryFS(OSFS, dir)
+	rec, err := BeginRecovery(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +289,7 @@ func TestReplayTruncatesTornTail(t *testing.T) {
 
 	// Continue appends into a NEW segment starting at the next epoch, and a
 	// second recovery sees a consecutive log.
-	l2, err := rec.Continue(Options{Sync: SyncAlways})
+	l2, err := rec.Continue()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +302,7 @@ func TestReplayTruncatesTornTail(t *testing.T) {
 	if got := len(segPaths(t, dir)); got != 2 {
 		t.Fatalf("expected 2 segments after continue, got %d", got)
 	}
-	rec2, err := BeginRecoveryFS(OSFS, dir)
+	rec2, err := BeginRecovery(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +341,7 @@ func TestReplayRejectsMidFileCorruption(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o666); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := BeginRecoveryFS(OSFS, dir)
+	rec, err := BeginRecovery(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +360,7 @@ func TestReplayRejectsMidFileCorruption(t *testing.T) {
 	}
 }
 
-// TestCheckpointBytesPinned pins the file WriteCheckpointFS writes for a
+// TestCheckpointBytesPinned pins the file Log.Checkpoint writes for a
 // fixed three-relation checkpoint, byte for byte: values and counts of one
 // and of several varint bytes, negative values and multiplicities, and a
 // relation with no rows.
@@ -366,12 +373,12 @@ func TestCheckpointBytesPinned(t *testing.T) {
 		}
 	}
 	rels := []CheckpointRel{
-		{Name: "R", Arity: 2, Rows: rows([][]int64{{1, 10}, {-1, 300}, {1 << 40, -(1 << 20)}}, []int64{1, 2, -70})},
-		{Name: "Edges", Arity: 3, Rows: rows([][]int64{{0, 63, -64}}, []int64{1 << 33})},
+		{Name: "R", Arity: 2, Rows: rows([][]int64{{1, 10}, {-1, 300}, {1 << 40, -(1 << 20)}}, []int64{1, 2, -70}), Size: 3},
+		{Name: "Edges", Arity: 3, Rows: rows([][]int64{{0, 63, -64}}, []int64{1 << 33}), Size: 1},
 		{Name: "E", Arity: 1, Rows: rows(nil, nil)},
 	}
 	dir := t.TempDir()
-	if err := WriteCheckpointFS(OSFS, dir, 300, "Q(A, B, C) = R(A, B), Edges(A, B, C), E(C)", rels, false); err != nil {
+	if err := checkpointsOnly(dir).Checkpoint(300, "Q(A, B, C) = R(A, B), Edges(A, B, C), E(C)", rels); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(filepath.Join(dir, checkpointName(300)))
@@ -386,11 +393,11 @@ func TestCheckpointBytesPinned(t *testing.T) {
 	}
 }
 
-// TestCheckpointSizeHint holds a checkpoint written with relation sizes to
-// the one written without: a Size exact, off by one, or of another count
-// length than the rows' must not change a byte. Counts of 127, 128 and
-// 16 384 rows cross the uvarint's length boundaries.
-func TestCheckpointSizeHint(t *testing.T) {
+// TestCheckpointSizeMismatch checks that a relation whose Rows yields
+// other than its Size rows fails the checkpoint and leaves no file, while
+// the exact count succeeds. Counts of 127, 128 and 16 384 rows cross the
+// uvarint's length boundaries.
+func TestCheckpointSizeMismatch(t *testing.T) {
 	rows := func(n int) func(yield func(row []int64, mult int64)) {
 		return func(yield func(row []int64, mult int64)) {
 			for i := range n {
@@ -399,30 +406,27 @@ func TestCheckpointSizeHint(t *testing.T) {
 		}
 	}
 	for _, n := range []int{0, 1, 127, 128, 16384} {
-		want := encodeCheckpoint(7, "Q", []CheckpointRel{{Name: "R", Arity: 2, Rows: rows(n)}, {Name: "S", Arity: 2, Rows: rows(n)}})
 		for _, size := range []int{n, n - 1, n + 1, 1, 200, 20000} {
-			got := encodeCheckpoint(7, "Q", []CheckpointRel{{Name: "R", Arity: 2, Rows: rows(n), Size: size}, {Name: "S", Arity: 2, Rows: rows(n), Size: size}})
-			if !bytes.Equal(got, want) {
-				t.Fatalf("%d rows with Size %d: %d bytes, want the %d written without a Size", n, size, len(got), len(want))
+			if size < 0 {
+				continue
+			}
+			dir := t.TempDir()
+			err := checkpointsOnly(dir).Checkpoint(7, "Q", []CheckpointRel{{Name: "R", Arity: 2, Rows: rows(n), Size: n}, {Name: "S", Arity: 2, Rows: rows(n), Size: size}})
+			if (err == nil) != (size == n) {
+				t.Fatalf("%d rows with Size %d: Checkpoint = %v", n, size, err)
+			}
+			names, rerr := os.ReadDir(dir)
+			if rerr != nil {
+				t.Fatal(rerr)
+			}
+			want := 0
+			if size == n {
+				want = 1
+			}
+			if len(names) != want {
+				t.Fatalf("%d rows with Size %d: the directory holds %d files, want %d", n, size, len(names), want)
 			}
 		}
-	}
-}
-
-// TestVarintLen holds the checkpoint writer's row-count length, the room it
-// makes in front of a relation's rows, to encoding/binary's encoder at every
-// byte-length boundary.
-func TestVarintLen(t *testing.T) {
-	var b [binary.MaxVarintLen64]byte
-	for shift := 0; shift < 64; shift++ {
-		for _, u := range []uint64{1<<shift - 1, 1 << shift, 1<<shift + 1} {
-			if got, want := uvarintLen(u), binary.PutUvarint(b[:], u); got != want {
-				t.Fatalf("uvarintLen(%d) = %d, want %d", u, got, want)
-			}
-		}
-	}
-	if got, want := uvarintLen(math.MaxUint64), binary.PutUvarint(b[:], math.MaxUint64); got != want {
-		t.Fatalf("uvarintLen(%d) = %d, want %d", uint64(math.MaxUint64), got, want)
 	}
 }
 
@@ -436,8 +440,8 @@ func TestLoadCheckpointAllocatesPerRelation(t *testing.T) {
 			for i := range rows {
 				yield([]int64{int64(i), int64(i) * 7}, 1+int64(i%3))
 			}
-		}}}
-		if err := WriteCheckpointFS(OSFS, dir, 1, "Q(A, B) = R(A, B)", rels, false); err != nil {
+		}, Size: rows}}
+		if err := checkpointsOnly(dir).Checkpoint(1, testQuery, rels); err != nil {
 			t.Fatal(err)
 		}
 		path := filepath.Join(dir, checkpointName(1))
@@ -480,9 +484,8 @@ func TestCheckpointRoundTripAndRetirement(t *testing.T) {
 		}
 	}
 	before := len(segPaths(t, dir))
-	writeTestCheckpoint(t, dir, 30)
-	if err := l.Checkpointed(30); err != nil {
-		t.Fatalf("Checkpointed: %v", err)
+	if err := l.Checkpoint(30, testQuery, testRels); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
 	}
 	after := len(segPaths(t, dir))
 	if after >= before {
@@ -498,7 +501,7 @@ func TestCheckpointRoundTripAndRetirement(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := BeginRecoveryFS(OSFS, dir)
+	rec, err := BeginRecovery(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -545,9 +548,9 @@ func TestRecoveryFallsBackToOlderCheckpoint(t *testing.T) {
 	if err := os.WriteFile(ckPath, data, 0o666); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := BeginRecoveryFS(OSFS, dir)
+	rec, err := BeginRecovery(Options{Dir: dir})
 	if err != nil {
-		t.Fatalf("BeginRecoveryFS: %v", err)
+		t.Fatalf("BeginRecovery: %v", err)
 	}
 	if rec.Checkpoint.Epoch != 1 {
 		t.Fatalf("fell back to checkpoint %d, want 1", rec.Checkpoint.Epoch)
@@ -592,9 +595,9 @@ func TestReplayDropsTornFinalSegmentHeader(t *testing.T) {
 		if err := os.WriteFile(stub, []byte(segmentMagic + "\x00\x00\x00\x00\x00\x00\x00\x00")[:cut], 0o666); err != nil {
 			t.Fatal(err)
 		}
-		rec, err := BeginRecoveryFS(OSFS, dir)
+		rec, err := BeginRecovery(Options{Dir: dir})
 		if err != nil {
-			t.Fatalf("cut %d: BeginRecoveryFS: %v", cut, err)
+			t.Fatalf("cut %d: BeginRecovery: %v", cut, err)
 		}
 		count := 0
 		if err := rec.Replay(true, func(Record) error { count++; return nil }); err != nil {
@@ -612,9 +615,9 @@ func TestReplayDropsTornFinalSegmentHeader(t *testing.T) {
 	if err := os.WriteFile(stub, []byte(segmentMagic[:4]), 0o666); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := BeginRecoveryFS(OSFS, dir)
+	rec, err := BeginRecovery(Options{Dir: dir})
 	if err != nil {
-		t.Fatalf("BeginRecoveryFS: %v", err)
+		t.Fatalf("BeginRecovery: %v", err)
 	}
 	err = rec.Replay(false, func(Record) error { return nil })
 	var ce *CorruptLogError

@@ -874,7 +874,7 @@ func (sc *scenario) landed(ops []op) {
 
 // segments lists the log's segment files in order, with their sizes.
 func (sc *scenario) segments() (paths []string, sizes []int) {
-	list, _, err := wal.ScanDirFS(wal.OSFS, sc.dir)
+	list, _, _, err := wal.ScanDirFS(wal.OSFS, sc.dir)
 	if err != nil {
 		sc.fail("%v", err)
 	}
@@ -916,7 +916,7 @@ func (sc *scenario) cut(n int) {
 // checkpoint is written only after its epoch is in the synced log, so it
 // can outlive a cut tail).
 func (sc *scenario) expectEpoch() uint64 {
-	list, ckpts, err := wal.ScanDirFS(wal.OSFS, sc.dir)
+	list, ckpts, _, err := wal.ScanDirFS(wal.OSFS, sc.dir)
 	if err != nil {
 		sc.fail("%v", err)
 	}
