@@ -15,6 +15,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"testing"
@@ -228,6 +230,75 @@ func BenchmarkBatchVsSequential(b *testing.B) {
 			pass()
 		}
 	})
+}
+
+// BenchmarkBatchCrossing measures commits that cross a major-rebalance
+// trigger: one op = the 500-op commits that grow two-path at ε = ½ from the
+// built N₀ past M = 2N₀ + 1 — one doubling — and shrink it back below a
+// quarter of the new M — one halving —, each crossing commit ending in a
+// refill of every view. Every op starts from the same engine, built off the
+// clock, so its commits repeat exactly: view-writes/op, the view rows their
+// propagation writes (Stats.ViewDeltas; a refill's are not counted), reads
+// the same at any -benchtime, and the CI bench gate pins it like allocs/op.
+// An op leaves megabytes of garbage, the engine it dropped; collecting it on
+// the clock would add the runtime's few allocations per GC cycle to
+// allocs/op, so the collector runs only between ops, off the clock.
+func BenchmarkBatchCrossing(b *testing.B) {
+	const batch = 500
+	q := query.MustParse("Q(A, C) = R(A, B), S(B, C)")
+	rng := rand.New(rand.NewSource(43))
+	db := workload.TwoPath(rng, benchN/2, 1.15)
+	n0 := db["R"].Size() + db["S"].Size()
+	// Growth: fresh rows, R and S in turn, B from the data's own
+	// distribution, whole batches of them until N reaches M. Shrinking: the
+	// same rows deleted, then one batch of the built R rows.
+	zb := workload.NewZipf(rng, 1.15, benchN/2)
+	var grow, shrink []core.BatchOp
+	for i := 0; len(grow) <= n0 || len(grow)%batch != 0; i++ {
+		v := int64(1_000_000 + i)
+		op := core.BatchOp{Rel: "R", Row: tuple.Tuple{v, zb.Draw()}, Mult: 1}
+		if i%2 == 1 {
+			op = core.BatchOp{Rel: "S", Row: tuple.Tuple{zb.Draw(), v}, Mult: 1}
+		}
+		grow = append(grow, op)
+	}
+	for _, op := range grow {
+		shrink = append(shrink, core.BatchOp{Rel: op.Rel, Row: op.Row, Mult: -1})
+	}
+	for id := db["R"].First(); len(shrink)%batch != 0 || len(shrink) == len(grow); id = db["R"].Next(id) {
+		t, _ := db["R"].At(id)
+		shrink = append(shrink, core.BatchOp{Rel: "R", Row: t, Mult: -1})
+	}
+	ops := append(grow, shrink...)
+	var writes int64
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		runtime.GC()
+		e, err := core.New(q, core.Options{Mode: viewtree.Dynamic, Epsilon: 0.5})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := core.Preprocess(e, db); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for j := 0; j < len(ops); j += batch {
+			if err := e.CommitBatch(ops[j : j+batch]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		if st := e.Stats(); st.MajorRebalances != 2 || e.N() != n0-batch {
+			b.Fatalf("%d major rebalances ending at N = %d, want 2 ending at %d", st.MajorRebalances, e.N(), n0-batch)
+		} else {
+			writes += st.ViewDeltas
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(writes)/float64(b.N), "view-writes/op")
 }
 
 // relOps is the op list applying {rows[i] → mults[i]} to the one relation

@@ -9,9 +9,11 @@
 // profile is legitimately nondeterministic — the BenchmarkServer* HTTP-path
 // benchmarks ride the Go net/http stack, whose connection reuse and buffer
 // pooling jitter the count — are matched by -alloc-nondet and gated with a
-// loose 50% tolerance instead. A baseline line that records footprint-B
-// (the bytes BenchmarkBuild's built engine holds) has it gated like its
-// allocs/op.
+// loose 50% tolerance instead. Every custom metric a baseline line records
+// — footprint-B, the bytes BenchmarkBuild's built engine holds, and
+// view-writes/op, the view rows BenchmarkBatchCrossing's commits write — is
+// gated like its allocs/op, and fails when the fresh line no longer reports
+// it; a time per unit of work (a unit starting "ns/") is gated like ns/op.
 //
 // The Makefile runs it against three baselines, each from its own
 // benchmark regex (BENCH_RE, BENCH_ENUM_RE, BENCH_BUILD_RE): what
@@ -36,9 +38,11 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"maps"
 	"math"
 	"os"
 	"regexp"
+	"slices"
 
 	"ivmeps/internal/benchutil"
 )
@@ -61,7 +65,7 @@ func main() {
 		basePath    = flag.String("baseline", "BENCH_update.json", "committed baseline report")
 		newPath     = flag.String("new", "", "fresh bench2json report to compare (required)")
 		tol         = flag.Float64("tol", 0.30, "allowed fractional ns/op regression")
-		allocTol    = flag.Float64("alloc-tol", 0, "allowed fractional allocs/op and footprint-B increase (default strict: any increase fails)")
+		allocTol    = flag.Float64("alloc-tol", 0, "allowed fractional allocs/op and custom metric increase (default strict: any increase fails)")
 		allocsOnly  = flag.Bool("allocs-only", false, "gate allocs/op only; ignore ns/op entirely (for noisy shared runners)")
 		allocNondet = flag.String("alloc-nondet", "", "regexp of benchmarks with nondeterministic allocs/op, gated at 50% tolerance instead of exact")
 	)
@@ -113,8 +117,8 @@ func main() {
 			compared++
 		}
 		allocs := fmt.Sprintf("%.0f→%.0f", d.BaseAllocs, d.NewAllocs)
-		if d.BaseFootprint > 0 || d.NewFootprint > 0 {
-			verdict += fmt.Sprintf(" (footprint-B %.0f→%.0f)", d.BaseFootprint, d.NewFootprint)
+		for _, unit := range slices.Sorted(maps.Keys(d.BaseMetrics)) {
+			verdict += fmt.Sprintf(" (%s %g→%g)", unit, d.BaseMetrics[unit], d.NewMetrics[unit])
 		}
 		if d.Missing {
 			fmt.Printf("%-55s %12.0f %12s %8s %9s  %s\n", d.Name, d.BaseNs, "-", "-", "-", verdict)

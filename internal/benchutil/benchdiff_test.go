@@ -126,7 +126,7 @@ BenchmarkBuild/c-2  10  100 ns/op  5 B/op  7 allocs/op  1000 footprint-B
 BenchmarkBuild/d-2  10  100 ns/op  5 B/op  7 allocs/op  1000 footprint-B
 BenchmarkMajorRebalance-2  10  100 ns/op  0 B/op  0 allocs/op
 `)
-	if got := base.Benchmarks[0]; got.Name != "BenchmarkBuild/a" || got.FootprintBytes != 4515104 || got.AllocsPerOp != 7 {
+	if got := base.Benchmarks[0]; got.Name != "BenchmarkBuild/a" || got.Metrics["footprint-B"] != 4515104 || got.AllocsPerOp != 7 {
 		t.Fatalf("parsed %+v, want footprint-B 4515104 beside 7 allocs/op", got)
 	}
 	fresh := parse(`BenchmarkBuild/a-2  10  100 ns/op  5 B/op  7 allocs/op  4400000 footprint-B
@@ -138,7 +138,58 @@ BenchmarkMajorRebalance-2  10  100 ns/op  0 B/op  0 allocs/op  64 footprint-B
 	want := map[string]bool{"BenchmarkBuild/a": false, "BenchmarkBuild/b": false, "BenchmarkBuild/c": true, "BenchmarkBuild/d": true, "BenchmarkMajorRebalance": false}
 	for _, d := range CompareReports(base, fresh, DiffOptions{AllocTolerance: 0.01}) {
 		if d.Bad != want[d.Name] || d.Bad && !strings.Contains(d.Reason, "footprint-B") {
-			t.Errorf("%s: footprint-B %.0f -> %.0f gated bad=%v (%s), want bad=%v", d.Name, d.BaseFootprint, d.NewFootprint, d.Bad, d.Reason, want[d.Name])
+			t.Errorf("%s: footprint-B %.0f -> %.0f gated bad=%v (%s), want bad=%v", d.Name, d.BaseMetrics["footprint-B"], d.NewMetrics["footprint-B"], d.Bad, d.Reason, want[d.Name])
+		}
+	}
+}
+
+// Every custom unit a line reports is kept and gated, not only footprint-B:
+// a unit the baseline lacks is not gated, one it has may fall or stay but not
+// grow past the allocation tolerance nor vanish, and a time per unit of work
+// is gated like ns/op.
+func TestCustomMetricsGate(t *testing.T) {
+	parse := func(lines string) *GoBenchReport {
+		t.Helper()
+		rep, err := ParseGoBench(strings.NewReader(lines), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	base := parse(`BenchmarkBatchCrossing/same  10  100 ns/op  5 B/op  7 allocs/op  1000 view-writes/op
+BenchmarkBatchCrossing/fewer  10  100 ns/op  5 B/op  7 allocs/op  1000 view-writes/op
+BenchmarkBatchCrossing/more  10  100 ns/op  5 B/op  7 allocs/op  1000 view-writes/op
+BenchmarkBatchCrossing/gone  10  100 ns/op  5 B/op  7 allocs/op  1000 view-writes/op
+BenchmarkBatchCrossing/added  10  100 ns/op  5 B/op  7 allocs/op
+BenchmarkLoad  10  100 ns/op  5 B/op  7 allocs/op  40 ns/row
+`)
+	if got := base.Benchmarks[5].Metrics; len(got) != 1 || got["ns/row"] != 40 {
+		t.Fatalf("parsed metrics %v, want ns/row 40", got)
+	}
+	fresh := parse(`BenchmarkBatchCrossing/same  10  100 ns/op  5 B/op  7 allocs/op  1000 view-writes/op
+BenchmarkBatchCrossing/fewer  10  100 ns/op  5 B/op  7 allocs/op  900 view-writes/op
+BenchmarkBatchCrossing/more  10  100 ns/op  5 B/op  7 allocs/op  1001 view-writes/op
+BenchmarkBatchCrossing/gone  10  100 ns/op  5 B/op  7 allocs/op
+BenchmarkBatchCrossing/added  10  100 ns/op  5 B/op  7 allocs/op  3 rows/op
+BenchmarkLoad  10  100 ns/op  5 B/op  7 allocs/op  50 ns/row
+`)
+	want := map[string]string{
+		"BenchmarkBatchCrossing/same":  "",
+		"BenchmarkBatchCrossing/fewer": "",
+		"BenchmarkBatchCrossing/more":  "view-writes/op regressed",
+		"BenchmarkBatchCrossing/gone":  "view-writes/op missing",
+		"BenchmarkBatchCrossing/added": "",
+		"BenchmarkLoad":                "",
+	}
+	for _, d := range CompareReports(base, fresh, DiffOptions{NsTolerance: 0.30}) {
+		if w := want[d.Name]; d.Bad != (w != "") || !strings.Contains(d.Reason, w) {
+			t.Errorf("%s: %v -> %v gated bad=%v (%s), want %q", d.Name, d.BaseMetrics, d.NewMetrics, d.Bad, d.Reason, w)
+		}
+	}
+	// ns/row 40 -> 50 is +25%: inside a 30% time tolerance, past a 20% one.
+	for _, d := range CompareReports(base, fresh, DiffOptions{NsTolerance: 0.20}) {
+		if d.Name == "BenchmarkLoad" && (!d.Bad || !strings.Contains(d.Reason, "ns/row")) {
+			t.Errorf("ns/row 40 -> 50 passed a 20%% time tolerance: %+v", d)
 		}
 	}
 }

@@ -14,10 +14,11 @@ type GoBenchResult struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  float64 `json:"bytes_per_op,omitempty"`
 	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
-	// FootprintBytes is the custom footprint-B metric: the bytes the
-	// benchmark's built state holds (BenchmarkBuild), deterministic like
-	// allocs/op.
-	FootprintBytes float64 `json:"footprint_bytes,omitempty"`
+	// Metrics holds every custom metric the line reports (b.ReportMetric),
+	// by unit: footprint-B, the bytes BenchmarkBuild's built state holds;
+	// view-writes/op, the view rows BenchmarkBatchCrossing's commits write;
+	// and so on.
+	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
 // GoBenchReport is a parsed `go test -bench` run: the environment header
@@ -88,8 +89,11 @@ func ParseGoBench(r io.Reader, procs int) (*GoBenchReport, error) {
 				res.BytesPerOp = v
 			case "allocs/op":
 				res.AllocsPerOp = v
-			case "footprint-B":
-				res.FootprintBytes = v
+			default:
+				if res.Metrics == nil {
+					res.Metrics = map[string]float64{}
+				}
+				res.Metrics[fields[i+1]] = v
 			}
 		}
 		if ok {

@@ -17,6 +17,15 @@ import (
 //	validate → propagate → major-rebalance check → stats → epoch++ →
 //	publish commit delta
 //
+// The paper runs UpdateTrees and only then checks the size invariant. A
+// commit knows before it applies anything whether it will leave N outside
+// [⌊M/4⌋, M); on a forest with a partition such a commit ends in a refill of
+// every view from the base relations (MajorRebalancing, Figure 20), so it
+// writes its base deltas and goes straight to the refill, propagating
+// nothing the refill would clear. In the same spirit a light key that a
+// commit drives to 3⁄2·θ moves out of the light part at once, rather than
+// taking the light step with its rows first (applyBatchOcc).
+//
 // Validation is all-or-nothing and a commit whose ops are all zero-mult (or
 // that has no ops) publishes nothing: no epoch, no stats. The envelope takes
 // no lock: the engine's owner serializes commits with every other call (see
@@ -219,17 +228,21 @@ func (e *Engine) PrepareCommit(ops []BatchOp) error {
 // applyStagedLocked is the envelope's second half: it applies a batch
 // staged by PrepareCommit, relation-major, in first-touched order — one
 // aggregated delta per relation (zero-net tuples drop out), run through
-// every occurrence's routes. Each relation's validation state only reads
-// its own pre-batch multiplicities, so earlier relations' propagation
-// cannot invalidate later groups. The major-rebalance trigger is evaluated
-// once, after every relation's pass (rebalanceBatchLocked), and the whole
-// commit publishes one epoch. A staged batch without a nonzero-mult op
-// commits nothing and publishes no epoch.
+// every occurrence's routes, or, on a commit that crosses a major-rebalance
+// trigger of a forest with a partition, written to every occurrence's base
+// relation alone. Each relation's validation state only reads its own
+// pre-batch multiplicities, so earlier relations' propagation cannot
+// invalidate later groups. The major-rebalance trigger is evaluated once,
+// after every relation's pass (rebalanceBatchLocked), and the whole commit
+// publishes one epoch. A staged batch without a nonzero-mult op commits
+// nothing and publishes no epoch.
 func (e *Engine) applyStagedLocked() {
 	if e.stagedApplied == 0 {
 		e.releaseStagedLocked()
 		return
 	}
+	// Whatever propagation would write, the refill would clear.
+	refill := len(e.forest.LightParts) > 0 && e.crossesLocked()
 	touched := 0
 	for _, id := range e.batchTouched {
 		br := &e.relTab[id-1]
@@ -243,7 +256,18 @@ func (e *Engine) applyStagedLocked() {
 			// Footnote 2: an update to a repeated relation symbol is a
 			// sequence of updates to each occurrence.
 			for _, rt := range br.occs {
-				e.applyBatchOcc(rt, d)
+				if refill {
+					e.writeBase(rt, d)
+					// A tree that is the atom itself has no view for the
+					// refill to diff: its delta is the commit's.
+					for _, lp := range rt.atomLeaves {
+						if len(lp.edges) == 0 {
+							e.propagatePath(lp, d)
+						}
+					}
+				} else {
+					e.applyBatchOcc(rt, d)
+				}
 			}
 			// Relations whose ops net to zero propagate nothing and do not
 			// count toward the commit's relation fan-out.
@@ -264,16 +288,16 @@ func (e *Engine) applyStagedLocked() {
 // (Figure 22 lines 2–7, hoisted from per-update to per-commit): if the
 // whole batch left N outside [⌊M/4⌋, M), adjust M until the size
 // invariant holds again (a large batch can cross several doublings at
-// once) and recompute everything. A forest without a partition stops at
-// M: no view reads θ, so each already holds what the recomputation would
-// (the star, every δ = 0 query). Evaluating the trigger once per commit
-// — after every relation's pass — is deliberate hysteresis: a batch whose
-// early relations barely cross an M doubling and whose later relations
-// shrink N back re-materializes zero times, where a per-relation trigger
-// re-materialized on the way up and again on the way down. Within a pass
-// the stale M only affects rebalancing heuristics (θ), never view
-// contents, and the strict repartition here subsumes any interim light
-// routing.
+// once) and recompute everything — from base relations that, on a forest
+// with a partition, are the only thing the commit wrote (crossesLocked
+// said so before it applied anything). A forest without a partition stops
+// at M: no view reads θ, so each already holds what the recomputation
+// would, its commit's propagation included (the star, every δ = 0 query).
+// Evaluating the trigger once per commit — on N after every relation — is
+// deliberate hysteresis: a batch whose early relations barely cross an M
+// doubling and whose later relations shrink N back re-materializes zero
+// times, where a per-relation trigger re-materialized on the way up and
+// again on the way down.
 func (e *Engine) rebalanceBatchLocked() {
 	if e.n < e.m && e.n >= e.m/4 {
 		return
@@ -293,6 +317,24 @@ func (e *Engine) rebalanceBatchLocked() {
 		return
 	}
 	e.majorRebalance()
+}
+
+// crossesLocked reports whether applying the staged batch leaves N outside
+// [⌊M/4⌋, M). The groups know it before anything is applied: a tuple adds
+// one to N when it is new and stays, and takes one away when it goes.
+func (e *Engine) crossesLocked() bool {
+	n := e.n
+	for _, id := range e.batchTouched {
+		for _, g := range e.relTab[id-1].groups {
+			switch {
+			case g.stored == 0 && g.net > 0:
+				n++
+			case g.stored > 0 && g.stored+g.net == 0:
+				n--
+			}
+		}
+	}
+	return n >= e.m || n < e.m/4
 }
 
 // batchGroup is the per-distinct-tuple validation state of one batch.
@@ -327,6 +369,7 @@ func (e *Engine) releaseStagedLocked() {
 type batchKey struct {
 	key   tuple.Tuple
 	light bool // the key was new or light before the pass: its rows take the light step
+	out   bool // a light key the pass drove to 3⁄2·θ: it leaves the light part instead
 	rows  []int
 }
 
@@ -336,7 +379,7 @@ func appendBatchKey(keys []batchKey, key tuple.Tuple, light bool) []batchKey {
 	if len(keys) < cap(keys) {
 		keys = keys[:len(keys)+1]
 		bk := &keys[len(keys)-1]
-		bk.key, bk.light = key, light
+		bk.key, bk.light, bk.out = key, light, false
 		bk.rows = bk.rows[:0]
 		return keys
 	}
@@ -345,19 +388,18 @@ func appendBatchKey(keys []batchKey, key tuple.Tuple, light bool) []batchKey {
 
 // applyBatchOcc is the maintenance kernel: UpdateTrees (Figure 19) for the
 // aggregated delta d of one occurrence relation, with the per-update work
-// hoisted to per-delta or per-distinct-key, followed by the
-// minor-rebalancing checks once per distinct key (Figure 22 lines 9–15).
+// hoisted to per-delta or per-distinct-key, and the minor-rebalancing
+// checks once per distinct key (Figure 22 lines 9–15) — a light key's
+// folded into its light step.
 // Every commit's delta takes it, a single-tuple Update's as a batch of one,
 // which size guards keep cheap: a one-row delta skips the grouping tables
 // (PrepareCommit says what that saves), a partition whose keys all route
-// light takes d itself as its light delta, and an occurrence without
+// light, none of them out, takes d itself as its light delta, and an occurrence without
 // partitions returns before computing θ. The major-rebalance trigger is NOT
 // evaluated here — it is deferred to the commit boundary
 // (rebalanceBatchLocked), so a multi-relation commit whose interim sizes
 // oscillate across a threshold re-materializes at most once.
 func (e *Engine) applyBatchOcc(rt *relRoutes, d *delta) {
-	base := rt.base
-
 	// Capture the pre-update partition state per distinct key (Figure 19
 	// line 10 needs the pre-update degrees to route to the light parts).
 	// Each partition's grouping table, which numbers and holds its distinct
@@ -387,17 +429,10 @@ func (e *Engine) applyBatchOcc(rt *relRoutes, d *delta) {
 		pr.keys = keys
 	}
 
-	// Apply the delta to the base relation, maintaining N incrementally,
-	// then propagate it through every main tree and every affected All
-	// tree. The light parts and ∃H relations are untouched until every tree
-	// has seen the delta.
-	before := base.Size()
-	for i := range d.rows {
-		base.MustAdd(d.rows[i].t, d.rows[i].m)
-	}
-	if rt.countsN {
-		e.n += base.Size() - before
-	}
+	// Apply the delta to the base relation, then propagate it through every
+	// main tree and every affected All tree. The light parts and ∃H
+	// relations are untouched until every tree has seen the delta.
+	e.writeBase(rt, d)
 	for _, lp := range rt.atomLeaves {
 		e.propagatePath(lp, d)
 	}
@@ -417,29 +452,39 @@ func (e *Engine) applyBatchOcc(rt *relRoutes, d *delta) {
 		return
 	}
 
-	// Route to the light parts, one delta per partition: a key's rows take
-	// the light step (lines 10–14) if the key was new or light before the
-	// delta; then run the minor-rebalancing checks once per distinct key. If
-	// the delta drove N outside the size invariant, θ is stale for these
-	// checks — harmless, since the commit-boundary rebalance strictly
-	// repartitions everything afterwards.
+	// Route to the light parts, one delta per partition (lines 10–14), then
+	// run the minor-rebalancing checks once per distinct key (Figure 22
+	// lines 9–15). A key routed light — new, or light before the delta —
+	// takes the light step with its rows while its degree after the base
+	// write, which is its light degree after the step, stays below 3⁄2·θ.
+	// One that reached 3⁄2·θ would take the step and then move out with
+	// every row, so it moves out at once, with the rows the light part held
+	// before the delta: its own rows never enter the light part. A key
+	// routed heavy whose degree fell below ½·θ moves in after the step.
 	theta := e.Theta()
 	for _, pr := range rt.parts {
 		keys := pr.keys
-		light := 0
+		light, out := 0, 0
 		for ki := range keys {
-			if keys[ki].light {
+			bk := &keys[ki]
+			if bk.light {
 				light++
+				if bk.out = float64(pr.p.Degree(bk.key)) >= 1.5*theta; bk.out {
+					out++
+				}
 			}
 		}
 		switch {
-		case light == len(keys):
+		case light == len(keys) && out == 0:
 			e.lightStep(pr, d, keys)
 		case light > 0:
 			ld := e.getDelta()
 			for ki := range keys {
-				if keys[ki].light {
-					for _, ri := range keys[ki].rows {
+				switch bk := &keys[ki]; {
+				case bk.out:
+					appendKeyRows(ld, pr.p.Light(), pr.p.Key(), bk.key, -1)
+				case bk.light:
+					for _, ri := range bk.rows {
 						ld.appendRow(d.rows[ri].t, d.rows[ri].m)
 					}
 				}
@@ -447,9 +492,26 @@ func (e *Engine) applyBatchOcc(rt *relRoutes, d *delta) {
 			e.lightStep(pr, ld, keys)
 			e.putDelta(ld)
 		}
+		e.stats.MinorRebalances += int64(out)
 		for ki := range keys {
-			e.rebalanceKey(pr, keys[ki].key, keys[ki].light, theta)
+			if keys[ki].light {
+				continue
+			}
+			if deg := float64(pr.p.Degree(keys[ki].key)); deg > 0 && deg < 0.5*theta {
+				e.minorRebalance(pr, keys[ki].key)
+			}
 		}
+	}
+}
+
+// writeBase applies d to the occurrence's base relation, maintaining N.
+func (e *Engine) writeBase(rt *relRoutes, d *delta) {
+	before := rt.base.Size()
+	for i := range d.rows {
+		rt.base.MustAdd(d.rows[i].t, d.rows[i].m)
+	}
+	if rt.countsN {
+		e.n += rt.base.Size() - before
 	}
 }
 

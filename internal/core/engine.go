@@ -171,17 +171,24 @@ type Engine struct {
 // it as ivmeps.Stats, and the service's stats reply encodes it with these
 // JSON names.
 type Stats struct {
-	Updates         int64 `json:"updates"`
+	Updates int64 `json:"updates"`
+	// MinorRebalances counts the partition keys that changed side: a
+	// heavy key moved into its light part, and a light key moved out — in
+	// the light step of the commit that drove it to 3⁄2·θ, whose own rows
+	// never enter the light part.
 	MinorRebalances int64 `json:"minor_rebalances"`
 	// MajorRebalances counts the commits that moved M to restore
 	// ⌊M/4⌋ ≤ N < M, and the forced Rebalance calls. Each recomputes every
-	// view, except a commit's on a forest without a partition, where no
-	// view reads θ.
+	// view from the base relations, which is all such a commit writes
+	// before it, except a commit's on a forest without a partition, where
+	// no view reads θ: it propagates and moves M.
 	MajorRebalances int64 `json:"major_rebalances"`
 	// ViewDeltas counts the view rows that commits' propagation wrote,
 	// the light step of each minor rebalance included. A major
 	// rebalance's refill of every view, the writes to light parts and
-	// the writes to base relations are not counted.
+	// the writes to base relations are not counted, so a commit that
+	// crosses a major-rebalance trigger of a forest with a partition
+	// counts none.
 	ViewDeltas int64 `json:"view_deltas"`
 	// Batches counts commits — every Insert, Delete, Apply, or Commit call
 	// that published an epoch, a single-tuple update being a one-op commit

@@ -110,21 +110,6 @@ func (e *Engine) setM(m int) {
 	e.m = m
 }
 
-// rebalanceKey is the minor-rebalancing check for one partition key after
-// its rows took their route (Figure 22, lines 9–15): a light key that
-// reached 3θ/2 moves out of the light part, a heavy key whose degree fell
-// below θ/2 moves in. A key's tuples are all in the light part or none are,
-// so its route says which of the two degrees to probe.
-func (e *Engine) rebalanceKey(pr *partRoute, key tuple.Tuple, light bool, theta float64) {
-	if light {
-		if float64(pr.p.LightDegree(key)) >= 1.5*theta {
-			e.minorRebalance(pr, key, false)
-		}
-	} else if deg := float64(pr.p.Degree(key)); deg > 0 && deg < 0.5*theta {
-		e.minorRebalance(pr, key, true)
-	}
-}
-
 // refreshH re-derives the heavy indicator bit ∃H(key) = ∃All(key) ∧ ∄L(key)
 // and returns the support change {−1, 0, +1} (UpdateIndTree, Figure 18,
 // specialized to H = All ⋈ ∄L).
@@ -514,25 +499,27 @@ func (e *Engine) majorRebalance() {
 // (BenchmarkMajorRebalance); not for an engine with commit sinks subscribed.
 func (e *Engine) Rebalance() { e.majorRebalance() }
 
-// minorRebalance is MinorRebalancing (Figure 21): move the tuples of one
-// partition key into (insert=true) or out of (insert=false) the light part
-// of pr's relation, as one delta through the light step.
-func (e *Engine) minorRebalance(pr *partRoute, key tuple.Tuple, insert bool) {
-	p := pr.p
-	base := p.Relation()
-	ix := base.Index(p.Key())
+// minorRebalance is MinorRebalancing (Figure 21) of a heavy key: move the
+// tuples of one partition key into the light part of pr's relation, as one
+// delta through the light step. A light key moves out in applyBatchOcc, in
+// the light step of the delta that drove it heavy.
+func (e *Engine) minorRebalance(pr *partRoute, key tuple.Tuple) {
 	d := e.getDelta()
-	ix.ForEachMatch(key, func(t tuple.Tuple, m int64) {
-		if insert {
-			d.appendRow(t, m)
-		} else {
-			d.appendRow(t, -m)
-		}
-	})
+	appendKeyRows(d, pr.p.Relation(), pr.p.Key(), key, 1)
 	keys := [1]batchKey{{key: key, light: true}}
 	e.lightStep(pr, d, keys[:])
 	e.putDelta(d)
 	e.stats.MinorRebalances++
+}
+
+// appendKeyRows appends to d every row of r whose partition key is key, read
+// through r's index on keySchema, with its multiplicity times sign.
+func appendKeyRows(d *delta, r *relation.Relation, keySchema tuple.Schema, key tuple.Tuple, sign int64) {
+	ix := r.Index(keySchema)
+	for id := ix.First(key); id != relation.End; id = ix.Next(id) {
+		t, m := r.At(id)
+		d.appendRow(t, sign*m)
+	}
 }
 
 // lightStep is the light-part half of UpdateTrees (Figure 19 lines 10–14) and

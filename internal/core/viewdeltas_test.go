@@ -22,7 +22,7 @@ const viewDeltasExact = 90664
 // relations each reach several indicators and whose single updates trigger
 // minor rebalances — writes through All trees, L trees and ∃H that the
 // two-path run, with one indicator and no minor rebalance, does not make.
-const viewDeltasMultiTree = 34077
+const viewDeltasMultiTree = 33861
 
 // TestViewDeltasExact pins the number of view writes and minor rebalances a
 // fixed run causes — single-tuple updates, a batch, a major rebalance, more

@@ -1357,6 +1357,51 @@ func TestScenarioShardedHeldSnapshots(t *testing.T) {
 	}
 }
 
+// TestScenarioShardedCrossings grows a two-shard two-path engine in 500-op
+// batches past two doublings of each shard's M and shrinks it back past a
+// halving of each, holding snapshots across them: a shard's crossing commit writes
+// only its base relations ahead of its refill, and a light key a batch drives
+// heavy leaves the light part with the rows it held, while the result stays
+// naive's, with every shard's invariants, after every commit and in every
+// held snapshot.
+func TestScenarioShardedCrossings(t *testing.T) {
+	sc := newScenario(t, target{query: twoPath, eps: 0.5, shards: 2}, 1)
+	sc.load(gen{load: 200, domain: 100})
+	rng := rand.New(rand.NewSource(1))
+	var grown []op
+	batch := func(ops []op) {
+		sc.run(step{Do: "batch", Ops: ops})
+		if len(sc.script)%3 == 0 {
+			sc.run(step{Do: "hold"})
+		}
+	}
+	for i := int64(0); i < 5; i++ {
+		var ops []op
+		for j := int64(0); j < 250; j++ {
+			v := 1000 + 250*i + j
+			ops = append(ops, op{"R", []int64{v, rng.Int63n(100)}, 1}, op{"S", []int64{rng.Int63n(100), v}, 1})
+		}
+		grown = append(grown, ops...)
+		batch(ops)
+	}
+	majors := sc.eng.Stats().MajorRebalances
+	for len(grown) > 0 {
+		ops := make([]op, 0, 500)
+		for _, o := range grown[len(grown)-500:] {
+			ops = append(ops, op{o.Rel, o.Row, -1})
+		}
+		grown = grown[:len(grown)-500]
+		batch(ops)
+	}
+	for i := range sc.held {
+		sc.run(step{Do: "release", N: i})
+	}
+	sc.end()
+	if st := sc.eng.Stats(); majors < 4 || st.MajorRebalances-majors < 2 {
+		t.Fatalf("%d major rebalances growing and %d shrinking, want the shards' doublings and halvings", majors, st.MajorRebalances-majors)
+	}
+}
+
 // TestScenarioWatchThroughWedge runs watchers on a durable engine while
 // faults wedge its log: the failed commit publishes no event, every fold
 // ends at the last acknowledged epoch, and Open recovers that state or the
