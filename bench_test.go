@@ -70,6 +70,29 @@ func replayStream(b *testing.B, sys baseline.System, stream []workload.Update) {
 	}
 }
 
+// viewWrites replays two whole passes of stream on sys, off the clock — its
+// inserts, then the deletes that undo them, as replayStream's passes
+// alternate — and returns the view rows they wrote per update, which the
+// benchmark reports as view-writes/op: Stats.ViewDeltas and the rows of any
+// refill (core.Engine.Writes). The passes leave the database as they found
+// it and do not depend on b.N, so the count reads the same at any
+// -benchtime, and the CI bench gate pins it like allocs/op.
+func viewWrites(b *testing.B, sys *baseline.IVMEps, stream []workload.Update) float64 {
+	b.Helper()
+	e := sys.Engine()
+	views := e.Stats().ViewDeltas
+	_, refills := e.Writes()
+	for _, sign := range []int64{1, -1} {
+		for _, u := range stream {
+			if err := sys.Update(u.Rel, u.Tuple, sign*u.Mult); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	_, r := e.Writes()
+	return float64(e.Stats().ViewDeltas-views+r-refills) / float64(2*len(stream))
+}
+
 // BenchmarkFig1StaticPreprocess measures the preprocessing stage of
 // Figure 1 (left) / Theorem 2 at each ε: one op = one full preprocessing of
 // an N≈2·benchN Zipf database (expected cost O(N^(1+ε)) for w=2).
@@ -107,8 +130,10 @@ func BenchmarkFig1DynamicUpdate(b *testing.B) {
 			db := workload.TwoPath(rng, benchN, 1.15)
 			sys := mustIVM(b, q, eps, db.Clone())
 			stream := workload.UpdateStream(rng, q, db, 4096, 0)
+			writes := viewWrites(b, sys, stream)
 			b.ResetTimer()
 			replayStream(b, sys, stream)
+			b.ReportMetric(writes, "view-writes/op")
 		})
 	}
 }
@@ -117,7 +142,8 @@ func BenchmarkFig1DynamicUpdate(b *testing.B) {
 // the update path: single-tuple updates in a steady state (no growth, no
 // rebalancing pressure), on a q-hierarchical query whose per-update cost the
 // paper bounds by O(1) and on the non-q-hierarchical two-path query. Run with
-// -benchmem; the allocs/op column is the headline number.
+// -benchmem; the allocs/op column is the headline number, and view-writes/op
+// (viewWrites) the paper's cost of an update.
 func BenchmarkUpdateSteadyState(b *testing.B) {
 	cases := []struct {
 		name string
@@ -137,9 +163,11 @@ func BenchmarkUpdateSteadyState(b *testing.B) {
 			db := c.gen(rng)
 			sys := mustIVM(b, q, c.eps, db.Clone())
 			stream := workload.UpdateStream(rng, q, db, 4096, 0)
+			writes := viewWrites(b, sys, stream)
 			b.ReportAllocs()
 			b.ResetTimer()
 			replayStream(b, sys, stream)
+			b.ReportMetric(writes, "view-writes/op")
 		})
 	}
 }
@@ -898,7 +926,10 @@ func BenchmarkShardedEnumerate(b *testing.B) {
 // pass — and nothing per row. The two-path-new-epoch case commits one Apply
 // before each pass, so every pass reads at a new epoch: its capture re-pins
 // the frozen handles of the context the last pass freed and allocates no
-// more than a pass at a held epoch.
+// more than a pass at a held epoch. gap-ops, the largest number of Work ops
+// between two rows of a pass, the open included (Engine.GapOps), is the
+// delay side's count, gated like allocs/op: a lookup that costs more ops
+// than it did shows there.
 func BenchmarkEnumerate(b *testing.B) {
 	const rowCap = 20000
 	// domains bound each variable's values; unlisted variables range over
@@ -976,12 +1007,14 @@ func BenchmarkEnumerate(b *testing.B) {
 					b.Fatal("empty result")
 				}
 				pass() // and again, so the timer starts after an Apply of each sign
+				gap := e.GapOps(rowCap)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					pass()
 				}
 				b.ReportMetric(float64(rows), "rows/op")
+				b.ReportMetric(float64(gap), "gap-ops")
 			})
 		}
 	}

@@ -3,6 +3,7 @@ package ivmeps
 import (
 	"fmt"
 
+	"ivmeps/internal/core"
 	"ivmeps/internal/tuple"
 	"ivmeps/internal/wal"
 )
@@ -31,6 +32,29 @@ func (e *Engine) MajorRebalance() { e.f.Shard(0).Rebalance() }
 func (e *Engine) Footprint() int {
 	bytes, _ := e.f.Shard(0).Footprint()
 	return bytes
+}
+
+// GapOps enumerates up to limit rows of shard 0's result on a snapshot of
+// its own and returns the largest number of Work ops between consecutive
+// rows, the open before the first row included (BenchmarkEnumerate's
+// gap-ops): the delay of Proposition 22 as an exact count.
+func (e *Engine) GapOps(limit int) int64 {
+	var s core.Snapshot
+	e.f.Shard(0).SnapshotInto(&s)
+	defer s.Close()
+	var it core.Iterator
+	s.ResultInto(&it)
+	defer it.Close()
+	var gap, last int64
+	for rows := 0; rows < limit; rows++ {
+		_, _, ok := it.Next()
+		gap = max(gap, s.Work()-last)
+		last = s.Work()
+		if !ok {
+			break
+		}
+	}
+	return gap
 }
 
 // SetDurabilityFS injects a file-operation implementation into a

@@ -504,12 +504,14 @@ func (e *Engine) applyBatchOcc(rt *relRoutes, d *delta) {
 	}
 }
 
-// writeBase applies d to the occurrence's base relation, maintaining N.
+// writeBase applies d to the occurrence's base relation, maintaining N and
+// the count of base writes.
 func (e *Engine) writeBase(rt *relRoutes, d *delta) {
 	before := rt.base.Size()
 	for i := range d.rows {
 		rt.base.MustAdd(d.rows[i].t, d.rows[i].m)
 	}
+	e.baseWrites += int64(len(d.rows))
 	if rt.countsN {
 		e.n += rt.base.Size() - before
 	}

@@ -90,19 +90,22 @@ type Engine struct {
 	// materialized relation, set at New and refilled in place from then on:
 	// the base relation, light part or ∃H behind a leaf, one for all leaves
 	// that name it, and one relation per structural class of view nodes
-	// (viewtree.Node.Canon). info[id] is the node's enumeration metadata and
-	// plans[id] the delta plan from the node into its parent view; fills[id]
-	// is the fill of the view class whose canonical node is id, filled[id]
-	// says materializeAll's current round has run it, and writer[id] is the
-	// one node of the class whose edges write its relation. sums is the
-	// scratch of the fills that read their sums off an index.
+	// (viewtree.Node.Canon) — but for an index-backed view (nodeInfo.sumKey),
+	// which has no relation of its own: its entry is its child's relation,
+	// and sumIx[id], made at Preprocess, the index of that relation it is
+	// read off. info[id] is the node's enumeration metadata and plans[id] the
+	// delta plan from the node into its parent view; fills[id] is the fill of
+	// the view class whose canonical node is id, filled[id] says
+	// materializeAll's current round has run it, and writer[id] is the one
+	// node of the class whose edges write its relation, nil for an
+	// index-backed class.
 	rels   []*relation.Relation
+	sumIx  []*relation.Index
 	info   []nodeInfo
 	plans  []*updPlan
 	fills  [][]viewFill
 	filled []bool
 	writer []*viewtree.Node
-	sums   []int64
 
 	// Propagation scratch: the binding slots of the update plans and the
 	// pool of deltas propagatePath draws its per-edge deltas from.
@@ -163,8 +166,10 @@ type Engine struct {
 
 	preprocessed bool
 
-	// Stats counters.
-	stats Stats
+	// Stats counters, and the rows written to base relations (writeBase) and
+	// by the refills of materializeAll (Writes).
+	stats                    Stats
+	baseWrites, refillWrites int64
 }
 
 // Stats reports maintenance activity counters. The root package publishes
@@ -188,7 +193,8 @@ type Stats struct {
 	// rebalance's refill of every view, the writes to light parts and
 	// the writes to base relations are not counted, so a commit that
 	// crosses a major-rebalance trigger of a forest with a partition
-	// counts none.
+	// counts none; nor is an index-backed view, which its leaf's write
+	// keeps and which is never written itself.
 	ViewDeltas int64 `json:"view_deltas"`
 	// Batches counts commits — every Insert, Delete, Apply, or Commit call
 	// that published an epoch, a single-tuple update being a one-op commit
@@ -231,6 +237,13 @@ type nodeInfo struct {
 	direct   bool        // the subtree's free variables ⊆ schema: enumerate the node's relation directly
 	grounded bool        // the node has an ∃H child: enumerate per heavy key (Figure 13)
 	kids     []*nodeInfo // children excluding the ∃H child
+
+	// sumKey marks an index-backed view (markIndexBacked): the key of the
+	// index of its child's relation it is read off — the view's variables, in
+	// that index's order — and sumSlots their binding slots. Both are nil for
+	// every other node.
+	sumKey   tuple.Schema
+	sumSlots []int
 
 	// Structural context: the schema positions whose variables occur in the
 	// parent view's schema. These (and only these) are bound by ancestors
@@ -344,7 +357,6 @@ func New(q *query.Query, opts Options) (*Engine, error) {
 	// later ∃-child's edge, propagated after the writer's (buildRoutes lists
 	// leaves in node-ID order), probes the written view. Nodes come in ID
 	// order, the canonical node first.
-	firstNode := map[*relation.Relation]int{}
 	for tree, root := range trees {
 		walkNodes(root, func(n *viewtree.Node) {
 			switch {
@@ -360,22 +372,106 @@ func New(q *query.Query, opts Options) (*Engine, error) {
 					e.writer[n.Canon.ID] = n
 				}
 			}
-			inf := e.buildInfo(n)
-			inf.tree, inf.frozenAs = tree, -1
-			if tree >= mainTrees {
-				return
-			}
-			inf.frozenAs = n.ID
-			if first, shared := firstNode[e.rels[n.ID]]; shared {
-				inf.frozenAs = first
-			} else {
-				firstNode[e.rels[n.ID]] = n.ID
-			}
+			e.buildInfo(n).tree = tree
 		})
 	}
-	e.ectx = e.newEnumCtx(e.rels) // after buildInfo has sized the scratch
+	e.markIndexBacked(mainTrees)
+	firstNode := map[*relation.Relation]int{}
+	for id := range e.info {
+		inf := &e.info[id]
+		inf.frozenAs = -1
+		if inf.tree >= mainTrees {
+			continue
+		}
+		inf.frozenAs = id
+		if first, shared := firstNode[e.rels[id]]; shared {
+			inf.frozenAs = first
+		} else {
+			firstNode[e.rels[id]] = id
+		}
+	}
+	e.ectx = e.newEnumCtx(e.rels, nil) // after buildInfo has sized the scratch; Preprocess sets sums
 	return e, nil
 }
+
+// markIndexBacked finds the view classes that are an index their child's
+// relation keeps anyway, and gives them no relation of their own. A view
+// V(S)[C(S, X)] over one leaf — a base relation or a light part — is
+// Σ_X C(S, X), which the bucket of C's index on exactly S holds
+// (relation.Index.Sum), as long as every reader probes V with its whole key:
+// every sibling's schema holds S, so each plan of the parent binds all of S
+// before it reads V (or seeds with V, reading the index's keys), and in a
+// main tree the parent's schema holds S, so enumeration looks V up and opens
+// it under a whole key. A tree root is read whole and stays materialized,
+// and so does a class any node of which fails a condition. An index-backed
+// node's edges write nothing and count no view write; one into a ∃-child
+// reads the support change off the sum its child's write left.
+func (e *Engine) markIndexBacked(mainTrees int) {
+	for id := range e.info {
+		if inf := &e.info[id]; inf.node.Kind == viewtree.View {
+			inf.sumKey = e.sumKeyOf(inf.node, inf.tree < mainTrees)
+		}
+	}
+	for id := range e.info { // a class is backed only if every node of it can be
+		if n := e.info[id].node; n.Kind == viewtree.View && e.info[id].sumKey == nil {
+			e.info[n.Canon.ID].sumKey = nil
+		}
+	}
+	for id := range e.info {
+		inf := &e.info[id]
+		n := inf.node
+		if n.Kind != viewtree.View || inf.sumKey == nil {
+			continue
+		}
+		if inf.sumKey = e.info[n.Canon.ID].sumKey; inf.sumKey == nil {
+			continue
+		}
+		e.rels[id], e.writer[n.Canon.ID] = e.rels[n.Children[0].ID], nil
+		inf.sumSlots = inf.slots
+		if !inf.sumKey.Equal(n.Schema) {
+			inf.sumSlots = make([]int, len(inf.sumKey))
+			for i, v := range inf.sumKey {
+				inf.sumSlots[i] = e.slot[v]
+			}
+		}
+	}
+}
+
+// sumKeyOf returns the key of the index view n may be read off
+// (markIndexBacked), or nil: an index its leaf's relation has on exactly n's
+// variables — a light part's on its partition key, a base relation's on a
+// partition key — or, in a main tree, the one enumeration builds on it
+// (enumIndexes), as the canonical node of n's class, which has n's leaf,
+// found it.
+func (e *Engine) sumKeyOf(n *viewtree.Node, main bool) tuple.Schema {
+	if n.Parent == nil || len(n.Children) != 1 || len(n.Schema) == 0 || main && !n.Parent.Schema.ContainsAll(n.Schema) {
+		return nil
+	}
+	c := n.Children[0]
+	if c.Kind != viewtree.Atom && c.Kind != viewtree.LightAtom || !c.Schema.ContainsAll(n.Schema) {
+		return nil
+	}
+	for _, s := range n.Parent.Children {
+		if !s.Schema.ContainsAll(n.Schema) {
+			return nil
+		}
+	}
+	switch {
+	case n.Canon != n:
+		return e.info[n.Canon.ID].sumKey
+	case e.rels[c.ID].Index(n.Schema) != nil:
+		return n.Schema
+	case main && len(n.Schema) < len(c.Schema):
+		return c.Schema.Intersect(n.Schema)
+	}
+	return nil
+}
+
+// Writes returns the rows commits wrote to base relations, and the rows the
+// refills of every view, light part and ∃H wrote — Preprocess's and every
+// major rebalance's — as each holds them once filled. With Stats.ViewDeltas
+// they are every row the engine writes.
+func (e *Engine) Writes() (base, refill int64) { return e.baseWrites, e.refillWrites }
 
 // buildInfo fills info[n.ID].
 func (e *Engine) buildInfo(n *viewtree.Node) *nodeInfo {

@@ -26,11 +26,12 @@ import (
 
 // enumCtx is one enumeration context: the binding slots shared by a tree of
 // iterators, the delay-work counter, and the relation of every node by
-// Node.ID. The engine's own context holds the live relations (Engine.rels)
-// and may only be used from the writer goroutine; a snapshot's holds a
-// frozen copy, whose distinct handles pinned lists for Close to release, and
-// is independent of concurrent updates. The iterators cannot tell the two
-// apart.
+// Node.ID, with the index an index-backed node is read off (sums). The
+// engine's own context holds the live relations and indexes (Engine.rels,
+// Engine.sumIx) and may only be used from the writer goroutine; a snapshot's
+// holds a frozen copy, whose distinct handles pinned lists for Close to
+// release, and their index handles, and is independent of concurrent
+// updates. The iterators cannot tell the two apart.
 //
 // vals and flags are the context's scratch: every node owns the region
 // nodeInfo.keyOff/auxOff/flagOff name (the key ctxKey fills, the probe tuple
@@ -44,6 +45,7 @@ import (
 type enumCtx struct {
 	e      *Engine
 	rels   []*relation.Relation
+	sums   []*relation.Index
 	pinned []*relation.Relation
 	bind   tuple.Tuple
 	bound  []bool
@@ -54,11 +56,11 @@ type enumCtx struct {
 	open   int
 }
 
-func (e *Engine) newEnumCtx(rels []*relation.Relation) *enumCtx {
+func (e *Engine) newEnumCtx(rels []*relation.Relation, sums []*relation.Index) *enumCtx {
 	nv := len(e.vars)
 	vals := make(tuple.Tuple, nv+e.scratchVals)
 	flags := make([]bool, nv+e.scratchFlags)
-	return &enumCtx{e: e, rels: rels, bind: vals[:nv:nv], bound: flags[:nv:nv], vals: vals[nv:], flags: flags[nv:]}
+	return &enumCtx{e: e, rels: rels, sums: sums, bind: vals[:nv:nv], bound: flags[:nv:nv], vals: vals[nv:], flags: flags[nv:]}
 }
 
 func (c *enumCtx) tick() { c.work++ }
@@ -140,6 +142,9 @@ func (c *enumCtx) lookup(inf *nodeInfo) int64 {
 	}
 	if inf.direct {
 		c.tick()
+		if inf.sumKey != nil {
+			return c.sum(inf)
+		}
 		t := c.vals[inf.auxOff : inf.auxOff+len(inf.slots)]
 		for i, s := range inf.slots {
 			if !c.bound[s] {
@@ -150,6 +155,20 @@ func (c *enumCtx) lookup(inf *nodeInfo) int64 {
 		return c.rels[inf.node.ID].Mult(t)
 	}
 	return c.lookupKids(inf)
+}
+
+// sum is the multiplicity of the bound tuple in an index-backed node: the sum
+// of its index's bucket. The key goes where ctxKey puts the context key, which
+// has as many values: every variable of such a node is its parent's.
+func (c *enumCtx) sum(inf *nodeInfo) int64 {
+	key := c.vals[inf.keyOff : inf.keyOff+len(inf.sumSlots)]
+	for i, s := range inf.sumSlots {
+		if !c.bound[s] {
+			panic(fmt.Sprintf("core: lookup of %s with unbound variable %s", inf.node.Name, inf.sumKey[i]))
+		}
+		key[i] = c.bind[s]
+	}
+	return c.sums[inf.node.ID].Sum(key)
 }
 
 // lookupKids multiplies the lookups of the node's children.
@@ -246,7 +265,11 @@ func (it *nodeIter) openCursor() {
 		it.cur = it.rel.First()
 	case len(inf.freshPos) == 0:
 		it.single = true
-		it.singleMul = it.rel.Mult(key)
+		if inf.sumKey != nil {
+			it.singleMul = it.c.sum(inf)
+		} else {
+			it.singleMul = it.rel.Mult(key)
+		}
 		it.singleOK = it.singleMul != 0
 	default:
 		it.ix = it.rel.EnsureIndex(inf.ctxSchema)

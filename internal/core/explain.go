@@ -15,8 +15,10 @@ import (
 // the engine's ε, and the constructed view trees, partitions, and
 // indicators. A view that repeats an earlier one prints as "=Name" and is
 // spelled out under "shared"; "∃" marks a view read for its support only.
-// Once preprocessed, it lists each view class's rows and the bytes its
-// relation holds (relation.Relation.Footprint).
+// The views line counts apart the nodes read off an index their leaf keeps
+// (index-backed). Once preprocessed, it lists each view class's rows and the
+// bytes its relation holds (relation.Relation.Footprint), or the index an
+// index-backed class is read off, which holds no byte of its own.
 func (e *Engine) Explain() string {
 	var b strings.Builder
 	c := query.Classify(e.orig)
@@ -61,13 +63,27 @@ func (e *Engine) Explain() string {
 	}
 	// What the "=Name" above stand for: the views several nodes share.
 	members := make([]int, len(e.info))
+	backed, backedClasses := 0, 0
 	for id := range e.info {
 		if n := e.info[id].node; n.Kind == viewtree.View {
 			members[n.Canon.ID]++
+			if e.info[id].sumKey != nil {
+				backed++
+				if n.Canon == n {
+					backedClasses++
+				}
+			}
 		}
 	}
-	if st := e.forest.Summarize(); st.DistinctViews < st.Views {
-		fmt.Fprintf(&b, "views: %d nodes, %d relations; shared:\n", st.Views, st.DistinctViews)
+	if st := e.forest.Summarize(); st.DistinctViews < st.Views || backed > 0 {
+		fmt.Fprintf(&b, "views: %d nodes, %d relations", st.Views, st.DistinctViews-backedClasses)
+		if backed > 0 {
+			fmt.Fprintf(&b, ", %d nodes read off an index", backed)
+		}
+		if st.DistinctViews < st.Views {
+			b.WriteString("; shared:")
+		}
+		b.WriteString("\n")
 		for id, k := range members {
 			if k > 1 {
 				fmt.Fprintf(&b, "  %s = %s  (%d nodes)\n", e.info[id].node.Name, viewtree.Render(e.info[id].node), k)
@@ -77,8 +93,11 @@ func (e *Engine) Explain() string {
 	if e.preprocessed {
 		b.WriteString("view storage:\n")
 		for id, k := range members {
-			if k > 0 {
-				r := e.rels[id]
+			switch r, key := e.rels[id], e.info[id].sumKey; {
+			case k == 0:
+			case key != nil:
+				fmt.Fprintf(&b, "  %s: %s's index on %s\n", e.info[id].node.Name, r.Name(), key)
+			default:
 				fmt.Fprintf(&b, "  %s: %d rows, %d bytes\n", e.info[id].node.Name, r.Size(), r.Footprint())
 			}
 		}

@@ -5,7 +5,25 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"ivmeps/internal/relation"
+	"ivmeps/internal/tuple"
+	"ivmeps/internal/viewtree"
 )
+
+// viewOf returns the rows view node n holds: its relation's, or, for an
+// index-backed view, a relation MustAdd of every key of its index with the
+// key's bucket sum (relation.Index.Sums) fills, in n's column order.
+func viewOf(e *Engine, n *viewtree.Node) *relation.Relation {
+	ix := e.sumIx[n.ID]
+	if ix == nil {
+		return e.rels[n.ID]
+	}
+	v := relation.New(n.Name, n.Schema)
+	toView := tuple.MustProjection(ix.Key(), n.Schema)
+	ix.Sums(nil, false, func(k tuple.Tuple, m int64) { v.MustAdd(toView.Apply(k), m) })
+	return v
+}
 
 // Snapshot captures into a new handle, as a reader that holds one does.
 func (e *Engine) Snapshot() *Snapshot {
@@ -19,7 +37,11 @@ func (e *Engine) Snapshot() *Snapshot {
 // Stats.ViewDeltas that viewWriteTable prints.
 func traceViewWrites(t *testing.T) map[string]int64 {
 	writes := map[string]int64{}
-	traceEdge = func(edge *pathEdge, rows int64) { writes[edge.view.Name()] += rows }
+	traceEdge = func(edge *pathEdge, rows int64) {
+		if edge.view != nil { // an index-backed view has none, and writes nothing
+			writes[edge.view.Name()] += rows
+		}
+	}
 	t.Cleanup(func() { traceEdge = nil })
 	return writes
 }

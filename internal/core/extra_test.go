@@ -62,7 +62,7 @@ func TestExplain(t *testing.T) {
 	}
 	pre := e.Explain()
 	for _, want := range []string{"w=2", "δ=1", "O(N^1.50)", "O(N^0.50)", "∃H", "R^{B}",
-		"All: V(B)[∃=AuxA_7, ∃=AuxC_8]", "views: 10 nodes, 8 relations", "AuxA_7 = V(B)[R(A, B)]  (2 nodes)"} {
+		"All: V(B)[∃=AuxA_7, ∃=AuxC_8]", "views: 10 nodes, 4 relations, 6 nodes read off an index; shared:", "AuxA_7 = V(B)[R(A, B)]  (2 nodes)"} {
 		if !strings.Contains(pre, want) {
 			t.Errorf("Explain missing %q:\n%s", want, pre)
 		}
@@ -74,7 +74,8 @@ func TestExplain(t *testing.T) {
 		t.Fatal(err)
 	}
 	post := e.Explain()
-	if !strings.Contains(post, "state: N = 0") || !strings.Contains(post, "view storage:\n") || !strings.Contains(post, "  VB_10: 0 rows, 0 bytes\n") {
+	if !strings.Contains(post, "state: N = 0") || !strings.Contains(post, "view storage:\n") || !strings.Contains(post, "  VB_10: 0 rows, 0 bytes\n") ||
+		!strings.Contains(post, "  AuxA_7: R's index on (B)\n") || !strings.Contains(post, "  LA_4: R^B's index on (B)\n") {
 		t.Errorf("Explain missing state after preprocessing:\n%s", post)
 	}
 

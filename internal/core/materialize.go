@@ -79,9 +79,10 @@ func CheckRows(rel string, s tuple.Schema, vals []tuple.Value, mults []int64) er
 // indicator trees and heavy indicators are built, and all view trees are
 // materialized bottom-up — a sum of one child off the child's index where it
 // has one (joinChildren), the enumeration indexes such sums read built
-// first, the others after. The base seals and a large join's fill run on up
-// to cores goroutines (Seal, fillJoin), which return before Preprocess does:
-// the engine's share of GOMAXPROCS.
+// first, the others after. An index-backed view has no fill: the index it is
+// read off, built first of all, is the view (markIndexBacked). The base seals
+// and a large join's fill run on up to cores goroutines (Seal, fillJoin),
+// which return before Preprocess does: the engine's share of GOMAXPROCS.
 //
 // alongside, unless nil, runs on a goroutine of its own once the base
 // relations are sealed, with a live handle on each, while Preprocess goes on
@@ -115,6 +116,13 @@ func (e *Engine) Preprocess(cores int, alongside func(bases []Base)) {
 	// The preprocessing stage sets M = 2N + 1, establishing ⌊M/4⌋ ≤ N < M
 	// (proof of Proposition 27). N is maintained incrementally from here on.
 	e.m = 2*e.n + 1
+	e.sumIx = make([]*relation.Index, len(e.info))
+	for id := range e.info {
+		if key := e.info[id].sumKey; key != nil {
+			e.sumIx[id] = e.rels[id].EnsureIndex(key)
+		}
+	}
+	e.ectx.sums = e.sumIx
 	e.materializeAll(cores)
 	e.buildEnumIndexes()
 	if e.opts.Mode == viewtree.Dynamic {
@@ -161,6 +169,7 @@ func (e *Engine) materializeAll(cores int) {
 	theta := e.Theta()
 	for _, pr := range e.partitions {
 		pr.p.Rebuild(theta)
+		e.refillWrites += int64(pr.p.Light().Size())
 	}
 	clear(e.filled)
 	for _, ind := range e.forest.Indicators {
@@ -178,10 +187,11 @@ func (e *Engine) materializeAll(cores int) {
 // materializeTree computes every view of a tree bottom-up, refilling its
 // relation in place — routes and plans cache the pointer (routes.go); its
 // leaves (base relations, light parts, heavy indicators) are already
-// materialized. A view class is filled once a round, through whichever of its
-// nodes comes first; the equal subtree below a later one is done by then.
+// materialized, and so is an index-backed view, its leaf's index. A view
+// class is filled once a round, through whichever of its nodes comes first;
+// the equal subtree below a later one is done by then.
 func (e *Engine) materializeTree(n *viewtree.Node, cores int) {
-	if n.Kind != viewtree.View || e.filled[n.Canon.ID] {
+	if n.Kind != viewtree.View || e.filled[n.Canon.ID] || e.sumIx[n.ID] != nil {
 		return
 	}
 	e.filled[n.Canon.ID] = true
@@ -192,13 +202,35 @@ func (e *Engine) materializeTree(n *viewtree.Node, cores int) {
 }
 
 // joinInput is one input of a compiled join: a node's relation, every row of
-// which counts once when the node is a ∃-child of an indicator tree.
+// which counts once when the node is a ∃-child of an indicator tree. For an
+// index-backed view, backed is the index it is read off: the view's rows are
+// the index's keys with their bucket sums, and rel is the index's relation,
+// not the view's.
 type joinInput struct {
 	rel    *relation.Relation
 	exists bool
+	backed *relation.Index
 }
 
-func (e *Engine) input(n *viewtree.Node) joinInput { return joinInput{e.rels[n.ID], n.Exists} }
+func (e *Engine) input(n *viewtree.Node) joinInput {
+	return joinInput{e.rels[n.ID], n.Exists, e.sumIx[n.ID]}
+}
+
+// schema is the variables of the input's rows, in their order.
+func (in *joinInput) schema() tuple.Schema {
+	if in.backed != nil {
+		return in.backed.Key()
+	}
+	return in.rel.Schema()
+}
+
+// multOf is the multiplicity of the row t, a whole row of the input, in it.
+func (in *joinInput) multOf(t tuple.Tuple) int64 {
+	if in.backed != nil {
+		return in.backed.Sum(t)
+	}
+	return in.rel.Mult(t)
+}
 
 // viewFill is one compiled step of a view's materialization: seed, run whole
 // through plan as if it were the delta, lands in dst. A view is the delta of
@@ -241,14 +273,14 @@ func (e *Engine) compileFill(n *viewtree.Node) []viewFill {
 			fills = append(fills, viewFill{plan: e.compilePlan(c.Schema, nil, keep), seed: ins[i], dst: agg})
 			ins[i] = joinInput{rel: agg}
 		}
-		if len(ins[i].rel.Schema()) < len(ins[seed].rel.Schema()) {
+		if len(ins[i].schema()) < len(ins[seed].schema()) {
 			seed = i
 		}
 	}
 	s := ins[seed]
-	fills = append(fills, viewFill{plan: e.compilePlan(s.rel.Schema(), slices.Delete(ins, seed, seed+1), n.Schema), seed: s, dst: e.rels[n.ID]})
+	fills = append(fills, viewFill{plan: e.compilePlan(s.schema(), slices.Delete(ins, seed, seed+1), n.Schema), seed: s, dst: e.rels[n.ID]})
 	for i := range fills {
-		if f := &fills[i]; len(f.plan.steps) == 0 {
+		if f := &fills[i]; len(f.plan.steps) == 0 && f.seed.backed == nil {
 			f.sum, f.toDst = e.sumIndex(f.seed.rel, f.dst.Schema())
 		}
 	}
@@ -292,7 +324,7 @@ func (e *Engine) joinChildren(n *viewtree.Node, cores int) {
 		switch {
 		case f.sum != nil:
 			f.dst.Reserve(f.sum.DistinctKeys())
-			e.sums = f.sum.Sums(e.sums, f.seed.exists, func(k tuple.Tuple, m int64) {
+			f.sum.Sums(nil, f.seed.exists, func(k tuple.Tuple, m int64) {
 				f.dst.Append(f.toDst.AppendTo(f.plan.outScratch[:0], k), m)
 			})
 			f.dst.Seal(1)
@@ -301,6 +333,7 @@ func (e *Engine) joinChildren(n *viewtree.Node, cores int) {
 		default:
 			e.fillJoin(f, cores)
 		}
+		e.refillWrites += int64(f.dst.Size())
 	}
 }
 
@@ -331,7 +364,12 @@ var traceHelpers func(p int)
 // ids (planSink.put) through a copy of the plan's scratch, while one more
 // goroutine sizes dst's probe array, before one Seal(p) places them all:
 // the rows land at the ids, and in the order, of a fill on the caller alone.
+// A seed that is an index-backed view runs whole on the caller: its rows are
+// the index's keys, which have no ids to cut into chunks.
 func (e *Engine) fillJoin(f *viewFill, cores int) {
+	if f.seed.backed != nil {
+		cores = 1
+	}
 	seed := f.seed.rel
 	count := planSink{count: true}
 	var upTo []int // upTo[i]: the rows of the seed's first i entries
@@ -451,6 +489,7 @@ func (e *Engine) materializeH(ind *viewtree.Indicator) {
 			h.MustAdd(t, 1)
 		}
 	})
+	e.refillWrites += int64(h.Size())
 }
 
 // buildEnumIndexes creates, ahead of enumeration, the secondary indexes the

@@ -82,11 +82,14 @@ type leafPath struct {
 // pathEdge is one step of the chain: the delta-propagation plan into the
 // parent view and the parent's materialized relation. skip marks an edge
 // into a view that is not its class's writer (Engine.writer), whose edge
-// maintains the relation they share; flips one into a ∃-child of an indicator
-// tree, whose parent is handed support changes (propagatePath).
+// maintains the relation they share, or into an index-backed view, which has
+// no relation (view is nil) and is read off backed, its leaf's index; flips
+// one into a ∃-child of an indicator tree, whose parent is handed support
+// changes (propagatePath).
 type pathEdge struct {
 	plan        *updPlan
 	view        *relation.Relation
+	backed      *relation.Index
 	skip, flips bool
 }
 
@@ -195,7 +198,11 @@ func (e *Engine) buildPath(leaf *viewtree.Node) *leafPath {
 	lp := &leafPath{leaf: leaf}
 	child := leaf
 	for n := leaf.Parent; n != nil; n = n.Parent {
-		lp.edges = append(lp.edges, pathEdge{plan: e.updatePlan(n, child), view: e.rels[n.ID], skip: e.writer[n.Canon.ID] != n, flips: n.Exists})
+		edge := pathEdge{plan: e.updatePlan(n, child), view: e.rels[n.ID], backed: e.sumIx[n.ID], skip: e.writer[n.Canon.ID] != n, flips: n.Exists}
+		if edge.backed != nil {
+			edge.view = nil
+		}
+		lp.edges = append(lp.edges, edge)
 		child = n
 	}
 	lp.tree = e.info[leaf.ID].tree

@@ -88,7 +88,7 @@ func (e *Engine) takeCtx() *enumCtx {
 		c.work = 0
 		return c
 	}
-	return e.newEnumCtx(make([]*relation.Relation, len(e.rels)))
+	return e.newEnumCtx(make([]*relation.Relation, len(e.rels)), make([]*relation.Index, len(e.rels)))
 }
 
 // putCtx releases the pins of a snapshot context no iterator is open on and
@@ -127,6 +127,9 @@ func (e *Engine) SnapshotInto(s *Snapshot) {
 			c.pinned = append(c.pinned, c.rels[id])
 		} else if first >= 0 {
 			c.rels[id] = c.rels[first]
+		}
+		if key := e.info[id].sumKey; key != nil && first >= 0 {
+			c.sums[id] = c.rels[id].Index(key)
 		}
 	}
 	*s = Snapshot{e: e, epoch: e.epoch, ctx: c}

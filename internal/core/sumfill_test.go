@@ -15,7 +15,10 @@ import (
 // TestFillsMatchRowByRow holds every relation materializeAll fills to a
 // row-by-row MustAdd reference, in entries, multiplicities and insertion
 // order: each view to its fill's plan run into a fresh relation by MustAdd,
-// each light part to MustAdd of the base rows whose key degree is below θ.
+// each light part to MustAdd of the base rows whose key degree is below θ;
+// and each index-backed view, which has no fill, to the reference its fill
+// would have — MustAdd of its leaf's rows onto its key — through its lookups
+// (checkBacked).
 // It checks after Preprocess, and after a forced major rebalance that
 // follows churn — every row holding one of a few values deleted, then rows
 // of fresh values inserted into the freed bucket ids of the seeds' indexes,
@@ -28,7 +31,7 @@ import (
 // V(A, C) of the two-path query over values of A and C too wide to repeat.
 func TestFillsMatchRowByRow(t *testing.T) {
 	helped := helpersFrom(t, 64)
-	var sums, lights, exists, perms, reordered int
+	var sums, lights, exists, perms, reordered, backed, backedLights int
 	for _, c := range []struct {
 		q    string
 		p    int
@@ -92,6 +95,16 @@ func TestFillsMatchRowByRow(t *testing.T) {
 		e.Rebalance()
 		checkFills(t, e, q+" after churn and a major rebalance")
 
+		for id := range e.info {
+			if e.info[id].sumKey == nil {
+				continue
+			}
+			backed++
+			if e.info[id].node.Children[0].Kind == viewtree.LightAtom {
+				backedLights++
+			}
+		}
+
 		for _, fs := range e.fills {
 			for _, f := range fs {
 				if f.sum == nil {
@@ -118,10 +131,13 @@ func TestFillsMatchRowByRow(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("fills summed off an index: %d, of a light part %d, of an ∃-child %d, permuting its key %d, in an order not the buckets' %d; joins on helpers %d",
-		sums, lights, exists, perms, reordered, *helped)
+	t.Logf("fills summed off an index: %d, of a light part %d, of an ∃-child %d, permuting its key %d, in an order not the buckets' %d; joins on helpers %d; index-backed views %d, of a light part %d",
+		sums, lights, exists, perms, reordered, *helped, backed, backedLights)
 	if *helped == 0 {
 		t.Error("no join's fill ran on helpers")
+	}
+	if backed == 0 || backedLights == 0 {
+		t.Errorf("index-backed views: %d, of a light part %d; want each > 0", backed, backedLights)
 	}
 	if sums == 0 || lights == 0 || exists == 0 || perms == 0 || reordered == 0 {
 		t.Errorf("fills summed off an index: %d, of a light part %d, of an ∃-child %d, permuting its key %d, in an order not the buckets' %d; want each > 0",
@@ -133,6 +149,7 @@ func TestFillsMatchRowByRow(t *testing.T) {
 // (TestFillsMatchRowByRow).
 func checkFills(t *testing.T, e *Engine, stage string) {
 	t.Helper()
+	checkBacked(t, e, stage)
 	for _, fs := range e.fills {
 		for _, f := range fs {
 			ref := relation.New(f.dst.Name(), f.dst.Schema())

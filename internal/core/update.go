@@ -144,12 +144,13 @@ func (e *Engine) propagateIndicator(s *indShared, key tuple.Tuple, dh int64) {
 // computed along the path come from (and return to) the engine's pool.
 //
 // A skip edge runs its plan — the parent above needs δV — but leaves the view
-// to its writer's edge; a flips edge hands its parent the change of the view's
-// support, not δV: +1 for a row the view did not have, −1 for one it has no
-// more, nothing otherwise — on a skip edge read off the view its writer's
-// edge, propagated earlier, has already brought up to date (pathEdge). Any
-// other edge whose input has more than sealDeltaRows rows seals δV into the
-// view in one pass (sealEdge).
+// to its writer's edge, or, into an index-backed view, to the leaf's write,
+// which moved the bucket sum the view is read off; a flips edge hands its
+// parent the change of the view's support, not δV: +1 for a row the view did
+// not have, −1 for one it has no more, nothing otherwise — on a skip edge read
+// off the view its writer's edge, propagated earlier, has already brought up
+// to date, or off the sum (pathEdge). Any other edge whose input has more than
+// sealDeltaRows rows seals δV into the view in one pass (sealEdge).
 func (e *Engine) propagatePath(lp *leafPath, d *delta) {
 	// Commit-delta capture (watch.go): while a sink is subscribed, the rows
 	// the final edge applies to a main tree's root view are that view's
@@ -222,9 +223,12 @@ func (e *Engine) applyEdge(edge *pathEdge, out, capd *delta) bool {
 		m := w.m
 		if edge.flips {
 			var after int64
-			if edge.skip {
+			switch {
+			case edge.backed != nil:
+				after = edge.backed.Sum(w.t)
+			case edge.skip:
 				after = edge.view.Mult(w.t)
-			} else {
+			default:
 				after = edge.view.MustAddPrior(w.t, m) + m
 			}
 			switch {
@@ -327,12 +331,24 @@ func (e *Engine) updatePlan(n *viewtree.Node, child *viewtree.Node) *updPlan {
 			sibs = append(sibs, e.input(c))
 		}
 	}
-	e.plans[child.ID] = e.compilePlan(child.Schema, sibs, n.Schema)
+	e.plans[child.ID] = e.compilePlan(e.rowSchema(child), sibs, e.rowSchema(n))
 	return e.plans[child.ID]
 }
 
+// rowSchema is the order of the variables in the rows of n's deltas: its
+// schema's, or, for an index-backed view, whose delta rows its edge probes
+// the sums with, its index's key's.
+func (e *Engine) rowSchema(n *viewtree.Node) tuple.Schema {
+	if key := e.info[n.ID].sumKey; key != nil {
+		return key
+	}
+	return n.Schema
+}
+
 // compilePlan compiles the join of a seed over schema seed with rest, onto
-// out, ordering rest greedily: most already-bound variables first.
+// out, ordering rest greedily: most already-bound variables first. An
+// index-backed input is probed with its whole key, which markIndexBacked
+// made sure every plan has bound by then.
 func (e *Engine) compilePlan(seed tuple.Schema, rest []joinInput, out tuple.Schema) *updPlan {
 	p := &updPlan{}
 	bound := map[tuple.Variable]bool{}
@@ -344,12 +360,12 @@ func (e *Engine) compilePlan(seed tuple.Schema, rest []joinInput, out tuple.Sche
 		best, bestScore := 0, -1<<30
 		for i, r := range rest {
 			score := 0
-			for _, v := range r.rel.Schema() {
+			for _, v := range r.schema() {
 				if bound[v] {
 					score++
 				}
 			}
-			score = score*100 - len(r.rel.Schema())
+			score = score*100 - len(r.schema())
 			if score > bestScore {
 				best, bestScore = i, score
 			}
@@ -357,7 +373,7 @@ func (e *Engine) compilePlan(seed tuple.Schema, rest []joinInput, out tuple.Sche
 		st := updStep{joinInput: rest[best]}
 		rest = slices.Delete(rest, best, best+1)
 		var ixSchema tuple.Schema
-		for pos, v := range st.rel.Schema() {
+		for pos, v := range st.schema() {
 			if bound[v] {
 				ixSchema = append(ixSchema, v)
 				st.keySlots = append(st.keySlots, e.slot[v])
@@ -368,6 +384,9 @@ func (e *Engine) compilePlan(seed tuple.Schema, rest []joinInput, out tuple.Sche
 			}
 		}
 		st.full = len(st.freshPos) == 0
+		if st.backed != nil && !st.full {
+			panic(fmt.Sprintf("core: index-backed view on %v probed without its whole key", st.schema()))
+		}
 		if !st.full && len(ixSchema) > 0 {
 			st.index = st.rel.EnsureIndex(ixSchema)
 		}
@@ -398,8 +417,19 @@ func (p *updPlan) run(scratch []tuple.Value, d *delta, to *planSink) {
 
 // fill runs n entries of seed, from id on in insertion order — every one
 // from id on when n < 0 — through the plan as if they were the delta, and
-// returns the entry after the last it ran.
+// returns the entry after the last it ran. An index-backed seed runs whole,
+// one row per key of its index, in the order the keys first appear
+// (relation.Index.Sums), whatever id and n say.
 func (p *updPlan) fill(scratch []tuple.Value, seed joinInput, id relation.ID, n int, to *planSink) relation.ID {
+	if seed.backed != nil {
+		seed.backed.Sums(nil, false, func(k tuple.Tuple, m int64) {
+			for i, s := range p.deltaSlots {
+				scratch[s] = k[i]
+			}
+			p.rec(scratch, 0, seed.mult(m), to)
+		})
+		return relation.End
+	}
 	r := seed.rel
 	for ; id != relation.End && n != 0; id, n = r.Next(id), n-1 {
 		t, m := r.At(id)
@@ -450,11 +480,11 @@ func (p *updPlan) rec(scratch []tuple.Value, i int, mult int64, to *planSink) {
 			to.rows += st.index.Count(key)
 		} else if !st.full {
 			to.rows += st.rel.Size()
-		} else if st.rel.Mult(key) != 0 {
+		} else if st.multOf(key) != 0 {
 			to.rows++
 		}
 	case st.full:
-		if m := st.rel.Mult(key); m != 0 {
+		if m := st.multOf(key); m != 0 {
 			p.rec(scratch, i+1, mult*st.mult(m), to)
 		}
 	case st.index == nil:

@@ -28,10 +28,9 @@ import (
 //     (Bagan, Durand and Grandjean, CSL 2007) — ≤ C·N^(1−ε), after Build and
 //     at the end of the update stream;
 //   - update (Proposition 27): view rows written per update, the refill of
-//     every major rebalance counted as the tuples stored after it —
-//     (ViewDeltas + Σ stored tuples at each major rebalance) ÷ Updates —
-//     ≤ C·N^(δε), over a single-tuple update stream that crosses two major
-//     rebalances.
+//     every major rebalance counted as the rows it wrote (Engine.Writes) —
+//     (ViewDeltas + refill writes) ÷ Updates — ≤ C·N^(δε), over a
+//     single-tuple update stream that crosses two major rebalances.
 //
 // No C is fitted: each is derived below (boundsModel) from the forest's
 // shape and the invariants the engine keeps — heavy keys have degree ≥ ½M^ε,
@@ -117,11 +116,10 @@ func boundsRun(t *testing.T, q *query.Query, c query.Class, eps float64, perRel 
 			t.Errorf("%s ε=%v N=%d: %s count %.0f exceeds the derived %.0f", q, eps, e.N(), boundNames[b], count, derived)
 		}
 	}
-	checkSpace := func(b int) int {
+	checkSpace := func(b int) {
 		_, stored := e.Footprint()
 		n := e.N()
 		observe(b, float64(stored), model.stored(n), math.Pow(float64(n), 1+float64(c.StaticWidth-1)*eps))
-		return stored
 	}
 	checkDelay := func() {
 		n := e.N()
@@ -135,8 +133,9 @@ func boundsRun(t *testing.T, q *query.Query, c query.Class, eps float64, perRel 
 	// fresh key of the root variable, which starts light and must move
 	// heavy; at ε = 1 every key stays light and the hot key would only
 	// materialize its product.
-	nmax, refills := e.N(), 0
+	nmax := e.N()
 	start := e.Stats()
+	_, refilled := e.Writes()
 	apply := func(rel string, tup tuple.Tuple, m int64) {
 		before := e.Stats().MajorRebalances
 		if err := e.Update(rel, tup, m); err != nil {
@@ -144,7 +143,7 @@ func boundsRun(t *testing.T, q *query.Query, c query.Class, eps float64, perRel 
 		}
 		nmax = max(nmax, e.N())
 		if e.Stats().MajorRebalances != before {
-			refills += checkSpace(boundRebalance)
+			checkSpace(boundRebalance)
 		}
 	}
 	hot := 0 // the hot inserts, relation by relation in equal blocks
@@ -163,7 +162,8 @@ func boundsRun(t *testing.T, q *query.Query, c query.Class, eps float64, perRel 
 	res.updates = st.Updates - start.Updates
 	res.minor = st.MinorRebalances - start.MinorRebalances
 	res.major = st.MajorRebalances - start.MajorRebalances
-	writes := float64(st.ViewDeltas-start.ViewDeltas) + float64(refills)
+	_, refills := e.Writes()
+	writes := float64(st.ViewDeltas-start.ViewDeltas) + float64(refills-refilled)
 	observe(boundUpdate, writes/float64(res.updates), model.updateWrites(nmax), math.Pow(float64(nmax), float64(c.DynamicWidth)*eps))
 	checkDelay()
 	if err := e.CheckInvariants(); err != nil {

@@ -437,7 +437,7 @@ func (r *Relation) placeOn(lo, hi int, pbits uint, p int) (merged bool) {
 		if !neg {
 			a, b = k*parts/p, (k+1)*parts/p
 			h.rows = buf[start[a]:start[b]]
-			h.placed, h.merged, h.defers = s.placeWindow(h.rows, uint64(b*width))
+			h.placed, h.merged, h.defers = s.placeWindow(h.rows, uint64(b*width), lo)
 		}
 	}
 	var done sync.WaitGroup
@@ -474,11 +474,14 @@ func (r *Relation) placeOn(lo, hi int, pbits uint, p int) (merged bool) {
 // placed before it, and homed in the same slot, so in this window — or takes
 // the first empty slot of its probe. A probe that would reach end, out of the
 // window, is deferred instead: the row moves to the front of buf, in order.
-// It touches no slot outside the window and no multiplicity but those of its
-// rows and of the rows they merge into. It returns the rows it placed,
-// whether one merged, and how many it deferred.
-func (s *relStore) placeWindow(buf []link, end uint64) (placed int, merged bool, deferred int) {
+// So is a row equal to a stored one, the ids below lo, when the relation has
+// an index: the merge changes a bucket sum, and rows of two windows may share
+// a bucket. It touches no slot outside the window and no multiplicity but
+// those of its rows and of the appended rows they merge into. It returns the
+// rows it placed, whether one merged, and how many it deferred.
+func (s *relStore) placeWindow(buf []link, end uint64, lo int) (placed int, merged bool, deferred int) {
 	t := &s.tab
+	indexed := len(s.indexes) > 0
 	for _, l := range buf {
 		v := uint64(l.prev) | uint64(l.next)<<32
 		id := ID(v - 1)
@@ -497,7 +500,13 @@ func (s *relStore) placeWindow(buf []link, end uint64) (placed int, merged bool,
 			if x&^idMask != v&^idMask || !t.key(ID(x-1)).Equal(t.key(id)) {
 				continue
 			}
-			s.mults[ID(x-1)] += s.mults[id]
+			e := ID(x - 1)
+			if indexed && int(e) < lo {
+				buf[deferred] = l
+				deferred++
+				break
+			}
+			s.mults[e] += s.mults[id]
 			s.mults[id] = 0
 			merged = true
 			break
@@ -507,16 +516,21 @@ func (s *relStore) placeWindow(buf []link, end uint64) (placed int, merged bool,
 }
 
 // merge adds appended row id's multiplicity to the equal row e in slot i and
-// empties id. An e that reaches zero leaves as Add would remove it; a later
-// equal row is then new again, and enters the insertion order at its own
-// place.
+// empties id: to a stored e's bucket sums too (addMult), while an appended e
+// is indexed, sum and all, once the seal has placed every row. An e that
+// reaches zero leaves as Add would remove it; a later equal row is then new
+// again, and enters the insertion order at its own place.
 func (r *Relation) merge(i uint64, e, id ID, lo int) {
 	s := r.s
 	have, m := s.mults[e], s.mults[id]
 	if have+m < 0 {
 		panic(r.multError(s.tab.key(e), have, m))
 	}
-	s.mults[e], s.mults[id] = have+m, 0
+	if s.mults[id] = 0; int(e) < lo {
+		s.addMult(e, m)
+	} else {
+		s.mults[e] = have + m
+	}
 	switch {
 	case have+m != 0:
 	case int(e) < lo:
@@ -625,7 +639,7 @@ func (r *Relation) settle(lo, hi int, emit func(t tuple.Tuple, m int64)) (rows i
 		if rows++; emit != nil {
 			emit(key, net)
 		}
-		if s.mults[e] = have + net; have+net == 0 {
+		if s.addMult(e, net); have+net == 0 {
 			s.remove(i, e)
 		}
 	}

@@ -79,7 +79,8 @@ func traceHelpers(t *testing.T) (seals, deferred *int) {
 
 // sameRelation reports the first way got differs from want — as seen
 // through the cursors, the probes and the index on keys (A): entry order,
-// tuples and multiplicities, sizes, and each bucket's count and order — or "".
+// tuples and multiplicities, sizes, and each bucket's count, sum and order,
+// and either's bucket sums against its entries — or "".
 func sameRelation(got, want *Relation) string {
 	if got.Size() != want.Size() {
 		return "size"
@@ -106,10 +107,16 @@ func sameRelation(got, want *Relation) string {
 	if gix.DistinctKeys() != wix.DistinctKeys() {
 		return "distinct index keys"
 	}
+	if d := sumsHold(gix) + sumsHold(wix); d != "" {
+		return d
+	}
 	diff := ""
 	wix.ForEachKey(func(key tuple.Tuple, count int) {
 		if gix.Count(key) != count {
 			diff = "index bucket count"
+		}
+		if gix.Sum(key) != wix.Sum(key) {
+			diff = "index bucket sum"
 		}
 		g, w := gix.First(key), wix.First(key)
 		for ; w != End && g != End; g, w = gix.Next(g), wix.Next(w) {
@@ -124,6 +131,36 @@ func sameRelation(got, want *Relation) string {
 		}
 	})
 	return diff
+}
+
+// freezer holds a fuzzer's frozen handle on the relation it seals and a copy
+// of the reference at the time, indexed like it, which the handle must go on
+// reading however the relation changes after.
+type freezer struct {
+	frozen, pinned *Relation
+}
+
+// freeze releases the handle held, if any, and pins r's contents, which equal
+// ref's.
+func (fz *freezer) freeze(r, ref *Relation) {
+	if fz.frozen != nil {
+		fz.frozen.Release()
+	}
+	fz.frozen = r.FreezeInto(fz.frozen)
+	fz.pinned = ref.Clone()
+	fz.pinned.EnsureIndex(tuple.NewSchema("A"))
+}
+
+// check reports the first way the frozen handle differs from what it pinned,
+// or "".
+func (fz *freezer) check() string {
+	if fz.frozen == nil {
+		return ""
+	}
+	if d := sameRelation(fz.frozen, fz.pinned); d != "" {
+		return "the frozen handle differs from what it pinned: " + d
+	}
+	return ""
 }
 
 // checkTable reports the first stored entry the probe array cannot find by
@@ -476,17 +513,21 @@ func TestFillGrowth(t *testing.T) {
 }
 
 // FuzzSeal decodes arbitrary bytes as an append stream — three bytes a row:
-// its key, its multiplicity (a negative one clamped to what the key holds),
-// and whether to Seal, Add instead of Append, or Reserve before it — and
-// checks the sealed relation against MustAdd's after every seal.
+// its key and whether to freeze the relation first, so that the row detaches
+// it, its multiplicity (a negative one clamped to what the key holds), and
+// whether to Seal, Add instead of Append, or Reserve before it — and checks
+// the sealed relation, its index's bucket sums included, against MustAdd's
+// after every seal, and a frozen handle against what it pinned.
 func FuzzSeal(f *testing.F) {
 	f.Add([]byte{1, 2, 0, 1, 3, 1, 1, 0xff, 0})
 	f.Add([]byte{0, 5, 2, 9, 1, 4, 9, 0x80, 1, 9, 1, 0})
+	f.Add([]byte{0x21, 2, 1, 1, 3, 0, 0x21, 0xff, 0, 9, 1, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sealed, added := New("R", ab()), New("R", ab())
 		sealed.EnsureIndex(tuple.NewSchema("A"))
 		added.EnsureIndex(tuple.NewSchema("A"))
 		have := map[[2]int64]int64{}
+		var fz freezer
 		check := func() {
 			sealed.Seal(1)
 			if d := sameRelation(sealed, added); d != "" {
@@ -495,8 +536,15 @@ func FuzzSeal(f *testing.F) {
 			if d := checkTable(sealed); d != "" {
 				t.Fatal(d)
 			}
+			if d := fz.check(); d != "" {
+				t.Fatal(d)
+			}
 		}
 		for ; len(data) >= 3; data = data[3:] {
+			if data[0]&0x20 != 0 {
+				check()
+				fz.freeze(sealed, added)
+			}
 			k := [2]int64{int64(data[0] & 7), int64(data[0] >> 3 & 3)}
 			m, ctl := int64(int8(data[1])), data[2]
 			if m < 0 {
@@ -819,19 +867,24 @@ func TestSealDeltaPinnedAndMisuse(t *testing.T) {
 }
 
 // FuzzSealDelta decodes arbitrary bytes as deltas — three bytes a row: its
-// key, its multiplicity (a negative one clamped so that the running sum of
-// the key stays at or above zero), and whether to seal the delta after it or
-// Add the row between deltas instead — and checks every seal against MustAdd
-// of the delta's aggregate: the relation, its index and the emitted rows.
+// key and whether to freeze the relation before the next delta, so that the
+// delta detaches it, its multiplicity (a negative one clamped so that the
+// running sum of the key stays at or above zero), and whether to seal the
+// delta after it or Add the row between deltas instead — and checks every
+// seal against MustAdd of the delta's aggregate: the relation, its index with
+// its bucket sums, and the emitted rows; and a frozen handle against what it
+// pinned.
 func FuzzSealDelta(f *testing.F) {
 	f.Add([]byte{1, 2, 0, 1, 3, 0, 9, 1, 1, 1, 0xfb, 1})
 	f.Add([]byte{0, 5, 2, 9, 1, 0, 0, 0xfb, 0, 9, 0xff, 1, 9, 1, 0})
+	f.Add([]byte{1, 2, 1, 0x21, 3, 0, 9, 1, 1, 0x21, 0xfb, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sealed, added := New("R", ab()), New("R", ab())
 		sealed.EnsureIndex(tuple.NewSchema("A"))
 		added.EnsureIndex(tuple.NewSchema("A"))
 		have := map[[2]int64]int64{}
 		var ops []fillOp
+		var fz freezer
 		check := func() {
 			if d := runDelta(sealed, added, ops, false); d != "" {
 				t.Fatal(d)
@@ -843,8 +896,14 @@ func FuzzSealDelta(f *testing.F) {
 			if d := checkTable(sealed); d != "" {
 				t.Fatal(d)
 			}
+			if d := fz.check(); d != "" {
+				t.Fatal(d)
+			}
 		}
 		for ; len(data) >= 3; data = data[3:] {
+			if data[0]&0x20 != 0 && len(ops) == 0 {
+				fz.freeze(sealed, added)
+			}
 			k := [2]int64{int64(data[0] & 7), int64(data[0] >> 3 & 3)}
 			m, ctl := int64(int8(data[1])), data[2]
 			if m < 0 {

@@ -10,7 +10,12 @@ import (
 // relation's schema. For any S-tuple t it supports the operations (4)-(7)
 // of the paper's computational model: constant-delay enumeration of
 // σ_{S=t}R, constant-time membership in π_S R, constant-time |σ_{S=t}R|,
-// and constant-time maintenance.
+// and constant-time maintenance. Each bucket also keeps the sum of its
+// entries' multiplicities, Σ_{x} R(t, x), which Sum reads in O(1): every
+// write that changes a multiplicity adds the change into the bucket it
+// already reaches for its count, so an aggregate V(S) = Σ R onto S is the
+// index itself, with no relation of its own to maintain (internal/core's
+// index-backed views).
 //
 // Buckets are the ids of a table keyed on the unencoded projected key tuple
 // (seeded independently of the entry table); probes hash the key and never
@@ -45,10 +50,12 @@ type ixStore struct {
 	keyT tuple.Tuple // reusable projected-key buffer (mutating ops only)
 }
 
-// bucket is the list of the entries with one key value.
+// bucket is the list of the entries with one key value, their number and the
+// sum of their multiplicities.
 type bucket struct {
 	list
 	count uint32
+	sum   int64
 }
 
 // EnsureIndex returns the relation's index on keySchema, creating it (and
@@ -90,12 +97,12 @@ func (r *Relation) EnsureIndex(keySchema tuple.Schema) *Index {
 
 // build indexes the entries of rs, on an index just created, as insert of
 // each in insertion order would — the same bucket ids, bucket order and
-// counts — in passes over the entries that each touch one of the index's
-// tables, and write no link but the visited entry's own, where insert also
-// writes its bucket tail's, anywhere in the column. A pass in insertion order
-// finds each entry's bucket, opening a new key's at the next bucket id; a
-// second sets the entry's prev and its bucket's tail and count, and one in
-// reverse order its next and the bucket's head.
+// counts and sums — in passes over the entries that each touch one of the
+// index's tables, and write no link but the visited entry's own, where insert
+// also writes its bucket tail's, anywhere in the column. A pass in insertion
+// order finds each entry's bucket, opening a new key's at the next bucket id;
+// a second sets the entry's prev and its bucket's tail, count and sum, and one
+// in reverse order its next and the bucket's head.
 func (ix *ixStore) build(rs *relStore) {
 	for id := rs.order.head; id != End; id = rs.links[id].next {
 		ix.keyT = ix.proj.AppendTo(ix.keyT[:0], rs.tab.key(id))
@@ -113,6 +120,7 @@ func (ix *ixStore) build(rs *relStore) {
 		ix.links[id].prev = bk.tail
 		bk.tail = id
 		bk.count++
+		bk.sum += rs.mults[id]
 	}
 	for id := rs.order.tail; id != End; id = rs.links[id].prev {
 		bk := &ix.buckets[ix.of[id]]
@@ -132,7 +140,7 @@ func (r *Relation) Index(keySchema tuple.Schema) *Index {
 }
 
 // insert links entry id of rs at the tail of its key's bucket, opening the
-// bucket if the key is new.
+// bucket if the key is new, and adds its multiplicity to the bucket's sum.
 func (ix *ixStore) insert(rs *relStore, id ID) {
 	ix.keyT = ix.proj.AppendTo(ix.keyT[:0], rs.tab.key(id))
 	h := tuple.Hash(ix.seed, ix.keyT)
@@ -156,9 +164,12 @@ func (ix *ixStore) insert(rs *relStore, id ID) {
 	bk := &ix.buckets[b]
 	bk.push(ix.links, id)
 	bk.count++
+	bk.sum += rs.mults[id]
 }
 
-// remove unlinks entry id from its bucket, freeing the bucket once empty.
+// remove unlinks entry id from its bucket, freeing the bucket once empty. The
+// entry's multiplicity has reached zero, through addMult, before it leaves:
+// the bucket's sum no longer holds it.
 func (ix *ixStore) remove(id ID) {
 	b := ix.of[id]
 	bk := &ix.buckets[b]
@@ -213,6 +224,18 @@ func (ix *Index) Count(key tuple.Tuple) int {
 	return 0
 }
 
+// Sum returns Σ_{t ∈ σ_{S=key}R} R(t), the multiplicity key has in the
+// aggregate of R onto S, in O(1), without allocating: 0 when key ∉ π_S R.
+func (ix *Index) Sum(key tuple.Tuple) int64 {
+	if b, ok := ix.s.find(key); ok {
+		return b.sum
+	}
+	return 0
+}
+
+// Key returns the index's key schema S. Callers must not modify it.
+func (ix *Index) Key() tuple.Schema { return ix.s.keySchema }
+
 // Has reports key ∈ π_S R in O(1).
 func (ix *Index) Has(key tuple.Tuple) bool { return ix.Count(key) > 0 }
 
@@ -253,37 +276,24 @@ func (ix *Index) ForEachMatch(key tuple.Tuple, fn func(t tuple.Tuple, m int64)) 
 
 // Sums aggregates the relation onto the index's key: it calls emit once per
 // distinct key, in the order the keys first appear in insertion order, with
-// the key's Σ multiplicity or, when count is set, its number of entries (the
-// sum of an ∃ input). Those rows are exactly what MustAdd of every entry's
-// projected key, in insertion order, leaves in an empty relation. Nothing is
-// hashed: a pass in id order adds each entry's multiplicity into its bucket's
-// slot of sums, and a pass in insertion order emits each key at its bucket's
-// head, the key's first entry. sums is the caller's scratch, grown to the
-// bucket count and handed back all zero, so a repeated aggregation allocates
-// nothing. emit must copy the key and leave the relation alone.
+// the key's bucket sum, Σ multiplicity, or, when count is set, its number of
+// entries (the sum of an ∃ input). Those rows are exactly what MustAdd of
+// every entry's projected key, in insertion order, leaves in an empty
+// relation. Nothing is hashed and nothing summed: one pass in insertion order
+// emits each key at its bucket's head, the key's first entry. sums is handed
+// back as it came, for callers that pool a scratch; the buckets need none.
+// emit must copy the key and leave the relation alone.
 func (ix *Index) Sums(sums []int64, count bool, emit func(key tuple.Tuple, m int64)) []int64 {
 	s, rs := ix.s, ix.rel.s
-	if s.tab.count == 0 {
-		return sums
-	}
-	if !count {
-		if cap(sums) < len(s.buckets) {
-			sums = make([]int64, len(s.buckets))
-		}
-		sums = sums[:len(s.buckets)]
-		for id, b := range s.of { // a freed id's multiplicity is 0
-			sums[b] += rs.mults[id]
-		}
-	}
 	for id := rs.order.head; id != End; id = rs.links[id].next {
 		b := s.of[id]
 		bk := &s.buckets[b]
 		if bk.head != id {
 			continue
 		}
-		m := int64(bk.count)
-		if !count {
-			m, sums[b] = sums[b], 0
+		m := bk.sum
+		if count {
+			m = int64(bk.count)
 		}
 		emit(s.tab.key(b), m)
 	}

@@ -57,16 +57,22 @@ func churnOps(rng *rand.Rand, n int) [][4]int64 {
 }
 
 // sameIndex reports the first way got differs from want through the probes
-// and cursors — distinct keys, each key's count and bucket order, by tuple —
-// or "".
+// and cursors — distinct keys, each key's count, sum and bucket order, by
+// tuple — or a bucket sum of either that is not the sum of its entries, or "".
 func sameIndex(got, want *Index) string {
 	if got.DistinctKeys() != want.DistinctKeys() {
 		return fmt.Sprintf("%d distinct keys, want %d", got.DistinctKeys(), want.DistinctKeys())
+	}
+	if d := sumsHold(got) + sumsHold(want); d != "" {
+		return d
 	}
 	diff := ""
 	want.ForEachKey(func(key tuple.Tuple, count int) {
 		if got.Count(key) != count {
 			diff = fmt.Sprintf("key %v: count %d, want %d", key, got.Count(key), count)
+		}
+		if got.Sum(key) != want.Sum(key) {
+			diff = fmt.Sprintf("key %v: sum %d, want %d", key, got.Sum(key), want.Sum(key))
 		}
 		g, w := got.First(key), want.First(key)
 		for ; g != End && w != End; g, w = got.Next(g), want.Next(w) {
@@ -83,10 +89,24 @@ func sameIndex(got, want *Index) string {
 	return diff
 }
 
+// sumsHold reports the first key of ix whose bucket sum is not the sum of
+// the multiplicities its cursor visits, or "".
+func sumsHold(ix *Index) string {
+	diff := ""
+	ix.ForEachKey(func(key tuple.Tuple, _ int) {
+		var sum int64
+		ix.ForEachMatch(key, func(_ tuple.Tuple, m int64) { sum += m })
+		if got := ix.Sum(key); got != sum && diff == "" {
+			diff = fmt.Sprintf("key %v: bucket sum %d, its entries sum to %d", key, got, sum)
+		}
+	})
+	return diff
+}
+
 // insertBuilt reports the first way ix's store differs from the one insert
 // of each of its relation's entries, in insertion order, builds on a new
-// index — bucket ids, keys, heads, tails and counts, and each entry's bucket
-// and links — or "".
+// index — bucket ids, keys, heads, tails, counts and sums, and each entry's
+// bucket and links — or """.
 func insertBuilt(ix *Index) string {
 	rs, got := ix.rel.s, ix.s
 	want := &ixStore{keySchema: got.keySchema, proj: got.proj, seed: got.seed, tab: table{arity: len(got.keySchema)}, free: End,
@@ -227,33 +247,68 @@ func TestPartitionRebuildMatchesAdd(t *testing.T) {
 	}
 }
 
-// FuzzIndexSums holds Sums, and the index EnsureIndex builds on a relation
-// with a history, to references over random Add/remove histories: MustAdd of
-// the projected entries, a maintained index, and insert of each entry in
-// insertion order. Three bytes make one op: the tuple's values, a signed
-// multiplicity (a delete clamped to what is stored), and whether the op
-// comes before or after the late index is built.
+// FuzzIndexSums holds Sums, each bucket's sum, and the index EnsureIndex
+// builds on a relation with a history, to references over random Add/remove
+// histories: MustAdd of the projected entries, a maintained index, and insert
+// of each entry in insertion order. Three bytes make one op: the tuple's
+// values, a signed multiplicity (a delete clamped to what is stored), and
+// whether the op comes before or after the late index is built and whether
+// the maintained relation is frozen before it, so that the op detaches it —
+// the frozen handle's sums must stay those it pinned.
 func FuzzIndexSums(f *testing.F) {
 	f.Add([]byte{1, 2, 0, 9, 1, 0, 1, 0xfe, 0, 9, 3, 1, 1, 2, 1})
 	f.Add([]byte{0, 5, 0, 1, 4, 0, 0, 0x80, 0, 1, 0xff, 0, 8, 1, 0, 0, 2, 1})
+	f.Add([]byte{1, 2, 2, 9, 1, 0, 1, 0xfe, 3, 9, 3, 1, 1, 2, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		inc, late := New("R", abc()), New("R", abc())
 		incIx := inc.EnsureIndex(ca())
-		var before, after [][4]int64
+		type op struct {
+			o      [4]int64
+			freeze bool
+		}
+		var before, after []op
 		for ; len(data) >= 3; data = data[3:] {
-			o := [4]int64{int64(data[0] & 3), int64(data[0] >> 2 & 1), int64(data[0] >> 3 & 3), int64(int8(data[1]))}
+			o := op{[4]int64{int64(data[0] & 3), int64(data[0] >> 2 & 1), int64(data[0] >> 3 & 3), int64(int8(data[1]))}, data[2]&2 != 0}
 			if data[2]&1 == 0 {
 				before = append(before, o)
 			} else {
 				after = append(after, o)
 			}
 		}
-		churn(before, inc, late)
+		var frozen *Relation
+		var pinned []string // Sums of the maintained index when frozen pinned it
+		checkFrozen := func() {
+			if frozen == nil {
+				return
+			}
+			fix := frozen.Index(ca())
+			if got, _ := sumsOf(fix, nil, false); !slices.Equal(got, pinned) {
+				t.Fatalf("a frozen handle's sums moved: %v, pinned %v", got, pinned)
+			}
+			if d := sumsHold(fix); d != "" {
+				t.Fatalf("the frozen handle's index: %s", d)
+			}
+		}
+		apply := func(ops []op) {
+			for _, o := range ops {
+				if o.freeze {
+					checkFrozen()
+					if frozen != nil {
+						frozen.Release()
+					}
+					frozen = inc.FreezeInto(frozen)
+					pinned, _ = sumsOf(incIx, nil, false)
+				}
+				churn([][4]int64{o.o}, inc, late)
+			}
+		}
+		apply(before)
 		lateIx := late.EnsureIndex(ca())
 		if d := insertBuilt(lateIx); d != "" {
 			t.Fatalf("the index built late differs from insert's: %s", d)
 		}
-		churn(after, inc, late)
+		apply(after)
+		checkFrozen()
 		if d := sameIndex(lateIx, incIx); d != "" {
 			t.Fatalf("the index built late differs from the maintained one: %s", d)
 		}

@@ -26,9 +26,9 @@
 // id goes to a free list and the next insert takes it, linked at the tail, so
 // enumeration order is insertion order. Each secondary index is a table of
 // bucket keys — keyed the same way on the projected key tuple — with a head,
-// tail and count per bucket and prev/next/bucket columns per entry: the
-// doubly-linked lists with back-pointers of the paper's sketch, as ids. The
-// garbage collector has nothing to scan in any of it.
+// tail, count and multiplicity sum per bucket and prev/next/bucket columns per
+// entry: the doubly-linked lists with back-pointers of the paper's sketch, as
+// ids. The garbage collector has nothing to scan in any of it.
 //
 // A Relation is a stable handle over a swappable store (relStore): all of
 // the storage above lives in the store, and mutators reach it through the
@@ -377,11 +377,20 @@ func (r *Relation) addHashed(t tuple.Tuple, h uint64, m int64) (prior int64, err
 	if have+m < 0 {
 		return have, r.multError(t, have, m)
 	}
-	s.mults[id] = have + m
-	if have+m == 0 {
+	if s.addMult(id, m); have+m == 0 {
 		s.remove(i, id)
 	}
 	return have, nil
+}
+
+// addMult adds m to the multiplicity of the stored, indexed entry id and to
+// its bucket's sum in every index: the one write of a change to a stored
+// entry, whatever path makes it.
+func (s *relStore) addMult(id ID, m int64) {
+	s.mults[id] += m
+	for _, ix := range s.indexes {
+		ix.buckets[ix.of[id]].sum += m
+	}
 }
 
 // remove drops entry id, in probe slot i, whose multiplicity reached zero:
